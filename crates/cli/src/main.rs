@@ -26,12 +26,13 @@
 //!                                   and writes the checkpoint (plus the
 //!                                   emitted JSONL prefix); --resume picks
 //!                                   a checkpoint up and emits the exact
-//!                                   byte-identical suffix. --stream serves
-//!                                   out-of-core: arrivals pulled lazily,
-//!                                   records written to --jsonl and
-//!                                   dropped, memory bounded by the
-//!                                   look-ahead window — byte-identical
-//!                                   JSONL to the buffered serve
+//!                                   byte-identical suffix. The spec's
+//!                                   report sinks see every record as it
+//!                                   is emitted. --stream retains nothing
+//!                                   in memory: same bytes to --jsonl and
+//!                                   to the sinks, scalar stats in place
+//!                                   of the full report (a sink that needs
+//!                                   the report, `summary`, is rejected)
 //! entk check <spec.json>            validate a spec without running it
 //! entk kernels                      list available kernel plugins
 //! ```
@@ -39,7 +40,7 @@
 use entk_cli::WorkloadSpec;
 use entk_core::ComponentSpec;
 use entk_workload::{
-    admission_policies, ServiceCheckpoint, ServiceEngine, StreamSpec, WorkloadReport,
+    admission_policies, ServeStats, ServiceCheckpoint, ServiceEngine, StreamSpec, WorkloadReport,
 };
 use std::process::ExitCode;
 
@@ -166,12 +167,7 @@ fn run_stream(path: &str, as_json: bool, trace_path: Option<String>) -> ExitCode
     let outcome = std::fs::read_to_string(path)
         .map_err(|e| format!("reading {path:?}: {e}"))
         .and_then(|text| StreamSpec::from_json(&text).map_err(|e| e.to_string()))
-        .and_then(|spec| {
-            let mut sinks = spec.build_sinks().map_err(|e| e.to_string())?;
-            let out = spec.run().map_err(|e| e.to_string())?;
-            entk_workload::dispatch(&out, &mut sinks).map_err(|e| e.to_string())?;
-            Ok(out)
-        });
+        .and_then(|spec| spec.run().map_err(|e| e.to_string()));
     let out = match outcome {
         Ok(out) => out,
         Err(e) => {
@@ -221,6 +217,34 @@ fn print_stream_report(r: &WorkloadReport, as_json: bool) {
             t.tenant, t.sessions, t.p50, t.p95, t.p99
         );
     }
+}
+
+fn print_serve_stats(stats: &ServeStats, as_json: bool) {
+    if as_json {
+        println!(
+            "{}",
+            serde_json::to_string_pretty(stats).expect("serve stats serialize")
+        );
+        return;
+    }
+    println!(
+        "streamed: {} sessions from {} tenants \
+         ({} ok / {} partial / {} failed / {} rejected)",
+        stats.sessions,
+        stats.tenants,
+        stats.ok_sessions,
+        stats.partial_sessions,
+        stats.failed_sessions,
+        stats.rejected_sessions
+    );
+    println!(
+        "  makespan {:.1}s  latency mean {:.1}s max {:.1}s",
+        stats.makespan_secs, stats.mean_latency_secs, stats.max_latency_secs
+    );
+    println!(
+        "  peak resident sessions {}  stream fingerprint {}",
+        stats.peak_resident_sessions, stats.stream_fp
+    );
 }
 
 /// The `serve` subcommand: the session service with policy override,
@@ -285,66 +309,25 @@ fn serve_stream(args: &[String]) -> ExitCode {
             spec.strict = true;
         }
         let config = spec.service_config().map_err(|e| e.to_string())?;
+        if streaming
+            && (resume_path.is_some() || checkpoint_at.is_some() || checkpoint_path.is_some())
+        {
+            return Err("--stream is incompatible with checkpoint/resume".to_string());
+        }
         // Arrivals are never materialized: the engine pulls the spec's
         // source lazily, which is what keeps `--stream` serves flat in
         // memory no matter how long the trace is.
         let arrivals = spec.source_stream().map_err(|e| e.to_string())?;
-
-        if streaming {
-            if resume_path.is_some() || checkpoint_at.is_some() || checkpoint_path.is_some() {
-                return Err("--stream is incompatible with checkpoint/resume".to_string());
-            }
-            if !spec.sinks.is_empty() {
-                eprintln!(
-                    "note: spec sinks ignored under --stream (records are dropped \
-                     after emission; use --jsonl for the row stream)"
-                );
-            }
-            let path = jsonl_path.ok_or_else(|| "--stream needs --jsonl <path>".to_string())?;
-            let file =
-                std::fs::File::create(&path).map_err(|e| format!("creating {path:?}: {e}"))?;
-            let mut out = std::io::BufWriter::new(file);
-            let engine = ServiceEngine::new(config, arrivals).map_err(|e| e.to_string())?;
-            let stats = engine.run_streaming(&mut out).map_err(|e| e.to_string())?;
-            std::io::Write::flush(&mut out).map_err(|e| format!("writing {path:?}: {e}"))?;
-            if as_json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&stats).expect("serve stats serialize")
-                );
-            } else {
-                println!(
-                    "streamed: {} sessions from {} tenants \
-                     ({} ok / {} partial / {} failed / {} rejected)",
-                    stats.sessions,
-                    stats.tenants,
-                    stats.ok_sessions,
-                    stats.partial_sessions,
-                    stats.failed_sessions,
-                    stats.rejected_sessions
-                );
-                println!(
-                    "  makespan {:.1}s  latency mean {:.1}s max {:.1}s",
-                    stats.makespan_secs, stats.mean_latency_secs, stats.max_latency_secs
-                );
-                println!(
-                    "  peak resident sessions {}  stream fingerprint {}",
-                    stats.peak_resident_sessions, stats.stream_fp
-                );
-            }
-            eprintln!("stream JSONL written to {path}");
-            return Ok(ExitCode::SUCCESS);
-        }
-
         let mut engine = match &resume_path {
             Some(path) => {
                 let ckpt_text = std::fs::read_to_string(path)
                     .map_err(|e| format!("reading checkpoint {path:?}: {e}"))?;
                 let ckpt = ServiceCheckpoint::from_json(&ckpt_text).map_err(|e| e.to_string())?;
-                ServiceEngine::restore(config, arrivals, &ckpt).map_err(|e| e.to_string())?
+                ServiceEngine::restore(config, arrivals, &ckpt)
             }
-            None => ServiceEngine::new(config, arrivals).map_err(|e| e.to_string())?,
-        };
+            None => ServiceEngine::new(config, arrivals),
+        }
+        .map_err(|e| e.to_string())?;
 
         if let Some(k) = checkpoint_at {
             let ckpt_path = checkpoint_path
@@ -366,21 +349,32 @@ fn serve_stream(args: &[String]) -> ExitCode {
             return Ok(ExitCode::SUCCESS);
         }
 
-        let mut sinks = spec.build_sinks().map_err(|e| e.to_string())?;
-        let out = engine.run().map_err(|e| e.to_string())?;
-        entk_workload::dispatch(&out, &mut sinks).map_err(|e| e.to_string())?;
-        print_stream_report(&out.report, as_json);
-        if let Some(path) = jsonl_path {
-            // A resumed service writes exactly the suffix after its
-            // checkpoint, so prefix + suffix concatenate to the full
-            // stream byte-for-byte.
-            let body = if resume_path.is_some() {
-                &out.suffix_jsonl
-            } else {
-                &out.jsonl
-            };
-            std::fs::write(&path, body).map_err(|e| format!("writing {path:?}: {e}"))?;
+        for sink in spec.build_sinks().map_err(|e| e.to_string())? {
+            engine.attach(sink);
+        }
+        // One serve; `--stream` only decides whether the engine retains
+        // what it emits. Without retention the rows go to --jsonl as they
+        // are emitted and the summary is the scalar stats; with it, the
+        // rows this engine emitted (everything, or exactly the suffix
+        // after a resumed checkpoint, so prefix + suffix concatenate to
+        // the full stream byte-for-byte) are written once the report is.
+        if streaming {
+            let path = jsonl_path.ok_or_else(|| "--stream needs --jsonl <path>".to_string())?;
+            let file =
+                std::fs::File::create(&path).map_err(|e| format!("creating {path:?}: {e}"))?;
+            let mut out = std::io::BufWriter::new(file);
+            let stats = engine.run_streaming(&mut out).map_err(|e| e.to_string())?;
+            std::io::Write::flush(&mut out).map_err(|e| format!("writing {path:?}: {e}"))?;
+            print_serve_stats(&stats, as_json);
             eprintln!("stream JSONL written to {path}");
+        } else {
+            let out = engine.run().map_err(|e| e.to_string())?;
+            print_stream_report(&out.report, as_json);
+            if let Some(path) = jsonl_path {
+                std::fs::write(&path, &out.suffix_jsonl)
+                    .map_err(|e| format!("writing {path:?}: {e}"))?;
+                eprintln!("stream JSONL written to {path}");
+            }
         }
         Ok(ExitCode::SUCCESS)
     })();

@@ -587,73 +587,25 @@ impl EventBackend {
         }
     }
 
-    /// Handles one engine event from cluster `idx`, surfacing state changes.
-    fn handle_ev(
-        &mut self,
-        idx: usize,
-        ev: Ev,
-        ctx: &mut Context<'_, Ev>,
-        out: &mut Vec<BackendEvent>,
-    ) {
+    /// Handles one engine event of the lone cluster (the N = 1 drive),
+    /// surfacing state changes.
+    fn handle_ev(&mut self, ev: Ev, ctx: &mut Context<'_, Ev>, out: &mut Vec<BackendEvent>) {
+        let mut notes = Vec::new();
         match ev {
             Ev::Boot => {
                 self.telemetry
                     .record(ctx.now(), "entk", "resource_ready", Subject::Session);
-                let boot_time = ctx.now();
-                for i in 0..self.clusters.len() {
-                    let mut notes = Vec::new();
-                    if i == idx {
-                        self.clusters[i].boot(ctx, &mut notes);
-                    } else {
-                        // Other clusters' engines are intact (only `idx`'s
-                        // is being stepped); bring their clocks up to the
-                        // boot time and inject through their own contexts.
-                        let mut engine = std::mem::take(&mut self.clusters[i].engine);
-                        engine.advance_to(boot_time);
-                        {
-                            let mut ctx_i = engine.context();
-                            self.clusters[i].boot(&mut ctx_i, &mut notes);
-                        }
-                        self.clusters[i].engine = engine;
-                    }
-                    self.translate(i, notes, boot_time, out);
-                }
+                self.clusters[0].boot(ctx, &mut notes);
             }
-            Ev::Rt(re) => {
-                let mut notes = Vec::new();
-                self.clusters[idx].runtime.handle(re, ctx, &mut notes);
-                self.translate(idx, notes, ctx.now(), out);
-            }
-            Ev::Cl(ce) => {
-                let mut notes = Vec::new();
-                self.clusters[idx]
-                    .runtime
-                    .handle_cluster(ce, ctx, &mut notes);
-                self.translate(idx, notes, ctx.now(), out);
-            }
+            Ev::Rt(re) => self.clusters[0].runtime.handle(re, ctx, &mut notes),
+            Ev::Cl(ce) => self.clusters[0].runtime.handle_cluster(ce, ctx, &mut notes),
             Ev::TasksReady(batch, uids) => out.push(BackendEvent::BatchReady { batch, uids }),
             Ev::TaskTimeout(uid) => out.push(BackendEvent::TaskTimeout { uid }),
             Ev::Deliver(uid) => out.push(BackendEvent::DeferredFailure { uid }),
-            Ev::Shutdown => {
-                let down_time = ctx.now();
-                for i in 0..self.clusters.len() {
-                    let mut notes = Vec::new();
-                    if i == idx {
-                        self.clusters[i].shutdown(ctx, &mut notes);
-                    } else {
-                        let mut engine = std::mem::take(&mut self.clusters[i].engine);
-                        engine.advance_to(down_time);
-                        {
-                            let mut ctx_i = engine.context();
-                            self.clusters[i].shutdown(&mut ctx_i, &mut notes);
-                        }
-                        self.clusters[i].engine = engine;
-                    }
-                    self.translate(i, notes, down_time, out);
-                }
-            }
+            Ev::Shutdown => self.clusters[0].shutdown(ctx, &mut notes),
             Ev::Nop => out.push(BackendEvent::ClockMark),
         }
+        self.translate(0, notes, ctx.now(), out);
     }
 
     /// The engine session-level events are scheduled on: the spine for
@@ -883,27 +835,19 @@ impl ExecutionBackend for EventBackend {
         if self.fed.is_some() {
             return self.poll_federated();
         }
-        // Serial drive: process the globally earliest event (ties to the
-        // lowest cluster index), keeping all virtual clocks causally
-        // consistent.
-        let mut best: Option<(usize, SimTime)> = None;
-        for (i, c) in self.clusters.iter_mut().enumerate() {
-            if let Some(t) = c.engine.next_time() {
-                if best.is_none_or(|(_, bt)| t < bt) {
-                    best = Some((i, t));
-                }
-            }
-        }
-        let Some((idx, _)) = best else {
+        // N = 1 drive: `fed` is `Some` iff there are >= 2 members, so the
+        // lone cluster's engine holds every event of the session.
+        debug_assert_eq!(self.clusters.len(), 1);
+        if self.clusters[0].engine.next_time().is_none() {
             return Poll::Drained;
-        };
-        let mut engine = std::mem::take(&mut self.clusters[idx].engine);
+        }
+        let mut engine = std::mem::take(&mut self.clusters[0].engine);
         let mut events = Vec::new();
         engine.run_bounded(1, SimTime::MAX, &mut |ev, ctx| {
-            self.handle_ev(idx, ev, ctx, &mut events);
+            self.handle_ev(ev, ctx, &mut events);
         });
-        self.clusters[idx].engine = engine;
-        self.global_now = self.global_now.max(self.clusters[idx].engine.now());
+        self.global_now = self.global_now.max(engine.now());
+        self.clusters[0].engine = engine;
         Poll::Events(events)
     }
 

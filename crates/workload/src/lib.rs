@@ -52,7 +52,7 @@ pub use service::{
     admission_policies, session_seed, AdmissionPolicy, AdmissionSample, EngineOptions,
     SaturationMode, ServeStats, ServiceCheckpoint, ServiceConfig, ServiceEngine,
 };
-pub use sink::{dispatch, sinks, GaugesSink, JsonlSink, ReportSink, SummarySink};
+pub use sink::{sinks, GaugesSink, JsonlSink, ReportSink, SummarySink};
 pub use spec::{sources, SourceCtx, SourceDecl, StreamSpec};
 pub use trace::{
     parse_trace, render_trace, CsvStream, CsvTrace, HotTenantTrace, SyntheticTrace, TRACE_HEADER,

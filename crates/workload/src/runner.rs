@@ -317,6 +317,26 @@ pub fn serve(
     ServiceEngine::new(ServiceConfig::fifo(config.clone()), arrivals)?.run()
 }
 
+/// One step of the admission timeline: (micros, kind, delta_queued,
+/// delta_running). The kind orders ties finish → arrive → start.
+pub(crate) type DepthEvent = (u64, u8, i64, i64);
+
+/// The depth events one record contributes — the single derivation behind
+/// the report's gauge series and the `gauges` sink. A rejected session
+/// contributes none; a zero-service-time session leaves the queue without
+/// a running blip.
+pub(crate) fn depth_events(r: &SessionRecord) -> impl Iterator<Item = DepthEvent> {
+    let served = r.status != SessionStatus::Rejected;
+    let runs = served && r.finish_us > r.start_us;
+    [
+        served.then_some((r.arrival_us, 1, 1, 0)),
+        runs.then_some((r.finish_us, 0, 0, -1)),
+        served.then_some((r.start_us, 2, -1, i64::from(runs))),
+    ]
+    .into_iter()
+    .flatten()
+}
+
 /// Replays the admission timeline as gauge samples: queue depth counts
 /// sessions that arrived but have not started; in-service counts sessions
 /// between start and finish. Ties resolve finish → arrive → start so a
@@ -327,21 +347,7 @@ pub fn serve(
 /// Rejected sessions never enter either series; a zero-duration (failed)
 /// session contributes no in-service blip.
 pub(crate) fn record_depth_gauges(metrics: &mut Metrics, records: &[SessionRecord]) {
-    // (micros, kind, delta_queued, delta_running); kind orders ties.
-    let mut events: Vec<(u64, u8, i64, i64)> = Vec::with_capacity(records.len() * 3);
-    for r in records {
-        if r.status == SessionStatus::Rejected {
-            continue;
-        }
-        events.push((r.arrival_us, 1, 1, 0));
-        if r.finish_us > r.start_us {
-            events.push((r.finish_us, 0, 0, -1));
-            events.push((r.start_us, 2, -1, 1));
-        } else {
-            // Zero service time: leave the queue without a running blip.
-            events.push((r.start_us, 2, -1, 0));
-        }
-    }
+    let mut events: Vec<DepthEvent> = records.iter().flat_map(depth_events).collect();
     events.sort_unstable();
     let (mut queued, mut running) = (0i64, 0i64);
     for (t, _, dq, dr) in events {

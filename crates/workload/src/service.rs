@@ -25,13 +25,22 @@
 //! evaluation *order* is irrelevant to the output: the lazy engine is
 //! byte-identical to the old evaluate-everything-upfront pass, and the
 //! `lookahead` / `eval_workers` knobs provably cannot change a single
-//! byte (property-tested). [`ServiceEngine::run`] buffers records for
-//! the full [`WorkloadReport`]; [`ServiceEngine::run_streaming`] instead
-//! renders each finalized record to a sink, folds it into the running
-//! fingerprint and scalar [`ServeStats`], and drops it — resident state
-//! is O(look-ahead + in-flight + queued), never O(stream length), which
-//! is what lets a million-session trace serve in a flat memory
-//! footprint.
+//! byte (property-tested).
+//!
+//! ## One emission point
+//!
+//! There is one event loop and one place a record leaves it. Finalized
+//! records wait in a small reorder window until every lower-index session
+//! is finalized; the emission step then pops the contiguous prefix and,
+//! per record, folds the running [`ServeStats`], renders the stream line,
+//! folds fingerprint and byte count, and hands `(line, &record)` to the
+//! observers: the caller's writer and every attached [`ReportSink`].
+//! [`ServiceEngine::run`] additionally *retains* what it emits — the
+//! records and lines behind checkpoints, exact percentiles and the gauge
+//! series of the full [`WorkloadReport`]. [`ServiceEngine::run_streaming`]
+//! retains nothing: resident state is O(look-ahead + in-flight + queued),
+//! never O(stream length), which is what lets a million-session trace
+//! serve in a flat memory footprint.
 //!
 //! * [`AdmissionPolicy::Fifo`] — arrival order; byte-identical to the
 //!   original `serve()` recursion (property-tested against a reference
@@ -95,6 +104,7 @@ use crate::runner::{
     StreamBackend, TenantLatency, WorkloadConfig, WorkloadOutcome, WorkloadReport,
     IN_SERVICE_GAUGE, QUEUE_DEPTH_GAUGE,
 };
+use crate::sink::ReportSink;
 use crate::trace::{render_row, TRACE_HEADER};
 use entk_core::prelude::*;
 use entk_core::EntkError;
@@ -283,6 +293,46 @@ pub(crate) struct SessionService {
     pub(crate) error: Option<EntkError>,
 }
 
+impl SessionService {
+    /// A session that consumed no service time: failed before running, or
+    /// turned away at the queue bound.
+    fn unserved(status: SessionStatus, error: EntkError) -> Self {
+        SessionService {
+            status,
+            ttc: SimDuration::ZERO,
+            tasks: 0,
+            events: 0,
+            trace_fp: 0,
+            cc_err: 0.0,
+            error: Some(error),
+        }
+    }
+
+    /// The stream record of session `i`, admitted at `start` (a rejected
+    /// session "starts" and finishes at its own arrival instant).
+    fn record(&self, i: usize, arrival: &SessionArrival, start: SimTime) -> SessionRecord {
+        let finish = start + self.ttc;
+        SessionRecord {
+            session: i,
+            tenant: arrival.tenant,
+            pattern: arrival.pattern.as_str().to_string(),
+            status: self.status,
+            error: self.error.as_ref().map(|e| e.to_string()),
+            arrival_secs: arrival.arrival.as_secs_f64(),
+            start_secs: start.as_secs_f64(),
+            finish_secs: finish.as_secs_f64(),
+            latency_secs: finish.saturating_since(arrival.arrival).as_secs_f64(),
+            ttc_secs: self.ttc.as_secs_f64(),
+            arrival_us: arrival.arrival.as_micros(),
+            start_us: start.as_micros(),
+            finish_us: finish.as_micros(),
+            tasks: self.tasks,
+            events: self.events,
+            trace_fp: format!("{:016x}", self.trace_fp),
+        }
+    }
+}
+
 /// Evaluates one session's service on its own virtual clock. Per-session
 /// problems — a backend error or a degraded (partial) report — are folded
 /// into the returned status, never propagated: the stream must survive
@@ -292,15 +342,7 @@ fn evaluate_session(
     index: usize,
     arrival: &SessionArrival,
 ) -> SessionService {
-    let failed = |e: EntkError| SessionService {
-        status: SessionStatus::Failed,
-        ttc: SimDuration::ZERO,
-        tasks: 0,
-        events: 0,
-        trace_fp: 0,
-        cc_err: 0.0,
-        error: Some(e),
-    };
+    let failed = |e| SessionService::unserved(SessionStatus::Failed, e);
     let mut pattern = match arrival.build_pattern() {
         Ok(p) => p,
         Err(e) => return failed(e),
@@ -482,13 +524,13 @@ impl Drop for EvalPool {
     }
 }
 
-/// O(1)-memory aggregate summary of a streamed serve — what
-/// [`ServiceEngine::run_streaming`] returns instead of a full
-/// [`WorkloadOutcome`]. `stream_fp` is folded over the emitted JSONL
-/// bytes and matches the buffered engine's `report.stream_fp` exactly;
-/// latency is summarized as mean/max (percentiles need the full sample
-/// set, which an out-of-core serve deliberately never holds).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// O(1)-memory aggregate summary of a serve, folded at the emission
+/// point — what [`ServiceEngine::run_streaming`] returns instead of a
+/// full [`WorkloadOutcome`], and where [`WorkloadReport`] takes its
+/// counts and `stream_fp` from. Latency is summarized as mean/max
+/// (percentiles need the full sample set, which an out-of-core serve
+/// deliberately never holds).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServeStats {
     /// Sessions recorded (admitted or rejected).
     pub sessions: usize,
@@ -524,71 +566,53 @@ pub struct ServeStats {
     pub peak_resident_sessions: usize,
 }
 
-/// Streaming accumulator behind [`ServeStats`].
-#[derive(Debug, Default)]
+/// Running accumulator behind [`ServeStats`]: the stats themselves,
+/// folded in place, plus what their derived fields (mean latency,
+/// tenant count, rendered fingerprint) are computed from.
+#[derive(Debug)]
 struct StatsAcc {
-    sessions: usize,
-    ok: usize,
-    partial: usize,
-    failed: usize,
-    rejected: usize,
-    tasks: usize,
-    events: u64,
-    makespan_secs: f64,
+    stats: ServeStats,
     lat_sum: f64,
-    lat_max: f64,
     lat_count: usize,
     tenants: BTreeSet<u64>,
     fp: u64,
-    jsonl_bytes: u64,
-    peak_resident: usize,
 }
 
 impl StatsAcc {
     fn observe(&mut self, r: &SessionRecord) {
-        self.sessions += 1;
+        let s = &mut self.stats;
+        s.sessions += 1;
         self.tenants.insert(r.tenant);
-        self.tasks += r.tasks;
-        self.events += r.events;
+        s.total_tasks += r.tasks;
+        s.total_events += r.events;
         match r.status {
-            SessionStatus::Ok => self.ok += 1,
-            SessionStatus::Partial => self.partial += 1,
-            SessionStatus::Failed => self.failed += 1,
-            SessionStatus::Rejected => self.rejected += 1,
+            SessionStatus::Ok => s.ok_sessions += 1,
+            SessionStatus::Partial => s.partial_sessions += 1,
+            SessionStatus::Failed => s.failed_sessions += 1,
+            SessionStatus::Rejected => s.rejected_sessions += 1,
         }
         if r.status != SessionStatus::Rejected {
-            self.makespan_secs = self
+            s.makespan_secs = s
                 .makespan_secs
                 .max(SimTime::from_micros(r.finish_us).as_secs_f64());
         }
         if matches!(r.status, SessionStatus::Ok | SessionStatus::Partial) {
             self.lat_sum += r.latency_secs;
-            self.lat_max = self.lat_max.max(r.latency_secs);
+            s.max_latency_secs = s.max_latency_secs.max(r.latency_secs);
             self.lat_count += 1;
         }
     }
 
-    fn finish(self, max_cc: f64) -> ServeStats {
+    fn stats(&self) -> ServeStats {
         ServeStats {
-            sessions: self.sessions,
             tenants: self.tenants.len(),
-            ok_sessions: self.ok,
-            partial_sessions: self.partial,
-            failed_sessions: self.failed,
-            rejected_sessions: self.rejected,
-            total_tasks: self.tasks,
-            total_events: self.events,
-            makespan_secs: self.makespan_secs,
             mean_latency_secs: if self.lat_count == 0 {
                 0.0
             } else {
                 self.lat_sum / self.lat_count as f64
             },
-            max_latency_secs: self.lat_max,
-            max_cross_check_err_secs: max_cc,
             stream_fp: format!("{:016x}", self.fp),
-            jsonl_bytes: self.jsonl_bytes,
-            peak_resident_sessions: self.peak_resident,
+            ..self.stats.clone()
         }
     }
 }
@@ -699,25 +723,6 @@ impl ServiceCheckpoint {
     }
 }
 
-/// Where finalized records go: the buffered store reproduces the full
-/// [`WorkloadOutcome`] (records retained, byte-identical to the original
-/// upfront engine); the sink store is the out-of-core path — records are
-/// rendered, folded into the running stream fingerprint, summarized into
-/// [`StatsAcc`], and dropped.
-enum RecordStore {
-    Buffer(Vec<Option<SessionRecord>>),
-    Sink(BTreeMap<usize, SessionRecord>),
-}
-
-impl RecordStore {
-    fn reorder_len(&self) -> usize {
-        match self {
-            RecordStore::Buffer(_) => 0,
-            RecordStore::Sink(unemitted) => unemitted.len(),
-        }
-    }
-}
-
 /// The long-running multi-tenant session service (see module docs).
 pub struct ServiceEngine {
     config: ServiceConfig,
@@ -741,12 +746,21 @@ pub struct ServiceEngine {
     deferred: VecDeque<usize>,
     in_flight: BinaryHeap<Reverse<(SimTime, usize)>>,
     ledger: entk_cluster::UsageLedger<u64>,
-    store: RecordStore,
+    /// Finalized-but-not-emitted records: the reorder window.
+    window: BTreeMap<usize, SessionRecord>,
     emitted: usize,
-    suffix: String,
-    max_cc: f64,
-    admissions: Vec<AdmissionSample>,
     acc: StatsAcc,
+    /// Observers handed every `(line, &record)` at emission.
+    sinks: Vec<Box<dyn ReportSink>>,
+    /// Whether emitted records are also retained — `records`, `jsonl`
+    /// and `admissions` below stay empty otherwise.
+    retain: bool,
+    records: Vec<SessionRecord>,
+    /// Retained stream lines; this engine instance's own emissions start
+    /// at `suffix_from` (non-zero only for a restored engine).
+    jsonl: String,
+    suffix_from: usize,
+    admissions: Vec<AdmissionSample>,
     finished: bool,
 }
 
@@ -822,15 +836,21 @@ impl ServiceEngine {
             pending: VecDeque::new(),
             deferred: VecDeque::new(),
             in_flight: BinaryHeap::new(),
-            store: RecordStore::Buffer(Vec::new()),
+            window: BTreeMap::new(),
             emitted: 0,
-            suffix: String::new(),
-            max_cc: 0.0,
-            admissions: Vec::new(),
             acc: StatsAcc {
+                stats: ServeStats::default(),
+                lat_sum: 0.0,
+                lat_count: 0,
+                tenants: BTreeSet::new(),
                 fp: fnv64(b""),
-                ..StatsAcc::default()
             },
+            sinks: Vec::new(),
+            retain: true,
+            records: Vec::new(),
+            jsonl: String::new(),
+            suffix_from: 0,
+            admissions: Vec::new(),
             finished: false,
         }
     }
@@ -856,37 +876,42 @@ impl ServiceEngine {
         self.options.lookahead.max(1)
     }
 
-    /// Tops up the read-ahead window from the stream, validating each row
-    /// (schema and arrival order) and dispatching its just-in-time
-    /// evaluation. The window bound is what caps resident arrivals and
-    /// outstanding evaluations; a non-empty window after this call is the
-    /// engine's only way of knowing another arrival exists, so every
-    /// event-loop decision tops up first.
+    /// Pulls the next row off the stream: schema validation, arrival-order
+    /// check and cursor bump — the one place a row enters the engine.
+    /// `None` once the stream is exhausted.
+    fn pull_row(&mut self) -> Result<Option<(usize, SessionArrival)>, EntkError> {
+        let Some(stream) = self.stream.as_mut() else {
+            return Ok(None);
+        };
+        let Some(row) = stream.next_arrival()? else {
+            self.stream = None;
+            return Ok(None);
+        };
+        let i = self.pulled;
+        row.validate()?;
+        if self.last_pulled_at.is_some_and(|prev| row.arrival < prev) {
+            return Err(EntkError::Usage(format!(
+                "arrivals out of order at index {i}"
+            )));
+        }
+        self.last_pulled_at = Some(row.arrival);
+        self.pulled += 1;
+        Ok(Some((i, row)))
+    }
+
+    /// Tops up the read-ahead window from the stream, dispatching each
+    /// pulled row's just-in-time evaluation. The window bound is what caps
+    /// resident arrivals and outstanding evaluations; a non-empty window
+    /// after this call is the engine's only way of knowing another arrival
+    /// exists, so every event-loop decision tops up first.
     fn fill_readahead(&mut self) -> Result<(), EntkError> {
         while self.readahead.len() < self.lookahead() {
-            let Some(stream) = self.stream.as_mut() else {
+            let Some((i, row)) = self.pull_row()? else {
                 break;
             };
-            match stream.next_arrival()? {
-                Some(row) => {
-                    let i = self.pulled;
-                    row.validate()?;
-                    if self.last_pulled_at.is_some_and(|prev| row.arrival < prev) {
-                        return Err(EntkError::Usage(format!(
-                            "arrivals out of order at index {i}"
-                        )));
-                    }
-                    self.last_pulled_at = Some(row.arrival);
-                    self.pulled += 1;
-                    self.eval.dispatch(i, row.clone());
-                    self.held.insert(i, row);
-                    self.readahead.push_back(i);
-                }
-                None => {
-                    self.stream = None;
-                    break;
-                }
-            }
+            self.eval.dispatch(i, row.clone());
+            self.held.insert(i, row);
+            self.readahead.push_back(i);
         }
         Ok(())
     }
@@ -900,7 +925,7 @@ impl ServiceEngine {
     /// Sessions resident right now, in any form — the quantity whose peak
     /// the bounded-memory claim is about.
     fn resident_sessions(&self) -> usize {
-        self.held.len() + self.in_flight.len() + self.store.reorder_len()
+        self.held.len() + self.in_flight.len() + self.window.len()
     }
 
     /// The fair-share admission decisions taken so far (empty under FIFO).
@@ -912,7 +937,15 @@ impl ServiceEngine {
     /// fresh engine emits from line 0; a restored engine emits the suffix
     /// after its checkpoint's `emitted` cursor.
     pub fn emitted_jsonl(&self) -> &str {
-        &self.suffix
+        &self.jsonl[self.suffix_from..]
+    }
+
+    /// Attaches a report sink: from now on it sees every record at
+    /// emission, in session order, and is finished when the serve
+    /// completes. A restored engine therefore shows a sink exactly the
+    /// post-checkpoint suffix.
+    pub fn attach(&mut self, sink: Box<dyn ReportSink>) {
+        self.sinks.push(sink);
     }
 
     /// Arrivals ingested so far.
@@ -924,42 +957,41 @@ impl ServiceEngine {
         self.config.stream.slots - self.in_flight.len()
     }
 
-    /// Finalizes a session's record and advances the contiguous-prefix
-    /// emission cursor. Buffered: the record is retained for the final
-    /// report. Sink: the record waits (at most) in a small reorder buffer
-    /// until every lower-index session is finalized, then is rendered,
-    /// summarized, and dropped.
+    /// Finalizes a session's record: it waits in the reorder window until
+    /// every lower-index session is finalized too.
     fn finalize(&mut self, index: usize, record: SessionRecord) {
-        match &mut self.store {
-            RecordStore::Buffer(records) => {
-                if records.len() <= index {
-                    records.resize(index + 1, None);
-                }
-                debug_assert!(records[index].is_none(), "record finalized twice");
-                records[index] = Some(record);
-                while self.emitted < records.len() {
-                    match &records[self.emitted] {
-                        Some(r) => {
-                            self.suffix.push_str(&render_record(r));
-                            self.emitted += 1;
-                        }
-                        None => break,
-                    }
-                }
+        debug_assert!(
+            index >= self.emitted && !self.window.contains_key(&index),
+            "record finalized twice"
+        );
+        self.window.insert(index, record);
+    }
+
+    /// The single emission point: pops the contiguous finalized prefix off
+    /// the reorder window and, per record, folds the running stats, renders
+    /// the stream line, folds fingerprint and byte count, hands the line to
+    /// `out` and `(line, &record)` to every attached sink, and — when
+    /// retaining — keeps both.
+    fn emit(
+        &mut self,
+        out: &mut dyn FnMut(&str) -> Result<(), EntkError>,
+    ) -> Result<(), EntkError> {
+        while let Some(record) = self.window.remove(&self.emitted) {
+            self.emitted += 1;
+            self.acc.observe(&record);
+            let line = render_record(&record);
+            self.acc.fp = fnv64_update(self.acc.fp, line.as_bytes());
+            self.acc.stats.jsonl_bytes += line.len() as u64;
+            out(&line)?;
+            for sink in &mut self.sinks {
+                sink.on_record(&line, &record)?;
             }
-            RecordStore::Sink(unemitted) => {
-                debug_assert!(
-                    index >= self.emitted && !unemitted.contains_key(&index),
-                    "record finalized twice"
-                );
-                unemitted.insert(index, record);
-                while let Some(r) = unemitted.remove(&self.emitted) {
-                    self.acc.observe(&r);
-                    self.suffix.push_str(&render_record(&r));
-                    self.emitted += 1;
-                }
+            if self.retain {
+                self.jsonl.push_str(&line);
+                self.records.push(record);
             }
         }
+        Ok(())
     }
 
     /// Moves deferred sessions into the bounded pending window while there
@@ -1020,48 +1052,27 @@ impl ServiceEngine {
             }
         }
         let arrival = self.held.remove(&i).expect("admitted session is held");
-        let start = self.clock;
-        let finish = start + svc.ttc;
         if let AdmissionPolicy::FairShare { .. } = self.config.policy {
             self.ledger.decay_to(self.clock);
-            let admitted_usage = self.ledger.usage_of(&arrival.tenant);
-            let min_waiting_usage = self
-                .pending
-                .iter()
-                .map(|j| self.ledger.usage_of(&self.held[j].tenant))
-                .min_by(|a, b| a.partial_cmp(b).expect("finite usage"));
-            if matches!(self.store, RecordStore::Buffer(_)) {
+            if self.retain {
                 self.admissions.push(AdmissionSample {
                     session: i,
                     tenant: arrival.tenant,
-                    admitted_usage,
-                    min_waiting_usage,
+                    admitted_usage: self.ledger.usage_of(&arrival.tenant),
+                    min_waiting_usage: self
+                        .pending
+                        .iter()
+                        .map(|j| self.ledger.usage_of(&self.held[j].tenant))
+                        .min_by(|a, b| a.partial_cmp(b).expect("finite usage")),
                 });
             }
             self.ledger
                 .charge(arrival.tenant, arrival.cores as f64 * svc.ttc.as_secs_f64());
         }
-        self.in_flight.push(Reverse((finish, i)));
-        self.max_cc = self.max_cc.max(svc.cc_err);
-        let record = SessionRecord {
-            session: i,
-            tenant: arrival.tenant,
-            pattern: arrival.pattern.as_str().to_string(),
-            status: svc.status,
-            error: svc.error.as_ref().map(|e| e.to_string()),
-            arrival_secs: arrival.arrival.as_secs_f64(),
-            start_secs: start.as_secs_f64(),
-            finish_secs: finish.as_secs_f64(),
-            latency_secs: finish.saturating_since(arrival.arrival).as_secs_f64(),
-            ttc_secs: svc.ttc.as_secs_f64(),
-            arrival_us: arrival.arrival.as_micros(),
-            start_us: start.as_micros(),
-            finish_us: finish.as_micros(),
-            tasks: svc.tasks,
-            events: svc.events,
-            trace_fp: format!("{:016x}", svc.trace_fp),
-        };
-        self.finalize(i, record);
+        self.in_flight.push(Reverse((self.clock + svc.ttc, i)));
+        let max_cc = &mut self.acc.stats.max_cross_check_err_secs;
+        *max_cc = max_cc.max(svc.cc_err);
+        self.finalize(i, svc.record(i, &arrival, self.clock));
         Ok(())
     }
 
@@ -1113,25 +1124,8 @@ impl ServiceEngine {
                         self.pending.len(),
                         self.config.max_queue_depth.unwrap_or(0),
                     ));
-                    let secs = at.as_secs_f64();
-                    let record = SessionRecord {
-                        session: i,
-                        tenant: arrival.tenant,
-                        pattern: arrival.pattern.as_str().to_string(),
-                        status: SessionStatus::Rejected,
-                        error: Some(outcome.to_string()),
-                        arrival_secs: secs,
-                        start_secs: secs,
-                        finish_secs: secs,
-                        latency_secs: 0.0,
-                        ttc_secs: 0.0,
-                        arrival_us: at.as_micros(),
-                        start_us: at.as_micros(),
-                        finish_us: at.as_micros(),
-                        tasks: 0,
-                        events: 0,
-                        trace_fp: format!("{:016x}", 0u64),
-                    };
+                    let record = SessionService::unserved(SessionStatus::Rejected, outcome)
+                        .record(i, &arrival, at);
                     self.finalize(i, record);
                 }
             }
@@ -1141,15 +1135,27 @@ impl ServiceEngine {
         self.settle()
     }
 
-    /// Processes the single earliest event under the documented tie order
-    /// (completions before arrivals at the same instant).
-    fn step(&mut self) -> Result<(), EntkError> {
-        self.fill_readahead()?;
-        match (self.in_flight.peek(), self.peek_arrival()) {
-            (Some(&Reverse((tf, _))), Some(ta)) if tf <= ta => self.apply_completion(),
-            (_, Some(_)) => self.ingest_arrival(),
-            (Some(_), None) => self.apply_completion(),
-            (None, None) => unreachable!("step called with no events left"),
+    /// The only event loop. Processes the earliest event under the
+    /// documented tie order (completions before arrivals at the same
+    /// instant), stopping short of arrival `k`, and runs the emission
+    /// point after every event.
+    fn drive(
+        &mut self,
+        k: usize,
+        out: &mut dyn FnMut(&str) -> Result<(), EntkError>,
+    ) -> Result<(), EntkError> {
+        loop {
+            self.fill_readahead()?;
+            match (self.in_flight.peek(), self.peek_arrival()) {
+                (Some(&Reverse((tf, _))), Some(ta)) if tf <= ta => self.apply_completion()?,
+                (_, Some(_)) if self.next_arrival < k => self.ingest_arrival()?,
+                (Some(_), None) => self.apply_completion()?,
+                _ => return Ok(()),
+            }
+            self.emit(out)?;
+            let resident = self.resident_sessions();
+            let peak = &mut self.acc.stats.peak_resident_sessions;
+            *peak = (*peak).max(resident);
         }
     }
 
@@ -1158,32 +1164,14 @@ impl ServiceEngine {
     /// instant applied (for `k >= sessions`, the stream is drained to
     /// completion). Checkpoints are taken at these boundaries. Errors —
     /// a malformed or out-of-order row at pull time, a strict-mode abort
-    /// at admission — leave the engine unusable.
+    /// at admission, a failing sink — leave the engine unusable.
     pub fn run_to_boundary(&mut self, k: usize) -> Result<(), EntkError> {
-        loop {
-            self.fill_readahead()?;
-            let horizon = self.peek_arrival();
-            if self.next_arrival < k && horizon.is_some() {
-                self.step()?;
-                continue;
-            }
-            match (self.in_flight.peek(), horizon) {
-                (Some(&Reverse((tf, _))), Some(ta)) if tf <= ta => self.apply_completion()?,
-                (Some(_), None) => self.apply_completion()?,
-                _ => return Ok(()),
-            }
-        }
+        self.drive(k, &mut |_| Ok(()))
     }
 
     /// Serializes the admission state at the current arrival boundary.
     pub fn checkpoint(&self) -> ServiceCheckpoint {
         let s = &self.config.stream;
-        let records = match &self.store {
-            RecordStore::Buffer(records) => records.iter().flatten().cloned().collect(),
-            // run_streaming consumes the engine, so a sink-mode engine is
-            // never observable from outside.
-            RecordStore::Sink(_) => unreachable!("checkpoint during a streamed serve"),
-        };
         ServiceCheckpoint {
             version: 2,
             seed: s.seed,
@@ -1218,8 +1206,15 @@ impl ServiceEngine {
             },
             usage: self.ledger.balances().map(|(k, v)| (*k, v)).collect(),
             usage_decayed_at_us: self.ledger.last_decay_micros(),
-            max_cross_check_err_secs: self.max_cc,
-            records,
+            max_cross_check_err_secs: self.acc.stats.max_cross_check_err_secs,
+            // Emitted sessions are a contiguous prefix, so this is index
+            // order.
+            records: self
+                .records
+                .iter()
+                .chain(self.window.values())
+                .cloned()
+                .collect(),
         }
     }
 
@@ -1295,22 +1290,9 @@ impl ServiceEngine {
         // queued (pending or deferred) are retained — the rest are dropped
         // as soon as they are hashed, so restore stays bounded-memory.
         while engine.pulled < ckpt.next_arrival {
-            let row = match engine.stream.as_mut() {
-                Some(stream) => stream.next_arrival()?,
-                None => None,
-            };
-            let Some(row) = row else {
+            let Some((i, row)) = engine.pull_row()? else {
                 return Err(EntkError::Usage("checkpoint cursors out of range".into()));
             };
-            let i = engine.pulled;
-            row.validate()?;
-            if engine.last_pulled_at.is_some_and(|prev| row.arrival < prev) {
-                return Err(EntkError::Usage(format!(
-                    "arrivals out of order at index {i}"
-                )));
-            }
-            engine.last_pulled_at = Some(row.arrival);
-            engine.pulled += 1;
             engine.prefix_fp = fnv64_update(engine.prefix_fp, render_row(&row).as_bytes());
             if keep.contains(&i) {
                 engine.held.insert(i, row);
@@ -1328,23 +1310,17 @@ impl ServiceEngine {
         if ckpt.emitted > n {
             return Err(EntkError::Usage("checkpoint cursors out of range".into()));
         }
-        let mut records: Vec<Option<SessionRecord>> = vec![None; n];
+        let mut finalized: BTreeMap<usize, SessionRecord> = BTreeMap::new();
         for r in &ckpt.records {
-            if r.session >= n || records[r.session].is_some() {
+            if r.session >= n || finalized.insert(r.session, r.clone()).is_some() {
                 return Err(EntkError::Usage(format!(
                     "checkpoint record for session {} is out of range or duplicated",
                     r.session
                 )));
             }
-            records[r.session] = Some(r.clone());
-        }
-        if records.iter().take(ckpt.emitted).any(Option::is_none) {
-            return Err(EntkError::Usage(
-                "checkpoint emitted cursor exceeds its finalized records".into(),
-            ));
         }
         for &i in ckpt.pending.iter().chain(&ckpt.deferred) {
-            if i >= ckpt.next_arrival || records[i].is_some() {
+            if i >= ckpt.next_arrival || finalized.contains_key(&i) {
                 return Err(EntkError::Usage(format!(
                     "checkpoint queues session {i} inconsistently"
                 )));
@@ -1352,7 +1328,7 @@ impl ServiceEngine {
         }
         for slot in &ckpt.in_flight {
             if slot.session >= ckpt.next_arrival
-                || records[slot.session].is_none()
+                || !finalized.contains_key(&slot.session)
                 || slot.finish_us < ckpt.clock_us
             {
                 return Err(EntkError::Usage(format!(
@@ -1366,6 +1342,18 @@ impl ServiceEngine {
                 "checkpoint occupies more slots than the config provides".into(),
             ));
         }
+        // Replay the emitted prefix through the emission point (no observer
+        // is attached yet): running stats, fingerprint and retained lines
+        // become exactly what the uninterrupted run held at this boundary,
+        // and what stays in the window is finalized but not yet emitted.
+        engine.window = finalized;
+        engine.emit(&mut |_| Ok(()))?;
+        if engine.emitted != ckpt.emitted {
+            return Err(EntkError::Usage(
+                "checkpoint emitted cursor does not match its finalized records".into(),
+            ));
+        }
+        engine.suffix_from = engine.jsonl.len();
         // Service times are needed only for sessions whose admission is
         // still ahead. Queued and deferred rows were retained above and go
         // back to the evaluation pool now, in index order; not-yet-arrived
@@ -1381,7 +1369,6 @@ impl ServiceEngine {
             ckpt.usage.iter().copied(),
             ckpt.usage_decayed_at_us,
         );
-        engine.store = RecordStore::Buffer(records);
         engine.clock = SimTime::from_micros(ckpt.clock_us);
         engine.next_arrival = ckpt.next_arrival;
         engine.pending = ckpt.pending.iter().copied().collect();
@@ -1391,33 +1378,46 @@ impl ServiceEngine {
             .iter()
             .map(|slot| Reverse((SimTime::from_micros(slot.finish_us), slot.session)))
             .collect();
-        engine.emitted = ckpt.emitted;
-        engine.max_cc = ckpt.max_cross_check_err_secs;
+        engine.acc.stats.max_cross_check_err_secs = ckpt.max_cross_check_err_secs;
         Ok(engine)
     }
 
-    /// Serves the stream to completion and assembles the outcome. The
-    /// outcome's `jsonl` is always the full stream; `suffix_jsonl` is
-    /// what *this* engine instance emitted (the whole stream for a fresh
-    /// engine, the post-checkpoint suffix for a restored one).
+    /// Serves the stream to completion, retaining what it emits, and
+    /// finishes the attached sinks with the report. The outcome's `jsonl`
+    /// is always the full stream; `suffix_jsonl` is what *this* engine
+    /// instance emitted (the whole stream for a fresh engine, the
+    /// post-checkpoint suffix for a restored one).
     pub fn run(&mut self) -> Result<WorkloadOutcome, EntkError> {
         if self.finished {
             return Err(EntkError::Usage("service already ran to completion".into()));
         }
         self.run_to_boundary(usize::MAX)?;
         self.finished = true;
-        Ok(self.assemble())
+        let report = self.report();
+        for sink in &mut self.sinks {
+            sink.finish(Some(&report))?;
+        }
+        // The retained lines move into the outcome rather than being
+        // copied; `emitted_jsonl()` is empty from here on.
+        let jsonl = std::mem::take(&mut self.jsonl);
+        let suffix_jsonl = jsonl[std::mem::take(&mut self.suffix_from)..].to_string();
+        Ok(WorkloadOutcome {
+            report,
+            jsonl,
+            suffix_jsonl,
+        })
     }
 
-    /// Serves the stream to completion in *sink* mode: every finalized
-    /// record is rendered to `out`, folded into the running fingerprint,
-    /// accumulated into the scalar [`ServeStats`], and dropped. Resident
-    /// state is bounded by the look-ahead window plus in-flight and queued
-    /// sessions — never by the stream length — which is what lets a
-    /// million-session trace serve in a flat memory footprint.
+    /// Serves the stream to completion *without retaining*: every emitted
+    /// line goes to `out` (and every record to the attached sinks) and is
+    /// dropped. Resident state is bounded by the look-ahead window plus
+    /// in-flight and queued sessions — never by the stream length — which
+    /// is what lets a million-session trace serve in a flat memory
+    /// footprint.
     ///
-    /// Sink mode consumes the engine (no checkpoint can observe the
-    /// dropped records) and requires a fresh engine, not a restored one.
+    /// Consumes the engine (no checkpoint can observe the dropped
+    /// records), requires a fresh engine, not a restored one, and rejects
+    /// up front any attached sink that needs the retained report.
     pub fn run_streaming<W: std::io::Write>(
         mut self,
         out: &mut W,
@@ -1427,43 +1427,32 @@ impl ServiceEngine {
                 "streaming serve requires a fresh engine".into(),
             ));
         }
-        self.store = RecordStore::Sink(BTreeMap::new());
-        loop {
-            self.fill_readahead()?;
-            if self.in_flight.is_empty() && self.peek_arrival().is_none() {
-                break;
-            }
-            self.step()?;
-            if !self.suffix.is_empty() {
-                out.write_all(self.suffix.as_bytes())
-                    .map_err(|e| EntkError::Resource(format!("writing stream JSONL: {e}")))?;
-                self.acc.fp = fnv64_update(self.acc.fp, self.suffix.as_bytes());
-                self.acc.jsonl_bytes += self.suffix.len() as u64;
-                self.suffix.clear();
-            }
-            let resident = self.resident_sessions();
-            self.acc.peak_resident = self.acc.peak_resident.max(resident);
+        if let Some(sink) = self.sinks.iter().find(|s| s.needs_report()) {
+            return Err(EntkError::Usage(format!(
+                "report sink {:?} needs the full report, which a streaming \
+                 serve never retains",
+                sink.name()
+            )));
         }
+        self.retain = false;
+        self.drive(usize::MAX, &mut |line| {
+            out.write_all(line.as_bytes())
+                .map_err(|e| EntkError::Resource(format!("writing stream JSONL: {e}")))
+        })?;
         debug_assert!(self.pending.is_empty() && self.deferred.is_empty());
-        self.finished = true;
-        Ok(self.acc.finish(self.max_cc))
+        for sink in &mut self.sinks {
+            sink.finish(None)?;
+        }
+        Ok(self.acc.stats())
     }
 
-    fn assemble(&mut self) -> WorkloadOutcome {
-        let RecordStore::Buffer(buffer) = &self.store else {
-            unreachable!("assemble after a streamed serve");
-        };
-        let records: Vec<SessionRecord> = buffer
-            .iter()
-            .map(|r| r.clone().expect("completed service finalized every record"))
-            .collect();
-        let mut jsonl = String::new();
-        for r in &records {
-            jsonl.push_str(&render_record(r));
-        }
-
+    /// The full report of a retaining serve: counts, makespan and stream
+    /// fingerprint from the running stats; gauge series and exact latency
+    /// percentiles over the retained records.
+    fn report(&self) -> WorkloadReport {
+        let stats = self.acc.stats();
         let mut metrics = Metrics::new();
-        record_depth_gauges(&mut metrics, &records);
+        record_depth_gauges(&mut metrics, &self.records);
         let series = |name: &str| -> Vec<(f64, f64)> {
             metrics
                 .series(name)
@@ -1475,8 +1464,6 @@ impl ServiceEngine {
                 })
                 .unwrap_or_default()
         };
-        let queue_depth = series(QUEUE_DEPTH_GAUGE);
-        let in_service = series(IN_SERVICE_GAUGE);
         let (queue_depth_peak, queue_depth_mean) = metrics
             .series(QUEUE_DEPTH_GAUGE)
             .map(|s| (s.peak(), s.time_weighted_mean()))
@@ -1487,24 +1474,7 @@ impl ServiceEngine {
         // span, so neither contributes a latency sample.
         let mut all = Summary::new();
         let mut by_tenant: BTreeMap<u64, Summary> = BTreeMap::new();
-        let mut tenants: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        let mut counts = [0usize; 4];
-        let mut total_tasks = 0usize;
-        let mut total_events = 0u64;
-        let mut makespan = SimTime::ZERO;
-        for r in &records {
-            tenants.insert(r.tenant);
-            total_tasks += r.tasks;
-            total_events += r.events;
-            match r.status {
-                SessionStatus::Ok => counts[0] += 1,
-                SessionStatus::Partial => counts[1] += 1,
-                SessionStatus::Failed => counts[2] += 1,
-                SessionStatus::Rejected => counts[3] += 1,
-            }
-            if r.status != SessionStatus::Rejected {
-                makespan = makespan.max(SimTime::from_micros(r.finish_us));
-            }
+        for r in &self.records {
             if matches!(r.status, SessionStatus::Ok | SessionStatus::Partial) {
                 all.add(r.latency_secs);
                 by_tenant.entry(r.tenant).or_default().add(r.latency_secs);
@@ -1529,41 +1499,31 @@ impl ServiceEngine {
                 p99: ps[2],
             }
         };
-        let per_tenant: Vec<TenantLatency> =
-            by_tenant.iter().map(|(t, s)| latency_of(*t, s)).collect();
 
-        let report = WorkloadReport {
+        WorkloadReport {
             backend: self.config.stream.backend.label(),
             resource: self.config.stream.resource.clone(),
             seed: self.config.stream.seed,
             slots: self.config.stream.slots,
             policy: self.config.policy.label().to_string(),
-            sessions: records.len(),
-            tenants: tenants.len(),
-            ok_sessions: counts[0],
-            partial_sessions: counts[1],
-            failed_sessions: counts[2],
-            rejected_sessions: counts[3],
-            total_tasks,
-            total_events,
-            makespan_secs: makespan.as_secs_f64(),
+            sessions: stats.sessions,
+            tenants: stats.tenants,
+            ok_sessions: stats.ok_sessions,
+            partial_sessions: stats.partial_sessions,
+            failed_sessions: stats.failed_sessions,
+            rejected_sessions: stats.rejected_sessions,
+            total_tasks: stats.total_tasks,
+            total_events: stats.total_events,
+            makespan_secs: stats.makespan_secs,
             latency: latency_of(u64::MAX, &all),
-            per_tenant,
-            queue_depth,
+            per_tenant: by_tenant.iter().map(|(t, s)| latency_of(*t, s)).collect(),
+            queue_depth: series(QUEUE_DEPTH_GAUGE),
             queue_depth_peak,
             queue_depth_mean,
-            in_service,
-            max_cross_check_err_secs: self.max_cc,
-            stream_fp: format!("{:016x}", fnv64(jsonl.as_bytes())),
-            records,
-        };
-        // For a fresh engine the incrementally emitted lines are the whole
-        // stream; for a restored engine they are exactly the suffix after
-        // the checkpoint's emitted cursor.
-        WorkloadOutcome {
-            report,
-            jsonl,
-            suffix_jsonl: std::mem::take(&mut self.suffix),
+            in_service: series(IN_SERVICE_GAUGE),
+            max_cross_check_err_secs: stats.max_cross_check_err_secs,
+            stream_fp: stats.stream_fp,
+            records: self.records.clone(),
         }
     }
 }

@@ -5,40 +5,49 @@
 //!
 //! Three built-ins:
 //!
-//! * `jsonl` — appends every session row to a file as it is finalized
-//!   (the streaming JSONL shape of the out-of-core serve path, now
-//!   spec-selectable).
-//! * `gauges` — replays the admission timeline at a fixed virtual-time
+//! * `jsonl` — appends every session row to a file as it is emitted.
+//! * `gauges` — samples the admission timeline at a fixed virtual-time
 //!   period and writes one `{"t", "queue_depth", "in_service"}` JSONL row
-//!   per sample.
+//!   per sample, in memory bounded by the queued and in-flight sessions.
 //! * `summary` — writes the aggregated [`WorkloadReport`] as pretty JSON
-//!   when the stream completes.
+//!   when the stream completes (retaining serves only).
 //!
-//! Sinks observe records in emission (arrival) order and are driven by
-//! [`dispatch`]; everything they write is deterministic, so two runs of
-//! the same spec produce byte-identical sink files (asserted by the
-//! `registry-smoke` CI job).
+//! Sinks are observers of the engine's one emission point
+//! ([`crate::ServiceEngine::attach`]): they see records live, in emission
+//! (arrival) order, under either serve mode. Everything they write is
+//! deterministic, so two runs of the same spec produce byte-identical
+//! sink files (asserted by the `registry-smoke` CI job).
 
-use crate::runner::{render_record, SessionRecord, SessionStatus, WorkloadOutcome, WorkloadReport};
+use crate::runner::{depth_events, DepthEvent, SessionRecord, WorkloadReport};
 use entk_core::{params_required, EntkError, Registry};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::sync::OnceLock;
 
 /// A destination for the served stream's outputs. A sink sees every
-/// finalized session exactly once, in emission order, then the final
-/// aggregated report.
+/// finalized session exactly once, in emission order, then the end of
+/// the stream.
 pub trait ReportSink: Send {
     /// Registered plugin name (used in error messages).
     fn name(&self) -> &'static str;
+
+    /// Whether [`ReportSink::finish`] needs the aggregated report. Such a
+    /// sink cannot observe a non-retaining (streaming) serve, which
+    /// rejects it before serving anything.
+    fn needs_report(&self) -> bool {
+        false
+    }
 
     /// One finalized session: the rendered stream-JSONL line (trailing
     /// newline included) plus the typed record it was rendered from.
     fn on_record(&mut self, line: &str, record: &SessionRecord) -> Result<(), EntkError>;
 
-    /// The stream completed; write any buffered output and flush.
-    fn finish(&mut self, report: &WorkloadReport) -> Result<(), EntkError>;
+    /// The stream completed; write any buffered output and flush. The
+    /// report is `None` after a non-retaining serve.
+    fn finish(&mut self, report: Option<&WorkloadReport>) -> Result<(), EntkError>;
 }
 
 fn io_err(sink: &str, path: &str, e: std::io::Error) -> EntkError {
@@ -79,7 +88,7 @@ impl ReportSink for JsonlSink {
             .map_err(|e| io_err("jsonl", &self.path, e))
     }
 
-    fn finish(&mut self, _report: &WorkloadReport) -> Result<(), EntkError> {
+    fn finish(&mut self, _report: Option<&WorkloadReport>) -> Result<(), EntkError> {
         self.out.flush().map_err(|e| io_err("jsonl", &self.path, e))
     }
 }
@@ -87,15 +96,20 @@ impl ReportSink for JsonlSink {
 // ----------------------------------------------------------------- gauges
 
 /// Samples the queue-depth / in-service gauges every `period_secs` of
-/// virtual time. Buffers only three event triples per session (exact
-/// microsecond instants, same tie discipline as the report's gauge
-/// series: finish → arrive → start), then renders the samples at finish.
+/// virtual time (exact microsecond instants, same tie discipline as the
+/// report's gauge series: finish → arrive → start). Records are emitted
+/// in arrival order, so no later record can contribute an event before
+/// the current record's arrival: every tick strictly before that
+/// watermark is written at once, and only not-yet-passed events are held.
 pub struct GaugesSink {
     path: String,
     out: BufWriter<File>,
-    period_secs: f64,
-    // (micros, kind, delta_queued, delta_running); kind orders ties.
-    events: Vec<(u64, u8, i64, i64)>,
+    period_us: u64,
+    /// Events at or after the watermark, earliest first.
+    upcoming: BinaryHeap<Reverse<DepthEvent>>,
+    queued: i64,
+    running: i64,
+    next_tick: u64,
 }
 
 impl GaugesSink {
@@ -111,9 +125,41 @@ impl GaugesSink {
         Ok(GaugesSink {
             path,
             out,
-            period_secs,
-            events: Vec::new(),
+            period_us: (period_secs * 1e6).round().max(1.0) as u64,
+            upcoming: BinaryHeap::new(),
+            queued: 0,
+            running: 0,
+            next_tick: 0,
         })
+    }
+
+    fn write_sample(&mut self) -> Result<(), EntkError> {
+        writeln!(
+            self.out,
+            "{{\"t\":{:.6},\"queue_depth\":{},\"in_service\":{}}}",
+            self.next_tick as f64 / 1e6,
+            self.queued,
+            self.running
+        )
+        .map_err(|e| io_err("gauges", &self.path, e))
+    }
+
+    /// Applies every held event strictly before `watermark`, writing the
+    /// ticks they pass.
+    fn flush_before(&mut self, watermark: u64) -> Result<(), EntkError> {
+        while let Some(&Reverse((t, _, dq, dr))) = self.upcoming.peek() {
+            if t >= watermark {
+                break;
+            }
+            self.upcoming.pop();
+            while self.next_tick < t {
+                self.write_sample()?;
+                self.next_tick += self.period_us;
+            }
+            self.queued += dq;
+            self.running += dr;
+        }
+        Ok(())
     }
 }
 
@@ -123,45 +169,15 @@ impl ReportSink for GaugesSink {
     }
 
     fn on_record(&mut self, _line: &str, r: &SessionRecord) -> Result<(), EntkError> {
-        if r.status == SessionStatus::Rejected {
-            return Ok(());
-        }
-        self.events.push((r.arrival_us, 1, 1, 0));
-        if r.finish_us > r.start_us {
-            self.events.push((r.finish_us, 0, 0, -1));
-            self.events.push((r.start_us, 2, -1, 1));
-        } else {
-            // Zero service time: leave the queue without a running blip.
-            self.events.push((r.start_us, 2, -1, 0));
-        }
-        Ok(())
+        self.upcoming.extend(depth_events(r).map(Reverse));
+        self.flush_before(r.arrival_us)
     }
 
-    fn finish(&mut self, _report: &WorkloadReport) -> Result<(), EntkError> {
-        self.events.sort_unstable();
-        let period_us = (self.period_secs * 1e6).round().max(1.0) as u64;
-        let (mut queued, mut running) = (0i64, 0i64);
-        let mut next_tick = 0u64;
-        let write_sample = |out: &mut BufWriter<File>, t_us: u64, q: i64, r: i64| {
-            writeln!(
-                out,
-                "{{\"t\":{:.6},\"queue_depth\":{q},\"in_service\":{r}}}",
-                t_us as f64 / 1e6
-            )
-        };
-        for &(t, _, dq, dr) in &self.events {
-            while next_tick < t {
-                write_sample(&mut self.out, next_tick, queued, running)
-                    .map_err(|e| io_err("gauges", &self.path, e))?;
-                next_tick += period_us;
-            }
-            queued += dq;
-            running += dr;
-        }
+    fn finish(&mut self, _report: Option<&WorkloadReport>) -> Result<(), EntkError> {
+        self.flush_before(u64::MAX)?;
         // One closing sample at the first tick at/after the last event, so
         // the series always ends back at zero depth.
-        write_sample(&mut self.out, next_tick, queued, running)
-            .map_err(|e| io_err("gauges", &self.path, e))?;
+        self.write_sample()?;
         self.out
             .flush()
             .map_err(|e| io_err("gauges", &self.path, e))
@@ -190,11 +206,18 @@ impl ReportSink for SummarySink {
         "summary"
     }
 
+    fn needs_report(&self) -> bool {
+        true
+    }
+
     fn on_record(&mut self, _line: &str, _record: &SessionRecord) -> Result<(), EntkError> {
         Ok(())
     }
 
-    fn finish(&mut self, report: &WorkloadReport) -> Result<(), EntkError> {
+    fn finish(&mut self, report: Option<&WorkloadReport>) -> Result<(), EntkError> {
+        let report = report.ok_or_else(|| {
+            EntkError::Usage("summary sink: needs the full report of a retaining serve".into())
+        })?;
         let text = serde_json::to_string_pretty(report)
             .map_err(|e| EntkError::Runtime(format!("summary sink: {e}")))?;
         self.out
@@ -251,33 +274,13 @@ pub fn sinks() -> &'static Registry<Box<dyn ReportSink>> {
     })
 }
 
-/// Drives a buffered [`WorkloadOutcome`] through a set of sinks: every
-/// record (re-rendered to its exact stream line) in emission order, then
-/// the report. The rendered lines are byte-identical to `outcome.jsonl`
-/// by construction, so sink output replays exactly.
-pub fn dispatch(
-    outcome: &WorkloadOutcome,
-    sinks: &mut [Box<dyn ReportSink>],
-) -> Result<(), EntkError> {
-    for record in &outcome.report.records {
-        let line = render_record(record);
-        for sink in sinks.iter_mut() {
-            sink.on_record(&line, record)?;
-        }
-    }
-    for sink in sinks.iter_mut() {
-        sink.finish(&outcome.report)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arrival::WorkloadGenerator;
-    use crate::runner::serve;
+    use crate::runner::WorkloadOutcome;
     use crate::trace::SyntheticTrace;
-    use crate::WorkloadConfig;
+    use crate::{ServiceConfig, ServiceEngine, WorkloadConfig};
     use entk_core::ComponentSpec;
 
     fn tmp(name: &str) -> String {
@@ -286,24 +289,25 @@ mod tests {
         p.to_string_lossy().into_owned()
     }
 
-    fn outcome() -> WorkloadOutcome {
+    fn engine_with(sink: Box<dyn ReportSink>) -> ServiceEngine {
         let arrivals = SyntheticTrace::new(7, 6, 2).generate().unwrap();
-        serve(
-            &WorkloadConfig {
-                slots: 2,
-                ..WorkloadConfig::default()
-            },
-            &arrivals,
-        )
-        .unwrap()
+        let config = ServiceConfig::fifo(WorkloadConfig {
+            slots: 2,
+            ..WorkloadConfig::default()
+        });
+        let mut engine = ServiceEngine::new(config, arrivals).unwrap();
+        engine.attach(sink);
+        engine
+    }
+
+    fn serve_with(sink: Box<dyn ReportSink>) -> WorkloadOutcome {
+        engine_with(sink).run().unwrap()
     }
 
     #[test]
-    fn jsonl_sink_replays_the_stream_bytes() {
-        let out = outcome();
+    fn jsonl_sink_writes_the_stream_bytes() {
         let path = tmp("rows.jsonl");
-        let mut sinks: Vec<Box<dyn ReportSink>> = vec![Box::new(JsonlSink::create(&path).unwrap())];
-        dispatch(&out, &mut sinks).unwrap();
+        let out = serve_with(Box::new(JsonlSink::create(&path).unwrap()));
         let written = std::fs::read_to_string(&path).unwrap();
         assert_eq!(written, out.jsonl);
         std::fs::remove_file(&path).ok();
@@ -311,11 +315,8 @@ mod tests {
 
     #[test]
     fn gauges_sink_samples_periodically_and_ends_drained() {
-        let out = outcome();
         let path = tmp("gauges.jsonl");
-        let mut sinks: Vec<Box<dyn ReportSink>> =
-            vec![Box::new(GaugesSink::create(&path, 30.0).unwrap())];
-        dispatch(&out, &mut sinks).unwrap();
+        serve_with(Box::new(GaugesSink::create(&path, 30.0).unwrap()));
         let written = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = written.lines().collect();
         assert!(!lines.is_empty());
@@ -331,15 +332,26 @@ mod tests {
 
     #[test]
     fn summary_sink_writes_the_report_json() {
-        let out = outcome();
         let path = tmp("summary.json");
-        let mut sinks: Vec<Box<dyn ReportSink>> =
-            vec![Box::new(SummarySink::create(&path).unwrap())];
-        dispatch(&out, &mut sinks).unwrap();
+        let out = serve_with(Box::new(SummarySink::create(&path).unwrap()));
         let v: serde_json::Value =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(v["sessions"].as_u64(), Some(out.report.sessions as u64));
         assert_eq!(v["stream_fp"].as_str(), Some(out.report.stream_fp.as_str()));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn streaming_serve_rejects_a_sink_that_needs_the_report() {
+        let path = tmp("stream-summary.json");
+        let engine = engine_with(Box::new(SummarySink::create(&path).unwrap()));
+        let mut rows = Vec::new();
+        let err = engine
+            .run_streaming(&mut rows)
+            .expect_err("summary under --stream");
+        assert!(matches!(err, EntkError::Usage(_)), "{err}");
+        assert!(err.to_string().contains("\"summary\""), "{err}");
+        assert!(rows.is_empty(), "rejected before serving anything");
         std::fs::remove_file(&path).ok();
     }
 

@@ -19,7 +19,7 @@
 //! }
 //! ```
 
-use crate::arrival::{ArrivalStream, OpenLoopProcess, SessionArrival, WorkloadGenerator};
+use crate::arrival::{ArrivalStream, OpenLoopProcess, WorkloadGenerator};
 use crate::runner::{StreamBackend, WorkloadConfig, WorkloadOutcome};
 use crate::service::{
     admission_policies, AdmissionPolicy, SaturationMode, ServiceConfig, ServiceEngine,
@@ -345,16 +345,6 @@ impl StreamSpec {
         )
     }
 
-    /// Generates the spec's arrivals (without serving them).
-    pub fn arrivals(&self) -> Result<Vec<SessionArrival>, EntkError> {
-        let mut stream = self.source_stream()?;
-        let mut out = Vec::with_capacity(stream.remaining_hint().unwrap_or(0));
-        while let Some(row) = stream.next_arrival()? {
-            out.push(row);
-        }
-        Ok(out)
-    }
-
     /// Compiles the backend/slots/seed fields — plus the scheduler and
     /// fault plugins — into a runner config. Plugin params are built once
     /// here so a bad params block fails before any session runs.
@@ -413,12 +403,15 @@ impl StreamSpec {
         self.sinks.iter().map(|s| sinks().build(s, &())).collect()
     }
 
-    /// Generates and serves the stream under the spec's full service
-    /// configuration. Declared sinks are not driven here — callers that
-    /// want them feed the outcome through [`crate::sink::dispatch`].
+    /// Serves the stream under the spec's full service configuration,
+    /// with the declared sinks attached: they see every record as it is
+    /// emitted and are finished with the report.
     pub fn run(&self) -> Result<WorkloadOutcome, EntkError> {
-        let arrivals = self.arrivals()?;
-        ServiceEngine::new(self.service_config()?, &arrivals)?.run()
+        let mut engine = ServiceEngine::new(self.service_config()?, self.source_stream()?)?;
+        for sink in self.build_sinks()? {
+            engine.attach(sink);
+        }
+        engine.run()
     }
 }
 

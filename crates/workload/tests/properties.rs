@@ -1,15 +1,17 @@
 //! Property tests: a generated stream of valid arrivals survives the
 //! CSV render → parse round-trip exactly; the event-driven service
 //! matches the FIFO admission-recursion oracle, upholds the fair-share
-//! invariant, respects queue bounds, and checkpoint/restores exactly at
-//! every arrival boundary.
+//! invariant, respects queue bounds, checkpoint/restores exactly at
+//! every arrival boundary, and shows attached sinks every session once.
 
 use entk_sim::{SimDuration, SimTime};
 use entk_workload::{
-    parse_trace, render_trace, serve, PatternKind, SaturationMode, ServiceCheckpoint,
-    ServiceConfig, ServiceEngine, SessionArrival, WorkloadConfig, SUPPORTED_KERNELS,
+    parse_trace, render_trace, serve, PatternKind, ReportSink, SaturationMode, ServiceCheckpoint,
+    ServiceConfig, ServiceEngine, SessionArrival, SessionRecord, WorkloadConfig, WorkloadReport,
+    SUPPORTED_KERNELS,
 };
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 /// Builds a sorted, schema-valid arrival list from raw draws: each draw is
 /// (gap_µs, tenant, selector, cores); pattern shape and kernel derive from
@@ -256,6 +258,105 @@ proptest! {
             oracle.jsonl,
             "boundary {} under lookahead {} must replay exactly", k, lookahead
         );
+    }
+}
+
+/// Everything a sink was shown, shared with the test that attached it.
+type Seen = Arc<Mutex<Vec<(String, SessionRecord)>>>;
+
+/// A sink that records what it is shown.
+struct Tap(Seen);
+
+impl ReportSink for Tap {
+    fn name(&self) -> &'static str {
+        "tap"
+    }
+
+    fn on_record(
+        &mut self,
+        line: &str,
+        record: &SessionRecord,
+    ) -> Result<(), entk_core::EntkError> {
+        self.0
+            .lock()
+            .unwrap()
+            .push((line.to_string(), record.clone()));
+        Ok(())
+    }
+
+    fn finish(&mut self, _report: Option<&WorkloadReport>) -> Result<(), entk_core::EntkError> {
+        Ok(())
+    }
+}
+
+/// Attaches a fresh [`Tap`] and returns the log it fills.
+fn tap(engine: &mut ServiceEngine) -> Seen {
+    let seen = Seen::default();
+    engine.attach(Box::new(Tap(Arc::clone(&seen))));
+    seen
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Sinks are observers of the one emission point: under every policy,
+    /// saturation mode and look-ahead width, each attached sink sees every
+    /// session exactly once, in session order, with the rendered line of
+    /// that record — retaining or not — and a restored engine shows its
+    /// sinks exactly the post-checkpoint suffix.
+    #[test]
+    fn attached_sinks_see_every_session_once_in_order(
+        draws in proptest::collection::vec((0u64..20_000_000, 0u64..4, 0usize..64), 2..10),
+        policy_sel in 0usize..2,
+        saturation_sel in 0usize..3,
+        lookahead in 1usize..5,
+    ) {
+        let arrivals = cheap_arrivals(&draws);
+        let stream_cfg = WorkloadConfig { slots: 1, ..WorkloadConfig::default() };
+        let config = ServiceConfig {
+            max_queue_depth: (saturation_sel > 0).then_some(1),
+            saturation: [SaturationMode::Reject, SaturationMode::Reject, SaturationMode::Defer]
+                [saturation_sel],
+            ..match policy_sel {
+                0 => ServiceConfig::fifo(stream_cfg),
+                _ => ServiceConfig::fair_share(stream_cfg, 120.0),
+            }
+        };
+        let options = entk_workload::EngineOptions { lookahead, eval_workers: 1 };
+        let engine = || ServiceEngine::with_options(config.clone(), &arrivals, options).unwrap();
+
+        // Retaining run, two sinks.
+        let mut retaining = engine();
+        let (first, second) = (tap(&mut retaining), tap(&mut retaining));
+        let out = retaining.run().unwrap();
+        let first = first.lock().unwrap().clone();
+        prop_assert_eq!(&*second.lock().unwrap(), &first);
+        prop_assert_eq!(first.len(), arrivals.len());
+        for (i, ((line, record), rendered)) in
+            first.iter().zip(out.jsonl.split_inclusive('\n')).enumerate()
+        {
+            prop_assert_eq!(record.session, i);
+            prop_assert_eq!(record, &out.report.records[i]);
+            prop_assert_eq!(line.as_str(), rendered);
+        }
+
+        // Non-retaining run: the same records and lines.
+        let mut streaming = engine();
+        let streamed = tap(&mut streaming);
+        let mut rows = Vec::new();
+        streaming.run_streaming(&mut rows).unwrap();
+        prop_assert_eq!(&*streamed.lock().unwrap(), &first);
+        prop_assert_eq!(&String::from_utf8(rows).unwrap(), &out.jsonl);
+
+        // Restored engine: exactly the post-checkpoint suffix.
+        let mut victim = engine();
+        victim.run_to_boundary(arrivals.len() / 2).unwrap();
+        let ckpt = victim.checkpoint();
+        let mut resumed =
+            ServiceEngine::restore_with_options(config.clone(), &arrivals, &ckpt, options).unwrap();
+        let suffix = tap(&mut resumed);
+        resumed.run().unwrap();
+        prop_assert_eq!(&*suffix.lock().unwrap(), &first[ckpt.emitted..]);
     }
 }
 

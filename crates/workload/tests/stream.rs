@@ -309,6 +309,12 @@ fn checkpoints_refuse_mismatched_configs_and_streams() {
     let err = ServiceEngine::restore(wrong_policy, &arrivals, &ckpt).unwrap_err();
     assert!(err.to_string().contains("policy"), "{err}");
 
+    // The emitted cursor must be exactly the contiguous finalized prefix.
+    let mut rewound = ckpt.clone();
+    rewound.emitted -= 1;
+    let err = ServiceEngine::restore(config.clone(), &arrivals, &rewound).unwrap_err();
+    assert!(err.to_string().contains("emitted cursor"), "{err}");
+
     let other_arrivals = SyntheticTrace::new(14, 8, 3).generate().unwrap();
     let err = ServiceEngine::restore(config, &other_arrivals, &ckpt).unwrap_err();
     assert!(err.to_string().contains("fingerprint"), "{err}");
@@ -448,4 +454,61 @@ fn fair_share_reorders_a_hot_tenant_burst() {
         light_p99(&fair.report),
         light_p99(&fifo.report)
     );
+}
+
+/// FNV-64 of the three sink files `examples/specs/grid_registry.json`
+/// produced through the post-hoc `dispatch` replay, recorded at the
+/// commit before sinks were attached to the engine's emission point.
+const GRID_SINK_GOLDENS: [(&str, u64); 3] = [
+    ("grid.jsonl", 0xbe63_97a2_fc16_cd94),
+    ("grid_gauges.jsonl", 0xe3f8_ec67_591d_8bfa),
+    ("grid_summary.json", 0xed13_7d7a_577b_d9c1),
+];
+
+#[test]
+fn live_sinks_reproduce_the_dispatch_goldens() {
+    let grid_spec_in = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!("entk-grid-{}-{tag}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let text = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/specs/grid_registry.json"
+        ))
+        .unwrap()
+        .replace(
+            "\"path\": \"grid",
+            &format!("\"path\": \"{}/grid", dir.display()),
+        );
+        (dir, StreamSpec::from_json(&text).unwrap())
+    };
+    let fp_of = |dir: &std::path::Path, file: &str| {
+        entk_workload::fnv64(&std::fs::read(dir.join(file)).unwrap())
+    };
+
+    // Retaining run: all three sinks, attached by the spec itself.
+    let (dir, spec) = grid_spec_in("run");
+    spec.run().unwrap();
+    for (file, fp) in GRID_SINK_GOLDENS {
+        assert_eq!(fp_of(&dir, file), fp, "{file} under the retaining run");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Non-retaining run: the two sinks that need no report.
+    let (dir, mut spec) = grid_spec_in("stream");
+    spec.sinks.retain(|s| s.name != "summary");
+    let mut engine = ServiceEngine::new(
+        spec.service_config().unwrap(),
+        spec.source_stream().unwrap(),
+    )
+    .unwrap();
+    for sink in spec.build_sinks().unwrap() {
+        engine.attach(sink);
+    }
+    let mut rows = Vec::new();
+    engine.run_streaming(&mut rows).unwrap();
+    for (file, fp) in &GRID_SINK_GOLDENS[..2] {
+        assert_eq!(fp_of(&dir, file), *fp, "{file} under the streaming run");
+    }
+    assert_eq!(entk_workload::fnv64(&rows), GRID_SINK_GOLDENS[0].1);
+    std::fs::remove_dir_all(&dir).ok();
 }
