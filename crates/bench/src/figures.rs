@@ -41,7 +41,13 @@ fn run_checked(
 ) -> (ExecutionReport, (f64, f64)) {
     let (report, telemetry) =
         run_simulated_traced(config, sim, pattern).unwrap_or_else(|e| panic!("{what}: {e}"));
-    let cc = cross_check(&report, &telemetry.tracer);
+    let fp = checked_fingerprint(&report, &telemetry.tracer, what);
+    (report, fp)
+}
+
+/// The cross-check half of [`run_checked`], for sessions run elsewhere.
+fn checked_fingerprint(report: &ExecutionReport, tracer: &Tracer, what: &str) -> (f64, f64) {
+    let cc = cross_check(report, tracer);
     assert!(
         cc.within(1e-6),
         "{what}: trace-derived overheads diverge from accounted \
@@ -50,7 +56,7 @@ fn run_checked(
         cc.derived,
         cc.accounted,
     );
-    (report, trace_fingerprint(&telemetry.tracer))
+    trace_fingerprint(tracer)
 }
 
 /// One row of a figure's data.
@@ -428,12 +434,27 @@ pub fn deterministic_view(rows: &[Row]) -> Vec<Row> {
         .collect()
 }
 
+/// Where a fig10 point runs: one cluster, or late-bound across `members`
+/// independently simulated clusters under the given drive.
+#[derive(Debug, Clone, Copy)]
+enum Fig10Backend {
+    Single,
+    Federated {
+        members: usize,
+        drive: DriveMode,
+        sim_threads: usize,
+    },
+}
+
 /// One fig10 throughput point: an `n`-task ensemble of uniform
-/// `misc.sleep` tasks on Stampede with a 1024-core pilot, timed on the
-/// host clock. Deterministic values (ttc, events, tasks, and — under the
-/// trace limit — the trace fingerprint) ride in the row next to the
-/// nondeterministic wall-clock ones.
-fn scale_experiment(kind: &str, n: usize, seed: u64) -> Row {
+/// `misc.sleep` tasks on 1024-core Stampede allocations — one, or (strong
+/// scaling: the task count stays fixed as members grow) one per federation
+/// member — timed on the host clock. Deterministic values (ttc, events,
+/// tasks, and — under the trace limit, where the trace is also
+/// cross-checked against the overhead accounting — the trace fingerprint)
+/// ride in the row next to the nondeterministic wall-clock ones; above the
+/// limit telemetry is off and only throughput is measured.
+fn scale_experiment(kind: &str, n: usize, seed: u64, backend: Fig10Backend) -> Row {
     let sleep = |_: usize| KernelCall::new("misc.sleep", json!({ "secs": 10.0 }));
     let mut pattern: Box<dyn ExecutionPattern + Send> = match kind {
         "eop" => Box::new(EnsembleOfPipelines::new(n, 1, move |p, _| sleep(p))),
@@ -445,25 +466,51 @@ fn scale_experiment(kind: &str, n: usize, seed: u64) -> Row {
         )),
         other => panic!("unknown fig10 series {other:?}"),
     };
-    let config = ResourceConfig::new("xsede.stampede", 1024, walltime());
     let traced = n <= FIG10_TRACE_LIMIT;
-    let sim = SimulatedConfig {
-        seed: seed ^ n as u64,
-        telemetry: traced,
-        ..Default::default()
-    };
+    let seed = seed ^ n as u64;
     let t0 = Instant::now();
-    let (report, fp) = if traced {
-        let (report, fp) = run_checked(config, sim, pattern.as_mut(), "fig10");
-        (report, Some(fp))
-    } else {
-        let report =
-            run_simulated(config, sim, pattern.as_mut()).unwrap_or_else(|e| panic!("fig10: {e}"));
-        (report, None)
+    let (what, handle) = match backend {
+        Fig10Backend::Single => (
+            "fig10",
+            ResourceHandle::simulated(
+                ResourceConfig::new("xsede.stampede", 1024, walltime()),
+                SimulatedConfig {
+                    seed,
+                    telemetry: traced,
+                    ..Default::default()
+                },
+            ),
+        ),
+        Fig10Backend::Federated {
+            members,
+            drive,
+            sim_threads,
+        } => (
+            "fig10_federated",
+            ResourceHandle::federated(FederatedConfig {
+                seed,
+                telemetry: traced,
+                drive,
+                sim_threads,
+                clusters: (0..members)
+                    .map(|_| ClusterSpec::new("xsede.stampede", 1024, walltime()))
+                    .collect(),
+                ..FederatedConfig::default()
+            }),
+        ),
     };
+    let (report, telemetry) = handle
+        .and_then(|mut h| h.execute(pattern.as_mut()))
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    let fp = traced.then(|| checked_fingerprint(&report, &telemetry.tracer, what));
     let wall = t0.elapsed().as_secs_f64();
-    assert!(!report.partial, "fig10 runs must complete");
-    let mut row = Row::new(kind, n as f64)
+    assert!(!report.partial, "{what} runs must complete");
+    let mut row = Row::new(kind, n as f64);
+    // Only federated rows carry the member count.
+    if let Fig10Backend::Federated { members, .. } = backend {
+        row = row.with("members", members as f64);
+    }
+    row = row
         .with("ttc", report.ttc.as_secs_f64())
         .with("tasks", report.task_count() as f64)
         .with("events", report.events as f64)
@@ -473,6 +520,29 @@ fn scale_experiment(kind: &str, n: usize, seed: u64) -> Row {
         row = row.with_trace(fp);
     }
     row
+}
+
+/// The fig10 grid — 10³ → `max_tasks` tasks × {eop, sal} — swept through
+/// `runner` on `backend`.
+fn fig10_sweep(
+    runner: &SweepRunner,
+    seed: u64,
+    max_tasks: usize,
+    backend: Fig10Backend,
+) -> Vec<Row> {
+    let points: Vec<(f64, (&str, usize))> = [1_000usize, 10_000, 100_000, 1_000_000]
+        .iter()
+        .filter(|&&n| n <= max_tasks)
+        .flat_map(|&n| {
+            ["eop", "sal"]
+                .into_iter()
+                .map(move |kind| (n as f64, (kind, n)))
+        })
+        .collect();
+    assert!(!points.is_empty(), "fig10: max_tasks below smallest point");
+    runner.run_weighted(points, |(kind, n)| {
+        vec![scale_experiment(kind, n, seed, backend)]
+    })
 }
 
 /// Fig. 10 (extension): simulator throughput scaling — ensemble-of-
@@ -486,88 +556,7 @@ pub fn fig10(seed: u64, max_tasks: usize) -> Vec<Row> {
 
 /// [`fig10`] through an explicit [`SweepRunner`].
 pub fn fig10_with(runner: &SweepRunner, seed: u64, max_tasks: usize) -> Vec<Row> {
-    let points: Vec<(f64, (&str, usize))> = [1_000usize, 10_000, 100_000, 1_000_000]
-        .iter()
-        .filter(|&&n| n <= max_tasks)
-        .flat_map(|&n| {
-            ["eop", "sal"]
-                .into_iter()
-                .map(move |kind| (n as f64, (kind, n)))
-        })
-        .collect();
-    assert!(!points.is_empty(), "fig10: max_tasks below smallest point");
-    runner.run_weighted(points, |(kind, n)| vec![scale_experiment(kind, n, seed)])
-}
-
-// ------------------------------------------- Figure 10, federated variant
-
-/// One federated fig10 throughput point: an `n`-task ensemble late-bound
-/// across `members` independently simulated 1024-core Stampede clusters —
-/// strong scaling, the task count stays fixed as members grow. Under the
-/// trace limit the interleaved multi-member trace is cross-checked against
-/// the overhead accounting and fingerprinted, exactly like the
-/// single-cluster points; above it telemetry is off and only throughput is
-/// measured.
-fn fed_scale_experiment(
-    kind: &str,
-    n: usize,
-    seed: u64,
-    members: usize,
-    drive: DriveMode,
-    sim_threads: usize,
-) -> Row {
-    let sleep = |_: usize| KernelCall::new("misc.sleep", json!({ "secs": 10.0 }));
-    let mut pattern: Box<dyn ExecutionPattern + Send> = match kind {
-        "eop" => Box::new(EnsembleOfPipelines::new(n, 1, move |p, _| sleep(p))),
-        "sal" => Box::new(SimulationAnalysisLoop::new(
-            1,
-            n,
-            move |_, i| sleep(i),
-            |_, outs| vec![KernelCall::new("ana.coco", json!({ "n_sims": outs.len() }))],
-        )),
-        other => panic!("unknown fig10 series {other:?}"),
-    };
-    let traced = n <= FIG10_TRACE_LIMIT;
-    let config = FederatedConfig {
-        seed: seed ^ n as u64,
-        telemetry: traced,
-        drive,
-        sim_threads,
-        clusters: (0..members)
-            .map(|_| ClusterSpec::new("xsede.stampede", 1024, walltime()))
-            .collect(),
-        ..FederatedConfig::default()
-    };
-    let t0 = Instant::now();
-    let (report, fp) = if traced {
-        let (report, telemetry) = run_federated_traced(config, pattern.as_mut())
-            .unwrap_or_else(|e| panic!("fig10_federated: {e}"));
-        let cc = cross_check(&report, &telemetry.tracer);
-        assert!(
-            cc.within(1e-6),
-            "fig10_federated: interleaved trace diverges from accounting \
-             (max err {:.3e}s)",
-            cc.max_abs_error_secs,
-        );
-        (report, Some(trace_fingerprint(&telemetry.tracer)))
-    } else {
-        let report = run_federated(config, pattern.as_mut())
-            .unwrap_or_else(|e| panic!("fig10_federated: {e}"));
-        (report, None)
-    };
-    let wall = t0.elapsed().as_secs_f64();
-    assert!(!report.partial, "fig10_federated runs must complete");
-    let mut row = Row::new(kind, n as f64)
-        .with("members", members as f64)
-        .with("ttc", report.ttc.as_secs_f64())
-        .with("tasks", report.task_count() as f64)
-        .with("events", report.events as f64)
-        .with("wall_secs", wall)
-        .with("events_per_sec", report.events as f64 / wall.max(1e-9));
-    if let Some(fp) = fp {
-        row = row.with_trace(fp);
-    }
-    row
+    fig10_sweep(runner, seed, max_tasks, Fig10Backend::Single)
 }
 
 /// Fig. 10, federated: throughput of an `n`-task ensemble late-bound
@@ -584,29 +573,12 @@ pub fn fig10_federated_with(
     drive: DriveMode,
     sim_threads: usize,
 ) -> Vec<Row> {
-    let points: Vec<(f64, (&str, usize))> = [1_000usize, 10_000, 100_000, 1_000_000]
-        .iter()
-        .filter(|&&n| n <= max_tasks)
-        .flat_map(|&n| {
-            ["eop", "sal"]
-                .into_iter()
-                .map(move |kind| (n as f64, (kind, n)))
-        })
-        .collect();
-    assert!(
-        !points.is_empty(),
-        "fig10_federated: max_tasks below smallest point"
-    );
-    runner.run_weighted(points, |(kind, n)| {
-        vec![fed_scale_experiment(
-            kind,
-            n,
-            seed,
-            members,
-            drive,
-            sim_threads,
-        )]
-    })
+    let backend = Fig10Backend::Federated {
+        members,
+        drive,
+        sim_threads,
+    };
+    fig10_sweep(runner, seed, max_tasks, backend)
 }
 
 // ------------------------------------------------------------ Trace export

@@ -33,11 +33,13 @@
 //!                                   to the sinks, scalar stats in place
 //!                                   of the full report (a sink that needs
 //!                                   the report, `summary`, is rejected)
-//! entk check <spec.json>            validate a spec without running it
+//! entk check <spec.json>            validate a spec without running it:
+//!                                   backend, resources, core counts,
+//!                                   scheduler and kernel plugins resolve
 //! entk kernels                      list available kernel plugins
 //! ```
 
-use entk_cli::WorkloadSpec;
+use entk_cli::{KernelSpec, PatternSpec, WorkloadSpec};
 use entk_core::ComponentSpec;
 use entk_workload::{
     admission_policies, ServeStats, ServiceCheckpoint, ServiceEngine, StreamSpec, WorkloadReport,
@@ -124,17 +126,9 @@ fn main() -> ExitCode {
                 eprintln!("usage: entk check <spec.json>");
                 return ExitCode::FAILURE;
             };
-            match load(path) {
-                Ok(spec) => {
-                    // Building the pattern exercises shape validation.
-                    let pattern = spec.build_pattern();
-                    println!(
-                        "ok: {} on {} ({} cores, backend {})",
-                        pattern.name(),
-                        spec.resource.name,
-                        spec.resource.cores,
-                        spec.backend
-                    );
+            match load(path).and_then(|spec| check(&spec)) {
+                Ok(summary) => {
+                    println!("ok: {summary}");
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
@@ -159,6 +153,36 @@ fn main() -> ExitCode {
 fn load(path: &str) -> Result<WorkloadSpec, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))?;
     WorkloadSpec::from_json(&text).map_err(|e| e.to_string())
+}
+
+/// `entk check`: everything `entk run` resolves by name, without running.
+/// Building the pattern exercises shape validation; building the handle
+/// resolves backend, resources, core counts and scheduler with the errors
+/// a run stops on; and each declared kernel must be a registered plugin (a
+/// run would go through and fail every task of that stage instead).
+fn check(spec: &WorkloadSpec) -> Result<String, String> {
+    let pattern = spec.build_pattern();
+    spec.handle().map_err(|e| e.to_string())?;
+    let kernels: Vec<&KernelSpec> = match &spec.pattern {
+        PatternSpec::Bag { kernel, .. } | PatternSpec::Exchange { kernel, .. } => vec![kernel],
+        PatternSpec::Pipelines { stages, .. } => stages.iter().collect(),
+        PatternSpec::Sal {
+            simulation,
+            analysis,
+            ..
+        } => vec![simulation, analysis],
+    };
+    let registry = entk_kernels::KernelRegistry::with_builtins();
+    for kernel in kernels {
+        registry.get(&kernel.plugin).map_err(|e| e.to_string())?;
+    }
+    Ok(format!(
+        "{} on {} ({} cores, backend {})",
+        pattern.name(),
+        spec.resource.name,
+        spec.resource.cores,
+        spec.backend
+    ))
 }
 
 /// The `run --workload` mode: serve the open-loop session stream a

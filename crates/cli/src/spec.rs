@@ -176,17 +176,6 @@ fn substitute(value: &Value, vars: &[(&str, f64)]) -> Value {
     }
 }
 
-/// Resolves a declared batch-policy plugin through the scheduler registry:
-/// validates the name and params up front (unknown names list every
-/// registered scheduler), then hands the spec to the backend config, which
-/// builds one fresh scheduler per cluster at run time.
-fn resolve_batch_policy(
-    policy: &entk_core::ComponentSpec,
-) -> Result<entk_core::ComponentSpec, EntkError> {
-    entk_core::registry::schedulers().build(policy, &())?;
-    Ok(policy.clone())
-}
-
 fn bind(spec: &KernelSpec, vars: &[(&str, f64)]) -> KernelCall {
     let args = if spec.args.is_null() {
         json!({})
@@ -274,7 +263,16 @@ impl WorkloadSpec {
     pub fn run_traced(
         &self,
     ) -> Result<(entk_core::ExecutionReport, Option<entk_sim::Telemetry>), EntkError> {
-        let mut pattern = self.build_pattern();
+        let mut handle = self.handle()?;
+        let (report, telemetry) = handle.execute(self.build_pattern().as_mut())?;
+        Ok((report, handle.telemetry().map(|_| telemetry)))
+    }
+
+    /// Builds the resource handle the spec asks for without running
+    /// anything. Construction resolves the backend, every resource name,
+    /// the core counts and the batch scheduler, so the errors are exactly
+    /// the ones a run would stop on.
+    pub fn handle(&self) -> Result<ResourceHandle, EntkError> {
         match self.backend.as_str() {
             "simulated" => {
                 let config = ResourceConfig::new(
@@ -284,11 +282,9 @@ impl WorkloadSpec {
                 );
                 let mut sim = SimulatedConfig {
                     seed: self.seed,
+                    scheduler: self.tuning.batch_policy.clone(),
                     ..Default::default()
                 };
-                if let Some(policy) = &self.tuning.batch_policy {
-                    sim.scheduler = Some(resolve_batch_policy(policy)?);
-                }
                 if let Some(n) = self.tuning.pilots {
                     sim.pilot_strategy = if n <= 1 {
                         entk_core::PilotStrategy::single()
@@ -320,8 +316,7 @@ impl WorkloadSpec {
                         initial_jobs: bg.initial_jobs,
                     });
                 }
-                run_simulated_traced(config, sim, pattern.as_mut())
-                    .map(|(report, telemetry)| (report, Some(telemetry)))
+                ResourceHandle::simulated(config, sim)
             }
             "federated" => {
                 if self.tuning.queue_wait_per_core.is_some() || self.tuning.background.is_some() {
@@ -333,11 +328,9 @@ impl WorkloadSpec {
                 }
                 let mut config = FederatedConfig {
                     seed: self.seed,
+                    scheduler: self.tuning.batch_policy.clone(),
                     ..Default::default()
                 };
-                if let Some(policy) = &self.tuning.batch_policy {
-                    config.scheduler = Some(resolve_batch_policy(policy)?);
-                }
                 if let Some(retries) = self.tuning.retries {
                     config.fault = entk_core::FaultConfig::retries(retries);
                 }
@@ -355,16 +348,9 @@ impl WorkloadSpec {
                         member
                     })
                     .collect();
-                run_federated_traced(config, pattern.as_mut())
-                    .map(|(report, telemetry)| (report, Some(telemetry)))
+                ResourceHandle::federated(config)
             }
-            "local" => {
-                let mut handle = ResourceHandle::local(self.resource.cores);
-                handle.allocate()?;
-                let report = handle.run(pattern.as_mut())?;
-                handle.deallocate()?;
-                Ok((report, None))
-            }
+            "local" => Ok(ResourceHandle::local(self.resource.cores)),
             other => Err(EntkError::Usage(format!(
                 "unknown backend {other:?} (use \"simulated\", \"local\", or \"federated\")"
             ))),

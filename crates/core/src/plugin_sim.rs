@@ -1,20 +1,30 @@
 //! The discrete-event execution backend (paper §III-B component 4).
 //!
 //! Implements [`ExecutionBackend`] over one or more independently simulated
-//! clusters, each a full `Engine` + `SimRuntime` + batch-system stack. With
-//! one cluster this is the classic simulated backend driven by every scaling
-//! experiment; with several it is the *federated* backend: units are
-//! late-bound at submission time to whichever cluster currently has the most
-//! free capacity.
+//! clusters, each a full `Engine` + `SimRuntime` + batch-system stack. There
+//! is one constructor and one member list: a simulated session is a
+//! federation of one member, a federated session has several, and units are
+//! late-bound at submission time to whichever member currently has the most
+//! free capacity. Only the *drive* depends on the member count.
 //!
-//! ## Conservative-lookahead merge (multi-member federated drive)
+//! ## One member: the single-engine drive
 //!
-//! A federated backend with two or more members keeps session-level events
-//! (boot, batch releases, timeouts, shutdown) on a dedicated clock *spine*
-//! engine, while each member cluster's engine holds only that machine's
-//! runtime and batch-system events. Members advance inside bounded
-//! *windows*: from the earliest member event time `t_m` up to (strictly
-//! before) the horizon `min(t_spine, t_m + lookahead)` — classic
+//! The lone cluster's engine holds every event of the session, session-level
+//! ones included, and `poll` steps it one event at a time; same-instant
+//! events fire in insertion order and every layer records straight into the
+//! shared telemetry pipeline. The windowed merge below is not a substitute
+//! at N = 1: it buffers member telemetry and splices it after the session's
+//! own record, and its spine wins time ties, so same-instant pairs
+//! (`pilot unit_submitted` / `entk task_submitted`) swap and every golden
+//! trace fingerprint would move. That is why the drive stays forked.
+//!
+//! ## Two or more members: the conservative-lookahead merge
+//!
+//! Session-level events (boot, batch releases, timeouts, shutdown) move to a
+//! dedicated clock *spine* engine, while each member cluster's engine holds
+//! only that machine's runtime and batch-system events. Members advance
+//! inside bounded *windows*: from the earliest member event time `t_m` up to
+//! (strictly before) the horizon `min(t_spine, t_m + lookahead)` — classic
 //! conservative PDES. Every event a member processes becomes a *chunk*
 //! `(time, member, events, telemetry ops)`; completed chunks are merged in
 //! deterministic `(time, member)` order and doled out one per `poll`, so
@@ -23,14 +33,11 @@
 //! member-locally, the windows can run concurrently on a worker pool
 //! ([`DriveMode::Parallel`]) or inline ([`DriveMode::Serial`]) with
 //! byte-identical traces — that identity is what the parallel-vs-serial
-//! proptests and the CI smoke job pin.
+//! proptests pin.
 //!
 //! Outside the session's run phase (boot, teardown) the lookahead collapses
 //! to 1 µs, which makes each window cover exactly one timestamp: the merge
-//! then reproduces the serial earliest-event interleave exactly. A
-//! single-cluster (or single-member federated) backend bypasses all of this
-//! and keeps the classic serial drive verbatim, preserving the golden trace
-//! fingerprints.
+//! then reproduces the serial earliest-event interleave exactly.
 //!
 //! All session semantics (retry, records, overheads, degradation) live in
 //! [`crate::session::SessionEngine`]; this file only turns engine events and
@@ -39,7 +46,7 @@
 
 use crate::backend::{BackendEvent, BackendStats, ExecutionBackend, Poll, UnitOutcome, UnitSpec};
 use crate::binding::{BindingPolicy, StaticBinding};
-use crate::resource::{DriveMode, PilotStrategy, ResourceConfig};
+use crate::resource::DriveMode;
 use entk_cluster::{ClusterEvent, FaultProfile, PlatformSpec};
 use entk_kernels::{KernelCall, KernelRegistry};
 use entk_pilot::{
@@ -170,8 +177,8 @@ impl ClusterStack {
     }
 
     /// Claims the telemetry ops recorded since the last claim, as an
-    /// absolute index range into this member's buffer. Empty for unbuffered
-    /// (single-cluster / single-member) stacks.
+    /// absolute index range into this member's buffer. Empty for the
+    /// unbuffered stack of a one-member session.
     fn take_ops(&mut self) -> Range<usize> {
         let end = self.buffer.as_ref().map(TelemetryBuffer::len).unwrap_or(0);
         let start = std::mem::replace(&mut self.ops_taken, end);
@@ -195,17 +202,18 @@ struct Chunk {
     eventful: bool,
 }
 
-/// Resolved drive parameters of a federated backend (built by
-/// `ResourceHandle::federated` from [`crate::resource::FederatedConfig`]).
+/// Drive parameters of the windowed merge (resolved by `ResourceHandle`
+/// from [`crate::resource::FederatedConfig`]; unused with one member).
 pub(crate) struct FedDrive {
     pub(crate) mode: DriveMode,
     pub(crate) lookahead: SimDuration,
-    pub(crate) workers: usize,
+    /// Pool size in parallel mode; `0` = one worker per member, capped at
+    /// the host's parallelism.
+    pub(crate) sim_threads: usize,
 }
 
-/// Conservative-lookahead merge state of a multi-member federated backend;
-/// `None` on single-cluster and one-member federated backends, which keep
-/// the classic serial drive verbatim.
+/// Conservative-lookahead merge state of a multi-member backend; `None`
+/// with one member, which keeps the single-engine drive.
 struct FedState {
     /// The session's clock spine: holds only session-level events (boot,
     /// batch releases, timeouts, shutdown, clock marks).
@@ -383,7 +391,7 @@ struct PreparedUnit {
     description: Option<UnitDescription>,
 }
 
-/// The discrete-event [`ExecutionBackend`]: one cluster for classic
+/// The discrete-event [`ExecutionBackend`]: one member cluster for
 /// simulated sessions, several for federated ones.
 pub(crate) struct EventBackend {
     clusters: Vec<ClusterStack>,
@@ -405,69 +413,21 @@ pub(crate) struct EventBackend {
 }
 
 impl EventBackend {
-    /// Classic single-cluster simulated backend.
-    #[allow(clippy::too_many_arguments)] // construction-time wiring of config groups
-    pub(crate) fn single(
-        config: ResourceConfig,
-        platform: PlatformSpec,
-        registry: KernelRegistry,
-        runtime_config: SimRuntimeConfig,
-        strategy: PilotStrategy,
-        background_load: Option<entk_cluster::cluster::BackgroundLoad>,
-        fault_profile: Option<FaultProfile>,
-    ) -> Self {
-        let runtime = SimRuntime::new(platform, runtime_config);
-        let telemetry = runtime.telemetry().clone();
-        let pilot_count = strategy.count.max(1).min(config.cores);
-        EventBackend {
-            clusters: vec![ClusterStack {
-                engine: Engine::new(),
-                runtime,
-                resource: config.resource.clone(),
-                cores: config.cores,
-                walltime: config.walltime,
-                pilot_count,
-                background_load,
-                fault_profile,
-                pilots: Vec::new(),
-                dead_pilots: HashSet::new(),
-                buffer: None,
-                ops_taken: 0,
-            }],
-            registry,
-            binding: Box::new(StaticBinding),
-            wait_all: strategy.wait_all,
-            label: config.resource,
-            total_cores: config.cores,
-            telemetry,
-            global_now: SimTime::ZERO,
-            prepared: Vec::new(),
-            fed: None,
-        }
-    }
-
-    /// Federated multi-cluster backend: every cluster records into a
-    /// subject-offset view of one shared telemetry pipeline, so the session
-    /// trace stays a single chronologically interleaved record with
-    /// collision-free entity ids.
-    pub(crate) fn federated(
+    /// Builds the backend over `inits` (at least one member). Every member
+    /// records into a subject-offset view of one shared telemetry pipeline,
+    /// so the session trace stays a single chronologically interleaved
+    /// record with collision-free entity ids; member 0's offsets are zero.
+    pub(crate) fn new(
         inits: Vec<ClusterInit>,
         registry: KernelRegistry,
         wait_all: bool,
         telemetry: SharedTelemetry,
+        label: String,
         drive: FedDrive,
     ) -> Self {
-        let label = format!(
-            "federated:{}",
-            inits
-                .iter()
-                .map(|i| i.resource.as_str())
-                .collect::<Vec<_>>()
-                .join("+")
-        );
         let total_cores = inits.iter().map(|i| i.cores).sum();
-        // A lone member keeps the classic serial drive (and direct
-        // telemetry handles); the windowed merge only exists at N ≥ 2.
+        // A lone member keeps the single-engine drive (and direct telemetry
+        // handles); the windowed merge only exists at N ≥ 2.
         let multi = inits.len() >= 2;
         let clusters: Vec<ClusterStack> = inits
             .into_iter()
@@ -506,8 +466,15 @@ impl EventBackend {
         let fed = multi.then(|| FedState {
             spine: Engine::new(),
             pending: VecDeque::new(),
-            pool: (drive.mode == DriveMode::Parallel)
-                .then(|| WorkerPool::new(drive.workers.clamp(1, clusters.len()))),
+            // The host-parallelism probe is a syscall: it runs only here,
+            // where a pool is actually built, never per one-member session.
+            pool: (drive.mode == DriveMode::Parallel).then(|| {
+                let workers = match drive.sim_threads {
+                    0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                    n => n,
+                };
+                WorkerPool::new(workers.clamp(1, clusters.len()))
+            }),
             lookahead: drive.lookahead,
             windows_on: false,
         });
@@ -534,11 +501,6 @@ impl EventBackend {
     /// Replaces the backend-wide binding policy (paper §V).
     pub(crate) fn set_binding_policy(&mut self, b: Box<dyn BindingPolicy>) {
         self.binding = b;
-    }
-
-    /// The shared cross-layer trace/metrics pipeline.
-    pub(crate) fn telemetry(&self) -> &SharedTelemetry {
-        &self.telemetry
     }
 
     fn split_key(&self, key: u64) -> (usize, UnitId) {
@@ -773,8 +735,8 @@ impl EventBackend {
     }
 }
 
-/// Construction parameters of one federated member cluster (resolved by
-/// `ResourceHandle::federated`).
+/// Construction parameters of one member cluster (resolved by
+/// `ResourceHandle`'s event-handle builder).
 pub(crate) struct ClusterInit {
     pub(crate) resource: String,
     pub(crate) cores: usize,

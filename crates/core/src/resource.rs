@@ -15,7 +15,7 @@ use crate::report::ExecutionReport;
 use crate::session::SessionEngine;
 use entk_cluster::PlatformSpec;
 use entk_kernels::KernelRegistry;
-use entk_pilot::{BatchPolicy, RuntimeOverheads, SimRuntimeConfig, UnitScheduler};
+use entk_pilot::{RuntimeOverheads, SimRuntimeConfig, UnitScheduler};
 use entk_sim::{SharedTelemetry, SimDuration, Telemetry};
 use serde::{Deserialize, Serialize};
 
@@ -99,11 +99,8 @@ pub struct SimulatedConfig {
     /// Synthetic competing workload on the target machine (queue
     /// contention); `None` models a dedicated allocation.
     pub background_load: Option<entk_cluster::cluster::BackgroundLoad>,
-    /// Batch-queue policy of the target machine.
-    pub batch_policy: BatchPolicy,
-    /// Registered scheduler plugin (see [`crate::registry::schedulers`]);
-    /// when set it overrides `batch_policy`, so a spec file alone can put
-    /// any registered policy on the machine.
+    /// Batch scheduler of the target machine: any registered plugin (see
+    /// [`crate::registry::schedulers`]); `None` is strict FIFO.
     pub scheduler: Option<crate::registry::ComponentSpec>,
     /// Platform-level fault injection (node crashes, task failures,
     /// stragglers); `None` models a fault-free machine.
@@ -128,7 +125,6 @@ impl Default for SimulatedConfig {
             fault: FaultConfig::default(),
             pilot_strategy: PilotStrategy::single(),
             background_load: None,
-            batch_policy: BatchPolicy::Fifo,
             scheduler: None,
             fault_profile: None,
             telemetry: true,
@@ -141,9 +137,9 @@ impl Default for SimulatedConfig {
 ///
 /// Both modes execute the *identical* conservative-lookahead windowed
 /// schedule — same chunks, same merge order, byte-identical traces; they
-/// differ only in whether member windows run concurrently. Single-cluster
-/// and one-member federated backends ignore this knob entirely (classic
-/// serial drive).
+/// differ only in whether member windows run concurrently. A one-member
+/// session (every `simulated` handle is one) has no windows and ignores
+/// this knob.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DriveMode {
     /// Member windows run inline on the polling thread.
@@ -206,11 +202,9 @@ pub struct FederatedConfig {
     pub runtime_overheads: RuntimeOverheads,
     /// Retry / kill-replace policy (session-wide).
     pub fault: FaultConfig,
-    /// Batch-queue policy of every member cluster.
-    pub batch_policy: BatchPolicy,
-    /// Registered scheduler plugin (see [`crate::registry::schedulers`]);
-    /// when set it overrides `batch_policy`. Each member cluster builds
-    /// its own fresh scheduler instance from the resolved factory.
+    /// Batch scheduler of every member cluster: any registered plugin (see
+    /// [`crate::registry::schedulers`]); `None` is strict FIFO. Each member
+    /// builds its own fresh scheduler instance from the resolved factory.
     pub scheduler: Option<crate::registry::ComponentSpec>,
     /// Wait for all pilots on all clusters before `allocate()` returns
     /// (`false` by default: first active pilot anywhere unblocks the
@@ -242,7 +236,6 @@ impl Default for FederatedConfig {
             entk_overheads: EntkOverheads::calibrated(),
             runtime_overheads: RuntimeOverheads::radical_pilot(),
             fault: FaultConfig::default(),
-            batch_policy: BatchPolicy::Fifo,
             scheduler: None,
             wait_all: false,
             telemetry: true,
@@ -289,58 +282,42 @@ impl ResourceHandle {
         Self::simulated_with_registry(config, sim, KernelRegistry::with_builtins())
     }
 
-    /// Creates a simulated handle with a custom kernel registry.
+    /// Creates a simulated handle with a custom kernel registry. A simulated
+    /// session is a federation of one: the request lowers to a single member
+    /// carrying the machine-level knobs and goes through the same builder as
+    /// [`ResourceHandle::federated_with_registry`], reporting under the
+    /// plain resource name.
     pub fn simulated_with_registry(
         config: ResourceConfig,
         sim: SimulatedConfig,
         registry: KernelRegistry,
     ) -> Result<Self, EntkError> {
-        let platform = match sim.platform.clone() {
-            Some(p) => p,
-            None => PlatformSpec::by_name(&config.resource).ok_or_else(|| {
-                EntkError::Resource(format!("unknown resource {:?}", config.resource))
-            })?,
-        };
-        if config.cores == 0 || config.cores > platform.total_cores() {
-            return Err(EntkError::Resource(format!(
-                "requested {} cores; {} has {}",
-                config.cores,
-                platform.name,
-                platform.total_cores()
-            )));
-        }
-        let scheduler = sim
-            .scheduler
-            .as_ref()
-            .map(|spec| crate::registry::schedulers().build(spec, &()))
-            .transpose()?;
-        let runtime_config = SimRuntimeConfig {
-            overheads: sim.runtime_overheads,
-            unit_failure_rate: sim.unit_failure_rate,
-            seed: sim.seed ^ 0x52_55_4E,
-            batch_policy: sim.batch_policy,
-            scheduler,
+        let label = config.resource.clone();
+        let lowered = FederatedConfig {
+            seed: sim.seed,
+            entk_overheads: sim.entk_overheads,
+            runtime_overheads: sim.runtime_overheads,
+            fault: sim.fault,
+            scheduler: sim.scheduler,
+            wait_all: sim.pilot_strategy.wait_all,
             telemetry: sim.telemetry,
+            // Drive knobs only steer the windowed merge, which needs two
+            // members to exist.
+            drive: DriveMode::default(),
+            lookahead: None,
+            sim_threads: 0,
+            clusters: vec![ClusterSpec {
+                resource: config.resource,
+                cores: config.cores,
+                walltime: config.walltime,
+                platform: sim.platform,
+                pilots: sim.pilot_strategy.count,
+                background_load: sim.background_load,
+                fault_profile: sim.fault_profile,
+                unit_failure_rate: sim.unit_failure_rate,
+            }],
         };
-        let backend = EventBackend::single(
-            config,
-            platform,
-            registry,
-            runtime_config,
-            sim.pilot_strategy,
-            sim.background_load,
-            sim.fault_profile.clone(),
-        );
-        let session = SessionEngine::new(
-            sim.entk_overheads,
-            sim.fault,
-            sim.seed,
-            backend.telemetry().clone(),
-        );
-        Ok(ResourceHandle {
-            session,
-            inner: Inner::Event(Box::new(backend)),
-        })
+        Self::event_handle(lowered, registry, label)
     }
 
     /// Creates a federated handle with built-in kernels: one session
@@ -354,6 +331,19 @@ impl ResourceHandle {
         config: FederatedConfig,
         registry: KernelRegistry,
     ) -> Result<Self, EntkError> {
+        let members: Vec<&str> = config.clusters.iter().map(|c| &*c.resource).collect();
+        let label = format!("federated:{}", members.join("+"));
+        Self::event_handle(config, registry, label)
+    }
+
+    /// The one builder of discrete-event handles: resolves every member's
+    /// platform, scheduler and runtime config, and binds the backend to a
+    /// session. `label` is the resource name the reports carry.
+    fn event_handle(
+        config: FederatedConfig,
+        registry: KernelRegistry,
+        label: String,
+    ) -> Result<Self, EntkError> {
         if config.clusters.is_empty() {
             return Err(EntkError::Resource(
                 "federated session needs at least one cluster".to_string(),
@@ -366,8 +356,8 @@ impl ResourceHandle {
             .map(|spec| crate::registry::schedulers().build(spec, &()))
             .transpose()?;
         let mut inits = Vec::with_capacity(config.clusters.len());
-        for (i, spec) in config.clusters.iter().enumerate() {
-            let platform = match spec.platform.clone() {
+        for (i, spec) in config.clusters.into_iter().enumerate() {
+            let platform = match spec.platform {
                 Some(p) => p,
                 None => PlatformSpec::by_name(&spec.resource).ok_or_else(|| {
                     EntkError::Resource(format!("unknown resource {:?}", spec.resource))
@@ -385,7 +375,7 @@ impl ResourceHandle {
             // keeping cluster 0 on the classic single-cluster stream.
             let cluster_seed = runtime_seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             inits.push(ClusterInit {
-                resource: spec.resource.clone(),
+                resource: spec.resource,
                 cores: spec.cores,
                 walltime: spec.walltime,
                 platform,
@@ -393,7 +383,6 @@ impl ResourceHandle {
                     overheads: config.runtime_overheads,
                     unit_failure_rate: spec.unit_failure_rate,
                     seed: cluster_seed,
-                    batch_policy: config.batch_policy,
                     // The factory is shared; each member's runtime builds
                     // its own fresh scheduler instance from it.
                     scheduler: scheduler.clone(),
@@ -401,7 +390,7 @@ impl ResourceHandle {
                 },
                 pilot_count: spec.pilots,
                 background_load: spec.background_load,
-                fault_profile: spec.fault_profile.clone(),
+                fault_profile: spec.fault_profile,
             });
         }
         let telemetry = if config.telemetry {
@@ -409,25 +398,22 @@ impl ResourceHandle {
         } else {
             SharedTelemetry::disabled()
         };
-        let members = config.clusters.len();
-        let workers = if config.sim_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            config.sim_threads
-        }
-        .clamp(1, members);
         let lookahead = config
             .lookahead
             .unwrap_or_else(|| derive_lookahead(&config.entk_overheads, &config.fault));
         let drive = FedDrive {
             mode: config.drive,
             lookahead: SimDuration::from_secs_f64(lookahead.max(0.0)),
-            workers,
+            sim_threads: config.sim_threads,
         };
-        let backend =
-            EventBackend::federated(inits, registry, config.wait_all, telemetry.clone(), drive);
+        let backend = EventBackend::new(
+            inits,
+            registry,
+            config.wait_all,
+            telemetry.clone(),
+            label,
+            drive,
+        );
         let session =
             SessionEngine::new(config.entk_overheads, config.fault, config.seed, telemetry);
         Ok(ResourceHandle {
@@ -519,9 +505,25 @@ impl ResourceHandle {
             Inner::Local(b) => session.deallocate(b.as_mut()),
         }
     }
+
+    /// The whole lifecycle in one call: allocate → run `pattern` →
+    /// deallocate. Returns the session report (the pattern's task records
+    /// with the full session TTC and overhead decomposition, under the
+    /// pattern's name) and a snapshot of the session telemetry, which is
+    /// empty on the local backend (see [`ResourceHandle::telemetry`]).
+    pub fn execute(
+        &mut self,
+        pattern: &mut dyn ExecutionPattern,
+    ) -> Result<(ExecutionReport, Telemetry), EntkError> {
+        self.allocate()?;
+        let run_report = self.run(pattern)?;
+        let mut session = self.deallocate()?;
+        session.pattern = run_report.pattern;
+        Ok((session, self.session.telemetry().snapshot()))
+    }
 }
 
-/// Convenience: allocate → run → deallocate on the simulated backend.
+/// Convenience: [`ResourceHandle::execute`] on the simulated backend.
 /// Returns the session report: the pattern's task records with the full
 /// session TTC and complete overhead decomposition.
 pub fn run_simulated(
@@ -542,19 +544,10 @@ pub fn run_simulated_traced(
     sim: SimulatedConfig,
     pattern: &mut dyn ExecutionPattern,
 ) -> Result<(ExecutionReport, Telemetry), EntkError> {
-    let mut handle = ResourceHandle::simulated(config, sim)?;
-    handle.allocate()?;
-    let run_report = handle.run(pattern)?;
-    let mut session = handle.deallocate()?;
-    session.pattern = run_report.pattern;
-    let telemetry = handle
-        .telemetry()
-        .ok_or_else(|| EntkError::Runtime("simulated handle lost its telemetry".to_string()))?
-        .snapshot();
-    Ok((session, telemetry))
+    ResourceHandle::simulated(config, sim)?.execute(pattern)
 }
 
-/// Convenience: allocate → run → deallocate on the federated multi-cluster
+/// Convenience: [`ResourceHandle::execute`] on the federated multi-cluster
 /// backend.
 pub fn run_federated(
     config: FederatedConfig,
@@ -570,14 +563,5 @@ pub fn run_federated_traced(
     config: FederatedConfig,
     pattern: &mut dyn ExecutionPattern,
 ) -> Result<(ExecutionReport, Telemetry), EntkError> {
-    let mut handle = ResourceHandle::federated(config)?;
-    handle.allocate()?;
-    let run_report = handle.run(pattern)?;
-    let mut session = handle.deallocate()?;
-    session.pattern = run_report.pattern;
-    let telemetry = handle
-        .telemetry()
-        .ok_or_else(|| EntkError::Runtime("federated handle lost its telemetry".to_string()))?
-        .snapshot();
-    Ok((session, telemetry))
+    ResourceHandle::federated(config)?.execute(pattern)
 }

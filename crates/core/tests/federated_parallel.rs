@@ -193,6 +193,137 @@ fn one_member_federation_ignores_drive_mode() {
 }
 
 #[test]
+fn one_member_federation_is_the_simulated_session() {
+    // The identity `ResourceHandle`'s shared builder rests on: a one-member
+    // `FederatedConfig` carrying a `SimulatedConfig`'s knobs is the same
+    // session — byte-identical trace and report — under a different label.
+    let base = || SimulatedConfig {
+        seed: 977,
+        ..Default::default()
+    };
+    let eop = Shape::Eop {
+        pipelines: 6,
+        stages: 2,
+    };
+    let configs: Vec<(&str, SimulatedConfig, Shape)> = vec![
+        ("eop", base(), eop),
+        ("sal", base(), Shape::Sal { sims: 5 }),
+        (
+            "split pilots",
+            SimulatedConfig {
+                pilot_strategy: PilotStrategy::split(4),
+                ..base()
+            },
+            eop,
+        ),
+        (
+            "three pilots, wait_all",
+            SimulatedConfig {
+                pilot_strategy: PilotStrategy {
+                    count: 3,
+                    wait_all: true,
+                },
+                ..base()
+            },
+            eop,
+        ),
+        (
+            "unit failures with retries",
+            SimulatedConfig {
+                unit_failure_rate: 0.2,
+                fault: FaultConfig::retries(3),
+                ..base()
+            },
+            eop,
+        ),
+        (
+            "background load, backfill",
+            SimulatedConfig {
+                background_load: Some(entk_cluster::BackgroundLoad {
+                    mean_interarrival_secs: 200.0,
+                    cores: Dist::Constant(48.0),
+                    runtime: Dist::Constant(600.0),
+                    initial_jobs: 2,
+                }),
+                scheduler: Some(entk_core::ComponentSpec::named("backfill")),
+                ..base()
+            },
+            eop,
+        ),
+        (
+            "registry scheduler",
+            SimulatedConfig {
+                scheduler: Some(entk_core::ComponentSpec::named("sjf")),
+                ..base()
+            },
+            eop,
+        ),
+        (
+            "fault profile",
+            SimulatedConfig {
+                fault: FaultConfig::retries(4),
+                fault_profile: Some(FaultProfile {
+                    crash_schedule: vec![(46.0, 0)],
+                    node_mtbf_secs: 50_000.0,
+                    task_failure_rate: 0.1,
+                    straggler_rate: 0.2,
+                    ..FaultProfile::seeded(31)
+                }),
+                ..base()
+            },
+            eop,
+        ),
+        (
+            "telemetry off",
+            SimulatedConfig {
+                telemetry: false,
+                ..base()
+            },
+            eop,
+        ),
+    ];
+    assert_eq!(configs.len(), 9);
+    for (name, sim, shape) in configs {
+        let rc = ResourceConfig::new("xsede.comet", 48, SimDuration::from_secs(200_000));
+        let one_member = FederatedConfig {
+            seed: sim.seed,
+            entk_overheads: sim.entk_overheads,
+            runtime_overheads: sim.runtime_overheads,
+            fault: sim.fault,
+            scheduler: sim.scheduler.clone(),
+            wait_all: sim.pilot_strategy.wait_all,
+            telemetry: sim.telemetry,
+            clusters: vec![ClusterSpec {
+                platform: sim.platform.clone(),
+                pilots: sim.pilot_strategy.count,
+                background_load: sim.background_load,
+                fault_profile: sim.fault_profile.clone(),
+                unit_failure_rate: sim.unit_failure_rate,
+                ..ClusterSpec::new(rc.resource.clone(), rc.cores, rc.walltime)
+            }],
+            ..FederatedConfig::default()
+        };
+        let (sim_report, sim_telemetry) =
+            run_simulated_traced(rc, sim, build_pattern(shape).as_mut()).unwrap();
+        let (mut fed_report, fed_telemetry) =
+            run_federated_traced(one_member, build_pattern(shape).as_mut()).unwrap();
+        assert_eq!(
+            sim_telemetry.tracer.to_jsonl(),
+            fed_telemetry.tracer.to_jsonl(),
+            "{name}: traces differ"
+        );
+        assert_eq!(sim_report.resource, "xsede.comet", "{name}");
+        assert_eq!(fed_report.resource, "federated:xsede.comet", "{name}");
+        fed_report.resource = sim_report.resource.clone();
+        assert_eq!(
+            serde_json::to_string(&sim_report).unwrap(),
+            serde_json::to_string(&fed_report).unwrap(),
+            "{name}: reports differ"
+        );
+    }
+}
+
+#[test]
 fn tiny_lookahead_still_completes_and_matches() {
     // A 1 µs lookahead degenerates every window to a single timestamp —
     // the serial-equivalent schedule — and must still terminate and agree

@@ -447,14 +447,14 @@ fn backfill_beats_fifo_behind_a_blocked_head() {
     // small pilots wait behind it; with EASY backfill they jump it.
     use entk_cluster::cluster::BackgroundLoad;
     use entk_sim::Dist;
-    let run = |policy: entk_pilot::BatchPolicy| {
+    let run = |scheduler: &str| {
         let mut platform = entk_cluster::PlatformSpec::local(4, 8); // 32 cores
         platform.job_startup = Dist::Constant(1.0);
         let config = ResourceConfig::new("local", 8, SimDuration::from_secs(1_000_000));
         let sim = SimulatedConfig {
             seed: 51,
             platform: Some(platform),
-            batch_policy: policy,
+            scheduler: Some(entk_core::ComponentSpec::named(scheduler)),
             // A 24-core, 500 s competitor is already queued: it starts
             // immediately and a second one queues as the blocked head.
             background_load: Some(BackgroundLoad {
@@ -473,8 +473,8 @@ fn backfill_beats_fifo_behind_a_blocked_head() {
             .ttc
             .as_secs_f64()
     };
-    let fifo = run(entk_pilot::BatchPolicy::Fifo);
-    let backfill = run(entk_pilot::BatchPolicy::Backfill);
+    let fifo = run("fifo");
+    let backfill = run("backfill");
     assert!(
         backfill + 100.0 < fifo,
         "backfill should jump the blocked 24-core head: fifo {fifo}, backfill {backfill}"

@@ -31,6 +31,6 @@ pub use scheduler::{
     UnitScheduler, UnitView,
 };
 pub use sim_runtime::{
-    BatchPolicy, RuntimeEvent, RuntimeEventSink, RuntimeNotification, SimRuntime, SimRuntimeConfig,
+    RuntimeEvent, RuntimeEventSink, RuntimeNotification, SimRuntime, SimRuntimeConfig,
 };
 pub use states::{PilotId, PilotState, UnitId, UnitState};

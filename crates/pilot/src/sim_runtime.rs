@@ -11,9 +11,7 @@ use crate::overheads::RuntimeOverheads;
 use crate::profiler::Profiler;
 use crate::scheduler::{FirstFitScheduler, PilotView, UnitScheduler, UnitView};
 use crate::states::{PilotId, PilotState, UnitId, UnitState};
-use entk_cluster::{
-    Cluster, ClusterEvent, EasyBackfillScheduler, FairShareScheduler, FifoScheduler, PlatformSpec,
-};
+use entk_cluster::{Cluster, ClusterEvent, FifoScheduler, PlatformSpec};
 use entk_saga::{JobDescription, JobState, JobUpdate, SagaJobId, SimJobService};
 use entk_sim::{
     Context, DenseStore, SharedTelemetry, SimDuration, SimRng, SimTime, Subject, Tracer,
@@ -75,18 +73,6 @@ pub enum RuntimeNotification {
     },
 }
 
-/// Batch-queue policy the target machine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchPolicy {
-    /// Strict FIFO with head-of-line blocking (default).
-    #[default]
-    Fifo,
-    /// EASY backfill.
-    Backfill,
-    /// Fair share with the given usage half-life in seconds.
-    FairShare,
-}
-
 /// Configuration of a simulated runtime session.
 #[derive(Debug, Clone)]
 pub struct SimRuntimeConfig {
@@ -96,10 +82,9 @@ pub struct SimRuntimeConfig {
     pub unit_failure_rate: f64,
     /// RNG seed for the runtime's own draws.
     pub seed: u64,
-    /// Batch-queue policy of the target machine.
-    pub batch_policy: BatchPolicy,
-    /// Plugin scheduler factory; when set it overrides `batch_policy`.
-    /// Federated sessions build one fresh scheduler per member cluster so
+    /// Batch scheduler of the target machine; `None` is strict FIFO with
+    /// head-of-line blocking. A factory rather than an instance because
+    /// federated sessions build one fresh scheduler per member cluster so
     /// stateful policies (fair-share ledgers, rotation cursors) are never
     /// shared across machines.
     pub scheduler: Option<entk_cluster::SchedulerFactory>,
@@ -117,7 +102,6 @@ impl Default for SimRuntimeConfig {
             overheads: RuntimeOverheads::radical_pilot(),
             unit_failure_rate: 0.0,
             seed: 0x5EED,
-            batch_policy: BatchPolicy::Fifo,
             scheduler: None,
             telemetry: true,
         }
@@ -220,11 +204,7 @@ impl SimRuntime {
         let seed = config.seed;
         let scheduler: Box<dyn entk_cluster::BatchScheduler> = match &config.scheduler {
             Some(factory) => factory.build(),
-            None => match config.batch_policy {
-                BatchPolicy::Fifo => Box::new(FifoScheduler),
-                BatchPolicy::Backfill => Box::new(EasyBackfillScheduler),
-                BatchPolicy::FairShare => Box::new(FairShareScheduler::new(3600.0)),
-            },
+            None => Box::new(FifoScheduler),
         };
         let mut cluster = Cluster::with_scheduler(spec, seed ^ 0xC1u64, scheduler);
         cluster.set_telemetry(telemetry.clone());
@@ -1123,7 +1103,6 @@ pub(crate) mod tests {
             overheads: RuntimeOverheads::zero(),
             unit_failure_rate: 0.0,
             seed: 7,
-            batch_policy: BatchPolicy::Fifo,
             scheduler: None,
             telemetry: true,
         }

@@ -348,36 +348,25 @@ fn evaluate_session(
         Err(e) => return failed(e),
     };
     let walltime = SimDuration::from_secs(10_000_000);
-    let seed = session_seed(config.seed, index);
-    let run = match config.backend {
-        StreamBackend::Simulated => {
-            let rc = ResourceConfig::new(config.resource.clone(), arrival.cores, walltime);
-            let sim = SimulatedConfig {
-                seed,
-                unit_failure_rate: config.unit_failure_rate,
-                fault: config.fault,
-                scheduler: config.scheduler.clone(),
-                ..Default::default()
-            };
-            run_simulated_traced(rc, sim, pattern.as_mut())
-        }
-        StreamBackend::Federated { members } => {
-            let fed = FederatedConfig {
-                seed,
-                clusters: (0..members)
-                    .map(|_| ClusterSpec {
-                        unit_failure_rate: config.unit_failure_rate,
-                        ..ClusterSpec::new(config.resource.clone(), arrival.cores, walltime)
-                    })
-                    .collect(),
-                fault: config.fault,
-                scheduler: config.scheduler.clone(),
-                ..FederatedConfig::default()
-            };
-            run_federated_traced(fed, pattern.as_mut())
-        }
+    // A simulated stream is a federation of one member per session; the
+    // report label (the only difference) never reaches the stream record.
+    let members = match config.backend {
+        StreamBackend::Simulated => 1,
+        StreamBackend::Federated { members } => members,
     };
-    let (report, telemetry) = match run {
+    let fed = FederatedConfig {
+        seed: session_seed(config.seed, index),
+        clusters: (0..members)
+            .map(|_| ClusterSpec {
+                unit_failure_rate: config.unit_failure_rate,
+                ..ClusterSpec::new(config.resource.clone(), arrival.cores, walltime)
+            })
+            .collect(),
+        fault: config.fault,
+        scheduler: config.scheduler.clone(),
+        ..FederatedConfig::default()
+    };
+    let (report, telemetry) = match run_federated_traced(fed, pattern.as_mut()) {
         Ok(out) => out,
         Err(e) => return failed(e),
     };

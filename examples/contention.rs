@@ -37,14 +37,14 @@ fn load() -> entk_cluster::BackgroundLoad {
     }
 }
 
-fn run(label: &str, strategy: PilotStrategy, policy: entk_pilot::BatchPolicy) -> f64 {
+fn run(label: &str, strategy: PilotStrategy, scheduler: &str) -> f64 {
     let config = ResourceConfig::new("xsede.comet", 128, SimDuration::from_secs(1_000_000));
     let sim = SimulatedConfig {
         seed: 7,
         platform: Some(busy_comet()),
         background_load: Some(load()),
         pilot_strategy: strategy,
-        batch_policy: policy,
+        scheduler: Some(entk_core::ComponentSpec::named(scheduler)),
         ..Default::default()
     };
     let mut pattern = campaign();
@@ -59,22 +59,21 @@ fn run(label: &str, strategy: PilotStrategy, policy: entk_pilot::BatchPolicy) ->
 }
 
 fn main() {
-    use entk_pilot::BatchPolicy;
     println!("128 tasks x ~60 s on a busy Comet (3 jobs queued, Poisson arrivals):\n");
     let single = run(
         "one 128-core pilot, FIFO queue",
         PilotStrategy::single(),
-        BatchPolicy::Fifo,
+        "fifo",
     );
     let split = run(
         "8 x 16-core pilots, FIFO queue",
         PilotStrategy::split(8),
-        BatchPolicy::Fifo,
+        "fifo",
     );
     let backfill = run(
         "8 x 16-core pilots, EASY backfill",
         PilotStrategy::split(8),
-        BatchPolicy::Backfill,
+        "backfill",
     );
     println!();
     println!(
