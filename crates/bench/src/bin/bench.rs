@@ -22,12 +22,13 @@
 //!                     EoP/SAL ensembles of 10^3 → --max-tasks tasks
 //!   --max-tasks N     largest fig10 ensemble            [default: 1000000]
 //!   --members N       federated scale sweep: late-bind each ensemble
-//!                     across N simulated clusters driven on the member
-//!                     worker pool, and report events/sec scaling vs a
-//!                     single member (implies --scale-sweep semantics;
-//!                     N >= 2)
-//!   --sim-threads N   member-pool workers for --members (0 = one per
-//!                     member)                           [default: 0]
+//!                     across N simulated clusters driven with the help
+//!                     of the process-wide worker pool, and report
+//!                     events/sec scaling vs a single member (implies
+//!                     --scale-sweep semantics; N >= 2)
+//!   --sim-threads N   cap on members advancing concurrently for
+//!                     --members (0 = every member, 1 = serial drive)
+//!                                                       [default: 0]
 //!   --budget-secs S   fail unless the whole scale sweep finishes within
 //!                     S seconds of wall clock (CI scale-smoke assertion)
 //!   --baseline PATH   perf-regression gate: compare the scale sweep's
@@ -72,6 +73,7 @@ use entk_bench::{
     FIG11_TENANTS, SERVE_SCALE_SLOTS, SERVE_SCALE_TENANTS,
 };
 use entk_core::prelude::DriveMode;
+use entk_sim::pool::host_threads;
 use entk_workload::{AdmissionPolicy, StreamBackend};
 use serde_json::json;
 use std::time::Instant;
@@ -213,24 +215,10 @@ fn parse_args() -> Options {
     opts
 }
 
-/// Worker threads the parallel figure sweeps will actually use.
-/// `ENTK_THREADS` wins when set — even when a rayon pool was already
-/// initialized at a different width before the flag landed in the
-/// environment — then the pool's own count. This is *figure-sweep*
-/// parallelism (points fanned across cores); the federated member pool
-/// (`--sim-threads`) is a separate axis recorded separately in BENCH.json.
-fn sweep_threads() -> usize {
-    std::env::var("ENTK_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(rayon::current_num_threads)
-}
-
 /// Warns when the parallel figure sweeps have a single worker (serial in
 /// disguise); returns whether the warning fired so BENCH.json records it.
 /// Fires only for the sweep axis — a single-threaded sweep is fine when
-/// the measurement of interest is the federated member pool.
+/// the measurement of interest is the federated member drive.
 fn warn_if_single_thread(threads: usize) -> bool {
     if threads == 1 {
         eprintln!(
@@ -247,7 +235,7 @@ fn warn_if_single_thread(threads: usize) -> bool {
 /// `--max-tasks` tasks, with serial/parallel identity on the deterministic
 /// projection of each row (wall-clock values legitimately vary run to run).
 fn run_scale_sweep(opts: &Options) {
-    let threads = sweep_threads();
+    let threads = host_threads();
     let threads_warning = warn_if_single_thread(threads);
 
     let t0 = Instant::now();
@@ -385,7 +373,7 @@ fn check_baseline(path: &str, figure: &str, rows: &[Row]) {
 
 /// Wall-clock and throughput summary of one federated sweep leg.
 fn fed_leg(opts: &Options, members: usize, drive: DriveMode, label: &str) -> (Vec<Row>, f64) {
-    // Points run serially so measured wall-clock isolates the member pool;
+    // Points run serially so measured wall-clock isolates the member drive;
     // the rayon sweep axis stays out of the federated timing entirely.
     let t0 = Instant::now();
     let rows = figures::fig10_federated_with(
@@ -417,29 +405,27 @@ fn fed_leg(opts: &Options, members: usize, drive: DriveMode, label: &str) -> (Ve
 /// events/sec scaling is reported against a single-member baseline
 /// (strong scaling: same task counts, N× the clusters).
 fn run_fed_scale_sweep(opts: &Options) {
-    let threads = sweep_threads();
+    let threads = host_threads();
     let threads_warning = warn_if_single_thread(threads);
     let members = opts.members;
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let sim_threads = if opts.sim_threads == 0 {
-        host_cores
-    } else {
-        opts.sim_threads
-    }
-    .clamp(1, members);
-    // The member pool only overlaps windows when both the pool and the
-    // host offer more than one lane; otherwise parallel-drive wall-clock
-    // (and the 1 -> N events/sec scaling) degenerates to serial plus
-    // pool overhead, which BENCH.json must record rather than hide.
-    let sim_threads_warning = sim_threads.min(host_cores) == 1;
+    // The cap on members of one session advancing concurrently
+    // (0 = every member). The process-wide pool they advance on is
+    // `threads` wide, like the sweep.
+    let sim_threads = match opts.sim_threads {
+        0 => members,
+        n => n.min(members),
+    };
+    // Windows only overlap when both the cap and the pool offer more than
+    // one lane; otherwise parallel-drive wall-clock (and the 1 -> N
+    // events/sec scaling) degenerates to the serial drive, which
+    // BENCH.json must record rather than hide.
+    let sim_threads_warning = sim_threads.min(threads) == 1;
     if sim_threads_warning {
         eprintln!(
-            "warning: the federated member pool is effectively serial \
-             ({sim_threads} worker(s) on {host_cores} host core(s)); \
-             events/sec scaling vs 1 member reflects merge overhead, not \
-             parallel speedup"
+            "warning: the federated member drive is effectively serial \
+             (cap {sim_threads} on a {threads}-thread pool); events/sec \
+             scaling vs 1 member reflects merge overhead, not parallel \
+             speedup"
         );
     }
 
@@ -956,7 +942,7 @@ fn main() {
         ),
     ];
 
-    let threads = sweep_threads();
+    let threads = host_threads();
     let threads_warning = !opts.serial_only && warn_if_single_thread(threads);
     let mut entries = Vec::new();
     let mut total_serial = 0.0f64;

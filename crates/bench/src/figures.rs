@@ -560,11 +560,11 @@ pub fn fig10_with(runner: &SweepRunner, seed: u64, max_tasks: usize) -> Vec<Row>
 }
 
 /// Fig. 10, federated: throughput of an `n`-task ensemble late-bound
-/// across `members` simulated clusters, driven serially or on the member
-/// worker pool. Points run through the (usually serial) `runner` so that
-/// measured wall-clock reflects the member pool alone — member-pool
-/// parallelism (`sim_threads`) and figure-sweep parallelism
-/// (`ENTK_THREADS`) are deliberately separate axes.
+/// across `members` simulated clusters, driven serially or with the help
+/// of the process-wide worker pool. Points run through the (usually
+/// serial) `runner` so that measured wall-clock reflects the member drive
+/// alone — how many members advance at once (`sim_threads`, a cap) and how
+/// many points a sweep fans out (`ENTK_THREADS`) are separate axes.
 pub fn fig10_federated_with(
     runner: &SweepRunner,
     seed: u64,

@@ -30,10 +30,12 @@
 //! deterministic `(time, member)` order and doled out one per `poll`, so
 //! the session observes the exact granularity and order a serial interleave
 //! of the same windows would produce. Because chunks are computed
-//! member-locally, the windows can run concurrently on a worker pool
-//! ([`DriveMode::Parallel`]) or inline ([`DriveMode::Serial`]) with
-//! byte-identical traces — that identity is what the parallel-vs-serial
-//! proptests pin.
+//! member-locally, the windows can run concurrently ([`DriveMode::Parallel`]:
+//! the polling thread runs some and the process-wide
+//! [`WorkerPool::shared`] helps with the rest) or all inline
+//! ([`DriveMode::Serial`]) with byte-identical traces — that identity is
+//! what the parallel-vs-serial proptests pin. No session owns a thread:
+//! constructing and dropping a backend spawns and joins nothing.
 //!
 //! Outside the session's run phase (boot, teardown) the lookahead collapses
 //! to 1 µs, which makes each window cover exactly one timestamp: the merge
@@ -207,8 +209,8 @@ struct Chunk {
 pub(crate) struct FedDrive {
     pub(crate) mode: DriveMode,
     pub(crate) lookahead: SimDuration,
-    /// Pool size in parallel mode; `0` = one worker per member, capped at
-    /// the host's parallelism.
+    /// Cap on members advancing concurrently in parallel mode; `0` = every
+    /// busy member, `1` is the serial drive.
     pub(crate) sim_threads: usize,
 }
 
@@ -220,9 +222,12 @@ struct FedState {
     spine: Engine<Ev>,
     /// Completed member chunks awaiting dole, sorted by `(time, member)`.
     pending: VecDeque<Chunk>,
-    /// Worker pool driving member windows; `None` in serial drive mode
-    /// (windows then run inline, producing byte-identical chunks).
-    pool: Option<WorkerPool>,
+    /// The process-wide pool helping with member windows; `None` when the
+    /// drive is serial (windows then run inline, producing byte-identical
+    /// chunks).
+    pool: Option<&'static WorkerPool>,
+    /// Most members one window advances concurrently (>= 2 with a pool).
+    lanes: usize,
     /// Window width beyond the earliest member event during the run phase.
     lookahead: SimDuration,
     /// Latched while the session is in its run phase (first batch scheduled
@@ -263,8 +268,8 @@ impl FedState {
     /// Merges freshly windowed chunks (per-member, time-sorted) into the
     /// pending dole stream, keeping `(time, member)` order with existing
     /// chunks winning ties (they were produced by earlier windows).
-    fn merge_pending(&mut self, outputs: Vec<Vec<Chunk>>) {
-        let mut fresh: Vec<Chunk> = outputs.into_iter().flatten().collect();
+    fn merge_pending(&mut self, outputs: impl Iterator<Item = Vec<Chunk>>) {
+        let mut fresh: Vec<Chunk> = outputs.flatten().collect();
         if fresh.is_empty() {
             return;
         }
@@ -463,18 +468,16 @@ impl EventBackend {
                 }
             })
             .collect();
+        let lanes = match (drive.mode, drive.sim_threads) {
+            (DriveMode::Serial, _) => 1,
+            (DriveMode::Parallel, 0) => clusters.len(),
+            (DriveMode::Parallel, n) => n,
+        };
         let fed = multi.then(|| FedState {
             spine: Engine::new(),
             pending: VecDeque::new(),
-            // The host-parallelism probe is a syscall: it runs only here,
-            // where a pool is actually built, never per one-member session.
-            pool: (drive.mode == DriveMode::Parallel).then(|| {
-                let workers = match drive.sim_threads {
-                    0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-                    n => n,
-                };
-                WorkerPool::new(workers.clamp(1, clusters.len()))
-            }),
+            pool: (lanes > 1).then(WorkerPool::shared),
+            lanes,
             lookahead: drive.lookahead,
             windows_on: false,
         });
@@ -699,8 +702,9 @@ impl EventBackend {
     }
 
     /// Advances every member with events strictly before the window horizon
-    /// `min(t_spine, tm + lookahead)` — on the worker pool in parallel
-    /// drive, inline otherwise; the chunks are identical either way.
+    /// `min(t_spine, tm + lookahead)` — at most `lanes` of them concurrently
+    /// in parallel drive, inline otherwise; the chunks are identical either
+    /// way.
     fn run_window(&mut self, fed: &mut FedState, tm: SimTime, ts: Option<SimTime>) {
         let lookahead = if fed.windows_on {
             fed.lookahead.as_micros().max(1)
@@ -715,23 +719,36 @@ impl EventBackend {
             horizon = horizon.min(ts);
         }
         let n = self.clusters.len() as u64;
-        let mut outputs: Vec<Vec<Chunk>> = Vec::new();
-        outputs.resize_with(self.clusters.len(), Vec::new);
-        let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-        for ((member, stack), slot) in self.clusters.iter_mut().enumerate().zip(outputs.iter_mut())
-        {
-            if stack.engine.next_time().is_some_and(|t| t < horizon) {
-                jobs.push(Box::new(move || {
-                    *slot = run_member_window(member, n, stack, horizon);
-                }));
+        let mut busy: Vec<(usize, &mut ClusterStack, Vec<Chunk>)> = self
+            .clusters
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(member, stack)| {
+                let due = stack.engine.next_time().is_some_and(|t| t < horizon);
+                due.then(|| (member, stack, Vec::new()))
+            })
+            .collect();
+        let advance = |lane: &mut [(usize, &mut ClusterStack, Vec<Chunk>)]| {
+            for (member, stack, chunks) in lane {
+                *chunks = run_member_window(*member, n, stack, horizon);
             }
+        };
+        let lanes = fed.lanes.min(busy.len());
+        // A single lane gains nothing from the pool.
+        match fed.pool {
+            Some(pool) if lanes > 1 => {
+                let per_lane = busy.len().div_ceil(lanes);
+                pool.run(
+                    busy.chunks_mut(per_lane)
+                        .map(|lane| {
+                            Box::new(move || advance(lane)) as Box<dyn FnOnce() + Send + '_>
+                        })
+                        .collect(),
+                );
+            }
+            _ => advance(&mut busy),
         }
-        // A single busy member gains nothing from a pool round-trip.
-        match &fed.pool {
-            Some(pool) if jobs.len() > 1 => pool.run(jobs),
-            _ => jobs.into_iter().for_each(|job| job()),
-        }
-        fed.merge_pending(outputs);
+        fed.merge_pending(busy.into_iter().map(|(_, _, chunks)| chunks));
     }
 }
 

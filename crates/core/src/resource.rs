@@ -137,15 +137,18 @@ impl Default for SimulatedConfig {
 ///
 /// Both modes execute the *identical* conservative-lookahead windowed
 /// schedule — same chunks, same merge order, byte-identical traces; they
-/// differ only in whether member windows run concurrently. A one-member
-/// session (every `simulated` handle is one) has no windows and ignores
-/// this knob.
+/// differ only in whether member windows run concurrently. Neither mode
+/// makes a session own a thread: building and dropping a handle spawns
+/// nothing. A one-member session (every `simulated` handle is one) has no
+/// windows and ignores this knob.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DriveMode {
     /// Member windows run inline on the polling thread.
     Serial,
-    /// Member windows run concurrently on a persistent worker pool (the
-    /// default).
+    /// Member windows run concurrently (the default): the polling thread
+    /// advances some members itself while idle workers of the one
+    /// process-wide pool ([`entk_sim::WorkerPool::shared`]) advance the
+    /// rest. With no idle worker the window runs on the polling thread.
     #[default]
     Parallel,
 }
@@ -222,8 +225,10 @@ pub struct FederatedConfig {
     /// retries are enabled). Affects window width (throughput), never
     /// correctness: both drive modes execute the same windowed schedule.
     pub lookahead: Option<f64>,
-    /// Worker threads driving member windows in parallel mode; `0` (the
-    /// default) uses one per member, capped at the host's parallelism.
+    /// Cap on how many members of this session advance concurrently in
+    /// parallel mode: `0` (the default) lets every busy member advance at
+    /// once, `1` is exactly [`DriveMode::Serial`]. It sizes nothing — the
+    /// threads belong to the process-wide pool, sized once to the host.
     pub sim_threads: usize,
     /// The member clusters (at least one required).
     pub clusters: Vec<ClusterSpec>,

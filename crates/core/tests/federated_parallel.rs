@@ -3,10 +3,11 @@
 //! The conservative-lookahead merge promises that `DriveMode::Serial` and
 //! `DriveMode::Parallel` execute the *identical* windowed schedule — same
 //! chunks, same merge order — so the session report and the full JSONL
-//! trace must be byte-identical between the two. This suite checks that
-//! promise across randomized member counts, seeds, fault grids, and
-//! pattern shapes, plus targeted regressions for the stale-horizon edge
-//! (a member event landing exactly on a window boundary).
+//! trace must be byte-identical between the two, at every `sim_threads`
+//! cap. This suite checks that promise across randomized member counts,
+//! seeds, fault grids, and pattern shapes, plus targeted regressions for
+//! the stale-horizon edge (a member event landing exactly on a window
+//! boundary), and that sessions spawn no threads of their own.
 
 use entk_core::prelude::*;
 use entk_core::resource::run_federated_traced;
@@ -73,30 +74,36 @@ fn run_fingerprint(config: FederatedConfig, shape: Shape) -> (String, String) {
     (report_json, telemetry.tracer.to_jsonl())
 }
 
-/// Asserts both drive modes produce byte-identical reports and traces for
-/// the given base config, and returns the shared fingerprint.
+/// Asserts the serial drive and the parallel drive at every concurrency
+/// cap — `sim_threads` 0 (all busy members), 1 (the serial drive by
+/// another name), 2 and 3 (members share lanes) — produce byte-identical
+/// reports and traces for the given base config, and returns the shared
+/// fingerprint.
 fn assert_drive_equivalence(mut config: FederatedConfig, shape: Shape) -> (String, String) {
     config.drive = DriveMode::Serial;
     let serial = run_fingerprint(config.clone(), shape);
-    config.drive = DriveMode::Parallel;
-    let parallel = run_fingerprint(config, shape);
     assert!(
         serial.1.lines().count() > 10,
         "trace too small to be a meaningful comparison"
     );
-    assert_eq!(
-        serial.0, parallel.0,
-        "serial and parallel drives disagree on the session report"
-    );
-    assert_eq!(
-        serial.1, parallel.1,
-        "serial and parallel drives disagree on the trace"
-    );
+    config.drive = DriveMode::Parallel;
+    for sim_threads in 0..4 {
+        config.sim_threads = sim_threads;
+        let parallel = run_fingerprint(config.clone(), shape);
+        assert_eq!(
+            serial.0, parallel.0,
+            "serial and parallel (sim_threads {sim_threads}) drives disagree on the session report"
+        );
+        assert_eq!(
+            serial.1, parallel.1,
+            "serial and parallel (sim_threads {sim_threads}) drives disagree on the trace"
+        );
+    }
     serial
 }
 
 proptest! {
-    // Each case runs two full telemetry-on federated sessions; keep the
+    // Each case runs five full telemetry-on federated sessions; keep the
     // case count modest so the suite stays fast.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -332,4 +339,52 @@ fn tiny_lookahead_still_completes_and_matches() {
     config.lookahead = Some(0.000_001);
     let shape = Shape::Sal { sims: 3 };
     assert_drive_equivalence(config, shape);
+}
+
+/// Live `entk-sim-worker-*` threads of this process. The kernel truncates
+/// a thread name to 15 bytes, which is exactly the prefix. `Threads:` in
+/// `/proc/self/status` would also count the harness's own test threads,
+/// which come and go while this test runs.
+#[cfg(target_os = "linux")]
+fn pool_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("list own threads")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == "entk-sim-worker")
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn federated_sessions_spawn_no_threads_of_their_own() {
+    // The process-wide pool is the only source of worker threads: however
+    // many sessions are built, executed and dropped, the count stays at
+    // its size. Sampled while each handle is alive — a per-session pool is
+    // joined on drop, so it would only show up there.
+    let pool = entk_sim::WorkerPool::shared().workers();
+    // A spawned thread names itself as it starts: wait for that once.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while pool_threads() < pool {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "shared pool workers never came up"
+        );
+        std::thread::yield_now();
+    }
+    let shape = Shape::Eop {
+        pipelines: 3,
+        stages: 2,
+    };
+    for seed in 0..200 {
+        let mut handle = ResourceHandle::federated(FederatedConfig {
+            telemetry: false,
+            ..fed_config(2, seed, DriveMode::Parallel)
+        })
+        .expect("federated handle");
+        assert_eq!(pool_threads(), pool, "building session {seed} spawned");
+        handle.allocate().expect("allocate");
+        handle.run(build_pattern(shape).as_mut()).expect("run");
+        assert_eq!(pool_threads(), pool, "running session {seed} spawned");
+        handle.deallocate().expect("deallocate");
+    }
 }

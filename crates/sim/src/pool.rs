@@ -3,51 +3,128 @@
 //!
 //! The federated simulator advances each member cluster inside short,
 //! bounded windows — often tens of microseconds of real work — so the cost
-//! of spawning OS threads per window would dwarf the work itself. This pool
-//! keeps `n` parked workers alive for the lifetime of a session and runs
-//! batches of borrowed closures against them: [`WorkerPool::run`] blocks
-//! the caller until every job in the batch has finished, which is what
-//! makes handing out non-`'static` closures sound (the borrowed state is
-//! guaranteed to outlive the jobs because the lender is parked on the
-//! completion barrier the whole time).
+//! of spawning OS threads per window, or even per session, would dwarf the
+//! work itself. The pilot argument applies to the host too: acquire the
+//! threads once ([`WorkerPool::shared`]), then late-bind many small batches
+//! onto them.
 //!
-//! [`WorkerPool::submit`] is the barrier-free sibling for owned jobs: the
+//! [`WorkerPool::run`] executes a batch of borrowed closures and returns
+//! once every one of them has finished. The caller is itself a lane: it
+//! posts *tickets* inviting up to `workers − 1` pool threads to help, then
+//! claims jobs from its own batch until none are left and waits only for
+//! jobs a helper already claimed. Nothing about a batch is pool-wide, so
+//! any number of threads may `run` at once without waiting on each other,
+//! a job may itself call `run` (the nested caller drains its own batch, so
+//! it cannot deadlock), and when every worker is busy the batch simply
+//! runs on the caller. Handing out non-`'static` closures is sound because
+//! the lender does not return while a job is unclaimed or in flight.
+//!
+//! [`WorkerPool::submit`] is the latch-free sibling for owned jobs: the
 //! workload service streams just-in-time session evaluations through it,
 //! collecting results over a channel while the admission loop keeps
-//! running. [`WorkerPool::cancel_queued`] discards never-started jobs on
-//! early-abort paths.
+//! running. [`WorkerPool::cancel_queued`] discards never-started submitted
+//! jobs on early-abort paths.
 //!
 //! Determinism note: the pool intentionally offers no ordering guarantees —
-//! jobs run on whichever worker grabs them first. Callers must therefore
+//! jobs run on whichever lane grabs them first. Callers must therefore
 //! keep all ordered state member-private during a window and merge it on
 //! the spine afterwards (see `entk-core`'s conservative-lookahead merge).
 
+use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
 /// An owned job for the asynchronous [`WorkerPool::submit`] path.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct State {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
+/// Worker threads this process should run: `ENTK_THREADS`, then
+/// `RAYON_NUM_THREADS`, then the host's available parallelism. The one
+/// resolver behind every thread count in the workspace — the shared window
+/// pool, the service's evaluation workers and the bench's sweep width.
+pub fn host_threads() -> usize {
+    threads_from(|var| std::env::var(var).ok())
 }
 
-struct DoneState {
-    outstanding: usize,
-    panics: usize,
+fn threads_from(env: impl Fn(&str) -> Option<String>) -> usize {
+    ["ENTK_THREADS", "RAYON_NUM_THREADS"]
+        .iter()
+        .filter_map(|var| env(var)?.trim().parse::<usize>().ok())
+        .find(|&n| n >= 1)
+        .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+enum Work {
+    /// A submitted job.
+    Owned(Job),
+    /// An invitation to help a [`WorkerPool::run`] batch. A stale ticket —
+    /// its batch has no unclaimed job left — is a no-op.
+    Ticket(Arc<Batch>),
+}
+
+struct State {
+    queue: VecDeque<Work>,
+    /// Workers parked on `work_ready`: posting work wakes at most this
+    /// many, so a post to a busy pool costs no wake-up syscall.
+    idle: usize,
+    shutdown: bool,
 }
 
 struct Shared {
     state: Mutex<State>,
     work_ready: Condvar,
-    done: Mutex<DoneState>,
-    all_done: Condvar,
 }
 
-/// A fixed-size pool of parked worker threads executing batches of jobs
-/// with a blocking completion barrier per batch.
+/// The per-batch latch of one [`WorkerPool::run`] call.
+struct Batch {
+    latch: Mutex<Latch>,
+    helpers_done: Condvar,
+}
+
+struct Latch {
+    /// Jobs nobody has claimed yet.
+    unclaimed: std::vec::IntoIter<Job>,
+    /// Jobs claimed and not yet finished.
+    in_flight: usize,
+    /// The caller is parked on `helpers_done`.
+    caller_waiting: bool,
+    /// Payload of the first job that panicked, re-raised on the caller.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Batch {
+    fn lock(&self) -> MutexGuard<'_, Latch> {
+        // Jobs run outside the lock, so a panicking job cannot poison it.
+        self.latch.lock().expect("batch latch lock")
+    }
+
+    /// Claims and runs jobs until none is unclaimed; returns the latch
+    /// guard. Run by the caller and, on a ticket, by helpers — for whom a
+    /// stale ticket finds nothing to claim and touches nothing else.
+    fn drain(&self) -> MutexGuard<'_, Latch> {
+        let mut latch = self.lock();
+        while let Some(job) = latch.unclaimed.next() {
+            latch.in_flight += 1;
+            drop(latch);
+            let outcome = catch_unwind(AssertUnwindSafe(job));
+            latch = self.lock();
+            latch.in_flight -= 1;
+            if let Err(payload) = outcome {
+                latch.panic.get_or_insert(payload);
+            }
+            // The caller parks only once nothing is unclaimed, so this was
+            // the last job of the batch.
+            if latch.in_flight == 0 && latch.caller_waiting {
+                self.helpers_done.notify_one();
+            }
+        }
+        latch
+    }
+}
+
+/// A fixed-size pool of parked worker threads executing submitted jobs and
+/// helping [`WorkerPool::run`] batches.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<thread::JoinHandle<()>>,
@@ -70,15 +147,11 @@ impl WorkerPool {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                jobs: VecDeque::new(),
+                queue: VecDeque::new(),
+                idle: 0,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
-            done: Mutex::new(DoneState {
-                outstanding: 0,
-                panics: 0,
-            }),
-            all_done: Condvar::new(),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -96,96 +169,123 @@ impl WorkerPool {
         }
     }
 
+    /// The process-wide pool, spawned on first use with [`host_threads`]
+    /// workers and never torn down. Every federated session drives its
+    /// member windows here, so building and dropping a session spawns no
+    /// thread; sessions running concurrently (or nested inside another
+    /// pool's job) share the workers batch by batch.
+    pub fn shared() -> &'static WorkerPool {
+        static POOL: OnceLock<WorkerPool> = OnceLock::new();
+        POOL.get_or_init(|| WorkerPool::new(host_threads()))
+    }
+
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
+    /// Queues `work` and wakes at most one parked worker per item.
+    fn post(&self, work: impl ExactSizeIterator<Item = Work>) {
+        let wake = {
+            let mut state = self.shared.state.lock().expect("pool state lock");
+            let n = work.len();
+            state.queue.extend(work);
+            n.min(state.idle)
+        };
+        for _ in 0..wake {
+            self.shared.work_ready.notify_one();
+        }
+    }
+
     /// Enqueues a batch of owned (`'static`) jobs and returns immediately —
-    /// no completion barrier. Callers observe completion through the jobs
+    /// no completion latch. Callers observe completion through the jobs
     /// themselves (typically a channel send at the end of each closure);
     /// the workload service uses this for just-in-time session evaluation.
     ///
-    /// Mixing with [`WorkerPool::run`] is safe but conservative: `run`'s
-    /// barrier waits for *all* outstanding jobs, submitted ones included.
-    /// A submitted job that panics is contained on its worker; the panic
-    /// is surfaced by the next `run` barrier on this pool, if any.
+    /// A submitted job that panics is contained on its worker, which
+    /// survives; a job that must report failure catches its own panic.
     pub fn submit(&self, jobs: Vec<Job>) {
-        if jobs.is_empty() {
-            return;
-        }
-        let n = jobs.len();
-        self.shared.done.lock().expect("pool done lock").outstanding += n;
-        {
-            let mut state = self.shared.state.lock().expect("pool state lock");
-            state.jobs.extend(jobs);
-        }
-        self.shared.work_ready.notify_all();
+        self.post(jobs.into_iter().map(Work::Owned));
     }
 
-    /// Drops every job that is still queued (never started) and returns
-    /// how many were discarded. Jobs already running are unaffected. Used
-    /// on early-abort paths so dropping the pool does not first drain a
-    /// deep backlog of now-useless work.
+    /// Drops every submitted job that is still queued (never started) and
+    /// returns how many were discarded. Jobs already running are
+    /// unaffected, and so is any in-flight [`WorkerPool::run`]: its jobs
+    /// live in the batch, not in this queue. Used on early-abort paths so
+    /// dropping the pool does not first drain a deep backlog of now-useless
+    /// work.
     pub fn cancel_queued(&self) -> usize {
-        let dropped = {
-            let mut state = self.shared.state.lock().expect("pool state lock");
-            let n = state.jobs.len();
-            state.jobs.clear();
-            n
-        };
-        if dropped > 0 {
-            let mut done = self.shared.done.lock().expect("pool done lock");
-            done.outstanding -= dropped;
-            if done.outstanding == 0 {
-                self.shared.all_done.notify_all();
-            }
-        }
-        dropped
+        let mut state = self.shared.state.lock().expect("pool state lock");
+        let before = state.queue.len();
+        state.queue.retain(|work| matches!(work, Work::Ticket(_)));
+        before - state.queue.len()
     }
 
-    /// Runs a batch of jobs on the pool and blocks until all of them have
-    /// completed. Jobs may borrow from the caller's stack: the blocking
-    /// barrier guarantees no job outlives this call.
+    /// Runs a batch of jobs and returns once all of them have completed.
+    /// Jobs may borrow from the caller's stack.
     ///
-    /// If any job panics, the panic is contained on the worker (the thread
-    /// survives for the next batch) and re-raised here once the batch has
-    /// drained.
+    /// The calling thread is a lane of its own batch: it invites up to
+    /// `workers − 1` pool threads, then runs jobs itself until none is
+    /// unclaimed and waits only for those a helper is still running. With
+    /// one job, one worker, or every worker busy elsewhere, the batch runs
+    /// on the caller.
+    ///
+    /// If a job panics, the panic is contained where it ran, the rest of
+    /// the batch still completes, and the first payload is re-raised here —
+    /// on the batch that owns the job, never on another caller.
     pub fn run<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        if jobs.is_empty() {
+        let helpers = jobs.len().min(self.workers).saturating_sub(1);
+        if helpers == 0 {
+            jobs.into_iter().for_each(|job| job());
             return;
         }
         // SAFETY: the transmute only erases the `'scope` lifetime bound of
-        // each boxed closure; layout is unchanged. It is sound because this
-        // function does not return until `outstanding` drops back to zero,
-        // i.e. every job has finished running — so no job can observe its
-        // borrows after `'scope` ends.
+        // each boxed closure; layout is unchanged. It is sound because the
+        // erased jobs live only in `batch.latch.unclaimed`, and this
+        // function does not return (or unwind: job panics are caught)
+        // until that iterator is exhausted and `in_flight` is zero — every
+        // job has been claimed, run to completion and dropped — so no job
+        // can observe its borrows after `'scope` ends. A ticket that
+        // outlives this call holds only the emptied batch. (The one earlier
+        // exit is a poisoned pool lock in `post`, before any ticket exists:
+        // it drops the batch, and with it the jobs, unrun.)
         let jobs: Vec<Job> = jobs
             .into_iter()
             .map(|j| unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(j) })
             .collect();
-        let n = jobs.len();
-        self.shared.done.lock().expect("pool done lock").outstanding += n;
-        {
-            let mut state = self.shared.state.lock().expect("pool state lock");
-            state.jobs.extend(jobs);
+        let batch = Arc::new(Batch {
+            latch: Mutex::new(Latch {
+                unclaimed: jobs.into_iter(),
+                in_flight: 0,
+                caller_waiting: false,
+                panic: None,
+            }),
+            helpers_done: Condvar::new(),
+        });
+        self.post((0..helpers).map(|_| Work::Ticket(Arc::clone(&batch))));
+        let mut latch = batch.drain();
+        latch.caller_waiting = true;
+        while latch.in_flight > 0 {
+            latch = batch.helpers_done.wait(latch).expect("batch latch wait");
         }
-        self.shared.work_ready.notify_all();
-        let mut done = self.shared.done.lock().expect("pool done lock");
-        while done.outstanding > 0 {
-            done = self.shared.all_done.wait(done).expect("pool barrier wait");
-        }
-        if done.panics > 0 {
-            done.panics = 0;
-            drop(done);
-            panic!("a worker-pool job panicked; see worker thread output");
+        if let Some(payload) = latch.panic.take() {
+            drop(latch);
+            resume_unwind(payload);
         }
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.state.lock().expect("pool state lock").shutdown = true;
+        // Must not panic: setting the flag is valid whatever state a
+        // poisoning panic left behind.
+        let mut state = self
+            .shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.shutdown = true;
+        drop(state);
         self.shared.work_ready.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -195,26 +295,24 @@ impl Drop for WorkerPool {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let job = {
+        let work = {
             let mut state = shared.state.lock().expect("pool state lock");
             loop {
-                if let Some(job) = state.jobs.pop_front() {
-                    break job;
+                if let Some(work) = state.queue.pop_front() {
+                    break work;
                 }
                 if state.shutdown {
                     return;
                 }
+                state.idle += 1;
                 state = shared.work_ready.wait(state).expect("pool worker wait");
+                state.idle -= 1;
             }
         };
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err();
-        let mut done = shared.done.lock().expect("pool done lock");
-        done.outstanding -= 1;
-        if panicked {
-            done.panics += 1;
-        }
-        if done.outstanding == 0 {
-            shared.all_done.notify_all();
+        match work {
+            // The panic hook has already reported it; the worker survives.
+            Work::Owned(job) => drop(catch_unwind(AssertUnwindSafe(job))),
+            Work::Ticket(batch) => drop(batch.drain()),
         }
     }
 }
@@ -223,6 +321,8 @@ fn worker_loop(shared: &Shared) {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
 
     #[test]
     fn runs_all_jobs_and_blocks_until_done() {
@@ -279,7 +379,7 @@ mod tests {
     #[test]
     fn submitted_jobs_complete_without_a_barrier() {
         let pool = WorkerPool::new(2);
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = mpsc::channel();
         pool.submit(
             (0..16u64)
                 .map(|i| {
@@ -301,8 +401,8 @@ mod tests {
         // One worker, blocked on the first job: everything behind it is
         // still queued and must be discardable without running.
         let pool = WorkerPool::new(1);
-        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
-        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let (started_tx, started_rx) = mpsc::channel::<()>();
         let ran = Arc::new(AtomicU64::new(0));
         // Jobs run in submission order, so the lone worker grabs the gate
         // job first and blocks on it while the rest stay queued.
@@ -321,30 +421,188 @@ mod tests {
         let dropped = pool.cancel_queued();
         assert_eq!(dropped, 8);
         gate_tx.send(()).unwrap();
-        // The barrier of an empty run() waits for the in-flight job only.
-        pool.run(vec![Box::new(|| {}) as Box<dyn FnOnce() + Send + '_>]);
+        // The lone worker serves in order: once this marker has run, so
+        // has everything that was still queued ahead of it.
+        let (marker_tx, marker_rx) = mpsc::channel::<()>();
+        pool.submit(vec![Box::new(move || marker_tx.send(()).unwrap())]);
+        marker_rx.recv().unwrap();
         assert_eq!(ran.load(Ordering::Relaxed), 0, "cancelled jobs never ran");
     }
 
     #[test]
     fn job_panic_is_reraised_and_pool_survives() {
         let pool = WorkerPool::new(2);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // Two jobs, so one may land on a helper; wherever "boom" runs, the
+        // payload surfaces here.
+        let payload = catch_unwind(AssertUnwindSafe(|| {
             pool.run(vec![
-                Box::new(|| panic!("boom")) as Box<dyn FnOnce() + Send + '_>
+                Box::new(|| panic!("boom")) as Box<dyn FnOnce() + Send + '_>,
+                Box::new(|| panic!("boom")),
             ]);
-        }));
-        assert!(result.is_err());
+        }))
+        .unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
         // The worker thread survived the panic and keeps serving batches.
         let ran = AtomicU64::new(0);
-        pool.run(vec![
-            Box::new(|| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            }) as Box<dyn FnOnce() + Send + '_>,
-            Box::new(|| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            }) as Box<dyn FnOnce() + Send + '_>,
-        ]);
+        pool.run(increments(&ran, 2));
         assert_eq!(ran.load(Ordering::Relaxed), 2);
+    }
+
+    /// A batch of `n` counter increments.
+    fn increments(ran: &AtomicU64, n: usize) -> Vec<Box<dyn FnOnce() + Send + '_>> {
+        (0..n)
+            .map(|_| {
+                Box::new(|| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_batches_do_not_wait_on_each_other() {
+        let pool = WorkerPool::new(2);
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (b_done_tx, b_done_rx) = mpsc::channel::<u64>();
+        thread::scope(|s| {
+            // Batch A holds a job that cannot finish until the gate opens.
+            s.spawn(|| {
+                pool.run(vec![
+                    Box::new(move || {
+                        started_tx.send(()).unwrap();
+                        gate_rx.recv().unwrap();
+                    }) as Box<dyn FnOnce() + Send + '_>,
+                    Box::new(|| {}),
+                ]);
+            });
+            started_rx.recv().unwrap();
+            // Batch B starts while A's long job is in flight and must
+            // return with the gate still closed.
+            s.spawn(|| {
+                let ran = AtomicU64::new(0);
+                pool.run(increments(&ran, 4));
+                b_done_tx.send(ran.load(Ordering::Relaxed)).unwrap();
+            });
+            let b = b_done_rx.recv_timeout(Duration::from_secs(30));
+            // Open the gate before asserting, so a failure is a failure
+            // and not a hung scope.
+            gate_tx.send(()).unwrap();
+            assert_eq!(b, Ok(4), "batch B waited on batch A's gated job");
+        });
+    }
+
+    #[test]
+    fn run_from_inside_a_pool_job_completes() {
+        // Every worker is occupied by a job that itself calls `run`: the
+        // tickets those nested callers post find no free worker, so each
+        // must finish its batch alone. On the 1-worker pool the nested
+        // caller is the only thread the pool has.
+        for workers in [1usize, 2] {
+            let pool = Arc::new(WorkerPool::new(workers));
+            let all_busy = Arc::new(Barrier::new(workers));
+            let (tx, rx) = mpsc::channel::<u64>();
+            pool.submit(
+                (0..workers)
+                    .map(|_| {
+                        let (inner, all_busy, tx) =
+                            (Arc::clone(&pool), Arc::clone(&all_busy), tx.clone());
+                        Box::new(move || {
+                            all_busy.wait();
+                            let ran = AtomicU64::new(0);
+                            inner.run(increments(&ran, 3));
+                            // Released before reporting, so the test thread
+                            // (not this worker) drops the pool.
+                            drop(inner);
+                            tx.send(ran.load(Ordering::Relaxed)).unwrap();
+                        }) as Job
+                    })
+                    .collect(),
+            );
+            for _ in 0..workers {
+                assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Ok(3));
+            }
+        }
+    }
+
+    #[test]
+    fn panic_reaches_only_the_batch_that_owns_the_job() {
+        let pool = WorkerPool::new(2);
+        let (b_started_tx, b_started_rx) = mpsc::channel::<()>();
+        let (a_done_tx, a_done_rx) = mpsc::channel::<()>();
+        thread::scope(|s| {
+            // Batch B is in flight for the whole life of batch A.
+            let b = s.spawn(|| {
+                let ran = AtomicU64::new(0);
+                let mut jobs = increments(&ran, 3);
+                jobs.push(Box::new(move || {
+                    b_started_tx.send(()).unwrap();
+                    a_done_rx.recv().unwrap();
+                }));
+                pool.run(jobs);
+                ran.load(Ordering::Relaxed)
+            });
+            b_started_rx.recv().unwrap();
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                pool.run(vec![
+                    Box::new(|| panic!("boom A")) as Box<dyn FnOnce() + Send + '_>,
+                    Box::new(|| {}),
+                ]);
+            }))
+            .unwrap_err();
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom A"));
+            a_done_tx.send(()).unwrap();
+            assert_eq!(b.join().expect("batch B saw batch A's panic"), 3);
+        });
+    }
+
+    #[test]
+    fn cancel_queued_during_a_run_loses_no_job() {
+        let pool = WorkerPool::new(2);
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let gate = Barrier::new(3);
+        let ran = AtomicU64::new(0);
+        thread::scope(|s| {
+            s.spawn(|| {
+                // Both lanes (caller and helper) block in a gated job, so
+                // six jobs are provably unclaimed when the cancel lands.
+                let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
+                for _ in 0..2 {
+                    let (started_tx, gate, ran) = (started_tx.clone(), &gate, &ran);
+                    jobs.push(Box::new(move || {
+                        started_tx.send(()).unwrap();
+                        gate.wait();
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    }));
+                }
+                jobs.extend(increments(&ran, 6));
+                pool.run(jobs);
+            });
+            started_rx.recv().unwrap();
+            started_rx.recv().unwrap();
+            assert_eq!(pool.cancel_queued(), 0, "no submitted job was queued");
+            gate.wait();
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 8);
+    }
+
+    #[test]
+    fn thread_count_resolves_entk_then_rayon_then_host() {
+        let env = |pairs: &'static [(&str, &str)]| {
+            move |var: &str| {
+                pairs
+                    .iter()
+                    .find(|(k, _)| *k == var)
+                    .map(|(_, v)| v.to_string())
+            }
+        };
+        let both = env(&[("ENTK_THREADS", " 3 "), ("RAYON_NUM_THREADS", "5")]);
+        assert_eq!(threads_from(both), 3);
+        // Zero and junk are not thread counts: fall through.
+        let rayon = env(&[("ENTK_THREADS", "0"), ("RAYON_NUM_THREADS", "5")]);
+        assert_eq!(threads_from(rayon), 5);
+        let host = env(&[("ENTK_THREADS", "many")]);
+        let probed = thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(threads_from(host), probed);
     }
 }

@@ -112,6 +112,7 @@ use entk_sim::{Metrics, SimDuration, SimTime, Summary, WorkerPool};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 
 /// How the service picks the next pending session for a free slot.
@@ -409,21 +410,6 @@ impl Default for EngineOptions {
     }
 }
 
-fn default_eval_workers() -> usize {
-    for var in ["ENTK_THREADS", "RAYON_NUM_THREADS"] {
-        if let Ok(v) = std::env::var(var) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Just-in-time session evaluation over the persistent `entk-sim` worker
 /// pool: sessions are dispatched as they enter the read-ahead window and
 /// their service times collected over a channel, so at most
@@ -441,7 +427,7 @@ struct EvalPool {
 impl EvalPool {
     fn new(config: WorkloadConfig, workers: usize) -> Self {
         let workers = if workers == 0 {
-            default_eval_workers()
+            entk_sim::pool::host_threads()
         } else {
             workers
         };
@@ -462,7 +448,22 @@ impl EvalPool {
         let tx = self.tx.clone();
         let config = Arc::clone(&self.config);
         self.pool.submit(vec![Box::new(move || {
-            let svc = evaluate_session(&config, index, &arrival);
+            // `take` blocks until this index reports, so a panicking
+            // evaluation must still report: as a failed session.
+            let svc = catch_unwind(AssertUnwindSafe(|| {
+                evaluate_session(&config, index, &arrival)
+            }))
+            .unwrap_or_else(|payload| {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|m| m.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                SessionService::unserved(
+                    SessionStatus::Failed,
+                    EntkError::Runtime(format!("evaluation panicked: {msg}")),
+                )
+            });
             // The receiver disappears only when the engine is dropped
             // mid-run; the result is simply discarded then.
             let _ = tx.send((index, svc));

@@ -3,8 +3,9 @@
 //! per-session failure semantics, backpressure, and checkpoint/restore.
 
 use entk_workload::{
-    parse_trace, serve, SaturationMode, ServiceCheckpoint, ServiceConfig, ServiceEngine,
-    SessionStatus, StreamBackend, StreamSpec, SyntheticTrace, WorkloadConfig, WorkloadGenerator,
+    parse_trace, serve, PatternKind, SaturationMode, ServiceCheckpoint, ServiceConfig,
+    ServiceEngine, SessionStatus, StreamBackend, StreamSpec, SyntheticTrace, WorkloadConfig,
+    WorkloadGenerator,
 };
 
 fn small_config(backend: StreamBackend) -> WorkloadConfig {
@@ -146,6 +147,47 @@ fn strict_mode_restores_stream_fatal_failures() {
         .run()
         .unwrap_err();
     assert!(err.to_string().contains("resource error"), "{err}");
+}
+
+#[test]
+fn a_panicking_evaluation_is_a_failed_session_not_a_hung_serve() {
+    // A hostile trace row: `usize::MAX` pipelines overflow the pattern's
+    // task table, which panics ("capacity overflow") on the evaluation
+    // worker. The worker survives and nothing else would ever report for
+    // that session, so the serve used to block on it forever: run it on a
+    // thread and bound the wait, so a regression fails instead of hanging.
+    let mut arrivals = SyntheticTrace::new(7, 8, 3).generate().unwrap();
+    arrivals[3].pattern = PatternKind::Eop;
+    arrivals[3].tasks = usize::MAX;
+    arrivals[3].stages = 1;
+    let bounded = |config: ServiceConfig| {
+        let arrivals = arrivals.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(ServiceEngine::new(config, &arrivals).unwrap().run());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the serve hung on a panicked evaluation")
+    };
+    let lenient = ServiceConfig::fifo(small_config(StreamBackend::Simulated));
+    let out = bounded(lenient.clone()).unwrap();
+    assert_eq!(out.report.sessions, 8);
+    assert_eq!(out.report.failed_sessions, 1);
+    assert_eq!(out.report.ok_sessions, 7);
+    let failed = &out.report.records[3];
+    assert_eq!(failed.status, SessionStatus::Failed);
+    let error = failed.error.as_deref().unwrap();
+    assert!(
+        error.contains("evaluation panicked: capacity overflow"),
+        "{error}"
+    );
+    // Under `strict` it is stream-fatal, like any other failed session.
+    let err = bounded(ServiceConfig {
+        strict: true,
+        ..lenient
+    })
+    .unwrap_err();
+    assert!(err.to_string().contains("evaluation panicked"), "{err}");
 }
 
 #[test]
