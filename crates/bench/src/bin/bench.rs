@@ -22,13 +22,9 @@
 //!                     EoP/SAL ensembles of 10^3 → --max-tasks tasks
 //!   --max-tasks N     largest fig10 ensemble            [default: 1000000]
 //!   --members N       federated scale sweep: late-bind each ensemble
-//!                     across N simulated clusters driven with the help
-//!                     of the process-wide worker pool, and report
-//!                     events/sec scaling vs a single member (implies
-//!                     --scale-sweep semantics; N >= 2)
-//!   --sim-threads N   cap on members advancing concurrently for
-//!                     --members (0 = every member, 1 = serial drive)
-//!                                                       [default: 0]
+//!                     across N simulated clusters and report events/sec
+//!                     scaling vs a single member (implies --scale-sweep
+//!                     semantics; N >= 2)
 //!   --budget-secs S   fail unless the whole scale sweep finishes within
 //!                     S seconds of wall clock (CI scale-smoke assertion)
 //!   --baseline PATH   perf-regression gate: compare the scale sweep's
@@ -72,8 +68,6 @@ use entk_bench::{
     FairnessAblation, Row, SweepRunner, FIG11_HALF_LIFE_SECS, FIG11_SESSIONS, FIG11_SLOTS,
     FIG11_TENANTS, SERVE_SCALE_SLOTS, SERVE_SCALE_TENANTS,
 };
-use entk_core::prelude::DriveMode;
-use entk_sim::pool::host_threads;
 use entk_workload::{AdmissionPolicy, StreamBackend};
 use serde_json::json;
 use std::time::Instant;
@@ -96,7 +90,6 @@ struct Options {
     scale_sweep: bool,
     max_tasks: usize,
     members: usize,
-    sim_threads: usize,
     budget_secs: Option<f64>,
     baseline: Option<String>,
     workload: bool,
@@ -131,7 +124,6 @@ fn parse_args() -> Options {
         scale_sweep: false,
         max_tasks: 1_000_000,
         members: 1,
-        sim_threads: 0,
         budget_secs: None,
         baseline: None,
         workload: false,
@@ -171,11 +163,6 @@ fn parse_args() -> Options {
                 opts.members = value("--members").parse().expect("--members: integer");
                 opts.scale_sweep = true;
                 assert!(opts.members >= 2, "--members needs at least 2 clusters");
-            }
-            "--sim-threads" => {
-                opts.sim_threads = value("--sim-threads")
-                    .parse()
-                    .expect("--sim-threads: integer")
             }
             "--budget-secs" => {
                 opts.budget_secs = Some(value("--budget-secs").parse().expect("--budget-secs: f64"))
@@ -217,8 +204,6 @@ fn parse_args() -> Options {
 
 /// Warns when the parallel figure sweeps have a single worker (serial in
 /// disguise); returns whether the warning fired so BENCH.json records it.
-/// Fires only for the sweep axis — a single-threaded sweep is fine when
-/// the measurement of interest is the federated member drive.
 fn warn_if_single_thread(threads: usize) -> bool {
     if threads == 1 {
         eprintln!(
@@ -235,7 +220,7 @@ fn warn_if_single_thread(threads: usize) -> bool {
 /// `--max-tasks` tasks, with serial/parallel identity on the deterministic
 /// projection of each row (wall-clock values legitimately vary run to run).
 fn run_scale_sweep(opts: &Options) {
-    let threads = host_threads();
+    let threads = rayon::current_num_threads();
     let threads_warning = warn_if_single_thread(threads);
 
     let t0 = Instant::now();
@@ -304,7 +289,6 @@ fn run_scale_sweep(opts: &Options) {
         "threads": threads,
         "threads_warning": threads_warning,
         "members": 1,
-        "sim_threads": 0,
         "seed": opts.seed,
         "max_tasks": opts.max_tasks,
         "figures": [entry],
@@ -372,18 +356,12 @@ fn check_baseline(path: &str, figure: &str, rows: &[Row]) {
 }
 
 /// Wall-clock and throughput summary of one federated sweep leg.
-fn fed_leg(opts: &Options, members: usize, drive: DriveMode, label: &str) -> (Vec<Row>, f64) {
-    // Points run serially so measured wall-clock isolates the member drive;
+fn fed_leg(opts: &Options, members: usize, label: &str) -> (Vec<Row>, f64) {
+    // Points run serially so measured wall-clock is one session's alone;
     // the rayon sweep axis stays out of the federated timing entirely.
     let t0 = Instant::now();
-    let rows = figures::fig10_federated_with(
-        &SweepRunner::serial(),
-        opts.seed,
-        opts.max_tasks,
-        members,
-        drive,
-        opts.sim_threads,
-    );
+    let rows =
+        figures::fig10_federated_with(&SweepRunner::serial(), opts.seed, opts.max_tasks, members);
     let secs = t0.elapsed().as_secs_f64();
     for row in &rows {
         println!(
@@ -399,54 +377,16 @@ fn fed_leg(opts: &Options, members: usize, drive: DriveMode, label: &str) -> (Ve
 }
 
 /// The `--members N` mode: the federated fig10 throughput sweep. Each
-/// ensemble is late-bound across N simulated clusters, member windows are
-/// driven both serially and on the worker pool (the two must agree on the
-/// deterministic projection — byte-identical modulo host timing), and
-/// events/sec scaling is reported against a single-member baseline
-/// (strong scaling: same task counts, N× the clusters).
+/// ensemble is late-bound across N simulated clusters, and events/sec
+/// scaling is reported against a single-member baseline (strong scaling:
+/// same task counts, N× the clusters). Member windows run on the session's
+/// own thread, so the ratio reads the cost of the windowed merge.
 fn run_fed_scale_sweep(opts: &Options) {
-    let threads = host_threads();
-    let threads_warning = warn_if_single_thread(threads);
     let members = opts.members;
-    // The cap on members of one session advancing concurrently
-    // (0 = every member). The process-wide pool they advance on is
-    // `threads` wide, like the sweep.
-    let sim_threads = match opts.sim_threads {
-        0 => members,
-        n => n.min(members),
-    };
-    // Windows only overlap when both the cap and the pool offer more than
-    // one lane; otherwise parallel-drive wall-clock (and the 1 -> N
-    // events/sec scaling) degenerates to the serial drive, which
-    // BENCH.json must record rather than hide.
-    let sim_threads_warning = sim_threads.min(threads) == 1;
-    if sim_threads_warning {
-        eprintln!(
-            "warning: the federated member drive is effectively serial \
-             (cap {sim_threads} on a {threads}-thread pool); events/sec \
-             scaling vs 1 member reflects merge overhead, not parallel \
-             speedup"
-        );
-    }
-
-    let (single_rows, single_secs) = fed_leg(opts, 1, DriveMode::Parallel, "1-member");
-    let (serial_rows, serial_secs) = fed_leg(opts, members, DriveMode::Serial, "serial-drive");
-    let (parallel_rows, parallel_secs) =
-        fed_leg(opts, members, DriveMode::Parallel, "parallel-drive");
-    let total = single_secs + serial_secs + parallel_secs;
-
-    let identical = deterministic_view(&parallel_rows) == deterministic_view(&serial_rows);
-    let drive_speedup = serial_secs / parallel_secs.max(1e-12);
-    println!(
-        "fig10_federated: serial-drive {serial_secs:.3}s  parallel-drive \
-         {parallel_secs:.3}s  speedup {drive_speedup:.2}x  identical={identical}"
-    );
-    if !identical {
-        fail(
-            "fig10_federated: parallel-drive rows diverged from serial-drive \
-             rows on the deterministic projection",
-        );
-    }
+    let (single_rows, single_secs) = fed_leg(opts, 1, "1-member");
+    let (fed_rows, fed_secs) = fed_leg(opts, members, &format!("{members}-member"));
+    let total = single_secs + fed_secs;
+    println!("fig10_federated: 1-member {single_secs:.3}s  {members}-member {fed_secs:.3}s");
 
     // Strong-scaling ratio per series at the largest common point:
     // events/sec with N members over events/sec with 1 member.
@@ -460,7 +400,7 @@ fn run_fed_scale_sweep(opts: &Options) {
     let mut scaling = serde_json::Map::new();
     for series in ["eop", "sal"] {
         let base = eps_at(&single_rows, series);
-        let fed = eps_at(&parallel_rows, series);
+        let fed = eps_at(&fed_rows, series);
         let ratio = fed / base.max(1e-9);
         println!(
             "{series}: events/sec x{ratio:.2} from 1 -> {members} members \
@@ -471,8 +411,7 @@ fn run_fed_scale_sweep(opts: &Options) {
 
     let points: Vec<_> = single_rows
         .iter()
-        .chain(&serial_rows)
-        .chain(&parallel_rows)
+        .chain(&fed_rows)
         .map(|row| {
             json!({
                 "series": row.series,
@@ -488,21 +427,14 @@ fn run_fed_scale_sweep(opts: &Options) {
     let entry = json!({
         "name": "fig10_federated",
         "rows": points.len(),
-        "serial_secs": serial_secs,
-        "parallel_secs": parallel_secs,
         "single_member_secs": single_secs,
-        "speedup": drive_speedup,
-        "identical": identical,
+        "federated_secs": fed_secs,
         "scaling": scaling,
         "points": points,
     });
     let bench = json!({
         "version": 1,
-        "threads": threads,
-        "threads_warning": threads_warning,
         "members": members,
-        "sim_threads": sim_threads,
-        "sim_threads_warning": sim_threads_warning,
         "seed": opts.seed,
         "max_tasks": opts.max_tasks,
         "figures": [entry],
@@ -523,7 +455,7 @@ fn run_fed_scale_sweep(opts: &Options) {
         println!("within wall budget: {total:.3}s <= {budget:.3}s");
     }
     if let Some(path) = &opts.baseline {
-        check_baseline(path, "fig10_federated", &parallel_rows);
+        check_baseline(path, "fig10_federated", &fed_rows);
     }
 }
 
@@ -942,7 +874,7 @@ fn main() {
         ),
     ];
 
-    let threads = host_threads();
+    let threads = rayon::current_num_threads();
     let threads_warning = !opts.serial_only && warn_if_single_thread(threads);
     let mut entries = Vec::new();
     let mut total_serial = 0.0f64;

@@ -435,15 +435,11 @@ pub fn deterministic_view(rows: &[Row]) -> Vec<Row> {
 }
 
 /// Where a fig10 point runs: one cluster, or late-bound across `members`
-/// independently simulated clusters under the given drive.
+/// independently simulated clusters.
 #[derive(Debug, Clone, Copy)]
 enum Fig10Backend {
     Single,
-    Federated {
-        members: usize,
-        drive: DriveMode,
-        sim_threads: usize,
-    },
+    Federated { members: usize },
 }
 
 /// One fig10 throughput point: an `n`-task ensemble of uniform
@@ -481,17 +477,11 @@ fn scale_experiment(kind: &str, n: usize, seed: u64, backend: Fig10Backend) -> R
                 },
             ),
         ),
-        Fig10Backend::Federated {
-            members,
-            drive,
-            sim_threads,
-        } => (
+        Fig10Backend::Federated { members } => (
             "fig10_federated",
             ResourceHandle::federated(FederatedConfig {
                 seed,
                 telemetry: traced,
-                drive,
-                sim_threads,
                 clusters: (0..members)
                     .map(|_| ClusterSpec::new("xsede.stampede", 1024, walltime()))
                     .collect(),
@@ -507,7 +497,7 @@ fn scale_experiment(kind: &str, n: usize, seed: u64, backend: Fig10Backend) -> R
     assert!(!report.partial, "{what} runs must complete");
     let mut row = Row::new(kind, n as f64);
     // Only federated rows carry the member count.
-    if let Fig10Backend::Federated { members, .. } = backend {
+    if let Fig10Backend::Federated { members } = backend {
         row = row.with("members", members as f64);
     }
     row = row
@@ -560,25 +550,15 @@ pub fn fig10_with(runner: &SweepRunner, seed: u64, max_tasks: usize) -> Vec<Row>
 }
 
 /// Fig. 10, federated: throughput of an `n`-task ensemble late-bound
-/// across `members` simulated clusters, driven serially or with the help
-/// of the process-wide worker pool. Points run through the (usually
-/// serial) `runner` so that measured wall-clock reflects the member drive
-/// alone — how many members advance at once (`sim_threads`, a cap) and how
-/// many points a sweep fans out (`ENTK_THREADS`) are separate axes.
+/// across `members` simulated clusters. Points run through the (usually
+/// serial) `runner` so that measured wall-clock is one session's alone.
 pub fn fig10_federated_with(
     runner: &SweepRunner,
     seed: u64,
     max_tasks: usize,
     members: usize,
-    drive: DriveMode,
-    sim_threads: usize,
 ) -> Vec<Row> {
-    let backend = Fig10Backend::Federated {
-        members,
-        drive,
-        sim_threads,
-    };
-    fig10_sweep(runner, seed, max_tasks, backend)
+    fig10_sweep(runner, seed, max_tasks, Fig10Backend::Federated { members })
 }
 
 // ------------------------------------------------------------ Trace export

@@ -29,13 +29,12 @@
 //! `(time, member, events, telemetry ops)`; completed chunks are merged in
 //! deterministic `(time, member)` order and doled out one per `poll`, so
 //! the session observes the exact granularity and order a serial interleave
-//! of the same windows would produce. Because chunks are computed
-//! member-locally, the windows can run concurrently ([`DriveMode::Parallel`]:
-//! the polling thread runs some and the process-wide
-//! [`WorkerPool::shared`] helps with the rest) or all inline
-//! ([`DriveMode::Serial`]) with byte-identical traces — that identity is
-//! what the parallel-vs-serial proptests pin. No session owns a thread:
-//! constructing and dropping a backend spawns and joins nothing.
+//! of the same windows would produce. Every window runs on the polling
+//! thread: a window is a handful of events per member, less work than
+//! waking a helper, so fanning members out to a pool lost to running them
+//! inline wherever it was measured (DESIGN.md §13). No session owns or
+//! borrows a thread: constructing and dropping a backend spawns and joins
+//! nothing.
 //!
 //! Outside the session's run phase (boot, teardown) the lookahead collapses
 //! to 1 µs, which makes each window cover exactly one timestamp: the merge
@@ -48,7 +47,6 @@
 
 use crate::backend::{BackendEvent, BackendStats, ExecutionBackend, Poll, UnitOutcome, UnitSpec};
 use crate::binding::{BindingPolicy, StaticBinding};
-use crate::resource::DriveMode;
 use entk_cluster::{ClusterEvent, FaultProfile, PlatformSpec};
 use entk_kernels::{KernelCall, KernelRegistry};
 use entk_pilot::{
@@ -57,7 +55,7 @@ use entk_pilot::{
 };
 use entk_sim::{
     Context, Engine, SharedTelemetry, SimDuration, SimRng, SimTime, Subject, SubjectOffsets,
-    TelemetryBuffer, WorkerPool,
+    TelemetryBuffer,
 };
 use std::collections::{HashSet, VecDeque};
 use std::ops::Range;
@@ -204,16 +202,6 @@ struct Chunk {
     eventful: bool,
 }
 
-/// Drive parameters of the windowed merge (resolved by `ResourceHandle`
-/// from [`crate::resource::FederatedConfig`]; unused with one member).
-pub(crate) struct FedDrive {
-    pub(crate) mode: DriveMode,
-    pub(crate) lookahead: SimDuration,
-    /// Cap on members advancing concurrently in parallel mode; `0` = every
-    /// busy member, `1` is the serial drive.
-    pub(crate) sim_threads: usize,
-}
-
 /// Conservative-lookahead merge state of a multi-member backend; `None`
 /// with one member, which keeps the single-engine drive.
 struct FedState {
@@ -222,12 +210,6 @@ struct FedState {
     spine: Engine<Ev>,
     /// Completed member chunks awaiting dole, sorted by `(time, member)`.
     pending: VecDeque<Chunk>,
-    /// The process-wide pool helping with member windows; `None` when the
-    /// drive is serial (windows then run inline, producing byte-identical
-    /// chunks).
-    pool: Option<&'static WorkerPool>,
-    /// Most members one window advances concurrently (>= 2 with a pool).
-    lanes: usize,
     /// Window width beyond the earliest member event during the run phase.
     lookahead: SimDuration,
     /// Latched while the session is in its run phase (first batch scheduled
@@ -294,8 +276,8 @@ impl FedState {
 
 /// Runs one member's conservative-lookahead window: processes every event
 /// strictly before `horizon`, one chunk per event. Runs member-locally (no
-/// shared state beyond the member's own stack), which is what makes the
-/// parallel and serial drive modes produce identical chunks.
+/// shared state beyond the member's own stack), so the order members are
+/// visited in cannot show in the chunks.
 fn run_member_window(
     member: usize,
     n_clusters: u64,
@@ -422,13 +404,15 @@ impl EventBackend {
     /// records into a subject-offset view of one shared telemetry pipeline,
     /// so the session trace stays a single chronologically interleaved
     /// record with collision-free entity ids; member 0's offsets are zero.
+    /// `lookahead` is the run-phase window width of the merge (unused with
+    /// one member).
     pub(crate) fn new(
         inits: Vec<ClusterInit>,
         registry: KernelRegistry,
         wait_all: bool,
         telemetry: SharedTelemetry,
         label: String,
-        drive: FedDrive,
+        lookahead: SimDuration,
     ) -> Self {
         let total_cores = inits.iter().map(|i| i.cores).sum();
         // A lone member keeps the single-engine drive (and direct telemetry
@@ -468,17 +452,10 @@ impl EventBackend {
                 }
             })
             .collect();
-        let lanes = match (drive.mode, drive.sim_threads) {
-            (DriveMode::Serial, _) => 1,
-            (DriveMode::Parallel, 0) => clusters.len(),
-            (DriveMode::Parallel, n) => n,
-        };
         let fed = multi.then(|| FedState {
             spine: Engine::new(),
             pending: VecDeque::new(),
-            pool: (lanes > 1).then(WorkerPool::shared),
-            lanes,
-            lookahead: drive.lookahead,
+            lookahead,
             windows_on: false,
         });
         EventBackend {
@@ -702,9 +679,7 @@ impl EventBackend {
     }
 
     /// Advances every member with events strictly before the window horizon
-    /// `min(t_spine, tm + lookahead)` — at most `lanes` of them concurrently
-    /// in parallel drive, inline otherwise; the chunks are identical either
-    /// way.
+    /// `min(t_spine, tm + lookahead)`, one after the other on this thread.
     fn run_window(&mut self, fed: &mut FedState, tm: SimTime, ts: Option<SimTime>) {
         let lookahead = if fed.windows_on {
             fed.lookahead.as_micros().max(1)
@@ -719,36 +694,15 @@ impl EventBackend {
             horizon = horizon.min(ts);
         }
         let n = self.clusters.len() as u64;
-        let mut busy: Vec<(usize, &mut ClusterStack, Vec<Chunk>)> = self
+        let windows = self
             .clusters
             .iter_mut()
             .enumerate()
             .filter_map(|(member, stack)| {
                 let due = stack.engine.next_time().is_some_and(|t| t < horizon);
-                due.then(|| (member, stack, Vec::new()))
-            })
-            .collect();
-        let advance = |lane: &mut [(usize, &mut ClusterStack, Vec<Chunk>)]| {
-            for (member, stack, chunks) in lane {
-                *chunks = run_member_window(*member, n, stack, horizon);
-            }
-        };
-        let lanes = fed.lanes.min(busy.len());
-        // A single lane gains nothing from the pool.
-        match fed.pool {
-            Some(pool) if lanes > 1 => {
-                let per_lane = busy.len().div_ceil(lanes);
-                pool.run(
-                    busy.chunks_mut(per_lane)
-                        .map(|lane| {
-                            Box::new(move || advance(lane)) as Box<dyn FnOnce() + Send + '_>
-                        })
-                        .collect(),
-                );
-            }
-            _ => advance(&mut busy),
-        }
-        fed.merge_pending(busy.into_iter().map(|(_, _, chunks)| chunks));
+                due.then(|| run_member_window(member, n, stack, horizon))
+            });
+        fed.merge_pending(windows);
     }
 }
 

@@ -10,7 +10,7 @@ use crate::fault::FaultConfig;
 use crate::overheads::EntkOverheads;
 use crate::pattern::ExecutionPattern;
 use crate::plugin_local::LocalBackend;
-use crate::plugin_sim::{ClusterInit, EventBackend, FedDrive};
+use crate::plugin_sim::{ClusterInit, EventBackend};
 use crate::report::ExecutionReport;
 use crate::session::SessionEngine;
 use entk_cluster::PlatformSpec;
@@ -132,23 +132,19 @@ impl Default for SimulatedConfig {
     }
 }
 
-/// How a multi-member federated backend advances its member clusters
-/// between merge points.
+/// Accepted and ignored; kept so existing configurations compile (the
+/// repository benchmark builds against it).
 ///
-/// Both modes execute the *identical* conservative-lookahead windowed
-/// schedule — same chunks, same merge order, byte-identical traces; they
-/// differ only in whether member windows run concurrently. Neither mode
-/// makes a session own a thread: building and dropping a handle spawns
-/// nothing. A one-member session (every `simulated` handle is one) has no
-/// windows and ignores this knob.
+/// The member windows of a federated session run one after the other on
+/// the polling thread under either value: a window is a few events per
+/// member, less work than waking a helper thread, and fanning windows out
+/// to a worker pool lost to running them inline on every workload measured
+/// (DESIGN.md §13).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DriveMode {
-    /// Member windows run inline on the polling thread.
+    /// Same drive as [`DriveMode::Parallel`].
     Serial,
-    /// Member windows run concurrently (the default): the polling thread
-    /// advances some members itself while idle workers of the one
-    /// process-wide pool ([`entk_sim::WorkerPool::shared`]) advance the
-    /// rest. With no idle worker the window runs on the polling thread.
+    /// Same drive as [`DriveMode::Serial`] (the default).
     #[default]
     Parallel,
 }
@@ -215,20 +211,17 @@ pub struct FederatedConfig {
     pub wait_all: bool,
     /// Collect the cross-layer trace and metrics.
     pub telemetry: bool,
-    /// How member clusters are driven between merge points (≥ 2 members
-    /// only). Serial and parallel drives produce byte-identical traces.
+    /// Accepted and ignored (see [`DriveMode`]).
     pub drive: DriveMode,
     /// Conservative lookahead in seconds beyond the earliest member event
     /// per window during the run phase. `None` derives it from the overhead
     /// and fault models: the guaranteed floor of the session's
     /// task-submission reaction delay (and of the retry backoff when
     /// retries are enabled). Affects window width (throughput), never
-    /// correctness: both drive modes execute the same windowed schedule.
+    /// correctness.
     pub lookahead: Option<f64>,
-    /// Cap on how many members of this session advance concurrently in
-    /// parallel mode: `0` (the default) lets every busy member advance at
-    /// once, `1` is exactly [`DriveMode::Serial`]. It sizes nothing — the
-    /// threads belong to the process-wide pool, sized once to the host.
+    /// Accepted and ignored (see [`DriveMode`]): member windows run one
+    /// after the other on the polling thread.
     pub sim_threads: usize,
     /// The member clusters (at least one required).
     pub clusters: Vec<ClusterSpec>,
@@ -406,18 +399,13 @@ impl ResourceHandle {
         let lookahead = config
             .lookahead
             .unwrap_or_else(|| derive_lookahead(&config.entk_overheads, &config.fault));
-        let drive = FedDrive {
-            mode: config.drive,
-            lookahead: SimDuration::from_secs_f64(lookahead.max(0.0)),
-            sim_threads: config.sim_threads,
-        };
         let backend = EventBackend::new(
             inits,
             registry,
             config.wait_all,
             telemetry.clone(),
             label,
-            drive,
+            SimDuration::from_secs_f64(lookahead.max(0.0)),
         );
         let session =
             SessionEngine::new(config.entk_overheads, config.fault, config.seed, telemetry);

@@ -14,19 +14,11 @@ use serde_json::json;
 enum Backend {
     Sim,
     Local,
-    /// Two-member federation, parallel windowed drive (the default).
+    /// Two-member federation.
     Federated,
-    /// Two-member federation, serial windowed drive — must be trace- and
-    /// semantics-identical to `Federated`.
-    FederatedSerial,
 }
 
-const ALL_BACKENDS: [Backend; 4] = [
-    Backend::Sim,
-    Backend::Local,
-    Backend::Federated,
-    Backend::FederatedSerial,
-];
+const ALL_BACKENDS: [Backend; 3] = [Backend::Sim, Backend::Local, Backend::Federated];
 
 /// A fresh handle of the given flavor, sized to `cores` and carrying the
 /// session fault policy. Federated splits the cores across two clusters.
@@ -42,13 +34,12 @@ fn handle(backend: Backend, cores: usize, fault: FaultConfig) -> ResourceHandle 
             ResourceHandle::simulated(config, sim).expect("simulated handle")
         }
         Backend::Local => ResourceHandle::local_with(cores, KernelRegistry::with_builtins(), fault),
-        Backend::Federated | Backend::FederatedSerial => {
+        Backend::Federated => {
             let first = cores.div_ceil(2).max(1);
             let second = (cores - cores / 2).max(1);
             let config = FederatedConfig {
                 fault,
                 telemetry: false,
-                drive: drive_of(backend),
                 clusters: vec![
                     ClusterSpec::new("xsede.comet", first, SimDuration::from_secs(100_000)),
                     ClusterSpec::new("xsede.stampede", second, SimDuration::from_secs(100_000)),
@@ -57,13 +48,6 @@ fn handle(backend: Backend, cores: usize, fault: FaultConfig) -> ResourceHandle 
             };
             ResourceHandle::federated(config).expect("federated handle")
         }
-    }
-}
-
-fn drive_of(backend: Backend) -> DriveMode {
-    match backend {
-        Backend::FederatedSerial => DriveMode::Serial,
-        _ => DriveMode::Parallel,
     }
 }
 
@@ -198,9 +182,8 @@ fn retry_accounting_invariants_hold_everywhere() {
     assert_eq!(report.total_retries, 2);
     assert!(report.partial);
 
-    // Sim + federated (both drive modes): stochastic unit failures, same
-    // accounting rules.
-    for backend in [Backend::Sim, Backend::Federated, Backend::FederatedSerial] {
+    // Sim + federated: stochastic unit failures, same accounting rules.
+    for backend in [Backend::Sim, Backend::Federated] {
         let mut pattern = BagOfTasks::new(24, |i| {
             KernelCall::new("misc.stress", json!({ "iters": 500u64 + i as u64 }))
         });
@@ -223,7 +206,6 @@ fn retry_accounting_invariants_hold_everywhere() {
                 let config = FederatedConfig {
                     fault,
                     telemetry: false,
-                    drive: drive_of(backend),
                     clusters: vec![c0, c1],
                     ..FederatedConfig::default()
                 };
@@ -347,8 +329,8 @@ fn federated_reports_span_all_clusters() {
 #[test]
 fn pattern_semantics_hold_under_every_registered_scheduler() {
     // The registry sweep: every named scheduler plugin must preserve
-    // pattern semantics on the simulated backend and on both federated
-    // drive modes — scheduling policy may reorder starts, never outcomes.
+    // pattern semantics on the simulated and the federated backend —
+    // scheduling policy may reorder starts, never outcomes.
     for name in entk_core::registry::schedulers().names() {
         let spec = entk_core::ComponentSpec::named(name);
         let config = ResourceConfig::new("xsede.comet", 4, SimDuration::from_secs(100_000));
@@ -366,26 +348,23 @@ fn pattern_semantics_hold_under_every_registered_scheduler() {
         assert_eq!(report.failed_tasks, 0, "{name}: sim failures");
         assert!(!report.partial, "{name}: sim complete");
 
-        for drive in [DriveMode::Parallel, DriveMode::Serial] {
-            let config = FederatedConfig {
-                scheduler: Some(spec.clone()),
-                telemetry: false,
-                drive,
-                clusters: vec![
-                    ClusterSpec::new("xsede.comet", 2, SimDuration::from_secs(100_000)),
-                    ClusterSpec::new("xsede.stampede", 2, SimDuration::from_secs(100_000)),
-                ],
-                ..FederatedConfig::default()
-            };
-            let mut h = ResourceHandle::federated(config).expect("federated handle");
-            h.allocate().expect("allocate");
-            let mut pattern = tiny_eop();
-            let report = h.run(&mut pattern).expect("run");
-            h.deallocate().expect("deallocate");
-            assert_eq!(report.task_count(), 6, "{name}/{drive:?}: fed task count");
-            assert_eq!(report.failed_tasks, 0, "{name}/{drive:?}: fed failures");
-            assert!(!report.partial, "{name}/{drive:?}: fed complete");
-        }
+        let config = FederatedConfig {
+            scheduler: Some(spec.clone()),
+            telemetry: false,
+            clusters: vec![
+                ClusterSpec::new("xsede.comet", 2, SimDuration::from_secs(100_000)),
+                ClusterSpec::new("xsede.stampede", 2, SimDuration::from_secs(100_000)),
+            ],
+            ..FederatedConfig::default()
+        };
+        let mut h = ResourceHandle::federated(config).expect("federated handle");
+        h.allocate().expect("allocate");
+        let mut pattern = tiny_eop();
+        let report = h.run(&mut pattern).expect("run");
+        h.deallocate().expect("deallocate");
+        assert_eq!(report.task_count(), 6, "{name}: fed task count");
+        assert_eq!(report.failed_tasks, 0, "{name}: fed failures");
+        assert!(!report.partial, "{name}: fed complete");
     }
 }
 

@@ -152,7 +152,7 @@ impl<E> Engine<E> {
     /// Runs until the queue drains, `max_steps` events have been handled, or
     /// virtual time would reach `horizon`: only events **strictly before**
     /// the horizon are processed. This is the conservative-lookahead drive
-    /// mode of parallel federated simulation — each member advances up to
+    /// of federated simulation — each member advances up to
     /// (but never onto) the merge horizon, so an event landing exactly on
     /// the boundary stays pending for the next window. The clock is left at
     /// the last processed event, not pulled forward to the horizon.

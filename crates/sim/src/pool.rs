@@ -1,12 +1,13 @@
-//! A small persistent worker pool for parallel conservative-lookahead
-//! windows.
+//! A small persistent worker pool.
 //!
-//! The federated simulator advances each member cluster inside short,
-//! bounded windows — often tens of microseconds of real work — so the cost
-//! of spawning OS threads per window, or even per session, would dwarf the
-//! work itself. The pilot argument applies to the host too: acquire the
-//! threads once ([`WorkerPool::shared`]), then late-bind many small batches
-//! onto them.
+//! Spawning an OS thread costs tens of microseconds, more than most jobs
+//! here are worth, so a pool is built once by its owner and jobs are
+//! late-bound onto its parked threads — the pilot argument applied to the
+//! host. The workload service owns the one pool the crates build: it
+//! streams just-in-time session evaluations through
+//! [`WorkerPool::submit`], collecting results over a channel while the
+//! admission loop keeps running, and discards never-started jobs with
+//! [`WorkerPool::cancel_queued`] on early-abort paths.
 //!
 //! [`WorkerPool::run`] executes a batch of borrowed closures and returns
 //! once every one of them has finished. The caller is itself a lane: it
@@ -19,30 +20,28 @@
 //! runs on the caller. Handing out non-`'static` closures is sound because
 //! the lender does not return while a job is unclaimed or in flight.
 //!
-//! [`WorkerPool::submit`] is the latch-free sibling for owned jobs: the
-//! workload service streams just-in-time session evaluations through it,
-//! collecting results over a channel while the admission loop keeps
-//! running. [`WorkerPool::cancel_queued`] discards never-started submitted
-//! jobs on early-abort paths.
+//! The federated simulator does *not* use the pool: its member windows are
+//! a few events each, less work than one wake-up, so they run on the
+//! polling thread (DESIGN.md §13 has the measurement).
 //!
 //! Determinism note: the pool intentionally offers no ordering guarantees —
-//! jobs run on whichever lane grabs them first. Callers must therefore
-//! keep all ordered state member-private during a window and merge it on
-//! the spine afterwards (see `entk-core`'s conservative-lookahead merge).
+//! jobs run on whichever lane grabs them first. Callers must keep ordered
+//! state job-private and merge it afterwards.
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 /// An owned job for the asynchronous [`WorkerPool::submit`] path.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Worker threads this process should run: `ENTK_THREADS`, then
-/// `RAYON_NUM_THREADS`, then the host's available parallelism. The one
-/// resolver behind every thread count in the workspace — the shared window
-/// pool, the service's evaluation workers and the bench's sweep width.
+/// `RAYON_NUM_THREADS`, then the host's available parallelism. Sizes the
+/// service's evaluation pool. The vendored `rayon` shim resolves its sweep
+/// width by the same rule in its own copy (`vendor/` cannot depend on this
+/// crate), so the bench reads that width from `rayon` itself.
 pub fn host_threads() -> usize {
     threads_from(|var| std::env::var(var).ok())
 }
@@ -65,9 +64,6 @@ enum Work {
 
 struct State {
     queue: VecDeque<Work>,
-    /// Workers parked on `work_ready`: posting work wakes at most this
-    /// many, so a post to a busy pool costs no wake-up syscall.
-    idle: usize,
     shutdown: bool,
 }
 
@@ -148,7 +144,6 @@ impl WorkerPool {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
-                idle: 0,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
@@ -169,30 +164,21 @@ impl WorkerPool {
         }
     }
 
-    /// The process-wide pool, spawned on first use with [`host_threads`]
-    /// workers and never torn down. Every federated session drives its
-    /// member windows here, so building and dropping a session spawns no
-    /// thread; sessions running concurrently (or nested inside another
-    /// pool's job) share the workers batch by batch.
-    pub fn shared() -> &'static WorkerPool {
-        static POOL: OnceLock<WorkerPool> = OnceLock::new();
-        POOL.get_or_init(|| WorkerPool::new(host_threads()))
-    }
-
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Queues `work` and wakes at most one parked worker per item.
+    /// Queues `work` and wakes one worker per item.
     fn post(&self, work: impl ExactSizeIterator<Item = Work>) {
-        let wake = {
-            let mut state = self.shared.state.lock().expect("pool state lock");
-            let n = work.len();
-            state.queue.extend(work);
-            n.min(state.idle)
-        };
-        for _ in 0..wake {
+        let items = work.len();
+        self.shared
+            .state
+            .lock()
+            .expect("pool state lock")
+            .queue
+            .extend(work);
+        for _ in 0..items {
             self.shared.work_ready.notify_one();
         }
     }
@@ -234,11 +220,8 @@ impl WorkerPool {
     /// the batch still completes, and the first payload is re-raised here —
     /// on the batch that owns the job, never on another caller.
     pub fn run<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
+        // The caller is one lane; a lone job or a lone worker needs no help.
         let helpers = jobs.len().min(self.workers).saturating_sub(1);
-        if helpers == 0 {
-            jobs.into_iter().for_each(|job| job());
-            return;
-        }
         // SAFETY: the transmute only erases the `'scope` lifetime bound of
         // each boxed closure; layout is unchanged. It is sound because the
         // erased jobs live only in `batch.latch.unclaimed`, and this
@@ -262,7 +245,9 @@ impl WorkerPool {
             }),
             helpers_done: Condvar::new(),
         });
-        self.post((0..helpers).map(|_| Work::Ticket(Arc::clone(&batch))));
+        if helpers > 0 {
+            self.post((0..helpers).map(|_| Work::Ticket(Arc::clone(&batch))));
+        }
         let mut latch = batch.drain();
         latch.caller_waiting = true;
         while latch.in_flight > 0 {
@@ -304,9 +289,7 @@ fn worker_loop(shared: &Shared) {
                 if state.shutdown {
                     return;
                 }
-                state.idle += 1;
                 state = shared.work_ready.wait(state).expect("pool worker wait");
-                state.idle -= 1;
             }
         };
         match work {
@@ -446,6 +429,20 @@ mod tests {
         let ran = AtomicU64::new(0);
         pool.run(increments(&ran, 2));
         assert_eq!(ran.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn a_panic_on_the_caller_still_completes_the_batch() {
+        // One worker means no helper: the whole batch runs on the caller,
+        // under the same contract as on a wider pool.
+        let pool = WorkerPool::new(1);
+        let ran = AtomicU64::new(0);
+        let mut jobs = increments(&ran, 1);
+        jobs.push(Box::new(|| panic!("boom")));
+        jobs.extend(increments(&ran, 2));
+        let payload = catch_unwind(AssertUnwindSafe(|| pool.run(jobs))).unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+        assert_eq!(ran.load(Ordering::Relaxed), 3, "jobs after the panic ran");
     }
 
     /// A batch of `n` counter increments.

@@ -312,12 +312,12 @@ impl SubjectOffsets {
 
 /// One buffered telemetry operation: what a layer recorded, in order.
 ///
-/// Parallel federated drivers give each member cluster a *buffered*
-/// telemetry handle (see [`SharedTelemetry::buffered`]): worker threads
-/// append ops to a member-private log instead of the shared pipeline, and
-/// the merge spine later replays contiguous op ranges into the session
-/// pipeline in deterministic chunk order — so the interleaved trace is
-/// byte-identical no matter how many workers recorded it.
+/// The windowed federated drive gives each member cluster a *buffered*
+/// telemetry handle (see [`SharedTelemetry::buffered`]): a member's
+/// window appends ops to a member-private log instead of the shared
+/// pipeline, and the merge spine later replays contiguous op ranges into
+/// the session pipeline in deterministic chunk order — so the interleaved
+/// trace does not depend on the order members were advanced in.
 #[derive(Debug, Clone)]
 pub enum TelemetryOp {
     /// A trace record (subject offsets already applied).
@@ -443,9 +443,9 @@ impl SharedTelemetry {
 
     /// A handle onto the same underlying telemetry that *buffers* ops
     /// (offsets pre-applied) instead of writing them through, plus the
-    /// [`TelemetryBuffer`] to splice them from. A parallel federated driver
-    /// hands the buffered handle to one member's layers so worker threads
-    /// never touch the shared pipeline mid-window; the merge spine replays
+    /// [`TelemetryBuffer`] to splice them from. The windowed federated drive
+    /// hands the buffered handle to one member's layers so a member never
+    /// touches the shared pipeline mid-window; the merge spine replays
     /// op ranges via [`TelemetryBuffer::splice_into`] in deterministic
     /// order.
     pub fn buffered(&self, offsets: SubjectOffsets) -> (SharedTelemetry, TelemetryBuffer) {
