@@ -21,6 +21,35 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(acc)
         })
     });
+    // Hold model at 1 024 pending (what a 1024-core pilot keeps in flight):
+    // pop the head and push it back `increment` µs later. A random
+    // increment lands anywhere in the queue; a near-constant 10 s one lands
+    // behind everything, the FIFO-like regime where a bucketed calendar
+    // queue beat the heap. Both sides of that trade stay visible here.
+    for (name, base, spread) in [
+        ("hold_1k_random", 0, 20_000_000),
+        ("hold_1k_const_10s", 10_000_000, 1_000),
+    ] {
+        let increment = |x: u64| base + x % spread;
+        g.bench_function(name, |b| {
+            let mut q = EventQueue::new();
+            for i in 0..1024u64 {
+                q.push(SimTime::from_micros(increment(i * 7919)), i);
+            }
+            let mut x = 2016u64;
+            b.iter(|| {
+                for _ in 0..1024 {
+                    let (t, _, v) = q.pop().expect("a hold never drains the queue");
+                    // Knuth's MMIX LCG; the high bits are the random ones.
+                    x = x
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    q.push(SimTime::from_micros(t.as_micros() + increment(x >> 33)), v);
+                }
+                black_box(q.len())
+            })
+        });
+    }
     g.finish();
 }
 

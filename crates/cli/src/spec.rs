@@ -7,7 +7,7 @@
 //! by the corresponding number at task-creation time.
 
 use entk_core::prelude::*;
-use entk_core::EntkError;
+use entk_core::{reject_unknown_keys, EntkError};
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 
@@ -185,10 +185,86 @@ fn bind(spec: &KernelSpec, vars: &[(&str, f64)]) -> KernelCall {
     KernelCall::new(spec.plugin.clone(), args).with_cores(spec.cores)
 }
 
+/// Checks every object of a spec against the keys its struct reads. An
+/// object that is absent or of the wrong shape passes; typed
+/// deserialization reports those.
+fn reject_unknown_spec_keys(text: &str, spec: &Value) -> Result<(), EntkError> {
+    reject_unknown_keys(
+        text,
+        spec,
+        &[
+            "resource",
+            "backend",
+            "federation",
+            "seed",
+            "pattern",
+            "tuning",
+        ],
+    )?;
+    let members = spec["federation"].as_array().into_iter().flatten();
+    for resource in std::iter::once(&spec["resource"]).chain(members) {
+        reject_unknown_keys(text, resource, &["name", "cores", "walltime_secs"])?;
+    }
+    let tuning = &spec["tuning"];
+    reject_unknown_keys(
+        text,
+        tuning,
+        &[
+            "batch_policy",
+            "pilots",
+            "queue_wait_per_core",
+            "background",
+            "retries",
+        ],
+    )?;
+    reject_unknown_keys(
+        text,
+        &tuning["background"],
+        &[
+            "mean_interarrival_secs",
+            "cores",
+            "runtime_secs",
+            "initial_jobs",
+        ],
+    )?;
+    let pattern = &spec["pattern"];
+    // Per kind: the pattern's keys, and which of them hold kernel templates.
+    let (keys, kernels): (&[&str], &[&str]) = match pattern["kind"].as_str() {
+        Some("bag") => (&["kind", "n", "kernel"], &["kernel"]),
+        Some("pipelines") => (&["kind", "n", "stages"], &["stages"]),
+        Some("sal") => (
+            &["kind", "iterations", "sims", "simulation", "analysis"],
+            &["simulation", "analysis"],
+        ),
+        Some("exchange") => (
+            &["kind", "replicas", "cycles", "t_min", "t_max", "kernel"],
+            &["kernel"],
+        ),
+        _ => return Ok(()),
+    };
+    reject_unknown_keys(text, pattern, keys)?;
+    for key in kernels {
+        // `stages` is a list of templates, the others hold one.
+        let templates = match &pattern[*key] {
+            Value::Array(list) => list.as_slice(),
+            one => std::slice::from_ref(one),
+        };
+        for kernel in templates {
+            reject_unknown_keys(text, kernel, &["plugin", "args", "cores"])?;
+        }
+    }
+    Ok(())
+}
+
 impl WorkloadSpec {
-    /// Parses a spec from JSON text.
+    /// Parses a spec from JSON text. A key no spec object takes fails with
+    /// its line and the keys that exist, the way a stream spec's does: a
+    /// typoed `"tuning"` must not run the untuned experiment.
     pub fn from_json(text: &str) -> Result<Self, EntkError> {
-        serde_json::from_str(text).map_err(|e| EntkError::Usage(format!("bad spec: {e}")))
+        let bad = |e| EntkError::Usage(format!("bad spec: {e}"));
+        let value: Value = serde_json::from_str(text).map_err(bad)?;
+        reject_unknown_spec_keys(text, &value)?;
+        serde_json::from_value(&value).map_err(bad)
     }
 
     /// Compiles the pattern description into an executable pattern.

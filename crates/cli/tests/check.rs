@@ -24,17 +24,23 @@ fn entk(subcommand: &str, spec: &Path) -> Output {
         .expect("entk binary runs")
 }
 
-/// Writes `spec` under a per-test name (tests run in parallel).
-fn write_spec(name: &str, spec: &Value) -> PathBuf {
+/// Writes spec text under a per-test name (tests run in parallel).
+fn write_spec(name: &str, text: &str) -> PathBuf {
     let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("check-{name}.json"));
-    std::fs::write(&path, spec.to_string()).expect("spec file writes");
+    std::fs::write(&path, text).expect("spec file writes");
     path
 }
 
 /// `check` fails with `needle` in its message — the very message `run`
 /// stops on, when `run` stops at all.
 fn assert_rejected(name: &str, spec: &Value, needle: &str, run_agrees: bool) {
-    let path = write_spec(name, spec);
+    assert_text_rejected(name, &spec.to_string(), needle, run_agrees);
+}
+
+/// [`assert_rejected`] for a spec given as text, where line numbers matter.
+/// Returns the message for further checks.
+fn assert_text_rejected(name: &str, text: &str, needle: &str, run_agrees: bool) -> String {
+    let path = write_spec(name, text);
     let check = entk("check", &path);
     let message = String::from_utf8_lossy(&check.stderr).into_owned();
     assert!(!check.status.success(), "check accepted {name}");
@@ -44,11 +50,12 @@ fn assert_rejected(name: &str, spec: &Value, needle: &str, run_agrees: bool) {
         assert!(!run.status.success());
         assert_eq!(message, String::from_utf8_lossy(&run.stderr));
     }
+    message
 }
 
 #[test]
 fn valid_spec_checks_ok() {
-    let check = entk("check", &write_spec("valid", &valid_spec()));
+    let check = entk("check", &write_spec("valid", &valid_spec().to_string()));
     assert!(check.status.success());
     assert_eq!(
         String::from_utf8_lossy(&check.stdout),
@@ -126,6 +133,94 @@ fn unknown_kernel_plugin_is_rejected() {
         "unknown kernel plugin \"ana.nope\"",
         false,
     );
+}
+
+fn example_spec(file: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/specs")
+        .join(file);
+    std::fs::read_to_string(path).expect("example spec reads")
+}
+
+/// A misspelt key used to be ignored, so `run` ran a different experiment
+/// than the file describes. It fails with the key and its line, at top
+/// level and in every nested object, and lists the key that was meant.
+#[test]
+fn typoed_keys_are_rejected_with_their_line() {
+    let spec = example_spec("busy_machine.json");
+    for (key, typo, line) in [
+        ("tuning", "tunning", 5),
+        ("seed", "sead", 4),
+        ("pilots", "pilotz", 7),
+        ("walltime_secs", "walltime", 2),
+        ("runtime_secs", "runtime_sec", 12),
+        ("n", "count", 18),
+        ("plugin", "plugn", 19),
+    ] {
+        let text = spec.replace(&format!("\"{key}\""), &format!("\"{typo}\""));
+        assert_ne!(text, spec, "{key} occurs in the example");
+        let needle = format!("workload spec line {line}: unknown key \"{typo}\" (known keys: ");
+        let message = assert_text_rejected(typo, &text, &needle, true);
+        let known = message.split("known keys: ").nth(1).unwrap_or_default();
+        assert!(known.contains(key), "{typo}: {message}");
+    }
+}
+
+/// `run --workload` refuses values that can only be mistakes with a
+/// line-numbered usage error, before it serves (and prints) anything.
+#[test]
+fn stream_spec_mistakes_are_refused_before_serving() {
+    let spec = example_spec("stream_poisson.json");
+    let seed_line = "\"seed\": 42,\n";
+    assert!(spec.contains(seed_line), "example starts with its seed");
+    for (name, line, needle) in [
+        (
+            "rate-high",
+            "\"unit_failure_rate\": 2.0",
+            "workload spec line 3: unit_failure_rate must be a probability in [0, 1], got 2",
+        ),
+        (
+            "rate-negative",
+            "\"unit_failure_rate\": -1.0",
+            "workload spec line 3: unit_failure_rate must be a probability in [0, 1], got -1",
+        ),
+        (
+            "half-life",
+            "\"half_life_secs\": -60.0",
+            "workload spec line 3: half_life_secs must be finite and >= 0, got -60",
+        ),
+        (
+            "fair-half-life",
+            "\"policy\": { \"name\": \"fair\", \"params\": { \"half_life_secs\": -60.0 } }",
+            "workload spec line 3: half_life_secs must be finite and >= 0, got -60",
+        ),
+    ] {
+        let text = spec.replace(seed_line, &format!("{seed_line}  {line},\n"));
+        let run = run_workload(name, &text);
+        let message = String::from_utf8_lossy(&run.stderr);
+        assert!(!run.status.success(), "{name} was served");
+        assert!(message.contains("usage error"), "{name}: {message}");
+        assert!(message.contains(needle), "{name}: {message}");
+        assert!(run.stdout.is_empty(), "{name} printed a report");
+    }
+    let text = spec.replace("\"xsede.stampede\"", "\"nope\"");
+    let run = run_workload("resource", &text);
+    let message = String::from_utf8_lossy(&run.stderr);
+    assert!(!run.status.success(), "resource \"nope\" was served");
+    assert!(
+        message.contains(": unknown resource \"nope\" (known platforms: xsede.comet,")
+            && message.contains("workload spec line "),
+        "{message}"
+    );
+    assert!(run.stdout.is_empty());
+}
+
+fn run_workload(name: &str, text: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_entk"))
+        .args(["run", "--workload"])
+        .arg(write_spec(name, text))
+        .output()
+        .expect("entk binary runs")
 }
 
 #[test]

@@ -141,6 +141,12 @@ impl PlatformSpec {
         }
     }
 
+    /// Canonical labels of the presets [`PlatformSpec::by_name`] resolves
+    /// (it also takes their short aliases); what an "unknown resource"
+    /// message lists.
+    pub const NAMES: [&'static str; 4] =
+        ["xsede.comet", "xsede.stampede", "lsu.supermic", "localhost"];
+
     /// Looks up a preset by resource label (as used by the ResourceHandle),
     /// e.g. `"xsede.comet"`.
     pub fn by_name(name: &str) -> Option<Self> {
@@ -183,6 +189,9 @@ mod tests {
             20
         );
         assert!(PlatformSpec::by_name("nonexistent").is_none());
+        for name in PlatformSpec::NAMES {
+            assert!(PlatformSpec::by_name(name).is_some(), "{name}");
+        }
     }
 
     #[test]

@@ -60,7 +60,8 @@ pub use pattern::{
     Stage,
 };
 pub use registry::{
-    params_or_default, params_required, require_no_params, ComponentSpec, Registry,
+    params_or_default, params_required, reject_unknown_keys, require_no_params, usage_at,
+    ComponentSpec, Registry,
 };
 pub use report::{ExecutionReport, OverheadBreakdown, TaskRecord};
 pub use resource::{

@@ -322,6 +322,48 @@ pub fn require_no_params(kind: &str, name: &str, params: &Value) -> Result<(), E
     }
 }
 
+// ------------------------------------------------------ spec-text errors
+
+/// 1-based line of the first occurrence of `"needle"` (quoted) in the
+/// spec text — good enough to point at the offending key or name.
+fn line_of(text: &str, needle: &str) -> Option<usize> {
+    let pos = text.find(&format!("\"{needle}\""))?;
+    Some(text[..pos].bytes().filter(|&b| b == b'\n').count() + 1)
+}
+
+/// Prefixes a usage message with the spec line the `needle` sits on.
+/// Every spec loader reports through this, so a typo reads the same in a
+/// single-session spec and a stream spec.
+pub fn usage_at(text: &str, needle: &str, err: EntkError) -> EntkError {
+    match (line_of(text, needle), err) {
+        (Some(line), EntkError::Usage(msg)) => {
+            EntkError::Usage(format!("workload spec line {line}: {msg}"))
+        }
+        (_, err) => err,
+    }
+}
+
+/// Rejects every key of the JSON object `value` that is not in `known`,
+/// pointing at its line in `text` and listing the keys that exist: a typo
+/// must fail, not run a different experiment than the file describes. A
+/// `value` that is no object passes; typed deserialization reports that.
+pub fn reject_unknown_keys(text: &str, value: &Value, known: &[&str]) -> Result<(), EntkError> {
+    let unknown = value
+        .as_object()
+        .and_then(|obj| obj.keys().find(|key| !known.contains(&key.as_str())));
+    match unknown {
+        None => Ok(()),
+        Some(key) => Err(usage_at(
+            text,
+            key,
+            EntkError::Usage(format!(
+                "unknown key {key:?} (known keys: {})",
+                known.join(", ")
+            )),
+        )),
+    }
+}
+
 // ------------------------------------------------------------ fault grids
 
 /// Params of the `retries` fault plugin.

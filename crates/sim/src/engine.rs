@@ -125,9 +125,11 @@ impl<E> Engine<E> {
         self.now = self.now.max(time);
     }
 
-    /// Timestamp of the next live event, without popping it. `None` when
-    /// the queue is (effectively) empty. Federated drivers use this to pick
-    /// the globally earliest event across several engines.
+    /// Timestamp of the next live event, without popping it: the heap's
+    /// top, O(1) unless cancelled entries have to be dropped off it first.
+    /// `None` when no live event is pending. Session drives call this before
+    /// every pop, and federated drivers use it to pick the globally earliest
+    /// event across several engines.
     pub fn next_time(&mut self) -> Option<SimTime> {
         self.queue.peek_time()
     }
@@ -188,8 +190,8 @@ impl<E> Engine<E> {
             if budget == 0 {
                 return RunOutcome::StepLimit;
             }
-            // Single heap traversal: pop the next live event only if it is
-            // within the horizon (replaces a peek-then-pop double descent).
+            // Single heap traversal: the head is read in place and sifted
+            // out only if it is within the horizon.
             let Some((time, _, event)) = self.queue.pop_at_or_before(horizon) else {
                 return if self.queue.is_empty() {
                     RunOutcome::Drained

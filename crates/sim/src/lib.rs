@@ -23,7 +23,7 @@ pub mod trace;
 
 pub use arena::{Arena, DenseStore, GenId};
 pub use engine::{Context, Engine, RunOutcome};
-pub use event::{EventId, EventQueue, ReferenceEventQueue};
+pub use event::{EventId, EventQueue};
 pub use metrics::Metrics;
 pub use pool::{Job, WorkerPool};
 pub use rng::{Dist, SimRng};

@@ -143,7 +143,7 @@ impl AdmissionPolicy {
         admission_policies().build_named(s, &())
     }
 
-    fn half_life_secs(self) -> f64 {
+    pub(crate) fn half_life_secs(self) -> f64 {
         match self {
             AdmissionPolicy::Fifo => 0.0,
             AdmissionPolicy::FairShare { half_life_secs } => half_life_secs,
@@ -191,6 +191,41 @@ pub fn admission_policies() -> &'static entk_core::Registry<AdmissionPolicy> {
         }
         r
     })
+}
+
+/// A failure rate outside `[0, 1]` (NaN included) can only be a mistake:
+/// refused before the first session, here for configs built in code and
+/// with its line by the spec loader.
+pub(crate) fn check_failure_rate(p: f64) -> Result<(), EntkError> {
+    if (0.0..=1.0).contains(&p) {
+        return Ok(());
+    }
+    Err(EntkError::Usage(format!(
+        "unit_failure_rate must be a probability in [0, 1], got {p}"
+    )))
+}
+
+/// A usage half-life is a finite, non-negative number of seconds (0 = no
+/// decay).
+pub(crate) fn check_half_life(secs: f64) -> Result<(), EntkError> {
+    if secs.is_finite() && secs >= 0.0 {
+        return Ok(());
+    }
+    Err(EntkError::Usage(format!(
+        "half_life_secs must be finite and >= 0, got {secs}"
+    )))
+}
+
+/// Every session of a stream runs on the one resource; a name that is no
+/// platform would fail each of them instead of the stream.
+pub(crate) fn check_resource(name: &str) -> Result<(), EntkError> {
+    if entk_cluster::PlatformSpec::by_name(name).is_some() {
+        return Ok(());
+    }
+    Err(EntkError::Usage(format!(
+        "unknown resource {name:?} (known platforms: {})",
+        entk_cluster::PlatformSpec::NAMES.join(", ")
+    )))
 }
 
 /// What happens to an arrival when the pending queue is at its bound.
@@ -846,6 +881,9 @@ impl ServiceEngine {
     }
 
     fn validate_config(config: &ServiceConfig) -> Result<(), EntkError> {
+        check_failure_rate(config.stream.unit_failure_rate)?;
+        check_half_life(config.policy.half_life_secs())?;
+        check_resource(&config.stream.resource)?;
         if config.stream.slots == 0 {
             return Err(EntkError::Usage("slots must be >= 1".into()));
         }

@@ -22,12 +22,15 @@
 use crate::arrival::{ArrivalStream, OpenLoopProcess, WorkloadGenerator};
 use crate::runner::{StreamBackend, WorkloadConfig, WorkloadOutcome};
 use crate::service::{
-    admission_policies, AdmissionPolicy, SaturationMode, ServiceConfig, ServiceEngine,
+    admission_policies, check_failure_rate, check_half_life, check_resource, AdmissionPolicy,
+    SaturationMode, ServiceConfig, ServiceEngine,
 };
 use crate::sink::{sinks, ReportSink};
 use crate::trace::{CsvTrace, HotTenantTrace, SyntheticTrace};
 use entk_core::registry::{faults, schedulers};
-use entk_core::{params_required, ComponentSpec, EntkError, Registry};
+use entk_core::{
+    params_required, reject_unknown_keys, usage_at, ComponentSpec, EntkError, Registry,
+};
 use serde::{DeError, Deserialize, Serialize};
 use serde_json::Value;
 use std::sync::OnceLock;
@@ -237,23 +240,6 @@ pub fn sources() -> &'static Registry<Box<dyn ArrivalStream>, SourceCtx> {
     })
 }
 
-/// 1-based line of the first occurrence of `"needle"` (quoted) in the
-/// spec text — good enough to point at the offending key or name.
-fn line_of(text: &str, needle: &str) -> Option<usize> {
-    let pos = text.find(&format!("\"{needle}\""))?;
-    Some(text[..pos].bytes().filter(|&b| b == b'\n').count() + 1)
-}
-
-/// Prefixes a usage message with the spec line the `needle` sits on.
-fn usage_at(text: &str, needle: &str, err: EntkError) -> EntkError {
-    match (line_of(text, needle), err) {
-        (Some(line), EntkError::Usage(msg)) => {
-            EntkError::Usage(format!("workload spec line {line}: {msg}"))
-        }
-        (_, err) => err,
-    }
-}
-
 impl StreamSpec {
     /// Parses and validates a spec from JSON text: unknown top-level keys
     /// and unregistered component names fail as [`EntkError::Usage`] with
@@ -279,24 +265,11 @@ impl StreamSpec {
         ];
         let value: Value = serde_json::from_str(text)
             .map_err(|e| EntkError::Usage(format!("bad workload spec: {e}")))?;
-        let obj = value.as_object().ok_or_else(|| {
-            EntkError::Usage("bad workload spec: expected a JSON object".to_string())
-        })?;
-        for key in obj.keys() {
-            if !KNOWN.contains(&key.as_str()) {
-                return Err(usage_at(
-                    text,
-                    key,
-                    EntkError::Usage(format!(
-                        "unknown key {key:?} (known keys: {})",
-                        KNOWN.join(", ")
-                    )),
-                ));
-            }
-        }
+        reject_unknown_keys(text, &value, &KNOWN)?;
         let spec: StreamSpec = serde_json::from_value(&value)
             .map_err(|e| EntkError::Usage(format!("bad workload spec: {e}")))?;
         spec.check_names(text)?;
+        spec.check_values(text)?;
         Ok(spec)
     }
 
@@ -334,6 +307,22 @@ impl StreamSpec {
             ));
         }
         Ok(())
+    }
+
+    /// Rejects values no run can mean — a failure rate that is no
+    /// probability, a negative half-life (top-level or in the policy's
+    /// params), a resource that is no platform — pointing at their line.
+    /// [`ServiceEngine`] repeats the checks for configs built in code.
+    fn check_values(&self, text: &str) -> Result<(), EntkError> {
+        check_failure_rate(self.unit_failure_rate)
+            .map_err(|e| usage_at(text, "unit_failure_rate", e))?;
+        let policy = admission_policies()
+            .build(&self.policy, &())
+            .map_err(|e| usage_at(text, &self.policy.name, e))?;
+        for secs in [self.half_life_secs, policy.half_life_secs()] {
+            check_half_life(secs).map_err(|e| usage_at(text, "half_life_secs", e))?;
+        }
+        check_resource(&self.resource).map_err(|e| usage_at(text, &self.resource, e))
     }
 
     /// Opens the spec's arrival source as a lazy pull stream (without
@@ -478,6 +467,52 @@ mod tests {
         assert!(msg.contains("workload spec line 3"), "{msg}");
         assert!(msg.contains("unknown key \"polcy\""), "{msg}");
         assert!(msg.contains("policy"), "{msg}");
+    }
+
+    #[test]
+    fn impossible_values_fail_with_their_key_and_line() {
+        let spec = |line: &str| {
+            format!(
+                "{{\n  \"seed\": 7,\n  {line},\n  \"source\": \
+                 {{ \"kind\": \"synthetic\", \"sessions\": 4, \"tenants\": 2 }}\n}}"
+            )
+        };
+        for (line, needle) in [
+            (
+                r#""unit_failure_rate": 2.0"#,
+                "unit_failure_rate must be a probability in [0, 1], got 2",
+            ),
+            (
+                r#""unit_failure_rate": -1.0"#,
+                "unit_failure_rate must be a probability in [0, 1], got -1",
+            ),
+            (
+                r#""half_life_secs": -600.0"#,
+                "half_life_secs must be finite and >= 0, got -600",
+            ),
+            (
+                r#""policy": { "name": "fair", "params": { "half_life_secs": -5.0 } }"#,
+                "half_life_secs must be finite and >= 0, got -5",
+            ),
+            (
+                r#""resource": "nope""#,
+                "unknown resource \"nope\" (known platforms: xsede.comet, xsede.stampede",
+            ),
+        ] {
+            let err = StreamSpec::from_json(&spec(line)).expect_err(line);
+            assert!(matches!(err, EntkError::Usage(_)), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains("workload spec line 3: "), "{msg}");
+            assert!(msg.contains(needle), "{msg}");
+        }
+        // The edges of the ranges are values, not mistakes.
+        for line in [
+            r#""unit_failure_rate": 1.0"#,
+            r#""half_life_secs": 0.0"#,
+            r#""resource": "comet""#,
+        ] {
+            StreamSpec::from_json(&spec(line)).expect(line);
+        }
     }
 
     #[test]

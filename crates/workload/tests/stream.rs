@@ -134,6 +134,43 @@ fn failed_sessions_are_recorded_without_killing_the_stream() {
     assert_eq!(r.per_tenant.iter().map(|t| t.sessions).sum::<usize>(), 7);
 }
 
+/// Values that can only be mistakes stop a config built in code before any
+/// session is served, the same as one loaded from a spec file.
+#[test]
+fn impossible_config_values_are_refused_before_the_first_session() {
+    use entk_workload::AdmissionPolicy;
+    let arrivals = SyntheticTrace::new(7, 4, 2).generate().unwrap();
+    let config = |edit: fn(&mut ServiceConfig)| {
+        let mut config = ServiceConfig::fifo(small_config(StreamBackend::Simulated));
+        edit(&mut config);
+        config
+    };
+    let rate = "unit_failure_rate must be a probability";
+    for (config, needle) in [
+        (config(|c| c.stream.unit_failure_rate = 2.0), rate),
+        (config(|c| c.stream.unit_failure_rate = -1.0), rate),
+        (config(|c| c.stream.unit_failure_rate = f64::NAN), rate),
+        (
+            config(|c| {
+                c.policy = AdmissionPolicy::FairShare {
+                    half_life_secs: -600.0,
+                }
+            }),
+            "half_life_secs must be finite and >= 0",
+        ),
+        (
+            config(|c| c.stream.resource = "nope".into()),
+            "unknown resource \"nope\" (known platforms: xsede.comet",
+        ),
+    ] {
+        let err = ServiceEngine::new(config, &arrivals)
+            .map(|_| ())
+            .expect_err(needle);
+        assert!(matches!(err, entk_core::EntkError::Usage(_)), "{err}");
+        assert!(err.to_string().contains(needle), "{err}");
+    }
+}
+
 #[test]
 fn strict_mode_restores_stream_fatal_failures() {
     let mut arrivals = SyntheticTrace::new(7, 8, 3).generate().unwrap();
