@@ -30,7 +30,9 @@
 //!   --baseline PATH   perf-regression gate: compare the scale sweep's
 //!                     events/sec (largest point per series) against the
 //!                     committed floors in PATH (BENCH-BASELINE.json) and
-//!                     fail on a regression past the file's tolerance
+//!                     fail on a regression past the file's tolerance;
+//!                     --scale-sweep also gates peak RSS per task at its
+//!                     largest point against ceilings.fig10_rss_kb_per_task
 //!   --workload        run the fig11 open-loop workload sweep instead:
 //!                     the synthetic trace served at each admission-slot
 //!                     width on the simulated and federated backends,
@@ -64,7 +66,7 @@
 
 use entk_bench::{
     deterministic_view, fairness_ablation_with, federated_resilience_with, fig11_with_policy,
-    figures, leg_jsonl, resilience_sweep_with, serve_scale_axis, serve_scale_point,
+    figures, leg_jsonl, resilience_sweep_with, serve_scale_axis, serve_scale_point, vm_hwm_kb,
     FairnessAblation, Row, SweepRunner, FIG11_HALF_LIFE_SECS, FIG11_SESSIONS, FIG11_SLOTS,
     FIG11_TENANTS, SERVE_SCALE_SLOTS, SERVE_SCALE_TENANTS,
 };
@@ -226,6 +228,11 @@ fn run_scale_sweep(opts: &Options) {
     let t0 = Instant::now();
     let serial_rows = figures::fig10_with(&SweepRunner::serial(), opts.seed, opts.max_tasks);
     let serial_secs = t0.elapsed().as_secs_f64();
+    // VmHWM only rises and the serial sweep holds one session at a time,
+    // so read here — before the parallel sweep overlaps sessions — it is
+    // the resident set of the largest point.
+    let largest = serial_rows.iter().map(|r| r.x).fold(0.0, f64::max);
+    let rss_kb_per_task = vm_hwm_kb().map(|kb| kb as f64 / largest);
 
     let points: Vec<_> = serial_rows
         .iter()
@@ -256,6 +263,7 @@ fn run_scale_sweep(opts: &Options) {
         "name": "fig10",
         "rows": serial_rows.len(),
         "serial_secs": serial_secs,
+        "rss_kb_per_task": rss_kb_per_task,
         "points": points,
     });
 
@@ -309,7 +317,47 @@ fn run_scale_sweep(opts: &Options) {
     }
     if let Some(path) = &opts.baseline {
         check_baseline(path, "fig10", &serial_rows);
+        check_rss_per_task(path, rss_kb_per_task);
     }
+}
+
+/// The committed baseline document and its tolerance.
+fn read_baseline(path: &str) -> (serde_json::Value, f64) {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(format!("cannot read baseline {path}: {e}")));
+    let baseline: serde_json::Value =
+        serde_json::from_str(&text).unwrap_or_else(|e| fail(format!("bad baseline {path}: {e}")));
+    let tolerance = baseline["tolerance"].as_f64().unwrap_or(0.25);
+    (baseline, tolerance)
+}
+
+/// The memory half of the fig10 gate: peak RSS per task of the largest
+/// sweep point must stay under `ceilings.fig10_rss_kb_per_task` (with the
+/// file's tolerance as headroom), so the per-task diet cannot regress
+/// unnoticed the way throughput could under the old floors.
+fn check_rss_per_task(path: &str, measured: Option<f64>) {
+    let (baseline, tolerance) = read_baseline(path);
+    let Some(ceiling) = baseline["ceilings"]["fig10_rss_kb_per_task"].as_f64() else {
+        fail(format!(
+            "baseline {path} has no ceilings.fig10_rss_kb_per_task"
+        ));
+    };
+    let Some(measured) = measured else {
+        fail("baseline has an RSS ceiling but VmHWM is unavailable on this host");
+    };
+    let max_ok = ceiling * (1.0 + tolerance);
+    if measured > max_ok {
+        fail(format!(
+            "memory regression: fig10 peak RSS {measured:.2} KiB/task exceeds ceiling \
+             {ceiling:.2} + {:.0}% tolerance = {max_ok:.2}",
+            tolerance * 100.0
+        ));
+    }
+    println!(
+        "baseline fig10 RSS: {measured:.2} KiB/task <= {max_ok:.2} \
+         (ceiling {ceiling:.2}, tolerance {:.0}%)",
+        tolerance * 100.0
+    );
 }
 
 /// The `--baseline PATH` perf-regression gate: the committed
@@ -317,11 +365,7 @@ fn run_scale_sweep(opts: &Options) {
 /// fails when the measured throughput at the largest sweep point drops
 /// more than the file's tolerance below its floor.
 fn check_baseline(path: &str, figure: &str, rows: &[Row]) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(format!("cannot read baseline {path}: {e}")));
-    let baseline: serde_json::Value =
-        serde_json::from_str(&text).unwrap_or_else(|e| fail(format!("bad baseline {path}: {e}")));
-    let tolerance = baseline["tolerance"].as_f64().unwrap_or(0.25);
+    let (baseline, tolerance) = read_baseline(path);
     let Some(floors) = baseline["floors"][figure].as_object() else {
         fail(format!("baseline {path} has no floors for {figure}"));
     };
@@ -703,11 +747,7 @@ fn run_serve_scale_sweep(opts: &Options) {
 /// under `ceilings.serve_scale_rss_kb` (with the same tolerance as
 /// headroom).
 fn check_serve_scale_baseline(path: &str, leg_rates: &[(String, f64)], hwm_kb: Option<u64>) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(format!("cannot read baseline {path}: {e}")));
-    let baseline: serde_json::Value =
-        serde_json::from_str(&text).unwrap_or_else(|e| fail(format!("bad baseline {path}: {e}")));
-    let tolerance = baseline["tolerance"].as_f64().unwrap_or(0.25);
+    let (baseline, tolerance) = read_baseline(path);
     let Some(floors) = baseline["floors"]["serve_scale"].as_object() else {
         fail(format!("baseline {path} has no floors for serve_scale"));
     };
@@ -762,11 +802,7 @@ fn check_serve_scale_baseline(path: &str, leg_rates: &[(String, f64)], hwm_kb: O
 /// under `floors.fig11` are keyed by backend label, and each serve leg's
 /// events/sec must stay within the file's tolerance of its floor.
 fn check_workload_baseline(path: &str, leg_rates: &[(String, f64)]) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(format!("cannot read baseline {path}: {e}")));
-    let baseline: serde_json::Value =
-        serde_json::from_str(&text).unwrap_or_else(|e| fail(format!("bad baseline {path}: {e}")));
-    let tolerance = baseline["tolerance"].as_f64().unwrap_or(0.25);
+    let (baseline, tolerance) = read_baseline(path);
     let Some(floors) = baseline["floors"]["fig11"].as_object() else {
         fail(format!("baseline {path} has no floors for fig11"));
     };

@@ -553,7 +553,7 @@ mod tests {
             report
                 .tasks
                 .iter()
-                .filter(|t| t.stage == "simulation")
+                .filter(|t| &*t.stage == "simulation")
                 .count(),
             8
         );

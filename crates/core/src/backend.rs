@@ -30,6 +30,7 @@
 use entk_kernels::KernelCall;
 use entk_sim::{SimDuration, SimRng, SimTime};
 use serde_json::Value;
+use std::sync::Arc;
 
 /// Sentinel batch id for retry resubmissions in scheduled batches. Retries
 /// carry no pattern overhead, so trace derivations skip this batch and the
@@ -41,10 +42,10 @@ pub const RETRY_BATCH: u64 = u64::MAX;
 pub struct UnitSpec {
     /// Session-wide task uid.
     pub uid: u64,
-    /// Stage label (becomes part of the unit name).
-    pub stage: String,
-    /// The kernel binding to execute.
-    pub kernel: KernelCall,
+    /// Stage label (binding policies key on it; names the unit in errors).
+    pub stage: Arc<str>,
+    /// The kernel binding to execute, shared with the session's task row.
+    pub kernel: Arc<KernelCall>,
 }
 
 /// A state change surfaced by [`ExecutionBackend::poll`].

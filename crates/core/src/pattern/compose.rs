@@ -137,7 +137,7 @@ mod tests {
         drive(
             &mut seq,
             |t| {
-                stages.push(t.stage.clone());
+                stages.push(t.stage.to_string());
                 Ok(json!({}))
             },
             100,

@@ -17,6 +17,7 @@ use entk_kernels::KernelCall;
 use entk_md::TemperatureLadder;
 use serde_json::{json, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Exchange topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,6 +42,9 @@ pub struct EnsembleExchange {
     /// Cost-model parameters forwarded to the exchange kernel.
     exchange_base_secs: f64,
     exchange_per_replica_secs: f64,
+    /// The two stage labels, built once and shared by every task.
+    simulation_label: Arc<str>,
+    exchange_label: Arc<str>,
 
     rung_of: Vec<usize>,
     cycle_of: Vec<usize>,
@@ -81,6 +85,8 @@ impl EnsembleExchange {
             ladder,
             exchange_base_secs: 1.0,
             exchange_per_replica_secs: 0.005,
+            simulation_label: "simulation".into(),
+            exchange_label: "exchange".into(),
             rung_of: (0..n_replicas).collect(),
             cycle_of: vec![0; n_replicas],
             energy_of: vec![0.0; n_replicas],
@@ -127,11 +133,8 @@ impl EnsembleExchange {
     fn md_task(&mut self, replica: usize) -> Task {
         let t = self.ladder.temp(self.rung_of[replica]);
         let cycle = self.cycle_of[replica];
-        Task::new(
-            replica as u64,
-            "simulation",
-            (self.md_kernel)(replica, cycle, t),
-        )
+        let kernel = (self.md_kernel)(replica, cycle, t);
+        Task::new(replica as u64, self.simulation_label.clone(), kernel)
     }
 
     fn exchange_task(&mut self, participants: Vec<usize>) -> Task {
@@ -154,7 +157,7 @@ impl EnsembleExchange {
         );
         self.exchange_seq += 1;
         self.exchanges.insert(tag, participants);
-        Task::new(tag, "exchange", kernel)
+        Task::new(tag, self.exchange_label.clone(), kernel)
     }
 
     fn apply_swaps(&mut self, participants: &[usize], output: &Value) {
@@ -333,7 +336,7 @@ mod tests {
     /// replica index (so swaps are certain between neighbours); exchange
     /// tasks run the real exchange kernel.
     fn executor(task: &Task) -> Result<Value, String> {
-        if task.stage == "exchange" {
+        if &*task.stage == "exchange" {
             ExchangeKernel
                 .execute(&task.kernel.args)
                 .map_err(|e| e.to_string())
@@ -354,8 +357,8 @@ mod tests {
             md_kernel,
         );
         let results = drive(&mut pattern, executor, 1000);
-        let md = results.iter().filter(|r| r.stage == "simulation").count();
-        let ex = results.iter().filter(|r| r.stage == "exchange").count();
+        let md = results.iter().filter(|r| &*r.stage == "simulation").count();
+        let ex = results.iter().filter(|r| &*r.stage == "exchange").count();
         assert_eq!(md, n * cycles);
         assert_eq!(ex, cycles);
         let (accepted, attempted) = pattern.swap_stats();
@@ -378,9 +381,9 @@ mod tests {
             1000,
         );
         // No cycle-1 MD before the first exchange.
-        let first_exchange = log.iter().position(|(s, _)| s == "exchange").unwrap();
+        let first_exchange = log.iter().position(|(s, _)| &**s == "exchange").unwrap();
         for (stage, cycle) in &log[..first_exchange] {
-            assert_eq!(stage, "simulation");
+            assert_eq!(&**stage, "simulation");
             assert_eq!(*cycle, Some(0));
         }
     }
@@ -416,11 +419,11 @@ mod tests {
         )
         .with_mode(ExchangeMode::PairwiseAsync);
         let results = drive(&mut pattern, executor, 1000);
-        let md = results.iter().filter(|r| r.stage == "simulation").count();
+        let md = results.iter().filter(|r| &*r.stage == "simulation").count();
         assert_eq!(md, n * cycles);
         // Pairwise exchanges involve 2 replicas each; final segments skip
         // the closing exchange.
-        let ex = results.iter().filter(|r| r.stage == "exchange").count();
+        let ex = results.iter().filter(|r| &*r.stage == "exchange").count();
         assert_eq!(ex, n * (cycles - 1) / 2);
     }
 
@@ -432,7 +435,7 @@ mod tests {
                 .with_mode(ExchangeMode::PairwiseAsync);
         let results = drive(&mut pattern, executor, 1000);
         assert!(pattern.is_done());
-        let md = results.iter().filter(|r| r.stage == "simulation").count();
+        let md = results.iter().filter(|r| &*r.stage == "simulation").count();
         assert_eq!(md, n * 3);
     }
 

@@ -4,6 +4,7 @@
 use crate::pattern::ExecutionPattern;
 use crate::task::{Task, TaskResult};
 use entk_kernels::KernelCall;
+use std::sync::Arc;
 
 /// Per-pipeline state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,7 +26,8 @@ pub struct EnsembleOfPipelines {
     n_pipelines: usize,
     n_stages: usize,
     kernel_for: Box<dyn FnMut(usize, usize) -> KernelCall + Send>,
-    stage_label: Box<dyn Fn(usize) -> String + Send>,
+    /// One shared label per stage; every task of the stage holds a clone.
+    stage_labels: Vec<Arc<str>>,
     pipes: Vec<PipeState>,
     /// Pipelines still in `Running`; keeps `is_done` O(1) — the driver
     /// polls it after every event, so an O(n) scan here is quadratic over
@@ -47,7 +49,7 @@ impl EnsembleOfPipelines {
             n_pipelines,
             n_stages,
             kernel_for: Box::new(kernel_for),
-            stage_label: Box::new(|s| format!("stage-{s}")),
+            stage_labels: (0..n_stages).map(|s| format!("stage-{s}").into()).collect(),
             pipes: vec![PipeState::Running(0); n_pipelines],
             running: n_pipelines,
             started: false,
@@ -57,7 +59,7 @@ impl EnsembleOfPipelines {
     /// Overrides stage labels (builder style), e.g. `["mkfile", "ccount"]`.
     pub fn with_stage_labels(mut self, labels: Vec<String>) -> Self {
         assert_eq!(labels.len(), self.n_stages, "one label per stage");
-        self.stage_label = Box::new(move |s| labels[s].clone());
+        self.stage_labels = labels.into_iter().map(Arc::from).collect();
         self
     }
 
@@ -71,7 +73,7 @@ impl EnsembleOfPipelines {
 
     fn task_for(&mut self, pipeline: usize, stage: usize) -> Task {
         let kernel = (self.kernel_for)(pipeline, stage);
-        Task::new(pipeline as u64, (self.stage_label)(stage), kernel)
+        Task::new(pipeline as u64, self.stage_labels[stage].clone(), kernel)
     }
 }
 
@@ -169,7 +171,7 @@ mod tests {
 
     #[test]
     fn all_stages_of_all_pipelines_execute_in_order() {
-        let mut order: Vec<(usize, String)> = Vec::new();
+        let mut order: Vec<(usize, Arc<str>)> = Vec::new();
         let mut pattern = EnsembleOfPipelines::new(3, 2, |_, _| sleep_kernel())
             .with_stage_labels(vec!["mkfile".into(), "ccount".into()]);
         let results = drive(
@@ -186,7 +188,7 @@ mod tests {
             let stages: Vec<&str> = order
                 .iter()
                 .filter(|(pipe, _)| *pipe == p)
-                .map(|(_, s)| s.as_str())
+                .map(|(_, s)| &**s)
                 .collect();
             assert_eq!(stages, vec!["mkfile", "ccount"], "pipeline {p}");
         }

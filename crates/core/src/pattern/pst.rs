@@ -12,22 +12,23 @@ use crate::pattern::ExecutionPattern;
 use crate::task::{Task, TaskResult};
 use entk_kernels::KernelCall;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A task within a stage.
 #[derive(Debug, Clone)]
 pub struct PstTask {
     /// Task name (becomes part of trace labels).
     pub name: String,
-    /// Bound kernel.
-    pub kernel: KernelCall,
+    /// Bound kernel, shared with the task the workflow emits for it.
+    pub kernel: Arc<KernelCall>,
 }
 
 impl PstTask {
     /// Creates a task.
-    pub fn new(name: impl Into<String>, kernel: KernelCall) -> Self {
+    pub fn new(name: impl Into<String>, kernel: impl Into<Arc<KernelCall>>) -> Self {
         PstTask {
             name: name.into(),
-            kernel,
+            kernel: kernel.into(),
         }
     }
 }
@@ -36,15 +37,15 @@ impl PstTask {
 /// same pipeline starts when all of them finished.
 #[derive(Debug, Clone, Default)]
 pub struct Stage {
-    /// Stage name; used as the report's stage label.
-    pub name: String,
+    /// Stage name; used as the report's stage label, shared by its tasks.
+    pub name: Arc<str>,
     /// Concurrent tasks.
     pub tasks: Vec<PstTask>,
 }
 
 impl Stage {
     /// Creates an empty stage.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         Stage {
             name: name.into(),
             tasks: Vec::new(),
@@ -319,8 +320,8 @@ mod tests {
             },
             100,
         );
-        assert!(stages.contains(&"prepare".to_string()));
-        assert!(stages.contains(&"run".to_string()));
+        assert!(stages.contains(&"prepare".into()));
+        assert!(stages.contains(&"run".into()));
     }
 
     #[test]

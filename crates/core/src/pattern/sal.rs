@@ -10,6 +10,7 @@ use crate::pattern::ExecutionPattern;
 use crate::task::{Task, TaskResult};
 use entk_kernels::KernelCall;
 use serde_json::Value;
+use std::sync::Arc;
 
 /// Stage the loop is currently in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +37,9 @@ pub struct SimulationAnalysisLoop {
     /// Abort the whole loop if any task fails (default true; with false,
     /// failed simulations are simply excluded from analysis input).
     strict: bool,
+    /// The two stage labels, built once and shared by every task.
+    simulation_label: Arc<str>,
+    analysis_label: Arc<str>,
 
     iter: usize,
     phase: Phase,
@@ -68,6 +72,8 @@ impl SimulationAnalysisLoop {
             analysis_kernel: Box::new(analysis_kernel),
             adapt: None,
             strict: true,
+            simulation_label: "simulation".into(),
+            analysis_label: "analysis".into(),
             iter: 0,
             phase: Phase::Simulating,
             pending: 0,
@@ -111,7 +117,10 @@ impl SimulationAnalysisLoop {
         self.sim_outputs.clear();
         let iter = self.iter;
         (0..self.n_sims)
-            .map(|i| Task::new(i as u64, "simulation", (self.sim_kernel)(iter, i)))
+            .map(|i| {
+                let kernel = (self.sim_kernel)(iter, i);
+                Task::new(i as u64, self.simulation_label.clone(), kernel)
+            })
             .collect()
     }
 
@@ -127,7 +136,7 @@ impl SimulationAnalysisLoop {
         kernels
             .into_iter()
             .enumerate()
-            .map(|(i, k)| Task::new(ANALYSIS_TAG_BASE + i as u64, "analysis", k))
+            .map(|(i, k)| Task::new(ANALYSIS_TAG_BASE + i as u64, self.analysis_label.clone(), k))
             .collect()
     }
 }
@@ -230,7 +239,7 @@ mod tests {
         let results = drive(
             &mut pattern,
             |t| {
-                log.push(t.stage.clone());
+                log.push(t.stage.to_string());
                 Ok(json!({"ok": true}))
             },
             100,
@@ -262,7 +271,7 @@ mod tests {
         drive(
             &mut pattern,
             |t| {
-                if t.stage == "analysis" {
+                if &*t.stage == "analysis" {
                     observed.push(t.kernel.args["n_sims"].as_u64().unwrap());
                 }
                 Ok(json!({}))
@@ -300,10 +309,10 @@ mod tests {
         drive(
             &mut pattern,
             |t| {
-                if t.stage == "analysis" {
+                if &*t.stage == "analysis" {
                     analysed = t.kernel.args["n_sims"].as_u64().unwrap();
                 }
-                if t.tag == 0 && t.stage == "simulation" {
+                if t.tag == 0 && &*t.stage == "simulation" {
                     Err("one sim died".into())
                 } else {
                     Ok(json!({}))
@@ -326,7 +335,7 @@ mod tests {
         drive(
             &mut pattern,
             |t| {
-                if t.stage == "simulation" {
+                if &*t.stage == "simulation" {
                     iter_of_task = t.kernel.args["iter"].as_u64().unwrap() as usize;
                     sims_per_iter[iter_of_task] += 1;
                 }

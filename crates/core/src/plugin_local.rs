@@ -125,11 +125,11 @@ impl ExecutionBackend for LocalBackend {
             }
             let slot: Slot = Arc::new(Mutex::new(None));
             let work_slot = Arc::clone(&slot);
-            let args = call.args.clone();
+            let kernel = Arc::clone(&spec.kernel);
             let epoch = self.t0;
             let work: Arc<dyn Fn() -> Result<(), String> + Send + Sync> = Arc::new(move || {
                 let start = epoch.elapsed().as_secs_f64();
-                let result = plugin.execute(&args).map_err(|e| e.to_string());
+                let result = plugin.execute(&kernel.args).map_err(|e| e.to_string());
                 let end = epoch.elapsed().as_secs_f64();
                 let ok = result.is_ok();
                 *work_slot.lock() = Some((result, start, end));

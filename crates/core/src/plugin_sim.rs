@@ -115,6 +115,9 @@ struct ClusterStack {
     buffer: Option<TelemetryBuffer>,
     /// Ops already claimed by a chunk (absolute index into `buffer`).
     ops_taken: usize,
+    /// Scratch for the runtime's notifications of one event, reused so the
+    /// drive allocates no vector per event.
+    notes: Vec<RuntimeNotification>,
 }
 
 impl ClusterStack {
@@ -293,12 +296,11 @@ fn run_member_window(
         let mut events = Vec::new();
         let mut dead = Vec::new();
         {
-            let runtime = &mut stack.runtime;
+            let (runtime, notes) = (&mut stack.runtime, &mut stack.notes);
             engine.advance_until(1, horizon, &mut |ev, ctx| {
-                let mut notes = Vec::new();
                 match ev {
-                    Ev::Rt(re) => runtime.handle(re, ctx, &mut notes),
-                    Ev::Cl(ce) => runtime.handle_cluster(ce, ctx, &mut notes),
+                    Ev::Rt(re) => runtime.handle(re, ctx, notes),
+                    Ev::Cl(ce) => runtime.handle_cluster(ce, ctx, notes),
                     _ => unreachable!("session events are scheduled on the spine"),
                 }
                 translate_notes(member, n_clusters, notes, ctx.now(), &mut events, &mut dead);
@@ -317,7 +319,7 @@ fn run_member_window(
     chunks
 }
 
-/// Turns one member's runtime notifications into backend events. Failure
+/// Drains one member's runtime notifications into backend events. Failure
 /// events carry the *processing* time (`now`), matching how the serial
 /// driver applies its fault policy at the step time. Dead pilots are
 /// collected, not applied — windowed drives defer them to dole time so
@@ -325,12 +327,12 @@ fn run_member_window(
 fn translate_notes(
     member: usize,
     n_clusters: u64,
-    notes: Vec<RuntimeNotification>,
+    notes: &mut Vec<RuntimeNotification>,
     now: SimTime,
     out: &mut Vec<BackendEvent>,
     dead: &mut Vec<PilotId>,
 ) {
-    for note in notes {
+    for note in notes.drain(..) {
         match note {
             RuntimeNotification::Pilot { id, state, .. } => {
                 if state == PilotState::Failed || state == PilotState::Canceled {
@@ -449,6 +451,7 @@ impl EventBackend {
                     dead_pilots: HashSet::new(),
                     buffer,
                     ops_taken: 0,
+                    notes: Vec::new(),
                 }
             })
             .collect();
@@ -517,7 +520,7 @@ impl EventBackend {
     fn translate(
         &mut self,
         cluster: usize,
-        notes: Vec<RuntimeNotification>,
+        notes: &mut Vec<RuntimeNotification>,
         now: SimTime,
         out: &mut Vec<BackendEvent>,
     ) {
@@ -532,7 +535,7 @@ impl EventBackend {
     /// Handles one engine event of the lone cluster (the N = 1 drive),
     /// surfacing state changes.
     fn handle_ev(&mut self, ev: Ev, ctx: &mut Context<'_, Ev>, out: &mut Vec<BackendEvent>) {
-        let mut notes = Vec::new();
+        let mut notes = std::mem::take(&mut self.clusters[0].notes);
         match ev {
             Ev::Boot => {
                 self.telemetry
@@ -547,7 +550,8 @@ impl EventBackend {
             Ev::Shutdown => self.clusters[0].shutdown(ctx, &mut notes),
             Ev::Nop => out.push(BackendEvent::ClockMark),
         }
-        self.translate(0, notes, ctx.now(), out);
+        self.translate(0, &mut notes, ctx.now(), out);
+        self.clusters[0].notes = notes;
     }
 
     /// The engine session-level events are scheduled on: the spine for
@@ -657,7 +661,7 @@ impl EventBackend {
                 self.clusters[i].boot(&mut ctx, &mut notes);
             }
             self.clusters[i].engine = engine;
-            self.translate(i, notes, time, out);
+            self.translate(i, &mut notes, time, out);
             fed.push_injection(&mut self.clusters[i], i);
         }
     }
@@ -673,7 +677,7 @@ impl EventBackend {
                 self.clusters[i].shutdown(&mut ctx, &mut notes);
             }
             self.clusters[i].engine = engine;
-            self.translate(i, notes, time, out);
+            self.translate(i, &mut notes, time, out);
             fed.push_injection(&mut self.clusters[i], i);
         }
     }
@@ -835,7 +839,7 @@ impl ExecutionBackend for EventBackend {
                 rng,
             );
             let mut ud = UnitDescription {
-                name: format!("{}:{}", spec.stage, spec.uid),
+                name: String::new(),
                 cores: bound_cores,
                 mpi: call.mpi || bound_cores > 1,
                 work: UnitWork::Modeled(cost),
@@ -850,8 +854,11 @@ impl ExecutionBackend for EventBackend {
             if out_b > 0 {
                 ud = ud.with_output("output", out_b);
             }
-            if let Err(e) = ud.validate() {
-                verdicts.push(Some(e));
+            if ud.validate().is_err() {
+                // Nothing but this rejection ever prints a simulated
+                // unit's name, so only this path pays for formatting it.
+                ud.name = format!("{}:{}", spec.stage, spec.uid);
+                verdicts.push(ud.validate().err());
                 continue;
             }
             remaining[c] -= bound_cores as i64;

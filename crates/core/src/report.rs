@@ -6,6 +6,7 @@
 
 use entk_sim::{SimDuration, SimTime, Summary};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Timeline of one task as executed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -14,8 +15,9 @@ pub struct TaskRecord {
     pub uid: u64,
     /// Pattern correlation tag.
     pub tag: u64,
-    /// Stage label.
-    pub stage: String,
+    /// Stage label (a plain JSON string on the wire), shared with the
+    /// pattern that built it.
+    pub stage: Arc<str>,
     /// When the pattern emitted the task.
     pub created: SimTime,
     /// Execution start on pilot cores, if it ran.
@@ -100,7 +102,7 @@ impl ExecutionReport {
         let mut intervals: Vec<(SimTime, SimTime)> = self
             .tasks
             .iter()
-            .filter(|t| t.stage == stage)
+            .filter(|t| &*t.stage == stage)
             .filter_map(|t| Some((t.exec_start?, t.exec_stop?)))
             .collect();
         union_length(&mut intervals)
@@ -120,7 +122,7 @@ impl ExecutionReport {
     pub fn stage_exec_summary(&self, stage: &str) -> Summary {
         let mut s = Summary::new();
         for t in &self.tasks {
-            if t.stage == stage {
+            if &*t.stage == stage {
                 if let Some(d) = t.exec_duration() {
                     s.add_duration(d);
                 }
@@ -133,8 +135,8 @@ impl ExecutionReport {
     pub fn stages(&self) -> Vec<&str> {
         let mut seen = Vec::new();
         for t in &self.tasks {
-            if !seen.contains(&t.stage.as_str()) {
-                seen.push(t.stage.as_str());
+            if !seen.contains(&&*t.stage) {
+                seen.push(&t.stage);
             }
         }
         seen

@@ -14,17 +14,39 @@ use crate::overheads::EntkOverheads;
 use crate::pattern::ExecutionPattern;
 use crate::report::{ExecutionReport, OverheadBreakdown, TaskRecord};
 use crate::task::{Task, TaskResult};
+use entk_kernels::KernelCall;
 use entk_sim::{DenseStore, SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
+use std::sync::Arc;
 
+/// One row of the task table: the report record (which carries the tag and
+/// the shared stage label), the kernel handle, and the attempt state.
 struct TaskEntry {
-    task: Task,
+    record: TaskRecord,
+    /// The kernel to (re)submit; released once the task is terminal, when
+    /// nothing can submit it again.
+    kernel: Option<Arc<KernelCall>>,
     /// Backend unit key of the current attempt.
     unit: Option<u64>,
-    record: TaskRecord,
-    terminal: bool,
     /// When the current attempt was submitted to the backend; consumed on
     /// failure to account the attempt's wall time as failure-lost.
     attempt_started: Option<SimTime>,
+}
+
+impl TaskEntry {
+    /// A task is terminal from the instant its record is stamped finished.
+    fn terminal(&self) -> bool {
+        self.record.finished.is_some()
+    }
+
+    fn finish(&mut self, now: SimTime, success: bool) {
+        self.record.finished = Some(now);
+        self.record.success = success;
+        self.kernel = None;
+    }
+
+    fn failed(&self, reason: &str) -> TaskResult {
+        TaskResult::failed(self.record.tag, self.record.stage.clone(), reason)
+    }
 }
 
 enum SessionState {
@@ -148,26 +170,32 @@ impl SessionEngine {
             SimDuration::ZERO
         };
         backend.begin_session(init);
-        loop {
-            if backend.allocation_ready() {
-                break;
-            }
-            if backend.capacity_lost() {
-                return Err(EntkError::Resource("pilots failed to start".into()));
-            }
+        self.poll_until(backend, |_, b| b.allocation_ready() || b.capacity_lost())?;
+        if !backend.allocation_ready() {
+            return Err(EntkError::Resource("pilots failed to start".into()));
+        }
+        self.state = SessionState::Allocated;
+        Ok(())
+    }
+
+    /// Polls the backend, applying what it surfaces, until `done` holds. A
+    /// backend that drains first can never get there.
+    fn poll_until(
+        &mut self,
+        backend: &mut dyn ExecutionBackend,
+        done: impl Fn(&Self, &dyn ExecutionBackend) -> bool,
+    ) -> Result<(), EntkError> {
+        while !done(self, backend) {
             match backend.poll() {
                 Poll::Events(events) => self.process_events(events, backend, None),
+                Poll::Drained if done(self, backend) => break,
                 Poll::Drained => {
-                    if backend.allocation_ready() {
-                        break;
-                    }
                     return Err(EntkError::Runtime(
                         "simulation drained before reaching the expected state".into(),
                     ));
                 }
             }
         }
-        self.state = SessionState::Allocated;
         Ok(())
     }
 
@@ -231,22 +259,7 @@ impl SessionEngine {
             return Err(EntkError::Usage("deallocate() requires allocate()".into()));
         }
         backend.begin_shutdown();
-        loop {
-            if backend.pilots_terminal() {
-                break;
-            }
-            match backend.poll() {
-                Poll::Events(events) => self.process_events(events, backend, None),
-                Poll::Drained => {
-                    if backend.pilots_terminal() {
-                        break;
-                    }
-                    return Err(EntkError::Runtime(
-                        "simulation drained before reaching the expected state".into(),
-                    ));
-                }
-            }
-        }
+        self.poll_until(backend, |_, b| b.pilots_terminal())?;
         if backend.virtual_time() {
             let teardown = self.entk.teardown.sample_duration(&mut self.rng);
             self.core_overhead += teardown;
@@ -256,19 +269,7 @@ impl SessionEngine {
             backend.schedule_clock_mark(teardown);
             // Do not drain to empty: background-load models keep the event
             // queue alive forever; stop once the teardown marker fires.
-            loop {
-                if self.clock_marked {
-                    break;
-                }
-                match backend.poll() {
-                    Poll::Events(events) => self.process_events(events, backend, None),
-                    Poll::Drained => {
-                        return Err(EntkError::Runtime(
-                            "simulation drained before reaching the expected state".into(),
-                        ));
-                    }
-                }
-            }
+            self.poll_until(backend, |session, _| session.clock_marked)?;
         }
         self.state = SessionState::Deallocated;
         Ok(self.build_report("session", backend))
@@ -298,6 +299,7 @@ impl SessionEngine {
         self.telemetry
             .record(now, "entk", "tasks_created", Subject::Batch(batch));
         let mut uids = Vec::with_capacity(tasks.len());
+        self.tasks.reserve(tasks.len());
         for task in tasks {
             let uid = self.next_uid;
             self.next_uid += 1;
@@ -308,7 +310,7 @@ impl SessionEngine {
                     record: TaskRecord {
                         uid,
                         tag: task.tag,
-                        stage: task.stage.clone(),
+                        stage: task.stage,
                         created: now,
                         exec_start: None,
                         exec_stop: None,
@@ -317,9 +319,8 @@ impl SessionEngine {
                         retries: 0,
                         lost_to_failures: SimDuration::ZERO,
                     },
-                    task,
+                    kernel: Some(task.kernel),
                     unit: None,
-                    terminal: false,
                     attempt_started: None,
                 },
             );
@@ -341,13 +342,10 @@ impl SessionEngine {
             .iter()
             .filter_map(|&uid| {
                 let entry = self.tasks.get(uid)?;
-                if entry.terminal {
-                    return None;
-                }
                 Some(UnitSpec {
                     uid,
-                    stage: entry.task.stage.clone(),
-                    kernel: entry.task.kernel.clone(),
+                    stage: entry.record.stage.clone(),
+                    kernel: entry.kernel.clone()?,
                 })
             })
             .collect();
@@ -365,6 +363,7 @@ impl SessionEngine {
                 self.fail_unsubmittable(spec.uid, now);
             }
         }
+        self.unit_to_task.reserve(specs.len());
         for (uid, key) in backend.commit_batch() {
             let Some(entry) = self.tasks.get_mut(uid) else {
                 continue;
@@ -385,9 +384,7 @@ impl SessionEngine {
         let Some(entry) = self.tasks.get_mut(uid) else {
             return;
         };
-        entry.terminal = true;
-        entry.record.finished = Some(now);
-        entry.record.success = false;
+        entry.finish(now, false);
         self.live_tasks -= 1;
         self.failed_tasks += 1;
         self.telemetry
@@ -396,26 +393,32 @@ impl SessionEngine {
         self.outbox.push(Outbound::DeferredFailure { uid });
     }
 
-    /// Kill-replace watchdog fired: cancel the running unit and retry.
+    /// Kill-replace watchdog fired: cancel the running unit and retry. A
+    /// watchdog is armed per attempt and never disarmed, so one that
+    /// outlived its attempt fires during a later one; only the watchdog of
+    /// the attempt now running (the one whose deadline has come) may kill.
     fn on_timeout(&mut self, uid: u64, backend: &mut dyn ExecutionBackend) {
         let Some(entry) = self.tasks.get(uid) else {
             return;
         };
-        if entry.terminal {
+        let (Some(key), Some(started), Some(timeout)) =
+            (entry.unit, entry.attempt_started, self.fault.task_timeout)
+        else {
+            return;
+        };
+        if entry.terminal() || backend.now() < started + timeout {
             return;
         }
-        if let Some(key) = entry.unit {
-            if !backend.cancel_running_unit(key) {
-                return; // already finishing; let the normal path handle it
-            }
-            self.unit_to_task.remove(key);
-            self.retry_or_fail(
-                uid,
-                "kill-replace: task exceeded timeout",
-                backend.now(),
-                backend.virtual_time(),
-            );
+        if !backend.cancel_running_unit(key) {
+            return; // already finishing; let the normal path handle it
         }
+        self.unit_to_task.remove(key);
+        self.retry_or_fail(
+            uid,
+            "kill-replace: task exceeded timeout",
+            backend.now(),
+            backend.virtual_time(),
+        );
     }
 
     /// The retry engine. Accounts the failed attempt's wall time (and any
@@ -462,19 +465,13 @@ impl SessionEngine {
                 uids: vec![uid],
             });
         } else {
-            entry.terminal = true;
-            entry.record.finished = Some(now);
-            entry.record.success = false;
+            entry.finish(now, false);
             self.live_tasks -= 1;
             self.failed_tasks += 1;
             self.telemetry
                 .record(now, "entk", "task_failed", Subject::Task(uid));
             self.telemetry.inc("entk.task_failures");
-            self.pending_results.push(TaskResult::failed(
-                entry.task.tag,
-                entry.task.stage.clone(),
-                reason,
-            ));
+            self.pending_results.push(entry.failed(reason));
         }
     }
 
@@ -495,7 +492,7 @@ impl SessionEngine {
             let live: Vec<u64> = self
                 .tasks
                 .iter()
-                .filter(|(_, e)| !e.terminal)
+                .filter(|(_, e)| !e.terminal())
                 .map(|(uid, _)| uid)
                 .collect();
             if live.is_empty() && self.pending_results.is_empty() {
@@ -515,29 +512,20 @@ impl SessionEngine {
                     .unwrap_or(SimDuration::ZERO);
                 entry.record.lost_to_failures += lost;
                 self.failure_lost += lost;
-                entry.terminal = true;
-                entry.record.finished = Some(now);
-                entry.record.success = false;
+                entry.finish(now, false);
                 self.live_tasks -= 1;
                 self.failed_tasks += 1;
                 self.telemetry
                     .record(now, "entk", "task_failed", Subject::Task(uid));
                 self.telemetry.inc("entk.task_failures");
-                self.pending_results.push(TaskResult::failed(
-                    entry.task.tag,
-                    entry.task.stage.clone(),
-                    "resource lost: all pilots terminated",
-                ));
+                self.pending_results
+                    .push(entry.failed("resource lost: all pilots terminated"));
             }
-            let results = std::mem::take(&mut self.pending_results);
             // The spawns below book pattern overhead, but their submission
             // events are discarded (`outbox.clear()`): that overhead is
             // never actually paid, so restore the accounted value after.
             let booked = self.pattern_overhead;
-            for result in results {
-                let follow_ups = pattern.on_task_done(&result);
-                self.spawn_tasks(follow_ups, now, virtual_time);
-            }
+            self.deliver_results(pattern, now, virtual_time);
             self.pattern_overhead = booked;
             // Those spawns queued submission events that will never run.
             self.outbox.clear();
@@ -572,11 +560,8 @@ impl SessionEngine {
                 BackendEvent::TaskTimeout { uid } => self.on_timeout(uid, backend),
                 BackendEvent::DeferredFailure { uid } => {
                     if let Some(entry) = self.tasks.get(uid) {
-                        self.pending_results.push(TaskResult::failed(
-                            entry.task.tag,
-                            entry.task.stage.clone(),
-                            "kernel binding failed",
-                        ));
+                        self.pending_results
+                            .push(entry.failed("kernel binding failed"));
                     }
                 }
                 BackendEvent::UnitStarted { key, time } => {
@@ -610,15 +595,27 @@ impl SessionEngine {
                 }
             }
         }
-        // Deliver queued results to the pattern, spawning follow-up tasks.
         if let Some(p) = pattern {
-            let results = std::mem::take(&mut self.pending_results);
-            for result in results {
-                let follow_ups = p.on_task_done(&result);
-                self.spawn_tasks(follow_ups, backend.now(), backend.virtual_time());
-            }
+            self.deliver_results(p, backend.now(), backend.virtual_time());
         }
         self.flush_outbox(backend);
+    }
+
+    /// Delivers queued results to the pattern, spawning follow-up tasks.
+    /// Spawning queues no result, so the drained buffer goes back to be
+    /// reused: one allocation per session instead of one per completion.
+    fn deliver_results(
+        &mut self,
+        pattern: &mut dyn ExecutionPattern,
+        now: SimTime,
+        virtual_time: bool,
+    ) {
+        let mut results = std::mem::take(&mut self.pending_results);
+        for result in results.drain(..) {
+            let follow_ups = pattern.on_task_done(&result);
+            self.spawn_tasks(follow_ups, now, virtual_time);
+        }
+        self.pending_results = results;
     }
 
     fn flush_outbox(&mut self, backend: &mut dyn ExecutionBackend) {
@@ -639,27 +636,24 @@ impl SessionEngine {
         time: SimTime,
         backend: &mut dyn ExecutionBackend,
     ) {
-        let kernel = match self.tasks.get(uid) {
-            Some(e) => e.task.kernel.clone(),
-            None => return,
-        };
-        let outcome = backend.complete_unit(key, &kernel, &mut self.rng);
         let Some(entry) = self.tasks.get_mut(uid) else {
             return;
         };
+        let Some(kernel) = &entry.kernel else {
+            return;
+        };
+        let outcome = backend.complete_unit(key, kernel, &mut self.rng);
         entry.record.exec_start = outcome.exec_start.or(entry.record.exec_start);
         entry.record.exec_stop = outcome.exec_stop;
         match outcome.result {
             Ok(output) => {
-                entry.terminal = true;
-                entry.record.finished = Some(time);
-                entry.record.success = true;
+                entry.finish(time, true);
                 self.live_tasks -= 1;
                 self.telemetry
                     .record(time, "entk", "task_done", Subject::Task(uid));
                 self.pending_results.push(TaskResult::ok(
-                    entry.task.tag,
-                    entry.task.stage.clone(),
+                    entry.record.tag,
+                    entry.record.stage.clone(),
                     output,
                 ));
             }
@@ -674,8 +668,10 @@ impl SessionEngine {
 
     fn build_report(&self, pattern_name: &str, backend: &dyn ExecutionBackend) -> ExecutionReport {
         let stats = backend.stats();
-        // Store order is uid order; no sort needed.
-        let tasks: Vec<TaskRecord> = self.tasks.values().map(|e| e.record.clone()).collect();
+        // Store order is uid order; no sort needed. Sized up front: the
+        // store's iterator cannot promise its length to `collect`.
+        let mut tasks = Vec::with_capacity(self.tasks.len());
+        tasks.extend(self.tasks.values().map(|e| e.record.clone()));
         ExecutionReport {
             pattern: pattern_name.to_string(),
             resource: stats.resource,

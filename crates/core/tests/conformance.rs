@@ -88,7 +88,7 @@ fn eop_semantics_identical_across_backends() {
         }
         // Stage structure survives the backend: 3 tasks per stage label.
         for stage in ["warm", "cool"] {
-            let n = report.tasks.iter().filter(|t| t.stage == stage).count();
+            let n = report.tasks.iter().filter(|t| &*t.stage == stage).count();
             assert_eq!(n, 3, "{backend:?}: stage {stage}");
         }
     }

@@ -106,7 +106,7 @@ fn ensemble_exchange_on_supermic_swaps_replicas() {
         report
             .tasks
             .iter()
-            .filter(|t| t.stage == "simulation")
+            .filter(|t| &*t.stage == "simulation")
             .count(),
         n * cycles
     );
@@ -114,7 +114,7 @@ fn ensemble_exchange_on_supermic_swaps_replicas() {
         report
             .tasks
             .iter()
-            .filter(|t| t.stage == "exchange")
+            .filter(|t| &*t.stage == "exchange")
             .count(),
         cycles
     );
@@ -218,6 +218,60 @@ fn kill_replace_times_out_stragglers() {
         "kill-replace bounded TTC at {}",
         report.ttc
     );
+}
+
+#[test]
+fn a_watchdog_that_outlived_its_attempt_spares_the_retry() {
+    // 32 ten-second tasks, every other execution fails, eight retries. A
+    // 15 s timeout is longer than any attempt, so it must never fire: the
+    // run has to match the run without one, task for task. Watchdogs are
+    // armed per attempt and never disarmed, so the one armed for a failed
+    // first attempt comes due 5 s into the second.
+    let run = |fault: entk_core::FaultConfig| {
+        let sim = SimulatedConfig {
+            unit_failure_rate: 0.5,
+            fault,
+            ..quiet_sim(7)
+        };
+        let config = ResourceConfig::new("local", 32, SimDuration::from_secs(1_000_000));
+        run_simulated(config, sim, &mut sleep_bag(32, 10.0)).unwrap()
+    };
+    let plain = run(entk_core::FaultConfig::retries(8));
+    let watched = run(entk_core::FaultConfig::retries(8).with_timeout(SimDuration::from_secs(15)));
+    assert_eq!(plain.failed_tasks, 0);
+    assert!(plain.total_retries > 0, "the seed exercises the retry path");
+    assert_eq!(
+        serde_json::to_value(&watched.tasks).unwrap(),
+        serde_json::to_value(&plain.tasks).unwrap()
+    );
+    assert_eq!(watched.failed_tasks, 0);
+    assert_eq!(watched.total_retries, plain.total_retries);
+    assert_eq!(watched.ttc, plain.ttc);
+}
+
+#[test]
+fn report_json_is_byte_identical_to_the_string_staged_rendering() {
+    // Rendered by the commit before stage labels became `Arc<str>` (and
+    // JSON objects sorted vectors): a shared label is a plain string on the
+    // wire, and reading the text back renders the same bytes again.
+    const PINNED: &str = r#"{"cores":2,"events":30,"failed_tasks":0,"overheads":{"core":3746542,"failure_lost":0,"pattern":178590,"resource_wait":100000,"runtime_pilot":2239278},"partial":false,"pattern":"ensemble-of-pipelines","resource":"local","tasks":[{"created":4830611,"exec_start":5476327,"exec_stop":6476327,"finished":6476327,"lost_to_failures":0,"retries":0,"stage":"mkfile","success":true,"tag":0,"uid":0},{"created":4830611,"exec_start":5476154,"exec_stop":7476154,"finished":7476154,"lost_to_failures":0,"retries":0,"stage":"mkfile","success":true,"tag":1,"uid":1},{"created":6476327,"exec_start":7046968,"exec_stop":10046968,"finished":10046968,"lost_to_failures":0,"retries":0,"stage":"ccount","success":true,"tag":0,"uid":2},{"created":7476154,"exec_start":8003859,"exec_stop":12003859,"finished":12003859,"lost_to_failures":0,"retries":0,"stage":"ccount","success":true,"tag":1,"uid":3}],"total_retries":0,"ttc":13259068}"#;
+    let mut pattern = EnsembleOfPipelines::new(2, 2, |p, s| {
+        KernelCall::new("misc.sleep", json!({ "secs": (1 + p + 2 * s) as f64 }))
+    })
+    .with_stage_labels(vec!["mkfile".into(), "ccount".into()]);
+    let report = run_simulated(
+        ResourceConfig::new("local", 2, SimDuration::from_secs(3600)),
+        SimulatedConfig {
+            seed: 16,
+            ..SimulatedConfig::default()
+        },
+        &mut pattern,
+    )
+    .unwrap();
+    assert_eq!(serde_json::to_string(&report).unwrap(), PINNED);
+    let read_back: entk_core::ExecutionReport = serde_json::from_str(PINNED).unwrap();
+    assert_eq!(serde_json::to_string(&read_back).unwrap(), PINNED);
+    assert_eq!(read_back.stages(), vec!["mkfile", "ccount"]);
 }
 
 #[test]

@@ -65,6 +65,12 @@ impl Profiler {
         Self::default()
     }
 
+    /// Makes room for the profiles of `additional` more units (a submitted
+    /// batch), so the table never doubles past the units it will hold.
+    pub fn reserve_units(&mut self, additional: usize) {
+        entk_sim::reserve_batch(&mut self.units, additional);
+    }
+
     /// Mutable profile for a unit (created on first touch).
     pub fn unit_mut(&mut self, id: UnitId) -> &mut UnitProfile {
         let idx = id.0 as usize;

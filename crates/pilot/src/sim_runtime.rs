@@ -115,8 +115,16 @@ struct PilotRecord {
     free_cores: usize,
 }
 
+/// One row of the unit table. Of the submitted description it keeps the
+/// four numbers virtual-time execution reads — not the name, the staging
+/// lists or a real closure, which nothing here runs.
 struct UnitRecord {
-    description: UnitDescription,
+    cores: usize,
+    /// Modelled execution time (zero for real work, which has no place in
+    /// virtual time).
+    duration: SimDuration,
+    input_bytes: u64,
+    output_bytes: u64,
     state: UnitState,
     pilot: Option<PilotId>,
     /// Cores currently held on the pilot (released at exec end).
@@ -335,14 +343,21 @@ impl SimRuntime {
             d.validate()?;
         }
         let n = descriptions.len() as u64;
-        self.units.reserve(descriptions.len());
+        entk_sim::reserve_batch(&mut self.units, descriptions.len());
+        self.profiler.reserve_units(descriptions.len());
         for description in descriptions {
             let id = UnitId(self.next_unit);
             self.next_unit += 1;
             self.profiler.unit_mut(id).submitted = Some(ctx.now());
             debug_assert_eq!(id.0 as usize, self.units.len());
             self.units.push(UnitRecord {
-                description,
+                cores: description.cores,
+                duration: match description.work {
+                    UnitWork::Modeled(d) => d,
+                    UnitWork::Real(_) => SimDuration::ZERO,
+                },
+                input_bytes: description.input_bytes(),
+                output_bytes: description.output_bytes(),
                 state: UnitState::New,
                 pilot: None,
                 holding: 0,
@@ -476,6 +491,7 @@ impl SimRuntime {
         match event {
             RuntimeEvent::PilotSubmitted(id) => self.on_pilot_submitted(id, ctx, out),
             RuntimeEvent::UnitsSubmitted(ids) => {
+                entk_sim::reserve_batch(&mut self.waiting, ids.len());
                 for id in ids {
                     let slot = self.waiting.len() as u32;
                     let unit = self
@@ -485,7 +501,7 @@ impl SimRuntime {
                     if unit.state == UnitState::New {
                         unit.state = UnitState::Scheduling;
                         unit.waiting_slot = Some(slot);
-                        let cores = unit.description.cores;
+                        let cores = unit.cores;
                         self.waiting.push(UnitView { id, cores });
                         self.waiting_live += 1;
                         self.max_waiting_cores = self.max_waiting_cores.max(cores);
@@ -865,7 +881,7 @@ impl SimRuntime {
         for placement in placements {
             let uidx = placement.unit.0 as usize;
             let pidx = placement.pilot.0 as usize;
-            let cores = self.units[uidx].description.cores;
+            let cores = self.units[uidx].cores;
             let pilot = &mut self.pilots[pidx];
             assert!(
                 pilot.free_cores >= cores,
@@ -904,7 +920,7 @@ impl SimRuntime {
                 .overheads
                 .scheduling_per_unit
                 .sample(&mut self.rng);
-            let bytes = self.units[uidx].description.input_bytes();
+            let bytes = self.units[uidx].input_bytes;
             let stage = self.service.cluster_mut().transfer_duration(bytes);
             let delay = SimDuration::from_secs_f64(sched_cost) + stage;
             ctx.schedule_in(delay, RuntimeEvent::StageInDone(placement.unit));
@@ -942,10 +958,7 @@ impl SimRuntime {
         unit.state = UnitState::Executing;
         self.telemetry
             .record(ctx.now(), "pilot", "unit_exec_start", Subject::Unit(id.0));
-        let duration = match &unit.description.work {
-            UnitWork::Modeled(d) => *d,
-            UnitWork::Real(_) => SimDuration::ZERO, // real work has no place in virtual time
-        };
+        let duration = unit.duration;
         // Straggler injection: only touch the duration when a slowdown was
         // actually drawn, so fault-free runs avoid the f64 roundtrip and
         // stay bit-identical to runs without an injector.
@@ -1002,7 +1015,7 @@ impl SimRuntime {
                 time: ctx.now(),
                 detail: Some("injected execution failure".into()),
             });
-        } else if unit.description.output_bytes() > 0 {
+        } else if unit.output_bytes > 0 {
             unit.state = UnitState::StagingOutput;
             out.push(RuntimeNotification::Unit {
                 id,
@@ -1010,8 +1023,10 @@ impl SimRuntime {
                 time: ctx.now(),
                 detail: None,
             });
-            let bytes = unit.description.output_bytes();
-            let stage = self.service.cluster_mut().transfer_duration(bytes);
+            let stage = self
+                .service
+                .cluster_mut()
+                .transfer_duration(unit.output_bytes);
             ctx.schedule_in(stage, RuntimeEvent::StageOutDone(id));
         } else {
             unit.state = UnitState::Done;

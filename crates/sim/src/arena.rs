@@ -18,6 +18,20 @@
 //!   `None` (or panics deterministically through the indexing operators)
 //!   instead of silently aliasing the new occupant.
 
+/// Makes room in a per-entity table for a batch of `additional` rows whose
+/// size the caller knows (a pattern's task count, a unit submission).
+///
+/// `Vec::reserve` would round the request up to twice the capacity: a
+/// 200 001-row table ends at 262 144 or 400 000 slots, and every doubling
+/// copies the table and leaves its old block to the allocator. Here a large
+/// batch gets exactly its size and a trickle of single rows grows the table
+/// by a quarter, so growth stays amortized O(1) with at most 25 % slack.
+pub fn reserve_batch<T>(table: &mut Vec<T>, additional: usize) {
+    if additional > table.capacity() - table.len() {
+        table.reserve_exact(additional.max(table.capacity() / 4));
+    }
+}
+
 /// A slab keyed by an already-dense `u64` id.
 ///
 /// `insert` grows the slab to cover the id; `remove` leaves a hole. All
@@ -49,6 +63,12 @@ impl<V> DenseStore<V> {
             slots: Vec::with_capacity(capacity),
             len: 0,
         }
+    }
+
+    /// Makes room for `additional` more ids past the highest one seen;
+    /// see [`reserve_batch`].
+    pub fn reserve(&mut self, additional: usize) {
+        reserve_batch(&mut self.slots, additional);
     }
 
     /// Inserts `value` at `id`, returning the previous occupant if any.

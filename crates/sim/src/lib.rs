@@ -21,7 +21,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use arena::{Arena, DenseStore, GenId};
+pub use arena::{reserve_batch, Arena, DenseStore, GenId};
 pub use engine::{Context, Engine, RunOutcome};
 pub use event::{EventId, EventQueue};
 pub use metrics::Metrics;

@@ -57,7 +57,7 @@ impl ExecutionPattern for RecordingRemd {
         self.inner.on_start()
     }
     fn on_task_done(&mut self, result: &TaskResult) -> Vec<Task> {
-        if result.stage == "simulation" && result.success {
+        if &*result.stage == "simulation" && result.success {
             if let (Some(t), Some(e)) = (
                 result.output["temperature"].as_f64(),
                 result.output["potential"].as_f64(),

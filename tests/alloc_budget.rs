@@ -1,0 +1,105 @@
+//! The per-task allocation and byte budget of the session path (its own
+//! test binary, because it installs a counting global allocator).
+//!
+//! One simulated handle runs a 10^4-pipeline ensemble and then a 10^4-sim
+//! simulation-analysis loop, telemetry off — the body of the benchmark's
+//! `ensemble-*` workloads at a tenth of the size. Allocation counts and
+//! live bytes are exact for a given build, so the bounds are budgets, not
+//! timing floors: a task that starts cloning its kernel or its stage label
+//! again, or a table that goes back to doubling, fails here.
+
+use entk_core::{
+    EnsembleOfPipelines, ResourceConfig, ResourceHandle, SimulatedConfig, SimulationAnalysisLoop,
+};
+use entk_kernels::KernelCall;
+use entk_sim::SimDuration;
+use serde_json::json;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Forwards to the system allocator, counting calls and live bytes.
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are plain statistics.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const TASKS_PER_PATTERN: usize = 10_000;
+const MAX_ALLOCATIONS_PER_TASK: f64 = 12.0;
+const MAX_LIVE_BYTES_PER_TASK: f64 = 1.2 * 1024.0;
+
+fn sleep_call() -> KernelCall {
+    KernelCall::new("misc.sleep", json!({ "secs": 10.0 }))
+}
+
+#[test]
+fn a_task_stays_within_its_allocation_and_byte_budget() {
+    let allocations_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let live_before = LIVE_BYTES.load(Ordering::Relaxed);
+
+    let mut eop = EnsembleOfPipelines::new(TASKS_PER_PATTERN, 1, |_, _| sleep_call());
+    let mut sal = SimulationAnalysisLoop::new(
+        1,
+        TASKS_PER_PATTERN,
+        |_, _| sleep_call(),
+        |_, outs| vec![KernelCall::new("ana.coco", json!({ "n_sims": outs.len() }))],
+    );
+    let mut handle = ResourceHandle::simulated(
+        ResourceConfig::new("xsede.stampede", 1024, SimDuration::from_secs(10_000_000)),
+        SimulatedConfig {
+            seed: 2016,
+            telemetry: false,
+            ..SimulatedConfig::default()
+        },
+    )
+    .expect("known platform");
+    handle.allocate().expect("pilot starts");
+    let eop_report = handle.run(&mut eop).expect("ensemble of pipelines runs");
+    let sal_report = handle.run(&mut sal).expect("simulation-analysis loop runs");
+    let session = handle.deallocate().expect("pilot stops");
+
+    // Everything the body built is still alive here: both patterns, the
+    // handle with its task, unit and profiler tables, and three reports.
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations_before;
+    let live = LIVE_BYTES.load(Ordering::Relaxed) - live_before;
+
+    let tasks = session.task_count();
+    assert_eq!(tasks, 2 * TASKS_PER_PATTERN + 1);
+    assert!(!eop_report.partial && !sal_report.partial && !session.partial);
+    let allocations_per_task = allocations as f64 / tasks as f64;
+    let live_per_task = live as f64 / tasks as f64;
+    println!("allocations/task {allocations_per_task:.2}, live bytes/task {live_per_task:.0}");
+    assert!(
+        allocations_per_task <= MAX_ALLOCATIONS_PER_TASK,
+        "{allocations_per_task:.2} allocations per task exceed the budget of \
+         {MAX_ALLOCATIONS_PER_TASK}"
+    );
+    assert!(
+        live_per_task <= MAX_LIVE_BYTES_PER_TASK,
+        "{live_per_task:.0} live bytes per task exceed the budget of {MAX_LIVE_BYTES_PER_TASK}"
+    );
+}

@@ -88,7 +88,7 @@ proptest! {
         )
         .with_mode(mode);
         let report = run_simulated(config, quiet(seed), &mut pattern).unwrap();
-        let md = report.tasks.iter().filter(|t| t.stage == "simulation").count();
+        let md = report.tasks.iter().filter(|t| &*t.stage == "simulation").count();
         prop_assert_eq!(md, replicas * cycles);
         prop_assert_eq!(report.failed_tasks, 0);
         let mut rungs = pattern.rungs().to_vec();

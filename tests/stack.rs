@@ -84,12 +84,12 @@ fn sal_barriers_hold_across_the_stack() {
     let sims: Vec<_> = report
         .tasks
         .iter()
-        .filter(|t| t.stage == "simulation")
+        .filter(|t| &*t.stage == "simulation")
         .collect();
     let anas: Vec<_> = report
         .tasks
         .iter()
-        .filter(|t| t.stage == "analysis")
+        .filter(|t| &*t.stage == "analysis")
         .collect();
     assert_eq!(anas.len(), 2);
     // First analysis (earliest exec_start) must start after the first 16
@@ -124,13 +124,13 @@ fn ee_exchange_waits_for_all_replicas_in_global_mode() {
     let exchanges: Vec<_> = report
         .tasks
         .iter()
-        .filter(|t| t.stage == "exchange")
+        .filter(|t| &*t.stage == "exchange")
         .collect();
     assert_eq!(exchanges.len(), 2);
     let sims: Vec<_> = report
         .tasks
         .iter()
-        .filter(|t| t.stage == "simulation")
+        .filter(|t| &*t.stage == "simulation")
         .collect();
     let mut sim_stops: Vec<_> = sims.iter().filter_map(|t| t.exec_stop).collect();
     sim_stops.sort();
@@ -165,13 +165,13 @@ fn pairwise_async_overlaps_exchange_with_simulation() {
     let overlap = report
         .tasks
         .iter()
-        .filter(|t| t.stage == "exchange")
+        .filter(|t| &*t.stage == "exchange")
         .filter_map(|e| Some((e.exec_start?, e.exec_stop?)))
         .any(|(es, ee)| {
             report
                 .tasks
                 .iter()
-                .filter(|t| t.stage == "simulation")
+                .filter(|t| &*t.stage == "simulation")
                 .filter_map(|s| Some((s.exec_start?, s.exec_stop?)))
                 .any(|(ss, se)| ss < ee && es < se)
         });
@@ -199,14 +199,14 @@ fn sequence_composition_runs_end_to_end() {
     let prep_stop = report
         .tasks
         .iter()
-        .filter(|t| t.stage == "task")
+        .filter(|t| &*t.stage == "task")
         .filter_map(|t| t.exec_stop)
         .max()
         .unwrap();
     let sim_start = report
         .tasks
         .iter()
-        .filter(|t| t.stage == "simulation")
+        .filter(|t| &*t.stage == "simulation")
         .filter_map(|t| t.exec_start)
         .min()
         .unwrap();
@@ -267,14 +267,14 @@ fn pst_workflow_runs_on_the_simulated_stack() {
     let mut prep_stops: Vec<_> = report
         .tasks
         .iter()
-        .filter(|t| t.stage == "prepare")
+        .filter(|t| &*t.stage == "prepare")
         .filter_map(|t| t.exec_stop)
         .collect();
     prep_stops.sort();
     let first_run = report
         .tasks
         .iter()
-        .filter(|t| t.stage == "run")
+        .filter(|t| &*t.stage == "run")
         .filter_map(|t| t.exec_start)
         .min()
         .unwrap();
@@ -300,13 +300,13 @@ fn concurrent_composition_runs_on_the_simulated_stack() {
     let overlap = report
         .tasks
         .iter()
-        .filter(|t| t.stage == "task")
+        .filter(|t| &*t.stage == "task")
         .filter_map(|t| Some((t.exec_start?, t.exec_stop?)))
         .any(|(bs, be)| {
             report
                 .tasks
                 .iter()
-                .filter(|t| t.stage == "simulation")
+                .filter(|t| &*t.stage == "simulation")
                 .filter_map(|t| Some((t.exec_start?, t.exec_stop?)))
                 .any(|(ss, se)| ss < be && bs < se)
         });
