@@ -1,28 +1,6 @@
 //! Runs the ablation experiments over design choices (exchange topology,
-//! overhead sensitivity, unit-scheduler policy).
+//! overhead sensitivity, unit-scheduler policy, pilot splitting, fault
+//! tolerance). Usage: `cargo run --release -p entk-bench --bin ablations [seed]`.
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2016);
-    entk_bench::print_rows(
-        "Ablation: exchange topology",
-        &entk_bench::ablation_exchange(seed),
-    );
-    entk_bench::print_rows(
-        "Ablation: runtime overhead scale",
-        &entk_bench::ablation_overhead(seed),
-    );
-    entk_bench::print_rows(
-        "Ablation: unit scheduler",
-        &entk_bench::ablation_scheduler(seed),
-    );
-    entk_bench::print_rows(
-        "Ablation: pilot splitting",
-        &entk_bench::ablation_pilots(seed),
-    );
-    entk_bench::print_rows(
-        "Ablation: fault tolerance",
-        &entk_bench::ablation_faults(seed),
-    );
+    entk_bench::figure_main("ablations");
 }

@@ -1,17 +1,12 @@
-//! End-to-end sweep benchmark: times every figure (and ablation) sweep,
-//! serial versus parallel, and emits a machine-readable `BENCH.json` so the
-//! performance trajectory can be tracked across changes.
+//! End-to-end sweep benchmark: times every figure (and ablation) sweep
+//! and emits a machine-readable `BENCH.json` so the performance trajectory
+//! can be tracked across changes.
 //!
 //! ```text
 //! cargo run --release -p entk-bench --bin bench -- [OPTIONS]
 //!
-//!   --parallel        time parallel sweeps against the serial baseline
-//!                     (the default; kept as an explicit opt-in flag)
-//!   --serial          time the serial path only (no comparison)
 //!   --scale N         divide fig5–fig9 problem sizes by N   [default: 32]
 //!   --seed S          sweep seed                            [default: 2016]
-//!   --threads N       worker threads for the parallel mode (sets
-//!                     ENTK_THREADS; default: host cores)
 //!   --only a,b        run only the named sweeps (e.g. fig3,fig4)
 //!   --out PATH        output path                   [default: BENCH.json]
 //!   --trace PATH      also write a Chrome trace-event JSON of one
@@ -57,18 +52,16 @@
 //!   --max-sessions N  largest serve-scale stream        [default: 1000000]
 //! ```
 //!
-//! Every figure entry records `serial_secs`, `parallel_secs`, `speedup`,
-//! and `identical` — whether the parallel rows were bit-for-bit equal to
-//! the serial ones (they must always be; see `entk_bench::sweep`). The
-//! fig10 rows also carry host wall-clock values, which legitimately differ
-//! between runs; their identity check compares the deterministic
-//! projection (`entk_bench::deterministic_view`) instead.
+//! Every figure entry records its row count and `secs`, the wall-clock of
+//! the sweep. That the rows themselves repeat is pinned elsewhere: the
+//! committed `results/*.txt` (asserted byte for byte by `tests/figures.rs`)
+//! and the replay checks of the `resilience` binary.
 
 use entk_bench::{
-    deterministic_view, fairness_ablation_with, federated_resilience_with, fig11_with_policy,
-    figures, leg_jsonl, resilience_sweep_with, serve_scale_axis, serve_scale_point, vm_hwm_kb,
-    FairnessAblation, Row, SweepRunner, FIG11_HALF_LIFE_SECS, FIG11_SESSIONS, FIG11_SLOTS,
-    FIG11_TENANTS, SERVE_SCALE_SLOTS, SERVE_SCALE_TENANTS,
+    fairness_ablation_with, federated_resilience, fig11_with_policy, figures, leg_jsonl,
+    resilience_sweep, serve_scale_axis, serve_scale_point, vm_hwm_kb, FairnessAblation, Row,
+    FIG11_HALF_LIFE_SECS, FIG11_SESSIONS, FIG11_SLOTS, FIG11_TENANTS, SERVE_SCALE_SLOTS,
+    SERVE_SCALE_TENANTS,
 };
 use entk_workload::{AdmissionPolicy, StreamBackend};
 use serde_json::json;
@@ -83,7 +76,6 @@ fn fail(msg: impl std::fmt::Display) -> ! {
 }
 
 struct Options {
-    serial_only: bool,
     scale: usize,
     seed: u64,
     only: Option<Vec<String>>,
@@ -117,7 +109,6 @@ impl Options {
 
 fn parse_args() -> Options {
     let mut opts = Options {
-        serial_only: false,
         scale: 32,
         seed: 2016,
         only: None,
@@ -142,11 +133,8 @@ fn parse_args() -> Options {
                 .unwrap_or_else(|| panic!("{name} requires a value"))
         };
         match arg.as_str() {
-            "--parallel" => opts.serial_only = false,
-            "--serial" => opts.serial_only = true,
             "--scale" => opts.scale = value("--scale").parse().expect("--scale: integer"),
             "--seed" => opts.seed = value("--seed").parse().expect("--seed: integer"),
-            "--threads" => std::env::set_var("ENTK_THREADS", value("--threads")),
             "--only" => {
                 opts.only = Some(
                     value("--only")
@@ -204,37 +192,19 @@ fn parse_args() -> Options {
     opts
 }
 
-/// Warns when the parallel figure sweeps have a single worker (serial in
-/// disguise); returns whether the warning fired so BENCH.json records it.
-fn warn_if_single_thread(threads: usize) -> bool {
-    if threads == 1 {
-        eprintln!(
-            "warning: the figure sweep has 1 worker thread; parallel sweep \
-             timings will match serial ones (set --threads or ENTK_THREADS \
-             on a multi-core host)"
-        );
-    }
-    threads == 1
-}
-
 /// The `--scale-sweep` mode: the fig10 throughput scaling figure —
 /// events/sec and wall-clock for EoP/SAL ensembles from 10^3 up to
-/// `--max-tasks` tasks, with serial/parallel identity on the deterministic
-/// projection of each row (wall-clock values legitimately vary run to run).
+/// `--max-tasks` tasks.
 fn run_scale_sweep(opts: &Options) {
-    let threads = rayon::current_num_threads();
-    let threads_warning = warn_if_single_thread(threads);
-
     let t0 = Instant::now();
-    let serial_rows = figures::fig10_with(&SweepRunner::serial(), opts.seed, opts.max_tasks);
-    let serial_secs = t0.elapsed().as_secs_f64();
-    // VmHWM only rises and the serial sweep holds one session at a time,
-    // so read here — before the parallel sweep overlaps sessions — it is
+    let rows = figures::fig10(opts.seed, opts.max_tasks);
+    let total = t0.elapsed().as_secs_f64();
+    // VmHWM only rises and the sweep holds one session at a time, so it is
     // the resident set of the largest point.
-    let largest = serial_rows.iter().map(|r| r.x).fold(0.0, f64::max);
+    let largest = rows.iter().map(|r| r.x).fold(0.0, f64::max);
     let rss_kb_per_task = vm_hwm_kb().map(|kb| kb as f64 / largest);
 
-    let points: Vec<_> = serial_rows
+    let points: Vec<_> = rows
         .iter()
         .map(|row| {
             json!({
@@ -247,7 +217,7 @@ fn run_scale_sweep(opts: &Options) {
             })
         })
         .collect();
-    for row in &serial_rows {
+    for row in &rows {
         println!(
             "{:>6} n={:<8} wall {:>8.3}s  {:>12.0} events  {:>12.0} events/sec  ttc {:.1}",
             row.series,
@@ -259,47 +229,20 @@ fn run_scale_sweep(opts: &Options) {
         );
     }
 
-    let mut entry = json!({
-        "name": "fig10",
-        "rows": serial_rows.len(),
-        "serial_secs": serial_secs,
-        "rss_kb_per_task": rss_kb_per_task,
-        "points": points,
-    });
-
-    let mut total = serial_secs;
-    if !opts.serial_only {
-        let t1 = Instant::now();
-        let parallel_rows =
-            figures::fig10_with(&SweepRunner::parallel(), opts.seed, opts.max_tasks);
-        let parallel_secs = t1.elapsed().as_secs_f64();
-        total += parallel_secs;
-        let identical = deterministic_view(&parallel_rows) == deterministic_view(&serial_rows);
-        let speedup = serial_secs / parallel_secs.max(1e-12);
-        entry["parallel_secs"] = json!(parallel_secs);
-        entry["speedup"] = json!(speedup);
-        entry["identical"] = json!(identical);
-        println!(
-            "{:>6}: serial {serial_secs:.3}s  parallel {parallel_secs:.3}s  \
-             speedup {speedup:.2}x  identical={identical}",
-            "fig10"
-        );
-        if !identical {
-            fail(
-                "fig10: parallel rows diverged from serial rows on the \
-                 deterministic projection",
-            );
-        }
-    }
+    println!("{:>6}: {total:.3}s", "fig10");
 
     let bench = json!({
-        "version": 1,
-        "threads": threads,
-        "threads_warning": threads_warning,
+        "version": 2,
         "members": 1,
         "seed": opts.seed,
         "max_tasks": opts.max_tasks,
-        "figures": [entry],
+        "figures": [{
+            "name": "fig10",
+            "rows": rows.len(),
+            "secs": total,
+            "rss_kb_per_task": rss_kb_per_task,
+            "points": points,
+        }],
         "total_secs": total,
     });
     let out = opts.out_path();
@@ -316,7 +259,7 @@ fn run_scale_sweep(opts: &Options) {
         println!("within wall budget: {total:.3}s <= {budget:.3}s");
     }
     if let Some(path) = &opts.baseline {
-        check_baseline(path, "fig10", &serial_rows);
+        check_baseline(path, "fig10", &rows);
         check_rss_per_task(path, rss_kb_per_task);
     }
 }
@@ -401,11 +344,8 @@ fn check_baseline(path: &str, figure: &str, rows: &[Row]) {
 
 /// Wall-clock and throughput summary of one federated sweep leg.
 fn fed_leg(opts: &Options, members: usize, label: &str) -> (Vec<Row>, f64) {
-    // Points run serially so measured wall-clock is one session's alone;
-    // the rayon sweep axis stays out of the federated timing entirely.
     let t0 = Instant::now();
-    let rows =
-        figures::fig10_federated_with(&SweepRunner::serial(), opts.seed, opts.max_tasks, members);
+    let rows = figures::fig10_federated_with(opts.seed, opts.max_tasks, members);
     let secs = t0.elapsed().as_secs_f64();
     for row in &rows {
         println!(
@@ -856,67 +796,47 @@ fn main() {
     let seed = opts.seed;
     let scale = opts.scale;
 
-    type Sweep = (&'static str, Box<dyn Fn(&SweepRunner) -> Vec<Row>>);
+    type Sweep = (&'static str, Box<dyn Fn() -> Vec<Row>>);
     let sweeps: Vec<Sweep> = vec![
-        ("fig3", Box::new(move |r| figures::fig3_with(r, seed))),
-        ("fig4", Box::new(move |r| figures::fig4_with(r, seed))),
-        (
-            "fig5",
-            Box::new(move |r| figures::fig5_with(r, seed, scale)),
-        ),
-        (
-            "fig6",
-            Box::new(move |r| figures::fig6_with(r, seed, scale)),
-        ),
-        (
-            "fig7",
-            Box::new(move |r| figures::fig7_with(r, seed, scale)),
-        ),
-        (
-            "fig8",
-            Box::new(move |r| figures::fig8_with(r, seed, scale)),
-        ),
-        (
-            "fig9",
-            Box::new(move |r| figures::fig9_with(r, seed, scale)),
-        ),
+        ("fig3", Box::new(move || figures::fig3(seed))),
+        ("fig4", Box::new(move || figures::fig4(seed))),
+        ("fig5", Box::new(move || figures::fig5(seed, scale))),
+        ("fig6", Box::new(move || figures::fig6(seed, scale))),
+        ("fig7", Box::new(move || figures::fig7(seed, scale))),
+        ("fig8", Box::new(move || figures::fig8(seed, scale))),
+        ("fig9", Box::new(move || figures::fig9(seed, scale))),
         (
             "ablation_exchange",
-            Box::new(move |r| figures::ablation_exchange_with(r, seed)),
+            Box::new(move || figures::ablation_exchange(seed)),
         ),
         (
             "ablation_overhead",
-            Box::new(move |r| figures::ablation_overhead_with(r, seed)),
+            Box::new(move || figures::ablation_overhead(seed)),
         ),
         (
             "ablation_faults",
-            Box::new(move |r| figures::ablation_faults_with(r, seed)),
+            Box::new(move || figures::ablation_faults(seed)),
         ),
         (
             "ablation_pilots",
-            Box::new(move |r| figures::ablation_pilots_with(r, seed)),
+            Box::new(move || figures::ablation_pilots(seed)),
         ),
         (
             "ablation_scheduler",
-            Box::new(move |r| figures::ablation_scheduler_with(r, seed)),
+            Box::new(move || figures::ablation_scheduler(seed)),
         ),
         (
             "resilience",
-            Box::new(move |r| resilience_sweep_with(r, seed, scale)),
+            Box::new(move || resilience_sweep(seed, scale)),
         ),
         (
             "resilience_federated",
-            Box::new(move |r| federated_resilience_with(r, seed)),
+            Box::new(move || federated_resilience(seed)),
         ),
     ];
 
-    let threads = rayon::current_num_threads();
-    let threads_warning = !opts.serial_only && warn_if_single_thread(threads);
     let mut entries = Vec::new();
-    let mut total_serial = 0.0f64;
-    let mut total_parallel = 0.0f64;
-    let mut all_identical = true;
-
+    let mut total = 0.0f64;
     for (name, sweep) in &sweeps {
         if let Some(only) = &opts.only {
             if !only.iter().any(|o| o == name) {
@@ -924,62 +844,21 @@ fn main() {
             }
         }
         let t0 = Instant::now();
-        let serial_rows = sweep(&SweepRunner::serial());
-        let serial_secs = t0.elapsed().as_secs_f64();
-        total_serial += serial_secs;
-
-        let mut entry = json!({
-            "name": *name,
-            "rows": serial_rows.len(),
-            "serial_secs": serial_secs,
-        });
-        if opts.serial_only {
-            println!(
-                "{name:>20}: serial {serial_secs:.3}s ({} rows)",
-                serial_rows.len()
-            );
-        } else {
-            let t1 = Instant::now();
-            let parallel_rows = sweep(&SweepRunner::parallel());
-            let parallel_secs = t1.elapsed().as_secs_f64();
-            total_parallel += parallel_secs;
-            let identical = parallel_rows == serial_rows;
-            all_identical &= identical;
-            let speedup = serial_secs / parallel_secs.max(1e-12);
-            entry["parallel_secs"] = json!(parallel_secs);
-            entry["speedup"] = json!(speedup);
-            entry["identical"] = json!(identical);
-            println!(
-                "{name:>20}: serial {serial_secs:.3}s  parallel {parallel_secs:.3}s  \
-                 speedup {speedup:.2}x  identical={identical}"
-            );
-            if !identical {
-                fail(format!("{name}: parallel rows diverged from serial rows"));
-            }
-        }
-        entries.push(entry);
+        let rows = sweep().len();
+        let secs = t0.elapsed().as_secs_f64();
+        total += secs;
+        println!("{name:>20}: {secs:.3}s ({rows} rows)");
+        entries.push(json!({ "name": *name, "rows": rows, "secs": secs }));
     }
+    println!("{:>20}: {total:.3}s", "total");
 
-    let mut bench = json!({
-        "version": 1,
-        "threads": threads,
-        "threads_warning": threads_warning,
+    let bench = json!({
+        "version": 2,
         "scale": scale,
         "seed": seed,
         "figures": entries,
-        "total_serial_secs": total_serial,
+        "total_secs": total,
     });
-    if !opts.serial_only {
-        bench["total_parallel_secs"] = json!(total_parallel);
-        bench["overall_speedup"] = json!(total_serial / total_parallel.max(1e-12));
-        bench["identical"] = json!(all_identical);
-        println!(
-            "{:>20}: serial {total_serial:.3}s  parallel {total_parallel:.3}s  \
-             speedup {:.2}x  ({threads} threads)",
-            "total",
-            total_serial / total_parallel.max(1e-12),
-        );
-    }
     let out = opts.out_path();
     let rendered = serde_json::to_string_pretty(&bench).expect("serialize BENCH.json");
     std::fs::write(&out, rendered + "\n").expect("write BENCH.json");

@@ -1,9 +1,4 @@
 //! Regenerates the paper's Fig. 3 series. Usage: `cargo run --release -p entk-bench --bin fig3 [seed]`.
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2016);
-    let rows = entk_bench::fig3(seed);
-    entk_bench::print_rows("Figure 3", &rows);
+    entk_bench::figure_main("fig3");
 }

@@ -2,14 +2,5 @@
 //! `cargo run --release -p entk-bench --bin fig5 [seed] [scale]` where
 //! scale divides the problem size (1 = the paper's full configuration).
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2016);
-    let scale = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    let rows = entk_bench::fig5(seed, scale);
-    entk_bench::print_rows("Figure 5", &rows);
+    entk_bench::figure_main("fig5");
 }

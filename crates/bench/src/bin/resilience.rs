@@ -10,23 +10,19 @@
 //!   --out PATH    output path                [default: RESILIENCE.json]
 //! ```
 //!
-//! Three checks must hold (the process asserts them, so CI fails loudly):
+//! Two checks must hold (the process asserts them, so CI fails loudly):
 //!
 //! 1. **Replay** — running the sweep twice with the same seed yields
 //!    byte-identical JSON rows.
 //! 2. **Zero-rate is free** — rate-0 rows with a fault injector installed
 //!    equal the rows of a platform with no injector at all.
-//! 3. **Parallel equals serial** — fanning the sweep across cores changes
-//!    nothing about its output.
 //!
 //! `--backend federated` swaps the single-cluster sweep for the federated
 //! two-cluster points (one member crash-heavy, one clean) and asserts the
-//! replay and parallel checks on those rows; the zero-rate check is
-//! specific to the task-failure injector and does not apply.
+//! replay check on those rows; the zero-rate check is specific to the
+//! task-failure injector and does not apply.
 
-use entk_bench::{
-    baseline_rows, federated_resilience_with, resilience, resilience_sweep_with, SweepRunner,
-};
+use entk_bench::{baseline_rows, federated_resilience, resilience, resilience_sweep};
 use serde_json::json;
 
 /// One-line diagnostic + non-zero exit for determinism-check failures, so
@@ -73,24 +69,17 @@ fn parse_args() -> Options {
 }
 
 /// The `--backend federated` mode: paired clean / crash-heavy federation
-/// rows with the replay and parallel determinism checks.
+/// rows with the replay determinism check.
 fn run_federated(opts: &Options) {
     let seed = opts.seed;
 
-    let serial = federated_resilience_with(&SweepRunner::serial(), seed);
-    let replay = federated_resilience_with(&SweepRunner::serial(), seed);
-    let replay_identical = serial == replay;
+    let rows = federated_resilience(seed);
+    let replay_identical = rows == federated_resilience(seed);
     if !replay_identical {
         fail("same seed must replay to byte-identical federated rows");
     }
 
-    let parallel = federated_resilience_with(&SweepRunner::parallel(), seed);
-    let parallel_identical = serial == parallel;
-    if !parallel_identical {
-        fail("parallel federated sweep diverged from serial rows");
-    }
-
-    for row in &serial {
+    for row in &rows {
         println!(
             "series={} mtbf={} {}",
             row.series,
@@ -110,10 +99,9 @@ fn run_federated(opts: &Options) {
         "retries": resilience::FED_RETRIES,
         "crash_mtbf_secs": resilience::FED_CRASH_MTBF_SECS,
         "patterns": resilience::PATTERNS,
-        "rows": serial,
+        "rows": rows,
         "checks": {
             "replay_identical": replay_identical,
-            "parallel_identical": parallel_identical,
         },
     });
     let rendered = serde_json::to_string_pretty(&out).expect("serialize RESILIENCE.json");
@@ -129,28 +117,22 @@ fn main() {
     }
     let (seed, scale) = (opts.seed, opts.scale);
 
-    let serial = resilience_sweep_with(&SweepRunner::serial(), seed, scale);
-    let replay = resilience_sweep_with(&SweepRunner::serial(), seed, scale);
-    let rows_json = serde_json::to_string(&serial).expect("serialize rows");
+    let rows = resilience_sweep(seed, scale);
+    let replay = resilience_sweep(seed, scale);
+    let rows_json = serde_json::to_string(&rows).expect("serialize rows");
     let replay_identical = rows_json == serde_json::to_string(&replay).expect("serialize rows");
     if !replay_identical {
         fail("same seed must replay to byte-identical rows");
     }
 
-    let parallel = resilience_sweep_with(&SweepRunner::parallel(), seed, scale);
-    let parallel_identical = serial == parallel;
-    if !parallel_identical {
-        fail("parallel sweep diverged from serial rows");
-    }
-
     let baseline = baseline_rows(seed, scale);
-    let zero_rows: Vec<_> = serial.iter().filter(|r| r.x == 0.0).cloned().collect();
+    let zero_rows: Vec<_> = rows.iter().filter(|r| r.x == 0.0).cloned().collect();
     let zero_rate_matches_baseline = zero_rows == baseline;
     if !zero_rate_matches_baseline {
         fail("rate-0 rows with an injector must equal the no-injector baseline");
     }
 
-    for row in &serial {
+    for row in &rows {
         println!(
             "series={} rate={} {}",
             row.series,
@@ -171,10 +153,9 @@ fn main() {
         "rates": resilience::RATES,
         "retries": resilience::RETRIES,
         "patterns": resilience::PATTERNS,
-        "rows": serial,
+        "rows": rows,
         "checks": {
             "replay_identical": replay_identical,
-            "parallel_identical": parallel_identical,
             "zero_rate_matches_baseline": zero_rate_matches_baseline,
         },
     });

@@ -3,7 +3,6 @@
 //! plots; the `bin/figN` harnesses print them, the criterion benches time
 //! the underlying code paths, and integration tests assert their shape.
 
-use crate::sweep::SweepRunner;
 use entk_core::prelude::*;
 use entk_core::ExecutionReport;
 use serde::Serialize;
@@ -17,8 +16,8 @@ fn walltime() -> SimDuration {
 
 /// FNV-1a 64 over the trace's JSONL export, split into two exactly
 /// f64-representable u32 halves so a fingerprint can ride in [`Row`]
-/// values. Identical traces ⇒ identical fingerprints, so the bench
-/// binary's serial-vs-parallel row comparison covers traces too.
+/// values. Identical traces ⇒ identical fingerprints, so the committed
+/// `results/*.txt` pin every figure point's trace, not just its totals.
 pub(crate) fn trace_fingerprint(tracer: &Tracer) -> (f64, f64) {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in tracer.to_jsonl().bytes() {
@@ -96,16 +95,23 @@ impl Row {
     }
 }
 
-/// Prints rows in a stable whitespace-separated format.
-pub fn print_rows(title: &str, rows: &[Row]) {
-    println!("# {title}");
+/// Renders rows in a stable whitespace-separated format: the one renderer
+/// behind the figure binaries' stdout and the committed `results/*.txt`.
+fn render_rows(title: &str, rows: &[Row]) -> String {
+    let mut out = format!("# {title}\n");
     for row in rows {
-        let mut line = format!("series={} x={}", row.series, row.x);
+        out.push_str(&format!("series={} x={}", row.series, row.x));
         for (name, v) in &row.values {
-            line.push_str(&format!(" {name}={v:.3}"));
+            out.push_str(&format!(" {name}={v:.3}"));
         }
-        println!("{line}");
+        out.push('\n');
     }
+    out
+}
+
+/// Prints rows in the figure binaries' stable whitespace-separated format.
+pub fn print_rows(title: &str, rows: &[Row]) {
+    print!("{}", render_rows(title, rows));
 }
 
 fn common_rows(series: &str, x: f64, report: &ExecutionReport) -> Row {
@@ -160,29 +166,20 @@ fn char_count_pattern(kind: &str, n: usize) -> Box<dyn ExecutionPattern + Send> 
 /// {24, 48, 96, 192}; per-pattern execution time plus the EnTK overhead
 /// decomposition.
 pub fn fig3(seed: u64) -> Vec<Row> {
-    fig3_with(&SweepRunner::from_env(), seed)
-}
-
-/// [`fig3`] through an explicit [`SweepRunner`].
-pub fn fig3_with(runner: &SweepRunner, seed: u64) -> Vec<Row> {
-    let points: Vec<(f64, (usize, &str))> = [24usize, 48, 96, 192]
-        .iter()
-        .flat_map(|&n| {
-            ["pipeline", "sal", "ee"]
-                .into_iter()
-                .map(move |kind| (n as f64, (n, kind)))
-        })
-        .collect();
-    runner.run_weighted(points, |(n, kind)| {
-        let mut pattern = char_count_pattern(kind, n);
-        let config = ResourceConfig::new("xsede.comet", n, walltime());
-        let sim = SimulatedConfig {
-            seed: seed ^ n as u64,
-            ..Default::default()
-        };
-        let (report, fp) = run_checked(config, sim, pattern.as_mut(), "fig3");
-        vec![common_rows(kind, n as f64, &report).with_trace(fp)]
-    })
+    let mut rows = Vec::new();
+    for n in [24usize, 48, 96, 192] {
+        for kind in ["pipeline", "sal", "ee"] {
+            let mut pattern = char_count_pattern(kind, n);
+            let config = ResourceConfig::new("xsede.comet", n, walltime());
+            let sim = SimulatedConfig {
+                seed: seed ^ n as u64,
+                ..Default::default()
+            };
+            let (report, fp) = run_checked(config, sim, pattern.as_mut(), "fig3");
+            rows.push(common_rows(kind, n as f64, &report).with_trace(fp));
+        }
+    }
+    rows
 }
 
 // ---------------------------------------------------------------- Figure 4
@@ -190,16 +187,7 @@ pub fn fig3_with(runner: &SweepRunner, seed: u64) -> Vec<Row> {
 /// Fig. 4: Gromacs + LSDMap via SAL on Comet, tasks = cores ∈ {24..192} —
 /// validates that swapping kernels leaves EnTK overheads unchanged.
 pub fn fig4(seed: u64) -> Vec<Row> {
-    fig4_with(&SweepRunner::from_env(), seed)
-}
-
-/// [`fig4`] through an explicit [`SweepRunner`].
-pub fn fig4_with(runner: &SweepRunner, seed: u64) -> Vec<Row> {
-    let points: Vec<(f64, usize)> = [24usize, 48, 96, 192]
-        .iter()
-        .map(|&n| (n as f64, n))
-        .collect();
-    runner.run_weighted(points, |n| {
+    let point = |n: usize| {
         let mut pattern = SimulationAnalysisLoop::new(
             1,
             n,
@@ -222,14 +210,15 @@ pub fn fig4_with(runner: &SweepRunner, seed: u64) -> Vec<Row> {
             ..Default::default()
         };
         let (report, fp) = run_checked(config, sim, &mut pattern, "fig4");
-        vec![common_rows("gromacs-lsdmap", n as f64, &report)
+        common_rows("gromacs-lsdmap", n as f64, &report)
             .with(
                 "simulation_time",
                 report.stage_time("simulation").as_secs_f64(),
             )
             .with("analysis_time", report.stage_time("analysis").as_secs_f64())
-            .with_trace(fp)]
-    })
+            .with_trace(fp)
+    };
+    [24usize, 48, 96, 192].into_iter().map(point).collect()
 }
 
 // ----------------------------------------------------------- Figures 5 & 6
@@ -269,11 +258,6 @@ fn ee_experiment(replicas: usize, cores: usize, cycles: usize, seed: u64) -> Row
 /// Fig. 5: EE strong scaling on SuperMIC — 2560 replicas (scaled by
 /// `scale` for cheap runs), cores 20 → replicas.
 pub fn fig5(seed: u64, scale: usize) -> Vec<Row> {
-    fig5_with(&SweepRunner::from_env(), seed, scale)
-}
-
-/// [`fig5`] through an explicit [`SweepRunner`].
-pub fn fig5_with(runner: &SweepRunner, seed: u64, scale: usize) -> Vec<Row> {
     let replicas = 2560 / scale.max(1);
     let mut core_counts = Vec::new();
     let mut cores = (20 / scale.clamp(1, 20)).max(1);
@@ -284,20 +268,15 @@ pub fn fig5_with(runner: &SweepRunner, seed: u64, scale: usize) -> Vec<Row> {
     if core_counts.last() != Some(&replicas) {
         core_counts.push(replicas);
     }
-    // Fixed total work per point: uniform cost.
-    runner.run(core_counts, |cores| {
-        vec![ee_experiment(replicas, cores, 1, seed)]
-    })
+    core_counts
+        .into_iter()
+        .map(|cores| ee_experiment(replicas, cores, 1, seed))
+        .collect()
 }
 
 /// Fig. 6: EE weak scaling on SuperMIC — replicas = cores, 20 → 2560
 /// (divided by `scale`).
 pub fn fig6(seed: u64, scale: usize) -> Vec<Row> {
-    fig6_with(&SweepRunner::from_env(), seed, scale)
-}
-
-/// [`fig6`] through an explicit [`SweepRunner`].
-pub fn fig6_with(runner: &SweepRunner, seed: u64, scale: usize) -> Vec<Row> {
     let max = 2560 / scale.max(1);
     let mut sizes = Vec::new();
     let mut n = (20 / scale.max(1)).max(2);
@@ -305,9 +284,10 @@ pub fn fig6_with(runner: &SweepRunner, seed: u64, scale: usize) -> Vec<Row> {
         sizes.push(n);
         n *= 2;
     }
-    // Weak scaling: point cost grows with the replica count.
-    let points = sizes.into_iter().map(|n| (n as f64, n)).collect();
-    runner.run_weighted(points, |n| vec![ee_experiment(n, n, 1, seed)])
+    sizes
+        .into_iter()
+        .map(|n| ee_experiment(n, n, 1, seed))
+        .collect()
 }
 
 // ----------------------------------------------------------- Figures 7 & 8
@@ -346,11 +326,6 @@ fn sal_experiment(sims: usize, cores: usize, cores_per_sim: usize, steps: u64, s
 /// Fig. 7: SAL strong scaling on Stampede — 1024 simulations (÷ `scale`),
 /// 0.6 ps (300 steps) each, cores 64 → 1024.
 pub fn fig7(seed: u64, scale: usize) -> Vec<Row> {
-    fig7_with(&SweepRunner::from_env(), seed, scale)
-}
-
-/// [`fig7`] through an explicit [`SweepRunner`].
-pub fn fig7_with(runner: &SweepRunner, seed: u64, scale: usize) -> Vec<Row> {
     let sims = 1024 / scale.max(1);
     let mut core_counts = Vec::new();
     let mut cores = (64 / scale.max(1)).max(2);
@@ -358,19 +333,15 @@ pub fn fig7_with(runner: &SweepRunner, seed: u64, scale: usize) -> Vec<Row> {
         core_counts.push(cores);
         cores *= 2;
     }
-    runner.run(core_counts, |cores| {
-        vec![sal_experiment(sims, cores, 1, 300, seed)]
-    })
+    core_counts
+        .into_iter()
+        .map(|cores| sal_experiment(sims, cores, 1, 300, seed))
+        .collect()
 }
 
 /// Fig. 8: SAL weak scaling on Stampede — sims = cores, 64 → 4096
 /// (÷ `scale`).
 pub fn fig8(seed: u64, scale: usize) -> Vec<Row> {
-    fig8_with(&SweepRunner::from_env(), seed, scale)
-}
-
-/// [`fig8`] through an explicit [`SweepRunner`].
-pub fn fig8_with(runner: &SweepRunner, seed: u64, scale: usize) -> Vec<Row> {
     let max = 4096 / scale.max(1);
     let mut sizes = Vec::new();
     let mut n = (64 / scale.max(1)).max(2);
@@ -378,8 +349,10 @@ pub fn fig8_with(runner: &SweepRunner, seed: u64, scale: usize) -> Vec<Row> {
         sizes.push(n);
         n *= 2;
     }
-    let points = sizes.into_iter().map(|n| (n as f64, n)).collect();
-    runner.run_weighted(points, |n| vec![sal_experiment(n, n, 1, 300, seed)])
+    sizes
+        .into_iter()
+        .map(|n| sal_experiment(n, n, 1, 300, seed))
+        .collect()
 }
 
 // ---------------------------------------------------------------- Figure 9
@@ -388,19 +361,15 @@ pub fn fig8_with(runner: &SweepRunner, seed: u64, scale: usize) -> Vec<Row> {
 /// each, cores per simulation ∈ {1, 16, 32, 64}; per-simulation execution
 /// time drops linearly with cores per simulation.
 pub fn fig9(seed: u64, scale: usize) -> Vec<Row> {
-    fig9_with(&SweepRunner::from_env(), seed, scale)
-}
-
-/// [`fig9`] through an explicit [`SweepRunner`].
-pub fn fig9_with(runner: &SweepRunner, seed: u64, scale: usize) -> Vec<Row> {
     let sims = (64 / scale.max(1)).max(2);
-    runner.run(vec![1usize, 16, 32, 64], |cps| {
-        let total_cores = sims * cps;
-        let row = sal_experiment(sims, total_cores, cps, 3000, seed);
-        let mut renamed = Row::new(format!("sims={sims}"), cps as f64);
-        renamed.values = row.values;
-        vec![renamed]
-    })
+    [1usize, 16, 32, 64]
+        .into_iter()
+        .map(|cps| {
+            let mut row = sal_experiment(sims, sims * cps, cps, 3000, seed);
+            row.x = cps as f64;
+            row
+        })
+        .collect()
 }
 
 // --------------------------------------------------------------- Figure 10
@@ -412,8 +381,8 @@ pub fn fig9_with(runner: &SweepRunner, seed: u64, scale: usize) -> Vec<Row> {
 pub const FIG10_TRACE_LIMIT: usize = 10_000;
 
 /// Row values that measure host wall-clock rather than simulated
-/// behaviour. They differ run to run, so serial/parallel identity checks
-/// must compare rows through [`deterministic_view`], which strips them.
+/// behaviour. They differ run to run, so replay-identity checks must
+/// compare rows through [`deterministic_view`], which strips them.
 pub const NONDETERMINISTIC_VALUES: &[&str] = &["wall_secs", "events_per_sec"];
 
 /// The deterministic projection of `rows`: every value except the
@@ -512,27 +481,19 @@ fn scale_experiment(kind: &str, n: usize, seed: u64, backend: Fig10Backend) -> R
     row
 }
 
-/// The fig10 grid — 10³ → `max_tasks` tasks × {eop, sal} — swept through
-/// `runner` on `backend`.
-fn fig10_sweep(
-    runner: &SweepRunner,
-    seed: u64,
-    max_tasks: usize,
-    backend: Fig10Backend,
-) -> Vec<Row> {
-    let points: Vec<(f64, (&str, usize))> = [1_000usize, 10_000, 100_000, 1_000_000]
-        .iter()
-        .filter(|&&n| n <= max_tasks)
-        .flat_map(|&n| {
-            ["eop", "sal"]
-                .into_iter()
-                .map(move |kind| (n as f64, (kind, n)))
-        })
-        .collect();
-    assert!(!points.is_empty(), "fig10: max_tasks below smallest point");
-    runner.run_weighted(points, |(kind, n)| {
-        vec![scale_experiment(kind, n, seed, backend)]
-    })
+/// The fig10 grid — 10³ → `max_tasks` tasks × {eop, sal} — on `backend`,
+/// one point at a time so each measured wall-clock is one session's alone.
+fn fig10_sweep(seed: u64, max_tasks: usize, backend: Fig10Backend) -> Vec<Row> {
+    assert!(max_tasks >= 1_000, "fig10: max_tasks below smallest point");
+    let mut rows = Vec::new();
+    for n in [1_000usize, 10_000, 100_000, 1_000_000] {
+        if n <= max_tasks {
+            for kind in ["eop", "sal"] {
+                rows.push(scale_experiment(kind, n, seed, backend));
+            }
+        }
+    }
+    rows
 }
 
 /// Fig. 10 (extension): simulator throughput scaling — ensemble-of-
@@ -541,24 +502,13 @@ fn fig10_sweep(
 /// paper stops at ~10³ tasks; this figure documents that the reproduction
 /// sustains 10⁶.
 pub fn fig10(seed: u64, max_tasks: usize) -> Vec<Row> {
-    fig10_with(&SweepRunner::from_env(), seed, max_tasks)
-}
-
-/// [`fig10`] through an explicit [`SweepRunner`].
-pub fn fig10_with(runner: &SweepRunner, seed: u64, max_tasks: usize) -> Vec<Row> {
-    fig10_sweep(runner, seed, max_tasks, Fig10Backend::Single)
+    fig10_sweep(seed, max_tasks, Fig10Backend::Single)
 }
 
 /// Fig. 10, federated: throughput of an `n`-task ensemble late-bound
-/// across `members` simulated clusters. Points run through the (usually
-/// serial) `runner` so that measured wall-clock is one session's alone.
-pub fn fig10_federated_with(
-    runner: &SweepRunner,
-    seed: u64,
-    max_tasks: usize,
-    members: usize,
-) -> Vec<Row> {
-    fig10_sweep(runner, seed, max_tasks, Fig10Backend::Federated { members })
+/// across `members` simulated clusters.
+pub fn fig10_federated_with(seed: u64, max_tasks: usize, members: usize) -> Vec<Row> {
+    fig10_sweep(seed, max_tasks, Fig10Backend::Federated { members })
 }
 
 // ------------------------------------------------------------ Trace export
@@ -589,18 +539,9 @@ pub fn representative_trace(seed: u64) -> String {
 /// Ablation: EE exchange topology — global-synchronous vs pairwise-async
 /// TTC at fixed replicas/cores.
 pub fn ablation_exchange(seed: u64) -> Vec<Row> {
-    ablation_exchange_with(&SweepRunner::from_env(), seed)
-}
-
-/// [`ablation_exchange`] through an explicit [`SweepRunner`].
-pub fn ablation_exchange_with(runner: &SweepRunner, seed: u64) -> Vec<Row> {
     let replicas = 64;
     let cores = 32;
-    let points = vec![
-        ("global-sync", ExchangeMode::GlobalSynchronous),
-        ("pairwise-async", ExchangeMode::PairwiseAsync),
-    ];
-    runner.run(points, |(label, mode)| {
+    let point = |(label, mode)| {
         let mut pattern = EnsembleExchange::new(
             replicas,
             4,
@@ -620,22 +561,24 @@ pub fn ablation_exchange_with(runner: &SweepRunner, seed: u64) -> Vec<Row> {
             ..Default::default()
         };
         let (report, fp) = run_checked(config, sim, &mut pattern, "ablation_exchange");
-        vec![Row::new(label, replicas as f64)
+        Row::new(label, replicas as f64)
             .with("ttc", report.ttc.as_secs_f64())
             .with("exchange_time", report.stage_time("exchange").as_secs_f64())
-            .with_trace(fp)]
-    })
+            .with_trace(fp)
+    };
+    [
+        ("global-sync", ExchangeMode::GlobalSynchronous),
+        ("pairwise-async", ExchangeMode::PairwiseAsync),
+    ]
+    .into_iter()
+    .map(point)
+    .collect()
 }
 
 /// Ablation: runtime-overhead sensitivity — scale all RP overheads and
 /// watch TTC for a 512-task bag.
 pub fn ablation_overhead(seed: u64) -> Vec<Row> {
-    ablation_overhead_with(&SweepRunner::from_env(), seed)
-}
-
-/// [`ablation_overhead`] through an explicit [`SweepRunner`].
-pub fn ablation_overhead_with(runner: &SweepRunner, seed: u64) -> Vec<Row> {
-    runner.run(vec![0.0, 1.0, 10.0], |factor| {
+    let point = |factor: f64| {
         let mut pattern = BagOfTasks::new(512, |_| {
             KernelCall::new("misc.sleep", json!({ "secs": 10.0 }))
         });
@@ -646,55 +589,48 @@ pub fn ablation_overhead_with(runner: &SweepRunner, seed: u64) -> Vec<Row> {
             ..Default::default()
         };
         let (report, fp) = run_checked(config, sim, &mut pattern, "ablation_overhead");
-        vec![Row::new("overhead-scale", factor)
+        Row::new("overhead-scale", factor)
             .with("ttc", report.ttc.as_secs_f64())
-            .with_trace(fp)]
-    })
+            .with_trace(fp)
+    };
+    [0.0, 1.0, 10.0].into_iter().map(point).collect()
 }
 
 /// Ablation: fault tolerance — TTC and failure outcomes vs injected
 /// unit-failure rate, with and without retries.
 pub fn ablation_faults(seed: u64) -> Vec<Row> {
-    ablation_faults_with(&SweepRunner::from_env(), seed)
-}
-
-/// [`ablation_faults`] through an explicit [`SweepRunner`].
-pub fn ablation_faults_with(runner: &SweepRunner, seed: u64) -> Vec<Row> {
-    let points: Vec<(f64, u32)> = [0.0, 0.1, 0.3]
-        .iter()
-        .flat_map(|&rate| [0u32, 5].into_iter().map(move |retries| (rate, retries)))
-        .collect();
-    runner.run(points, |(rate, retries)| {
-        let mut pattern = BagOfTasks::new(256, |_| {
-            KernelCall::new("misc.sleep", json!({ "secs": 30.0 }))
-        });
-        let config = ResourceConfig::new("xsede.comet", 128, walltime());
-        let sim = SimulatedConfig {
-            seed,
-            unit_failure_rate: rate,
-            fault: entk_core::FaultConfig::retries(retries),
-            ..Default::default()
-        };
-        let (report, fp) = run_checked(config, sim, &mut pattern, "ablation_faults");
-        vec![Row::new(format!("retries={retries}"), rate)
-            .with("ttc", report.ttc.as_secs_f64())
-            .with("failed", report.failed_tasks as f64)
-            .with("resubmissions", report.total_retries as f64)
-            .with_trace(fp)]
-    })
+    let mut rows = Vec::new();
+    for rate in [0.0, 0.1, 0.3] {
+        for retries in [0u32, 5] {
+            let mut pattern = BagOfTasks::new(256, |_| {
+                KernelCall::new("misc.sleep", json!({ "secs": 30.0 }))
+            });
+            let config = ResourceConfig::new("xsede.comet", 128, walltime());
+            let sim = SimulatedConfig {
+                seed,
+                unit_failure_rate: rate,
+                fault: entk_core::FaultConfig::retries(retries),
+                ..Default::default()
+            };
+            let (report, fp) = run_checked(config, sim, &mut pattern, "ablation_faults");
+            rows.push(
+                Row::new(format!("retries={retries}"), rate)
+                    .with("ttc", report.ttc.as_secs_f64())
+                    .with("failed", report.failed_tasks as f64)
+                    .with("resubmissions", report.total_retries as f64)
+                    .with_trace(fp),
+            );
+        }
+    }
+    rows
 }
 
 /// Ablation: pilot-splitting execution strategy under size-dependent
 /// queue wait (paper §V / Ref.\[23\]).
 pub fn ablation_pilots(seed: u64) -> Vec<Row> {
-    ablation_pilots_with(&SweepRunner::from_env(), seed)
-}
-
-/// [`ablation_pilots`] through an explicit [`SweepRunner`].
-pub fn ablation_pilots_with(runner: &SweepRunner, seed: u64) -> Vec<Row> {
     let mut platform = entk_cluster::PlatformSpec::comet();
     platform.queue_wait_per_core = 2.0;
-    runner.run(vec![1usize, 2, 4, 8], |count| {
+    let point = |count: usize| {
         let mut pattern = BagOfTasks::new(128, |_| {
             KernelCall::new("misc.sleep", json!({ "secs": 30.0 }))
         });
@@ -710,21 +646,17 @@ pub fn ablation_pilots_with(runner: &SweepRunner, seed: u64) -> Vec<Row> {
             ..Default::default()
         };
         let (report, fp) = run_checked(config, sim, &mut pattern, "ablation_pilots");
-        vec![Row::new("pilots", count as f64)
+        Row::new("pilots", count as f64)
             .with("ttc", report.ttc.as_secs_f64())
-            .with_trace(fp)]
-    })
+            .with_trace(fp)
+    };
+    [1usize, 2, 4, 8].into_iter().map(point).collect()
 }
 
 /// Ablation: unit-scheduler policy on a mixed MPI workload.
 pub fn ablation_scheduler(seed: u64) -> Vec<Row> {
-    ablation_scheduler_with(&SweepRunner::from_env(), seed)
-}
-
-/// [`ablation_scheduler`] through an explicit [`SweepRunner`].
-pub fn ablation_scheduler_with(runner: &SweepRunner, seed: u64) -> Vec<Row> {
     use entk_pilot::{FirstFitScheduler, LargestFirstScheduler};
-    runner.run(vec!["first-fit", "largest-first"], |label| {
+    let point = |label: &str| {
         let scheduler: Box<dyn entk_pilot::UnitScheduler> = match label {
             "first-fit" => Box::new(FirstFitScheduler),
             _ => Box::new(LargestFirstScheduler),
@@ -763,10 +695,56 @@ pub fn ablation_scheduler_with(runner: &SweepRunner, seed: u64) -> Vec<Row> {
                 .snapshot()
                 .tracer,
         );
-        vec![Row::new(label, 96.0)
+        Row::new(label, 96.0)
             .with("exec_time", report.exec_time().as_secs_f64())
-            .with_trace(fp)]
-    })
+            .with_trace(fp)
+    };
+    ["first-fit", "largest-first"]
+        .into_iter()
+        .map(point)
+        .collect()
+}
+
+// ---------------------------------------------------------- Figure binaries
+
+/// The complete stdout of the figure binary `name` (`fig3` … `fig9`,
+/// `ablations`): each of its sweeps under its title. `scale` divides the
+/// fig5–fig9 problem sizes (1 = the paper's full configuration). At seed
+/// 2016 and scale 1 these are the bytes committed as `results/<name>.txt`,
+/// which `tests/figures.rs` asserts.
+pub fn figure_text(name: &str, seed: u64, scale: usize) -> String {
+    let sections = match name {
+        "fig3" => vec![("Figure 3", fig3(seed))],
+        "fig4" => vec![("Figure 4", fig4(seed))],
+        "fig5" => vec![("Figure 5", fig5(seed, scale))],
+        "fig6" => vec![("Figure 6", fig6(seed, scale))],
+        "fig7" => vec![("Figure 7", fig7(seed, scale))],
+        "fig8" => vec![("Figure 8", fig8(seed, scale))],
+        "fig9" => vec![("Figure 9", fig9(seed, scale))],
+        "ablations" => vec![
+            ("Ablation: exchange topology", ablation_exchange(seed)),
+            ("Ablation: runtime overhead scale", ablation_overhead(seed)),
+            ("Ablation: unit scheduler", ablation_scheduler(seed)),
+            ("Ablation: pilot splitting", ablation_pilots(seed)),
+            ("Ablation: fault tolerance", ablation_faults(seed)),
+        ],
+        other => panic!("unknown figure {other:?}"),
+    };
+    sections
+        .iter()
+        .map(|(title, rows)| render_rows(title, rows))
+        .collect()
+}
+
+/// `main` of the figure binaries: prints [`figure_text`] for `name` with
+/// `[seed] [scale]` read from the command line (defaults 2016 and 1).
+pub fn figure_main(name: &str) {
+    let seed = std::env::args().nth(1).and_then(|s| s.parse().ok());
+    let scale = std::env::args().nth(2).and_then(|s| s.parse().ok());
+    print!(
+        "{}",
+        figure_text(name, seed.unwrap_or(2016), scale.unwrap_or(1))
+    );
 }
 
 #[cfg(test)]
@@ -882,9 +860,9 @@ mod tests {
 
     #[test]
     fn fig10_small_scale_is_deterministic_across_modes() {
-        let serial = fig10_with(&SweepRunner::serial(), 2016, 1_000);
-        assert_eq!(serial.len(), 2, "one EoP and one SAL point at n=1000");
-        for row in &serial {
+        let first = fig10(2016, 1_000);
+        assert_eq!(first.len(), 2, "one EoP and one SAL point at n=1000");
+        for row in &first {
             assert_eq!(row.x, 1_000.0);
             // Traced points carry the fingerprint, so row equality below
             // implies byte-identical traces, not just matching totals.
@@ -892,11 +870,11 @@ mod tests {
             assert!(row.value("events").unwrap() > 0.0);
             assert!(row.value("events_per_sec").unwrap() > 0.0);
         }
-        let parallel = fig10_with(&SweepRunner::parallel(), 2016, 1_000);
+        let replay = fig10(2016, 1_000);
         // Wall-clock values legitimately differ run to run; everything else
         // must be bit-identical.
-        assert_eq!(deterministic_view(&serial), deterministic_view(&parallel));
-        let stripped = deterministic_view(&serial);
+        assert_eq!(deterministic_view(&first), deterministic_view(&replay));
+        let stripped = deterministic_view(&first);
         for row in &stripped {
             for name in NONDETERMINISTIC_VALUES {
                 assert!(row.value(name).is_none(), "{name} not stripped");

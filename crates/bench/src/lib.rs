@@ -9,21 +9,16 @@
 
 pub mod figures;
 pub mod resilience;
-pub mod sweep;
 pub mod workload;
 
 pub use figures::{
-    ablation_exchange, ablation_exchange_with, ablation_faults, ablation_faults_with,
-    ablation_overhead, ablation_overhead_with, ablation_pilots, ablation_pilots_with,
-    ablation_scheduler, ablation_scheduler_with, deterministic_view, fig10, fig10_with, fig3,
-    fig3_with, fig4, fig4_with, fig5, fig5_with, fig6, fig6_with, fig7, fig7_with, fig8, fig8_with,
-    fig9, fig9_with, print_rows, Row, FIG10_TRACE_LIMIT, NONDETERMINISTIC_VALUES,
+    ablation_exchange, ablation_faults, ablation_overhead, ablation_pilots, ablation_scheduler,
+    deterministic_view, fig10, fig3, fig4, fig5, fig6, fig7, fig8, fig9, figure_main, figure_text,
+    print_rows, Row, FIG10_TRACE_LIMIT, NONDETERMINISTIC_VALUES,
 };
 pub use resilience::{
-    baseline_rows, federated_point, federated_resilience, federated_resilience_with,
-    resilience_point, resilience_sweep, resilience_sweep_with,
+    baseline_rows, federated_point, federated_resilience, resilience_point, resilience_sweep,
 };
-pub use sweep::{SweepMode, SweepRunner};
 pub use workload::{
     fairness_ablation_with, fig11_with, fig11_with_policy, leg_jsonl, serve_scale_axis,
     serve_scale_point, vm_hwm_kb, FairnessAblation, ServeScalePoint, WorkloadPoint,

@@ -11,7 +11,6 @@
 //! and CI runs it at reduced scale.
 
 use crate::figures::Row;
-use crate::sweep::SweepRunner;
 use entk_core::prelude::*;
 use entk_sim::Dist;
 use serde_json::json;
@@ -108,29 +107,18 @@ pub fn resilience_point(
         .with_trace(crate::figures::trace_fingerprint(&telemetry.tracer))
 }
 
-/// The full resilience sweep through the environment's [`SweepRunner`].
+/// The full resilience sweep: every pattern × failure rate × retry budget,
+/// with the injector installed.
 pub fn resilience_sweep(seed: u64, scale: usize) -> Vec<Row> {
-    resilience_sweep_with(&SweepRunner::from_env(), seed, scale)
-}
-
-/// [`resilience_sweep`] through an explicit [`SweepRunner`].
-pub fn resilience_sweep_with(runner: &SweepRunner, seed: u64, scale: usize) -> Vec<Row> {
-    let points: Vec<(&str, f64, u32)> = PATTERNS
-        .iter()
-        .flat_map(|&kind| {
-            RATES
-                .iter()
-                .flat_map(move |&rate| RETRIES.iter().map(move |&retries| (kind, rate, retries)))
-        })
-        .collect();
-    runner.run_weighted(
-        points
-            .into_iter()
-            // Higher rates with bigger budgets resimulate more attempts.
-            .map(|p| (1.0 + p.1 * (1 + p.2) as f64, p))
-            .collect(),
-        |(kind, rate, retries)| vec![resilience_point(seed, scale, kind, rate, retries, true)],
-    )
+    let mut rows = Vec::new();
+    for kind in PATTERNS {
+        for rate in RATES {
+            for retries in RETRIES {
+                rows.push(resilience_point(seed, scale, kind, rate, retries, true));
+            }
+        }
+    }
+    rows
 }
 
 /// Fault-free baseline rows: one per pattern × retry budget, with **no**
@@ -208,24 +196,11 @@ pub fn federated_point(seed: u64, kind: &str, crash: bool) -> Row {
 /// federation and again with one crash-heavy member, at a fixed
 /// [`FED_RETRIES`] budget. The TTC delta between the paired rows is the
 /// cost of the degraded member under cross-cluster late binding.
-pub fn federated_resilience_with(runner: &SweepRunner, seed: u64) -> Vec<Row> {
-    let points: Vec<(&str, bool)> = PATTERNS
-        .iter()
-        .flat_map(|&kind| [false, true].map(move |crash| (kind, crash)))
-        .collect();
-    runner.run_weighted(
-        points
-            .into_iter()
-            // Crash-heavy points resimulate retried attempts.
-            .map(|p| (if p.1 { 2.0 } else { 1.0 }, p))
-            .collect(),
-        |(kind, crash)| vec![federated_point(seed, kind, crash)],
-    )
-}
-
-/// [`federated_resilience_with`] through the environment's [`SweepRunner`].
 pub fn federated_resilience(seed: u64) -> Vec<Row> {
-    federated_resilience_with(&SweepRunner::from_env(), seed)
+    PATTERNS
+        .iter()
+        .flat_map(|&kind| [false, true].map(|crash| federated_point(seed, kind, crash)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -267,9 +242,8 @@ mod tests {
 
     #[test]
     fn sweep_replays_identically_for_one_seed() {
-        let runner = SweepRunner::serial();
-        let a = resilience_sweep_with(&runner, 11, 32);
-        let b = resilience_sweep_with(&runner, 11, 32);
+        let a = resilience_sweep(11, 32);
+        let b = resilience_sweep(11, 32);
         assert_eq!(a, b);
         assert_eq!(a.len(), PATTERNS.len() * RATES.len() * RETRIES.len());
     }

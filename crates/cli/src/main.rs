@@ -35,7 +35,10 @@
 //!                                   the report, `summary`, is rejected)
 //! entk check <spec.json>            validate a spec without running it:
 //!                                   backend, resources, core counts,
-//!                                   scheduler and kernel plugins resolve
+//!                                   scheduler and kernel plugins resolve.
+//!                                   A document with a top-level "source"
+//!                                   is a stream spec and resolves what
+//!                                   `serve` resolves (sinks stay unopened)
 //! entk kernels                      list available kernel plugins
 //! ```
 
@@ -126,7 +129,14 @@ fn main() -> ExitCode {
                 eprintln!("usage: entk check <spec.json>");
                 return ExitCode::FAILURE;
             };
-            match load(path).and_then(|spec| check(&spec)) {
+            let checked = read(path).and_then(|text| {
+                if is_stream_spec(&text) {
+                    check_stream(&text)
+                } else {
+                    check(&WorkloadSpec::from_json(&text).map_err(|e| e.to_string())?)
+                }
+            });
+            match checked {
                 Ok(summary) => {
                     println!("ok: {summary}");
                     ExitCode::SUCCESS
@@ -150,9 +160,45 @@ fn main() -> ExitCode {
     }
 }
 
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))
+}
+
+/// A document with a top-level `"source"` is a stream spec: no key of a
+/// single-session spec has that name, and every stream spec needs it.
+fn is_stream_spec(text: &str) -> bool {
+    serde_json::from_str::<serde_json::Value>(text).is_ok_and(|doc| doc.get("source").is_some())
+}
+
+/// Loads a single-session spec for `entk run`. A stream spec is named as
+/// one, with the commands that serve it, instead of failing on the first
+/// key the single-session loader does not know.
 fn load(path: &str) -> Result<WorkloadSpec, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))?;
+    let text = read(path)?;
+    if is_stream_spec(&text) {
+        return Err(format!(
+            "{path:?} is a stream spec (it has a top-level \"source\"): serve it with \
+             `entk serve` or `entk run --workload`"
+        ));
+    }
     WorkloadSpec::from_json(&text).map_err(|e| e.to_string())
+}
+
+/// `entk check` on a stream spec: exactly what `entk serve` resolves before
+/// its first session — loader checks, service configuration, and the
+/// arrival source opened (not pulled). Sink files are not created.
+fn check_stream(text: &str) -> Result<String, String> {
+    let spec = StreamSpec::from_json(text).map_err(|e| e.to_string())?;
+    let config = spec.service_config().map_err(|e| e.to_string())?;
+    spec.source_stream().map_err(|e| e.to_string())?;
+    Ok(format!(
+        "stream of {} arrivals on {} ({}, {} slots, {} admission)",
+        spec.source.kind,
+        spec.resource,
+        config.stream.backend.label(),
+        spec.slots,
+        config.policy.label()
+    ))
 }
 
 /// `entk check`: everything `entk run` resolves by name, without running.
@@ -188,8 +234,7 @@ fn check(spec: &WorkloadSpec) -> Result<String, String> {
 /// The `run --workload` mode: serve the open-loop session stream a
 /// [`StreamSpec`] describes and print the stream report.
 fn run_stream(path: &str, as_json: bool, trace_path: Option<String>) -> ExitCode {
-    let outcome = std::fs::read_to_string(path)
-        .map_err(|e| format!("reading {path:?}: {e}"))
+    let outcome = read(path)
         .and_then(|text| StreamSpec::from_json(&text).map_err(|e| e.to_string()))
         .and_then(|spec| spec.run().map_err(|e| e.to_string()));
     let out = match outcome {
@@ -319,8 +364,7 @@ fn serve_stream(args: &[String]) -> ExitCode {
             .map(|(_, a)| a.clone())
             .ok_or_else(|| usage.to_string())?;
 
-        let text = std::fs::read_to_string(&spec_path)
-            .map_err(|e| format!("reading {spec_path:?}: {e}"))?;
+        let text = read(&spec_path)?;
         let mut spec = StreamSpec::from_json(&text).map_err(|e| e.to_string())?;
         if let Some(p) = policy_arg {
             // Any registered admission policy; typos list the valid names.

@@ -7,7 +7,7 @@
 //! by the corresponding number at task-creation time.
 
 use entk_core::prelude::*;
-use entk_core::{reject_unknown_keys, EntkError};
+use entk_core::{reject_unknown_keys, usage_at, EntkError};
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 
@@ -256,15 +256,68 @@ fn reject_unknown_spec_keys(text: &str, spec: &Value) -> Result<(), EntkError> {
     Ok(())
 }
 
+/// Refuses a pattern no run can mean — an empty ensemble, or a temperature
+/// ladder that does not rise from a positive `t_min` — pointing at the
+/// key's line. The pattern constructors assert these conditions, so such a
+/// spec would otherwise panic in [`WorkloadSpec::build_pattern`].
+fn check_pattern(text: &str, pattern: &PatternSpec) -> Result<(), EntkError> {
+    let refuse = |key: &str, msg: String| Err(usage_at(text, key, EntkError::Usage(msg)));
+    let at_least_one = |key: &str, count: usize| match count {
+        0 => refuse(key, format!("{key} must be at least 1, got 0")),
+        _ => Ok(()),
+    };
+    match pattern {
+        PatternSpec::Bag { n, .. } => at_least_one("n", *n),
+        PatternSpec::Pipelines { n, stages } => {
+            if stages.is_empty() {
+                return refuse("stages", "stages must list at least one kernel".into());
+            }
+            at_least_one("n", *n)
+        }
+        PatternSpec::Sal {
+            iterations, sims, ..
+        } => {
+            at_least_one("iterations", *iterations)?;
+            at_least_one("sims", *sims)
+        }
+        PatternSpec::Exchange {
+            replicas,
+            cycles,
+            t_min,
+            t_max,
+            ..
+        } => {
+            at_least_one("replicas", *replicas)?;
+            at_least_one("cycles", *cycles)?;
+            if !(t_min.is_finite() && *t_min > 0.0) {
+                return refuse(
+                    "t_min",
+                    format!("t_min must be finite and > 0, got {t_min}"),
+                );
+            }
+            if !(t_max.is_finite() && t_max > t_min) {
+                return refuse(
+                    "t_max",
+                    format!("t_max must be finite and above t_min ({t_min}), got {t_max}"),
+                );
+            }
+            Ok(())
+        }
+    }
+}
+
 impl WorkloadSpec {
     /// Parses a spec from JSON text. A key no spec object takes fails with
     /// its line and the keys that exist, the way a stream spec's does: a
-    /// typoed `"tuning"` must not run the untuned experiment.
+    /// typoed `"tuning"` must not run the untuned experiment. So does a
+    /// pattern that is empty or whose temperature ladder is impossible.
     pub fn from_json(text: &str) -> Result<Self, EntkError> {
         let bad = |e| EntkError::Usage(format!("bad spec: {e}"));
         let value: Value = serde_json::from_str(text).map_err(bad)?;
         reject_unknown_spec_keys(text, &value)?;
-        serde_json::from_value(&value).map_err(bad)
+        let spec: WorkloadSpec = serde_json::from_value(&value).map_err(bad)?;
+        check_pattern(text, &spec.pattern)?;
+        Ok(spec)
     }
 
     /// Compiles the pattern description into an executable pattern.

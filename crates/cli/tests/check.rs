@@ -1,5 +1,5 @@
 //! `entk check` must reject what `entk run` rejects, with the same message,
-//! and keep accepting every single-session spec shipped in `examples/specs/`.
+//! and keep accepting every spec shipped in `examples/specs/`.
 
 use entk_cli::WorkloadSpec;
 use serde_json::{json, Value};
@@ -215,6 +215,167 @@ fn stream_spec_mistakes_are_refused_before_serving() {
     assert!(run.stdout.is_empty());
 }
 
+/// An empty pattern or an impossible temperature ladder used to reach the
+/// pattern constructors' asserts: exit 101 and a backtrace from both
+/// subcommands. The loader refuses each as one line-numbered usage error.
+#[test]
+fn degenerate_patterns_are_usage_errors_not_panics() {
+    let kernel = json!({ "plugin": "misc.sleep", "args": { "secs": 1.0 } });
+    let sal = |iterations: usize, sims: usize| {
+        json!({ "kind": "sal", "iterations": iterations, "sims": sims,
+                "simulation": kernel.clone(), "analysis": kernel.clone() })
+    };
+    let exchange = |replicas: usize, cycles: usize, t_min: f64, t_max: f64| {
+        json!({ "kind": "exchange", "replicas": replicas, "cycles": cycles,
+                "t_min": t_min, "t_max": t_max, "kernel": kernel.clone() })
+    };
+    let cases = [
+        (
+            "bag-empty",
+            json!({ "kind": "bag", "n": 0, "kernel": kernel.clone() }),
+            "n must be at least 1, got 0",
+        ),
+        (
+            "pipelines-empty",
+            json!({ "kind": "pipelines", "n": 0, "stages": [kernel.clone()] }),
+            "n must be at least 1, got 0",
+        ),
+        (
+            "stages-empty",
+            json!({ "kind": "pipelines", "n": 2, "stages": [] }),
+            "stages must list at least one kernel",
+        ),
+        (
+            "iterations-zero",
+            sal(0, 2),
+            "iterations must be at least 1, got 0",
+        ),
+        ("sims-zero", sal(1, 0), "sims must be at least 1, got 0"),
+        (
+            "replicas-zero",
+            exchange(0, 1, 1.0, 2.0),
+            "replicas must be at least 1, got 0",
+        ),
+        (
+            "cycles-zero",
+            exchange(2, 0, 1.0, 2.0),
+            "cycles must be at least 1, got 0",
+        ),
+        (
+            "ladder-inverted",
+            exchange(2, 1, 2.0, 1.0),
+            "t_max must be finite and above t_min (2), got 1",
+        ),
+        (
+            "ladder-flat",
+            exchange(2, 1, 2.0, 2.0),
+            "t_max must be finite and above t_min (2), got 2",
+        ),
+        (
+            "t-min-zero",
+            exchange(2, 1, 0.0, 2.0),
+            "t_min must be finite and > 0, got 0",
+        ),
+        (
+            "t-min-negative",
+            exchange(2, 1, -1.0, 2.0),
+            "t_min must be finite and > 0, got -1",
+        ),
+        // 1e999 parses to infinity; a JSON value cannot hold it, so the
+        // placeholder is swapped in the text.
+        (
+            "t-max-infinite",
+            exchange(2, 1, 1.0, 12345.0),
+            "t_max must be finite and above t_min (1), got inf",
+        ),
+        (
+            "t-min-infinite",
+            exchange(2, 1, 12345.0, 2.0),
+            "t_min must be finite and > 0, got inf",
+        ),
+    ];
+    for (name, pattern, needle) in cases {
+        let mut spec = valid_spec();
+        spec["pattern"] = pattern;
+        let text = spec.to_string().replace("12345.0", "1e999");
+        let needle = format!("error: usage error: workload spec line 1: {needle}\n");
+        let message = assert_text_rejected(name, &text, &needle, true);
+        assert_eq!(message, needle, "{name}: one line, no backtrace");
+    }
+}
+
+fn entk_in(dir: &Path, args: &[&str]) -> Output {
+    std::fs::create_dir_all(dir).expect("scratch directory");
+    Command::new(env!("CARGO_BIN_EXE_entk"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("entk binary runs")
+}
+
+/// `check` used to push every document through the single-session loader,
+/// so a stream spec failed on the first stream key with the wrong loader's
+/// key list. A top-level `"source"` selects the stream loader: `check`
+/// resolves what `serve` resolves (and opens no sink file), `run` without
+/// `--workload` names the commands that serve it.
+#[test]
+fn stream_specs_go_through_the_stream_loader() {
+    let specs = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs");
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("check-stream");
+    for (file, summary) in [
+        (
+            "serve_stream.json",
+            "ok: stream of synthetic arrivals on xsede.stampede \
+             (simulated, 2 slots, fair-share admission)\n",
+        ),
+        (
+            "stream_poisson.json",
+            "ok: stream of poisson arrivals on xsede.stampede \
+             (simulated, 4 slots, fifo admission)\n",
+        ),
+        (
+            "grid_registry.json",
+            "ok: stream of burst arrivals on xsede.stampede \
+             (simulated, 4 slots, fair-share admission)\n",
+        ),
+    ] {
+        let path = specs.join(file);
+        let check = entk_in(&dir, &["check", path.to_str().expect("utf-8 path")]);
+        assert!(
+            check.status.success(),
+            "{file}: {}",
+            String::from_utf8_lossy(&check.stderr)
+        );
+        assert_eq!(String::from_utf8_lossy(&check.stdout), summary);
+    }
+    let left_behind = std::fs::read_dir(&dir).expect("scratch directory").count();
+    assert_eq!(left_behind, 0, "check opened a sink file");
+
+    // A stream spec's mistakes reach `check` with the stream loader's words.
+    let text = example_spec("serve_stream.json").replace("\"fair\"", "\"fare\"");
+    let message = assert_text_rejected("stream-policy", &text, "workload spec line 6: ", false);
+    assert!(
+        message.contains("unknown admission policy \"fare\""),
+        "{message}"
+    );
+}
+
+#[test]
+fn run_names_a_stream_spec_instead_of_its_first_unknown_key() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs/serve_stream.json");
+    let run = entk("run", &path);
+    let message = String::from_utf8_lossy(&run.stderr);
+    assert!(!run.status.success());
+    assert!(run.stdout.is_empty(), "nothing was served");
+    assert!(
+        message.contains("is a stream spec")
+            && message.contains("`entk serve`")
+            && message.contains("`entk run --workload`"),
+        "{message}"
+    );
+    assert!(!message.contains("unknown key"), "{message}");
+}
+
 fn run_workload(name: &str, text: &str) -> Output {
     Command::new(env!("CARGO_BIN_EXE_entk"))
         .args(["run", "--workload"])
@@ -230,8 +391,8 @@ fn shipped_single_session_specs_check_ok() {
     for entry in std::fs::read_dir(&dir).expect("examples/specs exists") {
         let path = entry.expect("directory entry").path();
         let text = std::fs::read_to_string(&path).expect("spec file reads");
-        // Stream and grid specs share the directory; they are not
-        // `WorkloadSpec`s and `check` does not apply to them.
+        // Stream and grid specs share the directory; `check` resolves them
+        // through the stream loader (tested above).
         if WorkloadSpec::from_json(&text).is_err() {
             continue;
         }

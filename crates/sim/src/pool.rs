@@ -39,9 +39,9 @@ pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Worker threads this process should run: `ENTK_THREADS`, then
 /// `RAYON_NUM_THREADS`, then the host's available parallelism. Sizes the
-/// service's evaluation pool. The vendored `rayon` shim resolves its sweep
-/// width by the same rule in its own copy (`vendor/` cannot depend on this
-/// crate), so the bench reads that width from `rayon` itself.
+/// service's evaluation pool. The vendored `rayon` shim sizes `entk-md`'s
+/// force loop by the same rule in its own copy (`vendor/` cannot depend on
+/// this crate).
 pub fn host_threads() -> usize {
     threads_from(|var| std::env::var(var).ok())
 }

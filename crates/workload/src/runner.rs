@@ -16,10 +16,9 @@
 //! the session report's TTC. Because every simulated session starts from
 //! its own t = 0, service times are independent of stream start times, so
 //! the per-session evaluations are embarrassingly parallel — the service
-//! fans them across cores in input order (same reassembly discipline as
-//! `entk-bench`'s `SweepRunner`) while the admission loop itself stays
-//! serial and deterministic. Same seed + same arrivals ⇒ byte-identical
-//! JSONL and report.
+//! fans them across cores and consumes the results in input order while
+//! the admission loop itself stays serial and deterministic. Same seed +
+//! same arrivals ⇒ byte-identical JSONL and report.
 //!
 //! ## Failure semantics
 //!

@@ -2,7 +2,7 @@
 //! statement the evaluation section makes must hold in this reproduction.
 //! (Full-scale numbers live in EXPERIMENTS.md / `cargo run -p entk-bench`.)
 
-use entk_bench::{fig3, fig4, fig5, fig6, fig7, fig9, Row, SweepRunner};
+use entk_bench::{fig3, fig4, fig5, fig6, fig7, fig9, Row};
 
 fn series(rows: &[Row], name: &str, value: &str) -> Vec<f64> {
     rows.iter()
@@ -120,33 +120,45 @@ fn fig7_claims_sim_linear_analysis_constant() {
     assert!(amax / amin < 1.3, "analysis constant: {ana:?}");
 }
 
-/// Parallel sweeps must be bit-identical to serial ones: each point's
-/// simulation is deterministic in its seed, and the runner reassembles rows
-/// in input-point order. `ENTK_THREADS` forces multi-threaded execution
-/// even on single-core hosts; it is harmless to concurrent tests because
-/// results never depend on the thread count.
+/// The committed `results/*.txt` are the figure binaries' stdout at seed
+/// 2016 and full scale, byte for byte (trace fingerprints included), in
+/// debug and release builds alike: the paper's figures are pinned the way
+/// the traces are (`crates/bench/tests/golden_trace.rs`).
 #[test]
-fn parallel_sweep_rows_are_bit_identical_to_serial() {
-    std::env::set_var("ENTK_THREADS", "4");
-    type SweepFn = Box<dyn Fn(&SweepRunner) -> Vec<Row>>;
-    let checks: Vec<(&str, SweepFn)> = vec![
-        ("fig3", Box::new(|r| entk_bench::fig3_with(r, 2016))),
-        ("fig4", Box::new(|r| entk_bench::fig4_with(r, 2016))),
-        ("fig5", Box::new(|r| entk_bench::fig5_with(r, 2016, 64))),
-        ("fig8", Box::new(|r| entk_bench::fig8_with(r, 2016, 64))),
-        ("fig9", Box::new(|r| entk_bench::fig9_with(r, 2016, 16))),
-        (
-            "ablation_faults",
-            Box::new(|r| entk_bench::ablation_faults_with(r, 2016)),
-        ),
-    ];
-    for (name, sweep) in checks {
-        let serial = sweep(&SweepRunner::serial());
-        let parallel = sweep(&SweepRunner::parallel());
-        assert_eq!(serial, parallel, "{name}: parallel rows diverged");
-        assert!(!serial.is_empty(), "{name}: sweep produced no rows");
+fn committed_results_are_the_figure_binaries_output() {
+    for name in [
+        "fig3",
+        "fig4",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
+        "fig9",
+        "ablations",
+    ] {
+        let path = format!("{}/results/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+        let committed =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        let regenerated = entk_bench::figure_text(name, 2016, 1);
+        let first_diff = committed
+            .lines()
+            .zip(regenerated.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| committed.lines().count().min(regenerated.lines().count()));
+        assert!(
+            committed == regenerated,
+            "results/{name}.txt no longer matches the {name} binary (first difference at \
+             line {}):\n  committed:   {}\n  regenerated: {}\nIf the change is intended, \
+             regenerate with\n  cargo run --release -p entk-bench --bin {name} > \
+             results/{name}.txt\nand re-read EXPERIMENTS.md against the new numbers.",
+            first_diff + 1,
+            committed.lines().nth(first_diff).unwrap_or("<end of file>"),
+            regenerated
+                .lines()
+                .nth(first_diff)
+                .unwrap_or("<end of file>"),
+        );
     }
-    std::env::remove_var("ENTK_THREADS");
 }
 
 #[test]
