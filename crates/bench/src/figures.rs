@@ -14,16 +14,12 @@ fn walltime() -> SimDuration {
     SimDuration::from_secs(10_000_000)
 }
 
-/// FNV-1a 64 over the trace's JSONL export, split into two exactly
-/// f64-representable u32 halves so a fingerprint can ride in [`Row`]
+/// The trace's fingerprint (FNV-1a 64 over its JSONL export), split into
+/// two exactly f64-representable u32 halves so it can ride in [`Row`]
 /// values. Identical traces ⇒ identical fingerprints, so the committed
 /// `results/*.txt` pin every figure point's trace, not just its totals.
 pub(crate) fn trace_fingerprint(tracer: &Tracer) -> (f64, f64) {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in tracer.to_jsonl().bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
+    let h = tracer.fingerprint();
     (f64::from((h >> 32) as u32), f64::from(h as u32))
 }
 

@@ -7,21 +7,13 @@
 //! (event order, timing, or RNG draws), not just its implementation.
 //!
 //! If a change *intentionally* alters traces (new event type, overhead model
-//! change), re-record: run each scenario, print `fnv64(&jsonl)`, and update
-//! the constants with a note in the commit message.
+//! change), re-record: run each scenario, print `tracer.fingerprint()`, and
+//! update the constants with a note in the commit message.
 
 use entk_core::prelude::*;
+use entk_core::ExecutionReport;
+use entk_sim::{Fnv64, Telemetry};
 use serde_json::json;
-
-/// FNV-1a 64 over the exported JSONL — cheap, dependency-free, and stable.
-fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 struct Golden {
     fingerprint: u64,
@@ -29,7 +21,7 @@ struct Golden {
     bytes: usize,
 }
 
-fn check(label: &str, config: ResourceConfig, sim: SimulatedConfig, golden: Golden) {
+fn run(label: &str, config: ResourceConfig, sim: SimulatedConfig) -> (ExecutionReport, Telemetry) {
     let mut pattern: Box<dyn ExecutionPattern + Send> = match label {
         "pipeline" => Box::new(EnsembleOfPipelines::new(48, 2, |_, s| {
             if s == 0 {
@@ -58,18 +50,27 @@ fn check(label: &str, config: ResourceConfig, sim: SimulatedConfig, golden: Gold
         })),
         _ => unreachable!("unknown golden scenario {label}"),
     };
-    let (report, telemetry) =
-        run_simulated_traced(config, sim, pattern.as_mut()).expect("golden run");
+    run_simulated_traced(config, sim, pattern.as_mut()).expect("golden run")
+}
+
+fn check(label: &str, config: ResourceConfig, sim: SimulatedConfig, golden: Golden) {
+    let (report, telemetry) = run(label, config, sim);
+    // Both routes to the pinned value: the streamed fingerprint and the hash
+    // of the rendered string.
     let jsonl = telemetry.tracer.to_jsonl();
-    assert_eq!(
-        fnv64(&jsonl),
-        golden.fingerprint,
-        "{label}: trace fingerprint diverged from golden \
-         (got {:#018x}, {} bytes, ttc {:.6})",
-        fnv64(&jsonl),
-        jsonl.len(),
-        report.ttc.as_secs_f64()
-    );
+    for (route, got) in [
+        ("fingerprint()", telemetry.tracer.fingerprint()),
+        ("fnv64(to_jsonl())", entk_workload::fnv64(jsonl.as_bytes())),
+    ] {
+        assert_eq!(
+            got,
+            golden.fingerprint,
+            "{label}: trace {route} diverged from golden \
+             (got {got:#018x}, {} bytes, ttc {:.6})",
+            jsonl.len(),
+            report.ttc.as_secs_f64()
+        );
+    }
     assert_eq!(jsonl.len(), golden.bytes, "{label}: trace byte count");
     assert!(
         (report.ttc.as_secs_f64() - golden.ttc).abs() < 1e-6,
@@ -117,23 +118,55 @@ fn golden_simulation_analysis_loop() {
     );
 }
 
+fn faults_sim() -> SimulatedConfig {
+    SimulatedConfig {
+        seed: 2016,
+        unit_failure_rate: 0.3,
+        fault: entk_core::FaultConfig::retries(5),
+        ..Default::default()
+    }
+}
+
 #[test]
 fn golden_fault_injection() {
     check(
         "faults",
         ResourceConfig::new("xsede.comet", 128, walltime()),
-        SimulatedConfig {
-            seed: 2016,
-            unit_failure_rate: 0.3,
-            fault: entk_core::FaultConfig::retries(5),
-            ..Default::default()
-        },
+        faults_sim(),
         Golden {
             fingerprint: 0x330e592039d3df3b,
             ttc: 240.352503,
             bytes: 239293,
         },
     );
+}
+
+/// The Chrome trace-event export of the fault scenario (failed attempts end
+/// spans, retries reopen them) stays byte-identical, whether collected or
+/// streamed. Re-record like the JSONL pins.
+#[test]
+fn golden_chrome_export() {
+    let (_, telemetry) = run(
+        "faults",
+        ResourceConfig::new("xsede.comet", 128, walltime()),
+        faults_sim(),
+    );
+    let json = telemetry.tracer.to_chrome_json();
+    assert_eq!(json.len(), 338_388, "Chrome trace byte count");
+    let mut streamed = Fnv64::new();
+    telemetry
+        .tracer
+        .write_chrome_json(&mut streamed)
+        .expect("hashing cannot fail");
+    for (route, got) in [
+        ("to_chrome_json()", entk_workload::fnv64(json.as_bytes())),
+        ("write_chrome_json()", streamed.finish()),
+    ] {
+        assert_eq!(
+            got, 0xa485_3278_ad9c_fe54,
+            "{route} diverged from golden (got {got:#018x})"
+        );
+    }
 }
 
 #[test]

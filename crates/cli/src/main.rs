@@ -44,9 +44,12 @@
 
 use entk_cli::{KernelSpec, PatternSpec, WorkloadSpec};
 use entk_core::ComponentSpec;
+use entk_sim::Tracer;
 use entk_workload::{
     admission_policies, ServeStats, ServiceCheckpoint, ServiceEngine, StreamSpec, WorkloadReport,
 };
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -95,12 +98,7 @@ fn main() -> ExitCode {
                     if let Some(trace_path) = trace_path {
                         match telemetry {
                             Some(t) => {
-                                let body = if trace_path.ends_with(".jsonl") {
-                                    t.tracer.to_jsonl()
-                                } else {
-                                    t.tracer.to_chrome_json()
-                                };
-                                if let Err(e) = std::fs::write(&trace_path, body) {
+                                if let Err(e) = write_trace(&t.tracer, &trace_path) {
                                     eprintln!("error: writing {trace_path:?}: {e}");
                                     return ExitCode::FAILURE;
                                 }
@@ -229,6 +227,19 @@ fn check(spec: &WorkloadSpec) -> Result<String, String> {
         spec.resource.cores,
         spec.backend
     ))
+}
+
+/// Streams a session trace to `path`: JSONL when the path ends in `.jsonl`,
+/// Chrome trace-event JSON otherwise. Nothing but the writer's buffer is held
+/// beside the trace itself.
+fn write_trace(tracer: &Tracer, path: &str) -> std::io::Result<()> {
+    let mut out = BufWriter::new(File::create(path)?);
+    if path.ends_with(".jsonl") {
+        tracer.write_jsonl(&mut out)?;
+    } else {
+        tracer.write_chrome_json(&mut out)?;
+    }
+    out.flush()
 }
 
 /// The `run --workload` mode: serve the open-loop session stream a

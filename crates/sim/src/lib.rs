@@ -30,6 +30,6 @@ pub use rng::{Dist, SimRng};
 pub use stats::{Histogram, Summary, TimeSeries};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    SharedTelemetry, Subject, SubjectOffsets, Telemetry, TelemetryBuffer, TelemetryOp, TraceRecord,
-    Tracer,
+    Fnv64, SharedTelemetry, Subject, SubjectOffsets, Telemetry, TelemetryBuffer, TelemetryOp,
+    TraceRecord, Tracer,
 };

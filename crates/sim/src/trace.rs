@@ -7,12 +7,18 @@
 //! Records are deliberately allocation-free on the hot path: layer and event
 //! names are interned `&'static str` and the subject is a compact
 //! [`Subject`] enum, rendered to text only at export time. Two exporters are
-//! provided — flat JSONL ([`Tracer::to_jsonl`]) and Chrome trace-event JSON
-//! ([`Tracer::to_chrome_json`]), loadable in Perfetto or `chrome://tracing`.
+//! provided — flat JSONL ([`Tracer::write_jsonl`], [`Tracer::to_jsonl`]) and
+//! Chrome trace-event JSON ([`Tracer::write_chrome_json`],
+//! [`Tracer::to_chrome_json`]), loadable in Perfetto or `chrome://tracing`.
+//! A caller that only needs to know whether two traces are the same bytes
+//! asks for [`Tracer::fingerprint`], which hashes the JSONL lines as they
+//! are rendered and keeps none of them.
 
 use crate::metrics::Metrics;
 use crate::time::SimTime;
+use std::collections::HashSet;
 use std::fmt;
+use std::io;
 use std::sync::{Arc, Mutex};
 
 /// The entity a trace record is about, as a compact copyable id.
@@ -41,20 +47,32 @@ pub enum Subject {
 
 impl fmt::Display for Subject {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Subject::None => write!(f, "-"),
-            Subject::Session => write!(f, "session"),
-            Subject::Task(i) => write!(f, "task.{i:06}"),
-            Subject::Batch(i) => write!(f, "batch.{i:04}"),
-            Subject::Unit(i) => write!(f, "unit.{i:06}"),
-            Subject::Pilot(i) => write!(f, "pilot.{i:04}"),
-            Subject::Job(i) => write!(f, "job.{i:06}"),
-            Subject::Node(i) => write!(f, "node.{i:04}"),
+        let (prefix, id) = self.text();
+        f.write_str(prefix)?;
+        match id {
+            Some((id, width)) => write!(f, "{id:0width$}"),
+            None => Ok(()),
         }
     }
 }
 
 impl Subject {
+    /// The text form as a prefix plus, for numbered entities, the id and the
+    /// width it is zero-padded to (a wider id prints in full). The one table
+    /// behind both `Display` and the JSONL renderer.
+    fn text(self) -> (&'static str, Option<(u64, usize)>) {
+        match self {
+            Subject::None => ("-", None),
+            Subject::Session => ("session", None),
+            Subject::Task(i) => ("task.", Some((i, 6))),
+            Subject::Batch(i) => ("batch.", Some((i, 4))),
+            Subject::Unit(i) => ("unit.", Some((i, 6))),
+            Subject::Pilot(i) => ("pilot.", Some((i, 4))),
+            Subject::Job(i) => ("job.", Some((i, 6))),
+            Subject::Node(i) => ("node.", Some((i, 4))),
+        }
+    }
+
     /// A stable per-layer track id for timeline rendering. Entities of
     /// different kinds never collide within a layer's track space.
     fn track(self) -> u64 {
@@ -155,87 +173,231 @@ impl Tracer {
         self.records.is_empty()
     }
 
-    /// Exports the trace as flat JSONL: one object per record, in append
-    /// order, with times in virtual seconds.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.records.len() * 80);
+    /// Writes the trace as flat JSONL: one object per record, in append
+    /// order, with times in virtual seconds. Lines are rendered one at a time
+    /// into a reused buffer, so nothing but `out` grows with the trace.
+    pub fn write_jsonl(&self, out: &mut impl io::Write) -> io::Result<()> {
+        let mut line = Vec::with_capacity(128);
         for r in &self.records {
-            out.push_str(&format!(
-                "{{\"t\":{:.6},\"layer\":\"{}\",\"event\":\"{}\",\"subject\":\"{}\"}}\n",
-                r.time.as_secs_f64(),
-                r.layer,
-                r.name,
-                r.subject
-            ));
+            line.clear();
+            render_jsonl_line(&mut line, r);
+            out.write_all(&line)?;
         }
-        out
+        Ok(())
     }
 
-    /// Exports the trace in Chrome trace-event JSON (the `traceEvents`
+    /// The JSONL export ([`Self::write_jsonl`]) as one string.
+    pub fn to_jsonl(&self) -> String {
+        collect_export(self.records.len() * 80, |out| self.write_jsonl(out))
+    }
+
+    /// FNV-1a 64 over exactly the bytes [`Self::to_jsonl`] returns, without
+    /// building them: two traces with equal fingerprints export the same
+    /// JSONL (up to hash collision).
+    pub fn fingerprint(&self) -> u64 {
+        let mut hash = Fnv64::new();
+        self.write_jsonl(&mut hash).expect("hashing cannot fail");
+        hash.finish()
+    }
+
+    /// Writes the trace in Chrome trace-event JSON (the `traceEvents`
     /// array format), loadable in Perfetto or `chrome://tracing`.
     ///
     /// Each layer becomes one process (named track); entities become
     /// threads within it. Lifecycle event pairs (task attempts, unit
     /// executions, pilot lifetimes, job runs) render as duration spans;
     /// everything else as instant markers. Timestamps are virtual-clock
-    /// microseconds, so the timeline reads in simulated time.
-    pub fn to_chrome_json(&self) -> String {
-        let mut events = Vec::with_capacity(self.records.len() + 8);
+    /// microseconds, so the timeline reads in simulated time. An end with no
+    /// open span of its kind on its track, and a begin on a track whose span
+    /// is already open, are dropped so spans always balance.
+    ///
+    /// Events go to `out` as they are produced and open spans are keyed in a
+    /// hash set, so time is linear in the trace however many spans are open
+    /// at once; hand it a buffered writer.
+    pub fn write_chrome_json(&self, out: &mut impl io::Write) -> io::Result<()> {
+        out.write_all(b"{\"traceEvents\":[\n")?;
+        let mut sep: &[u8] = b"";
+        let mut event = |out: &mut _, json: fmt::Arguments<'_>| -> io::Result<()> {
+            io::Write::write_all(out, sep)?;
+            sep = b",\n";
+            io::Write::write_fmt(out, json)
+        };
         let mut named_pids = Vec::new();
         // (span kind opened, layer, track) → guards unbalanced end events.
-        let mut open: Vec<(&'static str, &'static str, u64)> = Vec::new();
+        let mut open: HashSet<(&'static str, &'static str, u64)> = HashSet::new();
         for r in &self.records {
             let pid = layer_pid(r.layer);
             if !named_pids.contains(&pid) {
                 named_pids.push(pid);
-                events.push(format!(
-                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    r.layer
-                ));
+                event(
+                    out,
+                    format_args!(
+                        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
+                         \"args\":{{\"name\":\"{}\"}}}}",
+                        r.layer
+                    ),
+                )?;
             }
             let tid = r.subject.track();
-            let span = span_kind(r.layer, r.name);
-            match span {
+            match span_kind(r.layer, r.name) {
                 SpanRole::Begin(kind) => {
-                    let key = (kind, r.layer, tid);
-                    if !open.contains(&key) {
-                        open.push(key);
-                        events.push(format!(
-                            "{{\"name\":\"{kind}\",\"cat\":\"{}\",\"ph\":\"B\",\"ts\":{},\
-                             \"pid\":{pid},\"tid\":{tid},\"args\":{{\"subject\":\"{}\"}}}}",
-                            r.layer,
-                            r.time.as_micros(),
-                            r.subject
-                        ));
+                    if open.insert((kind, r.layer, tid)) {
+                        event(
+                            out,
+                            format_args!(
+                                "{{\"name\":\"{kind}\",\"cat\":\"{}\",\"ph\":\"B\",\"ts\":{},\
+                                 \"pid\":{pid},\"tid\":{tid},\"args\":{{\"subject\":\"{}\"}}}}",
+                                r.layer,
+                                r.time.as_micros(),
+                                r.subject
+                            ),
+                        )?;
                     }
                 }
                 SpanRole::End(kind) => {
-                    let key = (kind, r.layer, tid);
-                    if let Some(pos) = open.iter().position(|k| *k == key) {
-                        open.swap_remove(pos);
-                        events.push(format!(
-                            "{{\"name\":\"{kind}\",\"cat\":\"{}\",\"ph\":\"E\",\"ts\":{},\
-                             \"pid\":{pid},\"tid\":{tid},\"args\":{{\"end\":\"{}\"}}}}",
-                            r.layer,
-                            r.time.as_micros(),
-                            r.name
-                        ));
+                    if open.remove(&(kind, r.layer, tid)) {
+                        event(
+                            out,
+                            format_args!(
+                                "{{\"name\":\"{kind}\",\"cat\":\"{}\",\"ph\":\"E\",\"ts\":{},\
+                                 \"pid\":{pid},\"tid\":{tid},\"args\":{{\"end\":\"{}\"}}}}",
+                                r.layer,
+                                r.time.as_micros(),
+                                r.name
+                            ),
+                        )?;
                     }
                 }
                 SpanRole::Instant => {
-                    events.push(format!(
-                        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
-                         \"pid\":{pid},\"tid\":{tid},\"args\":{{\"subject\":\"{}\"}}}}",
-                        r.name,
-                        r.layer,
-                        r.time.as_micros(),
-                        r.subject
-                    ));
+                    event(
+                        out,
+                        format_args!(
+                            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
+                             \"pid\":{pid},\"tid\":{tid},\"args\":{{\"subject\":\"{}\"}}}}",
+                            r.name,
+                            r.layer,
+                            r.time.as_micros(),
+                            r.subject
+                        ),
+                    )?;
                 }
             }
         }
-        format!("{{\"traceEvents\":[\n{}\n]}}\n", events.join(",\n"))
+        out.write_all(b"\n]}\n")
+    }
+
+    /// The Chrome trace-event export ([`Self::write_chrome_json`]) as one
+    /// string.
+    pub fn to_chrome_json(&self) -> String {
+        collect_export(self.records.len() * 128, |out| self.write_chrome_json(out))
+    }
+}
+
+/// Runs an exporter into memory and returns what it wrote as a string.
+fn collect_export(capacity: usize, export: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut out = Vec::with_capacity(capacity);
+    export(&mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("layer and event names are str, the rest is ASCII")
+}
+
+/// Appends one record's JSONL line (with its newline) to `buf`.
+///
+/// The timestamp is printed from the integer microsecond count as
+/// `{µs / 10^6}.{µs % 10^6:06}`. That is byte for byte what `{:.6}` of
+/// [`SimTime::as_secs_f64`] prints for every time below 2^33 s (about 272
+/// simulated years): a double's half-ulp there is 2^-21 s, under the 0.5 µs
+/// that would round to a neighbouring digit. From 2^33 s on the float loses
+/// microseconds and this stays exact. No `format!`, no float formatting and
+/// no allocation once `buf` has grown to a line's length.
+fn render_jsonl_line(buf: &mut Vec<u8>, r: &TraceRecord) {
+    let micros = r.time.as_micros();
+    buf.extend_from_slice(b"{\"t\":");
+    push_decimal(buf, micros / 1_000_000, 1);
+    buf.push(b'.');
+    push_decimal(buf, micros % 1_000_000, 6);
+    buf.extend_from_slice(b",\"layer\":\"");
+    buf.extend_from_slice(r.layer.as_bytes());
+    buf.extend_from_slice(b"\",\"event\":\"");
+    buf.extend_from_slice(r.name.as_bytes());
+    buf.extend_from_slice(b"\",\"subject\":\"");
+    let (prefix, id) = r.subject.text();
+    buf.extend_from_slice(prefix.as_bytes());
+    if let Some((id, width)) = id {
+        push_decimal(buf, id, width);
+    }
+    buf.extend_from_slice(b"\"}\n");
+}
+
+/// Appends `n` in decimal, zero-padded on the left to at least `width`
+/// digits (`width` ≤ 20, the length of `u64::MAX`).
+fn push_decimal(buf: &mut Vec<u8>, mut n: u64, width: usize) {
+    let mut digits = [b'0'; 20];
+    let mut first = digits.len();
+    loop {
+        first -= 1;
+        digits[first] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[first.min(digits.len() - width)..]);
+}
+
+/// An FNV-1a 64 running hash: the one fingerprint function of the
+/// repository (trace, stream and sink goldens all fold through it).
+///
+/// `update` may be called any number of times — hashing `a` then `b` equals
+/// hashing `a ++ b` — and the state is one `u64` that [`Self::finish`]
+/// returns and [`Self::from_state`] resumes from. It is an [`io::Write`]
+/// sink, so anything that can write itself out can be fingerprinted without
+/// being held in memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv64(u64);
+
+impl Fnv64 {
+    /// The state of the empty input.
+    pub const fn new() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Resumes from a state [`Self::finish`] returned.
+    pub const fn from_state(state: u64) -> Self {
+        Fnv64(state)
+    }
+
+    /// Folds `bytes` into the state.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut hash = self.0;
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x100_0000_01b3);
+        }
+        self.0 = hash;
+    }
+
+    /// The hash of everything folded in so far.
+    pub const fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl io::Write for Fnv64 {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        self.update(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
@@ -535,6 +697,7 @@ impl SharedTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn records_and_filters() {
@@ -597,6 +760,148 @@ mod tests {
         );
     }
 
+    /// The exporter `render_jsonl_line` replaced, kept as the reference the
+    /// renderer is held to: one `format!` per record, `{:.6}` of the float
+    /// seconds, the subject through its own hard-coded pad widths.
+    fn reference_jsonl(t: &Tracer) -> String {
+        let mut out = String::new();
+        for r in t.records() {
+            let subject = match r.subject {
+                Subject::None => "-".to_string(),
+                Subject::Session => "session".to_string(),
+                Subject::Task(i) => format!("task.{i:06}"),
+                Subject::Batch(i) => format!("batch.{i:04}"),
+                Subject::Unit(i) => format!("unit.{i:06}"),
+                Subject::Pilot(i) => format!("pilot.{i:04}"),
+                Subject::Job(i) => format!("job.{i:06}"),
+                Subject::Node(i) => format!("node.{i:04}"),
+            };
+            assert_eq!(r.subject.to_string(), subject);
+            out.push_str(&format!(
+                "{{\"t\":{:.6},\"layer\":\"{}\",\"event\":\"{}\",\"subject\":\"{}\"}}\n",
+                r.time.as_secs_f64(),
+                r.layer,
+                r.name,
+                subject
+            ));
+        }
+        out
+    }
+
+    /// Every subject kind, numbered `id` where the kind takes a number.
+    fn subjects(id: u64) -> [Subject; 8] {
+        [
+            Subject::None,
+            Subject::Session,
+            Subject::Task(id),
+            Subject::Batch(id),
+            Subject::Unit(id),
+            Subject::Pilot(id),
+            Subject::Job(id),
+            Subject::Node(id),
+        ]
+    }
+
+    fn fnv64(bytes: &[u8]) -> u64 {
+        let mut hash = Fnv64::new();
+        hash.update(bytes);
+        hash.finish()
+    }
+
+    /// The three consumers of the line renderer agree with the reference
+    /// and with each other.
+    fn assert_exports_match_reference(t: &Tracer) {
+        let reference = reference_jsonl(t);
+        assert_eq!(t.to_jsonl(), reference);
+        let mut written = Vec::new();
+        t.write_jsonl(&mut written).unwrap();
+        assert_eq!(written, reference.as_bytes());
+        assert_eq!(t.fingerprint(), fnv64(reference.as_bytes()));
+    }
+
+    /// 2^33 s in microseconds: the float reference is good for every time
+    /// below it.
+    const FLOAT_EXACT_MICROS: u64 = (1 << 33) * 1_000_000;
+
+    #[test]
+    fn jsonl_matches_the_format_reference_at_the_edges() {
+        let times = [
+            0,
+            1,
+            999_999,
+            1_000_000,
+            10_000_000 * 1_000_000,
+            FLOAT_EXACT_MICROS - 1,
+        ];
+        // Both sides of each pad width, and the widest id there is.
+        let ids = [0, 7, 9_999, 10_000, 999_999, 1_000_000, u64::MAX];
+        let mut t = Tracer::new();
+        for micros in times {
+            for id in ids {
+                for subject in subjects(id) {
+                    t.record(SimTime::from_micros(micros), "pilot", "unit_done", subject);
+                }
+            }
+        }
+        assert_eq!(t.len(), times.len() * ids.len() * 8);
+        assert_exports_match_reference(&t);
+        assert_exports_match_reference(&Tracer::new());
+    }
+
+    #[test]
+    fn jsonl_times_stay_exact_where_the_float_was_lossy() {
+        let mut t = Tracer::new();
+        for micros in [FLOAT_EXACT_MICROS + 1, u64::MAX] {
+            t.record(
+                SimTime::from_micros(micros),
+                "entk",
+                "task_done",
+                Subject::Task(1),
+            );
+        }
+        let jsonl = t.to_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert!(lines[0].starts_with("{\"t\":8589934592.000001,"));
+        assert!(lines[1].starts_with("{\"t\":18446744073709.551615,"));
+        assert_eq!(t.fingerprint(), fnv64(jsonl.as_bytes()));
+    }
+
+    #[test]
+    fn fnv64_is_fnv1a_and_chunking_is_invisible() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv64(b""), Fnv64::default().finish());
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+        // Resuming from a finished state, or writing through io::Write, is
+        // the same fold.
+        let mut resumed = Fnv64::from_state(fnv64(b"foo"));
+        io::Write::write_all(&mut resumed, b"bar").unwrap();
+        assert_eq!(resumed.finish(), fnv64(b"foobar"));
+    }
+
+    proptest! {
+        /// Random microsecond counts below 2^33 s and random ids: the
+        /// integer renderer prints what `{:.6}` of the float printed.
+        #[test]
+        fn prop_jsonl_matches_the_format_reference(
+            cases in proptest::collection::vec(
+                (0..FLOAT_EXACT_MICROS, any::<u64>(), 0usize..8),
+                1..64,
+            ),
+        ) {
+            let mut t = Tracer::new();
+            for &(micros, id, kind) in &cases {
+                t.record(
+                    SimTime::from_micros(micros),
+                    "cluster",
+                    "job_started",
+                    subjects(id)[kind],
+                );
+            }
+            assert_exports_match_reference(&t);
+        }
+    }
+
     #[test]
     fn chrome_export_pairs_spans_and_balances_ends() {
         let mut t = Tracer::new();
@@ -631,6 +936,57 @@ mod tests {
         assert_eq!(json.matches("\"ph\":\"i\"").count(), 1);
         assert!(json.contains("\"process_name\""));
         assert!(json.contains("\"ts\":1000000"));
+    }
+
+    /// 10^5 spans open at once must export in time linear in the trace: a
+    /// per-record scan of the open spans takes minutes here in a debug build.
+    #[test]
+    fn chrome_export_is_linear_in_open_spans() {
+        const N: u64 = 100_000;
+        let mut t = Tracer::new();
+        for i in 0..N {
+            t.record(
+                SimTime::from_micros(i),
+                "entk",
+                "task_submitted",
+                Subject::Task(i),
+            );
+        }
+        // A begin on a track whose span is open is dropped.
+        t.record(
+            SimTime::from_micros(N),
+            "entk",
+            "task_submitted",
+            Subject::Task(0),
+        );
+        for i in 0..N {
+            t.record(
+                SimTime::from_micros(N + i),
+                "entk",
+                "task_done",
+                Subject::Task(i),
+            );
+        }
+        // So is an end whose span is already closed.
+        t.record(
+            SimTime::from_micros(2 * N),
+            "entk",
+            "task_done",
+            Subject::Task(0),
+        );
+        let json = t.to_chrome_json();
+        let count = |ph: &str| json.lines().filter(|l| l.contains(ph)).count() as u64;
+        assert_eq!(count("\"ph\":\"B\""), N);
+        assert_eq!(count("\"ph\":\"E\""), N);
+        // Header, the process-name event, the spans, footer.
+        assert_eq!(json.lines().count() as u64, 1 + 1 + 2 * N + 1);
+        assert!(json.starts_with("{\"traceEvents\":[\n{\"name\":\"process_name\""));
+        assert!(json.ends_with("\"args\":{\"end\":\"task_done\"}}\n]}\n"));
+    }
+
+    #[test]
+    fn chrome_export_of_an_empty_trace_is_an_empty_array() {
+        assert_eq!(Tracer::new().to_chrome_json(), "{\"traceEvents\":[\n\n]}\n");
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use crate::arrival::IntoArrivalStream;
 use crate::service::{ServiceConfig, ServiceEngine};
 use entk_core::EntkError;
-use entk_sim::{Metrics, SimTime};
+use entk_sim::{Fnv64, Metrics, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Gauge name of the arrived-but-not-started depth series.
@@ -246,22 +246,21 @@ pub struct WorkloadOutcome {
     pub suffix_jsonl: String,
 }
 
-/// FNV-1a 64 over arbitrary bytes (same constants as the bench trace
-/// fingerprints, so stream and session fingerprints are comparable).
+/// FNV-1a 64 over arbitrary bytes ([`entk_sim::Fnv64`], the hash behind
+/// the trace fingerprints, so stream and session fingerprints are
+/// comparable).
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    fnv64_update(0xcbf2_9ce4_8422_2325, bytes)
+    fnv64_update(Fnv64::new().finish(), bytes)
 }
 
 /// Folds more bytes into an FNV-1a 64 hash state. `fnv64(b"")` is the
 /// initial state, so `fnv64_update(fnv64(a), b) == fnv64(a ++ b)` — the
 /// streaming service uses this to fingerprint its emitted JSONL and its
 /// ingested trace prefix without retaining either.
-pub fn fnv64_update(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
+pub fn fnv64_update(hash: u64, bytes: &[u8]) -> u64 {
+    let mut state = Fnv64::from_state(hash);
+    state.update(bytes);
+    state.finish()
 }
 
 fn escape_json(s: &str) -> String {

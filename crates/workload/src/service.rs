@@ -416,7 +416,7 @@ fn evaluate_session(
         ttc: report.ttc,
         tasks: report.task_count(),
         events: report.events,
-        trace_fp: fnv64(telemetry.tracer.to_jsonl().as_bytes()),
+        trace_fp: telemetry.tracer.fingerprint(),
         cc_err: cc.max_abs_error_secs,
         error: None,
     }
