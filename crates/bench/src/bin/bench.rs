@@ -75,6 +75,12 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
+/// The two backends both workload sweeps serve their streams on.
+const STREAM_BACKENDS: [StreamBackend; 2] = [
+    StreamBackend::Simulated,
+    StreamBackend::Federated { members: 2 },
+];
+
 struct Options {
     scale: usize,
     seed: u64,
@@ -204,19 +210,7 @@ fn run_scale_sweep(opts: &Options) {
     let largest = rows.iter().map(|r| r.x).fold(0.0, f64::max);
     let rss_kb_per_task = vm_hwm_kb().map(|kb| kb as f64 / largest);
 
-    let points: Vec<_> = rows
-        .iter()
-        .map(|row| {
-            json!({
-                "series": row.series,
-                "tasks": row.x,
-                "ttc": row.value("ttc"),
-                "events": row.value("events"),
-                "wall_secs": row.value("wall_secs"),
-                "events_per_sec": row.value("events_per_sec"),
-            })
-        })
-        .collect();
+    let points: Vec<_> = rows.iter().map(point_json).collect();
     for row in &rows {
         println!(
             "{:>6} n={:<8} wall {:>8.3}s  {:>12.0} events  {:>12.0} events/sec  ttc {:.1}",
@@ -245,23 +239,60 @@ fn run_scale_sweep(opts: &Options) {
         }],
         "total_secs": total,
     });
-    let out = opts.out_path();
-    let rendered = serde_json::to_string_pretty(&bench).expect("serialize BENCH.json");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH.json");
-    println!("wrote {out}");
+    finish(opts, &bench, total, "scale sweep");
+    if let Some(path) = &opts.baseline {
+        check_floors(path, "fig10", &largest_point_rates(&rows));
+        check_rss_per_task(path, rss_kb_per_task);
+    }
+}
 
+/// One point of a fig10 sweep as its report lists it.
+fn point_json(row: &Row) -> serde_json::Value {
+    json!({
+        "series": row.series,
+        "tasks": row.x,
+        "ttc": row.value("ttc"),
+        "events": row.value("events"),
+        "wall_secs": row.value("wall_secs"),
+        "events_per_sec": row.value("events_per_sec"),
+    })
+}
+
+/// How every sweep mode ends: the report goes to `--out`, and the sweep
+/// (`what`) must have finished within `--budget-secs` of wall clock.
+fn finish(opts: &Options, report: &serde_json::Value, total: f64, what: &str) {
+    write_report(opts, report);
     if let Some(budget) = opts.budget_secs {
         if total > budget {
             fail(format!(
-                "scale sweep took {total:.3}s, over the {budget:.3}s wall budget"
+                "{what} took {total:.3}s, over the {budget:.3}s wall budget"
             ));
         }
         println!("within wall budget: {total:.3}s <= {budget:.3}s");
     }
-    if let Some(path) = &opts.baseline {
-        check_baseline(path, "fig10", &rows);
-        check_rss_per_task(path, rss_kb_per_task);
-    }
+}
+
+/// Renders `report` to the `--out` path.
+fn write_report(opts: &Options, report: &serde_json::Value) {
+    let out = opts.out_path();
+    let rendered = serde_json::to_string_pretty(report).expect("serialize report");
+    std::fs::write(&out, rendered + "\n").expect("write report");
+    println!("wrote {out}");
+}
+
+/// Events/sec at the largest point of each series of a sweep.
+fn largest_point_rates(rows: &[Row]) -> Vec<(String, f64)> {
+    let largest = |row: &&Row| rows.iter().all(|r| r.series != row.series || r.x <= row.x);
+    rows.iter()
+        .filter(largest)
+        .filter_map(|row| Some((row.series.clone(), row.value("events_per_sec")?)))
+        .collect()
+}
+
+/// The measured rate of `series`, if the sweep has one.
+fn rate_of(rates: &[(String, f64)], series: &str) -> Option<f64> {
+    let found = rates.iter().find(|(label, _)| label == series);
+    found.map(|&(_, rate)| rate)
 }
 
 /// The committed baseline document and its tolerance.
@@ -304,10 +335,10 @@ fn check_rss_per_task(path: &str, measured: Option<f64>) {
 }
 
 /// The `--baseline PATH` perf-regression gate: the committed
-/// `BENCH-BASELINE.json` records an events/sec floor per series; the run
-/// fails when the measured throughput at the largest sweep point drops
-/// more than the file's tolerance below its floor.
-fn check_baseline(path: &str, figure: &str, rows: &[Row]) {
+/// `BENCH-BASELINE.json` records an events/sec floor per series under
+/// `floors.<figure>`; the run fails when a series' `measured` throughput
+/// drops more than the file's tolerance below its floor.
+fn check_floors(path: &str, figure: &str, measured: &[(String, f64)]) {
     let (baseline, tolerance) = read_baseline(path);
     let Some(floors) = baseline["floors"][figure].as_object() else {
         fail(format!("baseline {path} has no floors for {figure}"));
@@ -316,16 +347,11 @@ fn check_baseline(path: &str, figure: &str, rows: &[Row]) {
         let floor = floor
             .as_f64()
             .unwrap_or_else(|| fail(format!("baseline {figure}/{series}: non-numeric floor")));
-        let measured = rows
-            .iter()
-            .filter(|r| r.series == *series)
-            .max_by(|a, b| a.x.total_cmp(&b.x))
-            .and_then(|r| r.value("events_per_sec"))
-            .unwrap_or_else(|| {
-                fail(format!(
-                    "baseline {figure}/{series}: no measured events/sec in the sweep rows"
-                ))
-            });
+        let measured = rate_of(measured, series).unwrap_or_else(|| {
+            fail(format!(
+                "baseline {figure}/{series}: the sweep measured no such series"
+            ))
+        });
         let min_ok = floor * (1.0 - tolerance);
         if measured < min_ok {
             fail(format!(
@@ -374,17 +400,12 @@ fn run_fed_scale_sweep(opts: &Options) {
 
     // Strong-scaling ratio per series at the largest common point:
     // events/sec with N members over events/sec with 1 member.
-    let eps_at = |rows: &[Row], series: &str| {
-        rows.iter()
-            .filter(|r| r.series == series)
-            .max_by(|a, b| a.x.total_cmp(&b.x))
-            .and_then(|r| r.value("events_per_sec"))
-            .unwrap_or(0.0)
-    };
+    let single_rates = largest_point_rates(&single_rows);
+    let fed_rates = largest_point_rates(&fed_rows);
     let mut scaling = serde_json::Map::new();
     for series in ["eop", "sal"] {
-        let base = eps_at(&single_rows, series);
-        let fed = eps_at(&fed_rows, series);
+        let base = rate_of(&single_rates, series).unwrap_or(0.0);
+        let fed = rate_of(&fed_rates, series).unwrap_or(0.0);
         let ratio = fed / base.max(1e-9);
         println!(
             "{series}: events/sec x{ratio:.2} from 1 -> {members} members \
@@ -397,15 +418,9 @@ fn run_fed_scale_sweep(opts: &Options) {
         .iter()
         .chain(&fed_rows)
         .map(|row| {
-            json!({
-                "series": row.series,
-                "tasks": row.x,
-                "members": row.value("members"),
-                "ttc": row.value("ttc"),
-                "events": row.value("events"),
-                "wall_secs": row.value("wall_secs"),
-                "events_per_sec": row.value("events_per_sec"),
-            })
+            let mut point = point_json(row);
+            point["members"] = json!(row.value("members"));
+            point
         })
         .collect();
     let entry = json!({
@@ -424,22 +439,9 @@ fn run_fed_scale_sweep(opts: &Options) {
         "figures": [entry],
         "total_secs": total,
     });
-    let out = opts.out_path();
-    let rendered = serde_json::to_string_pretty(&bench).expect("serialize BENCH.json");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH.json");
-    println!("wrote {out}");
-
-    if let Some(budget) = opts.budget_secs {
-        if total > budget {
-            fail(format!(
-                "federated scale sweep took {total:.3}s, over the {budget:.3}s \
-                 wall budget"
-            ));
-        }
-        println!("within wall budget: {total:.3}s <= {budget:.3}s");
-    }
+    finish(opts, &bench, total, "federated scale sweep");
     if let Some(path) = &opts.baseline {
-        check_baseline(path, "fig10_federated", &fed_rows);
+        check_floors(path, "fig10_federated", &fed_rates);
     }
 }
 
@@ -457,15 +459,11 @@ fn run_fed_scale_sweep(opts: &Options) {
 fn run_workload_sweep(opts: &Options) {
     let (seed, sessions, tenants) = (opts.seed, opts.sessions, opts.tenants);
     let policy = opts.policy;
-    let backends = [
-        StreamBackend::Simulated,
-        StreamBackend::Federated { members: 2 },
-    ];
     let mut all_points = Vec::new();
     let mut jsonl = String::new();
     let mut leg_rates = Vec::new();
     let mut total = 0.0f64;
-    for backend in backends {
+    for backend in STREAM_BACKENDS {
         let label = backend.label();
         let t0 = Instant::now();
         let points = fig11_with_policy(seed, sessions, tenants, backend, policy)
@@ -560,26 +558,15 @@ fn run_workload_sweep(opts: &Options) {
         },
     });
     let out = opts.out_path();
-    let rendered = serde_json::to_string_pretty(&workload).expect("serialize WORKLOAD.json");
-    std::fs::write(&out, rendered + "\n").expect("write WORKLOAD.json");
-    println!("wrote {out}");
     let jsonl_path = out
         .strip_suffix(".json")
         .map(|stem| format!("{stem}.jsonl"))
         .unwrap_or_else(|| format!("{out}.jsonl"));
     std::fs::write(&jsonl_path, &jsonl).expect("write workload JSONL");
     println!("wrote {jsonl_path}");
-
-    if let Some(budget) = opts.budget_secs {
-        if total > budget {
-            fail(format!(
-                "workload sweep took {total:.3}s, over the {budget:.3}s wall budget"
-            ));
-        }
-        println!("within wall budget: {total:.3}s <= {budget:.3}s");
-    }
+    finish(opts, &workload, total, "workload sweep");
     if let Some(path) = &opts.baseline {
-        check_workload_baseline(path, &leg_rates);
+        check_floors(path, "fig11", &leg_rates);
     }
 }
 
@@ -595,15 +582,11 @@ fn run_workload_sweep(opts: &Options) {
 /// the first 10^4-session point — RSS(10^6) <= 2 x RSS(10^4).
 fn run_serve_scale_sweep(opts: &Options) {
     let axis = serve_scale_axis(opts.max_sessions);
-    let backends = [
-        StreamBackend::Simulated,
-        StreamBackend::Federated { members: 2 },
-    ];
     let mut points = Vec::new();
     let mut leg_rates = Vec::new();
     let mut hwm_at_1e4: Option<u64> = None;
     let mut total = 0.0f64;
-    for backend in backends {
+    for backend in STREAM_BACKENDS {
         let label = backend.label();
         let mut last_rate = 0.0;
         for &sessions in &axis {
@@ -663,61 +646,18 @@ fn run_serve_scale_sweep(opts: &Options) {
             "rss_flat": true,
         },
     });
-    let out = opts.out_path();
-    let rendered = serde_json::to_string_pretty(&report).expect("serialize serve-scale report");
-    std::fs::write(&out, rendered + "\n").expect("write serve-scale report");
-    println!("wrote {out}");
-
-    if let Some(budget) = opts.budget_secs {
-        if total > budget {
-            fail(format!(
-                "serve-scale sweep took {total:.3}s, over the {budget:.3}s wall budget"
-            ));
-        }
-        println!("within wall budget: {total:.3}s <= {budget:.3}s");
-    }
+    finish(opts, &report, total, "serve-scale sweep");
     if let Some(path) = &opts.baseline {
-        check_serve_scale_baseline(path, &leg_rates, hwm_final);
+        check_floors(path, "serve_scale", &leg_rates);
+        check_serve_scale_rss(path, hwm_final);
     }
 }
 
-/// The serve-scale flavour of the `--baseline` gate: each backend leg's
-/// events/sec (largest point) must stay within tolerance of its
-/// `floors.serve_scale` floor, and the process's final `VmHWM` must stay
-/// under `ceilings.serve_scale_rss_kb` (with the same tolerance as
-/// headroom).
-fn check_serve_scale_baseline(path: &str, leg_rates: &[(String, f64)], hwm_kb: Option<u64>) {
+/// The memory half of the serve-scale gate: the process's final `VmHWM`
+/// must stay under `ceilings.serve_scale_rss_kb`, when the file has one
+/// (with the file's tolerance as headroom).
+fn check_serve_scale_rss(path: &str, hwm_kb: Option<u64>) {
     let (baseline, tolerance) = read_baseline(path);
-    let Some(floors) = baseline["floors"]["serve_scale"].as_object() else {
-        fail(format!("baseline {path} has no floors for serve_scale"));
-    };
-    for (series, floor) in floors {
-        let floor = floor
-            .as_f64()
-            .unwrap_or_else(|| fail(format!("baseline serve_scale/{series}: non-numeric floor")));
-        let measured = leg_rates
-            .iter()
-            .find(|(label, _)| label == series)
-            .map(|&(_, rate)| rate)
-            .unwrap_or_else(|| {
-                fail(format!(
-                    "baseline serve_scale/{series}: the sweep ran no such backend leg"
-                ))
-            });
-        let min_ok = floor * (1.0 - tolerance);
-        if measured < min_ok {
-            fail(format!(
-                "perf regression: serve_scale/{series} measured {measured:.0} events/sec, \
-                 below floor {floor:.0} - {:.0}% tolerance = {min_ok:.0}",
-                tolerance * 100.0
-            ));
-        }
-        println!(
-            "baseline serve_scale/{series}: {measured:.0} events/sec >= {min_ok:.0} \
-             (floor {floor:.0}, tolerance {:.0}%)",
-            tolerance * 100.0
-        );
-    }
     if let Some(ceiling) = baseline["ceilings"]["serve_scale_rss_kb"].as_u64() {
         let Some(hwm) = hwm_kb else {
             fail("baseline has an RSS ceiling but VmHWM is unavailable on this host");
@@ -733,43 +673,6 @@ fn check_serve_scale_baseline(path: &str, leg_rates: &[(String, f64)], hwm_kb: O
         println!(
             "baseline serve_scale RSS: {hwm} KiB <= {max_ok} KiB \
              (ceiling {ceiling} KiB, tolerance {:.0}%)",
-            tolerance * 100.0
-        );
-    }
-}
-
-/// The workload flavour of the `--baseline` gate: the committed floors
-/// under `floors.fig11` are keyed by backend label, and each serve leg's
-/// events/sec must stay within the file's tolerance of its floor.
-fn check_workload_baseline(path: &str, leg_rates: &[(String, f64)]) {
-    let (baseline, tolerance) = read_baseline(path);
-    let Some(floors) = baseline["floors"]["fig11"].as_object() else {
-        fail(format!("baseline {path} has no floors for fig11"));
-    };
-    for (series, floor) in floors {
-        let floor = floor
-            .as_f64()
-            .unwrap_or_else(|| fail(format!("baseline fig11/{series}: non-numeric floor")));
-        let measured = leg_rates
-            .iter()
-            .find(|(label, _)| label == series)
-            .map(|&(_, rate)| rate)
-            .unwrap_or_else(|| {
-                fail(format!(
-                    "baseline fig11/{series}: the sweep ran no such backend leg"
-                ))
-            });
-        let min_ok = floor * (1.0 - tolerance);
-        if measured < min_ok {
-            fail(format!(
-                "perf regression: fig11/{series} measured {measured:.0} events/sec, \
-                 below floor {floor:.0} - {:.0}% tolerance = {min_ok:.0}",
-                tolerance * 100.0
-            ));
-        }
-        println!(
-            "baseline fig11/{series}: {measured:.0} events/sec >= {min_ok:.0} \
-             (floor {floor:.0}, tolerance {:.0}%)",
             tolerance * 100.0
         );
     }
@@ -859,10 +762,7 @@ fn main() {
         "figures": entries,
         "total_secs": total,
     });
-    let out = opts.out_path();
-    let rendered = serde_json::to_string_pretty(&bench).expect("serialize BENCH.json");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH.json");
-    println!("wrote {out}");
+    write_report(&opts, &bench);
 
     if let Some(path) = &opts.trace {
         // Cross-checked inside: the exported trace always agrees with the

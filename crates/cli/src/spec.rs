@@ -256,6 +256,46 @@ fn reject_unknown_spec_keys(text: &str, spec: &Value) -> Result<(), EntkError> {
     Ok(())
 }
 
+/// Refuses resource and tuning values no run can mean: a zero wall time (the
+/// pilot dies as it starts), a queue wait that is negative or not finite
+/// (it ran as zero), a background load whose arrivals leave no gap for
+/// virtual time to advance in. `check` builds the handle and would pass the
+/// first and the last; `run` then drained early or never returned.
+fn check_resources(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
+    let refuse = |key: &str, msg: String| Err(usage_at(text, key, EntkError::Usage(msg)));
+    let zero_walltime = |what: &str| format!("{what} must be at least 1, got 0");
+    if spec.resource.walltime_secs == 0 {
+        return refuse("walltime_secs", zero_walltime("walltime_secs"));
+    }
+    // Every member has the key, so point at the list and name the member.
+    if let Some(i) = spec.federation.iter().position(|m| m.walltime_secs == 0) {
+        let what = format!("federation[{i}].walltime_secs");
+        return refuse("federation", zero_walltime(&what));
+    }
+    if let Some(per_core) = spec.tuning.queue_wait_per_core {
+        if !(per_core.is_finite() && per_core >= 0.0) {
+            let msg = format!("queue_wait_per_core must be finite and >= 0, got {per_core}");
+            return refuse("queue_wait_per_core", msg);
+        }
+    }
+    if let Some(bg) = &spec.tuning.background {
+        for (key, value) in [
+            ("mean_interarrival_secs", bg.mean_interarrival_secs),
+            ("runtime_secs", bg.runtime_secs),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                let msg = format!("{key} must be finite and > 0, got {value}");
+                return refuse(key, msg);
+            }
+        }
+        if bg.cores == 0 {
+            let msg = "background.cores must be at least 1, got 0".to_string();
+            return refuse("background", msg);
+        }
+    }
+    Ok(())
+}
+
 /// Refuses a pattern no run can mean — an empty ensemble, or a temperature
 /// ladder that does not rise from a positive `t_min` — pointing at the
 /// key's line. The pattern constructors assert these conditions, so such a
@@ -310,12 +350,14 @@ impl WorkloadSpec {
     /// Parses a spec from JSON text. A key no spec object takes fails with
     /// its line and the keys that exist, the way a stream spec's does: a
     /// typoed `"tuning"` must not run the untuned experiment. So does a
-    /// pattern that is empty or whose temperature ladder is impossible.
+    /// pattern that is empty or whose temperature ladder is impossible, and
+    /// a wall time, queue wait or background load no machine can have.
     pub fn from_json(text: &str) -> Result<Self, EntkError> {
         let bad = |e| EntkError::Usage(format!("bad spec: {e}"));
         let value: Value = serde_json::from_str(text).map_err(bad)?;
         reject_unknown_spec_keys(text, &value)?;
         let spec: WorkloadSpec = serde_json::from_value(&value).map_err(bad)?;
+        check_resources(text, &spec)?;
         check_pattern(text, &spec.pattern)?;
         Ok(spec)
     }

@@ -304,6 +304,78 @@ fn degenerate_patterns_are_usage_errors_not_panics() {
     }
 }
 
+/// Values `check` used to pass and `run` then broke on: with a zero wall
+/// time the simulation drained before the pilot was up (a failed
+/// `debug_assert` in a debug build), zero-gap background arrivals never let
+/// virtual time advance (`run` never returned), and a negative or infinite
+/// queue wait ran as no wait at all. The loader refuses each.
+#[test]
+fn impossible_resource_and_tuning_values_are_usage_errors() {
+    let member =
+        |walltime: u64| json!({ "name": "xsede.stampede", "cores": 4, "walltime_secs": walltime });
+    let background = |interarrival: f64, cores: usize, runtime: f64| {
+        json!({ "background": { "mean_interarrival_secs": interarrival, "cores": cores,
+                                "runtime_secs": runtime } })
+    };
+    let cases = [
+        (
+            "walltime-zero",
+            json!({ "resource": { "name": "xsede.comet", "cores": 4, "walltime_secs": 0 } }),
+            "walltime_secs must be at least 1, got 0",
+        ),
+        (
+            "member-walltime-zero",
+            json!({ "backend": "federated", "federation": [member(100), member(0)] }),
+            "federation[1].walltime_secs must be at least 1, got 0",
+        ),
+        (
+            "interarrival-zero",
+            json!({ "tuning": background(0.0, 8, 60.0) }),
+            "mean_interarrival_secs must be finite and > 0, got 0",
+        ),
+        (
+            "interarrival-infinite",
+            json!({ "tuning": background(12345.0, 8, 60.0) }),
+            "mean_interarrival_secs must be finite and > 0, got inf",
+        ),
+        (
+            "runtime-zero",
+            json!({ "tuning": background(30.0, 8, 0.0) }),
+            "runtime_secs must be finite and > 0, got 0",
+        ),
+        (
+            "background-cores-zero",
+            json!({ "tuning": background(30.0, 0, 60.0) }),
+            "background.cores must be at least 1, got 0",
+        ),
+        (
+            "queue-wait-negative",
+            json!({ "tuning": { "queue_wait_per_core": -1.0 } }),
+            "queue_wait_per_core must be finite and >= 0, got -1",
+        ),
+        (
+            "queue-wait-infinite",
+            json!({ "tuning": { "queue_wait_per_core": 12345.0 } }),
+            "queue_wait_per_core must be finite and >= 0, got inf",
+        ),
+    ];
+    for (name, overrides, needle) in cases {
+        let mut spec = valid_spec();
+        for (key, value) in overrides.as_object().expect("overrides are an object") {
+            spec[key.as_str()] = value.clone();
+        }
+        // As above: 1e999 parses to infinity, which a JSON value cannot hold.
+        let text = spec.to_string().replace("12345.0", "1e999");
+        let needle = format!("error: usage error: workload spec line 1: {needle}\n");
+        let message = assert_text_rejected(name, &text, &needle, true);
+        assert_eq!(message, needle, "{name}: one line, no backtrace");
+    }
+    // The line is the key's own.
+    let text = example_spec("busy_machine.json").replace("120.0", "0.0");
+    let needle = "workload spec line 10: mean_interarrival_secs must be finite and > 0, got 0";
+    assert_text_rejected("interarrival-line", &text, needle, true);
+}
+
 fn entk_in(dir: &Path, args: &[&str]) -> Output {
     std::fs::create_dir_all(dir).expect("scratch directory");
     Command::new(env!("CARGO_BIN_EXE_entk"))

@@ -10,10 +10,7 @@ use crate::fault::{FaultInjector, FaultProfile};
 use crate::job::{BatchJob, BatchJobDescription, BatchJobId, BatchJobState};
 use crate::platform::PlatformSpec;
 use crate::scheduler::{BatchScheduler, FifoScheduler, PendingView, RunningView};
-use entk_sim::{
-    Arena, Context, Dist, EventId, GenId, SharedTelemetry, SimDuration, SimRng, SimTime, Subject,
-    TimeSeries,
-};
+use entk_sim::{Context, Dist, EventId, SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
 use serde::{Deserialize, Serialize};
 
 /// Events the cluster schedules for itself on the engine.
@@ -55,7 +52,7 @@ pub struct BackgroundLoad {
 /// State changes reported to the cluster's owner (the SAGA adapter).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterNotification {
-    /// Job changed state; `nodes` is populated on entering `Running`.
+    /// Job changed state.
     JobState {
         /// The job.
         id: BatchJobId,
@@ -63,8 +60,6 @@ pub enum ClusterNotification {
         state: BatchJobState,
         /// When the change happened.
         time: SimTime,
-        /// Assigned node slices (Running only).
-        nodes: Vec<NodeSlice>,
     },
     /// A node crash took cores away from a still-running job.
     JobShrunk {
@@ -79,24 +74,12 @@ pub enum ClusterNotification {
     },
 }
 
-impl ClusterNotification {
-    /// The job the notification concerns.
-    pub fn job_id(&self) -> BatchJobId {
-        match *self {
-            ClusterNotification::JobState { id, .. } => id,
-            ClusterNotification::JobShrunk { id, .. } => id,
-        }
-    }
-}
-
-/// Per-job runtime bookkeeping, parallel to the `jobs` slab (same index).
-#[derive(Debug, Clone, Copy, Default)]
-struct JobRuntime {
-    /// Handle to the job's node slices in `held` while it occupies cores.
-    /// The arena slot is freed (generation bumped) when the job ends, so a
-    /// handle that outlives the job goes stale instead of aliasing the next
-    /// occupant.
-    held: Option<GenId>,
+/// One row of the job table: the job's record and what only the cluster
+/// tracks about it.
+struct JobRow {
+    job: BatchJob,
+    /// The job's node slices while it occupies cores; taken when it ends.
+    held: Option<Vec<NodeSlice>>,
     /// Cancel handle for the job's pending walltime event.
     walltime_event: Option<EventId>,
     /// Synthetic background-load job, invisible to the owner.
@@ -109,20 +92,13 @@ pub struct Cluster {
     alloc: AllocationMap,
     scheduler: Box<dyn BatchScheduler>,
     rng: SimRng,
-    /// Job slab: `BatchJobId`s are dense and sequential, so index == id.
-    jobs: Vec<BatchJob>,
-    /// Runtime bookkeeping parallel to `jobs`.
-    job_rt: Vec<JobRuntime>,
+    /// Job table: `BatchJobId`s count up from 0, so index == id.
+    jobs: Vec<JobRow>,
     /// Eligible jobs in arrival order (indices into `jobs`).
     pending: Vec<BatchJobId>,
-    /// Node slices of starting/running jobs. Slots are genuinely recycled
-    /// as jobs come and go, hence the generational arena.
-    held: Arena<Vec<NodeSlice>>,
     /// Jobs currently holding an allocation, in the order they started.
     /// Replaces hash-map key iteration, whose order was nondeterministic.
     running_order: Vec<BatchJobId>,
-    next_id: u64,
-    utilization: TimeSeries,
     background: Option<BackgroundLoad>,
     fault: Option<FaultInjector>,
     /// A [`ClusterEvent::FaultTick`] is currently in flight. The Poisson
@@ -152,12 +128,8 @@ impl Cluster {
             scheduler,
             rng: SimRng::seed_from_u64(seed),
             jobs: Vec::new(),
-            job_rt: Vec::new(),
             pending: Vec::new(),
-            held: Arena::new(),
             running_order: Vec::new(),
-            next_id: 0,
-            utilization: TimeSeries::new(),
             background: None,
             fault: None,
             fault_tick_armed: false,
@@ -207,7 +179,7 @@ impl Cluster {
         // never sees their notifications (filtered by id).
         let mut sink = Vec::new();
         if let Ok(id) = self.submit(desc, ctx, &mut sink) {
-            self.job_rt[id.0 as usize].background = true;
+            self.jobs[id.0 as usize].background = true;
         }
     }
 
@@ -254,7 +226,7 @@ impl Cluster {
     }
 
     fn has_live_jobs(&self) -> bool {
-        self.jobs.iter().any(|j| !j.state.is_terminal())
+        self.jobs.iter().any(|r| !r.job.state.is_terminal())
     }
 
     fn any_node_up(&self) -> bool {
@@ -282,7 +254,7 @@ impl Cluster {
 
     /// True when `id` is a synthetic background job.
     pub fn is_background(&self, id: BatchJobId) -> bool {
-        self.job_rt.get(id.0 as usize).is_some_and(|r| r.background)
+        self.jobs.get(id.0 as usize).is_some_and(|r| r.background)
     }
 
     /// The machine description.
@@ -290,14 +262,9 @@ impl Cluster {
         &self.spec
     }
 
-    /// Core-utilization samples collected at every allocation change.
-    pub fn utilization(&self) -> &TimeSeries {
-        &self.utilization
-    }
-
     /// Read access to a job's record.
     pub fn job(&self, id: BatchJobId) -> Option<&BatchJob> {
-        self.jobs.get(id.0 as usize)
+        self.jobs.get(id.0 as usize).map(|r| &r.job)
     }
 
     /// Currently free cores.
@@ -325,18 +292,23 @@ impl Cluster {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<ClusterNotification>,
     ) -> Result<BatchJobId, String> {
-        let id = BatchJobId(self.next_id);
-        self.next_id += 1;
-        debug_assert_eq!(id.0 as usize, self.jobs.len(), "job ids are dense");
-        let mut job = BatchJob::new(id, description, ctx.now());
-        if job.description.cores == 0 || job.description.cores > self.alloc.total_cores() {
+        let id = BatchJobId(self.jobs.len() as u64);
+        let cores = description.cores;
+        self.jobs.push(JobRow {
+            job: BatchJob::new(id, description, ctx.now()),
+            held: None,
+            walltime_event: None,
+            background: false,
+        });
+        if cores == 0 || cores > self.alloc.total_cores() {
             let msg = format!(
                 "job {} requests {} cores; machine {} has {}",
                 id,
-                job.description.cores,
+                cores,
                 self.spec.name,
                 self.alloc.total_cores()
             );
+            let job = &mut self.jobs[id.0 as usize].job;
             job.transition(BatchJobState::Failed, ctx.now());
             self.telemetry
                 .record(ctx.now(), "cluster", "job_rejected", Subject::Job(id.0));
@@ -344,16 +316,11 @@ impl Cluster {
                 id,
                 state: BatchJobState::Failed,
                 time: ctx.now(),
-                nodes: Vec::new(),
             });
-            self.jobs.push(job);
-            self.job_rt.push(JobRuntime::default());
             return Err(msg);
         }
         let wait = self.spec.queue_wait.sample_duration(&mut self.rng)
-            + entk_sim::SimDuration::from_secs_f64(
-                self.spec.queue_wait_per_core * job.description.cores as f64,
-            );
+            + SimDuration::from_secs_f64(self.spec.queue_wait_per_core * cores as f64);
         ctx.schedule_in(wait, ClusterEvent::JobEligible(id));
         self.telemetry
             .record(ctx.now(), "cluster", "job_queued", Subject::Job(id.0));
@@ -361,10 +328,7 @@ impl Cluster {
             id,
             state: BatchJobState::Queued,
             time: ctx.now(),
-            nodes: Vec::new(),
         });
-        self.jobs.push(job);
-        self.job_rt.push(JobRuntime::default());
         self.arm_fault_tick(ctx);
         self.strip_background(out);
         Ok(id)
@@ -389,15 +353,15 @@ impl Cluster {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<ClusterNotification>,
     ) {
-        let Some(job) = self.jobs.get(id.0 as usize) else {
+        let Some(row) = self.jobs.get(id.0 as usize) else {
             return;
         };
-        match job.state {
+        match row.job.state {
             BatchJobState::Queued => {
                 self.pending.retain(|&p| p != id);
                 self.telemetry
                     .gauge("cluster.queue_depth", ctx.now(), self.pending.len() as f64);
-                let job = &mut self.jobs[id.0 as usize];
+                let job = &mut self.jobs[id.0 as usize].job;
                 job.transition(BatchJobState::Cancelled, ctx.now());
                 self.telemetry
                     .record(ctx.now(), "cluster", "job_cancelled", Subject::Job(id.0));
@@ -405,7 +369,6 @@ impl Cluster {
                     id,
                     state: BatchJobState::Cancelled,
                     time: ctx.now(),
-                    nodes: Vec::new(),
                 });
             }
             BatchJobState::Starting | BatchJobState::Running => {
@@ -428,10 +391,9 @@ impl Cluster {
                 if self
                     .jobs
                     .get(id.0 as usize)
-                    .is_some_and(|j| j.state == BatchJobState::Queued)
+                    .is_some_and(|r| r.job.state == BatchJobState::Queued)
                 {
-                    let job = &mut self.jobs[id.0 as usize];
-                    job.eligible_at = Some(ctx.now());
+                    self.jobs[id.0 as usize].job.eligible_at = Some(ctx.now());
                     self.pending.push(id);
                     self.telemetry.gauge(
                         "cluster.queue_depth",
@@ -445,28 +407,25 @@ impl Cluster {
                 if self
                     .jobs
                     .get(id.0 as usize)
-                    .is_some_and(|j| j.state == BatchJobState::Starting)
+                    .is_some_and(|r| r.job.state == BatchJobState::Starting)
                 {
-                    let job = &mut self.jobs[id.0 as usize];
+                    let job = &mut self.jobs[id.0 as usize].job;
                     job.transition(BatchJobState::Running, ctx.now());
                     self.telemetry
                         .record(ctx.now(), "cluster", "job_running", Subject::Job(id.0));
-                    let nodes = self.job_rt[id.0 as usize]
-                        .held
-                        .and_then(|h| self.held.get(h))
-                        .cloned()
-                        .unwrap_or_default();
                     out.push(ClusterNotification::JobState {
                         id,
                         state: BatchJobState::Running,
                         time: ctx.now(),
-                        nodes,
                     });
                 }
             }
             ClusterEvent::WalltimeExpired(id) => {
-                let live = self.jobs.get(id.0 as usize).is_some_and(|j| {
-                    matches!(j.state, BatchJobState::Starting | BatchJobState::Running)
+                let live = self.jobs.get(id.0 as usize).is_some_and(|r| {
+                    matches!(
+                        r.job.state,
+                        BatchJobState::Starting | BatchJobState::Running
+                    )
                 });
                 if live {
                     self.finish(id, BatchJobState::TimedOut, ctx, out);
@@ -534,18 +493,16 @@ impl Cluster {
             .iter()
             .copied()
             .filter(|&id| {
-                let held = self.job_rt[id.0 as usize]
-                    .held
-                    .expect("running job holds an allocation");
-                self.held[held].iter().any(|s| s.node == node)
+                let held = self.jobs[id.0 as usize].held.as_ref();
+                held.expect("running job holds an allocation")
+                    .iter()
+                    .any(|s| s.node == node)
             })
             .collect();
         affected.sort_unstable();
         for id in affected {
-            let held = self.job_rt[id.0 as usize]
-                .held
-                .expect("affected job is held");
-            let slices = &mut self.held[held];
+            let held = self.jobs[id.0 as usize].held.as_mut();
+            let slices = held.expect("affected job is held");
             let lost: usize = slices
                 .iter()
                 .filter(|s| s.node == node)
@@ -553,8 +510,6 @@ impl Cluster {
                 .sum();
             slices.retain(|s| s.node != node);
             let remaining: usize = slices.iter().map(|s| s.cores).sum();
-            let job = &mut self.jobs[id.0 as usize];
-            job.nodes.retain(|&n| n != node);
             if remaining == 0 {
                 self.finish(id, BatchJobState::Failed, ctx, out);
             } else {
@@ -568,8 +523,6 @@ impl Cluster {
                 });
             }
         }
-        self.utilization
-            .push(ctx.now(), self.alloc.used_cores() as f64);
         self.telemetry.gauge(
             "cluster.used_cores",
             ctx.now(),
@@ -602,15 +555,17 @@ impl Cluster {
             "node_recover",
             Subject::Node(node as u64),
         );
-        self.utilization
-            .push(ctx.now(), self.alloc.used_cores() as f64);
         self.try_schedule(ctx, out);
         self.arm_fault_tick(ctx);
     }
 
     /// Removes notifications about background jobs (owner never sees them).
     fn strip_background(&self, out: &mut Vec<ClusterNotification>) {
-        out.retain(|n| !self.is_background(n.job_id()));
+        out.retain(|n| {
+            let (ClusterNotification::JobState { id, .. }
+            | ClusterNotification::JobShrunk { id, .. }) = n;
+            !self.is_background(*id)
+        });
     }
 
     fn finish<E: From<ClusterEvent>>(
@@ -620,23 +575,19 @@ impl Cluster {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<ClusterNotification>,
     ) {
-        let Some(job) = self.jobs.get_mut(id.0 as usize) else {
+        let Some(row) = self.jobs.get_mut(id.0 as usize) else {
             return;
         };
-        if !job.state.can_transition_to(state) {
+        if !row.job.state.can_transition_to(state) {
             return;
         }
-        job.transition(state, ctx.now());
-        let project = job.description.project.clone();
-        let cores = job.description.cores;
-        let walltime = job.description.walltime;
-        let started_at = job.started_at;
-        let held = self.job_rt[id.0 as usize].held.take();
-        if let Some(slices) = held.and_then(|h| self.held.remove(h)) {
+        row.job.transition(state, ctx.now());
+        if let Some(ev) = row.walltime_event.take() {
+            ctx.cancel(ev);
+        }
+        if let Some(slices) = row.held.take() {
             self.running_order.retain(|&r| r != id);
             self.alloc.release(&slices);
-            self.utilization
-                .push(ctx.now(), self.alloc.used_cores() as f64);
             self.telemetry.gauge(
                 "cluster.used_cores",
                 ctx.now(),
@@ -644,12 +595,18 @@ impl Cluster {
             );
             // The job actually occupied cores: let stateful policies
             // reconcile their up-front charge with real consumption.
-            let ran = ctx.now().saturating_since(started_at.unwrap_or(ctx.now()));
-            self.scheduler
-                .job_ended(&project, cores, walltime, ran, ctx.now());
-        }
-        if let Some(ev) = self.job_rt[id.0 as usize].walltime_event.take() {
-            ctx.cancel(ev);
+            let job = &row.job;
+            let ran = ctx
+                .now()
+                .saturating_since(job.started_at.unwrap_or(ctx.now()));
+            let request = &job.description;
+            self.scheduler.job_ended(
+                &request.project,
+                request.cores,
+                request.walltime,
+                ran,
+                ctx.now(),
+            );
         }
         let event = match state {
             BatchJobState::Completed => "job_completed",
@@ -664,7 +621,6 @@ impl Cluster {
             id,
             state,
             time: ctx.now(),
-            nodes: Vec::new(),
         });
         self.try_schedule(ctx, out);
     }
@@ -681,7 +637,7 @@ impl Cluster {
             .pending
             .iter()
             .map(|id| {
-                let j = &self.jobs[id.0 as usize];
+                let j = &self.jobs[id.0 as usize].job;
                 PendingView {
                     cores: j.description.cores,
                     walltime: j.description.walltime,
@@ -696,7 +652,7 @@ impl Cluster {
             .running_order
             .iter()
             .map(|id| {
-                let j = &self.jobs[id.0 as usize];
+                let j = &self.jobs[id.0 as usize].job;
                 RunningView {
                     cores: j.description.cores,
                     expected_end: j.started_at.unwrap_or(SimTime::ZERO) + j.description.walltime,
@@ -710,17 +666,14 @@ impl Cluster {
         // Remove back-to-front so indices stay valid.
         for &qi in picked.iter().rev() {
             let id = self.pending.remove(qi);
-            let job = &mut self.jobs[id.0 as usize];
+            let row = &mut self.jobs[id.0 as usize];
             let slices = self
                 .alloc
-                .allocate(job.description.cores)
+                .allocate(row.job.description.cores)
                 .expect("scheduler selected a job that fits");
-            job.nodes = slices.iter().map(|s| s.node).collect();
-            job.transition(BatchJobState::Starting, ctx.now());
-            self.job_rt[id.0 as usize].held = Some(self.held.insert(slices));
+            row.job.transition(BatchJobState::Starting, ctx.now());
+            row.held = Some(slices);
             self.running_order.push(id);
-            self.utilization
-                .push(ctx.now(), self.alloc.used_cores() as f64);
             self.telemetry
                 .record(ctx.now(), "cluster", "job_started", Subject::Job(id.0));
             self.telemetry.gauge(
@@ -732,16 +685,16 @@ impl Cluster {
                 .gauge("cluster.queue_depth", ctx.now(), self.pending.len() as f64);
             let startup = self.spec.job_startup.sample_duration(&mut self.rng);
             ctx.schedule_in(startup, ClusterEvent::JobLaunched(id));
+            let row = &mut self.jobs[id.0 as usize];
             let wt = ctx.schedule_in(
-                startup + self.jobs[id.0 as usize].description.walltime,
+                startup + row.job.description.walltime,
                 ClusterEvent::WalltimeExpired(id),
             );
-            self.job_rt[id.0 as usize].walltime_event = Some(wt);
+            row.walltime_event = Some(wt);
             out.push(ClusterNotification::JobState {
                 id,
                 state: BatchJobState::Starting,
                 time: ctx.now(),
-                nodes: Vec::new(),
             });
         }
     }
@@ -752,11 +705,13 @@ mod tests {
     use super::*;
     use entk_sim::Engine;
 
-    /// Drives a cluster to completion, collecting all notifications.
+    /// Drives a cluster to completion, recording into `telemetry` and
+    /// collecting all notifications.
     fn drive(
         spec: PlatformSpec,
         jobs: Vec<BatchJobDescription>,
         complete_after: SimDuration,
+        telemetry: SharedTelemetry,
     ) -> Vec<(BatchJobId, BatchJobState, SimTime)> {
         #[derive(Debug)]
         enum Ev {
@@ -769,6 +724,7 @@ mod tests {
             }
         }
         let mut cluster = Cluster::new(spec, 42);
+        cluster.set_telemetry(telemetry);
         let mut engine: Engine<Ev> = Engine::new();
         let mut log = Vec::new();
         engine.schedule_in(SimDuration::ZERO, Ev::Cluster(ClusterEvent::Kick));
@@ -818,6 +774,7 @@ mod tests {
                 SimDuration::from_secs(100),
             )],
             SimDuration::from_secs(10),
+            SharedTelemetry::disabled(),
         );
         let states: Vec<_> = log.iter().map(|(_, s, _)| *s).collect();
         assert_eq!(
@@ -843,6 +800,7 @@ mod tests {
                 BatchJobDescription::new("b", 8, SimDuration::from_secs(100)),
             ],
             SimDuration::from_secs(10),
+            SharedTelemetry::disabled(),
         );
         let completed: Vec<_> = log
             .iter()
@@ -859,6 +817,7 @@ mod tests {
             small_spec(),
             vec![BatchJobDescription::new("p", 4, SimDuration::from_secs(5))],
             SimDuration::from_secs(60), // completes only after walltime
+            SharedTelemetry::disabled(),
         );
         assert!(log.iter().any(|(_, s, _)| *s == BatchJobState::TimedOut));
         assert!(!log.iter().any(|(_, s, _)| *s == BatchJobState::Completed));
@@ -965,7 +924,8 @@ mod tests {
     fn utilization_series_tracks_allocations() {
         let mut spec = small_spec();
         spec.queue_wait = entk_sim::Dist::ZERO;
-        let log = drive(
+        let telemetry = SharedTelemetry::new();
+        drive(
             spec,
             vec![BatchJobDescription::new(
                 "p",
@@ -973,8 +933,16 @@ mod tests {
                 SimDuration::from_secs(100),
             )],
             SimDuration::from_secs(10),
+            telemetry.clone(),
         );
-        assert!(!log.is_empty());
+        // All 8 cores from the start (no queue wait) until the job is
+        // completed 1 s of startup + 10 s of payload later.
+        let snap = telemetry.snapshot();
+        let used = snap.metrics.series("cluster.used_cores").unwrap();
+        assert_eq!(
+            used.points(),
+            [(SimTime::ZERO, 8.0), (SimTime::from_secs(11), 0.0)]
+        );
     }
 }
 

@@ -116,8 +116,6 @@ pub struct BatchJob {
     pub running_at: Option<SimTime>,
     /// When the job reached a terminal state.
     pub finished_at: Option<SimTime>,
-    /// Node indices assigned while running.
-    pub nodes: Vec<usize>,
 }
 
 impl BatchJob {
@@ -132,7 +130,6 @@ impl BatchJob {
             started_at: None,
             running_at: None,
             finished_at: None,
-            nodes: Vec::new(),
         }
     }
 

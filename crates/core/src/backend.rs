@@ -141,7 +141,8 @@ pub struct BackendStats {
 /// What the backend knows about a finished unit, resolved at completion.
 #[derive(Debug)]
 pub struct UnitOutcome {
-    /// When execution started, per the backend's profiler.
+    /// When execution started; `None` keeps the instant the session took
+    /// from [`BackendEvent::UnitStarted`].
     pub exec_start: Option<SimTime>,
     /// When execution stopped.
     pub exec_stop: Option<SimTime>,

@@ -30,6 +30,10 @@ pub enum ExchangeMode {
 
 const EXCHANGE_TAG_BASE: u64 = 1 << 33;
 
+/// Cost-model parameters forwarded to the exchange kernel.
+const EXCHANGE_BASE_SECS: f64 = 1.0;
+const EXCHANGE_PER_REPLICA_SECS: f64 = 0.005;
+
 type MdKernelFn = Box<dyn FnMut(usize, usize, f64) -> KernelCall + Send>;
 
 /// The EE pattern.
@@ -39,9 +43,6 @@ pub struct EnsembleExchange {
     md_kernel: MdKernelFn,
     mode: ExchangeMode,
     ladder: TemperatureLadder,
-    /// Cost-model parameters forwarded to the exchange kernel.
-    exchange_base_secs: f64,
-    exchange_per_replica_secs: f64,
     /// The two stage labels, built once and shared by every task.
     simulation_label: Arc<str>,
     exchange_label: Arc<str>,
@@ -83,8 +84,6 @@ impl EnsembleExchange {
             md_kernel: Box::new(md_kernel),
             mode: ExchangeMode::GlobalSynchronous,
             ladder,
-            exchange_base_secs: 1.0,
-            exchange_per_replica_secs: 0.005,
             simulation_label: "simulation".into(),
             exchange_label: "exchange".into(),
             rung_of: (0..n_replicas).collect(),
@@ -105,13 +104,6 @@ impl EnsembleExchange {
     /// Selects the exchange topology (builder style).
     pub fn with_mode(mut self, mode: ExchangeMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Overrides the exchange cost-model parameters (builder style).
-    pub fn with_exchange_cost(mut self, base_secs: f64, per_replica_secs: f64) -> Self {
-        self.exchange_base_secs = base_secs;
-        self.exchange_per_replica_secs = per_replica_secs;
         self
     }
 
@@ -151,8 +143,8 @@ impl EnsembleExchange {
                 "temperatures": temps,
                 "phase": self.exchange_seq % 2,
                 "seed": self.exchange_seq,
-                "base_secs": self.exchange_base_secs,
-                "per_replica_secs": self.exchange_per_replica_secs,
+                "base_secs": EXCHANGE_BASE_SECS,
+                "per_replica_secs": EXCHANGE_PER_REPLICA_SECS,
             }),
         );
         self.exchange_seq += 1;

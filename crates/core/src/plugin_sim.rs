@@ -58,7 +58,6 @@ use entk_sim::{
     TelemetryBuffer,
 };
 use std::collections::{HashSet, VecDeque};
-use std::ops::Range;
 
 /// Top-level event type of the simulated toolkit stack. Session-level
 /// events (everything but `Rt`/`Cl`) are always scheduled on cluster 0's
@@ -111,10 +110,11 @@ struct ClusterStack {
     dead_pilots: HashSet<PilotId>,
     /// Buffered telemetry op log (multi-member federated drives only):
     /// this member's layers record here instead of the shared pipeline, and
-    /// the merge spine splices op ranges chunk by chunk.
+    /// the merge spine drains it chunk by chunk, so it holds only the ops
+    /// of chunks still pending.
     buffer: Option<TelemetryBuffer>,
-    /// Ops already claimed by a chunk (absolute index into `buffer`).
-    ops_taken: usize,
+    /// Ops in `buffer` already claimed by a pending chunk.
+    ops_claimed: usize,
     /// Scratch for the runtime's notifications of one event, reused so the
     /// drive allocates no vector per event.
     notes: Vec<RuntimeNotification>,
@@ -179,13 +179,12 @@ impl ClusterStack {
         })
     }
 
-    /// Claims the telemetry ops recorded since the last claim, as an
-    /// absolute index range into this member's buffer. Empty for the
-    /// unbuffered stack of a one-member session.
-    fn take_ops(&mut self) -> Range<usize> {
-        let end = self.buffer.as_ref().map(TelemetryBuffer::len).unwrap_or(0);
-        let start = std::mem::replace(&mut self.ops_taken, end);
-        start..end
+    /// Claims the telemetry ops recorded since the last claim and returns
+    /// how many they are. Zero for the unbuffered stack of a one-member
+    /// session.
+    fn take_ops(&mut self) -> usize {
+        let held = self.buffer.as_ref().map_or(0, TelemetryBuffer::len);
+        held - std::mem::replace(&mut self.ops_claimed, held)
     }
 }
 
@@ -197,7 +196,8 @@ impl ClusterStack {
 struct Chunk {
     time: SimTime,
     member: usize,
-    ops: Range<usize>,
+    /// How many of the oldest ops in the member's log are this chunk's.
+    ops: usize,
     events: Vec<BackendEvent>,
     dead: Vec<PilotId>,
     /// Event chunks are returned by `poll` one at a time; injection chunks
@@ -228,7 +228,7 @@ impl FedState {
     /// spliced gauge series stay time-ordered.
     fn push_injection(&mut self, stack: &mut ClusterStack, member: usize) {
         let ops = stack.take_ops();
-        if ops.is_empty() {
+        if ops == 0 {
             return;
         }
         let time = stack.engine.now();
@@ -450,7 +450,7 @@ impl EventBackend {
                     pilots: Vec::new(),
                     dead_pilots: HashSet::new(),
                     buffer,
-                    ops_taken: 0,
+                    ops_claimed: 0,
                     notes: Vec::new(),
                 }
             })
@@ -610,8 +610,10 @@ impl EventBackend {
                 eventful,
                 ..
             } = chunk;
-            if let Some(buf) = &self.clusters[member].buffer {
-                buf.splice_into(&self.telemetry, ops.start, ops.end);
+            let stack = &mut self.clusters[member];
+            if let Some(buf) = &stack.buffer {
+                buf.splice_into(&self.telemetry, ops);
+                stack.ops_claimed -= ops;
             }
             for p in dead {
                 self.clusters[member].dead_pilots.insert(p);
@@ -955,12 +957,6 @@ impl ExecutionBackend for EventBackend {
 
     fn complete_unit(&mut self, key: u64, kernel: &KernelCall, rng: &mut SimRng) -> UnitOutcome {
         let (c, unit) = self.split_key(key);
-        let (exec_start, exec_stop) = self.clusters[c]
-            .runtime
-            .profiler()
-            .unit(unit)
-            .map(|p| (p.exec_start, p.exec_stop))
-            .unwrap_or((None, None));
         // Model-execute the kernel for semantic output. The kernel resolved
         // at submission; a registry miss here is impossible in practice but
         // degrades to a task failure instead of a panic.
@@ -971,8 +967,9 @@ impl ExecutionBackend for EventBackend {
             Err(e) => Err(e.to_string()),
         };
         UnitOutcome {
-            exec_start,
-            exec_stop,
+            // The session stamped it from this unit's `UnitStarted`.
+            exec_start: None,
+            exec_stop: self.clusters[c].runtime.unit_exec_stop(unit),
             result,
         }
     }
@@ -1009,27 +1006,11 @@ impl ExecutionBackend for EventBackend {
     }
 
     fn stats(&self) -> BackendStats {
+        // The session's pilot overheads are those of its first pilot.
         let (runtime_pilot, resource_wait) = self
             .clusters
             .first()
-            .and_then(|c| {
-                c.pilots
-                    .first()
-                    .and_then(|&p| c.runtime.profiler().pilot(p).copied())
-            })
-            .map(|prof| {
-                let submit = prof
-                    .launched
-                    .zip(prof.submitted)
-                    .map(|(l, s)| l.saturating_since(s))
-                    .unwrap_or(SimDuration::ZERO);
-                let wait = prof
-                    .active
-                    .zip(prof.launched)
-                    .map(|(a, l)| a.saturating_since(l))
-                    .unwrap_or(SimDuration::ZERO);
-                (submit, wait)
-            })
+            .and_then(|c| c.runtime.pilot_startup(*c.pilots.first()?))
             .unwrap_or((SimDuration::ZERO, SimDuration::ZERO));
         BackendStats {
             resource: self.label.clone(),
@@ -1039,5 +1020,66 @@ impl ExecutionBackend for EventBackend {
             events: self.clusters.iter().map(|c| c.engine.steps()).sum::<u64>()
                 + self.fed.as_ref().map(|f| f.spine.steps()).unwrap_or(0),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::FaultConfig;
+    use crate::overheads::EntkOverheads;
+    use crate::pattern::BagOfTasks;
+    use crate::session::SessionEngine;
+    use serde_json::json;
+
+    /// A member's op log is a staging area, not a second copy of the trace:
+    /// every op leaves it when its chunk is spliced into the session
+    /// pipeline, so after a traced two-member session both logs are empty
+    /// and the records are in the trace.
+    #[test]
+    fn member_logs_end_a_traced_federated_session_empty() {
+        let telemetry = SharedTelemetry::new();
+        let inits = ["xsede.comet", "xsede.stampede"]
+            .map(|resource| ClusterInit {
+                resource: resource.to_string(),
+                cores: 4,
+                walltime: SimDuration::from_secs(100_000),
+                platform: PlatformSpec::by_name(resource).expect("preset platform"),
+                runtime_config: SimRuntimeConfig::default(),
+                pilot_count: 1,
+                background_load: None,
+                fault_profile: None,
+            })
+            .into();
+        let mut backend = EventBackend::new(
+            inits,
+            KernelRegistry::with_builtins(),
+            false,
+            telemetry.clone(),
+            "federated".to_string(),
+            SimDuration::from_secs(1),
+        );
+        let mut session = SessionEngine::new(
+            EntkOverheads::calibrated(),
+            FaultConfig::default(),
+            7,
+            telemetry.clone(),
+        );
+        let mut pattern = BagOfTasks::new(24, |_| {
+            KernelCall::new("misc.sleep", json!({ "secs": 10.0 }))
+        });
+        session.allocate(&mut backend).expect("pilots start");
+        session.run(&mut backend, &mut pattern).expect("bag runs");
+        session.deallocate(&mut backend).expect("pilots stop");
+
+        let tracer = telemetry.snapshot().tracer;
+        for (member, stack) in backend.clusters.iter().enumerate() {
+            let log = stack.buffer.as_ref().expect("federation members buffer");
+            assert!(log.is_empty(), "member {member} still holds {}", log.len());
+            assert_eq!(stack.ops_claimed, 0);
+            let pilot = Subject::Pilot(member as u64 * 1_000);
+            assert!(tracer.time_of("pilot", "pilot_done", pilot).is_some());
+        }
+        assert_eq!(tracer.filter("pilot", "unit_done").count(), 24);
     }
 }

@@ -142,11 +142,6 @@ impl ExecutionReport {
         seen
     }
 
-    /// Total EnTK-attributable overhead (core + pattern).
-    pub fn entk_overhead(&self) -> SimDuration {
-        self.overheads.core + self.overheads.pattern
-    }
-
     /// Tasks that failed at least once but ultimately succeeded — the
     /// retry engine's save count.
     pub fn recovered_tasks(&self) -> usize {

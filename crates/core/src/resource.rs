@@ -369,6 +369,29 @@ impl ResourceHandle {
                     platform.total_cores()
                 )));
             }
+            // A pilot with no wall time dies as it starts, and a background
+            // load with no gap between arrivals never lets virtual time
+            // advance: the session would drain or spin instead of running.
+            if spec.walltime == SimDuration::ZERO {
+                return Err(EntkError::Resource(format!(
+                    "requested a zero wall time on {}",
+                    platform.name
+                )));
+            }
+            if let Some(load) = &spec.background_load {
+                for (what, value) in [
+                    ("mean inter-arrival", load.mean_interarrival_secs),
+                    ("mean runtime", load.runtime.mean()),
+                    ("mean cores per job", load.cores.mean()),
+                ] {
+                    if !(value.is_finite() && value > 0.0) {
+                        return Err(EntkError::Resource(format!(
+                            "background load on {}: {what} must be finite and > 0, got {value}",
+                            platform.name
+                        )));
+                    }
+                }
+            }
             // Decorrelate the member clusters' stochastic streams while
             // keeping cluster 0 on the classic single-cluster stream.
             let cluster_seed = runtime_seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);

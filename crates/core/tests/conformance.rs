@@ -288,6 +288,49 @@ fn construction_errors_are_typed() {
         Err(EntkError::Resource(msg)) => assert!(msg.contains("no.such.machine")),
         other => panic!("bad federated member gave {:?}", other.err()),
     }
+    // A member with no wall time: its pilot would die as it starts.
+    let config = FederatedConfig {
+        clusters: vec![
+            ClusterSpec::new("xsede.comet", 4, SimDuration::from_secs(1000)),
+            ClusterSpec::new("xsede.stampede", 4, SimDuration::ZERO),
+        ],
+        ..FederatedConfig::default()
+    };
+    match ResourceHandle::federated(config) {
+        Err(EntkError::Resource(msg)) => {
+            assert_eq!(msg, "requested a zero wall time on xsede.stampede")
+        }
+        other => panic!("zero wall time gave {:?}", other.err()),
+    }
+    // A background load that leaves virtual time no gap to advance in, or
+    // whose jobs have no size.
+    use entk_sim::Dist;
+    for (interarrival, cores, runtime, what) in [
+        (0.0, 8.0, 60.0, "mean inter-arrival"),
+        (-5.0, 8.0, 60.0, "mean inter-arrival"),
+        (f64::NAN, 8.0, 60.0, "mean inter-arrival"),
+        (30.0, 8.0, 0.0, "mean runtime"),
+        (30.0, 8.0, f64::INFINITY, "mean runtime"),
+        (30.0, 0.0, 60.0, "mean cores per job"),
+    ] {
+        let sim = SimulatedConfig {
+            background_load: Some(entk_cluster::BackgroundLoad {
+                mean_interarrival_secs: interarrival,
+                cores: Dist::Constant(cores),
+                runtime: Dist::Constant(runtime),
+                initial_jobs: 0,
+            }),
+            ..SimulatedConfig::default()
+        };
+        let config = ResourceConfig::new("xsede.comet", 8, SimDuration::from_secs(1000));
+        match ResourceHandle::simulated(config, sim) {
+            Err(EntkError::Resource(msg)) => assert!(
+                msg.starts_with(&format!("background load on xsede.comet: {what} must be")),
+                "{msg}"
+            ),
+            other => panic!("background load {what} gave {:?}", other.err()),
+        }
+    }
 }
 
 #[test]

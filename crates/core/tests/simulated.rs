@@ -534,3 +534,56 @@ fn backfill_beats_fifo_behind_a_blocked_head() {
         "backfill should jump the blocked 24-core head: fifo {fifo}, backfill {backfill}"
     );
 }
+
+/// A task's execution instants live in two stores, the session's records
+/// and the pilot layer's trace, and nothing but this test holds them
+/// together: `exec_start` comes from the unit's start notification and
+/// `exec_stop` from the one instant the runtime keeps per unit. For every
+/// task, both must be those of the unit that ran its last attempt.
+#[test]
+fn task_records_carry_the_exec_instants_of_their_last_attempt() {
+    use entk_sim::Subject;
+    use std::collections::HashMap;
+    let sleep = || KernelCall::new("misc.sleep", json!({ "secs": 5.0 }));
+    let sim = SimulatedConfig {
+        unit_failure_rate: 0.25,
+        fault: FaultConfig::retries(8),
+        ..quiet_sim(11)
+    };
+    let config = ResourceConfig::new("local", 4, SimDuration::from_secs(100_000));
+    let mut handle = ResourceHandle::simulated(config, sim).unwrap();
+    handle.allocate().unwrap();
+    let mut eop = EnsembleOfPipelines::new(6, 2, move |_, _| sleep());
+    let mut sal = SimulationAnalysisLoop::new(2, 4, move |_, _| sleep(), move |_, _| vec![sleep()]);
+    handle.run(&mut eop).unwrap();
+    handle.run(&mut sal).unwrap();
+    let session = handle.deallocate().unwrap();
+    let tracer = handle.telemetry().unwrap().snapshot().tracer;
+
+    // The session records `task_submitted` for the units of a batch in the
+    // order the runtime recorded their `unit_submitted`, so the two
+    // sequences pair up; a later attempt overwrites an earlier one.
+    let units: Vec<Subject> = tracer
+        .filter("pilot", "unit_submitted")
+        .map(|r| r.subject)
+        .collect();
+    let tasks: Vec<Subject> = tracer
+        .filter("entk", "task_submitted")
+        .map(|r| r.subject)
+        .collect();
+    assert_eq!(units.len(), tasks.len());
+    let last_unit: HashMap<Subject, Subject> = tasks.into_iter().zip(units).collect();
+
+    assert_eq!(session.task_count(), 12 + 10);
+    let mut retried = 0;
+    for record in &session.tasks {
+        assert!(record.success, "task {} ran out of retries", record.uid);
+        let unit = last_unit[&Subject::Task(record.uid)];
+        let at = |event| tracer.time_of("pilot", event, unit);
+        assert!(record.exec_start.is_some() && record.exec_stop.is_some());
+        assert_eq!(record.exec_start, at("unit_exec_start"), "{record:?}");
+        assert_eq!(record.exec_stop, at("unit_exec_stop"), "{record:?}");
+        retried += usize::from(record.retries > 0);
+    }
+    assert!(retried > 0, "no task was retried");
+}

@@ -15,7 +15,6 @@
 pub mod description;
 pub mod local_runtime;
 pub mod overheads;
-pub mod profiler;
 pub mod scheduler;
 pub mod sim_runtime;
 pub mod states;
@@ -25,7 +24,6 @@ pub use description::{
 };
 pub use local_runtime::{LocalCompletion, LocalRuntime};
 pub use overheads::RuntimeOverheads;
-pub use profiler::{PilotProfile, Profiler, UnitProfile};
 pub use scheduler::{
     FirstFitScheduler, LargestFirstScheduler, PilotView, Placement, RoundRobinScheduler,
     UnitScheduler, UnitView,

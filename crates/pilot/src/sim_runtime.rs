@@ -8,7 +8,6 @@
 
 use crate::description::{PilotDescription, UnitDescription, UnitWork};
 use crate::overheads::RuntimeOverheads;
-use crate::profiler::Profiler;
 use crate::scheduler::{FirstFitScheduler, PilotView, UnitScheduler, UnitView};
 use crate::states::{PilotId, PilotState, UnitId, UnitState};
 use entk_cluster::{Cluster, ClusterEvent, FifoScheduler, PlatformSpec};
@@ -113,11 +112,19 @@ struct PilotRecord {
     state: PilotState,
     saga_job: Option<SagaJobId>,
     free_cores: usize,
+    /// Accepted by the pilot manager.
+    submitted: SimTime,
+    /// Container job handed to SAGA.
+    launched: Option<SimTime>,
+    /// Agent became active.
+    active: Option<SimTime>,
 }
 
 /// One row of the unit table. Of the submitted description it keeps the
 /// four numbers virtual-time execution reads — not the name, the staging
-/// lists or a real closure, which nothing here runs.
+/// lists or a real closure, which nothing here runs. Of the unit's lifecycle
+/// it keeps the one instant a caller asks for after the fact; the trace is
+/// the record of the rest.
 struct UnitRecord {
     cores: usize,
     /// Modelled execution time (zero for real work, which has no place in
@@ -133,7 +140,12 @@ struct UnitRecord {
     exec_event: Option<entk_sim::EventId>,
     /// Slot in the persistent waiting list while in `Scheduling`.
     waiting_slot: Option<u32>,
+    /// When execution finished, whatever the outcome.
+    exec_stop: Option<SimTime>,
 }
+
+// A row is what every task of an ensemble keeps resident in this layer.
+const _: () = assert!(std::mem::size_of::<UnitRecord>() <= 104);
 
 /// Driver event bound: the top-level enum must absorb both runtime and
 /// cluster events.
@@ -180,7 +192,6 @@ pub struct SimRuntime {
     pilot_views: Vec<PilotView>,
     /// Cached max core count over non-terminal pilots.
     max_pilot_cores: usize,
-    profiler: Profiler,
     telemetry: SharedTelemetry,
     /// Maintained count of non-terminal units, mirrored into the
     /// `pilot.live_units` gauge without rescanning the unit store.
@@ -233,7 +244,6 @@ impl SimRuntime {
             pilots_dirty: false,
             pilot_views: Vec::new(),
             max_pilot_cores: 0,
-            profiler: Profiler::new(),
             telemetry,
             live: 0,
             next_pilot: 0,
@@ -249,11 +259,6 @@ impl SimRuntime {
     /// The machine this runtime targets.
     pub fn platform(&self) -> &PlatformSpec {
         self.service.cluster().spec()
-    }
-
-    /// Collected profiles.
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
     }
 
     /// A snapshot of the session's structured event trace
@@ -277,6 +282,26 @@ impl SimRuntime {
     /// Current state of a unit.
     pub fn unit_state(&self, id: UnitId) -> Option<UnitState> {
         self.units.get(id.0 as usize).map(|u| u.state)
+    }
+
+    /// When a unit's execution finished; `None` until it has.
+    pub fn unit_exec_stop(&self, id: UnitId) -> Option<SimTime> {
+        self.units.get(id.0 as usize)?.exec_stop
+    }
+
+    /// A pilot's submission overhead (accepted → container job handed to
+    /// SAGA) and its wait from there until the agent was active; a phase the
+    /// pilot has not finished reads zero.
+    pub fn pilot_startup(&self, id: PilotId) -> Option<(SimDuration, SimDuration)> {
+        let p = self.pilots.get(id.0 as usize)?;
+        let submit = p
+            .launched
+            .map_or(SimDuration::ZERO, |l| l.saturating_since(p.submitted));
+        let wait = p
+            .active
+            .zip(p.launched)
+            .map_or(SimDuration::ZERO, |(a, l)| a.saturating_since(l));
+        Some((submit, wait))
     }
 
     /// Free cores across active pilots.
@@ -305,13 +330,15 @@ impl SimRuntime {
         description.validate()?;
         let id = PilotId(self.next_pilot);
         self.next_pilot += 1;
-        self.profiler.pilot_mut(id).submitted = Some(ctx.now());
         debug_assert_eq!(id.0 as usize, self.pilots.len());
         self.pilots.push(PilotRecord {
             free_cores: description.cores,
             description,
             state: PilotState::New,
             saga_job: None,
+            submitted: ctx.now(),
+            launched: None,
+            active: None,
         });
         self.pilots_dirty = true;
         self.telemetry
@@ -344,11 +371,9 @@ impl SimRuntime {
         }
         let n = descriptions.len() as u64;
         entk_sim::reserve_batch(&mut self.units, descriptions.len());
-        self.profiler.reserve_units(descriptions.len());
         for description in descriptions {
             let id = UnitId(self.next_unit);
             self.next_unit += 1;
-            self.profiler.unit_mut(id).submitted = Some(ctx.now());
             debug_assert_eq!(id.0 as usize, self.units.len());
             self.units.push(UnitRecord {
                 cores: description.cores,
@@ -363,6 +388,7 @@ impl SimRuntime {
                 holding: 0,
                 exec_event: None,
                 waiting_slot: None,
+                exec_stop: None,
             });
             self.live += 1;
             self.telemetry
@@ -416,7 +442,6 @@ impl SimRuntime {
         if let Some(slot) = slot {
             self.tombstone_waiting_slot(slot as usize, id);
         }
-        self.profiler.unit_mut(id).done = Some(ctx.now());
         self.note_unit_terminal(id, "unit_canceled", ctx.now());
         if let (Some(pid), true) = (pilot, released > 0) {
             if let Some(p) = self.pilots.get_mut(pid.0 as usize) {
@@ -564,9 +589,10 @@ impl SimRuntime {
             .service
             .submit(jd, ctx, &mut updates)
             .expect("pilot job description is valid");
-        self.pilots[id.0 as usize].saga_job = Some(saga);
+        let p = &mut self.pilots[id.0 as usize];
+        p.saga_job = Some(saga);
+        p.launched = Some(ctx.now());
         self.saga_to_pilot.insert(saga.0, id);
-        self.profiler.pilot_mut(id).launched = Some(ctx.now());
         self.telemetry
             .record(ctx.now(), "pilot", "pilot_launched", Subject::Pilot(id.0));
         self.set_pilot_state(id, PilotState::Launching, ctx.now(), out);
@@ -591,7 +617,7 @@ impl SimRuntime {
                 JobState::Running => {
                     self.telemetry
                         .record(u.time, "pilot", "pilot_active", Subject::Pilot(pid.0));
-                    self.profiler.pilot_mut(pid).active = Some(u.time);
+                    self.pilots[pid.0 as usize].active = Some(u.time);
                     self.set_pilot_state(pid, PilotState::Active, u.time, out);
                     // New capacity became available.
                     self.sched_dirty = true;
@@ -660,7 +686,6 @@ impl SimRuntime {
                 if let Some(ev) = unit.exec_event.take() {
                     ctx.cancel(ev);
                 }
-                self.profiler.unit_mut(id).done = Some(time);
                 self.note_unit_terminal(id, "unit_failed", time);
                 out.push(RuntimeNotification::Unit {
                     id,
@@ -698,7 +723,6 @@ impl SimRuntime {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        self.profiler.pilot_mut(pid).finished = Some(time);
         let event = match state {
             PilotState::Done => "pilot_done",
             PilotState::Canceled => "pilot_cancelled",
@@ -723,7 +747,6 @@ impl SimRuntime {
                 if let Some(ev) = unit.exec_event.take() {
                     ctx.cancel(ev);
                 }
-                self.profiler.unit_mut(id).done = Some(time);
                 self.note_unit_terminal(id, "unit_failed", time);
                 out.push(RuntimeNotification::Unit {
                     id,
@@ -858,7 +881,6 @@ impl SimRuntime {
                 let unit = &mut self.units[view.id.0 as usize];
                 unit.waiting_slot = None;
                 unit.state = UnitState::Failed;
-                self.profiler.unit_mut(view.id).done = Some(ctx.now());
                 self.note_unit_terminal(view.id, "unit_failed", ctx.now());
                 out.push(RuntimeNotification::Unit {
                     id: view.id,
@@ -907,7 +929,6 @@ impl SimRuntime {
                 "unit_scheduled",
                 Subject::Unit(placement.unit.0),
             );
-            self.profiler.unit_mut(placement.unit).scheduled = Some(ctx.now());
             out.push(RuntimeNotification::Unit {
                 id: placement.unit,
                 state: UnitState::StagingInput,
@@ -934,7 +955,6 @@ impl SimRuntime {
         if unit.state != UnitState::StagingInput {
             return;
         }
-        self.profiler.unit_mut(id).stagein_done = Some(ctx.now());
         let dispatch = self.config.overheads.agent_dispatch.sample(&mut self.rng);
         let launch = self.service.cluster_mut().sample_task_launch();
         ctx.schedule_in(
@@ -968,7 +988,6 @@ impl SimRuntime {
         } else {
             duration
         };
-        self.profiler.unit_mut(id).exec_start = Some(ctx.now());
         out.push(RuntimeNotification::Unit {
             id,
             state: UnitState::Executing,
@@ -993,7 +1012,7 @@ impl SimRuntime {
         }
         self.telemetry
             .record(ctx.now(), "pilot", "unit_exec_stop", Subject::Unit(id.0));
-        self.profiler.unit_mut(id).exec_stop = Some(ctx.now());
+        unit.exec_stop = Some(ctx.now());
         unit.exec_event = None;
         // Release cores regardless of outcome.
         let released = unit.holding;
@@ -1007,7 +1026,6 @@ impl SimRuntime {
         let injected_failed = self.service.cluster_mut().fault_unit_fails();
         if legacy_failed || injected_failed {
             unit.state = UnitState::Failed;
-            self.profiler.unit_mut(id).done = Some(ctx.now());
             self.note_unit_terminal(id, "unit_failed", ctx.now());
             out.push(RuntimeNotification::Unit {
                 id,
@@ -1030,7 +1048,6 @@ impl SimRuntime {
             ctx.schedule_in(stage, RuntimeEvent::StageOutDone(id));
         } else {
             unit.state = UnitState::Done;
-            self.profiler.unit_mut(id).done = Some(ctx.now());
             self.note_unit_terminal(id, "unit_done", ctx.now());
             out.push(RuntimeNotification::Unit {
                 id,
@@ -1062,7 +1079,6 @@ impl SimRuntime {
             return;
         }
         unit.state = UnitState::Done;
-        self.profiler.unit_mut(id).done = Some(ctx.now());
         self.note_unit_terminal(id, "unit_done", ctx.now());
         out.push(RuntimeNotification::Unit {
             id,
@@ -1161,6 +1177,16 @@ pub(crate) mod tests {
         (log, rt)
     }
 
+    /// Seconds from the first execution start to the last execution stop —
+    /// the application-execution component of TTC — read off the trace.
+    fn exec_span(rt: &SimRuntime) -> f64 {
+        let tracer = rt.tracer();
+        let times = |name| tracer.filter("pilot", name).map(|r| r.time);
+        let start = times("unit_exec_start").min().expect("a unit started");
+        let stop = times("unit_exec_stop").max().expect("a unit stopped");
+        stop.saturating_since(start).as_secs_f64()
+    }
+
     fn unit_terminal_states(log: &[RuntimeNotification]) -> HashMap<UnitId, UnitState> {
         let mut m = HashMap::new();
         for n in log {
@@ -1196,7 +1222,8 @@ pub(crate) mod tests {
             })
             .count();
         assert_eq!(done_count, 10);
-        assert_eq!(rt.profiler().exec_durations().count(), 10);
+        let executed = (0..10).filter(|&u| rt.unit_exec_stop(UnitId(u)).is_some());
+        assert_eq!(executed.count(), 10);
     }
 
     #[test]
@@ -1206,7 +1233,7 @@ pub(crate) mod tests {
             .map(|i| UnitDescription::modeled(format!("t{i}"), SimDuration::from_secs(5)))
             .collect();
         let (_, rt) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
-        let span = rt.profiler().exec_span().unwrap().as_secs_f64();
+        let span = exec_span(&rt);
         assert!(span >= 10.0, "two waves of 5 s, got {span}");
         assert!(span < 12.0, "launch overheads only, got {span}");
     }
@@ -1222,7 +1249,7 @@ pub(crate) mod tests {
             })
             .collect();
         let (_, rt) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
-        let span = rt.profiler().exec_span().unwrap().as_secs_f64();
+        let span = exec_span(&rt);
         assert!(span >= 10.0, "serialized MPI units, got {span}");
     }
 
@@ -1473,6 +1500,25 @@ mod tracer_tests {
             let stop = tracer.time_of("pilot", "unit_exec_stop", subject).unwrap();
             assert!(sched <= start && start <= stop);
         }
+    }
+
+    #[test]
+    fn pilot_startup_agrees_with_the_trace() {
+        let units = vec![UnitDescription::modeled("t", SimDuration::from_secs(5))];
+        let mut config = quiet_config();
+        config.overheads.pilot_submission = entk_sim::Dist::Constant(2.0);
+        let (_, rt) = run_session(quiet_spec(1, 4), config, 4, units);
+        let tracer = rt.tracer();
+        let at = |event| {
+            let time = tracer.time_of("pilot", event, Subject::Pilot(0));
+            time.expect("the pilot went through every phase")
+        };
+        let (submit, wait) = rt.pilot_startup(PilotId(0)).unwrap();
+        assert_eq!(submit, SimDuration::from_secs(2));
+        assert_eq!(submit, at("pilot_launched") - at("pilot_submitted"));
+        assert_eq!(wait, at("pilot_active") - at("pilot_launched"));
+        assert!(wait >= SimDuration::from_secs(1), "job startup is 1 s");
+        assert_eq!(rt.pilot_startup(PilotId(1)), None);
     }
 
     #[test]

@@ -154,11 +154,6 @@ impl ForkJobService {
             .expect("completion channel never closes while service lives")
     }
 
-    /// Non-blocking poll for a completion.
-    pub fn try_wait_any(&self) -> Option<ForkCompletion> {
-        self.completions_rx.try_recv().ok()
-    }
-
     /// Waits for all submitted jobs to finish and joins worker threads.
     pub fn drain(&self) {
         let handles: Vec<_> = std::mem::take(&mut *self.handles.lock());

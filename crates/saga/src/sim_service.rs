@@ -6,12 +6,18 @@ use crate::description::JobDescription;
 use crate::job::{Job, JobState, JobUpdate, SagaJobId};
 use entk_cluster::{
     BatchJobDescription, BatchJobId, BatchJobState, Cluster, ClusterEvent, ClusterNotification,
-    NodeSlice, PlatformSpec,
+    PlatformSpec,
 };
-use entk_sim::Context;
 #[cfg(test)]
 use entk_sim::SimDuration;
-use std::collections::HashMap;
+use entk_sim::{Context, DenseStore};
+
+/// One row of the job table.
+struct JobRow {
+    job: Job,
+    /// The cluster's job behind it, unless the cluster rejected the request.
+    batch: Option<BatchJobId>,
+}
 
 /// A SAGA job service backed by a simulated cluster.
 ///
@@ -19,36 +25,24 @@ use std::collections::HashMap;
 /// the service can schedule cluster events on the shared engine.
 pub struct SimJobService {
     cluster: Cluster,
-    jobs: HashMap<SagaJobId, Job>,
-    to_batch: HashMap<SagaJobId, BatchJobId>,
-    from_batch: HashMap<BatchJobId, SagaJobId>,
-    /// Node slices assigned to each running job, for the pilot agent.
-    placements: HashMap<SagaJobId, Vec<NodeSlice>>,
-    next_id: u64,
+    /// `SagaJobId`s are dense from 0, so index == id.
+    jobs: Vec<JobRow>,
+    /// By `BatchJobId`, which the cluster also hands to background jobs.
+    from_batch: DenseStore<SagaJobId>,
 }
 
 impl SimJobService {
     /// Creates a service for the given machine model.
     pub fn new(spec: PlatformSpec, seed: u64) -> Self {
-        SimJobService {
-            cluster: Cluster::new(spec, seed),
-            jobs: HashMap::new(),
-            to_batch: HashMap::new(),
-            from_batch: HashMap::new(),
-            placements: HashMap::new(),
-            next_id: 0,
-        }
+        Self::from_cluster(Cluster::new(spec, seed))
     }
 
     /// Wraps an existing cluster (e.g. one with a custom batch scheduler).
     pub fn from_cluster(cluster: Cluster) -> Self {
         SimJobService {
             cluster,
-            jobs: HashMap::new(),
-            to_batch: HashMap::new(),
-            from_batch: HashMap::new(),
-            placements: HashMap::new(),
-            next_id: 0,
+            jobs: Vec::new(),
+            from_batch: DenseStore::new(),
         }
     }
 
@@ -64,12 +58,11 @@ impl SimJobService {
 
     /// Read access to a job record.
     pub fn job(&self, id: SagaJobId) -> Option<&Job> {
-        self.jobs.get(&id)
+        self.jobs.get(id.0 as usize).map(|r| &r.job)
     }
 
-    /// Node slices assigned to a running job.
-    pub fn placement(&self, id: SagaJobId) -> Option<&[NodeSlice]> {
-        self.placements.get(&id).map(Vec::as_slice)
+    fn batch_id(&self, id: SagaJobId) -> Option<BatchJobId> {
+        self.jobs.get(id.0 as usize)?.batch
     }
 
     /// Submits a job. Validation failures surface as `Err`; resource-level
@@ -82,8 +75,7 @@ impl SimJobService {
         updates: &mut Vec<JobUpdate>,
     ) -> Result<SagaJobId, String> {
         description.validate()?;
-        let id = SagaJobId(self.next_id);
-        self.next_id += 1;
+        let id = SagaJobId(self.jobs.len() as u64);
         let mut job = Job::new(id, description.clone(), ctx.now());
 
         let bd = BatchJobDescription {
@@ -94,34 +86,23 @@ impl SimJobService {
             project: description.project.clone(),
         };
         let mut notes = Vec::new();
-        match self.cluster.submit(bd, ctx, &mut notes) {
+        let (batch, state, detail) = match self.cluster.submit(bd, ctx, &mut notes) {
             Ok(bid) => {
-                self.to_batch.insert(id, bid);
-                self.from_batch.insert(bid, id);
-                job.transition(JobState::Pending, ctx.now());
-                updates.push(JobUpdate {
-                    id,
-                    state: JobState::Pending,
-                    time: ctx.now(),
-                    detail: None,
-                    shrunk_by: None,
-                });
-                self.jobs.insert(id, job);
-                Ok(id)
+                self.from_batch.insert(bid.0, id);
+                (Some(bid), JobState::Pending, None)
             }
-            Err(reason) => {
-                job.transition(JobState::Failed, ctx.now());
-                updates.push(JobUpdate {
-                    id,
-                    state: JobState::Failed,
-                    time: ctx.now(),
-                    detail: Some(reason.clone()),
-                    shrunk_by: None,
-                });
-                self.jobs.insert(id, job);
-                Ok(id)
-            }
-        }
+            Err(reason) => (None, JobState::Failed, Some(reason)),
+        };
+        job.transition(state, ctx.now());
+        updates.push(JobUpdate {
+            id,
+            state,
+            time: ctx.now(),
+            detail,
+            shrunk_by: None,
+        });
+        self.jobs.push(JobRow { job, batch });
+        Ok(id)
     }
 
     /// Requests cancellation of a job.
@@ -131,7 +112,7 @@ impl SimJobService {
         ctx: &mut Context<'_, E>,
         updates: &mut Vec<JobUpdate>,
     ) {
-        if let Some(&bid) = self.to_batch.get(&id) {
+        if let Some(bid) = self.batch_id(id) {
             let mut notes = Vec::new();
             self.cluster.cancel(bid, ctx, &mut notes);
             self.route(notes, updates);
@@ -145,7 +126,7 @@ impl SimJobService {
         ctx: &mut Context<'_, E>,
         updates: &mut Vec<JobUpdate>,
     ) {
-        if let Some(&bid) = self.to_batch.get(&id) {
+        if let Some(bid) = self.batch_id(id) {
             let mut notes = Vec::new();
             self.cluster.complete(bid, ctx, &mut notes);
             self.route(notes, updates);
@@ -167,13 +148,8 @@ impl SimJobService {
 
     fn route(&mut self, notes: Vec<ClusterNotification>, updates: &mut Vec<JobUpdate>) {
         for note in notes {
-            let (bid, state, time, nodes) = match note {
-                ClusterNotification::JobState {
-                    id,
-                    state,
-                    time,
-                    nodes,
-                } => (id, state, time, nodes),
+            let (bid, state, time) = match note {
+                ClusterNotification::JobState { id, state, time } => (id, state, time),
                 ClusterNotification::JobShrunk {
                     id: bid,
                     lost_cores,
@@ -182,17 +158,12 @@ impl SimJobService {
                 } => {
                     // A crash shrank the job in place: no state transition,
                     // but the owner must shed load onto what remains.
-                    let Some(&sid) = self.from_batch.get(&bid) else {
-                        continue;
-                    };
-                    // A stale mapping (job already dropped) degrades to a
-                    // skipped notification rather than a panic.
-                    let Some(job) = self.jobs.get(&sid) else {
+                    let Some(&sid) = self.from_batch.get(bid.0) else {
                         continue;
                     };
                     updates.push(JobUpdate {
                         id: sid,
-                        state: job.state,
+                        state: self.jobs[sid.0 as usize].job.state,
                         time,
                         detail: Some(format!(
                             "node crash: lost {lost_cores} cores, {remaining_cores} remain"
@@ -202,12 +173,10 @@ impl SimJobService {
                     continue;
                 }
             };
-            let Some(&sid) = self.from_batch.get(&bid) else {
+            let Some(&sid) = self.from_batch.get(bid.0) else {
                 continue;
             };
-            let Some(job) = self.jobs.get_mut(&sid) else {
-                continue;
-            };
+            let job = &mut self.jobs[sid.0 as usize].job;
             let (saga_state, detail) = match state {
                 BatchJobState::Queued | BatchJobState::Starting => continue, // still Pending
                 BatchJobState::Running => (JobState::Running, None),
@@ -222,9 +191,6 @@ impl SimJobService {
                 continue;
             }
             job.transition(saga_state, time);
-            if saga_state == JobState::Running {
-                self.placements.insert(sid, nodes.clone());
-            }
             updates.push(JobUpdate {
                 id: sid,
                 state: saga_state,
@@ -270,7 +236,8 @@ mod tests {
             if !booted {
                 booted = true;
                 let jd = JobDescription::new("pilot-agent", 8, SimDuration::from_secs(600));
-                svc.submit(jd, ctx, &mut updates).unwrap();
+                let id = svc.submit(jd, ctx, &mut updates).unwrap();
+                assert_eq!(svc.job(id).unwrap().state, JobState::Pending);
             }
             match ev {
                 Ev::Cluster(ce) => svc.handle_cluster(ce, ctx, &mut updates),
@@ -290,6 +257,7 @@ mod tests {
         );
         assert_eq!(log[1].1, SimTime::from_secs(2)); // startup
         assert_eq!(log[2].1, SimTime::from_secs(32));
+        assert_eq!(svc.job(SagaJobId(0)).unwrap().state, JobState::Done);
     }
 
     #[test]
@@ -361,35 +329,5 @@ mod tests {
         let (state, detail) = final_state.expect("job terminated");
         assert_eq!(state, JobState::Failed);
         assert_eq!(detail.as_deref(), Some("wall time exceeded"));
-    }
-
-    #[test]
-    fn placement_is_recorded_when_running() {
-        let mut svc = SimJobService::new(spec(), 3);
-        let mut engine: Engine<Ev> = Engine::new();
-        engine.schedule_in(SimDuration::ZERO, Ev::Cluster(ClusterEvent::Kick));
-        let mut booted = false;
-        let mut jid = None;
-        engine.run(|ev, ctx| {
-            let mut updates = Vec::new();
-            if !booted {
-                booted = true;
-                let jd = JobDescription::new("agent", 12, SimDuration::from_secs(600));
-                jid = Some(svc.submit(jd, ctx, &mut updates).unwrap());
-            }
-            match ev {
-                Ev::Cluster(ce) => svc.handle_cluster(ce, ctx, &mut updates),
-                Ev::FinishPilot(_) => {}
-            }
-            for u in updates {
-                if u.state == JobState::Running {
-                    let placement = svc.placement(u.id).expect("placement recorded");
-                    let cores: usize = placement.iter().map(|s| s.cores).sum();
-                    assert_eq!(cores, 12);
-                    ctx.schedule_in(SimDuration::from_secs(1), Ev::FinishPilot(u.id));
-                }
-            }
-        });
-        assert!(svc.job(jid.unwrap()).unwrap().state.is_terminal());
     }
 }

@@ -21,13 +21,13 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use arena::{reserve_batch, Arena, DenseStore, GenId};
+pub use arena::{reserve_batch, DenseStore};
 pub use engine::{Context, Engine, RunOutcome};
 pub use event::{EventId, EventQueue};
 pub use metrics::Metrics;
 pub use pool::{Job, WorkerPool};
 pub use rng::{Dist, SimRng};
-pub use stats::{Histogram, Summary, TimeSeries};
+pub use stats::{Summary, TimeSeries};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     Fnv64, SharedTelemetry, Subject, SubjectOffsets, Telemetry, TelemetryBuffer, TelemetryOp,

@@ -1,6 +1,6 @@
-//! Lightweight metric collectors: summaries, histograms, and time series.
+//! Lightweight metric collectors: summaries and time series.
 //!
-//! Benches and the overhead profiler aggregate per-task timings with these
+//! Benches and the metrics registry aggregate timings and gauges with these
 //! types; they are deliberately simple (exact samples, computed on demand)
 //! because sample counts are at most O(10^4) per experiment.
 
@@ -128,64 +128,6 @@ impl PipeFinite for f64 {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with an overflow bucket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    underflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n` equal buckets spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(hi > lo && n > 0, "invalid histogram bounds");
-        Histogram {
-            lo,
-            width: (hi - lo) / n as f64,
-            buckets: vec![0; n],
-            overflow: 0,
-            underflow: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: f64) {
-        if value < self.lo {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((value - self.lo) / self.width) as usize;
-        if idx >= self.buckets.len() {
-            self.overflow += 1;
-        } else {
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Bucket counts (excluding under/overflow).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Total recorded samples including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.overflow + self.underflow
-    }
-
-    /// Samples above the histogram range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Samples below the histogram range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-}
-
 /// A value sampled over virtual time, e.g. core utilization.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TimeSeries {
@@ -306,20 +248,6 @@ mod tests {
         assert_eq!(s.percentile(50.0), 50.0);
         assert_eq!(s.percentile(100.0), 100.0);
         assert_eq!(s.percentile(200.0), 100.0, "clamped");
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for v in [0.5, 1.5, 1.6, 9.9, 10.0, -1.0] {
-            h.record(v);
-        }
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[1], 2);
-        assert_eq!(h.buckets()[9], 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.total(), 6);
     }
 
     #[test]

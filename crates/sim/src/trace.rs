@@ -16,7 +16,7 @@
 
 use crate::metrics::Metrics;
 use crate::time::SimTime;
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -477,8 +477,8 @@ impl SubjectOffsets {
 /// The windowed federated drive gives each member cluster a *buffered*
 /// telemetry handle (see [`SharedTelemetry::buffered`]): a member's
 /// window appends ops to a member-private log instead of the shared
-/// pipeline, and the merge spine later replays contiguous op ranges into
-/// the session pipeline in deterministic chunk order — so the interleaved
+/// pipeline, and the merge spine later moves them, oldest first, into the
+/// session pipeline in deterministic chunk order — so the interleaved
 /// trace does not depend on the order members were advanced in.
 #[derive(Debug, Clone)]
 pub enum TelemetryOp {
@@ -490,15 +490,15 @@ pub enum TelemetryOp {
     Add(&'static str, u64),
 }
 
-/// The backend-side end of a buffered telemetry handle: exposes the op log
-/// so a merge spine can splice ranges into the shared pipeline.
+/// The backend-side end of a buffered telemetry handle: the log of ops
+/// recorded and not yet spliced into the shared pipeline.
 #[derive(Debug, Clone)]
 pub struct TelemetryBuffer {
-    ops: Arc<Mutex<Vec<TelemetryOp>>>,
+    ops: Arc<Mutex<VecDeque<TelemetryOp>>>,
 }
 
 impl TelemetryBuffer {
-    /// Number of ops recorded so far (monotone until [`Self::clear`]).
+    /// Number of ops waiting to be spliced.
     pub fn len(&self) -> usize {
         self.ops.lock().expect("telemetry buffer lock").len()
     }
@@ -508,27 +508,22 @@ impl TelemetryBuffer {
         self.len() == 0
     }
 
-    /// Replays ops `[start, end)` into `target`'s shared pipeline, verbatim
-    /// (subject offsets were applied when the ops were recorded). Ranges
-    /// must be replayed in recording order; the caller owns that invariant.
-    pub fn splice_into(&self, target: &SharedTelemetry, start: usize, end: usize) {
-        if start >= end || !target.enabled {
+    /// Moves the `n` oldest ops out of the log into `target`'s shared
+    /// pipeline, verbatim (subject offsets were applied when the ops were
+    /// recorded): the log holds an op only until it is spliced.
+    pub fn splice_into(&self, target: &SharedTelemetry, n: usize) {
+        if n == 0 {
             return;
         }
-        let ops = self.ops.lock().expect("telemetry buffer lock");
+        let mut ops = self.ops.lock().expect("telemetry buffer lock");
         let mut inner = target.inner.lock().expect("telemetry lock");
-        for op in &ops[start..end.min(ops.len())] {
-            match *op {
+        for op in ops.drain(..n) {
+            match op {
                 TelemetryOp::Record(r) => inner.tracer.record(r.time, r.layer, r.name, r.subject),
                 TelemetryOp::Gauge(name, time, value) => inner.metrics.gauge(name, time, value),
                 TelemetryOp::Add(name, n) => inner.metrics.add(name, n),
             }
         }
-    }
-
-    /// Drops all buffered ops (after the caller has spliced everything).
-    pub fn clear(&self) {
-        self.ops.lock().expect("telemetry buffer lock").clear();
     }
 }
 
@@ -554,7 +549,7 @@ pub struct SharedTelemetry {
     offsets: SubjectOffsets,
     /// When set, ops are appended here (offsets pre-applied) instead of the
     /// shared pipeline; a merge spine splices them in later.
-    buffer: Option<Arc<Mutex<Vec<TelemetryOp>>>>,
+    buffer: Option<Arc<Mutex<VecDeque<TelemetryOp>>>>,
 }
 
 impl Default for SharedTelemetry {
@@ -607,11 +602,10 @@ impl SharedTelemetry {
     /// (offsets pre-applied) instead of writing them through, plus the
     /// [`TelemetryBuffer`] to splice them from. The windowed federated drive
     /// hands the buffered handle to one member's layers so a member never
-    /// touches the shared pipeline mid-window; the merge spine replays
-    /// op ranges via [`TelemetryBuffer::splice_into`] in deterministic
-    /// order.
+    /// touches the shared pipeline mid-window; the merge spine drains the
+    /// log via [`TelemetryBuffer::splice_into`] in deterministic order.
     pub fn buffered(&self, offsets: SubjectOffsets) -> (SharedTelemetry, TelemetryBuffer) {
-        let ops = Arc::new(Mutex::new(Vec::new()));
+        let ops = Arc::new(Mutex::new(VecDeque::new()));
         let handle = SharedTelemetry {
             inner: Arc::clone(&self.inner),
             enabled: self.enabled,
@@ -621,11 +615,6 @@ impl SharedTelemetry {
         (handle, TelemetryBuffer { ops })
     }
 
-    /// True when records are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Appends a trace record.
     pub fn record(&self, time: SimTime, layer: &'static str, name: &'static str, subject: Subject) {
         if self.enabled {
@@ -633,7 +622,7 @@ impl SharedTelemetry {
             if let Some(buf) = &self.buffer {
                 buf.lock()
                     .expect("telemetry buffer lock")
-                    .push(TelemetryOp::Record(TraceRecord {
+                    .push_back(TelemetryOp::Record(TraceRecord {
                         time,
                         layer,
                         name,
@@ -655,7 +644,7 @@ impl SharedTelemetry {
             if let Some(buf) = &self.buffer {
                 buf.lock()
                     .expect("telemetry buffer lock")
-                    .push(TelemetryOp::Gauge(name, time, value));
+                    .push_back(TelemetryOp::Gauge(name, time, value));
             } else {
                 self.inner
                     .lock()
@@ -677,7 +666,7 @@ impl SharedTelemetry {
             if let Some(buf) = &self.buffer {
                 buf.lock()
                     .expect("telemetry buffer lock")
-                    .push(TelemetryOp::Add(name, n));
+                    .push_back(TelemetryOp::Add(name, n));
             } else {
                 self.inner
                     .lock()
@@ -1058,7 +1047,8 @@ mod tests {
         assert!(shared.snapshot().tracer.is_empty());
         assert_eq!(buf.len(), 3);
 
-        buf.splice_into(&shared, 0, 2);
+        buf.splice_into(&shared, 2);
+        assert_eq!(buf.len(), 1, "a spliced op leaves the log");
         let snap = shared.snapshot();
         assert_eq!(snap.tracer.len(), 1);
         // Offsets were applied at record time, not splice time.
@@ -1073,10 +1063,8 @@ mod tests {
         );
         assert_eq!(snap.metrics.counter("pilot.units_done"), 0);
 
-        buf.splice_into(&shared, 2, 3);
+        buf.splice_into(&shared, 1);
         assert_eq!(shared.snapshot().metrics.counter("pilot.units_done"), 1);
-
-        buf.clear();
         assert!(buf.is_empty());
     }
 
@@ -1087,7 +1075,7 @@ mod tests {
         member.record(SimTime::ZERO, "entk", "session_start", Subject::Session);
         member.inc("entk.retries");
         assert!(buf.is_empty());
-        buf.splice_into(&shared, 0, 1);
+        buf.splice_into(&shared, 0);
         assert!(shared.snapshot().tracer.is_empty());
     }
 
