@@ -1,5 +1,14 @@
-//! JSON workload specifications: declare a resource, a pattern, and the
-//! kernels of each stage; the CLI compiles the spec into toolkit calls.
+//! JSON spec documents. A single-session spec ([`WorkloadSpec`]) declares a
+//! resource, a pattern and the kernels of each stage, and the CLI compiles
+//! it into toolkit calls; a document with a top-level `"source"` is a
+//! stream spec. [`Document::from_json`] parses the text once and loads
+//! whichever it is.
+//!
+//! The keys an object takes are the fields of the struct it deserializes
+//! into — each is `#[serde(deny_unknown_fields)]` and nothing else lists
+//! them — so a misspelt key at any depth fails the load with its line and
+//! the keys that exist. The `check_*` functions refuse what would load and
+//! then run a different experiment than the file describes.
 //!
 //! Kernel arguments support placeholder substitution so one template
 //! describes a whole ensemble: any string value `"$index"`, `"$iteration"`,
@@ -7,12 +16,39 @@
 //! by the corresponding number at task-creation time.
 
 use entk_core::prelude::*;
-use entk_core::{reject_unknown_keys, usage_at, EntkError};
+use entk_core::registry::schedulers;
+use entk_core::{parse_spec, typed_spec, usage_at, EntkError, FaultConfig};
+use entk_workload::StreamSpec;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 
+/// What a spec file holds: one session (`entk run`), or — when it has a
+/// top-level `"source"`, which no key of a single-session spec is called
+/// and every stream spec needs — a stream of them (`entk serve`).
+#[derive(Debug, Clone)]
+pub enum Document {
+    /// A single-session spec.
+    Session(WorkloadSpec),
+    /// A stream spec.
+    Stream(StreamSpec),
+}
+
+impl Document {
+    /// Parses `text` once and loads it as the document it is; both loaders
+    /// report mistakes as `workload spec line N: …` usage errors.
+    pub fn from_json(text: &str) -> Result<Self, EntkError> {
+        let doc = parse_spec(text)?;
+        if doc.get("source").is_some() {
+            StreamSpec::from_parsed(text, &doc).map(Document::Stream)
+        } else {
+            WorkloadSpec::from_parsed(text, &doc).map(Document::Session)
+        }
+    }
+}
+
 /// Top-level workload specification.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct WorkloadSpec {
     /// Resource request.
     pub resource: ResourceSpec,
@@ -21,7 +57,7 @@ pub struct WorkloadSpec {
     #[serde(default = "default_backend")]
     pub backend: String,
     /// Additional member clusters for the federated backend; the top-level
-    /// `resource` is the first member. Ignored by the other backends.
+    /// `resource` is the first member. Refused on the other backends.
     #[serde(default)]
     pub federation: Vec<ResourceSpec>,
     /// Master seed for simulated runs.
@@ -29,13 +65,15 @@ pub struct WorkloadSpec {
     pub seed: u64,
     /// The pattern to run.
     pub pattern: PatternSpec,
-    /// Simulated-backend tuning (ignored by the local backend).
+    /// Backend tuning.
     #[serde(default)]
     pub tuning: TuningSpec,
 }
 
-/// Optional simulated-backend tuning knobs.
+/// Optional tuning knobs; the loader refuses one the chosen backend would
+/// not read.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TuningSpec {
     /// Batch-scheduler plugin: any registered scheduler name (`fifo`,
     /// `backfill`, `fair_share`, `priority_aging`, `sjf`, `round_robin`),
@@ -58,6 +96,7 @@ pub struct TuningSpec {
 
 /// Background-load description.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct BackgroundSpec {
     /// Mean inter-arrival of competing jobs (seconds, exponential).
     pub mean_interarrival_secs: f64,
@@ -80,6 +119,7 @@ fn default_seed() -> u64 {
 
 /// Resource request.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ResourceSpec {
     /// Resource label (`"xsede.comet"`, `"local"`, …).
     pub name: String,
@@ -91,6 +131,7 @@ pub struct ResourceSpec {
 
 /// A kernel invocation template.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct KernelSpec {
     /// Registry name, e.g. `"md.amber"`.
     pub plugin: String,
@@ -108,7 +149,7 @@ fn one() -> usize {
 
 /// The supported pattern shapes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
+#[serde(tag = "kind", rename_all = "snake_case", deny_unknown_fields)]
 pub enum PatternSpec {
     /// A bag of `n` independent tasks.
     Bag {
@@ -185,75 +226,43 @@ fn bind(spec: &KernelSpec, vars: &[(&str, f64)]) -> KernelCall {
     KernelCall::new(spec.plugin.clone(), args).with_cores(spec.cores)
 }
 
-/// Checks every object of a spec against the keys its struct reads. An
-/// object that is absent or of the wrong shape passes; typed
-/// deserialization reports those.
-fn reject_unknown_spec_keys(text: &str, spec: &Value) -> Result<(), EntkError> {
-    reject_unknown_keys(
-        text,
-        spec,
-        &[
-            "resource",
-            "backend",
-            "federation",
-            "seed",
-            "pattern",
-            "tuning",
-        ],
-    )?;
-    let members = spec["federation"].as_array().into_iter().flatten();
-    for resource in std::iter::once(&spec["resource"]).chain(members) {
-        reject_unknown_keys(text, resource, &["name", "cores", "walltime_secs"])?;
-    }
-    let tuning = &spec["tuning"];
-    reject_unknown_keys(
-        text,
-        tuning,
-        &[
-            "batch_policy",
-            "pilots",
+/// Refuses a key the chosen backend does not read: it would load, and the
+/// run would not be the one the file describes. Only the federated backend
+/// has members; it has no per-machine queue wait or background load; the
+/// local backend runs real kernels on this host and reads `retries` alone.
+fn check_backend_keys(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
+    let tuning = &spec.tuning;
+    // Each key with whether it is set and whether the federated backend
+    // reads it; the simulated backend reads all but `federation`, the
+    // local backend none of them.
+    let keys = [
+        ("federation", !spec.federation.is_empty(), true),
+        ("batch_policy", tuning.batch_policy.is_some(), true),
+        ("pilots", tuning.pilots.is_some(), true),
+        (
             "queue_wait_per_core",
-            "background",
-            "retries",
-        ],
-    )?;
-    reject_unknown_keys(
-        text,
-        &tuning["background"],
-        &[
-            "mean_interarrival_secs",
-            "cores",
-            "runtime_secs",
-            "initial_jobs",
-        ],
-    )?;
-    let pattern = &spec["pattern"];
-    // Per kind: the pattern's keys, and which of them hold kernel templates.
-    let (keys, kernels): (&[&str], &[&str]) = match pattern["kind"].as_str() {
-        Some("bag") => (&["kind", "n", "kernel"], &["kernel"]),
-        Some("pipelines") => (&["kind", "n", "stages"], &["stages"]),
-        Some("sal") => (
-            &["kind", "iterations", "sims", "simulation", "analysis"],
-            &["simulation", "analysis"],
+            tuning.queue_wait_per_core.is_some(),
+            false,
         ),
-        Some("exchange") => (
-            &["kind", "replicas", "cycles", "t_min", "t_max", "kernel"],
-            &["kernel"],
-        ),
-        _ => return Ok(()),
-    };
-    reject_unknown_keys(text, pattern, keys)?;
-    for key in kernels {
-        // `stages` is a list of templates, the others hold one.
-        let templates = match &pattern[*key] {
-            Value::Array(list) => list.as_slice(),
-            one => std::slice::from_ref(one),
-        };
-        for kernel in templates {
-            reject_unknown_keys(text, kernel, &["plugin", "args", "cores"])?;
+        ("background", tuning.background.is_some(), false),
+    ];
+    let backend = spec.backend.as_str();
+    let unread = keys.iter().find(|(key, set, federated)| {
+        *set && match backend {
+            "simulated" => *key == "federation",
+            "federated" => !federated,
+            "local" => true,
+            // An unknown backend is `handle`'s error.
+            _ => false,
         }
+    });
+    match unread {
+        Some((key, ..)) => {
+            let msg = format!("{key} is not read by the {backend:?} backend");
+            Err(usage_at(text, key, EntkError::Usage(msg)))
+        }
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Refuses resource and tuning values no run can mean: a zero wall time (the
@@ -346,19 +355,73 @@ fn check_pattern(text: &str, pattern: &PatternSpec) -> Result<(), EntkError> {
     }
 }
 
+/// Refuses a kernel template every task built from it would fail on: binds
+/// it as [`WorkloadSpec::build_pattern`] binds the first such task and asks
+/// the plugin to validate the arguments. A run would otherwise go through
+/// and report the whole stage failed.
+fn check_kernels(text: &str, pattern: &PatternSpec) -> Result<(), EntkError> {
+    let first = 0.0;
+    let templates: Vec<(&KernelSpec, Vec<(&str, f64)>)> = match pattern {
+        PatternSpec::Bag { kernel, .. } => vec![(kernel, vec![("index", first)])],
+        PatternSpec::Pipelines { stages, .. } => stages
+            .iter()
+            .map(|kernel| (kernel, vec![("index", first)]))
+            .collect(),
+        PatternSpec::Sal {
+            sims,
+            simulation,
+            analysis,
+            ..
+        } => vec![
+            (simulation, vec![("index", first), ("iteration", first)]),
+            (
+                analysis,
+                vec![("iteration", first), ("n_sims", *sims as f64)],
+            ),
+        ],
+        PatternSpec::Exchange { t_min, kernel, .. } => {
+            let vars = vec![
+                ("replica", first),
+                ("cycle", first),
+                ("temperature", *t_min),
+            ];
+            vec![(kernel, vars)]
+        }
+    };
+    let registry = KernelRegistry::with_builtins();
+    for (template, vars) in templates {
+        let call = bind(template, &vars);
+        registry
+            .get(&call.plugin)
+            .and_then(|plugin| plugin.validate(&call.args))
+            .map_err(|e| {
+                let msg = format!("kernel {:?}: {}", call.plugin, e.0);
+                usage_at(text, &call.plugin, EntkError::Usage(msg))
+            })?;
+    }
+    Ok(())
+}
+
 impl WorkloadSpec {
-    /// Parses a spec from JSON text. A key no spec object takes fails with
-    /// its line and the keys that exist, the way a stream spec's does: a
-    /// typoed `"tuning"` must not run the untuned experiment. So does a
-    /// pattern that is empty or whose temperature ladder is impossible, and
-    /// a wall time, queue wait or background load no machine can have.
+    /// Parses a spec from JSON text; see [`WorkloadSpec::from_parsed`].
     pub fn from_json(text: &str) -> Result<Self, EntkError> {
-        let bad = |e| EntkError::Usage(format!("bad spec: {e}"));
-        let value: Value = serde_json::from_str(text).map_err(bad)?;
-        reject_unknown_spec_keys(text, &value)?;
-        let spec: WorkloadSpec = serde_json::from_value(&value).map_err(bad)?;
+        Self::from_parsed(text, &parse_spec(text)?)
+    }
+
+    /// Reads a spec out of `doc`, the JSON `text` parsed to. Typed
+    /// deserialization refuses every key no struct takes (a typoed
+    /// `"tuning"` must not run the untuned experiment), the scheduler is
+    /// checked against its registry and the `check_*` functions refuse the
+    /// rest, each as an [`EntkError::Usage`] carrying its line in `text`.
+    pub fn from_parsed(text: &str, doc: &Value) -> Result<Self, EntkError> {
+        let spec: WorkloadSpec = typed_spec(text, doc)?;
+        if let Some(scheduler) = &spec.tuning.batch_policy {
+            schedulers().check(text, scheduler)?;
+        }
+        check_backend_keys(text, &spec)?;
         check_resources(text, &spec)?;
         check_pattern(text, &spec.pattern)?;
+        check_kernels(text, &spec.pattern)?;
         Ok(spec)
     }
 
@@ -444,6 +507,11 @@ impl WorkloadSpec {
     /// the core counts and the batch scheduler, so the errors are exactly
     /// the ones a run would stop on.
     pub fn handle(&self) -> Result<ResourceHandle, EntkError> {
+        let fault = self
+            .tuning
+            .retries
+            .map(FaultConfig::retries)
+            .unwrap_or_default();
         match self.backend.as_str() {
             "simulated" => {
                 let config = ResourceConfig::new(
@@ -454,6 +522,7 @@ impl WorkloadSpec {
                 let mut sim = SimulatedConfig {
                     seed: self.seed,
                     scheduler: self.tuning.batch_policy.clone(),
+                    fault,
                     ..Default::default()
                 };
                 if let Some(n) = self.tuning.pilots {
@@ -462,9 +531,6 @@ impl WorkloadSpec {
                     } else {
                         entk_core::PilotStrategy::split(n)
                     };
-                }
-                if let Some(retries) = self.tuning.retries {
-                    sim.fault = entk_core::FaultConfig::retries(retries);
                 }
                 if self.tuning.queue_wait_per_core.is_some() || self.tuning.background.is_some() {
                     let mut platform = entk_cluster::PlatformSpec::by_name(&self.resource.name)
@@ -490,21 +556,12 @@ impl WorkloadSpec {
                 ResourceHandle::simulated(config, sim)
             }
             "federated" => {
-                if self.tuning.queue_wait_per_core.is_some() || self.tuning.background.is_some() {
-                    return Err(EntkError::Usage(
-                        "queue_wait_per_core/background tuning is not supported on the \
-                         federated backend"
-                            .to_string(),
-                    ));
-                }
                 let mut config = FederatedConfig {
                     seed: self.seed,
                     scheduler: self.tuning.batch_policy.clone(),
+                    fault,
                     ..Default::default()
                 };
-                if let Some(retries) = self.tuning.retries {
-                    config.fault = entk_core::FaultConfig::retries(retries);
-                }
                 config.clusters = std::iter::once(&self.resource)
                     .chain(self.federation.iter())
                     .map(|r| {
@@ -521,7 +578,11 @@ impl WorkloadSpec {
                     .collect();
                 ResourceHandle::federated(config)
             }
-            "local" => Ok(ResourceHandle::local(self.resource.cores)),
+            "local" => Ok(ResourceHandle::local_with(
+                self.resource.cores,
+                KernelRegistry::with_builtins(),
+                fault,
+            )),
             other => Err(EntkError::Usage(format!(
                 "unknown backend {other:?} (use \"simulated\", \"local\", or \"federated\")"
             ))),
@@ -696,8 +757,28 @@ mod tuning_tests {
             "pattern": { "kind": "bag", "n": 1,
                          "kernel": { "plugin": "misc.sleep", "args": { "secs": 0.1 } } }
         }"#;
-        let spec = WorkloadSpec::from_json(text).unwrap();
-        assert!(spec.run().is_err());
+        let err = WorkloadSpec::from_json(text).expect_err("unregistered scheduler");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("line 3: unknown scheduler \"priority\""),
+            "{msg}"
+        );
+    }
+
+    /// The local backend used to drop `tuning.retries`.
+    #[test]
+    fn local_backend_honours_the_retry_budget() {
+        let text = r#"{
+            "resource": { "name": "local", "cores": 1, "walltime_secs": 100 },
+            "backend": "local",
+            "tuning": { "retries": 2 },
+            "pattern": { "kind": "bag", "n": 1,
+                         "kernel": { "plugin": "misc.ccount",
+                                     "args": { "path": "/nonexistent/entk-retries" } } }
+        }"#;
+        let report = WorkloadSpec::from_json(text).unwrap().run().unwrap();
+        assert_eq!(report.failed_tasks, 1);
+        assert_eq!(report.total_retries, 2);
     }
 
     #[test]

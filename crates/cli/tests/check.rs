@@ -1,5 +1,5 @@
-//! `entk check` must reject what `entk run` rejects, with the same message,
-//! and keep accepting every spec shipped in `examples/specs/`.
+//! `entk check` must reject what `entk run` / `entk serve` reject, with the
+//! same message, and keep accepting every spec shipped in `examples/specs/`.
 
 use entk_cli::WorkloadSpec;
 use serde_json::{json, Value};
@@ -111,15 +111,15 @@ fn unknown_scheduler_is_rejected() {
 
 #[test]
 fn unknown_kernel_plugin_is_rejected() {
-    // `run` does not stop here: it executes and fails every task of the
-    // stage, so only `check` carries the registry's message.
+    // `run` used to go through and fail every task of the stage; the
+    // loader refuses the template, so both stop on the registry's message.
     let mut spec = valid_spec();
     spec["pattern"]["kernel"]["plugin"] = json!("misc.nope");
     assert_rejected(
         "kernel",
         &spec,
         "unknown kernel plugin \"misc.nope\" (registered:",
-        false,
+        true,
     );
     let mut spec = valid_spec();
     spec["pattern"] = json!({
@@ -131,7 +131,7 @@ fn unknown_kernel_plugin_is_rejected() {
         "kernel-sal",
         &spec,
         "unknown kernel plugin \"ana.nope\"",
-        false,
+        true,
     );
 }
 
@@ -166,8 +166,8 @@ fn typoed_keys_are_rejected_with_their_line() {
     }
 }
 
-/// `run --workload` refuses values that can only be mistakes with a
-/// line-numbered usage error, before it serves (and prints) anything.
+/// `serve` refuses values that can only be mistakes with a line-numbered
+/// usage error, before it serves (and prints) anything.
 #[test]
 fn stream_spec_mistakes_are_refused_before_serving() {
     let spec = example_spec("stream_poisson.json");
@@ -196,7 +196,7 @@ fn stream_spec_mistakes_are_refused_before_serving() {
         ),
     ] {
         let text = spec.replace(seed_line, &format!("{seed_line}  {line},\n"));
-        let run = run_workload(name, &text);
+        let run = entk("serve", &write_spec(name, &text));
         let message = String::from_utf8_lossy(&run.stderr);
         assert!(!run.status.success(), "{name} was served");
         assert!(message.contains("usage error"), "{name}: {message}");
@@ -204,7 +204,7 @@ fn stream_spec_mistakes_are_refused_before_serving() {
         assert!(run.stdout.is_empty(), "{name} printed a report");
     }
     let text = spec.replace("\"xsede.stampede\"", "\"nope\"");
-    let run = run_workload("resource", &text);
+    let run = entk("serve", &write_spec("resource", &text));
     let message = String::from_utf8_lossy(&run.stderr);
     assert!(!run.status.success(), "resource \"nope\" was served");
     assert!(
@@ -385,11 +385,9 @@ fn entk_in(dir: &Path, args: &[&str]) -> Output {
         .expect("entk binary runs")
 }
 
-/// `check` used to push every document through the single-session loader,
-/// so a stream spec failed on the first stream key with the wrong loader's
-/// key list. A top-level `"source"` selects the stream loader: `check`
-/// resolves what `serve` resolves (and opens no sink file), `run` without
-/// `--workload` names the commands that serve it.
+/// A top-level `"source"` makes a document a stream spec: `check` resolves
+/// what `serve` resolves (and opens no sink file), `run` names the verb
+/// that serves it.
 #[test]
 fn stream_specs_go_through_the_stream_loader() {
     let specs = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs");
@@ -442,18 +440,224 @@ fn run_names_a_stream_spec_instead_of_its_first_unknown_key() {
     assert!(
         message.contains("is a stream spec")
             && message.contains("`entk serve`")
-            && message.contains("`entk run --workload`"),
+            && !message.contains("--workload"),
         "{message}"
     );
     assert!(!message.contains("unknown key"), "{message}");
+    // And the other way round.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs/charcount.json");
+    let serve = entk("serve", &path);
+    let message = String::from_utf8_lossy(&serve.stderr);
+    assert!(!serve.status.success() && serve.stdout.is_empty());
+    assert!(
+        message.contains("is a single-session spec") && message.contains("`entk run`"),
+        "{message}"
+    );
 }
 
-fn run_workload(name: &str, text: &str) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_entk"))
-        .args(["run", "--workload"])
-        .arg(write_spec(name, text))
-        .output()
-        .expect("entk binary runs")
+/// Mistakes that loaded, printed `ok:` and then ran with the default they
+/// were meant to replace (or failed every task): a misspelt key below the
+/// first level, a kernel argument its plugin rejects, a key the backend
+/// does not read. `check` and the verb that runs the document refuse each
+/// with the mistake's own line — and, for a key, the keys its struct
+/// declares, in declaration order — and produce nothing.
+#[test]
+fn nested_mistakes_are_refused_by_check_and_by_the_verb_that_runs_them() {
+    let stream = example_spec("grid_registry.json");
+    let session = example_spec("busy_machine.json");
+    let edit = |text: &str, from: &str, to: &str| {
+        let edited = text.replace(from, to);
+        assert_ne!(edited, text, "{from:?} occurs in the example");
+        edited
+    };
+    let unknown = |key: &str, known: &str| format!("unknown key \"{key}\" (known keys: {known})");
+    let cases = [
+        (
+            "scheduler-param",
+            "serve",
+            edit(&stream, "\"aging_rate\"", "\"aging_rat\""),
+            7,
+            unknown("aging_rat", "aging_rate, core_penalty"),
+        ),
+        (
+            "fault-param",
+            "serve",
+            edit(&stream, "\"max_retries\"", "\"max_retrys\""),
+            8,
+            unknown(
+                "max_retrys",
+                "max_retries, task_timeout_secs, backoff_base_secs, graceful",
+            ),
+        ),
+        (
+            "policy-param",
+            "serve",
+            edit(&stream, "\"half_life_secs\"", "\"half_life_sec\""),
+            6,
+            unknown("half_life_sec", "half_life_secs"),
+        ),
+        (
+            "component-params-key",
+            "serve",
+            edit(&stream, "\"fair\", \"params\"", "\"fair\", \"parms\""),
+            6,
+            unknown("parms", "name, params"),
+        ),
+        (
+            "sink-param",
+            "serve",
+            edit(&stream, "\"period_secs\"", "\"period_sec\""),
+            11,
+            unknown("period_sec", "path, period_secs"),
+        ),
+        (
+            "source-param",
+            "serve",
+            edit(
+                &stream,
+                "\"tenants\": 8,",
+                "\"tenants\": 8, \"tennants\": 9,",
+            ),
+            17,
+            unknown("tennants", "sessions, tenants, burst_size, mean_gap_secs"),
+        ),
+        (
+            "batch-policy-param",
+            "run",
+            edit(
+                &session,
+                "\"batch_policy\": \"backfill\"",
+                "\"batch_policy\": { \"name\": \"priority_aging\", \
+                 \"params\": { \"aging_rat\": 9.0 } }",
+            ),
+            6,
+            unknown("aging_rat", "aging_rate, core_penalty"),
+        ),
+        (
+            "kernel-args",
+            "run",
+            edit(&session, "\"secs\"", "\"sec\""),
+            19,
+            "kernel \"misc.sleep\": missing/invalid f64 field \"secs\"".to_string(),
+        ),
+        (
+            "federation-unread",
+            "run",
+            edit(
+                &session,
+                "\"seed\": 7,",
+                "\"seed\": 7,\n  \"federation\": [{ \"name\": \"xsede.stampede\", \"cores\": 16, \
+                 \"walltime_secs\": 100 }],",
+            ),
+            5,
+            "federation is not read by the \"simulated\" backend".to_string(),
+        ),
+        (
+            "local-tuning-unread",
+            "run",
+            edit(
+                &session,
+                "\"backend\": \"simulated\"",
+                "\"backend\": \"local\"",
+            ),
+            6,
+            "batch_policy is not read by the \"local\" backend".to_string(),
+        ),
+        (
+            "federated-queue-wait",
+            "run",
+            edit(
+                &session,
+                "\"backend\": \"simulated\"",
+                "\"backend\": \"federated\"",
+            ),
+            8,
+            "queue_wait_per_core is not read by the \"federated\" backend".to_string(),
+        ),
+    ];
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("check-nested");
+    for (name, verb, text, line, needle) in cases {
+        let path = write_spec(name, &text);
+        let path = path.to_str().expect("utf-8 path");
+        let check = entk_in(&dir, &["check", path]);
+        let message = String::from_utf8_lossy(&check.stderr).into_owned();
+        assert!(!check.status.success(), "check accepted {name}");
+        let at = format!("error: usage error: workload spec line {line}: ");
+        assert!(message.starts_with(&at), "{name}: {message}");
+        assert!(message.contains(&needle), "{name}: {message}");
+        let ran = entk_in(&dir, &[verb, path]);
+        assert!(!ran.status.success(), "{verb} accepted {name}");
+        assert!(ran.stdout.is_empty(), "{verb} {name} produced a report");
+        assert_eq!(message, String::from_utf8_lossy(&ran.stderr), "{name}");
+    }
+    let left_behind = std::fs::read_dir(&dir).expect("scratch directory").count();
+    assert_eq!(left_behind, 0, "a refused document created a file");
+}
+
+/// A flag the verb does not have used to be skipped, so `--polcy fifo`
+/// served fair-share and `--jsn` printed text, both exiting 0; a second
+/// positional was ignored; `--checkpoint` alone wrote nothing. Each is a
+/// usage error listing the verb's flags, and nothing runs.
+#[test]
+fn command_line_mistakes_are_usage_errors_that_run_nothing() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("check-flags");
+    let specs = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs");
+    let stream = specs.join("serve_stream.json");
+    let session = specs.join("charcount.json");
+    let (stream, session) = (stream.to_str().unwrap(), session.to_str().unwrap());
+    let serve_usage = "usage: entk serve <spec.json> [--policy <name>] [--strict] [--json] \
+                       [--jsonl <path>] [--stream] [--checkpoint-at <K>] [--checkpoint <path>] \
+                       [--resume <path>]\n";
+    let run_usage = "usage: entk run <spec.json> [--json] [--trace <path>]\n";
+    for (args, error, usage) in [
+        (
+            vec!["serve", stream, "--polcy", "fifo"],
+            "error: unknown flag --polcy\n",
+            serve_usage,
+        ),
+        (
+            vec!["run", session, "--jsn"],
+            "error: unknown flag --jsn\n",
+            run_usage,
+        ),
+        (
+            vec!["check", session, "extra", "--bogus"],
+            "error: unexpected argument \"extra\" after spec ",
+            "usage: entk check <spec.json>\n",
+        ),
+        (
+            vec!["serve", stream, "--checkpoint", "c.json"],
+            "error: --checkpoint needs --checkpoint-at\n",
+            serve_usage,
+        ),
+        (
+            vec!["serve", stream, "--checkpoint-at", "3"],
+            "error: --checkpoint-at needs --checkpoint\n",
+            serve_usage,
+        ),
+        (
+            vec!["run", session, "--trace"],
+            "error: --trace needs a <path>\n",
+            run_usage,
+        ),
+        (
+            vec!["serve", stream, "--jsonl", "--json"],
+            "error: --jsonl needs a <path>\n",
+            serve_usage,
+        ),
+        (vec!["run"], "error: missing <spec.json>\n", run_usage),
+    ] {
+        let out = entk_in(&dir, &args);
+        let message = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} exited 0");
+        assert!(out.stdout.is_empty(), "{args:?} ran");
+        assert!(
+            message.starts_with(error) && message.ends_with(usage),
+            "{args:?}: {message}"
+        );
+    }
+    let left_behind = std::fs::read_dir(&dir).expect("scratch directory").count();
+    assert_eq!(left_behind, 0, "a refused command line wrote a file");
 }
 
 #[test]

@@ -59,10 +59,7 @@ pub use pattern::{
     ExecutionPattern, Pipeline, PstTask, PstWorkflow, SequencePattern, SimulationAnalysisLoop,
     Stage,
 };
-pub use registry::{
-    params_or_default, params_required, reject_unknown_keys, require_no_params, usage_at,
-    ComponentSpec, Registry,
-};
+pub use registry::{parse_spec, typed_spec, usage_at, ComponentSpec, NoParams, Registry};
 pub use report::{ExecutionReport, OverheadBreakdown, TaskRecord};
 pub use resource::{
     run_federated, run_federated_traced, run_simulated, run_simulated_traced, ClusterSpec,

@@ -1,30 +1,29 @@
 //! Pluggable scenario registry: named component factories behind trait
 //! objects, so a spec file — not a `match` arm — selects the batch
-//! scheduler, admission policy, fault grid, workload source, kernels, and
-//! report sinks of a run (EnTK's "decouple what the ensemble does from how
-//! it executes", and the follow-up papers' plugin-interface extensibility).
+//! scheduler, admission policy, fault grid, workload source and report
+//! sinks of a run (EnTK's "decouple what the ensemble does from how it
+//! executes", and the follow-up papers' plugin-interface extensibility).
 //!
-//! Three pieces:
-//!
-//! * [`ComponentSpec`] — how a spec file names a component: either a bare
-//!   string (`"fifo"`) or an object with typed parameters
-//!   (`{"name": "fair_share", "params": {"half_life_secs": 600.0}}`).
-//! * [`Registry`] — a name → factory map. Factories take the declared
-//!   params as a JSON [`Value`] plus a build context `C` and return the
-//!   component or a typed [`EntkError::Usage`]. Unknown names fail with an
-//!   error listing every registered alternative.
-//! * The built-in tables: [`schedulers`] (batch scheduling policies) and
-//!   [`faults`] (retry / kill-replace grids) live here; the workload crate
-//!   adds admission policies, arrival sources, and report sinks on the
-//!   same [`Registry`] type.
+//! * [`ComponentSpec`] — how a spec file names a component: a bare string
+//!   (`"fifo"`) or `{"name": "fair_share", "params": {"half_life_secs":
+//!   600.0}}`, and nothing else.
+//! * [`Registry`] — a name → plugin table. A plugin is registered with the
+//!   struct its params deserialize into, so that struct (marked
+//!   `#[serde(deny_unknown_fields)]`) is the one statement of the keys the
+//!   plugin takes and of their defaults. [`Registry::build`] parses the
+//!   block and calls the constructor; [`Registry::check`] parses it and
+//!   stops, which is what a spec loader asks of every component it names.
+//! * The spec-text helpers every loader reports through ([`parse_spec`],
+//!   [`typed_spec`], [`usage_at`]), so a mistake reads the same — `workload
+//!   spec line N: …` — whichever document it is in.
+//! * The built-in tables [`schedulers`] and [`faults`]; the workload crate
+//!   adds admission policies, arrival sources and report sinks on the same
+//!   [`Registry`] type.
 //!
 //! Adding a plugin is a closed operation on one file: implement the trait,
-//! then `register` a factory under a new name (see DESIGN.md §17 — under
-//! 30 lines for a new scheduler).
-//!
-//! Registry resolution happens at session/admission boundaries only —
-//! never on the per-event hot path — so the indirection costs nothing at
-//! serve scale.
+//! declare the params struct, `register` a constructor under a new name
+//! (DESIGN.md §17). Resolution happens at session and admission boundaries
+//! only, never on the per-event path.
 
 use crate::error::EntkError;
 use crate::fault::FaultConfig;
@@ -36,17 +35,16 @@ use entk_sim::SimDuration;
 use serde::{DeError, Deserialize, Map, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// A named component selection with optional typed parameters, as written
-/// in a spec file. Deserializes from a bare string (`"fifo"`) or an object
-/// (`{"name": "fair_share", "params": {...}}`), so pre-registry spec files
-/// keep parsing unchanged.
+/// in a spec file: a bare string (`"fifo"`) or an object with a `"name"`
+/// and, optionally, a `"params"` block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComponentSpec {
     /// Registered component name.
     pub name: String,
-    /// Plugin-specific parameters; `Null` means "all defaults".
+    /// Plugin-specific parameters; `Null` (no block) reads as `{}`.
     pub params: Value,
 }
 
@@ -81,21 +79,21 @@ impl Serialize for ComponentSpec {
     }
 }
 
+/// The object shape of a [`ComponentSpec`].
+#[derive(Deserialize)]
+#[serde(deny_unknown_fields)]
+struct ComponentObject {
+    name: String,
+    #[serde(default)]
+    params: Value,
+}
+
 impl Deserialize for ComponentSpec {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
             Value::String(name) => Ok(ComponentSpec::named(name.clone())),
-            Value::Object(m) => {
-                let name = m
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| {
-                        DeError::custom(
-                            "component spec object needs a string \"name\" field".to_string(),
-                        )
-                    })?
-                    .to_string();
-                let params = m.get("params").cloned().unwrap_or(Value::Null);
+            Value::Object(_) => {
+                let ComponentObject { name, params } = ComponentObject::from_value(v)?;
                 Ok(ComponentSpec { name, params })
             }
             other => Err(DeError::custom(format!(
@@ -105,16 +103,41 @@ impl Deserialize for ComponentSpec {
     }
 }
 
-/// A plugin factory: builds a `T` from the shared context and the
-/// component's JSON params block.
-type Factory<T, C> = Arc<dyn Fn(&C, &Value) -> Result<T, EntkError> + Send + Sync>;
+/// Params of a plugin that takes none: an omitted block or `{}`.
+#[derive(Debug, Clone, Copy, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct NoParams {}
 
-/// A name → factory table for one extension point. `T` is what a factory
-/// produces; `C` is the build context threaded through (seed, paths — `()`
-/// when none is needed).
+/// Reads a params block as the plugin's struct; an omitted block is `{}`.
+fn parse_params<P: Deserialize>(params: &Value) -> Result<P, DeError> {
+    match params {
+        Value::Null => P::from_value(&Value::Object(Map::new())),
+        block => P::from_value(block),
+    }
+}
+
+fn bad_params(kind: &str, name: &str, e: &DeError) -> EntkError {
+    EntkError::Usage(format!("bad params for {kind} {name:?}: {e}"))
+}
+
+/// Deserializes a params block and calls the plugin's constructor: the
+/// outer error is the block's, the inner one the constructor's.
+type Build<T, C> = Box<dyn Fn(&C, &Value) -> Result<Result<T, EntkError>, DeError> + Send + Sync>;
+
+/// One registered plugin: its params struct, erased behind the two things
+/// a registry does with a params block.
+struct Plugin<T, C> {
+    /// Deserializes the block into the params struct and drops it.
+    check: fn(&Value) -> Result<(), DeError>,
+    build: Build<T, C>,
+}
+
+/// A name → plugin table for one extension point. `T` is what a plugin
+/// constructs; `C` is the build context threaded through (seed, paths —
+/// `()` when none is needed).
 pub struct Registry<T, C = ()> {
     kind: &'static str,
-    factories: BTreeMap<String, Factory<T, C>>,
+    plugins: BTreeMap<String, Plugin<T, C>>,
 }
 
 impl<T, C> Registry<T, C> {
@@ -123,39 +146,40 @@ impl<T, C> Registry<T, C> {
     pub fn new(kind: &'static str) -> Self {
         Registry {
             kind,
-            factories: BTreeMap::new(),
+            plugins: BTreeMap::new(),
         }
     }
 
-    /// Registers `factory` under `name`, replacing any previous entry.
-    pub fn register<F>(&mut self, name: impl Into<String>, factory: F)
+    /// Registers `construct` under `name`, replacing any previous entry.
+    /// `P` is the plugin's params struct ([`NoParams`] when it takes none):
+    /// the registry deserializes the spec's block into it, so the
+    /// constructor sees typed values and a block `P` refuses never reaches
+    /// it.
+    pub fn register<P, F>(&mut self, name: &str, construct: F)
     where
-        F: Fn(&C, &Value) -> Result<T, EntkError> + Send + Sync + 'static,
+        P: Deserialize + 'static,
+        F: Fn(&C, P) -> Result<T, EntkError> + Send + Sync + 'static,
     {
-        self.factories.insert(name.into(), Arc::new(factory));
+        let plugin = Plugin {
+            check: |params| parse_params::<P>(params).map(drop),
+            build: Box::new(move |ctx, params| Ok(construct(ctx, parse_params(params)?))),
+        };
+        self.plugins.insert(name.to_string(), plugin);
     }
 
     /// Registered names, sorted.
     pub fn names(&self) -> Vec<&str> {
-        self.factories.keys().map(String::as_str).collect()
+        self.plugins.keys().map(String::as_str).collect()
     }
 
-    /// Whether `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.factories.contains_key(name)
-    }
-
-    /// What this registry dispenses (for error messages).
-    pub fn kind(&self) -> &'static str {
-        self.kind
-    }
-
-    /// Builds the component a spec names, passing its declared params to
-    /// the factory. Unknown names fail with a [`EntkError::Usage`] listing
-    /// every registered alternative.
+    /// Builds the component a spec names from its declared params. Unknown
+    /// names fail with a [`EntkError::Usage`] listing every registered
+    /// alternative, a params block the plugin's struct refuses with one
+    /// naming the component.
     pub fn build(&self, spec: &ComponentSpec, ctx: &C) -> Result<T, EntkError> {
-        match self.factories.get(&spec.name) {
-            Some(factory) => factory(ctx, &spec.params),
+        match self.plugins.get(&spec.name) {
+            Some(plugin) => (plugin.build)(ctx, &spec.params)
+                .map_err(|e| bad_params(self.kind, &spec.name, &e))?,
             None => Err(self.unknown(&spec.name)),
         }
     }
@@ -165,8 +189,22 @@ impl<T, C> Registry<T, C> {
         self.build(&ComponentSpec::named(name), ctx)
     }
 
-    /// The typed unknown-name error: lists the registered alternatives.
-    pub fn unknown(&self, name: &str) -> EntkError {
+    /// Everything [`Registry::build`] refuses short of calling the
+    /// constructor — the name is registered and the params block
+    /// deserializes — so checking a sink creates no file. `text` is the
+    /// spec the component was read from: the error carries the line of the
+    /// key the params struct refused, or else of the component's name.
+    pub fn check(&self, text: &str, spec: &ComponentSpec) -> Result<(), EntkError> {
+        let Some(plugin) = self.plugins.get(&spec.name) else {
+            return Err(usage_at(text, &spec.name, self.unknown(&spec.name)));
+        };
+        (plugin.check)(&spec.params).map_err(|e| {
+            let needle = e.unknown_key().unwrap_or(&spec.name);
+            usage_at(text, needle, bad_params(self.kind, &spec.name, &e))
+        })
+    }
+
+    fn unknown(&self, name: &str) -> EntkError {
         EntkError::Usage(format!(
             "unknown {} {:?} (registered: {})",
             self.kind,
@@ -182,143 +220,6 @@ impl<T, C> std::fmt::Debug for Registry<T, C> {
             .field("kind", &self.kind)
             .field("names", &self.names())
             .finish()
-    }
-}
-
-/// Parses a plugin's typed params struct from the declared JSON, treating
-/// `Null` (no `"params"` key) as "all defaults". Factories call this so a
-/// malformed params block fails as a [`EntkError::Usage`] naming the
-/// component, not as a panic deep in deserialization.
-pub fn params_or_default<P: Deserialize + Default>(
-    kind: &str,
-    name: &str,
-    params: &Value,
-) -> Result<P, EntkError> {
-    if params.is_null() {
-        return Ok(P::default());
-    }
-    serde_json::from_value(params)
-        .map_err(|e| EntkError::Usage(format!("bad params for {kind} {name:?}: {e}")))
-}
-
-// ------------------------------------------------------- batch schedulers
-
-/// Params of the `fair_share` scheduler plugin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct FairShareParams {
-    /// Usage half-life in seconds.
-    #[serde(default = "default_half_life")]
-    half_life_secs: f64,
-}
-
-fn default_half_life() -> f64 {
-    // Matches the pre-registry hard-wired FairShareScheduler::new(3600.0),
-    // keeping golden traces for `"batch_policy": "fair_share"` byte-identical.
-    3600.0
-}
-
-impl Default for FairShareParams {
-    fn default() -> Self {
-        FairShareParams {
-            half_life_secs: default_half_life(),
-        }
-    }
-}
-
-/// Params of the `priority_aging` scheduler plugin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct PriorityAgingParams {
-    /// Priority gained per waiting second.
-    #[serde(default = "default_aging_rate")]
-    aging_rate: f64,
-    /// Priority subtracted per requested core.
-    #[serde(default = "default_core_penalty")]
-    core_penalty: f64,
-}
-
-fn default_aging_rate() -> f64 {
-    1.0
-}
-
-fn default_core_penalty() -> f64 {
-    4.0
-}
-
-impl Default for PriorityAgingParams {
-    fn default() -> Self {
-        PriorityAgingParams {
-            aging_rate: default_aging_rate(),
-            core_penalty: default_core_penalty(),
-        }
-    }
-}
-
-/// The batch-scheduler registry: every named policy a spec file can put
-/// behind `"scheduler"` / `"batch_policy"`. Factories return a
-/// [`SchedulerFactory`] rather than a built scheduler because federated
-/// sessions construct one fresh (stateful) instance per member cluster.
-pub fn schedulers() -> &'static Registry<SchedulerFactory> {
-    static TABLE: OnceLock<Registry<SchedulerFactory>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut r = Registry::new("scheduler");
-        r.register("fifo", |_: &(), params| {
-            require_no_params("scheduler", "fifo", params)?;
-            Ok(SchedulerFactory::new("fifo", || Box::new(FifoScheduler)))
-        });
-        r.register("backfill", |_: &(), params| {
-            require_no_params("scheduler", "backfill", params)?;
-            Ok(SchedulerFactory::new("backfill", || {
-                Box::new(EasyBackfillScheduler)
-            }))
-        });
-        r.register("fair_share", |_: &(), params| {
-            let p: FairShareParams = params_or_default("scheduler", "fair_share", params)?;
-            Ok(SchedulerFactory::new("fair_share", move || {
-                Box::new(FairShareScheduler::new(p.half_life_secs))
-            }))
-        });
-        r.register("priority_aging", |_: &(), params| {
-            let p: PriorityAgingParams = params_or_default("scheduler", "priority_aging", params)?;
-            Ok(SchedulerFactory::new("priority_aging", move || {
-                Box::new(PriorityAgingScheduler::new(p.aging_rate, p.core_penalty))
-            }))
-        });
-        r.register("sjf", |_: &(), params| {
-            require_no_params("scheduler", "sjf", params)?;
-            Ok(SchedulerFactory::new("sjf", || Box::new(SjfScheduler)))
-        });
-        r.register("round_robin", |_: &(), params| {
-            require_no_params("scheduler", "round_robin", params)?;
-            Ok(SchedulerFactory::new("round_robin", || {
-                Box::<RoundRobinScheduler>::default()
-            }))
-        });
-        r
-    })
-}
-
-/// Parses a plugin's typed params struct, rejecting a missing params block
-/// (for plugins with no sensible defaults, e.g. a sink that needs a path).
-pub fn params_required<P: Deserialize>(
-    kind: &str,
-    name: &str,
-    params: &Value,
-) -> Result<P, EntkError> {
-    if params.is_null() {
-        return Err(EntkError::Usage(format!("{kind} {name:?} requires params")));
-    }
-    serde_json::from_value(params)
-        .map_err(|e| EntkError::Usage(format!("bad params for {kind} {name:?}: {e}")))
-}
-
-/// Rejects a non-null params block on a parameterless plugin (a typo like
-/// `{"name": "fifo", "params": {...}}` should fail loudly, not silently
-/// ignore the params).
-pub fn require_no_params(kind: &str, name: &str, params: &Value) -> Result<(), EntkError> {
-    if params.is_null() {
-        Ok(())
-    } else {
-        Err(EntkError::Usage(format!("{kind} {name:?} takes no params")))
     }
 }
 
@@ -343,31 +244,102 @@ pub fn usage_at(text: &str, needle: &str, err: EntkError) -> EntkError {
     }
 }
 
-/// Rejects every key of the JSON object `value` that is not in `known`,
-/// pointing at its line in `text` and listing the keys that exist: a typo
-/// must fail, not run a different experiment than the file describes. A
-/// `value` that is no object passes; typed deserialization reports that.
-pub fn reject_unknown_keys(text: &str, value: &Value, known: &[&str]) -> Result<(), EntkError> {
-    let unknown = value
-        .as_object()
-        .and_then(|obj| obj.keys().find(|key| !known.contains(&key.as_str())));
-    match unknown {
-        None => Ok(()),
-        Some(key) => Err(usage_at(
-            text,
-            key,
-            EntkError::Usage(format!(
-                "unknown key {key:?} (known keys: {})",
-                known.join(", ")
-            )),
-        )),
-    }
+/// Parses a spec document's text into JSON.
+pub fn parse_spec(text: &str) -> Result<Value, EntkError> {
+    serde_json::from_str(text).map_err(|e| EntkError::Usage(format!("bad spec: {e}")))
+}
+
+/// Reads the typed spec `T` out of the document `doc` that was parsed from
+/// `text`. A key that `T` or a type inside it refuses fails with its line
+/// and the keys that exist: a typo must fail, not run a different
+/// experiment than the file describes.
+pub fn typed_spec<T: Deserialize>(text: &str, doc: &Value) -> Result<T, EntkError> {
+    T::from_value(doc).map_err(|e| match e.unknown_key() {
+        Some(key) => usage_at(text, key, EntkError::Usage(e.to_string())),
+        None => EntkError::Usage(format!("bad spec: {e}")),
+    })
+}
+
+// ------------------------------------------------------- batch schedulers
+
+/// Params of the `fair_share` scheduler plugin.
+#[derive(Debug, Clone, Deserialize)]
+#[serde(deny_unknown_fields)]
+struct FairShareParams {
+    /// Usage half-life in seconds.
+    #[serde(default = "default_half_life")]
+    half_life_secs: f64,
+}
+
+fn default_half_life() -> f64 {
+    // Matches the pre-registry hard-wired FairShareScheduler::new(3600.0),
+    // keeping golden traces for `"batch_policy": "fair_share"` byte-identical.
+    3600.0
+}
+
+/// Params of the `priority_aging` scheduler plugin.
+#[derive(Debug, Clone, Deserialize)]
+#[serde(deny_unknown_fields)]
+struct PriorityAgingParams {
+    /// Priority gained per waiting second.
+    #[serde(default = "default_aging_rate")]
+    aging_rate: f64,
+    /// Priority subtracted per requested core.
+    #[serde(default = "default_core_penalty")]
+    core_penalty: f64,
+}
+
+fn default_aging_rate() -> f64 {
+    1.0
+}
+
+fn default_core_penalty() -> f64 {
+    4.0
+}
+
+/// The batch-scheduler registry: every named policy a spec file can put
+/// behind `"scheduler"` / `"batch_policy"`. Plugins construct a
+/// [`SchedulerFactory`] rather than a scheduler because federated sessions
+/// build one fresh (stateful) instance per member cluster.
+pub fn schedulers() -> &'static Registry<SchedulerFactory> {
+    static TABLE: OnceLock<Registry<SchedulerFactory>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut r = Registry::new("scheduler");
+        r.register("fifo", |_: &(), _: NoParams| {
+            Ok(SchedulerFactory::new("fifo", || Box::new(FifoScheduler)))
+        });
+        r.register("backfill", |_: &(), _: NoParams| {
+            Ok(SchedulerFactory::new("backfill", || {
+                Box::new(EasyBackfillScheduler)
+            }))
+        });
+        r.register("fair_share", |_: &(), p: FairShareParams| {
+            Ok(SchedulerFactory::new("fair_share", move || {
+                Box::new(FairShareScheduler::new(p.half_life_secs))
+            }))
+        });
+        r.register("priority_aging", |_: &(), p: PriorityAgingParams| {
+            Ok(SchedulerFactory::new("priority_aging", move || {
+                Box::new(PriorityAgingScheduler::new(p.aging_rate, p.core_penalty))
+            }))
+        });
+        r.register("sjf", |_: &(), _: NoParams| {
+            Ok(SchedulerFactory::new("sjf", || Box::new(SjfScheduler)))
+        });
+        r.register("round_robin", |_: &(), _: NoParams| {
+            Ok(SchedulerFactory::new("round_robin", || {
+                Box::<RoundRobinScheduler>::default()
+            }))
+        });
+        r
+    })
 }
 
 // ------------------------------------------------------------ fault grids
 
 /// Params of the `retries` fault plugin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
+#[serde(deny_unknown_fields)]
 struct RetryParams {
     /// Resubmissions before a task failure is reported to the pattern.
     #[serde(default = "default_max_retries")]
@@ -387,29 +359,14 @@ fn default_max_retries() -> u32 {
     3
 }
 
-impl Default for RetryParams {
-    fn default() -> Self {
-        RetryParams {
-            max_retries: default_max_retries(),
-            task_timeout_secs: 0.0,
-            backoff_base_secs: 0.0,
-            graceful: false,
-        }
-    }
-}
-
 /// The fault-grid registry: named session-level fault-tolerance policies
 /// ([`FaultConfig`]).
 pub fn faults() -> &'static Registry<FaultConfig> {
     static TABLE: OnceLock<Registry<FaultConfig>> = OnceLock::new();
     TABLE.get_or_init(|| {
         let mut r = Registry::new("fault grid");
-        r.register("none", |_: &(), params| {
-            require_no_params("fault grid", "none", params)?;
-            Ok(FaultConfig::default())
-        });
-        r.register("retries", |_: &(), params| {
-            let p: RetryParams = params_or_default("fault grid", "retries", params)?;
+        r.register("none", |_: &(), _: NoParams| Ok(FaultConfig::default()));
+        r.register("retries", |_: &(), p: RetryParams| {
             let mut fault = FaultConfig::retries(p.max_retries);
             if p.task_timeout_secs > 0.0 {
                 fault = fault.with_timeout(SimDuration::from_secs_f64(p.task_timeout_secs));
@@ -506,9 +463,71 @@ mod tests {
         let err = schedulers().build(&bad, &()).expect_err("bad params");
         assert!(matches!(err, EntkError::Usage(_)), "{err:?}");
 
-        let stray = ComponentSpec::with_params("fifo", serde_json::from_str("{}").unwrap());
+        // A parameterless plugin takes an empty block and refuses any key.
+        let empty = ComponentSpec::with_params("fifo", serde_json::from_str("{}").unwrap());
+        schedulers().build(&empty, &()).unwrap();
+        let stray =
+            ComponentSpec::with_params("fifo", serde_json::from_str(r#"{"x": 1}"#).unwrap());
         let err = schedulers().build(&stray, &()).expect_err("no params");
-        assert!(err.to_string().contains("takes no params"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "usage error: bad params for scheduler \"fifo\": unknown key \"x\" (known keys: none)"
+        );
+    }
+
+    #[test]
+    fn component_spec_takes_a_name_and_params_and_nothing_else() {
+        let err = serde_json::from_str::<ComponentSpec>(r#"{"name": "fair", "parms": {}}"#)
+            .expect_err("typoed params");
+        assert_eq!(
+            err.to_string(),
+            "unknown key \"parms\" (known keys: name, params)"
+        );
+    }
+
+    /// `check` is `build` without the constructor: same names, same params
+    /// blocks, the error pointing into the text.
+    #[test]
+    fn check_refuses_what_build_refuses_without_constructing() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static BUILT: AtomicUsize = AtomicUsize::new(0);
+        let mut r: Registry<f64> = Registry::new("gadget");
+        r.register("half_life", |_: &(), p: FairShareParams| {
+            BUILT.fetch_add(1, Ordering::Relaxed);
+            Ok(p.half_life_secs)
+        });
+        let text = "{\n  \"name\": \"half_life\",\n  \"params\": { \"half_life_sec\": 1.0 }\n}";
+        let spec = |name: &str, params: &str| {
+            ComponentSpec::with_params(name, serde_json::from_str(params).unwrap())
+        };
+        for (case, accepted) in [
+            (ComponentSpec::named("half_life"), true),
+            (spec("half_life", "{}"), true),
+            (spec("half_life", r#"{"half_life_secs": 60.0}"#), true),
+            (spec("half_life", r#"{"half_life_secs": "soon"}"#), false),
+            (spec("half_life", r#"{"half_life_sec": 1.0}"#), false),
+            (spec("half_life", "3"), false),
+            (ComponentSpec::named("quarter_life"), false),
+        ] {
+            let before = BUILT.load(Ordering::Relaxed);
+            let checked = r.check(text, &case);
+            assert_eq!(BUILT.load(Ordering::Relaxed), before, "check constructed");
+            assert_eq!(checked.is_ok(), accepted, "{case:?}: {checked:?}");
+            assert_eq!(r.build(&case, &()).is_ok(), accepted, "{case:?}");
+        }
+        assert_eq!(r.build_named("half_life", &()).unwrap(), 3600.0);
+        // The refused key's own line; a refused value or name points at the name.
+        let err = r.check(text, &spec("half_life", r#"{"half_life_sec": 1.0}"#));
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "usage error: workload spec line 3: bad params for gadget \"half_life\": \
+             unknown key \"half_life_sec\" (known keys: half_life_secs)"
+        );
+        let err = r
+            .check(text, &spec("half_life", "3"))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("workload spec line 2: bad params"), "{err}");
     }
 
     #[test]
@@ -534,6 +553,7 @@ mod tests {
     #[test]
     fn fair_share_default_matches_legacy_half_life() {
         // The hard-wired pre-registry constant; golden traces depend on it.
-        assert_eq!(FairShareParams::default().half_life_secs, 3600.0);
+        let omitted: FairShareParams = parse_params(&Value::Null).unwrap();
+        assert_eq!(omitted.half_life_secs, 3600.0);
     }
 }

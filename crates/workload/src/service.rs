@@ -152,19 +152,12 @@ impl AdmissionPolicy {
 }
 
 /// Params of the `fair` admission-policy plugin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
+#[serde(deny_unknown_fields)]
 struct FairAdmissionParams {
     /// Usage decay half-life in virtual seconds (0 = no decay).
     #[serde(default)]
     half_life_secs: f64,
-}
-
-impl Default for FairAdmissionParams {
-    fn default() -> Self {
-        FairAdmissionParams {
-            half_life_secs: 0.0,
-        }
-    }
 }
 
 /// The admission-policy registry: every name `entk serve --policy` and the
@@ -176,14 +169,11 @@ pub fn admission_policies() -> &'static entk_core::Registry<AdmissionPolicy> {
         std::sync::OnceLock::new();
     TABLE.get_or_init(|| {
         let mut r = entk_core::Registry::new("admission policy");
-        r.register("fifo", |_: &(), params| {
-            entk_core::require_no_params("admission policy", "fifo", params)?;
+        r.register("fifo", |_: &(), _: entk_core::NoParams| {
             Ok(AdmissionPolicy::Fifo)
         });
         for name in ["fair", "fair-share"] {
-            r.register(name, move |_: &(), params| {
-                let p: FairAdmissionParams =
-                    entk_core::params_or_default("admission policy", name, params)?;
+            r.register(name, |_: &(), p: FairAdmissionParams| {
                 Ok(AdmissionPolicy::FairShare {
                     half_life_secs: p.half_life_secs,
                 })

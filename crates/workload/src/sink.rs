@@ -19,8 +19,8 @@
 //! sink files (asserted by the `registry-smoke` CI job).
 
 use crate::runner::{depth_events, DepthEvent, SessionRecord, WorkloadReport};
-use entk_core::{params_required, EntkError, Registry};
-use serde::{Deserialize, Serialize};
+use entk_core::{EntkError, Registry};
+use serde::Deserialize;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fs::File;
@@ -231,14 +231,16 @@ impl ReportSink for SummarySink {
 // --------------------------------------------------------------- registry
 
 /// Params of the `jsonl` and `summary` sink plugins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
+#[serde(deny_unknown_fields)]
 struct PathParams {
     /// Output file path (created / truncated).
     path: String,
 }
 
 /// Params of the `gauges` sink plugin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
+#[serde(deny_unknown_fields)]
 struct GaugesParams {
     /// Output file path (created / truncated).
     path: String,
@@ -252,22 +254,19 @@ fn default_period_secs() -> f64 {
 }
 
 /// The report-sink registry: every name a spec file's `"sinks"` list can
-/// select. All built-ins require a `path` param, so there is no default
-/// construction — an omitted params block is a usage error naming the sink.
+/// select. All built-ins require a `path`, so an omitted params block is a
+/// usage error naming the sink and the missing field.
 pub fn sinks() -> &'static Registry<Box<dyn ReportSink>> {
     static TABLE: OnceLock<Registry<Box<dyn ReportSink>>> = OnceLock::new();
     TABLE.get_or_init(|| {
         let mut r: Registry<Box<dyn ReportSink>> = Registry::new("report sink");
-        r.register("jsonl", |_: &(), params| {
-            let p: PathParams = params_required("report sink", "jsonl", params)?;
+        r.register("jsonl", |_: &(), p: PathParams| {
             Ok(Box::new(JsonlSink::create(p.path)?) as Box<dyn ReportSink>)
         });
-        r.register("gauges", |_: &(), params| {
-            let p: GaugesParams = params_required("report sink", "gauges", params)?;
+        r.register("gauges", |_: &(), p: GaugesParams| {
             Ok(Box::new(GaugesSink::create(p.path, p.period_secs)?) as Box<dyn ReportSink>)
         });
-        r.register("summary", |_: &(), params| {
-            let p: PathParams = params_required("report sink", "summary", params)?;
+        r.register("summary", |_: &(), p: PathParams| {
             Ok(Box::new(SummarySink::create(p.path)?) as Box<dyn ReportSink>)
         });
         r
@@ -361,7 +360,10 @@ mod tests {
             Err(e) => e,
             Ok(_) => panic!("params required"),
         };
-        assert!(err.to_string().contains("requires params"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "usage error: bad params for report sink \"jsonl\": PathParams: missing field `path`"
+        );
         let err = match sinks().build(&ComponentSpec::named("csv"), &()) {
             Err(e) => e,
             Ok(_) => panic!("unknown sink"),

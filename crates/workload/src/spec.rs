@@ -1,8 +1,9 @@
 //! JSON stream specifications: one spec file selects the workload source,
 //! backend, admission policy, batch-scheduler plugin, fault grid, and
-//! report sinks of a run — every component resolved by name through the
-//! registries, never a `match` arm. Used by both `entk run --workload`
-//! and `entk serve` (one loader, same line-numbered errors).
+//! report sinks of a served stream — every component resolved by name
+//! through the registries, never a `match` arm. `entk serve` serves one and
+//! `entk check` vets one; a document is a stream spec when it has a
+//! top-level `"source"`.
 //!
 //! ```json
 //! {
@@ -18,6 +19,13 @@
 //!               "mean_interarrival_secs": 30.0 }
 //! }
 //! ```
+//!
+//! The keys an object takes are the fields of the struct it deserializes
+//! into, and nothing else states them: [`StreamSpec`] for the document, a
+//! plugin's params struct for its `"params"` block (for a source, the rest
+//! of the `"source"` object). Each is `#[serde(deny_unknown_fields)]`, so
+//! a misspelt key at any depth fails the load with its line and the keys
+//! that exist instead of serving with the default it was meant to replace.
 
 use crate::arrival::{ArrivalStream, OpenLoopProcess, WorkloadGenerator};
 use crate::runner::{StreamBackend, WorkloadConfig, WorkloadOutcome};
@@ -28,15 +36,14 @@ use crate::service::{
 use crate::sink::{sinks, ReportSink};
 use crate::trace::{CsvTrace, HotTenantTrace, SyntheticTrace};
 use entk_core::registry::{faults, schedulers};
-use entk_core::{
-    params_required, reject_unknown_keys, usage_at, ComponentSpec, EntkError, Registry,
-};
+use entk_core::{parse_spec, typed_spec, usage_at, ComponentSpec, EntkError, Registry};
 use serde::{DeError, Deserialize, Serialize};
 use serde_json::Value;
 use std::sync::OnceLock;
 
 /// Top-level stream specification.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct StreamSpec {
     /// Master seed.
     #[serde(default = "default_seed")]
@@ -112,7 +119,7 @@ fn default_saturation() -> String {
 
 /// A workload-source declaration: a JSON object whose `"kind"` names a
 /// registered source plugin; the rest of the object is that plugin's
-/// typed params (validated by the factory, not here).
+/// params block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceDecl {
     /// Registered source name (`poisson`, `burst`, `synthetic`,
@@ -129,6 +136,16 @@ impl SourceDecl {
             kind: kind.into(),
             decl,
         }
+    }
+
+    /// The declaration as its registry reads it: the plugin is handed the
+    /// object without `"kind"`, every other key being one of its params.
+    fn component(&self) -> ComponentSpec {
+        let mut params = self.decl.clone();
+        if let Some(object) = params.as_object_mut() {
+            object.remove("kind");
+        }
+        ComponentSpec::with_params(self.kind.clone(), params)
     }
 }
 
@@ -161,7 +178,8 @@ pub struct SourceCtx {
 }
 
 /// Params of the `poisson` source plugin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
+#[serde(deny_unknown_fields)]
 struct PoissonParams {
     /// Sessions to emit.
     sessions: usize,
@@ -172,7 +190,8 @@ struct PoissonParams {
 }
 
 /// Params of the `burst` source plugin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
+#[serde(deny_unknown_fields)]
 struct BurstParams {
     /// Sessions to emit.
     sessions: usize,
@@ -185,7 +204,8 @@ struct BurstParams {
 }
 
 /// Params of the `synthetic` and `hot_tenant` source plugins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
+#[serde(deny_unknown_fields)]
 struct MixtureParams {
     /// Sessions to emit.
     sessions: usize,
@@ -194,7 +214,8 @@ struct MixtureParams {
 }
 
 /// Params of the `trace` (alias `csv`) source plugin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
+#[serde(deny_unknown_fields)]
 struct TraceParams {
     /// Path to the trace file.
     path: String,
@@ -206,13 +227,11 @@ pub fn sources() -> &'static Registry<Box<dyn ArrivalStream>, SourceCtx> {
     static TABLE: OnceLock<Registry<Box<dyn ArrivalStream>, SourceCtx>> = OnceLock::new();
     TABLE.get_or_init(|| {
         let mut r = Registry::new("workload source");
-        r.register("poisson", |ctx: &SourceCtx, params| {
-            let p: PoissonParams = params_required("workload source", "poisson", params)?;
+        r.register("poisson", |ctx: &SourceCtx, p: PoissonParams| {
             OpenLoopProcess::poisson(ctx.seed, p.sessions, p.tenants, p.mean_interarrival_secs)
                 .stream()
         });
-        r.register("burst", |ctx: &SourceCtx, params| {
-            let p: BurstParams = params_required("workload source", "burst", params)?;
+        r.register("burst", |ctx: &SourceCtx, p: BurstParams| {
             OpenLoopProcess::burst(
                 ctx.seed,
                 p.sessions,
@@ -222,17 +241,14 @@ pub fn sources() -> &'static Registry<Box<dyn ArrivalStream>, SourceCtx> {
             )
             .stream()
         });
-        r.register("synthetic", |ctx: &SourceCtx, params| {
-            let p: MixtureParams = params_required("workload source", "synthetic", params)?;
+        r.register("synthetic", |ctx: &SourceCtx, p: MixtureParams| {
             SyntheticTrace::new(ctx.seed, p.sessions, p.tenants).stream()
         });
-        r.register("hot_tenant", |ctx: &SourceCtx, params| {
-            let p: MixtureParams = params_required("workload source", "hot_tenant", params)?;
+        r.register("hot_tenant", |ctx: &SourceCtx, p: MixtureParams| {
             HotTenantTrace::new(ctx.seed, p.sessions, p.tenants).stream()
         });
         for name in ["trace", "csv"] {
-            r.register(name, move |_: &SourceCtx, params| {
-                let p: TraceParams = params_required("workload source", name, params)?;
+            r.register(name, |_: &SourceCtx, p: TraceParams| {
                 CsvTrace::from_path(&p.path)?.stream()
             });
         }
@@ -241,72 +257,33 @@ pub fn sources() -> &'static Registry<Box<dyn ArrivalStream>, SourceCtx> {
 }
 
 impl StreamSpec {
-    /// Parses and validates a spec from JSON text: unknown top-level keys
-    /// and unregistered component names fail as [`EntkError::Usage`] with
-    /// the offending line number and the valid alternatives. This is the
-    /// one loader behind `entk run --workload` and `entk serve`.
+    /// Parses and validates a spec from JSON text; see
+    /// [`StreamSpec::from_parsed`].
     pub fn from_json(text: &str) -> Result<Self, EntkError> {
-        const KNOWN: [&str; 15] = [
-            "seed",
-            "resource",
-            "slots",
-            "backend",
-            "members",
-            "policy",
-            "half_life_secs",
-            "max_queue_depth",
-            "saturation",
-            "strict",
-            "unit_failure_rate",
-            "scheduler",
-            "fault",
-            "sinks",
-            "source",
-        ];
-        let value: Value = serde_json::from_str(text)
-            .map_err(|e| EntkError::Usage(format!("bad workload spec: {e}")))?;
-        reject_unknown_keys(text, &value, &KNOWN)?;
-        let spec: StreamSpec = serde_json::from_value(&value)
-            .map_err(|e| EntkError::Usage(format!("bad workload spec: {e}")))?;
-        spec.check_names(text)?;
-        spec.check_values(text)?;
-        Ok(spec)
+        Self::from_parsed(text, &parse_spec(text)?)
     }
 
-    /// Rejects unregistered component names up front, pointing at the
-    /// spec line that names them.
-    fn check_names(&self, text: &str) -> Result<(), EntkError> {
-        let policies = admission_policies();
-        if !policies.contains(&self.policy.name) {
-            return Err(usage_at(
-                text,
-                &self.policy.name,
-                policies.unknown(&self.policy.name),
-            ));
+    /// Reads a spec out of `doc`, the JSON `text` parsed to: typed
+    /// deserialization refuses every key no struct takes, each named
+    /// component is checked against its registry (the name is registered,
+    /// the params block deserializes; nothing is constructed, so no sink
+    /// file is created), and values no run can mean are refused. Every
+    /// failure is an [`EntkError::Usage`] carrying its line in `text`.
+    pub fn from_parsed(text: &str, doc: &Value) -> Result<Self, EntkError> {
+        let spec: StreamSpec = typed_spec(text, doc)?;
+        admission_policies().check(text, &spec.policy)?;
+        if let Some(scheduler) = &spec.scheduler {
+            schedulers().check(text, scheduler)?;
         }
-        if let Some(s) = &self.scheduler {
-            if !schedulers().contains(&s.name) {
-                return Err(usage_at(text, &s.name, schedulers().unknown(&s.name)));
-            }
+        if let Some(fault) = &spec.fault {
+            faults().check(text, fault)?;
         }
-        if let Some(f) = &self.fault {
-            if !faults().contains(&f.name) {
-                return Err(usage_at(text, &f.name, faults().unknown(&f.name)));
-            }
+        for sink in &spec.sinks {
+            sinks().check(text, sink)?;
         }
-        for sink in &self.sinks {
-            if !sinks().contains(&sink.name) {
-                return Err(usage_at(text, &sink.name, sinks().unknown(&sink.name)));
-            }
-        }
-        if !sources().contains(&self.source.kind) {
-            return Err(usage_at(
-                text,
-                &self.source.kind,
-                sources().unknown(&self.source.kind),
-            ));
-        }
-        Ok(())
+        sources().check(text, &spec.source.component())?;
+        spec.check_values(text)?;
+        Ok(spec)
     }
 
     /// Rejects values no run can mean — a failure rate that is no
@@ -328,10 +305,7 @@ impl StreamSpec {
     /// Opens the spec's arrival source as a lazy pull stream (without
     /// serving or materializing it).
     pub fn source_stream(&self) -> Result<Box<dyn ArrivalStream>, EntkError> {
-        sources().build(
-            &ComponentSpec::with_params(self.source.kind.clone(), self.source.decl.clone()),
-            &SourceCtx { seed: self.seed },
-        )
+        sources().build(&self.source.component(), &SourceCtx { seed: self.seed })
     }
 
     /// Compiles the backend/slots/seed fields — plus the scheduler and
@@ -513,6 +487,76 @@ mod tests {
         ] {
             StreamSpec::from_json(&spec(line)).expect(line);
         }
+    }
+
+    /// `Registry::check` accepts and refuses what `build` does, over all
+    /// five tables, and constructs nothing: a checked sink has no file.
+    #[test]
+    fn check_agrees_with_build_over_every_table_and_creates_nothing() {
+        fn agree<T, C>(r: &Registry<T, C>, ctx: &C, name: &str, params: &str, accepted: bool) {
+            let spec = ComponentSpec::with_params(name, serde_json::from_str(params).unwrap());
+            let checked = r.check("", &spec);
+            assert_eq!(checked.is_ok(), accepted, "{name} {params}: {checked:?}");
+            assert_eq!(r.build(&spec, ctx).is_ok(), accepted, "{name} {params}");
+        }
+        for (name, params, ok) in [
+            ("fifo", "null", true),
+            ("fifo", "{}", true),
+            ("fifo", r#"{"x": 1}"#, false),
+            ("priority_aging", r#"{"aging_rate": 2.0}"#, true),
+            ("priority_aging", r#"{"aging_rat": 2.0}"#, false),
+            ("fair_share", r#"{"half_life_secs": "soon"}"#, false),
+            ("sjw", "null", false),
+        ] {
+            agree(schedulers(), &(), name, params, ok);
+        }
+        for (name, params, ok) in [
+            ("none", "null", true),
+            ("retries", r#"{"max_retries": 5, "graceful": true}"#, true),
+            ("retries", r#"{"max_retrys": 5}"#, false),
+            ("chaos", "null", false),
+        ] {
+            agree(faults(), &(), name, params, ok);
+        }
+        for (name, params, ok) in [
+            ("fifo", "null", true),
+            ("fair", r#"{"half_life_secs": 60.0}"#, true),
+            ("fair-share", r#"{"half_life_sec": 60.0}"#, false),
+            ("fare", "null", false),
+        ] {
+            agree(admission_policies(), &(), name, params, ok);
+        }
+        let ctx = SourceCtx { seed: 1 };
+        for (name, params, ok) in [
+            ("synthetic", r#"{"sessions": 4, "tenants": 2}"#, true),
+            (
+                "synthetic",
+                r#"{"sessions": 4, "tenants": 2, "tennants": 9}"#,
+                false,
+            ),
+            ("poisson", r#"{"sessions": 4, "tenants": 2}"#, false),
+            ("burst", "null", false),
+            ("cloud", "{}", false),
+        ] {
+            agree(sources(), &ctx, name, params, ok);
+        }
+        let path = std::env::temp_dir().join(format!("entk-check-{}.jsonl", std::process::id()));
+        let with_path = format!(r#"{{"path": {:?}}}"#, path.to_str().unwrap());
+        let spec = ComponentSpec::with_params("jsonl", serde_json::from_str(&with_path).unwrap());
+        sinks()
+            .check("", &spec)
+            .expect("a path is all a jsonl sink needs");
+        assert!(!path.exists(), "check created the sink's file");
+        for (name, params, ok) in [
+            ("jsonl", with_path.as_str(), true),
+            ("gauges", r#"{"period_secs": 5.0}"#, false),
+            ("summary", "null", false),
+            ("csv", with_path.as_str(), false),
+        ] {
+            agree(sinks(), &(), name, params, ok);
+        }
+        assert!(path.exists(), "build opens it");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
