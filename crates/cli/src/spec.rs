@@ -265,7 +265,9 @@ fn check_backend_keys(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> 
     }
 }
 
-/// Refuses resource and tuning values no run can mean: a zero wall time (the
+/// Refuses resource and tuning values no run can mean: no local core to
+/// run on (`handle` refuses it too, without a line; the discrete-event
+/// backends name their platform's size there), a zero wall time (the
 /// pilot dies as it starts), a queue wait that is negative or not finite
 /// (it ran as zero), a background load whose arrivals leave no gap for
 /// virtual time to advance in. `check` builds the handle and would pass the
@@ -273,6 +275,10 @@ fn check_backend_keys(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> 
 fn check_resources(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
     let refuse = |key: &str, msg: String| Err(usage_at(text, key, EntkError::Usage(msg)));
     let zero_walltime = |what: &str| format!("{what} must be at least 1, got 0");
+    if spec.backend == "local" && spec.resource.cores == 0 {
+        let msg = "resource.cores must be at least 1, got 0".to_string();
+        return refuse("resource", msg);
+    }
     if spec.resource.walltime_secs == 0 {
         return refuse("walltime_secs", zero_walltime("walltime_secs"));
     }
@@ -357,11 +363,12 @@ fn check_pattern(text: &str, pattern: &PatternSpec) -> Result<(), EntkError> {
 
 /// Refuses a kernel template every task built from it would fail on: binds
 /// it as [`WorkloadSpec::build_pattern`] binds the first such task and asks
-/// the plugin to validate the arguments. A run would otherwise go through
-/// and report the whole stage failed.
-fn check_kernels(text: &str, pattern: &PatternSpec) -> Result<(), EntkError> {
+/// the plugin to validate the arguments; on the local backend, where a
+/// task holds its `cores` for real, they must also fit `resource.cores`.
+/// A run would otherwise go through and report the whole stage failed.
+fn check_kernels(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
     let first = 0.0;
-    let templates: Vec<(&KernelSpec, Vec<(&str, f64)>)> = match pattern {
+    let templates: Vec<(&KernelSpec, Vec<(&str, f64)>)> = match &spec.pattern {
         PatternSpec::Bag { kernel, .. } => vec![(kernel, vec![("index", first)])],
         PatternSpec::Pipelines { stages, .. } => stages
             .iter()
@@ -389,15 +396,23 @@ fn check_kernels(text: &str, pattern: &PatternSpec) -> Result<(), EntkError> {
         }
     };
     let registry = KernelRegistry::with_builtins();
+    let slots = spec.resource.cores;
     for (template, vars) in templates {
         let call = bind(template, &vars);
+        let refuse = |why: String| {
+            let msg = format!("kernel {:?}: {why}", call.plugin);
+            usage_at(text, &call.plugin, EntkError::Usage(msg))
+        };
         registry
             .get(&call.plugin)
             .and_then(|plugin| plugin.validate(&call.args))
-            .map_err(|e| {
-                let msg = format!("kernel {:?}: {}", call.plugin, e.0);
-                usage_at(text, &call.plugin, EntkError::Usage(msg))
-            })?;
+            .map_err(|e| refuse(e.0))?;
+        if spec.backend == "local" && !(1..=slots).contains(&call.cores) {
+            return Err(refuse(format!(
+                "cores must be within 1..={slots} (resource.cores) on the \"local\" backend, got {}",
+                call.cores
+            )));
+        }
     }
     Ok(())
 }
@@ -421,7 +436,7 @@ impl WorkloadSpec {
         check_backend_keys(text, &spec)?;
         check_resources(text, &spec)?;
         check_pattern(text, &spec.pattern)?;
-        check_kernels(text, &spec.pattern)?;
+        check_kernels(text, &spec)?;
         Ok(spec)
     }
 
@@ -578,11 +593,11 @@ impl WorkloadSpec {
                     .collect();
                 ResourceHandle::federated(config)
             }
-            "local" => Ok(ResourceHandle::local_with(
+            "local" => ResourceHandle::local_with(
                 self.resource.cores,
                 KernelRegistry::with_builtins(),
                 fault,
-            )),
+            ),
             other => Err(EntkError::Usage(format!(
                 "unknown backend {other:?} (use \"simulated\", \"local\", or \"federated\")"
             ))),

@@ -358,6 +358,13 @@ fn impossible_resource_and_tuning_values_are_usage_errors() {
             json!({ "tuning": { "queue_wait_per_core": 12345.0 } }),
             "queue_wait_per_core must be finite and >= 0, got inf",
         ),
+        // The fork service asserts on it, so the loader has to refuse first.
+        (
+            "local-cores-zero",
+            json!({ "backend": "local",
+                    "resource": { "name": "xsede.comet", "cores": 0, "walltime_secs": 100 } }),
+            "resource.cores must be at least 1, got 0",
+        ),
     ];
     for (name, overrides, needle) in cases {
         let mut spec = valid_spec();
@@ -465,6 +472,7 @@ fn run_names_a_stream_spec_instead_of_its_first_unknown_key() {
 fn nested_mistakes_are_refused_by_check_and_by_the_verb_that_runs_them() {
     let stream = example_spec("grid_registry.json");
     let session = example_spec("busy_machine.json");
+    let pipelines = example_spec("charcount.json");
     let edit = |text: &str, from: &str, to: &str| {
         let edited = text.replace(from, to);
         assert_ne!(edited, text, "{from:?} occurs in the example");
@@ -573,6 +581,24 @@ fn nested_mistakes_are_refused_by_check_and_by_the_verb_that_runs_them() {
             ),
             8,
             "queue_wait_per_core is not read by the \"federated\" backend".to_string(),
+        ),
+        // Loads nowhere: every task of the stage would fail at run.
+        (
+            "local-kernel-cores",
+            "run",
+            edit(
+                &edit(
+                    &pipelines,
+                    "\"backend\": \"simulated\"",
+                    "\"backend\": \"local\"",
+                ),
+                "\"misc.ccount\",",
+                "\"misc.ccount\", \"cores\": 25,",
+            ),
+            10,
+            "kernel \"misc.ccount\": cores must be within 1..=24 (resource.cores) on the \
+             \"local\" backend, got 25"
+                .to_string(),
         ),
     ];
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("check-nested");

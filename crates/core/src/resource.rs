@@ -438,9 +438,9 @@ impl ResourceHandle {
         })
     }
 
-    /// Creates a handle executing kernels for real on `cores` local
-    /// core slots.
-    pub fn local(cores: usize) -> Self {
+    /// Creates a handle executing kernels for real on `cores` (at least
+    /// one) local core slots.
+    pub fn local(cores: usize) -> Result<Self, EntkError> {
         Self::local_with(
             cores,
             KernelRegistry::with_builtins(),
@@ -449,7 +449,16 @@ impl ResourceHandle {
     }
 
     /// Local handle with custom registry and fault policy.
-    pub fn local_with(cores: usize, registry: KernelRegistry, fault: FaultConfig) -> Self {
+    pub fn local_with(
+        cores: usize,
+        registry: KernelRegistry,
+        fault: FaultConfig,
+    ) -> Result<Self, EntkError> {
+        if cores == 0 {
+            return Err(EntkError::Resource(
+                "requested 0 cores; fork://localhost needs at least one".to_string(),
+            ));
+        }
         // The local backend runs in real time: the session never draws from
         // its RNG (no modeled overheads or backoff), so the seed is inert,
         // and the disabled telemetry pipeline drops every record.
@@ -459,10 +468,10 @@ impl ResourceHandle {
             0,
             SharedTelemetry::disabled(),
         );
-        ResourceHandle {
+        Ok(ResourceHandle {
             session,
             inner: Inner::Local(Box::new(LocalBackend::new(cores, registry))),
-        }
+        })
     }
 
     /// Replaces the unit scheduler (simulated backend only; ablation hook).

@@ -33,7 +33,8 @@ fn handle(backend: Backend, cores: usize, fault: FaultConfig) -> ResourceHandle 
             };
             ResourceHandle::simulated(config, sim).expect("simulated handle")
         }
-        Backend::Local => ResourceHandle::local_with(cores, KernelRegistry::with_builtins(), fault),
+        Backend::Local => ResourceHandle::local_with(cores, KernelRegistry::with_builtins(), fault)
+            .expect("local handle"),
         Backend::Federated => {
             let first = cores.div_ceil(2).max(1);
             let second = (cores - cores / 2).max(1);
@@ -287,6 +288,11 @@ fn construction_errors_are_typed() {
     match ResourceHandle::federated(config) {
         Err(EntkError::Resource(msg)) => assert!(msg.contains("no.such.machine")),
         other => panic!("bad federated member gave {:?}", other.err()),
+    }
+    // A local handle with no core to run on.
+    match ResourceHandle::local(0) {
+        Err(EntkError::Resource(msg)) => assert!(msg.contains("at least one"), "{msg}"),
+        other => panic!("zero local cores gave {:?}", other.err()),
     }
     // A member with no wall time: its pilot would die as it starts.
     let config = FederatedConfig {

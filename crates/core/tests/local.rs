@@ -26,7 +26,7 @@ fn char_count_app_runs_for_real() {
     })
     .with_stage_labels(vec!["mkfile".into(), "ccount".into()]);
 
-    let mut handle = ResourceHandle::local(4);
+    let mut handle = ResourceHandle::local(4).unwrap();
     handle.allocate().unwrap();
     let report = handle.run(&mut pattern).unwrap();
     handle.deallocate().unwrap();
@@ -72,7 +72,7 @@ fn real_md_sal_produces_analysis() {
             )]
         },
     );
-    let mut handle = ResourceHandle::local(3);
+    let mut handle = ResourceHandle::local(3).unwrap();
     handle.allocate().unwrap();
     let report = handle.run(&mut pattern).unwrap();
     assert_eq!(report.failed_tasks, 0);
@@ -97,7 +97,7 @@ fn real_remd_exchanges_real_energies() {
             )
         },
     );
-    let mut handle = ResourceHandle::local(4);
+    let mut handle = ResourceHandle::local(4).unwrap();
     handle.allocate().unwrap();
     let report = handle.run(&mut pattern).unwrap();
     assert_eq!(report.failed_tasks, 0);
@@ -117,7 +117,8 @@ fn local_failures_retry_then_report() {
         }
     });
     let mut handle =
-        ResourceHandle::local_with(2, KernelRegistry::with_builtins(), FaultConfig::retries(2));
+        ResourceHandle::local_with(2, KernelRegistry::with_builtins(), FaultConfig::retries(2))
+            .unwrap();
     handle.allocate().unwrap();
     let report = handle.run(&mut pattern).unwrap();
     assert_eq!(report.failed_tasks, 1);
@@ -127,7 +128,7 @@ fn local_failures_retry_then_report() {
 #[test]
 fn unknown_kernel_fails_cleanly_locally() {
     let mut pattern = BagOfTasks::new(1, |_| KernelCall::new("md.namd", json!({})));
-    let mut handle = ResourceHandle::local(1);
+    let mut handle = ResourceHandle::local(1).unwrap();
     handle.allocate().unwrap();
     let report = handle.run(&mut pattern).unwrap();
     assert_eq!(report.failed_tasks, 1);
@@ -135,9 +136,79 @@ fn unknown_kernel_fails_cleanly_locally() {
 
 #[test]
 fn local_lifecycle_misuse() {
-    let mut handle = ResourceHandle::local(1);
+    let mut handle = ResourceHandle::local(1).unwrap();
     let mut pattern = BagOfTasks::new(1, |_| KernelCall::new("misc.sleep", json!({"secs": 0.01})));
     assert!(handle.run(&mut pattern).is_err());
     handle.allocate().unwrap();
     assert!(handle.allocate().is_err());
+}
+
+#[test]
+fn queued_units_hold_their_cores_for_real() {
+    // Eight two-core tasks on three cores: more units than the service can
+    // hold, and no two of them fit side by side.
+    let mut pattern = BagOfTasks::new(8, |_| {
+        KernelCall::new("misc.sleep", json!({ "secs": 0.01 })).with_cores(2)
+    });
+    let mut handle = ResourceHandle::local(3).unwrap();
+    handle.allocate().unwrap();
+    let report = handle.run(&mut pattern).unwrap();
+    assert_eq!((report.task_count(), report.failed_tasks), (8, 0));
+    let mut ran: Vec<_> = report
+        .tasks
+        .iter()
+        .map(|t| (t.exec_start.unwrap(), t.exec_stop.unwrap()))
+        .collect();
+    ran.sort();
+    for (start, stop) in &ran {
+        assert!(stop.saturating_since(*start) >= SimDuration::from_millis(9));
+    }
+    for pair in ran.windows(2) {
+        assert!(pair[0].1 <= pair[1].0, "overlapping executions: {pair:?}");
+    }
+}
+
+/// A kernel whose real execution panics.
+struct PanickingKernel;
+
+impl entk_kernels::KernelPlugin for PanickingKernel {
+    fn name(&self) -> &str {
+        "test.panic"
+    }
+    fn cost(
+        &self,
+        _args: &serde_json::Value,
+        _cores: usize,
+        _platform: &entk_cluster::PlatformSpec,
+        _rng: &mut entk_sim::SimRng,
+    ) -> SimDuration {
+        SimDuration::ZERO
+    }
+    fn execute_model(
+        &self,
+        _args: &serde_json::Value,
+        _rng: &mut entk_sim::SimRng,
+    ) -> Result<serde_json::Value, entk_kernels::KernelError> {
+        Ok(json!({}))
+    }
+    fn execute(
+        &self,
+        _args: &serde_json::Value,
+    ) -> Result<serde_json::Value, entk_kernels::KernelError> {
+        panic!("kernel blew up")
+    }
+}
+
+#[test]
+fn a_panicking_kernel_is_one_failed_task_not_a_hang() {
+    let mut registry = KernelRegistry::with_builtins();
+    registry.register(std::sync::Arc::new(PanickingKernel));
+    let mut pattern = BagOfTasks::new(3, |i| match i {
+        0 => KernelCall::new("test.panic", json!({})),
+        _ => KernelCall::new("misc.stress", json!({ "iters": 1000u64 })),
+    });
+    let mut handle = ResourceHandle::local_with(1, registry, FaultConfig::default()).unwrap();
+    handle.allocate().unwrap();
+    let report = handle.run(&mut pattern).unwrap();
+    assert_eq!((report.task_count(), report.failed_tasks), (3, 1));
 }

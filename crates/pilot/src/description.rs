@@ -2,8 +2,6 @@
 
 use entk_sim::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::sync::Arc;
 
 /// Request for a pilot: a container job on a target resource whose cores are
 /// then scheduled at the application level.
@@ -68,25 +66,12 @@ pub struct StagingDirective {
     pub direction: StagingDirection,
 }
 
-/// The work a unit performs.
-///
-/// Simulated experiments carry a pre-sampled duration (from the kernel's
-/// cost model); local execution carries a real closure.
-#[derive(Clone)]
+/// The work a unit performs: a pre-sampled duration from the kernel's cost
+/// model. (Real kernels never become units; they run under `fork://`.)
+#[derive(Debug, Clone)]
 pub enum UnitWork {
     /// Simulated execution: occupy cores for this long in virtual time.
     Modeled(SimDuration),
-    /// Real execution: run this closure on host threads.
-    Real(Arc<dyn Fn() -> Result<(), String> + Send + Sync>),
-}
-
-impl fmt::Debug for UnitWork {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            UnitWork::Modeled(d) => write!(f, "Modeled({d})"),
-            UnitWork::Real(_) => write!(f, "Real(<closure>)"),
-        }
-    }
 }
 
 /// Request for one compute unit (task).

@@ -5,15 +5,13 @@
 //! compute units onto acquired cores — decoupling the workload's total
 //! resource needs from what is instantaneously available.
 //!
-//! Two runtimes share the same descriptions and state models:
-//! [`SimRuntime`] executes in virtual time on `entk-cluster` machines (all
-//! scaling experiments), and [`LocalRuntime`] executes real closures on host
-//! threads (validation and examples).
+//! [`SimRuntime`] executes units in virtual time on `entk-cluster` machines.
+//! Real execution needs no pilot: the toolkit's local backend hands kernels
+//! straight to the `fork://` adapter (`entk_saga::ForkJobService`).
 
 #![warn(missing_docs)]
 
 pub mod description;
-pub mod local_runtime;
 pub mod overheads;
 pub mod scheduler;
 pub mod sim_runtime;
@@ -22,7 +20,6 @@ pub mod states;
 pub use description::{
     PilotDescription, StagingDirection, StagingDirective, UnitDescription, UnitWork,
 };
-pub use local_runtime::{LocalCompletion, LocalRuntime};
 pub use overheads::RuntimeOverheads;
 pub use scheduler::{
     FirstFitScheduler, LargestFirstScheduler, PilotView, Placement, RoundRobinScheduler,

@@ -375,12 +375,10 @@ impl SimRuntime {
             let id = UnitId(self.next_unit);
             self.next_unit += 1;
             debug_assert_eq!(id.0 as usize, self.units.len());
+            let UnitWork::Modeled(duration) = description.work;
             self.units.push(UnitRecord {
                 cores: description.cores,
-                duration: match description.work {
-                    UnitWork::Modeled(d) => d,
-                    UnitWork::Real(_) => SimDuration::ZERO,
-                },
+                duration,
                 input_bytes: description.input_bytes(),
                 output_bytes: description.output_bytes(),
                 state: UnitState::New,

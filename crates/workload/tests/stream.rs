@@ -591,3 +591,43 @@ fn live_sinks_reproduce_the_dispatch_goldens() {
     assert_eq!(entk_workload::fnv64(&rows), GRID_SINK_GOLDENS[0].1);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Session 1471 of the `serve-fed-fair` benchmark body at seed 2016. Ending
+/// a session (`begin_shutdown`) is a zero-delay reaction, but the windowed
+/// federated drive lets members run up to `lookahead` (10 ms) past it: the
+/// still-queued second pilot goes active 3.8 ms after `teardown_start`
+/// instead of being cancelled at it. The event-at-a-time drive that fixes
+/// it moves this session's `trace_fp`, hence `benchmark/expected.json`.
+#[test]
+#[ignore = "live bug in the windowed federated drive: the fix waits for the benchmark unfreeze, ROADMAP 2/3a"]
+fn no_pilot_goes_active_after_the_session_began_tearing_down() {
+    use entk_core::{run_federated_traced, ClusterSpec, FederatedConfig};
+    use entk_sim::SimDuration;
+    use entk_workload::{session_seed, HotTenantTrace};
+
+    let index = 1471;
+    let arrival = &HotTenantTrace::new(2016, 2000, 64).generate().unwrap()[index];
+    let member = ClusterSpec::new(
+        "xsede.stampede",
+        arrival.cores,
+        SimDuration::from_secs(10_000_000),
+    );
+    let fed = FederatedConfig {
+        seed: session_seed(2016, index),
+        clusters: vec![member.clone(), member],
+        ..FederatedConfig::default()
+    };
+    let mut pattern = arrival.build_pattern().unwrap();
+    let (_, telemetry) = run_federated_traced(fed, pattern.as_mut()).unwrap();
+    let tracer = &telemetry.tracer;
+    let teardown = tracer.filter("entk", "teardown_start").next().unwrap().time;
+    let late: Vec<_> = tracer
+        .filter("pilot", "pilot_active")
+        .filter(|r| r.time > teardown)
+        .map(|r| format!("{} pilot_active at {}", r.subject, r.time))
+        .collect();
+    assert!(
+        late.is_empty(),
+        "teardown_start at {teardown}, then {late:?}"
+    );
+}

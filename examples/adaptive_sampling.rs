@@ -10,9 +10,8 @@
 //! Run with: `cargo run --release --example adaptive_sampling`
 
 use entk_core::prelude::*;
-use parking_lot::Mutex;
 use serde_json::json;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn main() {
     let iterations = 3;
@@ -39,7 +38,7 @@ fn main() {
             });
             // Seed this simulation from a CoCo-proposed structure if one
             // is available.
-            if let Some(start) = starts_sim.lock().get(idx) {
+            if let Some(start) = starts_sim.lock().unwrap().get(idx) {
                 args["start"] = json!([start]);
             }
             KernelCall::new("md.amber", args)
@@ -66,8 +65,8 @@ fn main() {
         move |_iter, analysis_outputs| {
             let out = &analysis_outputs[0];
             let occupancy = out["occupancy"].as_f64().unwrap_or(0.0);
-            occupancy_log.lock().push(occupancy);
-            *starts.lock() = out["new_starts"].as_array().cloned().unwrap_or_default();
+            occupancy_log.lock().unwrap().push(occupancy);
+            *starts.lock().unwrap() = out["new_starts"].as_array().cloned().unwrap_or_default();
             // Low coverage ⇒ widen the ensemble; high coverage ⇒ shrink it.
             if occupancy < 0.3 {
                 6
@@ -77,7 +76,7 @@ fn main() {
         }
     });
 
-    let mut handle = ResourceHandle::local(3);
+    let mut handle = ResourceHandle::local(3).expect("local handle");
     handle.allocate().expect("local pool ready");
     let report = handle.run(&mut pattern).expect("adaptive SAL completes");
     handle.deallocate().expect("teardown");
@@ -85,7 +84,7 @@ fn main() {
     println!("iterations       : {}", pattern.completed_iterations());
     println!("total tasks      : {}", report.task_count());
     println!("wall time        : {}", report.ttc);
-    for (i, occ) in occupancy_log.lock().iter().enumerate() {
+    for (i, occ) in occupancy_log.lock().unwrap().iter().enumerate() {
         println!("iter {i} projected-space occupancy: {:.2}", occ);
     }
     assert_eq!(report.failed_tasks, 0);

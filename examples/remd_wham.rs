@@ -94,7 +94,7 @@ fn main() {
     });
     let mut remd = RecordingRemd::new(ee, temps.clone());
 
-    let mut handle = ResourceHandle::local(4);
+    let mut handle = ResourceHandle::local(4).expect("local handle");
     handle.allocate().expect("local pool ready");
     let report = handle.run(&mut remd).expect("REMD completes");
     println!(

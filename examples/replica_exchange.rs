@@ -36,7 +36,7 @@ fn main() {
         )
     });
 
-    let mut handle = ResourceHandle::local(replicas.min(4));
+    let mut handle = ResourceHandle::local(replicas.min(4)).expect("local handle");
     handle.allocate().expect("local pool ready");
     let report = handle.run(&mut pattern).expect("REMD completes");
     handle.deallocate().expect("teardown");
