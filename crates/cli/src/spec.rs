@@ -17,7 +17,7 @@
 
 use entk_core::prelude::*;
 use entk_core::registry::schedulers;
-use entk_core::{parse_spec, typed_spec, usage_at, EntkError, FaultConfig};
+use entk_core::{parse_spec, typed_spec, usage_at, usage_at_key, EntkError, FaultConfig};
 use entk_workload::StreamSpec;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
@@ -399,19 +399,23 @@ fn check_kernels(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
     let slots = spec.resource.cores;
     for (template, vars) in templates {
         let call = bind(template, &vars);
-        let refuse = |why: String| {
+        // On the refused argument's line, or else the template's.
+        let refuse = |key: Option<&str>, why: String| {
             let msg = format!("kernel {:?}: {why}", call.plugin);
-            usage_at(text, &call.plugin, EntkError::Usage(msg))
+            usage_at_key(text, &call.plugin, key, EntkError::Usage(msg))
         };
         registry
             .get(&call.plugin)
             .and_then(|plugin| plugin.validate(&call.args))
-            .map_err(|e| refuse(e.0))?;
+            .map_err(|e| refuse(e.key.as_deref(), e.message))?;
         if spec.backend == "local" && !(1..=slots).contains(&call.cores) {
-            return Err(refuse(format!(
-                "cores must be within 1..={slots} (resource.cores) on the \"local\" backend, got {}",
-                call.cores
-            )));
+            return Err(refuse(
+                None,
+                format!(
+                    "cores must be within 1..={slots} (resource.cores) on the \"local\" backend, got {}",
+                    call.cores
+                ),
+            ));
         }
     }
     Ok(())

@@ -464,8 +464,8 @@ fn run_names_a_stream_spec_instead_of_its_first_unknown_key() {
 
 /// Mistakes that loaded, printed `ok:` and then ran with the default they
 /// were meant to replace (or failed every task): a misspelt key below the
-/// first level, a kernel argument its plugin rejects, a key the backend
-/// does not read. `check` and the verb that runs the document refuse each
+/// first level, a kernel argument its plugin does not declare, mistypes or
+/// cannot mean, a key the backend does not read. `check` and the verb that runs the document refuse each
 /// with the mistake's own line — and, for a key, the keys its struct
 /// declares, in declaration order — and produce nothing.
 #[test]
@@ -473,12 +473,17 @@ fn nested_mistakes_are_refused_by_check_and_by_the_verb_that_runs_them() {
     let stream = example_spec("grid_registry.json");
     let session = example_spec("busy_machine.json");
     let pipelines = example_spec("charcount.json");
+    let exchange = example_spec("remd.json");
     let edit = |text: &str, from: &str, to: &str| {
         let edited = text.replace(from, to);
         assert_ne!(edited, text, "{from:?} occurs in the example");
         edited
     };
     let unknown = |key: &str, known: &str| format!("unknown key \"{key}\" (known keys: {known})");
+    let md_keys = "n_atoms, steps, temperature, seed, record_every, start";
+    let bad_secs = |got: &str| {
+        format!("kernel \"misc.sleep\": secs must be finite, >= 0 and below 1.8e13 s, got {got}")
+    };
     let cases = [
         (
             "scheduler-param",
@@ -546,7 +551,83 @@ fn nested_mistakes_are_refused_by_check_and_by_the_verb_that_runs_them() {
             "run",
             edit(&session, "\"secs\"", "\"sec\""),
             19,
-            "kernel \"misc.sleep\": missing/invalid f64 field \"secs\"".to_string(),
+            format!("kernel \"misc.sleep\": {}", unknown("sec", "secs")),
+        ),
+        // An optional argument: it ran with the default it meant to replace.
+        (
+            "kernel-optional-arg",
+            "run",
+            edit(&pipelines, "\"bytes\"", "\"byts\""),
+            9,
+            format!(
+                "kernel \"misc.mkfile\": {}",
+                unknown("byts", "path, bytes, base_secs")
+            ),
+        ),
+        // The second template's own line, not the first `"bytes"`.
+        (
+            "kernel-arg-type",
+            "run",
+            edit(&pipelines, "1024 } }\n", "\"4 KiB\" } }\n"),
+            10,
+            "kernel \"misc.ccount\": bytes: expected unsigned integer, got String(\"4 KiB\")"
+                .to_string(),
+        ),
+        (
+            "kernel-arg-float-for-count",
+            "run",
+            edit(&exchange, "\"steps\": 3000", "\"steps\": 3000.5"),
+            13,
+            "kernel \"md.amber\": steps: expected unsigned integer, got ".to_string(),
+        ),
+        (
+            "exchange-template-arg",
+            "run",
+            edit(&exchange, "\"steps\"", "\"stepz\""),
+            13,
+            format!("kernel \"md.amber\": {}", unknown("stepz", md_keys)),
+        ),
+        (
+            "exchange-template-placeholder-key",
+            "run",
+            edit(
+                &exchange,
+                "\"seed\": \"$replica\"",
+                "\"seed\": \"$replica\", \"replica\": \"$replica\"",
+            ),
+            14,
+            format!("kernel \"md.amber\": {}", unknown("replica", md_keys)),
+        ),
+        // The kernel's `"seed"` on line 14, not the session's on line 4.
+        (
+            "kernel-arg-not-the-session-key",
+            "run",
+            edit(&exchange, "\"$replica\"", "-1"),
+            14,
+            "kernel \"md.amber\": seed: expected unsigned integer, got ".to_string(),
+        ),
+        (
+            "kernel-zero-steps",
+            "run",
+            edit(&exchange, "\"steps\": 3000", "\"steps\": 0"),
+            13,
+            "kernel \"md.amber\": steps must be at least 1, got 0".to_string(),
+        ),
+        // Ran as zero-second tasks.
+        (
+            "kernel-negative-secs",
+            "run",
+            edit(&session, "\"secs\": 60.0", "\"secs\": -5.0"),
+            19,
+            bad_secs("-5.0"),
+        ),
+        // Every task died at the wall time.
+        (
+            "kernel-unbounded-secs",
+            "run",
+            edit(&session, "\"secs\": 60.0", "\"secs\": 1e300"),
+            19,
+            bad_secs("1e300"),
         ),
         (
             "federation-unread",

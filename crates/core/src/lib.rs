@@ -59,7 +59,9 @@ pub use pattern::{
     ExecutionPattern, Pipeline, PstTask, PstWorkflow, SequencePattern, SimulationAnalysisLoop,
     Stage,
 };
-pub use registry::{parse_spec, typed_spec, usage_at, ComponentSpec, NoParams, Registry};
+pub use registry::{
+    parse_spec, typed_spec, usage_at, usage_at_key, ComponentSpec, NoParams, Registry,
+};
 pub use report::{ExecutionReport, OverheadBreakdown, TaskRecord};
 pub use resource::{
     run_federated, run_federated_traced, run_simulated, run_simulated_traced, ClusterSpec,

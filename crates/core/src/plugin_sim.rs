@@ -51,7 +51,7 @@ use entk_cluster::{ClusterEvent, FaultProfile, PlatformSpec};
 use entk_kernels::{KernelCall, KernelRegistry};
 use entk_pilot::{
     PilotDescription, PilotId, PilotState, RuntimeEvent, RuntimeNotification, SimRuntime,
-    SimRuntimeConfig, UnitDescription, UnitId, UnitState, UnitWork,
+    SimRuntimeConfig, UnitDescription, UnitId, UnitState,
 };
 use entk_sim::{
     Context, Engine, SharedTelemetry, SimDuration, SimRng, SimTime, Subject, SubjectOffsets,
@@ -825,36 +825,32 @@ impl ExecutionBackend for EventBackend {
                     continue;
                 }
             };
-            if let Err(e) = plugin.validate(&call.args) {
-                verdicts.push(Some(e.to_string()));
-                continue;
-            }
             let c = Self::pick_cluster(&remaining, &alive);
             let bound_cores = self
                 .binding
                 .bind(&spec.stage, call.cores, free[c], batch_size)
                 .clamp(1, max_unit[c]);
-            let cost = plugin.cost(
-                &call.args,
-                bound_cores,
-                self.clusters[c].runtime.platform(),
-                rng,
-            );
+            let platform = self.clusters[c].runtime.platform();
+            let plan = match plugin.plan(&call.args, bound_cores, platform, rng) {
+                Ok(plan) => plan,
+                Err(e) => {
+                    verdicts.push(Some(e.to_string()));
+                    continue;
+                }
+            };
             let mut ud = UnitDescription {
                 name: String::new(),
                 cores: bound_cores,
                 mpi: call.mpi || bound_cores > 1,
-                work: UnitWork::Modeled(cost),
+                duration: plan.duration,
                 input_staging: Vec::new(),
                 output_staging: Vec::new(),
             };
-            let in_b = plugin.input_bytes(&call.args);
-            if in_b > 0 {
-                ud = ud.with_input("input", in_b);
+            if plan.input_bytes > 0 {
+                ud = ud.with_input("input", plan.input_bytes);
             }
-            let out_b = plugin.output_bytes(&call.args);
-            if out_b > 0 {
-                ud = ud.with_output("output", out_b);
+            if plan.output_bytes > 0 {
+                ud = ud.with_output("output", plan.output_bytes);
             }
             if ud.validate().is_err() {
                 // Nothing but this rejection ever prints a simulated

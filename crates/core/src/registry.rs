@@ -225,23 +225,38 @@ impl<T, C> std::fmt::Debug for Registry<T, C> {
 
 // ------------------------------------------------------ spec-text errors
 
-/// 1-based line of the first occurrence of `"needle"` (quoted) in the
-/// spec text — good enough to point at the offending key or name.
-fn line_of(text: &str, needle: &str) -> Option<usize> {
-    let pos = text.find(&format!("\"{needle}\""))?;
+/// 1-based line of the first occurrence of `"needle"` (quoted) at or after
+/// byte `from` of the spec text — good enough to point at the offending key
+/// or name.
+fn line_of(text: &str, from: usize, needle: &str) -> Option<usize> {
+    let pos = from + text[from..].find(&format!("\"{needle}\""))?;
     Some(text[..pos].bytes().filter(|&b| b == b'\n').count() + 1)
+}
+
+fn usage_on(line: Option<usize>, err: EntkError) -> EntkError {
+    match (line, err) {
+        (Some(line), EntkError::Usage(msg)) => {
+            EntkError::Usage(format!("workload spec line {line}: {msg}"))
+        }
+        (_, err) => err,
+    }
 }
 
 /// Prefixes a usage message with the spec line the `needle` sits on.
 /// Every spec loader reports through this, so a typo reads the same in a
 /// single-session spec and a stream spec.
 pub fn usage_at(text: &str, needle: &str, err: EntkError) -> EntkError {
-    match (line_of(text, needle), err) {
-        (Some(line), EntkError::Usage(msg)) => {
-            EntkError::Usage(format!("workload spec line {line}: {msg}"))
-        }
-        (_, err) => err,
-    }
+    usage_on(line_of(text, 0, needle), err)
+}
+
+/// [`usage_at`] for a key of the object that names `owner` (a kernel
+/// template names its plugin): the line of the first `"key"` after the
+/// first `"owner"` — a top-level `"seed"` is not a kernel's — or the
+/// owner's own line when there is no such key.
+pub fn usage_at_key(text: &str, owner: &str, key: Option<&str>, err: EntkError) -> EntkError {
+    let from = text.find(&format!("\"{owner}\"")).unwrap_or(0);
+    let line = key.and_then(|key| line_of(text, from, key));
+    usage_on(line.or_else(|| line_of(text, from, owner)), err)
 }
 
 /// Parses a spec document's text into JSON.

@@ -139,10 +139,18 @@ fn sal_semantics_identical_across_backends() {
 
 #[test]
 fn unknown_kernel_is_a_task_failure_not_a_session_error() {
-    for backend in ALL_BACKENDS {
-        let mut pattern = BagOfTasks::new(3, |i| {
+    // A kernel nobody registered, and arguments its kernel refuses.
+    let unbindable = [
+        ("md.namd", json!({})),
+        ("misc.stress", json!({ "iter": 200u64 })),
+    ];
+    let cases = ALL_BACKENDS
+        .into_iter()
+        .flat_map(|backend| unbindable.iter().map(move |bad| (backend, bad.clone())));
+    for (backend, (plugin, args)) in cases {
+        let mut pattern = BagOfTasks::new(3, move |i| {
             if i == 1 {
-                KernelCall::new("md.namd", json!({}))
+                KernelCall::new(plugin, args.clone())
             } else {
                 KernelCall::new("misc.stress", json!({ "iters": 200u64 }))
             }

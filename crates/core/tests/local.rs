@@ -175,14 +175,14 @@ impl entk_kernels::KernelPlugin for PanickingKernel {
     fn name(&self) -> &str {
         "test.panic"
     }
-    fn cost(
+    fn plan(
         &self,
         _args: &serde_json::Value,
         _cores: usize,
         _platform: &entk_cluster::PlatformSpec,
         _rng: &mut entk_sim::SimRng,
-    ) -> SimDuration {
-        SimDuration::ZERO
+    ) -> Result<entk_kernels::UnitPlan, entk_kernels::KernelError> {
+        Ok(entk_kernels::UnitPlan::default())
     }
     fn execute_model(
         &self,

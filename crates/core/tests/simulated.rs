@@ -4,6 +4,7 @@
 use entk_core::prelude::*;
 use entk_core::{EntkError, EntkOverheads};
 use serde_json::json;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn quiet_sim(seed: u64) -> SimulatedConfig {
     SimulatedConfig {
@@ -586,4 +587,76 @@ fn task_records_carry_the_exec_instants_of_their_last_attempt() {
         retried += usize::from(record.retries > 0);
     }
     assert!(retried > 0, "no task was retried");
+}
+
+/// A kernel that counts the calls the backend makes on it.
+#[derive(Default)]
+struct CountingKernel {
+    validated: AtomicUsize,
+    planned: AtomicUsize,
+    modeled: AtomicUsize,
+}
+
+impl entk_kernels::KernelPlugin for CountingKernel {
+    fn name(&self) -> &str {
+        "test.counting"
+    }
+    fn validate(&self, _args: &serde_json::Value) -> Result<(), entk_kernels::KernelError> {
+        self.validated.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+    fn plan(
+        &self,
+        _args: &serde_json::Value,
+        _cores: usize,
+        _platform: &entk_cluster::PlatformSpec,
+        _rng: &mut entk_sim::SimRng,
+    ) -> Result<entk_kernels::UnitPlan, entk_kernels::KernelError> {
+        self.planned.fetch_add(1, Ordering::Relaxed);
+        Ok(entk_kernels::UnitPlan {
+            duration: SimDuration::from_secs(10),
+            input_bytes: 1024,
+            output_bytes: 2048,
+        })
+    }
+    fn execute_model(
+        &self,
+        _args: &serde_json::Value,
+        _rng: &mut entk_sim::SimRng,
+    ) -> Result<serde_json::Value, entk_kernels::KernelError> {
+        self.modeled.fetch_add(1, Ordering::Relaxed);
+        Ok(json!({}))
+    }
+    fn execute(
+        &self,
+        _args: &serde_json::Value,
+    ) -> Result<serde_json::Value, entk_kernels::KernelError> {
+        unreachable!("a simulated session runs no real kernel")
+    }
+}
+
+/// `plan` is the whole of what submission asks a kernel: one call per unit
+/// carries the duration and both staging volumes, and the model execution
+/// is one more at completion.
+#[test]
+fn a_simulated_unit_is_one_plan_call_and_one_model_call() {
+    let kernel = std::sync::Arc::new(CountingKernel::default());
+    let mut registry = KernelRegistry::with_builtins();
+    registry.register(kernel.clone());
+    let config = ResourceConfig::new("local", 4, SimDuration::from_secs(100_000));
+    let mut handle =
+        ResourceHandle::simulated_with_registry(config, quiet_sim(3), registry).unwrap();
+    handle.allocate().unwrap();
+    let mut pattern = BagOfTasks::new(12, |_| KernelCall::new("test.counting", json!({})));
+    let report = handle.run(&mut pattern).unwrap();
+    assert_eq!((report.task_count(), report.failed_tasks), (12, 0));
+    // Three waves of four 10 s units, each staging its bytes in and out.
+    assert!(report.exec_time() >= SimDuration::from_secs(30));
+    let count = |counter: &AtomicUsize| counter.load(Ordering::Relaxed);
+    let calls = (
+        count(&kernel.validated),
+        count(&kernel.planned),
+        count(&kernel.modeled),
+    );
+    assert_eq!(calls, (0, 12, 12));
 }

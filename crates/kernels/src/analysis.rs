@@ -1,21 +1,88 @@
-//! Analysis kernels: `ana.coco` and `ana.lsdmap`.
+//! Analysis kernels: `ana.coco`, `ana.lsdmap` and `ana.wham`.
 //!
-//! Both are *serial* analyses over the whole ensemble, so their cost grows
-//! linearly with the number of contributing simulations — the property the
-//! paper's SAL scaling figures (7 and 8) exhibit.
+//! CoCo and LSDMap are *serial* analyses over the whole ensemble, so their
+//! cost grows linearly with the number of contributing simulations — the
+//! property the paper's SAL scaling figures (7 and 8) exhibit.
 
-use crate::plugin::{argutil, KernelError, KernelPlugin};
+use crate::plugin::{
+    check_secs, linear_duration, one, parse, Args, KernelError, KernelPlugin, UnitPlan,
+};
 use entk_analysis::{coco, lsdmap, CocoConfig, LsdmapConfig};
 use entk_cluster::PlatformSpec;
-use entk_sim::{SimDuration, SimRng};
+use entk_sim::SimRng;
+use serde::Deserialize;
 use serde_json::{json, Value};
+
+/// Refuses a call carrying neither a real run's frames nor a model run's
+/// simulation count.
+fn needs_input(frames: &Option<Vec<Vec<f64>>>, n_sims: Option<u64>) -> Result<(), KernelError> {
+    match (frames, n_sims) {
+        (None, None) => Err(KernelError::new("need frames (real) or n_sims (model)")),
+        _ => Ok(()),
+    }
+}
+
+/// Arguments of `ana.coco`.
+#[derive(Deserialize)]
+#[serde(deny_unknown_fields)]
+struct CocoArgs {
+    /// Trajectory frames a real run analyses, one row of coordinates each.
+    #[serde(default)]
+    frames: Option<Vec<Vec<f64>>>,
+    /// Simulations a model run stands for: drives cost and input staging.
+    /// A call with `frames` alone plans as 0 of them.
+    #[serde(default)]
+    n_sims: Option<u64>,
+    /// New starting conformations to suggest.
+    #[serde(default = "default_n_new")]
+    n_new: u64,
+    /// Principal components spanning the sampled space (real runs).
+    #[serde(default = "default_two")]
+    n_components: u64,
+    /// Histogram bins per component (real runs).
+    #[serde(default = "default_grid")]
+    grid: u64,
+    /// Cost-model base in seconds on a `perf_factor` 1.0 platform.
+    #[serde(default = "default_coco_base_secs")]
+    base_secs: f64,
+    /// Cost-model slope in seconds per simulation.
+    #[serde(default = "default_coco_per_sim_secs")]
+    per_sim_secs: f64,
+}
+
+fn default_n_new() -> u64 {
+    1
+}
+
+fn default_two() -> u64 {
+    2
+}
+
+fn default_grid() -> u64 {
+    10
+}
+
+fn default_coco_base_secs() -> f64 {
+    5.0
+}
+
+fn default_coco_per_sim_secs() -> f64 {
+    0.05
+}
+
+impl Args for CocoArgs {
+    fn check(&self) -> Result<(), KernelError> {
+        needs_input(&self.frames, self.n_sims)?;
+        check_secs("base_secs", self.base_secs)?;
+        check_secs("per_sim_secs", self.per_sim_secs)
+    }
+}
 
 /// CoCo analysis kernel (`ana.coco`).
 ///
-/// Real mode consumes `frames` (rows) and emits `n_new` suggested starting
+/// Real mode consumes `frames` and emits `n_new` suggested starting
 /// conformations. Model mode consumes `n_sims` and emits placeholder
-/// bookkeeping. Cost: `base_secs + per_sim_secs × n_sims` (defaults 5.0 and
-/// 0.05), serial regardless of cores.
+/// bookkeeping. Cost: `base_secs + per_sim_secs × n_sims`.
 #[derive(Debug, Default)]
 pub struct CocoKernel;
 
@@ -25,48 +92,47 @@ impl KernelPlugin for CocoKernel {
     }
 
     fn validate(&self, args: &Value) -> Result<(), KernelError> {
-        if args.get("frames").is_none() && args.get("n_sims").is_none() {
-            return Err(KernelError::new("need frames (real) or n_sims (model)"));
-        }
-        Ok(())
+        parse::<CocoArgs>(args).map(drop)
     }
 
-    fn cost(
+    fn plan(
         &self,
         args: &Value,
         _cores: usize,
         platform: &PlatformSpec,
         rng: &mut SimRng,
-    ) -> SimDuration {
-        let n_sims = argutil::u64_or(args, "n_sims", 0) as f64;
-        let base = argutil::f64_or(args, "base_secs", 5.0);
-        let per = argutil::f64_or(args, "per_sim_secs", 0.05);
-        let jitter = (1.0 + 0.02 * rng.standard_normal()).max(0.5);
-        SimDuration::from_secs_f64((base / platform.perf_factor + per * n_sims) * jitter)
+    ) -> Result<UnitPlan, KernelError> {
+        let args: CocoArgs = parse(args)?;
+        let n_sims = args.n_sims.unwrap_or(0);
+        Ok(UnitPlan {
+            duration: linear_duration(args.base_secs, args.per_sim_secs, n_sims, platform, rng),
+            input_bytes: n_sims * 16 * 1024,
+            output_bytes: args.n_new * 8 * 1024,
+        })
     }
 
     fn execute_model(&self, args: &Value, rng: &mut SimRng) -> Result<Value, KernelError> {
-        self.validate(args)?;
-        let n_new = argutil::u64_or(args, "n_new", 1);
+        let args: CocoArgs = parse(args)?;
         Ok(json!({
-            "n_new": n_new,
+            "n_new": args.n_new,
             "occupancy": 0.1 + 0.4 * rng.uniform(),
             "modeled": true,
         }))
     }
 
     fn execute(&self, args: &Value) -> Result<Value, KernelError> {
-        let frames = argutil::rows_opt(args, "frames")
+        let args: CocoArgs = parse(args)?;
+        let frames = args
+            .frames
             .ok_or_else(|| KernelError::new("missing frames for real CoCo"))?;
         if frames.is_empty() {
             return Err(KernelError::new("CoCo needs at least one frame"));
         }
-        let n_new = argutil::u64_or(args, "n_new", 1) as usize;
         let config = CocoConfig {
-            n_components: argutil::u64_or(args, "n_components", 2) as usize,
-            grid: argutil::u64_or(args, "grid", 10) as usize,
+            n_components: args.n_components as usize,
+            grid: args.grid as usize,
         };
-        let result = coco(&frames, n_new, config);
+        let result = coco(&frames, args.n_new as usize, config);
         Ok(json!({
             "n_new": result.new_starts.len(),
             "new_starts": result.new_starts,
@@ -74,13 +140,46 @@ impl KernelPlugin for CocoKernel {
             "modeled": false,
         }))
     }
+}
 
-    fn input_bytes(&self, args: &Value) -> u64 {
-        argutil::u64_or(args, "n_sims", 1) * 16 * 1024
-    }
+/// Arguments of `ana.lsdmap`.
+#[derive(Deserialize)]
+#[serde(deny_unknown_fields)]
+struct LsdmapArgs {
+    /// Trajectory frames a real run embeds, one row of coordinates each.
+    #[serde(default)]
+    frames: Option<Vec<Vec<f64>>>,
+    /// Simulations a model run stands for: drives cost and input staging.
+    /// A call with `frames` alone plans as 0 of them.
+    #[serde(default)]
+    n_sims: Option<u64>,
+    /// Leading diffusion coordinates to return (real runs).
+    #[serde(default = "default_two")]
+    n_coords: u64,
+    /// Scale on the kernel bandwidth the real run estimates.
+    #[serde(default = "one")]
+    epsilon_scale: f64,
+    /// Cost-model base in seconds on a `perf_factor` 1.0 platform.
+    #[serde(default = "default_lsdmap_base_secs")]
+    base_secs: f64,
+    /// Cost-model slope in seconds per simulation.
+    #[serde(default = "default_lsdmap_per_sim_secs")]
+    per_sim_secs: f64,
+}
 
-    fn output_bytes(&self, args: &Value) -> u64 {
-        argutil::u64_or(args, "n_new", 1) * 8 * 1024
+fn default_lsdmap_base_secs() -> f64 {
+    4.0
+}
+
+fn default_lsdmap_per_sim_secs() -> f64 {
+    0.04
+}
+
+impl Args for LsdmapArgs {
+    fn check(&self) -> Result<(), KernelError> {
+        needs_input(&self.frames, self.n_sims)?;
+        check_secs("base_secs", self.base_secs)?;
+        check_secs("per_sim_secs", self.per_sim_secs)
     }
 }
 
@@ -88,7 +187,7 @@ impl KernelPlugin for CocoKernel {
 ///
 /// Real mode runs a diffusion map over `frames` and returns the leading
 /// diffusion coordinates; model mode uses `n_sims`. Cost: `base_secs +
-/// per_sim_secs × n_sims` (defaults 4.0 and 0.04).
+/// per_sim_secs × n_sims`.
 #[derive(Debug, Default)]
 pub struct LsdmapKernel;
 
@@ -98,28 +197,27 @@ impl KernelPlugin for LsdmapKernel {
     }
 
     fn validate(&self, args: &Value) -> Result<(), KernelError> {
-        if args.get("frames").is_none() && args.get("n_sims").is_none() {
-            return Err(KernelError::new("need frames (real) or n_sims (model)"));
-        }
-        Ok(())
+        parse::<LsdmapArgs>(args).map(drop)
     }
 
-    fn cost(
+    fn plan(
         &self,
         args: &Value,
         _cores: usize,
         platform: &PlatformSpec,
         rng: &mut SimRng,
-    ) -> SimDuration {
-        let n_sims = argutil::u64_or(args, "n_sims", 0) as f64;
-        let base = argutil::f64_or(args, "base_secs", 4.0);
-        let per = argutil::f64_or(args, "per_sim_secs", 0.04);
-        let jitter = (1.0 + 0.02 * rng.standard_normal()).max(0.5);
-        SimDuration::from_secs_f64((base / platform.perf_factor + per * n_sims) * jitter)
+    ) -> Result<UnitPlan, KernelError> {
+        let args: LsdmapArgs = parse(args)?;
+        let n_sims = args.n_sims.unwrap_or(0);
+        Ok(UnitPlan {
+            duration: linear_duration(args.base_secs, args.per_sim_secs, n_sims, platform, rng),
+            input_bytes: n_sims * 16 * 1024,
+            output_bytes: 0,
+        })
     }
 
     fn execute_model(&self, args: &Value, rng: &mut SimRng) -> Result<Value, KernelError> {
-        self.validate(args)?;
+        parse::<LsdmapArgs>(args)?;
         Ok(json!({
             "spectral_gap": 0.2 + 0.6 * rng.uniform(),
             "modeled": true,
@@ -127,14 +225,16 @@ impl KernelPlugin for LsdmapKernel {
     }
 
     fn execute(&self, args: &Value) -> Result<Value, KernelError> {
-        let frames = argutil::rows_opt(args, "frames")
+        let args: LsdmapArgs = parse(args)?;
+        let frames = args
+            .frames
             .ok_or_else(|| KernelError::new("missing frames for real LSDMap"))?;
         if frames.len() < 2 {
             return Err(KernelError::new("LSDMap needs at least two frames"));
         }
         let config = LsdmapConfig {
-            n_coords: argutil::u64_or(args, "n_coords", 2) as usize,
-            epsilon_scale: argutil::f64_or(args, "epsilon_scale", 1.0),
+            n_coords: args.n_coords as usize,
+            epsilon_scale: args.epsilon_scale,
         };
         let result = lsdmap(&frames, config);
         let gap = if result.eigenvalues.len() > 2 {
@@ -150,9 +250,129 @@ impl KernelPlugin for LsdmapKernel {
             "modeled": false,
         }))
     }
+}
 
-    fn input_bytes(&self, args: &Value) -> u64 {
-        argutil::u64_or(args, "n_sims", 1) * 16 * 1024
+/// Arguments of `ana.wham`.
+#[derive(Deserialize)]
+#[serde(deny_unknown_fields)]
+struct WhamArgs {
+    /// Per-replica potential-energy samples a real run combines.
+    #[serde(default)]
+    energy_samples: Option<Vec<Vec<f64>>>,
+    /// Each replica's temperature, in `energy_samples`' order (real runs).
+    #[serde(default)]
+    temperatures: Option<Vec<f64>>,
+    /// Temperatures to evaluate observables at; `temperatures` when absent.
+    #[serde(default)]
+    target_temps: Option<Vec<f64>>,
+    /// Energy histogram bins (at least 2 are used).
+    #[serde(default = "default_n_bins")]
+    n_bins: u64,
+    /// Samples a model run stands for: drives cost and input staging. A
+    /// call with `energy_samples` alone plans as 10 000 of them.
+    #[serde(default)]
+    n_samples: Option<u64>,
+    /// Cost-model base in seconds on a `perf_factor` 1.0 platform.
+    #[serde(default = "default_wham_base_secs")]
+    base_secs: f64,
+    /// Cost-model slope in seconds per sample.
+    #[serde(default = "default_per_sample_secs")]
+    per_sample_secs: f64,
+}
+
+fn default_n_bins() -> u64 {
+    60
+}
+
+fn default_wham_base_secs() -> f64 {
+    2.0
+}
+
+fn default_per_sample_secs() -> f64 {
+    2e-5
+}
+
+impl Args for WhamArgs {
+    fn check(&self) -> Result<(), KernelError> {
+        if self.energy_samples.is_none() && self.n_samples.is_none() {
+            return Err(KernelError::new(
+                "need energy_samples (real) or n_samples (model)",
+            ));
+        }
+        check_secs("base_secs", self.base_secs)?;
+        check_secs("per_sample_secs", self.per_sample_secs)
+    }
+}
+
+/// WHAM post-processing kernel (`ana.wham`): combines per-replica energy
+/// histograms from a T-REMD run into density-of-states estimates and
+/// thermodynamic observables at arbitrary temperatures. Model mode:
+/// `n_samples` drives the cost only.
+#[derive(Debug, Default)]
+pub struct WhamKernel;
+
+impl KernelPlugin for WhamKernel {
+    fn name(&self) -> &str {
+        "ana.wham"
+    }
+
+    fn validate(&self, args: &Value) -> Result<(), KernelError> {
+        parse::<WhamArgs>(args).map(drop)
+    }
+
+    fn plan(
+        &self,
+        args: &Value,
+        _cores: usize,
+        platform: &PlatformSpec,
+        rng: &mut SimRng,
+    ) -> Result<UnitPlan, KernelError> {
+        let args: WhamArgs = parse(args)?;
+        let n = args.n_samples.unwrap_or(10_000);
+        Ok(UnitPlan {
+            duration: linear_duration(args.base_secs, args.per_sample_secs, n, platform, rng),
+            input_bytes: n * 8,
+            output_bytes: 0,
+        })
+    }
+
+    fn execute_model(&self, args: &Value, rng: &mut SimRng) -> Result<Value, KernelError> {
+        parse::<WhamArgs>(args)?;
+        Ok(json!({ "converged": true, "residual": 1e-9 * rng.uniform(), "modeled": true }))
+    }
+
+    fn execute(&self, args: &Value) -> Result<Value, KernelError> {
+        let args: WhamArgs = parse(args)?;
+        let samples = args
+            .energy_samples
+            .ok_or_else(|| KernelError::new("missing energy_samples"))?;
+        let temps = args
+            .temperatures
+            .ok_or_else(|| KernelError::new("missing temperatures"))?;
+        if samples.len() != temps.len() {
+            return Err(KernelError::new(
+                "energy_samples/temperatures length mismatch",
+            ));
+        }
+        if samples.iter().all(Vec::is_empty) {
+            return Err(KernelError::new("no energy samples"));
+        }
+        let result = entk_analysis::wham(&samples, &temps, (args.n_bins as usize).max(2), 500);
+        let targets = args.target_temps.unwrap_or_else(|| temps.clone());
+        let mean_energies: Vec<f64> = targets.iter().map(|&t| result.mean_energy_at(t)).collect();
+        let heat_capacities: Vec<f64> = targets
+            .iter()
+            .map(|&t| result.heat_capacity_at(t))
+            .collect();
+        Ok(json!({
+            "target_temps": targets,
+            "mean_energies": mean_energies,
+            "heat_capacities": heat_capacities,
+            "f_k": result.f_k,
+            "residual": result.residual,
+            "iterations": result.iterations,
+            "modeled": false,
+        }))
     }
 }
 
@@ -200,9 +420,8 @@ mod tests {
         let avg = |n: u64, cores: usize, r: &mut SimRng| {
             (0..16)
                 .map(|_| {
-                    CocoKernel
-                        .cost(&json!({ "n_sims": n }), cores, &spec, r)
-                        .as_secs_f64()
+                    let plan = CocoKernel.plan(&json!({ "n_sims": n }), cores, &spec, r);
+                    plan.unwrap().duration.as_secs_f64()
                 })
                 .sum::<f64>()
                 / 16.0
@@ -239,102 +458,28 @@ mod tests {
 
     #[test]
     fn staging_grows_with_ensemble() {
-        assert!(
-            CocoKernel.input_bytes(&json!({ "n_sims": 1024 }))
-                > CocoKernel.input_bytes(&json!({ "n_sims": 64 }))
+        let (spec, mut r) = (PlatformSpec::stampede(), rng());
+        let mut staged = |kernel: &dyn KernelPlugin, args: Value| {
+            let plan = kernel.plan(&args, 1, &spec, &mut r).unwrap();
+            (plan.input_bytes, plan.output_bytes)
+        };
+        let coco = |n_sims: u64| json!({ "n_sims": n_sims, "n_new": 3 });
+        assert_eq!(
+            staged(&CocoKernel, coco(64)),
+            (64 * 16 * 1024, 3 * 8 * 1024)
         );
-    }
-}
-
-/// WHAM post-processing kernel (`ana.wham`): combines per-replica energy
-/// histograms from a T-REMD run into density-of-states estimates and
-/// thermodynamic observables at arbitrary temperatures.
-///
-/// Real mode: `energy_samples` (array of arrays), `temperatures` (array),
-/// `target_temps` (array, default = input temperatures), `n_bins`
-/// (default 60). Model mode: `n_samples` drives the cost only.
-#[derive(Debug, Default)]
-pub struct WhamKernel;
-
-impl KernelPlugin for WhamKernel {
-    fn name(&self) -> &str {
-        "ana.wham"
-    }
-
-    fn validate(&self, args: &Value) -> Result<(), KernelError> {
-        if args.get("energy_samples").is_none() && args.get("n_samples").is_none() {
-            return Err(KernelError::new(
-                "need energy_samples (real) or n_samples (model)",
-            ));
-        }
-        Ok(())
-    }
-
-    fn cost(
-        &self,
-        args: &Value,
-        _cores: usize,
-        platform: &PlatformSpec,
-        rng: &mut SimRng,
-    ) -> SimDuration {
-        let n = argutil::u64_or(args, "n_samples", 10_000) as f64;
-        let base = argutil::f64_or(args, "base_secs", 2.0);
-        let per = argutil::f64_or(args, "per_sample_secs", 2e-5);
-        let jitter = (1.0 + 0.02 * rng.standard_normal()).max(0.5);
-        SimDuration::from_secs_f64((base / platform.perf_factor + per * n) * jitter)
-    }
-
-    fn execute_model(&self, args: &Value, rng: &mut SimRng) -> Result<Value, KernelError> {
-        self.validate(args)?;
-        Ok(json!({ "converged": true, "residual": 1e-9 * rng.uniform(), "modeled": true }))
-    }
-
-    fn execute(&self, args: &Value) -> Result<Value, KernelError> {
-        let samples = argutil::rows_opt(args, "energy_samples")
-            .ok_or_else(|| KernelError::new("missing energy_samples"))?;
-        let temps: Vec<f64> = args
-            .get("temperatures")
-            .and_then(Value::as_array)
-            .ok_or_else(|| KernelError::new("missing temperatures"))?
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or_else(|| KernelError::new("bad temperature"))
-            })
-            .collect::<Result<_, _>>()?;
-        if samples.len() != temps.len() {
-            return Err(KernelError::new(
-                "energy_samples/temperatures length mismatch",
-            ));
-        }
-        if samples.iter().all(Vec::is_empty) {
-            return Err(KernelError::new("no energy samples"));
-        }
-        let n_bins = argutil::u64_or(args, "n_bins", 60) as usize;
-        let result = entk_analysis::wham(&samples, &temps, n_bins.max(2), 500);
-        let targets: Vec<f64> = args
-            .get("target_temps")
-            .and_then(Value::as_array)
-            .map(|a| a.iter().filter_map(Value::as_f64).collect())
-            .unwrap_or_else(|| temps.clone());
-        let mean_energies: Vec<f64> = targets.iter().map(|&t| result.mean_energy_at(t)).collect();
-        let heat_capacities: Vec<f64> = targets
-            .iter()
-            .map(|&t| result.heat_capacity_at(t))
-            .collect();
-        Ok(json!({
-            "target_temps": targets,
-            "mean_energies": mean_energies,
-            "heat_capacities": heat_capacities,
-            "f_k": result.f_k,
-            "residual": result.residual,
-            "iterations": result.iterations,
-            "modeled": false,
-        }))
-    }
-
-    fn input_bytes(&self, args: &Value) -> u64 {
-        argutil::u64_or(args, "n_samples", 10_000) * 8
+        assert_eq!(staged(&CocoKernel, coco(1024)).0, 1024 * 16 * 1024);
+        assert_eq!(
+            staged(&LsdmapKernel, json!({ "n_sims": 64 })),
+            (64 * 16 * 1024, 0)
+        );
+        // One default per key: a call with real input alone plans as 0
+        // simulations, staging included.
+        assert_eq!(
+            staged(&CocoKernel, json!({ "frames": [[1.0]] })),
+            (0, 8 * 1024)
+        );
+        assert_eq!(staged(&WhamKernel, json!({ "n_samples": 500 })), (4000, 0));
     }
 }
 
@@ -380,12 +525,12 @@ mod wham_kernel_tests {
     fn wham_cost_scales_with_samples() {
         let spec = PlatformSpec::supermic();
         let mut r = SimRng::seed_from_u64(1);
-        let small = WhamKernel
-            .cost(&json!({ "n_samples": 1000 }), 1, &spec, &mut r)
-            .as_secs_f64();
-        let large = WhamKernel
-            .cost(&json!({ "n_samples": 1_000_000 }), 1, &spec, &mut r)
-            .as_secs_f64();
+        let mut cost = |n: u64| {
+            let plan = WhamKernel.plan(&json!({ "n_samples": n }), 1, &spec, &mut r);
+            plan.unwrap().duration.as_secs_f64()
+        };
+        let small = cost(1000);
+        let large = cost(1_000_000);
         assert!(large > small + 10.0);
     }
 }

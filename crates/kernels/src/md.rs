@@ -6,25 +6,80 @@
 //! engine produces. Cost models reproduce the runtime properties the paper
 //! measures: MD time ∝ steps × atoms / cores, exchange time ∝ replicas.
 
-use crate::plugin::{argutil, KernelError, KernelPlugin};
+use crate::plugin::{
+    check_count, check_secs, linear_duration, one, parse, Args, KernelError, KernelPlugin, UnitPlan,
+};
 use entk_cluster::PlatformSpec;
 use entk_md::{alanine_dipeptide_surrogate, exchange_probability, EngineFlavor, MdEngine};
 use entk_sim::{SimDuration, SimRng};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::Deserialize;
 use serde_json::{json, Value};
 
 /// Seconds per MD step per atom per core at perf_factor 1.0: calibrated so a
 /// 2881-atom, 3000-step (6 ps) single-core segment costs ≈ 22 s.
 const SECS_PER_STEP_ATOM: f64 = 2.5e-6;
 
+/// Arguments of `md.amber` and `md.gromacs`.
+#[derive(Deserialize)]
+#[serde(deny_unknown_fields)]
+struct MdArgs {
+    /// Atoms in the system (the paper's solvated alanine dipeptide).
+    #[serde(default = "default_n_atoms")]
+    n_atoms: u64,
+    /// Integration steps of the segment (3000 = 6 ps).
+    #[serde(default = "default_steps")]
+    steps: u64,
+    /// Thermostat temperature in reduced units.
+    #[serde(default = "one")]
+    temperature: f64,
+    /// Seed of a real run's initial velocities and thermostat.
+    #[serde(default)]
+    seed: u64,
+    /// Steps between recorded trajectory frames.
+    #[serde(default = "default_record_every")]
+    record_every: u64,
+    /// Solute start conformations for a real run; the first row is applied
+    /// when it holds three coordinates per solute atom.
+    #[serde(default)]
+    start: Option<Vec<Vec<f64>>>,
+}
+
+fn default_n_atoms() -> u64 {
+    2881
+}
+
+fn default_steps() -> u64 {
+    3000
+}
+
+fn default_record_every() -> u64 {
+    100
+}
+
+impl Args for MdArgs {
+    fn check(&self) -> Result<(), KernelError> {
+        check_count("n_atoms", self.n_atoms)?;
+        check_count("steps", self.steps)?;
+        check_count("record_every", self.record_every)?;
+        if !(self.temperature.is_finite() && self.temperature > 0.0) {
+            let why = format!("must be finite and > 0, got {:?}", self.temperature);
+            return Err(KernelError::arg("temperature", why));
+        }
+        Ok(())
+    }
+}
+
+impl MdArgs {
+    /// Trajectory frames the segment records.
+    fn frames(&self) -> u64 {
+        (self.steps / self.record_every).max(1)
+    }
+}
+
 /// An MD-segment kernel standing in for Amber (`md.amber`) or Gromacs
 /// (`md.gromacs`).
-///
-/// Args: `n_atoms` (u64, default 2881), `steps` (u64, default 3000),
-/// `temperature` (f64, default 1.0), `seed` (u64, default 0),
-/// `record_every` (u64, default 100), `start` (rows, optional solute start
-/// conformation for real runs).
 #[derive(Debug)]
 pub struct MdKernel {
     flavor: EngineFlavor,
@@ -44,16 +99,6 @@ impl MdKernel {
             flavor: EngineFlavor::Gromacs,
         }
     }
-
-    fn params(args: &Value) -> (usize, usize, f64, u64, usize) {
-        (
-            argutil::u64_or(args, "n_atoms", 2881) as usize,
-            argutil::u64_or(args, "steps", 3000) as usize,
-            argutil::f64_or(args, "temperature", 1.0),
-            argutil::u64_or(args, "seed", 0),
-            argutil::u64_or(args, "record_every", 100) as usize,
-        )
-    }
 }
 
 impl KernelPlugin for MdKernel {
@@ -65,63 +110,57 @@ impl KernelPlugin for MdKernel {
     }
 
     fn validate(&self, args: &Value) -> Result<(), KernelError> {
-        let (n_atoms, steps, t, _, _) = Self::params(args);
-        if n_atoms == 0 || steps == 0 {
-            return Err(KernelError::new("n_atoms and steps must be positive"));
-        }
-        if t <= 0.0 {
-            return Err(KernelError::new("temperature must be positive"));
-        }
-        Ok(())
+        parse::<MdArgs>(args).map(drop)
     }
 
-    fn cost(
+    fn plan(
         &self,
         args: &Value,
         cores: usize,
         platform: &PlatformSpec,
         rng: &mut SimRng,
-    ) -> SimDuration {
-        let (n_atoms, steps, _, _, _) = Self::params(args);
+    ) -> Result<UnitPlan, KernelError> {
+        let args: MdArgs = parse(args)?;
         let base = 0.5;
-        let compute = SECS_PER_STEP_ATOM * steps as f64 * n_atoms as f64
+        let compute = SECS_PER_STEP_ATOM * args.steps as f64 * args.n_atoms as f64
             / (cores.max(1) as f64 * platform.perf_factor);
         let jitter = (1.0 + 0.03 * rng.standard_normal()).max(0.5);
-        SimDuration::from_secs_f64((base + compute) * jitter)
+        Ok(UnitPlan {
+            duration: SimDuration::from_secs_f64((base + compute) * jitter),
+            // Coordinates + velocities, 6 f64 per atom.
+            input_bytes: args.n_atoms * 48,
+            output_bytes: args.frames() * args.n_atoms.min(22) * 24,
+        })
     }
 
     fn execute_model(&self, args: &Value, rng: &mut SimRng) -> Result<Value, KernelError> {
-        self.validate(args)?;
-        let (n_atoms, steps, t, _, record_every) = Self::params(args);
+        let args: MdArgs = parse(args)?;
         // Potential-energy model matching the toy engine's behaviour:
         // per-particle mean rises roughly linearly with temperature.
-        let mean = n_atoms as f64 * (-2.5 + 1.4 * t);
-        let sd = (n_atoms as f64).sqrt() * 0.9;
+        let mean = args.n_atoms as f64 * (-2.5 + 1.4 * args.temperature);
+        let sd = (args.n_atoms as f64).sqrt() * 0.9;
         let potential = rng.normal(mean, sd);
         Ok(json!({
             "engine": self.name(),
             "potential": potential,
-            "temperature": t,
-            "n_frames": (steps / record_every.max(1)).max(1),
+            "temperature": args.temperature,
+            "n_frames": args.frames(),
             "modeled": true,
         }))
     }
 
     fn execute(&self, args: &Value) -> Result<Value, KernelError> {
-        self.validate(args)?;
-        let (n_atoms, steps, t, seed, record_every) = Self::params(args);
-        let mut sys = alanine_dipeptide_surrogate(n_atoms, seed);
-        if let Some(start) = argutil::rows_opt(args, "start") {
-            // Apply a provided solute conformation (relative coordinates
-            // around the current solute centroid).
-            if let Some(conf) = start.first() {
-                if conf.len() == 3 * sys.n_solute {
-                    let centre = sys.box_len / 2.0;
-                    for i in 0..sys.n_solute {
-                        for a in 0..3 {
-                            sys.positions[i][a] =
-                                (centre + conf[3 * i + a]).rem_euclid(sys.box_len);
-                        }
+        let args: MdArgs = parse(args)?;
+        let (t, seed) = (args.temperature, args.seed);
+        let mut sys = alanine_dipeptide_surrogate(args.n_atoms as usize, seed);
+        // Apply a provided solute conformation (relative coordinates
+        // around the current solute centroid).
+        if let Some(conf) = args.start.as_ref().and_then(|rows| rows.first()) {
+            if conf.len() == 3 * sys.n_solute {
+                let centre = sys.box_len / 2.0;
+                for i in 0..sys.n_solute {
+                    for a in 0..3 {
+                        sys.positions[i][a] = (centre + conf[3 * i + a]).rem_euclid(sys.box_len);
                     }
                 }
             }
@@ -129,8 +168,8 @@ impl KernelPlugin for MdKernel {
         sys.thermalize(t, seed ^ 0xBEEF);
         let mut engine = MdEngine::new(self.flavor);
         engine.config.temperature = t;
-        engine.config.record_every = record_every;
-        let result = engine.run(&mut sys, steps, seed ^ 0xD1CE);
+        engine.config.record_every = args.record_every as usize;
+        let result = engine.run(&mut sys, args.steps as usize, seed ^ 0xD1CE);
         let frames: Vec<Vec<f64>> = result.trajectory.frames().to_vec();
         Ok(json!({
             "engine": self.name(),
@@ -141,17 +180,65 @@ impl KernelPlugin for MdKernel {
             "modeled": false,
         }))
     }
+}
 
-    fn input_bytes(&self, args: &Value) -> u64 {
-        // Coordinates + velocities, 6 f64 per atom.
-        let (n_atoms, _, _, _, _) = Self::params(args);
-        (n_atoms * 48) as u64
-    }
+/// Arguments of `md.exchange`.
+#[derive(Deserialize)]
+#[serde(deny_unknown_fields)]
+struct ExchangeArgs {
+    /// Each replica's potential energy; needed to decide swaps.
+    #[serde(default)]
+    energies: Option<Vec<f64>>,
+    /// Each replica's current temperature, in `energies`' order.
+    #[serde(default)]
+    temperatures: Option<Vec<f64>>,
+    /// Replica count when only the cost is wanted and no `energies` are
+    /// given.
+    #[serde(default)]
+    n_replicas: Option<u64>,
+    /// Ladder pairing: even (0, 1)(2, 3)… or odd (1, 2)(3, 4)… by parity.
+    #[serde(default)]
+    phase: u64,
+    /// Seed of the Metropolis draws.
+    #[serde(default)]
+    seed: u64,
+    /// Cost-model slope in seconds per replica.
+    #[serde(default = "default_per_replica_secs")]
+    per_replica_secs: f64,
+    /// Cost-model base in seconds on a `perf_factor` 1.0 platform.
+    #[serde(default = "one")]
+    base_secs: f64,
+}
 
-    fn output_bytes(&self, args: &Value) -> u64 {
-        let (n_atoms, steps, _, _, record_every) = Self::params(args);
-        let frames = (steps / record_every.max(1)).max(1);
-        (frames * n_atoms.min(22) * 24) as u64
+fn default_per_replica_secs() -> f64 {
+    0.005
+}
+
+impl Args for ExchangeArgs {
+    fn check(&self) -> Result<(), KernelError> {
+        check_secs("base_secs", self.base_secs)?;
+        check_secs("per_replica_secs", self.per_replica_secs)?;
+        let Some(energies) = &self.energies else {
+            return match self.n_replicas {
+                Some(_) => Ok(()),
+                None => Err(KernelError::new("need energies or n_replicas")),
+            };
+        };
+        let temps = self.temperatures.as_deref().unwrap_or_default();
+        if energies.len() != temps.len() {
+            let (n, m) = (temps.len(), energies.len());
+            let why = format!("length mismatch: {n} for {m} energies");
+            return Err(KernelError::arg("temperatures", why));
+        }
+        for (key, values) in [("energies", energies.as_slice()), ("temperatures", temps)] {
+            if let Some(bad) = values.iter().find(|v| !v.is_finite()) {
+                return Err(KernelError::arg(
+                    key,
+                    format_args!("must be finite, got {bad:?}"),
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -162,39 +249,18 @@ impl KernelPlugin for MdKernel {
 /// current temperature, decide neighbour swaps for the given `phase`
 /// (even/odd pairing). Real and model execution are identical — the
 /// decision *is* the computation.
-///
-/// Args: `energies` (array of f64), `temperatures` (array of f64, same
-/// length, ladder-ordered per replica), `phase` (u64 0/1, default 0),
-/// `seed` (u64, default 0), `per_replica_secs` (f64 cost slope, default
-/// 0.005), `base_secs` (f64, default 1.0).
 #[derive(Debug, Default)]
 pub struct ExchangeKernel;
 
 impl ExchangeKernel {
     fn decide(args: &Value) -> Result<Value, KernelError> {
-        let energies: Vec<f64> = args
-            .get("energies")
-            .and_then(Value::as_array)
-            .ok_or_else(|| KernelError::new("missing energies"))?
-            .iter()
-            .map(|v| v.as_f64().ok_or_else(|| KernelError::new("bad energy")))
-            .collect::<Result<_, _>>()?;
-        let temps: Vec<f64> = args
-            .get("temperatures")
-            .and_then(Value::as_array)
-            .ok_or_else(|| KernelError::new("missing temperatures"))?
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or_else(|| KernelError::new("bad temperature"))
-            })
-            .collect::<Result<_, _>>()?;
-        if energies.len() != temps.len() {
-            return Err(KernelError::new("energies/temperatures length mismatch"));
-        }
-        let phase = argutil::u64_or(args, "phase", 0) as usize % 2;
-        let seed = argutil::u64_or(args, "seed", 0);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let args: ExchangeArgs = parse(args)?;
+        let energies = args
+            .energies
+            .ok_or_else(|| KernelError::new("missing energies"))?;
+        // `check` matched its length to `energies`.
+        let temps = args.temperatures.unwrap_or_default();
+        let mut rng = StdRng::seed_from_u64(args.seed);
 
         // Order replicas by temperature, pair ladder neighbours.
         let n = energies.len();
@@ -202,7 +268,7 @@ impl ExchangeKernel {
         by_temp.sort_by(|&a, &b| temps[a].partial_cmp(&temps[b]).expect("finite temps"));
         let mut swaps = Vec::new();
         let mut attempted = 0u64;
-        let mut k = phase;
+        let mut k = args.phase as usize % 2;
         while k + 1 < n {
             let (ra, rb) = (by_temp[k], by_temp[k + 1]);
             let p = exchange_probability(energies[ra], temps[ra], energies[rb], temps[rb]);
@@ -227,33 +293,27 @@ impl KernelPlugin for ExchangeKernel {
     }
 
     fn validate(&self, args: &Value) -> Result<(), KernelError> {
-        if args.get("energies").is_none() && args.get("n_replicas").is_none() {
-            return Err(KernelError::new("need energies or n_replicas"));
-        }
-        Ok(())
+        parse::<ExchangeArgs>(args).map(drop)
     }
 
-    fn cost(
+    fn plan(
         &self,
         args: &Value,
         _cores: usize,
         platform: &PlatformSpec,
         rng: &mut SimRng,
-    ) -> SimDuration {
-        let n = args
-            .get("energies")
-            .and_then(Value::as_array)
-            .map(Vec::len)
-            .or_else(|| {
-                argutil::u64_req(args, "n_replicas")
-                    .ok()
-                    .map(|v| v as usize)
-            })
-            .unwrap_or(0) as f64;
-        let base = argutil::f64_or(args, "base_secs", 1.0);
-        let per = argutil::f64_or(args, "per_replica_secs", 0.005);
-        let jitter = (1.0 + 0.02 * rng.standard_normal()).max(0.5);
-        SimDuration::from_secs_f64((base / platform.perf_factor + per * n) * jitter)
+    ) -> Result<UnitPlan, KernelError> {
+        let args: ExchangeArgs = parse(args)?;
+        // `check` saw one of the two.
+        let n = match &args.energies {
+            Some(energies) => energies.len() as u64,
+            None => args.n_replicas.unwrap_or(0),
+        };
+        let (base, per) = (args.base_secs, args.per_replica_secs);
+        Ok(UnitPlan {
+            duration: linear_duration(base, per, n, platform, rng),
+            ..UnitPlan::default()
+        })
     }
 
     fn execute_model(&self, args: &Value, _rng: &mut SimRng) -> Result<Value, KernelError> {
@@ -308,9 +368,8 @@ mod tests {
     fn md_cost_matches_paper_calibration() {
         // 2881 atoms, 6 ps (3000 steps), 1 core: ≈ 22 s on perf 1.0.
         let mut r = rng();
-        let c = MdKernel::amber()
-            .cost(&json!({}), 1, &PlatformSpec::comet(), &mut r)
-            .as_secs_f64();
+        let plan = MdKernel::amber().plan(&json!({}), 1, &PlatformSpec::comet(), &mut r);
+        let c = plan.unwrap().duration.as_secs_f64();
         assert!((15.0..30.0).contains(&c), "cost {c}");
     }
 
@@ -322,9 +381,8 @@ mod tests {
             // Average over draws to suppress jitter.
             (0..16)
                 .map(|_| {
-                    MdKernel::amber()
-                        .cost(&args, cores, &spec, &mut r)
-                        .as_secs_f64()
+                    let plan = MdKernel::amber().plan(&args, cores, &spec, &mut r);
+                    plan.unwrap().duration.as_secs_f64()
                 })
                 .sum::<f64>()
                 / 16.0
@@ -339,9 +397,28 @@ mod tests {
     #[test]
     fn md_validation_rejects_nonsense() {
         let k = MdKernel::gromacs();
-        assert!(k.validate(&json!({ "steps": 0 })).is_err());
-        assert!(k.validate(&json!({ "temperature": -1.0 })).is_err());
+        for (args, key) in [
+            (json!({ "steps": 0 }), "steps"),
+            (json!({ "n_atoms": 0 }), "n_atoms"),
+            (json!({ "record_every": 0 }), "record_every"),
+            (json!({ "temperature": -1.0 }), "temperature"),
+            (json!({ "stepz": 5 }), "stepz"),
+            (json!({ "steps": 5.5 }), "steps"),
+            (json!({ "start": [[0.0, "x"]] }), "start"),
+        ] {
+            let err = k.validate(&args).unwrap_err();
+            assert_eq!(err.key.as_deref(), Some(key), "{err}");
+            // Every face refuses what `validate` does, before drawing.
+            let mut r = rng();
+            let planned = k.plan(&args, 1, &PlatformSpec::comet(), &mut r);
+            assert_eq!(planned.unwrap_err(), err);
+            assert_eq!(k.execute_model(&args, &mut r).unwrap_err(), err);
+            assert_eq!(k.execute(&args).unwrap_err(), err);
+            assert_eq!(r.uniform(), rng().uniform(), "{key} drew from the rng");
+        }
         assert!(k.validate(&json!({})).is_ok());
+        // An integer reads where a float is declared.
+        assert!(k.validate(&json!({ "temperature": 1 })).is_ok());
     }
 
     #[test]
@@ -395,9 +472,8 @@ mod tests {
         let avg_cost = |n: u64, r: &mut SimRng| {
             (0..16)
                 .map(|_| {
-                    ExchangeKernel
-                        .cost(&json!({ "n_replicas": n }), 1, &spec, r)
-                        .as_secs_f64()
+                    let plan = ExchangeKernel.plan(&json!({ "n_replicas": n }), 1, &spec, r);
+                    plan.unwrap().duration.as_secs_f64()
                 })
                 .sum::<f64>()
                 / 16.0
@@ -412,6 +488,30 @@ mod tests {
         let err = ExchangeKernel
             .execute(&json!({ "energies": [1.0], "temperatures": [1.0, 2.0] }))
             .unwrap_err();
-        assert!(err.0.contains("mismatch"));
+        assert!(err.message.contains("mismatch"));
+        // `validate` refuses it too, and missing or unusable inputs.
+        for (args, why) in [
+            (
+                json!({ "energies": [1.0], "temperatures": [1.0, 2.0] }),
+                "mismatch",
+            ),
+            (json!({ "energies": [1.0] }), "mismatch"),
+            (
+                json!({ "temperatures": [1.0] }),
+                "need energies or n_replicas",
+            ),
+            (
+                json!({ "n_replicas": 4, "per_replica_secs": -1.0 }),
+                "per_replica_secs must",
+            ),
+            (
+                json!({ "n_replicas": 2.5 }),
+                "n_replicas: expected unsigned",
+            ),
+        ] {
+            let err = ExchangeKernel.validate(&args).unwrap_err();
+            assert!(err.message.contains(why), "{args}: {err}");
+        }
+        assert!(ExchangeKernel.validate(&json!({ "n_replicas": 4 })).is_ok());
     }
 }

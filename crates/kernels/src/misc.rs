@@ -4,17 +4,57 @@
 //! application (Fig. 3): stage 1 creates a file per task, stage 2 counts the
 //! characters in it.
 
-use crate::plugin::{argutil, KernelError, KernelPlugin};
+use crate::plugin::{check_secs, one, parse, Args, KernelError, KernelPlugin, UnitPlan};
 use entk_cluster::PlatformSpec;
 use entk_sim::{SimDuration, SimRng};
+use serde::Deserialize;
 use serde_json::{json, Value};
 use std::io::{Read, Write};
 
+/// Arguments of `misc.mkfile` and `misc.ccount`.
+#[derive(Deserialize)]
+#[serde(deny_unknown_fields)]
+struct FileArgs {
+    /// The file a real run creates (`mkfile`) or reads (`ccount`); a
+    /// simulated run never opens it.
+    #[serde(default)]
+    path: Option<String>,
+    /// Characters `mkfile` writes and stages out; the size a simulated
+    /// `ccount` stages in and reports.
+    #[serde(default = "default_bytes")]
+    bytes: u64,
+    /// Cost-model base in seconds on a `perf_factor` 1.0 platform.
+    #[serde(default = "one")]
+    base_secs: f64,
+}
+
+fn default_bytes() -> u64 {
+    1024
+}
+
+impl Args for FileArgs {
+    fn check(&self) -> Result<(), KernelError> {
+        check_secs("base_secs", self.base_secs)
+    }
+}
+
+impl FileArgs {
+    /// Constant base plus the file's transfer time, with a 2 % jitter.
+    fn duration(&self, platform: &PlatformSpec, rng: &mut SimRng) -> SimDuration {
+        let io = self.bytes as f64 / platform.fs_bandwidth;
+        let jitter = 1.0 + 0.02 * rng.standard_normal();
+        SimDuration::from_secs_f64((self.base_secs / platform.perf_factor + io) * jitter.max(0.5))
+    }
+
+    fn path(&self, kernel: &str) -> Result<&str, KernelError> {
+        self.path
+            .as_deref()
+            .ok_or_else(|| KernelError::new(format!("a real {kernel} needs a path")))
+    }
+}
+
 /// Creates a file of `bytes` characters at `path` (real mode), or models a
 /// constant-time file creation (simulated mode).
-///
-/// Args: `path` (string, real mode), `bytes` (u64, default 1024),
-/// `base_secs` (f64 cost-model base, default 1.0).
 #[derive(Debug, Default)]
 pub struct MkfileKernel;
 
@@ -23,28 +63,34 @@ impl KernelPlugin for MkfileKernel {
         "misc.mkfile"
     }
 
-    fn cost(
+    fn validate(&self, args: &Value) -> Result<(), KernelError> {
+        parse::<FileArgs>(args).map(drop)
+    }
+
+    fn plan(
         &self,
         args: &Value,
         _cores: usize,
         platform: &PlatformSpec,
         rng: &mut SimRng,
-    ) -> SimDuration {
-        let base = argutil::f64_or(args, "base_secs", 1.0);
-        let bytes = argutil::u64_or(args, "bytes", 1024) as f64;
-        let io = bytes / platform.fs_bandwidth;
-        let jitter = 1.0 + 0.02 * rng.standard_normal();
-        SimDuration::from_secs_f64((base / platform.perf_factor + io) * jitter.max(0.5))
+    ) -> Result<UnitPlan, KernelError> {
+        let args: FileArgs = parse(args)?;
+        Ok(UnitPlan {
+            duration: args.duration(platform, rng),
+            input_bytes: 0,
+            output_bytes: args.bytes,
+        })
     }
 
     fn execute_model(&self, args: &Value, _rng: &mut SimRng) -> Result<Value, KernelError> {
-        let bytes = argutil::u64_or(args, "bytes", 1024);
-        Ok(json!({ "bytes": bytes }))
+        let args: FileArgs = parse(args)?;
+        Ok(json!({ "bytes": args.bytes }))
     }
 
     fn execute(&self, args: &Value) -> Result<Value, KernelError> {
-        let path = argutil::str_req(args, "path")?;
-        let bytes = argutil::u64_or(args, "bytes", 1024) as usize;
+        let args: FileArgs = parse(args)?;
+        let path = args.path("mkfile")?;
+        let bytes = args.bytes as usize;
         let mut f = std::fs::File::create(path)
             .map_err(|e| KernelError::new(format!("mkfile {path:?}: {e}")))?;
         let chunk = vec![b'x'; 8192.min(bytes.max(1))];
@@ -57,17 +103,10 @@ impl KernelPlugin for MkfileKernel {
         }
         Ok(json!({ "bytes": written, "path": path }))
     }
-
-    fn output_bytes(&self, args: &Value) -> u64 {
-        argutil::u64_or(args, "bytes", 1024)
-    }
 }
 
 /// Counts characters in a file (real mode) or reports the modelled size
 /// (simulated mode).
-///
-/// Args: `path` (string, real mode), `bytes` (u64 model input, default 1024),
-/// `base_secs` (f64, default 1.0).
 #[derive(Debug, Default)]
 pub struct CcountKernel;
 
@@ -76,27 +115,33 @@ impl KernelPlugin for CcountKernel {
         "misc.ccount"
     }
 
-    fn cost(
+    fn validate(&self, args: &Value) -> Result<(), KernelError> {
+        parse::<FileArgs>(args).map(drop)
+    }
+
+    fn plan(
         &self,
         args: &Value,
         _cores: usize,
         platform: &PlatformSpec,
         rng: &mut SimRng,
-    ) -> SimDuration {
-        let base = argutil::f64_or(args, "base_secs", 1.0);
-        let bytes = argutil::u64_or(args, "bytes", 1024) as f64;
-        let io = bytes / platform.fs_bandwidth;
-        let jitter = 1.0 + 0.02 * rng.standard_normal();
-        SimDuration::from_secs_f64((base / platform.perf_factor + io) * jitter.max(0.5))
+    ) -> Result<UnitPlan, KernelError> {
+        let args: FileArgs = parse(args)?;
+        Ok(UnitPlan {
+            duration: args.duration(platform, rng),
+            input_bytes: args.bytes,
+            output_bytes: 0,
+        })
     }
 
     fn execute_model(&self, args: &Value, _rng: &mut SimRng) -> Result<Value, KernelError> {
-        let bytes = argutil::u64_or(args, "bytes", 1024);
-        Ok(json!({ "chars": bytes }))
+        let args: FileArgs = parse(args)?;
+        Ok(json!({ "chars": args.bytes }))
     }
 
     fn execute(&self, args: &Value) -> Result<Value, KernelError> {
-        let path = argutil::str_req(args, "path")?;
+        let args: FileArgs = parse(args)?;
+        let path = args.path("ccount")?;
         let mut f = std::fs::File::open(path)
             .map_err(|e| KernelError::new(format!("ccount {path:?}: {e}")))?;
         let mut buf = [0u8; 8192];
@@ -112,15 +157,24 @@ impl KernelPlugin for CcountKernel {
         }
         Ok(json!({ "chars": count, "path": path }))
     }
+}
 
-    fn input_bytes(&self, args: &Value) -> u64 {
-        argutil::u64_or(args, "bytes", 1024)
+/// Arguments of `misc.sleep`.
+#[derive(Deserialize)]
+#[serde(deny_unknown_fields)]
+struct SleepArgs {
+    /// Seconds the task occupies its cores (required). A real run sleeps
+    /// at most 5 of them.
+    secs: f64,
+}
+
+impl Args for SleepArgs {
+    fn check(&self) -> Result<(), KernelError> {
+        check_secs("secs", self.secs)
     }
 }
 
 /// Fixed-duration kernel for tests and calibration.
-///
-/// Args: `secs` (f64, required).
 #[derive(Debug, Default)]
 pub struct SleepKernel;
 
@@ -130,33 +184,51 @@ impl KernelPlugin for SleepKernel {
     }
 
     fn validate(&self, args: &Value) -> Result<(), KernelError> {
-        argutil::f64_req(args, "secs").map(|_| ())
+        parse::<SleepArgs>(args).map(drop)
     }
 
-    fn cost(
+    fn plan(
         &self,
         args: &Value,
         _cores: usize,
         _platform: &PlatformSpec,
         _rng: &mut SimRng,
-    ) -> SimDuration {
-        SimDuration::from_secs_f64(argutil::f64_or(args, "secs", 0.0))
+    ) -> Result<UnitPlan, KernelError> {
+        let args: SleepArgs = parse(args)?;
+        Ok(UnitPlan {
+            duration: SimDuration::from_secs_f64(args.secs),
+            ..UnitPlan::default()
+        })
     }
 
     fn execute_model(&self, args: &Value, _rng: &mut SimRng) -> Result<Value, KernelError> {
-        Ok(json!({ "slept": argutil::f64_or(args, "secs", 0.0) }))
+        let args: SleepArgs = parse(args)?;
+        Ok(json!({ "slept": args.secs }))
     }
 
     fn execute(&self, args: &Value) -> Result<Value, KernelError> {
-        let secs = argutil::f64_req(args, "secs")?;
-        std::thread::sleep(std::time::Duration::from_secs_f64(secs.min(5.0)));
-        Ok(json!({ "slept": secs }))
+        let args: SleepArgs = parse(args)?;
+        std::thread::sleep(std::time::Duration::from_secs_f64(args.secs.min(5.0)));
+        Ok(json!({ "slept": args.secs }))
     }
 }
 
+/// Arguments of `misc.stress`.
+#[derive(Deserialize)]
+#[serde(deny_unknown_fields)]
+struct StressArgs {
+    /// Square roots to sum.
+    #[serde(default = "default_iters")]
+    iters: u64,
+}
+
+fn default_iters() -> u64 {
+    1_000_000
+}
+
+impl Args for StressArgs {}
+
 /// CPU-burning kernel for local throughput experiments.
-///
-/// Args: `iters` (u64, default 1e6).
 #[derive(Debug, Default)]
 pub struct StressKernel;
 
@@ -165,29 +237,38 @@ impl KernelPlugin for StressKernel {
         "misc.stress"
     }
 
-    fn cost(
+    fn validate(&self, args: &Value) -> Result<(), KernelError> {
+        parse::<StressArgs>(args).map(drop)
+    }
+
+    fn plan(
         &self,
         args: &Value,
         cores: usize,
         platform: &PlatformSpec,
         _rng: &mut SimRng,
-    ) -> SimDuration {
-        let iters = argutil::u64_or(args, "iters", 1_000_000) as f64;
+    ) -> Result<UnitPlan, KernelError> {
+        let args: StressArgs = parse(args)?;
         // ~50 M simple float ops per second per modelled core.
-        SimDuration::from_secs_f64(iters / (5e7 * platform.perf_factor * cores as f64))
+        let secs = args.iters as f64 / (5e7 * platform.perf_factor * cores as f64);
+        Ok(UnitPlan {
+            duration: SimDuration::from_secs_f64(secs),
+            ..UnitPlan::default()
+        })
     }
 
     fn execute_model(&self, args: &Value, _rng: &mut SimRng) -> Result<Value, KernelError> {
-        Ok(json!({ "iters": argutil::u64_or(args, "iters", 1_000_000) }))
+        let args: StressArgs = parse(args)?;
+        Ok(json!({ "iters": args.iters }))
     }
 
     fn execute(&self, args: &Value) -> Result<Value, KernelError> {
-        let iters = argutil::u64_or(args, "iters", 1_000_000);
+        let args: StressArgs = parse(args)?;
         let mut acc = 0.0f64;
-        for i in 0..iters {
+        for i in 0..args.iters {
             acc += ((i % 1000) as f64).sqrt();
         }
-        Ok(json!({ "iters": iters, "acc": acc }))
+        Ok(json!({ "iters": args.iters, "acc": acc }))
     }
 }
 
@@ -197,6 +278,18 @@ mod tests {
 
     fn rng() -> SimRng {
         SimRng::seed_from_u64(1)
+    }
+
+    /// The planned duration in seconds.
+    fn cost(
+        kernel: &dyn KernelPlugin,
+        args: Value,
+        cores: usize,
+        platform: &PlatformSpec,
+        rng: &mut SimRng,
+    ) -> f64 {
+        let plan = kernel.plan(&args, cores, platform, rng).unwrap();
+        plan.duration.as_secs_f64()
     }
 
     #[test]
@@ -221,7 +314,7 @@ mod tests {
         let err = CcountKernel
             .execute(&json!({ "path": "/nonexistent/entk/file" }))
             .unwrap_err();
-        assert!(err.0.contains("ccount"));
+        assert!(err.message.contains("ccount"));
     }
 
     #[test]
@@ -230,21 +323,34 @@ mod tests {
             .execute_model(&json!({ "bytes": 4096 }), &mut rng())
             .unwrap();
         assert_eq!(out["bytes"], 4096);
+        // A misspelt or mistyped size must not model the default 1024.
+        for args in [json!({ "byts": 4096 }), json!({ "bytes": "4 KiB" })] {
+            assert!(MkfileKernel.execute_model(&args, &mut rng()).is_err());
+            assert!(CcountKernel.validate(&args).is_err());
+        }
     }
 
     #[test]
     fn costs_are_near_base_and_platform_scaled() {
         let comet = PlatformSpec::comet();
         let mut r = rng();
-        let c = MkfileKernel
-            .cost(&json!({ "base_secs": 2.0 }), 1, &comet, &mut r)
-            .as_secs_f64();
+        let c = cost(
+            &MkfileKernel,
+            json!({ "base_secs": 2.0 }),
+            1,
+            &comet,
+            &mut r,
+        );
         assert!((c - 2.0).abs() < 0.3, "cost {c}");
         // Slower platform (perf_factor < 1) costs more.
         let supermic = PlatformSpec::supermic();
-        let c2 = CcountKernel
-            .cost(&json!({ "base_secs": 2.0 }), 1, &supermic, &mut r)
-            .as_secs_f64();
+        let c2 = cost(
+            &CcountKernel,
+            json!({ "base_secs": 2.0 }),
+            1,
+            &supermic,
+            &mut r,
+        );
         assert!(c2 > 2.0, "cost {c2}");
     }
 
@@ -252,13 +358,22 @@ mod tests {
     fn sleep_validates_and_models() {
         assert!(SleepKernel.validate(&json!({})).is_err());
         assert!(SleepKernel.validate(&json!({ "secs": 3.0 })).is_ok());
-        let d = SleepKernel.cost(
-            &json!({ "secs": 3.0 }),
-            1,
-            &PlatformSpec::comet(),
-            &mut rng(),
-        );
-        assert_eq!(d, SimDuration::from_secs(3));
+        // Ran as a zero-second task, died at the wall time, or panicked
+        // the real sleep.
+        for secs in [-5.0, 1e300] {
+            let args = json!({ "secs": secs });
+            let err = SleepKernel.validate(&args).unwrap_err();
+            assert_eq!(err.key.as_deref(), Some("secs"), "{err}");
+            assert_eq!(SleepKernel.execute(&args).unwrap_err(), err);
+        }
+        let plan = SleepKernel
+            .plan(&json!({ "secs": 3 }), 1, &PlatformSpec::comet(), &mut rng())
+            .unwrap();
+        let three_secs = UnitPlan {
+            duration: SimDuration::from_secs(3),
+            ..UnitPlan::default()
+        };
+        assert_eq!(plan, three_secs);
     }
 
     #[test]
@@ -266,8 +381,8 @@ mod tests {
         let comet = PlatformSpec::comet();
         let mut r = rng();
         let args = json!({ "iters": 100_000_000u64 });
-        let c1 = StressKernel.cost(&args, 1, &comet, &mut r).as_secs_f64();
-        let c4 = StressKernel.cost(&args, 4, &comet, &mut r).as_secs_f64();
+        let c1 = cost(&StressKernel, args.clone(), 1, &comet, &mut r);
+        let c4 = cost(&StressKernel, args, 4, &comet, &mut r);
         assert!((c1 / c4 - 4.0).abs() < 1e-9);
     }
 
@@ -281,7 +396,12 @@ mod tests {
 
     #[test]
     fn staging_sizes_follow_bytes() {
-        assert_eq!(MkfileKernel.output_bytes(&json!({ "bytes": 555 })), 555);
-        assert_eq!(CcountKernel.input_bytes(&json!({ "bytes": 777 })), 777);
+        let (comet, mut r) = (PlatformSpec::comet(), rng());
+        let made = MkfileKernel.plan(&json!({ "bytes": 555 }), 1, &comet, &mut r);
+        let made = made.unwrap();
+        assert_eq!((made.input_bytes, made.output_bytes), (0, 555));
+        let counted = CcountKernel.plan(&json!({ "bytes": 777 }), 1, &comet, &mut r);
+        let counted = counted.unwrap();
+        assert_eq!((counted.input_bytes, counted.output_bytes), (777, 0));
     }
 }

@@ -3,28 +3,44 @@
 //! A kernel plugin "abstracts a computational task … an instantiation of a
 //! specific science tool along with the required software environment",
 //! hiding tool- and resource-specific peculiarities. Here a plugin exposes
-//! three faces:
+//! three faces over one set of declared arguments:
 //!
-//! * a **cost model** — platform-aware estimated runtime, used when units
-//!   execute in virtual time;
+//! * a **plan** — the platform-aware estimated runtime and the staging
+//!   volumes of one unit, used when units execute in virtual time;
 //! * a **model execution** — a cheap surrogate producing the *semantic*
 //!   outputs patterns need (energies for exchanges, new starts from
 //!   analysis) during simulated runs;
 //! * a **real execution** — the actual computation (file I/O, toy MD,
 //!   PCA/diffusion maps) for local runs.
+//!
+//! A built-in kernel declares its arguments as one private
+//! `#[serde(deny_unknown_fields)]` struct: its fields, their
+//! `#[serde(default = …)]`s and their doc comments are the only statement
+//! of the keys the kernel takes, their types and their defaults, and its
+//! [`Args::check`] the only statement of the values it refuses. Every face
+//! reads the arguments through [`parse`], so a misspelt key, a wrong type or
+//! an impossible value is the same [`KernelError`] wherever it is met —
+//! at `entk check`, at submission, or at execution.
 
 use entk_cluster::PlatformSpec;
 use entk_sim::{SimDuration, SimRng};
+use serde::{Deserialize, Map};
 use serde_json::Value;
 use std::fmt;
 
 /// Error raised by kernel validation or execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KernelError(pub String);
+pub struct KernelError {
+    /// What went wrong.
+    pub message: String,
+    /// The argument at fault, when it is one argument: a spec loader points
+    /// at its line.
+    pub key: Option<String>,
+}
 
 impl fmt::Display for KernelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "kernel error: {}", self.0)
+        write!(f, "kernel error: {}", self.message)
     }
 }
 
@@ -33,7 +49,18 @@ impl std::error::Error for KernelError {}
 impl KernelError {
     /// Convenience constructor.
     pub fn new(msg: impl Into<String>) -> Self {
-        KernelError(msg.into())
+        KernelError {
+            message: msg.into(),
+            key: None,
+        }
+    }
+
+    /// An error about the value of argument `key`: "`key` `why`".
+    pub fn arg(key: &str, why: impl fmt::Display) -> Self {
+        KernelError {
+            message: format!("{key} {why}"),
+            key: Some(key.to_string()),
+        }
     }
 }
 
@@ -69,99 +96,136 @@ impl KernelCall {
     }
 }
 
+/// What one unit asks of a simulated machine: how long it occupies its
+/// cores and how much it stages in and out.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UnitPlan {
+    /// Estimated wall time on the platform with the bound cores.
+    pub duration: SimDuration,
+    /// Modelled input staging volume in bytes.
+    pub input_bytes: u64,
+    /// Modelled output staging volume in bytes.
+    pub output_bytes: u64,
+}
+
 /// The kernel-plugin interface.
 pub trait KernelPlugin: Send + Sync {
     /// Registry name, e.g. `"md.amber"`.
     fn name(&self) -> &str;
 
-    /// Validates instantiation arguments.
+    /// Validates instantiation arguments: keys, types and values.
     fn validate(&self, _args: &Value) -> Result<(), KernelError> {
         Ok(())
     }
 
-    /// Estimated wall time on `platform` using `cores` cores.
-    fn cost(
+    /// Plans one unit on `platform` using `cores` cores. Arguments
+    /// [`KernelPlugin::validate`] refuses fail here the same way, before
+    /// anything is drawn from `rng`.
+    fn plan(
         &self,
         args: &Value,
         cores: usize,
         platform: &PlatformSpec,
         rng: &mut SimRng,
-    ) -> SimDuration;
+    ) -> Result<UnitPlan, KernelError>;
 
     /// Cheap surrogate execution for simulated runs.
     fn execute_model(&self, args: &Value, rng: &mut SimRng) -> Result<Value, KernelError>;
 
     /// Real execution for local runs.
     fn execute(&self, args: &Value) -> Result<Value, KernelError>;
+}
 
-    /// Modelled input staging volume in bytes.
-    fn input_bytes(&self, _args: &Value) -> u64 {
-        0
-    }
-
-    /// Modelled output staging volume in bytes.
-    fn output_bytes(&self, _args: &Value) -> u64 {
-        0
+/// The declared arguments of a built-in kernel.
+pub(crate) trait Args: Deserialize {
+    /// Refuses values no run can mean; keys and types are the struct's.
+    fn check(&self) -> Result<(), KernelError> {
+        Ok(())
     }
 }
 
-/// Helpers for pulling typed fields out of kernel args.
-pub mod argutil {
-    use super::KernelError;
-    use serde_json::Value;
+/// Reads and checks a kernel's arguments (no arguments read as `{}`): the
+/// one place a built-in kernel's `args` become typed values.
+pub(crate) fn parse<A: Args>(args: &Value) -> Result<A, KernelError> {
+    let parsed = match args {
+        Value::Null => A::from_value(&Value::Object(Map::new())),
+        given => A::from_value(given),
+    };
+    let parsed = parsed.map_err(|e| KernelError {
+        message: e.to_string(),
+        key: e.key().map(str::to_string),
+    })?;
+    parsed.check()?;
+    Ok(parsed)
+}
 
-    /// Required f64 field.
-    pub fn f64_req(args: &Value, key: &str) -> Result<f64, KernelError> {
-        args.get(key)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| KernelError::new(format!("missing/invalid f64 field {key:?}")))
+/// The default of an `f64` argument that scales: a base of one second, unit
+/// temperature, an estimate taken as it is.
+pub(crate) fn one() -> f64 {
+    1.0
+}
+
+/// The cost model of a serial kernel: `base_secs` on the platform plus
+/// `per_item_secs` for each of `items`, whatever the cores, with a 2 % jitter.
+pub(crate) fn linear_duration(
+    base_secs: f64,
+    per_item_secs: f64,
+    items: u64,
+    platform: &PlatformSpec,
+    rng: &mut SimRng,
+) -> SimDuration {
+    let jitter = (1.0 + 0.02 * rng.standard_normal()).max(0.5);
+    SimDuration::from_secs_f64(
+        (base_secs / platform.perf_factor + per_item_secs * items as f64) * jitter,
+    )
+}
+
+/// Refuses seconds (a duration, or a rate per item) virtual time cannot
+/// hold: negative, not a number, or beyond [`SimDuration::MAX`], where
+/// [`SimDuration::from_secs_f64`] would clamp them to another experiment.
+pub(crate) fn check_secs(key: &str, secs: f64) -> Result<(), KernelError> {
+    let max = SimDuration::MAX.as_secs_f64();
+    if (0.0..max).contains(&secs) {
+        return Ok(());
     }
+    Err(KernelError::arg(
+        key,
+        format_args!("must be finite, >= 0 and below {max:.1e} s, got {secs:?}"),
+    ))
+}
 
-    /// Optional f64 field with default.
-    pub fn f64_or(args: &Value, key: &str, default: f64) -> f64 {
-        args.get(key).and_then(Value::as_f64).unwrap_or(default)
-    }
-
-    /// Required u64 field.
-    pub fn u64_req(args: &Value, key: &str) -> Result<u64, KernelError> {
-        args.get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| KernelError::new(format!("missing/invalid u64 field {key:?}")))
-    }
-
-    /// Optional u64 field with default.
-    pub fn u64_or(args: &Value, key: &str, default: u64) -> u64 {
-        args.get(key).and_then(Value::as_u64).unwrap_or(default)
-    }
-
-    /// Required string field.
-    pub fn str_req<'a>(args: &'a Value, key: &str) -> Result<&'a str, KernelError> {
-        args.get(key)
-            .and_then(Value::as_str)
-            .ok_or_else(|| KernelError::new(format!("missing/invalid string field {key:?}")))
-    }
-
-    /// Optional nested array of f64 rows (e.g. conformations).
-    pub fn rows_opt(args: &Value, key: &str) -> Option<Vec<Vec<f64>>> {
-        let arr = args.get(key)?.as_array()?;
-        let mut rows = Vec::with_capacity(arr.len());
-        for row in arr {
-            let row = row
-                .as_array()?
-                .iter()
-                .map(|v| v.as_f64())
-                .collect::<Option<Vec<f64>>>()?;
-            rows.push(row);
-        }
-        Some(rows)
+/// Refuses a zero where the count divides or sizes the work.
+pub(crate) fn check_count(key: &str, count: u64) -> Result<(), KernelError> {
+    match count {
+        0 => Err(KernelError::arg(key, "must be at least 1, got 0")),
+        _ => Ok(()),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::argutil::*;
     use super::*;
     use serde_json::json;
+
+    /// One field of each kind a built-in declares.
+    #[derive(Debug, Deserialize)]
+    #[serde(deny_unknown_fields)]
+    struct Probe {
+        a: f64,
+        #[serde(default)]
+        b: u64,
+        #[serde(default)]
+        c: Option<String>,
+        #[serde(default)]
+        rows: Option<Vec<Vec<f64>>>,
+    }
+
+    impl Args for Probe {
+        fn check(&self) -> Result<(), KernelError> {
+            check_secs("a", self.a)?;
+            check_count("b", self.b)
+        }
+    }
 
     #[test]
     fn kernel_call_builder() {
@@ -173,31 +237,73 @@ mod tests {
     }
 
     #[test]
-    fn argutil_extracts_typed_fields() {
+    fn parse_reads_typed_fields_and_defaults() {
         let args = json!({"a": 1.5, "b": 7, "c": "hi", "rows": [[1.0, 2.0], [3.0, 4.0]]});
-        assert_eq!(f64_req(&args, "a").unwrap(), 1.5);
-        assert_eq!(u64_req(&args, "b").unwrap(), 7);
-        assert_eq!(str_req(&args, "c").unwrap(), "hi");
-        assert_eq!(f64_or(&args, "missing", 9.0), 9.0);
-        assert_eq!(u64_or(&args, "missing", 3), 3);
-        let rows = rows_opt(&args, "rows").unwrap();
-        assert_eq!(rows, vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let probe: Probe = parse(&args).unwrap();
+        assert_eq!((probe.a, probe.b, probe.c.as_deref()), (1.5, 7, Some("hi")));
+        assert_eq!(probe.rows.unwrap(), vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
+        // An integer reads where a float is declared; absent keys default.
+        let probe: Probe = parse(&json!({"a": 2, "b": 1})).unwrap();
+        assert_eq!((probe.a, probe.c, probe.rows), (2.0, None, None));
     }
 
     #[test]
-    fn argutil_reports_missing_fields() {
-        let args = json!({});
-        assert!(f64_req(&args, "x").is_err());
-        assert!(u64_req(&args, "x").is_err());
-        assert!(str_req(&args, "x").is_err());
-        assert!(rows_opt(&args, "x").is_none());
+    fn parse_reports_missing_fields() {
+        let err = parse::<Probe>(&json!({})).unwrap_err();
+        assert!(err.message.contains("missing field `a`"), "{err}");
+        // No arguments at all read as `{}`.
+        assert_eq!(parse::<Probe>(&Value::Null).unwrap_err(), err);
     }
 
     #[test]
-    fn argutil_rejects_wrong_types() {
-        let args = json!({"x": "not a number", "rows": [[1.0], ["bad"]]});
-        assert!(f64_req(&args, "x").is_err());
-        assert!(rows_opt(&args, "rows").is_none());
+    fn parse_refuses_wrong_types() {
+        for (args, key) in [
+            (json!({"a": "not a number"}), "a"),
+            (json!({"a": 1.0, "b": 2.5}), "b"),
+            (json!({"a": 1.0, "b": "2"}), "b"),
+            (json!({"a": 1.0, "b": -2}), "b"),
+            (json!({"a": 1.0, "rows": [[1.0], ["bad"]]}), "rows"),
+        ] {
+            let err = parse::<Probe>(&args).unwrap_err();
+            assert_eq!(err.key.as_deref(), Some(key), "{err}");
+            assert!(
+                err.message.starts_with(&format!("{key}: expected ")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_refuses_unknown_keys_naming_the_declared_ones() {
+        let err = parse::<Probe>(&json!({"a": 1.0, "bb": 2})).unwrap_err();
+        assert_eq!(err.key.as_deref(), Some("bb"));
+        assert_eq!(
+            err.message,
+            "unknown key \"bb\" (known keys: a, b, c, rows)"
+        );
+    }
+
+    #[test]
+    fn parse_checks_values_after_types() {
+        for (a, ok) in [
+            (0.0, true),
+            (1e13, true),
+            (-5.0, false),
+            (1e300, false),
+            (f64::INFINITY, false),
+            (f64::NAN, false),
+        ] {
+            let outcome = check_secs("a", a);
+            assert_eq!(outcome.is_ok(), ok, "{a}: {outcome:?}");
+        }
+        let err = parse::<Probe>(&json!({"a": -5.0, "b": 1})).unwrap_err();
+        assert_eq!(err.key.as_deref(), Some("a"));
+        assert_eq!(
+            err.message,
+            "a must be finite, >= 0 and below 1.8e13 s, got -5.0"
+        );
+        let err = parse::<Probe>(&json!({"a": 1.0, "b": 0})).unwrap_err();
+        assert_eq!(err.message, "b must be at least 1, got 0");
     }
 }
 
@@ -223,13 +329,31 @@ mod cost_model_props {
     use entk_cluster::PlatformSpec;
     use entk_sim::SimRng;
     use proptest::prelude::*;
-    use serde_json::json;
+    use serde_json::{json, Value};
+
+    /// Each built-in kernel with arguments of its own drawn from the basic
+    /// parameters: a kernel refuses every key it does not declare.
+    fn own_args(steps: u64, n_atoms: u64) -> [(&'static str, Value); 10] {
+        let md = json!({ "steps": steps, "n_atoms": n_atoms });
+        [
+            ("misc.mkfile", json!({ "bytes": n_atoms })),
+            ("misc.ccount", json!({ "bytes": n_atoms })),
+            ("misc.sleep", json!({ "secs": steps as f64 / 1000.0 })),
+            ("misc.stress", json!({ "iters": steps })),
+            ("md.amber", md.clone()),
+            ("md.gromacs", md),
+            ("md.exchange", json!({ "n_replicas": n_atoms })),
+            ("ana.coco", json!({ "n_sims": n_atoms })),
+            ("ana.lsdmap", json!({ "n_sims": n_atoms })),
+            ("ana.wham", json!({ "n_samples": steps })),
+        ]
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Every built-in kernel's cost model yields a finite, bounded
-        /// duration on every platform for arbitrary basic parameters.
+        /// Every built-in kernel plans a finite, bounded duration on every
+        /// platform for arbitrary basic parameters.
         #[test]
         fn prop_costs_are_sane(
             steps in 1u64..10_000,
@@ -244,16 +368,13 @@ mod cost_model_props {
                 PlatformSpec::stampede(),
                 PlatformSpec::supermic(),
             ];
-            let args = json!({
-                "steps": steps, "n_atoms": n_atoms, "bytes": n_atoms,
-                "secs": steps as f64 / 1000.0, "iters": steps,
-                "n_sims": n_atoms, "n_replicas": n_atoms, "n_samples": steps,
-            });
+            let kernels = own_args(steps, n_atoms);
+            prop_assert_eq!(kernels.len(), registry.names().len());
             for platform in &platforms {
-                for name in registry.names() {
+                for (name, args) in &kernels {
                     let plugin = registry.get(name).unwrap();
-                    let cost = plugin.cost(&args, cores, platform, &mut rng);
-                    let secs = cost.as_secs_f64();
+                    let plan = plugin.plan(args, cores, platform, &mut rng).unwrap();
+                    let secs = plan.duration.as_secs_f64();
                     prop_assert!(secs.is_finite(), "{name} cost not finite");
                     prop_assert!(secs >= 0.0, "{name} cost negative");
                     prop_assert!(secs < 1e7, "{name} cost absurd: {secs}");
@@ -272,7 +393,8 @@ mod cost_model_props {
             let avg = |cores: usize, seed: u64| {
                 let mut rng = SimRng::seed_from_u64(seed);
                 (0..16)
-                    .map(|_| plugin.cost(&args, cores, &platform, &mut rng).as_secs_f64())
+                    .map(|_| plugin.plan(&args, cores, &platform, &mut rng).unwrap())
+                    .map(|plan| plan.duration.as_secs_f64())
                     .sum::<f64>()
                     / 16.0
             };

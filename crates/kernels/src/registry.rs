@@ -112,7 +112,7 @@ mod tests {
     fn unknown_kernel_is_an_error() {
         let r = KernelRegistry::with_builtins();
         let err = r.get("md.namd").err().expect("lookup fails");
-        assert!(err.0.contains("md.namd"));
+        assert!(err.message.contains("md.namd"));
     }
 
     #[test]
@@ -122,14 +122,17 @@ mod tests {
             fn name(&self) -> &str {
                 "custom.k"
             }
-            fn cost(
+            fn plan(
                 &self,
                 _: &serde_json::Value,
                 _: usize,
                 _: &PlatformSpec,
                 _: &mut SimRng,
-            ) -> entk_sim::SimDuration {
-                entk_sim::SimDuration::from_secs(1)
+            ) -> Result<crate::plugin::UnitPlan, crate::plugin::KernelError> {
+                Ok(crate::plugin::UnitPlan {
+                    duration: entk_sim::SimDuration::from_secs(1),
+                    ..Default::default()
+                })
             }
             fn execute_model(
                 &self,

@@ -66,14 +66,6 @@ pub struct StagingDirective {
     pub direction: StagingDirection,
 }
 
-/// The work a unit performs: a pre-sampled duration from the kernel's cost
-/// model. (Real kernels never become units; they run under `fork://`.)
-#[derive(Debug, Clone)]
-pub enum UnitWork {
-    /// Simulated execution: occupy cores for this long in virtual time.
-    Modeled(SimDuration),
-}
-
 /// Request for one compute unit (task).
 #[derive(Debug, Clone)]
 pub struct UnitDescription {
@@ -83,8 +75,10 @@ pub struct UnitDescription {
     pub cores: usize,
     /// Whether the unit is an MPI task (may span nodes).
     pub mpi: bool,
-    /// The work itself.
-    pub work: UnitWork,
+    /// How long the unit occupies its cores in virtual time: pre-sampled
+    /// from the kernel's plan. (Real kernels never become units; they run
+    /// under `fork://`.)
+    pub duration: SimDuration,
     /// Input staging directives.
     pub input_staging: Vec<StagingDirective>,
     /// Output staging directives.
@@ -98,7 +92,7 @@ impl UnitDescription {
             name: name.into(),
             cores: 1,
             mpi: false,
-            work: UnitWork::Modeled(duration),
+            duration,
             input_staging: Vec::new(),
             output_staging: Vec::new(),
         }

@@ -6,7 +6,7 @@
 //! pilot cores at the application level, so more tasks than cores can be
 //! expressed and executed as capacity frees up.
 
-use crate::description::{PilotDescription, UnitDescription, UnitWork};
+use crate::description::{PilotDescription, UnitDescription};
 use crate::overheads::RuntimeOverheads;
 use crate::scheduler::{FirstFitScheduler, PilotView, UnitScheduler, UnitView};
 use crate::states::{PilotId, PilotState, UnitId, UnitState};
@@ -375,10 +375,9 @@ impl SimRuntime {
             let id = UnitId(self.next_unit);
             self.next_unit += 1;
             debug_assert_eq!(id.0 as usize, self.units.len());
-            let UnitWork::Modeled(duration) = description.work;
             self.units.push(UnitRecord {
                 cores: description.cores,
-                duration,
+                duration: description.duration,
                 input_bytes: description.input_bytes(),
                 output_bytes: description.output_bytes(),
                 state: UnitState::New,

@@ -493,6 +493,20 @@ impl ArrivalStream for OpenLoopStream {
 mod tests {
     use super::*;
 
+    /// `SUPPORTED_KERNELS`' promise, with kernels refusing every key and
+    /// value they do not declare: what a row binds, its kernel takes.
+    #[test]
+    fn every_supported_kernel_takes_its_canonical_arguments() {
+        let registry = entk_kernels::KernelRegistry::with_builtins();
+        for kernel in SUPPORTED_KERNELS {
+            for temperature in [None, Some(1.0), Some(2.4)] {
+                let call = kernel_call(kernel, 7, temperature);
+                let plugin = registry.get(&call.plugin).unwrap();
+                plugin.validate(&call.args).unwrap();
+            }
+        }
+    }
+
     #[test]
     fn poisson_process_replays_identically() {
         let gen = OpenLoopProcess::poisson(7, 100, 16, 30.0);
