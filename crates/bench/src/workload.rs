@@ -12,8 +12,8 @@
 
 use entk_core::EntkError;
 use entk_workload::{
-    AdmissionPolicy, HotTenantTrace, ServeStats, ServiceConfig, ServiceEngine, StreamBackend,
-    SyntheticTrace, WorkloadConfig, WorkloadGenerator, WorkloadReport,
+    render_record, AdmissionPolicy, HotTenantTrace, ServeStats, ServiceConfig, ServiceEngine,
+    StreamBackend, SyntheticTrace, WorkloadConfig, WorkloadGenerator, WorkloadReport,
 };
 use serde_json::json;
 
@@ -39,10 +39,8 @@ pub struct WorkloadPoint {
     pub policy: String,
     /// Admission slots of the point.
     pub slots: usize,
-    /// The served stream's report.
+    /// The served stream's report; its records render the stream JSONL.
     pub report: WorkloadReport,
-    /// The served stream's JSONL (one line per session).
-    pub jsonl: String,
 }
 
 impl WorkloadPoint {
@@ -95,13 +93,11 @@ pub fn fig11_with_policy(
             policy,
             ..ServiceConfig::fifo(stream)
         };
-        let out = ServiceEngine::new(config, &arrivals)?.run()?;
         points.push(WorkloadPoint {
             backend: backend.label(),
             policy: policy.label().to_string(),
             slots,
-            report: out.report,
-            jsonl: out.jsonl,
+            report: ServiceEngine::new(config, &arrivals)?.run()?,
         });
     }
     Ok(points)
@@ -182,15 +178,13 @@ pub fn fairness_ablation_with(
         slots: 2,
         ..WorkloadConfig::default()
     };
-    let fifo = ServiceEngine::new(ServiceConfig::fifo(stream.clone()), &arrivals)?.run()?;
-    let fair = ServiceEngine::new(
-        ServiceConfig::fair_share(stream, FIG11_HALF_LIFE_SECS),
-        &arrivals,
-    )?
-    .run()?;
     Ok(FairnessAblation {
-        fifo: fifo.report,
-        fair: fair.report,
+        fifo: ServiceEngine::new(ServiceConfig::fifo(stream.clone()), &arrivals)?.run()?,
+        fair: ServiceEngine::new(
+            ServiceConfig::fair_share(stream, FIG11_HALF_LIFE_SECS),
+            &arrivals,
+        )?
+        .run()?,
     })
 }
 
@@ -309,12 +303,12 @@ pub fn vm_hwm_kb() -> Option<u64> {
 pub fn leg_jsonl(points: &[WorkloadPoint]) -> String {
     let mut out = String::new();
     for p in points {
-        for line in p.jsonl.lines() {
+        for record in &p.report.records {
             out.push_str(&format!(
-                "{{\"backend\":\"{}\",\"slots\":{},{}\n",
+                "{{\"backend\":\"{}\",\"slots\":{},{}",
                 p.backend,
                 p.slots,
-                &line[1..], // splice into the session object
+                &render_record(record)[1..], // splice into the session object
             ));
         }
     }

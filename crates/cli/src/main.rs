@@ -35,7 +35,9 @@
 use entk_cli::Document;
 use entk_core::ComponentSpec;
 use entk_sim::Tracer;
-use entk_workload::{ServeStats, ServiceCheckpoint, ServiceEngine, WorkloadReport};
+use entk_workload::{
+    render_record, ServeStats, ServiceCheckpoint, ServiceEngine, SessionRecord, WorkloadReport,
+};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
@@ -247,6 +249,15 @@ fn write_trace(tracer: &Tracer, path: &str) -> std::io::Result<()> {
     out.flush()
 }
 
+/// Writes `records` to `path` as stream JSONL, one rendered line each.
+fn write_rows(path: &str, records: &[SessionRecord]) -> std::io::Result<()> {
+    let mut out = BufWriter::new(File::create(path)?);
+    for r in records {
+        out.write_all(render_record(r).as_bytes())?;
+    }
+    out.flush()
+}
+
 fn print_stream_report(r: &WorkloadReport, as_json: bool) {
     if as_json {
         return print_json(r);
@@ -347,30 +358,35 @@ fn serve(args: &Args) -> Result<ExitCode, Failure> {
     // source lazily, which is what keeps `--stream` serves flat in
     // memory no matter how long the trace is.
     let arrivals = spec.source_stream()?;
-    let mut engine = match resume_path {
+    // A resumed engine emits the rows after its checkpoint's `emitted`
+    // cursor; the rows before them were written by the run that stopped.
+    let (mut engine, resumed_at) = match resume_path {
         Some(path) => {
             let ckpt_text = std::fs::read_to_string(path)
                 .map_err(|e| format!("reading checkpoint {path:?}: {e}"))?;
             let ckpt = ServiceCheckpoint::from_json(&ckpt_text)?;
-            ServiceEngine::restore(config, arrivals, &ckpt)
+            (
+                ServiceEngine::restore(config, arrivals, &ckpt)?,
+                ckpt.emitted,
+            )
         }
-        None => ServiceEngine::new(config, arrivals),
-    }?;
+        None => (ServiceEngine::new(config, arrivals)?, 0),
+    };
 
     if let Some((k, ckpt_path)) = checkpoint {
         engine.run_to_boundary(k)?;
         std::fs::write(ckpt_path, engine.checkpoint().to_json())
             .map_err(|e| format!("writing checkpoint {ckpt_path:?}: {e}"))?;
+        let prefix = engine.emitted_jsonl();
         if let Some(path) = jsonl_path {
-            std::fs::write(path, engine.emitted_jsonl())
-                .map_err(|e| format!("writing {path:?}: {e}"))?;
+            std::fs::write(path, &prefix).map_err(|e| format!("writing {path:?}: {e}"))?;
             eprintln!("emitted JSONL prefix written to {path}");
         }
         eprintln!(
             "checkpoint at arrival boundary {} written to {ckpt_path} \
              ({} sessions emitted)",
             engine.ingested(),
-            engine.emitted_jsonl().lines().count()
+            prefix.lines().count()
         );
         return Ok(ExitCode::SUCCESS);
     }
@@ -383,7 +399,7 @@ fn serve(args: &Args) -> Result<ExitCode, Failure> {
     // are emitted and the summary is the scalar stats; with it, the
     // rows this engine emitted (everything, or exactly the suffix
     // after a resumed checkpoint, so prefix + suffix concatenate to
-    // the full stream byte-for-byte) are written once the report is.
+    // the full stream byte-for-byte) are rendered from its records.
     if let Some(path) = stream_to {
         let file = File::create(path).map_err(|e| format!("creating {path:?}: {e}"))?;
         let mut out = BufWriter::new(file);
@@ -392,10 +408,10 @@ fn serve(args: &Args) -> Result<ExitCode, Failure> {
         print_serve_stats(&stats, as_json);
         eprintln!("stream JSONL written to {path}");
     } else {
-        let out = engine.run()?;
-        print_stream_report(&out.report, as_json);
+        let report = engine.run()?;
+        print_stream_report(&report, as_json);
         if let Some(path) = jsonl_path {
-            std::fs::write(path, &out.suffix_jsonl)
+            write_rows(path, &report.records[resumed_at..])
                 .map_err(|e| format!("writing {path:?}: {e}"))?;
             eprintln!("stream JSONL written to {path}");
         }

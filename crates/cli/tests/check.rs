@@ -484,6 +484,19 @@ fn nested_mistakes_are_refused_by_check_and_by_the_verb_that_runs_them() {
     let bad_secs = |got: &str| {
         format!("kernel \"misc.sleep\": secs must be finite, >= 0 and below 1.8e13 s, got {got}")
     };
+    let period = |secs: &str| {
+        edit(
+            &stream,
+            "\"period_secs\": 120.0",
+            &format!("\"period_secs\": {secs}"),
+        )
+    };
+    let bad_period = |got: &str| {
+        format!(
+            "bad params for report sink \"gauges\": period_secs: must be at least 1e-6 s and \
+             below 1.8e13 s, got {got}"
+        )
+    };
     let cases = [
         (
             "scheduler-param",
@@ -681,6 +694,37 @@ fn nested_mistakes_are_refused_by_check_and_by_the_verb_that_runs_them() {
              \"local\" backend, got 25"
                 .to_string(),
         ),
+        // `serve` failed opening the sink, with no line.
+        (
+            "gauges-negative-period",
+            "serve",
+            period("-1.0"),
+            11,
+            bad_period("-1.0"),
+        ),
+        // Clamped to one sample per microsecond of virtual time.
+        (
+            "gauges-sub-microsecond-period",
+            "serve",
+            period("1e-9"),
+            11,
+            bad_period("1e-9"),
+        ),
+        // Clamped to 2^64 µs: one sample at t = 0, one at 18446744073709.55 s.
+        (
+            "gauges-unbounded-period",
+            "serve",
+            period("1e300"),
+            11,
+            bad_period("1e300"),
+        ),
+        (
+            "gauges-infinite-period",
+            "serve",
+            period("1e309"),
+            11,
+            bad_period("inf"),
+        ),
     ];
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("check-nested");
     for (name, verb, text, line, needle) in cases {
@@ -699,6 +743,83 @@ fn nested_mistakes_are_refused_by_check_and_by_the_verb_that_runs_them() {
     }
     let left_behind = std::fs::read_dir(&dir).expect("scratch directory").count();
     assert_eq!(left_behind, 0, "a refused document created a file");
+}
+
+/// A checkpoint file is input from outside the program too. Each row edits
+/// one field of a real checkpoint (20 fair-share sessions, taken at arrival
+/// boundary 10); `entk serve --resume` refuses it naming the field, serves
+/// nothing and writes no `--jsonl` file. The unedited checkpoint resumes.
+#[test]
+fn hostile_checkpoints_are_refused_naming_the_field() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("check-checkpoint");
+    let spec = write_spec(
+        "checkpoint-fair",
+        r#"{ "seed": 7, "slots": 2, "policy": "fair", "half_life_secs": 600.0,
+             "source": { "kind": "synthetic", "sessions": 20, "tenants": 4 } }"#,
+    );
+    let spec = spec.to_str().expect("utf-8 path");
+    let stopped = entk_in(
+        &dir,
+        &[
+            "serve",
+            spec,
+            "--checkpoint-at",
+            "10",
+            "--checkpoint",
+            "CKPT.json",
+        ],
+    );
+    assert!(stopped.status.success());
+    let ckpt: Value =
+        serde_json::from_str(&std::fs::read_to_string(dir.join("CKPT.json")).unwrap()).unwrap();
+    // Every tenant's balance set to `balance`, written as JSON text.
+    let balances = |balance: &str| {
+        let mut edited = ckpt.clone();
+        for pair in edited["usage"]
+            .as_array_mut()
+            .expect("fair share has balances")
+        {
+            pair[1] = json!("BALANCE");
+        }
+        serde_json::to_string_pretty(&edited)
+            .unwrap()
+            .replace("\"BALANCE\"", balance)
+    };
+    let usage = |got: &str| {
+        format!("checkpoint usage balance of tenant 0 must be finite and >= 0, got {got}")
+    };
+    let resume = |text: &str| {
+        std::fs::write(dir.join("EDITED.json"), text).unwrap();
+        std::fs::remove_file(dir.join("SUFFIX.jsonl")).ok();
+        entk_in(
+            &dir,
+            &[
+                "serve",
+                spec,
+                "--resume",
+                "EDITED.json",
+                "--jsonl",
+                "SUFFIX.jsonl",
+            ],
+        )
+    };
+    assert!(resume(&serde_json::to_string_pretty(&ckpt).unwrap())
+        .status
+        .success());
+    for (name, text, needle) in [
+        // Resumed with exit 0; the stream differed from line 3 and p50
+        // read 252.5 s instead of 300.7 s.
+        ("negative-usage", balances("-1e300"), usage("-1e300")),
+        ("infinite-usage", balances("1e309"), usage("inf")),
+        ("negative-infinite-usage", balances("-1e309"), usage("-inf")),
+    ] {
+        let out = resume(&text);
+        let message = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{name} resumed");
+        assert!(out.stdout.is_empty(), "{name} served");
+        assert_eq!(message, format!("error: usage error: {needle}\n"), "{name}");
+        assert!(!dir.join("SUFFIX.jsonl").exists(), "{name} wrote rows");
+    }
 }
 
 /// A flag the verb does not have used to be skipped, so `--polcy fifo`

@@ -17,8 +17,8 @@
 //! 3. [`SyntheticTrace`] — an in-repo deterministic mixture whose CSV
 //!    rendering means CI never needs external trace data.
 //!
-//! The session service ([`ServiceEngine`], FIFO default via [`serve`])
-//! admits the stream through a live event-driven loop with pluggable
+//! The session service ([`ServiceEngine`], FIFO by default) admits the
+//! stream through a live event-driven loop with pluggable
 //! policies — FIFO or fair-share over a per-tenant [usage ledger]
 //! (entk_cluster::UsageLedger) — bounded-queue backpressure (reject or
 //! defer), per-session failure records (`ok | partial | failed |
@@ -45,12 +45,12 @@ pub use arrival::{
     VecStream, WorkloadGenerator, SUPPORTED_KERNELS,
 };
 pub use runner::{
-    fnv64, fnv64_update, serve, SessionRecord, SessionStatus, StreamBackend, TenantLatency,
-    WorkloadConfig, WorkloadOutcome, WorkloadReport, IN_SERVICE_GAUGE, QUEUE_DEPTH_GAUGE,
+    fnv64, fnv64_update, render_record, SessionRecord, SessionStatus, StreamBackend, TenantLatency,
+    WorkloadConfig, WorkloadReport, IN_SERVICE_GAUGE, QUEUE_DEPTH_GAUGE,
 };
 pub use service::{
-    admission_policies, session_seed, AdmissionPolicy, AdmissionSample, EngineOptions,
-    SaturationMode, ServeStats, ServiceCheckpoint, ServiceConfig, ServiceEngine,
+    admission_policies, session_seed, AdmissionPolicy, EngineOptions, SaturationMode, ServeStats,
+    ServiceCheckpoint, ServiceConfig, ServiceEngine,
 };
 pub use sink::{sinks, GaugesSink, JsonlSink, ReportSink, SummarySink};
 pub use spec::{sources, SourceCtx, SourceDecl, StreamSpec};

@@ -1,4 +1,4 @@
-//! Stream-level record/report types and the FIFO `serve()` entry point.
+//! Stream-level record/report types, the stream line and report assembly.
 //!
 //! ## Model
 //!
@@ -6,9 +6,9 @@
 //! shared backend exposes `slots` concurrent admission slots (think: how
 //! many pilot sessions the resource provider lets one gateway run at
 //! once). Admission is performed by the event-driven
-//! [`crate::service::ServiceEngine`]; [`serve`] is the FIFO default —
-//! arrival `i` starts at `max(arrival_i, k-th earliest slot-free time)`
-//! and occupies its slot for its time-to-completion.
+//! [`crate::service::ServiceEngine`]; under FIFO, arrival `i` starts at
+//! `max(arrival_i, k-th earliest slot-free time)` and occupies its slot
+//! for its time-to-completion.
 //!
 //! Each admitted session runs through the existing
 //! `SessionEngine`/`ExecutionBackend` seam (`run_simulated_traced` /
@@ -27,11 +27,10 @@
 //! stream-fatal semantics are available via
 //! [`crate::service::ServiceConfig`].
 
-use crate::arrival::IntoArrivalStream;
-use crate::service::{ServiceConfig, ServiceEngine};
-use entk_core::EntkError;
-use entk_sim::{Fnv64, Metrics, SimTime};
+use crate::service::{ServeStats, ServiceConfig};
+use entk_sim::{Fnv64, Metrics, SimTime, Summary};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Gauge name of the arrived-but-not-started depth series.
 pub const QUEUE_DEPTH_GAUGE: &str = "workload.queue_depth";
@@ -231,19 +230,82 @@ pub struct WorkloadReport {
     pub records: Vec<SessionRecord>,
 }
 
-/// A served stream: the report plus the stream JSONL (one line per
-/// session, byte-identical under replay).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadOutcome {
-    /// Aggregated report.
-    pub report: WorkloadReport,
-    /// One JSON line per session, in arrival order — always the full
-    /// stream.
-    pub jsonl: String,
-    /// The lines the serving engine instance actually emitted: equal to
-    /// `jsonl` for a fresh run, and exactly the post-checkpoint suffix for
-    /// a restored run (prefix + suffix is byte-identical to `jsonl`).
-    pub suffix_jsonl: String,
+impl WorkloadReport {
+    /// The full report of a retaining serve: counts, makespan and stream
+    /// fingerprint from the running stats; gauge series and exact latency
+    /// percentiles over the served records, which move into the report.
+    pub(crate) fn assemble(
+        config: &ServiceConfig,
+        stats: ServeStats,
+        records: Vec<SessionRecord>,
+    ) -> Self {
+        let mut metrics = Metrics::new();
+        record_depth_gauges(&mut metrics, &records);
+        let series = |name: &str| -> Vec<(f64, f64)> {
+            metrics
+                .series(name)
+                .map(|s| {
+                    s.points()
+                        .iter()
+                        .map(|&(t, v)| (t.as_secs_f64(), v))
+                        .collect()
+                })
+                .unwrap_or_default()
+        };
+        let (queue_depth_peak, queue_depth_mean) = metrics
+            .series(QUEUE_DEPTH_GAUGE)
+            .map(|s| (s.peak(), s.time_weighted_mean()))
+            .unwrap_or((0.0, 0.0));
+
+        // Latency percentiles over *served* sessions (ok or partial):
+        // rejected sessions never ran and failed sessions have no service
+        // span, so neither contributes a latency sample.
+        let mut all = Summary::new();
+        let mut by_tenant: BTreeMap<u64, Summary> = BTreeMap::new();
+        for r in &records {
+            if matches!(r.status, SessionStatus::Ok | SessionStatus::Partial) {
+                all.add(r.latency_secs);
+                by_tenant.entry(r.tenant).or_default().add(r.latency_secs);
+            }
+        }
+        // An empty summary's percentiles are all 0.
+        let latency_of = |tenant: u64, s: &Summary| {
+            let ps = s.percentiles(&[50.0, 95.0, 99.0]);
+            TenantLatency {
+                tenant,
+                sessions: s.count(),
+                p50: ps[0],
+                p95: ps[1],
+                p99: ps[2],
+            }
+        };
+
+        WorkloadReport {
+            backend: config.stream.backend.label(),
+            resource: config.stream.resource.clone(),
+            seed: config.stream.seed,
+            slots: config.stream.slots,
+            policy: config.policy.label().to_string(),
+            sessions: stats.sessions,
+            tenants: stats.tenants,
+            ok_sessions: stats.ok_sessions,
+            partial_sessions: stats.partial_sessions,
+            failed_sessions: stats.failed_sessions,
+            rejected_sessions: stats.rejected_sessions,
+            total_tasks: stats.total_tasks,
+            total_events: stats.total_events,
+            makespan_secs: stats.makespan_secs,
+            latency: latency_of(u64::MAX, &all),
+            per_tenant: by_tenant.iter().map(|(t, s)| latency_of(*t, s)).collect(),
+            queue_depth: series(QUEUE_DEPTH_GAUGE),
+            queue_depth_peak,
+            queue_depth_mean,
+            in_service: series(IN_SERVICE_GAUGE),
+            max_cross_check_err_secs: stats.max_cross_check_err_secs,
+            stream_fp: stats.stream_fp,
+            records,
+        }
+    }
 }
 
 /// FNV-1a 64 over arbitrary bytes ([`entk_sim::Fnv64`], the hash behind
@@ -274,9 +336,10 @@ fn escape_json(s: &str) -> String {
         .collect()
 }
 
-/// Renders one session record as its stream JSONL line. Hand-rendered so
-/// the stream JSONL is byte-stable by construction.
-pub(crate) fn render_record(r: &SessionRecord) -> String {
+/// Renders one session record as its stream JSONL line (trailing newline
+/// included). Hand-rendered so the stream JSONL is byte-stable by
+/// construction; the stream is these lines in session order.
+pub fn render_record(r: &SessionRecord) -> String {
     let error = match &r.error {
         Some(e) => format!(",\"error\":\"{}\"", escape_json(e)),
         None => String::new(),
@@ -299,20 +362,6 @@ pub(crate) fn render_record(r: &SessionRecord) -> String {
         r.trace_fp,
         error,
     )
-}
-
-/// Serves a stream of arrivals on the configured backend with FIFO
-/// admission, an unbounded queue, and lenient failure semantics — the
-/// historical entry point, now a thin wrapper over
-/// [`crate::service::ServiceEngine`]. Accepts anything convertible to an
-/// [`crate::arrival::ArrivalStream`]: a slice, a `Vec`, a boxed stream,
-/// or a lazy generator. Deterministic: same config + same arrivals ⇒
-/// byte-identical [`WorkloadOutcome`].
-pub fn serve(
-    config: &WorkloadConfig,
-    arrivals: impl IntoArrivalStream,
-) -> Result<WorkloadOutcome, EntkError> {
-    ServiceEngine::new(ServiceConfig::fifo(config.clone()), arrivals)?.run()
 }
 
 /// One step of the admission timeline: (micros, kind, delta_queued,
@@ -344,7 +393,7 @@ pub(crate) fn depth_events(r: &SessionRecord) -> impl Iterator<Item = DepthEvent
 /// reorder boundary ties (see `gauge_ties_survive_f64_collisions`).
 /// Rejected sessions never enter either series; a zero-duration (failed)
 /// session contributes no in-service blip.
-pub(crate) fn record_depth_gauges(metrics: &mut Metrics, records: &[SessionRecord]) {
+fn record_depth_gauges(metrics: &mut Metrics, records: &[SessionRecord]) {
     let mut events: Vec<DepthEvent> = records.iter().flat_map(depth_events).collect();
     events.sort_unstable();
     let (mut queued, mut running) = (0i64, 0i64);
@@ -367,6 +416,14 @@ mod tests {
         OpenLoopProcess::poisson(9, 12, 4, 60.0).generate().unwrap()
     }
 
+    /// A FIFO serve over an unbounded queue, with lenient failures.
+    fn serve(
+        config: &WorkloadConfig,
+        arrivals: impl crate::IntoArrivalStream,
+    ) -> Result<WorkloadReport, entk_core::EntkError> {
+        crate::ServiceEngine::new(ServiceConfig::fifo(config.clone()), arrivals)?.run()
+    }
+
     #[test]
     fn serve_replays_byte_identically() {
         let config = WorkloadConfig {
@@ -376,12 +433,10 @@ mod tests {
         let arrivals = small_stream();
         let a = serve(&config, &arrivals).unwrap();
         let b = serve(&config, &arrivals).unwrap();
-        assert_eq!(a.jsonl, b.jsonl);
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.report.sessions, 12);
-        assert_eq!(a.report.ok_sessions, 12);
-        assert_eq!(a.report.policy, "fifo");
-        assert_eq!(a.suffix_jsonl, a.jsonl, "a fresh run emits the full stream");
+        assert_eq!(a, b);
+        assert_eq!(a.sessions, 12);
+        assert_eq!(a.ok_sessions, 12);
+        assert_eq!(a.policy, "fifo");
     }
 
     #[test]
@@ -391,8 +446,7 @@ mod tests {
             ..WorkloadConfig::default()
         };
         let arrivals = small_stream();
-        let out = serve(&config, &arrivals).unwrap();
-        let r = &out.report;
+        let r = serve(&config, &arrivals).unwrap();
         assert!(r.latency.p50 > 0.0);
         assert!(r.latency.p99 >= r.latency.p95 && r.latency.p95 >= r.latency.p50);
         assert!(!r.per_tenant.is_empty());
@@ -424,7 +478,6 @@ mod tests {
                 &arrivals,
             )
             .unwrap()
-            .report
         };
         let narrow = serve_slots(1);
         let wide = serve_slots(8);
@@ -446,9 +499,9 @@ mod tests {
         let arrivals = OpenLoopProcess::poisson(4, 6, 3, 60.0).generate().unwrap();
         let a = serve(&config, &arrivals).unwrap();
         let b = serve(&config, &arrivals).unwrap();
-        assert_eq!(a.jsonl, b.jsonl);
-        assert_eq!(a.report.backend, "federated:2");
-        assert!(a.report.max_cross_check_err_secs <= 1e-6);
+        assert_eq!(a, b);
+        assert_eq!(a.backend, "federated:2");
+        assert!(a.max_cross_check_err_secs <= 1e-6);
     }
 
     #[test]

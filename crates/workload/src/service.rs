@@ -35,15 +35,16 @@
 //! per record, folds the running [`ServeStats`], renders the stream line,
 //! folds fingerprint and byte count, and hands `(line, &record)` to the
 //! observers: the caller's writer and every attached [`ReportSink`].
-//! [`ServiceEngine::run`] additionally *retains* what it emits — the
-//! records and lines behind checkpoints, exact percentiles and the gauge
-//! series of the full [`WorkloadReport`]. [`ServiceEngine::run_streaming`]
-//! retains nothing: resident state is O(look-ahead + in-flight + queued),
-//! never O(stream length), which is what lets a million-session trace
-//! serve in a flat memory footprint.
+//! [`ServiceEngine::run`] additionally *retains* each emitted record —
+//! once: the record log is what checkpoints carry and what moves into the
+//! [`WorkloadReport`], and a stream line is re-rendered from its record
+//! whenever bytes are wanted again ([`ServiceEngine::emitted_jsonl`]).
+//! [`ServiceEngine::run_streaming`] retains nothing: resident state is
+//! O(look-ahead + in-flight + queued), never O(stream length), which is
+//! what lets a million-session trace serve in a flat memory footprint.
 //!
 //! * [`AdmissionPolicy::Fifo`] — arrival order; byte-identical to the
-//!   original `serve()` recursion (property-tested against a reference
+//!   original admission recursion (property-tested against a reference
 //!   implementation).
 //! * [`AdmissionPolicy::FairShare`] — the per-tenant usage-accounting
 //!   policy lifted from `entk-cluster`'s `FairShareScheduler`
@@ -51,7 +52,9 @@
 //!   session whose tenant has the least decayed core-second usage is
 //!   admitted first (ties: arrival order), and the tenant is charged
 //!   cores × service-time on admission. A hot tenant's burst therefore
-//!   queues behind light tenants instead of starving them.
+//!   queues behind light tenants instead of starving them. `admit`
+//!   debug-asserts the invariant at every decision: no tenant is admitted
+//!   while a tenant with a smaller balance waits.
 //!
 //! ## Failure semantics
 //!
@@ -100,15 +103,14 @@
 
 use crate::arrival::{ArrivalStream, IntoArrivalStream, SessionArrival};
 use crate::runner::{
-    fnv64, fnv64_update, record_depth_gauges, render_record, SessionRecord, SessionStatus,
-    StreamBackend, TenantLatency, WorkloadConfig, WorkloadOutcome, WorkloadReport,
-    IN_SERVICE_GAUGE, QUEUE_DEPTH_GAUGE,
+    fnv64, fnv64_update, render_record, SessionRecord, SessionStatus, StreamBackend,
+    WorkloadConfig, WorkloadReport,
 };
 use crate::sink::ReportSink;
 use crate::trace::{render_row, TRACE_HEADER};
 use entk_core::prelude::*;
 use entk_core::EntkError;
-use entk_sim::{Metrics, SimDuration, SimTime, Summary, WorkerPool};
+use entk_sim::{SimDuration, SimTime, WorkerPool};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
@@ -268,8 +270,7 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// FIFO admission with unbounded queue and lenient failures — the
-    /// semantics of the original `serve()` on clean streams.
+    /// FIFO admission with unbounded queue and lenient failures.
     pub fn fifo(stream: WorkloadConfig) -> Self {
         ServiceConfig {
             stream,
@@ -541,8 +542,8 @@ impl Drop for EvalPool {
 
 /// O(1)-memory aggregate summary of a serve, folded at the emission
 /// point — what [`ServiceEngine::run_streaming`] returns instead of a
-/// full [`WorkloadOutcome`], and where [`WorkloadReport`] takes its
-/// counts and `stream_fp` from. Latency is summarized as mean/max
+/// full [`WorkloadReport`], and where that report takes its counts and
+/// `stream_fp` from. Latency is summarized as mean/max
 /// (percentiles need the full sample set, which an out-of-core serve
 /// deliberately never holds).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -630,23 +631,6 @@ impl StatsAcc {
             ..self.stats.clone()
         }
     }
-}
-
-/// One fair-share admission decision, exposed for property tests: the
-/// fairness invariant is `admitted_usage <= min_waiting_usage` at every
-/// decision (a tenant over its share is never admitted while a tenant
-/// under its share waits).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdmissionSample {
-    /// Admitted session index.
-    pub session: usize,
-    /// Admitted session's tenant.
-    pub tenant: u64,
-    /// The admitted tenant's decayed usage at the decision instant.
-    pub admitted_usage: f64,
-    /// Smallest decayed usage among tenants still waiting after the pick
-    /// (`None` when the pick emptied the queue).
-    pub min_waiting_usage: Option<f64>,
 }
 
 /// One in-flight slot in a checkpoint: the session and when its slot
@@ -767,16 +751,13 @@ pub struct ServiceEngine {
     acc: StatsAcc,
     /// Observers handed every `(line, &record)` at emission.
     sinks: Vec<Box<dyn ReportSink>>,
-    /// Whether emitted records are also retained — `records`, `jsonl`
-    /// and `admissions` below stay empty otherwise.
+    /// Whether emitted records are retained in `records` — the only copy
+    /// of a served session a retaining serve keeps.
     retain: bool,
     records: Vec<SessionRecord>,
-    /// Retained stream lines; this engine instance's own emissions start
-    /// at `suffix_from` (non-zero only for a restored engine).
-    jsonl: String,
-    suffix_from: usize,
-    admissions: Vec<AdmissionSample>,
-    finished: bool,
+    /// Leading `records` replayed from a checkpoint; this engine
+    /// instance's own emissions follow them.
+    restored: usize,
 }
 
 impl std::fmt::Debug for ServiceEngine {
@@ -790,7 +771,6 @@ impl std::fmt::Debug for ServiceEngine {
             .field("pending", &self.pending.len())
             .field("deferred", &self.deferred.len())
             .field("in_flight", &self.in_flight.len())
-            .field("finished", &self.finished)
             .finish_non_exhaustive()
     }
 }
@@ -863,10 +843,7 @@ impl ServiceEngine {
             sinks: Vec::new(),
             retain: true,
             records: Vec::new(),
-            jsonl: String::new(),
-            suffix_from: 0,
-            admissions: Vec::new(),
-            finished: false,
+            restored: 0,
         }
     }
 
@@ -946,16 +923,15 @@ impl ServiceEngine {
         self.held.len() + self.in_flight.len() + self.window.len()
     }
 
-    /// The fair-share admission decisions taken so far (empty under FIFO).
-    pub fn admissions(&self) -> &[AdmissionSample] {
-        &self.admissions
-    }
-
-    /// The stream JSONL lines this engine instance has emitted so far — a
-    /// fresh engine emits from line 0; a restored engine emits the suffix
-    /// after its checkpoint's `emitted` cursor.
-    pub fn emitted_jsonl(&self) -> &str {
-        &self.jsonl[self.suffix_from..]
+    /// The stream JSONL lines this engine instance has emitted so far,
+    /// rendered from the retained records — a fresh engine emits from line
+    /// 0; a restored engine emits the suffix after its checkpoint's
+    /// `emitted` cursor.
+    pub fn emitted_jsonl(&self) -> String {
+        self.records[self.restored..]
+            .iter()
+            .map(render_record)
+            .collect()
     }
 
     /// Attaches a report sink: from now on it sees every record at
@@ -989,7 +965,7 @@ impl ServiceEngine {
     /// the reorder window and, per record, folds the running stats, renders
     /// the stream line, folds fingerprint and byte count, hands the line to
     /// `out` and `(line, &record)` to every attached sink, and — when
-    /// retaining — keeps both.
+    /// retaining — keeps the record.
     fn emit(
         &mut self,
         out: &mut dyn FnMut(&str) -> Result<(), EntkError>,
@@ -1005,7 +981,6 @@ impl ServiceEngine {
                 sink.on_record(&line, &record)?;
             }
             if self.retain {
-                self.jsonl.push_str(&line);
                 self.records.push(record);
             }
         }
@@ -1072,18 +1047,15 @@ impl ServiceEngine {
         let arrival = self.held.remove(&i).expect("admitted session is held");
         if let AdmissionPolicy::FairShare { .. } = self.config.policy {
             self.ledger.decay_to(self.clock);
-            if self.retain {
-                self.admissions.push(AdmissionSample {
-                    session: i,
-                    tenant: arrival.tenant,
-                    admitted_usage: self.ledger.usage_of(&arrival.tenant),
-                    min_waiting_usage: self
-                        .pending
-                        .iter()
-                        .map(|j| self.ledger.usage_of(&self.held[j].tenant))
-                        .min_by(|a, b| a.partial_cmp(b).expect("finite usage")),
-                });
-            }
+            debug_assert!(
+                self.pending.iter().all(|j| {
+                    self.ledger.usage_of(&arrival.tenant)
+                        <= self.ledger.usage_of(&self.held[j].tenant)
+                }),
+                "fair share admitted session {i} (tenant {}) over a waiting tenant \
+                 with a smaller balance",
+                arrival.tenant
+            );
             self.ledger
                 .charge(arrival.tenant, arrival.cores as f64 * svc.ttc.as_secs_f64());
         }
@@ -1299,6 +1271,18 @@ impl ServiceEngine {
                 mismatches.join(", ")
             )));
         }
+        // Balances are core-seconds; anything else would steer fair-share
+        // admission wherever the edit pointed it.
+        if let Some((tenant, balance)) = ckpt
+            .usage
+            .iter()
+            .find(|(_, balance)| !(balance.is_finite() && *balance >= 0.0))
+        {
+            return Err(EntkError::Usage(format!(
+                "checkpoint usage balance of tenant {tenant} must be finite and >= 0, \
+                 got {balance:?}"
+            )));
+        }
         let keep: std::collections::HashSet<usize> =
             ckpt.pending.iter().chain(&ckpt.deferred).copied().collect();
         let stream = arrivals.into_arrival_stream()?;
@@ -1371,7 +1355,7 @@ impl ServiceEngine {
                 "checkpoint emitted cursor does not match its finalized records".into(),
             ));
         }
-        engine.suffix_from = engine.jsonl.len();
+        engine.restored = ckpt.emitted;
         // Service times are needed only for sessions whose admission is
         // still ahead. Queued and deferred rows were retained above and go
         // back to the evaluation pool now, in index order; not-yet-arrived
@@ -1400,30 +1384,19 @@ impl ServiceEngine {
         Ok(engine)
     }
 
-    /// Serves the stream to completion, retaining what it emits, and
-    /// finishes the attached sinks with the report. The outcome's `jsonl`
-    /// is always the full stream; `suffix_jsonl` is what *this* engine
-    /// instance emitted (the whole stream for a fresh engine, the
-    /// post-checkpoint suffix for a restored one).
-    pub fn run(&mut self) -> Result<WorkloadOutcome, EntkError> {
-        if self.finished {
-            return Err(EntkError::Usage("service already ran to completion".into()));
-        }
+    /// Serves the stream to completion, retaining each emitted record,
+    /// and finishes the attached sinks with the report. The records —
+    /// the whole stream, a restored engine's checkpointed prefix included
+    /// — move into the report; the lines this instance emitted are
+    /// `render_record` of `records[ckpt.emitted..]` (all of them for a
+    /// fresh engine).
+    pub fn run(mut self) -> Result<WorkloadReport, EntkError> {
         self.run_to_boundary(usize::MAX)?;
-        self.finished = true;
-        let report = self.report();
+        let report = WorkloadReport::assemble(&self.config, self.acc.stats(), self.records);
         for sink in &mut self.sinks {
             sink.finish(Some(&report))?;
         }
-        // The retained lines move into the outcome rather than being
-        // copied; `emitted_jsonl()` is empty from here on.
-        let jsonl = std::mem::take(&mut self.jsonl);
-        let suffix_jsonl = jsonl[std::mem::take(&mut self.suffix_from)..].to_string();
-        Ok(WorkloadOutcome {
-            report,
-            jsonl,
-            suffix_jsonl,
-        })
+        Ok(report)
     }
 
     /// Serves the stream to completion *without retaining*: every emitted
@@ -1440,7 +1413,7 @@ impl ServiceEngine {
         mut self,
         out: &mut W,
     ) -> Result<ServeStats, EntkError> {
-        if self.finished || self.next_arrival != 0 || self.emitted != 0 {
+        if self.next_arrival != 0 || self.emitted != 0 {
             return Err(EntkError::Usage(
                 "streaming serve requires a fresh engine".into(),
             ));
@@ -1462,86 +1435,5 @@ impl ServiceEngine {
             sink.finish(None)?;
         }
         Ok(self.acc.stats())
-    }
-
-    /// The full report of a retaining serve: counts, makespan and stream
-    /// fingerprint from the running stats; gauge series and exact latency
-    /// percentiles over the retained records.
-    fn report(&self) -> WorkloadReport {
-        let stats = self.acc.stats();
-        let mut metrics = Metrics::new();
-        record_depth_gauges(&mut metrics, &self.records);
-        let series = |name: &str| -> Vec<(f64, f64)> {
-            metrics
-                .series(name)
-                .map(|s| {
-                    s.points()
-                        .iter()
-                        .map(|&(t, v)| (t.as_secs_f64(), v))
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        let (queue_depth_peak, queue_depth_mean) = metrics
-            .series(QUEUE_DEPTH_GAUGE)
-            .map(|s| (s.peak(), s.time_weighted_mean()))
-            .unwrap_or((0.0, 0.0));
-
-        // Latency percentiles over *served* sessions (ok or partial):
-        // rejected sessions never ran and failed sessions have no service
-        // span, so neither contributes a latency sample.
-        let mut all = Summary::new();
-        let mut by_tenant: BTreeMap<u64, Summary> = BTreeMap::new();
-        for r in &self.records {
-            if matches!(r.status, SessionStatus::Ok | SessionStatus::Partial) {
-                all.add(r.latency_secs);
-                by_tenant.entry(r.tenant).or_default().add(r.latency_secs);
-            }
-        }
-        let latency_of = |tenant: u64, s: &Summary| {
-            if s.count() == 0 {
-                return TenantLatency {
-                    tenant,
-                    sessions: 0,
-                    p50: 0.0,
-                    p95: 0.0,
-                    p99: 0.0,
-                };
-            }
-            let ps = s.percentiles(&[50.0, 95.0, 99.0]);
-            TenantLatency {
-                tenant,
-                sessions: s.count(),
-                p50: ps[0],
-                p95: ps[1],
-                p99: ps[2],
-            }
-        };
-
-        WorkloadReport {
-            backend: self.config.stream.backend.label(),
-            resource: self.config.stream.resource.clone(),
-            seed: self.config.stream.seed,
-            slots: self.config.stream.slots,
-            policy: self.config.policy.label().to_string(),
-            sessions: stats.sessions,
-            tenants: stats.tenants,
-            ok_sessions: stats.ok_sessions,
-            partial_sessions: stats.partial_sessions,
-            failed_sessions: stats.failed_sessions,
-            rejected_sessions: stats.rejected_sessions,
-            total_tasks: stats.total_tasks,
-            total_events: stats.total_events,
-            makespan_secs: stats.makespan_secs,
-            latency: latency_of(u64::MAX, &all),
-            per_tenant: by_tenant.iter().map(|(t, s)| latency_of(*t, s)).collect(),
-            queue_depth: series(QUEUE_DEPTH_GAUGE),
-            queue_depth_peak,
-            queue_depth_mean,
-            in_service: series(IN_SERVICE_GAUGE),
-            max_cross_check_err_secs: stats.max_cross_check_err_secs,
-            stream_fp: stats.stream_fp,
-            records: self.records.clone(),
-        }
     }
 }

@@ -20,7 +20,9 @@
 
 use crate::runner::{depth_events, DepthEvent, SessionRecord, WorkloadReport};
 use entk_core::{EntkError, Registry};
-use serde::Deserialize;
+use entk_sim::SimDuration;
+use serde::{DeError, Deserialize};
+use serde_json::Value;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fs::File;
@@ -112,20 +114,30 @@ pub struct GaugesSink {
     next_tick: u64,
 }
 
+/// A sampling period in whole microseconds: at least one, and below
+/// [`SimDuration::MAX`], the last instant a tick can name.
+fn period_us(secs: f64) -> Result<u64, String> {
+    let max = SimDuration::MAX.as_secs_f64();
+    if (1e-6..max).contains(&secs) {
+        return Ok((secs * 1e6).round() as u64);
+    }
+    Err(format!(
+        "must be at least 1e-6 s and below {max:.1e} s, got {secs:?}"
+    ))
+}
+
 impl GaugesSink {
-    /// Opens (truncates) `path`; samples every `period_secs` (> 0).
+    /// Opens (truncates) `path`; samples every `period_secs`, at least
+    /// one microsecond.
     pub fn create(path: impl Into<String>, period_secs: f64) -> Result<Self, EntkError> {
-        if period_secs <= 0.0 || period_secs.is_nan() {
-            return Err(EntkError::Usage(format!(
-                "gauges sink: period_secs must be > 0, got {period_secs}"
-            )));
-        }
+        let period_us = period_us(period_secs)
+            .map_err(|e| EntkError::Usage(format!("gauges sink: period_secs {e}")))?;
         let path = path.into();
         let out = create("gauges", &path)?;
         Ok(GaugesSink {
             path,
             out,
-            period_us: (period_secs * 1e6).round().max(1.0) as u64,
+            period_us,
             upcoming: BinaryHeap::new(),
             queued: 0,
             running: 0,
@@ -246,11 +258,24 @@ struct GaugesParams {
     path: String,
     /// Virtual-time sampling period, seconds.
     #[serde(default = "default_period_secs")]
-    period_secs: f64,
+    period_secs: PeriodSecs,
 }
 
-fn default_period_secs() -> f64 {
-    60.0
+/// A `period_secs` value the sink can sample at, refused while the spec is
+/// read — where `entk check` sees it — rather than when the sink opens.
+#[derive(Debug, Clone, Copy)]
+struct PeriodSecs(f64);
+
+impl Deserialize for PeriodSecs {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let secs = f64::from_value(v)?;
+        period_us(secs).map_err(DeError::custom)?;
+        Ok(PeriodSecs(secs))
+    }
+}
+
+fn default_period_secs() -> PeriodSecs {
+    PeriodSecs(60.0)
 }
 
 /// The report-sink registry: every name a spec file's `"sinks"` list can
@@ -264,7 +289,7 @@ pub fn sinks() -> &'static Registry<Box<dyn ReportSink>> {
             Ok(Box::new(JsonlSink::create(p.path)?) as Box<dyn ReportSink>)
         });
         r.register("gauges", |_: &(), p: GaugesParams| {
-            Ok(Box::new(GaugesSink::create(p.path, p.period_secs)?) as Box<dyn ReportSink>)
+            Ok(Box::new(GaugesSink::create(p.path, p.period_secs.0)?) as Box<dyn ReportSink>)
         });
         r.register("summary", |_: &(), p: PathParams| {
             Ok(Box::new(SummarySink::create(p.path)?) as Box<dyn ReportSink>)
@@ -277,7 +302,7 @@ pub fn sinks() -> &'static Registry<Box<dyn ReportSink>> {
 mod tests {
     use super::*;
     use crate::arrival::WorkloadGenerator;
-    use crate::runner::WorkloadOutcome;
+    use crate::runner::render_record;
     use crate::trace::SyntheticTrace;
     use crate::{ServiceConfig, ServiceEngine, WorkloadConfig};
     use entk_core::ComponentSpec;
@@ -299,16 +324,17 @@ mod tests {
         engine
     }
 
-    fn serve_with(sink: Box<dyn ReportSink>) -> WorkloadOutcome {
+    fn serve_with(sink: Box<dyn ReportSink>) -> WorkloadReport {
         engine_with(sink).run().unwrap()
     }
 
     #[test]
     fn jsonl_sink_writes_the_stream_bytes() {
         let path = tmp("rows.jsonl");
-        let out = serve_with(Box::new(JsonlSink::create(&path).unwrap()));
+        let report = serve_with(Box::new(JsonlSink::create(&path).unwrap()));
         let written = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(written, out.jsonl);
+        let stream: String = report.records.iter().map(render_record).collect();
+        assert_eq!(written, stream);
         std::fs::remove_file(&path).ok();
     }
 
@@ -332,11 +358,11 @@ mod tests {
     #[test]
     fn summary_sink_writes_the_report_json() {
         let path = tmp("summary.json");
-        let out = serve_with(Box::new(SummarySink::create(&path).unwrap()));
+        let report = serve_with(Box::new(SummarySink::create(&path).unwrap()));
         let v: serde_json::Value =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(v["sessions"].as_u64(), Some(out.report.sessions as u64));
-        assert_eq!(v["stream_fp"].as_str(), Some(out.report.stream_fp.as_str()));
+        assert_eq!(v["sessions"].as_u64(), Some(report.sessions as u64));
+        assert_eq!(v["stream_fp"].as_str(), Some(report.stream_fp.as_str()));
         std::fs::remove_file(&path).ok();
     }
 

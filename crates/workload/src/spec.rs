@@ -28,7 +28,7 @@
 //! that exist instead of serving with the default it was meant to replace.
 
 use crate::arrival::{ArrivalStream, OpenLoopProcess, WorkloadGenerator};
-use crate::runner::{StreamBackend, WorkloadConfig, WorkloadOutcome};
+use crate::runner::{StreamBackend, WorkloadConfig, WorkloadReport};
 use crate::service::{
     admission_policies, check_failure_rate, check_half_life, check_resource, AdmissionPolicy,
     SaturationMode, ServiceConfig, ServiceEngine,
@@ -369,7 +369,7 @@ impl StreamSpec {
     /// Serves the stream under the spec's full service configuration,
     /// with the declared sinks attached: they see every record as it is
     /// emitted and are finished with the report.
-    pub fn run(&self) -> Result<WorkloadOutcome, EntkError> {
+    pub fn run(&self) -> Result<WorkloadReport, EntkError> {
         let mut engine = ServiceEngine::new(self.service_config()?, self.source_stream()?)?;
         for sink in self.build_sinks()? {
             engine.attach(sink);
@@ -394,9 +394,9 @@ mod tests {
         assert_eq!(spec.backend, "simulated");
         assert_eq!(spec.resource, "xsede.stampede");
         assert_eq!(spec.policy, ComponentSpec::named("fifo"));
-        let out = spec.run().unwrap();
-        assert_eq!(out.report.sessions, 8);
-        assert!(out.report.max_cross_check_err_secs <= 1e-6);
+        let report = spec.run().unwrap();
+        assert_eq!(report.sessions, 8);
+        assert!(report.max_cross_check_err_secs <= 1e-6);
     }
 
     #[test]
@@ -408,9 +408,9 @@ mod tests {
             "slots": 2,
             "source": { "kind": "synthetic", "sessions": 6, "tenants": 2 }
         }"#;
-        let out = StreamSpec::from_json(text).unwrap().run().unwrap();
-        assert_eq!(out.report.backend, "federated:2");
-        assert_eq!(out.report.sessions, 6);
+        let report = StreamSpec::from_json(text).unwrap().run().unwrap();
+        assert_eq!(report.backend, "federated:2");
+        assert_eq!(report.sessions, 6);
     }
 
     #[test]
@@ -547,9 +547,13 @@ mod tests {
             .check("", &spec)
             .expect("a path is all a jsonl sink needs");
         assert!(!path.exists(), "check created the sink's file");
+        let period = |secs: &str| with_path.replace('}', &format!(r#", "period_secs": {secs}}}"#));
         for (name, params, ok) in [
             ("jsonl", with_path.as_str(), true),
             ("gauges", r#"{"period_secs": 5.0}"#, false),
+            ("gauges", &period("1e-9"), false),
+            ("gauges", &period("1e300"), false),
+            ("gauges", &period("5.0"), true),
             ("summary", "null", false),
             ("csv", with_path.as_str(), false),
         ] {
@@ -612,9 +616,9 @@ mod tests {
             service.stream.scheduler.as_ref().map(|s| s.name.as_str()),
             Some("priority_aging")
         );
-        let out = spec.run().unwrap();
-        assert_eq!(out.report.sessions, 6);
-        assert_eq!(out.report.policy, "fair-share");
+        let report = spec.run().unwrap();
+        assert_eq!(report.sessions, 6);
+        assert_eq!(report.policy, "fair-share");
     }
 
     #[test]
@@ -633,7 +637,7 @@ mod tests {
         let a = StreamSpec::from_json(base).unwrap().run().unwrap();
         let b = StreamSpec::from_json(with_sjf).unwrap().run().unwrap();
         let b2 = StreamSpec::from_json(with_sjf).unwrap().run().unwrap();
-        assert_eq!(b.jsonl, b2.jsonl, "plugin runs replay byte-identically");
-        assert_eq!(a.report.sessions, b.report.sessions);
+        assert_eq!(b, b2, "plugin runs replay byte-identically");
+        assert_eq!(a.sessions, b.sessions);
     }
 }

@@ -8,8 +8,8 @@
 //! bytes it would have buffered.
 
 use entk_workload::{
-    SaturationMode, ServiceConfig, ServiceEngine, SessionArrival, StreamBackend, SyntheticTrace,
-    WorkloadConfig, WorkloadGenerator,
+    render_record, SaturationMode, ServiceConfig, ServiceEngine, SessionArrival, StreamBackend,
+    SyntheticTrace, WorkloadConfig, WorkloadGenerator,
 };
 
 fn base(backend: StreamBackend, slots: usize) -> WorkloadConfig {
@@ -24,12 +24,18 @@ fn base(backend: StreamBackend, slots: usize) -> WorkloadConfig {
 }
 
 fn check(label: &str, config: ServiceConfig, arrivals: &[SessionArrival], fp: &str, bytes: usize) {
-    let out = ServiceEngine::new(config.clone(), arrivals)
+    let report = ServiceEngine::new(config.clone(), arrivals)
         .unwrap()
         .run()
         .unwrap();
-    assert_eq!(out.report.stream_fp, fp, "{label}: buffered fingerprint");
-    assert_eq!(out.jsonl.len(), bytes, "{label}: buffered byte count");
+    let jsonl: String = report.records.iter().map(render_record).collect();
+    assert_eq!(report.stream_fp, fp, "{label}: buffered fingerprint");
+    assert_eq!(
+        format!("{:016x}", entk_workload::fnv64(jsonl.as_bytes())),
+        fp,
+        "{label}: re-rendered records hash to the emitted stream"
+    );
+    assert_eq!(jsonl.len(), bytes, "{label}: buffered byte count");
     let mut sink = Vec::new();
     let stats = ServiceEngine::new(config, arrivals)
         .unwrap()
@@ -37,7 +43,7 @@ fn check(label: &str, config: ServiceConfig, arrivals: &[SessionArrival], fp: &s
         .unwrap();
     assert_eq!(stats.stream_fp, fp, "{label}: streamed fingerprint");
     assert_eq!(sink.len(), bytes, "{label}: streamed byte count");
-    assert_eq!(String::from_utf8(sink).unwrap(), out.jsonl, "{label}");
+    assert_eq!(String::from_utf8(sink).unwrap(), jsonl, "{label}");
 }
 
 #[test]
