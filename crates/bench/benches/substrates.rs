@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the substrate crates: the discrete-event engine, the
-//! MD force loop (cell list vs naive), the analysis eigensolvers, and a
-//! full-stack throughput case.
+//! trace fingerprint, the MD force loop (cell list vs naive), the analysis
+//! eigensolvers, and a full-stack throughput case.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -50,6 +50,48 @@ fn bench_event_queue(c: &mut Criterion) {
             })
         });
     }
+    g.finish();
+}
+
+/// `Tracer::fingerprint()` against the byte-wise FNV-1a fold of the same
+/// JSONL, already rendered, over one served session's trace: the first
+/// session of the seed-2016, 4 000-session synthetic stream, evaluated as
+/// `entk serve` evaluates it.
+fn bench_trace_fingerprint(c: &mut Criterion) {
+    use entk_core::prelude::*;
+    use entk_sim::Fnv64;
+    use entk_workload::{session_seed, SyntheticTrace, WorkloadGenerator};
+    let arrival = SyntheticTrace::new(2016, 4000, 64)
+        .stream()
+        .and_then(|mut s| s.next_arrival())
+        .expect("the stream opens")
+        .expect("the stream has a first session");
+    let config = FederatedConfig {
+        seed: session_seed(2016, 0),
+        clusters: vec![ClusterSpec::new(
+            "xsede.stampede",
+            arrival.cores,
+            SimDuration::from_secs(10_000_000),
+        )],
+        ..FederatedConfig::default()
+    };
+    let mut pattern = arrival.build_pattern().expect("the session builds");
+    let (_, telemetry) = run_federated_traced(config, pattern.as_mut()).expect("the session runs");
+    let tracer = telemetry.tracer;
+    let jsonl = tracer.to_jsonl();
+    let mut g = c.benchmark_group("sim_trace");
+    g.sample_size(1000);
+    let name = |what: &str| format!("{what}_{}_records", tracer.len());
+    g.bench_function(name("fingerprint"), |b| {
+        b.iter(|| black_box(tracer.fingerprint()))
+    });
+    g.bench_function(name("fnv64_of_jsonl"), |b| {
+        b.iter(|| {
+            let mut hash = Fnv64::new();
+            hash.update(black_box(jsonl.as_bytes()));
+            black_box(hash.finish())
+        })
+    });
     g.finish();
 }
 
@@ -176,6 +218,7 @@ fn bench_full_stack(c: &mut Criterion) {
 criterion_group!(
     substrates,
     bench_event_queue,
+    bench_trace_fingerprint,
     bench_md_forces,
     bench_md_segment,
     bench_analysis,

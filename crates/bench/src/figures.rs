@@ -455,7 +455,7 @@ fn scale_experiment(kind: &str, n: usize, seed: u64, backend: Fig10Backend) -> R
         ),
     };
     let (report, telemetry) = handle
-        .and_then(|mut h| h.execute(pattern.as_mut()))
+        .and_then(|h| h.execute(pattern.as_mut()))
         .unwrap_or_else(|e| panic!("{what}: {e}"));
     let fp = traced.then(|| checked_fingerprint(&report, &telemetry.tracer, what));
     let wall = t0.elapsed().as_secs_f64();

@@ -516,9 +516,10 @@ impl WorkloadSpec {
     pub fn run_traced(
         &self,
     ) -> Result<(entk_core::ExecutionReport, Option<entk_sim::Telemetry>), EntkError> {
-        let mut handle = self.handle()?;
+        let handle = self.handle()?;
+        let traced = handle.telemetry().is_some();
         let (report, telemetry) = handle.execute(self.build_pattern().as_mut())?;
-        Ok((report, handle.telemetry().map(|_| telemetry)))
+        Ok((report, traced.then_some(telemetry)))
     }
 
     /// Builds the resource handle the spec asks for without running

@@ -31,8 +31,9 @@ fn write_spec(name: &str, text: &str) -> PathBuf {
     path
 }
 
-/// `check` fails with `needle` in its message — the very message `run`
-/// stops on, when `run` stops at all.
+/// `check` fails with `needle` in its message — the very message the verb
+/// that runs the document (`serve` for a stream spec, else `run`) stops on,
+/// before printing anything, when it stops at all.
 fn assert_rejected(name: &str, spec: &Value, needle: &str, run_agrees: bool) {
     assert_text_rejected(name, &spec.to_string(), needle, run_agrees);
 }
@@ -46,9 +47,12 @@ fn assert_text_rejected(name: &str, text: &str, needle: &str, run_agrees: bool) 
     assert!(!check.status.success(), "check accepted {name}");
     assert!(message.contains(needle), "{name}: {message}");
     if run_agrees {
-        let run = entk("run", &path);
-        assert!(!run.status.success());
-        assert_eq!(message, String::from_utf8_lossy(&run.stderr));
+        let stream =
+            serde_json::from_str::<Value>(text).is_ok_and(|doc| doc.get("source").is_some());
+        let run = entk(if stream { "serve" } else { "run" }, &path);
+        assert!(!run.status.success(), "{name} ran");
+        assert!(run.stdout.is_empty(), "{name} printed a report");
+        assert_eq!(message, String::from_utf8_lossy(&run.stderr), "{name}");
     }
     message
 }
@@ -166,53 +170,78 @@ fn typoed_keys_are_rejected_with_their_line() {
     }
 }
 
-/// `serve` refuses values that can only be mistakes with a line-numbered
-/// usage error, before it serves (and prints) anything.
+/// `check` and `serve` refuse values that can only be mistakes with the
+/// same line-numbered usage error, before serving (and printing) anything.
+/// `check` used to say `ok:` to a zero slot count, a zero queue bound and
+/// a federation of fewer than two, and `serve` then failed with no line.
 #[test]
 fn stream_spec_mistakes_are_refused_before_serving() {
     let spec = example_spec("stream_poisson.json");
     let seed_line = "\"seed\": 42,\n";
-    assert!(spec.contains(seed_line), "example starts with its seed");
-    for (name, line, needle) in [
+    let after_seed = |line: &str| (seed_line, format!("{seed_line}  {line},\n"));
+    let federated = |members: usize| {
+        (
+            "\"backend\": \"simulated\"",
+            format!("\"backend\": \"federated\",\n  \"members\": {members}"),
+        )
+    };
+    for (name, (from, to), needle) in [
         (
             "rate-high",
-            "\"unit_failure_rate\": 2.0",
+            after_seed("\"unit_failure_rate\": 2.0"),
             "workload spec line 3: unit_failure_rate must be a probability in [0, 1], got 2",
         ),
         (
             "rate-negative",
-            "\"unit_failure_rate\": -1.0",
+            after_seed("\"unit_failure_rate\": -1.0"),
             "workload spec line 3: unit_failure_rate must be a probability in [0, 1], got -1",
         ),
         (
             "half-life",
-            "\"half_life_secs\": -60.0",
+            after_seed("\"half_life_secs\": -60.0"),
             "workload spec line 3: half_life_secs must be finite and >= 0, got -60",
         ),
         (
             "fair-half-life",
-            "\"policy\": { \"name\": \"fair\", \"params\": { \"half_life_secs\": -60.0 } }",
+            after_seed(
+                "\"policy\": { \"name\": \"fair\", \"params\": { \"half_life_secs\": -60.0 } }",
+            ),
             "workload spec line 3: half_life_secs must be finite and >= 0, got -60",
         ),
+        (
+            "resource",
+            ("\"xsede.stampede\"", "\"nope\"".to_string()),
+            "workload spec line 3: unknown resource \"nope\" (known platforms: xsede.comet,",
+        ),
+        (
+            "slots-zero",
+            ("\"slots\": 4", "\"slots\": 0".to_string()),
+            "workload spec line 4: slots must be >= 1",
+        ),
+        (
+            "queue-depth-zero",
+            after_seed("\"max_queue_depth\": 0"),
+            "workload spec line 3: max_queue_depth must be >= 1",
+        ),
+        (
+            "members-zero",
+            federated(0),
+            "workload spec line 6: federated stream backend needs at least 2 members",
+        ),
+        (
+            "members-one",
+            federated(1),
+            "workload spec line 6: federated stream backend needs at least 2 members",
+        ),
     ] {
-        let text = spec.replace(seed_line, &format!("{seed_line}  {line},\n"));
-        let run = entk("serve", &write_spec(name, &text));
-        let message = String::from_utf8_lossy(&run.stderr);
-        assert!(!run.status.success(), "{name} was served");
-        assert!(message.contains("usage error"), "{name}: {message}");
-        assert!(message.contains(needle), "{name}: {message}");
-        assert!(run.stdout.is_empty(), "{name} printed a report");
+        let text = spec.replace(from, &to);
+        assert_ne!(text, spec, "{from:?} occurs in the example");
+        let message = assert_text_rejected(name, &text, needle, true);
+        assert!(
+            message.starts_with("error: usage error: "),
+            "{name}: {message}"
+        );
     }
-    let text = spec.replace("\"xsede.stampede\"", "\"nope\"");
-    let run = entk("serve", &write_spec("resource", &text));
-    let message = String::from_utf8_lossy(&run.stderr);
-    assert!(!run.status.success(), "resource \"nope\" was served");
-    assert!(
-        message.contains(": unknown resource \"nope\" (known platforms: xsede.comet,")
-            && message.contains("workload spec line "),
-        "{message}"
-    );
-    assert!(run.stdout.is_empty());
 }
 
 /// An empty pattern or an impossible temperature ladder used to reach the
@@ -430,7 +459,7 @@ fn stream_specs_go_through_the_stream_loader() {
 
     // A stream spec's mistakes reach `check` with the stream loader's words.
     let text = example_spec("serve_stream.json").replace("\"fair\"", "\"fare\"");
-    let message = assert_text_rejected("stream-policy", &text, "workload spec line 6: ", false);
+    let message = assert_text_rejected("stream-policy", &text, "workload spec line 6: ", true);
     assert!(
         message.contains("unknown admission policy \"fare\""),
         "{message}"

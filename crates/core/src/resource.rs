@@ -532,19 +532,20 @@ impl ResourceHandle {
     }
 
     /// The whole lifecycle in one call: allocate → run `pattern` →
-    /// deallocate. Returns the session report (the pattern's task records
-    /// with the full session TTC and overhead decomposition, under the
-    /// pattern's name) and a snapshot of the session telemetry, which is
-    /// empty on the local backend (see [`ResourceHandle::telemetry`]).
+    /// deallocate, consuming the handle. Returns the session report (the
+    /// pattern's task records with the full session TTC and overhead
+    /// decomposition, under the pattern's name) and the session telemetry,
+    /// moved out rather than copied; it is empty on the local backend (see
+    /// [`ResourceHandle::telemetry`]).
     pub fn execute(
-        &mut self,
+        mut self,
         pattern: &mut dyn ExecutionPattern,
     ) -> Result<(ExecutionReport, Telemetry), EntkError> {
         self.allocate()?;
         let run_report = self.run(pattern)?;
         let mut session = self.deallocate()?;
         session.pattern = run_report.pattern;
-        Ok((session, self.session.telemetry().snapshot()))
+        Ok((session, self.session.telemetry().take()))
     }
 }
 

@@ -220,6 +220,32 @@ pub(crate) fn check_resource(name: &str) -> Result<(), EntkError> {
     )))
 }
 
+/// A stream with no admission slot would serve nothing.
+pub(crate) fn check_slots(slots: usize) -> Result<(), EntkError> {
+    if slots >= 1 {
+        return Ok(());
+    }
+    Err(EntkError::Usage("slots must be >= 1".into()))
+}
+
+/// A pending queue bounded at zero would turn every session away.
+pub(crate) fn check_queue_depth(bound: Option<usize>) -> Result<(), EntkError> {
+    if bound != Some(0) {
+        return Ok(());
+    }
+    Err(EntkError::Usage("max_queue_depth must be >= 1".into()))
+}
+
+/// A federation is two or more member clusters.
+pub(crate) fn check_members(members: usize) -> Result<(), EntkError> {
+    if members >= 2 {
+        return Ok(());
+    }
+    Err(EntkError::Usage(
+        "federated stream backend needs at least 2 members".into(),
+    ))
+}
+
 /// What happens to an arrival when the pending queue is at its bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SaturationMode {
@@ -851,18 +877,10 @@ impl ServiceEngine {
         check_failure_rate(config.stream.unit_failure_rate)?;
         check_half_life(config.policy.half_life_secs())?;
         check_resource(&config.stream.resource)?;
-        if config.stream.slots == 0 {
-            return Err(EntkError::Usage("slots must be >= 1".into()));
-        }
-        if config.max_queue_depth == Some(0) {
-            return Err(EntkError::Usage("max_queue_depth must be >= 1".into()));
-        }
+        check_slots(config.stream.slots)?;
+        check_queue_depth(config.max_queue_depth)?;
         if let StreamBackend::Federated { members } = config.stream.backend {
-            if members < 2 {
-                return Err(EntkError::Usage(
-                    "federated stream backend needs at least 2 members".into(),
-                ));
-            }
+            check_members(members)?;
         }
         Ok(())
     }

@@ -30,8 +30,8 @@
 use crate::arrival::{ArrivalStream, OpenLoopProcess, WorkloadGenerator};
 use crate::runner::{StreamBackend, WorkloadConfig, WorkloadReport};
 use crate::service::{
-    admission_policies, check_failure_rate, check_half_life, check_resource, AdmissionPolicy,
-    SaturationMode, ServiceConfig, ServiceEngine,
+    admission_policies, check_failure_rate, check_half_life, check_members, check_queue_depth,
+    check_resource, check_slots, AdmissionPolicy, SaturationMode, ServiceConfig, ServiceEngine,
 };
 use crate::sink::{sinks, ReportSink};
 use crate::trace::{CsvTrace, HotTenantTrace, SyntheticTrace};
@@ -288,11 +288,18 @@ impl StreamSpec {
 
     /// Rejects values no run can mean — a failure rate that is no
     /// probability, a negative half-life (top-level or in the policy's
-    /// params), a resource that is no platform — pointing at their line.
+    /// params), a resource that is no platform, no slot, a queue bound of
+    /// zero, a federation of fewer than two — pointing at their line.
     /// [`ServiceEngine`] repeats the checks for configs built in code.
     fn check_values(&self, text: &str) -> Result<(), EntkError> {
         check_failure_rate(self.unit_failure_rate)
             .map_err(|e| usage_at(text, "unit_failure_rate", e))?;
+        check_slots(self.slots).map_err(|e| usage_at(text, "slots", e))?;
+        check_queue_depth(self.max_queue_depth)
+            .map_err(|e| usage_at(text, "max_queue_depth", e))?;
+        if self.backend == "federated" {
+            check_members(self.members).map_err(|e| usage_at(text, "members", e))?;
+        }
         let policy = admission_policies()
             .build(&self.policy, &())
             .map_err(|e| usage_at(text, &self.policy.name, e))?;
@@ -472,6 +479,12 @@ mod tests {
                 r#""resource": "nope""#,
                 "unknown resource \"nope\" (known platforms: xsede.comet, xsede.stampede",
             ),
+            (r#""slots": 0"#, "slots must be >= 1"),
+            (r#""max_queue_depth": 0"#, "max_queue_depth must be >= 1"),
+            (
+                r#""backend": "federated", "members": 1"#,
+                "federated stream backend needs at least 2 members",
+            ),
         ] {
             let err = StreamSpec::from_json(&spec(line)).expect_err(line);
             assert!(matches!(err, EntkError::Usage(_)), "{err}");
@@ -484,6 +497,8 @@ mod tests {
             r#""unit_failure_rate": 1.0"#,
             r#""half_life_secs": 0.0"#,
             r#""resource": "comet""#,
+            r#""slots": 1, "max_queue_depth": 1"#,
+            r#""members": 0"#,
         ] {
             StreamSpec::from_json(&spec(line)).expect(line);
         }
