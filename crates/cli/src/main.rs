@@ -31,6 +31,11 @@
 //! read by one parser, so a flag the verb does not have, a second
 //! positional or a missing value is a usage error that lists the verb's
 //! flags and runs nothing.
+//!
+//! Exit status: 0, or 1 after an `error: …` line on stderr or when `run`
+//! had failed tasks. A reader that closes stdout early (`entk run spec.json
+//! --json | head -1`) ends the output, not the verb: the rest of stdout is
+//! dropped, files are still written and the status is the one above.
 
 use entk_cli::Document;
 use entk_core::ComponentSpec;
@@ -44,6 +49,24 @@ use std::process::ExitCode;
 
 /// Whatever stopped a verb; `main` prints it after `error: `.
 type Failure = Box<dyn std::error::Error>;
+
+/// `println!` for a reader that may stop reading: see [`out`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. A closed pipe is the end of the output, not of the
+/// verb, so the write is dropped; any other failure stops with status 1.
+fn out(text: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(text) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: writing to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 /// One verb's command line: `entk <name> <spec.json>` plus its flags, each
 /// with the name of the value it takes, if it takes one.
@@ -151,7 +174,7 @@ fn main() -> ExitCode {
         "check" => CHECK.parse(rest).and_then(|args| check(&args)),
         "kernels" => {
             for name in entk_kernels::KernelRegistry::with_builtins().names() {
-                println!("{name}");
+                outln!("{name}");
             }
             Ok(ExitCode::SUCCESS)
         }
@@ -179,7 +202,7 @@ fn run(args: &Args) -> Result<ExitCode, Failure> {
     if args.has("--json") {
         print_json(&report);
     } else {
-        print!("{report}");
+        out(format_args!("{report}"));
     }
     if let Some(trace_path) = args.value("--trace") {
         match telemetry {
@@ -206,7 +229,7 @@ fn check(args: &Args) -> Result<ExitCode, Failure> {
         Document::Session(spec) => {
             // Backend, resources, core counts and scheduler resolve here.
             spec.handle()?;
-            println!(
+            outln!(
                 "ok: {} on {} ({} cores, backend {})",
                 spec.build_pattern().name(),
                 spec.resource.name,
@@ -218,7 +241,7 @@ fn check(args: &Args) -> Result<ExitCode, Failure> {
             let config = spec.service_config()?;
             // The source is opened, not pulled; sink files are not created.
             spec.source_stream()?;
-            println!(
+            outln!(
                 "ok: stream of {} arrivals on {} ({}, {} slots, {} admission)",
                 spec.source.kind,
                 spec.resource,
@@ -233,7 +256,7 @@ fn check(args: &Args) -> Result<ExitCode, Failure> {
 
 fn print_json(report: &impl serde::Serialize) {
     let text = serde_json::to_string_pretty(report).expect("reports serialize");
-    println!("{text}");
+    outln!("{text}");
 }
 
 /// Streams a session trace to `path`: JSONL when the path ends in `.jsonl`,
@@ -262,27 +285,45 @@ fn print_stream_report(r: &WorkloadReport, as_json: bool) {
     if as_json {
         return print_json(r);
     }
-    println!(
+    outln!(
         "stream: {} sessions from {} tenants on {} ({}, {} slots, {} admission)",
-        r.sessions, r.tenants, r.resource, r.backend, r.slots, r.policy
+        r.sessions,
+        r.tenants,
+        r.resource,
+        r.backend,
+        r.slots,
+        r.policy
     );
-    println!(
+    outln!(
         "  status: {} ok, {} partial, {} failed, {} rejected",
-        r.ok_sessions, r.partial_sessions, r.failed_sessions, r.rejected_sessions
+        r.ok_sessions,
+        r.partial_sessions,
+        r.failed_sessions,
+        r.rejected_sessions
     );
-    println!(
+    outln!(
         "  makespan {:.1}s  latency p50 {:.1}s p95 {:.1}s p99 {:.1}s",
-        r.makespan_secs, r.latency.p50, r.latency.p95, r.latency.p99
+        r.makespan_secs,
+        r.latency.p50,
+        r.latency.p95,
+        r.latency.p99
     );
-    println!(
+    outln!(
         "  queue depth peak {:.0} mean {:.2}  events {}  cross-check {:.1e}s",
-        r.queue_depth_peak, r.queue_depth_mean, r.total_events, r.max_cross_check_err_secs
+        r.queue_depth_peak,
+        r.queue_depth_mean,
+        r.total_events,
+        r.max_cross_check_err_secs
     );
-    println!("  stream fingerprint {}", r.stream_fp);
+    outln!("  stream fingerprint {}", r.stream_fp);
     for t in &r.per_tenant {
-        println!(
+        outln!(
             "  tenant {:>4}: {:>3} sessions  p50 {:>8.1}s  p95 {:>8.1}s  p99 {:>8.1}s",
-            t.tenant, t.sessions, t.p50, t.p95, t.p99
+            t.tenant,
+            t.sessions,
+            t.p50,
+            t.p95,
+            t.p99
         );
     }
 }
@@ -291,7 +332,7 @@ fn print_serve_stats(stats: &ServeStats, as_json: bool) {
     if as_json {
         return print_json(stats);
     }
-    println!(
+    outln!(
         "streamed: {} sessions from {} tenants \
          ({} ok / {} partial / {} failed / {} rejected)",
         stats.sessions,
@@ -301,13 +342,16 @@ fn print_serve_stats(stats: &ServeStats, as_json: bool) {
         stats.failed_sessions,
         stats.rejected_sessions
     );
-    println!(
+    outln!(
         "  makespan {:.1}s  latency mean {:.1}s max {:.1}s",
-        stats.makespan_secs, stats.mean_latency_secs, stats.max_latency_secs
+        stats.makespan_secs,
+        stats.mean_latency_secs,
+        stats.max_latency_secs
     );
-    println!(
+    outln!(
         "  peak resident sessions {}  stream fingerprint {}",
-        stats.peak_resident_sessions, stats.stream_fp
+        stats.peak_resident_sessions,
+        stats.stream_fp
     );
 }
 

@@ -363,8 +363,10 @@ fn check_pattern(text: &str, pattern: &PatternSpec) -> Result<(), EntkError> {
 
 /// Refuses a kernel template every task built from it would fail on: binds
 /// it as [`WorkloadSpec::build_pattern`] binds the first such task and asks
-/// the plugin to validate the arguments; on the local backend, where a
-/// task holds its `cores` for real, they must also fit `resource.cores`.
+/// the plugin to validate the arguments. Its `cores` must also fit where a
+/// task runs: `resource.cores` on the local backend, where a task holds
+/// them for real, and one pilot's share of the largest member on the
+/// discrete-event backends, which would otherwise clamp them silently.
 /// A run would otherwise go through and report the whole stage failed.
 fn check_kernels(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
     let first = 0.0;
@@ -396,7 +398,21 @@ fn check_kernels(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
         }
     };
     let registry = KernelRegistry::with_builtins();
-    let slots = spec.resource.cores;
+    // As the simulated driver splits a member: `pilots` pilots, never more
+    // than it has cores. A zero-core member is `handle`'s error.
+    let pilots = spec.tuning.pilots.unwrap_or(1).max(1);
+    let per_pilot = std::iter::once(&spec.resource)
+        .chain(&spec.federation)
+        .map(|r| r.cores / pilots.min(r.cores.max(1)))
+        .max()
+        .unwrap_or(0);
+    let (slots, of) = match spec.backend.as_str() {
+        "local" => (spec.resource.cores, "resource.cores"),
+        "simulated" => (per_pilot, "resource.cores per pilot"),
+        "federated" => (per_pilot, "the largest member's cores per pilot"),
+        // An unknown backend is `handle`'s error.
+        _ => (0, ""),
+    };
     for (template, vars) in templates {
         let call = bind(template, &vars);
         // On the refused argument's line, or else the template's.
@@ -408,12 +424,12 @@ fn check_kernels(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
             .get(&call.plugin)
             .and_then(|plugin| plugin.validate(&call.args))
             .map_err(|e| refuse(e.key.as_deref(), e.message))?;
-        if spec.backend == "local" && !(1..=slots).contains(&call.cores) {
+        if slots > 0 && !(1..=slots).contains(&call.cores) {
             return Err(refuse(
                 None,
                 format!(
-                    "cores must be within 1..={slots} (resource.cores) on the \"local\" backend, got {}",
-                    call.cores
+                    "cores must be within 1..={slots} ({of}) on the {:?} backend, got {}",
+                    spec.backend, call.cores
                 ),
             ));
         }

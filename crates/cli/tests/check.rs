@@ -723,6 +723,52 @@ fn nested_mistakes_are_refused_by_check_and_by_the_verb_that_runs_them() {
              \"local\" backend, got 25"
                 .to_string(),
         ),
+        // Ran, each task bound to one core.
+        (
+            "simulated-kernel-zero-cores",
+            "run",
+            edit(
+                &pipelines,
+                "\"misc.ccount\",",
+                "\"misc.ccount\", \"cores\": 0,",
+            ),
+            10,
+            "kernel \"misc.ccount\": cores must be within 1..=24 (resource.cores per pilot) \
+             on the \"simulated\" backend, got 0"
+                .to_string(),
+        ),
+        // Ran, each task clamped to its pilot's 128 / 8 cores.
+        (
+            "simulated-kernel-cores-past-a-pilot",
+            "run",
+            edit(
+                &session,
+                "\"misc.sleep\",",
+                "\"misc.sleep\", \"cores\": 17,",
+            ),
+            19,
+            "kernel \"misc.sleep\": cores must be within 1..=16 (resource.cores per pilot) \
+             on the \"simulated\" backend, got 17"
+                .to_string(),
+        ),
+        (
+            "federated-kernel-cores-past-the-largest-member",
+            "run",
+            edit(
+                &edit(
+                    &pipelines,
+                    "\"backend\": \"simulated\"",
+                    "\"backend\": \"federated\", \"federation\": [{ \"name\": \
+                     \"xsede.stampede\", \"cores\": 32, \"walltime_secs\": 3600 }]",
+                ),
+                "\"misc.ccount\",",
+                "\"misc.ccount\", \"cores\": 33,",
+            ),
+            10,
+            "kernel \"misc.ccount\": cores must be within 1..=32 (the largest member's cores \
+             per pilot) on the \"federated\" backend, got 33"
+                .to_string(),
+        ),
         // `serve` failed opening the sink, with no line.
         (
             "gauges-negative-period",

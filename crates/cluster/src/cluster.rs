@@ -233,11 +233,6 @@ impl Cluster {
         (0..self.alloc.nodes()).any(|n| !self.alloc.is_down(n))
     }
 
-    /// The active fault profile, if any.
-    pub fn fault_profile(&self) -> Option<&FaultProfile> {
-        self.fault.as_ref().map(|f| f.profile())
-    }
-
     /// Draws whether the unit execution being started fails (consulted by
     /// the pilot runtime). `false` without a draw when no injector is
     /// active or its task-failure rate is zero.
@@ -260,11 +255,6 @@ impl Cluster {
     /// The machine description.
     pub fn spec(&self) -> &PlatformSpec {
         &self.spec
-    }
-
-    /// Read access to a job's record.
-    pub fn job(&self, id: BatchJobId) -> Option<&BatchJob> {
-        self.jobs.get(id.0 as usize).map(|r| &r.job)
     }
 
     /// Currently free cores.
@@ -308,27 +298,13 @@ impl Cluster {
                 self.spec.name,
                 self.alloc.total_cores()
             );
-            let job = &mut self.jobs[id.0 as usize].job;
-            job.transition(BatchJobState::Failed, ctx.now());
-            self.telemetry
-                .record(ctx.now(), "cluster", "job_rejected", Subject::Job(id.0));
-            out.push(ClusterNotification::JobState {
-                id,
-                state: BatchJobState::Failed,
-                time: ctx.now(),
-            });
+            self.set_state(id, BatchJobState::Failed, ctx.now(), out);
             return Err(msg);
         }
         let wait = self.spec.queue_wait.sample_duration(&mut self.rng)
             + SimDuration::from_secs_f64(self.spec.queue_wait_per_core * cores as f64);
         ctx.schedule_in(wait, ClusterEvent::JobEligible(id));
-        self.telemetry
-            .record(ctx.now(), "cluster", "job_queued", Subject::Job(id.0));
-        out.push(ClusterNotification::JobState {
-            id,
-            state: BatchJobState::Queued,
-            time: ctx.now(),
-        });
+        self.set_state(id, BatchJobState::Queued, ctx.now(), out);
         self.arm_fault_tick(ctx);
         self.strip_background(out);
         Ok(id)
@@ -361,15 +337,7 @@ impl Cluster {
                 self.pending.retain(|&p| p != id);
                 self.telemetry
                     .gauge("cluster.queue_depth", ctx.now(), self.pending.len() as f64);
-                let job = &mut self.jobs[id.0 as usize].job;
-                job.transition(BatchJobState::Cancelled, ctx.now());
-                self.telemetry
-                    .record(ctx.now(), "cluster", "job_cancelled", Subject::Job(id.0));
-                out.push(ClusterNotification::JobState {
-                    id,
-                    state: BatchJobState::Cancelled,
-                    time: ctx.now(),
-                });
+                self.set_state(id, BatchJobState::Cancelled, ctx.now(), out);
             }
             BatchJobState::Starting | BatchJobState::Running => {
                 self.finish(id, BatchJobState::Cancelled, ctx, out);
@@ -393,7 +361,6 @@ impl Cluster {
                     .get(id.0 as usize)
                     .is_some_and(|r| r.job.state == BatchJobState::Queued)
                 {
-                    self.jobs[id.0 as usize].job.eligible_at = Some(ctx.now());
                     self.pending.push(id);
                     self.telemetry.gauge(
                         "cluster.queue_depth",
@@ -409,15 +376,7 @@ impl Cluster {
                     .get(id.0 as usize)
                     .is_some_and(|r| r.job.state == BatchJobState::Starting)
                 {
-                    let job = &mut self.jobs[id.0 as usize].job;
-                    job.transition(BatchJobState::Running, ctx.now());
-                    self.telemetry
-                        .record(ctx.now(), "cluster", "job_running", Subject::Job(id.0));
-                    out.push(ClusterNotification::JobState {
-                        id,
-                        state: BatchJobState::Running,
-                        time: ctx.now(),
-                    });
+                    self.set_state(id, BatchJobState::Running, ctx.now(), out);
                 }
             }
             ClusterEvent::WalltimeExpired(id) => {
@@ -451,8 +410,10 @@ impl Cluster {
             }
             ClusterEvent::FaultTick => {
                 self.fault_tick_armed = false;
-                let nodes = self.alloc.nodes();
-                let victim = self.fault.as_mut().and_then(|f| f.pick_victim(nodes));
+                let up: Vec<usize> = (0..self.alloc.nodes())
+                    .filter(|&n| !self.alloc.is_down(n))
+                    .collect();
+                let victim = self.fault.as_mut().and_then(|f| f.pick_victim(&up));
                 if let Some(node) = victim {
                     self.crash_node(node, ctx, out);
                 }
@@ -474,9 +435,6 @@ impl Cluster {
     ) {
         if node >= self.alloc.nodes() || self.alloc.is_down(node) {
             return;
-        }
-        if let Some(f) = self.fault.as_mut() {
-            f.note_down(node);
         }
         self.alloc.mark_down(node);
         self.telemetry.record(
@@ -545,9 +503,6 @@ impl Cluster {
         if node >= self.alloc.nodes() || !self.alloc.is_down(node) {
             return;
         }
-        if let Some(f) = self.fault.as_mut() {
-            f.note_up(node);
-        }
         self.alloc.mark_up(node);
         self.telemetry.record(
             ctx.now(),
@@ -568,6 +523,8 @@ impl Cluster {
         });
     }
 
+    /// Ends a job in the terminal `state`, if the model lets it go there:
+    /// cancels its walltime, returns its cores and reschedules.
     fn finish<E: From<ClusterEvent>>(
         &mut self,
         id: BatchJobId,
@@ -581,7 +538,6 @@ impl Cluster {
         if !row.job.state.can_transition_to(state) {
             return;
         }
-        row.job.transition(state, ctx.now());
         if let Some(ev) = row.walltime_event.take() {
             ctx.cancel(ev);
         }
@@ -608,21 +564,35 @@ impl Cluster {
                 ctx.now(),
             );
         }
-        let event = match state {
-            BatchJobState::Completed => "job_completed",
-            BatchJobState::Failed => "job_failed",
-            BatchJobState::TimedOut => "job_timedout",
-            BatchJobState::Cancelled => "job_cancelled",
-            _ => "job_finished",
-        };
+        self.set_state(id, state, ctx.now(), out);
+        self.try_schedule(ctx, out);
+    }
+
+    /// The one door through which a job's state changes: it checks the
+    /// step against the model, writes the record
+    /// [`BatchJobState::trace_event`] names and tells the owner. A row
+    /// told the `Queued` it already holds was just submitted.
+    fn set_state(
+        &mut self,
+        id: BatchJobId,
+        next: BatchJobState,
+        now: SimTime,
+        out: &mut Vec<ClusterNotification>,
+    ) {
+        let job = &mut self.jobs[id.0 as usize].job;
+        let from = (job.state != next).then_some(job.state);
+        let event = BatchJobState::trace_event(from, next);
+        job.state = next;
+        if next == BatchJobState::Starting {
+            job.started_at = Some(now);
+        }
         self.telemetry
-            .record(ctx.now(), "cluster", event, Subject::Job(id.0));
+            .record(now, "cluster", event, Subject::Job(id.0));
         out.push(ClusterNotification::JobState {
             id,
-            state,
-            time: ctx.now(),
+            state: next,
+            time: now,
         });
-        self.try_schedule(ctx, out);
     }
 
     fn try_schedule<E: From<ClusterEvent>>(
@@ -671,11 +641,9 @@ impl Cluster {
                 .alloc
                 .allocate(row.job.description.cores)
                 .expect("scheduler selected a job that fits");
-            row.job.transition(BatchJobState::Starting, ctx.now());
             row.held = Some(slices);
             self.running_order.push(id);
-            self.telemetry
-                .record(ctx.now(), "cluster", "job_started", Subject::Job(id.0));
+            self.set_state(id, BatchJobState::Starting, ctx.now(), out);
             self.telemetry.gauge(
                 "cluster.used_cores",
                 ctx.now(),
@@ -691,11 +659,6 @@ impl Cluster {
                 ClusterEvent::WalltimeExpired(id),
             );
             row.walltime_event = Some(wt);
-            out.push(ClusterNotification::JobState {
-                id,
-                state: BatchJobState::Starting,
-                time: ctx.now(),
-            });
         }
     }
 }

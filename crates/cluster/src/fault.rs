@@ -91,37 +91,23 @@ impl FaultProfile {
         self.straggler_slowdown = slowdown;
         self
     }
-
-    /// True when the profile can produce node crashes.
-    pub fn has_node_faults(&self) -> bool {
-        !self.crash_schedule.is_empty() || self.node_mtbf_secs > 0.0
-    }
 }
 
-/// Runtime state of an enabled fault scenario.
+/// Runtime state of an enabled fault scenario: the profile and its RNG
+/// stream. Which nodes are down is the cluster's allocation map's to know.
 ///
 /// Every draw is guarded by its rate, so a zero-rate mode consumes nothing
 /// from the stream — the determinism guarantee the property tests enforce.
 pub struct FaultInjector {
     profile: FaultProfile,
     rng: SimRng,
-    down: Vec<bool>,
 }
 
 impl FaultInjector {
     /// Creates an injector with its own RNG stream.
     pub fn new(profile: FaultProfile) -> Self {
         let rng = SimRng::seed_from_u64(profile.seed);
-        FaultInjector {
-            profile,
-            rng,
-            down: Vec::new(),
-        }
-    }
-
-    /// The scenario being injected.
-    pub fn profile(&self) -> &FaultProfile {
-        &self.profile
+        FaultInjector { profile, rng }
     }
 
     /// Draws whether the current unit execution fails.
@@ -159,38 +145,10 @@ impl FaultInjector {
         (secs > 0.0).then(|| SimDuration::from_secs_f64(secs))
     }
 
-    /// Picks a currently-up node to crash; `None` when everything is down.
-    pub fn pick_victim(&mut self, nodes: usize) -> Option<usize> {
-        self.ensure_len(nodes);
-        let up: Vec<usize> = (0..nodes).filter(|&n| !self.down[n]).collect();
-        if up.is_empty() {
-            return None;
-        }
-        Some(up[self.rng.index(up.len())])
-    }
-
-    /// True when the injector believes `node` is down.
-    pub fn is_down(&mut self, node: usize) -> bool {
-        self.ensure_len(node + 1);
-        self.down[node]
-    }
-
-    /// Records a node going down.
-    pub fn note_down(&mut self, node: usize) {
-        self.ensure_len(node + 1);
-        self.down[node] = true;
-    }
-
-    /// Records a node coming back up.
-    pub fn note_up(&mut self, node: usize) {
-        self.ensure_len(node + 1);
-        self.down[node] = false;
-    }
-
-    fn ensure_len(&mut self, n: usize) {
-        if self.down.len() < n {
-            self.down.resize(n, false);
-        }
+    /// Picks one of the `up` nodes to crash; `None`, with no draw, when
+    /// every node is down.
+    pub fn pick_victim(&mut self, up: &[usize]) -> Option<usize> {
+        (!up.is_empty()).then(|| up[self.rng.index(up.len())])
     }
 }
 
@@ -251,17 +209,12 @@ mod tests {
         let mut inj = FaultInjector::new(
             FaultProfile::seeded(3).with_node_crashes(10.0, Dist::Constant(0.0)),
         );
-        inj.note_down(0);
-        inj.note_down(2);
         for _ in 0..30 {
-            let v = inj.pick_victim(4).unwrap();
+            let v = inj.pick_victim(&[1, 3]).unwrap();
             assert!(v == 1 || v == 3, "picked down node {v}");
         }
-        inj.note_down(1);
-        inj.note_down(3);
-        assert_eq!(inj.pick_victim(4), None);
-        inj.note_up(2);
-        assert_eq!(inj.pick_victim(4), Some(2));
+        assert_eq!(inj.pick_victim(&[]), None);
+        assert_eq!(inj.pick_victim(&[2]), Some(2));
     }
 
     #[test]
@@ -285,7 +238,5 @@ mod tests {
         assert_eq!(p.seed, 42);
         assert_eq!(p.task_failure_rate, 0.1);
         assert_eq!(p.crash_schedule, vec![(30.0, 2), (60.0, 3)]);
-        assert!(p.has_node_faults());
-        assert!(!FaultProfile::default().has_node_faults());
     }
 }

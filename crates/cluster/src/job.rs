@@ -95,9 +95,31 @@ impl BatchJobState {
                 | (Running, Failed)
         )
     }
+
+    /// The cluster's trace record of a job entering `next` from `from`
+    /// (`None`: the job was just submitted). Panics on a transition the
+    /// model forbids, which is a simulator bug, not a user error.
+    pub(crate) fn trace_event(from: Option<BatchJobState>, next: BatchJobState) -> &'static str {
+        use BatchJobState::*;
+        let legal = from.map_or(next == Queued, |f| f.can_transition_to(next));
+        assert!(legal, "illegal batch job transition {from:?} -> {next:?}");
+        match next {
+            Queued => "job_queued",
+            Starting => "job_started",
+            Running => "job_running",
+            Completed => "job_completed",
+            TimedOut => "job_timedout",
+            Cancelled => "job_cancelled",
+            // Only a request the machine can never fit fails in the queue.
+            Failed if from == Some(Queued) => "job_rejected",
+            Failed => "job_failed",
+        }
+    }
 }
 
-/// A batch job tracked by the cluster.
+/// A batch job tracked by the cluster. Its state changes only through the
+/// cluster's one door; the trace holds every instant but the two the
+/// scheduler reads.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BatchJob {
     /// Job id.
@@ -108,14 +130,8 @@ pub struct BatchJob {
     pub state: BatchJobState,
     /// Submission time.
     pub submitted_at: SimTime,
-    /// When the job became eligible for scheduling (after modelled queue wait).
-    pub eligible_at: Option<SimTime>,
     /// When nodes were assigned.
     pub started_at: Option<SimTime>,
-    /// When the payload began running (after startup).
-    pub running_at: Option<SimTime>,
-    /// When the job reached a terminal state.
-    pub finished_at: Option<SimTime>,
 }
 
 impl BatchJob {
@@ -126,36 +142,8 @@ impl BatchJob {
             description,
             state: BatchJobState::Queued,
             submitted_at: now,
-            eligible_at: None,
             started_at: None,
-            running_at: None,
-            finished_at: None,
         }
-    }
-
-    /// Applies a state transition, panicking on illegal ones (these indicate
-    /// simulator bugs, not user errors).
-    pub fn transition(&mut self, next: BatchJobState, now: SimTime) {
-        assert!(
-            self.state.can_transition_to(next),
-            "illegal batch job transition {:?} -> {:?} for {}",
-            self.state,
-            next,
-            self.id
-        );
-        self.state = next;
-        match next {
-            BatchJobState::Starting => self.started_at = Some(now),
-            BatchJobState::Running => self.running_at = Some(now),
-            s if s.is_terminal() => self.finished_at = Some(now),
-            _ => {}
-        }
-    }
-
-    /// Queue wait actually experienced (submission to node assignment).
-    pub fn queue_wait(&self) -> Option<SimDuration> {
-        self.started_at
-            .map(|s| s.saturating_since(self.submitted_at))
     }
 }
 
@@ -164,52 +152,53 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn desc() -> BatchJobDescription {
-        BatchJobDescription::new("test", 8, SimDuration::from_secs(3600))
+    /// Walks a submitted job through `path`, returning the records.
+    fn walk(path: &[BatchJobState]) -> Vec<&'static str> {
+        let mut from = None;
+        path.iter()
+            .map(|&next| {
+                let event = BatchJobState::trace_event(from, next);
+                from = Some(next);
+                event
+            })
+            .collect()
     }
 
     #[test]
     fn happy_path_transitions() {
-        let mut job = BatchJob::new(BatchJobId(1), desc(), SimTime::ZERO);
-        job.transition(BatchJobState::Starting, SimTime::from_secs(10));
-        job.transition(BatchJobState::Running, SimTime::from_secs(12));
-        job.transition(BatchJobState::Completed, SimTime::from_secs(100));
-        assert_eq!(job.queue_wait(), Some(SimDuration::from_secs(10)));
-        assert_eq!(job.finished_at, Some(SimTime::from_secs(100)));
-        assert!(job.state.is_terminal());
+        use BatchJobState::*;
+        assert_eq!(
+            walk(&[Queued, Starting, Running, Completed]),
+            ["job_queued", "job_started", "job_running", "job_completed"]
+        );
+        assert!(Completed.is_terminal());
+        // Failing in the queue is a rejection; failing later is not.
+        assert_eq!(walk(&[Queued, Failed]), ["job_queued", "job_rejected"]);
+        assert_eq!(walk(&[Queued, Starting, Failed])[2], "job_failed");
     }
 
     #[test]
     #[should_panic(expected = "illegal batch job transition")]
     fn cannot_run_without_starting() {
-        let mut job = BatchJob::new(BatchJobId(1), desc(), SimTime::ZERO);
-        job.transition(BatchJobState::Running, SimTime::ZERO);
+        walk(&[BatchJobState::Queued, BatchJobState::Running]);
     }
 
     #[test]
     #[should_panic(expected = "illegal batch job transition")]
     fn terminal_states_are_sticky() {
-        let mut job = BatchJob::new(BatchJobId(1), desc(), SimTime::ZERO);
-        job.transition(BatchJobState::Cancelled, SimTime::ZERO);
-        job.transition(BatchJobState::Starting, SimTime::ZERO);
+        use BatchJobState::*;
+        walk(&[Queued, Cancelled, Starting]);
     }
 
     #[test]
     fn cancel_allowed_from_queue_and_run() {
+        use BatchJobState::*;
         for path in [
-            vec![BatchJobState::Cancelled],
-            vec![BatchJobState::Starting, BatchJobState::Cancelled],
-            vec![
-                BatchJobState::Starting,
-                BatchJobState::Running,
-                BatchJobState::Cancelled,
-            ],
+            vec![Queued, Cancelled],
+            vec![Queued, Starting, Cancelled],
+            vec![Queued, Starting, Running, Cancelled],
         ] {
-            let mut job = BatchJob::new(BatchJobId(1), desc(), SimTime::ZERO);
-            for s in path {
-                job.transition(s, SimTime::ZERO);
-            }
-            assert_eq!(job.state, BatchJobState::Cancelled);
+            assert_eq!(walk(&path).last(), Some(&"job_cancelled"));
         }
     }
 

@@ -17,8 +17,8 @@
 //! `#[serde(deny_unknown_fields)]` struct: its fields, their
 //! `#[serde(default = …)]`s and their doc comments are the only statement
 //! of the keys the kernel takes, their types and their defaults, and its
-//! [`Args::check`] the only statement of the values it refuses. Every face
-//! reads the arguments through [`parse`], so a misspelt key, a wrong type or
+//! `Args::check` the only statement of the values it refuses. Every face
+//! reads the arguments through `parse`, so a misspelt key, a wrong type or
 //! an impossible value is the same [`KernelError`] wherever it is met —
 //! at `entk check`, at submission, or at execution.
 

@@ -12,9 +12,7 @@ use crate::scheduler::{FirstFitScheduler, PilotView, UnitScheduler, UnitView};
 use crate::states::{PilotId, PilotState, UnitId, UnitState};
 use entk_cluster::{Cluster, ClusterEvent, FifoScheduler, PlatformSpec};
 use entk_saga::{JobDescription, JobState, JobUpdate, SagaJobId, SimJobService};
-use entk_sim::{
-    Context, DenseStore, SharedTelemetry, SimDuration, SimRng, SimTime, Subject, Tracer,
-};
+use entk_sim::{Context, DenseStore, SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
 
 /// Events the runtime schedules for itself.
 #[derive(Debug, Clone)]
@@ -261,13 +259,6 @@ impl SimRuntime {
         self.service.cluster().spec()
     }
 
-    /// A snapshot of the session's structured event trace
-    /// (RADICAL-Pilot-style profiler records: `unit_scheduled`,
-    /// `unit_exec_start`, `unit_done`, …) across all three layers.
-    pub fn tracer(&self) -> Tracer {
-        self.telemetry.snapshot().tracer
-    }
-
     /// The shared telemetry pipeline this runtime (and its cluster) record
     /// into; clone it into higher layers to join the same trace.
     pub fn telemetry(&self) -> &SharedTelemetry {
@@ -341,8 +332,10 @@ impl SimRuntime {
             active: None,
         });
         self.pilots_dirty = true;
+        let event = PilotState::trace_event(None, PilotState::New);
+        let event = event.expect("a submitted pilot is recorded");
         self.telemetry
-            .record(ctx.now(), "pilot", "pilot_submitted", Subject::Pilot(id.0));
+            .record(ctx.now(), "pilot", event, Subject::Pilot(id.0));
         let delay = self
             .config
             .overheads
@@ -388,8 +381,10 @@ impl SimRuntime {
                 exec_stop: None,
             });
             self.live += 1;
+            let event = UnitState::trace_event(None, UnitState::New);
+            let event = event.expect("a submitted unit is recorded");
             self.telemetry
-                .record(ctx.now(), "pilot", "unit_submitted", Subject::Unit(id.0));
+                .record(ctx.now(), "pilot", event, Subject::Unit(id.0));
             out.push(RuntimeNotification::Unit {
                 id,
                 state: UnitState::New,
@@ -431,15 +426,7 @@ impl SimRuntime {
         let released = unit.holding;
         let pilot = unit.pilot;
         unit.holding = 0;
-        unit.state = UnitState::Canceled;
-        let slot = unit.waiting_slot.take();
-        if let Some(ev) = unit.exec_event.take() {
-            ctx.cancel(ev);
-        }
-        if let Some(slot) = slot {
-            self.tombstone_waiting_slot(slot as usize, id);
-        }
-        self.note_unit_terminal(id, "unit_canceled", ctx.now());
+        self.set_unit_state(id, UnitState::Canceled, ctx.now(), None, ctx, out);
         if let (Some(pid), true) = (pilot, released > 0) {
             if let Some(p) = self.pilots.get_mut(pid.0 as usize) {
                 p.free_cores += released;
@@ -448,12 +435,6 @@ impl SimRuntime {
             self.sched_dirty = true;
             ctx.schedule_in(SimDuration::ZERO, RuntimeEvent::SchedulePass);
         }
-        out.push(RuntimeNotification::Unit {
-            id,
-            state: UnitState::Canceled,
-            time: ctx.now(),
-            detail: None,
-        });
     }
 
     /// Cancels a pilot: its container job is cancelled and units currently
@@ -515,26 +496,17 @@ impl SimRuntime {
             RuntimeEvent::UnitsSubmitted(ids) => {
                 entk_sim::reserve_batch(&mut self.waiting, ids.len());
                 for id in ids {
-                    let slot = self.waiting.len() as u32;
-                    let unit = self
-                        .units
-                        .get_mut(id.0 as usize)
-                        .expect("submitted unit exists");
-                    if unit.state == UnitState::New {
-                        unit.state = UnitState::Scheduling;
-                        unit.waiting_slot = Some(slot);
-                        let cores = unit.cores;
-                        self.waiting.push(UnitView { id, cores });
-                        self.waiting_live += 1;
-                        self.max_waiting_cores = self.max_waiting_cores.max(cores);
-                        self.sched_dirty = true;
-                        out.push(RuntimeNotification::Unit {
-                            id,
-                            state: UnitState::Scheduling,
-                            time: ctx.now(),
-                            detail: None,
-                        });
+                    if self.units[id.0 as usize].state != UnitState::New {
+                        continue;
                     }
+                    self.set_unit_state(id, UnitState::Scheduling, ctx.now(), None, ctx, out);
+                    let unit = &mut self.units[id.0 as usize];
+                    unit.waiting_slot = Some(self.waiting.len() as u32);
+                    let cores = unit.cores;
+                    self.waiting.push(UnitView { id, cores });
+                    self.waiting_live += 1;
+                    self.max_waiting_cores = self.max_waiting_cores.max(cores);
+                    self.sched_dirty = true;
                 }
                 self.schedule_pass(ctx, out);
             }
@@ -586,12 +558,8 @@ impl SimRuntime {
             .service
             .submit(jd, ctx, &mut updates)
             .expect("pilot job description is valid");
-        let p = &mut self.pilots[id.0 as usize];
-        p.saga_job = Some(saga);
-        p.launched = Some(ctx.now());
+        self.pilots[id.0 as usize].saga_job = Some(saga);
         self.saga_to_pilot.insert(saga.0, id);
-        self.telemetry
-            .record(ctx.now(), "pilot", "pilot_launched", Subject::Pilot(id.0));
         self.set_pilot_state(id, PilotState::Launching, ctx.now(), out);
         self.apply_saga_updates(updates, ctx, out);
     }
@@ -612,9 +580,6 @@ impl SimRuntime {
             }
             match u.state {
                 JobState::Running => {
-                    self.telemetry
-                        .record(u.time, "pilot", "pilot_active", Subject::Pilot(pid.0));
-                    self.pilots[pid.0 as usize].active = Some(u.time);
                     self.set_pilot_state(pid, PilotState::Active, u.time, out);
                     // New capacity became available.
                     self.sched_dirty = true;
@@ -679,17 +644,8 @@ impl SimRuntime {
                 }
                 let held = unit.holding;
                 unit.holding = 0;
-                unit.state = UnitState::Failed;
-                if let Some(ev) = unit.exec_event.take() {
-                    ctx.cancel(ev);
-                }
-                self.note_unit_terminal(id, "unit_failed", time);
-                out.push(RuntimeNotification::Unit {
-                    id,
-                    state: UnitState::Failed,
-                    time,
-                    detail: Some("node crash took this unit's cores".into()),
-                });
+                let detail = Some("node crash took this unit's cores".into());
+                self.set_unit_state(id, UnitState::Failed, time, detail, ctx, out);
                 let absorbed = held.min(deficit);
                 deficit -= absorbed;
                 let surplus = held - absorbed;
@@ -720,13 +676,6 @@ impl SimRuntime {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        let event = match state {
-            PilotState::Done => "pilot_done",
-            PilotState::Canceled => "pilot_cancelled",
-            _ => "pilot_failed",
-        };
-        self.telemetry
-            .record(time, "pilot", event, Subject::Pilot(pid.0));
         self.set_pilot_state(pid, state, time, out);
         // Units in flight on this pilot fail (they lose their cores).
         let victims: Vec<UnitId> = self
@@ -739,18 +688,9 @@ impl SimRuntime {
         for id in victims {
             let unit = &mut self.units[id.0 as usize];
             if unit.state.can_transition_to(UnitState::Failed) {
-                unit.state = UnitState::Failed;
                 unit.holding = 0;
-                if let Some(ev) = unit.exec_event.take() {
-                    ctx.cancel(ev);
-                }
-                self.note_unit_terminal(id, "unit_failed", time);
-                out.push(RuntimeNotification::Unit {
-                    id,
-                    state: UnitState::Failed,
-                    time,
-                    detail: Some(format!("{pid} terminated ({state:?})")),
-                });
+                let detail = Some(format!("{pid} terminated ({state:?})"));
+                self.set_unit_state(id, UnitState::Failed, time, detail, ctx, out);
             }
         }
         // Remaining waiting units may still run on other pilots, and the
@@ -759,6 +699,10 @@ impl SimRuntime {
         ctx.schedule_in(SimDuration::ZERO, RuntimeEvent::SchedulePass);
     }
 
+    /// The one door through which a pilot's state changes: it checks the
+    /// step against the model, writes the record
+    /// [`PilotState::trace_event`] names, stamps the startup phase the
+    /// pilot finished and tells the application.
     fn set_pilot_state(
         &mut self,
         id: PilotId,
@@ -766,13 +710,62 @@ impl SimRuntime {
         time: SimTime,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        let p = self.pilots.get_mut(id.0 as usize).expect("pilot exists");
-        if p.state == state || !p.state.can_transition_to(state) {
-            return;
-        }
+        let p = &mut self.pilots[id.0 as usize];
+        let event = PilotState::trace_event(Some(p.state), state);
         p.state = state;
+        match state {
+            PilotState::Launching => p.launched = Some(time),
+            PilotState::Active => p.active = Some(time),
+            _ => {}
+        }
         self.pilots_dirty = true;
+        if let Some(event) = event {
+            self.telemetry
+                .record(time, "pilot", event, Subject::Pilot(id.0));
+        }
         out.push(RuntimeNotification::Pilot { id, state, time });
+    }
+
+    /// The one door through which a unit's state changes: it checks the
+    /// step against the model, writes the record
+    /// [`UnitState::trace_event`] names and tells the application. A unit
+    /// leaving `Scheduling` leaves the waiting list; one that ends drops
+    /// its pending execution event and the `pilot.live_units` gauge.
+    fn set_unit_state<E: RuntimeEventSink>(
+        &mut self,
+        id: UnitId,
+        state: UnitState,
+        time: SimTime,
+        detail: Option<String>,
+        ctx: &mut Context<'_, E>,
+        out: &mut Vec<RuntimeNotification>,
+    ) {
+        let unit = &mut self.units[id.0 as usize];
+        let event = UnitState::trace_event(Some(unit.state), state);
+        unit.state = state;
+        let slot = unit.waiting_slot.take();
+        let exec_event = unit.exec_event.take_if(|_| state.is_terminal());
+        if let Some(slot) = slot {
+            self.tombstone_waiting_slot(slot as usize, id);
+        }
+        if let Some(ev) = exec_event {
+            ctx.cancel(ev);
+        }
+        if let Some(event) = event {
+            self.telemetry
+                .record(time, "pilot", event, Subject::Unit(id.0));
+        }
+        if state.is_terminal() {
+            self.live -= 1;
+            self.telemetry
+                .gauge("pilot.live_units", time, self.live as f64);
+        }
+        out.push(RuntimeNotification::Unit {
+            id,
+            state,
+            time,
+            detail,
+        });
     }
 
     /// Marks a waiting-list slot as a tombstone, checking it belongs to
@@ -874,17 +867,8 @@ impl SimRuntime {
                     new_max = new_max.max(view.cores);
                     continue;
                 }
-                self.tombstone_waiting_slot(slot, view.id);
-                let unit = &mut self.units[view.id.0 as usize];
-                unit.waiting_slot = None;
-                unit.state = UnitState::Failed;
-                self.note_unit_terminal(view.id, "unit_failed", ctx.now());
-                out.push(RuntimeNotification::Unit {
-                    id: view.id,
-                    state: UnitState::Failed,
-                    time: ctx.now(),
-                    detail: Some("no pilot large enough for this unit".into()),
-                });
+                let detail = Some("no pilot large enough for this unit".into());
+                self.set_unit_state(view.id, UnitState::Failed, ctx.now(), detail, ctx, out);
             }
             self.max_waiting_cores = new_max;
             if self.waiting_live == 0 {
@@ -914,24 +898,8 @@ impl SimRuntime {
             let unit = &mut self.units[uidx];
             unit.pilot = Some(placement.pilot);
             unit.holding = cores;
-            unit.state = UnitState::StagingInput;
-            let slot = unit
-                .waiting_slot
-                .take()
-                .expect("placed unit was on the waiting list");
-            self.tombstone_waiting_slot(slot as usize, placement.unit);
-            self.telemetry.record(
-                ctx.now(),
-                "pilot",
-                "unit_scheduled",
-                Subject::Unit(placement.unit.0),
-            );
-            out.push(RuntimeNotification::Unit {
-                id: placement.unit,
-                state: UnitState::StagingInput,
-                time: ctx.now(),
-                detail: None,
-            });
+            let staging = UnitState::StagingInput;
+            self.set_unit_state(placement.unit, staging, ctx.now(), None, ctx, out);
             // Scheduling bookkeeping cost + staged input bytes.
             let sched_cost = self
                 .config
@@ -966,16 +934,14 @@ impl SimRuntime {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        let Some(unit) = self.units.get_mut(id.0 as usize) else {
+        let Some(unit) = self.units.get(id.0 as usize) else {
             return;
         };
         if unit.state != UnitState::StagingInput {
             return;
         }
-        unit.state = UnitState::Executing;
-        self.telemetry
-            .record(ctx.now(), "pilot", "unit_exec_start", Subject::Unit(id.0));
         let duration = unit.duration;
+        self.set_unit_state(id, UnitState::Executing, ctx.now(), None, ctx, out);
         // Straggler injection: only touch the duration when a slowdown was
         // actually drawn, so fault-free runs avoid the f64 roundtrip and
         // stay bit-identical to runs without an injector.
@@ -985,12 +951,6 @@ impl SimRuntime {
         } else {
             duration
         };
-        out.push(RuntimeNotification::Unit {
-            id,
-            state: UnitState::Executing,
-            time: ctx.now(),
-            detail: None,
-        });
         let ev = ctx.schedule_in(duration, RuntimeEvent::ExecDone(id));
         self.units[id.0 as usize].exec_event = Some(ev);
     }
@@ -1021,37 +981,17 @@ impl SimRuntime {
         let legacy_failed =
             self.config.unit_failure_rate > 0.0 && self.rng.chance(self.config.unit_failure_rate);
         let injected_failed = self.service.cluster_mut().fault_unit_fails();
+        let output_bytes = unit.output_bytes;
+        let now = ctx.now();
         if legacy_failed || injected_failed {
-            unit.state = UnitState::Failed;
-            self.note_unit_terminal(id, "unit_failed", ctx.now());
-            out.push(RuntimeNotification::Unit {
-                id,
-                state: UnitState::Failed,
-                time: ctx.now(),
-                detail: Some("injected execution failure".into()),
-            });
-        } else if unit.output_bytes > 0 {
-            unit.state = UnitState::StagingOutput;
-            out.push(RuntimeNotification::Unit {
-                id,
-                state: UnitState::StagingOutput,
-                time: ctx.now(),
-                detail: None,
-            });
-            let stage = self
-                .service
-                .cluster_mut()
-                .transfer_duration(unit.output_bytes);
+            let detail = Some("injected execution failure".into());
+            self.set_unit_state(id, UnitState::Failed, now, detail, ctx, out);
+        } else if output_bytes > 0 {
+            self.set_unit_state(id, UnitState::StagingOutput, now, None, ctx, out);
+            let stage = self.service.cluster_mut().transfer_duration(output_bytes);
             ctx.schedule_in(stage, RuntimeEvent::StageOutDone(id));
         } else {
-            unit.state = UnitState::Done;
-            self.note_unit_terminal(id, "unit_done", ctx.now());
-            out.push(RuntimeNotification::Unit {
-                id,
-                state: UnitState::Done,
-                time: ctx.now(),
-                detail: None,
-            });
+            self.set_unit_state(id, UnitState::Done, now, None, ctx, out);
         }
         if let (Some(pid), true) = (pilot, released > 0) {
             if let Some(p) = self.pilots.get_mut(pid.0 as usize) {
@@ -1069,30 +1009,10 @@ impl SimRuntime {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        let Some(unit) = self.units.get_mut(id.0 as usize) else {
-            return;
-        };
-        if unit.state != UnitState::StagingOutput {
-            return;
+        let staging = self.units.get(id.0 as usize).map(|u| u.state);
+        if staging == Some(UnitState::StagingOutput) {
+            self.set_unit_state(id, UnitState::Done, ctx.now(), None, ctx, out);
         }
-        unit.state = UnitState::Done;
-        self.note_unit_terminal(id, "unit_done", ctx.now());
-        out.push(RuntimeNotification::Unit {
-            id,
-            state: UnitState::Done,
-            time: ctx.now(),
-            detail: None,
-        });
-    }
-
-    /// Bookkeeping shared by every unit-terminal transition: one trace
-    /// record for the outcome and a `pilot.live_units` gauge sample.
-    fn note_unit_terminal(&mut self, id: UnitId, event: &'static str, time: SimTime) {
-        self.live = self.live.saturating_sub(1);
-        self.telemetry
-            .record(time, "pilot", event, Subject::Unit(id.0));
-        self.telemetry
-            .gauge("pilot.live_units", time, self.live as f64);
     }
 }
 
@@ -1177,7 +1097,7 @@ pub(crate) mod tests {
     /// Seconds from the first execution start to the last execution stop —
     /// the application-execution component of TTC — read off the trace.
     fn exec_span(rt: &SimRuntime) -> f64 {
-        let tracer = rt.tracer();
+        let tracer = rt.telemetry().snapshot().tracer;
         let times = |name| tracer.filter("pilot", name).map(|r| r.time);
         let start = times("unit_exec_start").min().expect("a unit started");
         let stop = times("unit_exec_stop").max().expect("a unit stopped");
@@ -1483,7 +1403,7 @@ mod tracer_tests {
             .map(|i| UnitDescription::modeled(format!("t{i}"), SimDuration::from_secs(5)))
             .collect();
         let (_, rt) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
-        let tracer = rt.tracer();
+        let tracer = rt.telemetry().snapshot().tracer;
         assert_eq!(tracer.filter("pilot", "pilot_submitted").count(), 1);
         assert_eq!(tracer.filter("pilot", "pilot_active").count(), 1);
         assert_eq!(tracer.filter("pilot", "unit_scheduled").count(), 3);
@@ -1505,7 +1425,7 @@ mod tracer_tests {
         let mut config = quiet_config();
         config.overheads.pilot_submission = entk_sim::Dist::Constant(2.0);
         let (_, rt) = run_session(quiet_spec(1, 4), config, 4, units);
-        let tracer = rt.tracer();
+        let tracer = rt.telemetry().snapshot().tracer;
         let at = |event| {
             let time = tracer.time_of("pilot", event, Subject::Pilot(0));
             time.expect("the pilot went through every phase")
@@ -1524,7 +1444,7 @@ mod tracer_tests {
             .map(|i| UnitDescription::modeled(format!("t{i}"), SimDuration::from_secs(5)))
             .collect();
         let (_, rt) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
-        let tracer = rt.tracer();
+        let tracer = rt.telemetry().snapshot().tracer;
         // The pilot's container job is traced by the cluster layer through
         // the same shared pipeline.
         assert_eq!(tracer.filter("cluster", "job_queued").count(), 1);
@@ -1535,6 +1455,134 @@ mod tracer_tests {
         assert_eq!(tracer.filter("pilot", "unit_done").count(), 2);
         // Live-unit gauge drains back to zero.
         let snap = rt.telemetry().snapshot();
+        let live = snap.metrics.series("pilot.live_units").unwrap();
+        assert_eq!(live.points().last().unwrap().1, 0.0);
+    }
+
+    /// A fault-heavy session, checked from its trace alone: a node crash
+    /// shrinks the big pilot, tasks fail and straggle, one pilot dies at
+    /// its wall time, the application cancels another, and one unit fits
+    /// no pilot. Every unit and batch job still ends exactly once, each
+    /// unit's records keep their order and the live-unit gauge drains.
+    #[test]
+    fn fault_heavy_lifecycles_read_off_the_trace() {
+        use entk_cluster::FaultProfile;
+        use entk_sim::{Dist, Engine};
+        use std::collections::HashMap;
+        // Three 4-core nodes: pilot 0 spans nodes 0 and 1, which crashes
+        // for good at 6 s; pilots 1 (15 s wall time) and 2 share node 2.
+        let profile = FaultProfile::seeded(11)
+            .with_crash_at(6.0, 0)
+            .with_node_crashes(0.0, Dist::Constant(0.0))
+            .with_task_failures(0.2)
+            .with_stragglers(0.3, Dist::Constant(3.0));
+        let pilots = [(8, 100_000), (2, 15), (2, 100_000)];
+        let units: Vec<_> = (0..40)
+            .map(|i| {
+                let unit = UnitDescription::modeled(format!("t{i}"), SimDuration::from_secs(5));
+                match i % 4 {
+                    0 => unit.with_output("out.dat", 1_000_000),
+                    _ => unit,
+                }
+            })
+            .chain([UnitDescription::modeled("huge", SimDuration::from_secs(5))
+                .with_cores(16)
+                .with_mpi(true)])
+            .collect();
+        let mut rt = SimRuntime::new(quiet_spec(3, 4), quiet_config());
+        let mut engine: Engine<Ev> = Engine::new();
+        engine.schedule_in(SimDuration::ZERO, RuntimeEvent::SchedulePass);
+        let (mut booted, mut cancelled) = (false, false);
+        engine.run(|ev, ctx| {
+            let mut out = Vec::new();
+            if !booted {
+                booted = true;
+                rt.cluster_mut().enable_fault_injector(profile.clone(), ctx);
+                for (cores, secs) in pilots {
+                    let walltime = SimDuration::from_secs(secs);
+                    let pilot = PilotDescription::new("local", cores, walltime);
+                    rt.submit_pilot(pilot, ctx, &mut out).unwrap();
+                }
+                rt.submit_units(units.clone(), ctx, &mut out).unwrap();
+            }
+            match ev {
+                Ev::Rt(re) => rt.handle(re, ctx, &mut out),
+                Ev::Cl(ce) => rt.handle_cluster(ce, ctx, &mut out),
+            }
+            if !cancelled && ctx.now() >= SimTime::from_secs(8) {
+                cancelled = true;
+                rt.cancel_pilot(PilotId(2), ctx, &mut out);
+            }
+            if rt.live_units() == 0 {
+                for p in 0..3 {
+                    rt.finish_pilot(PilotId(p), ctx, &mut out);
+                }
+            }
+        });
+
+        let snap = rt.telemetry().snapshot();
+        let records = snap.tracer.records();
+        let count = |name| records.iter().filter(|r| r.name == name).count();
+        for name in [
+            "job_shrunk",
+            "job_timedout",
+            "pilot_cancelled",
+            "unit_failed",
+        ] {
+            assert!(count(name) > 0, "the session never recorded {name}");
+        }
+        let mut first: HashMap<(Subject, &str), SimTime> = HashMap::new();
+        let mut ends: HashMap<Subject, usize> = HashMap::new();
+        for r in records {
+            first.entry((r.subject, r.name)).or_insert(r.time);
+            if matches!(
+                r.name,
+                "unit_done"
+                    | "unit_failed"
+                    | "unit_canceled"
+                    | "job_completed"
+                    | "job_failed"
+                    | "job_timedout"
+                    | "job_cancelled"
+                    | "job_rejected"
+            ) {
+                *ends.entry(r.subject).or_default() += 1;
+            }
+        }
+        // Exactly one terminal record per unit and per batch job.
+        let born: Vec<Subject> = records
+            .iter()
+            .filter(|r| matches!(r.name, "unit_submitted" | "job_queued"))
+            .map(|r| r.subject)
+            .collect();
+        assert_eq!(born.len(), units.len() + pilots.len());
+        assert_eq!(ends.len(), born.len(), "a terminal record for no one");
+        for subject in &born {
+            assert_eq!(ends.get(subject), Some(&1), "{subject}");
+        }
+        // scheduled <= exec_start <= exec_stop <= terminal, each step
+        // recorded only after the one before it.
+        let mut straggled = 0;
+        for u in 0..units.len() as u64 {
+            let subject = Subject::Unit(u);
+            let at = |name| first.get(&(subject, name)).copied();
+            let end = ["unit_done", "unit_failed", "unit_canceled"]
+                .into_iter()
+                .find_map(at);
+            let steps = [
+                at("unit_scheduled"),
+                at("unit_exec_start"),
+                at("unit_exec_stop"),
+            ];
+            let reached: Vec<SimTime> = steps.iter().map_while(|t| *t).chain(end).collect();
+            let recorded = steps.iter().flatten().count() + 1;
+            assert_eq!(reached.len(), recorded, "{subject}: {steps:?} then {end:?}");
+            assert!(reached.is_sorted(), "{subject}: {reached:?}");
+            if let (Some(start), Some(stop)) = (steps[1], steps[2]) {
+                straggled += usize::from(stop - start == SimDuration::from_secs(15));
+            }
+        }
+        assert!(straggled > 0, "no straggler ran to its end");
         let live = snap.metrics.series("pilot.live_units").unwrap();
         assert_eq!(live.points().last().unwrap().1, 0.0);
     }

@@ -70,6 +70,25 @@ impl PilotState {
                 | (Active, Failed)
         )
     }
+
+    /// The pilot layer's trace record of a pilot entering `next` from
+    /// `from` (`None`: just submitted). A `New` pilot cancelled before it
+    /// reached SAGA records nothing. Panics on a transition the model
+    /// forbids, which is a simulator bug, not a user error.
+    pub(crate) fn trace_event(from: Option<PilotState>, next: PilotState) -> Option<&'static str> {
+        use PilotState::*;
+        let legal = from.map_or(next == New, |f| f.can_transition_to(next));
+        assert!(legal, "illegal pilot transition {from:?} -> {next:?}");
+        match next {
+            New => Some("pilot_submitted"),
+            Launching => Some("pilot_launched"),
+            Active => Some("pilot_active"),
+            Done => Some("pilot_done"),
+            Canceled if from == Some(New) => None,
+            Canceled => Some("pilot_cancelled"),
+            Failed => Some("pilot_failed"),
+        }
+    }
 }
 
 /// Compute-unit lifecycle states.
@@ -115,6 +134,26 @@ impl UnitState {
             Executing => matches!(next, StagingOutput | Done | Canceled | Failed),
             StagingOutput => matches!(next, Done | Canceled | Failed),
             Done | Canceled | Failed => false,
+        }
+    }
+
+    /// The pilot layer's trace record of a unit entering `next` from `from`
+    /// (`None`: just submitted). Entering `Scheduling` or `StagingOutput`
+    /// records nothing; `unit_exec_stop` marks the end of execution, not a
+    /// transition, and is written where execution ends. Panics on a
+    /// transition the model forbids, which is a simulator bug.
+    pub(crate) fn trace_event(from: Option<UnitState>, next: UnitState) -> Option<&'static str> {
+        use UnitState::*;
+        let legal = from.map_or(next == New, |f| f.can_transition_to(next));
+        assert!(legal, "illegal unit transition {from:?} -> {next:?}");
+        match next {
+            New => Some("unit_submitted"),
+            Scheduling | StagingOutput => None,
+            StagingInput => Some("unit_scheduled"),
+            Executing => Some("unit_exec_start"),
+            Done => Some("unit_done"),
+            Canceled => Some("unit_canceled"),
+            Failed => Some("unit_failed"),
         }
     }
 }

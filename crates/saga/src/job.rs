@@ -1,6 +1,5 @@
-//! SAGA job handles and the SAGA job state model.
+//! SAGA job ids, state updates and the SAGA job state model.
 
-use crate::description::JobDescription;
 use entk_sim::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -55,6 +54,16 @@ impl JobState {
                 | (Running, Failed)
         )
     }
+
+    /// `next`, once `self -> next` is checked against the model; panics on
+    /// a step the model forbids, which is a simulator bug, not a user error.
+    pub(crate) fn step(self, next: JobState) -> JobState {
+        assert!(
+            self.can_transition_to(next),
+            "illegal SAGA job transition {self:?} -> {next:?}"
+        );
+        next
+    }
 }
 
 /// A state-change notification delivered to the submitting layer.
@@ -73,79 +82,22 @@ pub struct JobUpdate {
     pub shrunk_by: Option<usize>,
 }
 
-/// A SAGA job record held by a service.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Job {
-    /// Job id.
-    pub id: SagaJobId,
-    /// Submitted description.
-    pub description: JobDescription,
-    /// Current state.
-    pub state: JobState,
-    /// Submission time.
-    pub submitted_at: SimTime,
-    /// Time execution began.
-    pub started_at: Option<SimTime>,
-    /// Time a terminal state was reached.
-    pub finished_at: Option<SimTime>,
-}
-
-impl Job {
-    /// Creates a new job record in state `New`.
-    pub fn new(id: SagaJobId, description: JobDescription, now: SimTime) -> Self {
-        Job {
-            id,
-            description,
-            state: JobState::New,
-            submitted_at: now,
-            started_at: None,
-            finished_at: None,
-        }
-    }
-
-    /// Applies a transition, panicking on illegal ones (simulator invariant).
-    pub fn transition(&mut self, next: JobState, now: SimTime) {
-        assert!(
-            self.state.can_transition_to(next),
-            "illegal SAGA job transition {:?} -> {:?} for {}",
-            self.state,
-            next,
-            self.id
-        );
-        self.state = next;
-        match next {
-            JobState::Running => self.started_at = Some(now),
-            s if s.is_terminal() => self.finished_at = Some(now),
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use entk_sim::SimDuration;
 
     #[test]
     fn lifecycle_happy_path() {
-        let jd = JobDescription::new("agent", 4, SimDuration::from_secs(60));
-        let mut job = Job::new(SagaJobId(0), jd, SimTime::ZERO);
-        job.transition(JobState::Pending, SimTime::ZERO);
-        job.transition(JobState::Running, SimTime::from_secs(5));
-        job.transition(JobState::Done, SimTime::from_secs(50));
-        assert_eq!(job.started_at, Some(SimTime::from_secs(5)));
-        assert_eq!(job.finished_at, Some(SimTime::from_secs(50)));
+        use JobState::*;
+        let end = New.step(Pending).step(Running).step(Done);
+        assert!(end.is_terminal());
     }
 
     #[test]
     #[should_panic(expected = "illegal SAGA job transition")]
     fn done_is_terminal() {
-        let jd = JobDescription::new("agent", 4, SimDuration::from_secs(60));
-        let mut job = Job::new(SagaJobId(0), jd, SimTime::ZERO);
-        job.transition(JobState::Pending, SimTime::ZERO);
-        job.transition(JobState::Running, SimTime::ZERO);
-        job.transition(JobState::Done, SimTime::ZERO);
-        job.transition(JobState::Running, SimTime::ZERO);
+        use JobState::*;
+        New.step(Pending).step(Running).step(Done).step(Running);
     }
 
     #[test]
@@ -157,13 +109,9 @@ mod tests {
             (vec![Pending, Running, Failed], Failed),
             (vec![Failed], Failed),
         ] {
-            let jd = JobDescription::new("x", 1, SimDuration::from_secs(1));
-            let mut job = Job::new(SagaJobId(0), jd, SimTime::ZERO);
-            for s in path {
-                job.transition(s, SimTime::ZERO);
-            }
-            assert_eq!(job.state, end);
-            assert!(job.state.is_terminal());
+            let state = path.into_iter().fold(New, JobState::step);
+            assert_eq!(state, end);
+            assert!(state.is_terminal());
         }
     }
 }

@@ -17,6 +17,6 @@ pub mod url;
 
 pub use description::JobDescription;
 pub use fork_service::{ForkCompletion, ForkJobService, ForkPayload};
-pub use job::{Job, JobState, JobUpdate, SagaJobId};
+pub use job::{JobState, JobUpdate, SagaJobId};
 pub use sim_service::SimJobService;
 pub use url::{ResourceUrl, Scheme, UrlParseError};

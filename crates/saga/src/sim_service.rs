@@ -3,18 +3,18 @@
 //! state changes.
 
 use crate::description::JobDescription;
-use crate::job::{Job, JobState, JobUpdate, SagaJobId};
+use crate::job::{JobState, JobUpdate, SagaJobId};
 use entk_cluster::{
     BatchJobDescription, BatchJobId, BatchJobState, Cluster, ClusterEvent, ClusterNotification,
     PlatformSpec,
 };
 #[cfg(test)]
 use entk_sim::SimDuration;
-use entk_sim::{Context, DenseStore};
+use entk_sim::{Context, DenseStore, SimTime};
 
-/// One row of the job table.
+/// One row of the job table: all a SAGA job is here once submitted.
 struct JobRow {
-    job: Job,
+    state: JobState,
     /// The cluster's job behind it, unless the cluster rejected the request.
     batch: Option<BatchJobId>,
 }
@@ -56,11 +56,6 @@ impl SimJobService {
         &self.cluster
     }
 
-    /// Read access to a job record.
-    pub fn job(&self, id: SagaJobId) -> Option<&Job> {
-        self.jobs.get(id.0 as usize).map(|r| &r.job)
-    }
-
     fn batch_id(&self, id: SagaJobId) -> Option<BatchJobId> {
         self.jobs.get(id.0 as usize)?.batch
     }
@@ -76,14 +71,12 @@ impl SimJobService {
     ) -> Result<SagaJobId, String> {
         description.validate()?;
         let id = SagaJobId(self.jobs.len() as u64);
-        let mut job = Job::new(id, description.clone(), ctx.now());
-
         let bd = BatchJobDescription {
-            name: description.executable.clone(),
+            name: description.executable,
             cores: description.total_cpu_count,
             walltime: description.wall_time_limit,
-            queue: description.queue.clone(),
-            project: description.project.clone(),
+            queue: description.queue,
+            project: description.project,
         };
         let mut notes = Vec::new();
         let (batch, state, detail) = match self.cluster.submit(bd, ctx, &mut notes) {
@@ -93,15 +86,11 @@ impl SimJobService {
             }
             Err(reason) => (None, JobState::Failed, Some(reason)),
         };
-        job.transition(state, ctx.now());
-        updates.push(JobUpdate {
-            id,
-            state,
-            time: ctx.now(),
-            detail,
-            shrunk_by: None,
+        self.jobs.push(JobRow {
+            state: JobState::New,
+            batch,
         });
-        self.jobs.push(JobRow { job, batch });
+        self.set_state(id, state, ctx.now(), detail, updates);
         Ok(id)
     }
 
@@ -163,7 +152,7 @@ impl SimJobService {
                     };
                     updates.push(JobUpdate {
                         id: sid,
-                        state: self.jobs[sid.0 as usize].job.state,
+                        state: self.jobs[sid.0 as usize].state,
                         time,
                         detail: Some(format!(
                             "node crash: lost {lost_cores} cores, {remaining_cores} remain"
@@ -176,7 +165,6 @@ impl SimJobService {
             let Some(&sid) = self.from_batch.get(bid.0) else {
                 continue;
             };
-            let job = &mut self.jobs[sid.0 as usize].job;
             let (saga_state, detail) = match state {
                 BatchJobState::Queued | BatchJobState::Starting => continue, // still Pending
                 BatchJobState::Running => (JobState::Running, None),
@@ -187,18 +175,29 @@ impl SimJobService {
                 BatchJobState::Cancelled => (JobState::Canceled, None),
                 BatchJobState::Failed => (JobState::Failed, Some("rejected".to_string())),
             };
-            if job.state == saga_state || !job.state.can_transition_to(saga_state) {
-                continue;
-            }
-            job.transition(saga_state, time);
-            updates.push(JobUpdate {
-                id: sid,
-                state: saga_state,
-                time,
-                detail,
-                shrunk_by: None,
-            });
+            self.set_state(sid, saga_state, time, detail, updates);
         }
+    }
+
+    /// The one door through which a job's state changes: it checks the
+    /// step against the SAGA model and reports it to the submitter.
+    fn set_state(
+        &mut self,
+        id: SagaJobId,
+        next: JobState,
+        time: SimTime,
+        detail: Option<String>,
+        updates: &mut Vec<JobUpdate>,
+    ) {
+        let row = &mut self.jobs[id.0 as usize];
+        row.state = row.state.step(next);
+        updates.push(JobUpdate {
+            id,
+            state: next,
+            time,
+            detail,
+            shrunk_by: None,
+        });
     }
 }
 
@@ -236,8 +235,7 @@ mod tests {
             if !booted {
                 booted = true;
                 let jd = JobDescription::new("pilot-agent", 8, SimDuration::from_secs(600));
-                let id = svc.submit(jd, ctx, &mut updates).unwrap();
-                assert_eq!(svc.job(id).unwrap().state, JobState::Pending);
+                svc.submit(jd, ctx, &mut updates).unwrap();
             }
             match ev {
                 Ev::Cluster(ce) => svc.handle_cluster(ce, ctx, &mut updates),
@@ -257,7 +255,6 @@ mod tests {
         );
         assert_eq!(log[1].1, SimTime::from_secs(2)); // startup
         assert_eq!(log[2].1, SimTime::from_secs(32));
-        assert_eq!(svc.job(SagaJobId(0)).unwrap().state, JobState::Done);
     }
 
     #[test]
