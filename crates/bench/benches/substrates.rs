@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the substrate crates: the discrete-event engine, the
-//! trace fingerprint, the MD force loop (cell list vs naive), the analysis
-//! eigensolvers, and a full-stack throughput case.
+//! trace fingerprint, the fixed cost of one served session, the MD force
+//! loop (cell list vs naive), the analysis eigensolvers, and a full-stack
+//! throughput case.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -53,13 +54,10 @@ fn bench_event_queue(c: &mut Criterion) {
     g.finish();
 }
 
-/// `Tracer::fingerprint()` against the byte-wise FNV-1a fold of the same
-/// JSONL, already rendered, over one served session's trace: the first
-/// session of the seed-2016, 4 000-session synthetic stream, evaluated as
-/// `entk serve` evaluates it.
-fn bench_trace_fingerprint(c: &mut Criterion) {
+/// The first session of the seed-2016, 4 000-session synthetic stream on
+/// stampede, and the config `entk serve` evaluates it under.
+fn first_served_session() -> (entk_workload::SessionArrival, entk_core::FederatedConfig) {
     use entk_core::prelude::*;
-    use entk_sim::Fnv64;
     use entk_workload::{session_seed, SyntheticTrace, WorkloadGenerator};
     let arrival = SyntheticTrace::new(2016, 4000, 64)
         .stream()
@@ -75,6 +73,16 @@ fn bench_trace_fingerprint(c: &mut Criterion) {
         )],
         ..FederatedConfig::default()
     };
+    (arrival, config)
+}
+
+/// `Tracer::fingerprint()` against the byte-wise FNV-1a fold of the same
+/// JSONL, already rendered, over one served session's trace (see
+/// [`first_served_session`]).
+fn bench_trace_fingerprint(c: &mut Criterion) {
+    use entk_core::prelude::*;
+    use entk_sim::Fnv64;
+    let (arrival, config) = first_served_session();
     let mut pattern = arrival.build_pattern().expect("the session builds");
     let (_, telemetry) = run_federated_traced(config, pattern.as_mut()).expect("the session runs");
     let tracer = telemetry.tracer;
@@ -91,6 +99,33 @@ fn bench_trace_fingerprint(c: &mut Criterion) {
             hash.update(black_box(jsonl.as_bytes()));
             black_box(hash.finish())
         })
+    });
+    g.finish();
+}
+
+/// The fixed cost of one served session, as `entk serve` evaluates it:
+/// build the pattern, then construct → allocate → run → deallocate → drop
+/// the handle, cross-check the trace against the report and fingerprint
+/// it. The session is [`first_served_session`], about 110 events.
+fn bench_served_session(c: &mut Criterion) {
+    use entk_core::prelude::*;
+    let (arrival, config) = first_served_session();
+    let mut g = c.benchmark_group("served_session");
+    g.sample_size(200);
+    let serve = || {
+        let mut pattern = arrival.build_pattern().expect("the session builds");
+        let (report, telemetry) =
+            run_federated_traced(config.clone(), pattern.as_mut()).expect("the session runs");
+        let cc = cross_check(&report, &telemetry.tracer);
+        (
+            report.events,
+            cc.max_abs_error_secs,
+            telemetry.tracer.fingerprint(),
+        )
+    };
+    let (events, _, _) = serve();
+    g.bench_function(format!("stampede_{events}_events"), |b| {
+        b.iter(|| black_box(serve()))
     });
     g.finish();
 }
@@ -219,6 +254,7 @@ criterion_group!(
     substrates,
     bench_event_queue,
     bench_trace_fingerprint,
+    bench_served_session,
     bench_md_forces,
     bench_md_segment,
     bench_analysis,

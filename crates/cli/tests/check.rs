@@ -233,6 +233,26 @@ fn stream_spec_mistakes_are_refused_before_serving() {
             federated(1),
             "workload spec line 6: federated stream backend needs at least 2 members",
         ),
+        // A gap the arrival clock cannot hold used to saturate it: every
+        // session arrived at the last instant, finishing before it started.
+        (
+            "gap-huge",
+            (
+                "\"mean_interarrival_secs\": 30.0",
+                "\"mean_interarrival_secs\": 1e300".to_string(),
+            ),
+            "workload spec line 10: mean_interarrival_secs must be finite, > 0 and below \
+             1.8e13 s, got 1e300",
+        ),
+        (
+            "gap-infinite",
+            (
+                "\"mean_interarrival_secs\": 30.0",
+                "\"mean_interarrival_secs\": 1e309".to_string(),
+            ),
+            "workload spec line 10: mean_interarrival_secs must be finite, > 0 and below \
+             1.8e13 s, got inf",
+        ),
     ] {
         let text = spec.replace(from, &to);
         assert_ne!(text, spec, "{from:?} occurs in the example");

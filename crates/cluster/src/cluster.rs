@@ -216,7 +216,7 @@ impl Cluster {
     /// profile has an MTBF, there is a live job to disturb, and at least
     /// one node is still up. No-op (and no RNG draw) otherwise.
     fn arm_fault_tick<E: From<ClusterEvent>>(&mut self, ctx: &mut Context<'_, E>) {
-        if self.fault_tick_armed || !self.has_live_jobs() || !self.any_node_up() {
+        if self.fault_tick_armed || !self.has_live_jobs() || !self.alloc.any_node_up() {
             return;
         }
         if let Some(gap) = self.fault.as_mut().and_then(|f| f.next_crash_gap()) {
@@ -227,10 +227,6 @@ impl Cluster {
 
     fn has_live_jobs(&self) -> bool {
         self.jobs.iter().any(|r| !r.job.state.is_terminal())
-    }
-
-    fn any_node_up(&self) -> bool {
-        (0..self.alloc.nodes()).any(|n| !self.alloc.is_down(n))
     }
 
     /// Draws whether the unit execution being started fails (consulted by

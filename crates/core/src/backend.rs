@@ -228,4 +228,21 @@ pub trait ExecutionBackend {
 
     /// Backend-side report figures.
     fn stats(&self) -> BackendStats;
+
+    /// Takes back the vector a [`Poll::Events`] carried, drained, so the
+    /// next poll can reuse it instead of allocating. The default drops it.
+    fn recycle_events(&mut self, _events: Vec<BackendEvent>) {}
+}
+
+/// Most entries a reused scratch vector keeps its capacity for between
+/// uses. A larger one (a 10^5-task batch) is freed with its batch instead
+/// of staying resident for the rest of the session.
+pub(crate) const SCRATCH_KEEP: usize = 4_096;
+
+/// Empties `buf` for its next use, freeing it if a large batch grew it.
+pub(crate) fn recycle<T>(buf: &mut Vec<T>) {
+    buf.clear();
+    if buf.capacity() > SCRATCH_KEEP {
+        *buf = Vec::new();
+    }
 }

@@ -45,7 +45,9 @@
 //! runtime notifications into [`BackendEvent`]s and units into simulated
 //! work.
 
-use crate::backend::{BackendEvent, BackendStats, ExecutionBackend, Poll, UnitOutcome, UnitSpec};
+use crate::backend::{
+    recycle, BackendEvent, BackendStats, ExecutionBackend, Poll, UnitOutcome, UnitSpec,
+};
 use crate::binding::{BindingPolicy, StaticBinding};
 use entk_cluster::{ClusterEvent, FaultProfile, PlatformSpec};
 use entk_kernels::{KernelCall, KernelRegistry};
@@ -377,7 +379,28 @@ fn translate_notes(
 struct PreparedUnit {
     uid: u64,
     cluster: usize,
-    description: Option<UnitDescription>,
+    description: UnitDescription,
+    /// The member runtime's unit id, once committed.
+    unit: Option<u64>,
+}
+
+/// What `prepare_batch` and `commit_batch` work in, kept from one batch to
+/// the next so that a batch allocates nothing here. Each vector is emptied
+/// for its next use and freed if a large batch grew it (see [`recycle`]).
+#[derive(Default)]
+struct BatchScratch {
+    /// Units staged by the last prepare, in batch order.
+    prepared: Vec<PreparedUnit>,
+    /// Free cores per member when the batch was prepared.
+    free: Vec<usize>,
+    /// `free` less the cores of the batch's units placed so far.
+    remaining: Vec<i64>,
+    /// Largest unit per member.
+    max_unit: Vec<usize>,
+    /// Members with a pilot that may still serve.
+    alive: Vec<bool>,
+    /// One member's staged descriptions, submitted in one call.
+    descriptions: Vec<UnitDescription>,
 }
 
 /// The discrete-event [`ExecutionBackend`]: one member cluster for
@@ -395,7 +418,10 @@ pub(crate) struct EventBackend {
     /// The session-wide virtual clock: the time of the last processed event
     /// across all clusters.
     global_now: SimTime,
-    prepared: Vec<PreparedUnit>,
+    scratch: BatchScratch,
+    /// The drained vector of the last [`Poll::Events`], handed back by the
+    /// session for the next poll to fill.
+    spare_events: Vec<BackendEvent>,
     /// Conservative-lookahead merge state; `Some` iff there are ≥ 2 member
     /// clusters.
     fed: Option<FedState>,
@@ -406,6 +432,8 @@ impl EventBackend {
     /// records into a subject-offset view of one shared telemetry pipeline,
     /// so the session trace stays a single chronologically interleaved
     /// record with collision-free entity ids; member 0's offsets are zero.
+    /// Members of a federation buffer their ops only while telemetry is on:
+    /// a disabled handle records nothing, so there is no log to lock.
     /// `lookahead` is the run-phase window width of the merge (unused with
     /// one member).
     pub(crate) fn new(
@@ -430,7 +458,7 @@ impl EventBackend {
                     job: i as u64 * 1_000_000_000,
                     node: i as u64 * 1_000_000,
                 };
-                let (handle, buffer) = if multi {
+                let (handle, buffer) = if multi && init.runtime_config.telemetry {
                     let (h, b) = telemetry.buffered(offsets);
                     (h, Some(b))
                 } else {
@@ -470,7 +498,8 @@ impl EventBackend {
             total_cores,
             telemetry,
             global_now: SimTime::ZERO,
-            prepared: Vec::new(),
+            scratch: BatchScratch::default(),
+            spare_events: Vec::new(),
             fed,
         }
     }
@@ -628,7 +657,7 @@ impl EventBackend {
     /// one-event-per-poll granularity.
     fn step_spine(&mut self, fed: &mut FedState) -> Poll {
         let mut spine = std::mem::take(&mut fed.spine);
-        let mut events = Vec::new();
+        let mut events = std::mem::take(&mut self.spare_events);
         spine.run_bounded(1, SimTime::MAX, &mut |ev, ctx| {
             let now = ctx.now();
             match ev {
@@ -783,7 +812,7 @@ impl ExecutionBackend for EventBackend {
             return Poll::Drained;
         }
         let mut engine = std::mem::take(&mut self.clusters[0].engine);
-        let mut events = Vec::new();
+        let mut events = std::mem::take(&mut self.spare_events);
         engine.run_bounded(1, SimTime::MAX, &mut |ev, ctx| {
             self.handle_ev(ev, ctx, &mut events);
         });
@@ -793,28 +822,35 @@ impl ExecutionBackend for EventBackend {
     }
 
     fn prepare_batch(&mut self, specs: &[UnitSpec], rng: &mut SimRng) -> Vec<Option<String>> {
-        self.prepared.clear();
         let batch_size = specs.len();
+        let BatchScratch {
+            prepared,
+            free,
+            remaining,
+            max_unit,
+            alive,
+            ..
+        } = &mut self.scratch;
+        recycle(prepared);
+        // Sized once: a large batch grown by doubling leaves a trail of
+        // freed blocks that raises the resident high-water mark.
+        prepared.reserve(batch_size);
         // Free-capacity snapshots: `free` (what binding policies see) stays
         // fixed for the whole batch, exactly as the single-cluster driver
         // snapshotted it once per submission; `remaining` additionally
         // tracks in-batch commitments to spread a federated batch.
-        let free: Vec<usize> = self
-            .clusters
-            .iter()
-            .map(|c| c.runtime.free_cores())
-            .collect();
-        let mut remaining: Vec<i64> = free.iter().map(|&f| f as i64).collect();
-        let max_unit: Vec<usize> = self
-            .clusters
-            .iter()
-            .map(ClusterStack::max_unit_cores)
-            .collect();
-        let alive: Vec<bool> = self
-            .clusters
-            .iter()
-            .map(|c| !c.pilots.is_empty() && c.dead_pilots.len() < c.pilots.len())
-            .collect();
+        free.clear();
+        free.extend(self.clusters.iter().map(|c| c.runtime.free_cores()));
+        remaining.clear();
+        remaining.extend(free.iter().map(|&f| f as i64));
+        max_unit.clear();
+        max_unit.extend(self.clusters.iter().map(ClusterStack::max_unit_cores));
+        alive.clear();
+        alive.extend(
+            self.clusters
+                .iter()
+                .map(|c| !c.pilots.is_empty() && c.dead_pilots.len() < c.pilots.len()),
+        );
         let mut verdicts = Vec::with_capacity(batch_size);
         for spec in specs {
             let call: &KernelCall = &spec.kernel;
@@ -825,7 +861,7 @@ impl ExecutionBackend for EventBackend {
                     continue;
                 }
             };
-            let c = Self::pick_cluster(&remaining, &alive);
+            let c = Self::pick_cluster(remaining, alive);
             let bound_cores = self
                 .binding
                 .bind(&spec.stage, call.cores, free[c], batch_size)
@@ -843,15 +879,9 @@ impl ExecutionBackend for EventBackend {
                 cores: bound_cores,
                 mpi: call.mpi || bound_cores > 1,
                 duration: plan.duration,
-                input_staging: Vec::new(),
-                output_staging: Vec::new(),
+                input_bytes: plan.input_bytes,
+                output_bytes: plan.output_bytes,
             };
-            if plan.input_bytes > 0 {
-                ud = ud.with_input("input", plan.input_bytes);
-            }
-            if plan.output_bytes > 0 {
-                ud = ud.with_output("output", plan.output_bytes);
-            }
             if ud.validate().is_err() {
                 // Nothing but this rejection ever prints a simulated
                 // unit's name, so only this path pays for formatting it.
@@ -860,10 +890,11 @@ impl ExecutionBackend for EventBackend {
                 continue;
             }
             remaining[c] -= bound_cores as i64;
-            self.prepared.push(PreparedUnit {
+            prepared.push(PreparedUnit {
                 uid: spec.uid,
                 cluster: c,
-                description: Some(ud),
+                description: ud,
+                unit: None,
             });
             verdicts.push(None);
         }
@@ -871,21 +902,20 @@ impl ExecutionBackend for EventBackend {
     }
 
     fn commit_batch(&mut self) -> Vec<(u64, u64)> {
-        let mut prepared = std::mem::take(&mut self.prepared);
-        if prepared.is_empty() {
-            return Vec::new();
-        }
-        let mut fed = self.fed.take();
-        let mut out: Vec<Option<(u64, u64)>> = vec![None; prepared.len()];
+        let BatchScratch {
+            prepared,
+            descriptions,
+            ..
+        } = &mut self.scratch;
+        descriptions.reserve(prepared.len());
         for c in 0..self.clusters.len() {
-            let mut descriptions = Vec::new();
-            let mut positions = Vec::new();
-            for (pos, p) in prepared.iter_mut().enumerate() {
-                if p.cluster == c {
-                    descriptions.push(p.description.take().expect("prepared unit staged once"));
-                    positions.push(pos);
-                }
-            }
+            descriptions.clear();
+            descriptions.extend(
+                prepared
+                    .iter()
+                    .filter(|p| p.cluster == c)
+                    .map(|p| p.description.clone()),
+            );
             if descriptions.is_empty() {
                 continue;
             }
@@ -893,34 +923,36 @@ impl ExecutionBackend for EventBackend {
             // during prepare, so the runtime cannot reject the batch; the
             // submission notifications are only `UnitState::New` markers,
             // which the session never acted on.
-            let mut notes = Vec::new();
             let stack = &mut self.clusters[c];
             stack.engine.advance_to(self.global_now);
             let mut ctx = stack.engine.context();
             match stack
                 .runtime
-                .submit_units(descriptions, &mut ctx, &mut notes)
+                .submit_units(&*descriptions, &mut ctx, &mut stack.notes)
             {
                 Ok(ids) => {
-                    for (id, &pos) in ids.into_iter().zip(&positions) {
-                        out[pos] = Some((prepared[pos].uid, id.0));
+                    let staged = prepared.iter_mut().filter(|p| p.cluster == c);
+                    for (p, id) in staged.zip(ids) {
+                        p.unit = Some(id);
                     }
                 }
                 Err(e) => {
                     debug_assert!(false, "descriptions validated in prepare: {e}");
                 }
             }
-            if let Some(f) = fed.as_mut() {
-                f.push_injection(&mut self.clusters[c], c);
+            stack.notes.clear();
+            if let Some(f) = self.fed.as_mut() {
+                f.push_injection(stack, c);
             }
         }
-        self.fed = fed;
         let n = self.clusters.len() as u64;
-        prepared
+        let keys = prepared
             .iter()
-            .enumerate()
-            .filter_map(|(pos, p)| out[pos].map(|(uid, raw)| (uid, raw * n + p.cluster as u64)))
-            .collect()
+            .filter_map(|p| p.unit.map(|raw| (p.uid, raw * n + p.cluster as u64)))
+            .collect();
+        recycle(prepared);
+        recycle(descriptions);
+        keys
     }
 
     fn arm_timeout(&mut self, uid: u64, timeout: SimDuration) {
@@ -999,6 +1031,11 @@ impl ExecutionBackend for EventBackend {
     fn schedule_clock_mark(&mut self, delay: SimDuration) {
         let t = self.global_now + delay;
         self.session_engine().schedule_at(t, Ev::Nop);
+    }
+
+    fn recycle_events(&mut self, mut events: Vec<BackendEvent>) {
+        recycle(&mut events);
+        self.spare_events = events;
     }
 
     fn stats(&self) -> BackendStats {

@@ -7,7 +7,7 @@
 //! assembly. The backend-specific half — how units execute and what the
 //! clock is — sits behind [`ExecutionBackend`]; see [`crate::backend`].
 
-use crate::backend::{BackendEvent, ExecutionBackend, Poll, UnitSpec, RETRY_BATCH};
+use crate::backend::{recycle, BackendEvent, ExecutionBackend, Poll, UnitSpec, RETRY_BATCH};
 use crate::error::EntkError;
 use crate::fault::FaultConfig;
 use crate::overheads::EntkOverheads;
@@ -108,6 +108,9 @@ pub struct SessionEngine {
     outbox: Vec<Outbound>,
     /// Task results awaiting delivery to the pattern.
     pending_results: Vec<TaskResult>,
+    /// The unit specs of the batch being submitted, kept from one batch to
+    /// the next.
+    specs: Vec<UnitSpec>,
     state: SessionState,
 }
 
@@ -141,6 +144,7 @@ impl SessionEngine {
             clock_marked: false,
             outbox: Vec::new(),
             pending_results: Vec::new(),
+            specs: Vec::new(),
             state: SessionState::Created,
         }
     }
@@ -338,21 +342,31 @@ impl SessionEngine {
     /// trace expect.
     fn submit_batch(&mut self, uids: Vec<u64>, backend: &mut dyn ExecutionBackend) {
         let now = backend.now();
-        let specs: Vec<UnitSpec> = uids
-            .iter()
-            .filter_map(|&uid| {
-                let entry = self.tasks.get(uid)?;
-                Some(UnitSpec {
-                    uid,
-                    stage: entry.record.stage.clone(),
-                    kernel: entry.kernel.clone()?,
-                })
+        let mut specs = std::mem::take(&mut self.specs);
+        specs.reserve(uids.len());
+        specs.extend(uids.iter().filter_map(|&uid| {
+            let entry = self.tasks.get(uid)?;
+            Some(UnitSpec {
+                uid,
+                stage: entry.record.stage.clone(),
+                kernel: entry.kernel.clone()?,
             })
-            .collect();
-        if specs.is_empty() {
-            return;
+        }));
+        if !specs.is_empty() {
+            self.submit_specs(&specs, now, backend);
         }
-        let verdicts = backend.prepare_batch(&specs, &mut self.rng);
+        recycle(&mut specs);
+        self.specs = specs;
+    }
+
+    /// The prepare/commit half of [`Self::submit_batch`].
+    fn submit_specs(
+        &mut self,
+        specs: &[UnitSpec],
+        now: SimTime,
+        backend: &mut dyn ExecutionBackend,
+    ) {
+        let verdicts = backend.prepare_batch(specs, &mut self.rng);
         debug_assert_eq!(verdicts.len(), specs.len());
         for (spec, verdict) in specs.iter().zip(&verdicts) {
             if verdict.is_some() {
@@ -540,11 +554,11 @@ impl SessionEngine {
     /// and queue insertions stay deterministic.
     fn process_events<'a, 'b>(
         &mut self,
-        events: Vec<BackendEvent>,
+        mut events: Vec<BackendEvent>,
         backend: &mut dyn ExecutionBackend,
         pattern: Option<&'a mut (dyn ExecutionPattern + 'b)>,
     ) {
-        for event in events {
+        for event in events.drain(..) {
             match event {
                 BackendEvent::BatchReady { batch, uids } => {
                     if batch != RETRY_BATCH {
@@ -595,6 +609,7 @@ impl SessionEngine {
                 }
             }
         }
+        backend.recycle_events(events);
         if let Some(p) = pattern {
             self.deliver_results(p, backend.now(), backend.virtual_time());
         }

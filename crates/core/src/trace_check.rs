@@ -7,8 +7,7 @@
 //! is wrong, so bench binaries assert the match on every figure run.
 
 use crate::report::{ExecutionReport, OverheadBreakdown};
-use entk_sim::{SimDuration, SimTime, Subject, Tracer};
-use std::collections::HashMap;
+use entk_sim::{DenseStore, SimDuration, SimTime, Subject, Tracer};
 
 /// Re-derives the paper's overhead decomposition from trace timestamps.
 ///
@@ -23,29 +22,46 @@ use std::collections::HashMap;
 ///   the wall time since that task's last `task_submitted`; each
 ///   `task_retry` (stamped at backoff completion) charges the backoff since
 ///   the preceding `task_attempt_failed`.
+///
+/// One walk over the records: every mark is the first record of its name
+/// and subject, and a pilot's marks follow its submission in append order
+/// (the pilot runtime records a pilot's states in lifecycle order). Batch
+/// ids and task uids are dense, so the per-id instants live in slabs.
 pub fn breakdown_from_trace(tracer: &Tracer) -> OverheadBreakdown {
-    let t = |name: &str| tracer.time_of("entk", name, Subject::Session);
     let span = |start: Option<SimTime>, end: Option<SimTime>| {
         end.zip(start)
             .map(|(e, s)| e.saturating_since(s))
             .unwrap_or(SimDuration::ZERO)
     };
-    let core = span(t("session_start"), t("resource_ready"))
-        + span(t("teardown_start"), t("teardown_done"));
-
-    let mut created: HashMap<u64, SimTime> = HashMap::new();
+    let mut session_start = None;
+    let mut resource_ready = None;
+    let mut teardown_start = None;
+    let mut teardown_done = None;
+    let mut first_pilot: Option<(u64, SimTime)> = None;
+    let mut pilot_launched = None;
+    let mut pilot_active = None;
+    let mut created: DenseStore<SimTime> = DenseStore::new();
     let mut pattern = SimDuration::ZERO;
-    let mut first_pilot: Option<u64> = None;
-    let mut last_sub: HashMap<u64, SimTime> = HashMap::new();
-    let mut last_fail: HashMap<u64, SimTime> = HashMap::new();
+    let mut last_sub: DenseStore<SimTime> = DenseStore::new();
+    let mut last_fail: DenseStore<SimTime> = DenseStore::new();
     let mut failure_lost = SimDuration::ZERO;
     for r in tracer.records() {
         match (r.layer, r.name, r.subject) {
+            ("entk", name, Subject::Session) => {
+                let mark = match name {
+                    "session_start" => &mut session_start,
+                    "resource_ready" => &mut resource_ready,
+                    "teardown_start" => &mut teardown_start,
+                    "teardown_done" => &mut teardown_done,
+                    _ => continue,
+                };
+                mark.get_or_insert(r.time);
+            }
             ("entk", "tasks_created", Subject::Batch(b)) => {
                 created.insert(b, r.time);
             }
             ("entk", "tasks_submitted", Subject::Batch(b)) => {
-                if let Some(c) = created.remove(&b) {
+                if let Some(c) = created.remove(b) {
                     pattern += r.time.saturating_since(c);
                 }
             }
@@ -57,36 +73,35 @@ pub fn breakdown_from_trace(tracer: &Tracer) -> OverheadBreakdown {
             // always the matching failure even though the stamp lies in the
             // future.
             ("entk", "task_attempt_failed", Subject::Task(uid)) => {
-                let s = last_sub.remove(&uid).unwrap_or(r.time);
+                let s = last_sub.remove(uid).unwrap_or(r.time);
                 failure_lost += r.time.saturating_since(s);
                 last_fail.insert(uid, r.time);
             }
             ("entk", "task_retry", Subject::Task(uid)) => {
-                let f = last_fail.remove(&uid).unwrap_or(r.time);
+                let f = last_fail.remove(uid).unwrap_or(r.time);
                 failure_lost += r.time.saturating_since(f);
             }
             ("pilot", "pilot_submitted", Subject::Pilot(p)) => {
-                first_pilot.get_or_insert(p);
+                first_pilot.get_or_insert((p, r.time));
+            }
+            ("pilot", name, Subject::Pilot(p)) if first_pilot.is_some_and(|(f, _)| f == p) => {
+                let mark = match name {
+                    "pilot_launched" => &mut pilot_launched,
+                    "pilot_active" => &mut pilot_active,
+                    _ => continue,
+                };
+                mark.get_or_insert(r.time);
             }
             _ => {}
         }
     }
 
-    let (runtime_pilot, resource_wait) = first_pilot
-        .map(|p| {
-            let pt = |name: &str| tracer.time_of("pilot", name, Subject::Pilot(p));
-            (
-                span(pt("pilot_submitted"), pt("pilot_launched")),
-                span(pt("pilot_launched"), pt("pilot_active")),
-            )
-        })
-        .unwrap_or((SimDuration::ZERO, SimDuration::ZERO));
-
+    let submitted = first_pilot.map(|(_, t)| t);
     OverheadBreakdown {
-        core,
+        core: span(session_start, resource_ready) + span(teardown_start, teardown_done),
         pattern,
-        runtime_pilot,
-        resource_wait,
+        runtime_pilot: span(submitted, pilot_launched),
+        resource_wait: span(pilot_launched, pilot_active),
         failure_lost,
     }
 }
@@ -132,16 +147,20 @@ pub fn cross_check(report: &ExecutionReport, tracer: &Tracer) -> CrossCheck {
     let derived = breakdown_from_trace(tracer);
     let accounted = report.overheads;
     let diff = |d: SimDuration, a: SimDuration| (d.as_secs_f64() - a.as_secs_f64()).abs();
-    let mut errs = vec![
+    let pattern = if report.partial {
+        0.0
+    } else {
+        diff(derived.pattern, accounted.pattern)
+    };
+    let max_abs_error_secs = [
         diff(derived.core, accounted.core),
         diff(derived.runtime_pilot, accounted.runtime_pilot),
         diff(derived.resource_wait, accounted.resource_wait),
         diff(derived.failure_lost, accounted.failure_lost),
-    ];
-    if !report.partial {
-        errs.push(diff(derived.pattern, accounted.pattern));
-    }
-    let max_abs_error_secs = errs.iter().copied().fold(0.0, f64::max);
+        pattern,
+    ]
+    .into_iter()
+    .fold(0.0, f64::max);
     CrossCheck {
         derived,
         accounted,
@@ -278,5 +297,62 @@ mod end_to_end_tests {
             telemetry.metrics.counter("entk.retries"),
             u64::from(report.total_retries)
         );
+    }
+
+    /// The one walk reads each session and pilot mark where a scan for it
+    /// finds it, the first record of its name and subject, on a faulty
+    /// two-member federation and a split-pilot simulated session.
+    #[test]
+    fn one_walk_reads_the_marks_a_scan_finds() {
+        use crate::resource::{run_federated_traced, ClusterSpec, FederatedConfig, PilotStrategy};
+        let fault = FaultConfig {
+            max_retries: 3,
+            ..Default::default()
+        };
+        let member = |resource: &str| ClusterSpec {
+            unit_failure_rate: 0.3,
+            pilots: 2,
+            ..ClusterSpec::new(resource, 16, SimDuration::from_secs(3600))
+        };
+        let federated = FederatedConfig {
+            fault,
+            clusters: vec![member("xsede.comet"), member("xsede.stampede")],
+            ..Default::default()
+        };
+        let simulated = SimulatedConfig {
+            pilot_strategy: PilotStrategy::split(3),
+            ..Default::default()
+        };
+        let config = ResourceConfig::new("xsede.comet", 24, SimDuration::from_secs(3600));
+        for (report, telemetry) in [
+            run_federated_traced(federated, &mut pattern(40)).unwrap(),
+            run_simulated_traced(config, simulated, &mut pattern(40)).unwrap(),
+        ] {
+            let tracer = &telemetry.tracer;
+            let t = |name| tracer.time_of("entk", name, Subject::Session);
+            let span =
+                |s: Option<SimTime>, e: Option<SimTime>| e.unwrap().saturating_since(s.unwrap());
+            let pilot = tracer
+                .filter("pilot", "pilot_submitted")
+                .next()
+                .unwrap()
+                .subject;
+            let p = |name| tracer.time_of("pilot", name, pilot);
+            let derived = breakdown_from_trace(tracer);
+            assert_eq!(
+                derived.core,
+                span(t("session_start"), t("resource_ready"))
+                    + span(t("teardown_start"), t("teardown_done"))
+            );
+            assert_eq!(
+                derived.runtime_pilot,
+                span(p("pilot_submitted"), p("pilot_launched"))
+            );
+            assert_eq!(
+                derived.resource_wait,
+                span(p("pilot_launched"), p("pilot_active"))
+            );
+            cross_check(&report, tracer).assert_ok();
+        }
     }
 }

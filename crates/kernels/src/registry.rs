@@ -8,9 +8,14 @@ use crate::md::{ExchangeKernel, MdKernel};
 use crate::misc::{CcountKernel, MkfileKernel, SleepKernel, StressKernel};
 use crate::plugin::{KernelError, KernelPlugin};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A shared, thread-safe kernel registry.
+///
+/// The built-in table is built once per process and shared behind an
+/// [`Arc`]: [`KernelRegistry::with_builtins`] clones a pointer, and
+/// [`KernelRegistry::register`] copies the table on write, so a custom
+/// registry never changes the shared one.
 ///
 /// ```
 /// use entk_kernels::KernelRegistry;
@@ -25,36 +30,42 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone)]
 pub struct KernelRegistry {
-    plugins: HashMap<String, Arc<dyn KernelPlugin>>,
+    plugins: Arc<HashMap<String, Arc<dyn KernelPlugin>>>,
 }
 
 impl KernelRegistry {
     /// An empty registry.
     pub fn empty() -> Self {
         KernelRegistry {
-            plugins: HashMap::new(),
+            plugins: Arc::default(),
         }
     }
 
     /// A registry with every built-in kernel.
     pub fn with_builtins() -> Self {
-        let mut r = Self::empty();
-        r.register(Arc::new(MkfileKernel));
-        r.register(Arc::new(CcountKernel));
-        r.register(Arc::new(SleepKernel));
-        r.register(Arc::new(StressKernel));
-        r.register(Arc::new(MdKernel::amber()));
-        r.register(Arc::new(MdKernel::gromacs()));
-        r.register(Arc::new(ExchangeKernel));
-        r.register(Arc::new(CocoKernel));
-        r.register(Arc::new(LsdmapKernel));
-        r.register(Arc::new(WhamKernel));
-        r
+        static BUILTINS: OnceLock<KernelRegistry> = OnceLock::new();
+        BUILTINS
+            .get_or_init(|| {
+                let mut r = Self::empty();
+                r.register(Arc::new(MkfileKernel));
+                r.register(Arc::new(CcountKernel));
+                r.register(Arc::new(SleepKernel));
+                r.register(Arc::new(StressKernel));
+                r.register(Arc::new(MdKernel::amber()));
+                r.register(Arc::new(MdKernel::gromacs()));
+                r.register(Arc::new(ExchangeKernel));
+                r.register(Arc::new(CocoKernel));
+                r.register(Arc::new(LsdmapKernel));
+                r.register(Arc::new(WhamKernel));
+                r
+            })
+            .clone()
     }
 
-    /// Registers (or replaces) a plugin under its own name.
+    /// Registers (or replaces) a plugin under its own name. The table is
+    /// copied first if another registry shares it.
     pub fn register(&mut self, plugin: Arc<dyn KernelPlugin>) {
-        self.plugins.insert(plugin.name().to_string(), plugin);
+        Arc::make_mut(&mut self.plugins).insert(plugin.name().to_string(), plugin);
     }
 
     /// Looks up a plugin.
@@ -151,5 +162,13 @@ mod tests {
         let mut r = KernelRegistry::empty();
         r.register(Arc::new(Custom));
         assert!(r.get("custom.k").is_ok());
+        // Registering on a copy of the shared built-in table leaves the
+        // table every other registry sees as it was.
+        let mut custom = KernelRegistry::with_builtins();
+        custom.register(Arc::new(Custom));
+        assert!(custom.get("custom.k").is_ok());
+        assert_eq!(custom.names().len(), 11);
+        assert!(KernelRegistry::with_builtins().get("custom.k").is_err());
+        assert_eq!(KernelRegistry::with_builtins().names().len(), 10);
     }
 }

@@ -46,26 +46,6 @@ impl PilotDescription {
     }
 }
 
-/// Direction of a staging directive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StagingDirection {
-    /// Move data to the resource before execution.
-    In,
-    /// Move data from the resource after execution.
-    Out,
-}
-
-/// A data-movement directive attached to a unit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StagingDirective {
-    /// Logical file label.
-    pub label: String,
-    /// Payload size in bytes (drives modelled transfer time).
-    pub bytes: u64,
-    /// Transfer direction.
-    pub direction: StagingDirection,
-}
-
 /// Request for one compute unit (task).
 #[derive(Debug, Clone)]
 pub struct UnitDescription {
@@ -79,10 +59,10 @@ pub struct UnitDescription {
     /// from the kernel's plan. (Real kernels never become units; they run
     /// under `fork://`.)
     pub duration: SimDuration,
-    /// Input staging directives.
-    pub input_staging: Vec<StagingDirective>,
-    /// Output staging directives.
-    pub output_staging: Vec<StagingDirective>,
+    /// Bytes staged in before execution (drives modelled transfer time).
+    pub input_bytes: u64,
+    /// Bytes staged out after execution.
+    pub output_bytes: u64,
 }
 
 impl UnitDescription {
@@ -93,8 +73,8 @@ impl UnitDescription {
             cores: 1,
             mpi: false,
             duration,
-            input_staging: Vec::new(),
-            output_staging: Vec::new(),
+            input_bytes: 0,
+            output_bytes: 0,
         }
     }
 
@@ -110,26 +90,6 @@ impl UnitDescription {
         self
     }
 
-    /// Adds an input staging directive (builder style).
-    pub fn with_input(mut self, label: impl Into<String>, bytes: u64) -> Self {
-        self.input_staging.push(StagingDirective {
-            label: label.into(),
-            bytes,
-            direction: StagingDirection::In,
-        });
-        self
-    }
-
-    /// Adds an output staging directive (builder style).
-    pub fn with_output(mut self, label: impl Into<String>, bytes: u64) -> Self {
-        self.output_staging.push(StagingDirective {
-            label: label.into(),
-            bytes,
-            direction: StagingDirection::Out,
-        });
-        self
-    }
-
     /// Validates the description.
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
@@ -142,16 +102,6 @@ impl UnitDescription {
             ));
         }
         Ok(())
-    }
-
-    /// Total bytes staged in.
-    pub fn input_bytes(&self) -> u64 {
-        self.input_staging.iter().map(|s| s.bytes).sum()
-    }
-
-    /// Total bytes staged out.
-    pub fn output_bytes(&self) -> u64 {
-        self.output_staging.iter().map(|s| s.bytes).sum()
     }
 }
 
@@ -178,16 +128,13 @@ mod tests {
     }
 
     #[test]
-    fn unit_builder_accumulates_staging() {
+    fn unit_builder_sets_cores_and_mpi() {
         let u = UnitDescription::modeled("sim", SimDuration::from_secs(6))
             .with_cores(16)
-            .with_mpi(true)
-            .with_input("coords.crd", 1 << 20)
-            .with_output("traj.nc", 4 << 20);
+            .with_mpi(true);
         assert_eq!(u.cores, 16);
         assert!(u.mpi);
-        assert_eq!(u.input_bytes(), 1 << 20);
-        assert_eq!(u.output_bytes(), 4 << 20);
+        assert_eq!((u.input_bytes, u.output_bytes), (0, 0));
         assert!(u.validate().is_ok());
     }
 

@@ -17,7 +17,7 @@ pub mod scheduler;
 pub mod sim_runtime;
 pub mod states;
 
-pub use description::{PilotDescription, StagingDirection, StagingDirective, UnitDescription};
+pub use description::{PilotDescription, UnitDescription};
 pub use overheads::RuntimeOverheads;
 pub use scheduler::{
     FirstFitScheduler, LargestFirstScheduler, PilotView, Placement, RoundRobinScheduler,

@@ -13,14 +13,16 @@ use crate::states::{PilotId, PilotState, UnitId, UnitState};
 use entk_cluster::{Cluster, ClusterEvent, FifoScheduler, PlatformSpec};
 use entk_saga::{JobDescription, JobState, JobUpdate, SagaJobId, SimJobService};
 use entk_sim::{Context, DenseStore, SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
+use std::ops::Range;
 
 /// Events the runtime schedules for itself.
 #[derive(Debug, Clone)]
 pub enum RuntimeEvent {
     /// Pilot submission overhead paid; hand the container job to SAGA.
     PilotSubmitted(PilotId),
-    /// Unit submission overhead paid; units enter scheduling.
-    UnitsSubmitted(Vec<UnitId>),
+    /// Unit submission overhead paid; the units of this contiguous raw id
+    /// range (one [`SimRuntime::submit_units`] call) enter scheduling.
+    UnitsSubmitted(Range<u64>),
     /// Run a unit-scheduler pass.
     SchedulePass,
     /// A unit's input staging finished.
@@ -119,8 +121,8 @@ struct PilotRecord {
 }
 
 /// One row of the unit table. Of the submitted description it keeps the
-/// four numbers virtual-time execution reads — not the name, the staging
-/// lists or a real closure, which nothing here runs. Of the unit's lifecycle
+/// four numbers virtual-time execution reads — not the name or a real
+/// closure, which nothing here runs. Of the unit's lifecycle
 /// it keeps the one instant a caller asks for after the fact; the trace is
 /// the record of the rest.
 struct UnitRecord {
@@ -351,18 +353,20 @@ impl SimRuntime {
     }
 
     /// Submits a batch of units. Per-call and per-unit submission overheads
-    /// are paid before the units become schedulable.
+    /// are paid before the units become schedulable. Returns the contiguous
+    /// range of raw [`UnitId`]s assigned, in description order.
     pub fn submit_units<E: RuntimeEventSink>(
         &mut self,
-        descriptions: Vec<UnitDescription>,
+        descriptions: impl AsRef<[UnitDescription]>,
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
-    ) -> Result<Vec<UnitId>, String> {
-        let mut ids = Vec::with_capacity(descriptions.len());
-        for d in &descriptions {
+    ) -> Result<Range<u64>, String> {
+        let descriptions = descriptions.as_ref();
+        for d in descriptions {
             d.validate()?;
         }
         let n = descriptions.len() as u64;
+        let ids = self.next_unit..self.next_unit + n;
         entk_sim::reserve_batch(&mut self.units, descriptions.len());
         for description in descriptions {
             let id = UnitId(self.next_unit);
@@ -371,8 +375,8 @@ impl SimRuntime {
             self.units.push(UnitRecord {
                 cores: description.cores,
                 duration: description.duration,
-                input_bytes: description.input_bytes(),
-                output_bytes: description.output_bytes(),
+                input_bytes: description.input_bytes,
+                output_bytes: description.output_bytes,
                 state: UnitState::New,
                 pilot: None,
                 holding: 0,
@@ -391,7 +395,6 @@ impl SimRuntime {
                 time: ctx.now(),
                 detail: None,
             });
-            ids.push(id);
         }
         self.telemetry
             .gauge("pilot.live_units", ctx.now(), self.live as f64);
@@ -494,8 +497,8 @@ impl SimRuntime {
         match event {
             RuntimeEvent::PilotSubmitted(id) => self.on_pilot_submitted(id, ctx, out),
             RuntimeEvent::UnitsSubmitted(ids) => {
-                entk_sim::reserve_batch(&mut self.waiting, ids.len());
-                for id in ids {
+                entk_sim::reserve_batch(&mut self.waiting, (ids.end - ids.start) as usize);
+                for id in ids.map(UnitId) {
                     if self.units[id.0 as usize].state != UnitState::New {
                         continue;
                     }
@@ -1186,9 +1189,11 @@ pub(crate) mod tests {
 
     #[test]
     fn staging_adds_time_and_states() {
-        let units = vec![UnitDescription::modeled("st", SimDuration::from_secs(1))
-            .with_input("in.dat", 50_000_000) // 10 ms at 5 GB/s
-            .with_output("out.dat", 50_000_000)];
+        let units = vec![UnitDescription {
+            input_bytes: 50_000_000, // 10 ms at 5 GB/s
+            output_bytes: 50_000_000,
+            ..UnitDescription::modeled("st", SimDuration::from_secs(1))
+        }];
         let (log, _) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
         let states: Vec<UnitState> = log
             .iter()
@@ -1340,7 +1345,7 @@ pub(crate) mod tests {
                         &mut out,
                     )
                     .unwrap();
-                rt.cancel_unit(ids[0], ctx, &mut out);
+                rt.cancel_unit(UnitId(ids.start), ctx, &mut out);
             }
             match ev {
                 Ev::Rt(re) => rt.handle(re, ctx, &mut out),
@@ -1481,7 +1486,10 @@ mod tracer_tests {
             .map(|i| {
                 let unit = UnitDescription::modeled(format!("t{i}"), SimDuration::from_secs(5));
                 match i % 4 {
-                    0 => unit.with_output("out.dat", 1_000_000),
+                    0 => UnitDescription {
+                        output_bytes: 1_000_000,
+                        ..unit
+                    },
                     _ => unit,
                 }
             })

@@ -8,7 +8,7 @@
 
 use entk_core::prelude::*;
 use entk_core::EntkError;
-use entk_sim::{SimRng, SimTime};
+use entk_sim::{SimDuration, SimRng, SimTime};
 use serde_json::json;
 
 /// The pattern shapes a trace row may request.
@@ -397,20 +397,16 @@ impl WorkloadGenerator for OpenLoopProcess {
         match self.process {
             ArrivalProcess::Poisson {
                 mean_interarrival_secs,
-            } if mean_interarrival_secs.is_nan() || mean_interarrival_secs <= 0.0 => {
-                return Err(EntkError::Usage(
-                    "mean_interarrival_secs must be positive".into(),
-                ));
-            }
+            } => check_mean_gap("mean_interarrival_secs", mean_interarrival_secs)?,
             ArrivalProcess::Burst {
                 burst_size,
                 mean_gap_secs,
-            } if burst_size == 0 || mean_gap_secs.is_nan() || mean_gap_secs <= 0.0 => {
-                return Err(EntkError::Usage(
-                    "burst_size and mean_gap_secs must be positive".into(),
-                ));
+            } => {
+                if burst_size == 0 {
+                    return Err(EntkError::Usage("burst_size must be >= 1".into()));
+                }
+                check_mean_gap("mean_gap_secs", mean_gap_secs)?;
             }
-            _ => {}
         }
         Ok(Box::new(OpenLoopStream {
             spec: self.clone(),
@@ -421,6 +417,20 @@ impl WorkloadGenerator for OpenLoopProcess {
             next: 0,
         }))
     }
+}
+
+/// Refuses a mean gap between arrivals that the arrival clock cannot
+/// mean: not above zero, not finite, or not below [`SimDuration::MAX`]
+/// (about 1.8e13 s, the bound kernel durations have too), where a draw
+/// would clamp to the last instant the clock can name.
+pub(crate) fn check_mean_gap(key: &str, secs: f64) -> Result<(), EntkError> {
+    let max = SimDuration::MAX.as_secs_f64();
+    if secs > 0.0 && secs < max {
+        return Ok(());
+    }
+    Err(EntkError::Usage(format!(
+        "{key} must be finite, > 0 and below {max:.1e} s, got {secs:?}"
+    )))
 }
 
 /// Lazy pull state of a validated [`OpenLoopProcess`]. The draw order per
@@ -457,7 +467,19 @@ impl ArrivalStream for OpenLoopStream {
                 }
             }
         };
-        self.clock += entk_sim::SimDuration::from_secs_f64(gap_secs);
+        // A gap the clock cannot add is an error, not a clamp: a clamped
+        // clock would stamp every later session at the same last instant.
+        let max = SimDuration::MAX.as_secs_f64();
+        self.clock = (gap_secs < max)
+            .then(|| SimDuration::from_secs_f64(gap_secs).as_micros())
+            .and_then(|gap| self.clock.as_micros().checked_add(gap))
+            .map(SimTime::from_micros)
+            .ok_or_else(|| {
+                EntkError::Usage(format!(
+                    "arrival clock overflows at session {i}: a gap of {gap_secs:e} s \
+                     passes the last instant the clock can name"
+                ))
+            })?;
         let tenant = self.rng.index(self.spec.tenants as usize) as u64;
         // Heterogeneous mix: EoP-heavy, with SAL, EE and PST minorities
         // — matching the "ensembles dominate" framing of the paper.
@@ -563,6 +585,34 @@ mod tests {
         assert!(OpenLoopProcess::burst(1, 10, 16, 0, 30.0)
             .generate()
             .is_err());
+        for gap in [
+            f64::NAN,
+            f64::INFINITY,
+            1e300,
+            SimDuration::MAX.as_secs_f64(),
+        ] {
+            assert!(OpenLoopProcess::poisson(1, 10, 16, gap).stream().is_err());
+            assert!(OpenLoopProcess::burst(1, 10, 16, 2, gap).stream().is_err());
+        }
+    }
+
+    /// A mean gap below the bound can still carry the clock past its last
+    /// instant; the pull that would is an error, not a clamped arrival.
+    #[test]
+    fn an_overflowing_arrival_clock_is_an_error() {
+        let mut stream = OpenLoopProcess::poisson(1, 10, 16, 1e13).stream().unwrap();
+        let mut last = SimTime::ZERO;
+        let err = loop {
+            match stream.next_arrival() {
+                Ok(Some(row)) => {
+                    assert!(row.arrival >= last && row.arrival < SimTime::MAX);
+                    last = row.arrival;
+                }
+                Ok(None) => panic!("ten gaps of ~1e13 s overflow a 1.8e13 s clock"),
+                Err(e) => break e.to_string(),
+            }
+        };
+        assert!(err.contains("arrival clock overflows"), "{err}");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! a misspelt key at any depth fails the load with its line and the keys
 //! that exist instead of serving with the default it was meant to replace.
 
-use crate::arrival::{ArrivalStream, OpenLoopProcess, WorkloadGenerator};
+use crate::arrival::{check_mean_gap, ArrivalStream, OpenLoopProcess, WorkloadGenerator};
 use crate::runner::{StreamBackend, WorkloadConfig, WorkloadReport};
 use crate::service::{
     admission_policies, check_failure_rate, check_half_life, check_members, check_queue_depth,
@@ -289,7 +289,8 @@ impl StreamSpec {
     /// Rejects values no run can mean — a failure rate that is no
     /// probability, a negative half-life (top-level or in the policy's
     /// params), a resource that is no platform, no slot, a queue bound of
-    /// zero, a federation of fewer than two — pointing at their line.
+    /// zero, a federation of fewer than two, a mean arrival gap the clock
+    /// cannot hold — pointing at their line.
     /// [`ServiceEngine`] repeats the checks for configs built in code.
     fn check_values(&self, text: &str) -> Result<(), EntkError> {
         check_failure_rate(self.unit_failure_rate)
@@ -306,7 +307,13 @@ impl StreamSpec {
         for secs in [self.half_life_secs, policy.half_life_secs()] {
             check_half_life(secs).map_err(|e| usage_at(text, "half_life_secs", e))?;
         }
-        check_resource(&self.resource).map_err(|e| usage_at(text, &self.resource, e))
+        check_resource(&self.resource).map_err(|e| usage_at(text, &self.resource, e))?;
+        for key in ["mean_interarrival_secs", "mean_gap_secs"] {
+            if let Some(secs) = self.source.decl.get(key).and_then(Value::as_f64) {
+                check_mean_gap(key, secs).map_err(|e| usage_at(text, key, e))?;
+            }
+        }
+        Ok(())
     }
 
     /// Opens the spec's arrival source as a lazy pull stream (without

@@ -11,6 +11,11 @@
 //! Measured, debug and release alike: 1 118 B per session at the commit
 //! before this test, which held every line twice and every record twice
 //! (this test adapted to its API fails there); 499–501 B here.
+//!
+//! The same serve also counts heap allocations per session, which is the
+//! fixed cost a served session pays whatever its size: the cluster state,
+//! kernel table and per-batch scratch it builds, and what it allocates per
+//! simulated event.
 
 use entk_workload::{
     EngineOptions, ServiceConfig, ServiceEngine, SyntheticTrace, WorkloadConfig, WorkloadGenerator,
@@ -18,9 +23,11 @@ use entk_workload::{
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Forwards to the system allocator, counting live bytes and their peak.
+/// Forwards to the system allocator, counting calls, live bytes and their
+/// peak.
 struct Counting;
 
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 
@@ -33,6 +40,7 @@ fn grow(bytes: usize) {
 // upholds the `GlobalAlloc` contract; the counters are plain statistics.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         grow(layout.size());
         System.alloc(layout)
     }
@@ -43,6 +51,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         grow(new_size);
         LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
@@ -54,6 +63,7 @@ static ALLOCATOR: Counting = Counting;
 
 const SESSIONS: usize = 2_000;
 const MAX_PEAK_BYTES_PER_SESSION: f64 = 768.0;
+const MAX_ALLOCATIONS_PER_SESSION: f64 = 400.0;
 
 #[test]
 fn a_retaining_serve_keeps_each_session_once() {
@@ -70,6 +80,7 @@ fn a_retaining_serve_keeps_each_session_once() {
     let arrivals = SyntheticTrace::new(2016, SESSIONS, 64).stream().unwrap();
     let before = LIVE_BYTES.load(Ordering::Relaxed);
     PEAK_BYTES.store(before, Ordering::Relaxed);
+    let allocations_before = ALLOCATIONS.load(Ordering::Relaxed);
 
     let report = ServiceEngine::with_options(config, arrivals, options)
         .unwrap()
@@ -77,13 +88,23 @@ fn a_retaining_serve_keeps_each_session_once() {
         .unwrap();
 
     let peak = PEAK_BYTES.load(Ordering::Relaxed) - before;
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations_before;
     assert_eq!(report.sessions, SESSIONS);
     assert_eq!(report.ok_sessions, SESSIONS);
     let per_session = peak as f64 / SESSIONS as f64;
-    println!("peak live bytes/session {per_session:.0}");
+    let allocations_per_session = allocations as f64 / SESSIONS as f64;
+    println!(
+        "peak live bytes/session {per_session:.0}, allocations/session \
+         {allocations_per_session:.1}"
+    );
     assert!(
         per_session <= MAX_PEAK_BYTES_PER_SESSION,
         "{per_session:.0} peak live bytes per session exceed the budget of \
          {MAX_PEAK_BYTES_PER_SESSION}"
+    );
+    assert!(
+        allocations_per_session <= MAX_ALLOCATIONS_PER_SESSION,
+        "{allocations_per_session:.1} allocations per session exceed the budget of \
+         {MAX_ALLOCATIONS_PER_SESSION}"
     );
 }

@@ -49,7 +49,7 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 const TASKS_PER_PATTERN: usize = 10_000;
-const MAX_ALLOCATIONS_PER_TASK: f64 = 12.0;
+const MAX_ALLOCATIONS_PER_TASK: f64 = 9.0;
 const MAX_LIVE_BYTES_PER_TASK: f64 = 1024.0;
 
 fn sleep_call() -> KernelCall {
