@@ -840,80 +840,205 @@ fn nested_mistakes_are_refused_by_check_and_by_the_verb_that_runs_them() {
     assert_eq!(left_behind, 0, "a refused document created a file");
 }
 
+/// Runs `entk` like [`entk_in`], but kills it and fails the test once
+/// `secs` of wall time pass, so a hang costs seconds and not the suite.
+fn entk_within(dir: &Path, args: &[&str], secs: u64) -> Output {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    std::fs::create_dir_all(dir).expect("scratch directory");
+    // Files, not pipes: a child that fills a pipe nobody reads would hang.
+    let (out, err) = (dir.join("STDOUT.txt"), dir.join("STDERR.txt"));
+    let file = |path: &Path| Stdio::from(std::fs::File::create(path).expect("output file"));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_entk"))
+        .args(args)
+        .current_dir(dir)
+        .stdout(file(&out))
+        .stderr(file(&err))
+        .spawn()
+        .expect("entk binary runs");
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("child status") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("entk {args:?} still running after {secs} s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    Output {
+        status,
+        stdout: std::fs::read(out).expect("stdout file"),
+        stderr: std::fs::read(err).expect("stderr file"),
+    }
+}
+
 /// A checkpoint file is input from outside the program too. Each row edits
-/// one field of a real checkpoint (20 fair-share sessions, taken at arrival
-/// boundary 10); `entk serve --resume` refuses it naming the field, serves
-/// nothing and writes no `--jsonl` file. The unedited checkpoint resumes.
+/// a real checkpoint (20 sessions on 2 slots, taken at arrival boundary 10,
+/// under fair share and under FIFO); `entk serve --resume` refuses it
+/// naming the field, serves nothing and writes no `--jsonl` file. The
+/// unedited checkpoint resumes.
 #[test]
 fn hostile_checkpoints_are_refused_naming_the_field() {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("check-checkpoint");
-    let spec = write_spec(
-        "checkpoint-fair",
-        r#"{ "seed": 7, "slots": 2, "policy": "fair", "half_life_secs": 600.0,
-             "source": { "kind": "synthetic", "sessions": 20, "tenants": 4 } }"#,
-    );
-    let spec = spec.to_str().expect("utf-8 path");
-    let stopped = entk_in(
-        &dir,
-        &[
-            "serve",
-            spec,
-            "--checkpoint-at",
-            "10",
-            "--checkpoint",
-            "CKPT.json",
-        ],
-    );
-    assert!(stopped.status.success());
-    let ckpt: Value =
-        serde_json::from_str(&std::fs::read_to_string(dir.join("CKPT.json")).unwrap()).unwrap();
-    // Every tenant's balance set to `balance`, written as JSON text.
-    let balances = |balance: &str| {
-        let mut edited = ckpt.clone();
-        for pair in edited["usage"]
-            .as_array_mut()
-            .expect("fair share has balances")
-        {
-            pair[1] = json!("BALANCE");
-        }
-        serde_json::to_string_pretty(&edited)
-            .unwrap()
-            .replace("\"BALANCE\"", balance)
-    };
-    let usage = |got: &str| {
-        format!("checkpoint usage balance of tenant 0 must be finite and >= 0, got {got}")
-    };
-    let resume = |text: &str| {
-        std::fs::write(dir.join("EDITED.json"), text).unwrap();
-        std::fs::remove_file(dir.join("SUFFIX.jsonl")).ok();
-        entk_in(
+    for policy in ["fair", "fifo"] {
+        let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("check-checkpoint-{policy}"));
+        let spec = write_spec(
+            &format!("checkpoint-{policy}"),
+            &format!(
+                r#"{{ "seed": 7, "slots": 2, "policy": "{policy}", "half_life_secs": 600.0,
+                     "source": {{ "kind": "synthetic", "sessions": 20, "tenants": 4 }} }}"#
+            ),
+        );
+        let spec = spec.to_str().expect("utf-8 path");
+        let stopped = entk_in(
             &dir,
             &[
+                "serve",
+                spec,
+                "--checkpoint-at",
+                "10",
+                "--checkpoint",
+                "CKPT.json",
+            ],
+        );
+        assert!(stopped.status.success());
+        let ckpt: Value =
+            serde_json::from_str(&std::fs::read_to_string(dir.join("CKPT.json")).unwrap()).unwrap();
+        let resume = |text: &str| {
+            std::fs::write(dir.join("EDITED.json"), text).unwrap();
+            std::fs::remove_file(dir.join("SUFFIX.jsonl")).ok();
+            let args = [
                 "serve",
                 spec,
                 "--resume",
                 "EDITED.json",
                 "--jsonl",
                 "SUFFIX.jsonl",
-            ],
-        )
-    };
-    assert!(resume(&serde_json::to_string_pretty(&ckpt).unwrap())
-        .status
-        .success());
-    for (name, text, needle) in [
-        // Resumed with exit 0; the stream differed from line 3 and p50
-        // read 252.5 s instead of 300.7 s.
-        ("negative-usage", balances("-1e300"), usage("-1e300")),
-        ("infinite-usage", balances("1e309"), usage("inf")),
-        ("negative-infinite-usage", balances("-1e309"), usage("-inf")),
-    ] {
-        let out = resume(&text);
-        let message = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{name} resumed");
-        assert!(out.stdout.is_empty(), "{name} served");
-        assert_eq!(message, format!("error: usage error: {needle}\n"), "{name}");
-        assert!(!dir.join("SUFFIX.jsonl").exists(), "{name} wrote rows");
+            ];
+            entk_within(&dir, &args, 20)
+        };
+        assert!(resume(&serde_json::to_string_pretty(&ckpt).unwrap())
+            .status
+            .success());
+        let edit = |change: &dyn Fn(&mut Value)| {
+            let mut edited = ckpt.clone();
+            change(&mut edited);
+            serde_json::to_string_pretty(&edited).unwrap()
+        };
+        let waiting = ckpt["pending"][1]
+            .as_u64()
+            .expect("sessions wait at the boundary");
+        let slot = &ckpt["in_flight"][0];
+        let (slot_session, slot_finish) = (&slot["session"], slot["finish_us"].as_u64().unwrap());
+        // Both slots are still busy when the next session arrives, so a
+        // clock at the first release is past that arrival.
+        let earliest_finish = ckpt["in_flight"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|s| s["finish_us"].as_u64().unwrap())
+            .min()
+            .unwrap();
+        let mut rows = vec![
+            // Fair share panicked (`no entry found for key`); FIFO waited
+            // forever for the session's second evaluation.
+            (
+                "pending-twice",
+                edit(&|c| c["pending"].as_array_mut().unwrap().push(json!(waiting))),
+                format!("checkpoint session {waiting} is listed in pending and again in pending"),
+            ),
+            // Resumed with exit 0.
+            (
+                "pending-and-deferred",
+                edit(&|c| c["deferred"] = json!([waiting])),
+                format!("checkpoint session {waiting} is listed in pending and again in deferred"),
+            ),
+            // Resumed with exit 0, printing start and finish 1.8e13 s for
+            // sessions that ran for a minute.
+            (
+                "clock-and-finish-max",
+                edit(&|c| {
+                    c["clock_us"] = json!(u64::MAX);
+                    for slot in c["in_flight"].as_array_mut().unwrap() {
+                        slot["finish_us"] = json!(u64::MAX);
+                    }
+                }),
+                format!(
+                    "checkpoint in_flight finish_us {} of session {slot_session} differs from \
+                     its record's finish_us {slot_finish}",
+                    u64::MAX
+                ),
+            ),
+            (
+                "finish-off-by-one",
+                edit(&|c| c["in_flight"][0]["finish_us"] = json!(slot_finish + 1)),
+                format!(
+                    "checkpoint in_flight finish_us {} of session {slot_session} differs from \
+                     its record's finish_us {slot_finish}",
+                    slot_finish + 1
+                ),
+            ),
+            (
+                "clock-before-last-arrival",
+                edit(&|c| c["clock_us"] = json!(0)),
+                "checkpoint clock_us 0 is before the last ingested arrival".to_string(),
+            ),
+            (
+                "clock-after-next-arrival",
+                edit(&|c| c["clock_us"] = json!(earliest_finish)),
+                format!(
+                    "checkpoint clock_us {earliest_finish} is after the next arrival still \
+                     to ingest"
+                ),
+            ),
+        ];
+        if policy == "fair" {
+            // Every tenant's balance set to `balance`, written as JSON text.
+            let balances = |balance: &str| {
+                edit(&|c| {
+                    for pair in c["usage"].as_array_mut().unwrap() {
+                        pair[1] = json!("BALANCE");
+                    }
+                })
+                .replace("\"BALANCE\"", balance)
+            };
+            let usage = |got: &str| {
+                format!("checkpoint usage balance of tenant 0 must be finite and >= 0, got {got}")
+            };
+            rows.extend([
+                // Resumed with exit 0; the stream differed from line 3 and
+                // p50 read 252.5 s instead of 300.7 s.
+                ("negative-usage", balances("-1e300"), usage("-1e300")),
+                ("infinite-usage", balances("1e309"), usage("inf")),
+                ("negative-infinite-usage", balances("-1e309"), usage("-inf")),
+                // Resumed with exit 0; the last row won.
+                (
+                    "tenant-twice",
+                    edit(&|c| {
+                        let usage = c["usage"].as_array_mut().unwrap();
+                        usage.push(json!([usage[0][0], 1.0]));
+                    }),
+                    "checkpoint usage lists tenant 0 more than once".to_string(),
+                ),
+            ]);
+        }
+        for (name, text, needle) in rows {
+            let out = resume(&text);
+            let message = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{policy} {name} resumed");
+            assert!(out.stdout.is_empty(), "{policy} {name} served");
+            assert_eq!(
+                message,
+                format!("error: usage error: {needle}\n"),
+                "{policy} {name}"
+            );
+            assert!(
+                !dir.join("SUFFIX.jsonl").exists(),
+                "{policy} {name} wrote rows"
+            );
+        }
     }
 }
 

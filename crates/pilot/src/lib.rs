@@ -1,11 +1,13 @@
 //! # entk-pilot — pilot-job runtime (RADICAL-Pilot stand-in)
 //!
 //! The paper's runtime system (§III-C2): pilots are container jobs submitted
-//! through SAGA that provide application-level scheduling of any number of
-//! compute units onto acquired cores — decoupling the workload's total
+//! to a batch system that provide application-level scheduling of any number
+//! of compute units onto acquired cores — decoupling the workload's total
 //! resource needs from what is instantaneously available.
 //!
-//! [`SimRuntime`] executes units in virtual time on `entk-cluster` machines.
+//! [`SimRuntime`] executes units in virtual time on one `entk-cluster`
+//! machine it owns: a pilot's container job is a `BatchJobDescription`
+//! submitted straight to that cluster and known by its `BatchJobId`.
 //! Real execution needs no pilot: the toolkit's local backend hands kernels
 //! straight to the `fork://` adapter (`entk_saga::ForkJobService`).
 

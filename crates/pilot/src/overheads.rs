@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeOverheads {
     /// One-time cost of preparing and submitting a pilot (container job
-    /// assembly, SAGA round-trip).
+    /// assembly, batch-submission round-trip).
     pub pilot_submission: Dist,
     /// Fixed cost per `submit_units` call (database round-trip in RP).
     pub unit_submit_fixed: Dist,

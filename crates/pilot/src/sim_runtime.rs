@@ -2,23 +2,25 @@
 //! advanced by discrete events.
 //!
 //! Reproduces the RADICAL-Pilot execution model (paper §III-C2): pilots are
-//! container jobs acquired through SAGA; compute units are scheduled onto
-//! pilot cores at the application level, so more tasks than cores can be
-//! expressed and executed as capacity frees up.
+//! container jobs submitted to the machine's batch system; compute units are
+//! scheduled onto pilot cores at the application level, so more tasks than
+//! cores can be expressed and executed as capacity frees up.
 
 use crate::description::{PilotDescription, UnitDescription};
 use crate::overheads::RuntimeOverheads;
 use crate::scheduler::{FirstFitScheduler, PilotView, UnitScheduler, UnitView};
 use crate::states::{PilotId, PilotState, UnitId, UnitState};
-use entk_cluster::{Cluster, ClusterEvent, FifoScheduler, PlatformSpec};
-use entk_saga::{JobDescription, JobState, JobUpdate, SagaJobId, SimJobService};
+use entk_cluster::{
+    BatchJobDescription, BatchJobId, BatchJobState, Cluster, ClusterEvent, ClusterNotification,
+    FifoScheduler, PlatformSpec,
+};
 use entk_sim::{Context, DenseStore, SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
 use std::ops::Range;
 
 /// Events the runtime schedules for itself.
 #[derive(Debug, Clone)]
 pub enum RuntimeEvent {
-    /// Pilot submission overhead paid; hand the container job to SAGA.
+    /// Pilot submission overhead paid; submit the container job.
     PilotSubmitted(PilotId),
     /// Unit submission overhead paid; the units of this contiguous raw id
     /// range (one [`SimRuntime::submit_units`] call) enter scheduling.
@@ -110,11 +112,12 @@ impl Default for SimRuntimeConfig {
 struct PilotRecord {
     description: PilotDescription,
     state: PilotState,
-    saga_job: Option<SagaJobId>,
+    /// The container job, once the batch system accepted it.
+    job: Option<BatchJobId>,
     free_cores: usize,
     /// Accepted by the pilot manager.
     submitted: SimTime,
-    /// Container job handed to SAGA.
+    /// Container job submitted to the batch system.
     launched: Option<SimTime>,
     /// Agent became active.
     active: Option<SimTime>,
@@ -154,7 +157,7 @@ impl<T: From<RuntimeEvent> + From<ClusterEvent>> RuntimeEventSink for T {}
 
 /// The simulated pilot runtime for one target resource.
 pub struct SimRuntime {
-    service: SimJobService,
+    cluster: Cluster,
     config: SimRuntimeConfig,
     rng: SimRng,
     scheduler: Box<dyn UnitScheduler>,
@@ -163,7 +166,8 @@ pub struct SimRuntime {
     // id — no hashing on the per-event hot path, and iteration is in id
     // order (deterministic without sorting).
     pilots: Vec<PilotRecord>,
-    saga_to_pilot: DenseStore<PilotId>,
+    /// By `BatchJobId`; the cluster's background jobs have no entry.
+    job_to_pilot: DenseStore<PilotId>,
     units: Vec<UnitRecord>,
     /// Persistent waiting list in submission order. Placed, cancelled, and
     /// failed entries become tombstones instead of being spliced out (no
@@ -228,12 +232,12 @@ impl SimRuntime {
         let mut cluster = Cluster::with_scheduler(spec, seed ^ 0xC1u64, scheduler);
         cluster.set_telemetry(telemetry.clone());
         SimRuntime {
-            service: SimJobService::from_cluster(cluster),
+            cluster,
             rng: SimRng::seed_from_u64(seed),
             config,
             scheduler: Box::new(FirstFitScheduler),
             pilots: Vec::new(),
-            saga_to_pilot: DenseStore::new(),
+            job_to_pilot: DenseStore::new(),
             units: Vec::new(),
             waiting: Vec::new(),
             waiting_head: 0,
@@ -258,7 +262,7 @@ impl SimRuntime {
 
     /// The machine this runtime targets.
     pub fn platform(&self) -> &PlatformSpec {
-        self.service.cluster().spec()
+        self.cluster.spec()
     }
 
     /// The shared telemetry pipeline this runtime (and its cluster) record
@@ -282,8 +286,8 @@ impl SimRuntime {
         self.units.get(id.0 as usize)?.exec_stop
     }
 
-    /// A pilot's submission overhead (accepted → container job handed to
-    /// SAGA) and its wait from there until the agent was active; a phase the
+    /// A pilot's submission overhead (accepted → container job submitted)
+    /// and its wait from there until the agent was active; a phase the
     /// pilot has not finished reads zero.
     pub fn pilot_startup(&self, id: PilotId) -> Option<(SimDuration, SimDuration)> {
         let p = self.pilots.get(id.0 as usize)?;
@@ -313,7 +317,7 @@ impl SimRuntime {
     }
 
     /// Submits a pilot. The pilot-submission overhead is paid before the
-    /// container job reaches SAGA.
+    /// container job reaches the batch system.
     pub fn submit_pilot<E: RuntimeEventSink>(
         &mut self,
         description: PilotDescription,
@@ -328,7 +332,7 @@ impl SimRuntime {
             free_cores: description.cores,
             description,
             state: PilotState::New,
-            saga_job: None,
+            job: None,
             submitted: ctx.now(),
             launched: None,
             active: None,
@@ -454,10 +458,10 @@ impl SimRuntime {
         if p.state.is_terminal() {
             return;
         }
-        if let Some(saga) = p.saga_job {
-            let mut updates = Vec::new();
-            self.service.cancel(saga, ctx, &mut updates);
-            self.apply_saga_updates(updates, ctx, out);
+        if let Some(job) = p.job {
+            let mut notes = Vec::new();
+            self.cluster.cancel(job, ctx, &mut notes);
+            self.apply_cluster_notes(notes, ctx, out);
         } else {
             self.set_pilot_state(id, PilotState::Canceled, ctx.now(), out);
         }
@@ -476,10 +480,10 @@ impl SimRuntime {
         };
         match p.state {
             PilotState::Active => {
-                if let Some(saga) = p.saga_job {
-                    let mut updates = Vec::new();
-                    self.service.finish(saga, ctx, &mut updates);
-                    self.apply_saga_updates(updates, ctx, out);
+                if let Some(job) = p.job {
+                    let mut notes = Vec::new();
+                    self.cluster.complete(job, ctx, &mut notes);
+                    self.apply_cluster_notes(notes, ctx, out);
                 }
             }
             PilotState::New | PilotState::Launching => self.cancel_pilot(id, ctx, out),
@@ -528,14 +532,14 @@ impl SimRuntime {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        let mut updates = Vec::new();
-        self.service.handle_cluster(event, ctx, &mut updates);
-        self.apply_saga_updates(updates, ctx, out);
+        let mut notes = Vec::new();
+        self.cluster.handle(event, ctx, &mut notes);
+        self.apply_cluster_notes(notes, ctx, out);
     }
 
     /// Mutable access to the cluster, for tests and transfer modelling.
     pub fn cluster_mut(&mut self) -> &mut Cluster {
-        self.service.cluster_mut()
+        &mut self.cluster
     }
 
     fn on_pilot_submitted<E: RuntimeEventSink>(
@@ -548,56 +552,68 @@ impl SimRuntime {
         if p.state != PilotState::New {
             return;
         }
-        let jd = JobDescription {
-            executable: "radical-pilot-agent".into(),
-            total_cpu_count: p.description.cores,
-            wall_time_limit: p.description.walltime,
+        let description = BatchJobDescription {
+            name: "radical-pilot-agent".into(),
+            cores: p.description.cores,
+            walltime: p.description.walltime,
             queue: p.description.queue.clone(),
             project: p.description.project.clone(),
-            ..Default::default()
         };
-        let mut updates = Vec::new();
-        let saga = self
-            .service
-            .submit(jd, ctx, &mut updates)
-            .expect("pilot job description is valid");
-        self.pilots[id.0 as usize].saga_job = Some(saga);
-        self.saga_to_pilot.insert(saga.0, id);
+        // The cluster's own `Queued` (or `Failed`) note changes nothing
+        // here: the pilot is `Launching` either way until the result below.
+        let submitted = self.cluster.submit(description, ctx, &mut Vec::new());
         self.set_pilot_state(id, PilotState::Launching, ctx.now(), out);
-        self.apply_saga_updates(updates, ctx, out);
+        match submitted {
+            Ok(job) => {
+                self.pilots[id.0 as usize].job = Some(job);
+                self.job_to_pilot.insert(job.0, id);
+            }
+            Err(_) => self.on_pilot_gone(id, PilotState::Failed, ctx.now(), ctx, out),
+        }
     }
 
-    fn apply_saga_updates<E: RuntimeEventSink>(
+    /// Maps each note about a pilot's container job to the pilot's
+    /// transition; notes about background jobs are dropped.
+    fn apply_cluster_notes<E: RuntimeEventSink>(
         &mut self,
-        updates: Vec<JobUpdate>,
+        notes: Vec<ClusterNotification>,
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        for u in updates {
-            let Some(&pid) = self.saga_to_pilot.get(u.id.0) else {
+        for note in notes {
+            let (job, next, time) = match note {
+                ClusterNotification::JobShrunk {
+                    id,
+                    lost_cores,
+                    time,
+                    ..
+                } => {
+                    if let Some(&pid) = self.job_to_pilot.get(id.0) {
+                        self.shrink_pilot(pid, lost_cores, time, ctx, out);
+                    }
+                    continue;
+                }
+                ClusterNotification::JobState { id, state, time } => {
+                    let next = match state {
+                        BatchJobState::Queued | BatchJobState::Starting => continue,
+                        BatchJobState::Running => PilotState::Active,
+                        BatchJobState::Completed => PilotState::Done,
+                        BatchJobState::Cancelled => PilotState::Canceled,
+                        BatchJobState::TimedOut | BatchJobState::Failed => PilotState::Failed,
+                    };
+                    (id, next, time)
+                }
+            };
+            let Some(&pid) = self.job_to_pilot.get(job.0) else {
                 continue;
             };
-            if let Some(lost) = u.shrunk_by {
-                self.shrink_pilot(pid, lost, u.time, ctx, out);
-                continue;
-            }
-            match u.state {
-                JobState::Running => {
-                    self.set_pilot_state(pid, PilotState::Active, u.time, out);
-                    // New capacity became available.
-                    self.sched_dirty = true;
-                    ctx.schedule_in(SimDuration::ZERO, RuntimeEvent::SchedulePass);
-                }
-                JobState::Done => {
-                    self.on_pilot_gone(pid, PilotState::Done, u.time, ctx, out);
-                }
-                JobState::Canceled => {
-                    self.on_pilot_gone(pid, PilotState::Canceled, u.time, ctx, out);
-                }
-                JobState::Failed => {
-                    self.on_pilot_gone(pid, PilotState::Failed, u.time, ctx, out);
-                }
-                _ => {}
+            if next == PilotState::Active {
+                self.set_pilot_state(pid, next, time, out);
+                // New capacity became available.
+                self.sched_dirty = true;
+                ctx.schedule_in(SimDuration::ZERO, RuntimeEvent::SchedulePass);
+            } else {
+                self.on_pilot_gone(pid, next, time, ctx, out);
             }
         }
     }
@@ -910,7 +926,7 @@ impl SimRuntime {
                 .scheduling_per_unit
                 .sample(&mut self.rng);
             let bytes = self.units[uidx].input_bytes;
-            let stage = self.service.cluster_mut().transfer_duration(bytes);
+            let stage = self.cluster.transfer_duration(bytes);
             let delay = SimDuration::from_secs_f64(sched_cost) + stage;
             ctx.schedule_in(delay, RuntimeEvent::StageInDone(placement.unit));
         }
@@ -924,7 +940,7 @@ impl SimRuntime {
             return;
         }
         let dispatch = self.config.overheads.agent_dispatch.sample(&mut self.rng);
-        let launch = self.service.cluster_mut().sample_task_launch();
+        let launch = self.cluster.sample_task_launch();
         ctx.schedule_in(
             SimDuration::from_secs_f64(dispatch) + launch,
             RuntimeEvent::LaunchDone(id),
@@ -948,7 +964,7 @@ impl SimRuntime {
         // Straggler injection: only touch the duration when a slowdown was
         // actually drawn, so fault-free runs avoid the f64 roundtrip and
         // stay bit-identical to runs without an injector.
-        let factor = self.service.cluster_mut().fault_straggler_factor();
+        let factor = self.cluster.fault_straggler_factor();
         let duration = if factor != 1.0 {
             SimDuration::from_secs_f64(duration.as_secs_f64() * factor)
         } else {
@@ -983,7 +999,7 @@ impl SimRuntime {
         // break replay determinism.
         let legacy_failed =
             self.config.unit_failure_rate > 0.0 && self.rng.chance(self.config.unit_failure_rate);
-        let injected_failed = self.service.cluster_mut().fault_unit_fails();
+        let injected_failed = self.cluster.fault_unit_fails();
         let output_bytes = unit.output_bytes;
         let now = ctx.now();
         if legacy_failed || injected_failed {
@@ -991,7 +1007,7 @@ impl SimRuntime {
             self.set_unit_state(id, UnitState::Failed, now, detail, ctx, out);
         } else if output_bytes > 0 {
             self.set_unit_state(id, UnitState::StagingOutput, now, None, ctx, out);
-            let stage = self.service.cluster_mut().transfer_duration(output_bytes);
+            let stage = self.cluster.transfer_duration(output_bytes);
             ctx.schedule_in(stage, RuntimeEvent::StageOutDone(id));
         } else {
             self.set_unit_state(id, UnitState::Done, now, None, ctx, out);
@@ -1325,6 +1341,33 @@ pub(crate) mod tests {
         assert_eq!(rt.pilot_state(PilotId(0)), Some(PilotState::Failed));
         let terminals = unit_terminal_states(&log);
         assert_eq!(terminals[&UnitId(0)], UnitState::Failed);
+    }
+
+    #[test]
+    fn oversized_pilot_fails_when_submitted() {
+        // 8 cores on the machine, 10 000 asked for: the batch system
+        // refuses the container job, so the pilot never waits in a queue.
+        let (log, rt) = run_session(quiet_spec(2, 4), quiet_config(), 10_000, Vec::new());
+        let pilot_states: Vec<_> = log
+            .iter()
+            .filter_map(|n| match n {
+                RuntimeNotification::Pilot { state, time, .. } => Some((*state, *time)),
+                _ => None,
+            })
+            .collect();
+        let launch = pilot_states[1].1;
+        assert_eq!(
+            pilot_states,
+            [
+                (PilotState::New, SimTime::ZERO),
+                (PilotState::Launching, launch),
+                (PilotState::Failed, launch),
+            ]
+        );
+        let tracer = rt.telemetry().snapshot().tracer;
+        assert_eq!(tracer.filter("cluster", "job_rejected").count(), 1);
+        assert_eq!(tracer.filter("cluster", "job_queued").count(), 0);
+        assert_eq!(tracer.filter("pilot", "pilot_failed").count(), 1);
     }
 
     #[test]

@@ -73,8 +73,8 @@ impl PilotState {
 
     /// The pilot layer's trace record of a pilot entering `next` from
     /// `from` (`None`: just submitted). A `New` pilot cancelled before it
-    /// reached SAGA records nothing. Panics on a transition the model
-    /// forbids, which is a simulator bug, not a user error.
+    /// reached the batch system records nothing. Panics on a transition the
+    /// model forbids, which is a simulator bug, not a user error.
     pub(crate) fn trace_event(from: Option<PilotState>, next: PilotState) -> Option<&'static str> {
         use PilotState::*;
         let legal = from.map_or(next == New, |f| f.can_transition_to(next));

@@ -113,9 +113,9 @@ use entk_core::EntkError;
 use entk_sim::{SimDuration, SimTime, WorkerPool};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// How the service picks the next pending session for a free slot.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -463,17 +463,13 @@ impl Default for EngineOptions {
 }
 
 /// Just-in-time session evaluation over the persistent `entk-sim` worker
-/// pool: sessions are dispatched as they enter the read-ahead window and
-/// their service times collected over a channel, so at most
+/// pool: sessions are dispatched as they enter the read-ahead window, and
+/// each one's service time comes back on its own handle, so at most
 /// O(look-ahead + queue) evaluations are ever outstanding — the streaming
 /// replacement for the old upfront whole-stream rayon pass.
 struct EvalPool {
     pool: WorkerPool,
     config: Arc<WorkloadConfig>,
-    tx: mpsc::Sender<(usize, SessionService)>,
-    rx: mpsc::Receiver<(usize, SessionService)>,
-    ready: HashMap<usize, SessionService>,
-    forgotten: HashSet<usize>,
 }
 
 impl EvalPool {
@@ -483,25 +479,21 @@ impl EvalPool {
         } else {
             workers
         };
-        let (tx, rx) = mpsc::channel();
         EvalPool {
             pool: WorkerPool::new(workers),
             config: Arc::new(config),
-            tx,
-            rx,
-            ready: HashMap::new(),
-            forgotten: HashSet::new(),
         }
     }
 
-    /// Queues session `index` for evaluation. Results arrive on the
-    /// channel in completion order; [`EvalPool::take`] reorders.
-    fn dispatch(&self, index: usize, arrival: SessionArrival) {
-        let tx = self.tx.clone();
+    /// Queues session `index` for evaluation and returns the handle its
+    /// one result lands on. Dropping the handle discards the result.
+    fn dispatch(&self, index: usize, arrival: SessionArrival) -> Arc<EvalSlot> {
+        let slot = Arc::new(EvalSlot::default());
+        let landing = Arc::clone(&slot);
         let config = Arc::clone(&self.config);
         self.pool.submit(vec![Box::new(move || {
-            // `take` blocks until this index reports, so a panicking
-            // evaluation must still report: as a failed session.
+            // `take` blocks on this handle, so a panicking evaluation must
+            // still report: as a failed session.
             let svc = catch_unwind(AssertUnwindSafe(|| {
                 evaluate_session(&config, index, &arrival)
             }))
@@ -516,45 +508,9 @@ impl EvalPool {
                     EntkError::Runtime(format!("evaluation panicked: {msg}")),
                 )
             });
-            // The receiver disappears only when the engine is dropped
-            // mid-run; the result is simply discarded then.
-            let _ = tx.send((index, svc));
+            landing.fill(svc);
         })]);
-    }
-
-    fn accept(&mut self, index: usize, svc: SessionService) {
-        if !self.forgotten.remove(&index) {
-            self.ready.insert(index, svc);
-        }
-    }
-
-    /// Blocks until session `index`'s evaluation is available and returns
-    /// it. Results for other sessions received while waiting are parked.
-    fn take(&mut self, index: usize) -> SessionService {
-        if let Some(svc) = self.ready.remove(&index) {
-            return svc;
-        }
-        loop {
-            let (i, svc) = self
-                .rx
-                .recv()
-                .expect("evaluation pool hung up with results outstanding");
-            if i == index {
-                return svc;
-            }
-            self.accept(i, svc);
-        }
-    }
-
-    /// Drops session `index`'s evaluation (a rejected arrival): the
-    /// result is discarded whenever it lands.
-    fn forget(&mut self, index: usize) {
-        while let Ok((i, svc)) = self.rx.try_recv() {
-            self.accept(i, svc);
-        }
-        if self.ready.remove(&index).is_none() {
-            self.forgotten.insert(index);
-        }
+        slot
     }
 }
 
@@ -563,6 +519,37 @@ impl Drop for EvalPool {
         // An engine dropped mid-run (strict abort, caller error) must not
         // first drain a deep backlog of now-useless evaluations.
         self.pool.cancel_queued();
+    }
+}
+
+/// The handle one dispatched evaluation leaves its result on, held beside
+/// the session's row until admission takes it. Not a one-slot `mpsc`
+/// channel: for an 80-byte result std's allocates 728 B (two cache-padded
+/// cursors, two waker lists) and this 120 B, and every waiting session
+/// holds one.
+#[derive(Default)]
+struct EvalSlot {
+    result: Mutex<Option<SessionService>>,
+    landed: Condvar,
+}
+
+impl EvalSlot {
+    const POISONED: &'static str = "an evaluation slot's lock is held only to move a result";
+
+    fn fill(&self, svc: SessionService) {
+        *self.result.lock().expect(Self::POISONED) = Some(svc);
+        self.landed.notify_one();
+    }
+
+    /// Blocks until the evaluation's result has landed and returns it.
+    fn take(&self) -> SessionService {
+        let mut result = self.result.lock().expect(Self::POISONED);
+        loop {
+            if let Some(svc) = result.take() {
+                return svc;
+            }
+            result = self.landed.wait(result).expect(Self::POISONED);
+        }
     }
 }
 
@@ -748,6 +735,13 @@ impl ServiceCheckpoint {
     }
 }
 
+/// An arrival the engine still needs, beside the handle its just-in-time
+/// evaluation reports on.
+struct HeldRow {
+    arrival: SessionArrival,
+    service: Arc<EvalSlot>,
+}
+
 /// The long-running multi-tenant session service (see module docs).
 pub struct ServiceEngine {
     config: ServiceConfig,
@@ -761,7 +755,7 @@ pub struct ServiceEngine {
     /// Pulled-but-not-ingested session indices, in arrival order.
     readahead: VecDeque<usize>,
     /// Arrival rows still needed: read-ahead ∪ pending ∪ deferred.
-    held: HashMap<usize, SessionArrival>,
+    held: HashMap<usize, HeldRow>,
     /// Running FNV-1a 64 over the rendered trace prefix ingested so far.
     prefix_fp: u64,
     eval: EvalPool,
@@ -919,11 +913,11 @@ impl ServiceEngine {
     /// exists, so every event-loop decision tops up first.
     fn fill_readahead(&mut self) -> Result<(), EntkError> {
         while self.readahead.len() < self.lookahead() {
-            let Some((i, row)) = self.pull_row()? else {
+            let Some((i, arrival)) = self.pull_row()? else {
                 break;
             };
-            self.eval.dispatch(i, row.clone());
-            self.held.insert(i, row);
+            let service = self.eval.dispatch(i, arrival.clone());
+            self.held.insert(i, HeldRow { arrival, service });
             self.readahead.push_back(i);
         }
         Ok(())
@@ -932,7 +926,7 @@ impl ServiceEngine {
     /// Arrival instant of the next not-yet-ingested session, if any.
     /// Valid only immediately after [`ServiceEngine::fill_readahead`].
     fn peek_arrival(&self) -> Option<SimTime> {
-        self.readahead.front().map(|i| self.held[i].arrival)
+        self.readahead.front().map(|i| self.held[i].arrival.arrival)
     }
 
     /// Sessions resident right now, in any form — the quantity whose peak
@@ -1027,7 +1021,7 @@ impl ServiceEngine {
                 let mut best = 0usize;
                 let mut best_usage = f64::INFINITY;
                 for (pos, i) in self.pending.iter().enumerate() {
-                    let u = self.ledger.usage_of(&self.held[i].tenant);
+                    let u = self.ledger.usage_of(&self.held[i].arrival.tenant);
                     // Strict less-than keeps ties in arrival order.
                     if u < best_usage {
                         best_usage = u;
@@ -1045,7 +1039,8 @@ impl ServiceEngine {
     /// `now + service`, and finalizes its record. With `strict`, a failed
     /// or degraded session aborts the serve here, at its admission.
     fn admit(&mut self, i: usize) -> Result<(), EntkError> {
-        let svc = self.eval.take(i);
+        let row = self.held.remove(&i).expect("admitted session is held");
+        let (arrival, svc) = (row.arrival, row.service.take());
         if self.config.strict {
             match svc.status {
                 SessionStatus::Failed => {
@@ -1062,13 +1057,12 @@ impl ServiceEngine {
                 _ => {}
             }
         }
-        let arrival = self.held.remove(&i).expect("admitted session is held");
         if let AdmissionPolicy::FairShare { .. } = self.config.policy {
             self.ledger.decay_to(self.clock);
             debug_assert!(
                 self.pending.iter().all(|j| {
                     self.ledger.usage_of(&arrival.tenant)
-                        <= self.ledger.usage_of(&self.held[j].tenant)
+                        <= self.ledger.usage_of(&self.held[j].arrival.tenant)
                 }),
                 "fair share admitted session {i} (tenant {}) over a waiting tenant \
                  with a smaller balance",
@@ -1113,8 +1107,9 @@ impl ServiceEngine {
         let i = self.readahead.pop_front().expect("arrival in read-ahead");
         debug_assert_eq!(i, self.next_arrival, "ingestion follows pull order");
         self.next_arrival += 1;
-        let at = self.held[&i].arrival;
-        self.prefix_fp = fnv64_update(self.prefix_fp, render_row(&self.held[&i]).as_bytes());
+        let row = &self.held[&i].arrival;
+        let at = row.arrival;
+        self.prefix_fp = fnv64_update(self.prefix_fp, render_row(row).as_bytes());
         self.clock = self.clock.max(at);
         let saturated = self
             .config
@@ -1124,9 +1119,10 @@ impl ServiceEngine {
             match self.config.saturation {
                 SaturationMode::Defer => self.deferred.push_back(i),
                 SaturationMode::Reject => {
-                    let arrival = self.held.remove(&i).expect("rejected session is held");
-                    // Its just-in-time evaluation is useless now.
-                    self.eval.forget(i);
+                    // Its just-in-time evaluation is useless now: dropping
+                    // the handle discards it.
+                    let HeldRow { arrival, .. } =
+                        self.held.remove(&i).expect("rejected session is held");
                     let outcome = EntkError::Saturated(format!(
                         "session {i} rejected: queue depth {} at bound {}",
                         self.pending.len(),
@@ -1301,22 +1297,51 @@ impl ServiceEngine {
                  got {balance:?}"
             )));
         }
-        let keep: std::collections::HashSet<usize> =
-            ckpt.pending.iter().chain(&ckpt.deferred).copied().collect();
+        let mut tenants = BTreeSet::new();
+        if let Some((tenant, _)) = ckpt.usage.iter().find(|(t, _)| !tenants.insert(*t)) {
+            return Err(EntkError::Usage(format!(
+                "checkpoint usage lists tenant {tenant} more than once"
+            )));
+        }
+        // A session is in at most one of these lists; `listed` maps each
+        // session to the list that names it first.
+        let mut listed: HashMap<usize, &str> = HashMap::new();
+        let places = (ckpt.pending.iter().map(|&i| ("pending", i)))
+            .chain(ckpt.deferred.iter().map(|&i| ("deferred", i)))
+            .chain(
+                ckpt.in_flight
+                    .iter()
+                    .map(|slot| ("in_flight", slot.session)),
+            );
+        for (field, i) in places {
+            if let Some(first) = listed.insert(i, field) {
+                return Err(EntkError::Usage(format!(
+                    "checkpoint session {i} is listed in {first} and again in {field}"
+                )));
+            }
+        }
         let stream = arrivals.into_arrival_stream()?;
         let mut engine = Self::empty(config, options, stream);
         // Re-pull the served prefix: every row is validated, order-checked,
         // and folded into the prefix fingerprint, but only rows still
         // queued (pending or deferred) are retained — the rest are dropped
         // as soon as they are hashed, so restore stays bounded-memory.
+        let mut queued = Vec::new();
         while engine.pulled < ckpt.next_arrival {
             let Some((i, row)) = engine.pull_row()? else {
                 return Err(EntkError::Usage("checkpoint cursors out of range".into()));
             };
             engine.prefix_fp = fnv64_update(engine.prefix_fp, render_row(&row).as_bytes());
-            if keep.contains(&i) {
-                engine.held.insert(i, row);
+            if matches!(listed.get(&i), Some(&"pending" | &"deferred")) {
+                queued.push((i, row));
             }
+        }
+        let clock = SimTime::from_micros(ckpt.clock_us);
+        if engine.last_pulled_at.is_some_and(|last| clock < last) {
+            return Err(EntkError::Usage(format!(
+                "checkpoint clock_us {} is before the last ingested arrival",
+                ckpt.clock_us
+            )));
         }
         let fp = format!("{:016x}", engine.prefix_fp);
         if ckpt.arrivals_fp != fp {
@@ -1347,13 +1372,19 @@ impl ServiceEngine {
             }
         }
         for slot in &ckpt.in_flight {
-            if slot.session >= ckpt.next_arrival
-                || !finalized.contains_key(&slot.session)
-                || slot.finish_us < ckpt.clock_us
-            {
+            // `finalized` holds only sessions below `next_arrival`.
+            let record = finalized.get(&slot.session);
+            let Some(record) = record.filter(|_| slot.finish_us >= ckpt.clock_us) else {
                 return Err(EntkError::Usage(format!(
                     "checkpoint in-flight slot for session {} is inconsistent",
                     slot.session
+                )));
+            };
+            if record.finish_us != slot.finish_us {
+                return Err(EntkError::Usage(format!(
+                    "checkpoint in_flight finish_us {} of session {} differs from its \
+                     record's finish_us {}",
+                    slot.finish_us, slot.session, record.finish_us
                 )));
             }
         }
@@ -1377,19 +1408,17 @@ impl ServiceEngine {
         // Service times are needed only for sessions whose admission is
         // still ahead. Queued and deferred rows were retained above and go
         // back to the evaluation pool now, in index order; not-yet-arrived
-        // rows are dispatched lazily as `fill_readahead` pulls them.
-        let mut queued: Vec<usize> = engine.held.keys().copied().collect();
-        queued.sort_unstable();
-        for i in queued {
-            let row = engine.held[&i].clone();
-            engine.eval.dispatch(i, row);
+        // rows are dispatched as `fill_readahead` pulls them.
+        for (i, arrival) in queued {
+            let service = engine.eval.dispatch(i, arrival.clone());
+            engine.held.insert(i, HeldRow { arrival, service });
         }
         engine.ledger = entk_cluster::UsageLedger::restore(
             engine.config.policy.half_life_secs(),
             ckpt.usage.iter().copied(),
             ckpt.usage_decayed_at_us,
         );
-        engine.clock = SimTime::from_micros(ckpt.clock_us);
+        engine.clock = clock;
         engine.next_arrival = ckpt.next_arrival;
         engine.pending = ckpt.pending.iter().copied().collect();
         engine.deferred = ckpt.deferred.iter().copied().collect();
@@ -1399,6 +1428,15 @@ impl ServiceEngine {
             .map(|slot| Reverse((SimTime::from_micros(slot.finish_us), slot.session)))
             .collect();
         engine.acc.stats.max_cross_check_err_secs = ckpt.max_cross_check_err_secs;
+        // A boundary applies no completion past the next arrival, so the
+        // clock never passes it.
+        engine.fill_readahead()?;
+        if engine.peek_arrival().is_some_and(|next| clock > next) {
+            return Err(EntkError::Usage(format!(
+                "checkpoint clock_us {} is after the next arrival still to ingest",
+                ckpt.clock_us
+            )));
+        }
         Ok(engine)
     }
 

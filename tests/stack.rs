@@ -1,4 +1,4 @@
-//! Cross-crate integration tests: EnTK → pilot runtime → SAGA → cluster,
+//! Cross-crate integration tests: EnTK → pilot runtime → cluster,
 //! checking conservation and concurrency invariants over the whole stack.
 
 use entk_core::prelude::*;
