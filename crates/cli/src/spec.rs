@@ -271,7 +271,10 @@ fn check_backend_keys(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> 
 /// pilot dies as it starts), a queue wait that is negative or not finite
 /// (it ran as zero), a background load whose arrivals leave no gap for
 /// virtual time to advance in. `check` builds the handle and would pass the
-/// first and the last; `run` then drained early or never returned.
+/// first and the last; `run` then drained early or never returned. A
+/// background load that queues more jobs than the machine has cores is
+/// refused here on its line and by the handle without one (building that
+/// queue exhausted memory).
 fn check_resources(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
     let refuse = |key: &str, msg: String| Err(usage_at(text, key, EntkError::Usage(msg)));
     let zero_walltime = |what: &str| format!("{what} must be at least 1, got 0");
@@ -306,6 +309,18 @@ fn check_resources(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
         if bg.cores == 0 {
             let msg = "background.cores must be at least 1, got 0".to_string();
             return refuse("background", msg);
+        }
+        // Every competing job holds a core: more queued jobs than the
+        // machine has cores only exhausts memory while the queue is built.
+        if let Some(platform) = entk_cluster::PlatformSpec::by_name(&spec.resource.name) {
+            let cores = platform.total_cores();
+            if bg.initial_jobs > cores {
+                let msg = format!(
+                    "initial_jobs must be at most {cores} (the cores of {}), got {}",
+                    platform.name, bg.initial_jobs
+                );
+                return refuse("initial_jobs", msg);
+            }
         }
     }
     Ok(())

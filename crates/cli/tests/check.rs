@@ -185,6 +185,19 @@ fn stream_spec_mistakes_are_refused_before_serving() {
             format!("\"backend\": \"federated\",\n  \"members\": {members}"),
         )
     };
+    let retries = |param: &str| {
+        after_seed(&format!(
+            "\"fault\": {{ \"name\": \"retries\", \"params\": {{ \"max_retries\": 2, {param} }} }}"
+        ))
+    };
+    let bad_retries = |param: &str, rule: &str, got: &str| {
+        format!(
+            "workload spec line 3: bad params for fault grid \"retries\": {param}: must be 0 \
+             (off) or finite and {rule}, got {got}"
+        )
+    };
+    let bad_timeout = |got: &str| bad_retries("task_timeout_secs", "at least 1e-6 s", got);
+    let bad_backoff = |got: &str| bad_retries("backoff_base_secs", "> 0", got);
     for (name, (from, to), needle) in [
         (
             "rate-high",
@@ -252,6 +265,36 @@ fn stream_spec_mistakes_are_refused_before_serving() {
             ),
             "workload spec line 10: mean_interarrival_secs must be finite, > 0 and below \
              1.8e13 s, got inf",
+        ),
+        // Each of these served every session `partial`: the watchdog
+        // rounded to zero and killed every task at its start.
+        (
+            "timeout-infinite",
+            retries("\"task_timeout_secs\": 1e309"),
+            &bad_timeout("inf"),
+        ),
+        (
+            "timeout-sub-micro",
+            retries("\"task_timeout_secs\": 1e-9"),
+            &bad_timeout("1e-9"),
+        ),
+        // Turned the watchdog off.
+        (
+            "timeout-negative",
+            retries("\"task_timeout_secs\": -5"),
+            &bad_timeout("-5.0"),
+        ),
+        // Became the 300 s backoff cap.
+        (
+            "backoff-infinite",
+            retries("\"backoff_base_secs\": 1e309"),
+            &bad_backoff("inf"),
+        ),
+        // Turned backoff off.
+        (
+            "backoff-negative",
+            retries("\"backoff_base_secs\": -1"),
+            &bad_backoff("-1.0"),
         ),
     ] {
         let text = spec.replace(from, &to);
@@ -406,6 +449,14 @@ fn impossible_resource_and_tuning_values_are_usage_errors() {
             "queue-wait-infinite",
             json!({ "tuning": { "queue_wait_per_core": 12345.0 } }),
             "queue_wait_per_core must be finite and >= 0, got inf",
+        ),
+        // Building the queue exhausted memory before the first event.
+        (
+            "initial-jobs-past-the-machine",
+            json!({ "tuning": { "background": { "mean_interarrival_secs": 30.0, "cores": 8,
+                                                "runtime_secs": 60.0,
+                                                "initial_jobs": 1_000_000_000_000u64 } } }),
+            "initial_jobs must be at most 47616 (the cores of xsede.comet), got 1000000000000",
         ),
         // The fork service asserts on it, so the loader has to refuse first.
         (

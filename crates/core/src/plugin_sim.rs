@@ -30,11 +30,9 @@
 //! deterministic `(time, member)` order and doled out one per `poll`, so
 //! the session observes the exact granularity and order a serial interleave
 //! of the same windows would produce. Every window runs on the polling
-//! thread: a window is a handful of events per member, less work than
-//! waking a helper, so fanning members out to a pool lost to running them
-//! inline wherever it was measured (DESIGN.md §13). No session owns or
-//! borrows a thread: constructing and dropping a backend spawns and joins
-//! nothing.
+//! thread (DESIGN.md §13 has the measurement), and the backend is `!Send`
+//! like the telemetry handles it holds: a session never leaves the thread
+//! that built it, and spawns and joins nothing.
 //!
 //! Outside the session's run phase (boot, teardown) the lookahead collapses
 //! to 1 µs, which makes each window cover exactly one timestamp: the merge
@@ -433,7 +431,7 @@ impl EventBackend {
     /// so the session trace stays a single chronologically interleaved
     /// record with collision-free entity ids; member 0's offsets are zero.
     /// Members of a federation buffer their ops only while telemetry is on:
-    /// a disabled handle records nothing, so there is no log to lock.
+    /// a disabled handle records nothing, so there is no log to keep.
     /// `lookahead` is the run-phase window width of the merge (unused with
     /// one member).
     pub(crate) fn new(

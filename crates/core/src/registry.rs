@@ -361,10 +361,10 @@ struct RetryParams {
     max_retries: u32,
     /// Kill-replace watchdog in seconds; `0` disables it.
     #[serde(default)]
-    task_timeout_secs: f64,
+    task_timeout_secs: TimeoutSecs,
     /// Exponential-backoff base in seconds; `0` disables backoff.
     #[serde(default)]
-    backoff_base_secs: f64,
+    backoff_base_secs: BackoffSecs,
     /// Finish with a partial report if every pilot dies mid-run.
     #[serde(default)]
     graceful: bool,
@@ -372,6 +372,38 @@ struct RetryParams {
 
 fn default_max_retries() -> u32 {
     3
+}
+
+/// A seconds param where 0 means off and anything else must be finite and
+/// pass `ok`, refused while the spec is read, where `entk check` sees it.
+fn off_or_finite(v: &Value, ok: fn(f64) -> bool, rule: &str) -> Result<f64, DeError> {
+    let secs = f64::from_value(v)?;
+    if secs == 0.0 || (secs.is_finite() && ok(secs)) {
+        return Ok(secs);
+    }
+    let msg = format!("must be 0 (off) or finite and {rule}, got {secs:?}");
+    Err(DeError::custom(msg))
+}
+
+/// A `task_timeout_secs` of at least the clock's 1 µs tick: a smaller one
+/// rounded to a zero watchdog that killed every task as it started.
+#[derive(Debug, Clone, Copy, Default)]
+struct TimeoutSecs(f64);
+
+impl Deserialize for TimeoutSecs {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        off_or_finite(v, |secs| secs >= 1e-6, "at least 1e-6 s").map(TimeoutSecs)
+    }
+}
+
+/// A `backoff_base_secs` the backoff policy can mean.
+#[derive(Debug, Clone, Copy, Default)]
+struct BackoffSecs(f64);
+
+impl Deserialize for BackoffSecs {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        off_or_finite(v, |secs| secs > 0.0, "> 0").map(BackoffSecs)
+    }
 }
 
 /// The fault-grid registry: named session-level fault-tolerance policies
@@ -383,12 +415,12 @@ pub fn faults() -> &'static Registry<FaultConfig> {
         r.register("none", |_: &(), _: NoParams| Ok(FaultConfig::default()));
         r.register("retries", |_: &(), p: RetryParams| {
             let mut fault = FaultConfig::retries(p.max_retries);
-            if p.task_timeout_secs > 0.0 {
-                fault = fault.with_timeout(SimDuration::from_secs_f64(p.task_timeout_secs));
+            if p.task_timeout_secs.0 > 0.0 {
+                fault = fault.with_timeout(SimDuration::from_secs_f64(p.task_timeout_secs.0));
             }
-            if p.backoff_base_secs > 0.0 {
+            if p.backoff_base_secs.0 > 0.0 {
                 fault = fault.with_backoff(crate::fault::BackoffPolicy::exponential(
-                    p.backoff_base_secs,
+                    p.backoff_base_secs.0,
                 ));
             }
             if p.graceful {

@@ -133,13 +133,9 @@ impl Default for SimulatedConfig {
 }
 
 /// Accepted and ignored; kept so existing configurations compile (the
-/// repository benchmark builds against it).
-///
-/// The member windows of a federated session run one after the other on
-/// the polling thread under either value: a window is a few events per
-/// member, less work than waking a helper thread, and fanning windows out
-/// to a worker pool lost to running them inline on every workload measured
-/// (DESIGN.md §13).
+/// repository benchmark builds against it). The member windows of a
+/// federated session run one after the other on the polling thread under
+/// either value (DESIGN.md §13).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DriveMode {
     /// Same drive as [`DriveMode::Parallel`].
@@ -213,15 +209,7 @@ pub struct FederatedConfig {
     pub telemetry: bool,
     /// Accepted and ignored (see [`DriveMode`]).
     pub drive: DriveMode,
-    /// Conservative lookahead in seconds beyond the earliest member event
-    /// per window during the run phase. `None` derives it from the overhead
-    /// and fault models: the guaranteed floor of the session's
-    /// task-submission reaction delay (and of the retry backoff when
-    /// retries are enabled). Affects window width (throughput), never
-    /// correctness.
-    pub lookahead: Option<f64>,
-    /// Accepted and ignored (see [`DriveMode`]): member windows run one
-    /// after the other on the polling thread.
+    /// Accepted and ignored (see [`DriveMode`]).
     pub sim_threads: usize,
     /// The member clusters (at least one required).
     pub clusters: Vec<ClusterSpec>,
@@ -238,26 +226,25 @@ impl Default for FederatedConfig {
             wait_all: false,
             telemetry: true,
             drive: DriveMode::default(),
-            lookahead: None,
             sim_threads: 0,
             clusters: Vec::new(),
         }
     }
 }
 
-/// The conservative lookahead a federated session can safely default to:
+/// The conservative lookahead of a federated session's run-phase windows:
 /// the guaranteed floor of the earliest session reaction to a member event.
 /// The session reacts to unit completions by scheduling the next batch
 /// after at least the fixed task-submission overhead; with retries enabled
 /// the retry backoff floor (often zero) also bounds the reaction, so
 /// retry-heavy configs degrade toward serial-equivalent 1 µs windows.
-fn derive_lookahead(overheads: &EntkOverheads, fault: &FaultConfig) -> f64 {
+fn derive_lookahead(overheads: &EntkOverheads, fault: &FaultConfig) -> SimDuration {
     let mut lookahead = overheads.task_submit_fixed.floor();
     if fault.max_retries > 0 {
         let backoff_floor = (fault.backoff.base * (1.0 - fault.backoff.jitter)).max(0.0);
         lookahead = lookahead.min(backoff_floor);
     }
-    lookahead.max(0.0)
+    SimDuration::from_secs_f64(lookahead.max(0.0))
 }
 
 enum Inner {
@@ -302,7 +289,6 @@ impl ResourceHandle {
             // Drive knobs only steer the windowed merge, which needs two
             // members to exist.
             drive: DriveMode::default(),
-            lookahead: None,
             sim_threads: 0,
             clusters: vec![ClusterSpec {
                 resource: config.resource,
@@ -391,6 +377,16 @@ impl ResourceHandle {
                         )));
                     }
                 }
+                // Every competing job holds a core: a longer queue is no
+                // machine, only memory.
+                let (cores, jobs) = (platform.total_cores(), load.initial_jobs);
+                if jobs > cores {
+                    return Err(EntkError::Resource(format!(
+                        "background load on {}: initial jobs must be at most its {cores} \
+                         cores, got {jobs}",
+                        platform.name
+                    )));
+                }
             }
             // Decorrelate the member clusters' stochastic streams while
             // keeping cluster 0 on the classic single-cluster stream.
@@ -419,16 +415,13 @@ impl ResourceHandle {
         } else {
             SharedTelemetry::disabled()
         };
-        let lookahead = config
-            .lookahead
-            .unwrap_or_else(|| derive_lookahead(&config.entk_overheads, &config.fault));
         let backend = EventBackend::new(
             inits,
             registry,
             config.wait_all,
             telemetry.clone(),
             label,
-            SimDuration::from_secs_f64(lookahead.max(0.0)),
+            derive_lookahead(&config.entk_overheads, &config.fault),
         );
         let session =
             SessionEngine::new(config.entk_overheads, config.fault, config.seed, telemetry);

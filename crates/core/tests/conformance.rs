@@ -345,6 +345,25 @@ fn construction_errors_are_typed() {
             other => panic!("background load {what} gave {:?}", other.err()),
         }
     }
+    // More queued jobs than the machine has cores: each holds at least one.
+    let sim = SimulatedConfig {
+        background_load: Some(entk_cluster::BackgroundLoad {
+            mean_interarrival_secs: 30.0,
+            cores: Dist::Constant(8.0),
+            runtime: Dist::Constant(60.0),
+            initial_jobs: 47_617,
+        }),
+        ..SimulatedConfig::default()
+    };
+    let config = ResourceConfig::new("xsede.comet", 8, SimDuration::from_secs(1000));
+    match ResourceHandle::simulated(config, sim) {
+        Err(EntkError::Resource(msg)) => assert_eq!(
+            msg,
+            "background load on xsede.comet: initial jobs must be at most its 47616 cores, \
+             got 47617"
+        ),
+        other => panic!("47 617 initial jobs gave {:?}", other.err()),
+    }
 }
 
 #[test]

@@ -157,11 +157,13 @@ fn federated_trace_passes_overhead_cross_check() {
 #[test]
 fn stale_horizon_event_on_window_boundary_is_not_lost() {
     // Regression: with all-constant overhead shapes, member events land on
-    // an exact grid; choosing lookaheads aligned with that grid places the
-    // next member event exactly on the window horizon. The strictly-before
-    // window semantics must leave that event pending (processed at the next
-    // merge point), never drop or double-process it. A bug here shows up as
-    // a trace divergence, a lost task, or a hang.
+    // an exact grid; a lookahead aligned with that grid places the next
+    // member event exactly on the window horizon. The lookahead is derived
+    // from the fixed task-submission overhead, so setting that overhead on
+    // the grid sets the window width. The strictly-before window semantics
+    // must leave that event pending (processed at the next merge point),
+    // never drop or double-process it. A bug here shows up as a trace
+    // divergence, a lost task, or a hang.
     for lookahead_secs in [0.5, 1.0, 2.0] {
         let mut config = fed_config(2, 9, DriveMode::Serial);
         config.entk_overheads = EntkOverheads {
@@ -169,10 +171,9 @@ fn stale_horizon_event_on_window_boundary_is_not_lost() {
             resource_request: Dist::Constant(0.5),
             teardown: Dist::Constant(0.5),
             task_create_per_task: Dist::Constant(0.0),
-            task_submit_fixed: Dist::Constant(0.5),
+            task_submit_fixed: Dist::Constant(lookahead_secs),
         };
         config.runtime_overheads = RuntimeOverheads::zero();
-        config.lookahead = Some(lookahead_secs);
         let shape = Shape::Eop {
             pipelines: 2,
             stages: 2,
@@ -331,9 +332,10 @@ fn one_member_federation_is_the_simulated_session() {
 fn tiny_lookahead_still_completes_and_matches() {
     // A 1 µs lookahead degenerates every window to a single timestamp —
     // the serial-equivalent schedule — and must still terminate and
-    // replay.
+    // replay. Retries with no backoff derive it: the session may resubmit
+    // a failed task at once, so no window may be wider.
     let mut config = fed_config(3, 123, DriveMode::Serial);
-    config.lookahead = Some(0.000_001);
+    config.fault = FaultConfig::retries(1);
     let shape = Shape::Sal { sims: 3 };
     assert_drive_equivalence(config, shape, 0);
 }

@@ -9,29 +9,20 @@
 //! admission loop keeps running, and discards never-started jobs with
 //! [`WorkerPool::cancel_queued`] on early-abort paths.
 //!
-//! [`WorkerPool::run`] executes a batch of borrowed closures and returns
-//! once every one of them has finished. The caller is itself a lane: it
-//! posts *tickets* inviting up to `workers − 1` pool threads to help, then
-//! claims jobs from its own batch until none are left and waits only for
-//! jobs a helper already claimed. Nothing about a batch is pool-wide, so
-//! any number of threads may `run` at once without waiting on each other,
-//! a job may itself call `run` (the nested caller drains its own batch, so
-//! it cannot deadlock), and when every worker is busy the batch simply
-//! runs on the caller. Handing out non-`'static` closures is sound because
-//! the lender does not return while a job is unclaimed or in flight.
+//! [`WorkerPool::run`] executes a batch of borrowed closures on the calling
+//! thread and returns once every one of them has finished.
 //!
 //! The federated simulator does *not* use the pool: its member windows are
 //! a few events each, less work than one wake-up, so they run on the
 //! polling thread (DESIGN.md §13 has the measurement).
 //!
 //! Determinism note: the pool intentionally offers no ordering guarantees —
-//! jobs run on whichever lane grabs them first. Callers must keep ordered
+//! jobs run on whichever worker grabs them first. Callers must keep ordered
 //! state job-private and merge it afterwards.
 
-use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 
 /// An owned job for the asynchronous [`WorkerPool::submit`] path.
@@ -54,16 +45,8 @@ fn threads_from(env: impl Fn(&str) -> Option<String>) -> usize {
         .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-enum Work {
-    /// A submitted job.
-    Owned(Job),
-    /// An invitation to help a [`WorkerPool::run`] batch. A stale ticket —
-    /// its batch has no unclaimed job left — is a no-op.
-    Ticket(Arc<Batch>),
-}
-
 struct State {
-    queue: VecDeque<Work>,
+    queue: VecDeque<Job>,
     shutdown: bool,
 }
 
@@ -72,55 +55,7 @@ struct Shared {
     work_ready: Condvar,
 }
 
-/// The per-batch latch of one [`WorkerPool::run`] call.
-struct Batch {
-    latch: Mutex<Latch>,
-    helpers_done: Condvar,
-}
-
-struct Latch {
-    /// Jobs nobody has claimed yet.
-    unclaimed: std::vec::IntoIter<Job>,
-    /// Jobs claimed and not yet finished.
-    in_flight: usize,
-    /// The caller is parked on `helpers_done`.
-    caller_waiting: bool,
-    /// Payload of the first job that panicked, re-raised on the caller.
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-impl Batch {
-    fn lock(&self) -> MutexGuard<'_, Latch> {
-        // Jobs run outside the lock, so a panicking job cannot poison it.
-        self.latch.lock().expect("batch latch lock")
-    }
-
-    /// Claims and runs jobs until none is unclaimed; returns the latch
-    /// guard. Run by the caller and, on a ticket, by helpers — for whom a
-    /// stale ticket finds nothing to claim and touches nothing else.
-    fn drain(&self) -> MutexGuard<'_, Latch> {
-        let mut latch = self.lock();
-        while let Some(job) = latch.unclaimed.next() {
-            latch.in_flight += 1;
-            drop(latch);
-            let outcome = catch_unwind(AssertUnwindSafe(job));
-            latch = self.lock();
-            latch.in_flight -= 1;
-            if let Err(payload) = outcome {
-                latch.panic.get_or_insert(payload);
-            }
-            // The caller parks only once nothing is unclaimed, so this was
-            // the last job of the batch.
-            if latch.in_flight == 0 && latch.caller_waiting {
-                self.helpers_done.notify_one();
-            }
-        }
-        latch
-    }
-}
-
-/// A fixed-size pool of parked worker threads executing submitted jobs and
-/// helping [`WorkerPool::run`] batches.
+/// A fixed-size pool of parked worker threads executing submitted jobs.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<thread::JoinHandle<()>>,
@@ -169,20 +104,6 @@ impl WorkerPool {
         self.workers
     }
 
-    /// Queues `work` and wakes one worker per item.
-    fn post(&self, work: impl ExactSizeIterator<Item = Work>) {
-        let items = work.len();
-        self.shared
-            .state
-            .lock()
-            .expect("pool state lock")
-            .queue
-            .extend(work);
-        for _ in 0..items {
-            self.shared.work_ready.notify_one();
-        }
-    }
-
     /// Enqueues a batch of owned (`'static`) jobs and returns immediately —
     /// no completion latch. Callers observe completion through the jobs
     /// themselves (typically a channel send at the end of each closure);
@@ -191,70 +112,44 @@ impl WorkerPool {
     /// A submitted job that panics is contained on its worker, which
     /// survives; a job that must report failure catches its own panic.
     pub fn submit(&self, jobs: Vec<Job>) {
-        self.post(jobs.into_iter().map(Work::Owned));
+        let items = jobs.len();
+        self.shared
+            .state
+            .lock()
+            .expect("pool state lock")
+            .queue
+            .extend(jobs);
+        for _ in 0..items {
+            self.shared.work_ready.notify_one();
+        }
     }
 
     /// Drops every submitted job that is still queued (never started) and
     /// returns how many were discarded. Jobs already running are
-    /// unaffected, and so is any in-flight [`WorkerPool::run`]: its jobs
-    /// live in the batch, not in this queue. Used on early-abort paths so
-    /// dropping the pool does not first drain a deep backlog of now-useless
-    /// work.
+    /// unaffected. Used on early-abort paths so dropping the pool does not
+    /// first drain a deep backlog of now-useless work.
     pub fn cancel_queued(&self) -> usize {
         let mut state = self.shared.state.lock().expect("pool state lock");
-        let before = state.queue.len();
-        state.queue.retain(|work| matches!(work, Work::Ticket(_)));
-        before - state.queue.len()
+        let dropped = state.queue.len();
+        state.queue.clear();
+        dropped
     }
 
-    /// Runs a batch of jobs and returns once all of them have completed.
-    /// Jobs may borrow from the caller's stack.
+    /// Runs a batch of jobs on the calling thread, in order, and returns
+    /// once all of them have completed. Jobs may borrow from the caller's
+    /// stack. The pool's workers take no part, so any number of threads may
+    /// `run` at once, and a pool job may itself call `run`.
     ///
-    /// The calling thread is a lane of its own batch: it invites up to
-    /// `workers − 1` pool threads, then runs jobs itself until none is
-    /// unclaimed and waits only for those a helper is still running. With
-    /// one job, one worker, or every worker busy elsewhere, the batch runs
-    /// on the caller.
-    ///
-    /// If a job panics, the panic is contained where it ran, the rest of
-    /// the batch still completes, and the first payload is re-raised here —
-    /// on the batch that owns the job, never on another caller.
+    /// If a job panics, the rest of the batch still completes and the first
+    /// payload is re-raised here.
     pub fn run<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        // The caller is one lane; a lone job or a lone worker needs no help.
-        let helpers = jobs.len().min(self.workers).saturating_sub(1);
-        // SAFETY: the transmute only erases the `'scope` lifetime bound of
-        // each boxed closure; layout is unchanged. It is sound because the
-        // erased jobs live only in `batch.latch.unclaimed`, and this
-        // function does not return (or unwind: job panics are caught)
-        // until that iterator is exhausted and `in_flight` is zero — every
-        // job has been claimed, run to completion and dropped — so no job
-        // can observe its borrows after `'scope` ends. A ticket that
-        // outlives this call holds only the emptied batch. (The one earlier
-        // exit is a poisoned pool lock in `post`, before any ticket exists:
-        // it drops the batch, and with it the jobs, unrun.)
-        let jobs: Vec<Job> = jobs
-            .into_iter()
-            .map(|j| unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(j) })
-            .collect();
-        let batch = Arc::new(Batch {
-            latch: Mutex::new(Latch {
-                unclaimed: jobs.into_iter(),
-                in_flight: 0,
-                caller_waiting: false,
-                panic: None,
-            }),
-            helpers_done: Condvar::new(),
-        });
-        if helpers > 0 {
-            self.post((0..helpers).map(|_| Work::Ticket(Arc::clone(&batch))));
+        let mut first_panic = None;
+        for job in jobs {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
+                first_panic.get_or_insert(payload);
+            }
         }
-        let mut latch = batch.drain();
-        latch.caller_waiting = true;
-        while latch.in_flight > 0 {
-            latch = batch.helpers_done.wait(latch).expect("batch latch wait");
-        }
-        if let Some(payload) = latch.panic.take() {
-            drop(latch);
+        if let Some(payload) = first_panic {
             resume_unwind(payload);
         }
     }
@@ -280,11 +175,11 @@ impl Drop for WorkerPool {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let work = {
+        let job = {
             let mut state = shared.state.lock().expect("pool state lock");
             loop {
-                if let Some(work) = state.queue.pop_front() {
-                    break work;
+                if let Some(job) = state.queue.pop_front() {
+                    break job;
                 }
                 if state.shutdown {
                     return;
@@ -292,11 +187,8 @@ fn worker_loop(shared: &Shared) {
                 state = shared.work_ready.wait(state).expect("pool worker wait");
             }
         };
-        match work {
-            // The panic hook has already reported it; the worker survives.
-            Work::Owned(job) => drop(catch_unwind(AssertUnwindSafe(job))),
-            Work::Ticket(batch) => drop(batch.drain()),
-        }
+        // The panic hook has already reported it; the worker survives.
+        drop(catch_unwind(AssertUnwindSafe(job)));
     }
 }
 
@@ -415,8 +307,7 @@ mod tests {
     #[test]
     fn job_panic_is_reraised_and_pool_survives() {
         let pool = WorkerPool::new(2);
-        // Two jobs, so one may land on a helper; wherever "boom" runs, the
-        // payload surfaces here.
+        // Both jobs panic; the first payload surfaces here.
         let payload = catch_unwind(AssertUnwindSafe(|| {
             pool.run(vec![
                 Box::new(|| panic!("boom")) as Box<dyn FnOnce() + Send + '_>,
@@ -425,7 +316,7 @@ mod tests {
         }))
         .unwrap_err();
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
-        // The worker thread survived the panic and keeps serving batches.
+        // The pool survived the panic and keeps serving batches.
         let ran = AtomicU64::new(0);
         pool.run(increments(&ran, 2));
         assert_eq!(ran.load(Ordering::Relaxed), 2);
@@ -491,10 +382,9 @@ mod tests {
 
     #[test]
     fn run_from_inside_a_pool_job_completes() {
-        // Every worker is occupied by a job that itself calls `run`: the
-        // tickets those nested callers post find no free worker, so each
-        // must finish its batch alone. On the 1-worker pool the nested
-        // caller is the only thread the pool has.
+        // Every worker is occupied by a job that itself calls `run`, so
+        // each nested caller must finish its batch alone. On the 1-worker
+        // pool the nested caller is the only thread the pool has.
         for workers in [1usize, 2] {
             let pool = Arc::new(WorkerPool::new(workers));
             let all_busy = Arc::new(Barrier::new(workers));
@@ -554,33 +444,19 @@ mod tests {
     }
 
     #[test]
-    fn cancel_queued_during_a_run_loses_no_job() {
+    fn run_executes_the_batch_on_the_calling_thread() {
         let pool = WorkerPool::new(2);
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        let gate = Barrier::new(3);
-        let ran = AtomicU64::new(0);
-        thread::scope(|s| {
-            s.spawn(|| {
-                // Both lanes (caller and helper) block in a gated job, so
-                // six jobs are provably unclaimed when the cancel lands.
-                let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-                for _ in 0..2 {
-                    let (started_tx, gate, ran) = (started_tx.clone(), &gate, &ran);
-                    jobs.push(Box::new(move || {
-                        started_tx.send(()).unwrap();
-                        gate.wait();
-                        ran.fetch_add(1, Ordering::Relaxed);
-                    }));
-                }
-                jobs.extend(increments(&ran, 6));
-                pool.run(jobs);
-            });
-            started_rx.recv().unwrap();
-            started_rx.recv().unwrap();
-            assert_eq!(pool.cancel_queued(), 0, "no submitted job was queued");
-            gate.wait();
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 8);
+        let caller = thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..8)
+            .map(|_| {
+                let seen = &seen;
+                Box::new(move || seen.lock().unwrap().push(thread::current().id()))
+                    as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        pool.run(jobs);
+        assert_eq!(seen.into_inner().unwrap(), vec![caller; 8]);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// The entity a trace record is about, as a compact copyable id.
 ///
@@ -618,11 +618,6 @@ pub struct SubjectOffsets {
 }
 
 impl SubjectOffsets {
-    /// True when every offset is zero (the identity mapping).
-    pub fn is_identity(&self) -> bool {
-        *self == SubjectOffsets::default()
-    }
-
     /// Applies the offsets to a subject.
     pub fn apply(&self, subject: Subject) -> Subject {
         match subject {
@@ -657,13 +652,13 @@ pub enum TelemetryOp {
 /// recorded and not yet spliced into the shared pipeline.
 #[derive(Debug, Clone)]
 pub struct TelemetryBuffer {
-    ops: Arc<Mutex<VecDeque<TelemetryOp>>>,
+    ops: Rc<RefCell<VecDeque<TelemetryOp>>>,
 }
 
 impl TelemetryBuffer {
     /// Number of ops waiting to be spliced.
     pub fn len(&self) -> usize {
-        self.ops.lock().expect("telemetry buffer lock").len()
+        self.ops.borrow().len()
     }
 
     /// True when no ops are buffered.
@@ -675,17 +670,9 @@ impl TelemetryBuffer {
     /// pipeline, verbatim (subject offsets were applied when the ops were
     /// recorded): the log holds an op only until it is spliced.
     pub fn splice_into(&self, target: &SharedTelemetry, n: usize) {
-        if n == 0 {
-            return;
-        }
-        let mut ops = self.ops.lock().expect("telemetry buffer lock");
-        let mut inner = target.inner.lock().expect("telemetry lock");
-        for op in ops.drain(..n) {
-            match op {
-                TelemetryOp::Record(r) => inner.tracer.record(r.time, r.layer, r.name, r.subject),
-                TelemetryOp::Gauge(name, time, value) => inner.metrics.gauge(name, time, value),
-                TelemetryOp::Add(name, n) => inner.metrics.add(name, n),
-            }
+        let mut inner = target.inner.borrow_mut();
+        for op in self.ops.borrow_mut().drain(..n) {
+            inner.apply(op);
         }
     }
 }
@@ -700,19 +687,40 @@ pub struct Telemetry {
     pub metrics: Metrics,
 }
 
+impl Telemetry {
+    #[inline]
+    fn apply(&mut self, op: TelemetryOp) {
+        match op {
+            TelemetryOp::Record(r) => self.tracer.record(r.time, r.layer, r.name, r.subject),
+            TelemetryOp::Gauge(name, time, value) => self.metrics.gauge(name, time, value),
+            TelemetryOp::Add(name, n) => self.metrics.add(name, n),
+        }
+    }
+}
+
 /// A cheaply clonable handle to one session's [`Telemetry`], shared by the
 /// cluster, pilot, and toolkit layers.
 ///
+/// A session runs on one thread, so its handles share the pipeline through
+/// an `Rc` and record with no lock; the type is `!Send`, so the compiler
+/// refuses a handle that would cross a thread:
+///
+/// ```compile_fail
+/// let telemetry = entk_sim::SharedTelemetry::new();
+/// std::thread::spawn(move || telemetry.inc("units"));
+/// ```
+///
 /// The `enabled` flag is copied into the handle so a disabled pipeline
-/// skips the lock entirely on the hot path.
+/// records nothing on the hot path. What leaves a session is the
+/// [`Telemetry`] that [`Self::take`] moves out, which is `Send`.
 #[derive(Debug, Clone)]
 pub struct SharedTelemetry {
-    inner: Arc<Mutex<Telemetry>>,
+    inner: Rc<RefCell<Telemetry>>,
     enabled: bool,
     offsets: SubjectOffsets,
     /// When set, ops are appended here (offsets pre-applied) instead of the
     /// shared pipeline; a merge spine splices them in later.
-    buffer: Option<Arc<Mutex<VecDeque<TelemetryOp>>>>,
+    buffer: Option<Rc<RefCell<VecDeque<TelemetryOp>>>>,
 }
 
 impl Default for SharedTelemetry {
@@ -724,25 +732,21 @@ impl Default for SharedTelemetry {
 impl SharedTelemetry {
     /// Creates an enabled shared telemetry pipeline.
     pub fn new() -> Self {
-        SharedTelemetry {
-            inner: Arc::new(Mutex::new(Telemetry {
-                tracer: Tracer::new(),
-                metrics: Metrics::new(),
-            })),
-            enabled: true,
-            offsets: SubjectOffsets::default(),
-            buffer: None,
-        }
+        Self::over(Tracer::new(), true)
     }
 
     /// Creates a pipeline that drops everything recorded into it.
     pub fn disabled() -> Self {
+        Self::over(Tracer::disabled(), false)
+    }
+
+    fn over(tracer: Tracer, enabled: bool) -> Self {
         SharedTelemetry {
-            inner: Arc::new(Mutex::new(Telemetry {
-                tracer: Tracer::disabled(),
+            inner: Rc::new(RefCell::new(Telemetry {
+                tracer,
                 metrics: Metrics::new(),
             })),
-            enabled: false,
+            enabled,
             offsets: SubjectOffsets::default(),
             buffer: None,
         }
@@ -754,10 +758,8 @@ impl SharedTelemetry {
     /// trace; zero offsets return an equivalent plain clone.
     pub fn with_subject_offsets(&self, offsets: SubjectOffsets) -> SharedTelemetry {
         SharedTelemetry {
-            inner: Arc::clone(&self.inner),
-            enabled: self.enabled,
             offsets,
-            buffer: self.buffer.clone(),
+            ..self.clone()
         }
     }
 
@@ -768,53 +770,41 @@ impl SharedTelemetry {
     /// touches the shared pipeline mid-window; the merge spine drains the
     /// log via [`TelemetryBuffer::splice_into`] in deterministic order.
     pub fn buffered(&self, offsets: SubjectOffsets) -> (SharedTelemetry, TelemetryBuffer) {
-        let ops = Arc::new(Mutex::new(VecDeque::new()));
+        let ops = Rc::default();
         let handle = SharedTelemetry {
-            inner: Arc::clone(&self.inner),
-            enabled: self.enabled,
             offsets,
-            buffer: Some(Arc::clone(&ops)),
+            buffer: Some(Rc::clone(&ops)),
+            ..self.clone()
         };
         (handle, TelemetryBuffer { ops })
+    }
+
+    /// Writes `op` through, or into the log of a buffered handle.
+    #[inline]
+    fn emit(&self, op: TelemetryOp) {
+        match &self.buffer {
+            Some(buf) => buf.borrow_mut().push_back(op),
+            None => self.inner.borrow_mut().apply(op),
+        }
     }
 
     /// Appends a trace record.
     pub fn record(&self, time: SimTime, layer: &'static str, name: &'static str, subject: Subject) {
         if self.enabled {
             let subject = self.offsets.apply(subject);
-            if let Some(buf) = &self.buffer {
-                buf.lock()
-                    .expect("telemetry buffer lock")
-                    .push_back(TelemetryOp::Record(TraceRecord {
-                        time,
-                        layer,
-                        name,
-                        subject,
-                    }));
-            } else {
-                self.inner
-                    .lock()
-                    .expect("telemetry lock")
-                    .tracer
-                    .record(time, layer, name, subject);
-            }
+            self.emit(TelemetryOp::Record(TraceRecord {
+                time,
+                layer,
+                name,
+                subject,
+            }));
         }
     }
 
     /// Appends a gauge sample at `time`.
     pub fn gauge(&self, name: &'static str, time: SimTime, value: f64) {
         if self.enabled {
-            if let Some(buf) = &self.buffer {
-                buf.lock()
-                    .expect("telemetry buffer lock")
-                    .push_back(TelemetryOp::Gauge(name, time, value));
-            } else {
-                self.inner
-                    .lock()
-                    .expect("telemetry lock")
-                    .metrics
-                    .gauge(name, time, value);
-            }
+            self.emit(TelemetryOp::Gauge(name, time, value));
         }
     }
 
@@ -826,30 +816,20 @@ impl SharedTelemetry {
     /// Adds `n` to a counter.
     pub fn add(&self, name: &'static str, n: u64) {
         if self.enabled {
-            if let Some(buf) = &self.buffer {
-                buf.lock()
-                    .expect("telemetry buffer lock")
-                    .push_back(TelemetryOp::Add(name, n));
-            } else {
-                self.inner
-                    .lock()
-                    .expect("telemetry lock")
-                    .metrics
-                    .add(name, n);
-            }
+            self.emit(TelemetryOp::Add(name, n));
         }
     }
 
     /// A point-in-time copy of everything collected so far.
     pub fn snapshot(&self) -> Telemetry {
-        self.inner.lock().expect("telemetry lock").clone()
+        self.inner.borrow().clone()
     }
 
     /// Moves everything collected so far out, leaving the pipeline with an
     /// empty, disabled tracer and no metrics: what a finished session hands
     /// over instead of a [`Self::snapshot`] copy.
     pub fn take(&self) -> Telemetry {
-        std::mem::take(&mut *self.inner.lock().expect("telemetry lock"))
+        self.inner.take()
     }
 }
 
@@ -1280,7 +1260,6 @@ mod tests {
                 Subject::Session,
             ]
         );
-        assert!(SubjectOffsets::default().is_identity());
     }
 
     #[test]
