@@ -268,7 +268,8 @@ fn check_backend_keys(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> 
 /// Refuses resource and tuning values no run can mean: no local core to
 /// run on (`handle` refuses it too, without a line; the discrete-event
 /// backends name their platform's size there), a zero wall time (the
-/// pilot dies as it starts), a queue wait that is negative or not finite
+/// pilot dies as it starts) or one past the clock's last whole second (it
+/// wrapped to a tiny one), a queue wait that is negative or not finite
 /// (it ran as zero), a background load whose arrivals leave no gap for
 /// virtual time to advance in. `check` builds the handle and would pass the
 /// first and the last; `run` then drained early or never returned. A
@@ -277,18 +278,26 @@ fn check_backend_keys(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> 
 /// queue exhausted memory).
 fn check_resources(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
     let refuse = |key: &str, msg: String| Err(usage_at(text, key, EntkError::Usage(msg)));
-    let zero_walltime = |what: &str| format!("{what} must be at least 1, got 0");
+    // Whole seconds the clock can hold; past them the wall time wrapped.
+    let max_walltime = SimDuration::MAX.as_micros() / 1_000_000;
+    let bad_walltime = |what: &str, secs: u64| match secs {
+        0 => Some(format!("{what} must be at least 1, got 0")),
+        s if s > max_walltime => Some(format!("{what} must be at most {max_walltime}, got {s}")),
+        _ => None,
+    };
     if spec.backend == "local" && spec.resource.cores == 0 {
         let msg = "resource.cores must be at least 1, got 0".to_string();
         return refuse("resource", msg);
     }
-    if spec.resource.walltime_secs == 0 {
-        return refuse("walltime_secs", zero_walltime("walltime_secs"));
+    if let Some(msg) = bad_walltime("walltime_secs", spec.resource.walltime_secs) {
+        return refuse("walltime_secs", msg);
     }
     // Every member has the key, so point at the list and name the member.
-    if let Some(i) = spec.federation.iter().position(|m| m.walltime_secs == 0) {
-        let what = format!("federation[{i}].walltime_secs");
-        return refuse("federation", zero_walltime(&what));
+    let member = spec.federation.iter().enumerate().find_map(|(i, m)| {
+        bad_walltime(&format!("federation[{i}].walltime_secs"), m.walltime_secs)
+    });
+    if let Some(msg) = member {
+        return refuse("federation", msg);
     }
     if let Some(per_core) = spec.tuning.queue_wait_per_core {
         if !(per_core.is_finite() && per_core >= 0.0) {

@@ -398,7 +398,9 @@ fn degenerate_patterns_are_usage_errors_not_panics() {
 
 /// Values `check` used to pass and `run` then broke on: with a zero wall
 /// time the simulation drained before the pilot was up (a failed
-/// `debug_assert` in a debug build), zero-gap background arrivals never let
+/// `debug_assert` in a debug build), one past the clock's last whole
+/// second wrapped (every pilot terminated mid-run), zero-gap background
+/// arrivals never let
 /// virtual time advance (`run` never returned), and a negative or infinite
 /// queue wait ran as no wait at all. The loader refuses each.
 #[test]
@@ -419,6 +421,20 @@ fn impossible_resource_and_tuning_values_are_usage_errors() {
             "member-walltime-zero",
             json!({ "backend": "federated", "federation": [member(100), member(0)] }),
             "federation[1].walltime_secs must be at least 1, got 0",
+        ),
+        // Past the clock's last whole second the wall time wrapped to a tiny
+        // one: `run` ended with every pilot terminated mid-run.
+        (
+            "walltime-past-the-clock",
+            json!({ "resource": { "name": "xsede.comet", "cores": 4,
+                                  "walltime_secs": 18_446_744_073_709_552u64 } }),
+            "walltime_secs must be at most 18446744073709, got 18446744073709552",
+        ),
+        (
+            "member-walltime-past-the-clock",
+            json!({ "backend": "federated",
+                    "federation": [member(18_446_744_073_710), member(100)] }),
+            "federation[0].walltime_secs must be at most 18446744073709, got 18446744073710",
         ),
         (
             "interarrival-zero",

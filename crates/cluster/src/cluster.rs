@@ -937,59 +937,60 @@ mod background_tests {
         let mut started_at = None;
         let mut notes_seen = 0usize;
         // The background generator never drains the queue: bound the run.
-        engine.run_bounded(
-            200_000,
-            entk_sim::SimTime::from_secs(5_000),
-            &mut |ev, ctx| {
-                let mut out = Vec::new();
-                if !booted {
-                    booted = true;
-                    if let Some(l) = load {
-                        cluster.enable_background_load(l, ctx);
-                    }
-                    return; // t = 0 bootstrap event consumed
+        let horizon = entk_sim::SimTime::from_secs(5_000);
+        while engine.steps() < 200_000 {
+            let Some((ev, mut ctx)) = engine.pop_until(horizon) else {
+                break;
+            };
+            let ctx = &mut ctx;
+            let mut out = Vec::new();
+            if !booted {
+                booted = true;
+                if let Some(l) = load {
+                    cluster.enable_background_load(l, ctx);
                 }
-                match ev {
-                    Ev::Cluster(ClusterEvent::Kick)
-                        if owner_id.is_none() && ctx.now() >= entk_sim::SimTime::from_secs(600) =>
-                    {
-                        owner_id = Some(
-                            cluster
-                                .submit(
-                                    BatchJobDescription::new(
-                                        "pilot",
-                                        24,
-                                        SimDuration::from_secs(10_000),
-                                    ),
-                                    ctx,
-                                    &mut out,
-                                )
-                                .unwrap(),
-                        );
-                        cluster.handle(ClusterEvent::Kick, ctx, &mut out);
-                    }
-                    Ev::Cluster(ce) => cluster.handle(ce, ctx, &mut out),
-                    Ev::CompletePilot(id) => cluster.complete(id, ctx, &mut out),
-                }
-                notes_seen += out.len();
-                for n in out {
-                    let ClusterNotification::JobState {
-                        id, state, time, ..
-                    } = n
-                    else {
-                        continue;
-                    };
-                    assert!(
-                        !cluster.is_background(id),
-                        "background notification leaked to owner"
+                continue; // t = 0 bootstrap event consumed
+            }
+            match ev {
+                Ev::Cluster(ClusterEvent::Kick)
+                    if owner_id.is_none() && ctx.now() >= entk_sim::SimTime::from_secs(600) =>
+                {
+                    owner_id = Some(
+                        cluster
+                            .submit(
+                                BatchJobDescription::new(
+                                    "pilot",
+                                    24,
+                                    SimDuration::from_secs(10_000),
+                                ),
+                                ctx,
+                                &mut out,
+                            )
+                            .unwrap(),
                     );
-                    if Some(id) == owner_id && state == BatchJobState::Starting {
-                        started_at = Some(time);
-                        ctx.schedule_in(SimDuration::from_secs(30), Ev::CompletePilot(id));
-                    }
+                    cluster.handle(ClusterEvent::Kick, ctx, &mut out);
                 }
-            },
-        );
+                Ev::Cluster(ce) => cluster.handle(ce, ctx, &mut out),
+                Ev::CompletePilot(id) => cluster.complete(id, ctx, &mut out),
+            }
+            notes_seen += out.len();
+            for n in out {
+                let ClusterNotification::JobState {
+                    id, state, time, ..
+                } = n
+                else {
+                    continue;
+                };
+                assert!(
+                    !cluster.is_background(id),
+                    "background notification leaked to owner"
+                );
+                if Some(id) == owner_id && state == BatchJobState::Starting {
+                    started_at = Some(time);
+                    ctx.schedule_in(SimDuration::from_secs(30), Ev::CompletePilot(id));
+                }
+            }
+        }
         let wait = started_at.expect("owner job started").as_secs_f64() - 600.0;
         (wait, notes_seen)
     }

@@ -7,32 +7,38 @@
 //! late-bound at submission time to whichever member currently has the most
 //! free capacity. Only the *drive* depends on the member count.
 //!
-//! ## One member: the single-engine drive
+//! ## The session engine
 //!
-//! The lone cluster's engine holds every event of the session, session-level
-//! ones included, and `poll` steps it one event at a time; same-instant
-//! events fire in insertion order and every layer records straight into the
-//! shared telemetry pipeline. The windowed merge below is not a substitute
-//! at N = 1: it buffers member telemetry and splices it after the session's
-//! own record, and its spine wins time ties, so same-instant pairs
-//! (`pilot unit_submitted` / `entk task_submitted`) swap and every golden
-//! trace fingerprint would move. That is why the drive stays forked.
+//! Session-level events (boot, batch releases, timeouts, deferred failures,
+//! shutdown, clock marks) live on one *session engine*, and each `poll`
+//! that reaches it pops and handles exactly one of its events, at any
+//! member count. Boot and shutdown reach every member the same way: through
+//! the member's own engine, advanced to the event's time.
+//!
+//! With one member, the session engine is the lone member's own engine. It
+//! also holds that member's runtime and batch-system events, handled in the
+//! same step, so same-instant events fire in insertion order and every
+//! layer records straight into the shared telemetry pipeline. The windows
+//! below are no substitute at N = 1: they buffer member telemetry and splice
+//! it after the session's own record, and the spine wins time ties, so
+//! same-instant pairs (`pilot unit_submitted` / `entk task_submitted`) would
+//! swap and every golden trace fingerprint would move.
 //!
 //! ## Two or more members: the conservative-lookahead merge
 //!
-//! Session-level events (boot, batch releases, timeouts, shutdown) move to a
-//! dedicated clock *spine* engine, while each member cluster's engine holds
-//! only that machine's runtime and batch-system events. Members advance
-//! inside bounded *windows*: from the earliest member event time `t_m` up to
-//! (strictly before) the horizon `min(t_spine, t_m + lookahead)` — classic
-//! conservative PDES. Every event a member processes becomes a *chunk*
-//! `(time, member, events, telemetry ops)`; completed chunks are merged in
-//! deterministic `(time, member)` order and doled out one per `poll`, so
-//! the session observes the exact granularity and order a serial interleave
-//! of the same windows would produce. Every window runs on the polling
-//! thread (DESIGN.md §13 has the measurement), and the backend is `!Send`
-//! like the telemetry handles it holds: a session never leaves the thread
-//! that built it, and spawns and joins nothing.
+//! The session engine is a dedicated clock *spine* that holds session
+//! events only, while each member's engine holds that machine's runtime and
+//! batch-system events. Members advance inside bounded *windows*: from the
+//! earliest member event time `t_m` up to (strictly before) the horizon
+//! `min(t_spine, t_m + lookahead)` — classic conservative PDES. Every event
+//! a member processes becomes a *chunk* `(time, events, telemetry ops)` on
+//! that member's own queue, which is in time order because a member's clock
+//! never goes back. Each `poll` doles the queue front with the least
+//! `(time, member)`, so the session observes the exact granularity and
+//! order a serial interleave of the same windows would produce. Every window
+//! runs on the polling thread (DESIGN.md §13 has the measurement), and the
+//! backend is `!Send` like the telemetry handles it holds: a session never
+//! leaves the thread that built it, and spawns and joins nothing.
 //!
 //! Outside the session's run phase (boot, teardown) the lookahead collapses
 //! to 1 µs, which makes each window cover exactly one timestamp: the merge
@@ -60,8 +66,8 @@ use entk_sim::{
 use std::collections::{HashSet, VecDeque};
 
 /// Top-level event type of the simulated toolkit stack. Session-level
-/// events (everything but `Rt`/`Cl`) are always scheduled on cluster 0's
-/// engine, which acts as the session's clock spine.
+/// events (everything but `Rt`/`Cl`) are scheduled on the session engine: a
+/// federation's spine, or the lone member's own engine.
 #[derive(Debug, Clone)]
 pub(crate) enum Ev {
     /// Pilot runtime event.
@@ -115,14 +121,20 @@ struct ClusterStack {
     buffer: Option<TelemetryBuffer>,
     /// Ops in `buffer` already claimed by a pending chunk.
     ops_claimed: usize,
+    /// This member's completed chunks awaiting dole, in time order and, at
+    /// one instant, in creation order. Always empty with one member.
+    chunks: VecDeque<Chunk>,
     /// Scratch for the runtime's notifications of one event, reused so the
     /// drive allocates no vector per event.
     notes: Vec<RuntimeNotification>,
 }
 
 impl ClusterStack {
-    /// Enables load/fault models and submits this cluster's pilots.
-    fn boot(&mut self, ctx: &mut Context<'_, Ev>, notes: &mut Vec<RuntimeNotification>) {
+    /// Enables load/fault models and submits this cluster's pilots at `now`.
+    fn boot(&mut self, now: SimTime) {
+        self.engine.advance_to(now);
+        let ctx = &mut self.engine.context();
+        let notes = &mut self.notes;
         if let Some(load) = self.background_load {
             self.runtime.cluster_mut().enable_background_load(load, ctx);
         }
@@ -147,11 +159,13 @@ impl ClusterStack {
         }
     }
 
-    /// Gracefully finishes this cluster's pilots.
-    fn shutdown(&mut self, ctx: &mut Context<'_, Ev>, notes: &mut Vec<RuntimeNotification>) {
+    /// Gracefully finishes this cluster's pilots at `now`.
+    fn shutdown(&mut self, now: SimTime) {
+        self.engine.advance_to(now);
+        let ctx = &mut self.engine.context();
         self.runtime.cluster_mut().disable_background_load();
         for p in self.pilots.clone() {
-            self.runtime.finish_pilot(p, ctx, notes);
+            self.runtime.finish_pilot(p, ctx, &mut self.notes);
         }
     }
 
@@ -186,6 +200,90 @@ impl ClusterStack {
         let held = self.buffer.as_ref().map_or(0, TelemetryBuffer::len);
         held - std::mem::replace(&mut self.ops_claimed, held)
     }
+
+    /// Turns this member's pending notes into backend events and applies
+    /// dead-pilot effects at once: the session engine's step surfaces them
+    /// in the same poll.
+    fn surface(
+        &mut self,
+        member: usize,
+        n_clusters: u64,
+        now: SimTime,
+        out: &mut Vec<BackendEvent>,
+    ) {
+        let mut dead = Vec::new();
+        translate_notes(member, n_clusters, &mut self.notes, now, out, &mut dead);
+        self.dead_pilots.extend(dead);
+    }
+
+    /// Queues a completed chunk behind this member's earlier ones.
+    fn push_chunk(&mut self, chunk: Chunk) {
+        debug_assert!(
+            self.chunks.back().is_none_or(|c| c.time <= chunk.time),
+            "a member's chunks went back in time"
+        );
+        self.chunks.push_back(chunk);
+    }
+
+    /// Captures telemetry ops a session-side call just recorded into this
+    /// member's buffer as an eventless chunk at the member's current clock
+    /// (where the ops were timestamped), so spliced gauge series stay
+    /// time-ordered. A no-op without a buffer: one member, or telemetry off.
+    fn push_injection(&mut self) {
+        let ops = self.take_ops();
+        if ops == 0 {
+            return;
+        }
+        self.push_chunk(Chunk {
+            time: self.engine.now(),
+            ops,
+            events: Vec::new(),
+            dead: Vec::new(),
+            eventful: false,
+        });
+    }
+
+    /// Runs this member's conservative-lookahead window: processes every
+    /// event at or before `bound`, one chunk per event. Member-local (no
+    /// shared state beyond the member's own stack), so the order members
+    /// are visited in cannot show in the chunks.
+    fn run_window(&mut self, member: usize, n_clusters: u64, bound: SimTime) {
+        while let Some((ev, mut ctx)) = self.engine.pop_until(bound) {
+            let time = ctx.now();
+            runtime_event(&mut self.runtime, ev, &mut ctx, &mut self.notes);
+            let (mut events, mut dead) = (Vec::new(), Vec::new());
+            translate_notes(
+                member,
+                n_clusters,
+                &mut self.notes,
+                time,
+                &mut events,
+                &mut dead,
+            );
+            let ops = self.take_ops();
+            self.push_chunk(Chunk {
+                time,
+                ops,
+                events,
+                dead,
+                eventful: true,
+            });
+        }
+    }
+}
+
+/// Hands one member engine event to that member's runtime.
+fn runtime_event(
+    runtime: &mut SimRuntime,
+    ev: Ev,
+    ctx: &mut Context<'_, Ev>,
+    notes: &mut Vec<RuntimeNotification>,
+) {
+    match ev {
+        Ev::Rt(re) => runtime.handle(re, ctx, notes),
+        Ev::Cl(ce) => runtime.handle_cluster(ce, ctx, notes),
+        _ => unreachable!("session events are scheduled on the session engine"),
+    }
 }
 
 /// One unit of doled-out federated progress: a single member engine event
@@ -195,7 +293,6 @@ impl ClusterStack {
 /// (applied at dole time so `capacity_lost()` keeps serial granularity).
 struct Chunk {
     time: SimTime,
-    member: usize,
     /// How many of the oldest ops in the member's log are this chunk's.
     ops: usize,
     events: Vec<BackendEvent>,
@@ -206,117 +303,17 @@ struct Chunk {
 }
 
 /// Conservative-lookahead merge state of a multi-member backend; `None`
-/// with one member, which keeps the single-engine drive.
+/// with one member, whose engine is the session engine.
 struct FedState {
     /// The session's clock spine: holds only session-level events (boot,
     /// batch releases, timeouts, shutdown, clock marks).
     spine: Engine<Ev>,
-    /// Completed member chunks awaiting dole, sorted by `(time, member)`.
-    pending: VecDeque<Chunk>,
     /// Window width beyond the earliest member event during the run phase.
     lookahead: SimDuration,
     /// Latched while the session is in its run phase (first batch scheduled
     /// → shutdown): windows widen to the lookahead. Outside it they stay at
     /// 1 µs — one timestamp per window, exactly the serial interleave.
     windows_on: bool,
-}
-
-impl FedState {
-    /// Captures telemetry ops a session-side call just recorded into a
-    /// member's buffer as an eventless chunk, merged into the dole stream
-    /// at the member's current clock (where the ops were timestamped) so
-    /// spliced gauge series stay time-ordered.
-    fn push_injection(&mut self, stack: &mut ClusterStack, member: usize) {
-        let ops = stack.take_ops();
-        if ops == 0 {
-            return;
-        }
-        let time = stack.engine.now();
-        // After chunks with the same key: same-member ops splice in record
-        // order.
-        let pos = self
-            .pending
-            .partition_point(|c| (c.time, c.member) <= (time, member));
-        self.pending.insert(
-            pos,
-            Chunk {
-                time,
-                member,
-                ops,
-                events: Vec::new(),
-                dead: Vec::new(),
-                eventful: false,
-            },
-        );
-    }
-
-    /// Merges freshly windowed chunks (per-member, time-sorted) into the
-    /// pending dole stream, keeping `(time, member)` order with existing
-    /// chunks winning ties (they were produced by earlier windows).
-    fn merge_pending(&mut self, outputs: impl Iterator<Item = Vec<Chunk>>) {
-        let mut fresh: Vec<Chunk> = outputs.flatten().collect();
-        if fresh.is_empty() {
-            return;
-        }
-        // Stable: per-member chunk order (equal times included) survives.
-        fresh.sort_by_key(|c| (c.time, c.member));
-        let old = std::mem::take(&mut self.pending);
-        let mut merged = VecDeque::with_capacity(old.len() + fresh.len());
-        let mut fresh = fresh.into_iter().peekable();
-        for chunk in old {
-            while fresh
-                .peek()
-                .is_some_and(|f| (f.time, f.member) < (chunk.time, chunk.member))
-            {
-                merged.push_back(fresh.next().expect("peeked"));
-            }
-            merged.push_back(chunk);
-        }
-        merged.extend(fresh);
-        self.pending = merged;
-    }
-}
-
-/// Runs one member's conservative-lookahead window: processes every event
-/// strictly before `horizon`, one chunk per event. Runs member-locally (no
-/// shared state beyond the member's own stack), so the order members are
-/// visited in cannot show in the chunks.
-fn run_member_window(
-    member: usize,
-    n_clusters: u64,
-    stack: &mut ClusterStack,
-    horizon: SimTime,
-) -> Vec<Chunk> {
-    let mut chunks = Vec::new();
-    let mut engine = std::mem::take(&mut stack.engine);
-    while let Some(t) = engine.next_time() {
-        if t >= horizon {
-            break;
-        }
-        let mut events = Vec::new();
-        let mut dead = Vec::new();
-        {
-            let (runtime, notes) = (&mut stack.runtime, &mut stack.notes);
-            engine.advance_until(1, horizon, &mut |ev, ctx| {
-                match ev {
-                    Ev::Rt(re) => runtime.handle(re, ctx, notes),
-                    Ev::Cl(ce) => runtime.handle_cluster(ce, ctx, notes),
-                    _ => unreachable!("session events are scheduled on the spine"),
-                }
-                translate_notes(member, n_clusters, notes, ctx.now(), &mut events, &mut dead);
-            });
-        }
-        chunks.push(Chunk {
-            time: t,
-            member,
-            ops: stack.take_ops(),
-            events,
-            dead,
-            eventful: true,
-        });
-    }
-    stack.engine = engine;
-    chunks
 }
 
 /// Drains one member's runtime notifications into backend events. Failure
@@ -477,13 +474,13 @@ impl EventBackend {
                     dead_pilots: HashSet::new(),
                     buffer,
                     ops_claimed: 0,
+                    chunks: VecDeque::new(),
                     notes: Vec::new(),
                 }
             })
             .collect();
         let fed = multi.then(|| FedState {
             spine: Engine::new(),
-            pending: VecDeque::new(),
             lookahead,
             windows_on: false,
         });
@@ -541,46 +538,6 @@ impl EventBackend {
         best.unwrap_or(0)
     }
 
-    /// Turns one cluster's runtime notifications into backend events,
-    /// applying dead-pilot effects immediately (serial / spine contexts,
-    /// where the notifications surface in the same poll).
-    fn translate(
-        &mut self,
-        cluster: usize,
-        notes: &mut Vec<RuntimeNotification>,
-        now: SimTime,
-        out: &mut Vec<BackendEvent>,
-    ) {
-        let n = self.clusters.len() as u64;
-        let mut dead = Vec::new();
-        translate_notes(cluster, n, notes, now, out, &mut dead);
-        for p in dead {
-            self.clusters[cluster].dead_pilots.insert(p);
-        }
-    }
-
-    /// Handles one engine event of the lone cluster (the N = 1 drive),
-    /// surfacing state changes.
-    fn handle_ev(&mut self, ev: Ev, ctx: &mut Context<'_, Ev>, out: &mut Vec<BackendEvent>) {
-        let mut notes = std::mem::take(&mut self.clusters[0].notes);
-        match ev {
-            Ev::Boot => {
-                self.telemetry
-                    .record(ctx.now(), "entk", "resource_ready", Subject::Session);
-                self.clusters[0].boot(ctx, &mut notes);
-            }
-            Ev::Rt(re) => self.clusters[0].runtime.handle(re, ctx, &mut notes),
-            Ev::Cl(ce) => self.clusters[0].runtime.handle_cluster(ce, ctx, &mut notes),
-            Ev::TasksReady(batch, uids) => out.push(BackendEvent::BatchReady { batch, uids }),
-            Ev::TaskTimeout(uid) => out.push(BackendEvent::TaskTimeout { uid }),
-            Ev::Deliver(uid) => out.push(BackendEvent::DeferredFailure { uid }),
-            Ev::Shutdown => self.clusters[0].shutdown(ctx, &mut notes),
-            Ev::Nop => out.push(BackendEvent::ClockMark),
-        }
-        self.translate(0, &mut notes, ctx.now(), out);
-        self.clusters[0].notes = notes;
-    }
-
     /// The engine session-level events are scheduled on: the spine for
     /// multi-member federated backends, cluster 0's engine otherwise.
     fn session_engine(&mut self) -> &mut Engine<Ev> {
@@ -590,21 +547,75 @@ impl EventBackend {
         }
     }
 
-    /// The windowed poll: dole the earliest pending chunk, process the
-    /// spine when it is due, or run another member window — whichever is
-    /// globally earliest, spine winning ties (it carries the session's
-    /// reactions).
-    fn poll_federated(&mut self) -> Poll {
-        let mut fed = self.fed.take().expect("poll_federated needs fed state");
-        let out = self.poll_fed_inner(&mut fed);
-        self.fed = Some(fed);
-        out
+    /// Pops and handles one event of the session engine. With one member
+    /// that engine also holds the member's runtime and batch-system events,
+    /// handled here in place; a spine never holds them.
+    fn step_session(&mut self) -> Poll {
+        let Some((ev, ctx)) = self.session_engine().pop_until(SimTime::MAX) else {
+            return Poll::Drained;
+        };
+        let now = ctx.now();
+        self.global_now = self.global_now.max(now);
+        let mut events = std::mem::take(&mut self.spare_events);
+        match ev {
+            Ev::Boot => {
+                self.telemetry
+                    .record(now, "entk", "resource_ready", Subject::Session);
+                self.each_member(now, &mut events, ClusterStack::boot);
+            }
+            Ev::Shutdown => self.each_member(now, &mut events, ClusterStack::shutdown),
+            Ev::TasksReady(batch, uids) => events.push(BackendEvent::BatchReady { batch, uids }),
+            Ev::TaskTimeout(uid) => events.push(BackendEvent::TaskTimeout { uid }),
+            Ev::Deliver(uid) => events.push(BackendEvent::DeferredFailure { uid }),
+            Ev::Nop => events.push(BackendEvent::ClockMark),
+            Ev::Rt(_) | Ev::Cl(_) if self.fed.is_some() => {
+                unreachable!("runtime events live on member engines")
+            }
+            ev => {
+                let stack = &mut self.clusters[0];
+                runtime_event(
+                    &mut stack.runtime,
+                    ev,
+                    &mut stack.engine.context(),
+                    &mut stack.notes,
+                );
+                stack.surface(0, 1, now, &mut events);
+            }
+        }
+        Poll::Events(events)
     }
 
-    fn poll_fed_inner(&mut self, fed: &mut FedState) -> Poll {
+    /// Calls `f` (boot or shutdown) on every member at `now` and surfaces
+    /// what it did: its notifications join `out`, and the telemetry it
+    /// recorded into a federation member's buffer becomes an injection
+    /// chunk.
+    fn each_member(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<BackendEvent>,
+        f: fn(&mut ClusterStack, SimTime),
+    ) {
+        let n = self.clusters.len() as u64;
+        for (member, stack) in self.clusters.iter_mut().enumerate() {
+            f(stack, now);
+            stack.surface(member, n, now, out);
+            stack.push_injection();
+        }
+    }
+
+    /// The windowed poll: dole the earliest pending chunk, step the spine
+    /// when it is due, or run another member window — whichever is globally
+    /// earliest, spine winning ties (it carries the session's reactions).
+    fn poll_federated(&mut self) -> Poll {
         loop {
-            let t_s = fed.spine.next_time();
-            let t_c = fed.pending.front().map(|c| c.time);
+            let t_s = self.session_engine().next_time();
+            let front = self
+                .clusters
+                .iter()
+                .enumerate()
+                .filter_map(|(member, c)| Some((c.chunks.front()?.time, member)))
+                .min();
+            let t_c = front.map(|(time, _)| time);
             let t_m = self
                 .clusters
                 .iter_mut()
@@ -613,7 +624,7 @@ impl EventBackend {
             let spine_due = t_s
                 .is_some_and(|ts| t_c.is_none_or(|tc| ts <= tc) && t_m.is_none_or(|tm| ts <= tm));
             if spine_due {
-                return self.step_spine(fed);
+                return self.step_session();
             }
             // Raw member events due before (or tied with) every pending
             // chunk, and strictly before the spine: widen the chunk stream
@@ -622,98 +633,36 @@ impl EventBackend {
             let window_due =
                 t_m.is_some_and(|tm| t_s.is_none_or(|ts| tm < ts) && t_c.is_none_or(|tc| tm <= tc));
             if window_due {
-                self.run_window(fed, t_m.expect("window_due"), t_s);
+                self.run_window(t_m.expect("window_due"), t_s);
                 continue;
             }
-            let Some(chunk) = fed.pending.pop_front() else {
+            let Some((time, member)) = front else {
                 return Poll::Drained;
             };
-            self.global_now = self.global_now.max(chunk.time);
+            self.global_now = self.global_now.max(time);
+            let stack = &mut self.clusters[member];
             let Chunk {
-                member,
                 ops,
                 events,
                 dead,
                 eventful,
                 ..
-            } = chunk;
-            let stack = &mut self.clusters[member];
+            } = stack.chunks.pop_front().expect("the least front");
             if let Some(buf) = &stack.buffer {
                 buf.splice_into(&self.telemetry, ops);
                 stack.ops_claimed -= ops;
             }
-            for p in dead {
-                self.clusters[member].dead_pilots.insert(p);
-            }
+            stack.dead_pilots.extend(dead);
             if eventful {
                 return Poll::Events(events);
             }
         }
     }
 
-    /// Processes exactly one spine event, mirroring the serial driver's
-    /// one-event-per-poll granularity.
-    fn step_spine(&mut self, fed: &mut FedState) -> Poll {
-        let mut spine = std::mem::take(&mut fed.spine);
-        let mut events = std::mem::take(&mut self.spare_events);
-        spine.run_bounded(1, SimTime::MAX, &mut |ev, ctx| {
-            let now = ctx.now();
-            match ev {
-                Ev::Boot => self.boot_all(fed, now, &mut events),
-                Ev::Shutdown => self.shutdown_all(fed, now, &mut events),
-                Ev::TasksReady(batch, uids) => {
-                    events.push(BackendEvent::BatchReady { batch, uids });
-                }
-                Ev::TaskTimeout(uid) => events.push(BackendEvent::TaskTimeout { uid }),
-                Ev::Deliver(uid) => events.push(BackendEvent::DeferredFailure { uid }),
-                Ev::Nop => events.push(BackendEvent::ClockMark),
-                Ev::Rt(_) | Ev::Cl(_) => {
-                    unreachable!("runtime events live on member engines")
-                }
-            }
-        });
-        self.global_now = self.global_now.max(spine.now());
-        fed.spine = spine;
-        Poll::Events(events)
-    }
-
-    /// Boots every member through its own context at the spine's boot time.
-    fn boot_all(&mut self, fed: &mut FedState, time: SimTime, out: &mut Vec<BackendEvent>) {
-        self.telemetry
-            .record(time, "entk", "resource_ready", Subject::Session);
-        for i in 0..self.clusters.len() {
-            let mut notes = Vec::new();
-            let mut engine = std::mem::take(&mut self.clusters[i].engine);
-            engine.advance_to(time);
-            {
-                let mut ctx = engine.context();
-                self.clusters[i].boot(&mut ctx, &mut notes);
-            }
-            self.clusters[i].engine = engine;
-            self.translate(i, &mut notes, time, out);
-            fed.push_injection(&mut self.clusters[i], i);
-        }
-    }
-
-    /// Gracefully shuts down every member through its own context.
-    fn shutdown_all(&mut self, fed: &mut FedState, time: SimTime, out: &mut Vec<BackendEvent>) {
-        for i in 0..self.clusters.len() {
-            let mut notes = Vec::new();
-            let mut engine = std::mem::take(&mut self.clusters[i].engine);
-            engine.advance_to(time);
-            {
-                let mut ctx = engine.context();
-                self.clusters[i].shutdown(&mut ctx, &mut notes);
-            }
-            self.clusters[i].engine = engine;
-            self.translate(i, &mut notes, time, out);
-            fed.push_injection(&mut self.clusters[i], i);
-        }
-    }
-
     /// Advances every member with events strictly before the window horizon
     /// `min(t_spine, tm + lookahead)`, one after the other on this thread.
-    fn run_window(&mut self, fed: &mut FedState, tm: SimTime, ts: Option<SimTime>) {
+    fn run_window(&mut self, tm: SimTime, ts: Option<SimTime>) {
+        let fed = self.fed.as_ref().expect("windows run only in a federation");
         let lookahead = if fed.windows_on {
             fed.lookahead.as_micros().max(1)
         } else {
@@ -726,16 +675,14 @@ impl EventBackend {
         if let Some(ts) = ts {
             horizon = horizon.min(ts);
         }
+        // The clock has microsecond resolution, so "strictly before H" is
+        // "at or before H − 1 µs"; H is past zero, as `tm < ts` and the
+        // width is at least 1 µs.
+        let bound = SimTime::from_micros(horizon.as_micros() - 1);
         let n = self.clusters.len() as u64;
-        let windows = self
-            .clusters
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(member, stack)| {
-                let due = stack.engine.next_time().is_some_and(|t| t < horizon);
-                due.then(|| run_member_window(member, n, stack, horizon))
-            });
-        fed.merge_pending(windows);
+        for (member, stack) in self.clusters.iter_mut().enumerate() {
+            stack.run_window(member, n, bound);
+        }
     }
 }
 
@@ -801,22 +748,9 @@ impl ExecutionBackend for EventBackend {
         if self.fed.is_some() {
             return self.poll_federated();
         }
-        // N = 1 drive: `fed` is `Some` iff there are >= 2 members, so the
-        // lone cluster's engine holds every event of the session. One
-        // `next_time` per event is affordable because it reads the heap's
-        // top in O(1); it is half of all queue calls a session makes.
-        debug_assert_eq!(self.clusters.len(), 1);
-        if self.clusters[0].engine.next_time().is_none() {
-            return Poll::Drained;
-        }
-        let mut engine = std::mem::take(&mut self.clusters[0].engine);
-        let mut events = std::mem::take(&mut self.spare_events);
-        engine.run_bounded(1, SimTime::MAX, &mut |ev, ctx| {
-            self.handle_ev(ev, ctx, &mut events);
-        });
-        self.global_now = self.global_now.max(engine.now());
-        self.clusters[0].engine = engine;
-        Poll::Events(events)
+        // One member: its engine is the session engine and holds every
+        // event of the session.
+        self.step_session()
     }
 
     fn prepare_batch(&mut self, specs: &[UnitSpec], rng: &mut SimRng) -> Vec<Option<String>> {
@@ -939,9 +873,7 @@ impl ExecutionBackend for EventBackend {
                 }
             }
             stack.notes.clear();
-            if let Some(f) = self.fed.as_mut() {
-                f.push_injection(stack, c);
-            }
+            stack.push_injection();
         }
         let n = self.clusters.len() as u64;
         let keys = prepared
@@ -974,10 +906,7 @@ impl ExecutionBackend for EventBackend {
             let mut ctx = stack.engine.context();
             stack.runtime.cancel_unit(unit, &mut ctx, &mut notes);
         }
-        if let Some(mut fed) = self.fed.take() {
-            fed.push_injection(&mut self.clusters[c], c);
-            self.fed = Some(fed);
-        }
+        stack.push_injection();
         true
     }
 
@@ -1063,13 +992,9 @@ mod tests {
     use crate::session::SessionEngine;
     use serde_json::json;
 
-    /// A member's op log is a staging area, not a second copy of the trace:
-    /// every op leaves it when its chunk is spliced into the session
-    /// pipeline, so after a traced two-member session both logs are empty
-    /// and the records are in the trace.
-    #[test]
-    fn member_logs_end_a_traced_federated_session_empty() {
-        let telemetry = SharedTelemetry::new();
+    /// A two-member backend (comet + stampede, 4 cores each) whose run-phase
+    /// windows are `lookahead` wide.
+    fn two_members(telemetry: &SharedTelemetry, lookahead: SimDuration) -> EventBackend {
         let inits = ["xsede.comet", "xsede.stampede"]
             .map(|resource| ClusterInit {
                 resource: resource.to_string(),
@@ -1082,14 +1007,79 @@ mod tests {
                 fault_profile: None,
             })
             .into();
-        let mut backend = EventBackend::new(
+        EventBackend::new(
             inits,
             KernelRegistry::with_builtins(),
             false,
             telemetry.clone(),
             "federated".to_string(),
-            SimDuration::from_secs(1),
-        );
+            lookahead,
+        )
+    }
+
+    /// One poll: `None` once drained, else whether it surfaced the spine's
+    /// clock mark (a member chunk surfaces nothing here) and the session
+    /// clock after it.
+    fn poll_once(backend: &mut EventBackend) -> Option<(bool, SimTime)> {
+        match backend.poll() {
+            Poll::Drained => None,
+            Poll::Events(events) => Some((
+                matches!(events[..], [BackendEvent::ClockMark]),
+                backend.now(),
+            )),
+        }
+    }
+
+    fn kick() -> Ev {
+        Ev::Cl(ClusterEvent::Kick)
+    }
+
+    /// A window processes member events strictly before its horizon: an
+    /// event exactly on it stays pending, and the next window processes
+    /// it, after the spine event that set the horizon.
+    #[test]
+    fn a_member_event_on_the_window_horizon_waits_for_the_next_window() {
+        let mut backend = two_members(&SharedTelemetry::new(), SimDuration::from_secs(10));
+        backend.fed.as_mut().expect("two members").windows_on = true;
+        let at = SimTime::from_secs;
+        backend.clusters[0].engine.schedule_at(at(1), kick());
+        backend.clusters[0].engine.schedule_at(at(5), kick());
+        // The spine's clock mark at 5 s puts the first window's horizon at
+        // min(1 s + 10 s, 5 s) = 5 s.
+        backend.schedule_clock_mark(SimDuration::from_secs(5));
+        assert_eq!(poll_once(&mut backend), Some((false, at(1))));
+        assert_eq!(backend.clusters[0].engine.pending(), 1);
+        assert_eq!(backend.clusters[0].engine.now(), at(1));
+        assert_eq!(poll_once(&mut backend), Some((true, at(5))));
+        assert_eq!(poll_once(&mut backend), Some((false, at(5))));
+        assert_eq!(backend.clusters[0].engine.pending(), 0);
+        assert_eq!(poll_once(&mut backend), None);
+    }
+
+    /// No window ends at zero: a member event tied with the spine's event at
+    /// t = 0 waits for the spine, then runs in a window of its own.
+    #[test]
+    fn a_member_event_tied_with_the_spine_at_zero_waits_for_it() {
+        let mut backend = two_members(&SharedTelemetry::new(), SimDuration::from_secs(10));
+        backend.clusters[1]
+            .engine
+            .schedule_at(SimTime::ZERO, kick());
+        backend.schedule_clock_mark(SimDuration::ZERO);
+        assert_eq!(poll_once(&mut backend), Some((true, SimTime::ZERO)));
+        assert_eq!(backend.clusters[1].engine.pending(), 1);
+        assert_eq!(poll_once(&mut backend), Some((false, SimTime::ZERO)));
+        assert_eq!(backend.clusters[1].engine.pending(), 0);
+        assert_eq!(poll_once(&mut backend), None);
+    }
+
+    /// A member's op log is a staging area, not a second copy of the trace:
+    /// every op leaves it when its chunk is spliced into the session
+    /// pipeline, so after a traced two-member session both logs are empty
+    /// and the records are in the trace.
+    #[test]
+    fn member_logs_end_a_traced_federated_session_empty() {
+        let telemetry = SharedTelemetry::new();
+        let mut backend = two_members(&telemetry, SimDuration::from_secs(1));
         let mut session = SessionEngine::new(
             EntkOverheads::calibrated(),
             FaultConfig::default(),

@@ -393,18 +393,24 @@ impl SessionEngine {
         }
     }
 
-    /// Terminal failure for a task the backend refused to accept.
-    fn fail_unsubmittable(&mut self, uid: u64, now: SimTime) {
-        let Some(entry) = self.tasks.get_mut(uid) else {
-            return;
-        };
+    /// A task's terminal failure at `now`: finishes it, moves it from the
+    /// live to the failed count and records it. `None` for an unknown uid.
+    fn fail_task(&mut self, uid: u64, now: SimTime) -> Option<&TaskEntry> {
+        let entry = self.tasks.get_mut(uid)?;
         entry.finish(now, false);
         self.live_tasks -= 1;
         self.failed_tasks += 1;
         self.telemetry
             .record(now, "entk", "task_failed", Subject::Task(uid));
         self.telemetry.inc("entk.task_failures");
-        self.outbox.push(Outbound::DeferredFailure { uid });
+        Some(entry)
+    }
+
+    /// Terminal failure for a task the backend refused to accept.
+    fn fail_unsubmittable(&mut self, uid: u64, now: SimTime) {
+        if self.fail_task(uid, now).is_some() {
+            self.outbox.push(Outbound::DeferredFailure { uid });
+        }
     }
 
     /// Kill-replace watchdog fired: cancel the running unit and retry. A
@@ -478,14 +484,8 @@ impl SessionEngine {
                 batch: RETRY_BATCH,
                 uids: vec![uid],
             });
-        } else {
-            entry.finish(now, false);
-            self.live_tasks -= 1;
-            self.failed_tasks += 1;
-            self.telemetry
-                .record(now, "entk", "task_failed", Subject::Task(uid));
-            self.telemetry.inc("entk.task_failures");
-            self.pending_results.push(entry.failed(reason));
+        } else if let Some(result) = self.fail_task(uid, now).map(|e| e.failed(reason)) {
+            self.pending_results.push(result);
         }
     }
 
@@ -526,14 +526,10 @@ impl SessionEngine {
                     .unwrap_or(SimDuration::ZERO);
                 entry.record.lost_to_failures += lost;
                 self.failure_lost += lost;
-                entry.finish(now, false);
-                self.live_tasks -= 1;
-                self.failed_tasks += 1;
-                self.telemetry
-                    .record(now, "entk", "task_failed", Subject::Task(uid));
-                self.telemetry.inc("entk.task_failures");
-                self.pending_results
-                    .push(entry.failed("resource lost: all pilots terminated"));
+                let reason = "resource lost: all pilots terminated";
+                if let Some(result) = self.fail_task(uid, now).map(|e| e.failed(reason)) {
+                    self.pending_results.push(result);
+                }
             }
             // The spawns below book pattern overhead, but their submission
             // events are discarded (`outbox.clear()`): that overhead is

@@ -37,17 +37,6 @@ impl<'a, E> Context<'a, E> {
     }
 }
 
-/// Outcome of a bounded run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The event queue drained completely.
-    Drained,
-    /// The step limit was reached with events still pending.
-    StepLimit,
-    /// The time horizon was reached with events still pending.
-    Horizon,
-}
-
 /// A deterministic discrete-event engine.
 ///
 /// ```
@@ -135,9 +124,9 @@ impl<E> Engine<E> {
     }
 
     /// A scheduling [`Context`] at the engine's current time, for callers
-    /// that need to drive layer code (which takes `&mut Context`) from
-    /// outside a `run`/`run_bounded` handler — e.g. cancelling a unit in
-    /// one engine while stepping another.
+    /// that drive layer code (which takes `&mut Context`) from outside a
+    /// popped event — e.g. cancelling a unit in one engine while stepping
+    /// another.
     pub fn context(&mut self) -> Context<'_, E> {
         Context {
             now: self.now,
@@ -147,68 +136,27 @@ impl<E> Engine<E> {
 
     /// Runs until the queue drains. `handler` is called for every event and
     /// may schedule more through the [`Context`].
-    pub fn run(&mut self, mut handler: impl FnMut(E, &mut Context<'_, E>)) -> RunOutcome {
-        self.run_bounded(u64::MAX, SimTime::MAX, &mut handler)
-    }
-
-    /// Runs until the queue drains, `max_steps` events have been handled, or
-    /// virtual time would reach `horizon`: only events **strictly before**
-    /// the horizon are processed. This is the conservative-lookahead drive
-    /// of federated simulation — each member advances up to
-    /// (but never onto) the merge horizon, so an event landing exactly on
-    /// the boundary stays pending for the next window. The clock is left at
-    /// the last processed event, not pulled forward to the horizon.
-    pub fn advance_until(
-        &mut self,
-        max_steps: u64,
-        horizon: SimTime,
-        handler: &mut impl FnMut(E, &mut Context<'_, E>),
-    ) -> RunOutcome {
-        if horizon == SimTime::ZERO {
-            return if self.queue.is_empty() {
-                RunOutcome::Drained
-            } else {
-                RunOutcome::Horizon
-            };
-        }
-        // The clock has microsecond resolution, so "strictly before H" is
-        // exactly "at or before H − 1µs".
-        let bound = SimTime::from_micros(horizon.as_micros() - 1);
-        self.run_bounded(max_steps, bound, handler)
-    }
-
-    /// Runs until the queue drains, `max_steps` events have been handled, or
-    /// virtual time would exceed `horizon`.
-    pub fn run_bounded(
-        &mut self,
-        max_steps: u64,
-        horizon: SimTime,
-        handler: &mut impl FnMut(E, &mut Context<'_, E>),
-    ) -> RunOutcome {
-        let mut budget = max_steps;
-        loop {
-            if budget == 0 {
-                return RunOutcome::StepLimit;
-            }
-            // Single heap traversal: the head is read in place and sifted
-            // out only if it is within the horizon.
-            let Some((time, _, event)) = self.queue.pop_at_or_before(horizon) else {
-                return if self.queue.is_empty() {
-                    RunOutcome::Drained
-                } else {
-                    RunOutcome::Horizon
-                };
-            };
-            debug_assert!(time >= self.now, "event queue went back in time");
-            self.now = time;
-            self.steps += 1;
-            budget -= 1;
-            let mut ctx = Context {
-                now: self.now,
-                queue: &mut self.queue,
-            };
+    pub fn run(&mut self, mut handler: impl FnMut(E, &mut Context<'_, E>)) {
+        while let Some((event, mut ctx)) = self.pop_until(SimTime::MAX) {
             handler(event, &mut ctx);
         }
+    }
+
+    /// Pops the next live event due at or before `bound`, moves the clock to
+    /// it and counts the step; the returned [`Context`] schedules its
+    /// follow-ups. `None` leaves the clock where it was: the queue is empty
+    /// or its next event is later than `bound` and stays pending. This is
+    /// the one way to step an engine — `run` loops over it, a session drive
+    /// pops one event per poll, and a federated window passes its own
+    /// strictly-before bound.
+    pub fn pop_until(&mut self, bound: SimTime) -> Option<(E, Context<'_, E>)> {
+        // Single heap traversal: the head is read in place and sifted out
+        // only if it is due.
+        let (time, _, event) = self.queue.pop_at_or_before(bound)?;
+        debug_assert!(time >= self.now, "event queue went back in time");
+        self.now = time;
+        self.steps += 1;
+        Some((event, self.context()))
     }
 }
 
@@ -257,64 +205,43 @@ mod tests {
     }
 
     #[test]
-    fn step_limit_stops_runaway_simulation() {
-        let mut engine: Engine<u32> = Engine::new();
-        engine.schedule_in(SimDuration::ZERO, 0u32);
-        let outcome = engine.run_bounded(100, SimTime::MAX, &mut |n, ctx| {
-            ctx.schedule_in(SimDuration::from_micros(1), n + 1);
-        });
-        assert_eq!(outcome, RunOutcome::StepLimit);
-        assert_eq!(engine.steps(), 100);
-    }
-
-    #[test]
-    fn horizon_stops_before_processing_late_events() {
+    fn pop_until_takes_only_events_due_by_an_inclusive_bound() {
         let mut engine: Engine<u32> = Engine::new();
         engine.schedule_in(SimDuration::from_secs(1), 1u32);
-        engine.schedule_in(SimDuration::from_secs(10), 2u32);
+        engine.schedule_in(SimDuration::from_secs(5), 2u32); // exactly on the bound
+        engine.schedule_in(SimDuration::from_secs(10), 3u32);
+        let bound = SimTime::from_secs(5);
         let mut seen = Vec::new();
-        let outcome = engine.run_bounded(u64::MAX, SimTime::from_secs(5), &mut |n, _| {
-            seen.push(n);
-        });
-        assert_eq!(outcome, RunOutcome::Horizon);
-        assert_eq!(seen, vec![1]);
-        // The late event is still pending and runs if the horizon extends.
-        let outcome = engine.run_bounded(u64::MAX, SimTime::MAX, &mut |n, _| seen.push(n));
-        assert_eq!(outcome, RunOutcome::Drained);
-        assert_eq!(seen, vec![1, 2]);
+        while let Some((n, ctx)) = engine.pop_until(bound) {
+            seen.push((n, ctx.now()));
+        }
+        assert_eq!(
+            seen,
+            vec![(1, SimTime::from_secs(1)), (2, SimTime::from_secs(5))]
+        );
+        // The later event stays pending; the clock stays at the last pop.
+        assert_eq!(engine.pending(), 1);
+        assert_eq!(engine.now(), SimTime::from_secs(5));
+        assert_eq!(engine.steps(), 2);
     }
 
     #[test]
-    fn advance_until_excludes_the_horizon_itself() {
-        // Regression guard for the conservative-lookahead merge: an event
-        // sitting exactly on the lookahead boundary must NOT be consumed by
-        // the window ending there — it belongs to the next window.
+    fn pop_until_returning_none_moves_nothing() {
         let mut engine: Engine<u32> = Engine::new();
-        engine.schedule_in(SimDuration::from_secs(1), 1u32);
-        engine.schedule_in(SimDuration::from_secs(5), 2u32); // exactly at horizon
-        let mut seen = Vec::new();
-        let outcome = engine.advance_until(u64::MAX, SimTime::from_secs(5), &mut |n, _| {
-            seen.push(n);
-        });
-        assert_eq!(outcome, RunOutcome::Horizon);
-        assert_eq!(seen, vec![1]);
-        // The clock stays at the last processed event, not the horizon.
-        assert_eq!(engine.now(), SimTime::from_secs(1));
+        assert!(engine.pop_until(SimTime::MAX).is_none());
+        engine.schedule_in(SimDuration::from_secs(3), 1u32);
+        assert!(engine.pop_until(SimTime::from_secs(2)).is_none());
+        assert_eq!(engine.now(), SimTime::ZERO);
+        assert_eq!(engine.steps(), 0);
         assert_eq!(engine.pending(), 1);
-        // The boundary event runs in the next window.
-        engine.advance_until(u64::MAX, SimTime::from_secs(6), &mut |n, _| seen.push(n));
-        assert_eq!(seen, vec![1, 2]);
-    }
-
-    #[test]
-    fn advance_until_zero_horizon_processes_nothing() {
-        let mut engine: Engine<u32> = Engine::new();
-        engine.schedule_in(SimDuration::ZERO, 1u32);
-        let outcome = engine.advance_until(u64::MAX, SimTime::ZERO, &mut |_, _| {
-            panic!("no event may run before a zero horizon")
-        });
-        assert_eq!(outcome, RunOutcome::Horizon);
-        assert_eq!(engine.pending(), 1);
+        // Every pop counts as one step, follow-ups included.
+        let (n, mut ctx) = engine.pop_until(SimTime::MAX).expect("due");
+        assert_eq!((n, ctx.now()), (1, SimTime::from_secs(3)));
+        ctx.schedule_in(SimDuration::ZERO, 2u32);
+        assert!(engine.pop_until(SimTime::from_secs(3)).is_some());
+        assert_eq!(engine.steps(), 2);
+        assert!(engine.pop_until(SimTime::MAX).is_none());
+        assert_eq!(engine.now(), SimTime::from_secs(3));
     }
 
     #[test]
@@ -356,7 +283,7 @@ mod reuse_tests {
         let mut engine: Engine<u32> = Engine::new();
         engine.schedule_in(SimDuration::from_secs(1), 1u32);
         let mut seen = Vec::new();
-        assert_eq!(engine.run(|n, _| seen.push(n)), RunOutcome::Drained);
+        engine.run(|n, _| seen.push(n));
         // New events after a drain keep the monotonic clock.
         engine.schedule_in(SimDuration::from_secs(1), 2u32);
         engine.run(|n, _| seen.push(n));

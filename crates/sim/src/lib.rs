@@ -22,7 +22,7 @@ pub mod time;
 pub mod trace;
 
 pub use arena::{reserve_batch, DenseStore};
-pub use engine::{Context, Engine, RunOutcome};
+pub use engine::{Context, Engine};
 pub use event::{EventId, EventQueue};
 pub use metrics::Metrics;
 pub use pool::{Job, WorkerPool};

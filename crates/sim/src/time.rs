@@ -35,9 +35,9 @@ impl SimTime {
         SimTime(micros)
     }
 
-    /// Instant `secs` seconds after the epoch.
+    /// Instant `secs` seconds after the epoch; saturates at [`SimTime::MAX`].
     pub const fn from_secs(secs: u64) -> Self {
-        SimTime(secs * MICROS_PER_SEC)
+        SimTime(secs.saturating_mul(MICROS_PER_SEC))
     }
 
     /// Microseconds since the epoch.
@@ -67,14 +67,14 @@ impl SimDuration {
         SimDuration(micros)
     }
 
-    /// Span of `millis` milliseconds.
+    /// Span of `millis` milliseconds; saturates at [`SimDuration::MAX`].
     pub const fn from_millis(millis: u64) -> Self {
-        SimDuration(millis * 1_000)
+        SimDuration(millis.saturating_mul(1_000))
     }
 
-    /// Span of `secs` whole seconds.
+    /// Span of `secs` whole seconds; saturates at [`SimDuration::MAX`].
     pub const fn from_secs(secs: u64) -> Self {
-        SimDuration(secs * MICROS_PER_SEC)
+        SimDuration(secs.saturating_mul(MICROS_PER_SEC))
     }
 
     /// Span of `secs` fractional seconds, rounded to the nearest microsecond.
@@ -206,6 +206,13 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(-2.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn whole_unit_constructors_saturate() {
+        assert_eq!(SimDuration::from_secs(u64::MAX / 1_000), SimDuration::MAX);
+        assert_eq!(SimDuration::from_millis(u64::MAX / 10), SimDuration::MAX);
+        assert_eq!(SimTime::from_secs(u64::MAX), SimTime::MAX);
     }
 
     #[test]

@@ -81,9 +81,12 @@ fn parse_row(line: &str, lineno: usize) -> Result<SessionArrival, EntkError> {
     let arrival_secs: f64 = fields[0].parse().map_err(|_| {
         EntkError::Usage(format!("line {lineno}: bad arrival_time {:?}", fields[0]))
     })?;
-    if !arrival_secs.is_finite() || arrival_secs < 0.0 {
+    // Past the clock's last instant the arrival clamped to it, silently.
+    let max = SimDuration::MAX.as_secs_f64();
+    if !(0.0..max).contains(&arrival_secs) {
         return Err(EntkError::Usage(format!(
-            "line {lineno}: arrival_time must be a finite non-negative number"
+            "line {lineno}: arrival_time must be a finite non-negative number \
+             below {max:.1e} s, got {arrival_secs:?}"
         )));
     }
     let tenant: u64 = fields[1]
@@ -513,6 +516,29 @@ mod tests {
                 other => panic!("row {row:?}: expected Usage error, got {other:?}"),
             }
         }
+    }
+
+    /// An arrival at or past the clock's last instant used to clamp to it:
+    /// both such sessions of a one-slot serve then ran at that one instant,
+    /// each recorded with zero latency.
+    #[test]
+    fn an_arrival_time_past_the_clock_is_a_usage_error() {
+        let text = format!(
+            "{TRACE_HEADER}\n\
+             0.0,1,eop,8,2,misc.sleep,32\n\
+             1e300,2,eop,8,2,misc.sleep,32\n\
+             1e300,3,eop,8,2,misc.sleep,32\n"
+        );
+        match parse_trace(&text) {
+            Err(EntkError::Usage(msg)) => {
+                assert!(msg.starts_with("line 3: arrival_time"), "{msg}");
+                assert!(msg.contains("below 1.8e13 s, got 1e300"), "{msg}");
+            }
+            other => panic!("expected Usage error, got {other:?}"),
+        }
+        let last = SimDuration::MAX.as_secs_f64();
+        let text = format!("{TRACE_HEADER}\n{last},1,eop,8,2,misc.sleep,32\n");
+        assert!(parse_trace(&text).is_err(), "the clock's last instant");
     }
 
     #[test]
