@@ -97,7 +97,7 @@ pub fn fig11_with_policy(
             backend: backend.label(),
             policy: policy.label().to_string(),
             slots,
-            report: ServiceEngine::new(config, &arrivals)?.run()?,
+            report: ServiceEngine::new(config, &arrivals)?.run(&mut std::io::sink())?,
         });
     }
     Ok(points)
@@ -179,12 +179,13 @@ pub fn fairness_ablation_with(
         ..WorkloadConfig::default()
     };
     Ok(FairnessAblation {
-        fifo: ServiceEngine::new(ServiceConfig::fifo(stream.clone()), &arrivals)?.run()?,
+        fifo: ServiceEngine::new(ServiceConfig::fifo(stream.clone()), &arrivals)?
+            .run(&mut std::io::sink())?,
         fair: ServiceEngine::new(
             ServiceConfig::fair_share(stream, FIG11_HALF_LIFE_SECS),
             &arrivals,
         )?
-        .run()?,
+        .run(&mut std::io::sink())?,
     })
 }
 

@@ -38,11 +38,9 @@
 //! dropped, files are still written and the status is the one above.
 
 use entk_cli::Document;
-use entk_core::ComponentSpec;
+use entk_core::{ComponentSpec, EntkError};
 use entk_sim::Tracer;
-use entk_workload::{
-    render_record, ServeStats, ServiceCheckpoint, ServiceEngine, SessionRecord, WorkloadReport,
-};
+use entk_workload::{ServeStats, ServiceCheckpoint, ServiceEngine, WorkloadReport};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
@@ -272,15 +270,6 @@ fn write_trace(tracer: &Tracer, path: &str) -> std::io::Result<()> {
     out.flush()
 }
 
-/// Writes `records` to `path` as stream JSONL, one rendered line each.
-fn write_rows(path: &str, records: &[SessionRecord]) -> std::io::Result<()> {
-    let mut out = BufWriter::new(File::create(path)?);
-    for r in records {
-        out.write_all(render_record(r).as_bytes())?;
-    }
-    out.flush()
-}
-
 fn print_stream_report(r: &WorkloadReport, as_json: bool) {
     if as_json {
         return print_json(r);
@@ -379,12 +368,9 @@ fn serve(args: &Args) -> Result<ExitCode, Failure> {
     if streaming && (resume_path.is_some() || checkpoint.is_some()) {
         return Err(SERVE.usage_error("--stream is incompatible with checkpoint/resume"));
     }
-    // Where a non-retaining serve writes its rows as they are emitted.
-    let stream_to = match (streaming, jsonl_path) {
-        (true, None) => return Err(SERVE.usage_error("--stream needs --jsonl")),
-        (true, path) => path,
-        (false, _) => None,
-    };
+    if streaming && jsonl_path.is_none() {
+        return Err(SERVE.usage_error("--stream needs --jsonl"));
+    }
 
     let Document::Stream(mut spec) = load(&args.spec)? else {
         let what = "is a single-session spec (it has no top-level \"source\"): run it with";
@@ -402,63 +388,67 @@ fn serve(args: &Args) -> Result<ExitCode, Failure> {
     // source lazily, which is what keeps `--stream` serves flat in
     // memory no matter how long the trace is.
     let arrivals = spec.source_stream()?;
-    // A resumed engine emits the rows after its checkpoint's `emitted`
-    // cursor; the rows before them were written by the run that stopped.
-    let (mut engine, resumed_at) = match resume_path {
+    let mut engine = match resume_path {
         Some(path) => {
             let ckpt_text = std::fs::read_to_string(path)
                 .map_err(|e| format!("reading checkpoint {path:?}: {e}"))?;
             let ckpt = ServiceCheckpoint::from_json(&ckpt_text)?;
-            (
-                ServiceEngine::restore(config, arrivals, &ckpt)?,
-                ckpt.emitted,
-            )
+            // A boundary already served cannot be stopped at again.
+            if let Some((k, _)) = checkpoint.filter(|&(k, _)| k < ckpt.next_arrival) {
+                let msg = "is behind the resumed checkpoint, whose next_arrival is";
+                let msg = format!("--checkpoint-at {k} {msg} {}", ckpt.next_arrival);
+                return Err(EntkError::Usage(msg).into());
+            }
+            ServiceEngine::restore(config, arrivals, &ckpt)?
         }
-        None => (ServiceEngine::new(config, arrivals)?, 0),
+        None => ServiceEngine::new(config, arrivals)?,
     };
-
-    if let Some((k, ckpt_path)) = checkpoint {
-        engine.run_to_boundary(k)?;
-        std::fs::write(ckpt_path, engine.checkpoint().to_json())
-            .map_err(|e| format!("writing checkpoint {ckpt_path:?}: {e}"))?;
-        let prefix = engine.emitted_jsonl();
-        if let Some(path) = jsonl_path {
-            std::fs::write(path, &prefix).map_err(|e| format!("writing {path:?}: {e}"))?;
-            eprintln!("emitted JSONL prefix written to {path}");
+    // Sinks see a whole serve; a run that stops at a checkpoint feeds none.
+    if checkpoint.is_none() {
+        for sink in spec.build_sinks()? {
+            engine.attach(sink);
         }
-        eprintln!(
-            "checkpoint at arrival boundary {} written to {ckpt_path} \
-             ({} sessions emitted)",
-            engine.ingested(),
-            prefix.lines().count()
-        );
-        return Ok(ExitCode::SUCCESS);
     }
-
-    for sink in spec.build_sinks()? {
-        engine.attach(sink);
-    }
-    // One serve; `--stream` only decides whether the engine retains
-    // what it emits. Without retention the rows go to --jsonl as they
-    // are emitted and the summary is the scalar stats; with it, the
-    // rows this engine emitted (everything, or exactly the suffix
-    // after a resumed checkpoint, so prefix + suffix concatenate to
-    // the full stream byte-for-byte) are rendered from its records.
-    if let Some(path) = stream_to {
-        let file = File::create(path).map_err(|e| format!("creating {path:?}: {e}"))?;
-        let mut out = BufWriter::new(file);
-        let stats = engine.run_streaming(&mut out)?;
-        out.flush().map_err(|e| format!("writing {path:?}: {e}"))?;
-        print_serve_stats(&stats, as_json);
-        eprintln!("stream JSONL written to {path}");
-    } else {
-        let report = engine.run()?;
-        print_stream_report(&report, as_json);
-        if let Some(path) = jsonl_path {
-            write_rows(path, &report.records[resumed_at..])
-                .map_err(|e| format!("writing {path:?}: {e}"))?;
-            eprintln!("stream JSONL written to {path}");
+    // Every drive writes each row to `out` as it is emitted: the whole
+    // stream, the prefix up to a checkpoint, or the suffix after the
+    // resumed one, so prefix + suffix is the full stream byte for byte.
+    let file: Box<dyn Write> = match jsonl_path {
+        Some(path) => Box::new(File::create(path).map_err(|e| format!("creating {path:?}: {e}"))?),
+        None => Box::new(std::io::sink()),
+    };
+    let mut out = BufWriter::new(file);
+    // One serve; `--stream` only decides whether the engine retains what
+    // it emits, and so whether the summary is the report or the scalar
+    // stats. A run that stops at a checkpoint has a note instead.
+    let (what, note) = match checkpoint {
+        Some((k, ckpt_path)) => {
+            let emitted = engine.run_to_boundary(k, &mut out)?;
+            let ckpt = engine.checkpoint();
+            std::fs::write(ckpt_path, ckpt.to_json())
+                .map_err(|e| format!("writing checkpoint {ckpt_path:?}: {e}"))?;
+            let at = ckpt.next_arrival;
+            let note = format!(
+                "checkpoint at arrival boundary {at} written to {ckpt_path} \
+                 ({emitted} sessions emitted)"
+            );
+            ("emitted JSONL prefix", Some(note))
         }
+        None if streaming => {
+            print_serve_stats(&engine.run_streaming(&mut out)?, as_json);
+            ("stream JSONL", None)
+        }
+        None => {
+            print_stream_report(&engine.run(&mut out)?, as_json);
+            ("stream JSONL", None)
+        }
+    };
+    let path = jsonl_path.unwrap_or_default();
+    out.flush().map_err(|e| format!("writing {path:?}: {e}"))?;
+    if jsonl_path.is_some() {
+        eprintln!("{what} written to {path}");
+    }
+    if let Some(note) = note {
+        eprintln!("{note}");
     }
     Ok(ExitCode::SUCCESS)
 }

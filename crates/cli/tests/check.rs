@@ -246,6 +246,32 @@ fn stream_spec_mistakes_are_refused_before_serving() {
             federated(1),
             "workload spec line 6: federated stream backend needs at least 2 members",
         ),
+        // Each of these loaded, and then one member ran per session.
+        (
+            "members-simulated",
+            after_seed("\"members\": 7"),
+            "workload spec line 3: members is not read by the \"simulated\" backend",
+        ),
+        // Nothing bounds the queue, so the mode could never apply.
+        (
+            "saturation-unbounded",
+            after_seed("\"saturation\": \"defer\""),
+            "workload spec line 3: saturation is not read without a max_queue_depth",
+        ),
+        // These two were the only mistakes reported without their line.
+        (
+            "saturation-unknown",
+            after_seed("\"max_queue_depth\": 4, \"saturation\": \"bogus\""),
+            "workload spec line 3: unknown saturation mode \"bogus\" (use \"reject\" or \"defer\")",
+        ),
+        (
+            "backend-unknown",
+            (
+                "\"backend\": \"simulated\"",
+                "\"backend\": \"cloud\"".to_string(),
+            ),
+            "workload spec line 5: unknown backend \"cloud\" (use \"simulated\" or \"federated\")",
+        ),
         // A gap the arrival clock cannot hold used to saturate it: every
         // session arrived at the last instant, finishing before it started.
         (
@@ -1106,6 +1132,29 @@ fn hostile_checkpoints_are_refused_naming_the_field() {
                 "{policy} {name} wrote rows"
             );
         }
+        // A boundary behind the resumed one was moved to it: exit 0 and
+        // "checkpoint at arrival boundary 10 … (0 sessions emitted)".
+        let args = [
+            "serve",
+            spec,
+            "--resume",
+            "CKPT.json",
+            "--checkpoint-at",
+            "5",
+            "--checkpoint",
+            "BACK.json",
+            "--jsonl",
+            "SUFFIX.jsonl",
+        ];
+        let out = entk_within(&dir, &args, 20);
+        assert!(!out.status.success() && out.stdout.is_empty(), "{policy}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "error: usage error: --checkpoint-at 5 is behind the resumed checkpoint, whose \
+             next_arrival is 10\n",
+            "{policy}"
+        );
+        assert!(!dir.join("BACK.json").exists() && !dir.join("SUFFIX.jsonl").exists());
     }
 }
 

@@ -24,7 +24,7 @@
 //! defer), per-session failure records (`ok | partial | failed |
 //! rejected`, never stream-fatal unless `strict`), and arrival-boundary
 //! checkpoint/restore. It reports per-tenant latency percentiles,
-//! queue-depth time series from the telemetry gauges, and makespan under
+//! queue-depth time series replayed from the records, and makespan under
 //! contention. Determinism is end to end: same seed or trace ⇒
 //! byte-identical stream JSONL and report — including across a
 //! checkpoint/resume, which replays to a byte-identical suffix — with
@@ -46,7 +46,7 @@ pub use arrival::{
 };
 pub use runner::{
     fnv64, fnv64_update, render_record, SessionRecord, SessionStatus, StreamBackend, TenantLatency,
-    WorkloadConfig, WorkloadReport, IN_SERVICE_GAUGE, QUEUE_DEPTH_GAUGE,
+    WorkloadConfig, WorkloadReport,
 };
 pub use service::{
     admission_policies, session_seed, AdmissionPolicy, EngineOptions, SaturationMode, ServeStats,

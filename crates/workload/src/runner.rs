@@ -28,14 +28,9 @@
 //! [`crate::service::ServiceConfig`].
 
 use crate::service::{ServeStats, ServiceConfig};
-use entk_sim::{Fnv64, Metrics, SimTime, Summary};
+use entk_sim::{Fnv64, SimTime, Summary, TimeSeries};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Gauge name of the arrived-but-not-started depth series.
-pub const QUEUE_DEPTH_GAUGE: &str = "workload.queue_depth";
-/// Gauge name of the admitted-and-running depth series.
-pub const IN_SERVICE_GAUGE: &str = "workload.in_service";
 
 /// Which shared backend the stream admits sessions onto.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,23 +234,11 @@ impl WorkloadReport {
         stats: ServeStats,
         records: Vec<SessionRecord>,
     ) -> Self {
-        let mut metrics = Metrics::new();
-        record_depth_gauges(&mut metrics, &records);
-        let series = |name: &str| -> Vec<(f64, f64)> {
-            metrics
-                .series(name)
-                .map(|s| {
-                    s.points()
-                        .iter()
-                        .map(|&(t, v)| (t.as_secs_f64(), v))
-                        .collect()
-                })
-                .unwrap_or_default()
+        let (queue_depth, in_service) = record_depth_gauges(&records);
+        let secs = |series: &TimeSeries| -> Vec<(f64, f64)> {
+            let points = series.points().iter();
+            points.map(|&(t, v)| (t.as_secs_f64(), v)).collect()
         };
-        let (queue_depth_peak, queue_depth_mean) = metrics
-            .series(QUEUE_DEPTH_GAUGE)
-            .map(|s| (s.peak(), s.time_weighted_mean()))
-            .unwrap_or((0.0, 0.0));
 
         // Latency percentiles over *served* sessions (ok or partial):
         // rejected sessions never ran and failed sessions have no service
@@ -297,10 +280,10 @@ impl WorkloadReport {
             makespan_secs: stats.makespan_secs,
             latency: latency_of(u64::MAX, &all),
             per_tenant: by_tenant.iter().map(|(t, s)| latency_of(*t, s)).collect(),
-            queue_depth: series(QUEUE_DEPTH_GAUGE),
-            queue_depth_peak,
-            queue_depth_mean,
-            in_service: series(IN_SERVICE_GAUGE),
+            queue_depth: secs(&queue_depth),
+            queue_depth_peak: queue_depth.peak(),
+            queue_depth_mean: queue_depth.time_weighted_mean(),
+            in_service: secs(&in_service),
             max_cross_check_err_secs: stats.max_cross_check_err_secs,
             stream_fp: stats.stream_fp,
             records,
@@ -392,18 +375,21 @@ pub(crate) fn depth_events(r: &SessionRecord) -> impl Iterator<Item = DepthEvent
 /// seconds, whose round-trip rounds large instants and can merge or
 /// reorder boundary ties (see `gauge_ties_survive_f64_collisions`).
 /// Rejected sessions never enter either series; a zero-duration (failed)
-/// session contributes no in-service blip.
-fn record_depth_gauges(metrics: &mut Metrics, records: &[SessionRecord]) {
+/// session contributes no in-service blip. Returns (queue depth, in
+/// service); both are empty when no session was served.
+fn record_depth_gauges(records: &[SessionRecord]) -> (TimeSeries, TimeSeries) {
     let mut events: Vec<DepthEvent> = records.iter().flat_map(depth_events).collect();
     events.sort_unstable();
+    let (mut queue_depth, mut in_service) = (TimeSeries::new(), TimeSeries::new());
     let (mut queued, mut running) = (0i64, 0i64);
     for (t, _, dq, dr) in events {
         queued += dq;
         running += dr;
         let at = SimTime::from_micros(t);
-        metrics.gauge(QUEUE_DEPTH_GAUGE, at, queued as f64);
-        metrics.gauge(IN_SERVICE_GAUGE, at, running as f64);
+        queue_depth.push(at, queued as f64);
+        in_service.push(at, running as f64);
     }
+    (queue_depth, in_service)
 }
 
 #[cfg(test)]
@@ -421,7 +407,8 @@ mod tests {
         config: &WorkloadConfig,
         arrivals: impl crate::IntoArrivalStream,
     ) -> Result<WorkloadReport, entk_core::EntkError> {
-        crate::ServiceEngine::new(ServiceConfig::fifo(config.clone()), arrivals)?.run()
+        let engine = crate::ServiceEngine::new(ServiceConfig::fifo(config.clone()), arrivals)?;
+        engine.run(&mut std::io::sink())
     }
 
     #[test]
@@ -574,11 +561,8 @@ mod tests {
         // Session 0 finishes at f; session 1 arrives at f - 1 and starts
         // at f (when the slot frees).
         let records = vec![record_at(0, 0, 0, f), record_at(1, f - 1, f, f + 10)];
-        let mut metrics = Metrics::new();
-        record_depth_gauges(&mut metrics, &records);
-        let queue: Vec<(u64, f64)> = metrics
-            .series(QUEUE_DEPTH_GAUGE)
-            .unwrap()
+        let (queue_depth, _) = record_depth_gauges(&records);
+        let queue: Vec<(u64, f64)> = queue_depth
             .points()
             .iter()
             .map(|&(t, v)| (t.as_micros(), v))

@@ -1,6 +1,7 @@
 //! The multi-tenant session service: a live, event-driven admission loop
 //! over pluggable policies, with bounded-queue backpressure and
-//! checkpoint/restore at arrival boundaries.
+//! checkpoint/restore at arrival boundaries (the codec is the
+//! [`checkpoint`] module).
 //!
 //! ## Model
 //!
@@ -32,16 +33,18 @@
 //! There is one event loop and one place a record leaves it. Finalized
 //! records wait in a small reorder window until every lower-index session
 //! is finalized; the emission step then pops the contiguous prefix and,
-//! per record, folds the running [`ServeStats`], renders the stream line,
-//! folds fingerprint and byte count, and hands `(line, &record)` to the
-//! observers: the caller's writer and every attached [`ReportSink`].
+//! per record, folds the running [`ServeStats`], renders the stream line
+//! once, folds fingerprint and byte count, and hands the line to the
+//! caller's writer and `(line, &record)` to every attached [`ReportSink`].
+//! Every drive — [`ServiceEngine::run_to_boundary`], [`ServiceEngine::run`]
+//! and [`ServiceEngine::run_streaming`] — takes that writer, so a line is
+//! written when it is emitted and never rendered again.
 //! [`ServiceEngine::run`] additionally *retains* each emitted record —
 //! once: the record log is what checkpoints carry and what moves into the
-//! [`WorkloadReport`], and a stream line is re-rendered from its record
-//! whenever bytes are wanted again ([`ServiceEngine::emitted_jsonl`]).
-//! [`ServiceEngine::run_streaming`] retains nothing: resident state is
-//! O(look-ahead + in-flight + queued), never O(stream length), which is
-//! what lets a million-session trace serve in a flat memory footprint.
+//! [`WorkloadReport`]. [`ServiceEngine::run_streaming`] retains nothing:
+//! resident state is O(look-ahead + in-flight + queued), never O(stream
+//! length), which is what lets a million-session trace serve in a flat
+//! memory footprint.
 //!
 //! * [`AdmissionPolicy::Fifo`] — arrival order; byte-identical to the
 //!   original admission recursion (property-tested against a reference
@@ -72,34 +75,6 @@
 //! or **deferred** into an overflow buffer that feeds the bounded window
 //! as admissions drain it (the session is eventually served; its latency
 //! still counts from its true arrival).
-//!
-//! ## Checkpoint / restore
-//!
-//! [`ServiceEngine::checkpoint`] serializes the complete admission state
-//! at an arrival boundary: the pending and deferred queues, in-flight
-//! slot occupancy (finish instants), per-tenant usage balances with their
-//! decay instant, the arrival cursor, the emitted-record cursor, and the
-//! per-session seed cursor (the master seed — sub-seeds are a pure
-//! splitmix64 function of it and the session index, so the cursor is just
-//! the next index). The arrival-stream fingerprint is a *prefix*
-//! fingerprint — the fold of the rendered CSV header plus every ingested
-//! row — so it is identical at a given boundary no matter what the
-//! look-ahead window happened to hold. [`ServiceEngine::restore`]
-//! rebuilds the engine by re-pulling the served prefix from the stream
-//! (validating, order-checking, and fingerprint-matching it row by row
-//! while retaining only the rows still queued), re-evaluates only the
-//! sessions that still need service times (pending, deferred, and
-//! not-yet-arrived — completed sessions are carried as finalized
-//! records), and replays to a byte-identical `WORKLOAD.jsonl` suffix:
-//! prefix-emitted-before-the-kill + suffix is byte-identical to the
-//! uninterrupted stream, including its fingerprint.
-//!
-//! Determinism argument: every admission decision is a pure function of
-//! (config, arrivals, per-session service times), service times are pure
-//! functions of (config, arrival, splitmix64(seed, index)), and the event
-//! order is totally ordered by (time, kind, session index). A checkpoint
-//! carries exactly the loop state, so the resumed trajectory is the same
-//! trajectory.
 
 use crate::arrival::{ArrivalStream, IntoArrivalStream, SessionArrival};
 use crate::runner::{
@@ -113,9 +88,13 @@ use entk_core::EntkError;
 use entk_sim::{SimDuration, SimTime, WorkerPool};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
+
+pub mod checkpoint;
+pub use checkpoint::{InFlightSlot, ServiceCheckpoint};
 
 /// How the service picks the next pending session for a free slot.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -485,11 +464,16 @@ impl EvalPool {
         }
     }
 
-    /// Queues session `index` for evaluation and returns the handle its
-    /// one result lands on. Dropping the handle discards the result.
-    fn dispatch(&self, index: usize, arrival: SessionArrival) -> Arc<EvalSlot> {
-        let slot = Arc::new(EvalSlot::default());
-        let landing = Arc::clone(&slot);
+    /// Queues session `index` for evaluation and returns its waiting row,
+    /// which holds the handle the one result lands on. Dropping the row
+    /// discards the result.
+    fn dispatch(&self, index: usize, arrival: SessionArrival) -> Waiting {
+        let landing = Arc::new(EvalSlot::default());
+        let row = Waiting {
+            index,
+            arrival: arrival.clone(),
+            service: Arc::clone(&landing),
+        };
         let config = Arc::clone(&self.config);
         self.pool.submit(vec![Box::new(move || {
             // `take` blocks on this handle, so a panicking evaluation must
@@ -510,7 +494,7 @@ impl EvalPool {
             });
             landing.fill(svc);
         })]);
-        slot
+        row
     }
 }
 
@@ -522,8 +506,8 @@ impl Drop for EvalPool {
     }
 }
 
-/// The handle one dispatched evaluation leaves its result on, held beside
-/// the session's row until admission takes it. Not a one-slot `mpsc`
+/// The handle one dispatched evaluation leaves its result on, held in the
+/// session's [`Waiting`] row until admission takes it. Not a one-slot `mpsc`
 /// channel: for an 80-byte result std's allocates 728 B (two cache-padded
 /// cursors, two waker lists) and this 120 B, and every waiting session
 /// holds one.
@@ -646,98 +630,11 @@ impl StatsAcc {
     }
 }
 
-/// One in-flight slot in a checkpoint: the session and when its slot
-/// frees. The start instant is already on the session's finalized record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InFlightSlot {
-    /// Session occupying the slot.
-    pub session: usize,
-    /// Instant the slot frees, in microseconds.
-    pub finish_us: u64,
-}
-
-/// A serialized arrival-boundary snapshot of the service's admission
-/// state. JSON via [`ServiceCheckpoint::to_json`] /
-/// [`ServiceCheckpoint::from_json`]; integrity-checked on restore against
-/// the config and the arrival trace fingerprint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServiceCheckpoint {
-    /// Checkpoint format version (2: `arrivals_fp` became a prefix
-    /// fingerprint when ingestion went streaming).
-    pub version: u32,
-    /// Master seed (the RNG sub-seed cursor together with `next_arrival`).
-    pub seed: u64,
-    /// Resource label of the stream config.
-    pub resource: String,
-    /// Admission slots.
-    pub slots: usize,
-    /// Backend label (`simulated` or `federated:N`).
-    pub backend: String,
-    /// Admission policy label.
-    pub policy: String,
-    /// Fair-share usage half-life, seconds.
-    pub half_life_secs: f64,
-    /// Pending-queue bound (`None` = unbounded).
-    pub max_queue_depth: Option<usize>,
-    /// Saturation mode label.
-    pub saturation: String,
-    /// Strict failure semantics flag.
-    pub strict: bool,
-    /// Per-unit failure-injection rate of the stream config.
-    pub unit_failure_rate: f64,
-    /// Scheduler plugin of the stream config (`None` = backend default;
-    /// absent in pre-registry checkpoints, which restore as the default).
-    #[serde(default)]
-    pub scheduler: Option<entk_core::ComponentSpec>,
-    /// Session fault policy of the stream config (absent in pre-registry
-    /// checkpoints, which restore as the default).
-    #[serde(default)]
-    pub fault: Option<entk_core::FaultConfig>,
-    /// FNV-1a 64 fingerprint of the rendered arrival-trace *prefix*
-    /// ingested so far (header plus rows `0..next_arrival`), so a
-    /// checkpoint cannot silently resume against a stream whose served
-    /// prefix differs. Rows past the boundary are not covered — an
-    /// out-of-core stream cannot be hashed without consuming it — but
-    /// they are still order- and schema-validated as they are pulled.
-    pub arrivals_fp: String,
-    /// Virtual clock at the boundary, microseconds.
-    pub clock_us: u64,
-    /// Arrivals ingested so far (the next arrival index).
-    pub next_arrival: usize,
-    /// Records already emitted to the stream JSONL (the suffix a resumed
-    /// service produces starts here).
-    pub emitted: usize,
-    /// Arrived-but-not-admitted sessions, in queue order.
-    pub pending: Vec<usize>,
-    /// Overflow sessions deferred past the queue bound, in arrival order.
-    pub deferred: Vec<usize>,
-    /// Occupied slots and their release instants.
-    pub in_flight: Vec<InFlightSlot>,
-    /// Per-tenant decayed usage balances (fair-share state).
-    pub usage: Vec<(u64, f64)>,
-    /// Instant the balances were last decayed to, microseconds.
-    pub usage_decayed_at_us: Option<u64>,
-    /// Largest per-session cross-check error seen so far, seconds.
-    pub max_cross_check_err_secs: f64,
-    /// Finalized per-session records (admitted or rejected sessions).
-    pub records: Vec<SessionRecord>,
-}
-
-impl ServiceCheckpoint {
-    /// Serializes the checkpoint as pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("checkpoint serializes")
-    }
-
-    /// Parses a checkpoint from JSON text.
-    pub fn from_json(text: &str) -> Result<Self, EntkError> {
-        serde_json::from_str(text).map_err(|e| EntkError::Usage(format!("bad checkpoint: {e}")))
-    }
-}
-
-/// An arrival the engine still needs, beside the handle its just-in-time
-/// evaluation reports on.
-struct HeldRow {
+/// A session the engine still has to admit or turn away — read ahead,
+/// pending or deferred, in exactly one of those queues — beside the handle
+/// its just-in-time evaluation reports on.
+struct Waiting {
+    index: usize,
     arrival: SessionArrival,
     service: Arc<EvalSlot>,
 }
@@ -748,21 +645,19 @@ pub struct ServiceEngine {
     options: EngineOptions,
     /// Arrival source past the read-ahead window; `None` once exhausted.
     stream: Option<Box<dyn ArrivalStream>>,
-    /// Rows pulled from the stream so far (the next index to pull).
-    pulled: usize,
     /// Arrival instant of the last pulled row, for order validation.
     last_pulled_at: Option<SimTime>,
-    /// Pulled-but-not-ingested session indices, in arrival order.
-    readahead: VecDeque<usize>,
-    /// Arrival rows still needed: read-ahead ∪ pending ∪ deferred.
-    held: HashMap<usize, HeldRow>,
+    /// Pulled-but-not-ingested sessions, in arrival order.
+    readahead: VecDeque<Waiting>,
     /// Running FNV-1a 64 over the rendered trace prefix ingested so far.
     prefix_fp: u64,
     eval: EvalPool,
     clock: SimTime,
     next_arrival: usize,
-    pending: VecDeque<usize>,
-    deferred: VecDeque<usize>,
+    /// Arrived-but-not-admitted sessions, in queue order.
+    pending: VecDeque<Waiting>,
+    /// Sessions parked past the queue bound, in arrival order.
+    deferred: VecDeque<Waiting>,
     in_flight: BinaryHeap<Reverse<(SimTime, usize)>>,
     ledger: entk_cluster::UsageLedger<u64>,
     /// Finalized-but-not-emitted records: the reorder window.
@@ -775,9 +670,6 @@ pub struct ServiceEngine {
     /// of a served session a retaining serve keeps.
     retain: bool,
     records: Vec<SessionRecord>,
-    /// Leading `records` replayed from a checkpoint; this engine
-    /// instance's own emissions follow them.
-    restored: usize,
 }
 
 impl std::fmt::Debug for ServiceEngine {
@@ -785,7 +677,7 @@ impl std::fmt::Debug for ServiceEngine {
         f.debug_struct("ServiceEngine")
             .field("config", &self.config)
             .field("options", &self.options)
-            .field("pulled", &self.pulled)
+            .field("readahead", &self.readahead.len())
             .field("next_arrival", &self.next_arrival)
             .field("emitted", &self.emitted)
             .field("pending", &self.pending.len())
@@ -821,7 +713,7 @@ impl ServiceEngine {
         let stream = arrivals.into_arrival_stream()?;
         let mut engine = Self::empty(config, options, stream);
         engine.fill_readahead()?;
-        if engine.pulled == 0 {
+        if engine.readahead.is_empty() {
             return Err(EntkError::Usage("cannot serve an empty stream".into()));
         }
         Ok(engine)
@@ -840,10 +732,8 @@ impl ServiceEngine {
             config,
             options,
             stream: Some(stream),
-            pulled: 0,
             last_pulled_at: None,
             readahead: VecDeque::new(),
-            held: HashMap::new(),
             prefix_fp: fnv64(format!("{TRACE_HEADER}\n").as_bytes()),
             eval,
             clock: SimTime::ZERO,
@@ -863,7 +753,6 @@ impl ServiceEngine {
             sinks: Vec::new(),
             retain: true,
             records: Vec::new(),
-            restored: 0,
         }
     }
 
@@ -894,7 +783,8 @@ impl ServiceEngine {
             self.stream = None;
             return Ok(None);
         };
-        let i = self.pulled;
+        // Every pulled row is ingested or still read ahead.
+        let i = self.next_arrival + self.readahead.len();
         row.validate()?;
         if self.last_pulled_at.is_some_and(|prev| row.arrival < prev) {
             return Err(EntkError::Usage(format!(
@@ -902,7 +792,6 @@ impl ServiceEngine {
             )));
         }
         self.last_pulled_at = Some(row.arrival);
-        self.pulled += 1;
         Ok(Some((i, row)))
     }
 
@@ -916,9 +805,7 @@ impl ServiceEngine {
             let Some((i, arrival)) = self.pull_row()? else {
                 break;
             };
-            let service = self.eval.dispatch(i, arrival.clone());
-            self.held.insert(i, HeldRow { arrival, service });
-            self.readahead.push_back(i);
+            self.readahead.push_back(self.eval.dispatch(i, arrival));
         }
         Ok(())
     }
@@ -926,24 +813,14 @@ impl ServiceEngine {
     /// Arrival instant of the next not-yet-ingested session, if any.
     /// Valid only immediately after [`ServiceEngine::fill_readahead`].
     fn peek_arrival(&self) -> Option<SimTime> {
-        self.readahead.front().map(|i| self.held[i].arrival.arrival)
+        self.readahead.front().map(|row| row.arrival.arrival)
     }
 
     /// Sessions resident right now, in any form — the quantity whose peak
     /// the bounded-memory claim is about.
     fn resident_sessions(&self) -> usize {
-        self.held.len() + self.in_flight.len() + self.window.len()
-    }
-
-    /// The stream JSONL lines this engine instance has emitted so far,
-    /// rendered from the retained records — a fresh engine emits from line
-    /// 0; a restored engine emits the suffix after its checkpoint's
-    /// `emitted` cursor.
-    pub fn emitted_jsonl(&self) -> String {
-        self.records[self.restored..]
-            .iter()
-            .map(render_record)
-            .collect()
+        let waiting = self.readahead.len() + self.pending.len() + self.deferred.len();
+        waiting + self.in_flight.len() + self.window.len()
     }
 
     /// Attaches a report sink: from now on it sees every record at
@@ -952,11 +829,6 @@ impl ServiceEngine {
     /// post-checkpoint suffix.
     pub fn attach(&mut self, sink: Box<dyn ReportSink>) {
         self.sinks.push(sink);
-    }
-
-    /// Arrivals ingested so far.
-    pub fn ingested(&self) -> usize {
-        self.next_arrival
     }
 
     fn free_slots(&self) -> usize {
@@ -975,20 +847,18 @@ impl ServiceEngine {
 
     /// The single emission point: pops the contiguous finalized prefix off
     /// the reorder window and, per record, folds the running stats, renders
-    /// the stream line, folds fingerprint and byte count, hands the line to
-    /// `out` and `(line, &record)` to every attached sink, and — when
+    /// the stream line, folds fingerprint and byte count, writes the line
+    /// to `out`, hands `(line, &record)` to every attached sink, and — when
     /// retaining — keeps the record.
-    fn emit(
-        &mut self,
-        out: &mut dyn FnMut(&str) -> Result<(), EntkError>,
-    ) -> Result<(), EntkError> {
+    fn emit(&mut self, out: &mut dyn Write) -> Result<(), EntkError> {
         while let Some(record) = self.window.remove(&self.emitted) {
             self.emitted += 1;
             self.acc.observe(&record);
             let line = render_record(&record);
             self.acc.fp = fnv64_update(self.acc.fp, line.as_bytes());
             self.acc.stats.jsonl_bytes += line.len() as u64;
-            out(&line)?;
+            out.write_all(line.as_bytes())
+                .map_err(|e| EntkError::Resource(format!("writing stream JSONL: {e}")))?;
             for sink in &mut self.sinks {
                 sink.on_record(&line, &record)?;
             }
@@ -1020,8 +890,8 @@ impl ServiceEngine {
                 self.ledger.decay_to(self.clock);
                 let mut best = 0usize;
                 let mut best_usage = f64::INFINITY;
-                for (pos, i) in self.pending.iter().enumerate() {
-                    let u = self.ledger.usage_of(&self.held[i].arrival.tenant);
+                for (pos, row) in self.pending.iter().enumerate() {
+                    let u = self.ledger.usage_of(&row.arrival.tenant);
                     // Strict less-than keeps ties in arrival order.
                     if u < best_usage {
                         best_usage = u;
@@ -1033,14 +903,14 @@ impl ServiceEngine {
         }
     }
 
-    /// Admits session `i` at the current instant: collects its service
-    /// time from the evaluation pool (blocking if the evaluation is still
-    /// running), charges its tenant (fair-share), occupies a slot until
-    /// `now + service`, and finalizes its record. With `strict`, a failed
-    /// or degraded session aborts the serve here, at its admission.
-    fn admit(&mut self, i: usize) -> Result<(), EntkError> {
-        let row = self.held.remove(&i).expect("admitted session is held");
-        let (arrival, svc) = (row.arrival, row.service.take());
+    /// Admits a pending session at the current instant: collects its
+    /// service time from the evaluation pool (blocking if the evaluation is
+    /// still running), charges its tenant (fair-share), occupies a slot
+    /// until `now + service`, and finalizes its record. With `strict`, a
+    /// failed or degraded session aborts the serve here, at its admission.
+    fn admit(&mut self, row: Waiting) -> Result<(), EntkError> {
+        let svc = row.service.take();
+        let (i, arrival) = (row.index, row.arrival);
         if self.config.strict {
             match svc.status {
                 SessionStatus::Failed => {
@@ -1061,8 +931,7 @@ impl ServiceEngine {
             self.ledger.decay_to(self.clock);
             debug_assert!(
                 self.pending.iter().all(|j| {
-                    self.ledger.usage_of(&arrival.tenant)
-                        <= self.ledger.usage_of(&self.held[j].arrival.tenant)
+                    self.ledger.usage_of(&arrival.tenant) <= self.ledger.usage_of(&j.arrival.tenant)
                 }),
                 "fair share admitted session {i} (tenant {}) over a waiting tenant \
                  with a smaller balance",
@@ -1087,8 +956,8 @@ impl ServiceEngine {
                 return Ok(());
             }
             let pos = self.pick_next();
-            let i = self.pending.remove(pos).expect("picked position exists");
-            self.admit(i)?;
+            let row = self.pending.remove(pos).expect("picked position exists");
+            self.admit(row)?;
         }
     }
 
@@ -1104,12 +973,12 @@ impl ServiceEngine {
     /// the trace-prefix fingerprint, then enqueue, reject, or defer, then
     /// re-run admission at the arrival instant.
     fn ingest_arrival(&mut self) -> Result<(), EntkError> {
-        let i = self.readahead.pop_front().expect("arrival in read-ahead");
+        let row = self.readahead.pop_front().expect("arrival in read-ahead");
+        let i = row.index;
         debug_assert_eq!(i, self.next_arrival, "ingestion follows pull order");
         self.next_arrival += 1;
-        let row = &self.held[&i].arrival;
-        let at = row.arrival;
-        self.prefix_fp = fnv64_update(self.prefix_fp, render_row(row).as_bytes());
+        let at = row.arrival.arrival;
+        self.prefix_fp = fnv64_update(self.prefix_fp, render_row(&row.arrival).as_bytes());
         self.clock = self.clock.max(at);
         let saturated = self
             .config
@@ -1117,24 +986,21 @@ impl ServiceEngine {
             .is_some_and(|bound| self.pending.len() >= bound);
         if saturated {
             match self.config.saturation {
-                SaturationMode::Defer => self.deferred.push_back(i),
+                SaturationMode::Defer => self.deferred.push_back(row),
                 SaturationMode::Reject => {
                     // Its just-in-time evaluation is useless now: dropping
-                    // the handle discards it.
-                    let HeldRow { arrival, .. } =
-                        self.held.remove(&i).expect("rejected session is held");
+                    // the row's handle discards it.
                     let outcome = EntkError::Saturated(format!(
                         "session {i} rejected: queue depth {} at bound {}",
                         self.pending.len(),
                         self.config.max_queue_depth.unwrap_or(0),
                     ));
-                    let record = SessionService::unserved(SessionStatus::Rejected, outcome)
-                        .record(i, &arrival, at);
-                    self.finalize(i, record);
+                    let unserved = SessionService::unserved(SessionStatus::Rejected, outcome);
+                    self.finalize(i, unserved.record(i, &row.arrival, at));
                 }
             }
         } else {
-            self.pending.push_back(i);
+            self.pending.push_back(row);
         }
         self.settle()
     }
@@ -1143,11 +1009,7 @@ impl ServiceEngine {
     /// documented tie order (completions before arrivals at the same
     /// instant), stopping short of arrival `k`, and runs the emission
     /// point after every event.
-    fn drive(
-        &mut self,
-        k: usize,
-        out: &mut dyn FnMut(&str) -> Result<(), EntkError>,
-    ) -> Result<(), EntkError> {
+    fn drive(&mut self, k: usize, out: &mut dyn Write) -> Result<(), EntkError> {
         loop {
             self.fill_readahead()?;
             match (self.in_flight.peek(), self.peek_arrival()) {
@@ -1166,288 +1028,26 @@ impl ServiceEngine {
     /// Advances the service to arrival boundary `k`: exactly `k` arrivals
     /// ingested and every completion at or before the next arrival's
     /// instant applied (for `k >= sessions`, the stream is drained to
-    /// completion). Checkpoints are taken at these boundaries. Errors —
-    /// a malformed or out-of-order row at pull time, a strict-mode abort
-    /// at admission, a failing sink — leave the engine unusable.
-    pub fn run_to_boundary(&mut self, k: usize) -> Result<(), EntkError> {
-        self.drive(k, &mut |_| Ok(()))
+    /// completion), writing each stream line to `out` as it is emitted.
+    /// Returns how many lines it wrote. Checkpoints are taken at these
+    /// boundaries. Errors — a malformed or out-of-order row at pull time,
+    /// a strict-mode abort at admission, a failing writer or sink — leave
+    /// the engine unusable, and `out` holds the lines emitted before them.
+    pub fn run_to_boundary<W: Write>(&mut self, k: usize, out: &mut W) -> Result<usize, EntkError> {
+        let before = self.emitted;
+        self.drive(k, out)?;
+        Ok(self.emitted - before)
     }
 
-    /// Serializes the admission state at the current arrival boundary.
-    pub fn checkpoint(&self) -> ServiceCheckpoint {
-        let s = &self.config.stream;
-        ServiceCheckpoint {
-            version: 2,
-            seed: s.seed,
-            resource: s.resource.clone(),
-            slots: s.slots,
-            backend: s.backend.label(),
-            policy: self.config.policy.label().to_string(),
-            half_life_secs: self.config.policy.half_life_secs(),
-            max_queue_depth: self.config.max_queue_depth,
-            saturation: self.config.saturation.label().to_string(),
-            strict: self.config.strict,
-            unit_failure_rate: s.unit_failure_rate,
-            scheduler: s.scheduler.clone(),
-            fault: Some(s.fault),
-            arrivals_fp: format!("{:016x}", self.prefix_fp),
-            clock_us: self.clock.as_micros(),
-            next_arrival: self.next_arrival,
-            emitted: self.emitted,
-            pending: self.pending.iter().copied().collect(),
-            deferred: self.deferred.iter().copied().collect(),
-            in_flight: {
-                let mut slots: Vec<InFlightSlot> = self
-                    .in_flight
-                    .iter()
-                    .map(|&Reverse((t, i))| InFlightSlot {
-                        session: i,
-                        finish_us: t.as_micros(),
-                    })
-                    .collect();
-                slots.sort_by_key(|s| (s.finish_us, s.session));
-                slots
-            },
-            usage: self.ledger.balances().map(|(k, v)| (*k, v)).collect(),
-            usage_decayed_at_us: self.ledger.last_decay_micros(),
-            max_cross_check_err_secs: self.acc.stats.max_cross_check_err_secs,
-            // Emitted sessions are a contiguous prefix, so this is index
-            // order.
-            records: self
-                .records
-                .iter()
-                .chain(self.window.values())
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// Rebuilds a service from a checkpoint. The checkpoint must match
-    /// the config and the arrival stream's served prefix (the prefix is
-    /// re-pulled, re-validated, and fingerprint-checked while skipping);
-    /// only sessions that still need service times — pending, deferred,
-    /// or not yet arrived — are re-evaluated, exactly the discipline the
-    /// just-in-time pool applies everywhere. The restored engine emits
-    /// the stream JSONL *suffix* from the checkpoint's `emitted` cursor;
-    /// prefix + suffix is byte-identical to the uninterrupted run.
-    pub fn restore(
-        config: ServiceConfig,
-        arrivals: impl IntoArrivalStream,
-        ckpt: &ServiceCheckpoint,
-    ) -> Result<Self, EntkError> {
-        Self::restore_with_options(config, arrivals, ckpt, EngineOptions::default())
-    }
-
-    /// [`ServiceEngine::restore`] with explicit streaming knobs.
-    pub fn restore_with_options(
-        config: ServiceConfig,
-        arrivals: impl IntoArrivalStream,
-        ckpt: &ServiceCheckpoint,
-        options: EngineOptions,
-    ) -> Result<Self, EntkError> {
-        Self::validate_config(&config)?;
-        if ckpt.version != 2 {
-            return Err(EntkError::Usage(format!(
-                "unsupported checkpoint version {}",
-                ckpt.version
-            )));
-        }
-        let s = &config.stream;
-        let mismatches: Vec<&str> = [
-            (ckpt.seed != s.seed, "seed"),
-            (ckpt.resource != s.resource, "resource"),
-            (ckpt.slots != s.slots, "slots"),
-            (ckpt.backend != s.backend.label(), "backend"),
-            (ckpt.policy != config.policy.label(), "policy"),
-            (
-                ckpt.half_life_secs != config.policy.half_life_secs(),
-                "half_life_secs",
-            ),
-            (
-                ckpt.max_queue_depth != config.max_queue_depth,
-                "max_queue_depth",
-            ),
-            (ckpt.saturation != config.saturation.label(), "saturation"),
-            (ckpt.strict != config.strict, "strict"),
-            (
-                ckpt.unit_failure_rate != s.unit_failure_rate,
-                "unit_failure_rate",
-            ),
-            (ckpt.scheduler != s.scheduler, "scheduler"),
-            (ckpt.fault.unwrap_or_default() != s.fault, "fault"),
-        ]
-        .iter()
-        .filter_map(|&(differs, name)| differs.then_some(name))
-        .collect();
-        if !mismatches.is_empty() {
-            return Err(EntkError::Usage(format!(
-                "checkpoint does not match the service config (differs on: {})",
-                mismatches.join(", ")
-            )));
-        }
-        // Balances are core-seconds; anything else would steer fair-share
-        // admission wherever the edit pointed it.
-        if let Some((tenant, balance)) = ckpt
-            .usage
-            .iter()
-            .find(|(_, balance)| !(balance.is_finite() && *balance >= 0.0))
-        {
-            return Err(EntkError::Usage(format!(
-                "checkpoint usage balance of tenant {tenant} must be finite and >= 0, \
-                 got {balance:?}"
-            )));
-        }
-        let mut tenants = BTreeSet::new();
-        if let Some((tenant, _)) = ckpt.usage.iter().find(|(t, _)| !tenants.insert(*t)) {
-            return Err(EntkError::Usage(format!(
-                "checkpoint usage lists tenant {tenant} more than once"
-            )));
-        }
-        // A session is in at most one of these lists; `listed` maps each
-        // session to the list that names it first.
-        let mut listed: HashMap<usize, &str> = HashMap::new();
-        let places = (ckpt.pending.iter().map(|&i| ("pending", i)))
-            .chain(ckpt.deferred.iter().map(|&i| ("deferred", i)))
-            .chain(
-                ckpt.in_flight
-                    .iter()
-                    .map(|slot| ("in_flight", slot.session)),
-            );
-        for (field, i) in places {
-            if let Some(first) = listed.insert(i, field) {
-                return Err(EntkError::Usage(format!(
-                    "checkpoint session {i} is listed in {first} and again in {field}"
-                )));
-            }
-        }
-        let stream = arrivals.into_arrival_stream()?;
-        let mut engine = Self::empty(config, options, stream);
-        // Re-pull the served prefix: every row is validated, order-checked,
-        // and folded into the prefix fingerprint, but only rows still
-        // queued (pending or deferred) are retained — the rest are dropped
-        // as soon as they are hashed, so restore stays bounded-memory.
-        let mut queued = Vec::new();
-        while engine.pulled < ckpt.next_arrival {
-            let Some((i, row)) = engine.pull_row()? else {
-                return Err(EntkError::Usage("checkpoint cursors out of range".into()));
-            };
-            engine.prefix_fp = fnv64_update(engine.prefix_fp, render_row(&row).as_bytes());
-            if matches!(listed.get(&i), Some(&"pending" | &"deferred")) {
-                queued.push((i, row));
-            }
-        }
-        let clock = SimTime::from_micros(ckpt.clock_us);
-        if engine.last_pulled_at.is_some_and(|last| clock < last) {
-            return Err(EntkError::Usage(format!(
-                "checkpoint clock_us {} is before the last ingested arrival",
-                ckpt.clock_us
-            )));
-        }
-        let fp = format!("{:016x}", engine.prefix_fp);
-        if ckpt.arrivals_fp != fp {
-            return Err(EntkError::Usage(
-                "checkpoint was taken against a different arrival stream \
-                 (trace fingerprint mismatch)"
-                    .into(),
-            ));
-        }
-        let n = ckpt.next_arrival;
-        if ckpt.emitted > n {
-            return Err(EntkError::Usage("checkpoint cursors out of range".into()));
-        }
-        let mut finalized: BTreeMap<usize, SessionRecord> = BTreeMap::new();
-        for r in &ckpt.records {
-            if r.session >= n || finalized.insert(r.session, r.clone()).is_some() {
-                return Err(EntkError::Usage(format!(
-                    "checkpoint record for session {} is out of range or duplicated",
-                    r.session
-                )));
-            }
-        }
-        for &i in ckpt.pending.iter().chain(&ckpt.deferred) {
-            if i >= ckpt.next_arrival || finalized.contains_key(&i) {
-                return Err(EntkError::Usage(format!(
-                    "checkpoint queues session {i} inconsistently"
-                )));
-            }
-        }
-        for slot in &ckpt.in_flight {
-            // `finalized` holds only sessions below `next_arrival`.
-            let record = finalized.get(&slot.session);
-            let Some(record) = record.filter(|_| slot.finish_us >= ckpt.clock_us) else {
-                return Err(EntkError::Usage(format!(
-                    "checkpoint in-flight slot for session {} is inconsistent",
-                    slot.session
-                )));
-            };
-            if record.finish_us != slot.finish_us {
-                return Err(EntkError::Usage(format!(
-                    "checkpoint in_flight finish_us {} of session {} differs from its \
-                     record's finish_us {}",
-                    slot.finish_us, slot.session, record.finish_us
-                )));
-            }
-        }
-        if ckpt.in_flight.len() > engine.config.stream.slots {
-            return Err(EntkError::Usage(
-                "checkpoint occupies more slots than the config provides".into(),
-            ));
-        }
-        // Replay the emitted prefix through the emission point (no observer
-        // is attached yet): running stats, fingerprint and retained lines
-        // become exactly what the uninterrupted run held at this boundary,
-        // and what stays in the window is finalized but not yet emitted.
-        engine.window = finalized;
-        engine.emit(&mut |_| Ok(()))?;
-        if engine.emitted != ckpt.emitted {
-            return Err(EntkError::Usage(
-                "checkpoint emitted cursor does not match its finalized records".into(),
-            ));
-        }
-        engine.restored = ckpt.emitted;
-        // Service times are needed only for sessions whose admission is
-        // still ahead. Queued and deferred rows were retained above and go
-        // back to the evaluation pool now, in index order; not-yet-arrived
-        // rows are dispatched as `fill_readahead` pulls them.
-        for (i, arrival) in queued {
-            let service = engine.eval.dispatch(i, arrival.clone());
-            engine.held.insert(i, HeldRow { arrival, service });
-        }
-        engine.ledger = entk_cluster::UsageLedger::restore(
-            engine.config.policy.half_life_secs(),
-            ckpt.usage.iter().copied(),
-            ckpt.usage_decayed_at_us,
-        );
-        engine.clock = clock;
-        engine.next_arrival = ckpt.next_arrival;
-        engine.pending = ckpt.pending.iter().copied().collect();
-        engine.deferred = ckpt.deferred.iter().copied().collect();
-        engine.in_flight = ckpt
-            .in_flight
-            .iter()
-            .map(|slot| Reverse((SimTime::from_micros(slot.finish_us), slot.session)))
-            .collect();
-        engine.acc.stats.max_cross_check_err_secs = ckpt.max_cross_check_err_secs;
-        // A boundary applies no completion past the next arrival, so the
-        // clock never passes it.
-        engine.fill_readahead()?;
-        if engine.peek_arrival().is_some_and(|next| clock > next) {
-            return Err(EntkError::Usage(format!(
-                "checkpoint clock_us {} is after the next arrival still to ingest",
-                ckpt.clock_us
-            )));
-        }
-        Ok(engine)
-    }
-
-    /// Serves the stream to completion, retaining each emitted record,
-    /// and finishes the attached sinks with the report. The records —
-    /// the whole stream, a restored engine's checkpointed prefix included
-    /// — move into the report; the lines this instance emitted are
-    /// `render_record` of `records[ckpt.emitted..]` (all of them for a
-    /// fresh engine).
-    pub fn run(mut self) -> Result<WorkloadReport, EntkError> {
-        self.run_to_boundary(usize::MAX)?;
+    /// Serves the stream to completion, writing each stream line to `out`
+    /// as it is emitted and retaining each emitted record, and finishes the
+    /// attached sinks with the report. The records — the whole stream, a
+    /// restored engine's checkpointed prefix included — move into the
+    /// report; `out` receives only the lines this instance emitted (all of
+    /// them for a fresh engine, the suffix after the checkpoint's `emitted`
+    /// cursor for a restored one).
+    pub fn run<W: Write>(mut self, out: &mut W) -> Result<WorkloadReport, EntkError> {
+        self.drive(usize::MAX, out)?;
         let report = WorkloadReport::assemble(&self.config, self.acc.stats(), self.records);
         for sink in &mut self.sinks {
             sink.finish(Some(&report))?;
@@ -1465,10 +1065,7 @@ impl ServiceEngine {
     /// Consumes the engine (no checkpoint can observe the dropped
     /// records), requires a fresh engine, not a restored one, and rejects
     /// up front any attached sink that needs the retained report.
-    pub fn run_streaming<W: std::io::Write>(
-        mut self,
-        out: &mut W,
-    ) -> Result<ServeStats, EntkError> {
+    pub fn run_streaming<W: Write>(mut self, out: &mut W) -> Result<ServeStats, EntkError> {
         if self.next_arrival != 0 || self.emitted != 0 {
             return Err(EntkError::Usage(
                 "streaming serve requires a fresh engine".into(),
@@ -1482,10 +1079,7 @@ impl ServiceEngine {
             )));
         }
         self.retain = false;
-        self.drive(usize::MAX, &mut |line| {
-            out.write_all(line.as_bytes())
-                .map_err(|e| EntkError::Resource(format!("writing stream JSONL: {e}")))
-        })?;
+        self.drive(usize::MAX, out)?;
         debug_assert!(self.pending.is_empty() && self.deferred.is_empty());
         for sink in &mut self.sinks {
             sink.finish(None)?;

@@ -302,7 +302,6 @@ pub fn sinks() -> &'static Registry<Box<dyn ReportSink>> {
 mod tests {
     use super::*;
     use crate::arrival::WorkloadGenerator;
-    use crate::runner::render_record;
     use crate::trace::SyntheticTrace;
     use crate::{ServiceConfig, ServiceEngine, WorkloadConfig};
     use entk_core::ComponentSpec;
@@ -325,16 +324,16 @@ mod tests {
     }
 
     fn serve_with(sink: Box<dyn ReportSink>) -> WorkloadReport {
-        engine_with(sink).run().unwrap()
+        engine_with(sink).run(&mut std::io::sink()).unwrap()
     }
 
     #[test]
     fn jsonl_sink_writes_the_stream_bytes() {
         let path = tmp("rows.jsonl");
-        let report = serve_with(Box::new(JsonlSink::create(&path).unwrap()));
-        let written = std::fs::read_to_string(&path).unwrap();
-        let stream: String = report.records.iter().map(render_record).collect();
-        assert_eq!(written, stream);
+        let mut stream = Vec::new();
+        let engine = engine_with(Box::new(JsonlSink::create(&path).unwrap()));
+        engine.run(&mut stream).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), stream);
         std::fs::remove_file(&path).ok();
     }
 

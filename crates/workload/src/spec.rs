@@ -282,24 +282,39 @@ impl StreamSpec {
             sinks().check(text, sink)?;
         }
         sources().check(text, &spec.source.component())?;
-        spec.check_values(text)?;
+        spec.check_values(text, doc)?;
         Ok(spec)
     }
 
     /// Rejects values no run can mean — a failure rate that is no
     /// probability, a negative half-life (top-level or in the policy's
     /// params), a resource that is no platform, no slot, a queue bound of
-    /// zero, a federation of fewer than two, a mean arrival gap the clock
-    /// cannot hold — pointing at their line.
-    /// [`ServiceEngine`] repeats the checks for configs built in code.
-    fn check_values(&self, text: &str) -> Result<(), EntkError> {
+    /// zero, an unknown backend or saturation mode, a federation of fewer
+    /// than two, a mean arrival gap the clock cannot hold — and a key set
+    /// in `doc` that nothing reads (`members` off the federated backend,
+    /// `saturation` without a queue bound), pointing at their line.
+    /// [`ServiceEngine`] repeats the value checks for configs built in code.
+    fn check_values(&self, text: &str, doc: &Value) -> Result<(), EntkError> {
         check_failure_rate(self.unit_failure_rate)
             .map_err(|e| usage_at(text, "unit_failure_rate", e))?;
         check_slots(self.slots).map_err(|e| usage_at(text, "slots", e))?;
         check_queue_depth(self.max_queue_depth)
             .map_err(|e| usage_at(text, "max_queue_depth", e))?;
-        if self.backend == "federated" {
-            check_members(self.members).map_err(|e| usage_at(text, "members", e))?;
+        SaturationMode::parse(&self.saturation).map_err(|e| usage_at(text, "saturation", e))?;
+        let unread = |key: &str, msg: String| usage_at(text, key, EntkError::Usage(msg));
+        if doc.get("saturation").is_some() && self.max_queue_depth.is_none() {
+            let msg = "saturation is not read without a max_queue_depth".to_string();
+            return Err(unread("saturation", msg));
+        }
+        match self.backend().map_err(|e| usage_at(text, "backend", e))? {
+            StreamBackend::Federated { members } => {
+                check_members(members).map_err(|e| usage_at(text, "members", e))?
+            }
+            StreamBackend::Simulated if doc.get("members").is_some() => {
+                let msg = format!("members is not read by the {:?} backend", self.backend);
+                return Err(unread("members", msg));
+            }
+            StreamBackend::Simulated => {}
         }
         let policy = admission_policies()
             .build(&self.policy, &())
@@ -326,17 +341,7 @@ impl StreamSpec {
     /// fault plugins — into a runner config. Plugin params are built once
     /// here so a bad params block fails before any session runs.
     pub fn config(&self) -> Result<WorkloadConfig, EntkError> {
-        let backend = match self.backend.as_str() {
-            "simulated" => StreamBackend::Simulated,
-            "federated" => StreamBackend::Federated {
-                members: self.members,
-            },
-            other => {
-                return Err(EntkError::Usage(format!(
-                    "unknown backend {other:?} (use \"simulated\" or \"federated\")"
-                )))
-            }
-        };
+        let backend = self.backend()?;
         if let Some(spec) = &self.scheduler {
             schedulers().build(spec, &())?;
         }
@@ -353,6 +358,19 @@ impl StreamSpec {
             scheduler: self.scheduler.clone(),
             fault,
         })
+    }
+
+    /// The backend the spec names, with its member count.
+    fn backend(&self) -> Result<StreamBackend, EntkError> {
+        match self.backend.as_str() {
+            "simulated" => Ok(StreamBackend::Simulated),
+            "federated" => Ok(StreamBackend::Federated {
+                members: self.members,
+            }),
+            other => Err(EntkError::Usage(format!(
+                "unknown backend {other:?} (use \"simulated\" or \"federated\")"
+            ))),
+        }
     }
 
     /// Compiles the full service configuration: the runner config plus
@@ -388,7 +406,7 @@ impl StreamSpec {
         for sink in self.build_sinks()? {
             engine.attach(sink);
         }
-        engine.run()
+        engine.run(&mut std::io::sink())
     }
 }
 
@@ -435,8 +453,8 @@ mod tests {
             "backend": "cloud",
             "source": { "kind": "synthetic", "sessions": 4, "tenants": 2 }
         }"#;
-        let spec = StreamSpec::from_json(bad_backend).unwrap();
-        assert!(matches!(spec.run(), Err(EntkError::Usage(_))));
+        let err = StreamSpec::from_json(bad_backend).expect_err("unknown backend");
+        assert!(matches!(err, EntkError::Usage(_)), "{err}");
         let missing_trace = r#"{
             "source": { "kind": "trace", "path": "/nonexistent/trace.csv" }
         }"#;
@@ -505,7 +523,8 @@ mod tests {
             r#""half_life_secs": 0.0"#,
             r#""resource": "comet""#,
             r#""slots": 1, "max_queue_depth": 1"#,
-            r#""members": 0"#,
+            r#""max_queue_depth": 1, "saturation": "defer""#,
+            r#""backend": "federated", "members": 2"#,
         ] {
             StreamSpec::from_json(&spec(line)).expect(line);
         }

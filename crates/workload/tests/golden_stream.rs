@@ -24,11 +24,17 @@ fn base(backend: StreamBackend, slots: usize) -> WorkloadConfig {
 }
 
 fn check(label: &str, config: ServiceConfig, arrivals: &[SessionArrival], fp: &str, bytes: usize) {
+    let mut written = Vec::new();
     let report = ServiceEngine::new(config.clone(), arrivals)
         .unwrap()
-        .run()
+        .run(&mut written)
         .unwrap();
     let jsonl: String = report.records.iter().map(render_record).collect();
+    assert_eq!(
+        written,
+        jsonl.as_bytes(),
+        "{label}: written lines are the records'"
+    );
     assert_eq!(report.stream_fp, fp, "{label}: buffered fingerprint");
     assert_eq!(
         format!("{:016x}", entk_workload::fnv64(jsonl.as_bytes())),

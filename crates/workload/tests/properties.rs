@@ -87,11 +87,6 @@ fn cheap_arrivals(draws: &[(u64, u64, usize)]) -> Vec<SessionArrival> {
         .collect()
 }
 
-/// The stream JSONL of `records`: one rendered line each.
-fn jsonl(records: &[SessionRecord]) -> String {
-    records.iter().map(render_record).collect()
-}
-
 /// The original FIFO admission recursion, kept as the oracle:
 /// arrival `i` starts at `max(arrival_i, k-th earliest slot-free time)`.
 fn fifo_oracle(arrivals: &[SessionArrival], ttcs_us: &[u64], slots: usize) -> Vec<(u64, u64)> {
@@ -120,7 +115,7 @@ proptest! {
     ) {
         let arrivals = cheap_arrivals(&draws);
         let config = ServiceConfig::fifo(WorkloadConfig { slots, ..WorkloadConfig::default() });
-        let report = ServiceEngine::new(config, &arrivals).unwrap().run().unwrap();
+        let report = ServiceEngine::new(config, &arrivals).unwrap().run(&mut std::io::sink()).unwrap();
         let ttcs: Vec<u64> = report.records.iter()
             .map(|r| r.finish_us - r.start_us)
             .collect();
@@ -144,7 +139,7 @@ proptest! {
             WorkloadConfig { slots: 1, ..WorkloadConfig::default() },
             [0.0, 120.0, 3600.0][half_life_sel],
         );
-        let report = ServiceEngine::new(config, &arrivals).unwrap().run().unwrap();
+        let report = ServiceEngine::new(config, &arrivals).unwrap().run(&mut std::io::sink()).unwrap();
         prop_assert_eq!(report.ok_sessions, arrivals.len());
     }
 
@@ -159,7 +154,7 @@ proptest! {
             saturation: SaturationMode::Reject,
             ..ServiceConfig::fifo(WorkloadConfig { slots: 1, ..WorkloadConfig::default() })
         };
-        let report = ServiceEngine::new(config, &arrivals).unwrap().run().unwrap();
+        let report = ServiceEngine::new(config, &arrivals).unwrap().run(&mut std::io::sink()).unwrap();
         prop_assert!(report.queue_depth_peak <= bound as f64);
         prop_assert_eq!(
             report.ok_sessions + report.rejected_sessions,
@@ -178,7 +173,7 @@ proptest! {
             saturation: SaturationMode::Defer,
             ..ServiceConfig::fifo(WorkloadConfig { slots: 1, ..WorkloadConfig::default() })
         };
-        let report = ServiceEngine::new(config, &arrivals).unwrap().run().unwrap();
+        let report = ServiceEngine::new(config, &arrivals).unwrap().run(&mut std::io::sink()).unwrap();
         prop_assert_eq!(report.rejected_sessions, 0);
         prop_assert_eq!(report.ok_sessions, arrivals.len());
     }
@@ -225,9 +220,12 @@ proptest! {
         };
         let options = entk_workload::EngineOptions { lookahead, eval_workers };
 
-        // Oracle: the buffered engine at default options.
-        let oracle = ServiceEngine::new(config.clone(), &arrivals).unwrap().run().unwrap();
-        let oracle_jsonl = jsonl(&oracle.records);
+        // Oracle: what the buffered engine wrote at default options.
+        let mut oracle_jsonl = Vec::new();
+        let oracle = ServiceEngine::new(config.clone(), &arrivals)
+            .unwrap()
+            .run(&mut oracle_jsonl)
+            .unwrap();
 
         // Streamed sink serve under the drawn knobs.
         let mut sink = Vec::new();
@@ -235,24 +233,24 @@ proptest! {
             .unwrap()
             .run_streaming(&mut sink)
             .unwrap();
-        prop_assert_eq!(&String::from_utf8(sink).unwrap(), &oracle_jsonl);
+        prop_assert_eq!(&sink, &oracle_jsonl);
         prop_assert_eq!(&stats.stream_fp, &oracle.stream_fp);
 
-        // Checkpoint at a mid-stream boundary under the drawn knobs.
+        // Checkpoint at a mid-stream boundary under the drawn knobs: the
+        // prefix the victim wrote, then the suffix the resumed engine wrote.
         let k = arrivals.len() / 2;
+        let mut written = Vec::new();
         let mut victim =
             ServiceEngine::with_options(config.clone(), &arrivals, options).unwrap();
-        victim.run_to_boundary(k).unwrap();
-        let prefix = victim.emitted_jsonl();
+        victim.run_to_boundary(k, &mut written).unwrap();
         let ckpt = ServiceCheckpoint::from_json(&victim.checkpoint().to_json()).unwrap();
-        let resumed =
-            ServiceEngine::restore_with_options(config, &arrivals, &ckpt, options)
-                .unwrap()
-                .run()
-                .unwrap();
+        ServiceEngine::restore_with_options(config, &arrivals, &ckpt, options)
+            .unwrap()
+            .run(&mut written)
+            .unwrap();
         prop_assert_eq!(
-            format!("{prefix}{}", jsonl(&resumed.records[ckpt.emitted..])),
-            oracle_jsonl,
+            &written,
+            &oracle_jsonl,
             "boundary {} under lookahead {} must replay exactly", k, lookahead
         );
     }
@@ -325,7 +323,8 @@ proptest! {
         // Retaining run, two sinks.
         let mut retaining = engine();
         let (first, second) = (tap(&mut retaining), tap(&mut retaining));
-        let report = retaining.run().unwrap();
+        let mut retained_rows = Vec::new();
+        let report = retaining.run(&mut retained_rows).unwrap();
         let first = first.lock().unwrap().clone();
         prop_assert_eq!(&*second.lock().unwrap(), &first);
         prop_assert_eq!(first.len(), arrivals.len());
@@ -341,16 +340,16 @@ proptest! {
         let mut rows = Vec::new();
         streaming.run_streaming(&mut rows).unwrap();
         prop_assert_eq!(&*streamed.lock().unwrap(), &first);
-        prop_assert_eq!(String::from_utf8(rows).unwrap(), jsonl(&report.records));
+        prop_assert_eq!(rows, retained_rows);
 
         // Restored engine: exactly the post-checkpoint suffix.
         let mut victim = engine();
-        victim.run_to_boundary(arrivals.len() / 2).unwrap();
+        victim.run_to_boundary(arrivals.len() / 2, &mut std::io::sink()).unwrap();
         let ckpt = victim.checkpoint();
         let mut resumed =
             ServiceEngine::restore_with_options(config.clone(), &arrivals, &ckpt, options).unwrap();
         let suffix = tap(&mut resumed);
-        resumed.run().unwrap();
+        resumed.run(&mut std::io::sink()).unwrap();
         prop_assert_eq!(&*suffix.lock().unwrap(), &first[ckpt.emitted..]);
     }
 }
@@ -391,22 +390,24 @@ fn checkpoint_restore_at_every_arrival_boundary_is_exact() {
             },
         ),
     ] {
+        let mut full_jsonl = Vec::new();
         let full = ServiceEngine::new(config.clone(), &arrivals)
             .unwrap()
-            .run()
+            .run(&mut full_jsonl)
             .unwrap();
         for k in 0..=arrivals.len() {
+            // The prefix the victim wrote, then the suffix the resumed
+            // engine wrote.
+            let mut written = Vec::new();
             let mut victim = ServiceEngine::new(config.clone(), &arrivals).unwrap();
-            victim.run_to_boundary(k).unwrap();
-            let prefix = victim.emitted_jsonl();
+            victim.run_to_boundary(k, &mut written).unwrap();
             let ckpt = ServiceCheckpoint::from_json(&victim.checkpoint().to_json()).unwrap();
             let resumed = ServiceEngine::restore(config.clone(), &arrivals, &ckpt)
                 .unwrap()
-                .run()
+                .run(&mut written)
                 .unwrap();
             assert_eq!(
-                format!("{prefix}{}", jsonl(&resumed.records[ckpt.emitted..])),
-                jsonl(&full.records),
+                written, full_jsonl,
                 "{label}: boundary {k} must replay a byte-identical stream"
             );
             assert_eq!(resumed, full, "{label}: boundary {k} report mismatch");

@@ -84,7 +84,7 @@ fn a_retaining_serve_keeps_each_session_once() {
 
     let report = ServiceEngine::with_options(config, arrivals, options)
         .unwrap()
-        .run()
+        .run(&mut std::io::sink())
         .unwrap();
 
     let peak = PEAK_BYTES.load(Ordering::Relaxed) - before;

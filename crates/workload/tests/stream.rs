@@ -4,8 +4,8 @@
 
 use entk_workload::{
     parse_trace, render_record, PatternKind, SaturationMode, ServiceCheckpoint, ServiceConfig,
-    ServiceEngine, SessionArrival, SessionRecord, SessionStatus, StreamBackend, StreamSpec,
-    SyntheticTrace, WorkloadConfig, WorkloadGenerator, WorkloadReport,
+    ServiceEngine, SessionArrival, SessionStatus, StreamBackend, StreamSpec, SyntheticTrace,
+    WorkloadConfig, WorkloadGenerator, WorkloadReport,
 };
 
 fn small_config(backend: StreamBackend) -> WorkloadConfig {
@@ -23,13 +23,8 @@ fn small_config(backend: StreamBackend) -> WorkloadConfig {
 fn serve(config: &WorkloadConfig, arrivals: &[SessionArrival]) -> WorkloadReport {
     ServiceEngine::new(ServiceConfig::fifo(config.clone()), arrivals)
         .unwrap()
-        .run()
+        .run(&mut std::io::sink())
         .unwrap()
-}
-
-/// The stream JSONL of `records`: one rendered line each.
-fn jsonl(records: &[SessionRecord]) -> String {
-    records.iter().map(render_record).collect()
 }
 
 #[test]
@@ -181,7 +176,7 @@ fn strict_mode_restores_stream_fatal_failures() {
     };
     let err = ServiceEngine::new(config, &arrivals)
         .unwrap()
-        .run()
+        .run(&mut std::io::sink())
         .unwrap_err();
     assert!(err.to_string().contains("resource error"), "{err}");
 }
@@ -201,7 +196,11 @@ fn a_panicking_evaluation_is_a_failed_session_not_a_hung_serve() {
         let arrivals = arrivals.clone();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let _ = tx.send(ServiceEngine::new(config, &arrivals).unwrap().run());
+            let _ = tx.send(
+                ServiceEngine::new(config, &arrivals)
+                    .unwrap()
+                    .run(&mut std::io::sink()),
+            );
         });
         rx.recv_timeout(std::time::Duration::from_secs(120))
             .expect("the serve hung on a panicked evaluation")
@@ -250,7 +249,7 @@ fn degraded_sessions_are_recorded_as_partial() {
     };
     let err = ServiceEngine::new(strict, &arrivals)
         .unwrap()
-        .run()
+        .run(&mut std::io::sink())
         .unwrap_err();
     assert!(err.to_string().contains("partial"), "{err}");
 }
@@ -268,7 +267,7 @@ fn bounded_queue_rejects_past_the_bound_with_saturated_outcomes() {
     let arrivals = SyntheticTrace::new(3, 16, 4).generate().unwrap();
     let r = &ServiceEngine::new(config, &arrivals)
         .unwrap()
-        .run()
+        .run(&mut std::io::sink())
         .unwrap();
     assert!(r.rejected_sessions > 0, "a burst must overflow depth 1");
     assert_eq!(r.rejected_sessions + r.ok_sessions, 16);
@@ -299,7 +298,7 @@ fn bounded_queue_rejects_past_the_bound_with_saturated_outcomes() {
         &arrivals,
     )
     .unwrap()
-    .run()
+    .run(&mut std::io::sink())
     .unwrap();
     assert_eq!(r, &again);
 }
@@ -317,7 +316,7 @@ fn deferred_arrivals_are_eventually_served() {
     let arrivals = SyntheticTrace::new(3, 16, 4).generate().unwrap();
     let out = ServiceEngine::new(config, &arrivals)
         .unwrap()
-        .run()
+        .run(&mut std::io::sink())
         .unwrap();
     assert_eq!(out.rejected_sessions, 0);
     assert_eq!(out.ok_sessions, 16);
@@ -338,28 +337,30 @@ fn kill_mid_stream_and_resume_replays_a_byte_identical_suffix() {
     let arrivals = SyntheticTrace::new(13, 12, 4).generate().unwrap();
     let config = ServiceConfig::fair_share(small_config(StreamBackend::Simulated), 300.0);
 
+    let mut full_jsonl = Vec::new();
     let full = ServiceEngine::new(config.clone(), &arrivals)
         .unwrap()
-        .run()
+        .run(&mut full_jsonl)
         .unwrap();
 
     // "Kill" the service at the mid-stream arrival boundary: keep only
-    // what it checkpointed and what it had already emitted.
+    // what it checkpointed and what it had already written.
+    let mut prefix = Vec::new();
     let mut victim = ServiceEngine::new(config.clone(), &arrivals).unwrap();
-    victim.run_to_boundary(6).unwrap();
-    let prefix = victim.emitted_jsonl();
+    victim.run_to_boundary(6, &mut prefix).unwrap();
     let ckpt_json = victim.checkpoint().to_json();
     drop(victim);
 
     let ckpt = ServiceCheckpoint::from_json(&ckpt_json).unwrap();
     assert_eq!(ckpt.next_arrival, 6);
+    let mut suffix = Vec::new();
     let resumed = ServiceEngine::restore(config, &arrivals, &ckpt)
         .unwrap()
-        .run()
+        .run(&mut suffix)
         .unwrap();
     assert_eq!(
-        format!("{prefix}{}", jsonl(&resumed.records[ckpt.emitted..])),
-        jsonl(&full.records),
+        [prefix, suffix].concat(),
+        full_jsonl,
         "prefix + resumed suffix must be byte-identical to the uninterrupted stream"
     );
     assert_eq!(resumed, full);
@@ -370,7 +371,7 @@ fn checkpoints_refuse_mismatched_configs_and_streams() {
     let arrivals = SyntheticTrace::new(13, 8, 3).generate().unwrap();
     let config = ServiceConfig::fifo(small_config(StreamBackend::Simulated));
     let mut engine = ServiceEngine::new(config.clone(), &arrivals).unwrap();
-    engine.run_to_boundary(4).unwrap();
+    engine.run_to_boundary(4, &mut std::io::sink()).unwrap();
     let ckpt = engine.checkpoint();
 
     let wrong_seed = ServiceConfig::fifo(WorkloadConfig {
@@ -405,17 +406,17 @@ fn streamed_serve_is_byte_identical_to_the_buffered_serve() {
     ] {
         let synth = SyntheticTrace::new(11, 10, 4);
         let config = ServiceConfig::fifo(small_config(backend));
+        let mut lines = Vec::new();
         let buffered = ServiceEngine::new(config.clone(), synth.stream().unwrap())
             .unwrap()
-            .run()
+            .run(&mut lines)
             .unwrap();
         let mut sink = Vec::new();
         let stats = ServiceEngine::new(config, synth.stream().unwrap())
             .unwrap()
             .run_streaming(&mut sink)
             .unwrap();
-        let lines = jsonl(&buffered.records);
-        assert_eq!(String::from_utf8(sink).unwrap(), lines);
+        assert_eq!(sink, lines);
         assert_eq!(stats.stream_fp, buffered.stream_fp);
         assert_eq!(stats.sessions, buffered.sessions);
         assert_eq!(stats.tenants, buffered.tenants);
@@ -461,7 +462,7 @@ fn streaming_knobs_cannot_change_the_output() {
     let config = ServiceConfig::fifo(small_config(StreamBackend::Simulated));
     let baseline = ServiceEngine::new(config.clone(), synth.stream().unwrap())
         .unwrap()
-        .run()
+        .run(&mut std::io::sink())
         .unwrap();
     for lookahead in [1, 3, 1024] {
         for eval_workers in [1, 2] {
@@ -471,7 +472,7 @@ fn streaming_knobs_cannot_change_the_output() {
             };
             let out = ServiceEngine::with_options(config.clone(), synth.stream().unwrap(), options)
                 .unwrap()
-                .run()
+                .run(&mut std::io::sink())
                 .unwrap();
             assert_eq!(
                 out, baseline,
@@ -491,14 +492,14 @@ fn fair_share_reorders_a_hot_tenant_burst() {
     };
     let fifo = ServiceEngine::new(ServiceConfig::fifo(stream.clone()), &arrivals)
         .unwrap()
-        .run()
+        .run(&mut std::io::sink())
         .unwrap();
     // The fairness invariant — no tenant is admitted over a waiting
     // tenant with a smaller balance — is debug-asserted at every admission
     // decision this serve takes.
     let fair = ServiceEngine::new(ServiceConfig::fair_share(stream, 600.0), &arrivals)
         .unwrap()
-        .run()
+        .run(&mut std::io::sink())
         .unwrap();
     assert_eq!(fair.policy, "fair-share");
     assert_ne!(
