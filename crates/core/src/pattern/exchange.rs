@@ -11,7 +11,7 @@
 //!   ("no obligatory global synchronization … pairwise") and serving as an
 //!   ablation point.
 
-use crate::pattern::ExecutionPattern;
+use crate::pattern::{share_kernel, ExecutionPattern};
 use crate::task::{Task, TaskResult};
 use entk_kernels::KernelCall;
 use entk_md::TemperatureLadder;
@@ -41,6 +41,8 @@ pub struct EnsembleExchange {
     n_replicas: usize,
     n_cycles: usize,
     md_kernel: MdKernelFn,
+    /// The last MD kernel bound, shared with the next segment if equal.
+    last_kernel: Option<Arc<KernelCall>>,
     mode: ExchangeMode,
     ladder: TemperatureLadder,
     /// The two stage labels, built once and shared by every task.
@@ -82,6 +84,7 @@ impl EnsembleExchange {
             n_replicas,
             n_cycles,
             md_kernel: Box::new(md_kernel),
+            last_kernel: None,
             mode: ExchangeMode::GlobalSynchronous,
             ladder,
             simulation_label: "simulation".into(),
@@ -125,7 +128,7 @@ impl EnsembleExchange {
     fn md_task(&mut self, replica: usize) -> Task {
         let t = self.ladder.temp(self.rung_of[replica]);
         let cycle = self.cycle_of[replica];
-        let kernel = (self.md_kernel)(replica, cycle, t);
+        let kernel = share_kernel(&mut self.last_kernel, (self.md_kernel)(replica, cycle, t));
         Task::new(replica as u64, self.simulation_label.clone(), kernel)
     }
 

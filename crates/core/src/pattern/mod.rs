@@ -16,6 +16,22 @@ pub mod pst;
 pub mod sal;
 
 use crate::task::{Task, TaskResult};
+use entk_kernels::KernelCall;
+use std::sync::Arc;
+
+/// Binds `call` to a shared handle, reusing `last`'s `Arc` when the two
+/// compare equal, and remembers the result for the next call. A pattern
+/// whose kernel closure returns the same call for every task then keeps
+/// one copy, not one per task.
+pub(crate) fn share_kernel(
+    last: &mut Option<Arc<KernelCall>>,
+    call: KernelCall,
+) -> Arc<KernelCall> {
+    match last {
+        Some(kernel) if **kernel == call => kernel.clone(),
+        _ => last.insert(Arc::new(call)).clone(),
+    }
+}
 
 /// An ensemble execution pattern.
 pub trait ExecutionPattern {
@@ -105,5 +121,72 @@ pub(crate) mod testutil {
             pattern.progress()
         );
         results
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use entk_md::TemperatureLadder;
+    use serde_json::json;
+
+    fn sleep(secs: f64) -> KernelCall {
+        KernelCall::new("misc.sleep", json!({ "secs": secs }))
+    }
+
+    #[test]
+    fn equal_consecutive_calls_share_one_kernel() {
+        let mut last = None;
+        let a = share_kernel(&mut last, sleep(10.0));
+        let b = share_kernel(&mut last, sleep(10.0));
+        assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn calls_that_differ_only_in_args_are_not_shared() {
+        let mut last = None;
+        let a = share_kernel(&mut last, sleep(10.0));
+        let b = share_kernel(&mut last, sleep(20.0));
+        let c = share_kernel(&mut last, sleep(10.0));
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(b.args, json!({ "secs": 20.0 }));
+        // Only the last call is remembered: a repeat after a change is new.
+        assert!(!Arc::ptr_eq(&b, &c) && !Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn every_pattern_shares_equal_consecutive_kernels() {
+        let all_shared = |tasks: &[Task]| {
+            tasks
+                .windows(2)
+                .all(|w| Arc::ptr_eq(&w[0].kernel, &w[1].kernel))
+        };
+        let mut eop = EnsembleOfPipelines::new(4, 2, |_, _| sleep(1.0));
+        assert!(all_shared(&eop.on_start()));
+        let mut bag = BagOfTasks::new(4, |_| sleep(1.0));
+        assert!(all_shared(&bag.on_start()));
+        let mut sal = SimulationAnalysisLoop::new(
+            1,
+            4,
+            |_, _| sleep(1.0),
+            |_, _| vec![sleep(1.0), sleep(1.0)],
+        );
+        let sims = sal.on_start();
+        assert!(all_shared(&sims));
+        let mut analyses = Vec::new();
+        for task in &sims {
+            analyses.extend(sal.on_task_done(&TaskResult::ok(task.tag, "simulation", json!({}))));
+        }
+        assert_eq!(analyses.len(), 2);
+        assert!(all_shared(&analyses) && Arc::ptr_eq(&sims[0].kernel, &analyses[0].kernel));
+        let ladder = TemperatureLadder::geometric(4, 300.0, 400.0);
+        let mut ee = EnsembleExchange::new(4, 1, ladder, |_, _, _| sleep(1.0));
+        assert!(all_shared(&ee.on_start()));
+        // A closure whose calls differ gets one kernel per task.
+        let mut eop = EnsembleOfPipelines::new(4, 1, |p, _| sleep(p as f64 + 1.0));
+        let tasks = eop.on_start();
+        assert!(tasks
+            .windows(2)
+            .all(|w| !Arc::ptr_eq(&w[0].kernel, &w[1].kernel)));
     }
 }

@@ -1,7 +1,7 @@
 //! The Ensemble-of-Pipelines pattern (paper §III-D1) and its single-stage
 //! special case, the bag of tasks.
 
-use crate::pattern::ExecutionPattern;
+use crate::pattern::{share_kernel, ExecutionPattern};
 use crate::task::{Task, TaskResult};
 use entk_kernels::KernelCall;
 use std::sync::Arc;
@@ -26,6 +26,8 @@ pub struct EnsembleOfPipelines {
     n_pipelines: usize,
     n_stages: usize,
     kernel_for: Box<dyn FnMut(usize, usize) -> KernelCall + Send>,
+    /// The last kernel bound, shared with the next task if equal.
+    last_kernel: Option<Arc<KernelCall>>,
     /// One shared label per stage; every task of the stage holds a clone.
     stage_labels: Vec<Arc<str>>,
     pipes: Vec<PipeState>,
@@ -49,6 +51,7 @@ impl EnsembleOfPipelines {
             n_pipelines,
             n_stages,
             kernel_for: Box::new(kernel_for),
+            last_kernel: None,
             stage_labels: (0..n_stages).map(|s| format!("stage-{s}").into()).collect(),
             pipes: vec![PipeState::Running(0); n_pipelines],
             running: n_pipelines,
@@ -72,7 +75,7 @@ impl EnsembleOfPipelines {
     }
 
     fn task_for(&mut self, pipeline: usize, stage: usize) -> Task {
-        let kernel = (self.kernel_for)(pipeline, stage);
+        let kernel = share_kernel(&mut self.last_kernel, (self.kernel_for)(pipeline, stage));
         Task::new(pipeline as u64, self.stage_labels[stage].clone(), kernel)
     }
 }

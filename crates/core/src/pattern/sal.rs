@@ -6,7 +6,7 @@
 //! extension (§V): a hook may change the ensemble size between iterations
 //! based on analysis output.
 
-use crate::pattern::ExecutionPattern;
+use crate::pattern::{share_kernel, ExecutionPattern};
 use crate::task::{Task, TaskResult};
 use entk_kernels::KernelCall;
 use serde_json::Value;
@@ -34,6 +34,8 @@ pub struct SimulationAnalysisLoop {
     sim_kernel: SimKernelFn,
     analysis_kernel: AnalysisKernelFn,
     adapt: Option<AdaptFn>,
+    /// The last kernel bound, shared with the next task if equal.
+    last_kernel: Option<Arc<KernelCall>>,
     /// Abort the whole loop if any task fails (default true; with false,
     /// failed simulations are simply excluded from analysis input).
     strict: bool,
@@ -71,6 +73,7 @@ impl SimulationAnalysisLoop {
             sim_kernel: Box::new(sim_kernel),
             analysis_kernel: Box::new(analysis_kernel),
             adapt: None,
+            last_kernel: None,
             strict: true,
             simulation_label: "simulation".into(),
             analysis_label: "analysis".into(),
@@ -114,11 +117,11 @@ impl SimulationAnalysisLoop {
     fn emit_simulations(&mut self) -> Vec<Task> {
         self.phase = Phase::Simulating;
         self.pending = self.n_sims;
-        self.sim_outputs.clear();
+        self.sim_outputs = Vec::with_capacity(self.n_sims);
         let iter = self.iter;
         (0..self.n_sims)
             .map(|i| {
-                let kernel = (self.sim_kernel)(iter, i);
+                let kernel = share_kernel(&mut self.last_kernel, (self.sim_kernel)(iter, i));
                 Task::new(i as u64, self.simulation_label.clone(), kernel)
             })
             .collect()
@@ -126,7 +129,10 @@ impl SimulationAnalysisLoop {
 
     fn emit_analyses(&mut self) -> Vec<Task> {
         self.phase = Phase::Analysing;
-        let kernels = (self.analysis_kernel)(self.iter, &self.sim_outputs);
+        // Nothing reads the simulation outputs once the analyses are bound,
+        // so they are released here rather than held through the analyses.
+        let sim_outputs = std::mem::take(&mut self.sim_outputs);
+        let kernels = (self.analysis_kernel)(self.iter, &sim_outputs);
         assert!(
             !kernels.is_empty(),
             "analysis stage must contain at least one task"
@@ -136,7 +142,14 @@ impl SimulationAnalysisLoop {
         kernels
             .into_iter()
             .enumerate()
-            .map(|(i, k)| Task::new(ANALYSIS_TAG_BASE + i as u64, self.analysis_label.clone(), k))
+            .map(|(i, k)| {
+                let kernel = share_kernel(&mut self.last_kernel, k);
+                Task::new(
+                    ANALYSIS_TAG_BASE + i as u64,
+                    self.analysis_label.clone(),
+                    kernel,
+                )
+            })
             .collect()
     }
 }

@@ -852,9 +852,9 @@ impl ExecutionBackend for EventBackend {
                 continue;
             }
             // Everything in `descriptions` passed `UnitDescription::validate`
-            // during prepare, so the runtime cannot reject the batch; the
-            // submission notifications are only `UnitState::New` markers,
-            // which the session never acted on.
+            // during prepare, so the runtime cannot reject the batch. It
+            // sends no notification for a submission: the id range it
+            // returns names the new units.
             let stack = &mut self.clusters[c];
             stack.engine.advance_to(self.global_now);
             let mut ctx = stack.engine.context();
@@ -872,7 +872,6 @@ impl ExecutionBackend for EventBackend {
                     debug_assert!(false, "descriptions validated in prepare: {e}");
                 }
             }
-            stack.notes.clear();
             stack.push_injection();
         }
         let n = self.clusters.len() as u64;

@@ -15,38 +15,51 @@ use crate::pattern::ExecutionPattern;
 use crate::report::{ExecutionReport, OverheadBreakdown, TaskRecord};
 use crate::task::{Task, TaskResult};
 use entk_kernels::KernelCall;
-use entk_sim::{DenseStore, SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
+use entk_sim::{reserve_batch, SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
-/// One row of the task table: the report record (which carries the tag and
-/// the shared stage label), the kernel handle, and the attempt state.
-struct TaskEntry {
-    record: TaskRecord,
+/// The per-attempt column of the task table, beside each task's
+/// `TaskRecord`: what (re)submits the task and where its attempt runs.
+struct Attempt {
     /// The kernel to (re)submit; released once the task is terminal, when
     /// nothing can submit it again.
     kernel: Option<Arc<KernelCall>>,
-    /// Backend unit key of the current attempt.
-    unit: Option<u64>,
-    /// When the current attempt was submitted to the backend; consumed on
-    /// failure to account the attempt's wall time as failure-lost.
-    attempt_started: Option<SimTime>,
+    /// Backend unit key of the current attempt and when it was submitted;
+    /// taken on failure to account the attempt's wall time as failure-lost.
+    current: Option<(u64, SimTime)>,
 }
 
-impl TaskEntry {
-    /// A task is terminal from the instant its record is stamped finished.
-    fn terminal(&self) -> bool {
-        self.record.finished.is_some()
+// A row is what every task of an ensemble keeps resident beside its record.
+const _: () = assert!(std::mem::size_of::<Attempt>() <= 32);
+
+/// Backend unit key → uid of the task whose current attempt it runs, one
+/// 8-byte slot per key (the uid is stored plus one, so an empty slot is
+/// the zero niche).
+#[derive(Default)]
+struct UnitTasks(Vec<Option<NonZeroU64>>);
+
+impl UnitTasks {
+    fn insert(&mut self, key: u64, uid: u64) {
+        let idx = key as usize;
+        if idx >= self.0.len() {
+            self.0.resize(idx + 1, None);
+        }
+        self.0[idx] = NonZeroU64::new(uid + 1);
     }
 
-    fn finish(&mut self, now: SimTime, success: bool) {
-        self.record.finished = Some(now);
-        self.record.success = success;
-        self.kernel = None;
+    fn get(&self, key: u64) -> Option<u64> {
+        Some(self.0.get(key as usize).copied()??.get() - 1)
     }
 
-    fn failed(&self, reason: &str) -> TaskResult {
-        TaskResult::failed(self.record.tag, self.record.stage.clone(), reason)
+    fn take(&mut self, key: u64) -> Option<u64> {
+        Some(self.0.get_mut(key as usize)?.take()?.get() - 1)
     }
+}
+
+/// The result a pattern receives for a task that failed terminally.
+fn failed(record: &TaskRecord, reason: &str) -> TaskResult {
+    TaskResult::failed(record.tag, record.stage.clone(), reason)
 }
 
 enum SessionState {
@@ -89,11 +102,15 @@ pub struct SessionEngine {
     /// Shared trace/metrics pipeline; the same handle the backend's layers
     /// record into, so all layers append to one interleaved record.
     telemetry: SharedTelemetry,
-    /// Dense store keyed by the task uid; never removed from.
-    tasks: DenseStore<TaskEntry>,
-    /// Backend unit key → task uid for the current attempt of each task.
-    unit_to_task: DenseStore<u64>,
-    next_uid: u64,
+    /// The task table, indexed by uid: the records the reports carry.
+    /// `deallocate` moves it into the session report.
+    records: Vec<TaskRecord>,
+    /// The per-attempt column of the task table, indexed by uid less
+    /// `attempts_base`. A run ends with no task live, so its rows go with
+    /// it and the column only ever covers the current run.
+    attempts: Vec<Attempt>,
+    attempts_base: usize,
+    unit_to_task: UnitTasks,
     /// Id of the next spawn batch; pairs `tasks_created`/`tasks_submitted`
     /// trace events so pattern overhead can be re-derived from the trace.
     next_batch: u64,
@@ -130,9 +147,10 @@ impl SessionEngine {
             rng: SimRng::seed_from_u64(seed),
             retry_rng: SimRng::seed_from_u64(seed ^ 0xBAC0_0FF5),
             telemetry,
-            tasks: DenseStore::new(),
-            unit_to_task: DenseStore::new(),
-            next_uid: 0,
+            records: Vec::new(),
+            attempts: Vec::new(),
+            attempts_base: 0,
+            unit_to_task: UnitTasks::default(),
             next_batch: 0,
             live_tasks: 0,
             failed_tasks: 0,
@@ -250,7 +268,13 @@ impl SessionEngine {
                 }
             }
         }
-        Ok(self.build_report(pattern.name(), backend))
+        // With no task live, nothing can (re)submit a task of this run, so
+        // its attempt rows go now rather than at `deallocate`.
+        if self.live_tasks == 0 {
+            self.attempts_base = self.records.len();
+            self.attempts = Vec::new();
+        }
+        Ok(self.report(pattern.name(), backend, self.records.clone()))
     }
 
     /// Releases resources; returns the final session report (including
@@ -276,10 +300,22 @@ impl SessionEngine {
             self.poll_until(backend, |session, _| session.clock_marked)?;
         }
         self.state = SessionState::Deallocated;
-        Ok(self.build_report("session", backend))
+        // Nothing runs after this, so the task table itself becomes the
+        // session report's records instead of being copied into it.
+        let mut records = std::mem::take(&mut self.records);
+        records.shrink_to_fit();
+        self.attempts = Vec::new();
+        self.unit_to_task = UnitTasks::default();
+        Ok(self.report("session", backend, records))
     }
 
     // -------------------------------------------------------------- tasks
+
+    /// The attempt row of task `uid`; `None` once its run ended.
+    fn attempt(&mut self, uid: u64) -> Option<&mut Attempt> {
+        let row = (uid as usize).checked_sub(self.attempts_base)?;
+        self.attempts.get_mut(row)
+    }
 
     /// Registers pattern-emitted tasks and schedules their submission after
     /// the EnTK pattern overhead (zero on real-time backends, which pay no
@@ -303,31 +339,27 @@ impl SessionEngine {
         self.telemetry
             .record(now, "entk", "tasks_created", Subject::Batch(batch));
         let mut uids = Vec::with_capacity(tasks.len());
-        self.tasks.reserve(tasks.len());
+        reserve_batch(&mut self.records, tasks.len());
+        reserve_batch(&mut self.attempts, tasks.len());
         for task in tasks {
-            let uid = self.next_uid;
-            self.next_uid += 1;
+            let uid = self.records.len() as u64;
             self.live_tasks += 1;
-            self.tasks.insert(
+            self.records.push(TaskRecord {
                 uid,
-                TaskEntry {
-                    record: TaskRecord {
-                        uid,
-                        tag: task.tag,
-                        stage: task.stage,
-                        created: now,
-                        exec_start: None,
-                        exec_stop: None,
-                        finished: None,
-                        success: false,
-                        retries: 0,
-                        lost_to_failures: SimDuration::ZERO,
-                    },
-                    kernel: Some(task.kernel),
-                    unit: None,
-                    attempt_started: None,
-                },
-            );
+                tag: task.tag,
+                stage: task.stage,
+                created: now,
+                exec_start: None,
+                exec_stop: None,
+                finished: None,
+                success: false,
+                retries: 0,
+                lost_to_failures: SimDuration::ZERO,
+            });
+            self.attempts.push(Attempt {
+                kernel: Some(task.kernel),
+                current: None,
+            });
             self.telemetry
                 .record(now, "entk", "task_created", Subject::Task(uid));
             uids.push(uid);
@@ -345,11 +377,13 @@ impl SessionEngine {
         let mut specs = std::mem::take(&mut self.specs);
         specs.reserve(uids.len());
         specs.extend(uids.iter().filter_map(|&uid| {
-            let entry = self.tasks.get(uid)?;
+            let i = uid as usize;
             Some(UnitSpec {
                 uid,
-                stage: entry.record.stage.clone(),
-                kernel: entry.kernel.clone()?,
+                stage: self.records.get(i)?.stage.clone(),
+                kernel: self.attempts[i.checked_sub(self.attempts_base)?]
+                    .kernel
+                    .clone()?,
             })
         }));
         if !specs.is_empty() {
@@ -377,13 +411,12 @@ impl SessionEngine {
                 self.fail_unsubmittable(spec.uid, now);
             }
         }
-        self.unit_to_task.reserve(specs.len());
+        reserve_batch(&mut self.unit_to_task.0, specs.len());
         for (uid, key) in backend.commit_batch() {
-            let Some(entry) = self.tasks.get_mut(uid) else {
+            let Some(attempt) = self.attempt(uid) else {
                 continue;
             };
-            entry.unit = Some(key);
-            entry.attempt_started = Some(now);
+            attempt.current = Some((key, now));
             self.telemetry
                 .record(now, "entk", "task_submitted", Subject::Task(uid));
             self.unit_to_task.insert(key, uid);
@@ -393,17 +426,29 @@ impl SessionEngine {
         }
     }
 
+    /// Stamps task `uid` terminal at `now` and releases its kernel.
+    fn finish(&mut self, uid: u64, now: SimTime, success: bool) -> &TaskRecord {
+        if let Some(attempt) = self.attempt(uid) {
+            attempt.kernel = None;
+        }
+        let record = &mut self.records[uid as usize];
+        record.finished = Some(now);
+        record.success = success;
+        record
+    }
+
     /// A task's terminal failure at `now`: finishes it, moves it from the
     /// live to the failed count and records it. `None` for an unknown uid.
-    fn fail_task(&mut self, uid: u64, now: SimTime) -> Option<&TaskEntry> {
-        let entry = self.tasks.get_mut(uid)?;
-        entry.finish(now, false);
+    fn fail_task(&mut self, uid: u64, now: SimTime) -> Option<&TaskRecord> {
+        if uid as usize >= self.records.len() {
+            return None;
+        }
         self.live_tasks -= 1;
         self.failed_tasks += 1;
         self.telemetry
             .record(now, "entk", "task_failed", Subject::Task(uid));
         self.telemetry.inc("entk.task_failures");
-        Some(entry)
+        Some(self.finish(uid, now, false))
     }
 
     /// Terminal failure for a task the backend refused to accept.
@@ -418,21 +463,20 @@ impl SessionEngine {
     /// outlived its attempt fires during a later one; only the watchdog of
     /// the attempt now running (the one whose deadline has come) may kill.
     fn on_timeout(&mut self, uid: u64, backend: &mut dyn ExecutionBackend) {
-        let Some(entry) = self.tasks.get(uid) else {
+        let Some(timeout) = self.fault.task_timeout else {
             return;
         };
-        let (Some(key), Some(started), Some(timeout)) =
-            (entry.unit, entry.attempt_started, self.fault.task_timeout)
-        else {
+        let Some((key, started)) = self.attempt(uid).and_then(|a| a.current) else {
             return;
         };
-        if entry.terminal() || backend.now() < started + timeout {
+        let finished = self.records[uid as usize].finished.is_some();
+        if finished || backend.now() < started + timeout {
             return;
         }
         if !backend.cancel_running_unit(key) {
             return; // already finishing; let the normal path handle it
         }
-        self.unit_to_task.remove(key);
+        self.unit_to_task.take(key);
         self.retry_or_fail(
             uid,
             "kill-replace: task exceeded timeout",
@@ -448,29 +492,29 @@ impl SessionEngine {
     fn retry_or_fail(&mut self, uid: u64, reason: &str, now: SimTime, virtual_time: bool) {
         let backoff = self.fault.backoff;
         let max_retries = self.fault.max_retries;
-        let Some(entry) = self.tasks.get_mut(uid) else {
+        if uid as usize >= self.records.len() {
             return;
-        };
-        let lost = entry
-            .attempt_started
-            .take()
-            .map(|started| now.saturating_since(started))
+        }
+        let lost = self
+            .attempt(uid)
+            .and_then(|a| a.current.take())
+            .map(|(_, started)| now.saturating_since(started))
             .unwrap_or(SimDuration::ZERO);
-        entry.record.lost_to_failures += lost;
+        let record = &mut self.records[uid as usize];
+        record.lost_to_failures += lost;
         self.failure_lost += lost;
         self.telemetry
             .record(now, "entk", "task_attempt_failed", Subject::Task(uid));
-        if entry.record.retries < max_retries {
-            entry.record.retries += 1;
-            entry.unit = None;
+        if record.retries < max_retries {
+            record.retries += 1;
             // Real-time backends cannot honor a modeled backoff wait, so
             // retries resubmit immediately and no jitter is drawn.
             let delay = if virtual_time {
-                backoff.delay(entry.record.retries, &mut self.retry_rng)
+                backoff.delay(record.retries, &mut self.retry_rng)
             } else {
                 SimDuration::ZERO
             };
-            entry.record.lost_to_failures += delay;
+            record.lost_to_failures += delay;
             self.failure_lost += delay;
             self.total_retries += 1;
             // Stamped at the instant the backoff completes, so the backoff
@@ -484,7 +528,7 @@ impl SessionEngine {
                 batch: RETRY_BATCH,
                 uids: vec![uid],
             });
-        } else if let Some(result) = self.fail_task(uid, now).map(|e| e.failed(reason)) {
+        } else if let Some(result) = self.fail_task(uid, now).map(|r| failed(r, reason)) {
             self.pending_results.push(result);
         }
     }
@@ -502,32 +546,29 @@ impl SessionEngine {
         // tasks, and a pattern that keeps spawning replacements forever is
         // a bug we'd rather stop than loop on.
         for _ in 0..10_000 {
-            // Uid order by construction: the store iterates densely.
+            // Uid order by construction: the table is indexed by uid.
             let live: Vec<u64> = self
-                .tasks
+                .records
                 .iter()
-                .filter(|(_, e)| !e.terminal())
-                .map(|(uid, _)| uid)
+                .filter(|r| r.finished.is_none())
+                .map(|r| r.uid)
                 .collect();
             if live.is_empty() && self.pending_results.is_empty() {
                 break;
             }
             for uid in live {
-                let Some(entry) = self.tasks.get_mut(uid) else {
-                    continue;
-                };
-                let started = entry.attempt_started.take();
+                let started = self.attempt(uid).and_then(|a| a.current.take());
                 if started.is_some() {
                     self.telemetry
                         .record(now, "entk", "task_attempt_failed", Subject::Task(uid));
                 }
                 let lost = started
-                    .map(|s| now.saturating_since(s))
+                    .map(|(_, s)| now.saturating_since(s))
                     .unwrap_or(SimDuration::ZERO);
-                entry.record.lost_to_failures += lost;
+                self.records[uid as usize].lost_to_failures += lost;
                 self.failure_lost += lost;
                 let reason = "resource lost: all pilots terminated";
-                if let Some(result) = self.fail_task(uid, now).map(|e| e.failed(reason)) {
+                if let Some(result) = self.fail_task(uid, now).map(|r| failed(r, reason)) {
                     self.pending_results.push(result);
                 }
             }
@@ -569,30 +610,27 @@ impl SessionEngine {
                 }
                 BackendEvent::TaskTimeout { uid } => self.on_timeout(uid, backend),
                 BackendEvent::DeferredFailure { uid } => {
-                    if let Some(entry) = self.tasks.get(uid) {
-                        self.pending_results
-                            .push(entry.failed("kernel binding failed"));
+                    if let Some(record) = self.records.get(uid as usize) {
+                        let result = failed(record, "kernel binding failed");
+                        self.pending_results.push(result);
                     }
                 }
                 BackendEvent::UnitStarted { key, time } => {
-                    if let Some(&uid) = self.unit_to_task.get(key) {
-                        if let Some(e) = self.tasks.get_mut(uid) {
-                            e.record.exec_start = Some(time);
-                        }
+                    let uid = self.unit_to_task.get(key);
+                    if let Some(r) = uid.and_then(|uid| self.records.get_mut(uid as usize)) {
+                        r.exec_start = Some(time);
                     }
                 }
                 BackendEvent::UnitDone { key, time } => {
-                    let Some(&uid) = self.unit_to_task.get(key) else {
+                    let Some(uid) = self.unit_to_task.take(key) else {
                         continue;
                     };
-                    self.unit_to_task.remove(key);
                     self.complete_task(uid, key, time, backend);
                 }
                 BackendEvent::UnitFailed { key, time, reason } => {
-                    let Some(&uid) = self.unit_to_task.get(key) else {
+                    let Some(uid) = self.unit_to_task.take(key) else {
                         continue;
                     };
-                    self.unit_to_task.remove(key);
                     self.retry_or_fail(uid, &reason, time, backend.virtual_time());
                 }
                 // Shrunk pilots keep running on their remaining cores; the
@@ -647,26 +685,23 @@ impl SessionEngine {
         time: SimTime,
         backend: &mut dyn ExecutionBackend,
     ) {
-        let Some(entry) = self.tasks.get_mut(uid) else {
-            return;
-        };
-        let Some(kernel) = &entry.kernel else {
+        let row = (uid as usize).checked_sub(self.attempts_base);
+        let attempt = row.and_then(|row| self.attempts.get(row));
+        let Some(kernel) = attempt.and_then(|a| a.kernel.as_ref()) else {
             return;
         };
         let outcome = backend.complete_unit(key, kernel, &mut self.rng);
-        entry.record.exec_start = outcome.exec_start.or(entry.record.exec_start);
-        entry.record.exec_stop = outcome.exec_stop;
+        let record = &mut self.records[uid as usize];
+        record.exec_start = outcome.exec_start.or(record.exec_start);
+        record.exec_stop = outcome.exec_stop;
         match outcome.result {
             Ok(output) => {
-                entry.finish(time, true);
+                let record = self.finish(uid, time, true);
+                let result = TaskResult::ok(record.tag, record.stage.clone(), output);
                 self.live_tasks -= 1;
                 self.telemetry
                     .record(time, "entk", "task_done", Subject::Task(uid));
-                self.pending_results.push(TaskResult::ok(
-                    entry.record.tag,
-                    entry.record.stage.clone(),
-                    output,
-                ));
+                self.pending_results.push(result);
             }
             Err(e) => {
                 // Semantic failure after execution: retry path.
@@ -677,12 +712,14 @@ impl SessionEngine {
 
     // ------------------------------------------------------------- report
 
-    fn build_report(&self, pattern_name: &str, backend: &dyn ExecutionBackend) -> ExecutionReport {
+    /// The report over `tasks`, the task table's records in uid order.
+    fn report(
+        &self,
+        pattern_name: &str,
+        backend: &dyn ExecutionBackend,
+        tasks: Vec<TaskRecord>,
+    ) -> ExecutionReport {
         let stats = backend.stats();
-        // Store order is uid order; no sort needed. Sized up front: the
-        // store's iterator cannot promise its length to `collect`.
-        let mut tasks = Vec::with_capacity(self.tasks.len());
-        tasks.extend(self.tasks.values().map(|e| e.record.clone()));
         ExecutionReport {
             pattern: pattern_name.to_string(),
             resource: stats.resource,

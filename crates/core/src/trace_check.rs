@@ -7,7 +7,7 @@
 //! is wrong, so bench binaries assert the match on every figure run.
 
 use crate::report::{ExecutionReport, OverheadBreakdown};
-use entk_sim::{DenseStore, SimDuration, SimTime, Subject, Tracer};
+use entk_sim::{SimDuration, SimTime, Subject, Tracer};
 
 /// Re-derives the paper's overhead decomposition from trace timestamps.
 ///
@@ -40,10 +40,19 @@ pub fn breakdown_from_trace(tracer: &Tracer) -> OverheadBreakdown {
     let mut first_pilot: Option<(u64, SimTime)> = None;
     let mut pilot_launched = None;
     let mut pilot_active = None;
-    let mut created: DenseStore<SimTime> = DenseStore::new();
+    // Instants by dense batch id or task uid: `put` one, `take` it back.
+    let put = |table: &mut Vec<Option<SimTime>>, id: u64, time| {
+        let idx = id as usize;
+        if idx >= table.len() {
+            table.resize(idx + 1, None);
+        }
+        table[idx] = Some(time);
+    };
+    let take = |table: &mut Vec<Option<SimTime>>, id: u64| table.get_mut(id as usize)?.take();
+    let mut created = Vec::new();
     let mut pattern = SimDuration::ZERO;
-    let mut last_sub: DenseStore<SimTime> = DenseStore::new();
-    let mut last_fail: DenseStore<SimTime> = DenseStore::new();
+    let mut last_sub = Vec::new();
+    let mut last_fail = Vec::new();
     let mut failure_lost = SimDuration::ZERO;
     for r in tracer.records() {
         match (r.layer, r.name, r.subject) {
@@ -58,27 +67,27 @@ pub fn breakdown_from_trace(tracer: &Tracer) -> OverheadBreakdown {
                 mark.get_or_insert(r.time);
             }
             ("entk", "tasks_created", Subject::Batch(b)) => {
-                created.insert(b, r.time);
+                put(&mut created, b, r.time);
             }
             ("entk", "tasks_submitted", Subject::Batch(b)) => {
-                if let Some(c) = created.remove(b) {
+                if let Some(c) = take(&mut created, b) {
                     pattern += r.time.saturating_since(c);
                 }
             }
             ("entk", "task_submitted", Subject::Task(uid)) => {
-                last_sub.insert(uid, r.time);
+                put(&mut last_sub, uid, r.time);
             }
             // Records are walked in append order: a retry's backoff stamp is
             // appended right after its attempt failure, so `last_fail` is
             // always the matching failure even though the stamp lies in the
             // future.
             ("entk", "task_attempt_failed", Subject::Task(uid)) => {
-                let s = last_sub.remove(uid).unwrap_or(r.time);
+                let s = take(&mut last_sub, uid).unwrap_or(r.time);
                 failure_lost += r.time.saturating_since(s);
-                last_fail.insert(uid, r.time);
+                put(&mut last_fail, uid, r.time);
             }
             ("entk", "task_retry", Subject::Task(uid)) => {
-                let f = last_fail.remove(uid).unwrap_or(r.time);
+                let f = take(&mut last_fail, uid).unwrap_or(r.time);
                 failure_lost += r.time.saturating_since(f);
             }
             ("pilot", "pilot_submitted", Subject::Pilot(p)) => {

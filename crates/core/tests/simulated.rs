@@ -312,6 +312,78 @@ fn multiple_patterns_share_one_allocation() {
     assert_eq!(session.task_count(), 16);
 }
 
+/// Every field of each task record, for comparing reports field by field.
+fn record_fields(report: &ExecutionReport) -> Vec<impl PartialEq + std::fmt::Debug> {
+    let fields = |t: &entk_core::TaskRecord| {
+        let times = (t.created, t.exec_start, t.exec_stop, t.finished);
+        let outcome = (t.success, t.retries, t.lost_to_failures);
+        (t.uid, t.tag, t.stage.to_string(), times, outcome)
+    };
+    report.tasks.iter().map(fields).collect()
+}
+
+#[test]
+fn the_session_report_holds_the_records_of_the_last_run() {
+    let config = ResourceConfig::new("local", 8, SimDuration::from_secs(1_000_000));
+    let sim = SimulatedConfig {
+        seed: 5,
+        unit_failure_rate: 0.3,
+        fault: entk_core::FaultConfig::retries(1),
+        ..Default::default()
+    };
+    let mut handle = ResourceHandle::simulated(config, sim).unwrap();
+    handle.allocate().unwrap();
+    handle.run(&mut sleep_bag(12, 2.0)).unwrap();
+    let last = handle.run(&mut sleep_bag(12, 3.0)).unwrap();
+    let session = handle.deallocate().unwrap();
+    assert_eq!(session.task_count(), 24);
+    assert!(
+        last.total_retries > 0 && last.failed_tasks > 0,
+        "retries and failures both show"
+    );
+    assert_eq!(record_fields(&session), record_fields(&last));
+    // The task table went into that report: nothing can run on it again.
+    let mut again = sleep_bag(1, 1.0);
+    assert!(matches!(handle.run(&mut again), Err(EntkError::Usage(_))));
+    assert!(matches!(handle.allocate(), Err(EntkError::Usage(_))));
+    assert!(matches!(handle.deallocate(), Err(EntkError::Usage(_))));
+}
+
+/// A two-stage pipeline ensemble whose kernels are the same call for every
+/// task of a stage, or, with `named`, differ in the `path` a simulated
+/// `misc.mkfile` never opens.
+fn file_pipelines(named: bool) -> EnsembleOfPipelines {
+    EnsembleOfPipelines::new(16, 2, move |p, s| match (s, named) {
+        (0, true) => KernelCall::new(
+            "misc.mkfile",
+            json!({ "bytes": 4096, "path": format!("f{p}") }),
+        ),
+        (0, false) => KernelCall::new("misc.mkfile", json!({ "bytes": 4096 })),
+        _ => KernelCall::new("misc.ccount", json!({ "bytes": 4096 })),
+    })
+}
+
+#[test]
+fn equal_kernels_shared_by_a_pattern_run_as_distinct_ones() {
+    let run = |named| {
+        let config = ResourceConfig::new("xsede.comet", 8, SimDuration::from_secs(100_000));
+        let sim = SimulatedConfig {
+            seed: 11,
+            ..Default::default()
+        };
+        run_simulated_traced(config, sim, &mut file_pipelines(named)).unwrap()
+    };
+    let (shared, shared_trace) = run(false);
+    let (distinct, distinct_trace) = run(true);
+    assert_eq!(shared.task_count(), 32);
+    assert_eq!(record_fields(&shared), record_fields(&distinct));
+    assert_eq!(shared.ttc, distinct.ttc);
+    assert_eq!(
+        shared_trace.tracer.fingerprint(),
+        distinct_trace.tracer.fingerprint()
+    );
+}
+
 #[test]
 fn pilot_walltime_expiry_fails_the_run() {
     // Pilot wall time shorter than the workload: run() must error.

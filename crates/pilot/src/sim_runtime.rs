@@ -14,7 +14,7 @@ use entk_cluster::{
     BatchJobDescription, BatchJobId, BatchJobState, Cluster, ClusterEvent, ClusterNotification,
     FifoScheduler, PlatformSpec,
 };
-use entk_sim::{Context, DenseStore, SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
+use entk_sim::{Context, SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
 use std::ops::Range;
 
 /// Events the runtime schedules for itself.
@@ -37,7 +37,8 @@ pub enum RuntimeEvent {
     StageOutDone(UnitId),
 }
 
-/// State changes reported to the application layer (EnTK).
+/// State changes reported to the application layer (EnTK). A submission is
+/// not one: [`SimRuntime::submit_units`] returns the new units' ids.
 #[derive(Debug, Clone)]
 pub enum RuntimeNotification {
     /// A pilot changed state.
@@ -49,7 +50,7 @@ pub enum RuntimeNotification {
         /// When.
         time: SimTime,
     },
-    /// A unit changed state.
+    /// A unit changed state after its submission.
     Unit {
         /// The unit.
         id: UnitId,
@@ -129,26 +130,40 @@ struct PilotRecord {
 /// it keeps the one instant a caller asks for after the fact; the trace is
 /// the record of the rest.
 struct UnitRecord {
-    cores: usize,
     /// Modelled execution time (zero for real work, which has no place in
     /// virtual time).
     duration: SimDuration,
     input_bytes: u64,
     output_bytes: u64,
-    state: UnitState,
-    pilot: Option<PilotId>,
+    exec: Exec,
+    cores: u32,
     /// Cores currently held on the pilot (released at exec end).
-    holding: usize,
-    /// Pending `ExecDone` event, cancellable if the unit dies early.
-    exec_event: Option<entk_sim::EventId>,
+    holding: u32,
+    /// Index of the pilot the unit was placed on; [`NO_PILOT`], which
+    /// indexes no pilot, before.
+    pilot: u32,
     /// Slot in the persistent waiting list while in `Scheduling`.
     waiting_slot: Option<u32>,
-    /// When execution finished, whatever the outcome.
-    exec_stop: Option<SimTime>,
+    state: UnitState,
+}
+
+/// [`UnitRecord::pilot`] of a unit not placed on any pilot.
+const NO_PILOT: u32 = u32::MAX;
+
+/// A unit's execution: the pending `ExecDone` event while it runs, then
+/// the instant it stopped. Only one is ever live.
+#[derive(Clone, Copy)]
+enum Exec {
+    /// Not executing, and never finished executing.
+    Idle,
+    /// Executing; the event is cancelled if the unit dies early.
+    Running(entk_sim::EventId),
+    /// Execution finished at this instant, whatever the outcome.
+    Stopped(SimTime),
 }
 
 // A row is what every task of an ensemble keeps resident in this layer.
-const _: () = assert!(std::mem::size_of::<UnitRecord>() <= 104);
+const _: () = assert!(std::mem::size_of::<UnitRecord>() <= 64);
 
 /// Driver event bound: the top-level enum must absorb both runtime and
 /// cluster events.
@@ -166,8 +181,6 @@ pub struct SimRuntime {
     // id — no hashing on the per-event hot path, and iteration is in id
     // order (deterministic without sorting).
     pilots: Vec<PilotRecord>,
-    /// By `BatchJobId`; the cluster's background jobs have no entry.
-    job_to_pilot: DenseStore<PilotId>,
     units: Vec<UnitRecord>,
     /// Persistent waiting list in submission order. Placed, cancelled, and
     /// failed entries become tombstones instead of being spliced out (no
@@ -237,7 +250,6 @@ impl SimRuntime {
             config,
             scheduler: Box::new(FirstFitScheduler),
             pilots: Vec::new(),
-            job_to_pilot: DenseStore::new(),
             units: Vec::new(),
             waiting: Vec::new(),
             waiting_head: 0,
@@ -283,7 +295,10 @@ impl SimRuntime {
 
     /// When a unit's execution finished; `None` until it has.
     pub fn unit_exec_stop(&self, id: UnitId) -> Option<SimTime> {
-        self.units.get(id.0 as usize)?.exec_stop
+        match self.units.get(id.0 as usize)?.exec {
+            Exec::Stopped(time) => Some(time),
+            Exec::Idle | Exec::Running(_) => None,
+        }
     }
 
     /// A pilot's submission overhead (accepted → container job submitted)
@@ -358,12 +373,14 @@ impl SimRuntime {
 
     /// Submits a batch of units. Per-call and per-unit submission overheads
     /// are paid before the units become schedulable. Returns the contiguous
-    /// range of raw [`UnitId`]s assigned, in description order.
+    /// range of raw [`UnitId`]s assigned, in description order, each in
+    /// [`UnitState::New`] with its `unit_submitted` trace record; that range,
+    /// not `_out`, tells the caller.
     pub fn submit_units<E: RuntimeEventSink>(
         &mut self,
         descriptions: impl AsRef<[UnitDescription]>,
         ctx: &mut Context<'_, E>,
-        out: &mut Vec<RuntimeNotification>,
+        _out: &mut Vec<RuntimeNotification>,
     ) -> Result<Range<u64>, String> {
         let descriptions = descriptions.as_ref();
         for d in descriptions {
@@ -377,28 +394,22 @@ impl SimRuntime {
             self.next_unit += 1;
             debug_assert_eq!(id.0 as usize, self.units.len());
             self.units.push(UnitRecord {
-                cores: description.cores,
                 duration: description.duration,
                 input_bytes: description.input_bytes,
                 output_bytes: description.output_bytes,
-                state: UnitState::New,
-                pilot: None,
+                exec: Exec::Idle,
+                // Past `u32::MAX` a unit fits no pilot either way.
+                cores: description.cores.try_into().unwrap_or(u32::MAX),
                 holding: 0,
-                exec_event: None,
+                pilot: NO_PILOT,
                 waiting_slot: None,
-                exec_stop: None,
+                state: UnitState::New,
             });
             self.live += 1;
             let event = UnitState::trace_event(None, UnitState::New);
             let event = event.expect("a submitted unit is recorded");
             self.telemetry
                 .record(ctx.now(), "pilot", event, Subject::Unit(id.0));
-            out.push(RuntimeNotification::Unit {
-                id,
-                state: UnitState::New,
-                time: ctx.now(),
-                detail: None,
-            });
         }
         self.telemetry
             .gauge("pilot.live_units", ctx.now(), self.live as f64);
@@ -430,12 +441,12 @@ impl SimRuntime {
         if unit.state.is_terminal() || !unit.state.can_transition_to(UnitState::Canceled) {
             return;
         }
-        let released = unit.holding;
-        let pilot = unit.pilot;
+        let released = unit.holding as usize;
+        let pilot = unit.pilot as usize;
         unit.holding = 0;
         self.set_unit_state(id, UnitState::Canceled, ctx.now(), None, ctx, out);
-        if let (Some(pid), true) = (pilot, released > 0) {
-            if let Some(p) = self.pilots.get_mut(pid.0 as usize) {
+        if released > 0 {
+            if let Some(p) = self.pilots.get_mut(pilot) {
                 p.free_cores += released;
                 self.pilots_dirty = true;
             }
@@ -509,7 +520,7 @@ impl SimRuntime {
                     self.set_unit_state(id, UnitState::Scheduling, ctx.now(), None, ctx, out);
                     let unit = &mut self.units[id.0 as usize];
                     unit.waiting_slot = Some(self.waiting.len() as u32);
-                    let cores = unit.cores;
+                    let cores = unit.cores as usize;
                     self.waiting.push(UnitView { id, cores });
                     self.waiting_live += 1;
                     self.max_waiting_cores = self.max_waiting_cores.max(cores);
@@ -564,12 +575,15 @@ impl SimRuntime {
         let submitted = self.cluster.submit(description, ctx, &mut Vec::new());
         self.set_pilot_state(id, PilotState::Launching, ctx.now(), out);
         match submitted {
-            Ok(job) => {
-                self.pilots[id.0 as usize].job = Some(job);
-                self.job_to_pilot.insert(job.0, id);
-            }
+            Ok(job) => self.pilots[id.0 as usize].job = Some(job),
             Err(_) => self.on_pilot_gone(id, PilotState::Failed, ctx.now(), ctx, out),
         }
+    }
+
+    /// The pilot whose container job `job` is; a background job has none.
+    fn pilot_of(&self, job: BatchJobId) -> Option<PilotId> {
+        let idx = self.pilots.iter().position(|p| p.job == Some(job))?;
+        Some(PilotId(idx as u64))
     }
 
     /// Maps each note about a pilot's container job to the pilot's
@@ -588,7 +602,7 @@ impl SimRuntime {
                     time,
                     ..
                 } => {
-                    if let Some(&pid) = self.job_to_pilot.get(id.0) {
+                    if let Some(pid) = self.pilot_of(id) {
                         self.shrink_pilot(pid, lost_cores, time, ctx, out);
                     }
                     continue;
@@ -604,7 +618,7 @@ impl SimRuntime {
                     (id, next, time)
                 }
             };
-            let Some(&pid) = self.job_to_pilot.get(job.0) else {
+            let Some(pid) = self.pilot_of(job) else {
                 continue;
             };
             if next == PilotState::Active {
@@ -650,7 +664,9 @@ impl SimRuntime {
                 .units
                 .iter()
                 .enumerate()
-                .filter(|(_, u)| u.pilot == Some(pid) && u.holding > 0 && !u.state.is_terminal())
+                .filter(|(_, u)| {
+                    u64::from(u.pilot) == pid.0 && u.holding > 0 && !u.state.is_terminal()
+                })
                 .map(|(i, _)| UnitId(i as u64))
                 .collect();
             for id in inflight {
@@ -661,7 +677,7 @@ impl SimRuntime {
                 if !unit.state.can_transition_to(UnitState::Failed) {
                     continue;
                 }
-                let held = unit.holding;
+                let held = unit.holding as usize;
                 unit.holding = 0;
                 let detail = Some("node crash took this unit's cores".into());
                 self.set_unit_state(id, UnitState::Failed, time, detail, ctx, out);
@@ -701,7 +717,7 @@ impl SimRuntime {
             .units
             .iter()
             .enumerate()
-            .filter(|(_, u)| u.pilot == Some(pid) && !u.state.is_terminal())
+            .filter(|(_, u)| u64::from(u.pilot) == pid.0 && !u.state.is_terminal())
             .map(|(i, _)| UnitId(i as u64))
             .collect();
         for id in victims {
@@ -763,12 +779,12 @@ impl SimRuntime {
         let event = UnitState::trace_event(Some(unit.state), state);
         unit.state = state;
         let slot = unit.waiting_slot.take();
-        let exec_event = unit.exec_event.take_if(|_| state.is_terminal());
+        if let (Exec::Running(ev), true) = (unit.exec, state.is_terminal()) {
+            unit.exec = Exec::Idle;
+            ctx.cancel(ev);
+        }
         if let Some(slot) = slot {
             self.tombstone_waiting_slot(slot as usize, id);
-        }
-        if let Some(ev) = exec_event {
-            ctx.cancel(ev);
         }
         if let Some(event) = event {
             self.telemetry
@@ -903,7 +919,7 @@ impl SimRuntime {
         for placement in placements {
             let uidx = placement.unit.0 as usize;
             let pidx = placement.pilot.0 as usize;
-            let cores = self.units[uidx].cores;
+            let cores = self.units[uidx].cores as usize;
             let pilot = &mut self.pilots[pidx];
             assert!(
                 pilot.free_cores >= cores,
@@ -915,8 +931,8 @@ impl SimRuntime {
             // Keep the cached view exact; no rebuild needed for placements.
             self.pilot_views[pidx].free_cores = free_now;
             let unit = &mut self.units[uidx];
-            unit.pilot = Some(placement.pilot);
-            unit.holding = cores;
+            unit.pilot = u32::try_from(pidx).expect("pilot ids fit in u32");
+            unit.holding = cores as u32;
             let staging = UnitState::StagingInput;
             self.set_unit_state(placement.unit, staging, ctx.now(), None, ctx, out);
             // Scheduling bookkeeping cost + staged input bytes.
@@ -971,7 +987,7 @@ impl SimRuntime {
             duration
         };
         let ev = ctx.schedule_in(duration, RuntimeEvent::ExecDone(id));
-        self.units[id.0 as usize].exec_event = Some(ev);
+        self.units[id.0 as usize].exec = Exec::Running(ev);
     }
 
     fn on_exec_done<E: RuntimeEventSink>(
@@ -988,12 +1004,11 @@ impl SimRuntime {
         }
         self.telemetry
             .record(ctx.now(), "pilot", "unit_exec_stop", Subject::Unit(id.0));
-        unit.exec_stop = Some(ctx.now());
-        unit.exec_event = None;
+        unit.exec = Exec::Stopped(ctx.now());
         // Release cores regardless of outcome.
-        let released = unit.holding;
+        let released = unit.holding as usize;
         unit.holding = 0;
-        let pilot = unit.pilot;
+        let pilot = unit.pilot as usize;
         // Evaluate both failure sources unconditionally: skipping a draw
         // based on the other's outcome would shift the RNG streams and
         // break replay determinism.
@@ -1012,8 +1027,8 @@ impl SimRuntime {
         } else {
             self.set_unit_state(id, UnitState::Done, now, None, ctx, out);
         }
-        if let (Some(pid), true) = (pilot, released > 0) {
-            if let Some(p) = self.pilots.get_mut(pid.0 as usize) {
+        if released > 0 {
+            if let Some(p) = self.pilots.get_mut(pilot) {
                 p.free_cores += released;
                 self.pilots_dirty = true;
             }
@@ -1076,17 +1091,18 @@ pub(crate) mod tests {
     }
 
     /// Boots a pilot, submits `units`, runs to completion; returns
-    /// notifications and the runtime.
+    /// notifications, the runtime and the id range `submit_units` gave.
     pub(crate) fn run_session(
         spec: PlatformSpec,
         config: SimRuntimeConfig,
         pilot_cores: usize,
         units: Vec<UnitDescription>,
-    ) -> (Vec<RuntimeNotification>, SimRuntime) {
+    ) -> (Vec<RuntimeNotification>, SimRuntime, Range<u64>) {
         let mut rt = SimRuntime::new(spec, config);
         let mut engine: Engine<Ev> = Engine::new();
         let mut log = Vec::new();
         let mut booted = false;
+        let mut ids = 0..0;
         engine.schedule_in(SimDuration::ZERO, RuntimeEvent::SchedulePass);
         engine.run(|ev, ctx| {
             let mut out = Vec::new();
@@ -1098,7 +1114,7 @@ pub(crate) mod tests {
                     &mut out,
                 )
                 .unwrap();
-                rt.submit_units(units.clone(), ctx, &mut out).unwrap();
+                ids = rt.submit_units(units.clone(), ctx, &mut out).unwrap();
             }
             match ev {
                 Ev::Rt(re) => rt.handle(re, ctx, &mut out),
@@ -1110,7 +1126,7 @@ pub(crate) mod tests {
             }
             log.extend(out);
         });
-        (log, rt)
+        (log, rt, ids)
     }
 
     /// Seconds from the first execution start to the last execution stop —
@@ -1140,7 +1156,7 @@ pub(crate) mod tests {
         let units: Vec<_> = (0..10)
             .map(|i| UnitDescription::modeled(format!("t{i}"), SimDuration::from_secs(5)))
             .collect();
-        let (log, rt) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
+        let (log, rt, _) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
         let terminals = unit_terminal_states(&log);
         assert_eq!(terminals.len(), 10);
         assert!(terminals.values().all(|&s| s == UnitState::Done));
@@ -1168,7 +1184,7 @@ pub(crate) mod tests {
         let units: Vec<_> = (0..8)
             .map(|i| UnitDescription::modeled(format!("t{i}"), SimDuration::from_secs(5)))
             .collect();
-        let (_, rt) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
+        let (_, rt, _) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
         let span = exec_span(&rt);
         assert!(span >= 10.0, "two waves of 5 s, got {span}");
         assert!(span < 12.0, "launch overheads only, got {span}");
@@ -1184,7 +1200,7 @@ pub(crate) mod tests {
                     .with_mpi(true)
             })
             .collect();
-        let (_, rt) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
+        let (_, rt, _) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
         let span = exec_span(&rt);
         assert!(span >= 10.0, "serialized MPI units, got {span}");
     }
@@ -1197,7 +1213,7 @@ pub(crate) mod tests {
                 .with_mpi(true),
             UnitDescription::modeled("ok", SimDuration::from_secs(1)),
         ];
-        let (log, _) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
+        let (log, _, _) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
         let terminals = unit_terminal_states(&log);
         assert_eq!(terminals[&UnitId(0)], UnitState::Failed);
         assert_eq!(terminals[&UnitId(1)], UnitState::Done);
@@ -1210,7 +1226,13 @@ pub(crate) mod tests {
             output_bytes: 50_000_000,
             ..UnitDescription::modeled("st", SimDuration::from_secs(1))
         }];
-        let (log, _) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
+        let (log, rt, ids) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
+        // A submission is not notified: the id range names the unit, and
+        // the trace holds its `unit_submitted` record at the submission.
+        assert_eq!(ids, 0..1);
+        let tracer = rt.telemetry().snapshot().tracer;
+        let submitted = tracer.time_of("pilot", "unit_submitted", Subject::Unit(0));
+        assert_eq!(submitted, Some(SimTime::ZERO));
         let states: Vec<UnitState> = log
             .iter()
             .filter_map(|n| match n {
@@ -1221,7 +1243,6 @@ pub(crate) mod tests {
         assert_eq!(
             states,
             vec![
-                UnitState::New,
                 UnitState::Scheduling,
                 UnitState::StagingInput,
                 UnitState::Executing,
@@ -1238,7 +1259,7 @@ pub(crate) mod tests {
         let units: Vec<_> = (0..40)
             .map(|i| UnitDescription::modeled(format!("t{i}"), SimDuration::from_secs(1)))
             .collect();
-        let (log, _) = run_session(quiet_spec(1, 8), cfg, 8, units);
+        let (log, _, _) = run_session(quiet_spec(1, 8), cfg, 8, units);
         let terminals = unit_terminal_states(&log);
         let failed = terminals
             .values()
@@ -1310,34 +1331,12 @@ pub(crate) mod tests {
 
     #[test]
     fn walltime_expiry_fails_pilot_and_units() {
+        // The pilot's wall time is 100 000 s; the unit needs 200 000 s.
         let units = vec![UnitDescription::modeled(
             "too-long",
-            SimDuration::from_secs(500),
+            SimDuration::from_secs(200_000),
         )];
-        // Pilot walltime is 10 s; the unit needs 500 s.
-        let mut rt = SimRuntime::new(quiet_spec(1, 4), quiet_config());
-        let mut engine: Engine<Ev> = Engine::new();
-        let mut log = Vec::new();
-        let mut booted = false;
-        engine.schedule_in(SimDuration::ZERO, RuntimeEvent::SchedulePass);
-        engine.run(|ev, ctx| {
-            let mut out = Vec::new();
-            if !booted {
-                booted = true;
-                rt.submit_pilot(
-                    PilotDescription::new("local", 4, SimDuration::from_secs(10)),
-                    ctx,
-                    &mut out,
-                )
-                .unwrap();
-                rt.submit_units(units.clone(), ctx, &mut out).unwrap();
-            }
-            match ev {
-                Ev::Rt(re) => rt.handle(re, ctx, &mut out),
-                Ev::Cl(ce) => rt.handle_cluster(ce, ctx, &mut out),
-            }
-            log.extend(out);
-        });
+        let (log, rt, _) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
         assert_eq!(rt.pilot_state(PilotId(0)), Some(PilotState::Failed));
         let terminals = unit_terminal_states(&log);
         assert_eq!(terminals[&UnitId(0)], UnitState::Failed);
@@ -1347,7 +1346,7 @@ pub(crate) mod tests {
     fn oversized_pilot_fails_when_submitted() {
         // 8 cores on the machine, 10 000 asked for: the batch system
         // refuses the container job, so the pilot never waits in a queue.
-        let (log, rt) = run_session(quiet_spec(2, 4), quiet_config(), 10_000, Vec::new());
+        let (log, rt, _) = run_session(quiet_spec(2, 4), quiet_config(), 10_000, Vec::new());
         let pilot_states: Vec<_> = log
             .iter()
             .filter_map(|n| match n {
@@ -1424,8 +1423,8 @@ pub(crate) mod tests {
                 })
                 .expect("units entered scheduling")
         };
-        let (log_small, _) = run_session(quiet_spec(8, 24), cfg.clone(), 64, mk_units(16));
-        let (log_large, _) = run_session(quiet_spec(8, 24), cfg, 64, mk_units(64));
+        let (log_small, _, _) = run_session(quiet_spec(8, 24), cfg.clone(), 64, mk_units(16));
+        let (log_large, _, _) = run_session(quiet_spec(8, 24), cfg, 64, mk_units(64));
         let small = first_scheduling(&log_small);
         let large = first_scheduling(&log_large);
         assert!(
@@ -1450,7 +1449,7 @@ mod tracer_tests {
         let units: Vec<_> = (0..3)
             .map(|i| UnitDescription::modeled(format!("t{i}"), SimDuration::from_secs(5)))
             .collect();
-        let (_, rt) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
+        let (_, rt, _) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
         let tracer = rt.telemetry().snapshot().tracer;
         assert_eq!(tracer.filter("pilot", "pilot_submitted").count(), 1);
         assert_eq!(tracer.filter("pilot", "pilot_active").count(), 1);
@@ -1472,7 +1471,7 @@ mod tracer_tests {
         let units = vec![UnitDescription::modeled("t", SimDuration::from_secs(5))];
         let mut config = quiet_config();
         config.overheads.pilot_submission = entk_sim::Dist::Constant(2.0);
-        let (_, rt) = run_session(quiet_spec(1, 4), config, 4, units);
+        let (_, rt, _) = run_session(quiet_spec(1, 4), config, 4, units);
         let tracer = rt.telemetry().snapshot().tracer;
         let at = |event| {
             let time = tracer.time_of("pilot", event, Subject::Pilot(0));
@@ -1491,7 +1490,7 @@ mod tracer_tests {
         let units: Vec<_> = (0..2)
             .map(|i| UnitDescription::modeled(format!("t{i}"), SimDuration::from_secs(5)))
             .collect();
-        let (_, rt) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
+        let (_, rt, _) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
         let tracer = rt.telemetry().snapshot().tracer;
         // The pilot's container job is traced by the cluster layer through
         // the same shared pipeline.

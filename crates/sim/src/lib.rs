@@ -21,7 +21,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use arena::{reserve_batch, DenseStore};
+pub use arena::reserve_batch;
 pub use engine::{Context, Engine};
 pub use event::{EventId, EventQueue};
 pub use metrics::Metrics;

@@ -3,10 +3,11 @@
 //!
 //! One simulated handle runs a 10^4-pipeline ensemble and then a 10^4-sim
 //! simulation-analysis loop, telemetry off — the body of the benchmark's
-//! `ensemble-*` workloads at a tenth of the size. Allocation counts and
-//! live bytes are exact for a given build, so the bounds are budgets, not
-//! timing floors: a task that starts cloning its kernel or its stage label
-//! again, or a table that goes back to doubling, fails here.
+//! `ensemble-*` workloads at a tenth of the size. Allocation counts, live
+//! bytes and their high-water mark are exact for a given build, so the
+//! bounds are budgets, not timing floors: a task that starts cloning its
+//! kernel or its stage label again, a report that copies the task table
+//! instead of taking it, or a table that goes back to doubling, fails here.
 
 use entk_core::{
     EnsembleOfPipelines, ResourceConfig, ResourceHandle, SimulatedConfig, SimulationAnalysisLoop,
@@ -17,18 +18,25 @@ use serde_json::json;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Forwards to the system allocator, counting calls and live bytes.
+/// Forwards to the system allocator, counting calls, live bytes and their
+/// high-water mark.
 struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counters are plain statistics.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        grow(layout.size());
         System.alloc(layout)
     }
 
@@ -38,9 +46,15 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // A block resized in place or moved counts its growth (or
+        // shrinkage) only, not both blocks at once.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        match new_size.checked_sub(layout.size()) {
+            Some(growth) => grow(growth),
+            None => {
+                LIVE_BYTES.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+            }
+        }
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -49,8 +63,9 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 const TASKS_PER_PATTERN: usize = 10_000;
-const MAX_ALLOCATIONS_PER_TASK: f64 = 9.0;
-const MAX_LIVE_BYTES_PER_TASK: f64 = 1024.0;
+const MAX_ALLOCATIONS_PER_TASK: f64 = 7.9;
+const MAX_LIVE_BYTES_PER_TASK: f64 = 420.0;
+const MAX_PEAK_BYTES_PER_TASK: f64 = 450.0;
 
 fn sleep_call() -> KernelCall {
     KernelCall::new("misc.sleep", json!({ "secs": 10.0 }))
@@ -60,6 +75,7 @@ fn sleep_call() -> KernelCall {
 fn a_task_stays_within_its_allocation_and_byte_budget() {
     let allocations_before = ALLOCATIONS.load(Ordering::Relaxed);
     let live_before = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(live_before, Ordering::Relaxed);
 
     let mut eop = EnsembleOfPipelines::new(TASKS_PER_PATTERN, 1, |_, _| sleep_call());
     let mut sal = SimulationAnalysisLoop::new(
@@ -86,13 +102,18 @@ fn a_task_stays_within_its_allocation_and_byte_budget() {
     // handle with its task and unit tables, and three reports.
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations_before;
     let live = LIVE_BYTES.load(Ordering::Relaxed) - live_before;
+    let peak = PEAK_BYTES.load(Ordering::Relaxed) - live_before;
 
     let tasks = session.task_count();
     assert_eq!(tasks, 2 * TASKS_PER_PATTERN + 1);
     assert!(!eop_report.partial && !sal_report.partial && !session.partial);
     let allocations_per_task = allocations as f64 / tasks as f64;
     let live_per_task = live as f64 / tasks as f64;
-    println!("allocations/task {allocations_per_task:.2}, live bytes/task {live_per_task:.0}");
+    let peak_per_task = peak as f64 / tasks as f64;
+    println!(
+        "allocations/task {allocations_per_task:.2}, live bytes/task {live_per_task:.0}, \
+         peak live bytes/task {peak_per_task:.0}"
+    );
     assert!(
         allocations_per_task <= MAX_ALLOCATIONS_PER_TASK,
         "{allocations_per_task:.2} allocations per task exceed the budget of \
@@ -101,5 +122,10 @@ fn a_task_stays_within_its_allocation_and_byte_budget() {
     assert!(
         live_per_task <= MAX_LIVE_BYTES_PER_TASK,
         "{live_per_task:.0} live bytes per task exceed the budget of {MAX_LIVE_BYTES_PER_TASK}"
+    );
+    assert!(
+        peak_per_task <= MAX_PEAK_BYTES_PER_TASK,
+        "{peak_per_task:.0} peak live bytes per task exceed the budget of \
+         {MAX_PEAK_BYTES_PER_TASK}"
     );
 }
