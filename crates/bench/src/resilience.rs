@@ -100,10 +100,6 @@ pub fn resilience_point(
         .with("resubmissions", report.total_retries as f64)
         .with("failure_lost", report.overheads.failure_lost.as_secs_f64())
         .with("partial", if report.partial { 1.0 } else { 0.0 })
-        .with(
-            "retries_counter",
-            telemetry.metrics.counter("entk.retries") as f64,
-        )
         .with_trace(crate::figures::trace_fingerprint(&telemetry.tracer))
 }
 

@@ -550,7 +550,7 @@ impl WorkloadSpec {
     }
 
     /// Like [`WorkloadSpec::run`], but also returns the session telemetry —
-    /// the cross-layer event trace and metrics — on the simulated backend.
+    /// the cross-layer event trace — on the simulated backend.
     /// `None` on the local backend, which executes in real time and has no
     /// virtual-clock trace.
     pub fn run_traced(

@@ -138,8 +138,7 @@ impl Cluster {
     }
 
     /// Attaches a shared telemetry pipeline; the cluster then traces job
-    /// and node lifecycle events on the `"cluster"` layer and samples
-    /// utilization / queue-depth gauges into it.
+    /// and node lifecycle events on the `"cluster"` layer.
     pub fn set_telemetry(&mut self, telemetry: SharedTelemetry) {
         self.telemetry = telemetry;
     }
@@ -331,8 +330,6 @@ impl Cluster {
         match row.job.state {
             BatchJobState::Queued => {
                 self.pending.retain(|&p| p != id);
-                self.telemetry
-                    .gauge("cluster.queue_depth", ctx.now(), self.pending.len() as f64);
                 self.set_state(id, BatchJobState::Cancelled, ctx.now(), out);
             }
             BatchJobState::Starting | BatchJobState::Running => {
@@ -358,11 +355,6 @@ impl Cluster {
                     .is_some_and(|r| r.job.state == BatchJobState::Queued)
                 {
                     self.pending.push(id);
-                    self.telemetry.gauge(
-                        "cluster.queue_depth",
-                        ctx.now(),
-                        self.pending.len() as f64,
-                    );
                     self.try_schedule(ctx, out);
                 }
             }
@@ -439,7 +431,6 @@ impl Cluster {
             "node_crash",
             Subject::Node(node as u64),
         );
-        self.telemetry.inc("cluster.node_crashes");
         // Strip the crashed node's slices from every job holding cores
         // there, in id order so the notification sequence is deterministic.
         let mut affected: Vec<BatchJobId> = self
@@ -477,11 +468,6 @@ impl Cluster {
                 });
             }
         }
-        self.telemetry.gauge(
-            "cluster.used_cores",
-            ctx.now(),
-            self.alloc.used_cores() as f64,
-        );
         let downtime = self.fault.as_mut().and_then(|f| f.sample_downtime());
         if let Some(dt) = downtime {
             ctx.schedule_in(dt, ClusterEvent::NodeRecover(node));
@@ -540,11 +526,6 @@ impl Cluster {
         if let Some(slices) = row.held.take() {
             self.running_order.retain(|&r| r != id);
             self.alloc.release(&slices);
-            self.telemetry.gauge(
-                "cluster.used_cores",
-                ctx.now(),
-                self.alloc.used_cores() as f64,
-            );
             // The job actually occupied cores: let stateful policies
             // reconcile their up-front charge with real consumption.
             let job = &row.job;
@@ -640,13 +621,6 @@ impl Cluster {
             row.held = Some(slices);
             self.running_order.push(id);
             self.set_state(id, BatchJobState::Starting, ctx.now(), out);
-            self.telemetry.gauge(
-                "cluster.used_cores",
-                ctx.now(),
-                self.alloc.used_cores() as f64,
-            );
-            self.telemetry
-                .gauge("cluster.queue_depth", ctx.now(), self.pending.len() as f64);
             let startup = self.spec.job_startup.sample_duration(&mut self.rng);
             ctx.schedule_in(startup, ClusterEvent::JobLaunched(id));
             let row = &mut self.jobs[id.0 as usize];
@@ -880,28 +854,61 @@ mod tests {
     }
 
     #[test]
-    fn utilization_series_tracks_allocations() {
+    fn a_job_holds_its_cores_from_start_to_completion() {
+        #[derive(Debug)]
+        enum Ev {
+            Cluster(ClusterEvent),
+            Complete(BatchJobId),
+        }
+        impl From<ClusterEvent> for Ev {
+            fn from(e: ClusterEvent) -> Ev {
+                Ev::Cluster(e)
+            }
+        }
         let mut spec = small_spec();
         spec.queue_wait = entk_sim::Dist::ZERO;
         let telemetry = SharedTelemetry::new();
-        drive(
-            spec,
-            vec![BatchJobDescription::new(
-                "p",
-                8,
-                SimDuration::from_secs(100),
-            )],
-            SimDuration::from_secs(10),
-            telemetry.clone(),
-        );
+        let mut cluster = Cluster::new(spec, 42);
+        cluster.set_telemetry(telemetry.clone());
+        let mut engine: Engine<Ev> = Engine::new();
+        let mut out = Vec::new();
+        let job = BatchJobDescription::new("p", 8, SimDuration::from_secs(100));
+        let id = cluster
+            .submit(job, &mut engine.context(), &mut out)
+            .unwrap();
+        // Cores the cluster holds after each event.
+        let mut held = Vec::new();
+        engine.run(|ev, ctx| {
+            match ev {
+                Ev::Cluster(ce) => cluster.handle(ce, ctx, &mut out),
+                Ev::Complete(id) => cluster.complete(id, ctx, &mut out),
+            }
+            for n in out.drain(..) {
+                if let ClusterNotification::JobState {
+                    id,
+                    state: BatchJobState::Running,
+                    ..
+                } = n
+                {
+                    ctx.schedule_in(SimDuration::from_secs(10), Ev::Complete(id));
+                }
+            }
+            held.push((ctx.now(), 8 - cluster.free_cores()));
+        });
         // All 8 cores from the start (no queue wait) until the job is
         // completed 1 s of startup + 10 s of payload later.
-        let snap = telemetry.snapshot();
-        let used = snap.metrics.series("cluster.used_cores").unwrap();
         assert_eq!(
-            used.points(),
-            [(SimTime::ZERO, 8.0), (SimTime::from_secs(11), 0.0)]
+            held,
+            [
+                (SimTime::ZERO, 8),
+                (SimTime::from_secs(1), 8),
+                (SimTime::from_secs(11), 0)
+            ]
         );
+        let snap = telemetry.snapshot();
+        let at = |name| snap.tracer.time_of("cluster", name, Subject::Job(id.0));
+        assert_eq!(at("job_started"), Some(SimTime::ZERO));
+        assert_eq!(at("job_completed"), Some(SimTime::from_secs(11)));
     }
 }
 

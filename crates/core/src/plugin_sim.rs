@@ -31,7 +31,7 @@
 //! batch-system events. Members advance inside bounded *windows*: from the
 //! earliest member event time `t_m` up to (strictly before) the horizon
 //! `min(t_spine, t_m + lookahead)` — classic conservative PDES. Every event
-//! a member processes becomes a *chunk* `(time, events, telemetry ops)` on
+//! a member processes becomes a *chunk* `(time, events, trace records)` on
 //! that member's own queue, which is in time order because a member's clock
 //! never goes back. Each `poll` doles the queue front with the least
 //! `(time, member)`, so the session observes the exact granularity and
@@ -114,13 +114,13 @@ struct ClusterStack {
     fault_profile: Option<FaultProfile>,
     pilots: Vec<PilotId>,
     dead_pilots: HashSet<PilotId>,
-    /// Buffered telemetry op log (multi-member federated drives only):
-    /// this member's layers record here instead of the shared pipeline, and
-    /// the merge spine drains it chunk by chunk, so it holds only the ops
-    /// of chunks still pending.
+    /// Buffered trace record log (multi-member federated drives only):
+    /// this member's layers record here instead of the shared trace, and
+    /// the merge spine drains it chunk by chunk, so it holds only the
+    /// records of chunks still pending.
     buffer: Option<TelemetryBuffer>,
-    /// Ops in `buffer` already claimed by a pending chunk.
-    ops_claimed: usize,
+    /// Records in `buffer` already claimed by a pending chunk.
+    records_claimed: usize,
     /// This member's completed chunks awaiting dole, in time order and, at
     /// one instant, in creation order. Always empty with one member.
     chunks: VecDeque<Chunk>,
@@ -193,12 +193,12 @@ impl ClusterStack {
         })
     }
 
-    /// Claims the telemetry ops recorded since the last claim and returns
+    /// Claims the trace records logged since the last claim and returns
     /// how many they are. Zero for the unbuffered stack of a one-member
     /// session.
-    fn take_ops(&mut self) -> usize {
+    fn take_records(&mut self) -> usize {
         let held = self.buffer.as_ref().map_or(0, TelemetryBuffer::len);
-        held - std::mem::replace(&mut self.ops_claimed, held)
+        held - std::mem::replace(&mut self.records_claimed, held)
     }
 
     /// Turns this member's pending notes into backend events and applies
@@ -225,18 +225,19 @@ impl ClusterStack {
         self.chunks.push_back(chunk);
     }
 
-    /// Captures telemetry ops a session-side call just recorded into this
+    /// Captures trace records a session-side call just logged into this
     /// member's buffer as an eventless chunk at the member's current clock
-    /// (where the ops were timestamped), so spliced gauge series stay
-    /// time-ordered. A no-op without a buffer: one member, or telemetry off.
+    /// (where the records were timestamped), so spliced records stay in
+    /// member time order. A no-op without a buffer: one member, or
+    /// telemetry off.
     fn push_injection(&mut self) {
-        let ops = self.take_ops();
-        if ops == 0 {
+        let records = self.take_records();
+        if records == 0 {
             return;
         }
         self.push_chunk(Chunk {
             time: self.engine.now(),
-            ops,
+            records,
             events: Vec::new(),
             dead: Vec::new(),
             eventful: false,
@@ -260,10 +261,10 @@ impl ClusterStack {
                 &mut events,
                 &mut dead,
             );
-            let ops = self.take_ops();
+            let records = self.take_records();
             self.push_chunk(Chunk {
                 time,
-                ops,
+                records,
                 events,
                 dead,
                 eventful: true,
@@ -289,12 +290,12 @@ fn runtime_event(
 /// One unit of doled-out federated progress: a single member engine event
 /// (or an eventless session-side injection), with everything the spine
 /// needs to surface it in deterministic order — the backend events it
-/// produced, the telemetry ops it recorded, and the pilots it killed
+/// produced, the trace records it logged, and the pilots it killed
 /// (applied at dole time so `capacity_lost()` keeps serial granularity).
 struct Chunk {
     time: SimTime,
-    /// How many of the oldest ops in the member's log are this chunk's.
-    ops: usize,
+    /// How many of the oldest records in the member's log are this chunk's.
+    records: usize,
     events: Vec<BackendEvent>,
     dead: Vec<PilotId>,
     /// Event chunks are returned by `poll` one at a time; injection chunks
@@ -407,7 +408,6 @@ pub(crate) struct EventBackend {
     wait_all: bool,
     /// Resource label reported in stats.
     label: String,
-    total_cores: usize,
     /// The un-offset session-level telemetry pipeline.
     telemetry: SharedTelemetry,
     /// The session-wide virtual clock: the time of the last processed event
@@ -427,8 +427,9 @@ impl EventBackend {
     /// records into a subject-offset view of one shared telemetry pipeline,
     /// so the session trace stays a single chronologically interleaved
     /// record with collision-free entity ids; member 0's offsets are zero.
-    /// Members of a federation buffer their ops only while telemetry is on:
-    /// a disabled handle records nothing, so there is no log to keep.
+    /// Members of a federation buffer their records only while telemetry
+    /// is on: a disabled handle records nothing, so there is no log to
+    /// keep.
     /// `lookahead` is the run-phase window width of the merge (unused with
     /// one member).
     pub(crate) fn new(
@@ -439,7 +440,6 @@ impl EventBackend {
         label: String,
         lookahead: SimDuration,
     ) -> Self {
-        let total_cores = inits.iter().map(|i| i.cores).sum();
         // A lone member keeps the single-engine drive (and direct telemetry
         // handles); the windowed merge only exists at N ≥ 2.
         let multi = inits.len() >= 2;
@@ -473,7 +473,7 @@ impl EventBackend {
                     pilots: Vec::new(),
                     dead_pilots: HashSet::new(),
                     buffer,
-                    ops_claimed: 0,
+                    records_claimed: 0,
                     chunks: VecDeque::new(),
                     notes: Vec::new(),
                 }
@@ -490,7 +490,6 @@ impl EventBackend {
             binding: Box::new(StaticBinding),
             wait_all,
             label,
-            total_cores,
             telemetry,
             global_now: SimTime::ZERO,
             scratch: BatchScratch::default(),
@@ -642,15 +641,15 @@ impl EventBackend {
             self.global_now = self.global_now.max(time);
             let stack = &mut self.clusters[member];
             let Chunk {
-                ops,
+                records,
                 events,
                 dead,
                 eventful,
                 ..
             } = stack.chunks.pop_front().expect("the least front");
             if let Some(buf) = &stack.buffer {
-                buf.splice_into(&self.telemetry, ops);
-                stack.ops_claimed -= ops;
+                buf.splice_into(&self.telemetry, records);
+                stack.records_claimed -= records;
             }
             stack.dead_pilots.extend(dead);
             if eventful {
@@ -973,7 +972,7 @@ impl ExecutionBackend for EventBackend {
             .unwrap_or((SimDuration::ZERO, SimDuration::ZERO));
         BackendStats {
             resource: self.label.clone(),
-            cores: self.total_cores,
+            cores: self.clusters.iter().map(|c| c.cores).sum(),
             runtime_pilot,
             resource_wait,
             events: self.clusters.iter().map(|c| c.engine.steps()).sum::<u64>()
@@ -1096,7 +1095,7 @@ mod tests {
         for (member, stack) in backend.clusters.iter().enumerate() {
             let log = stack.buffer.as_ref().expect("federation members buffer");
             assert!(log.is_empty(), "member {member} still holds {}", log.len());
-            assert_eq!(stack.ops_claimed, 0);
+            assert_eq!(stack.records_claimed, 0);
             let pilot = Subject::Pilot(member as u64 * 1_000);
             assert!(tracer.time_of("pilot", "pilot_done", pilot).is_some());
         }

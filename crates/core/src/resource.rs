@@ -105,7 +105,7 @@ pub struct SimulatedConfig {
     /// Platform-level fault injection (node crashes, task failures,
     /// stragglers); `None` models a fault-free machine.
     pub fault_profile: Option<entk_cluster::FaultProfile>,
-    /// Collect the cross-layer trace and metrics (default `true`). Turn
+    /// Collect the cross-layer trace (default `true`). Turn
     /// off for throughput measurements at extreme task counts: the trace
     /// grows by tens of records per task and comes to dominate memory and
     /// wall time long before the simulation itself does. Disabling never
@@ -205,7 +205,7 @@ pub struct FederatedConfig {
     /// (`false` by default: first active pilot anywhere unblocks the
     /// session — late binding across clusters).
     pub wait_all: bool,
-    /// Collect the cross-layer trace and metrics.
+    /// Collect the cross-layer trace.
     pub telemetry: bool,
     /// Accepted and ignored (see [`DriveMode`]).
     pub drive: DriveMode,
@@ -482,7 +482,7 @@ impl ResourceHandle {
         }
     }
 
-    /// The shared cross-layer trace/metrics pipeline behind this handle.
+    /// The shared cross-layer trace pipeline behind this handle.
     /// `None` on the local backend, which executes in real time and has no
     /// virtual-clock trace.
     pub fn telemetry(&self) -> Option<&SharedTelemetry> {
@@ -554,10 +554,10 @@ pub fn run_simulated(
 }
 
 /// Like [`run_simulated`], but also returns the session's telemetry: the
-/// cross-layer event trace (exportable as Chrome trace JSON or JSONL) and
-/// the metrics collected along the way. The trace is the input to
-/// [`crate::trace_check::cross_check`], which re-derives the overhead
-/// breakdown from timestamps and asserts it matches the accounting.
+/// cross-layer event trace (exportable as Chrome trace JSON or JSONL). The
+/// trace is the input to [`crate::trace_check::cross_check`], which
+/// re-derives the overhead breakdown from timestamps and asserts it
+/// matches the accounting.
 pub fn run_simulated_traced(
     config: ResourceConfig,
     sim: SimulatedConfig,

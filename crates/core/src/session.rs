@@ -99,7 +99,7 @@ pub struct SessionEngine {
     /// Dedicated stream for retry-backoff jitter, so backoff draws never
     /// perturb kernel cost sampling.
     retry_rng: SimRng,
-    /// Shared trace/metrics pipeline; the same handle the backend's layers
+    /// Shared trace pipeline; the same handle the backend's layers
     /// record into, so all layers append to one interleaved record.
     telemetry: SharedTelemetry,
     /// The task table, indexed by uid: the records the reports carry.
@@ -167,7 +167,7 @@ impl SessionEngine {
         }
     }
 
-    /// The shared cross-layer trace/metrics pipeline.
+    /// The shared cross-layer trace pipeline.
     pub fn telemetry(&self) -> &SharedTelemetry {
         &self.telemetry
     }
@@ -447,7 +447,6 @@ impl SessionEngine {
         self.failed_tasks += 1;
         self.telemetry
             .record(now, "entk", "task_failed", Subject::Task(uid));
-        self.telemetry.inc("entk.task_failures");
         Some(self.finish(uid, now, false))
     }
 
@@ -522,7 +521,6 @@ impl SessionEngine {
             // task_attempt_failed) even if the resubmission never runs.
             self.telemetry
                 .record(now + delay, "entk", "task_retry", Subject::Task(uid));
-            self.telemetry.inc("entk.retries");
             self.outbox.push(Outbound::Batch {
                 delay,
                 batch: RETRY_BATCH,

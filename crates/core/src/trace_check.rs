@@ -301,11 +301,10 @@ mod end_to_end_tests {
         let cc = cross_check(&report, &telemetry.tracer);
         cc.assert_ok();
         assert!(cc.derived.failure_lost > SimDuration::ZERO);
-        // Retry counters flow into the metrics side of the pipeline.
-        assert_eq!(
-            telemetry.metrics.counter("entk.retries"),
-            u64::from(report.total_retries)
-        );
+        // Each retry and each terminal failure is one record.
+        let count = |name| telemetry.tracer.filter("entk", name).count();
+        assert_eq!(count("task_retry"), report.total_retries as usize);
+        assert_eq!(count("task_failed"), report.failed_tasks);
     }
 
     /// The one walk reads each session and pilot mark where a scan for it

@@ -90,7 +90,7 @@ pub struct SimRuntimeConfig {
     /// stateful policies (fair-share ledgers, rotation cursors) are never
     /// shared across machines.
     pub scheduler: Option<entk_cluster::SchedulerFactory>,
-    /// Collect the cross-layer trace and metrics. Disabling skips every
+    /// Collect the cross-layer trace. Disabling skips every
     /// telemetry record, which matters at million-task scale where the
     /// trace itself (tens of millions of records) dominates memory and a
     /// measurable share of wall time. Simulated timings and RNG draws are
@@ -210,11 +210,9 @@ pub struct SimRuntime {
     /// Cached max core count over non-terminal pilots.
     max_pilot_cores: usize,
     telemetry: SharedTelemetry,
-    /// Maintained count of non-terminal units, mirrored into the
-    /// `pilot.live_units` gauge without rescanning the unit store.
+    /// Maintained count of non-terminal units, so [`Self::live_units`]
+    /// need not rescan the unit store.
     live: usize,
-    next_pilot: u64,
-    next_unit: u64,
 }
 
 impl SimRuntime {
@@ -262,8 +260,6 @@ impl SimRuntime {
             max_pilot_cores: 0,
             telemetry,
             live: 0,
-            next_pilot: 0,
-            next_unit: 0,
         }
     }
 
@@ -340,9 +336,7 @@ impl SimRuntime {
         out: &mut Vec<RuntimeNotification>,
     ) -> Result<PilotId, String> {
         description.validate()?;
-        let id = PilotId(self.next_pilot);
-        self.next_pilot += 1;
-        debug_assert_eq!(id.0 as usize, self.pilots.len());
+        let id = PilotId(self.pilots.len() as u64);
         self.pilots.push(PilotRecord {
             free_cores: description.cores,
             description,
@@ -387,12 +381,11 @@ impl SimRuntime {
             d.validate()?;
         }
         let n = descriptions.len() as u64;
-        let ids = self.next_unit..self.next_unit + n;
+        let first = self.units.len() as u64;
+        let ids = first..first + n;
         entk_sim::reserve_batch(&mut self.units, descriptions.len());
         for description in descriptions {
-            let id = UnitId(self.next_unit);
-            self.next_unit += 1;
-            debug_assert_eq!(id.0 as usize, self.units.len());
+            let id = UnitId(self.units.len() as u64);
             self.units.push(UnitRecord {
                 duration: description.duration,
                 input_bytes: description.input_bytes,
@@ -411,8 +404,6 @@ impl SimRuntime {
             self.telemetry
                 .record(ctx.now(), "pilot", event, Subject::Unit(id.0));
         }
-        self.telemetry
-            .gauge("pilot.live_units", ctx.now(), self.live as f64);
         let fixed = self
             .config
             .overheads
@@ -792,8 +783,6 @@ impl SimRuntime {
         }
         if state.is_terminal() {
             self.live -= 1;
-            self.telemetry
-                .gauge("pilot.live_units", time, self.live as f64);
         }
         out.push(RuntimeNotification::Unit {
             id,
@@ -1500,10 +1489,8 @@ mod tracer_tests {
         assert_eq!(tracer.filter("cluster", "job_completed").count(), 1);
         // Terminal unit outcomes are traced.
         assert_eq!(tracer.filter("pilot", "unit_done").count(), 2);
-        // Live-unit gauge drains back to zero.
-        let snap = rt.telemetry().snapshot();
-        let live = snap.metrics.series("pilot.live_units").unwrap();
-        assert_eq!(live.points().last().unwrap().1, 0.0);
+        // Every unit reached a final state.
+        assert_eq!(rt.live_units(), 0);
     }
 
     /// A fault-heavy session, checked from its trace alone: a node crash
@@ -1633,7 +1620,6 @@ mod tracer_tests {
             }
         }
         assert!(straggled > 0, "no straggler ran to its end");
-        let live = snap.metrics.series("pilot.live_units").unwrap();
-        assert_eq!(live.points().last().unwrap().1, 0.0);
+        assert_eq!(rt.live_units(), 0);
     }
 }

@@ -14,7 +14,6 @@
 pub mod arena;
 pub mod engine;
 pub mod event;
-pub mod metrics;
 pub mod pool;
 pub mod rng;
 pub mod stats;
@@ -24,12 +23,11 @@ pub mod trace;
 pub use arena::reserve_batch;
 pub use engine::{Context, Engine};
 pub use event::{EventId, EventQueue};
-pub use metrics::Metrics;
 pub use pool::{Job, WorkerPool};
 pub use rng::{Dist, SimRng};
 pub use stats::{Summary, TimeSeries};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    Fnv64, SharedTelemetry, Subject, SubjectOffsets, Telemetry, TelemetryBuffer, TelemetryOp,
-    TraceRecord, Tracer,
+    Fnv64, SharedTelemetry, Subject, SubjectOffsets, Telemetry, TelemetryBuffer, TraceRecord,
+    Tracer,
 };

@@ -1,6 +1,6 @@
 //! Lightweight metric collectors: summaries and time series.
 //!
-//! Benches and the metrics registry aggregate timings and gauges with these
+//! Benches and the service report aggregate timings and gauges with these
 //! types; they are deliberately simple (exact samples, computed on demand)
 //! because sample counts are at most O(10^4) per experiment.
 

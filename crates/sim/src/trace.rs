@@ -1,8 +1,9 @@
 //! Structured trace of simulation events, mirroring RADICAL-Pilot's profiler.
 //!
 //! Every layer (cluster, pilot, toolkit) appends timestamped records to a
-//! shared [`Tracer`]; the overhead decomposition in the paper's Fig. 3 is
-//! computed from intervals between these records.
+//! shared [`Tracer`] through one [`SharedTelemetry`] handle per session;
+//! the trace is the session's only telemetry. The overhead decomposition
+//! in the paper's Fig. 3 is computed from intervals between these records.
 //!
 //! Records are deliberately allocation-free on the hot path: layer and event
 //! names are interned `&'static str` and the subject is a compact
@@ -15,7 +16,6 @@
 //! rendering them: the numbers byte by byte, the constant text around them
 //! one table step per run of bytes.
 
-use crate::metrics::Metrics;
 use crate::time::SimTime;
 use std::cell::RefCell;
 use std::collections::hash_map::{Entry, HashMap};
@@ -630,84 +630,65 @@ impl SubjectOffsets {
     }
 }
 
-/// One buffered telemetry operation: what a layer recorded, in order.
+/// The backend-side end of a buffered telemetry handle: the records a
+/// federation member logged and that are not yet spliced into the shared
+/// pipeline.
 ///
 /// The windowed federated drive gives each member cluster a *buffered*
 /// telemetry handle (see [`SharedTelemetry::buffered`]): a member's
-/// window appends ops to a member-private log instead of the shared
-/// pipeline, and the merge spine later moves them, oldest first, into the
-/// session pipeline in deterministic chunk order — so the interleaved
-/// trace does not depend on the order members were advanced in.
-#[derive(Debug, Clone)]
-pub enum TelemetryOp {
-    /// A trace record (subject offsets already applied).
-    Record(TraceRecord),
-    /// A gauge sample.
-    Gauge(&'static str, SimTime, f64),
-    /// A counter increment.
-    Add(&'static str, u64),
-}
-
-/// The backend-side end of a buffered telemetry handle: the log of ops
-/// recorded and not yet spliced into the shared pipeline.
+/// window appends records to a member-private log instead of the shared
+/// trace, and the merge spine later moves them, oldest first, into the
+/// session trace in deterministic chunk order — so the interleaved trace
+/// does not depend on the order members were advanced in.
 #[derive(Debug, Clone)]
 pub struct TelemetryBuffer {
-    ops: Rc<RefCell<VecDeque<TelemetryOp>>>,
+    records: Rc<RefCell<VecDeque<TraceRecord>>>,
 }
 
 impl TelemetryBuffer {
-    /// Number of ops waiting to be spliced.
+    /// Number of records waiting to be spliced.
     pub fn len(&self) -> usize {
-        self.ops.borrow().len()
+        self.records.borrow().len()
     }
 
-    /// True when no ops are buffered.
+    /// True when no records are buffered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Moves the `n` oldest ops out of the log into `target`'s shared
-    /// pipeline, verbatim (subject offsets were applied when the ops were
-    /// recorded): the log holds an op only until it is spliced.
+    /// Moves the `n` oldest records out of the log into `target`'s shared
+    /// trace, verbatim (subject offsets were applied when they were
+    /// recorded): the log holds a record only until it is spliced.
     pub fn splice_into(&self, target: &SharedTelemetry, n: usize) {
-        let mut inner = target.inner.borrow_mut();
-        for op in self.ops.borrow_mut().drain(..n) {
-            inner.apply(op);
+        let tracer = &mut target.inner.borrow_mut().tracer;
+        for r in self.records.borrow_mut().drain(..n) {
+            tracer.record(r.time, r.layer, r.name, r.subject);
         }
     }
 }
 
-/// A trace plus deterministic metrics: everything the observability layer
-/// collects during one simulated session.
+/// Everything the observability layer collects during one simulated
+/// session: its trace.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     /// Cross-layer event trace.
     pub tracer: Tracer,
-    /// Virtual-time gauges and counters.
-    pub metrics: Metrics,
-}
-
-impl Telemetry {
-    #[inline]
-    fn apply(&mut self, op: TelemetryOp) {
-        match op {
-            TelemetryOp::Record(r) => self.tracer.record(r.time, r.layer, r.name, r.subject),
-            TelemetryOp::Gauge(name, time, value) => self.metrics.gauge(name, time, value),
-            TelemetryOp::Add(name, n) => self.metrics.add(name, n),
-        }
-    }
 }
 
 /// A cheaply clonable handle to one session's [`Telemetry`], shared by the
-/// cluster, pilot, and toolkit layers.
+/// cluster, pilot, and toolkit layers, which record trace records through
+/// it and nothing else.
 ///
 /// A session runs on one thread, so its handles share the pipeline through
 /// an `Rc` and record with no lock; the type is `!Send`, so the compiler
 /// refuses a handle that would cross a thread:
 ///
 /// ```compile_fail
-/// let telemetry = entk_sim::SharedTelemetry::new();
-/// std::thread::spawn(move || telemetry.inc("units"));
+/// use entk_sim::{SharedTelemetry, SimTime, Subject};
+/// let telemetry = SharedTelemetry::new();
+/// std::thread::spawn(move || {
+///     telemetry.record(SimTime::ZERO, "entk", "session_start", Subject::Session)
+/// });
 /// ```
 ///
 /// The `enabled` flag is copied into the handle so a disabled pipeline
@@ -718,9 +699,9 @@ pub struct SharedTelemetry {
     inner: Rc<RefCell<Telemetry>>,
     enabled: bool,
     offsets: SubjectOffsets,
-    /// When set, ops are appended here (offsets pre-applied) instead of the
-    /// shared pipeline; a merge spine splices them in later.
-    buffer: Option<Rc<RefCell<VecDeque<TelemetryOp>>>>,
+    /// When set, records are appended here (offsets pre-applied) instead of
+    /// the shared trace; a merge spine splices them in later.
+    buffer: Option<Rc<RefCell<VecDeque<TraceRecord>>>>,
 }
 
 impl Default for SharedTelemetry {
@@ -742,10 +723,7 @@ impl SharedTelemetry {
 
     fn over(tracer: Tracer, enabled: bool) -> Self {
         SharedTelemetry {
-            inner: Rc::new(RefCell::new(Telemetry {
-                tracer,
-                metrics: Metrics::new(),
-            })),
+            inner: Rc::new(RefCell::new(Telemetry { tracer })),
             enabled,
             offsets: SubjectOffsets::default(),
             buffer: None,
@@ -763,60 +741,45 @@ impl SharedTelemetry {
         }
     }
 
-    /// A handle onto the same underlying telemetry that *buffers* ops
+    /// A handle onto the same underlying telemetry that *buffers* records
     /// (offsets pre-applied) instead of writing them through, plus the
     /// [`TelemetryBuffer`] to splice them from. The windowed federated drive
     /// hands the buffered handle to one member's layers so a member never
-    /// touches the shared pipeline mid-window; the merge spine drains the
-    /// log via [`TelemetryBuffer::splice_into`] in deterministic order.
+    /// touches the shared trace mid-window; the merge spine drains the log
+    /// via [`TelemetryBuffer::splice_into`] in deterministic order.
     pub fn buffered(&self, offsets: SubjectOffsets) -> (SharedTelemetry, TelemetryBuffer) {
-        let ops = Rc::default();
+        let records = Rc::default();
         let handle = SharedTelemetry {
             offsets,
-            buffer: Some(Rc::clone(&ops)),
+            buffer: Some(Rc::clone(&records)),
             ..self.clone()
         };
-        (handle, TelemetryBuffer { ops })
+        (handle, TelemetryBuffer { records })
     }
 
-    /// Writes `op` through, or into the log of a buffered handle.
-    #[inline]
-    fn emit(&self, op: TelemetryOp) {
-        match &self.buffer {
-            Some(buf) => buf.borrow_mut().push_back(op),
-            None => self.inner.borrow_mut().apply(op),
-        }
-    }
-
-    /// Appends a trace record.
+    /// Appends a trace record, or logs it in a buffered handle's log.
     pub fn record(&self, time: SimTime, layer: &'static str, name: &'static str, subject: Subject) {
         if self.enabled {
-            let subject = self.offsets.apply(subject);
-            self.emit(TelemetryOp::Record(TraceRecord {
+            self.append(TraceRecord {
                 time,
                 layer,
                 name,
-                subject,
-            }));
+                subject: self.offsets.apply(subject),
+            });
         }
     }
 
-    /// Appends a gauge sample at `time`.
-    pub fn gauge(&self, name: &'static str, time: SimTime, value: f64) {
-        if self.enabled {
-            self.emit(TelemetryOp::Gauge(name, time, value));
-        }
-    }
-
-    /// Increments a counter by one.
-    pub fn inc(&self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Adds `n` to a counter.
-    pub fn add(&self, name: &'static str, n: u64) {
-        if self.enabled {
-            self.emit(TelemetryOp::Add(name, n));
+    /// Writes `r` through, or into the log of a buffered handle. Out of
+    /// line, so that a disabled [`Self::record`] is a flag test that saves
+    /// no registers.
+    #[inline(never)]
+    fn append(&self, r: TraceRecord) {
+        match &self.buffer {
+            Some(buf) => buf.borrow_mut().push_back(r),
+            None => {
+                let tracer = &mut self.inner.borrow_mut().tracer;
+                tracer.record(r.time, r.layer, r.name, r.subject);
+            }
         }
     }
 
@@ -826,8 +789,8 @@ impl SharedTelemetry {
     }
 
     /// Moves everything collected so far out, leaving the pipeline with an
-    /// empty, disabled tracer and no metrics: what a finished session hands
-    /// over instead of a [`Self::snapshot`] copy.
+    /// empty, disabled tracer: what a finished session hands over instead
+    /// of a [`Self::snapshot`] copy.
     pub fn take(&self) -> Telemetry {
         self.inner.take()
     }
@@ -1221,18 +1184,12 @@ mod tests {
             "pilot_submitted",
             Subject::Pilot(0),
         );
-        clone.inc("entk.retries");
-        clone.gauge("cluster.used_cores", SimTime::ZERO, 4.0);
         let snap = shared.snapshot();
         assert_eq!(snap.tracer.len(), 2);
-        assert_eq!(snap.metrics.counter("entk.retries"), 1);
         assert_eq!(
-            snap.metrics
-                .series("cluster.used_cores")
-                .unwrap()
-                .points()
-                .len(),
-            1
+            snap.tracer
+                .time_of("pilot", "pilot_submitted", Subject::Pilot(0)),
+            Some(SimTime::from_secs(1))
         );
     }
 
@@ -1272,30 +1229,27 @@ mod tests {
             node: 0,
         });
         member.record(SimTime::ZERO, "pilot", "pilot_submitted", Subject::Pilot(1));
-        member.gauge("cluster.used_cores", SimTime::from_secs(1), 4.0);
-        member.inc("pilot.units_done");
+        member.record(
+            SimTime::from_secs(1),
+            "pilot",
+            "pilot_active",
+            Subject::Pilot(1),
+        );
         // Nothing reaches the shared pipeline until the spine splices.
         assert!(shared.snapshot().tracer.is_empty());
-        assert_eq!(buf.len(), 3);
+        assert_eq!(buf.len(), 2);
 
-        buf.splice_into(&shared, 2);
-        assert_eq!(buf.len(), 1, "a spliced op leaves the log");
+        buf.splice_into(&shared, 1);
+        assert_eq!(buf.len(), 1, "a spliced record leaves the log");
         let snap = shared.snapshot();
         assert_eq!(snap.tracer.len(), 1);
         // Offsets were applied at record time, not splice time.
         assert_eq!(snap.tracer.records()[0].subject, Subject::Pilot(101));
-        assert_eq!(
-            snap.metrics
-                .series("cluster.used_cores")
-                .unwrap()
-                .points()
-                .len(),
-            1
-        );
-        assert_eq!(snap.metrics.counter("pilot.units_done"), 0);
 
         buf.splice_into(&shared, 1);
-        assert_eq!(shared.snapshot().metrics.counter("pilot.units_done"), 1);
+        let snap = shared.snapshot();
+        assert_eq!(snap.tracer.len(), 2);
+        assert_eq!(snap.tracer.records()[1].name, "pilot_active");
         assert!(buf.is_empty());
     }
 
@@ -1304,7 +1258,6 @@ mod tests {
         let shared = SharedTelemetry::disabled();
         let (member, buf) = shared.buffered(SubjectOffsets::default());
         member.record(SimTime::ZERO, "entk", "session_start", Subject::Session);
-        member.inc("entk.retries");
         assert!(buf.is_empty());
         buf.splice_into(&shared, 0);
         assert!(shared.snapshot().tracer.is_empty());
@@ -1314,9 +1267,6 @@ mod tests {
     fn disabled_shared_telemetry_drops_everything() {
         let shared = SharedTelemetry::disabled();
         shared.record(SimTime::ZERO, "entk", "session_start", Subject::Session);
-        shared.inc("entk.retries");
-        let snap = shared.snapshot();
-        assert!(snap.tracer.is_empty());
-        assert_eq!(snap.metrics.counter("entk.retries"), 0);
+        assert!(shared.snapshot().tracer.is_empty());
     }
 }

@@ -124,16 +124,6 @@ impl SessionArrival {
         Ok(())
     }
 
-    /// Total task count the session will execute (including implicit SAL
-    /// analysis tasks), used to weight scheduling and sanity-check reports.
-    pub fn task_count(&self) -> usize {
-        match self.pattern {
-            PatternKind::Eop | PatternKind::Pst => self.tasks * self.stages,
-            PatternKind::Sal => self.stages * (self.tasks + 1),
-            PatternKind::Ee => self.tasks * self.stages * 2,
-        }
-    }
-
     /// Compiles the arrival into an executable pattern. The binding is a
     /// pure function of the row, so replaying a trace rebuilds identical
     /// sessions.

@@ -15,7 +15,9 @@
 //! The same serve also counts heap allocations per session, which is the
 //! fixed cost a served session pays whatever its size: the cluster state,
 //! kernel table and per-batch scratch it builds, and what it allocates per
-//! simulated event.
+//! simulated event. Measured, debug and release alike: 359.4 while each
+//! traced session also kept a bag of gauges and counters beside its
+//! trace, 352.5 now; peak 523 B per session either way.
 
 use entk_workload::{
     EngineOptions, ServiceConfig, ServiceEngine, SyntheticTrace, WorkloadConfig, WorkloadGenerator,
@@ -63,7 +65,7 @@ static ALLOCATOR: Counting = Counting;
 
 const SESSIONS: usize = 2_000;
 const MAX_PEAK_BYTES_PER_SESSION: f64 = 768.0;
-const MAX_ALLOCATIONS_PER_SESSION: f64 = 360.0;
+const MAX_ALLOCATIONS_PER_SESSION: f64 = 353.0;
 
 #[test]
 fn a_retaining_serve_keeps_each_session_once() {

@@ -199,8 +199,8 @@ proptest! {
     }
 
     /// Seeded replays produce bit-identical traces: the full event stream
-    /// (JSONL export) and the metrics snapshot are byte-for-byte equal
-    /// across two runs with the same seed, even under fault injection.
+    /// (JSONL export) is byte-for-byte equal across two runs with the same
+    /// seed, even under fault injection.
     #[test]
     fn prop_traces_replay_identically(
         rate in 0.0f64..0.4,
@@ -225,7 +225,6 @@ proptest! {
         };
         let ((_, ta), (_, tb)) = (run(), run());
         prop_assert_eq!(ta.tracer.to_jsonl(), tb.tracer.to_jsonl());
-        prop_assert_eq!(format!("{:?}", ta.metrics), format!("{:?}", tb.metrics));
     }
 
     /// The overhead breakdown recomputed from the trace agrees with the
