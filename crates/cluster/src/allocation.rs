@@ -68,8 +68,9 @@ impl AllocationMap {
         self.down_nodes * self.cores_per_node
     }
 
-    /// Cores currently allocated to live jobs.
-    pub fn used_cores(&self) -> usize {
+    /// Cores currently allocated to live jobs (the tests' accounting check).
+    #[cfg(test)]
+    pub(crate) fn used_cores(&self) -> usize {
         self.total_cores() - self.total_free - self.down_cores()
     }
 

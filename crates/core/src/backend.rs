@@ -99,14 +99,6 @@ pub enum BackendEvent {
         /// The failed task.
         uid: u64,
     },
-    /// A pilot lost cores but keeps running on what remains. Informational:
-    /// the units dropped by the shrink arrive as [`BackendEvent::UnitFailed`].
-    CapacityShrunk {
-        /// Cores lost.
-        lost_cores: usize,
-        /// Cores still held.
-        remaining_cores: usize,
-    },
     /// The clock mark scheduled via
     /// [`ExecutionBackend::schedule_clock_mark`] was reached (teardown
     /// accounting).

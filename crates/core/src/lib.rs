@@ -62,7 +62,7 @@ pub use pattern::{
 pub use registry::{
     parse_spec, typed_spec, usage_at, usage_at_key, ComponentSpec, NoParams, Registry,
 };
-pub use report::{ExecutionReport, OverheadBreakdown, TaskRecord};
+pub use report::{ExecutionReport, OverheadBreakdown, TaskRecord, TaskRecords};
 pub use resource::{
     run_federated, run_federated_traced, run_simulated, run_simulated_traced, ClusterSpec,
     DriveMode, FederatedConfig, PilotStrategy, ResourceConfig, ResourceHandle, SimulatedConfig,

@@ -64,6 +64,7 @@ use entk_sim::{
     TelemetryBuffer,
 };
 use std::collections::{HashSet, VecDeque};
+use std::ops::Range;
 
 /// Top-level event type of the simulated toolkit stack. Session-level
 /// events (everything but `Rt`/`Cl`) are scheduled on the session engine: a
@@ -337,16 +338,6 @@ fn translate_notes(
                     dead.push(id);
                 }
             }
-            RuntimeNotification::PilotShrunk {
-                lost_cores,
-                remaining_cores,
-                ..
-            } => {
-                out.push(BackendEvent::CapacityShrunk {
-                    lost_cores,
-                    remaining_cores,
-                });
-            }
             RuntimeNotification::Unit {
                 id,
                 state,
@@ -371,22 +362,19 @@ fn translate_notes(
     }
 }
 
-/// A unit staged between `prepare_batch` and `commit_batch`.
-struct PreparedUnit {
-    uid: u64,
-    cluster: usize,
-    description: UnitDescription,
-    /// The member runtime's unit id, once committed.
-    unit: Option<u64>,
-}
-
 /// What `prepare_batch` and `commit_batch` work in, kept from one batch to
 /// the next so that a batch allocates nothing here. Each vector is emptied
 /// for its next use and freed if a large batch grew it (see [`recycle`]).
 #[derive(Default)]
 struct BatchScratch {
-    /// Units staged by the last prepare, in batch order.
-    prepared: Vec<PreparedUnit>,
+    /// Units staged by the last prepare, in batch order: uid and member.
+    staged: Vec<(u64, usize)>,
+    /// Per member, the descriptions of its staged units in batch order,
+    /// submitted as they are in one call.
+    descriptions: Vec<Vec<UnitDescription>>,
+    /// Per member, the runtime ids its submission returned, taken in batch
+    /// order as the keys are built.
+    ids: Vec<Range<u64>>,
     /// Free cores per member when the batch was prepared.
     free: Vec<usize>,
     /// `free` less the cores of the batch's units placed so far.
@@ -395,8 +383,6 @@ struct BatchScratch {
     max_unit: Vec<usize>,
     /// Members with a pilot that may still serve.
     alive: Vec<bool>,
-    /// One member's staged descriptions, submitted in one call.
-    descriptions: Vec<UnitDescription>,
 }
 
 /// The discrete-event [`ExecutionBackend`]: one member cluster for
@@ -755,17 +741,25 @@ impl ExecutionBackend for EventBackend {
     fn prepare_batch(&mut self, specs: &[UnitSpec], rng: &mut SimRng) -> Vec<Option<String>> {
         let batch_size = specs.len();
         let BatchScratch {
-            prepared,
+            staged,
+            descriptions,
             free,
             remaining,
             max_unit,
             alive,
             ..
         } = &mut self.scratch;
-        recycle(prepared);
+        recycle(staged);
         // Sized once: a large batch grown by doubling leaves a trail of
-        // freed blocks that raises the resident high-water mark.
-        prepared.reserve(batch_size);
+        // freed blocks that raises the resident high-water mark. A member
+        // gets its even share, which late binding gives it while capacity
+        // is balanced, not the whole batch each.
+        staged.reserve(batch_size);
+        descriptions.resize_with(self.clusters.len(), Vec::new);
+        for member in descriptions.iter_mut() {
+            recycle(member);
+            member.reserve(batch_size.div_ceil(self.clusters.len()));
+        }
         // Free-capacity snapshots: `free` (what binding policies see) stays
         // fixed for the whole batch, exactly as the single-cluster driver
         // snapshotted it once per submission; `remaining` additionally
@@ -821,12 +815,8 @@ impl ExecutionBackend for EventBackend {
                 continue;
             }
             remaining[c] -= bound_cores as i64;
-            prepared.push(PreparedUnit {
-                uid: spec.uid,
-                cluster: c,
-                description: ud,
-                unit: None,
-            });
+            staged.push((spec.uid, c));
+            descriptions[c].push(ud);
             verdicts.push(None);
         }
         verdicts
@@ -834,52 +824,44 @@ impl ExecutionBackend for EventBackend {
 
     fn commit_batch(&mut self) -> Vec<(u64, u64)> {
         let BatchScratch {
-            prepared,
+            staged,
             descriptions,
+            ids,
             ..
         } = &mut self.scratch;
-        descriptions.reserve(prepared.len());
-        for c in 0..self.clusters.len() {
-            descriptions.clear();
-            descriptions.extend(
-                prepared
-                    .iter()
-                    .filter(|p| p.cluster == c)
-                    .map(|p| p.description.clone()),
-            );
-            if descriptions.is_empty() {
+        ids.clear();
+        for (stack, batch) in self.clusters.iter_mut().zip(descriptions.iter_mut()) {
+            if batch.is_empty() {
+                ids.push(0..0);
                 continue;
             }
-            // Everything in `descriptions` passed `UnitDescription::validate`
-            // during prepare, so the runtime cannot reject the batch. It
-            // sends no notification for a submission: the id range it
-            // returns names the new units.
-            let stack = &mut self.clusters[c];
+            // Everything in `batch` passed `UnitDescription::validate`
+            // during prepare, so the runtime cannot reject it. It sends no
+            // notification for a submission: the id range it returns names
+            // the new units.
             stack.engine.advance_to(self.global_now);
             let mut ctx = stack.engine.context();
             match stack
                 .runtime
-                .submit_units(&*descriptions, &mut ctx, &mut stack.notes)
+                .submit_units(&batch[..], &mut ctx, &mut stack.notes)
             {
-                Ok(ids) => {
-                    let staged = prepared.iter_mut().filter(|p| p.cluster == c);
-                    for (p, id) in staged.zip(ids) {
-                        p.unit = Some(id);
-                    }
-                }
+                Ok(range) => ids.push(range),
                 Err(e) => {
                     debug_assert!(false, "descriptions validated in prepare: {e}");
+                    ids.push(0..0);
                 }
             }
             stack.push_injection();
+            recycle(batch);
         }
         let n = self.clusters.len() as u64;
-        let keys = prepared
-            .iter()
-            .filter_map(|p| p.unit.map(|raw| (p.uid, raw * n + p.cluster as u64)))
-            .collect();
-        recycle(prepared);
-        recycle(descriptions);
+        let mut keys = Vec::with_capacity(staged.len());
+        keys.extend(
+            staged
+                .iter()
+                .filter_map(|&(uid, c)| Some((uid, ids[c].next()? * n + c as u64))),
+        );
+        recycle(staged);
         keys
     }
 

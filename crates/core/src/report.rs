@@ -5,7 +5,7 @@
 //! (Fig. 3's bottom subplot), and runtime-side latencies.
 
 use entk_sim::{SimDuration, SimTime, Summary};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::Arc;
 
 /// Timeline of one task as executed.
@@ -42,6 +42,68 @@ impl TaskRecord {
     }
 }
 
+/// A report's task records in uid order, read-only: one block per finished
+/// run, which every report of the session shares instead of copying. On the
+/// wire it is a flat JSON array of [`TaskRecord`]s.
+#[derive(Debug, Clone, Default)]
+pub struct TaskRecords(pub(crate) Vec<Arc<Vec<TaskRecord>>>);
+
+impl TaskRecords {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.0.iter().map(|block| block.len()).sum()
+    }
+
+    /// True when there is no record.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The records in uid order.
+    pub fn iter(&self) -> <&Self as IntoIterator>::IntoIter {
+        self.0.iter().flat_map(|block| &**block)
+    }
+}
+
+impl std::ops::Index<usize> for TaskRecords {
+    type Output = TaskRecord;
+
+    fn index(&self, i: usize) -> &TaskRecord {
+        self.iter().nth(i).expect("task record index in range")
+    }
+}
+
+impl<'a> IntoIterator for &'a TaskRecords {
+    type Item = &'a TaskRecord;
+    type IntoIter = std::iter::FlatMap<
+        std::slice::Iter<'a, Arc<Vec<TaskRecord>>>,
+        &'a Vec<TaskRecord>,
+        fn(&'a Arc<Vec<TaskRecord>>) -> &'a Vec<TaskRecord>,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<Vec<TaskRecord>> for TaskRecords {
+    fn from(records: Vec<TaskRecord>) -> Self {
+        TaskRecords(vec![Arc::new(records)])
+    }
+}
+
+impl Serialize for TaskRecords {
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+}
+
+impl Deserialize for TaskRecords {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Vec::from_value(v).map(TaskRecords::from)
+    }
+}
+
 /// The paper's overhead decomposition.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct OverheadBreakdown {
@@ -72,8 +134,8 @@ pub struct ExecutionReport {
     pub ttc: SimDuration,
     /// Overhead decomposition.
     pub overheads: OverheadBreakdown,
-    /// Per-task timelines.
-    pub tasks: Vec<TaskRecord>,
+    /// Per-task timelines, shared with the session's other reports.
+    pub tasks: TaskRecords,
     /// Tasks whose final state was failure.
     pub failed_tasks: usize,
     /// Total resubmissions across all tasks.
@@ -199,7 +261,7 @@ mod tests {
             cores: 4,
             ttc: SimDuration::from_secs(100),
             overheads: OverheadBreakdown::default(),
-            tasks,
+            tasks: tasks.into(),
             failed_tasks: 0,
             total_retries: 0,
             partial: false,
@@ -296,7 +358,7 @@ mod display_tests {
             cores: 24,
             ttc: SimDuration::from_secs(100),
             overheads: OverheadBreakdown::default(),
-            tasks: vec![],
+            tasks: TaskRecords::default(),
             failed_tasks: 2,
             total_retries: 3,
             partial: true,

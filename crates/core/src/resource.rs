@@ -5,6 +5,7 @@
 //! session semantics) bound to one [`crate::backend::ExecutionBackend`]
 //! (simulated, local, or federated).
 
+use crate::backend::ExecutionBackend;
 use crate::error::EntkError;
 use crate::fault::FaultConfig;
 use crate::overheads::EntkOverheads;
@@ -492,14 +493,20 @@ impl ResourceHandle {
         }
     }
 
+    /// The session engine and the backend it drives.
+    fn parts(&mut self) -> (&mut SessionEngine, &mut dyn ExecutionBackend) {
+        let backend: &mut dyn ExecutionBackend = match &mut self.inner {
+            Inner::Event(b) => b.as_mut(),
+            Inner::Local(b) => b.as_mut(),
+        };
+        (&mut self.session, backend)
+    }
+
     /// Acquires resources: submits the pilot(s) and waits (in virtual time)
     /// until the allocation is usable.
     pub fn allocate(&mut self) -> Result<(), EntkError> {
-        let ResourceHandle { session, inner } = self;
-        match inner {
-            Inner::Event(b) => session.allocate(b.as_mut()),
-            Inner::Local(b) => session.allocate(b.as_mut()),
-        }
+        let (session, backend) = self.parts();
+        session.allocate(backend)
     }
 
     /// Runs an execution pattern to completion on the allocated resources.
@@ -507,21 +514,15 @@ impl ResourceHandle {
         &mut self,
         pattern: &mut dyn ExecutionPattern,
     ) -> Result<ExecutionReport, EntkError> {
-        let ResourceHandle { session, inner } = self;
-        match inner {
-            Inner::Event(b) => session.run(b.as_mut(), pattern),
-            Inner::Local(b) => session.run(b.as_mut(), pattern),
-        }
+        let (session, backend) = self.parts();
+        session.run(backend, pattern)
     }
 
     /// Releases resources; returns the final session report (including
     /// teardown in the core overhead and total TTC).
     pub fn deallocate(&mut self) -> Result<ExecutionReport, EntkError> {
-        let ResourceHandle { session, inner } = self;
-        match inner {
-            Inner::Event(b) => session.deallocate(b.as_mut()),
-            Inner::Local(b) => session.deallocate(b.as_mut()),
-        }
+        let (session, backend) = self.parts();
+        session.deallocate(backend)
     }
 
     /// The whole lifecycle in one call: allocate → run `pattern` →
@@ -535,10 +536,11 @@ impl ResourceHandle {
         pattern: &mut dyn ExecutionPattern,
     ) -> Result<(ExecutionReport, Telemetry), EntkError> {
         self.allocate()?;
-        let run_report = self.run(pattern)?;
-        let mut session = self.deallocate()?;
-        session.pattern = run_report.pattern;
-        Ok((session, self.session.telemetry().take()))
+        let (session, backend) = self.parts();
+        session.drive(backend, pattern)?;
+        let mut report = self.deallocate()?;
+        report.pattern = pattern.name().to_string();
+        Ok((report, self.session.telemetry().take()))
     }
 }
 

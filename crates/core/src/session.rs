@@ -12,7 +12,7 @@ use crate::error::EntkError;
 use crate::fault::FaultConfig;
 use crate::overheads::EntkOverheads;
 use crate::pattern::ExecutionPattern;
-use crate::report::{ExecutionReport, OverheadBreakdown, TaskRecord};
+use crate::report::{ExecutionReport, OverheadBreakdown, TaskRecord, TaskRecords};
 use crate::task::{Task, TaskResult};
 use entk_kernels::KernelCall;
 use entk_sim::{reserve_batch, SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
@@ -32,6 +32,56 @@ struct Attempt {
 
 // A row is what every task of an ensemble keeps resident beside its record.
 const _: () = assert!(std::mem::size_of::<Attempt>() <= 32);
+
+/// The task table, one `TaskRecord` per uid: the finished runs' rows, as
+/// the blocks every report shares, then the running pattern's rows.
+#[derive(Default)]
+struct TaskTable {
+    frozen: TaskRecords,
+    /// Uid of `current[0]`: the number of frozen rows.
+    base: usize,
+    current: Vec<TaskRecord>,
+}
+
+impl TaskTable {
+    fn len(&self) -> usize {
+        self.base + self.current.len()
+    }
+
+    fn get(&self, uid: u64) -> Option<&TaskRecord> {
+        match (uid as usize).checked_sub(self.base) {
+            Some(row) => self.current.get(row),
+            None => self.frozen.iter().nth(uid as usize),
+        }
+    }
+
+    /// A row to write. A frozen row is first copied out of the reports that
+    /// share its block, which only a task still live when its run ended, or
+    /// a unit event that outlives its run, asks for.
+    fn get_mut(&mut self, uid: u64) -> Option<&mut TaskRecord> {
+        if let Some(row) = (uid as usize).checked_sub(self.base) {
+            return self.current.get_mut(row);
+        }
+        let mut row = uid as usize;
+        for block in &mut self.frozen.0 {
+            if row < block.len() {
+                return Some(&mut Arc::make_mut(block)[row]);
+            }
+            row -= block.len();
+        }
+        None
+    }
+
+    /// Freezes the running pattern's rows into one block.
+    fn freeze(&mut self) {
+        if !self.current.is_empty() {
+            let mut rows = std::mem::take(&mut self.current);
+            rows.shrink_to_fit();
+            self.base += rows.len();
+            self.frozen.0.push(Arc::new(rows));
+        }
+    }
+}
 
 /// Backend unit key → uid of the task whose current attempt it runs, one
 /// 8-byte slot per key (the uid is stored plus one, so an empty slot is
@@ -102,9 +152,9 @@ pub struct SessionEngine {
     /// Shared trace pipeline; the same handle the backend's layers
     /// record into, so all layers append to one interleaved record.
     telemetry: SharedTelemetry,
-    /// The task table, indexed by uid: the records the reports carry.
-    /// `deallocate` moves it into the session report.
-    records: Vec<TaskRecord>,
+    /// The task table: the records the reports carry. `deallocate` moves
+    /// it into the session report.
+    table: TaskTable,
     /// The per-attempt column of the task table, indexed by uid less
     /// `attempts_base`. A run ends with no task live, so its rows go with
     /// it and the column only ever covers the current run.
@@ -147,7 +197,7 @@ impl SessionEngine {
             rng: SimRng::seed_from_u64(seed),
             retry_rng: SimRng::seed_from_u64(seed ^ 0xBAC0_0FF5),
             telemetry,
-            records: Vec::new(),
+            table: TaskTable::default(),
             attempts: Vec::new(),
             attempts_base: 0,
             unit_to_task: UnitTasks::default(),
@@ -222,11 +272,23 @@ impl SessionEngine {
     }
 
     /// Runs an execution pattern to completion on the allocated backend.
+    /// The report shares the session's records instead of copying them.
     pub fn run(
         &mut self,
         backend: &mut dyn ExecutionBackend,
         pattern: &mut dyn ExecutionPattern,
     ) -> Result<ExecutionReport, EntkError> {
+        self.drive(backend, pattern)?;
+        Ok(self.report(pattern.name(), backend, self.table.frozen.clone()))
+    }
+
+    /// [`Self::run`] without the report, for a caller that only reads the
+    /// session report.
+    pub fn drive(
+        &mut self,
+        backend: &mut dyn ExecutionBackend,
+        pattern: &mut dyn ExecutionPattern,
+    ) -> Result<(), EntkError> {
         if !matches!(self.state, SessionState::Allocated) {
             return Err(EntkError::Usage("run() requires allocate() first".into()));
         }
@@ -268,13 +330,15 @@ impl SessionEngine {
                 }
             }
         }
-        // With no task live, nothing can (re)submit a task of this run, so
-        // its attempt rows go now rather than at `deallocate`.
+        // The run's records freeze into the block the reports share. With
+        // no task live, nothing can (re)submit a task of this run, so its
+        // attempt rows go now rather than at `deallocate`.
+        self.table.freeze();
         if self.live_tasks == 0 {
-            self.attempts_base = self.records.len();
+            self.attempts_base = self.table.len();
             self.attempts = Vec::new();
         }
-        Ok(self.report(pattern.name(), backend, self.records.clone()))
+        Ok(())
     }
 
     /// Releases resources; returns the final session report (including
@@ -302,8 +366,8 @@ impl SessionEngine {
         self.state = SessionState::Deallocated;
         // Nothing runs after this, so the task table itself becomes the
         // session report's records instead of being copied into it.
-        let mut records = std::mem::take(&mut self.records);
-        records.shrink_to_fit();
+        self.table.freeze();
+        let records = std::mem::take(&mut self.table.frozen);
         self.attempts = Vec::new();
         self.unit_to_task = UnitTasks::default();
         Ok(self.report("session", backend, records))
@@ -339,12 +403,12 @@ impl SessionEngine {
         self.telemetry
             .record(now, "entk", "tasks_created", Subject::Batch(batch));
         let mut uids = Vec::with_capacity(tasks.len());
-        reserve_batch(&mut self.records, tasks.len());
+        reserve_batch(&mut self.table.current, tasks.len());
         reserve_batch(&mut self.attempts, tasks.len());
         for task in tasks {
-            let uid = self.records.len() as u64;
+            let uid = self.table.len() as u64;
             self.live_tasks += 1;
-            self.records.push(TaskRecord {
+            self.table.current.push(TaskRecord {
                 uid,
                 tag: task.tag,
                 stage: task.stage,
@@ -377,13 +441,11 @@ impl SessionEngine {
         let mut specs = std::mem::take(&mut self.specs);
         specs.reserve(uids.len());
         specs.extend(uids.iter().filter_map(|&uid| {
-            let i = uid as usize;
+            let row = (uid as usize).checked_sub(self.attempts_base)?;
             Some(UnitSpec {
                 uid,
-                stage: self.records.get(i)?.stage.clone(),
-                kernel: self.attempts[i.checked_sub(self.attempts_base)?]
-                    .kernel
-                    .clone()?,
+                stage: self.table.get(uid)?.stage.clone(),
+                kernel: self.attempts[row].kernel.clone()?,
             })
         }));
         if !specs.is_empty() {
@@ -431,7 +493,7 @@ impl SessionEngine {
         if let Some(attempt) = self.attempt(uid) {
             attempt.kernel = None;
         }
-        let record = &mut self.records[uid as usize];
+        let record = self.table.get_mut(uid).expect("a known task");
         record.finished = Some(now);
         record.success = success;
         record
@@ -440,7 +502,7 @@ impl SessionEngine {
     /// A task's terminal failure at `now`: finishes it, moves it from the
     /// live to the failed count and records it. `None` for an unknown uid.
     fn fail_task(&mut self, uid: u64, now: SimTime) -> Option<&TaskRecord> {
-        if uid as usize >= self.records.len() {
+        if uid as usize >= self.table.len() {
             return None;
         }
         self.live_tasks -= 1;
@@ -468,7 +530,7 @@ impl SessionEngine {
         let Some((key, started)) = self.attempt(uid).and_then(|a| a.current) else {
             return;
         };
-        let finished = self.records[uid as usize].finished.is_some();
+        let finished = self.table.get(uid).is_some_and(|r| r.finished.is_some());
         if finished || backend.now() < started + timeout {
             return;
         }
@@ -491,7 +553,7 @@ impl SessionEngine {
     fn retry_or_fail(&mut self, uid: u64, reason: &str, now: SimTime, virtual_time: bool) {
         let backoff = self.fault.backoff;
         let max_retries = self.fault.max_retries;
-        if uid as usize >= self.records.len() {
+        if uid as usize >= self.table.len() {
             return;
         }
         let lost = self
@@ -499,7 +561,7 @@ impl SessionEngine {
             .and_then(|a| a.current.take())
             .map(|(_, started)| now.saturating_since(started))
             .unwrap_or(SimDuration::ZERO);
-        let record = &mut self.records[uid as usize];
+        let record = self.table.get_mut(uid).expect("a known task");
         record.lost_to_failures += lost;
         self.failure_lost += lost;
         self.telemetry
@@ -545,9 +607,8 @@ impl SessionEngine {
         // a bug we'd rather stop than loop on.
         for _ in 0..10_000 {
             // Uid order by construction: the table is indexed by uid.
-            let live: Vec<u64> = self
-                .records
-                .iter()
+            let rows = self.table.frozen.iter().chain(&self.table.current);
+            let live: Vec<u64> = rows
                 .filter(|r| r.finished.is_none())
                 .map(|r| r.uid)
                 .collect();
@@ -563,7 +624,9 @@ impl SessionEngine {
                 let lost = started
                     .map(|(_, s)| now.saturating_since(s))
                     .unwrap_or(SimDuration::ZERO);
-                self.records[uid as usize].lost_to_failures += lost;
+                if let Some(record) = self.table.get_mut(uid) {
+                    record.lost_to_failures += lost;
+                }
                 self.failure_lost += lost;
                 let reason = "resource lost: all pilots terminated";
                 if let Some(result) = self.fail_task(uid, now).map(|r| failed(r, reason)) {
@@ -608,14 +671,14 @@ impl SessionEngine {
                 }
                 BackendEvent::TaskTimeout { uid } => self.on_timeout(uid, backend),
                 BackendEvent::DeferredFailure { uid } => {
-                    if let Some(record) = self.records.get(uid as usize) {
+                    if let Some(record) = self.table.get(uid) {
                         let result = failed(record, "kernel binding failed");
                         self.pending_results.push(result);
                     }
                 }
                 BackendEvent::UnitStarted { key, time } => {
                     let uid = self.unit_to_task.get(key);
-                    if let Some(r) = uid.and_then(|uid| self.records.get_mut(uid as usize)) {
+                    if let Some(r) = uid.and_then(|uid| self.table.get_mut(uid)) {
                         r.exec_start = Some(time);
                     }
                 }
@@ -631,9 +694,6 @@ impl SessionEngine {
                     };
                     self.retry_or_fail(uid, &reason, time, backend.virtual_time());
                 }
-                // Shrunk pilots keep running on their remaining cores; the
-                // units they dropped arrive as `UnitFailed` events.
-                BackendEvent::CapacityShrunk { .. } => {}
                 BackendEvent::ClockMark => {
                     self.clock_marked = true;
                     self.telemetry
@@ -689,7 +749,7 @@ impl SessionEngine {
             return;
         };
         let outcome = backend.complete_unit(key, kernel, &mut self.rng);
-        let record = &mut self.records[uid as usize];
+        let record = self.table.get_mut(uid).expect("a known task");
         record.exec_start = outcome.exec_start.or(record.exec_start);
         record.exec_stop = outcome.exec_stop;
         match outcome.result {
@@ -715,7 +775,7 @@ impl SessionEngine {
         &self,
         pattern_name: &str,
         backend: &dyn ExecutionBackend,
-        tasks: Vec<TaskRecord>,
+        tasks: TaskRecords,
     ) -> ExecutionReport {
         let stats = backend.stats();
         ExecutionReport {

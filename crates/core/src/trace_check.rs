@@ -245,7 +245,7 @@ mod tests {
                 core: SimDuration::from_secs(2),
                 ..Default::default()
             },
-            tasks: vec![],
+            tasks: Default::default(),
             failed_tasks: 0,
             total_retries: 0,
             partial: false,

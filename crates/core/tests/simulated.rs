@@ -349,6 +349,41 @@ fn the_session_report_holds_the_records_of_the_last_run() {
     assert!(matches!(handle.deallocate(), Err(EntkError::Usage(_))));
 }
 
+/// The reports of one session share each finished run's records instead of
+/// copying them, and still read as one flat table: `iter`, `Index` and
+/// `len` agree, the JSON is that of a `Vec<TaskRecord>`, and it reads back.
+#[test]
+fn reports_share_their_records_and_read_as_one_flat_table() {
+    use entk_core::{TaskRecord, TaskRecords};
+    let config = ResourceConfig::new("local", 8, SimDuration::from_secs(1_000_000));
+    let mut handle = ResourceHandle::simulated(config, quiet_sim(9)).unwrap();
+    handle.allocate().unwrap();
+    let first = handle.run(&mut sleep_bag(5, 2.0)).unwrap();
+    let last = handle.run(&mut sleep_bag(7, 3.0)).unwrap();
+    let session = handle.deallocate().unwrap();
+    assert_eq!((first.tasks.len(), last.tasks.len()), (5, 12));
+    // One copy of a row, whichever report reads it.
+    assert!(std::ptr::eq(&first.tasks[4], &session.tasks[4]));
+    assert!(std::ptr::eq(&last.tasks[11], &session.tasks[11]));
+    for report in [&first, &last, &session] {
+        let flat: Vec<TaskRecord> = report.tasks.iter().cloned().collect();
+        assert_eq!(flat.len(), report.tasks.len());
+        assert!(!report.tasks.is_empty());
+        for (i, record) in (&report.tasks).into_iter().enumerate() {
+            assert_eq!((record.uid, report.tasks[i].uid), (i as u64, i as u64));
+        }
+        let json = serde_json::to_string(&report.tasks).unwrap();
+        assert_eq!(json, serde_json::to_string(&flat).unwrap());
+        let back: TaskRecords = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.len(), flat.len());
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        let whole = serde_json::to_string(report).unwrap();
+        let back: ExecutionReport = serde_json::from_str(&whole).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), whole);
+    }
+    assert_eq!(record_fields(&session), record_fields(&last));
+}
+
 /// A two-stage pipeline ensemble whose kernels are the same call for every
 /// task of a stage, or, with `named`, differ in the `path` a simulated
 /// `misc.mkfile` never opens.

@@ -37,8 +37,10 @@ pub enum RuntimeEvent {
     StageOutDone(UnitId),
 }
 
-/// State changes reported to the application layer (EnTK). A submission is
-/// not one: [`SimRuntime::submit_units`] returns the new units' ids.
+/// State changes reported to the application layer (EnTK): every pilot
+/// transition, and of a unit's only the start of its execution and its end.
+/// A submission is not one: [`SimRuntime::submit_units`] returns the new
+/// units' ids. The rest of a unit's lifecycle is read from the trace.
 #[derive(Debug, Clone)]
 pub enum RuntimeNotification {
     /// A pilot changed state.
@@ -50,28 +52,16 @@ pub enum RuntimeNotification {
         /// When.
         time: SimTime,
     },
-    /// A unit changed state after its submission.
+    /// A unit began executing or reached a terminal state.
     Unit {
         /// The unit.
         id: UnitId,
-        /// New state.
+        /// New state: [`UnitState::Executing`] or a terminal one.
         state: UnitState,
         /// When.
         time: SimTime,
         /// Failure reason, when `state == Failed`.
         detail: Option<String>,
-    },
-    /// A node crash shrank a pilot's allocation mid-run; it keeps running
-    /// on what remains (shrink-or-die: losing every core fails it instead).
-    PilotShrunk {
-        /// The pilot.
-        id: PilotId,
-        /// Cores lost to the crash.
-        lost_cores: usize,
-        /// Cores the pilot still holds.
-        remaining_cores: usize,
-        /// When.
-        time: SimTime,
     },
 }
 
@@ -170,7 +160,9 @@ const _: () = assert!(std::mem::size_of::<UnitRecord>() <= 64);
 pub trait RuntimeEventSink: From<RuntimeEvent> + From<ClusterEvent> {}
 impl<T: From<RuntimeEvent> + From<ClusterEvent>> RuntimeEventSink for T {}
 
-/// The simulated pilot runtime for one target resource.
+/// The simulated pilot runtime for one target resource. Its caller hears of
+/// every pilot transition and, of a unit's, only the start of execution and
+/// the end ([`RuntimeNotification`]); the rest is in the trace.
 pub struct SimRuntime {
     cluster: Cluster,
     config: SimRuntimeConfig,
@@ -646,7 +638,6 @@ impl SimRuntime {
         let from_free = p.free_cores.min(lost);
         p.free_cores -= from_free;
         p.description.cores = p.description.cores.saturating_sub(lost);
-        let remaining_cores = p.description.cores;
         self.pilots_dirty = true;
         let mut deficit = lost - from_free;
         if deficit > 0 {
@@ -682,12 +673,6 @@ impl SimRuntime {
         }
         self.telemetry
             .record(time, "pilot", "pilot_shrunk", Subject::Pilot(pid.0));
-        out.push(RuntimeNotification::PilotShrunk {
-            id: pid,
-            lost_cores: lost,
-            remaining_cores,
-            time,
-        });
         // Surplus cores may have returned, and the shrunken size changes
         // which waiting units are doomed.
         self.sched_dirty = true;
@@ -753,10 +738,11 @@ impl SimRuntime {
     }
 
     /// The one door through which a unit's state changes: it checks the
-    /// step against the model, writes the record
-    /// [`UnitState::trace_event`] names and tells the application. A unit
+    /// step against the model and writes the record
+    /// [`UnitState::trace_event`] names. It tells the application only of
+    /// `Executing` and the terminal states, the two it reads. A unit
     /// leaving `Scheduling` leaves the waiting list; one that ends drops
-    /// its pending execution event and the `pilot.live_units` gauge.
+    /// its pending execution event and leaves the live count.
     fn set_unit_state<E: RuntimeEventSink>(
         &mut self,
         id: UnitId,
@@ -784,12 +770,14 @@ impl SimRuntime {
         if state.is_terminal() {
             self.live -= 1;
         }
-        out.push(RuntimeNotification::Unit {
-            id,
-            state,
-            time,
-            detail,
-        });
+        if state == UnitState::Executing || state.is_terminal() {
+            out.push(RuntimeNotification::Unit {
+                id,
+                state,
+                time,
+                detail,
+            });
+        }
     }
 
     /// Marks a waiting-list slot as a tombstone, checking it belongs to
@@ -1222,6 +1210,7 @@ pub(crate) mod tests {
         let tracer = rt.telemetry().snapshot().tracer;
         let submitted = tracer.time_of("pilot", "unit_submitted", Subject::Unit(0));
         assert_eq!(submitted, Some(SimTime::ZERO));
+        // The caller hears of the start of execution and of the end only.
         let states: Vec<UnitState> = log
             .iter()
             .filter_map(|n| match n {
@@ -1229,16 +1218,33 @@ pub(crate) mod tests {
                 _ => None,
             })
             .collect();
+        assert_eq!(states, vec![UnitState::Executing, UnitState::Done]);
+        // The trace holds the whole lifecycle. `unit_scheduled` is the step
+        // from Scheduling into StagingInput; StagingOutput runs from
+        // `unit_exec_stop` to `unit_done`. Each staging state lasts its
+        // 10 ms transfer (input staging also pays the 10 ms launch).
+        let steps: Vec<(&str, f64)> = tracer
+            .records()
+            .iter()
+            .filter(|r| r.subject == Subject::Unit(0))
+            .map(|r| (r.name, r.time.as_secs_f64()))
+            .collect();
+        let names: Vec<&str> = steps.iter().map(|&(name, _)| name).collect();
         assert_eq!(
-            states,
-            vec![
-                UnitState::Scheduling,
-                UnitState::StagingInput,
-                UnitState::Executing,
-                UnitState::StagingOutput,
-                UnitState::Done
+            names,
+            [
+                "unit_submitted",
+                "unit_scheduled",
+                "unit_exec_start",
+                "unit_exec_stop",
+                "unit_done"
             ]
         );
+        let gap = |i: usize| steps[i + 1].1 - steps[i].1;
+        assert!((gap(1) - 0.02).abs() < 1e-6, "staging in {}", gap(1));
+        assert!((gap(2) - 1.0).abs() < 1e-6, "executing {}", gap(2));
+        assert!((gap(3) - 0.01).abs() < 1e-6, "staging out {}", gap(3));
+        assert_eq!(rt.unit_state(UnitId(0)), Some(UnitState::Done));
     }
 
     #[test]
@@ -1391,7 +1397,10 @@ pub(crate) mod tests {
     fn per_unit_overheads_scale_with_task_count() {
         // The unit-submission delay (fixed + per-unit * n) gates when units
         // become schedulable: with constant overheads the gap from t=0 to the
-        // first Scheduling notification must be exactly fixed + per * n.
+        // first entry into Scheduling must be exactly fixed + per * n. With
+        // the pilot up at t=0 and room for every unit, a unit is placed the
+        // instant it enters Scheduling, which the trace records as its
+        // `unit_scheduled`.
         let mk_units = |n: usize| {
             (0..n)
                 .map(|i| UnitDescription::modeled(format!("t{i}"), SimDuration::from_secs(1)))
@@ -1400,22 +1409,22 @@ pub(crate) mod tests {
         let mut cfg = quiet_config();
         cfg.overheads.unit_submit_per_unit = entk_sim::Dist::Constant(0.01);
         cfg.overheads.unit_submit_fixed = entk_sim::Dist::Constant(0.1);
-        let first_scheduling = |log: &[RuntimeNotification]| {
-            log.iter()
-                .find_map(|n| match n {
-                    RuntimeNotification::Unit {
-                        state: UnitState::Scheduling,
-                        time,
-                        ..
-                    } => Some(time.as_secs_f64()),
-                    _ => None,
-                })
+        let mut spec = quiet_spec(8, 24);
+        spec.job_startup = entk_sim::Dist::Constant(0.0);
+        let first_scheduling = |rt: &SimRuntime| {
+            let tracer = rt.telemetry().snapshot().tracer;
+            let active = tracer.filter("pilot", "pilot_active").map(|r| r.time);
+            assert_eq!(active.collect::<Vec<_>>(), [SimTime::ZERO]);
+            let placed = tracer.filter("pilot", "unit_scheduled").map(|r| r.time);
+            placed
+                .min()
                 .expect("units entered scheduling")
+                .as_secs_f64()
         };
-        let (log_small, _, _) = run_session(quiet_spec(8, 24), cfg.clone(), 64, mk_units(16));
-        let (log_large, _, _) = run_session(quiet_spec(8, 24), cfg, 64, mk_units(64));
-        let small = first_scheduling(&log_small);
-        let large = first_scheduling(&log_large);
+        let (_, rt_small, _) = run_session(spec.clone(), cfg.clone(), 64, mk_units(16));
+        let (_, rt_large, _) = run_session(spec, cfg, 64, mk_units(64));
+        let small = first_scheduling(&rt_small);
+        let large = first_scheduling(&rt_large);
         assert!(
             (small - (0.1 + 0.01 * 16.0)).abs() < 1e-6,
             "small gap {small}"
