@@ -592,18 +592,13 @@ impl WorkloadSpec {
                         entk_core::PilotStrategy::split(n)
                     };
                 }
-                if self.tuning.queue_wait_per_core.is_some() || self.tuning.background.is_some() {
-                    let mut platform = entk_cluster::PlatformSpec::by_name(&self.resource.name)
-                        .ok_or_else(|| {
-                            EntkError::Resource(format!(
-                                "unknown resource {:?}",
-                                self.resource.name
-                            ))
-                        })?;
-                    if let Some(per_core) = self.tuning.queue_wait_per_core {
-                        platform.queue_wait_per_core = per_core;
-                    }
-                    sim.platform = Some(platform);
+                // An unknown resource is left to the handle, which names it.
+                if let Some(per_core) = self.tuning.queue_wait_per_core {
+                    let platform = entk_cluster::PlatformSpec::by_name(&self.resource.name);
+                    sim.platform = platform.map(|mut p| {
+                        p.queue_wait_per_core = per_core;
+                        p
+                    });
                 }
                 if let Some(bg) = &self.tuning.background {
                     sim.background_load = Some(entk_cluster::BackgroundLoad {

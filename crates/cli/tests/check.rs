@@ -222,6 +222,19 @@ fn stream_spec_mistakes_are_refused_before_serving() {
             "workload spec line 3: half_life_secs must be finite and >= 0, got -60",
         ),
         (
+            "fifo-half-life",
+            after_seed("\"half_life_secs\": 600.0,\n  \"policy\": \"fifo\""),
+            "workload spec line 3: half_life_secs is not read by the fifo policy",
+        ),
+        (
+            "fair-params-half-life",
+            after_seed(
+                "\"half_life_secs\": 600.0,\n  \"policy\": { \"name\": \"fair\", \"params\": \
+                 { \"half_life_secs\": 60.0 } }",
+            ),
+            "workload spec line 3: half_life_secs is not read by a fair policy that sets its own",
+        ),
+        (
             "resource",
             ("\"xsede.stampede\"", "\"nope\"".to_string()),
             "workload spec line 3: unknown resource \"nope\" (known platforms: xsede.comet,",
@@ -975,12 +988,13 @@ fn entk_within(dir: &Path, args: &[&str], secs: u64) -> Output {
 /// unedited checkpoint resumes.
 #[test]
 fn hostile_checkpoints_are_refused_naming_the_field() {
-    for policy in ["fair", "fifo"] {
+    // FIFO reads no half-life, and a spec that sets one is refused.
+    for (policy, half_life) in [("fair", r#""half_life_secs": 600.0,"#), ("fifo", "")] {
         let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("check-checkpoint-{policy}"));
         let spec = write_spec(
             &format!("checkpoint-{policy}"),
             &format!(
-                r#"{{ "seed": 7, "slots": 2, "policy": "{policy}", "half_life_secs": 600.0,
+                r#"{{ "seed": 7, "slots": 2, "policy": "{policy}", {half_life}
                      "source": {{ "kind": "synthetic", "sessions": 20, "tenants": 4 }} }}"#
             ),
         );

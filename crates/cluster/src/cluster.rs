@@ -67,8 +67,6 @@ pub enum ClusterNotification {
         id: BatchJobId,
         /// Cores lost to the crash.
         lost_cores: usize,
-        /// Cores the job still holds.
-        remaining_cores: usize,
         /// When the crash happened.
         time: SimTime,
     },
@@ -454,8 +452,7 @@ impl Cluster {
                 .map(|s| s.cores)
                 .sum();
             slices.retain(|s| s.node != node);
-            let remaining: usize = slices.iter().map(|s| s.cores).sum();
-            if remaining == 0 {
+            if slices.is_empty() {
                 self.finish(id, BatchJobState::Failed, ctx, out);
             } else {
                 self.telemetry
@@ -463,7 +460,6 @@ impl Cluster {
                 out.push(ClusterNotification::JobShrunk {
                     id,
                     lost_cores: lost,
-                    remaining_cores: remaining,
                     time: ctx.now(),
                 });
             }
@@ -1113,15 +1109,12 @@ mod fault_tests {
             .iter()
             .filter_map(|n| match *n {
                 ClusterNotification::JobShrunk {
-                    lost_cores,
-                    remaining_cores,
-                    time,
-                    ..
-                } => Some((lost_cores, remaining_cores, time)),
+                    lost_cores, time, ..
+                } => Some((lost_cores, time)),
                 _ => None,
             })
             .collect();
-        assert_eq!(shrunk, vec![(4, 4, SimTime::from_secs(5))]);
+        assert_eq!(shrunk, vec![(4, SimTime::from_secs(5))]);
         // The job still completes on its surviving cores.
         assert!(log.iter().any(|n| matches!(
             n,

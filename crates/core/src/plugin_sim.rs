@@ -31,9 +31,11 @@
 //! batch-system events. Members advance inside bounded *windows*: from the
 //! earliest member event time `t_m` up to (strictly before) the horizon
 //! `min(t_spine, t_m + lookahead)` — classic conservative PDES. Every event
-//! a member processes becomes a *chunk* `(time, events, trace records)` on
-//! that member's own queue, which is in time order because a member's clock
-//! never goes back. Each `poll` doles the queue front with the least
+//! a member processes appends its backend events to the member's outbox and
+//! its trace records to the member's log, and becomes a *chunk* on that
+//! member's own queue: the event's time and how many entries of each log
+//! are its. The queue is in time order because a member's clock never goes
+//! back. Each `poll` doles the queue front with the least
 //! `(time, member)`, so the session observes the exact granularity and
 //! order a serial interleave of the same windows would produce. Every window
 //! runs on the polling thread (DESIGN.md §13 has the measurement), and the
@@ -63,7 +65,7 @@ use entk_sim::{
     Context, Engine, SharedTelemetry, SimDuration, SimRng, SimTime, Subject, SubjectOffsets,
     TelemetryBuffer,
 };
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 
 /// Top-level event type of the simulated toolkit stack. Session-level
@@ -114,7 +116,9 @@ struct ClusterStack {
     background_load: Option<entk_cluster::cluster::BackgroundLoad>,
     fault_profile: Option<FaultProfile>,
     pilots: Vec<PilotId>,
-    dead_pilots: HashSet<PilotId>,
+    /// How many of `pilots` the session has seen fail or be cancelled: a
+    /// pilot enters a terminal state once, so each is counted once.
+    dead: usize,
     /// Buffered trace record log (multi-member federated drives only):
     /// this member's layers record here instead of the shared trace, and
     /// the merge spine drains it chunk by chunk, so it holds only the
@@ -122,6 +126,9 @@ struct ClusterStack {
     buffer: Option<TelemetryBuffer>,
     /// Records in `buffer` already claimed by a pending chunk.
     records_claimed: usize,
+    /// Backend events of this member's pending chunks, oldest first
+    /// (multi-member federated drives only).
+    outbox: VecDeque<BackendEvent>,
     /// This member's completed chunks awaiting dole, in time order and, at
     /// one instant, in creation order. Always empty with one member.
     chunks: VecDeque<Chunk>,
@@ -202,21 +209,6 @@ impl ClusterStack {
         held - std::mem::replace(&mut self.records_claimed, held)
     }
 
-    /// Turns this member's pending notes into backend events and applies
-    /// dead-pilot effects at once: the session engine's step surfaces them
-    /// in the same poll.
-    fn surface(
-        &mut self,
-        member: usize,
-        n_clusters: u64,
-        now: SimTime,
-        out: &mut Vec<BackendEvent>,
-    ) {
-        let mut dead = Vec::new();
-        translate_notes(member, n_clusters, &mut self.notes, now, out, &mut dead);
-        self.dead_pilots.extend(dead);
-    }
-
     /// Queues a completed chunk behind this member's earlier ones.
     fn push_chunk(&mut self, chunk: Chunk) {
         debug_assert!(
@@ -239,8 +231,8 @@ impl ClusterStack {
         self.push_chunk(Chunk {
             time: self.engine.now(),
             records,
-            events: Vec::new(),
-            dead: Vec::new(),
+            events: 0,
+            dead: 0,
             eventful: false,
         });
     }
@@ -253,20 +245,13 @@ impl ClusterStack {
         while let Some((ev, mut ctx)) = self.engine.pop_until(bound) {
             let time = ctx.now();
             runtime_event(&mut self.runtime, ev, &mut ctx, &mut self.notes);
-            let (mut events, mut dead) = (Vec::new(), Vec::new());
-            translate_notes(
-                member,
-                n_clusters,
-                &mut self.notes,
-                time,
-                &mut events,
-                &mut dead,
-            );
+            let queued = self.outbox.len();
+            let dead = translate_notes(member, n_clusters, &mut self.notes, time, &mut self.outbox);
             let records = self.take_records();
             self.push_chunk(Chunk {
                 time,
                 records,
-                events,
+                events: self.outbox.len() - queued,
                 dead,
                 eventful: true,
             });
@@ -289,16 +274,18 @@ fn runtime_event(
 }
 
 /// One unit of doled-out federated progress: a single member engine event
-/// (or an eventless session-side injection), with everything the spine
-/// needs to surface it in deterministic order — the backend events it
-/// produced, the trace records it logged, and the pilots it killed
+/// (or an eventless session-side injection), as counts into the member's
+/// two logs — the oldest trace records of its buffer and the oldest backend
+/// events of its outbox are this chunk's — plus the pilots it killed
 /// (applied at dole time so `capacity_lost()` keeps serial granularity).
 struct Chunk {
     time: SimTime,
     /// How many of the oldest records in the member's log are this chunk's.
     records: usize,
-    events: Vec<BackendEvent>,
-    dead: Vec<PilotId>,
+    /// How many of the oldest events in the member's outbox are this chunk's.
+    events: usize,
+    /// How many pilots this chunk's event failed or cancelled.
+    dead: usize,
     /// Event chunks are returned by `poll` one at a time; injection chunks
     /// (session-side calls into member runtimes) splice silently.
     eventful: bool,
@@ -318,48 +305,45 @@ struct FedState {
     windows_on: bool,
 }
 
-/// Drains one member's runtime notifications into backend events. Failure
+/// The one path from a member's runtime notifications to backend events:
+/// drains `notes` into `out` and returns how many pilots died. Failure
 /// events carry the *processing* time (`now`), matching how the serial
 /// driver applies its fault policy at the step time. Dead pilots are
-/// collected, not applied — windowed drives defer them to dole time so
+/// counted, not applied — windowed drives defer them to dole time so
 /// `capacity_lost()` is observed with serial granularity.
 fn translate_notes(
     member: usize,
     n_clusters: u64,
     notes: &mut Vec<RuntimeNotification>,
     now: SimTime,
-    out: &mut Vec<BackendEvent>,
-    dead: &mut Vec<PilotId>,
-) {
-    for note in notes.drain(..) {
-        match note {
-            RuntimeNotification::Pilot { id, state, .. } => {
-                if state == PilotState::Failed || state == PilotState::Canceled {
-                    dead.push(id);
-                }
-            }
-            RuntimeNotification::Unit {
-                id,
-                state,
-                time,
-                detail,
-            } => {
-                let key = id.0 * n_clusters + member as u64;
-                match state {
-                    UnitState::Executing => out.push(BackendEvent::UnitStarted { key, time }),
-                    UnitState::Done => out.push(BackendEvent::UnitDone { key, time }),
-                    UnitState::Failed | UnitState::Canceled => {
-                        out.push(BackendEvent::UnitFailed {
-                            key,
-                            time: now,
-                            reason: detail.unwrap_or_else(|| format!("{state:?}")),
-                        });
-                    }
-                    _ => {}
-                }
+    out: &mut impl Extend<BackendEvent>,
+) -> usize {
+    let mut dead = 0;
+    out.extend(notes.drain(..).filter_map(|note| match note {
+        RuntimeNotification::Pilot { state, .. } => {
+            dead += usize::from(matches!(state, PilotState::Failed | PilotState::Canceled));
+            None
+        }
+        RuntimeNotification::Unit {
+            id,
+            state,
+            time,
+            detail,
+        } => {
+            let key = id.0 * n_clusters + member as u64;
+            match state {
+                UnitState::Executing => Some(BackendEvent::UnitStarted { key, time }),
+                UnitState::Done => Some(BackendEvent::UnitDone { key, time }),
+                UnitState::Failed | UnitState::Canceled => Some(BackendEvent::UnitFailed {
+                    key,
+                    time: now,
+                    reason: detail.unwrap_or_else(|| format!("{state:?}")),
+                }),
+                _ => None,
             }
         }
-    }
+    }));
+    dead
 }
 
 /// What `prepare_batch` and `commit_batch` work in, kept from one batch to
@@ -457,9 +441,10 @@ impl EventBackend {
                     background_load: init.background_load,
                     fault_profile: init.fault_profile,
                     pilots: Vec::new(),
-                    dead_pilots: HashSet::new(),
+                    dead: 0,
                     buffer,
                     records_claimed: 0,
+                    outbox: VecDeque::new(),
                     chunks: VecDeque::new(),
                     notes: Vec::new(),
                 }
@@ -564,7 +549,7 @@ impl EventBackend {
                     &mut stack.engine.context(),
                     &mut stack.notes,
                 );
-                stack.surface(0, 1, now, &mut events);
+                stack.dead += translate_notes(0, 1, &mut stack.notes, now, &mut events);
             }
         }
         Poll::Events(events)
@@ -583,7 +568,7 @@ impl EventBackend {
         let n = self.clusters.len() as u64;
         for (member, stack) in self.clusters.iter_mut().enumerate() {
             f(stack, now);
-            stack.surface(member, n, now, out);
+            stack.dead += translate_notes(member, n, &mut stack.notes, now, out);
             stack.push_injection();
         }
     }
@@ -637,9 +622,11 @@ impl EventBackend {
                 buf.splice_into(&self.telemetry, records);
                 stack.records_claimed -= records;
             }
-            stack.dead_pilots.extend(dead);
+            stack.dead += dead;
             if eventful {
-                return Poll::Events(events);
+                let mut out = std::mem::take(&mut self.spare_events);
+                out.extend(stack.outbox.drain(..events));
+                return Poll::Events(out);
             }
         }
     }
@@ -718,11 +705,7 @@ impl ExecutionBackend for EventBackend {
 
     fn capacity_lost(&self) -> bool {
         let total: usize = self.clusters.iter().map(|c| c.pilots.len()).sum();
-        total > 0
-            && self
-                .clusters
-                .iter()
-                .all(|c| c.dead_pilots.len() == c.pilots.len())
+        total > 0 && self.clusters.iter().all(|c| c.dead == c.pilots.len())
     }
 
     fn pilots_terminal(&self) -> bool {
@@ -774,7 +757,7 @@ impl ExecutionBackend for EventBackend {
         alive.extend(
             self.clusters
                 .iter()
-                .map(|c| !c.pilots.is_empty() && c.dead_pilots.len() < c.pilots.len()),
+                .map(|c| !c.pilots.is_empty() && c.dead < c.pilots.len()),
         );
         let mut verdicts = Vec::with_capacity(batch_size);
         for spec in specs {
@@ -881,11 +864,9 @@ impl ExecutionBackend for EventBackend {
         stack.engine.advance_to(global_now);
         // The cancellation notifications are swallowed: the session already
         // removed this unit's mapping and applies its own fault policy.
-        let mut notes = Vec::new();
-        {
-            let mut ctx = stack.engine.context();
-            stack.runtime.cancel_unit(unit, &mut ctx, &mut notes);
-        }
+        let mut ctx = stack.engine.context();
+        stack.runtime.cancel_unit(unit, &mut ctx, &mut stack.notes);
+        stack.notes.clear();
         stack.push_injection();
         true
     }

@@ -3,11 +3,12 @@
 //! Spawning an OS thread costs tens of microseconds, more than most jobs
 //! here are worth, so a pool is built once by its owner and jobs are
 //! late-bound onto its parked threads — the pilot argument applied to the
-//! host. The workload service owns the one pool the crates build: it
-//! streams just-in-time session evaluations through
-//! [`WorkerPool::submit`], collecting results over a channel while the
-//! admission loop keeps running, and discards never-started jobs with
-//! [`WorkerPool::cancel_queued`] on early-abort paths.
+//! host. Two owners build one: the workload service streams just-in-time
+//! session evaluations through [`WorkerPool::submit`], collecting results
+//! over a channel while the admission loop keeps running, and discards
+//! never-started jobs with [`WorkerPool::cancel_queued`] on early-abort
+//! paths; the `fork://` job service of every local handle
+//! (`entk_saga::ForkJobService`) runs the jobs it admits on a pool of its own.
 //!
 //! [`WorkerPool::run`] executes a batch of borrowed closures on the calling
 //! thread and returns once every one of them has finished.

@@ -130,14 +130,6 @@ pub struct SourceDecl {
 }
 
 impl SourceDecl {
-    /// A declaration assembled from a kind and its params object.
-    pub fn new(kind: impl Into<String>, decl: Value) -> Self {
-        SourceDecl {
-            kind: kind.into(),
-            decl,
-        }
-    }
-
     /// The declaration as its registry reads it: the plugin is handed the
     /// object without `"kind"`, every other key being one of its params.
     fn component(&self) -> ComponentSpec {
@@ -292,7 +284,8 @@ impl StreamSpec {
     /// zero, an unknown backend or saturation mode, a federation of fewer
     /// than two, a mean arrival gap the clock cannot hold — and a key set
     /// in `doc` that nothing reads (`members` off the federated backend,
-    /// `saturation` without a queue bound), pointing at their line.
+    /// `saturation` without a queue bound, a top-level `half_life_secs`
+    /// no fair policy takes), pointing at their line.
     /// [`ServiceEngine`] repeats the value checks for configs built in code.
     fn check_values(&self, text: &str, doc: &Value) -> Result<(), EntkError> {
         check_failure_rate(self.unit_failure_rate)
@@ -321,6 +314,14 @@ impl StreamSpec {
             .map_err(|e| usage_at(text, &self.policy.name, e))?;
         for secs in [self.half_life_secs, policy.half_life_secs()] {
             check_half_life(secs).map_err(|e| usage_at(text, "half_life_secs", e))?;
+        }
+        let by = match policy {
+            AdmissionPolicy::Fifo => Some("the fifo policy"),
+            _ => (policy.half_life_secs() != 0.0).then_some("a fair policy that sets its own"),
+        };
+        if let (Some(by), Some(_)) = (by, doc.get("half_life_secs")) {
+            let msg = format!("half_life_secs is not read by {by}");
+            return Err(unread("half_life_secs", msg));
         }
         check_resource(&self.resource).map_err(|e| usage_at(text, &self.resource, e))?;
         for key in ["mean_interarrival_secs", "mean_gap_secs"] {
@@ -520,7 +521,7 @@ mod tests {
         // The edges of the ranges are values, not mistakes.
         for line in [
             r#""unit_failure_rate": 1.0"#,
-            r#""half_life_secs": 0.0"#,
+            r#""policy": "fair", "half_life_secs": 0.0"#,
             r#""resource": "comet""#,
             r#""slots": 1, "max_queue_depth": 1"#,
             r#""max_queue_depth": 1, "saturation": "defer""#,

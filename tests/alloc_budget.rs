@@ -1,17 +1,20 @@
 //! The per-task allocation and byte budget of the session path (its own
 //! test binary, because it installs a counting global allocator).
 //!
-//! One simulated handle runs a 10^4-pipeline ensemble and then a 10^4-sim
+//! One handle runs a 10^4-pipeline ensemble and then a 10^4-sim
 //! simulation-analysis loop, telemetry off — the body of the benchmark's
-//! `ensemble-*` workloads at a tenth of the size. Allocation counts, live
-//! bytes and their high-water mark are exact for a given build, so the
-//! bounds are budgets, not timing floors: a task that starts cloning its
-//! kernel or its stage label again, a report that copies the task table
-//! instead of sharing it, a batch staged twice on its way to the runtime,
-//! or a table that goes back to doubling, fails here.
+//! `ensemble-*` workloads at a tenth of the size — once on one simulated
+//! machine and once on a two-member federation, each with its own budget.
+//! Allocation counts, live bytes and their high-water mark are exact for a
+//! given build, so the bounds are budgets, not timing floors: a task that
+//! starts cloning its kernel or its stage label again, a report that copies
+//! the task table instead of sharing it, a batch staged twice on its way to
+//! the runtime, a table that goes back to doubling, or a federation member
+//! that hands the session a heap object per event, fails here.
 
 use entk_core::{
-    EnsembleOfPipelines, ResourceConfig, ResourceHandle, SimulatedConfig, SimulationAnalysisLoop,
+    ClusterSpec, EnsembleOfPipelines, FederatedConfig, ResourceConfig, ResourceHandle,
+    SimulatedConfig, SimulationAnalysisLoop,
 };
 use entk_kernels::KernelCall;
 use entk_sim::SimDuration;
@@ -64,16 +67,37 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 const TASKS_PER_PATTERN: usize = 10_000;
-const MAX_ALLOCATIONS_PER_TASK: f64 = 7.9;
-const MAX_LIVE_BYTES_PER_TASK: f64 = 220.0;
-const MAX_PEAK_BYTES_PER_TASK: f64 = 310.0;
+const PILOT_CORES: usize = 1024;
+
+/// The most allocations, live bytes and peak live bytes one body may spend
+/// per task.
+struct Budget {
+    allocations: f64,
+    live_bytes: f64,
+    peak_bytes: f64,
+}
+
+const SIMULATED: Budget = Budget {
+    allocations: 7.9,
+    live_bytes: 220.0,
+    peak_bytes: 310.0,
+};
+const FEDERATED: Budget = Budget {
+    allocations: 7.7,
+    live_bytes: 230.0,
+    peak_bytes: 300.0,
+};
 
 fn sleep_call() -> KernelCall {
     KernelCall::new("misc.sleep", json!({ "secs": 10.0 }))
 }
 
-#[test]
-fn a_task_stays_within_its_allocation_and_byte_budget() {
+fn walltime() -> SimDuration {
+    SimDuration::from_secs(10_000_000)
+}
+
+/// Runs the body on the handle `build` makes and asserts `budget`.
+fn body_stays_within(name: &str, budget: Budget, build: impl FnOnce() -> ResourceHandle) {
     let allocations_before = ALLOCATIONS.load(Ordering::Relaxed);
     let live_before = LIVE_BYTES.load(Ordering::Relaxed);
     PEAK_BYTES.store(live_before, Ordering::Relaxed);
@@ -85,19 +109,11 @@ fn a_task_stays_within_its_allocation_and_byte_budget() {
         |_, _| sleep_call(),
         |_, outs| vec![KernelCall::new("ana.coco", json!({ "n_sims": outs.len() }))],
     );
-    let mut handle = ResourceHandle::simulated(
-        ResourceConfig::new("xsede.stampede", 1024, SimDuration::from_secs(10_000_000)),
-        SimulatedConfig {
-            seed: 2016,
-            telemetry: false,
-            ..SimulatedConfig::default()
-        },
-    )
-    .expect("known platform");
-    handle.allocate().expect("pilot starts");
+    let mut handle = build();
+    handle.allocate().expect("pilots start");
     let eop_report = handle.run(&mut eop).expect("ensemble of pipelines runs");
     let sal_report = handle.run(&mut sal).expect("simulation-analysis loop runs");
-    let session = handle.deallocate().expect("pilot stops");
+    let session = handle.deallocate().expect("pilots stop");
 
     // Everything the body built is still alive here: both patterns, the
     // handle with its unit table, and three reports, which share one task
@@ -113,21 +129,51 @@ fn a_task_stays_within_its_allocation_and_byte_budget() {
     let live_per_task = live as f64 / tasks as f64;
     let peak_per_task = peak as f64 / tasks as f64;
     println!(
-        "allocations/task {allocations_per_task:.2}, live bytes/task {live_per_task:.0}, \
-         peak live bytes/task {peak_per_task:.0}"
+        "{name}: allocations/task {allocations_per_task:.2}, live bytes/task \
+         {live_per_task:.0}, peak live bytes/task {peak_per_task:.0}"
     );
     assert!(
-        allocations_per_task <= MAX_ALLOCATIONS_PER_TASK,
-        "{allocations_per_task:.2} allocations per task exceed the budget of \
-         {MAX_ALLOCATIONS_PER_TASK}"
+        allocations_per_task <= budget.allocations,
+        "{name}: {allocations_per_task:.2} allocations per task exceed the budget of {}",
+        budget.allocations
     );
     assert!(
-        live_per_task <= MAX_LIVE_BYTES_PER_TASK,
-        "{live_per_task:.0} live bytes per task exceed the budget of {MAX_LIVE_BYTES_PER_TASK}"
+        live_per_task <= budget.live_bytes,
+        "{name}: {live_per_task:.0} live bytes per task exceed the budget of {}",
+        budget.live_bytes
     );
     assert!(
-        peak_per_task <= MAX_PEAK_BYTES_PER_TASK,
-        "{peak_per_task:.0} peak live bytes per task exceed the budget of \
-         {MAX_PEAK_BYTES_PER_TASK}"
+        peak_per_task <= budget.peak_bytes,
+        "{name}: {peak_per_task:.0} peak live bytes per task exceed the budget of {}",
+        budget.peak_bytes
     );
+}
+
+/// Both bodies run from this one test, one after the other: the counters
+/// are process-global, so two tests running at once would count each
+/// other's allocations.
+#[test]
+fn a_task_stays_within_its_allocation_and_byte_budget() {
+    body_stays_within("simulated", SIMULATED, || {
+        ResourceHandle::simulated(
+            ResourceConfig::new("xsede.stampede", PILOT_CORES, walltime()),
+            SimulatedConfig {
+                seed: 2016,
+                telemetry: false,
+                ..SimulatedConfig::default()
+            },
+        )
+        .expect("known platform")
+    });
+    body_stays_within("federated", FEDERATED, || {
+        ResourceHandle::federated(FederatedConfig {
+            seed: 2016,
+            telemetry: false,
+            clusters: (0..2)
+                .map(|_| ClusterSpec::new("xsede.stampede", PILOT_CORES, walltime()))
+                .collect(),
+            ..FederatedConfig::default()
+        })
+        .expect("known platform")
+    });
 }
