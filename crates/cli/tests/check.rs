@@ -234,6 +234,16 @@ fn stream_spec_mistakes_are_refused_before_serving() {
             ),
             "workload spec line 3: half_life_secs is not read by a fair policy that sets its own",
         ),
+        // The policy's own key comes first in the text; the refusal names
+        // the top-level key's line.
+        (
+            "fair-params-first-half-life",
+            after_seed(
+                "\"policy\": { \"name\": \"fair\", \"params\": { \"half_life_secs\": 60.0 } },\n  \
+                 \"half_life_secs\": 600.0",
+            ),
+            "workload spec line 4: half_life_secs is not read by a fair policy that sets its own",
+        ),
         (
             "resource",
             ("\"xsede.stampede\"", "\"nope\"".to_string()),

@@ -60,7 +60,7 @@ pub use pattern::{
     Stage,
 };
 pub use registry::{
-    parse_spec, typed_spec, usage_at, usage_at_key, ComponentSpec, NoParams, Registry,
+    parse_spec, typed_spec, usage_at, usage_at_key, usage_at_top, ComponentSpec, NoParams, Registry,
 };
 pub use report::{ExecutionReport, OverheadBreakdown, TaskRecord, TaskRecords};
 pub use resource::{

@@ -246,7 +246,8 @@ impl ClusterStack {
             let time = ctx.now();
             runtime_event(&mut self.runtime, ev, &mut ctx, &mut self.notes);
             let queued = self.outbox.len();
-            let dead = translate_notes(member, n_clusters, &mut self.notes, time, &mut self.outbox);
+            let (runtime, notes) = (&mut self.runtime, &mut self.notes);
+            let dead = translate_notes(member, n_clusters, runtime, notes, time, &mut self.outbox);
             let records = self.take_records();
             self.push_chunk(Chunk {
                 time,
@@ -310,10 +311,13 @@ struct FedState {
 /// events carry the *processing* time (`now`), matching how the serial
 /// driver applies its fault policy at the step time. Dead pilots are
 /// counted, not applied — windowed drives defer them to dole time so
-/// `capacity_lost()` is observed with serial granularity.
+/// `capacity_lost()` is observed with serial granularity. A failed or
+/// cancelled unit is collected from `runtime` here, as nothing reads its
+/// row again; a done one is collected when the session completes it.
 fn translate_notes(
     member: usize,
     n_clusters: u64,
+    runtime: &mut SimRuntime,
     notes: &mut Vec<RuntimeNotification>,
     now: SimTime,
     out: &mut impl Extend<BackendEvent>,
@@ -334,11 +338,14 @@ fn translate_notes(
             match state {
                 UnitState::Executing => Some(BackendEvent::UnitStarted { key, time }),
                 UnitState::Done => Some(BackendEvent::UnitDone { key, time }),
-                UnitState::Failed | UnitState::Canceled => Some(BackendEvent::UnitFailed {
-                    key,
-                    time: now,
-                    reason: detail.unwrap_or_else(|| format!("{state:?}")),
-                }),
+                UnitState::Failed | UnitState::Canceled => {
+                    runtime.collect_unit(id);
+                    Some(BackendEvent::UnitFailed {
+                        key,
+                        time: now,
+                        reason: detail.unwrap_or_else(|| format!("{state:?}")),
+                    })
+                }
                 _ => None,
             }
         }
@@ -549,7 +556,8 @@ impl EventBackend {
                     &mut stack.engine.context(),
                     &mut stack.notes,
                 );
-                stack.dead += translate_notes(0, 1, &mut stack.notes, now, &mut events);
+                let (runtime, notes) = (&mut stack.runtime, &mut stack.notes);
+                stack.dead += translate_notes(0, 1, runtime, notes, now, &mut events);
             }
         }
         Poll::Events(events)
@@ -568,7 +576,8 @@ impl EventBackend {
         let n = self.clusters.len() as u64;
         for (member, stack) in self.clusters.iter_mut().enumerate() {
             f(stack, now);
-            stack.dead += translate_notes(member, n, &mut stack.notes, now, out);
+            let (runtime, notes) = (&mut stack.runtime, &mut stack.notes);
+            stack.dead += translate_notes(member, n, runtime, notes, now, out);
             stack.push_injection();
         }
     }
@@ -863,10 +872,12 @@ impl ExecutionBackend for EventBackend {
         }
         stack.engine.advance_to(global_now);
         // The cancellation notifications are swallowed: the session already
-        // removed this unit's mapping and applies its own fault policy.
+        // removed this unit's mapping and applies its own fault policy. So
+        // the unit is collected here, where its end is seen.
         let mut ctx = stack.engine.context();
         stack.runtime.cancel_unit(unit, &mut ctx, &mut stack.notes);
         stack.notes.clear();
+        stack.runtime.collect_unit(unit);
         stack.push_injection();
         true
     }
@@ -885,7 +896,8 @@ impl ExecutionBackend for EventBackend {
         UnitOutcome {
             // The session stamped it from this unit's `UnitStarted`.
             exec_start: None,
-            exec_stop: self.clusters[c].runtime.unit_exec_stop(unit),
+            // A done unit's last reading: its row can go.
+            exec_stop: self.clusters[c].runtime.collect_unit(unit),
             result,
         }
     }
@@ -1063,5 +1075,67 @@ mod tests {
             assert!(tracer.time_of("pilot", "pilot_done", pilot).is_some());
         }
         assert_eq!(tracer.filter("pilot", "unit_done").count(), 24);
+    }
+
+    /// Every unit a session ends is collected from its member's runtime on
+    /// every terminal path (done, failed, crashed, killed by the
+    /// watchdog), so after a deallocated session no member's runtime knows
+    /// any unit, at one member and at two: every row left its table.
+    #[test]
+    fn a_deallocated_session_leaves_no_unit_row_in_any_member() {
+        for members in [1, 2] {
+            let inits: Vec<ClusterInit> = ["xsede.comet", "xsede.stampede"][..members]
+                .iter()
+                .map(|&resource| ClusterInit {
+                    resource: resource.to_string(),
+                    cores: 48,
+                    walltime: SimDuration::from_secs(100_000),
+                    platform: PlatformSpec::by_name(resource).expect("preset platform"),
+                    runtime_config: SimRuntimeConfig {
+                        unit_failure_rate: 0.1,
+                        ..SimRuntimeConfig::default()
+                    },
+                    pilot_count: 1,
+                    background_load: None,
+                    fault_profile: Some(FaultProfile {
+                        crash_schedule: vec![(120.0, 0)],
+                        straggler_rate: 0.2,
+                        ..FaultProfile::seeded(31)
+                    }),
+                })
+                .collect();
+            let telemetry = SharedTelemetry::new();
+            let mut backend = EventBackend::new(
+                inits,
+                KernelRegistry::with_builtins(),
+                false,
+                telemetry.clone(),
+                "collect".to_string(),
+                SimDuration::from_secs(1),
+            );
+            // Stragglers run 40 s, past the 25 s watchdog.
+            let fault = FaultConfig::retries(3).with_timeout(SimDuration::from_secs(25));
+            let mut session =
+                SessionEngine::new(EntkOverheads::calibrated(), fault, 7, telemetry.clone());
+            let mut pattern = BagOfTasks::new(480, |_| {
+                KernelCall::new("misc.sleep", json!({ "secs": 10.0 }))
+            });
+            session.allocate(&mut backend).expect("pilots start");
+            session.run(&mut backend, &mut pattern).expect("bag runs");
+            session.deallocate(&mut backend).expect("pilots stop");
+
+            let tracer = telemetry.snapshot().tracer;
+            let count = |layer, event| tracer.filter(layer, event).count();
+            // Every path ran: retry, watchdog kill, node crash.
+            for (layer, event) in [("entk", "task_retry"), ("pilot", "unit_canceled")] {
+                assert!(count(layer, event) > 0, "{members}: no {event}");
+            }
+            assert!(count("pilot", "pilot_shrunk") > 0, "{members}: no crash");
+            let units = count("pilot", "unit_submitted") as u64;
+            for (member, stack) in backend.clusters.iter().enumerate() {
+                let held = (0..units).find(|&u| stack.runtime.unit_state(UnitId(u)).is_some());
+                assert_eq!(held, None, "{members}: member {member} holds a unit row");
+            }
+        }
     }
 }

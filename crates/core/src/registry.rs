@@ -249,6 +249,42 @@ pub fn usage_at(text: &str, needle: &str, err: EntkError) -> EntkError {
     usage_on(line_of(text, 0, needle), err)
 }
 
+/// 1-based line of the top-level object's key `"key"`: a quoted `key` at
+/// nesting depth 1 followed by a colon. Strings are skipped whole, so a
+/// value or a nested object's key of the same name is not it.
+fn top_level_line(text: &str, key: &str) -> Option<usize> {
+    let bytes = text.as_bytes();
+    let (mut depth, mut line, mut i) = (0usize, 1, 0);
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\n' => line += 1,
+            b'{' | b'[' => depth += 1,
+            b'}' | b']' => depth = depth.saturating_sub(1),
+            b'"' => {
+                let start = i + 1;
+                i = start;
+                while i < bytes.len() && bytes[i] != b'"' {
+                    i += if bytes[i] == b'\\' { 2 } else { 1 };
+                }
+                let rest = text.get(i + 1..).unwrap_or_default().trim_start();
+                if depth == 1 && text.get(start..i) == Some(key) && rest.starts_with(':') {
+                    return Some(line);
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    None
+}
+
+/// [`usage_at`] for a key of the document's top-level object, which a
+/// nested object's key of the same name may precede in the text.
+pub fn usage_at_top(text: &str, key: &str, err: EntkError) -> EntkError {
+    let line = top_level_line(text, key).or_else(|| line_of(text, 0, key));
+    usage_on(line, err)
+}
+
 /// [`usage_at`] for a key of the object that names `owner` (a kernel
 /// template names its plugin): the line of the first `"key"` after the
 /// first `"owner"` — a top-level `"seed"` is not a kernel's — or the

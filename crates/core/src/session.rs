@@ -16,6 +16,7 @@ use crate::report::{ExecutionReport, OverheadBreakdown, TaskRecord, TaskRecords}
 use crate::task::{Task, TaskResult};
 use entk_kernels::KernelCall;
 use entk_sim::{reserve_batch, SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
+use std::collections::VecDeque;
 use std::num::NonZeroU64;
 use std::sync::Arc;
 
@@ -83,27 +84,48 @@ impl TaskTable {
     }
 }
 
-/// Backend unit key → uid of the task whose current attempt it runs, one
-/// 8-byte slot per key (the uid is stored plus one, so an empty slot is
-/// the zero niche).
+/// Backend unit key → uid of the task whose current attempt it runs: a
+/// window of 8-byte slots from the least mapped key to the greatest
+/// (`slots[i]` is key `base + i`; the uid is stored plus one, so an empty
+/// slot is the zero niche). Leading empty slots leave on `take`, so the
+/// map spans the keys in flight, not every key the session handed out.
 #[derive(Default)]
-struct UnitTasks(Vec<Option<NonZeroU64>>);
+struct UnitTasks {
+    base: u64,
+    slots: VecDeque<Option<NonZeroU64>>,
+}
 
 impl UnitTasks {
     fn insert(&mut self, key: u64, uid: u64) {
-        let idx = key as usize;
-        if idx >= self.0.len() {
-            self.0.resize(idx + 1, None);
+        if self.slots.is_empty() {
+            self.base = key;
         }
-        self.0[idx] = NonZeroU64::new(uid + 1);
+        // A federation's members hand out keys at their own pace, so a new
+        // key may sit below the window.
+        while key < self.base {
+            self.slots.push_front(None);
+            self.base -= 1;
+        }
+        let idx = (key - self.base) as usize;
+        if idx >= self.slots.len() {
+            self.slots.resize(idx + 1, None);
+        }
+        self.slots[idx] = NonZeroU64::new(uid + 1);
     }
 
     fn get(&self, key: u64) -> Option<u64> {
-        Some(self.0.get(key as usize).copied()??.get() - 1)
+        let slot = key.checked_sub(self.base)? as usize;
+        Some(self.slots.get(slot).copied()??.get() - 1)
     }
 
     fn take(&mut self, key: u64) -> Option<u64> {
-        Some(self.0.get_mut(key as usize)?.take()?.get() - 1)
+        let slot = key.checked_sub(self.base)? as usize;
+        let uid = self.slots.get_mut(slot)?.take()?.get() - 1;
+        while self.slots.front() == Some(&None) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(uid)
     }
 }
 
@@ -473,7 +495,7 @@ impl SessionEngine {
                 self.fail_unsubmittable(spec.uid, now);
             }
         }
-        reserve_batch(&mut self.unit_to_task.0, specs.len());
+        reserve_batch(&mut self.unit_to_task.slots, specs.len());
         for (uid, key) in backend.commit_batch() {
             let Some(attempt) = self.attempt(uid) else {
                 continue;

@@ -15,7 +15,8 @@ use entk_cluster::{
     FifoScheduler, PlatformSpec,
 };
 use entk_sim::{Context, SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
-use std::ops::Range;
+use std::collections::VecDeque;
+use std::ops::{Index, IndexMut, Range};
 
 /// Events the runtime schedules for itself.
 #[derive(Debug, Clone)]
@@ -135,6 +136,10 @@ struct UnitRecord {
     /// Slot in the persistent waiting list while in `Scheduling`.
     waiting_slot: Option<u32>,
     state: UnitState,
+    /// The caller took the terminal unit's last reading
+    /// ([`SimRuntime::collect_unit`]); the row waits only for the rows in
+    /// front of it to leave.
+    collected: bool,
 }
 
 /// [`UnitRecord::pilot`] of a unit not placed on any pilot.
@@ -152,8 +157,80 @@ enum Exec {
     Stopped(SimTime),
 }
 
-// A row is what every task of an ensemble keeps resident in this layer.
+impl Exec {
+    fn stopped(self) -> Option<SimTime> {
+        match self {
+            Exec::Stopped(time) => Some(time),
+            Exec::Idle | Exec::Running(_) => None,
+        }
+    }
+}
+
+// A row is what every live task of an ensemble keeps resident in this
+// layer.
 const _: () = assert!(std::mem::size_of::<UnitRecord>() <= 64);
+
+/// The unit table: a window over the ids from the oldest unit not yet
+/// collected to the newest. `rows[i]` is unit `base + i`, so ids stay raw
+/// and monotone and lookup stays a subtraction and an index; a collected
+/// row reads as absent, and collected rows leave from the front.
+#[derive(Default)]
+struct Units {
+    base: u64,
+    rows: VecDeque<UnitRecord>,
+}
+
+impl Units {
+    /// The id the next submitted unit gets.
+    fn next_id(&self) -> u64 {
+        self.base + self.rows.len() as u64
+    }
+
+    fn get(&self, id: UnitId) -> Option<&UnitRecord> {
+        let row = self.rows.get(id.0.checked_sub(self.base)? as usize)?;
+        (!row.collected).then_some(row)
+    }
+
+    fn get_mut(&mut self, id: UnitId) -> Option<&mut UnitRecord> {
+        let row = self.rows.get_mut(id.0.checked_sub(self.base)? as usize)?;
+        (!row.collected).then_some(row)
+    }
+
+    /// The rows not yet collected, with their ids, in id order.
+    fn live(&self) -> impl Iterator<Item = (UnitId, &UnitRecord)> {
+        (self.base..)
+            .map(UnitId)
+            .zip(&self.rows)
+            .filter(|(_, u)| !u.collected)
+    }
+
+    /// Marks a terminal unit's row collected and lets the collected rows
+    /// at the front leave.
+    fn collect(&mut self, id: UnitId) -> Option<SimTime> {
+        let unit = self.get_mut(id).filter(|u| u.state.is_terminal())?;
+        unit.collected = true;
+        let stop = unit.exec.stopped();
+        while self.rows.front().is_some_and(|u| u.collected) {
+            self.rows.pop_front();
+            self.base += 1;
+        }
+        stop
+    }
+}
+
+impl Index<UnitId> for Units {
+    type Output = UnitRecord;
+
+    fn index(&self, id: UnitId) -> &UnitRecord {
+        self.get(id).expect("a unit not yet collected")
+    }
+}
+
+impl IndexMut<UnitId> for Units {
+    fn index_mut(&mut self, id: UnitId) -> &mut UnitRecord {
+        self.get_mut(id).expect("a unit not yet collected")
+    }
+}
 
 /// Driver event bound: the top-level enum must absorb both runtime and
 /// cluster events.
@@ -168,12 +245,13 @@ pub struct SimRuntime {
     config: SimRuntimeConfig,
     rng: SimRng,
     scheduler: Box<dyn UnitScheduler>,
-    // Dense slab stores: pilot and unit ids are assigned sequentially and
-    // never removed, so records live in plain vectors indexed by the raw
-    // id — no hashing on the per-event hot path, and iteration is in id
-    // order (deterministic without sorting).
+    // Dense slab stores indexed by the raw id, which is assigned
+    // sequentially: no hashing on the per-event hot path, and iteration is
+    // in id order (deterministic without sorting). Pilots are few and never
+    // removed; a unit's row leaves once its caller collected it and every
+    // older unit's row has left, so the unit table follows the live width.
     pilots: Vec<PilotRecord>,
-    units: Vec<UnitRecord>,
+    units: Units,
     /// Persistent waiting list in submission order. Placed, cancelled, and
     /// failed entries become tombstones instead of being spliced out (no
     /// per-placement `retain`); `compact_waiting` skips leading tombstones
@@ -240,7 +318,7 @@ impl SimRuntime {
             config,
             scheduler: Box::new(FirstFitScheduler),
             pilots: Vec::new(),
-            units: Vec::new(),
+            units: Units::default(),
             waiting: Vec::new(),
             waiting_head: 0,
             waiting_live: 0,
@@ -276,17 +354,26 @@ impl SimRuntime {
         self.pilots.get(id.0 as usize).map(|p| p.state)
     }
 
-    /// Current state of a unit.
+    /// Current state of a unit; `None` once it was collected.
     pub fn unit_state(&self, id: UnitId) -> Option<UnitState> {
-        self.units.get(id.0 as usize).map(|u| u.state)
+        self.units.get(id).map(|u| u.state)
     }
 
-    /// When a unit's execution finished; `None` until it has.
+    /// When a unit's execution finished; `None` until it has, and once the
+    /// unit was collected.
     pub fn unit_exec_stop(&self, id: UnitId) -> Option<SimTime> {
-        match self.units.get(id.0 as usize)?.exec {
-            Exec::Stopped(time) => Some(time),
-            Exec::Idle | Exec::Running(_) => None,
-        }
+        self.units.get(id)?.exec.stopped()
+    }
+
+    /// Takes a terminal unit's last reading: returns when its execution
+    /// stopped (`None` if it never finished executing) and marks its row
+    /// collected, after which the unit reads as absent to every query. A
+    /// row leaves the table once it and every older row are collected, so
+    /// a caller that collects each unit as it ends keeps only the live
+    /// width resident; one that never collects keeps every row. `None`,
+    /// and nothing collected, for a unit not terminal or already collected.
+    pub fn collect_unit(&mut self, id: UnitId) -> Option<SimTime> {
+        self.units.collect(id)
     }
 
     /// A pilot's submission overhead (accepted → container job submitted)
@@ -373,12 +460,12 @@ impl SimRuntime {
             d.validate()?;
         }
         let n = descriptions.len() as u64;
-        let first = self.units.len() as u64;
+        let first = self.units.next_id();
         let ids = first..first + n;
-        entk_sim::reserve_batch(&mut self.units, descriptions.len());
+        entk_sim::reserve_batch(&mut self.units.rows, descriptions.len());
         for description in descriptions {
-            let id = UnitId(self.units.len() as u64);
-            self.units.push(UnitRecord {
+            let id = UnitId(self.units.next_id());
+            self.units.rows.push_back(UnitRecord {
                 duration: description.duration,
                 input_bytes: description.input_bytes,
                 output_bytes: description.output_bytes,
@@ -389,6 +476,7 @@ impl SimRuntime {
                 pilot: NO_PILOT,
                 waiting_slot: None,
                 state: UnitState::New,
+                collected: false,
             });
             self.live += 1;
             let event = UnitState::trace_event(None, UnitState::New);
@@ -418,7 +506,7 @@ impl SimRuntime {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        let Some(unit) = self.units.get_mut(id.0 as usize) else {
+        let Some(unit) = self.units.get_mut(id) else {
             return;
         };
         if unit.state.is_terminal() || !unit.state.can_transition_to(UnitState::Canceled) {
@@ -497,11 +585,12 @@ impl SimRuntime {
             RuntimeEvent::UnitsSubmitted(ids) => {
                 entk_sim::reserve_batch(&mut self.waiting, (ids.end - ids.start) as usize);
                 for id in ids.map(UnitId) {
-                    if self.units[id.0 as usize].state != UnitState::New {
+                    // A unit cancelled before it got here may be collected.
+                    if self.unit_state(id) != Some(UnitState::New) {
                         continue;
                     }
                     self.set_unit_state(id, UnitState::Scheduling, ctx.now(), None, ctx, out);
-                    let unit = &mut self.units[id.0 as usize];
+                    let unit = &mut self.units[id];
                     unit.waiting_slot = Some(self.waiting.len() as u32);
                     let cores = unit.cores as usize;
                     self.waiting.push(UnitView { id, cores });
@@ -641,21 +730,20 @@ impl SimRuntime {
         self.pilots_dirty = true;
         let mut deficit = lost - from_free;
         if deficit > 0 {
-            // Id order by construction: the unit store iterates densely.
+            // Id order by construction: the unit window iterates densely.
             let inflight: Vec<UnitId> = self
                 .units
-                .iter()
-                .enumerate()
+                .live()
                 .filter(|(_, u)| {
                     u64::from(u.pilot) == pid.0 && u.holding > 0 && !u.state.is_terminal()
                 })
-                .map(|(i, _)| UnitId(i as u64))
+                .map(|(id, _)| id)
                 .collect();
             for id in inflight {
                 if deficit == 0 {
                     break;
                 }
-                let unit = &mut self.units[id.0 as usize];
+                let unit = &mut self.units[id];
                 if !unit.state.can_transition_to(UnitState::Failed) {
                     continue;
                 }
@@ -691,13 +779,12 @@ impl SimRuntime {
         // Units in flight on this pilot fail (they lose their cores).
         let victims: Vec<UnitId> = self
             .units
-            .iter()
-            .enumerate()
+            .live()
             .filter(|(_, u)| u64::from(u.pilot) == pid.0 && !u.state.is_terminal())
-            .map(|(i, _)| UnitId(i as u64))
+            .map(|(id, _)| id)
             .collect();
         for id in victims {
-            let unit = &mut self.units[id.0 as usize];
+            let unit = &mut self.units[id];
             if unit.state.can_transition_to(UnitState::Failed) {
                 unit.holding = 0;
                 let detail = Some(format!("{pid} terminated ({state:?})"));
@@ -752,7 +839,7 @@ impl SimRuntime {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        let unit = &mut self.units[id.0 as usize];
+        let unit = &mut self.units[id];
         let event = UnitState::trace_event(Some(unit.state), state);
         unit.state = state;
         let slot = unit.waiting_slot.take();
@@ -815,7 +902,7 @@ impl SimRuntime {
             }
             debug_assert_eq!(compacted.len(), self.waiting_live);
             for (slot, view) in compacted.iter().enumerate() {
-                self.units[view.id.0 as usize].waiting_slot = Some(slot as u32);
+                self.units[view.id].waiting_slot = Some(slot as u32);
             }
             self.waiting = compacted;
             self.waiting_head = 0;
@@ -894,9 +981,8 @@ impl SimRuntime {
             .scheduler
             .assign(&self.waiting[self.waiting_head..], &self.pilot_views);
         for placement in placements {
-            let uidx = placement.unit.0 as usize;
             let pidx = placement.pilot.0 as usize;
-            let cores = self.units[uidx].cores as usize;
+            let cores = self.units[placement.unit].cores as usize;
             let pilot = &mut self.pilots[pidx];
             assert!(
                 pilot.free_cores >= cores,
@@ -907,7 +993,7 @@ impl SimRuntime {
             let free_now = pilot.free_cores;
             // Keep the cached view exact; no rebuild needed for placements.
             self.pilot_views[pidx].free_cores = free_now;
-            let unit = &mut self.units[uidx];
+            let unit = &mut self.units[placement.unit];
             unit.pilot = u32::try_from(pidx).expect("pilot ids fit in u32");
             unit.holding = cores as u32;
             let staging = UnitState::StagingInput;
@@ -918,7 +1004,7 @@ impl SimRuntime {
                 .overheads
                 .scheduling_per_unit
                 .sample(&mut self.rng);
-            let bytes = self.units[uidx].input_bytes;
+            let bytes = self.units[placement.unit].input_bytes;
             let stage = self.cluster.transfer_duration(bytes);
             let delay = SimDuration::from_secs_f64(sched_cost) + stage;
             ctx.schedule_in(delay, RuntimeEvent::StageInDone(placement.unit));
@@ -926,7 +1012,7 @@ impl SimRuntime {
     }
 
     fn on_stagein_done<E: RuntimeEventSink>(&mut self, id: UnitId, ctx: &mut Context<'_, E>) {
-        let Some(unit) = self.units.get(id.0 as usize) else {
+        let Some(unit) = self.units.get(id) else {
             return;
         };
         if unit.state != UnitState::StagingInput {
@@ -946,7 +1032,7 @@ impl SimRuntime {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        let Some(unit) = self.units.get(id.0 as usize) else {
+        let Some(unit) = self.units.get(id) else {
             return;
         };
         if unit.state != UnitState::StagingInput {
@@ -964,7 +1050,7 @@ impl SimRuntime {
             duration
         };
         let ev = ctx.schedule_in(duration, RuntimeEvent::ExecDone(id));
-        self.units[id.0 as usize].exec = Exec::Running(ev);
+        self.units[id].exec = Exec::Running(ev);
     }
 
     fn on_exec_done<E: RuntimeEventSink>(
@@ -973,7 +1059,7 @@ impl SimRuntime {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        let Some(unit) = self.units.get_mut(id.0 as usize) else {
+        let Some(unit) = self.units.get_mut(id) else {
             return;
         };
         if unit.state != UnitState::Executing {
@@ -1020,8 +1106,7 @@ impl SimRuntime {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        let staging = self.units.get(id.0 as usize).map(|u| u.state);
-        if staging == Some(UnitState::StagingOutput) {
+        if self.unit_state(id) == Some(UnitState::StagingOutput) {
             self.set_unit_state(id, UnitState::Done, ctx.now(), None, ctx, out);
         }
     }
@@ -1153,6 +1238,50 @@ pub(crate) mod tests {
         assert_eq!(done_count, 10);
         let executed = (0..10).filter(|&u| rt.unit_exec_stop(UnitId(u)).is_some());
         assert_eq!(executed.count(), 10);
+    }
+
+    /// `collect_unit` takes a terminal unit's exec stop once and hides its
+    /// row. Rows leave only from the front: an older row not yet collected
+    /// keeps the newer collected ones resident until it is collected. A
+    /// live unit is not collected, and ids stay monotone past an empty
+    /// table.
+    #[test]
+    fn collected_rows_leave_the_unit_table_from_the_front() {
+        let units: Vec<_> = (0..4)
+            .map(|i| UnitDescription::modeled(format!("t{i}"), SimDuration::from_secs(5)))
+            .collect();
+        let (_, mut rt, ids) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
+        assert_eq!(
+            rt.units.rows.len(),
+            4,
+            "a runtime driven directly keeps every row"
+        );
+        let stop = |rt: &SimRuntime, u| rt.unit_exec_stop(UnitId(u)).expect("executed");
+        let stops: Vec<_> = ids.map(|u| stop(&rt, u)).collect();
+        assert_eq!(rt.collect_unit(UnitId(2)), Some(stops[2]));
+        assert_eq!(rt.collect_unit(UnitId(1)), Some(stops[1]));
+        assert_eq!(rt.collect_unit(UnitId(1)), None, "a row is collected once");
+        assert_eq!(rt.unit_state(UnitId(1)), None);
+        assert_eq!(rt.unit_exec_stop(UnitId(2)), None);
+        assert_eq!(rt.units.rows.len(), 4, "unit 0 holds the rows behind it");
+        assert_eq!(rt.unit_state(UnitId(0)), Some(UnitState::Done));
+        assert_eq!(rt.collect_unit(UnitId(0)), Some(stops[0]));
+        assert_eq!(rt.units.rows.len(), 1);
+        assert_eq!(rt.unit_state(UnitId(3)), Some(UnitState::Done));
+        assert_eq!(rt.collect_unit(UnitId(3)), Some(stops[3]));
+        assert_eq!(rt.units.rows.len(), 0);
+
+        let mut engine: Engine<Ev> = Engine::new();
+        let unit = UnitDescription::modeled("late", SimDuration::from_secs(5));
+        let late = rt.submit_units(vec![unit], &mut engine.context(), &mut Vec::new());
+        assert_eq!(late, Ok(4..5), "ids continue past the collected rows");
+        assert_eq!(
+            rt.collect_unit(UnitId(4)),
+            None,
+            "a live unit is not collected"
+        );
+        assert_eq!(rt.unit_state(UnitId(4)), Some(UnitState::New));
+        assert_eq!(rt.units.rows.len(), 1);
     }
 
     #[test]

@@ -36,7 +36,10 @@ use crate::service::{
 use crate::sink::{sinks, ReportSink};
 use crate::trace::{CsvTrace, HotTenantTrace, SyntheticTrace};
 use entk_core::registry::{faults, schedulers};
-use entk_core::{parse_spec, typed_spec, usage_at, ComponentSpec, EntkError, Registry};
+use entk_core::{
+    parse_spec, typed_spec, usage_at, usage_at_key, usage_at_top, ComponentSpec, EntkError,
+    Registry,
+};
 use serde::{DeError, Deserialize, Serialize};
 use serde_json::Value;
 use std::sync::OnceLock;
@@ -294,7 +297,7 @@ impl StreamSpec {
         check_queue_depth(self.max_queue_depth)
             .map_err(|e| usage_at(text, "max_queue_depth", e))?;
         SaturationMode::parse(&self.saturation).map_err(|e| usage_at(text, "saturation", e))?;
-        let unread = |key: &str, msg: String| usage_at(text, key, EntkError::Usage(msg));
+        let unread = |key: &str, msg: String| usage_at_top(text, key, EntkError::Usage(msg));
         if doc.get("saturation").is_some() && self.max_queue_depth.is_none() {
             let msg = "saturation is not read without a max_queue_depth".to_string();
             return Err(unread("saturation", msg));
@@ -312,9 +315,10 @@ impl StreamSpec {
         let policy = admission_policies()
             .build(&self.policy, &())
             .map_err(|e| usage_at(text, &self.policy.name, e))?;
-        for secs in [self.half_life_secs, policy.half_life_secs()] {
-            check_half_life(secs).map_err(|e| usage_at(text, "half_life_secs", e))?;
-        }
+        check_half_life(self.half_life_secs)
+            .map_err(|e| usage_at_top(text, "half_life_secs", e))?;
+        check_half_life(policy.half_life_secs())
+            .map_err(|e| usage_at_key(text, "policy", Some("half_life_secs"), e))?;
         let by = match policy {
             AdmissionPolicy::Fifo => Some("the fifo policy"),
             _ => (policy.half_life_secs() != 0.0).then_some("a fair policy that sets its own"),
