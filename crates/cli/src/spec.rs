@@ -17,7 +17,7 @@
 
 use entk_core::prelude::*;
 use entk_core::registry::schedulers;
-use entk_core::{parse_spec, typed_spec, usage_at, usage_at_key, EntkError, FaultConfig};
+use entk_core::{EntkError, FaultConfig, SpecDoc};
 use entk_workload::StreamSpec;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
@@ -37,11 +37,11 @@ impl Document {
     /// Parses `text` once and loads it as the document it is; both loaders
     /// report mistakes as `workload spec line N: …` usage errors.
     pub fn from_json(text: &str) -> Result<Self, EntkError> {
-        let doc = parse_spec(text)?;
-        if doc.get("source").is_some() {
-            StreamSpec::from_parsed(text, &doc).map(Document::Stream)
+        let doc = SpecDoc::parse(text)?;
+        if doc.value.get("source").is_some() {
+            StreamSpec::from_doc(&doc).map(Document::Stream)
         } else {
-            WorkloadSpec::from_parsed(text, &doc).map(Document::Session)
+            WorkloadSpec::from_doc(&doc).map(Document::Session)
         }
     }
 }
@@ -230,26 +230,26 @@ fn bind(spec: &KernelSpec, vars: &[(&str, f64)]) -> KernelCall {
 /// run would not be the one the file describes. Only the federated backend
 /// has members; it has no per-machine queue wait or background load; the
 /// local backend runs real kernels on this host and reads `retries` alone.
-fn check_backend_keys(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
+fn check_backend_keys(doc: &SpecDoc, spec: &WorkloadSpec) -> Result<(), EntkError> {
     let tuning = &spec.tuning;
-    // Each key with whether it is set and whether the federated backend
-    // reads it; the simulated backend reads all but `federation`, the
-    // local backend none of them.
+    // Each key's pointer with whether it is set and whether the federated
+    // backend reads it; the simulated backend reads all but `federation`,
+    // the local backend none of them.
     let keys = [
-        ("federation", !spec.federation.is_empty(), true),
-        ("batch_policy", tuning.batch_policy.is_some(), true),
-        ("pilots", tuning.pilots.is_some(), true),
+        ("/federation", !spec.federation.is_empty(), true),
+        ("/tuning/batch_policy", tuning.batch_policy.is_some(), true),
+        ("/tuning/pilots", tuning.pilots.is_some(), true),
         (
-            "queue_wait_per_core",
+            "/tuning/queue_wait_per_core",
             tuning.queue_wait_per_core.is_some(),
             false,
         ),
-        ("background", tuning.background.is_some(), false),
+        ("/tuning/background", tuning.background.is_some(), false),
     ];
     let backend = spec.backend.as_str();
-    let unread = keys.iter().find(|(key, set, federated)| {
+    let unread = keys.iter().find(|(at, set, federated)| {
         *set && match backend {
-            "simulated" => *key == "federation",
+            "simulated" => *at == "/federation",
             "federated" => !federated,
             "local" => true,
             // An unknown backend is `handle`'s error.
@@ -257,9 +257,10 @@ fn check_backend_keys(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> 
         }
     });
     match unread {
-        Some((key, ..)) => {
+        Some((at, ..)) => {
+            let key = at.rsplit('/').next().unwrap_or(at);
             let msg = format!("{key} is not read by the {backend:?} backend");
-            Err(usage_at(text, key, EntkError::Usage(msg)))
+            Err(doc.usage_at(at, EntkError::Usage(msg)))
         }
         None => Ok(()),
     }
@@ -276,8 +277,8 @@ fn check_backend_keys(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> 
 /// background load that queues more jobs than the machine has cores is
 /// refused here on its line and by the handle without one (building that
 /// queue exhausted memory).
-fn check_resources(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
-    let refuse = |key: &str, msg: String| Err(usage_at(text, key, EntkError::Usage(msg)));
+fn check_resources(doc: &SpecDoc, spec: &WorkloadSpec) -> Result<(), EntkError> {
+    let refuse = |at: &str, msg: String| Err(doc.usage_at(at, EntkError::Usage(msg)));
     // Whole seconds the clock can hold; past them the wall time wrapped.
     let max_walltime = SimDuration::MAX.as_micros() / 1_000_000;
     let bad_walltime = |what: &str, secs: u64| match secs {
@@ -287,22 +288,21 @@ fn check_resources(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
     };
     if spec.backend == "local" && spec.resource.cores == 0 {
         let msg = "resource.cores must be at least 1, got 0".to_string();
-        return refuse("resource", msg);
+        return refuse("/resource/cores", msg);
     }
     if let Some(msg) = bad_walltime("walltime_secs", spec.resource.walltime_secs) {
-        return refuse("walltime_secs", msg);
+        return refuse("/resource/walltime_secs", msg);
     }
-    // Every member has the key, so point at the list and name the member.
-    let member = spec.federation.iter().enumerate().find_map(|(i, m)| {
-        bad_walltime(&format!("federation[{i}].walltime_secs"), m.walltime_secs)
-    });
-    if let Some(msg) = member {
-        return refuse("federation", msg);
+    for (i, member) in spec.federation.iter().enumerate() {
+        let what = format!("federation[{i}].walltime_secs");
+        if let Some(msg) = bad_walltime(&what, member.walltime_secs) {
+            return refuse(&format!("/federation/{i}/walltime_secs"), msg);
+        }
     }
     if let Some(per_core) = spec.tuning.queue_wait_per_core {
         if !(per_core.is_finite() && per_core >= 0.0) {
             let msg = format!("queue_wait_per_core must be finite and >= 0, got {per_core}");
-            return refuse("queue_wait_per_core", msg);
+            return refuse("/tuning/queue_wait_per_core", msg);
         }
     }
     if let Some(bg) = &spec.tuning.background {
@@ -312,12 +312,12 @@ fn check_resources(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
         ] {
             if !(value.is_finite() && value > 0.0) {
                 let msg = format!("{key} must be finite and > 0, got {value}");
-                return refuse(key, msg);
+                return refuse(&format!("/tuning/background/{key}"), msg);
             }
         }
         if bg.cores == 0 {
             let msg = "background.cores must be at least 1, got 0".to_string();
-            return refuse("background", msg);
+            return refuse("/tuning/background/cores", msg);
         }
         // Every competing job holds a core: more queued jobs than the
         // machine has cores only exhausts memory while the queue is built.
@@ -328,7 +328,7 @@ fn check_resources(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
                     "initial_jobs must be at most {cores} (the cores of {}), got {}",
                     platform.name, bg.initial_jobs
                 );
-                return refuse("initial_jobs", msg);
+                return refuse("/tuning/background/initial_jobs", msg);
             }
         }
     }
@@ -339,8 +339,9 @@ fn check_resources(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
 /// ladder that does not rise from a positive `t_min` — pointing at the
 /// key's line. The pattern constructors assert these conditions, so such a
 /// spec would otherwise panic in [`WorkloadSpec::build_pattern`].
-fn check_pattern(text: &str, pattern: &PatternSpec) -> Result<(), EntkError> {
-    let refuse = |key: &str, msg: String| Err(usage_at(text, key, EntkError::Usage(msg)));
+fn check_pattern(doc: &SpecDoc, pattern: &PatternSpec) -> Result<(), EntkError> {
+    let refuse =
+        |key: &str, msg| Err(doc.usage_at(&format!("/pattern/{key}"), EntkError::Usage(msg)));
     let at_least_one = |key: &str, count: usize| match count {
         0 => refuse(key, format!("{key} must be at least 1, got 0")),
         _ => Ok(()),
@@ -392,33 +393,35 @@ fn check_pattern(text: &str, pattern: &PatternSpec) -> Result<(), EntkError> {
 /// them for real, and one pilot's share of the largest member on the
 /// discrete-event backends, which would otherwise clamp them silently.
 /// A run would otherwise go through and report the whole stage failed.
-fn check_kernels(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
+fn check_kernels(doc: &SpecDoc, spec: &WorkloadSpec) -> Result<(), EntkError> {
     let first = 0.0;
-    let templates: Vec<(&KernelSpec, Vec<(&str, f64)>)> = match &spec.pattern {
-        PatternSpec::Bag { kernel, .. } => vec![(kernel, vec![("index", first)])],
-        PatternSpec::Pipelines { stages, .. } => stages
-            .iter()
-            .map(|kernel| (kernel, vec![("index", first)]))
+    // Each template with its pointer under `/pattern` and its first task's placeholders.
+    let index = vec![("index", first)];
+    let templates = match &spec.pattern {
+        PatternSpec::Bag { kernel, .. } => vec![("kernel".to_string(), kernel, index)],
+        PatternSpec::Pipelines { stages, .. } => (stages.iter().enumerate())
+            .map(|(i, stage)| (format!("stages/{i}"), stage, index.clone()))
             .collect(),
         PatternSpec::Sal {
             sims,
             simulation,
             analysis,
             ..
-        } => vec![
-            (simulation, vec![("index", first), ("iteration", first)]),
-            (
-                analysis,
-                vec![("iteration", first), ("n_sims", *sims as f64)],
-            ),
-        ],
+        } => {
+            let simulation_vars = vec![("index", first), ("iteration", first)];
+            let analysis_vars = vec![("iteration", first), ("n_sims", *sims as f64)];
+            vec![
+                ("simulation".to_string(), simulation, simulation_vars),
+                ("analysis".to_string(), analysis, analysis_vars),
+            ]
+        }
         PatternSpec::Exchange { t_min, kernel, .. } => {
             let vars = vec![
                 ("replica", first),
                 ("cycle", first),
                 ("temperature", *t_min),
             ];
-            vec![(kernel, vars)]
+            vec![("kernel".to_string(), kernel, vars)]
         }
     };
     let registry = KernelRegistry::with_builtins();
@@ -437,20 +440,23 @@ fn check_kernels(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
         // An unknown backend is `handle`'s error.
         _ => (0, ""),
     };
-    for (template, vars) in templates {
+    for (at, template, vars) in templates {
         let call = bind(template, &vars);
-        // On the refused argument's line, or else the template's.
-        let refuse = |key: Option<&str>, why: String| {
+        let refuse = |key: &str, why: String| {
             let msg = format!("kernel {:?}: {why}", call.plugin);
-            usage_at_key(text, &call.plugin, key, EntkError::Usage(msg))
+            doc.usage_at(&format!("/pattern/{at}/{key}"), EntkError::Usage(msg))
         };
+        // On the refused argument's line, or else the plugin's.
         registry
             .get(&call.plugin)
             .and_then(|plugin| plugin.validate(&call.args))
-            .map_err(|e| refuse(e.key.as_deref(), e.message))?;
+            .map_err(|e| match e.path.as_str() {
+                "" => refuse("plugin", e.message),
+                path => refuse(&format!("args{path}"), e.message),
+            })?;
         if slots > 0 && !(1..=slots).contains(&call.cores) {
             return Err(refuse(
-                None,
+                "cores",
                 format!(
                     "cores must be within 1..={slots} ({of}) on the {:?} backend, got {}",
                     spec.backend, call.cores
@@ -462,25 +468,24 @@ fn check_kernels(text: &str, spec: &WorkloadSpec) -> Result<(), EntkError> {
 }
 
 impl WorkloadSpec {
-    /// Parses a spec from JSON text; see [`WorkloadSpec::from_parsed`].
+    /// Parses a spec from JSON text; see [`WorkloadSpec::from_doc`].
     pub fn from_json(text: &str) -> Result<Self, EntkError> {
-        Self::from_parsed(text, &parse_spec(text)?)
+        Self::from_doc(&SpecDoc::parse(text)?)
     }
 
-    /// Reads a spec out of `doc`, the JSON `text` parsed to. Typed
-    /// deserialization refuses every key no struct takes (a typoed
-    /// `"tuning"` must not run the untuned experiment), the scheduler is
-    /// checked against its registry and the `check_*` functions refuse the
-    /// rest, each as an [`EntkError::Usage`] carrying its line in `text`.
-    pub fn from_parsed(text: &str, doc: &Value) -> Result<Self, EntkError> {
-        let spec: WorkloadSpec = typed_spec(text, doc)?;
+    /// Reads a spec out of a parsed document: typed deserialization refuses
+    /// every key no struct takes (a typoed `"tuning"` must not run the
+    /// untuned experiment), the scheduler is checked against its registry
+    /// and the `check_*` functions refuse the rest, each on its line.
+    pub fn from_doc(doc: &SpecDoc) -> Result<Self, EntkError> {
+        let spec: WorkloadSpec = doc.typed()?;
         if let Some(scheduler) = &spec.tuning.batch_policy {
-            schedulers().check(text, scheduler)?;
+            schedulers().check(doc, "/tuning/batch_policy", scheduler)?;
         }
-        check_backend_keys(text, &spec)?;
-        check_resources(text, &spec)?;
-        check_pattern(text, &spec.pattern)?;
-        check_kernels(text, &spec)?;
+        check_backend_keys(doc, &spec)?;
+        check_resources(doc, &spec)?;
+        check_pattern(doc, &spec.pattern)?;
+        check_kernels(doc, &spec)?;
         Ok(spec)
     }
 

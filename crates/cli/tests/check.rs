@@ -956,6 +956,126 @@ fn nested_mistakes_are_refused_by_check_and_by_the_verb_that_runs_them() {
     assert_eq!(left_behind, 0, "a refused document created a file");
 }
 
+/// A refusal is placed by the JSON pointer of what it refuses, not by a
+/// search of the text: each spec puts a key of the same name (or the same
+/// plugin, or the same sink) before the one at fault, and the refusal
+/// still names the line of the one at fault. The last two rows are a
+/// syntax error, refused on the line the parser stopped at, and a
+/// negative fair-share half-life, which ran as no decay at all.
+#[test]
+fn a_refusal_names_its_own_line_past_a_same_named_decoy() {
+    let cases = [
+        (
+            "decoy-stage-bytes",
+            r#"{
+              "resource": { "name": "xsede.comet", "cores": 24, "walltime_secs": 3600 },
+              "pattern": {
+                "kind": "pipelines",
+                "n": 2,
+                "stages": [
+                  { "plugin": "misc.ccount", "args": { "bytes": 1024 } },
+                  { "plugin": "misc.ccount", "args": { "bytes": "many" } }
+                ]
+              }
+            }"#,
+            8,
+            "kernel \"misc.ccount\": bytes: expected unsigned integer, got String(\"many\")",
+        ),
+        (
+            "decoy-member-walltime",
+            r#"{
+              "backend": "federated",
+              "federation": [
+                { "name": "xsede.stampede", "cores": 16, "walltime_secs": 3600 }
+              ],
+              "resource": { "name": "xsede.comet", "cores": 16, "walltime_secs": 0 },
+              "pattern": { "kind": "bag", "n": 2,
+                           "kernel": { "plugin": "misc.sleep", "args": { "secs": 1.0 } } }
+            }"#,
+            6,
+            "walltime_secs must be at least 1, got 0",
+        ),
+        (
+            "decoy-kernel-arg-n",
+            r#"{
+              "resource": { "name": "xsede.comet", "cores": 4, "walltime_secs": 3600 },
+              "pattern": {
+                "kind": "bag",
+                "kernel": { "plugin": "misc.sleep", "args": { "n": 3 } },
+                "n": 0
+              }
+            }"#,
+            6,
+            "n must be at least 1, got 0",
+        ),
+        (
+            "decoy-resource-unknown-n",
+            r#"{
+              "pattern": { "kind": "bag", "n": 2, "kernel": { "plugin": "misc.mkfile" } },
+              "resource": {
+                "n": 1,
+                "name": "xsede.comet",
+                "cores": 4,
+                "walltime_secs": 3600
+              }
+            }"#,
+            4,
+            "unknown key \"n\" (known keys: name, cores, walltime_secs)",
+        ),
+        (
+            "decoy-second-sink-path",
+            r#"{
+              "seed": 7,
+              "source": { "kind": "synthetic", "sessions": 4, "tenants": 2 },
+              "sinks": [
+                { "name": "jsonl", "params": { "path": "first.jsonl" } },
+                { "name": "jsonl", "params": { "path": 3 } }
+              ]
+            }"#,
+            6,
+            "bad params for report sink \"jsonl\": path: expected string, got ",
+        ),
+        (
+            "syntax-missing-comma",
+            "{\n  \"seed\": 7\n  \"source\": { \"kind\": \"synthetic\", \"sessions\": 4 }\n}",
+            3,
+            "bad spec: expected `}` at byte 16",
+        ),
+        (
+            "fair-share-negative-half-life",
+            r#"{
+              "seed": 7,
+              "scheduler": { "name": "fair_share", "params": { "half_life_secs": -5.0 } },
+              "source": { "kind": "synthetic", "sessions": 4, "tenants": 2 }
+            }"#,
+            3,
+            "bad params for scheduler \"fair_share\": half_life_secs: must be 0 (off) or finite \
+             and > 0, got -5.0",
+        ),
+    ];
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("check-decoys");
+    for (name, text, line, needle) in cases {
+        let path = write_spec(name, text);
+        let path = path.to_str().expect("utf-8 path");
+        let check = entk_in(&dir, &["check", path]);
+        let message = String::from_utf8_lossy(&check.stderr).into_owned();
+        assert!(!check.status.success(), "check accepted {name}");
+        let at = format!("error: usage error: workload spec line {line}: {needle}");
+        assert!(message.starts_with(&at), "{name}: {message}");
+        let verb = if text.contains("\"source\"") {
+            "serve"
+        } else {
+            "run"
+        };
+        let ran = entk_in(&dir, &[verb, path]);
+        assert!(!ran.status.success(), "{verb} accepted {name}");
+        assert!(ran.stdout.is_empty(), "{verb} {name} produced a report");
+        assert_eq!(message, String::from_utf8_lossy(&ran.stderr), "{name}");
+    }
+    let left_behind = std::fs::read_dir(&dir).expect("scratch directory").count();
+    assert_eq!(left_behind, 0, "a refused document created a file");
+}
+
 /// Runs `entk` like [`entk_in`], but kills it and fails the test once
 /// `secs` of wall time pass, so a hang costs seconds and not the suite.
 fn entk_within(dir: &Path, args: &[&str], secs: u64) -> Output {

@@ -59,9 +59,7 @@ pub use pattern::{
     ExecutionPattern, Pipeline, PstTask, PstWorkflow, SequencePattern, SimulationAnalysisLoop,
     Stage,
 };
-pub use registry::{
-    parse_spec, typed_spec, usage_at, usage_at_key, usage_at_top, ComponentSpec, NoParams, Registry,
-};
+pub use registry::{ComponentSpec, NoParams, Registry, SpecDoc};
 pub use report::{ExecutionReport, OverheadBreakdown, TaskRecord, TaskRecords};
 pub use resource::{
     run_federated, run_federated_traced, run_simulated, run_simulated_traced, ClusterSpec,

@@ -13,9 +13,12 @@
 //!   plugin takes and of their defaults. [`Registry::build`] parses the
 //!   block and calls the constructor; [`Registry::check`] parses it and
 //!   stops, which is what a spec loader asks of every component it names.
-//! * The spec-text helpers every loader reports through ([`parse_spec`],
-//!   [`typed_spec`], [`usage_at`]), so a mistake reads the same — `workload
-//!   spec line N: …` — whichever document it is in.
+//! * [`SpecDoc`], the parsed spec every loader reads and reports through:
+//!   a refusal names the JSON pointer of what it refuses
+//!   (`/pattern/stages/1/args/bytes`) and [`SpecDoc::usage_at`] reads the
+//!   line the parser recorded for it, so a mistake reads the same —
+//!   `workload spec line N: …` — whichever document it is in, and a key of
+//!   the same name earlier in the text cannot take its line.
 //! * The built-in tables [`schedulers`] and [`faults`]; the workload crate
 //!   adds admission policies, arrival sources and report sinks on the same
 //!   [`Registry`] type.
@@ -33,7 +36,7 @@ use entk_cluster::{
 };
 use entk_sim::SimDuration;
 use serde::{DeError, Deserialize, Map, Serialize};
-use serde_json::Value;
+use serde_json::{Offsets, Value};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -191,16 +194,28 @@ impl<T, C> Registry<T, C> {
 
     /// Everything [`Registry::build`] refuses short of calling the
     /// constructor — the name is registered and the params block
-    /// deserializes — so checking a sink creates no file. `text` is the
-    /// spec the component was read from: the error carries the line of the
-    /// key the params struct refused, or else of the component's name.
-    pub fn check(&self, text: &str, spec: &ComponentSpec) -> Result<(), EntkError> {
+    /// deserializes — so checking a sink creates no file. `at` is the
+    /// component's pointer in `doc` (`/sinks/1`); the error carries the
+    /// line of its unknown name, or of the key or value its params refuse.
+    pub fn check(&self, doc: &SpecDoc, at: &str, spec: &ComponentSpec) -> Result<(), EntkError> {
+        self.check_in(doc, &format!("{at}/name"), &format!("{at}/params"), spec)
+    }
+
+    /// [`Registry::check`] with the name and the params block at the
+    /// pointers given, as a stream source's `kind` and its flat params are.
+    pub fn check_in(
+        &self,
+        doc: &SpecDoc,
+        name_at: &str,
+        params_at: &str,
+        spec: &ComponentSpec,
+    ) -> Result<(), EntkError> {
         let Some(plugin) = self.plugins.get(&spec.name) else {
-            return Err(usage_at(text, &spec.name, self.unknown(&spec.name)));
+            return Err(doc.usage_at(name_at, self.unknown(&spec.name)));
         };
         (plugin.check)(&spec.params).map_err(|e| {
-            let needle = e.unknown_key().unwrap_or(&spec.name);
-            usage_at(text, needle, bad_params(self.kind, &spec.name, &e))
+            let at = format!("{params_at}{}", e.pointer());
+            doc.usage_at(&at, bad_params(self.kind, &spec.name, &e))
         })
     }
 
@@ -223,92 +238,67 @@ impl<T, C> std::fmt::Debug for Registry<T, C> {
     }
 }
 
-// ------------------------------------------------------ spec-text errors
+// --------------------------------------------------------- spec documents
 
-/// 1-based line of the first occurrence of `"needle"` (quoted) at or after
-/// byte `from` of the spec text — good enough to point at the offending key
-/// or name.
-fn line_of(text: &str, from: usize, needle: &str) -> Option<usize> {
-    let pos = from + text[from..].find(&format!("\"{needle}\""))?;
-    Some(text[..pos].bytes().filter(|&b| b == b'\n').count() + 1)
+/// A parsed spec document: its JSON value and the byte offset at which
+/// each of its members and elements starts in the text, keyed by JSON
+/// pointer. The one way from a refusal to its line is
+/// [`SpecDoc::usage_at`].
+pub struct SpecDoc<'a> {
+    text: &'a str,
+    /// Always holds `""`, the document itself: every pointer has a prefix here.
+    offsets: Offsets,
+    /// The document.
+    pub value: Value,
 }
 
-fn usage_on(line: Option<usize>, err: EntkError) -> EntkError {
-    match (line, err) {
-        (Some(line), EntkError::Usage(msg)) => {
-            EntkError::Usage(format!("workload spec line {line}: {msg}"))
-        }
-        (_, err) => err,
+/// Prefixes a usage message with the 1-based line of byte `offset` of the
+/// spec text.
+fn usage_on(text: &str, offset: usize, err: EntkError) -> EntkError {
+    let line = text.as_bytes()[..offset].split(|&b| b == b'\n').count();
+    match err {
+        EntkError::Usage(msg) => EntkError::Usage(format!("workload spec line {line}: {msg}")),
+        err => err,
     }
 }
 
-/// Prefixes a usage message with the spec line the `needle` sits on.
-/// Every spec loader reports through this, so a typo reads the same in a
-/// single-session spec and a stream spec.
-pub fn usage_at(text: &str, needle: &str, err: EntkError) -> EntkError {
-    usage_on(line_of(text, 0, needle), err)
-}
-
-/// 1-based line of the top-level object's key `"key"`: a quoted `key` at
-/// nesting depth 1 followed by a colon. Strings are skipped whole, so a
-/// value or a nested object's key of the same name is not it.
-fn top_level_line(text: &str, key: &str) -> Option<usize> {
-    let bytes = text.as_bytes();
-    let (mut depth, mut line, mut i) = (0usize, 1, 0);
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\n' => line += 1,
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => depth = depth.saturating_sub(1),
-            b'"' => {
-                let start = i + 1;
-                i = start;
-                while i < bytes.len() && bytes[i] != b'"' {
-                    i += if bytes[i] == b'\\' { 2 } else { 1 };
-                }
-                let rest = text.get(i + 1..).unwrap_or_default().trim_start();
-                if depth == 1 && text.get(start..i) == Some(key) && rest.starts_with(':') {
-                    return Some(line);
-                }
-            }
-            _ => {}
-        }
-        i += 1;
+impl<'a> SpecDoc<'a> {
+    /// Parses a spec document's text; a syntax error is refused on the line
+    /// the parser stopped at.
+    pub fn parse(text: &'a str) -> Result<Self, EntkError> {
+        let (value, offsets) = serde_json::from_str_located(text).map_err(|e| {
+            let err = EntkError::Usage(format!("bad spec: {e}"));
+            usage_on(text, e.offset.unwrap_or(0), err)
+        })?;
+        Ok(SpecDoc {
+            text,
+            offsets,
+            value,
+        })
     }
-    None
-}
 
-/// [`usage_at`] for a key of the document's top-level object, which a
-/// nested object's key of the same name may precede in the text.
-pub fn usage_at_top(text: &str, key: &str, err: EntkError) -> EntkError {
-    let line = top_level_line(text, key).or_else(|| line_of(text, 0, key));
-    usage_on(line, err)
-}
+    /// Reads the typed spec `T` out of the document. A key that `T` or a
+    /// type inside it refuses fails on its line, with the keys that exist:
+    /// a typo must fail, not run a different experiment than the file
+    /// describes. A value that does not read fails on its line too.
+    pub fn typed<T: Deserialize>(&self) -> Result<T, EntkError> {
+        T::from_value(&self.value).map_err(|e| {
+            let bad = if e.is_unknown_key() { "" } else { "bad spec: " };
+            self.usage_at(e.pointer(), EntkError::Usage(format!("{bad}{e}")))
+        })
+    }
 
-/// [`usage_at`] for a key of the object that names `owner` (a kernel
-/// template names its plugin): the line of the first `"key"` after the
-/// first `"owner"` — a top-level `"seed"` is not a kernel's — or the
-/// owner's own line when there is no such key.
-pub fn usage_at_key(text: &str, owner: &str, key: Option<&str>, err: EntkError) -> EntkError {
-    let from = text.find(&format!("\"{owner}\"")).unwrap_or(0);
-    let line = key.and_then(|key| line_of(text, from, key));
-    usage_on(line.or_else(|| line_of(text, from, owner)), err)
-}
-
-/// Parses a spec document's text into JSON.
-pub fn parse_spec(text: &str) -> Result<Value, EntkError> {
-    serde_json::from_str(text).map_err(|e| EntkError::Usage(format!("bad spec: {e}")))
-}
-
-/// Reads the typed spec `T` out of the document `doc` that was parsed from
-/// `text`. A key that `T` or a type inside it refuses fails with its line
-/// and the keys that exist: a typo must fail, not run a different
-/// experiment than the file describes.
-pub fn typed_spec<T: Deserialize>(text: &str, doc: &Value) -> Result<T, EntkError> {
-    T::from_value(doc).map_err(|e| match e.unknown_key() {
-        Some(key) => usage_at(text, key, EntkError::Usage(e.to_string())),
-        None => EntkError::Usage(format!("bad spec: {e}")),
-    })
+    /// Prefixes a usage message with the line of the value at JSON pointer
+    /// `at` (`/policy/params/half_life_secs`), or of the deepest member or
+    /// element holding it that the document has. Every spec loader reports
+    /// through this, so a mistake reads the same in a single-session spec
+    /// and a stream spec.
+    pub fn usage_at(&self, mut at: &str, err: EntkError) -> EntkError {
+        while !self.offsets.contains_key(at) {
+            at = &at[..at.rfind('/').unwrap_or(0)];
+        }
+        usage_on(self.text, self.offsets[at], err)
+    }
 }
 
 // ------------------------------------------------------- batch schedulers
@@ -317,15 +307,26 @@ pub fn typed_spec<T: Deserialize>(text: &str, doc: &Value) -> Result<T, EntkErro
 #[derive(Debug, Clone, Deserialize)]
 #[serde(deny_unknown_fields)]
 struct FairShareParams {
-    /// Usage half-life in seconds.
+    /// Usage half-life in seconds; `0` disables decay.
     #[serde(default = "default_half_life")]
-    half_life_secs: f64,
+    half_life_secs: HalfLifeSecs,
 }
 
-fn default_half_life() -> f64 {
+fn default_half_life() -> HalfLifeSecs {
     // Matches the pre-registry hard-wired FairShareScheduler::new(3600.0),
     // keeping golden traces for `"batch_policy": "fair_share"` byte-identical.
-    3600.0
+    HalfLifeSecs(3600.0)
+}
+
+/// A usage `half_life_secs` the ledger can mean: a negative one ran as no
+/// decay at all, which is what 0 asks for.
+#[derive(Debug, Clone, Copy)]
+struct HalfLifeSecs(f64);
+
+impl Deserialize for HalfLifeSecs {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        off_or_finite(v, |secs| secs > 0.0, "> 0").map(HalfLifeSecs)
+    }
 }
 
 /// Params of the `priority_aging` scheduler plugin.
@@ -366,7 +367,7 @@ pub fn schedulers() -> &'static Registry<SchedulerFactory> {
         });
         r.register("fair_share", |_: &(), p: FairShareParams| {
             Ok(SchedulerFactory::new("fair_share", move || {
-                Box::new(FairShareScheduler::new(p.half_life_secs))
+                Box::new(FairShareScheduler::new(p.half_life_secs.0))
             }))
         });
         r.register("priority_aging", |_: &(), p: PriorityAgingParams| {
@@ -577,9 +578,10 @@ mod tests {
         let mut r: Registry<f64> = Registry::new("gadget");
         r.register("half_life", |_: &(), p: FairShareParams| {
             BUILT.fetch_add(1, Ordering::Relaxed);
-            Ok(p.half_life_secs)
+            Ok(p.half_life_secs.0)
         });
         let text = "{\n  \"name\": \"half_life\",\n  \"params\": { \"half_life_sec\": 1.0 }\n}";
+        let doc = SpecDoc::parse(text).unwrap();
         let spec = |name: &str, params: &str| {
             ComponentSpec::with_params(name, serde_json::from_str(params).unwrap())
         };
@@ -588,29 +590,34 @@ mod tests {
             (spec("half_life", "{}"), true),
             (spec("half_life", r#"{"half_life_secs": 60.0}"#), true),
             (spec("half_life", r#"{"half_life_secs": "soon"}"#), false),
+            (spec("half_life", r#"{"half_life_secs": -5.0}"#), false),
             (spec("half_life", r#"{"half_life_sec": 1.0}"#), false),
             (spec("half_life", "3"), false),
             (ComponentSpec::named("quarter_life"), false),
         ] {
             let before = BUILT.load(Ordering::Relaxed);
-            let checked = r.check(text, &case);
+            let checked = r.check(&doc, "", &case);
             assert_eq!(BUILT.load(Ordering::Relaxed), before, "check constructed");
             assert_eq!(checked.is_ok(), accepted, "{case:?}: {checked:?}");
             assert_eq!(r.build(&case, &()).is_ok(), accepted, "{case:?}");
         }
         assert_eq!(r.build_named("half_life", &()).unwrap(), 3600.0);
-        // The refused key's own line; a refused value or name points at the name.
-        let err = r.check(text, &spec("half_life", r#"{"half_life_sec": 1.0}"#));
+        // The refused key's own line; a refused block points at the block,
+        // an unknown name at the name.
+        let err = r.check(&doc, "", &spec("half_life", r#"{"half_life_sec": 1.0}"#));
         assert_eq!(
             err.unwrap_err().to_string(),
             "usage error: workload spec line 3: bad params for gadget \"half_life\": \
              unknown key \"half_life_sec\" (known keys: half_life_secs)"
         );
-        let err = r
-            .check(text, &spec("half_life", "3"))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("workload spec line 2: bad params"), "{err}");
+        let err = r.check(&doc, "", &spec("half_life", "3")).unwrap_err();
+        assert!(err.to_string().contains("line 3: bad params"), "{err}");
+        let err = r.check(&doc, "", &ComponentSpec::named("quarter_life"));
+        let err = err.unwrap_err().to_string();
+        assert!(
+            err.contains("line 2: unknown gadget \"quarter_life\""),
+            "{err}"
+        );
     }
 
     #[test]
@@ -637,6 +644,6 @@ mod tests {
     fn fair_share_default_matches_legacy_half_life() {
         // The hard-wired pre-registry constant; golden traces depend on it.
         let omitted: FairShareParams = parse_params(&Value::Null).unwrap();
-        assert_eq!(omitted.half_life_secs, 3600.0);
+        assert_eq!(omitted.half_life_secs.0, 3600.0);
     }
 }

@@ -397,24 +397,24 @@ mod tests {
     #[test]
     fn md_validation_rejects_nonsense() {
         let k = MdKernel::gromacs();
-        for (args, key) in [
-            (json!({ "steps": 0 }), "steps"),
-            (json!({ "n_atoms": 0 }), "n_atoms"),
-            (json!({ "record_every": 0 }), "record_every"),
-            (json!({ "temperature": -1.0 }), "temperature"),
-            (json!({ "stepz": 5 }), "stepz"),
-            (json!({ "steps": 5.5 }), "steps"),
-            (json!({ "start": [[0.0, "x"]] }), "start"),
+        for (args, path) in [
+            (json!({ "steps": 0 }), "/steps"),
+            (json!({ "n_atoms": 0 }), "/n_atoms"),
+            (json!({ "record_every": 0 }), "/record_every"),
+            (json!({ "temperature": -1.0 }), "/temperature"),
+            (json!({ "stepz": 5 }), "/stepz"),
+            (json!({ "steps": 5.5 }), "/steps"),
+            (json!({ "start": [[0.0, "x"]] }), "/start/0/1"),
         ] {
             let err = k.validate(&args).unwrap_err();
-            assert_eq!(err.key.as_deref(), Some(key), "{err}");
+            assert_eq!(err.path, path, "{err}");
             // Every face refuses what `validate` does, before drawing.
             let mut r = rng();
             let planned = k.plan(&args, 1, &PlatformSpec::comet(), &mut r);
             assert_eq!(planned.unwrap_err(), err);
             assert_eq!(k.execute_model(&args, &mut r).unwrap_err(), err);
             assert_eq!(k.execute(&args).unwrap_err(), err);
-            assert_eq!(r.uniform(), rng().uniform(), "{key} drew from the rng");
+            assert_eq!(r.uniform(), rng().uniform(), "{path} drew from the rng");
         }
         assert!(k.validate(&json!({})).is_ok());
         // An integer reads where a float is declared.

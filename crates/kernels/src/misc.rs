@@ -363,7 +363,7 @@ mod tests {
         for secs in [-5.0, 1e300] {
             let args = json!({ "secs": secs });
             let err = SleepKernel.validate(&args).unwrap_err();
-            assert_eq!(err.key.as_deref(), Some("secs"), "{err}");
+            assert_eq!(err.path, "/secs", "{err}");
             assert_eq!(SleepKernel.execute(&args).unwrap_err(), err);
         }
         let plan = SleepKernel

@@ -33,9 +33,11 @@ use std::fmt;
 pub struct KernelError {
     /// What went wrong.
     pub message: String,
-    /// The argument at fault, when it is one argument: a spec loader points
-    /// at its line.
-    pub key: Option<String>,
+    /// The JSON pointer of the value at fault within the arguments
+    /// (`/start/0/1`; [`serde::DeError::pointer`] of a value that did not
+    /// read), or `""` when no one argument is: a spec loader appends it to
+    /// the template's `args` and points at that line.
+    pub path: String,
 }
 
 impl fmt::Display for KernelError {
@@ -51,7 +53,7 @@ impl KernelError {
     pub fn new(msg: impl Into<String>) -> Self {
         KernelError {
             message: msg.into(),
-            key: None,
+            path: String::new(),
         }
     }
 
@@ -59,7 +61,7 @@ impl KernelError {
     pub fn arg(key: &str, why: impl fmt::Display) -> Self {
         KernelError {
             message: format!("{key} {why}"),
-            key: Some(key.to_string()),
+            path: format!("/{key}"),
         }
     }
 }
@@ -153,7 +155,7 @@ pub(crate) fn parse<A: Args>(args: &Value) -> Result<A, KernelError> {
     };
     let parsed = parsed.map_err(|e| KernelError {
         message: e.to_string(),
-        key: e.key().map(str::to_string),
+        path: e.pointer().to_string(),
     })?;
     parsed.check()?;
     Ok(parsed)
@@ -257,15 +259,19 @@ mod tests {
 
     #[test]
     fn parse_refuses_wrong_types() {
-        for (args, key) in [
-            (json!({"a": "not a number"}), "a"),
-            (json!({"a": 1.0, "b": 2.5}), "b"),
-            (json!({"a": 1.0, "b": "2"}), "b"),
-            (json!({"a": 1.0, "b": -2}), "b"),
-            (json!({"a": 1.0, "rows": [[1.0], ["bad"]]}), "rows"),
+        for (args, key, path) in [
+            (json!({"a": "not a number"}), "a", "/a"),
+            (json!({"a": 1.0, "b": 2.5}), "b", "/b"),
+            (json!({"a": 1.0, "b": "2"}), "b", "/b"),
+            (json!({"a": 1.0, "b": -2}), "b", "/b"),
+            (
+                json!({"a": 1.0, "rows": [[1.0], ["bad"]]}),
+                "rows",
+                "/rows/1/0",
+            ),
         ] {
             let err = parse::<Probe>(&args).unwrap_err();
-            assert_eq!(err.key.as_deref(), Some(key), "{err}");
+            assert_eq!(err.path, path, "{err}");
             assert!(
                 err.message.starts_with(&format!("{key}: expected ")),
                 "{err}"
@@ -276,7 +282,7 @@ mod tests {
     #[test]
     fn parse_refuses_unknown_keys_naming_the_declared_ones() {
         let err = parse::<Probe>(&json!({"a": 1.0, "bb": 2})).unwrap_err();
-        assert_eq!(err.key.as_deref(), Some("bb"));
+        assert_eq!(err.path, "/bb");
         assert_eq!(
             err.message,
             "unknown key \"bb\" (known keys: a, b, c, rows)"
@@ -297,7 +303,7 @@ mod tests {
             assert_eq!(outcome.is_ok(), ok, "{a}: {outcome:?}");
         }
         let err = parse::<Probe>(&json!({"a": -5.0, "b": 1})).unwrap_err();
-        assert_eq!(err.key.as_deref(), Some("a"));
+        assert_eq!(err.path, "/a");
         assert_eq!(
             err.message,
             "a must be finite, >= 0 and below 1.8e13 s, got -5.0"

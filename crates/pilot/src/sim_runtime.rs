@@ -549,14 +549,14 @@ impl SimRuntime {
         }
     }
 
-    /// Completes a pilot gracefully: releases the allocation back to the
-    /// batch system (used by the resource handle's `deallocate`).
+    /// Completes a pilot at `deallocate`, handing back its allocation and the unit table's room.
     pub fn finish_pilot<E: RuntimeEventSink>(
         &mut self,
         id: PilotId,
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
+        self.units.rows.shrink_to_fit();
         let Some(p) = self.pilots.get(id.0 as usize) else {
             return;
         };

@@ -36,10 +36,7 @@ use crate::service::{
 use crate::sink::{sinks, ReportSink};
 use crate::trace::{CsvTrace, HotTenantTrace, SyntheticTrace};
 use entk_core::registry::{faults, schedulers};
-use entk_core::{
-    parse_spec, typed_spec, usage_at, usage_at_key, usage_at_top, ComponentSpec, EntkError,
-    Registry,
-};
+use entk_core::{ComponentSpec, EntkError, Registry, SpecDoc};
 use serde::{DeError, Deserialize, Serialize};
 use serde_json::Value;
 use std::sync::OnceLock;
@@ -253,31 +250,31 @@ pub fn sources() -> &'static Registry<Box<dyn ArrivalStream>, SourceCtx> {
 
 impl StreamSpec {
     /// Parses and validates a spec from JSON text; see
-    /// [`StreamSpec::from_parsed`].
+    /// [`StreamSpec::from_doc`].
     pub fn from_json(text: &str) -> Result<Self, EntkError> {
-        Self::from_parsed(text, &parse_spec(text)?)
+        Self::from_doc(&SpecDoc::parse(text)?)
     }
 
-    /// Reads a spec out of `doc`, the JSON `text` parsed to: typed
-    /// deserialization refuses every key no struct takes, each named
-    /// component is checked against its registry (the name is registered,
-    /// the params block deserializes; nothing is constructed, so no sink
-    /// file is created), and values no run can mean are refused. Every
-    /// failure is an [`EntkError::Usage`] carrying its line in `text`.
-    pub fn from_parsed(text: &str, doc: &Value) -> Result<Self, EntkError> {
-        let spec: StreamSpec = typed_spec(text, doc)?;
-        admission_policies().check(text, &spec.policy)?;
+    /// Reads a spec out of a parsed document: typed deserialization
+    /// refuses every key no struct takes, each named component is checked
+    /// against its registry (the name is registered, the params block
+    /// deserializes; nothing is constructed, so no sink file is created),
+    /// and values no run can mean are refused. Every failure is an
+    /// [`EntkError::Usage`] carrying its line in the text.
+    pub fn from_doc(doc: &SpecDoc) -> Result<Self, EntkError> {
+        let spec: StreamSpec = doc.typed()?;
+        admission_policies().check(doc, "/policy", &spec.policy)?;
         if let Some(scheduler) = &spec.scheduler {
-            schedulers().check(text, scheduler)?;
+            schedulers().check(doc, "/scheduler", scheduler)?;
         }
         if let Some(fault) = &spec.fault {
-            faults().check(text, fault)?;
+            faults().check(doc, "/fault", fault)?;
         }
-        for sink in &spec.sinks {
-            sinks().check(text, sink)?;
+        for (i, sink) in spec.sinks.iter().enumerate() {
+            sinks().check(doc, &format!("/sinks/{i}"), sink)?;
         }
-        sources().check(text, &spec.source.component())?;
-        spec.check_values(text, doc)?;
+        sources().check_in(doc, "/source/kind", "/source", &spec.source.component())?;
+        spec.check_values(doc)?;
         Ok(spec)
     }
 
@@ -290,47 +287,44 @@ impl StreamSpec {
     /// `saturation` without a queue bound, a top-level `half_life_secs`
     /// no fair policy takes), pointing at their line.
     /// [`ServiceEngine`] repeats the value checks for configs built in code.
-    fn check_values(&self, text: &str, doc: &Value) -> Result<(), EntkError> {
-        check_failure_rate(self.unit_failure_rate)
-            .map_err(|e| usage_at(text, "unit_failure_rate", e))?;
-        check_slots(self.slots).map_err(|e| usage_at(text, "slots", e))?;
-        check_queue_depth(self.max_queue_depth)
-            .map_err(|e| usage_at(text, "max_queue_depth", e))?;
-        SaturationMode::parse(&self.saturation).map_err(|e| usage_at(text, "saturation", e))?;
-        let unread = |key: &str, msg: String| usage_at_top(text, key, EntkError::Usage(msg));
-        if doc.get("saturation").is_some() && self.max_queue_depth.is_none() {
+    fn check_values(&self, doc: &SpecDoc) -> Result<(), EntkError> {
+        let at = |pointer: &'static str| move |e| doc.usage_at(pointer, e);
+        check_failure_rate(self.unit_failure_rate).map_err(at("/unit_failure_rate"))?;
+        check_slots(self.slots).map_err(at("/slots"))?;
+        check_queue_depth(self.max_queue_depth).map_err(at("/max_queue_depth"))?;
+        SaturationMode::parse(&self.saturation).map_err(at("/saturation"))?;
+        if doc.value.get("saturation").is_some() && self.max_queue_depth.is_none() {
             let msg = "saturation is not read without a max_queue_depth".to_string();
-            return Err(unread("saturation", msg));
+            return Err(at("/saturation")(EntkError::Usage(msg)));
         }
-        match self.backend().map_err(|e| usage_at(text, "backend", e))? {
+        match self.backend().map_err(at("/backend"))? {
             StreamBackend::Federated { members } => {
-                check_members(members).map_err(|e| usage_at(text, "members", e))?
+                check_members(members).map_err(at("/members"))?
             }
-            StreamBackend::Simulated if doc.get("members").is_some() => {
+            StreamBackend::Simulated if doc.value.get("members").is_some() => {
                 let msg = format!("members is not read by the {:?} backend", self.backend);
-                return Err(unread("members", msg));
+                return Err(at("/members")(EntkError::Usage(msg)));
             }
             StreamBackend::Simulated => {}
         }
         let policy = admission_policies()
             .build(&self.policy, &())
-            .map_err(|e| usage_at(text, &self.policy.name, e))?;
-        check_half_life(self.half_life_secs)
-            .map_err(|e| usage_at_top(text, "half_life_secs", e))?;
-        check_half_life(policy.half_life_secs())
-            .map_err(|e| usage_at_key(text, "policy", Some("half_life_secs"), e))?;
+            .map_err(at("/policy"))?;
+        check_half_life(self.half_life_secs).map_err(at("/half_life_secs"))?;
+        check_half_life(policy.half_life_secs()).map_err(at("/policy/params/half_life_secs"))?;
         let by = match policy {
             AdmissionPolicy::Fifo => Some("the fifo policy"),
             _ => (policy.half_life_secs() != 0.0).then_some("a fair policy that sets its own"),
         };
-        if let (Some(by), Some(_)) = (by, doc.get("half_life_secs")) {
+        if let (Some(by), Some(_)) = (by, doc.value.get("half_life_secs")) {
             let msg = format!("half_life_secs is not read by {by}");
-            return Err(unread("half_life_secs", msg));
+            return Err(at("/half_life_secs")(EntkError::Usage(msg)));
         }
-        check_resource(&self.resource).map_err(|e| usage_at(text, &self.resource, e))?;
+        check_resource(&self.resource).map_err(at("/resource"))?;
         for key in ["mean_interarrival_secs", "mean_gap_secs"] {
             if let Some(secs) = self.source.decl.get(key).and_then(Value::as_f64) {
-                check_mean_gap(key, secs).map_err(|e| usage_at(text, key, e))?;
+                check_mean_gap(key, secs)
+                    .map_err(|e| doc.usage_at(&format!("/source/{key}"), e))?;
             }
         }
         Ok(())
@@ -541,7 +535,7 @@ mod tests {
     fn check_agrees_with_build_over_every_table_and_creates_nothing() {
         fn agree<T, C>(r: &Registry<T, C>, ctx: &C, name: &str, params: &str, accepted: bool) {
             let spec = ComponentSpec::with_params(name, serde_json::from_str(params).unwrap());
-            let checked = r.check("", &spec);
+            let checked = r.check(&SpecDoc::parse("{}").unwrap(), "", &spec);
             assert_eq!(checked.is_ok(), accepted, "{name} {params}: {checked:?}");
             assert_eq!(r.build(&spec, ctx).is_ok(), accepted, "{name} {params}");
         }
@@ -590,7 +584,7 @@ mod tests {
         let with_path = format!(r#"{{"path": {:?}}}"#, path.to_str().unwrap());
         let spec = ComponentSpec::with_params("jsonl", serde_json::from_str(&with_path).unwrap());
         sinks()
-            .check("", &spec)
+            .check(&SpecDoc::parse("{}").unwrap(), "", &spec)
             .expect("a path is all a jsonl sink needs");
         assert!(!path.exists(), "check created the sink's file");
         let period = |secs: &str| with_path.replace('}', &format!(r#", "period_secs": {secs}}}"#));
