@@ -178,12 +178,12 @@ pub trait ExecutionBackend {
 
     /// Phase one of submission: validate and bind each spec, drawing cost
     /// samples from `rng` in spec order. Returns one entry per spec —
-    /// `None` when accepted (and staged for [`ExecutionBackend::commit_batch`]),
-    /// or `Some(reason)` when rejected. Staged units replace any prior
-    /// uncommitted batch.
+    /// `None` when accepted (for the next [`ExecutionBackend::commit_batch`]
+    /// to submit), or `Some(reason)` when rejected. Each prepare is
+    /// followed by its commit.
     fn prepare_batch(&mut self, specs: &[UnitSpec], rng: &mut SimRng) -> Vec<Option<String>>;
 
-    /// Phase two: hands the staged batch to the runtime(s). Returns
+    /// Phase two: submits the prepared batch to the runtime(s). Returns
     /// `(uid, unit key)` pairs in the original spec order.
     fn commit_batch(&mut self) -> Vec<(u64, u64)>;
 

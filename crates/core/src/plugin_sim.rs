@@ -66,7 +66,6 @@ use entk_sim::{
     TelemetryBuffer,
 };
 use std::collections::VecDeque;
-use std::ops::Range;
 
 /// Top-level event type of the simulated toolkit stack. Session-level
 /// events (everything but `Rt`/`Cl`) are scheduled on the session engine: a
@@ -353,19 +352,13 @@ fn translate_notes(
     dead
 }
 
-/// What `prepare_batch` and `commit_batch` work in, kept from one batch to
-/// the next so that a batch allocates nothing here. Each vector is emptied
-/// for its next use and freed if a large batch grew it (see [`recycle`]).
+/// What `prepare_batch` and `commit_batch` work in. The per-member
+/// vectors are kept from one batch to the next.
 #[derive(Default)]
 struct BatchScratch {
-    /// Units staged by the last prepare, in batch order: uid and member.
-    staged: Vec<(u64, usize)>,
-    /// Per member, the descriptions of its staged units in batch order,
-    /// submitted as they are in one call.
-    descriptions: Vec<Vec<UnitDescription>>,
-    /// Per member, the runtime ids its submission returned, taken in batch
-    /// order as the keys are built.
-    ids: Vec<Range<u64>>,
+    /// `(uid, unit key)` of each unit the last prepare put into its
+    /// member's unit table, in batch order; `commit_batch` hands it over.
+    keys: Vec<(u64, u64)>,
     /// Free cores per member when the batch was prepared.
     free: Vec<usize>,
     /// `free` less the cores of the batch's units placed so far.
@@ -733,24 +726,21 @@ impl ExecutionBackend for EventBackend {
     fn prepare_batch(&mut self, specs: &[UnitSpec], rng: &mut SimRng) -> Vec<Option<String>> {
         let batch_size = specs.len();
         let BatchScratch {
-            staged,
-            descriptions,
+            keys,
             free,
             remaining,
             max_unit,
             alive,
-            ..
         } = &mut self.scratch;
-        recycle(staged);
-        // Sized once: a large batch grown by doubling leaves a trail of
-        // freed blocks that raises the resident high-water mark. A member
-        // gets its even share, which late binding gives it while capacity
-        // is balanced, not the whole batch each.
-        staged.reserve(batch_size);
-        descriptions.resize_with(self.clusters.len(), Vec::new);
-        for member in descriptions.iter_mut() {
-            recycle(member);
-            member.reserve(batch_size.div_ceil(self.clusters.len()));
+        // Each accepted unit goes straight into its member's unit table,
+        // sized once for the batch: a table grown by doubling copies itself
+        // and leaves a trail of freed blocks that raises the resident
+        // high-water mark. A member gets its even share, which late binding
+        // gives it while capacity is balanced, not the whole batch each.
+        *keys = Vec::with_capacity(batch_size);
+        let n = self.clusters.len();
+        for stack in &mut self.clusters {
+            stack.runtime.reserve_units(batch_size.div_ceil(n));
         }
         // Free-capacity snapshots: `free` (what binding policies see) stays
         // fixed for the whole batch, exactly as the single-cluster driver
@@ -799,62 +789,33 @@ impl ExecutionBackend for EventBackend {
                 input_bytes: plan.input_bytes,
                 output_bytes: plan.output_bytes,
             };
-            if ud.validate().is_err() {
+            let Ok(id) = self.clusters[c].runtime.push_unit(&ud) else {
                 // Nothing but this rejection ever prints a simulated
                 // unit's name, so only this path pays for formatting it.
                 ud.name = format!("{}:{}", spec.stage, spec.uid);
                 verdicts.push(ud.validate().err());
                 continue;
-            }
+            };
             remaining[c] -= bound_cores as i64;
-            staged.push((spec.uid, c));
-            descriptions[c].push(ud);
+            keys.push((spec.uid, id * n as u64 + c as u64));
             verdicts.push(None);
         }
         verdicts
     }
 
     fn commit_batch(&mut self) -> Vec<(u64, u64)> {
-        let BatchScratch {
-            staged,
-            descriptions,
-            ids,
-            ..
-        } = &mut self.scratch;
-        ids.clear();
-        for (stack, batch) in self.clusters.iter_mut().zip(descriptions.iter_mut()) {
-            if batch.is_empty() {
-                ids.push(0..0);
+        // The prepared units are in their members' tables; each member
+        // with any submits them as one call. The runtime sends no
+        // notification for a submission.
+        for stack in &mut self.clusters {
+            if !stack.runtime.has_unsealed_units() {
                 continue;
             }
-            // Everything in `batch` passed `UnitDescription::validate`
-            // during prepare, so the runtime cannot reject it. It sends no
-            // notification for a submission: the id range it returns names
-            // the new units.
             stack.engine.advance_to(self.global_now);
-            let mut ctx = stack.engine.context();
-            match stack
-                .runtime
-                .submit_units(&batch[..], &mut ctx, &mut stack.notes)
-            {
-                Ok(range) => ids.push(range),
-                Err(e) => {
-                    debug_assert!(false, "descriptions validated in prepare: {e}");
-                    ids.push(0..0);
-                }
-            }
+            stack.runtime.seal_units(&mut stack.engine.context());
             stack.push_injection();
-            recycle(batch);
         }
-        let n = self.clusters.len() as u64;
-        let mut keys = Vec::with_capacity(staged.len());
-        keys.extend(
-            staged
-                .iter()
-                .filter_map(|&(uid, c)| Some((uid, ids[c].next()? * n + c as u64))),
-        );
-        recycle(staged);
-        keys
+        std::mem::take(&mut self.scratch.keys)
     }
 
     fn arm_timeout(&mut self, uid: u64, timeout: SimDuration) {

@@ -34,53 +34,107 @@ struct Attempt {
 // A row is what every task of an ensemble keeps resident beside its record.
 const _: () = assert!(std::mem::size_of::<Attempt>() <= 32);
 
-/// The task table, one `TaskRecord` per uid: the finished runs' rows, as
-/// the blocks every report shares, then the running pattern's rows.
+/// Rows of the first block a trickle of small batches opens; each further
+/// block of the same trickle is twice the last.
+const TRICKLE_ROWS: usize = 16;
+
+/// The task table, one `TaskRecord` per uid, with the attempt column beside
+/// the rows of the tasks that may still be (re)submitted. Rows live in
+/// blocks that never move, so no table is copied to grow: a batch that does
+/// not fit the last block's room opens a new block, of the batch's exact
+/// size or, for a trickle of small batches, of twice the trickle's last
+/// block. A run's blocks freeze into the blocks every report shares.
 #[derive(Default)]
 struct TaskTable {
+    /// The finished runs' blocks.
     frozen: TaskRecords,
-    /// Uid of `current[0]`: the number of frozen rows.
-    base: usize,
-    current: Vec<TaskRecord>,
+    /// The running pattern's blocks.
+    open: Vec<Vec<TaskRecord>>,
+    /// Uid of each block's first row, frozen blocks first.
+    starts: Vec<usize>,
+    /// The attempt column of the blocks from `attempts_from` on.
+    attempts: Vec<Vec<Attempt>>,
+    attempts_from: usize,
+    /// Rows of the last block if a trickle opened it, else 0.
+    trickle: usize,
 }
 
 impl TaskTable {
     fn len(&self) -> usize {
-        self.base + self.current.len()
+        self.frozen.len() + self.open.iter().map(Vec::len).sum::<usize>()
+    }
+
+    /// Block and row of `uid`, by binary search over the block starts.
+    fn locate(&self, uid: u64) -> Option<(usize, usize)> {
+        let uid = usize::try_from(uid).ok()?;
+        let block = self.starts.partition_point(|&s| s <= uid).checked_sub(1)?;
+        let row = uid - self.starts[block];
+        (row < self.block(block).len()).then_some((block, row))
+    }
+
+    fn block(&self, block: usize) -> &[TaskRecord] {
+        match block.checked_sub(self.frozen.0.len()) {
+            Some(open) => &self.open[open],
+            None => &self.frozen.0[block],
+        }
     }
 
     fn get(&self, uid: u64) -> Option<&TaskRecord> {
-        match (uid as usize).checked_sub(self.base) {
-            Some(row) => self.current.get(row),
-            None => self.frozen.iter().nth(uid as usize),
-        }
+        let (block, row) = self.locate(uid)?;
+        Some(&self.block(block)[row])
     }
 
     /// A row to write. A frozen row is first copied out of the reports that
     /// share its block, which only a task still live when its run ended, or
     /// a unit event that outlives its run, asks for.
     fn get_mut(&mut self, uid: u64) -> Option<&mut TaskRecord> {
-        if let Some(row) = (uid as usize).checked_sub(self.base) {
-            return self.current.get_mut(row);
-        }
-        let mut row = uid as usize;
-        for block in &mut self.frozen.0 {
-            if row < block.len() {
-                return Some(&mut Arc::make_mut(block)[row]);
-            }
-            row -= block.len();
-        }
-        None
+        let (block, row) = self.locate(uid)?;
+        Some(match block.checked_sub(self.frozen.0.len()) {
+            Some(open) => &mut self.open[open][row],
+            None => &mut Arc::make_mut(&mut self.frozen.0[block])[row],
+        })
     }
 
-    /// Freezes the running pattern's rows into one block.
-    fn freeze(&mut self) {
-        if !self.current.is_empty() {
-            let mut rows = std::mem::take(&mut self.current);
-            rows.shrink_to_fit();
-            self.base += rows.len();
-            self.frozen.0.push(Arc::new(rows));
+    /// The attempt row of task `uid`; `None` once its run ended.
+    fn attempt(&mut self, uid: u64) -> Option<&mut Attempt> {
+        let (block, row) = self.locate(uid)?;
+        let column = block.checked_sub(self.attempts_from)?;
+        self.attempts.get_mut(column)?.get_mut(row)
+    }
+
+    /// The last block's two columns, with room for `rows` more rows.
+    fn room(&mut self, rows: usize) -> (&mut Vec<TaskRecord>, &mut Vec<Attempt>) {
+        if !matches!(self.open.last(), Some(b) if b.capacity() - b.len() >= rows) {
+            let trickle = (2 * self.trickle).max(TRICKLE_ROWS);
+            self.trickle = if rows < trickle { trickle } else { 0 };
+            let capacity = rows.max(self.trickle);
+            self.starts.push(self.len());
+            self.open.push(Vec::with_capacity(capacity));
+            self.attempts.push(Vec::with_capacity(capacity));
         }
+        let records = self.open.last_mut().expect("a block is open");
+        (records, self.attempts.last_mut().expect("beside its block"))
+    }
+
+    /// Freezes the running pattern's blocks into the ones the reports
+    /// share, without copying a row. Only a partly filled trickle block is
+    /// shrunk. With `drop_attempts` (no task live) the attempt column goes
+    /// too: nothing can (re)submit a task of the run.
+    fn freeze(&mut self, drop_attempts: bool) {
+        if let Some(last) = self.open.last_mut() {
+            last.shrink_to_fit();
+        }
+        self.frozen.0.extend(self.open.drain(..).map(Arc::new));
+        self.trickle = 0;
+        if drop_attempts {
+            self.attempts = Vec::new();
+            self.attempts_from = self.starts.len();
+        }
+    }
+
+    /// The records in uid order.
+    fn rows(&self) -> impl Iterator<Item = &TaskRecord> {
+        self.frozen.iter().chain(self.open.iter().flatten())
     }
 }
 
@@ -174,14 +228,9 @@ pub struct SessionEngine {
     /// Shared trace pipeline; the same handle the backend's layers
     /// record into, so all layers append to one interleaved record.
     telemetry: SharedTelemetry,
-    /// The task table: the records the reports carry. `deallocate` moves
-    /// it into the session report.
+    /// The task table: the records the reports carry and the attempt
+    /// column. `deallocate` moves its records into the session report.
     table: TaskTable,
-    /// The per-attempt column of the task table, indexed by uid less
-    /// `attempts_base`. A run ends with no task live, so its rows go with
-    /// it and the column only ever covers the current run.
-    attempts: Vec<Attempt>,
-    attempts_base: usize,
     unit_to_task: UnitTasks,
     /// Id of the next spawn batch; pairs `tasks_created`/`tasks_submitted`
     /// trace events so pattern overhead can be re-derived from the trace.
@@ -220,8 +269,6 @@ impl SessionEngine {
             retry_rng: SimRng::seed_from_u64(seed ^ 0xBAC0_0FF5),
             telemetry,
             table: TaskTable::default(),
-            attempts: Vec::new(),
-            attempts_base: 0,
             unit_to_task: UnitTasks::default(),
             next_batch: 0,
             live_tasks: 0,
@@ -352,14 +399,9 @@ impl SessionEngine {
                 }
             }
         }
-        // The run's records freeze into the block the reports share. With
-        // no task live, nothing can (re)submit a task of this run, so its
-        // attempt rows go now rather than at `deallocate`.
-        self.table.freeze();
-        if self.live_tasks == 0 {
-            self.attempts_base = self.table.len();
-            self.attempts = Vec::new();
-        }
+        // The run's records freeze into the blocks the reports share. With
+        // no task live, its attempt rows go now rather than at `deallocate`.
+        self.table.freeze(self.live_tasks == 0);
         Ok(())
     }
 
@@ -388,20 +430,13 @@ impl SessionEngine {
         self.state = SessionState::Deallocated;
         // Nothing runs after this, so the task table itself becomes the
         // session report's records instead of being copied into it.
-        self.table.freeze();
-        let records = std::mem::take(&mut self.table.frozen);
-        self.attempts = Vec::new();
+        self.table.freeze(true);
+        let records = std::mem::take(&mut self.table).frozen;
         self.unit_to_task = UnitTasks::default();
         Ok(self.report("session", backend, records))
     }
 
     // -------------------------------------------------------------- tasks
-
-    /// The attempt row of task `uid`; `None` once its run ended.
-    fn attempt(&mut self, uid: u64) -> Option<&mut Attempt> {
-        let row = (uid as usize).checked_sub(self.attempts_base)?;
-        self.attempts.get_mut(row)
-    }
 
     /// Registers pattern-emitted tasks and schedules their submission after
     /// the EnTK pattern overhead (zero on real-time backends, which pay no
@@ -425,12 +460,11 @@ impl SessionEngine {
         self.telemetry
             .record(now, "entk", "tasks_created", Subject::Batch(batch));
         let mut uids = Vec::with_capacity(tasks.len());
-        reserve_batch(&mut self.table.current, tasks.len());
-        reserve_batch(&mut self.attempts, tasks.len());
-        for task in tasks {
-            let uid = self.table.len() as u64;
-            self.live_tasks += 1;
-            self.table.current.push(TaskRecord {
+        let first = self.table.len() as u64;
+        self.live_tasks += tasks.len();
+        let (records, attempts) = self.table.room(tasks.len());
+        for (uid, task) in (first..).zip(tasks) {
+            records.push(TaskRecord {
                 uid,
                 tag: task.tag,
                 stage: task.stage,
@@ -442,7 +476,7 @@ impl SessionEngine {
                 retries: 0,
                 lost_to_failures: SimDuration::ZERO,
             });
-            self.attempts.push(Attempt {
+            attempts.push(Attempt {
                 kernel: Some(task.kernel),
                 current: None,
             });
@@ -463,11 +497,10 @@ impl SessionEngine {
         let mut specs = std::mem::take(&mut self.specs);
         specs.reserve(uids.len());
         specs.extend(uids.iter().filter_map(|&uid| {
-            let row = (uid as usize).checked_sub(self.attempts_base)?;
             Some(UnitSpec {
                 uid,
+                kernel: self.table.attempt(uid)?.kernel.clone()?,
                 stage: self.table.get(uid)?.stage.clone(),
-                kernel: self.attempts[row].kernel.clone()?,
             })
         }));
         if !specs.is_empty() {
@@ -497,7 +530,7 @@ impl SessionEngine {
         }
         reserve_batch(&mut self.unit_to_task.slots, specs.len());
         for (uid, key) in backend.commit_batch() {
-            let Some(attempt) = self.attempt(uid) else {
+            let Some(attempt) = self.table.attempt(uid) else {
                 continue;
             };
             attempt.current = Some((key, now));
@@ -512,7 +545,7 @@ impl SessionEngine {
 
     /// Stamps task `uid` terminal at `now` and releases its kernel.
     fn finish(&mut self, uid: u64, now: SimTime, success: bool) -> &TaskRecord {
-        if let Some(attempt) = self.attempt(uid) {
+        if let Some(attempt) = self.table.attempt(uid) {
             attempt.kernel = None;
         }
         let record = self.table.get_mut(uid).expect("a known task");
@@ -549,7 +582,7 @@ impl SessionEngine {
         let Some(timeout) = self.fault.task_timeout else {
             return;
         };
-        let Some((key, started)) = self.attempt(uid).and_then(|a| a.current) else {
+        let Some((key, started)) = self.table.attempt(uid).and_then(|a| a.current) else {
             return;
         };
         let finished = self.table.get(uid).is_some_and(|r| r.finished.is_some());
@@ -579,6 +612,7 @@ impl SessionEngine {
             return;
         }
         let lost = self
+            .table
             .attempt(uid)
             .and_then(|a| a.current.take())
             .map(|(_, started)| now.saturating_since(started))
@@ -629,8 +663,7 @@ impl SessionEngine {
         // a bug we'd rather stop than loop on.
         for _ in 0..10_000 {
             // Uid order by construction: the table is indexed by uid.
-            let rows = self.table.frozen.iter().chain(&self.table.current);
-            let live: Vec<u64> = rows
+            let live: Vec<u64> = (self.table.rows())
                 .filter(|r| r.finished.is_none())
                 .map(|r| r.uid)
                 .collect();
@@ -638,7 +671,7 @@ impl SessionEngine {
                 break;
             }
             for uid in live {
-                let started = self.attempt(uid).and_then(|a| a.current.take());
+                let started = self.table.attempt(uid).and_then(|a| a.current.take());
                 if started.is_some() {
                     self.telemetry
                         .record(now, "entk", "task_attempt_failed", Subject::Task(uid));
@@ -765,8 +798,7 @@ impl SessionEngine {
         time: SimTime,
         backend: &mut dyn ExecutionBackend,
     ) {
-        let row = (uid as usize).checked_sub(self.attempts_base);
-        let attempt = row.and_then(|row| self.attempts.get(row));
+        let attempt = self.table.attempt(uid);
         let Some(kernel) = attempt.and_then(|a| a.kernel.as_ref()) else {
             return;
         };
@@ -818,5 +850,115 @@ impl SessionEngine {
             partial: self.degraded || self.failed_tasks > 0,
             events: stats.events,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pushes `n` rows as one batch, the way `spawn_tasks` does.
+    fn push(table: &mut TaskTable, n: usize) {
+        let first = table.len() as u64;
+        let (records, attempts) = table.room(n);
+        for uid in first..first + n as u64 {
+            records.push(TaskRecord {
+                uid,
+                tag: uid,
+                stage: Arc::from("s"),
+                created: SimTime::ZERO,
+                exec_start: None,
+                exec_stop: None,
+                finished: None,
+                success: false,
+                retries: 0,
+                lost_to_failures: SimDuration::ZERO,
+            });
+            attempts.push(Attempt {
+                kernel: None,
+                current: Some((uid, SimTime::ZERO)),
+            });
+        }
+    }
+
+    fn capacities(table: &TaskTable) -> Vec<usize> {
+        table.open.iter().map(Vec::capacity).collect()
+    }
+
+    #[test]
+    fn a_row_never_moves_when_the_table_grows() {
+        let mut table = TaskTable::default();
+        push(&mut table, 1_000);
+        let row0: *const TaskRecord = table.get(0).unwrap();
+        for _ in 0..100 {
+            push(&mut table, 1);
+        }
+        push(&mut table, 5_000);
+        push(&mut table, 3);
+        assert!(std::ptr::eq(row0, table.get(0).unwrap()));
+        // A batch gets its exact size; a trickle starts small and doubles,
+        // and starts small again after a batch.
+        assert_eq!(capacities(&table), [1_000, 16, 32, 64, 5_000, 16]);
+        assert_eq!(table.len(), 6_103);
+    }
+
+    #[test]
+    fn lookups_cross_block_boundaries() {
+        let mut table = TaskTable::default();
+        for n in [7, 1, 1, 20, 40, 1] {
+            push(&mut table, n);
+        }
+        let check = |table: &mut TaskTable, attempts: std::ops::Range<u64>| {
+            for uid in 0..table.len() as u64 {
+                assert_eq!(table.get(uid).map(|r| r.uid), Some(uid));
+                let attempt = table.attempt(uid).and_then(|a| a.current);
+                assert_eq!(
+                    attempt.map(|(key, _)| key),
+                    attempts.contains(&uid).then_some(uid)
+                );
+            }
+            let past = table.len() as u64;
+            assert!(table.get(past).is_none() && table.attempt(past).is_none());
+        };
+        check(&mut table, 0..70);
+        // A run that ends with no task live takes its attempt column along;
+        // the next run's rows follow in new blocks.
+        table.freeze(true);
+        check(&mut table, 0..0);
+        push(&mut table, 3);
+        push(&mut table, 30);
+        check(&mut table, 70..103);
+        table.get_mut(69).unwrap().retries = 5;
+        assert_eq!(table.get(69).unwrap().retries, 5);
+        table.attempt(102).unwrap().current = None;
+        assert!(table.attempt(102).unwrap().current.is_none());
+    }
+
+    #[test]
+    fn freeze_hands_each_block_to_the_reports_without_a_copy() {
+        let mut table = TaskTable::default();
+        push(&mut table, 100);
+        push(&mut table, 1);
+        push(&mut table, 1);
+        let batch = table.open[0].as_ptr();
+        table.freeze(true);
+        // The batch block is the same memory; the partly filled trickle
+        // block is shrunk to its rows.
+        assert_eq!(table.frozen.0[0].as_ptr(), batch);
+        assert_eq!(table.frozen.0[1].capacity(), 2);
+        // A report is handles to the table's blocks.
+        let report = table.frozen.clone();
+        assert_eq!(report.len(), 102);
+        for (block, ours) in report.0.iter().zip(&table.frozen.0) {
+            assert!(Arc::ptr_eq(block, ours));
+        }
+        for uid in [0, 99, 100, 101] {
+            assert!(std::ptr::eq(&report[uid], table.get(uid as u64).unwrap()));
+        }
+        // A row written after its run ended is copied out of the shared
+        // block; the report keeps what it was handed.
+        table.get_mut(100).unwrap().retries = 1;
+        assert_eq!(report[100].retries, 0);
+        assert!(std::ptr::eq(&report[0], table.get(0).unwrap()));
     }
 }

@@ -24,7 +24,7 @@ pub enum RuntimeEvent {
     /// Pilot submission overhead paid; submit the container job.
     PilotSubmitted(PilotId),
     /// Unit submission overhead paid; the units of this contiguous raw id
-    /// range (one [`SimRuntime::submit_units`] call) enter scheduling.
+    /// range (one [`SimRuntime::seal_units`] call) enter scheduling.
     UnitsSubmitted(Range<u64>),
     /// Run a unit-scheduler pass.
     SchedulePass,
@@ -178,6 +178,8 @@ const _: () = assert!(std::mem::size_of::<UnitRecord>() <= 64);
 struct Units {
     base: u64,
     rows: VecDeque<UnitRecord>,
+    /// The units below this id are sealed ([`SimRuntime::seal_units`]).
+    sealed: u64,
 }
 
 impl Units {
@@ -444,11 +446,10 @@ impl SimRuntime {
         Ok(id)
     }
 
-    /// Submits a batch of units. Per-call and per-unit submission overheads
-    /// are paid before the units become schedulable. Returns the contiguous
-    /// range of raw [`UnitId`]s assigned, in description order, each in
-    /// [`UnitState::New`] with its `unit_submitted` trace record; that range,
-    /// not `_out`, tells the caller.
+    /// Submits a batch of units: [`Self::push_unit`] each after all are
+    /// valid, then [`Self::seal_units`]. Returns the contiguous range of raw
+    /// [`UnitId`]s assigned, in description order; that range, not `_out`,
+    /// tells the caller.
     pub fn submit_units<E: RuntimeEventSink>(
         &mut self,
         descriptions: impl AsRef<[UnitDescription]>,
@@ -459,44 +460,67 @@ impl SimRuntime {
         for d in descriptions {
             d.validate()?;
         }
-        let n = descriptions.len() as u64;
-        let first = self.units.next_id();
-        let ids = first..first + n;
-        entk_sim::reserve_batch(&mut self.units.rows, descriptions.len());
-        for description in descriptions {
-            let id = UnitId(self.units.next_id());
-            self.units.rows.push_back(UnitRecord {
-                duration: description.duration,
-                input_bytes: description.input_bytes,
-                output_bytes: description.output_bytes,
-                exec: Exec::Idle,
-                // Past `u32::MAX` a unit fits no pilot either way.
-                cores: description.cores.try_into().unwrap_or(u32::MAX),
-                holding: 0,
-                pilot: NO_PILOT,
-                waiting_slot: None,
-                state: UnitState::New,
-                collected: false,
-            });
-            self.live += 1;
-            let event = UnitState::trace_event(None, UnitState::New);
-            let event = event.expect("a submitted unit is recorded");
-            self.telemetry
-                .record(ctx.now(), "pilot", event, Subject::Unit(id.0));
+        self.reserve_units(descriptions.len());
+        for d in descriptions {
+            self.push_unit(d)?;
         }
-        let fixed = self
-            .config
-            .overheads
-            .unit_submit_fixed
-            .sample(&mut self.rng);
-        let per = self
-            .config
-            .overheads
-            .unit_submit_per_unit
-            .sample(&mut self.rng);
-        let delay = SimDuration::from_secs_f64(fixed + per * n as f64);
+        Ok(self.seal_units(ctx))
+    }
+
+    /// Makes room in the unit table for a batch of `n` units.
+    pub fn reserve_units(&mut self, n: usize) {
+        entk_sim::reserve_batch(&mut self.units.rows, n);
+    }
+
+    /// Puts a valid unit into the table, in [`UnitState::New`], unsealed:
+    /// it is not submitted, traced or scheduled until [`Self::seal_units`].
+    /// Returns its raw id.
+    pub fn push_unit(&mut self, description: &UnitDescription) -> Result<u64, String> {
+        description.validate()?;
+        // Past the room `reserve_units` made, grow by a quarter.
+        entk_sim::reserve_batch(&mut self.units.rows, 1);
+        let id = self.units.next_id();
+        self.units.rows.push_back(UnitRecord {
+            duration: description.duration,
+            input_bytes: description.input_bytes,
+            output_bytes: description.output_bytes,
+            exec: Exec::Idle,
+            // Past `u32::MAX` a unit fits no pilot either way.
+            cores: description.cores.try_into().unwrap_or(u32::MAX),
+            holding: 0,
+            pilot: NO_PILOT,
+            waiting_slot: None,
+            state: UnitState::New,
+            collected: false,
+        });
+        self.live += 1;
+        Ok(id)
+    }
+
+    /// True when a unit was pushed and not yet sealed.
+    pub fn has_unsealed_units(&self) -> bool {
+        self.units.sealed < self.units.next_id()
+    }
+
+    /// Submits the units pushed since the last seal as one call: records
+    /// each one's `unit_submitted` in id order, and pays the per-call and
+    /// per-unit submission overheads before they become schedulable.
+    /// Returns their id range.
+    pub fn seal_units<E: RuntimeEventSink>(&mut self, ctx: &mut Context<'_, E>) -> Range<u64> {
+        let ids = self.units.sealed..self.units.next_id();
+        self.units.sealed = ids.end;
+        let event = UnitState::trace_event(None, UnitState::New);
+        let event = event.expect("a submitted unit is recorded");
+        for id in ids.clone() {
+            self.telemetry
+                .record(ctx.now(), "pilot", event, Subject::Unit(id));
+        }
+        let overheads = &self.config.overheads;
+        let fixed = overheads.unit_submit_fixed.sample(&mut self.rng);
+        let per = overheads.unit_submit_per_unit.sample(&mut self.rng);
+        let delay = SimDuration::from_secs_f64(fixed + per * (ids.end - ids.start) as f64);
         ctx.schedule_in(delay, RuntimeEvent::UnitsSubmitted(ids.clone()));
-        Ok(ids)
+        ids
     }
 
     /// Cancels a unit that has not finished.

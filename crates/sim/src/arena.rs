@@ -39,7 +39,7 @@ table!(Vec);
 table!(VecDeque);
 
 /// Makes room in a per-entity table for a batch of `additional` rows whose
-/// size the caller knows (a pattern's task count, a unit submission).
+/// size the caller knows (a unit submission, the units entering scheduling).
 ///
 /// `Vec::reserve` would round the request up to twice the capacity: a
 /// 200 001-row table ends at 262 144 or 400 000 slots, and every doubling

@@ -9,10 +9,10 @@
 //! given build, so the bounds are budgets, not timing floors: a task that
 //! starts cloning its kernel or its stage label again, a report that copies
 //! the task table instead of sharing it, a batch staged twice on its way to
-//! the runtime, a table that goes back to doubling, a federation member
-//! that hands the session a heap object per event, a unit row that
-//! outlives its task, or a unit table that keeps its widest batch's room
-//! past deallocation, fails here.
+//! the runtime, a table that goes back to doubling, a table copied to grow,
+//! a federation member that hands the session a heap object per event, a
+//! unit row that outlives its task, or a unit table that keeps its widest
+//! batch's room past deallocation, fails here.
 
 use entk_core::{
     ClusterSpec, EnsembleOfPipelines, FederatedConfig, ResourceConfig, ResourceHandle,
@@ -24,13 +24,14 @@ use serde_json::json;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Forwards to the system allocator, counting calls, live bytes and their
-/// high-water mark.
+/// Forwards to the system allocator, counting calls, live bytes, their
+/// high-water mark, and the largest block a growing `realloc` started from.
 struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+static GROWN_FROM: AtomicUsize = AtomicUsize::new(0);
 
 fn grow(bytes: usize) {
     let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
@@ -56,7 +57,10 @@ unsafe impl GlobalAlloc for Counting {
         // shrinkage) only, not both blocks at once.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         match new_size.checked_sub(layout.size()) {
-            Some(growth) => grow(growth),
+            Some(growth) => {
+                GROWN_FROM.fetch_max(layout.size(), Ordering::Relaxed);
+                grow(growth)
+            }
             None => {
                 LIVE_BYTES.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
             }
@@ -79,15 +83,20 @@ struct Budget {
     peak_bytes: f64,
 }
 
+/// The largest block a growing `realloc` may start from in one body. A
+/// table copied to grow starts from all its rows: a 10^4-row task table is
+/// 1 040 000 B.
+const GROWN_FROM_BUDGET: usize = 400_000;
+
 const SIMULATED: Budget = Budget {
     allocations: 7.9,
     live_bytes: 139.0,
-    peak_bytes: 266.0,
+    peak_bytes: 234.0,
 };
 const FEDERATED: Budget = Budget {
     allocations: 7.7,
     live_bytes: 150.0,
-    peak_bytes: 277.0,
+    peak_bytes: 247.0,
 };
 
 fn sleep_call() -> KernelCall {
@@ -103,6 +112,7 @@ fn body_stays_within(name: &str, budget: Budget, build: impl FnOnce() -> Resourc
     let allocations_before = ALLOCATIONS.load(Ordering::Relaxed);
     let live_before = LIVE_BYTES.load(Ordering::Relaxed);
     PEAK_BYTES.store(live_before, Ordering::Relaxed);
+    GROWN_FROM.store(0, Ordering::Relaxed);
 
     let mut eop = EnsembleOfPipelines::new(TASKS_PER_PATTERN, 1, |_, _| sleep_call());
     let mut sal = SimulationAnalysisLoop::new(
@@ -123,6 +133,7 @@ fn body_stays_within(name: &str, budget: Budget, build: impl FnOnce() -> Resourc
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations_before;
     let live = LIVE_BYTES.load(Ordering::Relaxed) - live_before;
     let peak = PEAK_BYTES.load(Ordering::Relaxed) - live_before;
+    let grown_from = GROWN_FROM.load(Ordering::Relaxed);
 
     let tasks = session.task_count();
     assert_eq!(tasks, 2 * TASKS_PER_PATTERN + 1);
@@ -132,7 +143,8 @@ fn body_stays_within(name: &str, budget: Budget, build: impl FnOnce() -> Resourc
     let peak_per_task = peak as f64 / tasks as f64;
     println!(
         "{name}: allocations/task {allocations_per_task:.2}, live bytes/task \
-         {live_per_task:.0}, peak live bytes/task {peak_per_task:.0}"
+         {live_per_task:.1}, peak live bytes/task {peak_per_task:.1}, largest \
+         block grown {grown_from} B"
     );
     assert!(
         allocations_per_task <= budget.allocations,
@@ -148,6 +160,10 @@ fn body_stays_within(name: &str, budget: Budget, build: impl FnOnce() -> Resourc
         peak_per_task <= budget.peak_bytes,
         "{name}: {peak_per_task:.0} peak live bytes per task exceed the budget of {}",
         budget.peak_bytes
+    );
+    assert!(
+        grown_from <= GROWN_FROM_BUDGET,
+        "{name}: a {grown_from} B block was copied to grow, past {GROWN_FROM_BUDGET} B"
     );
 }
 
