@@ -211,9 +211,11 @@ impl Cluster {
 
     /// Schedules the next Poisson crash tick if one isn't in flight, the
     /// profile has an MTBF, there is a live job to disturb, and at least
-    /// one node is still up. No-op (and no RNG draw) otherwise.
+    /// one node is still up. No-op (and no RNG draw) otherwise; without
+    /// random crashes it returns before it scans the job table.
     fn arm_fault_tick<E: From<ClusterEvent>>(&mut self, ctx: &mut Context<'_, E>) {
-        if self.fault_tick_armed || !self.has_live_jobs() || !self.alloc.any_node_up() {
+        let crashes = self.fault.as_ref().is_some_and(|f| f.crashes_at_random());
+        if !crashes || self.fault_tick_armed || !self.has_live_jobs() || !self.alloc.any_node_up() {
             return;
         }
         if let Some(gap) = self.fault.as_mut().and_then(|f| f.next_crash_gap()) {

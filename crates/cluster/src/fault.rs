@@ -128,10 +128,15 @@ impl FaultInjector {
         }
     }
 
+    /// True when nodes crash at random (the profile has a node MTBF).
+    pub fn crashes_at_random(&self) -> bool {
+        self.profile.node_mtbf_secs > 0.0
+    }
+
     /// Samples the gap to the next random crash; `None` when the Poisson
     /// process is disabled.
     pub fn next_crash_gap(&mut self) -> Option<SimDuration> {
-        if self.profile.node_mtbf_secs > 0.0 {
+        if self.crashes_at_random() {
             let gap = self.rng.exponential(self.profile.node_mtbf_secs);
             Some(SimDuration::from_secs_f64(gap.max(1e-3)))
         } else {

@@ -15,8 +15,8 @@ use crate::pattern::ExecutionPattern;
 use crate::report::{ExecutionReport, OverheadBreakdown, TaskRecord, TaskRecords};
 use crate::task::{Task, TaskResult};
 use entk_kernels::KernelCall;
-use entk_sim::{reserve_batch, SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
-use std::collections::VecDeque;
+use entk_sim::arena::Window;
+use entk_sim::{SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
 use std::num::NonZeroU64;
 use std::sync::Arc;
 
@@ -138,51 +138,6 @@ impl TaskTable {
     }
 }
 
-/// Backend unit key → uid of the task whose current attempt it runs: a
-/// window of 8-byte slots from the least mapped key to the greatest
-/// (`slots[i]` is key `base + i`; the uid is stored plus one, so an empty
-/// slot is the zero niche). Leading empty slots leave on `take`, so the
-/// map spans the keys in flight, not every key the session handed out.
-#[derive(Default)]
-struct UnitTasks {
-    base: u64,
-    slots: VecDeque<Option<NonZeroU64>>,
-}
-
-impl UnitTasks {
-    fn insert(&mut self, key: u64, uid: u64) {
-        if self.slots.is_empty() {
-            self.base = key;
-        }
-        // A federation's members hand out keys at their own pace, so a new
-        // key may sit below the window.
-        while key < self.base {
-            self.slots.push_front(None);
-            self.base -= 1;
-        }
-        let idx = (key - self.base) as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
-        }
-        self.slots[idx] = NonZeroU64::new(uid + 1);
-    }
-
-    fn get(&self, key: u64) -> Option<u64> {
-        let slot = key.checked_sub(self.base)? as usize;
-        Some(self.slots.get(slot).copied()??.get() - 1)
-    }
-
-    fn take(&mut self, key: u64) -> Option<u64> {
-        let slot = key.checked_sub(self.base)? as usize;
-        let uid = self.slots.get_mut(slot)?.take()?.get() - 1;
-        while self.slots.front() == Some(&None) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        Some(uid)
-    }
-}
-
 /// The result a pattern receives for a task that failed terminally.
 fn failed(record: &TaskRecord, reason: &str) -> TaskResult {
     TaskResult::failed(record.tag, record.stage.clone(), reason)
@@ -231,7 +186,12 @@ pub struct SessionEngine {
     /// The task table: the records the reports carry and the attempt
     /// column. `deallocate` moves its records into the session report.
     table: TaskTable,
-    unit_to_task: UnitTasks,
+    /// Backend unit key → uid of the task whose current attempt it runs,
+    /// as a window of 8-byte slots over the keys in flight (the uid is
+    /// stored plus one, so a vacant slot is the zero niche). A federation's
+    /// members hand out keys at their own pace, so a new key may sit below
+    /// the window.
+    unit_to_task: Window<NonZeroU64>,
     /// Id of the next spawn batch; pairs `tasks_created`/`tasks_submitted`
     /// trace events so pattern overhead can be re-derived from the trace.
     next_batch: u64,
@@ -269,7 +229,7 @@ impl SessionEngine {
             retry_rng: SimRng::seed_from_u64(seed ^ 0xBAC0_0FF5),
             telemetry,
             table: TaskTable::default(),
-            unit_to_task: UnitTasks::default(),
+            unit_to_task: Window::default(),
             next_batch: 0,
             live_tasks: 0,
             failed_tasks: 0,
@@ -432,7 +392,7 @@ impl SessionEngine {
         // session report's records instead of being copied into it.
         self.table.freeze(true);
         let records = std::mem::take(&mut self.table).frozen;
-        self.unit_to_task = UnitTasks::default();
+        self.unit_to_task = Window::default();
         Ok(self.report("session", backend, records))
     }
 
@@ -528,7 +488,7 @@ impl SessionEngine {
                 self.fail_unsubmittable(spec.uid, now);
             }
         }
-        reserve_batch(&mut self.unit_to_task.slots, specs.len());
+        self.unit_to_task.reserve(specs.len());
         for (uid, key) in backend.commit_batch() {
             let Some(attempt) = self.table.attempt(uid) else {
                 continue;
@@ -536,7 +496,8 @@ impl SessionEngine {
             attempt.current = Some((key, now));
             self.telemetry
                 .record(now, "entk", "task_submitted", Subject::Task(uid));
-            self.unit_to_task.insert(key, uid);
+            self.unit_to_task
+                .insert(key, NonZeroU64::MIN.saturating_add(uid));
             if let Some(timeout) = self.fault.task_timeout {
                 backend.arm_timeout(uid, timeout);
             }
@@ -732,19 +693,19 @@ impl SessionEngine {
                     }
                 }
                 BackendEvent::UnitStarted { key, time } => {
-                    let uid = self.unit_to_task.get(key);
+                    let uid = self.unit_to_task.get(key).map(|t| t.get() - 1);
                     if let Some(r) = uid.and_then(|uid| self.table.get_mut(uid)) {
                         r.exec_start = Some(time);
                     }
                 }
                 BackendEvent::UnitDone { key, time } => {
-                    let Some(uid) = self.unit_to_task.take(key) else {
+                    let Some(uid) = self.unit_to_task.take(key).map(|t| t.get() - 1) else {
                         continue;
                     };
                     self.complete_task(uid, key, time, backend);
                 }
                 BackendEvent::UnitFailed { key, time, reason } => {
-                    let Some(uid) = self.unit_to_task.take(key) else {
+                    let Some(uid) = self.unit_to_task.take(key).map(|t| t.get() - 1) else {
                         continue;
                     };
                     self.retry_or_fail(uid, &reason, time, backend.virtual_time());

@@ -14,9 +14,9 @@ use entk_cluster::{
     BatchJobDescription, BatchJobId, BatchJobState, Cluster, ClusterEvent, ClusterNotification,
     FifoScheduler, PlatformSpec,
 };
+use entk_sim::arena::{self, Window};
 use entk_sim::{Context, SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
-use std::collections::VecDeque;
-use std::ops::{Index, IndexMut, Range};
+use std::ops::Range;
 
 /// Events the runtime schedules for itself.
 #[derive(Debug, Clone)]
@@ -136,10 +136,6 @@ struct UnitRecord {
     /// Slot in the persistent waiting list while in `Scheduling`.
     waiting_slot: Option<u32>,
     state: UnitState,
-    /// The caller took the terminal unit's last reading
-    /// ([`SimRuntime::collect_unit`]); the row waits only for the rows in
-    /// front of it to leave.
-    collected: bool,
 }
 
 /// [`UnitRecord::pilot`] of a unit not placed on any pilot.
@@ -168,71 +164,10 @@ impl Exec {
 
 // A row is what every live task of an ensemble keeps resident in this
 // layer.
-const _: () = assert!(std::mem::size_of::<UnitRecord>() <= 64);
+const _: () = assert!(std::mem::size_of::<Option<UnitRecord>>() <= 64);
 
-/// The unit table: a window over the ids from the oldest unit not yet
-/// collected to the newest. `rows[i]` is unit `base + i`, so ids stay raw
-/// and monotone and lookup stays a subtraction and an index; a collected
-/// row reads as absent, and collected rows leave from the front.
-#[derive(Default)]
-struct Units {
-    base: u64,
-    rows: VecDeque<UnitRecord>,
-    /// The units below this id are sealed ([`SimRuntime::seal_units`]).
-    sealed: u64,
-}
-
-impl Units {
-    /// The id the next submitted unit gets.
-    fn next_id(&self) -> u64 {
-        self.base + self.rows.len() as u64
-    }
-
-    fn get(&self, id: UnitId) -> Option<&UnitRecord> {
-        let row = self.rows.get(id.0.checked_sub(self.base)? as usize)?;
-        (!row.collected).then_some(row)
-    }
-
-    fn get_mut(&mut self, id: UnitId) -> Option<&mut UnitRecord> {
-        let row = self.rows.get_mut(id.0.checked_sub(self.base)? as usize)?;
-        (!row.collected).then_some(row)
-    }
-
-    /// The rows not yet collected, with their ids, in id order.
-    fn live(&self) -> impl Iterator<Item = (UnitId, &UnitRecord)> {
-        (self.base..)
-            .map(UnitId)
-            .zip(&self.rows)
-            .filter(|(_, u)| !u.collected)
-    }
-
-    /// Marks a terminal unit's row collected and lets the collected rows
-    /// at the front leave.
-    fn collect(&mut self, id: UnitId) -> Option<SimTime> {
-        let unit = self.get_mut(id).filter(|u| u.state.is_terminal())?;
-        unit.collected = true;
-        let stop = unit.exec.stopped();
-        while self.rows.front().is_some_and(|u| u.collected) {
-            self.rows.pop_front();
-            self.base += 1;
-        }
-        stop
-    }
-}
-
-impl Index<UnitId> for Units {
-    type Output = UnitRecord;
-
-    fn index(&self, id: UnitId) -> &UnitRecord {
-        self.get(id).expect("a unit not yet collected")
-    }
-}
-
-impl IndexMut<UnitId> for Units {
-    fn index_mut(&mut self, id: UnitId) -> &mut UnitRecord {
-        self.get_mut(id).expect("a unit not yet collected")
-    }
-}
+/// What a unit table lookup expects of an id the caller still drives.
+const HELD: &str = "a unit not yet collected";
 
 /// Driver event bound: the top-level enum must absorb both runtime and
 /// cluster events.
@@ -250,15 +185,19 @@ pub struct SimRuntime {
     // Dense slab stores indexed by the raw id, which is assigned
     // sequentially: no hashing on the per-event hot path, and iteration is
     // in id order (deterministic without sorting). Pilots are few and never
-    // removed; a unit's row leaves once its caller collected it and every
-    // older unit's row has left, so the unit table follows the live width.
+    // removed. The unit table is a window from the oldest unit not yet
+    // collected to the newest: a unit's row leaves when its caller collects
+    // it and every older row has left, so the table follows the live width.
     pilots: Vec<PilotRecord>,
-    units: Units,
+    units: Window<UnitRecord>,
+    /// The units below this id are sealed ([`Self::seal_units`]).
+    sealed: u64,
     /// Persistent waiting list in submission order. Placed, cancelled, and
     /// failed entries become tombstones instead of being spliced out (no
     /// per-placement `retain`); `compact_waiting` skips leading tombstones
     /// and rebuilds once dead entries outnumber live ones, keeping scans
-    /// amortized O(live).
+    /// amortized O(live). A submission compacts it before it grows, so
+    /// growing never copies the tombstones of the batches before.
     waiting: Vec<UnitView>,
     /// First slot that may hold a live entry.
     waiting_head: usize,
@@ -320,7 +259,8 @@ impl SimRuntime {
             config,
             scheduler: Box::new(FirstFitScheduler),
             pilots: Vec::new(),
-            units: Units::default(),
+            units: Window::default(),
+            sealed: 0,
             waiting: Vec::new(),
             waiting_head: 0,
             waiting_live: 0,
@@ -358,24 +298,25 @@ impl SimRuntime {
 
     /// Current state of a unit; `None` once it was collected.
     pub fn unit_state(&self, id: UnitId) -> Option<UnitState> {
-        self.units.get(id).map(|u| u.state)
+        self.units.get(id.0).map(|u| u.state)
     }
 
     /// When a unit's execution finished; `None` until it has, and once the
     /// unit was collected.
     pub fn unit_exec_stop(&self, id: UnitId) -> Option<SimTime> {
-        self.units.get(id)?.exec.stopped()
+        self.units.get(id.0)?.exec.stopped()
     }
 
-    /// Takes a terminal unit's last reading: returns when its execution
-    /// stopped (`None` if it never finished executing) and marks its row
-    /// collected, after which the unit reads as absent to every query. A
-    /// row leaves the table once it and every older row are collected, so
-    /// a caller that collects each unit as it ends keeps only the live
-    /// width resident; one that never collects keeps every row. `None`,
-    /// and nothing collected, for a unit not terminal or already collected.
+    /// Takes a terminal unit's row out of the unit window and returns when
+    /// its execution stopped (`None` if it never finished executing); the
+    /// unit then reads as absent to every query. The window's slot leaves
+    /// once every older slot has, so a caller that collects each unit as it
+    /// ends keeps only the live width resident; one that never collects
+    /// keeps every row. `None`, and nothing taken, for a unit not terminal
+    /// or already collected.
     pub fn collect_unit(&mut self, id: UnitId) -> Option<SimTime> {
-        self.units.collect(id)
+        self.units.get(id.0).filter(|u| u.state.is_terminal())?;
+        self.units.take(id.0)?.exec.stopped()
     }
 
     /// A pilot's submission overhead (accepted → container job submitted)
@@ -469,7 +410,7 @@ impl SimRuntime {
 
     /// Makes room in the unit table for a batch of `n` units.
     pub fn reserve_units(&mut self, n: usize) {
-        entk_sim::reserve_batch(&mut self.units.rows, n);
+        self.units.reserve(n);
     }
 
     /// Puts a valid unit into the table, in [`UnitState::New`], unsealed:
@@ -477,10 +418,8 @@ impl SimRuntime {
     /// Returns its raw id.
     pub fn push_unit(&mut self, description: &UnitDescription) -> Result<u64, String> {
         description.validate()?;
-        // Past the room `reserve_units` made, grow by a quarter.
-        entk_sim::reserve_batch(&mut self.units.rows, 1);
-        let id = self.units.next_id();
-        self.units.rows.push_back(UnitRecord {
+        let id = self.units.end();
+        let row = UnitRecord {
             duration: description.duration,
             input_bytes: description.input_bytes,
             output_bytes: description.output_bytes,
@@ -491,15 +430,16 @@ impl SimRuntime {
             pilot: NO_PILOT,
             waiting_slot: None,
             state: UnitState::New,
-            collected: false,
-        });
+        };
+        // Past the room `reserve_units` made, the window grows by a quarter.
+        self.units.insert(id, row);
         self.live += 1;
         Ok(id)
     }
 
     /// True when a unit was pushed and not yet sealed.
     pub fn has_unsealed_units(&self) -> bool {
-        self.units.sealed < self.units.next_id()
+        self.sealed < self.units.end()
     }
 
     /// Submits the units pushed since the last seal as one call: records
@@ -507,8 +447,8 @@ impl SimRuntime {
     /// per-unit submission overheads before they become schedulable.
     /// Returns their id range.
     pub fn seal_units<E: RuntimeEventSink>(&mut self, ctx: &mut Context<'_, E>) -> Range<u64> {
-        let ids = self.units.sealed..self.units.next_id();
-        self.units.sealed = ids.end;
+        let ids = self.sealed..self.units.end();
+        self.sealed = ids.end;
         let event = UnitState::trace_event(None, UnitState::New);
         let event = event.expect("a submitted unit is recorded");
         for id in ids.clone() {
@@ -530,7 +470,7 @@ impl SimRuntime {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        let Some(unit) = self.units.get_mut(id) else {
+        let Some(unit) = self.units.get_mut(id.0) else {
             return;
         };
         if unit.state.is_terminal() || !unit.state.can_transition_to(UnitState::Canceled) {
@@ -580,7 +520,7 @@ impl SimRuntime {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        self.units.rows.shrink_to_fit();
+        self.units.shrink_to_fit();
         let Some(p) = self.pilots.get(id.0 as usize) else {
             return;
         };
@@ -607,14 +547,18 @@ impl SimRuntime {
         match event {
             RuntimeEvent::PilotSubmitted(id) => self.on_pilot_submitted(id, ctx, out),
             RuntimeEvent::UnitsSubmitted(ids) => {
-                entk_sim::reserve_batch(&mut self.waiting, (ids.end - ids.start) as usize);
+                self.compact_waiting();
+                let (len, capacity) = (self.waiting.len(), self.waiting.capacity());
+                let batch = (ids.end - ids.start) as usize;
+                self.waiting
+                    .reserve_exact(arena::growth(len, capacity, batch));
                 for id in ids.map(UnitId) {
                     // A unit cancelled before it got here may be collected.
                     if self.unit_state(id) != Some(UnitState::New) {
                         continue;
                     }
                     self.set_unit_state(id, UnitState::Scheduling, ctx.now(), None, ctx, out);
-                    let unit = &mut self.units[id];
+                    let unit = self.units.get_mut(id.0).expect(HELD);
                     unit.waiting_slot = Some(self.waiting.len() as u32);
                     let cores = unit.cores as usize;
                     self.waiting.push(UnitView { id, cores });
@@ -757,17 +701,17 @@ impl SimRuntime {
             // Id order by construction: the unit window iterates densely.
             let inflight: Vec<UnitId> = self
                 .units
-                .live()
+                .iter()
                 .filter(|(_, u)| {
                     u64::from(u.pilot) == pid.0 && u.holding > 0 && !u.state.is_terminal()
                 })
-                .map(|(id, _)| id)
+                .map(|(id, _)| UnitId(id))
                 .collect();
             for id in inflight {
                 if deficit == 0 {
                     break;
                 }
-                let unit = &mut self.units[id];
+                let unit = self.units.get_mut(id.0).expect(HELD);
                 if !unit.state.can_transition_to(UnitState::Failed) {
                     continue;
                 }
@@ -803,12 +747,12 @@ impl SimRuntime {
         // Units in flight on this pilot fail (they lose their cores).
         let victims: Vec<UnitId> = self
             .units
-            .live()
+            .iter()
             .filter(|(_, u)| u64::from(u.pilot) == pid.0 && !u.state.is_terminal())
-            .map(|(id, _)| id)
+            .map(|(id, _)| UnitId(id))
             .collect();
         for id in victims {
-            let unit = &mut self.units[id];
+            let unit = self.units.get_mut(id.0).expect(HELD);
             if unit.state.can_transition_to(UnitState::Failed) {
                 unit.holding = 0;
                 let detail = Some(format!("{pid} terminated ({state:?})"));
@@ -863,7 +807,7 @@ impl SimRuntime {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        let unit = &mut self.units[id];
+        let unit = self.units.get_mut(id.0).expect(HELD);
         let event = UnitState::trace_event(Some(unit.state), state);
         unit.state = state;
         let slot = unit.waiting_slot.take();
@@ -926,7 +870,8 @@ impl SimRuntime {
             }
             debug_assert_eq!(compacted.len(), self.waiting_live);
             for (slot, view) in compacted.iter().enumerate() {
-                self.units[view.id].waiting_slot = Some(slot as u32);
+                let unit = self.units.get_mut(view.id.0).expect(HELD);
+                unit.waiting_slot = Some(slot as u32);
             }
             self.waiting = compacted;
             self.waiting_head = 0;
@@ -1006,7 +951,7 @@ impl SimRuntime {
             .assign(&self.waiting[self.waiting_head..], &self.pilot_views);
         for placement in placements {
             let pidx = placement.pilot.0 as usize;
-            let cores = self.units[placement.unit].cores as usize;
+            let cores = self.units.get(placement.unit.0).expect(HELD).cores as usize;
             let pilot = &mut self.pilots[pidx];
             assert!(
                 pilot.free_cores >= cores,
@@ -1017,7 +962,7 @@ impl SimRuntime {
             let free_now = pilot.free_cores;
             // Keep the cached view exact; no rebuild needed for placements.
             self.pilot_views[pidx].free_cores = free_now;
-            let unit = &mut self.units[placement.unit];
+            let unit = self.units.get_mut(placement.unit.0).expect(HELD);
             unit.pilot = u32::try_from(pidx).expect("pilot ids fit in u32");
             unit.holding = cores as u32;
             let staging = UnitState::StagingInput;
@@ -1028,7 +973,7 @@ impl SimRuntime {
                 .overheads
                 .scheduling_per_unit
                 .sample(&mut self.rng);
-            let bytes = self.units[placement.unit].input_bytes;
+            let bytes = self.units.get(placement.unit.0).expect(HELD).input_bytes;
             let stage = self.cluster.transfer_duration(bytes);
             let delay = SimDuration::from_secs_f64(sched_cost) + stage;
             ctx.schedule_in(delay, RuntimeEvent::StageInDone(placement.unit));
@@ -1036,7 +981,7 @@ impl SimRuntime {
     }
 
     fn on_stagein_done<E: RuntimeEventSink>(&mut self, id: UnitId, ctx: &mut Context<'_, E>) {
-        let Some(unit) = self.units.get(id) else {
+        let Some(unit) = self.units.get(id.0) else {
             return;
         };
         if unit.state != UnitState::StagingInput {
@@ -1056,7 +1001,7 @@ impl SimRuntime {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        let Some(unit) = self.units.get(id) else {
+        let Some(unit) = self.units.get(id.0) else {
             return;
         };
         if unit.state != UnitState::StagingInput {
@@ -1074,7 +1019,7 @@ impl SimRuntime {
             duration
         };
         let ev = ctx.schedule_in(duration, RuntimeEvent::ExecDone(id));
-        self.units[id].exec = Exec::Running(ev);
+        self.units.get_mut(id.0).expect(HELD).exec = Exec::Running(ev);
     }
 
     fn on_exec_done<E: RuntimeEventSink>(
@@ -1083,7 +1028,7 @@ impl SimRuntime {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        let Some(unit) = self.units.get_mut(id) else {
+        let Some(unit) = self.units.get_mut(id.0) else {
             return;
         };
         if unit.state != UnitState::Executing {
@@ -1276,7 +1221,7 @@ pub(crate) mod tests {
             .collect();
         let (_, mut rt, ids) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
         assert_eq!(
-            rt.units.rows.len(),
+            rt.units.len(),
             4,
             "a runtime driven directly keeps every row"
         );
@@ -1287,13 +1232,13 @@ pub(crate) mod tests {
         assert_eq!(rt.collect_unit(UnitId(1)), None, "a row is collected once");
         assert_eq!(rt.unit_state(UnitId(1)), None);
         assert_eq!(rt.unit_exec_stop(UnitId(2)), None);
-        assert_eq!(rt.units.rows.len(), 4, "unit 0 holds the rows behind it");
+        assert_eq!(rt.units.len(), 4, "unit 0 holds the rows behind it");
         assert_eq!(rt.unit_state(UnitId(0)), Some(UnitState::Done));
         assert_eq!(rt.collect_unit(UnitId(0)), Some(stops[0]));
-        assert_eq!(rt.units.rows.len(), 1);
+        assert_eq!(rt.units.len(), 1);
         assert_eq!(rt.unit_state(UnitId(3)), Some(UnitState::Done));
         assert_eq!(rt.collect_unit(UnitId(3)), Some(stops[3]));
-        assert_eq!(rt.units.rows.len(), 0);
+        assert_eq!(rt.units.len(), 0);
 
         let mut engine: Engine<Ev> = Engine::new();
         let unit = UnitDescription::modeled("late", SimDuration::from_secs(5));
@@ -1305,7 +1250,7 @@ pub(crate) mod tests {
             "a live unit is not collected"
         );
         assert_eq!(rt.unit_state(UnitId(4)), Some(UnitState::New));
-        assert_eq!(rt.units.rows.len(), 1);
+        assert_eq!(rt.units.len(), 1);
     }
 
     #[test]

@@ -20,7 +20,6 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use arena::reserve_batch;
 pub use engine::{Context, Engine};
 pub use event::{EventId, EventQueue};
 pub use pool::{Job, WorkerPool};

@@ -308,25 +308,15 @@ pub fn fnv64_update(hash: u64, bytes: &[u8]) -> u64 {
     state.finish()
 }
 
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Renders one session record as its stream JSONL line (trailing newline
 /// included). Hand-rendered so the stream JSONL is byte-stable by
 /// construction; the stream is these lines in session order.
 pub fn render_record(r: &SessionRecord) -> String {
-    let error = match &r.error {
-        Some(e) => format!(",\"error\":\"{}\"", escape_json(e)),
-        None => String::new(),
-    };
+    let mut error = String::new();
+    if let Some(e) = &r.error {
+        error.push_str(",\"error\":");
+        serde::write_json_str(&mut error, e).expect("writing to a String cannot fail");
+    }
     format!(
         "{{\"session\":{},\"tenant\":{},\"pattern\":\"{}\",\"status\":\"{}\",\
          \"arrival\":{:.6},\"start\":{:.6},\"finish\":{:.6},\"latency\":{:.6},\

@@ -129,6 +129,33 @@ fn failed_sessions_are_recorded_without_killing_the_stream() {
     assert_eq!(r.per_tenant.iter().map(|t| t.sessions).sum::<usize>(), 7);
 }
 
+/// A session error renders as a strict JSON string whatever it holds: no
+/// raw control character reaches the line, and the line reads back to the
+/// same error.
+#[test]
+fn a_session_error_renders_as_strict_json() {
+    let arrivals = SyntheticTrace::new(7, 1, 1).generate().unwrap();
+    let mut record = serve(&small_config(StreamBackend::Simulated), &arrivals).records[0].clone();
+    for error in [
+        "tab\there",
+        "cr\rhere",
+        "ctl\u{1}here",
+        "q\"uote",
+        "back\\slash",
+        "new\nline",
+    ] {
+        record.error = Some(error.to_string());
+        let line = render_record(&record);
+        let body = line.strip_suffix('\n').expect("one line");
+        assert!(
+            body.bytes().all(|b| b >= 0x20),
+            "{error:?} renders raw: {body}"
+        );
+        let parsed: serde_json::Value = serde_json::from_str(body).expect("strict JSON");
+        assert_eq!(parsed["error"].as_str(), Some(error));
+    }
+}
+
 /// Values that can only be mistakes stop a config built in code before any
 /// session is served, the same as one loaded from a spec file.
 #[test]
