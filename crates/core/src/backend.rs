@@ -9,15 +9,11 @@
 //! retry/backoff/kill-replace fault policy, graceful degradation, telemetry
 //! subjects, and `TaskRecord`/`OverheadBreakdown` assembly — lives once in
 //! [`crate::session::SessionEngine`]. Everything backend-*specific* — how
-//! units actually run, what the clock is, when completions arrive — lives
-//! behind the [`ExecutionBackend`] trait defined here. Three backends
-//! implement it:
-//!
-//! | backend     | clock        | units execute as                          |
-//! |-------------|--------------|-------------------------------------------|
-//! | simulated   | virtual      | cost-modeled durations on a simulated machine |
-//! | local       | wall clock   | real kernel closures on host threads       |
-//! | federated   | virtual      | cost-modeled durations late-bound across several simulated clusters |
+//! units run, what the clock is, when completions arrive — lives behind the
+//! [`ExecutionBackend`] trait defined here. Two backends implement it: the
+//! simulated one (virtual time, cost-modelled units late-bound across one or
+//! more simulated clusters) and the local one (wall clock, real kernels
+//! through the `fork://` service).
 //!
 //! The trait is deliberately synchronous and single-threaded: the session
 //! engine drives it with a poll loop, and each [`ExecutionBackend::poll`]
@@ -224,17 +220,4 @@ pub trait ExecutionBackend {
     /// Takes back the vector a [`Poll::Events`] carried, drained, so the
     /// next poll can reuse it instead of allocating. The default drops it.
     fn recycle_events(&mut self, _events: Vec<BackendEvent>) {}
-}
-
-/// Most entries a reused scratch vector keeps its capacity for between
-/// uses. A larger one (a 10^5-task batch) is freed with its batch instead
-/// of staying resident for the rest of the session.
-pub(crate) const SCRATCH_KEEP: usize = 4_096;
-
-/// Empties `buf` for its next use, freeing it if a large batch grew it.
-pub(crate) fn recycle<T>(buf: &mut Vec<T>) {
-    buf.clear();
-    if buf.capacity() > SCRATCH_KEEP {
-        *buf = Vec::new();
-    }
 }

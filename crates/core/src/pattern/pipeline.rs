@@ -6,15 +6,15 @@ use crate::task::{Task, TaskResult};
 use entk_kernels::KernelCall;
 use std::sync::Arc;
 
-/// Per-pipeline state.
+/// Per-pipeline state: 8 bytes, one per pipeline for the whole run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PipeState {
     /// Currently executing stage `s`.
-    Running(usize),
+    Running(u32),
     /// All stages completed.
     Done,
     /// Aborted at stage `s` after a task failure.
-    Failed(usize),
+    Failed(u32),
 }
 
 /// An ensemble of N independent pipelines of M ordered stages.
@@ -47,6 +47,7 @@ impl EnsembleOfPipelines {
         kernel_for: impl FnMut(usize, usize) -> KernelCall + Send + 'static,
     ) -> Self {
         assert!(n_pipelines > 0 && n_stages > 0, "empty pattern");
+        assert!(u32::try_from(n_stages).is_ok(), "too many stages");
         EnsembleOfPipelines {
             n_pipelines,
             n_stages,
@@ -74,7 +75,8 @@ impl EnsembleOfPipelines {
             .count()
     }
 
-    fn task_for(&mut self, pipeline: usize, stage: usize) -> Task {
+    fn task_for(&mut self, pipeline: usize, stage: u32) -> Task {
+        let stage = stage as usize;
         let kernel = share_kernel(&mut self.last_kernel, (self.kernel_for)(pipeline, stage));
         Task::new(pipeline as u64, self.stage_labels[stage].clone(), kernel)
     }
@@ -102,7 +104,7 @@ impl ExecutionPattern for EnsembleOfPipelines {
             return Vec::new();
         }
         let next = stage + 1;
-        if next >= self.n_stages {
+        if next as usize >= self.n_stages {
             self.pipes[p] = PipeState::Done;
             self.running -= 1;
             Vec::new()
@@ -170,6 +172,11 @@ mod tests {
 
     fn sleep_kernel() -> KernelCall {
         KernelCall::new("misc.sleep", json!({"secs": 1.0}))
+    }
+
+    #[test]
+    fn a_pipeline_state_is_8_bytes() {
+        assert_eq!(std::mem::size_of::<PipeState>(), 8);
     }
 
     #[test]

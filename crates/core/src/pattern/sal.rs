@@ -117,7 +117,7 @@ impl SimulationAnalysisLoop {
     fn emit_simulations(&mut self) -> Vec<Task> {
         self.phase = Phase::Simulating;
         self.pending = self.n_sims;
-        self.sim_outputs = Vec::with_capacity(self.n_sims);
+        // `sim_outputs` is reserved at the first result, not held through submission.
         let iter = self.iter;
         (0..self.n_sims)
             .map(|i| {
@@ -179,7 +179,12 @@ impl ExecutionPattern for SimulationAnalysisLoop {
             }
         } else {
             match self.phase {
-                Phase::Simulating => self.sim_outputs.push(result.output.clone()),
+                Phase::Simulating => {
+                    if self.sim_outputs.capacity() == 0 {
+                        self.sim_outputs.reserve_exact(self.pending + 1);
+                    }
+                    self.sim_outputs.push(result.output.clone())
+                }
                 Phase::Analysing => self.analysis_outputs.push(result.output.clone()),
                 Phase::Finished => {}
             }

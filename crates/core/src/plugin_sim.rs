@@ -1,59 +1,30 @@
 //! The discrete-event execution backend (paper §III-B component 4).
 //!
 //! Implements [`ExecutionBackend`] over one or more independently simulated
-//! clusters, each a full `Engine` + `SimRuntime` + batch-system stack. There
-//! is one constructor and one member list: a simulated session is a
-//! federation of one member, a federated session has several, and units are
-//! late-bound at submission time to whichever member currently has the most
-//! free capacity. Only the *drive* depends on the member count.
-//!
-//! ## The session engine
+//! clusters, each a full `Engine` + `SimRuntime` + batch-system stack. A
+//! simulated session is a federation of one member, a federated one has
+//! several, and units are late-bound at submission to whichever member has
+//! the most free capacity. Only the *drive* depends on the member count.
 //!
 //! Session-level events (boot, batch releases, timeouts, deferred failures,
 //! shutdown, clock marks) live on one *session engine*, and each `poll`
-//! that reaches it pops and handles exactly one of its events, at any
-//! member count. Boot and shutdown reach every member the same way: through
-//! the member's own engine, advanced to the event's time.
-//!
-//! With one member, the session engine is the lone member's own engine. It
-//! also holds that member's runtime and batch-system events, handled in the
-//! same step, so same-instant events fire in insertion order and every
-//! layer records straight into the shared telemetry pipeline. The windows
-//! below are no substitute at N = 1: they buffer member telemetry and splice
-//! it after the session's own record, and the spine wins time ties, so
-//! same-instant pairs (`pilot unit_submitted` / `entk task_submitted`) would
-//! swap and every golden trace fingerprint would move.
-//!
-//! ## Two or more members: the conservative-lookahead merge
-//!
-//! The session engine is a dedicated clock *spine* that holds session
-//! events only, while each member's engine holds that machine's runtime and
-//! batch-system events. Members advance inside bounded *windows*: from the
-//! earliest member event time `t_m` up to (strictly before) the horizon
-//! `min(t_spine, t_m + lookahead)` — classic conservative PDES. Every event
-//! a member processes appends its backend events to the member's outbox and
-//! its trace records to the member's log, and becomes a *chunk* on that
-//! member's own queue: the event's time and how many entries of each log
-//! are its. The queue is in time order because a member's clock never goes
-//! back. Each `poll` doles the queue front with the least
-//! `(time, member)`, so the session observes the exact granularity and
-//! order a serial interleave of the same windows would produce. Every window
-//! runs on the polling thread (DESIGN.md §13 has the measurement), and the
-//! backend is `!Send` like the telemetry handles it holds: a session never
-//! leaves the thread that built it, and spawns and joins nothing.
-//!
-//! Outside the session's run phase (boot, teardown) the lookahead collapses
-//! to 1 µs, which makes each window cover exactly one timestamp: the merge
-//! then reproduces the serial earliest-event interleave exactly.
+//! that reaches it handles exactly one of them. With one member it is the
+//! member's own engine, so same-instant events fire in insertion order and
+//! every layer records straight into the shared telemetry (buffering and
+//! splicing would swap same-instant pairs and move every golden trace).
+//! With two or more it is a clock *spine*, and members advance in
+//! conservative-lookahead windows (1 µs outside the run phase) whose
+//! events and records are doled out in `(time, member)` order, as a serial
+//! interleave of the same windows would produce them (DESIGN.md §13).
+//! Every window runs on the polling thread; the backend is `!Send` and
+//! spawns nothing.
 //!
 //! All session semantics (retry, records, overheads, degradation) live in
 //! [`crate::session::SessionEngine`]; this file only turns engine events and
 //! runtime notifications into [`BackendEvent`]s and units into simulated
 //! work.
 
-use crate::backend::{
-    recycle, BackendEvent, BackendStats, ExecutionBackend, Poll, UnitOutcome, UnitSpec,
-};
+use crate::backend::{BackendEvent, BackendStats, ExecutionBackend, Poll, UnitOutcome, UnitSpec};
 use crate::binding::{BindingPolicy, StaticBinding};
 use entk_cluster::{ClusterEvent, FaultProfile, PlatformSpec};
 use entk_kernels::{KernelCall, KernelRegistry};
@@ -61,6 +32,7 @@ use entk_pilot::{
     PilotDescription, PilotId, PilotState, RuntimeEvent, RuntimeNotification, SimRuntime,
     SimRuntimeConfig, UnitDescription, UnitId, UnitState,
 };
+use entk_sim::arena::recycle;
 use entk_sim::{
     Context, Engine, SharedTelemetry, SimDuration, SimRng, SimTime, Subject, SubjectOffsets,
     TelemetryBuffer,

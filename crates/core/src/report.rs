@@ -35,6 +35,9 @@ pub struct TaskRecord {
     pub lost_to_failures: SimDuration,
 }
 
+// A record is what every task of an ensemble keeps resident.
+const _: () = assert!(std::mem::size_of::<TaskRecord>() <= 80);
+
 impl TaskRecord {
     /// Pure execution duration, if the task executed.
     pub fn exec_duration(&self) -> Option<SimDuration> {
@@ -186,7 +189,7 @@ impl ExecutionReport {
         for t in &self.tasks {
             if &*t.stage == stage {
                 if let Some(d) = t.exec_duration() {
-                    s.add_duration(d);
+                    s.add(d.as_secs_f64());
                 }
             }
         }

@@ -7,7 +7,7 @@
 //! assembly. The backend-specific half — how units execute and what the
 //! clock is — sits behind [`ExecutionBackend`]; see [`crate::backend`].
 
-use crate::backend::{recycle, BackendEvent, ExecutionBackend, Poll, UnitSpec, RETRY_BATCH};
+use crate::backend::{BackendEvent, ExecutionBackend, Poll, UnitSpec, RETRY_BATCH};
 use crate::error::EntkError;
 use crate::fault::FaultConfig;
 use crate::overheads::EntkOverheads;
@@ -15,7 +15,7 @@ use crate::pattern::ExecutionPattern;
 use crate::report::{ExecutionReport, OverheadBreakdown, TaskRecord, TaskRecords};
 use crate::task::{Task, TaskResult};
 use entk_kernels::KernelCall;
-use entk_sim::arena::Window;
+use entk_sim::arena::{recycle, Window};
 use entk_sim::{SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
 use std::num::NonZeroU64;
 use std::sync::Arc;
@@ -32,7 +32,7 @@ struct Attempt {
 }
 
 // A row is what every task of an ensemble keeps resident beside its record.
-const _: () = assert!(std::mem::size_of::<Attempt>() <= 32);
+const _: () = assert!(std::mem::size_of::<Attempt>() <= 24);
 
 /// Rows of the first block a trickle of small batches opens; each further
 /// block of the same trickle is twice the last.
@@ -463,6 +463,8 @@ impl SessionEngine {
                 stage: self.table.get(uid)?.stage.clone(),
             })
         }));
+        // The specs carry the uids on; the batch's vector is not held.
+        drop(uids);
         if !specs.is_empty() {
             self.submit_specs(&specs, now, backend);
         }
@@ -498,9 +500,6 @@ impl SessionEngine {
                 .record(now, "entk", "task_submitted", Subject::Task(uid));
             self.unit_to_task
                 .insert(key, NonZeroU64::MIN.saturating_add(uid));
-            if let Some(timeout) = self.fault.task_timeout {
-                backend.arm_timeout(uid, timeout);
-            }
         }
     }
 
@@ -536,18 +535,20 @@ impl SessionEngine {
     }
 
     /// Kill-replace watchdog fired: cancel the running unit and retry. A
-    /// watchdog is armed per attempt and never disarmed, so one that
-    /// outlived its attempt fires during a later one; only the watchdog of
-    /// the attempt now running (the one whose deadline has come) may kill.
+    /// watchdog is armed when an attempt starts executing and never
+    /// disarmed, so one that outlived its attempt fires during a later one;
+    /// only that of the attempt now executing (whose deadline has come) may
+    /// kill. A queued attempt is not executing: its record's start is older.
     fn on_timeout(&mut self, uid: u64, backend: &mut dyn ExecutionBackend) {
         let Some(timeout) = self.fault.task_timeout else {
             return;
         };
-        let Some((key, started)) = self.table.attempt(uid).and_then(|a| a.current) else {
+        let Some((key, submitted)) = self.table.attempt(uid).and_then(|a| a.current) else {
             return;
         };
-        let finished = self.table.get(uid).is_some_and(|r| r.finished.is_some());
-        if finished || backend.now() < started + timeout {
+        let record = self.table.get(uid).filter(|r| r.finished.is_none());
+        let started = record.and_then(|r| r.exec_start.filter(|&s| s >= submitted));
+        if started.is_none_or(|s| backend.now() < s + timeout) {
             return;
         }
         if !backend.cancel_running_unit(key) {
@@ -694,8 +695,12 @@ impl SessionEngine {
                 }
                 BackendEvent::UnitStarted { key, time } => {
                     let uid = self.unit_to_task.get(key).map(|t| t.get() - 1);
-                    if let Some(r) = uid.and_then(|uid| self.table.get_mut(uid)) {
-                        r.exec_start = Some(time);
+                    let Some((uid, r)) = uid.and_then(|u| Some((u, self.table.get_mut(u)?))) else {
+                        continue;
+                    };
+                    r.exec_start = Some(time);
+                    if let Some(timeout) = self.fault.task_timeout {
+                        backend.arm_timeout(uid, (time + timeout).saturating_since(backend.now()));
                     }
                 }
                 BackendEvent::UnitDone { key, time } => {

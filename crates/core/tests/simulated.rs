@@ -222,6 +222,21 @@ fn kill_replace_times_out_stragglers() {
 }
 
 #[test]
+fn a_watchdog_counts_from_the_start_of_execution_not_from_submission() {
+    // Three ten-second tasks queue for one core under a 15 s timeout. Each
+    // runs 10 s, so none may be killed; counted from submission, the
+    // second is killed 5 s into its run and the third before it starts.
+    let config = ResourceConfig::new("local", 1, SimDuration::from_secs(1_000_000));
+    let sim = SimulatedConfig {
+        fault: entk_core::FaultConfig::retries(0).with_timeout(SimDuration::from_secs(15)),
+        ..quiet_sim(7)
+    };
+    let report = run_simulated(config, sim, &mut sleep_bag(3, 10.0)).unwrap();
+    assert_eq!(report.failed_tasks, 0, "a task that ran 10 s was killed");
+    assert_eq!(report.total_retries, 0);
+}
+
+#[test]
 fn a_watchdog_that_outlived_its_attempt_spares_the_retry() {
     // 32 ten-second tasks, every other execution fails, eight retries. A
     // 15 s timeout is longer than any attempt, so it must never fire: the

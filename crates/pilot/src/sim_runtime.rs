@@ -857,7 +857,7 @@ impl SimRuntime {
         if self.waiting_head == self.waiting.len() {
             debug_assert_eq!(self.waiting_live, 0);
             debug_assert_eq!(self.waiting_dead, 0);
-            self.waiting.clear();
+            arena::recycle(&mut self.waiting);
             self.waiting_head = 0;
             return;
         }

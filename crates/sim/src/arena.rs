@@ -5,9 +5,20 @@
 //! rows indexed by that id: lookup is a bounds check and a pointer add, and
 //! iteration is in id order, deterministic by construction. A table whose
 //! rows leave once their entity is done is a [`Window`] instead. Every table
-//! grows by [`growth`].
+//! grows by [`growth`] and keeps drained room up to [`SCRATCH_KEEP`] slots.
 
 use std::collections::VecDeque;
+
+/// Most slots of room a drained table or reused scratch vector keeps.
+pub const SCRATCH_KEEP: usize = 4_096;
+
+/// Empties `buf` for its next use, freeing it if a large batch grew it.
+pub fn recycle<T>(buf: &mut Vec<T>) {
+    buf.clear();
+    if buf.capacity() > SCRATCH_KEEP {
+        *buf = Vec::new();
+    }
+}
 
 /// The rows a table holding `len` rows in `capacity` slots reserves, with
 /// `reserve_exact`, to take `additional` more: none while they fit.
@@ -33,6 +44,7 @@ pub fn growth(len: usize, capacity: usize, additional: usize) -> usize {
 /// [`Window::take`] vacates a row; vacancies at the front leave, so the
 /// base only rises and [`Window::end`] stays monotone past an emptied
 /// window. A vacancy behind a held row stays until that row is taken.
+/// A room past [`SCRATCH_KEEP`] slots and four times the span shrinks to twice it.
 pub struct Window<T> {
     base: u64,
     rows: VecDeque<Option<T>>,
@@ -105,6 +117,9 @@ impl<T> Window<T> {
             self.rows.pop_front();
             self.base += 1;
         }
+        if self.rows.capacity() > SCRATCH_KEEP && self.rows.len() <= self.rows.capacity() / 4 {
+            self.rows.shrink_to(2 * self.rows.len());
+        }
         Some(row)
     }
 
@@ -115,9 +130,12 @@ impl<T> Window<T> {
             .filter_map(|(id, row)| Some((id, row.as_ref()?)))
     }
 
-    /// Makes room for `additional` more slots by [`growth`].
+    /// Makes room for `additional` more slots by [`growth`], afresh if empty.
     pub fn reserve(&mut self, additional: usize) {
         let more = growth(self.rows.len(), self.rows.capacity(), additional);
+        if more > 0 && self.rows.is_empty() {
+            self.rows = VecDeque::new();
+        }
         self.rows.reserve_exact(more);
     }
 
@@ -190,6 +208,52 @@ mod tests {
         assert_eq!(window.end(), 2, "the ids handed out stay handed out");
         window.insert(window.end(), 'c');
         assert_eq!(ids(&window), [(2, 'c')]);
+    }
+
+    /// A window holding ids `0..n`, each row its id.
+    fn filled(n: u64) -> Window<u64> {
+        let mut window = Window::default();
+        window.reserve(n as usize);
+        for id in 0..n {
+            window.insert(id, id);
+        }
+        window
+    }
+
+    #[test]
+    fn a_window_drained_to_a_quarter_of_its_room_shrinks() {
+        let mut window = filled(40_000);
+        assert_eq!(window.rows.capacity(), 40_000);
+        for id in 0..29_999 {
+            window.take(id);
+        }
+        assert_eq!(window.rows.capacity(), 40_000, "a span above a quarter");
+        window.take(29_999);
+        assert_eq!(window.len(), 10_000);
+        assert_eq!(window.rows.capacity(), 20_000, "twice the span");
+        for id in 30_000..40_000 {
+            window.take(id);
+        }
+        assert!(window.is_empty());
+        assert!(window.rows.capacity() <= SCRATCH_KEEP, "the room left too");
+        assert_eq!(window.end(), 40_000);
+    }
+
+    #[test]
+    fn a_window_within_scratch_keep_keeps_its_room() {
+        let n = SCRATCH_KEEP as u64;
+        let mut window = filled(n);
+        for id in 0..n {
+            window.take(id);
+        }
+        assert!(window.is_empty());
+        assert_eq!(window.rows.capacity(), SCRATCH_KEEP);
+        let mut scratch = vec![0u8; SCRATCH_KEEP];
+        recycle(&mut scratch);
+        assert_eq!((scratch.len(), scratch.capacity()), (0, SCRATCH_KEEP));
+        scratch.resize(SCRATCH_KEEP + 1, 0);
+        recycle(&mut scratch);
+        assert_eq!(scratch.capacity(), 0, "a larger one is freed");
     }
 
     #[test]

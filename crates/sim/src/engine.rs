@@ -98,12 +98,6 @@ impl<E> Engine<E> {
         self.queue.push(time.max(self.now), event.into())
     }
 
-    /// Cancels a pre-run scheduled event (test helper).
-    #[cfg(test)]
-    pub(crate) fn queue_cancel_for_test(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
-    }
-
     /// Advances the clock to `time` without processing events (no-op when
     /// `time` is in the past). Federated drivers use this to bring a
     /// lagging cluster's clock up to the global virtual time before
@@ -296,7 +290,7 @@ mod reuse_tests {
         let mut engine: Engine<u32> = Engine::new();
         let id = engine.schedule_in(SimDuration::from_secs(1), 1u32);
         engine.schedule_in(SimDuration::from_secs(2), 2u32);
-        assert!(engine.queue_cancel_for_test(id));
+        assert!(engine.queue.cancel(id));
         let mut seen = Vec::new();
         engine.run(|n, _| seen.push(n));
         assert_eq!(seen, vec![2]);

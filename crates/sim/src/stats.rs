@@ -4,7 +4,7 @@
 //! types; they are deliberately simple (exact samples, computed on demand)
 //! because sample counts are at most O(10^4) per experiment.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Running summary of a stream of f64 samples (stored exactly).
@@ -22,11 +22,6 @@ impl Summary {
     /// Adds one sample.
     pub fn add(&mut self, value: f64) {
         self.samples.push(value);
-    }
-
-    /// Adds a duration sample in seconds.
-    pub fn add_duration(&mut self, d: SimDuration) {
-        self.add(d.as_secs_f64());
     }
 
     /// Number of samples.

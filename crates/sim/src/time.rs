@@ -5,18 +5,20 @@
 //! virtual clock with microsecond resolution. `SimTime` is an absolute
 //! instant since simulation start, `SimDuration` a non-negative span.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
+use std::num::NonZeroU64;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// Microseconds per second, the base resolution of the virtual clock.
 const MICROS_PER_SEC: u64 = 1_000_000;
 
-/// An absolute instant in virtual time, in microseconds since simulation start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-pub struct SimTime(u64);
+/// An absolute instant in virtual time, in microseconds since simulation
+/// start, stored plus one in a `NonZeroU64` so an `Option<SimTime>` is 8 B.
+/// The one instant given up is `u64::MAX − 1` µs, which saturates to
+/// [`SimTime::MAX`] (`u64::MAX` µs); JSON carries [`SimTime::as_micros`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SimTime(NonZeroU64);
 
 /// A non-negative span of virtual time, in microseconds.
 #[derive(
@@ -26,33 +28,53 @@ pub struct SimDuration(u64);
 
 impl SimTime {
     /// The simulation epoch (t = 0).
-    pub const ZERO: SimTime = SimTime(0);
+    pub const ZERO: SimTime = SimTime::from_micros(0);
     /// The largest representable instant; useful as an "infinity" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub const MAX: SimTime = SimTime(NonZeroU64::MAX);
 
     /// Instant `micros` microseconds after the epoch.
     pub const fn from_micros(micros: u64) -> Self {
-        SimTime(micros)
+        SimTime(NonZeroU64::MIN.saturating_add(micros))
     }
 
     /// Instant `secs` seconds after the epoch; saturates at [`SimTime::MAX`].
     pub const fn from_secs(secs: u64) -> Self {
-        SimTime(secs.saturating_mul(MICROS_PER_SEC))
+        SimTime::from_micros(secs.saturating_mul(MICROS_PER_SEC))
     }
 
     /// Microseconds since the epoch.
     pub const fn as_micros(self) -> u64 {
-        self.0
+        self.0.get() - (self.0.get() != u64::MAX) as u64
     }
 
     /// Seconds since the epoch as a float (lossy for very large times).
     pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / MICROS_PER_SEC as f64
+        self.as_micros() as f64 / MICROS_PER_SEC as f64
     }
 
     /// Span from `earlier` to `self`; saturates to zero if `earlier` is later.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
+        SimDuration(self.as_micros().saturating_sub(earlier.as_micros()))
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<Option<SimTime>>() == 8);
+
+impl Default for SimTime {
+    fn default() -> Self {
+        SimTime::ZERO
+    }
+}
+
+impl Serialize for SimTime {
+    fn to_value(&self) -> Value {
+        self.as_micros().to_value()
+    }
+}
+
+impl Deserialize for SimTime {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        u64::from_value(v).map(SimTime::from_micros)
     }
 }
 
@@ -126,7 +148,7 @@ impl Sub<SimTime> for SimTime {
     /// when ordering is not guaranteed.
     fn sub(self, rhs: SimTime) -> SimDuration {
         debug_assert!(rhs <= self, "SimTime subtraction underflow");
-        SimDuration(self.0.saturating_sub(rhs.0))
+        self.saturating_since(rhs)
     }
 }
 
@@ -235,6 +257,36 @@ mod tests {
     fn sum_of_durations() {
         let total: SimDuration = (1..=4).map(SimDuration::from_secs).sum();
         assert_eq!(total, SimDuration::from_secs(10));
+    }
+
+    /// The instants at the edges of the representation, and one a float
+    /// cannot hold.
+    const EDGES: [u64; 5] = [0, 1, (1 << 53) + 1, u64::MAX - 2, u64::MAX];
+
+    #[test]
+    fn micros_round_trip_but_the_one_instant_the_niche_takes() {
+        for micros in EDGES {
+            assert_eq!(SimTime::from_micros(micros).as_micros(), micros);
+        }
+        assert_eq!(SimTime::from_micros(u64::MAX - 1), SimTime::MAX);
+        assert_eq!(SimTime::MAX.as_micros(), u64::MAX);
+        assert!(SimTime::from_micros(u64::MAX - 2) < SimTime::MAX);
+        assert_eq!(
+            SimTime::from_micros(u64::MAX - 2) + SimDuration::from_micros(1),
+            SimTime::MAX,
+            "a sum that lands on the instant given up saturates"
+        );
+        assert_eq!(SimTime::MAX + SimDuration::MAX, SimTime::MAX);
+    }
+
+    #[test]
+    fn an_instant_serializes_as_its_micros() {
+        for micros in EDGES {
+            let time = SimTime::from_micros(micros);
+            assert_eq!(time.to_value(), micros.to_value());
+            assert_eq!(SimTime::from_value(&micros.to_value()).unwrap(), time);
+        }
+        assert!(SimTime::from_value(&(-1i64).to_value()).is_err());
     }
 
     #[test]
