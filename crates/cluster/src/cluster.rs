@@ -10,7 +10,7 @@ use crate::fault::{FaultInjector, FaultProfile};
 use crate::job::{BatchJob, BatchJobDescription, BatchJobId, BatchJobState};
 use crate::platform::PlatformSpec;
 use crate::scheduler::{BatchScheduler, FifoScheduler, PendingView, RunningView};
-use entk_sim::{Context, Dist, EventId, SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
+use entk_sim::{Context, Dist, EventId, SharedTelemetry, SimDuration, SimRng, SimTime, TraceKind};
 use serde::{Deserialize, Serialize};
 
 /// Events the cluster schedules for itself on the engine.
@@ -425,12 +425,8 @@ impl Cluster {
             return;
         }
         self.alloc.mark_down(node);
-        self.telemetry.record(
-            ctx.now(),
-            "cluster",
-            "node_crash",
-            Subject::Node(node as u64),
-        );
+        self.telemetry
+            .emit(ctx.now(), TraceKind::NodeCrash, node as u64);
         // Strip the crashed node's slices from every job holding cores
         // there, in id order so the notification sequence is deterministic.
         let mut affected: Vec<BatchJobId> = self
@@ -457,8 +453,7 @@ impl Cluster {
             if slices.is_empty() {
                 self.finish(id, BatchJobState::Failed, ctx, out);
             } else {
-                self.telemetry
-                    .record(ctx.now(), "cluster", "job_shrunk", Subject::Job(id.0));
+                self.telemetry.emit(ctx.now(), TraceKind::JobShrunk, id.0);
                 out.push(ClusterNotification::JobShrunk {
                     id,
                     lost_cores: lost,
@@ -484,12 +479,8 @@ impl Cluster {
             return;
         }
         self.alloc.mark_up(node);
-        self.telemetry.record(
-            ctx.now(),
-            "cluster",
-            "node_recover",
-            Subject::Node(node as u64),
-        );
+        self.telemetry
+            .emit(ctx.now(), TraceKind::NodeRecover, node as u64);
         self.try_schedule(ctx, out);
         self.arm_fault_tick(ctx);
     }
@@ -561,8 +552,7 @@ impl Cluster {
         if next == BatchJobState::Starting {
             job.started_at = Some(now);
         }
-        self.telemetry
-            .record(now, "cluster", event, Subject::Job(id.0));
+        self.telemetry.emit(now, event, id.0);
         out.push(ClusterNotification::JobState {
             id,
             state: next,
@@ -904,9 +894,9 @@ mod tests {
             ]
         );
         let snap = telemetry.snapshot();
-        let at = |name| snap.tracer.time_of("cluster", name, Subject::Job(id.0));
-        assert_eq!(at("job_started"), Some(SimTime::ZERO));
-        assert_eq!(at("job_completed"), Some(SimTime::from_secs(11)));
+        let at = |kind| snap.tracer.time_of(kind, id.0);
+        assert_eq!(at(TraceKind::JobStarted), Some(SimTime::ZERO));
+        assert_eq!(at(TraceKind::JobCompleted), Some(SimTime::from_secs(11)));
     }
 }
 

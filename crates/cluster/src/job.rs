@@ -4,7 +4,7 @@
 //! lifecycle follows the classic batch-system state machine with validated
 //! transitions.
 
-use entk_sim::{SimDuration, SimTime};
+use entk_sim::{SimDuration, SimTime, TraceKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -99,20 +99,20 @@ impl BatchJobState {
     /// The cluster's trace record of a job entering `next` from `from`
     /// (`None`: the job was just submitted). Panics on a transition the
     /// model forbids, which is a simulator bug, not a user error.
-    pub(crate) fn trace_event(from: Option<BatchJobState>, next: BatchJobState) -> &'static str {
+    pub(crate) fn trace_event(from: Option<BatchJobState>, next: BatchJobState) -> TraceKind {
         use BatchJobState::*;
         let legal = from.map_or(next == Queued, |f| f.can_transition_to(next));
         assert!(legal, "illegal batch job transition {from:?} -> {next:?}");
         match next {
-            Queued => "job_queued",
-            Starting => "job_started",
-            Running => "job_running",
-            Completed => "job_completed",
-            TimedOut => "job_timedout",
-            Cancelled => "job_cancelled",
+            Queued => TraceKind::JobQueued,
+            Starting => TraceKind::JobStarted,
+            Running => TraceKind::JobRunning,
+            Completed => TraceKind::JobCompleted,
+            TimedOut => TraceKind::JobTimedOut,
+            Cancelled => TraceKind::JobCancelled,
             // Only a request the machine can never fit fails in the queue.
-            Failed if from == Some(Queued) => "job_rejected",
-            Failed => "job_failed",
+            Failed if from == Some(Queued) => TraceKind::JobRejected,
+            Failed => TraceKind::JobFailed,
         }
     }
 }
@@ -152,14 +152,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Walks a submitted job through `path`, returning the records.
+    /// Walks a submitted job through `path`, returning the records' names.
     fn walk(path: &[BatchJobState]) -> Vec<&'static str> {
         let mut from = None;
         path.iter()
             .map(|&next| {
                 let event = BatchJobState::trace_event(from, next);
                 from = Some(next);
-                event
+                event.name()
             })
             .collect()
     }

@@ -34,8 +34,8 @@ use entk_pilot::{
 };
 use entk_sim::arena::recycle;
 use entk_sim::{
-    Context, Engine, SharedTelemetry, SimDuration, SimRng, SimTime, Subject, SubjectOffsets,
-    TelemetryBuffer,
+    Context, Engine, SharedTelemetry, SimDuration, SimRng, SimTime, SubjectOffsets,
+    TelemetryBuffer, TraceKind,
 };
 use std::collections::VecDeque;
 
@@ -501,8 +501,7 @@ impl EventBackend {
         let mut events = std::mem::take(&mut self.spare_events);
         match ev {
             Ev::Boot => {
-                self.telemetry
-                    .record(now, "entk", "resource_ready", Subject::Session);
+                self.telemetry.emit(now, TraceKind::ResourceReady, 0);
                 self.each_member(now, &mut events, ClusterStack::boot);
             }
             Ev::Shutdown => self.each_member(now, &mut events, ClusterStack::shutdown),
@@ -1004,10 +1003,10 @@ mod tests {
             let log = stack.buffer.as_ref().expect("federation members buffer");
             assert!(log.is_empty(), "member {member} still holds {}", log.len());
             assert_eq!(stack.records_claimed, 0);
-            let pilot = Subject::Pilot(member as u64 * 1_000);
-            assert!(tracer.time_of("pilot", "pilot_done", pilot).is_some());
+            let pilot = member as u64 * 1_000;
+            assert!(tracer.time_of(TraceKind::PilotDone, pilot).is_some());
         }
-        assert_eq!(tracer.filter("pilot", "unit_done").count(), 24);
+        assert_eq!(tracer.filter(TraceKind::UnitDone).count(), 24);
     }
 
     /// Every unit a session ends is collected from its member's runtime on
@@ -1058,13 +1057,13 @@ mod tests {
             session.deallocate(&mut backend).expect("pilots stop");
 
             let tracer = telemetry.snapshot().tracer;
-            let count = |layer, event| tracer.filter(layer, event).count();
+            let count = |kind| tracer.filter(kind).count();
             // Every path ran: retry, watchdog kill, node crash.
-            for (layer, event) in [("entk", "task_retry"), ("pilot", "unit_canceled")] {
-                assert!(count(layer, event) > 0, "{members}: no {event}");
+            for kind in [TraceKind::TaskRetry, TraceKind::UnitCanceled] {
+                assert!(count(kind) > 0, "{members}: no {kind:?}");
             }
-            assert!(count("pilot", "pilot_shrunk") > 0, "{members}: no crash");
-            let units = count("pilot", "unit_submitted") as u64;
+            assert!(count(TraceKind::PilotShrunk) > 0, "{members}: no crash");
+            let units = count(TraceKind::UnitSubmitted) as u64;
             for (member, stack) in backend.clusters.iter().enumerate() {
                 let held = (0..units).find(|&u| stack.runtime.unit_state(UnitId(u)).is_some());
                 assert_eq!(held, None, "{members}: member {member} holds a unit row");

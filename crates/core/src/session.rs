@@ -16,7 +16,7 @@ use crate::report::{ExecutionReport, OverheadBreakdown, TaskRecord, TaskRecords}
 use crate::task::{Task, TaskResult};
 use entk_kernels::KernelCall;
 use entk_sim::arena::{recycle, Window};
-use entk_sim::{SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
+use entk_sim::{SharedTelemetry, SimDuration, SimRng, SimTime, TraceKind};
 use std::num::NonZeroU64;
 use std::sync::Arc;
 
@@ -261,7 +261,7 @@ impl SessionEngine {
             return Err(EntkError::Usage("allocate() called twice".into()));
         }
         self.telemetry
-            .record(backend.now(), "entk", "session_start", Subject::Session);
+            .emit(backend.now(), TraceKind::SessionStart, 0);
         let init = if backend.virtual_time() {
             let init = self.entk.init.sample_duration(&mut self.rng)
                 + self.entk.resource_request.sample_duration(&mut self.rng);
@@ -381,7 +381,7 @@ impl SessionEngine {
             self.core_overhead += teardown;
             self.clock_marked = false;
             self.telemetry
-                .record(backend.now(), "entk", "teardown_start", Subject::Session);
+                .emit(backend.now(), TraceKind::TeardownStart, 0);
             backend.schedule_clock_mark(teardown);
             // Do not drain to empty: background-load models keep the event
             // queue alive forever; stop once the teardown marker fires.
@@ -417,8 +417,7 @@ impl SessionEngine {
         };
         let batch = self.next_batch;
         self.next_batch += 1;
-        self.telemetry
-            .record(now, "entk", "tasks_created", Subject::Batch(batch));
+        self.telemetry.emit(now, TraceKind::TasksCreated, batch);
         let mut uids = Vec::with_capacity(tasks.len());
         let first = self.table.len() as u64;
         self.live_tasks += tasks.len();
@@ -440,8 +439,7 @@ impl SessionEngine {
                 kernel: Some(task.kernel),
                 current: None,
             });
-            self.telemetry
-                .record(now, "entk", "task_created", Subject::Task(uid));
+            self.telemetry.emit(now, TraceKind::TaskCreated, uid);
             uids.push(uid);
         }
         self.outbox.push(Outbound::Batch { delay, batch, uids });
@@ -496,8 +494,7 @@ impl SessionEngine {
                 continue;
             };
             attempt.current = Some((key, now));
-            self.telemetry
-                .record(now, "entk", "task_submitted", Subject::Task(uid));
+            self.telemetry.emit(now, TraceKind::TaskSubmitted, uid);
             self.unit_to_task
                 .insert(key, NonZeroU64::MIN.saturating_add(uid));
         }
@@ -522,8 +519,7 @@ impl SessionEngine {
         }
         self.live_tasks -= 1;
         self.failed_tasks += 1;
-        self.telemetry
-            .record(now, "entk", "task_failed", Subject::Task(uid));
+        self.telemetry.emit(now, TraceKind::TaskFailed, uid);
         Some(self.finish(uid, now, false))
     }
 
@@ -582,8 +578,7 @@ impl SessionEngine {
         let record = self.table.get_mut(uid).expect("a known task");
         record.lost_to_failures += lost;
         self.failure_lost += lost;
-        self.telemetry
-            .record(now, "entk", "task_attempt_failed", Subject::Task(uid));
+        self.telemetry.emit(now, TraceKind::TaskAttemptFailed, uid);
         if record.retries < max_retries {
             record.retries += 1;
             // Real-time backends cannot honor a modeled backoff wait, so
@@ -599,8 +594,7 @@ impl SessionEngine {
             // Stamped at the instant the backoff completes, so the backoff
             // charge is recoverable from the trace as (task_retry −
             // task_attempt_failed) even if the resubmission never runs.
-            self.telemetry
-                .record(now + delay, "entk", "task_retry", Subject::Task(uid));
+            self.telemetry.emit(now + delay, TraceKind::TaskRetry, uid);
             self.outbox.push(Outbound::Batch {
                 delay,
                 batch: RETRY_BATCH,
@@ -635,8 +629,7 @@ impl SessionEngine {
             for uid in live {
                 let started = self.table.attempt(uid).and_then(|a| a.current.take());
                 if started.is_some() {
-                    self.telemetry
-                        .record(now, "entk", "task_attempt_failed", Subject::Task(uid));
+                    self.telemetry.emit(now, TraceKind::TaskAttemptFailed, uid);
                 }
                 let lost = started
                     .map(|(_, s)| now.saturating_since(s))
@@ -677,12 +670,8 @@ impl SessionEngine {
             match event {
                 BackendEvent::BatchReady { batch, uids } => {
                     if batch != RETRY_BATCH {
-                        self.telemetry.record(
-                            backend.now(),
-                            "entk",
-                            "tasks_submitted",
-                            Subject::Batch(batch),
-                        );
+                        self.telemetry
+                            .emit(backend.now(), TraceKind::TasksSubmitted, batch);
                     }
                     self.submit_batch(uids, backend);
                 }
@@ -718,7 +707,7 @@ impl SessionEngine {
                 BackendEvent::ClockMark => {
                     self.clock_marked = true;
                     self.telemetry
-                        .record(backend.now(), "entk", "teardown_done", Subject::Session);
+                        .emit(backend.now(), TraceKind::TeardownDone, 0);
                 }
             }
         }
@@ -777,8 +766,7 @@ impl SessionEngine {
                 let record = self.finish(uid, time, true);
                 let result = TaskResult::ok(record.tag, record.stage.clone(), output);
                 self.live_tasks -= 1;
-                self.telemetry
-                    .record(time, "entk", "task_done", Subject::Task(uid));
+                self.telemetry.emit(time, TraceKind::TaskDone, uid);
                 self.pending_results.push(result);
             }
             Err(e) => {

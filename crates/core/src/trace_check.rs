@@ -7,7 +7,7 @@
 //! is wrong, so bench binaries assert the match on every figure run.
 
 use crate::report::{ExecutionReport, OverheadBreakdown};
-use entk_sim::{SimDuration, SimTime, Subject, Tracer};
+use entk_sim::{SimDuration, SimTime, TraceKind, Tracer};
 
 /// Re-derives the paper's overhead decomposition from trace timestamps.
 ///
@@ -23,10 +23,11 @@ use entk_sim::{SimDuration, SimTime, Subject, Tracer};
 ///   `task_retry` (stamped at backoff completion) charges the backoff since
 ///   the preceding `task_attempt_failed`.
 ///
-/// One walk over the records: every mark is the first record of its name
+/// One walk over the records: every mark is the first record of its kind
 /// and subject, and a pilot's marks follow its submission in append order
 /// (the pilot runtime records a pilot's states in lifecycle order). Batch
-/// ids and task uids are dense, so the per-id instants live in slabs.
+/// ids and task uids are dense, so the per-id instants live in slabs. The
+/// match names every kind, so a new one must say what it contributes.
 pub fn breakdown_from_trace(tracer: &Tracer) -> OverheadBreakdown {
     let span = |start: Option<SimTime>, end: Option<SimTime>| {
         end.zip(start)
@@ -54,54 +55,45 @@ pub fn breakdown_from_trace(tracer: &Tracer) -> OverheadBreakdown {
     let mut last_sub = Vec::new();
     let mut last_fail = Vec::new();
     let mut failure_lost = SimDuration::ZERO;
+    // The first instant of a mark is the one that counts.
+    let mark = |slot: &mut Option<SimTime>, time| _ = slot.get_or_insert(time);
+    let first_pilot_is = |first: Option<(u64, SimTime)>, p| first.is_some_and(|(f, _)| f == p);
     for r in tracer.records() {
-        match (r.layer, r.name, r.subject) {
-            ("entk", name, Subject::Session) => {
-                let mark = match name {
-                    "session_start" => &mut session_start,
-                    "resource_ready" => &mut resource_ready,
-                    "teardown_start" => &mut teardown_start,
-                    "teardown_done" => &mut teardown_done,
-                    _ => continue,
-                };
-                mark.get_or_insert(r.time);
-            }
-            ("entk", "tasks_created", Subject::Batch(b)) => {
-                put(&mut created, b, r.time);
-            }
-            ("entk", "tasks_submitted", Subject::Batch(b)) => {
-                if let Some(c) = take(&mut created, b) {
-                    pattern += r.time.saturating_since(c);
+        use TraceKind::*;
+        let (time, id) = (r.time, r.id);
+        match r.kind {
+            SessionStart => mark(&mut session_start, time),
+            ResourceReady => mark(&mut resource_ready, time),
+            TeardownStart => mark(&mut teardown_start, time),
+            TeardownDone => mark(&mut teardown_done, time),
+            TasksCreated => put(&mut created, id, time),
+            TasksSubmitted => {
+                if let Some(c) = take(&mut created, id) {
+                    pattern += time.saturating_since(c);
                 }
             }
-            ("entk", "task_submitted", Subject::Task(uid)) => {
-                put(&mut last_sub, uid, r.time);
-            }
+            TaskSubmitted => put(&mut last_sub, id, time),
             // Records are walked in append order: a retry's backoff stamp is
             // appended right after its attempt failure, so `last_fail` is
             // always the matching failure even though the stamp lies in the
             // future.
-            ("entk", "task_attempt_failed", Subject::Task(uid)) => {
-                let s = take(&mut last_sub, uid).unwrap_or(r.time);
-                failure_lost += r.time.saturating_since(s);
-                put(&mut last_fail, uid, r.time);
+            TaskAttemptFailed => {
+                let s = take(&mut last_sub, id).unwrap_or(time);
+                failure_lost += time.saturating_since(s);
+                put(&mut last_fail, id, time);
             }
-            ("entk", "task_retry", Subject::Task(uid)) => {
-                let f = take(&mut last_fail, uid).unwrap_or(r.time);
-                failure_lost += r.time.saturating_since(f);
+            TaskRetry => {
+                let f = take(&mut last_fail, id).unwrap_or(time);
+                failure_lost += time.saturating_since(f);
             }
-            ("pilot", "pilot_submitted", Subject::Pilot(p)) => {
-                first_pilot.get_or_insert((p, r.time));
-            }
-            ("pilot", name, Subject::Pilot(p)) if first_pilot.is_some_and(|(f, _)| f == p) => {
-                let mark = match name {
-                    "pilot_launched" => &mut pilot_launched,
-                    "pilot_active" => &mut pilot_active,
-                    _ => continue,
-                };
-                mark.get_or_insert(r.time);
-            }
-            _ => {}
+            PilotSubmitted => _ = first_pilot.get_or_insert((id, time)),
+            PilotLaunched if first_pilot_is(first_pilot, id) => mark(&mut pilot_launched, time),
+            PilotActive if first_pilot_is(first_pilot, id) => mark(&mut pilot_active, time),
+            PilotLaunched | PilotActive | TaskCreated | TaskFailed | TaskDone | PilotShrunk
+            | PilotDone | PilotCancelled | PilotFailed | UnitSubmitted | UnitScheduled
+            | UnitExecStart | UnitExecStop | UnitDone | UnitCanceled | UnitFailed | JobQueued
+            | JobRejected | JobStarted | JobRunning | JobShrunk | JobCompleted | JobFailed
+            | JobTimedOut | JobCancelled | NodeCrash | NodeRecover => {}
         }
     }
 
@@ -180,7 +172,7 @@ pub fn cross_check(report: &ExecutionReport, tracer: &Tracer) -> CrossCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use entk_sim::Tracer;
+    use entk_sim::TraceKind::*;
 
     fn t(secs: f64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs_f64(secs)
@@ -189,14 +181,14 @@ mod tests {
     #[test]
     fn derives_core_and_pattern_from_synthetic_trace() {
         let mut tr = Tracer::new();
-        tr.record(t(0.0), "entk", "session_start", Subject::Session);
-        tr.record(t(2.5), "entk", "resource_ready", Subject::Session);
-        tr.record(t(2.5), "entk", "tasks_created", Subject::Batch(0));
-        tr.record(t(3.0), "entk", "tasks_submitted", Subject::Batch(0));
+        tr.record(t(0.0), SessionStart, 0);
+        tr.record(t(2.5), ResourceReady, 0);
+        tr.record(t(2.5), TasksCreated, 0);
+        tr.record(t(3.0), TasksSubmitted, 0);
         // A degraded batch: created but never submitted — excluded.
-        tr.record(t(4.0), "entk", "tasks_created", Subject::Batch(1));
-        tr.record(t(90.0), "entk", "teardown_start", Subject::Session);
-        tr.record(t(91.0), "entk", "teardown_done", Subject::Session);
+        tr.record(t(4.0), TasksCreated, 1);
+        tr.record(t(90.0), TeardownStart, 0);
+        tr.record(t(91.0), TeardownDone, 0);
         let d = breakdown_from_trace(&tr);
         assert!((d.core.as_secs_f64() - 3.5).abs() < 1e-9);
         assert!((d.pattern.as_secs_f64() - 0.5).abs() < 1e-9);
@@ -206,12 +198,12 @@ mod tests {
     #[test]
     fn derives_pilot_overheads_from_first_pilot() {
         let mut tr = Tracer::new();
-        tr.record(t(1.0), "pilot", "pilot_submitted", Subject::Pilot(7));
-        tr.record(t(1.4), "pilot", "pilot_launched", Subject::Pilot(7));
-        tr.record(t(11.4), "pilot", "pilot_active", Subject::Pilot(7));
+        tr.record(t(1.0), PilotSubmitted, 7);
+        tr.record(t(1.4), PilotLaunched, 7);
+        tr.record(t(11.4), PilotActive, 7);
         // A second pilot must not override the first.
-        tr.record(t(2.0), "pilot", "pilot_submitted", Subject::Pilot(8));
-        tr.record(t(3.0), "pilot", "pilot_launched", Subject::Pilot(8));
+        tr.record(t(2.0), PilotSubmitted, 8);
+        tr.record(t(3.0), PilotLaunched, 8);
         let d = breakdown_from_trace(&tr);
         assert!((d.runtime_pilot.as_secs_f64() - 0.4).abs() < 1e-9);
         assert!((d.resource_wait.as_secs_f64() - 10.0).abs() < 1e-9);
@@ -222,11 +214,11 @@ mod tests {
         let mut tr = Tracer::new();
         // Attempt 1: submitted at 10, fails at 25 (15s lost), retry with a
         // 5s backoff stamped at 30, resubmitted at 30, succeeds.
-        tr.record(t(10.0), "entk", "task_submitted", Subject::Task(3));
-        tr.record(t(25.0), "entk", "task_attempt_failed", Subject::Task(3));
-        tr.record(t(30.0), "entk", "task_retry", Subject::Task(3));
-        tr.record(t(30.0), "entk", "task_submitted", Subject::Task(3));
-        tr.record(t(40.0), "entk", "task_done", Subject::Task(3));
+        tr.record(t(10.0), TaskSubmitted, 3);
+        tr.record(t(25.0), TaskAttemptFailed, 3);
+        tr.record(t(30.0), TaskRetry, 3);
+        tr.record(t(30.0), TaskSubmitted, 3);
+        tr.record(t(40.0), TaskDone, 3);
         let d = breakdown_from_trace(&tr);
         assert!((d.failure_lost.as_secs_f64() - 20.0).abs() < 1e-9);
     }
@@ -234,8 +226,8 @@ mod tests {
     #[test]
     fn cross_check_flags_divergence() {
         let mut tr = Tracer::new();
-        tr.record(t(0.0), "entk", "session_start", Subject::Session);
-        tr.record(t(2.0), "entk", "resource_ready", Subject::Session);
+        tr.record(t(0.0), SessionStart, 0);
+        tr.record(t(2.0), ResourceReady, 0);
         let mut report = crate::report::ExecutionReport {
             pattern: "x".into(),
             resource: "local".into(),
@@ -302,9 +294,9 @@ mod end_to_end_tests {
         cc.assert_ok();
         assert!(cc.derived.failure_lost > SimDuration::ZERO);
         // Each retry and each terminal failure is one record.
-        let count = |name| telemetry.tracer.filter("entk", name).count();
-        assert_eq!(count("task_retry"), report.total_retries as usize);
-        assert_eq!(count("task_failed"), report.failed_tasks);
+        let count = |kind| telemetry.tracer.filter(kind).count();
+        assert_eq!(count(TraceKind::TaskRetry), report.total_retries as usize);
+        assert_eq!(count(TraceKind::TaskFailed), report.failed_tasks);
     }
 
     /// The one walk reads each session and pilot mark where a scan for it
@@ -337,28 +329,24 @@ mod end_to_end_tests {
             run_simulated_traced(config, simulated, &mut pattern(40)).unwrap(),
         ] {
             let tracer = &telemetry.tracer;
-            let t = |name| tracer.time_of("entk", name, Subject::Session);
+            use TraceKind::*;
+            let t = |kind| tracer.time_of(kind, 0);
             let span =
                 |s: Option<SimTime>, e: Option<SimTime>| e.unwrap().saturating_since(s.unwrap());
-            let pilot = tracer
-                .filter("pilot", "pilot_submitted")
-                .next()
-                .unwrap()
-                .subject;
-            let p = |name| tracer.time_of("pilot", name, pilot);
+            let pilot = tracer.filter(PilotSubmitted).next().unwrap().id;
+            let p = |kind| tracer.time_of(kind, pilot);
             let derived = breakdown_from_trace(tracer);
             assert_eq!(
                 derived.core,
-                span(t("session_start"), t("resource_ready"))
-                    + span(t("teardown_start"), t("teardown_done"))
+                span(t(SessionStart), t(ResourceReady)) + span(t(TeardownStart), t(TeardownDone))
             );
             assert_eq!(
                 derived.runtime_pilot,
-                span(p("pilot_submitted"), p("pilot_launched"))
+                span(p(PilotSubmitted), p(PilotLaunched))
             );
             assert_eq!(
                 derived.resource_wait,
-                span(p("pilot_launched"), p("pilot_active"))
+                span(p(PilotLaunched), p(PilotActive))
             );
             cross_check(&report, tracer).assert_ok();
         }

@@ -390,7 +390,7 @@ fn federated_reports_span_all_clusters() {
     let mut saw_c0 = false;
     let mut saw_c1 = false;
     for rec in telemetry.tracer.records() {
-        if let entk_sim::Subject::Unit(u) = rec.subject {
+        if let entk_sim::Subject::Unit(u) = rec.subject() {
             if u >= 1_000_000_000 {
                 saw_c1 = true;
             } else {

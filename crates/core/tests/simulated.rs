@@ -665,7 +665,7 @@ fn backfill_beats_fifo_behind_a_blocked_head() {
 /// task, both must be those of the unit that ran its last attempt.
 #[test]
 fn task_records_carry_the_exec_instants_of_their_last_attempt() {
-    use entk_sim::Subject;
+    use entk_sim::TraceKind;
     use std::collections::HashMap;
     let sleep = || KernelCall::new("misc.sleep", json!({ "secs": 5.0 }));
     let sim = SimulatedConfig {
@@ -686,26 +686,25 @@ fn task_records_carry_the_exec_instants_of_their_last_attempt() {
     // The session records `task_submitted` for the units of a batch in the
     // order the runtime recorded their `unit_submitted`, so the two
     // sequences pair up; a later attempt overwrites an earlier one.
-    let units: Vec<Subject> = tracer
-        .filter("pilot", "unit_submitted")
-        .map(|r| r.subject)
-        .collect();
-    let tasks: Vec<Subject> = tracer
-        .filter("entk", "task_submitted")
-        .map(|r| r.subject)
-        .collect();
+    let ids = |kind| tracer.filter(kind).map(|r| r.id).collect::<Vec<u64>>();
+    let units = ids(TraceKind::UnitSubmitted);
+    let tasks = ids(TraceKind::TaskSubmitted);
     assert_eq!(units.len(), tasks.len());
-    let last_unit: HashMap<Subject, Subject> = tasks.into_iter().zip(units).collect();
+    let last_unit: HashMap<u64, u64> = tasks.into_iter().zip(units).collect();
 
     assert_eq!(session.task_count(), 12 + 10);
     let mut retried = 0;
     for record in &session.tasks {
         assert!(record.success, "task {} ran out of retries", record.uid);
-        let unit = last_unit[&Subject::Task(record.uid)];
-        let at = |event| tracer.time_of("pilot", event, unit);
+        let unit = last_unit[&record.uid];
+        let at = |kind| tracer.time_of(kind, unit);
         assert!(record.exec_start.is_some() && record.exec_stop.is_some());
-        assert_eq!(record.exec_start, at("unit_exec_start"), "{record:?}");
-        assert_eq!(record.exec_stop, at("unit_exec_stop"), "{record:?}");
+        assert_eq!(
+            record.exec_start,
+            at(TraceKind::UnitExecStart),
+            "{record:?}"
+        );
+        assert_eq!(record.exec_stop, at(TraceKind::UnitExecStop), "{record:?}");
         retried += usize::from(record.retries > 0);
     }
     assert!(retried > 0, "no task was retried");

@@ -22,8 +22,7 @@ pub mod states;
 pub use description::{PilotDescription, UnitDescription};
 pub use overheads::RuntimeOverheads;
 pub use scheduler::{
-    FirstFitScheduler, LargestFirstScheduler, PilotView, Placement, RoundRobinScheduler,
-    UnitScheduler, UnitView,
+    FirstFitScheduler, LargestFirstScheduler, PilotView, Placement, UnitScheduler, UnitView,
 };
 pub use sim_runtime::{
     RuntimeEvent, RuntimeEventSink, RuntimeNotification, SimRuntime, SimRuntimeConfig,

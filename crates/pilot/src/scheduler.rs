@@ -118,62 +118,6 @@ impl UnitScheduler for FirstFitScheduler {
     }
 }
 
-/// Round-robin scheduling: spreads units across active pilots, balancing
-/// load for multi-pilot execution strategies.
-#[derive(Debug, Default)]
-pub struct RoundRobinScheduler {
-    cursor: usize,
-}
-
-impl UnitScheduler for RoundRobinScheduler {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn assign(&mut self, waiting: &[UnitView], pilots: &[PilotView]) -> Vec<Placement> {
-        let mut free: Vec<(PilotId, usize)> = pilots
-            .iter()
-            .filter(|p| p.active)
-            .map(|p| (p.id, p.free_cores))
-            .collect();
-        if free.is_empty() {
-            return Vec::new();
-        }
-        let mut avail: usize = free.iter().map(|(_, f)| *f).sum();
-        let mut placements = Vec::new();
-        if avail == 0 {
-            return placements;
-        }
-        for unit in waiting {
-            if unit.is_tombstone() {
-                continue;
-            }
-            let n = free.len();
-            // Probe pilots starting from the rotating cursor.
-            let mut placed = false;
-            for probe in 0..n {
-                let i = (self.cursor + probe) % n;
-                if free[i].1 >= unit.cores {
-                    free[i].1 -= unit.cores;
-                    avail -= unit.cores;
-                    placements.push(Placement {
-                        unit: unit.id,
-                        pilot: free[i].0,
-                    });
-                    self.cursor = (i + 1) % n;
-                    placed = true;
-                    break;
-                }
-            }
-            if placed && avail == 0 {
-                // Capacity exhausted; no remaining unit can place.
-                break;
-            }
-        }
-        placements
-    }
-}
-
 /// Largest-first scheduling: sorts waiting units by core count descending
 /// before first-fit, reducing fragmentation for mixed MPI workloads.
 #[derive(Debug, Default)]
@@ -243,23 +187,9 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_spreads_units() {
-        let mut rr = RoundRobinScheduler::default();
-        let placements = rr.assign(
-            &[uv(0, 1), uv(1, 1), uv(2, 1), uv(3, 1)],
-            &[pv(0, true, 4), pv(1, true, 4)],
-        );
-        let on0 = placements.iter().filter(|p| p.pilot == PilotId(0)).count();
-        let on1 = placements.iter().filter(|p| p.pilot == PilotId(1)).count();
-        assert_eq!(on0, 2);
-        assert_eq!(on1, 2);
-    }
-
-    #[test]
     fn inactive_pilots_receive_nothing() {
         for policy in [
             &mut FirstFitScheduler as &mut dyn UnitScheduler,
-            &mut RoundRobinScheduler::default(),
             &mut LargestFirstScheduler,
         ] {
             let placements = policy.assign(&[uv(0, 1)], &[pv(0, false, 8)]);
@@ -301,7 +231,6 @@ mod tests {
         let waiting = [tomb, uv(1, 2), tomb, uv(3, 1)];
         for policy in [
             &mut FirstFitScheduler as &mut dyn UnitScheduler,
-            &mut RoundRobinScheduler::default(),
             &mut LargestFirstScheduler,
         ] {
             let placements = policy.assign(&waiting, &[pv(0, true, 8)]);
@@ -320,7 +249,6 @@ mod tests {
         let waiting: Vec<_> = (0..4).map(|i| uv(i, 1)).collect();
         for policy in [
             &mut FirstFitScheduler as &mut dyn UnitScheduler,
-            &mut RoundRobinScheduler::default(),
             &mut LargestFirstScheduler,
         ] {
             let placements = policy.assign(&waiting, &[pv(0, true, 3)]);
@@ -334,7 +262,6 @@ mod tests {
         let waiting: Vec<_> = (0..12).map(|i| uv(i, 1 + (i as usize % 5))).collect();
         let pilots = [pv(0, true, 7), pv(1, false, 100), pv(2, true, 3)];
         check_contract(&mut FirstFitScheduler, &waiting, &pilots);
-        check_contract(&mut RoundRobinScheduler::default(), &waiting, &pilots);
         check_contract(&mut LargestFirstScheduler, &waiting, &pilots);
     }
 }

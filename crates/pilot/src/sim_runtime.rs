@@ -15,7 +15,7 @@ use entk_cluster::{
     FifoScheduler, PlatformSpec,
 };
 use entk_sim::arena::{self, Window};
-use entk_sim::{Context, SharedTelemetry, SimDuration, SimRng, SimTime, Subject};
+use entk_sim::{Context, SharedTelemetry, SimDuration, SimRng, SimTime, TraceKind};
 use std::ops::Range;
 
 /// Events the runtime schedules for itself.
@@ -371,8 +371,7 @@ impl SimRuntime {
         self.pilots_dirty = true;
         let event = PilotState::trace_event(None, PilotState::New);
         let event = event.expect("a submitted pilot is recorded");
-        self.telemetry
-            .record(ctx.now(), "pilot", event, Subject::Pilot(id.0));
+        self.telemetry.emit(ctx.now(), event, id.0);
         let delay = self
             .config
             .overheads
@@ -452,8 +451,7 @@ impl SimRuntime {
         let event = UnitState::trace_event(None, UnitState::New);
         let event = event.expect("a submitted unit is recorded");
         for id in ids.clone() {
-            self.telemetry
-                .record(ctx.now(), "pilot", event, Subject::Unit(id));
+            self.telemetry.emit(ctx.now(), event, id);
         }
         let overheads = &self.config.overheads;
         let fixed = overheads.unit_submit_fixed.sample(&mut self.rng);
@@ -727,8 +725,7 @@ impl SimRuntime {
                 }
             }
         }
-        self.telemetry
-            .record(time, "pilot", "pilot_shrunk", Subject::Pilot(pid.0));
+        self.telemetry.emit(time, TraceKind::PilotShrunk, pid.0);
         // Surplus cores may have returned, and the shrunken size changes
         // which waiting units are doomed.
         self.sched_dirty = true;
@@ -786,8 +783,7 @@ impl SimRuntime {
         }
         self.pilots_dirty = true;
         if let Some(event) = event {
-            self.telemetry
-                .record(time, "pilot", event, Subject::Pilot(id.0));
+            self.telemetry.emit(time, event, id.0);
         }
         out.push(RuntimeNotification::Pilot { id, state, time });
     }
@@ -819,8 +815,7 @@ impl SimRuntime {
             self.tombstone_waiting_slot(slot as usize, id);
         }
         if let Some(event) = event {
-            self.telemetry
-                .record(time, "pilot", event, Subject::Unit(id.0));
+            self.telemetry.emit(time, event, id.0);
         }
         if state.is_terminal() {
             self.live -= 1;
@@ -1035,7 +1030,7 @@ impl SimRuntime {
             return;
         }
         self.telemetry
-            .record(ctx.now(), "pilot", "unit_exec_stop", Subject::Unit(id.0));
+            .emit(ctx.now(), TraceKind::UnitExecStop, id.0);
         unit.exec = Exec::Stopped(ctx.now());
         // Release cores regardless of outcome.
         let released = unit.holding as usize;
@@ -1164,9 +1159,13 @@ pub(crate) mod tests {
     /// the application-execution component of TTC — read off the trace.
     fn exec_span(rt: &SimRuntime) -> f64 {
         let tracer = rt.telemetry().snapshot().tracer;
-        let times = |name| tracer.filter("pilot", name).map(|r| r.time);
-        let start = times("unit_exec_start").min().expect("a unit started");
-        let stop = times("unit_exec_stop").max().expect("a unit stopped");
+        let times = |kind| tracer.filter(kind).map(|r| r.time);
+        let start = times(TraceKind::UnitExecStart)
+            .min()
+            .expect("a unit started");
+        let stop = times(TraceKind::UnitExecStop)
+            .max()
+            .expect("a unit stopped");
         stop.saturating_since(start).as_secs_f64()
     }
 
@@ -1306,7 +1305,7 @@ pub(crate) mod tests {
         // the trace holds its `unit_submitted` record at the submission.
         assert_eq!(ids, 0..1);
         let tracer = rt.telemetry().snapshot().tracer;
-        let submitted = tracer.time_of("pilot", "unit_submitted", Subject::Unit(0));
+        let submitted = tracer.time_of(TraceKind::UnitSubmitted, 0);
         assert_eq!(submitted, Some(SimTime::ZERO));
         // The caller hears of the start of execution and of the end only.
         let states: Vec<UnitState> = log
@@ -1324,8 +1323,8 @@ pub(crate) mod tests {
         let steps: Vec<(&str, f64)> = tracer
             .records()
             .iter()
-            .filter(|r| r.subject == Subject::Unit(0))
-            .map(|r| (r.name, r.time.as_secs_f64()))
+            .filter(|r| r.subject() == entk_sim::Subject::Unit(0))
+            .map(|r| (r.kind.name(), r.time.as_secs_f64()))
             .collect();
         let names: Vec<&str> = steps.iter().map(|&(name, _)| name).collect();
         assert_eq!(
@@ -1457,9 +1456,9 @@ pub(crate) mod tests {
             ]
         );
         let tracer = rt.telemetry().snapshot().tracer;
-        assert_eq!(tracer.filter("cluster", "job_rejected").count(), 1);
-        assert_eq!(tracer.filter("cluster", "job_queued").count(), 0);
-        assert_eq!(tracer.filter("pilot", "pilot_failed").count(), 1);
+        assert_eq!(tracer.filter(TraceKind::JobRejected).count(), 1);
+        assert_eq!(tracer.filter(TraceKind::JobQueued).count(), 0);
+        assert_eq!(tracer.filter(TraceKind::PilotFailed).count(), 1);
     }
 
     #[test]
@@ -1511,9 +1510,9 @@ pub(crate) mod tests {
         spec.job_startup = entk_sim::Dist::Constant(0.0);
         let first_scheduling = |rt: &SimRuntime| {
             let tracer = rt.telemetry().snapshot().tracer;
-            let active = tracer.filter("pilot", "pilot_active").map(|r| r.time);
+            let active = tracer.filter(TraceKind::PilotActive).map(|r| r.time);
             assert_eq!(active.collect::<Vec<_>>(), [SimTime::ZERO]);
-            let placed = tracer.filter("pilot", "unit_scheduled").map(|r| r.time);
+            let placed = tracer.filter(TraceKind::UnitScheduled).map(|r| r.time);
             placed
                 .min()
                 .expect("units entered scheduling")
@@ -1538,7 +1537,7 @@ pub(crate) mod tests {
 mod tracer_tests {
     use super::tests::*;
     use super::*;
-    use entk_sim::SimDuration;
+    use entk_sim::{SimDuration, Subject};
 
     #[test]
     fn tracer_records_session_events_in_causal_order() {
@@ -1547,17 +1546,16 @@ mod tracer_tests {
             .collect();
         let (_, rt, _) = run_session(quiet_spec(1, 4), quiet_config(), 4, units);
         let tracer = rt.telemetry().snapshot().tracer;
-        assert_eq!(tracer.filter("pilot", "pilot_submitted").count(), 1);
-        assert_eq!(tracer.filter("pilot", "pilot_active").count(), 1);
-        assert_eq!(tracer.filter("pilot", "unit_scheduled").count(), 3);
-        assert_eq!(tracer.filter("pilot", "unit_exec_start").count(), 3);
-        assert_eq!(tracer.filter("pilot", "unit_exec_stop").count(), 3);
+        assert_eq!(tracer.filter(TraceKind::PilotSubmitted).count(), 1);
+        assert_eq!(tracer.filter(TraceKind::PilotActive).count(), 1);
+        assert_eq!(tracer.filter(TraceKind::UnitScheduled).count(), 3);
+        assert_eq!(tracer.filter(TraceKind::UnitExecStart).count(), 3);
+        assert_eq!(tracer.filter(TraceKind::UnitExecStop).count(), 3);
         // Causality per unit: scheduled <= exec_start <= exec_stop.
         for u in 0..3u64 {
-            let subject = Subject::Unit(u);
-            let sched = tracer.time_of("pilot", "unit_scheduled", subject).unwrap();
-            let start = tracer.time_of("pilot", "unit_exec_start", subject).unwrap();
-            let stop = tracer.time_of("pilot", "unit_exec_stop", subject).unwrap();
+            let sched = tracer.time_of(TraceKind::UnitScheduled, u).unwrap();
+            let start = tracer.time_of(TraceKind::UnitExecStart, u).unwrap();
+            let stop = tracer.time_of(TraceKind::UnitExecStop, u).unwrap();
             assert!(sched <= start && start <= stop);
         }
     }
@@ -1569,14 +1567,15 @@ mod tracer_tests {
         config.overheads.pilot_submission = entk_sim::Dist::Constant(2.0);
         let (_, rt, _) = run_session(quiet_spec(1, 4), config, 4, units);
         let tracer = rt.telemetry().snapshot().tracer;
-        let at = |event| {
-            let time = tracer.time_of("pilot", event, Subject::Pilot(0));
+        let at = |kind| {
+            let time = tracer.time_of(kind, 0);
             time.expect("the pilot went through every phase")
         };
         let (submit, wait) = rt.pilot_startup(PilotId(0)).unwrap();
         assert_eq!(submit, SimDuration::from_secs(2));
-        assert_eq!(submit, at("pilot_launched") - at("pilot_submitted"));
-        assert_eq!(wait, at("pilot_active") - at("pilot_launched"));
+        let launched = at(TraceKind::PilotLaunched);
+        assert_eq!(submit, launched - at(TraceKind::PilotSubmitted));
+        assert_eq!(wait, at(TraceKind::PilotActive) - launched);
         assert!(wait >= SimDuration::from_secs(1), "job startup is 1 s");
         assert_eq!(rt.pilot_startup(PilotId(1)), None);
     }
@@ -1590,12 +1589,12 @@ mod tracer_tests {
         let tracer = rt.telemetry().snapshot().tracer;
         // The pilot's container job is traced by the cluster layer through
         // the same shared pipeline.
-        assert_eq!(tracer.filter("cluster", "job_queued").count(), 1);
-        assert_eq!(tracer.filter("cluster", "job_started").count(), 1);
-        assert_eq!(tracer.filter("cluster", "job_running").count(), 1);
-        assert_eq!(tracer.filter("cluster", "job_completed").count(), 1);
+        assert_eq!(tracer.filter(TraceKind::JobQueued).count(), 1);
+        assert_eq!(tracer.filter(TraceKind::JobStarted).count(), 1);
+        assert_eq!(tracer.filter(TraceKind::JobRunning).count(), 1);
+        assert_eq!(tracer.filter(TraceKind::JobCompleted).count(), 1);
         // Terminal unit outcomes are traced.
-        assert_eq!(tracer.filter("pilot", "unit_done").count(), 2);
+        assert_eq!(tracer.filter(TraceKind::UnitDone).count(), 2);
         // Every unit reached a final state.
         assert_eq!(rt.live_units(), 0);
     }
@@ -1666,38 +1665,34 @@ mod tracer_tests {
 
         let snap = rt.telemetry().snapshot();
         let records = snap.tracer.records();
-        let count = |name| records.iter().filter(|r| r.name == name).count();
-        for name in [
-            "job_shrunk",
-            "job_timedout",
-            "pilot_cancelled",
-            "unit_failed",
-        ] {
-            assert!(count(name) > 0, "the session never recorded {name}");
+        use TraceKind::*;
+        let count = |kind| records.iter().filter(|r| r.kind == kind).count();
+        for kind in [JobShrunk, JobTimedOut, PilotCancelled, UnitFailed] {
+            assert!(count(kind) > 0, "the session never recorded {kind:?}");
         }
-        let mut first: HashMap<(Subject, &str), SimTime> = HashMap::new();
+        let mut first: HashMap<(Subject, TraceKind), SimTime> = HashMap::new();
         let mut ends: HashMap<Subject, usize> = HashMap::new();
         for r in records {
-            first.entry((r.subject, r.name)).or_insert(r.time);
+            first.entry((r.subject(), r.kind)).or_insert(r.time);
             if matches!(
-                r.name,
-                "unit_done"
-                    | "unit_failed"
-                    | "unit_canceled"
-                    | "job_completed"
-                    | "job_failed"
-                    | "job_timedout"
-                    | "job_cancelled"
-                    | "job_rejected"
+                r.kind,
+                UnitDone
+                    | UnitFailed
+                    | UnitCanceled
+                    | JobCompleted
+                    | JobFailed
+                    | JobTimedOut
+                    | JobCancelled
+                    | JobRejected
             ) {
-                *ends.entry(r.subject).or_default() += 1;
+                *ends.entry(r.subject()).or_default() += 1;
             }
         }
         // Exactly one terminal record per unit and per batch job.
         let born: Vec<Subject> = records
             .iter()
-            .filter(|r| matches!(r.name, "unit_submitted" | "job_queued"))
-            .map(|r| r.subject)
+            .filter(|r| matches!(r.kind, UnitSubmitted | JobQueued))
+            .map(|r| r.subject())
             .collect();
         assert_eq!(born.len(), units.len() + pilots.len());
         assert_eq!(ends.len(), born.len(), "a terminal record for no one");
@@ -1709,15 +1704,11 @@ mod tracer_tests {
         let mut straggled = 0;
         for u in 0..units.len() as u64 {
             let subject = Subject::Unit(u);
-            let at = |name| first.get(&(subject, name)).copied();
-            let end = ["unit_done", "unit_failed", "unit_canceled"]
+            let at = |kind| first.get(&(subject, kind)).copied();
+            let end = [UnitDone, UnitFailed, UnitCanceled]
                 .into_iter()
                 .find_map(at);
-            let steps = [
-                at("unit_scheduled"),
-                at("unit_exec_start"),
-                at("unit_exec_stop"),
-            ];
+            let steps = [at(UnitScheduled), at(UnitExecStart), at(UnitExecStop)];
             let reached: Vec<SimTime> = steps.iter().map_while(|t| *t).chain(end).collect();
             let recorded = steps.iter().flatten().count() + 1;
             assert_eq!(reached.len(), recorded, "{subject}: {steps:?} then {end:?}");

@@ -5,6 +5,7 @@
 //! job; a compute unit traverses manager-side scheduling, input staging,
 //! execution on pilot cores, and output staging.
 
+use entk_sim::TraceKind;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -75,18 +76,18 @@ impl PilotState {
     /// `from` (`None`: just submitted). A `New` pilot cancelled before it
     /// reached the batch system records nothing. Panics on a transition the
     /// model forbids, which is a simulator bug, not a user error.
-    pub(crate) fn trace_event(from: Option<PilotState>, next: PilotState) -> Option<&'static str> {
+    pub(crate) fn trace_event(from: Option<PilotState>, next: PilotState) -> Option<TraceKind> {
         use PilotState::*;
         let legal = from.map_or(next == New, |f| f.can_transition_to(next));
         assert!(legal, "illegal pilot transition {from:?} -> {next:?}");
         match next {
-            New => Some("pilot_submitted"),
-            Launching => Some("pilot_launched"),
-            Active => Some("pilot_active"),
-            Done => Some("pilot_done"),
+            New => Some(TraceKind::PilotSubmitted),
+            Launching => Some(TraceKind::PilotLaunched),
+            Active => Some(TraceKind::PilotActive),
+            Done => Some(TraceKind::PilotDone),
             Canceled if from == Some(New) => None,
-            Canceled => Some("pilot_cancelled"),
-            Failed => Some("pilot_failed"),
+            Canceled => Some(TraceKind::PilotCancelled),
+            Failed => Some(TraceKind::PilotFailed),
         }
     }
 }
@@ -142,18 +143,18 @@ impl UnitState {
     /// records nothing; `unit_exec_stop` marks the end of execution, not a
     /// transition, and is written where execution ends. Panics on a
     /// transition the model forbids, which is a simulator bug.
-    pub(crate) fn trace_event(from: Option<UnitState>, next: UnitState) -> Option<&'static str> {
+    pub(crate) fn trace_event(from: Option<UnitState>, next: UnitState) -> Option<TraceKind> {
         use UnitState::*;
         let legal = from.map_or(next == New, |f| f.can_transition_to(next));
         assert!(legal, "illegal unit transition {from:?} -> {next:?}");
         match next {
-            New => Some("unit_submitted"),
+            New => Some(TraceKind::UnitSubmitted),
             Scheduling | StagingOutput => None,
-            StagingInput => Some("unit_scheduled"),
-            Executing => Some("unit_exec_start"),
-            Done => Some("unit_done"),
-            Canceled => Some("unit_canceled"),
-            Failed => Some("unit_failed"),
+            StagingInput => Some(TraceKind::UnitScheduled),
+            Executing => Some(TraceKind::UnitExecStart),
+            Done => Some(TraceKind::UnitDone),
+            Canceled => Some(TraceKind::UnitCanceled),
+            Failed => Some(TraceKind::UnitFailed),
         }
     }
 }

@@ -27,6 +27,6 @@ pub use rng::{Dist, SimRng};
 pub use stats::{Summary, TimeSeries};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    Fnv64, SharedTelemetry, Subject, SubjectOffsets, Telemetry, TelemetryBuffer, TraceRecord,
-    Tracer,
+    Fnv64, SharedTelemetry, Subject, SubjectOffsets, Telemetry, TelemetryBuffer, TraceKind,
+    TraceRecord, Tracer,
 };

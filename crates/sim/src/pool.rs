@@ -4,10 +4,11 @@
 //! here are worth, so a pool is built once by its owner and jobs are
 //! late-bound onto its parked threads — the pilot argument applied to the
 //! host. Two owners build one: the workload service streams just-in-time
-//! session evaluations through [`WorkerPool::submit`], collecting results
-//! over a channel while the admission loop keeps running, and discards
-//! never-started jobs with [`WorkerPool::cancel_queued`] on early-abort
-//! paths; the `fork://` job service of every local handle
+//! session evaluations through [`WorkerPool::submit`], each leaving its
+//! result on a mutex-and-condvar slot (`EvalSlot`, `entk-workload`) that
+//! admission takes while the loop keeps running, and discards never-started
+//! jobs with [`WorkerPool::cancel_queued`] on early-abort paths; the
+//! `fork://` job service of every local handle
 //! (`entk_saga::ForkJobService`) runs the jobs it admits on a pool of its own.
 //!
 //! [`WorkerPool::run`] executes a batch of borrowed closures on the calling

@@ -5,11 +5,11 @@
 //! the trace is the session's only telemetry. The overhead decomposition
 //! in the paper's Fig. 3 is computed from intervals between these records.
 //!
-//! Records are deliberately allocation-free on the hot path: layer and event
-//! names are interned `&'static str` and the subject is a compact
-//! [`Subject`] enum, rendered to text only at export time. Two exporters are
-//! provided — flat JSONL ([`Tracer::write_jsonl`], [`Tracer::to_jsonl`]) and
-//! Chrome trace-event JSON ([`Tracer::write_chrome_json`],
+//! The vocabulary is closed: a record is a virtual time, a [`TraceKind`]
+//! and the id of the entity it is about, 24 bytes, so text exists only at
+//! export time and a misspelt event name does not compile. Two exporters
+//! are provided — flat JSONL ([`Tracer::write_jsonl`], [`Tracer::to_jsonl`])
+//! and Chrome trace-event JSON ([`Tracer::write_chrome_json`],
 //! [`Tracer::to_chrome_json`]), loadable in Perfetto or `chrome://tracing`.
 //! A caller that only needs to know whether two traces are the same bytes
 //! asks for [`Tracer::fingerprint`], which hashes the JSONL bytes without
@@ -18,21 +18,18 @@
 
 use crate::time::SimTime;
 use std::cell::RefCell;
-use std::collections::hash_map::{Entry, HashMap};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::rc::Rc;
+use std::sync::OnceLock;
 
-/// The entity a trace record is about, as a compact copyable id.
+/// The entity a trace record is about.
 ///
-/// Rendered as text only at export/query time (`task.42`, `unit.000042`, …),
-/// so recording never allocates.
+/// Rendered as text only at export/query time (`task.000042`,
+/// `unit.000042`, …), so recording never allocates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Subject {
-    /// No particular entity (layer-wide event).
-    None,
     /// The whole session (allocate → deallocate).
     Session,
     /// An EnTK task by uid.
@@ -51,40 +48,202 @@ pub enum Subject {
 
 impl fmt::Display for Subject {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (prefix, id) = self.text();
-        f.write_str(prefix)?;
-        match id {
-            Some((id, width)) => write!(f, "{id:0width$}"),
+        let (kind, id) = self.split();
+        f.write_str(kind.prefix)?;
+        match kind.width {
+            Some(width) => write!(f, "{id:0width$}"),
             None => Ok(()),
         }
     }
 }
 
 impl Subject {
-    /// The text form as a prefix plus, for numbered entities, the id and the
-    /// width it is zero-padded to (a wider id prints in full). The one table
-    /// behind both `Display` and the JSONL renderer.
-    fn text(self) -> (&'static str, Option<(u64, usize)>) {
+    /// Its kind and its id (0 for the session).
+    const fn split(self) -> (SubjectKind, u64) {
         match self {
-            Subject::None => ("-", None),
-            Subject::Session => ("session", None),
-            Subject::Task(i) => ("task.", Some((i, 6))),
-            Subject::Batch(i) => ("batch.", Some((i, 4))),
-            Subject::Unit(i) => ("unit.", Some((i, 6))),
-            Subject::Pilot(i) => ("pilot.", Some((i, 4))),
-            Subject::Job(i) => ("job.", Some((i, 6))),
-            Subject::Node(i) => ("node.", Some((i, 4))),
+            Subject::Session => (SubjectKind::SESSION, 0),
+            Subject::Task(i) => (SubjectKind::TASK, i),
+            Subject::Batch(i) => (SubjectKind::BATCH, i),
+            Subject::Unit(i) => (SubjectKind::UNIT, i),
+            Subject::Pilot(i) => (SubjectKind::PILOT, i),
+            Subject::Job(i) => (SubjectKind::JOB, i),
+            Subject::Node(i) => (SubjectKind::NODE, i),
         }
     }
+}
 
-    /// A stable per-layer track id for timeline rendering. Entities of
-    /// different kinds never collide within a layer's track space.
-    fn track(self) -> u64 {
-        match self {
-            Subject::None | Subject::Session => 0,
-            Subject::Task(i) | Subject::Unit(i) | Subject::Job(i) => 1 + i,
-            Subject::Batch(i) | Subject::Pilot(i) | Subject::Node(i) => 1_000_000 + i,
+/// A kind of subject: each [`TraceKind`] fixes one, so a record keeps only
+/// the id. The one table behind `Display`, the JSONL renderer and the
+/// Chrome tracks.
+#[derive(Clone, Copy)]
+struct SubjectKind {
+    /// The subject with a given id.
+    of: fn(u64) -> Subject,
+    /// The text before the id; no two kinds share one.
+    prefix: &'static str,
+    /// The width the id is zero-padded to (a wider id prints in full).
+    width: Option<usize>,
+    /// Its first Chrome track: kinds of one layer never share a track.
+    track: u64,
+}
+
+impl SubjectKind {
+    const SESSION: Self = Self::new(|_| Subject::Session, "session", None, 0);
+    const TASK: Self = Self::new(Subject::Task, "task.", Some(6), 1);
+    const BATCH: Self = Self::new(Subject::Batch, "batch.", Some(4), 1_000_000);
+    const UNIT: Self = Self::new(Subject::Unit, "unit.", Some(6), 1);
+    const PILOT: Self = Self::new(Subject::Pilot, "pilot.", Some(4), 1_000_000);
+    const JOB: Self = Self::new(Subject::Job, "job.", Some(6), 1);
+    const NODE: Self = Self::new(Subject::Node, "node.", Some(4), 1_000_000);
+
+    const fn new(
+        of: fn(u64) -> Subject,
+        prefix: &'static str,
+        width: Option<usize>,
+        track: u64,
+    ) -> Self {
+        SubjectKind {
+            of,
+            prefix,
+            width,
+            track,
         }
+    }
+}
+
+/// The layer a record comes from; its value is the layer's Chrome trace
+/// process id.
+#[derive(Clone, Copy)]
+enum Layer {
+    Entk = 1,
+    Pilot = 2,
+    Cluster = 3,
+}
+
+impl Layer {
+    const fn name(self) -> &'static str {
+        ["entk", "pilot", "cluster"][self as usize - 1]
+    }
+}
+
+/// What a record does on the Chrome timeline: lifecycle pairs open and
+/// close a named duration span on their subject's track, everything else
+/// is an instant marker.
+#[derive(Clone, Copy)]
+enum SpanRole {
+    Begin(&'static str),
+    End(&'static str),
+    Instant,
+}
+
+/// One row of the vocabulary table.
+struct Row {
+    layer: Layer,
+    name: &'static str,
+    subject: SubjectKind,
+    span: SpanRole,
+}
+
+/// Declares [`TraceKind`] and its table from one list of rows:
+/// `Kind: Layer "event_name" SubjectKind SpanRole;`.
+macro_rules! vocabulary {
+    ($($kind:ident: $layer:ident $name:literal $subject:ident $span:ident $(($open:literal))?;)*) => {
+        /// One traced event: the closed vocabulary every layer records in.
+        ///
+        /// A kind fixes its layer, its event name, the kind of entity it is
+        /// about and its role on the Chrome timeline, all in one table, so
+        /// a record carries only a time, a kind and an id.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum TraceKind {
+            $(
+                #[doc = concat!("`", $name, "`.")]
+                $kind,
+            )*
+        }
+
+        impl TraceKind {
+            /// Every kind, in table order (`ALL[k as usize] == k`).
+            pub const ALL: &'static [TraceKind] = &[$(TraceKind::$kind),*];
+
+            /// The kind a `(layer, name)` pair names, if the vocabulary has
+            /// it (names are unique across layers).
+            pub fn parse(layer: &str, name: &str) -> Option<TraceKind> {
+                let kind = match name {
+                    $($name => TraceKind::$kind,)*
+                    _ => return None,
+                };
+                (kind.layer() == layer).then_some(kind)
+            }
+
+            const fn row(self) -> Row {
+                match self {
+                    $(TraceKind::$kind => Row {
+                        layer: Layer::$layer,
+                        name: $name,
+                        subject: SubjectKind::$subject,
+                        span: SpanRole::$span $(($open))?,
+                    },)*
+                }
+            }
+        }
+    };
+}
+
+vocabulary! {
+    SessionStart: Entk "session_start" SESSION Instant;
+    ResourceReady: Entk "resource_ready" SESSION Instant;
+    TasksCreated: Entk "tasks_created" BATCH Instant;
+    TasksSubmitted: Entk "tasks_submitted" BATCH Instant;
+    TaskCreated: Entk "task_created" TASK Instant;
+    TaskSubmitted: Entk "task_submitted" TASK Begin("attempt");
+    TaskAttemptFailed: Entk "task_attempt_failed" TASK End("attempt");
+    TaskRetry: Entk "task_retry" TASK Instant;
+    TaskFailed: Entk "task_failed" TASK Instant;
+    TaskDone: Entk "task_done" TASK End("attempt");
+    TeardownStart: Entk "teardown_start" SESSION Instant;
+    TeardownDone: Entk "teardown_done" SESSION Instant;
+    PilotSubmitted: Pilot "pilot_submitted" PILOT Begin("pilot");
+    PilotLaunched: Pilot "pilot_launched" PILOT Instant;
+    PilotActive: Pilot "pilot_active" PILOT Instant;
+    PilotShrunk: Pilot "pilot_shrunk" PILOT Instant;
+    PilotDone: Pilot "pilot_done" PILOT End("pilot");
+    PilotCancelled: Pilot "pilot_cancelled" PILOT End("pilot");
+    PilotFailed: Pilot "pilot_failed" PILOT End("pilot");
+    UnitSubmitted: Pilot "unit_submitted" UNIT Instant;
+    UnitScheduled: Pilot "unit_scheduled" UNIT Instant;
+    UnitExecStart: Pilot "unit_exec_start" UNIT Begin("exec");
+    UnitExecStop: Pilot "unit_exec_stop" UNIT End("exec");
+    UnitDone: Pilot "unit_done" UNIT Instant;
+    UnitCanceled: Pilot "unit_canceled" UNIT Instant;
+    UnitFailed: Pilot "unit_failed" UNIT Instant;
+    JobQueued: Cluster "job_queued" JOB Instant;
+    JobRejected: Cluster "job_rejected" JOB Instant;
+    JobStarted: Cluster "job_started" JOB Begin("job_run");
+    JobRunning: Cluster "job_running" JOB Instant;
+    JobShrunk: Cluster "job_shrunk" JOB Instant;
+    JobCompleted: Cluster "job_completed" JOB End("job_run");
+    JobFailed: Cluster "job_failed" JOB End("job_run");
+    JobTimedOut: Cluster "job_timedout" JOB End("job_run");
+    JobCancelled: Cluster "job_cancelled" JOB End("job_run");
+    NodeCrash: Cluster "node_crash" NODE Instant;
+    NodeRecover: Cluster "node_recover" NODE Instant;
+}
+
+impl TraceKind {
+    /// The emitting layer: `"entk"`, `"pilot"` or `"cluster"`.
+    pub const fn layer(self) -> &'static str {
+        self.row().layer.name()
+    }
+
+    /// The event name, e.g. `"unit_scheduled"`.
+    pub const fn name(self) -> &'static str {
+        self.row().name
+    }
+
+    /// The bytes of a JSONL line between its time and its subject id.
+    fn template(self) -> String {
+        let (layer, name, prefix) = (self.layer(), self.name(), self.row().subject.prefix);
+        format!(",\"layer\":\"{layer}\",\"event\":\"{name}\",\"subject\":\"{prefix}")
     }
 }
 
@@ -93,12 +252,20 @@ impl Subject {
 pub struct TraceRecord {
     /// Virtual time of the record.
     pub time: SimTime,
-    /// Emitting layer: `"entk"`, `"pilot"`, or `"cluster"`.
-    pub layer: &'static str,
-    /// Event name, e.g. `"unit_scheduled"`.
-    pub name: &'static str,
-    /// Subject entity.
-    pub subject: Subject,
+    /// What happened.
+    pub kind: TraceKind,
+    /// The id of the entity it happened to, of the kind `kind` fixes (0
+    /// for the session).
+    pub id: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<TraceRecord>() <= 24);
+
+impl TraceRecord {
+    /// The entity the record is about.
+    pub fn subject(&self) -> Subject {
+        (self.kind.row().subject.of)(self.id)
+    }
 }
 
 /// An append-only collection of trace records.
@@ -112,34 +279,20 @@ impl Tracer {
     /// Creates an enabled tracer.
     pub fn new() -> Self {
         Tracer {
-            records: Vec::new(),
             enabled: true,
+            ..Self::disabled()
         }
     }
 
     /// Creates a tracer that drops all records (zero overhead bookkeeping).
     pub fn disabled() -> Self {
-        Tracer {
-            records: Vec::new(),
-            enabled: false,
-        }
+        Self::default()
     }
 
-    /// Appends a record if tracing is enabled.
-    pub fn record(
-        &mut self,
-        time: SimTime,
-        layer: &'static str,
-        name: &'static str,
-        subject: Subject,
-    ) {
+    /// Appends a record of `kind` about entity `id` if tracing is enabled.
+    pub fn record(&mut self, time: SimTime, kind: TraceKind, id: u64) {
         if self.enabled {
-            self.records.push(TraceRecord {
-                time,
-                layer,
-                name,
-                subject,
-            });
+            self.records.push(TraceRecord { time, kind, id });
         }
     }
 
@@ -148,23 +301,14 @@ impl Tracer {
         &self.records
     }
 
-    /// Records matching a layer and event name.
-    pub fn filter<'a>(
-        &'a self,
-        layer: &'a str,
-        name: &'a str,
-    ) -> impl Iterator<Item = &'a TraceRecord> + 'a {
-        self.records
-            .iter()
-            .filter(move |r| r.layer == layer && r.name == name)
+    /// Records of one kind.
+    pub fn filter(&self, kind: TraceKind) -> impl Iterator<Item = &TraceRecord> + '_ {
+        self.records.iter().filter(move |r| r.kind == kind)
     }
 
-    /// First record time for (layer, name, subject), if any.
-    pub fn time_of(&self, layer: &str, name: &str, subject: Subject) -> Option<SimTime> {
-        self.records
-            .iter()
-            .find(|r| r.layer == layer && r.name == name && r.subject == subject)
-            .map(|r| r.time)
+    /// Time of the first record of `kind` about entity `id`, if any.
+    pub fn time_of(&self, kind: TraceKind, id: u64) -> Option<SimTime> {
+        self.filter(kind).find(|r| r.id == id).map(|r| r.time)
     }
 
     /// Number of records.
@@ -200,29 +344,26 @@ impl Tracer {
     /// JSONL (up to hash collision).
     ///
     /// A line is a constant opening, the time digits, a template fixed by
-    /// the layer, the event and the subject kind, the id digits and a
-    /// constant close. Digits are folded byte by byte; each constant run is
-    /// one table step (`Skip`), from a cache each thread keeps.
+    /// the record's kind, the id digits and a constant close. Digits are
+    /// folded byte by byte; each constant run is one table step (`Skip`),
+    /// one per kind, built once per process.
     pub fn fingerprint(&self) -> u64 {
-        SKIPS.with(|cache| {
-            let cache = &mut *cache.borrow_mut();
-            let mut hash = Fnv64::new();
-            let mut digits = [0; 20];
-            for r in &self.records {
-                let micros = r.time.as_micros();
-                let (prefix, id) = r.subject.text();
-                cache.open.apply(&mut hash);
-                hash.update(decimal(&mut digits, micros / 1_000_000, 1));
-                hash.update(b".");
-                hash.update(decimal(&mut digits, micros % 1_000_000, 6));
-                cache.fold_template(&mut hash, r.layer, r.name, prefix);
-                if let Some((id, width)) = id {
-                    hash.update(decimal(&mut digits, id, width));
-                }
-                cache.close.apply(&mut hash);
+        let table = templates();
+        let mut hash = Fnv64::new();
+        let mut digits = [0; 20];
+        for r in &self.records {
+            let micros = r.time.as_micros();
+            table.open.apply(&mut hash);
+            hash.update(decimal(&mut digits, micros / 1_000_000, 1));
+            hash.update(b".");
+            hash.update(decimal(&mut digits, micros % 1_000_000, 6));
+            table.kinds[r.kind as usize].1.apply(&mut hash);
+            if let Some(width) = r.kind.row().subject.width {
+                hash.update(decimal(&mut digits, r.id, width));
             }
-            hash.finish()
-        })
+            table.close.apply(&mut hash);
+        }
+        hash.finish()
     }
 
     /// Writes the trace in Chrome trace-event JSON (the `traceEvents`
@@ -248,65 +389,41 @@ impl Tracer {
             io::Write::write_fmt(out, json)
         };
         let mut named_pids = Vec::new();
-        // (span kind opened, layer, track) → guards unbalanced end events.
-        let mut open: HashSet<(&'static str, &'static str, u64)> = HashSet::new();
+        // (span opened, track) → guards unbalanced end events. A span name
+        // belongs to one layer, so it stands for the layer too.
+        let mut open: HashSet<(&'static str, u64)> = HashSet::new();
         for r in &self.records {
-            let pid = layer_pid(r.layer);
+            let row = r.kind.row();
+            let (layer, pid) = (row.layer.name(), row.layer as u64);
             if !named_pids.contains(&pid) {
                 named_pids.push(pid);
                 event(
                     out,
                     format_args!(
                         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                         \"args\":{{\"name\":\"{}\"}}}}",
-                        r.layer
+                         \"args\":{{\"name\":\"{layer}\"}}}}"
                     ),
                 )?;
             }
-            let tid = r.subject.track();
-            match span_kind(r.layer, r.name) {
-                SpanRole::Begin(kind) => {
-                    if open.insert((kind, r.layer, tid)) {
-                        event(
-                            out,
-                            format_args!(
-                                "{{\"name\":\"{kind}\",\"cat\":\"{}\",\"ph\":\"B\",\"ts\":{},\
-                                 \"pid\":{pid},\"tid\":{tid},\"args\":{{\"subject\":\"{}\"}}}}",
-                                r.layer,
-                                r.time.as_micros(),
-                                r.subject
-                            ),
-                        )?;
-                    }
+            let tid = row.subject.track + r.id;
+            let subject = r.subject();
+            // An instant's phase carries its scope too.
+            let (name, ph, key, value): (_, _, _, &dyn fmt::Display) = match row.span {
+                SpanRole::Begin(span) if open.insert((span, tid)) => {
+                    (span, "B", "subject", &subject)
                 }
-                SpanRole::End(kind) => {
-                    if open.remove(&(kind, r.layer, tid)) {
-                        event(
-                            out,
-                            format_args!(
-                                "{{\"name\":\"{kind}\",\"cat\":\"{}\",\"ph\":\"E\",\"ts\":{},\
-                                 \"pid\":{pid},\"tid\":{tid},\"args\":{{\"end\":\"{}\"}}}}",
-                                r.layer,
-                                r.time.as_micros(),
-                                r.name
-                            ),
-                        )?;
-                    }
-                }
-                SpanRole::Instant => {
-                    event(
-                        out,
-                        format_args!(
-                            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
-                             \"pid\":{pid},\"tid\":{tid},\"args\":{{\"subject\":\"{}\"}}}}",
-                            r.name,
-                            r.layer,
-                            r.time.as_micros(),
-                            r.subject
-                        ),
-                    )?;
-                }
-            }
+                SpanRole::End(span) if open.remove(&(span, tid)) => (span, "E", "end", &row.name),
+                SpanRole::Begin(_) | SpanRole::End(_) => continue,
+                SpanRole::Instant => (row.name, "i\",\"s\":\"t", "subject", &subject),
+            };
+            event(
+                out,
+                format_args!(
+                    "{{\"name\":\"{name}\",\"cat\":\"{layer}\",\"ph\":\"{ph}\",\"ts\":{},\
+                     \"pid\":{pid},\"tid\":{tid},\"args\":{{\"{key}\":\"{value}\"}}}}",
+                    r.time.as_micros()
+                ),
+            )?;
         }
         out.write_all(b"\n]}\n")
     }
@@ -322,7 +439,7 @@ impl Tracer {
 fn collect_export(capacity: usize, export: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
     let mut out = Vec::with_capacity(capacity);
     export(&mut out).expect("writing to a Vec cannot fail");
-    String::from_utf8(out).expect("layer and event names are str, the rest is ASCII")
+    String::from_utf8(out).expect("the vocabulary's names are ASCII, and so is the rest")
 }
 
 /// Appends one record's JSONL line (with its newline) to `buf`.
@@ -336,17 +453,14 @@ fn collect_export(capacity: usize, export: impl FnOnce(&mut Vec<u8>) -> io::Resu
 /// no allocation once `buf` has grown to a line's length.
 fn render_jsonl_line(buf: &mut Vec<u8>, r: &TraceRecord) {
     let micros = r.time.as_micros();
-    let (prefix, id) = r.subject.text();
     let mut digits = [0; 20];
     buf.extend_from_slice(LINE_OPEN);
     buf.extend_from_slice(decimal(&mut digits, micros / 1_000_000, 1));
     buf.push(b'.');
     buf.extend_from_slice(decimal(&mut digits, micros % 1_000_000, 6));
-    for part in template(r.layer, r.name, prefix) {
-        buf.extend_from_slice(part);
-    }
-    if let Some((id, width)) = id {
-        buf.extend_from_slice(decimal(&mut digits, id, width));
+    buf.extend_from_slice(templates().kinds[r.kind as usize].0.as_bytes());
+    if let Some(width) = r.kind.row().subject.width {
+        buf.extend_from_slice(decimal(&mut digits, r.id, width));
     }
     buf.extend_from_slice(LINE_CLOSE);
 }
@@ -356,19 +470,6 @@ const LINE_OPEN: &[u8] = b"{\"t\":";
 
 /// What every JSONL line ends with, after its subject.
 const LINE_CLOSE: &[u8] = b"\"}\n";
-
-/// The bytes of a line between its time and its subject id: fixed by the
-/// layer, the event and the subject kind's `prefix`.
-fn template<'a>(layer: &'a str, name: &'a str, prefix: &'a str) -> [&'a [u8]; 6] {
-    [
-        b",\"layer\":\"",
-        layer.as_bytes(),
-        b"\",\"event\":\"",
-        name.as_bytes(),
-        b"\",\"subject\":\"",
-        prefix.as_bytes(),
-    ]
-}
 
 /// `n` in decimal, zero-padded on the left to at least `width` digits
 /// (`width` ≤ 20, the length of `u64::MAX`), written into the tail of
@@ -465,7 +566,7 @@ struct Skip {
 }
 
 impl Skip {
-    fn new(seg: &[u8]) -> Box<Skip> {
+    fn new(seg: &[u8]) -> Skip {
         let mul = FNV_PRIME.wrapping_pow(seg.len() as u32);
         let mut add = [0; 256];
         for (l, add) in (0u64..).zip(&mut add) {
@@ -473,7 +574,7 @@ impl Skip {
             fold.update(seg);
             *add = fold.finish().wrapping_sub(l.wrapping_mul(mul));
         }
-        Box::new(Skip { mul, add })
+        Skip { mul, add }
     }
 
     #[inline]
@@ -485,120 +586,26 @@ impl Skip {
     }
 }
 
-/// Templates one thread keeps a [`Skip`] for. Past it a template is folded
-/// byte by byte, so names made at run time (`Box::leak`) cannot grow the
-/// cache without bound.
-const MAX_TEMPLATES: usize = 256;
-
-/// A template by identity: address and length of its layer, event and
-/// subject-prefix strings. A `&'static str` never changes, so equal keys
-/// are equal bytes; the length is in the key because a literal and a
-/// prefix of it share an address.
-#[derive(PartialEq, Eq, Hash)]
-struct TemplateKey((usize, usize), (usize, usize), (usize, usize));
-
-impl TemplateKey {
-    fn new(layer: &str, name: &str, prefix: &str) -> Self {
-        let id = |s: &str| (s.as_ptr() as usize, s.len());
-        TemplateKey(id(layer), id(name), id(prefix))
-    }
+/// Every kind's template with its skip, and the skips of a line's opening
+/// and close: a kind fixes its template, so this is built once a process.
+struct Templates {
+    open: Skip,
+    close: Skip,
+    /// By `TraceKind as usize`.
+    kinds: Box<[(String, Skip)]>,
 }
 
-/// FxHash's word step. A [`TemplateKey`] is six machine words; with
-/// SipHash over them the lookup cost most of what the skips save (the
-/// `sim_trace` criterion bench read 12.6 µs against 7.0 µs per trace).
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_usize(b.into());
-        }
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.0 = (self.0.rotate_left(5) ^ word as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+fn templates() -> &'static Templates {
+    static TEMPLATES: OnceLock<Templates> = OnceLock::new();
+    let template = |k: &TraceKind| (k.template(), Skip::new(k.template().as_bytes()));
+    TEMPLATES.get_or_init(|| Templates {
+        open: Skip::new(LINE_OPEN),
+        close: Skip::new(LINE_CLOSE),
+        kinds: TraceKind::ALL.iter().map(template).collect(),
+    })
 }
 
-/// One thread's skips: the line's opening and close, and one per template
-/// seen, up to [`MAX_TEMPLATES`].
-struct SkipCache {
-    open: Box<Skip>,
-    close: Box<Skip>,
-    templates: HashMap<TemplateKey, Box<Skip>, BuildHasherDefault<WordHasher>>,
-}
-
-impl SkipCache {
-    fn new() -> Self {
-        SkipCache {
-            open: Skip::new(LINE_OPEN),
-            close: Skip::new(LINE_CLOSE),
-            templates: HashMap::default(),
-        }
-    }
-
-    /// Folds [`template`]`(layer, name, prefix)` into `hash`.
-    fn fold_template(&mut self, hash: &mut Fnv64, layer: &str, name: &str, prefix: &str) {
-        let cached = self.templates.len();
-        match self.templates.entry(TemplateKey::new(layer, name, prefix)) {
-            Entry::Occupied(skip) => skip.get().apply(hash),
-            Entry::Vacant(slot) if cached < MAX_TEMPLATES => slot
-                .insert(Skip::new(&template(layer, name, prefix).concat()))
-                .apply(hash),
-            Entry::Vacant(_) => {
-                for part in template(layer, name, prefix) {
-                    hash.update(part);
-                }
-            }
-        }
-    }
-}
-
-thread_local! {
-    static SKIPS: RefCell<SkipCache> = RefCell::new(SkipCache::new());
-}
-
-/// One process id per layer in the Chrome trace.
-fn layer_pid(layer: &str) -> u64 {
-    match layer {
-        "entk" => 1,
-        "pilot" => 2,
-        "cluster" => 3,
-        _ => 4,
-    }
-}
-
-enum SpanRole {
-    Begin(&'static str),
-    End(&'static str),
-    Instant,
-}
-
-/// Maps lifecycle event pairs to named duration spans; everything else is
-/// an instant marker.
-fn span_kind(layer: &str, name: &str) -> SpanRole {
-    match (layer, name) {
-        ("entk", "task_submitted") => SpanRole::Begin("attempt"),
-        ("entk", "task_attempt_failed" | "task_done") => SpanRole::End("attempt"),
-        ("pilot", "unit_exec_start") => SpanRole::Begin("exec"),
-        ("pilot", "unit_exec_stop") => SpanRole::End("exec"),
-        ("pilot", "pilot_submitted") => SpanRole::Begin("pilot"),
-        ("pilot", "pilot_done" | "pilot_failed" | "pilot_cancelled") => SpanRole::End("pilot"),
-        ("cluster", "job_started") => SpanRole::Begin("job_run"),
-        ("cluster", "job_completed" | "job_failed" | "job_timedout" | "job_cancelled") => {
-            SpanRole::End("job_run")
-        }
-        _ => SpanRole::Instant,
-    }
-}
-
-/// Per-kind id offsets applied to [`Subject`]s as they are recorded.
+/// Per-kind id offsets applied to subjects as they are recorded.
 ///
 /// Federated sessions run several independently simulated clusters, each
 /// numbering its pilots, units, jobs, and nodes from zero. Giving every
@@ -618,14 +625,14 @@ pub struct SubjectOffsets {
 }
 
 impl SubjectOffsets {
-    /// Applies the offsets to a subject.
-    pub fn apply(&self, subject: Subject) -> Subject {
+    /// The offset added to the id of `subject`.
+    fn of(&self, subject: Subject) -> u64 {
         match subject {
-            Subject::Pilot(i) => Subject::Pilot(i + self.pilot),
-            Subject::Unit(i) => Subject::Unit(i + self.unit),
-            Subject::Job(i) => Subject::Job(i + self.job),
-            Subject::Node(i) => Subject::Node(i + self.node),
-            other => other,
+            Subject::Pilot(_) => self.pilot,
+            Subject::Unit(_) => self.unit,
+            Subject::Job(_) => self.job,
+            Subject::Node(_) => self.node,
+            Subject::Session | Subject::Task(_) | Subject::Batch(_) => 0,
         }
     }
 }
@@ -662,7 +669,7 @@ impl TelemetryBuffer {
     pub fn splice_into(&self, target: &SharedTelemetry, n: usize) {
         let tracer = &mut target.inner.borrow_mut().tracer;
         for r in self.records.borrow_mut().drain(..n) {
-            tracer.record(r.time, r.layer, r.name, r.subject);
+            tracer.record(r.time, r.kind, r.id);
         }
     }
 }
@@ -684,11 +691,9 @@ pub struct Telemetry {
 /// refuses a handle that would cross a thread:
 ///
 /// ```compile_fail
-/// use entk_sim::{SharedTelemetry, SimTime, Subject};
+/// use entk_sim::{SharedTelemetry, SimTime, TraceKind};
 /// let telemetry = SharedTelemetry::new();
-/// std::thread::spawn(move || {
-///     telemetry.record(SimTime::ZERO, "entk", "session_start", Subject::Session)
-/// });
+/// std::thread::spawn(move || telemetry.emit(SimTime::ZERO, TraceKind::SessionStart, 0));
 /// ```
 ///
 /// The `enabled` flag is copied into the handle so a disabled pipeline
@@ -757,29 +762,39 @@ impl SharedTelemetry {
         (handle, TelemetryBuffer { records })
     }
 
-    /// Appends a trace record, or logs it in a buffered handle's log.
-    pub fn record(&self, time: SimTime, layer: &'static str, name: &'static str, subject: Subject) {
+    /// Appends a record of `kind` about entity `id` (0 for the session), or
+    /// logs it in a buffered handle's log.
+    pub fn emit(&self, time: SimTime, kind: TraceKind, id: u64) {
         if self.enabled {
-            self.append(TraceRecord {
-                time,
-                layer,
-                name,
-                subject: self.offsets.apply(subject),
-            });
+            self.append(time, kind, id);
         }
     }
 
-    /// Writes `r` through, or into the log of a buffered handle. Out of
-    /// line, so that a disabled [`Self::record`] is a flag test that saves
+    /// The string-typed recorder the closed vocabulary replaced, kept for
+    /// callers outside this workspace. Panics unless `(layer, name)` names
+    /// a [`TraceKind`] and `subject` is of the kind it fixes.
+    #[doc(hidden)]
+    #[deprecated = "record a `TraceKind` with `SharedTelemetry::emit`"]
+    pub fn record(&self, time: SimTime, layer: &str, name: &str, subject: Subject) {
+        let event = || format!("trace event ({layer:?}, {name:?})");
+        let kind = TraceKind::parse(layer, name);
+        let kind = kind.unwrap_or_else(|| panic!("{} is not in the vocabulary", event()));
+        let ((given, id), fixed) = (subject.split(), kind.row().subject);
+        if given.prefix != fixed.prefix {
+            panic!("{} is about {:?}, not {subject:?}", event(), (fixed.of)(id));
+        }
+        self.emit(time, kind, id);
+    }
+
+    /// Writes a record through, or into the log of a buffered handle. Out
+    /// of line, so that a disabled [`Self::emit`] is a flag test that saves
     /// no registers.
     #[inline(never)]
-    fn append(&self, r: TraceRecord) {
+    fn append(&self, time: SimTime, kind: TraceKind, id: u64) {
+        let id = id + self.offsets.of((kind.row().subject.of)(id));
         match &self.buffer {
-            Some(buf) => buf.borrow_mut().push_back(r),
-            None => {
-                let tracer = &mut self.inner.borrow_mut().tracer;
-                tracer.record(r.time, r.layer, r.name, r.subject);
-            }
+            Some(buf) => buf.borrow_mut().push_back(TraceRecord { time, kind, id }),
+            None => self.inner.borrow_mut().tracer.record(time, kind, id),
         }
     }
 
@@ -800,59 +815,85 @@ impl SharedTelemetry {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashSet;
+    use TraceKind::*;
 
     #[test]
     fn records_and_filters() {
         let mut t = Tracer::new();
-        t.record(
-            SimTime::from_secs(1),
-            "pilot",
-            "unit_scheduled",
-            Subject::Unit(0),
-        );
-        t.record(
-            SimTime::from_secs(2),
-            "pilot",
-            "unit_started",
-            Subject::Unit(0),
-        );
-        t.record(
-            SimTime::from_secs(2),
-            "entk",
-            "unit_scheduled",
-            Subject::Unit(0),
-        );
+        t.record(SimTime::from_secs(1), UnitScheduled, 0);
+        t.record(SimTime::from_secs(2), UnitExecStart, 0);
+        t.record(SimTime::from_secs(2), UnitScheduled, 1);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.filter("pilot", "unit_scheduled").count(), 1);
-        assert_eq!(
-            t.time_of("pilot", "unit_started", Subject::Unit(0)),
-            Some(SimTime::from_secs(2))
-        );
-        assert_eq!(t.time_of("pilot", "unit_started", Subject::Unit(1)), None);
+        assert_eq!(t.filter(UnitScheduled).count(), 2);
+        assert_eq!(t.time_of(UnitExecStart, 0), Some(SimTime::from_secs(2)));
+        assert_eq!(t.time_of(UnitExecStart, 1), None);
+        assert_eq!(t.records()[2].subject(), Subject::Unit(1));
     }
 
     #[test]
     fn disabled_tracer_drops_records() {
         let mut t = Tracer::disabled();
-        t.record(SimTime::ZERO, "entk", "task_done", Subject::Task(0));
+        t.record(SimTime::ZERO, TaskDone, 0);
         assert!(t.is_empty());
+    }
+
+    /// The table is the vocabulary: every kind has its own (layer, name)
+    /// pair, parses back from it, and sits at its own index of `ALL`.
+    #[test]
+    fn every_kind_has_one_pair_that_parses_back() {
+        let mut pairs = HashSet::new();
+        for (i, &k) in TraceKind::ALL.iter().enumerate() {
+            assert_eq!(k as usize, i, "{k:?} is out of table order");
+            assert!(pairs.insert((k.layer(), k.name())), "{k:?}'s pair is taken");
+            assert_eq!(TraceKind::parse(k.layer(), k.name()), Some(k));
+            assert!(["entk", "pilot", "cluster"].contains(&k.layer()));
+        }
+        assert_eq!(pairs.len(), 37);
+        assert_eq!(TraceKind::parse("entk", "unit_done"), None, "wrong layer");
+        assert_eq!(TraceKind::parse("pilot", "unit_dne"), None, "misspelt name");
+    }
+
+    /// The string-typed shim maps a known pair onto its kind and panics,
+    /// naming the pair, on anything else.
+    #[test]
+    #[allow(deprecated)]
+    fn the_string_shim_refuses_what_the_vocabulary_lacks() {
+        let shared = SharedTelemetry::new();
+        shared.record(SimTime::ZERO, "pilot", "unit_done", Subject::Unit(4));
+        let tracer = shared.snapshot().tracer;
+        assert_eq!(
+            tracer.records(),
+            [TraceRecord {
+                time: SimTime::ZERO,
+                kind: UnitDone,
+                id: 4
+            }]
+        );
+        let refusal = |layer: &'static str, name: &'static str, subject| {
+            let shared = shared.clone();
+            let call = move || shared.record(SimTime::ZERO, layer, name, subject);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).unwrap_err();
+            *payload.downcast::<String>().expect("a formatted panic")
+        };
+        let unknown = refusal("pilot", "unit_dne", Subject::Unit(4));
+        assert!(
+            unknown.contains("(\"pilot\", \"unit_dne\") is not in the vocabulary"),
+            "{unknown}"
+        );
+        let mismatched = refusal("pilot", "unit_done", Subject::Task(4));
+        assert!(
+            mismatched.contains("is about Unit(4), not Task(4)"),
+            "{mismatched}"
+        );
+        assert_eq!(shared.snapshot().tracer.len(), 1);
     }
 
     #[test]
     fn jsonl_export_is_one_object_per_record() {
         let mut t = Tracer::new();
-        t.record(
-            SimTime::from_secs(1),
-            "cluster",
-            "job_queued",
-            Subject::Job(3),
-        );
-        t.record(
-            SimTime::from_secs(2),
-            "cluster",
-            "job_started",
-            Subject::Job(3),
-        );
+        t.record(SimTime::from_secs(1), JobQueued, 3);
+        t.record(SimTime::from_secs(2), JobStarted, 3);
         let jsonl = t.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -868,8 +909,7 @@ mod tests {
     fn reference_jsonl(t: &Tracer) -> String {
         let mut out = String::new();
         for r in t.records() {
-            let subject = match r.subject {
-                Subject::None => "-".to_string(),
+            let subject = match r.subject() {
                 Subject::Session => "session".to_string(),
                 Subject::Task(i) => format!("task.{i:06}"),
                 Subject::Batch(i) => format!("batch.{i:04}"),
@@ -878,30 +918,16 @@ mod tests {
                 Subject::Job(i) => format!("job.{i:06}"),
                 Subject::Node(i) => format!("node.{i:04}"),
             };
-            assert_eq!(r.subject.to_string(), subject);
+            assert_eq!(r.subject().to_string(), subject);
             out.push_str(&format!(
                 "{{\"t\":{:.6},\"layer\":\"{}\",\"event\":\"{}\",\"subject\":\"{}\"}}\n",
                 r.time.as_secs_f64(),
-                r.layer,
-                r.name,
+                r.kind.layer(),
+                r.kind.name(),
                 subject
             ));
         }
         out
-    }
-
-    /// Every subject kind, numbered `id` where the kind takes a number.
-    fn subjects(id: u64) -> [Subject; 8] {
-        [
-            Subject::None,
-            Subject::Session,
-            Subject::Task(id),
-            Subject::Batch(id),
-            Subject::Unit(id),
-            Subject::Pilot(id),
-            Subject::Job(id),
-            Subject::Node(id),
-        ]
     }
 
     fn fnv64(bytes: &[u8]) -> u64 {
@@ -940,12 +966,12 @@ mod tests {
         let mut t = Tracer::new();
         for micros in times {
             for id in ids {
-                for subject in subjects(id) {
-                    t.record(SimTime::from_micros(micros), "pilot", "unit_done", subject);
+                for &kind in TraceKind::ALL {
+                    t.record(SimTime::from_micros(micros), kind, id);
                 }
             }
         }
-        assert_eq!(t.len(), times.len() * ids.len() * 8);
+        assert_eq!(t.len(), times.len() * ids.len() * TraceKind::ALL.len());
         assert_exports_match_reference(&t);
         assert_exports_match_reference(&Tracer::new());
     }
@@ -954,12 +980,7 @@ mod tests {
     fn jsonl_times_stay_exact_where_the_float_was_lossy() {
         let mut t = Tracer::new();
         for micros in [FLOAT_EXACT_MICROS + 1, u64::MAX] {
-            t.record(
-                SimTime::from_micros(micros),
-                "entk",
-                "task_done",
-                Subject::Task(1),
-            );
+            t.record(SimTime::from_micros(micros), TaskDone, 1);
         }
         let jsonl = t.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
@@ -982,23 +1003,18 @@ mod tests {
     }
 
     proptest! {
-        /// Random microsecond counts below 2^33 s and random ids: the
-        /// integer renderer prints what `{:.6}` of the float printed.
+        /// Random microsecond counts below 2^33 s, random ids and kinds:
+        /// the integer renderer prints what `{:.6}` of the float printed.
         #[test]
         fn prop_jsonl_matches_the_format_reference(
             cases in proptest::collection::vec(
-                (0..FLOAT_EXACT_MICROS, any::<u64>(), 0usize..8),
+                (0..FLOAT_EXACT_MICROS, any::<u64>(), 0..TraceKind::ALL.len()),
                 1..64,
             ),
         ) {
             let mut t = Tracer::new();
             for &(micros, id, kind) in &cases {
-                t.record(
-                    SimTime::from_micros(micros),
-                    "cluster",
-                    "job_started",
-                    subjects(id)[kind],
-                );
+                t.record(SimTime::from_micros(micros), TraceKind::ALL[kind], id);
             }
             assert_exports_match_reference(&t);
         }
@@ -1021,99 +1037,33 @@ mod tests {
             }
         }
 
-        /// The fingerprint is the FNV-1a of the export over every subject
-        /// kind, ids on both sides of each pad width, times up to
-        /// `u64::MAX` µs, and names that share an address but not a length,
-        /// on this thread (its cache warm from earlier cases) and on two
-        /// fresh ones.
+        /// The fingerprint is the FNV-1a of the export over every kind, ids
+        /// on both sides of each pad width and times up to `u64::MAX` µs.
         #[test]
         fn prop_fingerprint_is_the_fnv64_of_the_export(
             cases in proptest::collection::vec(
-                ((0usize..4, any::<u64>()), (0usize..7, any::<u64>()), 0usize..8, (0usize..4, 0usize..4)),
+                ((0usize..4, any::<u64>()), (0usize..7, any::<u64>()), 0..TraceKind::ALL.len()),
                 0..48,
             ),
         ) {
-            static LAYER: &str = "pilot";
-            static EVENT: &str = "unit_exec_start";
-            let layers = [LAYER, &LAYER[..3], "entk", ""];
-            let events = [EVENT, &EVENT[..9], "task_done", "x"];
-            prop_assert_eq!(layers[1].as_ptr(), LAYER.as_ptr());
-            prop_assert_eq!(events[1].as_ptr(), EVENT.as_ptr());
             let mut t = Tracer::new();
-            for &((time, micros), (edge, id), kind, (layer, event)) in &cases {
+            for &((time, micros), (edge, id), kind) in &cases {
                 let micros = [0, 999_999, 1_000_000, micros][time];
                 let id = [0, 9_999, 10_000, 999_999, 1_000_000, u64::MAX, id][edge];
-                t.record(
-                    SimTime::from_micros(micros),
-                    layers[layer],
-                    events[event],
-                    subjects(id)[kind],
-                );
+                t.record(SimTime::from_micros(micros), TraceKind::ALL[kind], id);
             }
-            let expected = fnv64(t.to_jsonl().as_bytes());
-            prop_assert_eq!(t.fingerprint(), expected);
-            std::thread::scope(|s| {
-                for _ in 0..2 {
-                    s.spawn(|| assert_eq!(t.fingerprint(), expected));
-                }
-            });
+            prop_assert_eq!(t.fingerprint(), fnv64(t.to_jsonl().as_bytes()));
         }
-    }
-
-    /// Past [`MAX_TEMPLATES`] a thread folds new templates byte by byte and
-    /// caches nothing more; the fingerprint does not change either way.
-    #[test]
-    fn templates_past_the_cache_cap_fold_byte_by_byte() {
-        let names: Vec<&'static str> = (0..MAX_TEMPLATES / 8 + 10)
-            .map(|i| &*Box::leak(format!("event_{i}").into_boxed_str()))
-            .collect();
-        let mut t = Tracer::new();
-        for (i, name) in names.iter().enumerate() {
-            for subject in subjects(i as u64) {
-                t.record(SimTime::from_micros(i as u64), "entk", name, subject);
-            }
-        }
-        assert!(names.len() * 8 > MAX_TEMPLATES);
-        let expected = fnv64(t.to_jsonl().as_bytes());
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    assert_eq!(t.fingerprint(), expected);
-                    assert_eq!(t.fingerprint(), expected, "with the cache full");
-                    SKIPS.with(|c| assert_eq!(c.borrow().templates.len(), MAX_TEMPLATES));
-                });
-            }
-        });
     }
 
     #[test]
     fn chrome_export_pairs_spans_and_balances_ends() {
         let mut t = Tracer::new();
-        t.record(
-            SimTime::from_secs(1),
-            "cluster",
-            "job_started",
-            Subject::Job(1),
-        );
-        t.record(
-            SimTime::from_secs(5),
-            "cluster",
-            "job_completed",
-            Subject::Job(1),
-        );
+        t.record(SimTime::from_secs(1), JobStarted, 1);
+        t.record(SimTime::from_secs(5), JobCompleted, 1);
         // An end without a begin must be dropped, not emitted unbalanced.
-        t.record(
-            SimTime::from_secs(6),
-            "cluster",
-            "job_failed",
-            Subject::Job(2),
-        );
-        t.record(
-            SimTime::from_secs(7),
-            "cluster",
-            "node_crash",
-            Subject::Node(0),
-        );
+        t.record(SimTime::from_secs(6), JobFailed, 2);
+        t.record(SimTime::from_secs(7), NodeCrash, 0);
         let json = t.to_chrome_json();
         assert_eq!(json.matches("\"ph\":\"B\"").count(), 1);
         assert_eq!(json.matches("\"ph\":\"E\"").count(), 1);
@@ -1129,35 +1079,15 @@ mod tests {
         const N: u64 = 100_000;
         let mut t = Tracer::new();
         for i in 0..N {
-            t.record(
-                SimTime::from_micros(i),
-                "entk",
-                "task_submitted",
-                Subject::Task(i),
-            );
+            t.record(SimTime::from_micros(i), TaskSubmitted, i);
         }
         // A begin on a track whose span is open is dropped.
-        t.record(
-            SimTime::from_micros(N),
-            "entk",
-            "task_submitted",
-            Subject::Task(0),
-        );
+        t.record(SimTime::from_micros(N), TaskSubmitted, 0);
         for i in 0..N {
-            t.record(
-                SimTime::from_micros(N + i),
-                "entk",
-                "task_done",
-                Subject::Task(i),
-            );
+            t.record(SimTime::from_micros(N + i), TaskDone, i);
         }
         // So is an end whose span is already closed.
-        t.record(
-            SimTime::from_micros(2 * N),
-            "entk",
-            "task_done",
-            Subject::Task(0),
-        );
+        t.record(SimTime::from_micros(2 * N), TaskDone, 0);
         let json = t.to_chrome_json();
         let count = |ph: &str| json.lines().filter(|l| l.contains(ph)).count() as u64;
         assert_eq!(count("\"ph\":\"B\""), N);
@@ -1177,18 +1107,12 @@ mod tests {
     fn shared_telemetry_collects_across_clones() {
         let shared = SharedTelemetry::new();
         let clone = shared.clone();
-        shared.record(SimTime::ZERO, "entk", "session_start", Subject::Session);
-        clone.record(
-            SimTime::from_secs(1),
-            "pilot",
-            "pilot_submitted",
-            Subject::Pilot(0),
-        );
+        shared.emit(SimTime::ZERO, SessionStart, 0);
+        clone.emit(SimTime::from_secs(1), PilotSubmitted, 0);
         let snap = shared.snapshot();
         assert_eq!(snap.tracer.len(), 2);
         assert_eq!(
-            snap.tracer
-                .time_of("pilot", "pilot_submitted", Subject::Pilot(0)),
+            snap.tracer.time_of(PilotSubmitted, 0),
             Some(SimTime::from_secs(1))
         );
     }
@@ -1202,18 +1126,22 @@ mod tests {
             job: 0,
             node: 10,
         });
-        shared.record(SimTime::ZERO, "pilot", "pilot_submitted", Subject::Pilot(0));
-        shifted.record(SimTime::ZERO, "pilot", "pilot_submitted", Subject::Pilot(0));
-        shifted.record(SimTime::ZERO, "pilot", "unit_submitted", Subject::Unit(2));
-        shifted.record(SimTime::ZERO, "entk", "session_start", Subject::Session);
+        shared.emit(SimTime::ZERO, PilotSubmitted, 0);
+        shifted.emit(SimTime::ZERO, PilotSubmitted, 0);
+        shifted.emit(SimTime::ZERO, UnitSubmitted, 2);
+        shifted.emit(SimTime::ZERO, NodeCrash, 3);
+        shifted.emit(SimTime::ZERO, TaskSubmitted, 5);
+        shifted.emit(SimTime::ZERO, SessionStart, 0);
         let snap = shared.snapshot();
-        let subjects: Vec<Subject> = snap.tracer.records().iter().map(|r| r.subject).collect();
+        let subjects: Vec<Subject> = snap.tracer.records().iter().map(|r| r.subject()).collect();
         assert_eq!(
             subjects,
             vec![
                 Subject::Pilot(0),
                 Subject::Pilot(100),
                 Subject::Unit(1002),
+                Subject::Node(13),
+                Subject::Task(5),
                 Subject::Session,
             ]
         );
@@ -1228,13 +1156,8 @@ mod tests {
             job: 0,
             node: 0,
         });
-        member.record(SimTime::ZERO, "pilot", "pilot_submitted", Subject::Pilot(1));
-        member.record(
-            SimTime::from_secs(1),
-            "pilot",
-            "pilot_active",
-            Subject::Pilot(1),
-        );
+        member.emit(SimTime::ZERO, PilotSubmitted, 1);
+        member.emit(SimTime::from_secs(1), PilotActive, 1);
         // Nothing reaches the shared pipeline until the spine splices.
         assert!(shared.snapshot().tracer.is_empty());
         assert_eq!(buf.len(), 2);
@@ -1244,12 +1167,12 @@ mod tests {
         let snap = shared.snapshot();
         assert_eq!(snap.tracer.len(), 1);
         // Offsets were applied at record time, not splice time.
-        assert_eq!(snap.tracer.records()[0].subject, Subject::Pilot(101));
+        assert_eq!(snap.tracer.records()[0].subject(), Subject::Pilot(101));
 
         buf.splice_into(&shared, 1);
         let snap = shared.snapshot();
         assert_eq!(snap.tracer.len(), 2);
-        assert_eq!(snap.tracer.records()[1].name, "pilot_active");
+        assert_eq!(snap.tracer.records()[1].kind, PilotActive);
         assert!(buf.is_empty());
     }
 
@@ -1257,7 +1180,7 @@ mod tests {
     fn buffered_handle_on_disabled_pipeline_buffers_nothing() {
         let shared = SharedTelemetry::disabled();
         let (member, buf) = shared.buffered(SubjectOffsets::default());
-        member.record(SimTime::ZERO, "entk", "session_start", Subject::Session);
+        member.emit(SimTime::ZERO, SessionStart, 0);
         assert!(buf.is_empty());
         buf.splice_into(&shared, 0);
         assert!(shared.snapshot().tracer.is_empty());
@@ -1266,7 +1189,7 @@ mod tests {
     #[test]
     fn disabled_shared_telemetry_drops_everything() {
         let shared = SharedTelemetry::disabled();
-        shared.record(SimTime::ZERO, "entk", "session_start", Subject::Session);
+        shared.emit(SimTime::ZERO, SessionStart, 0);
         assert!(shared.snapshot().tracer.is_empty());
     }
 }

@@ -617,7 +617,7 @@ fn live_sinks_reproduce_the_dispatch_goldens() {
 #[ignore = "live bug in the windowed federated drive: the fix waits for the benchmark unfreeze, ROADMAP 2/3a"]
 fn no_pilot_goes_active_after_the_session_began_tearing_down() {
     use entk_core::{run_federated_traced, ClusterSpec, FederatedConfig};
-    use entk_sim::SimDuration;
+    use entk_sim::{SimDuration, TraceKind};
     use entk_workload::{session_seed, HotTenantTrace};
 
     let index = 1471;
@@ -635,11 +635,11 @@ fn no_pilot_goes_active_after_the_session_began_tearing_down() {
     let mut pattern = arrival.build_pattern().unwrap();
     let (_, telemetry) = run_federated_traced(fed, pattern.as_mut()).unwrap();
     let tracer = &telemetry.tracer;
-    let teardown = tracer.filter("entk", "teardown_start").next().unwrap().time;
+    let teardown = tracer.filter(TraceKind::TeardownStart).next().unwrap().time;
     let late: Vec<_> = tracer
-        .filter("pilot", "pilot_active")
+        .filter(TraceKind::PilotActive)
         .filter(|r| r.time > teardown)
-        .map(|r| format!("{} pilot_active at {}", r.subject, r.time))
+        .map(|r| format!("{} pilot_active at {}", r.subject(), r.time))
         .collect();
     assert!(
         late.is_empty(),
