@@ -17,12 +17,18 @@
 //!
 //! The trait is deliberately synchronous and single-threaded: the session
 //! engine drives it with a poll loop, and each [`ExecutionBackend::poll`]
-//! call surfaces at most one timestep's worth of [`BackendEvent`]s. Unit
-//! submission is split into a *prepare* phase (validate and bind each task,
-//! reporting per-task rejections) and a *commit* phase (hand the accepted
-//! batch to the runtime) so the session can account rejected tasks before
-//! the runtime's own submission side effects land in the shared trace.
+//! call surfaces at most one timestep's worth of [`BackendEvent`]s. A due
+//! batch is submitted one unit at a time: [`ExecutionBackend::open_batch`]
+//! fixes what its units are bound against, [`ExecutionBackend::submit_unit`]
+//! validates, binds and places each one as the session reaches it (a
+//! refusal is a `None`, and the session fails that task in place), and
+//! [`ExecutionBackend::seal_batch`] hands the accepted units to the runtime
+//! as one submission. Placing a unit records nothing; only the seal does, so
+//! a refused task's failure lands in the shared trace before the runtime's
+//! records of its batch (the conformance suite pins that order).
 
+use crate::compat::submit_legacy;
+pub use crate::compat::UnitSpec;
 use entk_kernels::KernelCall;
 use entk_sim::{SimDuration, SimRng, SimTime};
 use serde_json::Value;
@@ -33,22 +39,11 @@ use std::sync::Arc;
 /// session records no `tasks_submitted` event for it.
 pub const RETRY_BATCH: u64 = u64::MAX;
 
-/// One task's submission request: what the session asks a backend to run.
-#[derive(Debug, Clone)]
-pub struct UnitSpec {
-    /// Session-wide task uid.
-    pub uid: u64,
-    /// Stage label (binding policies key on it; names the unit in errors).
-    pub stage: Arc<str>,
-    /// The kernel binding to execute, shared with the session's task row.
-    pub kernel: Arc<KernelCall>,
-}
-
 /// A state change surfaced by [`ExecutionBackend::poll`].
 ///
-/// Unit events carry the backend's opaque unit `key` (assigned at commit
-/// time); batch/timeout/failure events echo session-side ids the session
-/// previously scheduled through the backend's clock.
+/// Unit events carry the backend's opaque unit `key` (assigned at
+/// submission); batch/timeout/failure events echo session-side ids the
+/// session previously scheduled through the backend's clock.
 #[derive(Debug, Clone)]
 pub enum BackendEvent {
     /// A unit began executing (maps to the task attempt's `exec_start`).
@@ -142,9 +137,9 @@ pub struct UnitOutcome {
 /// drives.
 ///
 /// A backend owns the clock, the runtime(s) executing units, and the
-/// mapping from committed units to opaque `u64` keys. It never touches
+/// mapping from submitted units to opaque `u64` keys. It never touches
 /// task records, retry policy, or the pattern — those are session
-/// concerns. See the module docs for the poll/prepare/commit protocol.
+/// concerns. See the module docs for the poll/submit protocol.
 pub trait ExecutionBackend {
     /// Current time on the backend's clock (virtual or wall).
     fn now(&self) -> SimTime;
@@ -172,16 +167,41 @@ pub trait ExecutionBackend {
     /// Advances the backend by one timestep and surfaces what changed.
     fn poll(&mut self) -> Poll;
 
-    /// Phase one of submission: validate and bind each spec, drawing cost
-    /// samples from `rng` in spec order. Returns one entry per spec —
-    /// `None` when accepted (for the next [`ExecutionBackend::commit_batch`]
-    /// to submit), or `Some(reason)` when rejected. Each prepare is
-    /// followed by its commit.
-    fn prepare_batch(&mut self, specs: &[UnitSpec], rng: &mut SimRng) -> Vec<Option<String>>;
+    /// Opens a batch of `len` units: what binding sees (free cores, the
+    /// batch size) is fixed here for the whole batch. Every open is
+    /// followed by its [`Self::seal_batch`].
+    fn open_batch(&mut self, _len: usize) {}
 
-    /// Phase two: submits the prepared batch to the runtime(s). Returns
-    /// `(uid, unit key)` pairs in the original spec order.
-    fn commit_batch(&mut self) -> Vec<(u64, u64)>;
+    /// Validates, binds and places one unit of the open batch, drawing its
+    /// cost samples from `rng`. Returns its unit key, or `None` when the
+    /// backend refuses it (unknown kernel, bad arguments, a binding it
+    /// cannot run). By default one legacy prepare and commit per unit.
+    fn submit_unit(
+        &mut self,
+        uid: u64,
+        stage: &Arc<str>,
+        kernel: &Arc<KernelCall>,
+        rng: &mut SimRng,
+    ) -> Option<u64> {
+        submit_legacy(self, uid, stage, kernel, rng)
+    }
+
+    /// Submits the units placed since [`Self::open_batch`] to the
+    /// runtime(s) as one submission.
+    fn seal_batch(&mut self) {}
+
+    /// The two-phase submission [`Self::submit_unit`] replaced, kept for
+    /// backends built against it ([`crate::compat`]): `Some` refuses a spec.
+    #[doc(hidden)]
+    fn prepare_batch(&mut self, _specs: &[UnitSpec], _rng: &mut SimRng) -> Vec<Option<String>> {
+        unimplemented!("a backend implements `submit_unit` or the legacy pair")
+    }
+
+    /// Second phase of [`Self::prepare_batch`]: `(uid, unit key)` pairs.
+    #[doc(hidden)]
+    fn commit_batch(&mut self) -> Vec<(u64, u64)> {
+        unimplemented!("a backend implements `submit_unit` or the legacy pair")
+    }
 
     /// Arms the kill-replace watchdog for a task. Backends that cannot
     /// interrupt running work treat this as a no-op.

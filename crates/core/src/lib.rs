@@ -35,6 +35,7 @@
 
 pub mod backend;
 pub mod binding;
+pub mod compat;
 pub mod error;
 pub mod fault;
 pub mod overheads;
@@ -48,8 +49,9 @@ pub mod session;
 pub mod task;
 pub mod trace_check;
 
-pub use backend::{BackendEvent, BackendStats, ExecutionBackend, Poll, UnitOutcome, UnitSpec};
+pub use backend::{BackendEvent, BackendStats, ExecutionBackend, Poll, UnitOutcome};
 pub use binding::{AdaptiveMpiBinding, BindingPolicy, StaticBinding};
+pub use compat::{DriveMode, UnitSpec};
 pub use entk_cluster::FaultProfile;
 pub use error::EntkError;
 pub use fault::{BackoffPolicy, FaultConfig};
@@ -63,7 +65,7 @@ pub use registry::{ComponentSpec, NoParams, Registry, SpecDoc};
 pub use report::{ExecutionReport, OverheadBreakdown, TaskRecord, TaskRecords};
 pub use resource::{
     run_federated, run_federated_traced, run_simulated, run_simulated_traced, ClusterSpec,
-    DriveMode, FederatedConfig, PilotStrategy, ResourceConfig, ResourceHandle, SimulatedConfig,
+    FederatedConfig, PilotStrategy, ResourceConfig, ResourceHandle, SimulatedConfig,
 };
 pub use session::SessionEngine;
 pub use task::{Task, TaskResult};
@@ -71,6 +73,7 @@ pub use trace_check::{breakdown_from_trace, cross_check, CrossCheck};
 
 /// Everything a toolkit application needs.
 pub mod prelude {
+    pub use crate::compat::DriveMode;
     pub use crate::fault::{BackoffPolicy, FaultConfig};
     pub use crate::overheads::EntkOverheads;
     pub use crate::pattern::{
@@ -81,7 +84,7 @@ pub mod prelude {
     pub use crate::report::ExecutionReport;
     pub use crate::resource::{
         run_federated, run_federated_traced, run_simulated, run_simulated_traced, ClusterSpec,
-        DriveMode, FederatedConfig, PilotStrategy, ResourceConfig, ResourceHandle, SimulatedConfig,
+        FederatedConfig, PilotStrategy, ResourceConfig, ResourceHandle, SimulatedConfig,
     };
     pub use crate::task::{Task, TaskResult};
     pub use crate::trace_check::{breakdown_from_trace, cross_check, CrossCheck};

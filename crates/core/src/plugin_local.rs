@@ -8,9 +8,9 @@
 //! detects `virtual_time() == false` and skips overhead sampling and retry
 //! backoff delays; retries resubmit immediately.
 
-use crate::backend::{BackendEvent, BackendStats, ExecutionBackend, Poll, UnitOutcome, UnitSpec};
+use crate::backend::{BackendEvent, BackendStats, ExecutionBackend, Poll, UnitOutcome};
 use entk_kernels::{KernelCall, KernelRegistry};
-use entk_saga::{ForkCompletion, ForkJobService, ForkPayload};
+use entk_saga::{ForkCompletion, ForkJobService};
 use entk_sim::{SimDuration, SimRng, SimTime};
 use serde_json::Value;
 use std::collections::VecDeque;
@@ -28,8 +28,6 @@ pub(crate) struct LocalBackend {
     /// Session-scheduled events (batches, deferred failures) delivered at
     /// the next poll — real time has no delays to model.
     pending: VecDeque<BackendEvent>,
-    /// Units staged between prepare and commit: `(uid, cores, payload)`.
-    prepared: Vec<(u64, usize, ForkPayload<Value>)>,
 }
 
 impl LocalBackend {
@@ -41,7 +39,6 @@ impl LocalBackend {
             t0: Instant::now(),
             done: None,
             pending: VecDeque::new(),
-            prepared: Vec::new(),
         }
     }
 
@@ -92,50 +89,25 @@ impl ExecutionBackend for LocalBackend {
         Poll::Events(vec![BackendEvent::UnitDone { key, time }])
     }
 
-    fn prepare_batch(&mut self, specs: &[UnitSpec], _rng: &mut SimRng) -> Vec<Option<String>> {
-        self.prepared.clear();
-        let mut verdicts = Vec::with_capacity(specs.len());
-        for spec in specs {
-            let call: &KernelCall = &spec.kernel;
-            let plugin = match self.registry.get(&call.plugin) {
-                Ok(p) => p,
-                Err(e) => {
-                    verdicts.push(Some(e.to_string()));
-                    continue;
-                }
-            };
-            if let Err(e) = plugin.validate(&call.args) {
-                verdicts.push(Some(e.to_string()));
-                continue;
-            }
-            // One unit the service cannot hold must not take its batch down.
-            if call.cores == 0 || call.cores > self.service.total_cores() {
-                verdicts.push(Some(format!(
-                    "unit \"{}:{}\" needs {} cores; fork://localhost has 1..={}",
-                    spec.stage,
-                    spec.uid,
-                    call.cores,
-                    self.service.total_cores()
-                )));
-                continue;
-            }
-            let kernel = Arc::clone(&spec.kernel);
-            self.prepared.push((
-                spec.uid,
-                call.cores,
-                Box::new(move || plugin.execute(&kernel.args).map_err(|e| e.to_string())),
-            ));
-            verdicts.push(None);
+    /// Hands an accepted unit to the service at once: a local batch has
+    /// nothing to seal.
+    fn submit_unit(
+        &mut self,
+        _uid: u64,
+        _stage: &Arc<str>,
+        kernel: &Arc<KernelCall>,
+        _rng: &mut SimRng,
+    ) -> Option<u64> {
+        let plugin = self.registry.find(&kernel.plugin)?;
+        plugin.validate(&kernel.args).ok()?;
+        // One unit the service cannot hold must not take its batch down.
+        let cores = kernel.cores;
+        if cores == 0 || cores > self.service.total_cores() {
+            return None;
         }
-        verdicts
-    }
-
-    fn commit_batch(&mut self) -> Vec<(u64, u64)> {
-        let service = &mut self.service;
-        self.prepared
-            .drain(..)
-            .map(|(uid, cores, payload)| (uid, service.submit(cores, payload).0))
-            .collect()
+        let kernel = Arc::clone(kernel);
+        let payload = Box::new(move || plugin.execute(&kernel.args).map_err(|e| e.to_string()));
+        Some(self.service.submit(cores, payload).0)
     }
 
     fn arm_timeout(&mut self, _uid: u64, _timeout: SimDuration) {

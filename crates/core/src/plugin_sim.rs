@@ -24,7 +24,7 @@
 //! runtime notifications into [`BackendEvent`]s and units into simulated
 //! work.
 
-use crate::backend::{BackendEvent, BackendStats, ExecutionBackend, Poll, UnitOutcome, UnitSpec};
+use crate::backend::{BackendEvent, BackendStats, ExecutionBackend, Poll, UnitOutcome};
 use crate::binding::{BindingPolicy, StaticBinding};
 use entk_cluster::{ClusterEvent, FaultProfile, PlatformSpec};
 use entk_kernels::{KernelCall, KernelRegistry};
@@ -37,7 +37,9 @@ use entk_sim::{
     Context, Engine, SharedTelemetry, SimDuration, SimRng, SimTime, SubjectOffsets,
     TelemetryBuffer, TraceKind,
 };
+use std::cmp::Reverse;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Top-level event type of the simulated toolkit stack. Session-level
 /// events (everything but `Rt`/`Cl`) are scheduled on the session engine: a
@@ -324,21 +326,17 @@ fn translate_notes(
     dead
 }
 
-/// What `prepare_batch` and `commit_batch` work in. The per-member
-/// vectors are kept from one batch to the next.
-#[derive(Default)]
-struct BatchScratch {
-    /// `(uid, unit key)` of each unit the last prepare put into its
-    /// member's unit table, in batch order; `commit_batch` hands it over.
-    keys: Vec<(u64, u64)>,
-    /// Free cores per member when the batch was prepared.
-    free: Vec<usize>,
+/// What one member's units of the open batch are bound against, fixed by
+/// `open_batch`.
+struct Slot {
+    /// Free cores when the batch opened (what binding policies see).
+    free: usize,
     /// `free` less the cores of the batch's units placed so far.
-    remaining: Vec<i64>,
-    /// Largest unit per member.
-    max_unit: Vec<usize>,
-    /// Members with a pilot that may still serve.
-    alive: Vec<bool>,
+    remaining: i64,
+    /// Largest unit.
+    max_unit: usize,
+    /// A pilot may still serve.
+    alive: bool,
 }
 
 /// The discrete-event [`ExecutionBackend`]: one member cluster for
@@ -355,7 +353,9 @@ pub(crate) struct EventBackend {
     /// The session-wide virtual clock: the time of the last processed event
     /// across all clusters.
     global_now: SimTime,
-    scratch: BatchScratch,
+    /// Units in the open batch (what binding policies read), and one slot
+    /// per member, kept from one batch to the next.
+    batch: (usize, Vec<Slot>),
     /// The drained vector of the last [`Poll::Events`], handed back by the
     /// session for the next poll to fill.
     spare_events: Vec<BackendEvent>,
@@ -435,7 +435,7 @@ impl EventBackend {
             label,
             telemetry,
             global_now: SimTime::ZERO,
-            scratch: BatchScratch::default(),
+            batch: (0, Vec::new()),
             spare_events: Vec::new(),
             fed,
         }
@@ -463,21 +463,14 @@ impl EventBackend {
     /// the batch keeps spreading to the *least* backlogged queue instead of
     /// piling onto one machine. When no cluster is alive, fall back to raw
     /// balance so accounting still lands somewhere deterministic.
-    fn pick_cluster(remaining: &[i64], alive: &[bool]) -> usize {
-        let mut best: Option<usize> = None;
-        for (i, &r) in remaining.iter().enumerate() {
-            if alive[i] && best.is_none_or(|b| r > remaining[b]) {
-                best = Some(i);
-            }
-        }
-        if best.is_none() {
-            for (i, &r) in remaining.iter().enumerate() {
-                if best.is_none_or(|b| r > remaining[b]) {
-                    best = Some(i);
-                }
-            }
-        }
-        best.unwrap_or(0)
+    fn pick_cluster(slots: &[Slot]) -> usize {
+        let most_free = |alive_only: bool| {
+            (slots.iter().enumerate())
+                .filter(|(_, s)| s.alive || !alive_only)
+                .min_by_key(|(_, s)| Reverse(s.remaining))
+                .map(|(i, _)| i)
+        };
+        most_free(true).or_else(|| most_free(false)).unwrap_or(0)
     }
 
     /// The engine session-level events are scheduled on: the spine for
@@ -694,90 +687,69 @@ impl ExecutionBackend for EventBackend {
         self.step_session()
     }
 
-    fn prepare_batch(&mut self, specs: &[UnitSpec], rng: &mut SimRng) -> Vec<Option<String>> {
-        let batch_size = specs.len();
-        let BatchScratch {
-            keys,
-            free,
-            remaining,
-            max_unit,
-            alive,
-        } = &mut self.scratch;
+    fn open_batch(&mut self, len: usize) {
         // Each accepted unit goes straight into its member's unit table,
         // sized once for the batch: a table grown by doubling copies itself
         // and leaves a trail of freed blocks that raises the resident
         // high-water mark. A member gets its even share, which late binding
         // gives it while capacity is balanced, not the whole batch each.
-        *keys = Vec::with_capacity(batch_size);
         let n = self.clusters.len();
         for stack in &mut self.clusters {
-            stack.runtime.reserve_units(batch_size.div_ceil(n));
+            stack.runtime.reserve_units(len.div_ceil(n));
         }
         // Free-capacity snapshots: `free` (what binding policies see) stays
         // fixed for the whole batch, exactly as the single-cluster driver
         // snapshotted it once per submission; `remaining` additionally
         // tracks in-batch commitments to spread a federated batch.
-        free.clear();
-        free.extend(self.clusters.iter().map(|c| c.runtime.free_cores()));
-        remaining.clear();
-        remaining.extend(free.iter().map(|&f| f as i64));
-        max_unit.clear();
-        max_unit.extend(self.clusters.iter().map(ClusterStack::max_unit_cores));
-        alive.clear();
-        alive.extend(
-            self.clusters
-                .iter()
-                .map(|c| !c.pilots.is_empty() && c.dead < c.pilots.len()),
-        );
-        let mut verdicts = Vec::with_capacity(batch_size);
-        for spec in specs {
-            let call: &KernelCall = &spec.kernel;
-            let plugin = match self.registry.get(&call.plugin) {
-                Ok(p) => p,
-                Err(e) => {
-                    verdicts.push(Some(e.to_string()));
-                    continue;
-                }
-            };
-            let c = Self::pick_cluster(remaining, alive);
-            let bound_cores = self
-                .binding
-                .bind(&spec.stage, call.cores, free[c], batch_size)
-                .clamp(1, max_unit[c]);
-            let platform = self.clusters[c].runtime.platform();
-            let plan = match plugin.plan(&call.args, bound_cores, platform, rng) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    verdicts.push(Some(e.to_string()));
-                    continue;
-                }
-            };
-            let mut ud = UnitDescription {
+        let (batch_len, slots) = &mut self.batch;
+        *batch_len = len;
+        slots.clear();
+        slots.extend(self.clusters.iter().map(|c| {
+            let free = c.runtime.free_cores();
+            Slot {
+                free,
+                remaining: free as i64,
+                max_unit: c.max_unit_cores(),
+                alive: !c.pilots.is_empty() && c.dead < c.pilots.len(),
+            }
+        }));
+    }
+
+    fn submit_unit(
+        &mut self,
+        _uid: u64,
+        stage: &Arc<str>,
+        kernel: &Arc<KernelCall>,
+        rng: &mut SimRng,
+    ) -> Option<u64> {
+        let plugin = self.registry.find(&kernel.plugin)?;
+        let (batch_len, slots) = &mut self.batch;
+        let c = Self::pick_cluster(slots);
+        let bound_cores = self
+            .binding
+            .bind(stage, kernel.cores, slots[c].free, *batch_len)
+            .clamp(1, slots[c].max_unit);
+        let runtime = &mut self.clusters[c].runtime;
+        let plan = plugin.plan(&kernel.args, bound_cores, runtime.platform(), rng);
+        let plan = plan.ok()?;
+        let id = runtime
+            .push_unit(&UnitDescription {
                 name: String::new(),
                 cores: bound_cores,
-                mpi: call.mpi || bound_cores > 1,
+                mpi: kernel.mpi || bound_cores > 1,
                 duration: plan.duration,
                 input_bytes: plan.input_bytes,
                 output_bytes: plan.output_bytes,
-            };
-            let Ok(id) = self.clusters[c].runtime.push_unit(&ud) else {
-                // Nothing but this rejection ever prints a simulated
-                // unit's name, so only this path pays for formatting it.
-                ud.name = format!("{}:{}", spec.stage, spec.uid);
-                verdicts.push(ud.validate().err());
-                continue;
-            };
-            remaining[c] -= bound_cores as i64;
-            keys.push((spec.uid, id * n as u64 + c as u64));
-            verdicts.push(None);
-        }
-        verdicts
+            })
+            .ok()?;
+        slots[c].remaining -= bound_cores as i64;
+        Some(id * self.clusters.len() as u64 + c as u64)
     }
 
-    fn commit_batch(&mut self) -> Vec<(u64, u64)> {
-        // The prepared units are in their members' tables; each member
-        // with any submits them as one call. The runtime sends no
-        // notification for a submission.
+    fn seal_batch(&mut self) {
+        // The batch's units are in their members' tables; each member with
+        // any submits them as one call. The runtime sends no notification
+        // for a submission.
         for stack in &mut self.clusters {
             if !stack.runtime.has_unsealed_units() {
                 continue;
@@ -786,7 +758,6 @@ impl ExecutionBackend for EventBackend {
             stack.runtime.seal_units(&mut stack.engine.context());
             stack.push_injection();
         }
-        std::mem::take(&mut self.scratch.keys)
     }
 
     fn arm_timeout(&mut self, uid: u64, timeout: SimDuration) {

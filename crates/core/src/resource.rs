@@ -6,6 +6,7 @@
 //! (simulated, local, or federated).
 
 use crate::backend::ExecutionBackend;
+pub use crate::compat::DriveMode;
 use crate::error::EntkError;
 use crate::fault::FaultConfig;
 use crate::overheads::EntkOverheads;
@@ -131,19 +132,6 @@ impl Default for SimulatedConfig {
             telemetry: true,
         }
     }
-}
-
-/// Accepted and ignored; kept so existing configurations compile (the
-/// repository benchmark builds against it). The member windows of a
-/// federated session run one after the other on the polling thread under
-/// either value (DESIGN.md §13).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DriveMode {
-    /// Same drive as [`DriveMode::Parallel`].
-    Serial,
-    /// Same drive as [`DriveMode::Serial`] (the default).
-    #[default]
-    Parallel,
 }
 
 /// One member cluster of a federated session: an independently simulated

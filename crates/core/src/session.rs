@@ -7,7 +7,7 @@
 //! assembly. The backend-specific half — how units execute and what the
 //! clock is — sits behind [`ExecutionBackend`]; see [`crate::backend`].
 
-use crate::backend::{BackendEvent, ExecutionBackend, Poll, UnitSpec, RETRY_BATCH};
+use crate::backend::{BackendEvent, ExecutionBackend, Poll, RETRY_BATCH};
 use crate::error::EntkError;
 use crate::fault::FaultConfig;
 use crate::overheads::EntkOverheads;
@@ -15,7 +15,7 @@ use crate::pattern::ExecutionPattern;
 use crate::report::{ExecutionReport, OverheadBreakdown, TaskRecord, TaskRecords};
 use crate::task::{Task, TaskResult};
 use entk_kernels::KernelCall;
-use entk_sim::arena::{recycle, Window};
+use entk_sim::arena::Window;
 use entk_sim::{SharedTelemetry, SimDuration, SimRng, SimTime, TraceKind};
 use std::num::NonZeroU64;
 use std::sync::Arc;
@@ -93,6 +93,14 @@ impl TaskTable {
             Some(open) => &mut self.open[open][row],
             None => &mut Arc::make_mut(&mut self.frozen.0[block])[row],
         })
+    }
+
+    /// The stage and kernel of task `uid`, while it may be (re)submitted.
+    fn submittable(&self, uid: u64) -> Option<(&Arc<str>, &Arc<KernelCall>)> {
+        let (block, row) = self.locate(uid)?;
+        let column = self.attempts.get(block.checked_sub(self.attempts_from)?)?;
+        let kernel = column.get(row)?.kernel.as_ref()?;
+        Some((&self.block(block)[row].stage, kernel))
     }
 
     /// The attempt row of task `uid`; `None` once its run ended.
@@ -206,9 +214,6 @@ pub struct SessionEngine {
     outbox: Vec<Outbound>,
     /// Task results awaiting delivery to the pattern.
     pending_results: Vec<TaskResult>,
-    /// The unit specs of the batch being submitted, kept from one batch to
-    /// the next.
-    specs: Vec<UnitSpec>,
     state: SessionState,
 }
 
@@ -241,7 +246,6 @@ impl SessionEngine {
             clock_marked: false,
             outbox: Vec::new(),
             pending_results: Vec::new(),
-            specs: Vec::new(),
             state: SessionState::Created,
         }
     }
@@ -445,58 +449,38 @@ impl SessionEngine {
         self.outbox.push(Outbound::Batch { delay, batch, uids });
     }
 
-    /// Binds a due batch to unit specs and submits them through the
-    /// backend's prepare/commit protocol. Rejected tasks (unknown kernel,
-    /// bad arguments, unrunnable binding) fail terminally before the
-    /// runtime sees them, in batch order, exactly as the accounting and
-    /// trace expect.
-    fn submit_batch(&mut self, uids: Vec<u64>, backend: &mut dyn ExecutionBackend) {
+    /// Submits a due batch one unit at a time. A task the backend refuses
+    /// (unknown kernel, bad arguments, unrunnable binding) fails terminally
+    /// in place, before the seal hands the accepted units to the runtime;
+    /// the accepted tasks are then recorded submitted in batch order.
+    fn submit_batch(&mut self, mut uids: Vec<u64>, backend: &mut dyn ExecutionBackend) {
+        uids.retain(|&uid| self.table.submittable(uid).is_some());
+        if uids.is_empty() {
+            return;
+        }
         let now = backend.now();
-        let mut specs = std::mem::take(&mut self.specs);
-        specs.reserve(uids.len());
-        specs.extend(uids.iter().filter_map(|&uid| {
-            Some(UnitSpec {
-                uid,
-                kernel: self.table.attempt(uid)?.kernel.clone()?,
-                stage: self.table.get(uid)?.stage.clone(),
-            })
-        }));
-        // The specs carry the uids on; the batch's vector is not held.
-        drop(uids);
-        if !specs.is_empty() {
-            self.submit_specs(&specs, now, backend);
-        }
-        recycle(&mut specs);
-        self.specs = specs;
-    }
-
-    /// The prepare/commit half of [`Self::submit_batch`].
-    fn submit_specs(
-        &mut self,
-        specs: &[UnitSpec],
-        now: SimTime,
-        backend: &mut dyn ExecutionBackend,
-    ) {
-        let verdicts = backend.prepare_batch(specs, &mut self.rng);
-        debug_assert_eq!(verdicts.len(), specs.len());
-        for (spec, verdict) in specs.iter().zip(&verdicts) {
-            if verdict.is_some() {
-                // A task failed before it could even be submitted (bad
-                // kernel); it is terminal immediately. The pattern learns
-                // about it through the deferred-failure queue, in a clean
-                // processing pass.
-                self.fail_unsubmittable(spec.uid, now);
-            }
-        }
-        self.unit_to_task.reserve(specs.len());
-        for (uid, key) in backend.commit_batch() {
-            let Some(attempt) = self.table.attempt(uid) else {
+        backend.open_batch(uids.len());
+        self.unit_to_task.reserve(uids.len());
+        let mut accepted = 0;
+        for i in 0..uids.len() {
+            let uid = uids[i];
+            let (stage, kernel) = self.table.submittable(uid).expect("kept above");
+            let Some(key) = backend.submit_unit(uid, stage, kernel, &mut self.rng) else {
+                // Terminal at once. The pattern learns about it through the
+                // deferred-failure queue, in a clean processing pass.
+                self.fail_task(uid, now);
+                self.outbox.push(Outbound::DeferredFailure { uid });
                 continue;
             };
-            attempt.current = Some((key, now));
-            self.telemetry.emit(now, TraceKind::TaskSubmitted, uid);
+            self.table.attempt(uid).expect("submittable").current = Some((key, now));
             self.unit_to_task
                 .insert(key, NonZeroU64::MIN.saturating_add(uid));
+            uids[accepted] = uid;
+            accepted += 1;
+        }
+        backend.seal_batch();
+        for &uid in &uids[..accepted] {
+            self.telemetry.emit(now, TraceKind::TaskSubmitted, uid);
         }
     }
 
@@ -521,13 +505,6 @@ impl SessionEngine {
         self.failed_tasks += 1;
         self.telemetry.emit(now, TraceKind::TaskFailed, uid);
         Some(self.finish(uid, now, false))
-    }
-
-    /// Terminal failure for a task the backend refused to accept.
-    fn fail_unsubmittable(&mut self, uid: u64, now: SimTime) {
-        if self.fail_task(uid, now).is_some() {
-            self.outbox.push(Outbound::DeferredFailure { uid });
-        }
     }
 
     /// Kill-replace watchdog fired: cancel the running unit and retry. A

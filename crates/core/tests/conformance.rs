@@ -8,6 +8,7 @@
 
 use entk_core::prelude::*;
 use entk_core::EntkError;
+use entk_sim::TraceKind;
 use serde_json::json;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,14 +22,15 @@ enum Backend {
 const ALL_BACKENDS: [Backend; 3] = [Backend::Sim, Backend::Local, Backend::Federated];
 
 /// A fresh handle of the given flavor, sized to `cores` and carrying the
-/// session fault policy. Federated splits the cores across two clusters.
-fn handle(backend: Backend, cores: usize, fault: FaultConfig) -> ResourceHandle {
+/// session fault policy, with `telemetry` on or off where the backend has
+/// a trace. Federated splits the cores across two clusters.
+fn handle(backend: Backend, cores: usize, fault: FaultConfig, telemetry: bool) -> ResourceHandle {
     match backend {
         Backend::Sim => {
             let config = ResourceConfig::new("xsede.comet", cores, SimDuration::from_secs(100_000));
             let sim = SimulatedConfig {
                 fault,
-                telemetry: false,
+                telemetry,
                 ..SimulatedConfig::default()
             };
             ResourceHandle::simulated(config, sim).expect("simulated handle")
@@ -40,7 +42,7 @@ fn handle(backend: Backend, cores: usize, fault: FaultConfig) -> ResourceHandle 
             let second = (cores - cores / 2).max(1);
             let config = FederatedConfig {
                 fault,
-                telemetry: false,
+                telemetry,
                 clusters: vec![
                     ClusterSpec::new("xsede.comet", first, SimDuration::from_secs(100_000)),
                     ClusterSpec::new("xsede.stampede", second, SimDuration::from_secs(100_000)),
@@ -58,11 +60,27 @@ fn run_session(
     fault: FaultConfig,
     pattern: &mut dyn ExecutionPattern,
 ) -> ExecutionReport {
-    let mut h = handle(backend, cores, fault);
+    let mut h = handle(backend, cores, fault, false);
     h.allocate().expect("allocate");
     let report = h.run(pattern).expect("run");
     h.deallocate().expect("deallocate");
     report
+}
+
+/// [`run_session`] with telemetry on, returning the trace too (`None` on
+/// the local backend, which has no virtual-clock trace).
+fn run_traced(
+    backend: Backend,
+    cores: usize,
+    fault: FaultConfig,
+    pattern: &mut dyn ExecutionPattern,
+) -> (ExecutionReport, Option<Tracer>) {
+    let mut h = handle(backend, cores, fault, true);
+    h.allocate().expect("allocate");
+    let report = h.run(pattern).expect("run");
+    h.deallocate().expect("deallocate");
+    let tracer = h.telemetry().map(|t| t.snapshot().tracer);
+    (report, tracer)
 }
 
 /// A tiny 3×2 ensemble of pipelines on a kernel every backend supports
@@ -155,7 +173,7 @@ fn unknown_kernel_is_a_task_failure_not_a_session_error() {
                 KernelCall::new("misc.stress", json!({ "iters": 200u64 }))
             }
         });
-        let report = run_session(backend, 2, FaultConfig::retries(2), &mut pattern);
+        let (report, tracer) = run_traced(backend, 2, FaultConfig::retries(2), &mut pattern);
         assert_eq!(report.task_count(), 3, "{backend:?}");
         assert_eq!(report.failed_tasks, 1, "{backend:?}: one binding failure");
         // Binding failures are not retried — the kernel can never resolve.
@@ -164,6 +182,35 @@ fn unknown_kernel_is_a_task_failure_not_a_session_error() {
         let failed: Vec<_> = report.tasks.iter().filter(|t| !t.success).collect();
         assert_eq!(failed.len(), 1, "{backend:?}");
         assert_eq!(failed[0].retries, 0, "{backend:?}");
+        // The refusal is accounted before the runtime submits the batch:
+        // task 1's failure precedes every record of the batch's two units
+        // and of its two accepted tasks. On one machine the accepted tasks
+        // are recorded submitted after their units; a federation member's
+        // records reach the trace when the session next polls, after them.
+        let Some(tracer) = tracer else { continue };
+        let at = |kind: TraceKind| -> Vec<(usize, u64)> {
+            let records = tracer.records().iter().enumerate();
+            records
+                .filter(|(_, r)| r.kind == kind)
+                .map(|(i, r)| (i, r.id))
+                .collect()
+        };
+        let (refused, units) = (at(TraceKind::TaskFailed), at(TraceKind::UnitSubmitted));
+        let submitted = at(TraceKind::TaskSubmitted);
+        let ids = |records: &[(usize, u64)]| records.iter().map(|r| r.1).collect::<Vec<_>>();
+        assert_eq!(ids(&refused), [1], "{backend:?}");
+        assert_eq!(ids(&submitted), [0, 2], "{backend:?}");
+        assert_eq!(units.len(), 2, "{backend:?}: one batch of two units");
+        let first = units.iter().chain(&submitted).map(|r| r.0).min();
+        assert!(first.is_some_and(|i| refused[0].0 < i), "{backend:?}");
+        let (earlier, later) = match backend {
+            Backend::Federated => (&submitted, &units),
+            _ => (&units, &submitted),
+        };
+        assert!(
+            earlier.iter().all(|e| later.iter().all(|l| e.0 < l.0)),
+            "{backend:?}: {earlier:?} before {later:?}"
+        );
     }
 }
 
@@ -245,7 +292,7 @@ fn retry_accounting_invariants_hold_everywhere() {
 fn lifecycle_misuse_rejected_with_typed_errors_everywhere() {
     for backend in ALL_BACKENDS {
         let mut pattern = tiny_eop();
-        let mut h = handle(backend, 2, FaultConfig::default());
+        let mut h = handle(backend, 2, FaultConfig::default(), false);
         // Run before allocate.
         match h.run(&mut pattern) {
             Err(EntkError::Usage(_)) => {}

@@ -68,9 +68,14 @@ impl KernelRegistry {
         Arc::make_mut(&mut self.plugins).insert(plugin.name().to_string(), plugin);
     }
 
-    /// Looks up a plugin.
+    /// Looks up a plugin; `None` builds no message.
+    pub fn find(&self, name: &str) -> Option<Arc<dyn KernelPlugin>> {
+        self.plugins.get(name).cloned()
+    }
+
+    /// Looks up a plugin; the error lists the registered names.
     pub fn get(&self, name: &str) -> Result<Arc<dyn KernelPlugin>, KernelError> {
-        self.plugins.get(name).cloned().ok_or_else(|| {
+        self.find(name).ok_or_else(|| {
             KernelError::new(format!(
                 "unknown kernel plugin {name:?} (registered: {})",
                 self.names().join(", ")

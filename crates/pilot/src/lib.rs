@@ -13,6 +13,7 @@
 
 #![warn(missing_docs)]
 
+pub mod compat;
 pub mod description;
 pub mod overheads;
 pub mod scheduler;

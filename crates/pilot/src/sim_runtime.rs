@@ -221,9 +221,8 @@ pub struct SimRuntime {
     /// Cached max core count over non-terminal pilots.
     max_pilot_cores: usize,
     telemetry: SharedTelemetry,
-    /// Maintained count of non-terminal units, so [`Self::live_units`]
-    /// need not rescan the unit store.
-    live: usize,
+    /// Count of non-terminal units, kept as they start and end.
+    pub(crate) live: usize,
 }
 
 impl SimRuntime {
@@ -341,12 +340,6 @@ impl SimRuntime {
             .filter(|p| p.state == PilotState::Active)
             .map(|p| p.free_cores)
             .sum()
-    }
-
-    /// Number of units not yet in a terminal state (O(1): the count is
-    /// maintained incrementally, not rescanned).
-    pub fn live_units(&self) -> usize {
-        self.live
     }
 
     /// Submits a pilot. The pilot-submission overhead is paid before the
@@ -684,12 +677,10 @@ impl SimRuntime {
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        let Some(p) = self.pilots.get_mut(pid.0 as usize) else {
+        let p = self.pilots.get_mut(pid.0 as usize);
+        let Some(p) = p.filter(|p| !p.state.is_terminal()) else {
             return;
         };
-        if p.state.is_terminal() {
-            return;
-        }
         let from_free = p.free_cores.min(lost);
         p.free_cores -= from_free;
         p.description.cores = p.description.cores.saturating_sub(lost);
@@ -857,12 +848,9 @@ impl SimRuntime {
             return;
         }
         if self.waiting_dead > self.waiting_live {
-            let mut compacted = Vec::with_capacity(self.waiting_live);
-            for view in &self.waiting[self.waiting_head..] {
-                if !view.is_tombstone() {
-                    compacted.push(*view);
-                }
-            }
+            let mut compacted: Vec<UnitView> = Vec::with_capacity(self.waiting_live);
+            let waiting = &self.waiting[self.waiting_head..];
+            compacted.extend(waiting.iter().filter(|view| !view.is_tombstone()));
             debug_assert_eq!(compacted.len(), self.waiting_live);
             for (slot, view) in compacted.iter().enumerate() {
                 let unit = self.units.get_mut(view.id.0).expect(HELD);

@@ -12,6 +12,7 @@
 #![warn(missing_docs)]
 
 pub mod arena;
+pub mod compat;
 pub mod engine;
 pub mod event;
 pub mod pool;

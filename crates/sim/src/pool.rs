@@ -11,9 +11,6 @@
 //! `fork://` job service of every local handle
 //! (`entk_saga::ForkJobService`) runs the jobs it admits on a pool of its own.
 //!
-//! [`WorkerPool::run`] executes a batch of borrowed closures on the calling
-//! thread and returns once every one of them has finished.
-//!
 //! The federated simulator does *not* use the pool: its member windows are
 //! a few events each, less work than one wake-up, so they run on the
 //! polling thread (DESIGN.md §13 has the measurement).
@@ -23,7 +20,7 @@
 //! state job-private and merge it afterwards.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 
@@ -135,25 +132,6 @@ impl WorkerPool {
         let dropped = state.queue.len();
         state.queue.clear();
         dropped
-    }
-
-    /// Runs a batch of jobs on the calling thread, in order, and returns
-    /// once all of them have completed. Jobs may borrow from the caller's
-    /// stack. The pool's workers take no part, so any number of threads may
-    /// `run` at once, and a pool job may itself call `run`.
-    ///
-    /// If a job panics, the rest of the batch still completes and the first
-    /// payload is re-raised here.
-    pub fn run<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        let mut first_panic = None;
-        for job in jobs {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                first_panic.get_or_insert(payload);
-            }
-        }
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
     }
 }
 

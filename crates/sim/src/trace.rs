@@ -59,7 +59,7 @@ impl fmt::Display for Subject {
 
 impl Subject {
     /// Its kind and its id (0 for the session).
-    const fn split(self) -> (SubjectKind, u64) {
+    pub(crate) const fn split(self) -> (SubjectKind, u64) {
         match self {
             Subject::Session => (SubjectKind::SESSION, 0),
             Subject::Task(i) => (SubjectKind::TASK, i),
@@ -76,7 +76,7 @@ impl Subject {
 /// the id. The one table behind `Display`, the JSONL renderer and the
 /// Chrome tracks.
 #[derive(Clone, Copy)]
-struct SubjectKind {
+pub(crate) struct SubjectKind {
     /// The subject with a given id.
     of: fn(u64) -> Subject,
     /// The text before the id; no two kinds share one.
@@ -768,22 +768,6 @@ impl SharedTelemetry {
         if self.enabled {
             self.append(time, kind, id);
         }
-    }
-
-    /// The string-typed recorder the closed vocabulary replaced, kept for
-    /// callers outside this workspace. Panics unless `(layer, name)` names
-    /// a [`TraceKind`] and `subject` is of the kind it fixes.
-    #[doc(hidden)]
-    #[deprecated = "record a `TraceKind` with `SharedTelemetry::emit`"]
-    pub fn record(&self, time: SimTime, layer: &str, name: &str, subject: Subject) {
-        let event = || format!("trace event ({layer:?}, {name:?})");
-        let kind = TraceKind::parse(layer, name);
-        let kind = kind.unwrap_or_else(|| panic!("{} is not in the vocabulary", event()));
-        let ((given, id), fixed) = (subject.split(), kind.row().subject);
-        if given.prefix != fixed.prefix {
-            panic!("{} is about {:?}, not {subject:?}", event(), (fixed.of)(id));
-        }
-        self.emit(time, kind, id);
     }
 
     /// Writes a record through, or into the log of a buffered handle. Out

@@ -16,6 +16,12 @@
 //! its task, a unit table that keeps its widest batch's room past
 //! deallocation, an optional instant that costs 16 bytes, vacant room kept
 //! after a batch drains, or a trace record past 24 bytes, fails here.
+//!
+//! The readings are the same with one-phase unit submission (a batch goes
+//! to the backend one unit at a time, with no spec, verdict or key vector
+//! beside it) as with the two-phase protocol before it: the bodies submit
+//! three batches, so those vectors were no per-task cost, and the peak is
+//! set after a batch is submitted, not while it is.
 
 use entk_core::{
     ClusterSpec, EnsembleOfPipelines, FederatedConfig, ResourceConfig, ResourceHandle,
