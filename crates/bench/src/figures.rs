@@ -649,13 +649,13 @@ pub fn ablation_pilots(seed: u64) -> Vec<Row> {
     [1usize, 2, 4, 8].into_iter().map(point).collect()
 }
 
-/// Ablation: unit-scheduler policy on a mixed MPI workload.
+/// Ablation: unit placement order on a mixed MPI workload.
 pub fn ablation_scheduler(seed: u64) -> Vec<Row> {
-    use entk_pilot::{FirstFitScheduler, LargestFirstScheduler};
+    use entk_pilot::UnitOrder;
     let point = |label: &str| {
-        let scheduler: Box<dyn entk_pilot::UnitScheduler> = match label {
-            "first-fit" => Box::new(FirstFitScheduler),
-            _ => Box::new(LargestFirstScheduler),
+        let order = match label {
+            "first-fit" => UnitOrder::FirstFit,
+            _ => UnitOrder::LargestFirst,
         };
         // Mixed 1/4/8-core tasks.
         let mut pattern = BagOfTasks::new(96, |i| {
@@ -671,7 +671,7 @@ pub fn ablation_scheduler(seed: u64) -> Vec<Row> {
             },
         )
         .expect("handle");
-        handle.set_unit_scheduler(scheduler);
+        handle.set_unit_order(order);
         handle.allocate().expect("allocate");
         let report = handle.run(&mut pattern).expect("run");
         // Mid-session snapshot: teardown hasn't happened, so the trace must

@@ -154,24 +154,14 @@ impl ClusterStack {
     /// any pilot may still serve, the full request otherwise (matching the
     /// clamp the single-cluster driver always applied).
     fn max_unit_cores(&self) -> usize {
-        self.pilots
-            .iter()
-            .filter_map(|&p| {
-                (self.runtime.pilot_state(p) != Some(PilotState::Failed))
-                    .then_some(self.cores / self.pilot_count)
-            })
-            .max()
-            .unwrap_or(self.cores)
-            .max(1)
+        let failed = Some(PilotState::Failed);
+        let serving = (self.pilots.iter()).any(|&p| self.runtime.pilot_state(p) != failed);
+        (self.cores / if serving { self.pilot_count } else { 1 }).max(1)
     }
 
     fn pilots_terminal(&self) -> bool {
-        self.pilots.iter().all(|&p| {
-            self.runtime
-                .pilot_state(p)
-                .map(PilotState::is_terminal)
-                .unwrap_or(true)
-        })
+        let state = |&p: &PilotId| self.runtime.pilot_state(p);
+        (self.pilots.iter()).all(|p| state(p).is_none_or(PilotState::is_terminal))
     }
 
     /// Claims the trace records logged since the last claim and returns
@@ -441,10 +431,11 @@ impl EventBackend {
         }
     }
 
-    /// Replaces the unit scheduler of cluster 0 (ablation hook; federated
-    /// member clusters keep the default scheduler).
-    pub(crate) fn set_unit_scheduler(&mut self, s: Box<dyn entk_pilot::UnitScheduler>) {
-        self.clusters[0].runtime.set_scheduler(s);
+    /// Sets every member runtime's unit order (ablation hook).
+    pub(crate) fn set_unit_order(&mut self, order: entk_pilot::UnitOrder) {
+        for c in &mut self.clusters {
+            c.runtime.set_unit_order(order);
+        }
     }
 
     /// Replaces the backend-wide binding policy (paper §V).

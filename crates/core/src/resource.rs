@@ -17,7 +17,7 @@ use crate::report::ExecutionReport;
 use crate::session::SessionEngine;
 use entk_cluster::PlatformSpec;
 use entk_kernels::KernelRegistry;
-use entk_pilot::{RuntimeOverheads, SimRuntimeConfig, UnitScheduler};
+use entk_pilot::{RuntimeOverheads, SimRuntimeConfig, UnitOrder};
 use entk_sim::{SharedTelemetry, SimDuration, Telemetry};
 use serde::{Deserialize, Serialize};
 
@@ -456,10 +456,10 @@ impl ResourceHandle {
         })
     }
 
-    /// Replaces the unit scheduler (simulated backend only; ablation hook).
-    pub fn set_unit_scheduler(&mut self, s: Box<dyn UnitScheduler>) {
+    /// Sets every simulated pilot runtime's [`UnitOrder`] (ablation hook).
+    pub fn set_unit_order(&mut self, order: UnitOrder) {
         if let Inner::Event(b) = &mut self.inner {
-            b.set_unit_scheduler(s);
+            b.set_unit_order(order);
         }
     }
 

@@ -618,6 +618,51 @@ fn adaptive_binding_widens_mpi_tasks() {
     );
 }
 
+/// A unit order reaches every member of a federation. Each member's 8-core
+/// pilot gets a mix of 1- and 8-core units; the tasks that start before
+/// any task ends are each member's first placement pass. Largest-first
+/// starts one 8-core unit on each member; arrival order starts only
+/// 1-core units, on both.
+#[test]
+fn a_unit_order_reaches_every_federation_member() {
+    use entk_pilot::UnitOrder;
+    fn width(tag: u64) -> usize {
+        [1, 8][tag as usize % 2]
+    }
+    let first_wave = |order: UnitOrder| {
+        let walltime = SimDuration::from_secs(1_000_000);
+        let mut handle = ResourceHandle::federated(FederatedConfig {
+            seed: 2016,
+            clusters: (0..2)
+                .map(|_| ClusterSpec::new("xsede.stampede", 8, walltime))
+                .collect(),
+            ..FederatedConfig::default()
+        })
+        .unwrap();
+        handle.set_unit_order(order);
+        handle.allocate().unwrap();
+        let mut bag = BagOfTasks::new(16, |i| {
+            KernelCall::new("misc.sleep", json!({ "secs": 10_000.0 })).with_cores(width(i as u64))
+        });
+        let report = handle.run(&mut bag).unwrap();
+        assert_eq!(report.failed_tasks, 0);
+        let first_stop = report.tasks.iter().filter_map(|t| t.exec_stop).min();
+        let first_stop = first_stop.expect("tasks ran");
+        let mut wave: Vec<usize> = (report.tasks.iter())
+            .filter(|t| t.exec_start.is_some_and(|start| start < first_stop))
+            .map(|t| width(t.tag))
+            .collect();
+        wave.sort();
+        wave
+    };
+    assert_eq!(first_wave(UnitOrder::LargestFirst), [8, 8]);
+    let arrival = first_wave(UnitOrder::FirstFit);
+    assert!(
+        arrival.len() > 2 && arrival.iter().all(|&w| w == 1),
+        "{arrival:?}"
+    );
+}
+
 #[test]
 fn backfill_beats_fifo_behind_a_blocked_head() {
     // Split-pilot strategy + a huge background head job: with FIFO the

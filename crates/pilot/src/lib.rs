@@ -26,6 +26,6 @@ pub use scheduler::{
     FirstFitScheduler, LargestFirstScheduler, PilotView, Placement, UnitScheduler, UnitView,
 };
 pub use sim_runtime::{
-    RuntimeEvent, RuntimeEventSink, RuntimeNotification, SimRuntime, SimRuntimeConfig,
+    RuntimeEvent, RuntimeEventSink, RuntimeNotification, SimRuntime, SimRuntimeConfig, UnitOrder,
 };
 pub use states::{PilotId, PilotState, UnitId, UnitState};

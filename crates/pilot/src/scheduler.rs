@@ -1,9 +1,12 @@
-//! Unit-manager scheduling policies: placing compute units onto pilots.
+//! The reference unit placement policies: placing compute units onto
+//! pilots, one call over a slice of waiting units and pilot views.
 //!
 //! This is application-level scheduling — the defining capability of
-//! pilot-job systems (paper §III-C2). Policies here are ablation points:
-//! the paper's experiments use a single pilot, where all policies coincide,
-//! but multi-pilot execution strategies (paper §V, Ref.\[23\]) differ.
+//! pilot-job systems (paper §III-C2). The runtime does not call these: its
+//! own placement pass works on its unit rows and pilots, in the order a
+//! [`crate::UnitOrder`] names, and its tests check that pass against
+//! [`FirstFitScheduler`] and [`LargestFirstScheduler`]. The trait is also
+//! the API a benchmark probe times.
 
 use crate::states::{PilotId, UnitId};
 
@@ -14,20 +17,6 @@ pub struct UnitView {
     pub id: UnitId,
     /// Cores it needs.
     pub cores: usize,
-}
-
-impl UnitView {
-    /// Core count marking a tombstoned (already placed, cancelled, or
-    /// failed) entry in the runtime's persistent waiting list. No pilot
-    /// can ever satisfy it, so a policy that ignores the marker still
-    /// cannot place a tombstone — checking it explicitly just skips the
-    /// wasted capacity probe.
-    pub const TOMBSTONE_CORES: usize = usize::MAX;
-
-    /// Whether this entry is a tombstone and must not be placed.
-    pub fn is_tombstone(&self) -> bool {
-        self.cores == Self::TOMBSTONE_CORES
-    }
 }
 
 /// Scheduler-facing view of a pilot.
@@ -56,17 +45,6 @@ pub struct Placement {
 ///
 /// `assign` must not oversubscribe any pilot and must only use active
 /// pilots' free cores; units it leaves unplaced wait for the next pass.
-///
-/// Contract details the incremental runtime relies on:
-///
-/// - `waiting` may contain [`UnitView::is_tombstone`] entries; they must
-///   never be placed (their core demand is `usize::MAX`, so an oblivious
-///   policy cannot place them anyway).
-/// - Placement must be *work-conserving*: if `assign` is called again with
-///   the same pilots minus the capacity it just consumed and the same
-///   waiting units minus the ones it just placed, it must place nothing.
-///   All greedy policies have this property; it lets the runtime skip
-///   scheduling passes when neither capacity nor the waiting set changed.
 pub trait UnitScheduler: Send {
     /// Policy name for reports.
     fn name(&self) -> &'static str;
@@ -99,9 +77,6 @@ impl UnitScheduler for FirstFitScheduler {
             return placements;
         }
         for unit in waiting {
-            if unit.is_tombstone() {
-                continue;
-            }
             if let Some(slot) = free.iter_mut().find(|(_, f)| *f >= unit.cores) {
                 slot.1 -= unit.cores;
                 avail -= unit.cores;
@@ -129,11 +104,7 @@ impl UnitScheduler for LargestFirstScheduler {
     }
 
     fn assign(&mut self, waiting: &[UnitView], pilots: &[PilotView]) -> Vec<Placement> {
-        let mut sorted: Vec<UnitView> = waiting
-            .iter()
-            .filter(|u| !u.is_tombstone())
-            .copied()
-            .collect();
+        let mut sorted = waiting.to_vec();
         sorted.sort_by(|a, b| b.cores.cmp(&a.cores).then(a.id.cmp(&b.id)));
         FirstFitScheduler.assign(&sorted, pilots)
     }
@@ -220,27 +191,6 @@ mod tests {
             .map(|p| waiting.iter().find(|u| u.id == p.unit).unwrap().cores)
             .sum();
         assert_eq!(total, 6);
-    }
-
-    #[test]
-    fn tombstones_are_never_placed() {
-        let tomb = UnitView {
-            id: UnitId(7),
-            cores: UnitView::TOMBSTONE_CORES,
-        };
-        let waiting = [tomb, uv(1, 2), tomb, uv(3, 1)];
-        for policy in [
-            &mut FirstFitScheduler as &mut dyn UnitScheduler,
-            &mut LargestFirstScheduler,
-        ] {
-            let placements = policy.assign(&waiting, &[pv(0, true, 8)]);
-            assert_eq!(placements.len(), 2, "{}", policy.name());
-            assert!(
-                placements.iter().all(|p| p.unit != UnitId(7)),
-                "{} placed a tombstone",
-                policy.name()
-            );
-        }
     }
 
     #[test]

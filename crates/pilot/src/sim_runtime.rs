@@ -8,7 +8,6 @@
 
 use crate::description::{PilotDescription, UnitDescription};
 use crate::overheads::RuntimeOverheads;
-use crate::scheduler::{FirstFitScheduler, PilotView, UnitScheduler, UnitView};
 use crate::states::{PilotId, PilotState, UnitId, UnitState};
 use entk_cluster::{
     BatchJobDescription, BatchJobId, BatchJobState, Cluster, ClusterEvent, ClusterNotification,
@@ -16,6 +15,8 @@ use entk_cluster::{
 };
 use entk_sim::arena::{self, Window};
 use entk_sim::{Context, SharedTelemetry, SimDuration, SimRng, SimTime, TraceKind};
+use std::cmp::Reverse;
+use std::collections::VecDeque;
 use std::ops::Range;
 
 /// Events the runtime schedules for itself.
@@ -26,7 +27,7 @@ pub enum RuntimeEvent {
     /// Unit submission overhead paid; the units of this contiguous raw id
     /// range (one [`SimRuntime::seal_units`] call) enter scheduling.
     UnitsSubmitted(Range<u64>),
-    /// Run a unit-scheduler pass.
+    /// Run a placement pass.
     SchedulePass,
     /// A unit's input staging finished.
     StageInDone(UnitId),
@@ -115,6 +116,13 @@ struct PilotRecord {
     active: Option<SimTime>,
 }
 
+impl PilotRecord {
+    /// Whether the pilot is active with `cores` free.
+    fn has_room(&self, cores: u32) -> bool {
+        self.state == PilotState::Active && self.free_cores >= cores as usize
+    }
+}
+
 /// One row of the unit table. Of the submitted description it keeps the
 /// four numbers virtual-time execution reads — not the name or a real
 /// closure, which nothing here runs. Of the unit's lifecycle
@@ -133,8 +141,6 @@ struct UnitRecord {
     /// Index of the pilot the unit was placed on; [`NO_PILOT`], which
     /// indexes no pilot, before.
     pilot: u32,
-    /// Slot in the persistent waiting list while in `Scheduling`.
-    waiting_slot: Option<u32>,
     state: UnitState,
 }
 
@@ -164,10 +170,27 @@ impl Exec {
 
 // A row is what every live task of an ensemble keeps resident in this
 // layer.
-const _: () = assert!(std::mem::size_of::<Option<UnitRecord>>() <= 64);
+const _: () = assert!(std::mem::size_of::<Option<UnitRecord>>() <= 56);
 
 /// What a unit table lookup expects of an id the caller still drives.
 const HELD: &str = "a unit not yet collected";
+
+/// The order in which a placement pass offers waiting units to the pilots;
+/// each unit goes to the first active pilot with room for it (first fit).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnitOrder {
+    /// Arrival order: RADICAL-Pilot's default.
+    FirstFit,
+    /// Widest first, ties by id, against fragmentation by mixed MPI widths.
+    LargestFirst,
+}
+
+/// Whether unit `id` is still held and waits in `Scheduling`.
+fn waits(units: &Window<UnitRecord>, id: u64) -> bool {
+    units
+        .get(id)
+        .is_some_and(|u| u.state == UnitState::Scheduling)
+}
 
 /// Driver event bound: the top-level enum must absorb both runtime and
 /// cluster events.
@@ -181,7 +204,7 @@ pub struct SimRuntime {
     cluster: Cluster,
     config: SimRuntimeConfig,
     rng: SimRng,
-    scheduler: Box<dyn UnitScheduler>,
+    order: UnitOrder,
     // Dense slab stores indexed by the raw id, which is assigned
     // sequentially: no hashing on the per-event hot path, and iteration is
     // in id order (deterministic without sorting). Pilots are few and never
@@ -192,37 +215,18 @@ pub struct SimRuntime {
     units: Window<UnitRecord>,
     /// The units below this id are sealed ([`Self::seal_units`]).
     sealed: u64,
-    /// Persistent waiting list in submission order. Placed, cancelled, and
-    /// failed entries become tombstones instead of being spliced out (no
-    /// per-placement `retain`); `compact_waiting` skips leading tombstones
-    /// and rebuilds once dead entries outnumber live ones, keeping scans
-    /// amortized O(live). A submission compacts it before it grows, so
-    /// growing never copies the tombstones of the batches before.
-    waiting: Vec<UnitView>,
-    /// First slot that may hold a live entry.
-    waiting_head: usize,
-    /// Live (placeable) entries in `waiting[waiting_head..]`.
-    waiting_live: usize,
-    /// Tombstones in `waiting[waiting_head..]`.
-    waiting_dead: usize,
-    /// Monotone upper bound on waiting units' core demand; the doomed-unit
-    /// scan in `schedule_pass` runs only when this exceeds the largest
-    /// pilot, instead of partitioning the whole list every pass.
-    max_waiting_cores: usize,
-    /// Set when the waiting set grew or capacity may have freed since the
-    /// last pass. Clear means a pass would place nothing (schedulers are
-    /// work-conserving, see `UnitScheduler`), so the pass is skipped.
-    sched_dirty: bool,
-    /// Set when any pilot's state, size, or existence changed; the cached
-    /// `pilot_views` / `max_pilot_cores` below are rebuilt lazily.
-    pilots_dirty: bool,
-    /// Cached scheduler-facing pilot views, index == pilot id.
-    pilot_views: Vec<PilotView>,
-    /// Cached max core count over non-terminal pilots.
-    max_pilot_cores: usize,
+    /// The ids of the units that entered `Scheduling`, in the order they
+    /// arrived. An entry whose unit has left is dropped when a pass meets
+    /// it, and all of them before the queue grows.
+    waiting: VecDeque<u64>,
+    /// `(cores, units)` of the units in `Scheduling`, narrowest first.
+    widths: Vec<(u32, u32)>,
     telemetry: SharedTelemetry,
     /// Count of non-terminal units, kept as they start and end.
     pub(crate) live: usize,
+    /// Queue entries the placement passes examined.
+    #[cfg(test)]
+    examined: usize,
 }
 
 impl SimRuntime {
@@ -256,27 +260,23 @@ impl SimRuntime {
             cluster,
             rng: SimRng::seed_from_u64(seed),
             config,
-            scheduler: Box::new(FirstFitScheduler),
+            order: UnitOrder::FirstFit,
             pilots: Vec::new(),
             units: Window::default(),
             sealed: 0,
-            waiting: Vec::new(),
-            waiting_head: 0,
-            waiting_live: 0,
-            waiting_dead: 0,
-            max_waiting_cores: 0,
-            sched_dirty: false,
-            pilots_dirty: false,
-            pilot_views: Vec::new(),
-            max_pilot_cores: 0,
+            waiting: VecDeque::new(),
+            widths: Vec::new(),
             telemetry,
             live: 0,
+            #[cfg(test)]
+            examined: 0,
         }
     }
 
-    /// Replaces the unit scheduler (ablation hook).
-    pub fn set_scheduler(&mut self, scheduler: Box<dyn UnitScheduler>) {
-        self.scheduler = scheduler;
+    /// Sets the order in which placement passes offer waiting units to the
+    /// pilots (ablation hook).
+    pub fn set_unit_order(&mut self, order: UnitOrder) {
+        self.order = order;
     }
 
     /// The machine this runtime targets.
@@ -361,7 +361,6 @@ impl SimRuntime {
             launched: None,
             active: None,
         });
-        self.pilots_dirty = true;
         let event = PilotState::trace_event(None, PilotState::New);
         let event = event.expect("a submitted pilot is recorded");
         self.telemetry.emit(ctx.now(), event, id.0);
@@ -420,7 +419,6 @@ impl SimRuntime {
             cores: description.cores.try_into().unwrap_or(u32::MAX),
             holding: 0,
             pilot: NO_PILOT,
-            waiting_slot: None,
             state: UnitState::New,
         };
         // Past the room `reserve_units` made, the window grows by a quarter.
@@ -474,9 +472,7 @@ impl SimRuntime {
         if released > 0 {
             if let Some(p) = self.pilots.get_mut(pilot) {
                 p.free_cores += released;
-                self.pilots_dirty = true;
             }
-            self.sched_dirty = true;
             ctx.schedule_in(SimDuration::ZERO, RuntimeEvent::SchedulePass);
         }
     }
@@ -538,24 +534,26 @@ impl SimRuntime {
         match event {
             RuntimeEvent::PilotSubmitted(id) => self.on_pilot_submitted(id, ctx, out),
             RuntimeEvent::UnitsSubmitted(ids) => {
-                self.compact_waiting();
-                let (len, capacity) = (self.waiting.len(), self.waiting.capacity());
                 let batch = (ids.end - ids.start) as usize;
-                self.waiting
-                    .reserve_exact(arena::growth(len, capacity, batch));
+                if arena::growth(self.waiting.len(), self.waiting.capacity(), batch) > 0 {
+                    // Growing copies only live entries, and an empty queue
+                    // takes fresh room.
+                    let units = &self.units;
+                    self.waiting.retain(|&id| waits(units, id));
+                    if self.waiting.is_empty() {
+                        self.waiting = VecDeque::new();
+                    }
+                    let (len, capacity) = (self.waiting.len(), self.waiting.capacity());
+                    let more = arena::growth(len, capacity, batch);
+                    self.waiting.reserve_exact(more);
+                }
                 for id in ids.map(UnitId) {
                     // A unit cancelled before it got here may be collected.
                     if self.unit_state(id) != Some(UnitState::New) {
                         continue;
                     }
                     self.set_unit_state(id, UnitState::Scheduling, ctx.now(), None, ctx, out);
-                    let unit = self.units.get_mut(id.0).expect(HELD);
-                    unit.waiting_slot = Some(self.waiting.len() as u32);
-                    let cores = unit.cores as usize;
-                    self.waiting.push(UnitView { id, cores });
-                    self.waiting_live += 1;
-                    self.max_waiting_cores = self.max_waiting_cores.max(cores);
-                    self.sched_dirty = true;
+                    self.waiting.push_back(id.0);
                 }
                 self.schedule_pass(ctx, out);
             }
@@ -655,7 +653,6 @@ impl SimRuntime {
             if next == PilotState::Active {
                 self.set_pilot_state(pid, next, time, out);
                 // New capacity became available.
-                self.sched_dirty = true;
                 ctx.schedule_in(SimDuration::ZERO, RuntimeEvent::SchedulePass);
             } else {
                 self.on_pilot_gone(pid, next, time, ctx, out);
@@ -684,7 +681,6 @@ impl SimRuntime {
         let from_free = p.free_cores.min(lost);
         p.free_cores -= from_free;
         p.description.cores = p.description.cores.saturating_sub(lost);
-        self.pilots_dirty = true;
         let mut deficit = lost - from_free;
         if deficit > 0 {
             // Id order by construction: the unit window iterates densely.
@@ -719,7 +715,6 @@ impl SimRuntime {
         self.telemetry.emit(time, TraceKind::PilotShrunk, pid.0);
         // Surplus cores may have returned, and the shrunken size changes
         // which waiting units are doomed.
-        self.sched_dirty = true;
         ctx.schedule_in(SimDuration::ZERO, RuntimeEvent::SchedulePass);
     }
 
@@ -749,7 +744,6 @@ impl SimRuntime {
         }
         // Remaining waiting units may still run on other pilots, and the
         // loss of this pilot may doom waiting units that only it could fit.
-        self.sched_dirty = true;
         ctx.schedule_in(SimDuration::ZERO, RuntimeEvent::SchedulePass);
     }
 
@@ -772,7 +766,6 @@ impl SimRuntime {
             PilotState::Active => p.active = Some(time),
             _ => {}
         }
-        self.pilots_dirty = true;
         if let Some(event) = event {
             self.telemetry.emit(time, event, id.0);
         }
@@ -783,8 +776,9 @@ impl SimRuntime {
     /// step against the model and writes the record
     /// [`UnitState::trace_event`] names. It tells the application only of
     /// `Executing` and the terminal states, the two it reads. A unit
-    /// leaving `Scheduling` leaves the waiting list; one that ends drops
-    /// its pending execution event and leaves the live count.
+    /// entering or leaving `Scheduling` is counted in or out of its width;
+    /// one that ends drops its pending execution event and leaves the live
+    /// count.
     fn set_unit_state<E: RuntimeEventSink>(
         &mut self,
         id: UnitId,
@@ -796,14 +790,14 @@ impl SimRuntime {
     ) {
         let unit = self.units.get_mut(id.0).expect(HELD);
         let event = UnitState::trace_event(Some(unit.state), state);
-        unit.state = state;
-        let slot = unit.waiting_slot.take();
+        let left = std::mem::replace(&mut unit.state, state);
         if let (Exec::Running(ev), true) = (unit.exec, state.is_terminal()) {
             unit.exec = Exec::Idle;
             ctx.cancel(ev);
         }
-        if let Some(slot) = slot {
-            self.tombstone_waiting_slot(slot as usize, id);
+        let cores = unit.cores;
+        if state == UnitState::Scheduling || left == UnitState::Scheduling {
+            self.count_width(cores, state == UnitState::Scheduling);
         }
         if let Some(event) = event {
             self.telemetry.emit(time, event, id.0);
@@ -821,146 +815,123 @@ impl SimRuntime {
         }
     }
 
-    /// Marks a waiting-list slot as a tombstone, checking it belongs to
-    /// the given unit.
-    fn tombstone_waiting_slot(&mut self, slot: usize, id: UnitId) {
-        debug_assert_eq!(self.waiting[slot].id, id);
-        self.waiting[slot].cores = UnitView::TOMBSTONE_CORES;
-        self.waiting_dead += 1;
-        self.waiting_live -= 1;
-    }
-
-    /// Advances the waiting head past leading tombstones and rebuilds the
-    /// list once dead entries outnumber live ones. Amortized O(1) per
-    /// placement: every tombstone is skipped or dropped exactly once.
-    fn compact_waiting(&mut self) {
-        while self.waiting_head < self.waiting.len()
-            && self.waiting[self.waiting_head].is_tombstone()
-        {
-            self.waiting_head += 1;
-            self.waiting_dead -= 1;
-        }
-        if self.waiting_head == self.waiting.len() {
-            debug_assert_eq!(self.waiting_live, 0);
-            debug_assert_eq!(self.waiting_dead, 0);
-            arena::recycle(&mut self.waiting);
-            self.waiting_head = 0;
-            return;
-        }
-        if self.waiting_dead > self.waiting_live {
-            let mut compacted: Vec<UnitView> = Vec::with_capacity(self.waiting_live);
-            let waiting = &self.waiting[self.waiting_head..];
-            compacted.extend(waiting.iter().filter(|view| !view.is_tombstone()));
-            debug_assert_eq!(compacted.len(), self.waiting_live);
-            for (slot, view) in compacted.iter().enumerate() {
-                let unit = self.units.get_mut(view.id.0).expect(HELD);
-                unit.waiting_slot = Some(slot as u32);
-            }
-            self.waiting = compacted;
-            self.waiting_head = 0;
-            self.waiting_dead = 0;
+    /// Counts a unit of `cores` into `Scheduling` (`enters`) or out of it.
+    fn count_width(&mut self, cores: u32, enters: bool) {
+        let found = self
+            .widths
+            .binary_search_by_key(&cores, |&(width, _)| width);
+        match found {
+            Ok(i) if enters => self.widths[i].1 += 1,
+            Ok(i) if self.widths[i].1 == 1 => drop(self.widths.remove(i)),
+            Ok(i) => self.widths[i].1 -= 1,
+            Err(i) => self.widths.insert(i, (cores, 1)),
         }
     }
 
-    /// Rebuilds the cached scheduler-facing pilot views (index == pilot
-    /// id) and the max non-terminal pilot size. O(pilots), and pilots are
-    /// few; the point is not doing it per pass when nothing changed.
-    fn rebuild_pilot_cache(&mut self) {
-        self.pilots_dirty = false;
-        self.pilot_views.clear();
-        self.pilot_views
-            .extend(self.pilots.iter().enumerate().map(|(i, p)| PilotView {
-                id: PilotId(i as u64),
-                active: p.state == PilotState::Active,
-                free_cores: p.free_cores,
-                total_cores: p.description.cores,
-            }));
-        self.max_pilot_cores = self
-            .pilots
-            .iter()
-            .filter(|p| !p.state.is_terminal())
-            .map(|p| p.description.cores)
-            .max()
-            .unwrap_or(0);
-    }
-
+    /// Fails the waiting units wider than every pilot not yet terminal, in
+    /// queue order, then places what fits. A pass draws and records
+    /// nothing unless it fails or places a unit.
     fn schedule_pass<E: RuntimeEventSink>(
         &mut self,
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        // Incremental early-out: nothing is waiting, or neither the
-        // waiting set nor capacity changed since the last pass — a
-        // work-conserving scheduler would place nothing (see the
-        // `UnitScheduler` contract), so skip the pass entirely. No-op
-        // passes draw no randomness and record nothing, so skipping them
-        // is invisible in traces.
-        if self.waiting_live == 0 || !self.sched_dirty {
+        let Some(&(widest, _)) = self.widths.last() else {
+            // Every entry left is of a unit that left `Scheduling`.
+            self.waiting.clear();
+            if self.waiting.capacity() > arena::SCRATCH_KEEP {
+                self.waiting = VecDeque::new();
+            }
+            return;
+        };
+        let pilots = self.pilots.iter().filter(|p| !p.state.is_terminal());
+        let fits = pilots.map(|p| p.description.cores).max().unwrap_or(0);
+        if widest as usize > fits {
+            for i in 0..self.waiting.len() {
+                let id = self.waiting[i];
+                let unit = self.units.get(id);
+                if unit.is_some_and(|u| u.state == UnitState::Scheduling && u.cores as usize > fits)
+                {
+                    let detail = Some("no pilot large enough for this unit".into());
+                    self.set_unit_state(UnitId(id), UnitState::Failed, ctx.now(), detail, ctx, out);
+                }
+            }
+        }
+        self.place_waiting(ctx, out);
+    }
+
+    /// Offers the waiting units, in the runtime's [`UnitOrder`], each to
+    /// the first active pilot with room, until no active pilot has room
+    /// for the narrowest waiting width. In arrival order the queue drops
+    /// the entries it examined and placed or found gone; largest-first
+    /// sorts the live entries on every pass.
+    fn place_waiting<E: RuntimeEventSink>(
+        &mut self,
+        ctx: &mut Context<'_, E>,
+        out: &mut Vec<RuntimeNotification>,
+    ) {
+        if self.order == UnitOrder::LargestFirst {
+            let units = &self.units;
+            self.waiting.retain(|&id| waits(units, id));
+            let mut sorted: Vec<u64> = self.waiting.iter().copied().collect();
+            sorted.sort_by_key(|&id| (Reverse(units.get(id).expect(HELD).cores), id));
+            for id in sorted {
+                if !self.room_for_narrowest() {
+                    break;
+                }
+                self.place(id, ctx, out);
+            }
             return;
         }
-        self.sched_dirty = false;
-        if self.pilots_dirty {
-            self.rebuild_pilot_cache();
-        }
-        // Fail units that can never fit any non-terminal pilot. Gated on
-        // a monotone upper bound of waiting core demands, so the scan
-        // runs only when a doomed unit may actually exist instead of
-        // partitioning the whole list every pass.
-        if self.max_waiting_cores > self.max_pilot_cores {
-            let max_pilot_cores = self.max_pilot_cores;
-            let mut new_max = 0usize;
-            for slot in self.waiting_head..self.waiting.len() {
-                let view = self.waiting[slot];
-                if view.is_tombstone() {
-                    continue;
-                }
-                if view.cores <= max_pilot_cores {
-                    new_max = new_max.max(view.cores);
-                    continue;
-                }
-                let detail = Some("no pilot large enough for this unit".into());
-                self.set_unit_state(view.id, UnitState::Failed, ctx.now(), detail, ctx, out);
-            }
-            self.max_waiting_cores = new_max;
-            if self.waiting_live == 0 {
-                self.compact_waiting();
-                return;
+        let (mut kept, mut read) = (0, 0);
+        while read < self.waiting.len() && self.room_for_narrowest() {
+            let id = self.waiting[read];
+            read += 1;
+            if waits(&self.units, id) && !self.place(id, ctx, out) {
+                self.waiting[kept] = id;
+                kept += 1;
             }
         }
-        self.compact_waiting();
+        #[cfg(test)]
+        {
+            self.examined += read;
+        }
+        self.waiting.drain(kept..read);
+    }
 
-        let placements = self
-            .scheduler
-            .assign(&self.waiting[self.waiting_head..], &self.pilot_views);
-        for placement in placements {
-            let pidx = placement.pilot.0 as usize;
-            let cores = self.units.get(placement.unit.0).expect(HELD).cores as usize;
-            let pilot = &mut self.pilots[pidx];
-            assert!(
-                pilot.free_cores >= cores,
-                "unit scheduler oversubscribed {}",
-                placement.pilot
-            );
-            pilot.free_cores -= cores;
-            let free_now = pilot.free_cores;
-            // Keep the cached view exact; no rebuild needed for placements.
-            self.pilot_views[pidx].free_cores = free_now;
-            let unit = self.units.get_mut(placement.unit.0).expect(HELD);
-            unit.pilot = u32::try_from(pidx).expect("pilot ids fit in u32");
-            unit.holding = cores as u32;
-            let staging = UnitState::StagingInput;
-            self.set_unit_state(placement.unit, staging, ctx.now(), None, ctx, out);
-            // Scheduling bookkeeping cost + staged input bytes.
-            let sched_cost = self
-                .config
-                .overheads
-                .scheduling_per_unit
-                .sample(&mut self.rng);
-            let bytes = self.units.get(placement.unit.0).expect(HELD).input_bytes;
-            let stage = self.cluster.transfer_duration(bytes);
-            let delay = SimDuration::from_secs_f64(sched_cost) + stage;
-            ctx.schedule_in(delay, RuntimeEvent::StageInDone(placement.unit));
-        }
+    /// Whether some active pilot has room for the narrowest waiting unit.
+    fn room_for_narrowest(&self) -> bool {
+        let narrowest = self.widths.first().map(|&(width, _)| width);
+        narrowest.is_some_and(|width| self.pilots.iter().any(|p| p.has_room(width)))
+    }
+
+    /// Places waiting unit `id` on the first active pilot with room for it,
+    /// if there is one: it takes the cores, starts staging its input and
+    /// draws its scheduling cost.
+    fn place<E: RuntimeEventSink>(
+        &mut self,
+        id: u64,
+        ctx: &mut Context<'_, E>,
+        out: &mut Vec<RuntimeNotification>,
+    ) -> bool {
+        let cores = self.units.get(id).expect(HELD).cores;
+        let Some(pidx) = self.pilots.iter().position(|p| p.has_room(cores)) else {
+            return false;
+        };
+        self.pilots[pidx].free_cores -= cores as usize;
+        let unit = self.units.get_mut(id).expect(HELD);
+        unit.pilot = u32::try_from(pidx).expect("pilot ids fit in u32");
+        unit.holding = cores;
+        let input_bytes = unit.input_bytes;
+        let staging = UnitState::StagingInput;
+        self.set_unit_state(UnitId(id), staging, ctx.now(), None, ctx, out);
+        // Scheduling bookkeeping cost + staged input bytes.
+        let overheads = &self.config.overheads;
+        let sched_cost = overheads.scheduling_per_unit.sample(&mut self.rng);
+        let stage = self.cluster.transfer_duration(input_bytes);
+        let delay = SimDuration::from_secs_f64(sched_cost) + stage;
+        ctx.schedule_in(delay, RuntimeEvent::StageInDone(UnitId(id)));
+        true
     }
 
     fn on_stagein_done<E: RuntimeEventSink>(&mut self, id: UnitId, ctx: &mut Context<'_, E>) {
@@ -1045,9 +1016,7 @@ impl SimRuntime {
         if released > 0 {
             if let Some(p) = self.pilots.get_mut(pilot) {
                 p.free_cores += released;
-                self.pilots_dirty = true;
             }
-            self.sched_dirty = true;
             ctx.schedule_in(SimDuration::ZERO, RuntimeEvent::SchedulePass);
         }
     }
@@ -1518,6 +1487,141 @@ pub(crate) mod tests {
             (large - (0.1 + 0.01 * 64.0)).abs() < 1e-6,
             "large gap {large}"
         );
+    }
+
+    /// ROADMAP 15: 24-core units on a 1 000-core pilot leave 16 cores free
+    /// that no waiting unit fits, so a pass ends at the first unit it cannot
+    /// place instead of walking the rest of the queue.
+    #[test]
+    fn a_remainder_narrower_than_every_waiting_unit_ends_the_pass() {
+        let units: Vec<_> = (0..20_000)
+            .map(|i| {
+                UnitDescription::modeled(format!("u{i}"), SimDuration::from_secs(10))
+                    .with_cores(24)
+                    .with_mpi(true)
+            })
+            .collect();
+        let (_, rt, _) = run_session(quiet_spec(1, 1000), quiet_config(), 1000, units);
+        let tracer = rt.telemetry().snapshot().tracer;
+        let placed = tracer.filter(TraceKind::UnitScheduled).count();
+        assert_eq!(placed, 20_000);
+        assert!(
+            rt.examined <= 2 * placed,
+            "{} queue entries examined for {placed} placements",
+            rt.examined
+        );
+    }
+
+    /// A runtime holding `pilots` (state, total cores, free cores) and, in
+    /// arrival order `arrival`, a queue of `units` (cores, waits): a unit
+    /// that does not wait was cancelled after it entered `Scheduling`, and
+    /// every other such one collected.
+    fn queued_runtime(
+        order: UnitOrder,
+        pilots: &[(PilotState, usize, usize)],
+        units: &[(u32, bool)],
+        arrival: &[usize],
+    ) -> SimRuntime {
+        let mut rt = SimRuntime::new(quiet_spec(1, 4), quiet_config());
+        rt.set_unit_order(order);
+        for &(state, total, free_cores) in pilots {
+            rt.pilots.push(PilotRecord {
+                description: PilotDescription::new("local", total, SimDuration::from_secs(1)),
+                state,
+                job: None,
+                free_cores,
+                submitted: SimTime::ZERO,
+                launched: None,
+                active: None,
+            });
+        }
+        for &(cores, _) in units {
+            let unit = UnitDescription::modeled("u", SimDuration::from_secs(1));
+            let unit = unit.with_cores(cores as usize).with_mpi(true);
+            rt.push_unit(&unit).unwrap();
+        }
+        let mut engine: Engine<Ev> = Engine::new();
+        let (ctx, out) = (&mut engine.context(), &mut Vec::new());
+        for &i in arrival {
+            let id = UnitId(i as u64);
+            rt.set_unit_state(id, UnitState::Scheduling, SimTime::ZERO, None, ctx, out);
+            rt.waiting.push_back(id.0);
+            if !units[i].1 {
+                rt.set_unit_state(id, UnitState::Canceled, SimTime::ZERO, None, ctx, out);
+                if i % 2 == 0 {
+                    rt.collect_unit(id);
+                }
+            }
+        }
+        rt
+    }
+
+    proptest::proptest! {
+        /// One placement pass places what the reference policy of its
+        /// order places, in the same order, from the live entries of the
+        /// queue in arrival order, and leaves the rest waiting in that
+        /// order. Widths are 1 to 64 cores; a pilot is inactive, full,
+        /// partly free, or smaller than some widths.
+        #[test]
+        fn prop_a_pass_places_what_the_reference_policy_places(
+            units in proptest::collection::vec((1u32..65, 0u8..4, 0u64..1_000), 0..48),
+            pilots in proptest::collection::vec((0u8..4, 1usize..80, 0usize..80), 1..4),
+            largest_first in 0u8..2,
+        ) {
+            use crate::scheduler::{
+                FirstFitScheduler, LargestFirstScheduler, PilotView, Placement, UnitScheduler,
+                UnitView,
+            };
+            let pilots: Vec<(PilotState, usize, usize)> = (pilots.iter())
+                .map(|&(kind, total, free)| match kind {
+                    0 => (PilotState::Launching, total, total),
+                    1 => (PilotState::Active, total, 0),
+                    _ => (PilotState::Active, total, free % (total + 1)),
+                })
+                .collect();
+            let live: Vec<(u32, bool)> = units.iter().map(|&(c, dead, _)| (c, dead != 0)).collect();
+            let mut arrival: Vec<usize> = (0..units.len()).collect();
+            arrival.sort_by_key(|&i| units[i].2);
+            let (order, mut reference): (_, Box<dyn UnitScheduler>) = match largest_first {
+                0 => (UnitOrder::FirstFit, Box::new(FirstFitScheduler)),
+                _ => (UnitOrder::LargestFirst, Box::new(LargestFirstScheduler)),
+            };
+            let mut rt = queued_runtime(order, &pilots, &live, &arrival);
+
+            let views: Vec<UnitView> = (arrival.iter())
+                .filter(|&&i| live[i].1)
+                .map(|&i| UnitView { id: UnitId(i as u64), cores: live[i].0 as usize })
+                .collect();
+            let pilot_views: Vec<PilotView> = (pilots.iter().enumerate())
+                .map(|(i, &(state, total_cores, free_cores))| PilotView {
+                    id: PilotId(i as u64),
+                    active: state == PilotState::Active,
+                    free_cores,
+                    total_cores,
+                })
+                .collect();
+            let expected = reference.assign(&views, &pilot_views);
+
+            let mut engine: Engine<Ev> = Engine::new();
+            rt.place_waiting(&mut engine.context(), &mut Vec::new());
+            let tracer = rt.telemetry().snapshot().tracer;
+            let placed: Vec<Placement> = (tracer.filter(TraceKind::UnitScheduled))
+                .map(|r| Placement {
+                    unit: UnitId(r.id),
+                    pilot: PilotId(u64::from(rt.units.get(r.id).expect(HELD).pilot)),
+                })
+                .collect();
+            proptest::prop_assert_eq!(&placed, &expected);
+            let left: Vec<u64> = (views.iter().map(|v| v.id.0))
+                .filter(|&id| placed.iter().all(|p| p.unit.0 != id))
+                .collect();
+            let waiting: Vec<u64> = (rt.waiting.iter().copied())
+                .filter(|&id| waits(&rt.units, id))
+                .collect();
+            proptest::prop_assert_eq!(&waiting, &left);
+            let counted: u32 = rt.widths.iter().map(|&(_, units)| units).sum();
+            proptest::prop_assert_eq!(counted as usize, left.len());
+        }
     }
 }
 

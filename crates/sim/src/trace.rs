@@ -289,9 +289,14 @@ impl Tracer {
         Self::default()
     }
 
-    /// Appends a record of `kind` about entity `id` if tracing is enabled.
+    /// Appends a record of `kind` about entity `id` if tracing is enabled. Past
+    /// `SCRATCH_KEEP` records a full trace grows by a quarter of a power of two.
     pub fn record(&mut self, time: SimTime, kind: TraceKind, id: u64) {
         if self.enabled {
+            let len = self.records.len();
+            if len == self.records.capacity() && len >= crate::arena::SCRATCH_KEEP {
+                self.records.reserve_exact(1 << (len.ilog2() - 2));
+            }
             self.records.push(TraceRecord { time, kind, id });
         }
     }
@@ -820,6 +825,27 @@ mod tests {
         let mut t = Tracer::disabled();
         t.record(SimTime::ZERO, TaskDone, 0);
         assert!(t.is_empty());
+    }
+
+    /// A full trace doubles up to `SCRATCH_KEEP` records, then grows by a
+    /// quarter of the power of two at or below its length: its room steps
+    /// through 1, 1.25, 1.5 and 1.75 times a power of two.
+    #[test]
+    fn a_long_trace_grows_by_quarters_of_a_power_of_two() {
+        let mut t = Tracer::new();
+        let mut rooms = Vec::new();
+        for i in 0..20_000 {
+            t.record(SimTime::ZERO, TaskDone, i);
+            if rooms.last() != Some(&t.records.capacity()) {
+                rooms.push(t.records.capacity());
+            }
+        }
+        let past = rooms.iter().position(|&room| room > 4_096).unwrap();
+        assert!(rooms[..past].iter().all(|room| room.is_power_of_two()));
+        assert_eq!(
+            rooms[past..],
+            [5_120, 6_144, 7_168, 8_192, 10_240, 12_288, 14_336, 16_384, 20_480]
+        );
     }
 
     /// The table is the vocabulary: every kind has its own (layer, name)

@@ -11,17 +11,18 @@
 //! starts cloning its kernel or its stage label again, a report that copies
 //! the task table instead of sharing it, a batch staged twice on its way to
 //! the runtime, a table that goes back to doubling, a table copied to grow,
-//! a waiting list that copies its tombstones to grow, a federation member
-//! that hands the session a heap object per event, a unit row that outlives
-//! its task, a unit table that keeps its widest batch's room past
-//! deallocation, an optional instant that costs 16 bytes, vacant room kept
-//! after a batch drains, or a trace record past 24 bytes, fails here.
+//! a waiting queue that copies its dead entries to grow, a placement pass
+//! that allocates, a federation member that hands the session a heap object
+//! per event, a unit row that outlives its task, a unit table that keeps
+//! its widest batch's room past deallocation, an optional instant that
+//! costs 16 bytes, vacant room kept after a batch drains, a trace record
+//! past 24 bytes, or a trace that doubles past `arena::SCRATCH_KEEP`
+//! records, fails here.
 //!
-//! The readings are the same with one-phase unit submission (a batch goes
-//! to the backend one unit at a time, with no spec, verdict or key vector
-//! beside it) as with the two-phase protocol before it: the bodies submit
-//! three batches, so those vectors were no per-task cost, and the peak is
-//! set after a batch is submitted, not while it is.
+//! A unit placement pass works on the runtime's own queue of unit ids and
+//! its pilots, and allocates nothing: with the boxed policy call before it,
+//! which allocated a free list and a placement vector per pass, the
+//! one-machine body made 7.79 allocations per task, 6.01 now.
 
 use entk_core::{
     ClusterSpec, EnsembleOfPipelines, FederatedConfig, ResourceConfig, ResourceHandle,
@@ -95,30 +96,31 @@ struct Budget {
 
 /// The largest block a growing `realloc` may start from in an untraced
 /// body. A table copied to grow starts from all its rows: a 10^4-row task
-/// table is 800 000 B, and a waiting list that keeps the placed units of
-/// the batch before as tombstones is 320 000 B.
+/// table is 800 000 B, and a waiting queue of the 10^4 ids of a batch
+/// before is 80 000 B.
 const GROWN_FROM_BUDGET: usize = 50_000;
 
 const SIMULATED: Budget = Budget {
-    allocations: 7.9,
+    allocations: 6.1,
     live_bytes: 91.0,
-    peak_bytes: 187.0,
+    peak_bytes: 179.0,
     grown_from: GROWN_FROM_BUDGET,
 };
 const FEDERATED: Budget = Budget {
-    allocations: 7.7,
-    live_bytes: 108.0,
-    peak_bytes: 198.0,
+    allocations: 6.1,
+    live_bytes: 104.0,
+    peak_bytes: 189.0,
     grown_from: GROWN_FROM_BUDGET,
 };
 /// The one-machine body with telemetry on: the handle keeps the trace,
-/// about 8.1 records per task in one `Vec` that doubles as it grows, so
-/// the largest grown block is the trace's own (131 072 records). At 56 B a
-/// record the peak was 920 B per task and that block 7 340 032 B.
+/// about 8.1 records per task in one `Vec`, so the largest grown block is
+/// the trace's own (131 072 records, grown to 163 840). Doubling, it held
+/// 262 144 slots, 405 live and 501 peak bytes per task; at 56 B a record
+/// the peak was 920 B per task and that block 7 340 032 B.
 const TRACED: Budget = Budget {
-    allocations: 7.9,
-    live_bytes: 405.0,
-    peak_bytes: 501.0,
+    allocations: 6.1,
+    live_bytes: 287.0,
+    peak_bytes: 375.0,
     grown_from: 3_200_000,
 };
 
