@@ -11,9 +11,9 @@
 //! then run a different experiment than the file describes.
 //!
 //! Kernel arguments support placeholder substitution so one template
-//! describes a whole ensemble: any string value `"$index"`, `"$iteration"`,
-//! `"$cycle"`, `"$replica"`, `"$temperature"`, or `"$n_sims"` is replaced
-//! by the corresponding number at task-creation time.
+//! describes a whole ensemble: a string value `"$name"` naming one of its
+//! role's placeholders (`"$index"` for a bag; `Role::bind` lists them all)
+//! is replaced by the task's number at task-creation time.
 
 use entk_core::prelude::*;
 use entk_core::registry::schedulers;
@@ -217,13 +217,38 @@ fn substitute(value: &Value, vars: &[(&str, f64)]) -> Value {
     }
 }
 
-fn bind(spec: &KernelSpec, vars: &[(&str, f64)]) -> KernelCall {
-    let args = if spec.args.is_null() {
-        json!({})
-    } else {
-        substitute(&spec.args, vars)
-    };
-    KernelCall::new(spec.plugin.clone(), args).with_cores(spec.cores)
+/// A kernel template's role in its pattern, with the numbers of the task
+/// it is bound for, in the order [`Role::bind`] names them.
+#[derive(Clone, Copy)]
+enum Role {
+    /// A bag task or a pipeline's stage: index.
+    Member(usize),
+    /// A loop's simulation: index, iteration.
+    Simulation(usize, usize),
+    /// A loop iteration's analysis: iteration, simulations.
+    Analysis(usize, usize),
+    /// A replica's MD segment: replica, cycle, temperature.
+    Replica(usize, usize, f64),
+}
+
+impl Role {
+    /// Binds `spec` for this role's task: the one statement of the
+    /// placeholders each role's template may use. `build_pattern` binds
+    /// every task through it, and `check_kernels` the first.
+    fn bind(self, spec: &KernelSpec) -> KernelCall {
+        let n = |count: usize| count as f64;
+        let vars: &[(&str, f64)] = match self {
+            Role::Member(i) => &[("index", n(i))],
+            Role::Simulation(i, iter) => &[("index", n(i)), ("iteration", n(iter))],
+            Role::Analysis(iter, sims) => &[("iteration", n(iter)), ("n_sims", n(sims))],
+            Role::Replica(r, c, t) => &[("replica", n(r)), ("cycle", n(c)), ("temperature", t)],
+        };
+        let args = match &spec.args {
+            Value::Null => json!({}),
+            args => substitute(args, vars),
+        };
+        KernelCall::new(spec.plugin.clone(), args).with_cores(spec.cores)
+    }
 }
 
 /// Refuses a key the chosen backend does not read: it would load, and the
@@ -387,50 +412,39 @@ fn check_pattern(doc: &SpecDoc, pattern: &PatternSpec) -> Result<(), EntkError> 
 }
 
 /// Refuses a kernel template every task built from it would fail on: binds
-/// it as [`WorkloadSpec::build_pattern`] binds the first such task and asks
+/// its first task with the [`Role::bind`] that builds every task and asks
 /// the plugin to validate the arguments. Its `cores` must also fit where a
 /// task runs: `resource.cores` on the local backend, where a task holds
 /// them for real, and one pilot's share of the largest member on the
-/// discrete-event backends, which would otherwise clamp them silently.
+/// discrete-event backends ([`entk_core::max_unit_cores`], their clamp).
 /// A run would otherwise go through and report the whole stage failed.
 fn check_kernels(doc: &SpecDoc, spec: &WorkloadSpec) -> Result<(), EntkError> {
-    let first = 0.0;
-    // Each template with its pointer under `/pattern` and its first task's placeholders.
-    let index = vec![("index", first)];
+    // Each template with its pointer under `/pattern` and its first task.
     let templates = match &spec.pattern {
-        PatternSpec::Bag { kernel, .. } => vec![("kernel".to_string(), kernel, index)],
+        PatternSpec::Bag { kernel, .. } => vec![("kernel".to_string(), kernel, Role::Member(0))],
         PatternSpec::Pipelines { stages, .. } => (stages.iter().enumerate())
-            .map(|(i, stage)| (format!("stages/{i}"), stage, index.clone()))
+            .map(|(i, stage)| (format!("stages/{i}"), stage, Role::Member(0)))
             .collect(),
         PatternSpec::Sal {
             sims,
             simulation,
             analysis,
             ..
-        } => {
-            let simulation_vars = vec![("index", first), ("iteration", first)];
-            let analysis_vars = vec![("iteration", first), ("n_sims", *sims as f64)];
-            vec![
-                ("simulation".to_string(), simulation, simulation_vars),
-                ("analysis".to_string(), analysis, analysis_vars),
-            ]
-        }
+        } => vec![
+            ("simulation".to_string(), simulation, Role::Simulation(0, 0)),
+            ("analysis".to_string(), analysis, Role::Analysis(0, *sims)),
+        ],
         PatternSpec::Exchange { t_min, kernel, .. } => {
-            let vars = vec![
-                ("replica", first),
-                ("cycle", first),
-                ("temperature", *t_min),
-            ];
-            vec![("kernel".to_string(), kernel, vars)]
+            vec![("kernel".to_string(), kernel, Role::Replica(0, 0, *t_min))]
         }
     };
     let registry = KernelRegistry::with_builtins();
-    // As the simulated driver splits a member: `pilots` pilots, never more
-    // than it has cores. A zero-core member is `handle`'s error.
-    let pilots = spec.tuning.pilots.unwrap_or(1).max(1);
+    // One pilot's share of the largest member, as the simulated backend
+    // clamps a unit. A zero-core member is `handle`'s error.
+    let pilots = spec.tuning.pilots.unwrap_or(1);
     let per_pilot = std::iter::once(&spec.resource)
         .chain(&spec.federation)
-        .map(|r| r.cores / pilots.min(r.cores.max(1)))
+        .map(|r| entk_core::max_unit_cores(r.cores, pilots))
         .max()
         .unwrap_or(0);
     let (slots, of) = match spec.backend.as_str() {
@@ -440,8 +454,8 @@ fn check_kernels(doc: &SpecDoc, spec: &WorkloadSpec) -> Result<(), EntkError> {
         // An unknown backend is `handle`'s error.
         _ => (0, ""),
     };
-    for (at, template, vars) in templates {
-        let call = bind(template, &vars);
+    for (at, template, role) in templates {
+        let call = role.bind(template);
         let refuse = |key: &str, why: String| {
             let msg = format!("kernel {:?}: {why}", call.plugin);
             doc.usage_at(&format!("/pattern/{at}/{key}"), EntkError::Usage(msg))
@@ -492,14 +506,14 @@ impl WorkloadSpec {
     /// Compiles the pattern description into an executable pattern.
     pub fn build_pattern(&self) -> Box<dyn ExecutionPattern + Send> {
         match self.pattern.clone() {
-            PatternSpec::Bag { n, kernel } => Box::new(BagOfTasks::new(n, move |i| {
-                bind(&kernel, &[("index", i as f64)])
-            })),
+            PatternSpec::Bag { n, kernel } => {
+                Box::new(BagOfTasks::new(n, move |i| Role::Member(i).bind(&kernel)))
+            }
             PatternSpec::Pipelines { n, stages } => {
                 let labels: Vec<String> = (0..stages.len()).map(|s| format!("stage-{s}")).collect();
                 Box::new(
                     EnsembleOfPipelines::new(n, stages.len(), move |p, s| {
-                        bind(&stages[s], &[("index", p as f64)])
+                        Role::Member(p).bind(&stages[s])
                     })
                     .with_stage_labels(labels),
                 )
@@ -512,18 +526,8 @@ impl WorkloadSpec {
             } => Box::new(SimulationAnalysisLoop::new(
                 iterations,
                 sims,
-                move |iter, i| {
-                    bind(
-                        &simulation,
-                        &[("index", i as f64), ("iteration", iter as f64)],
-                    )
-                },
-                move |iter, outs| {
-                    vec![bind(
-                        &analysis,
-                        &[("iteration", iter as f64), ("n_sims", outs.len() as f64)],
-                    )]
-                },
+                move |iter, i| Role::Simulation(i, iter).bind(&simulation),
+                move |iter, outs| vec![Role::Analysis(iter, outs.len()).bind(&analysis)],
             )),
             PatternSpec::Exchange {
                 replicas,
@@ -535,16 +539,7 @@ impl WorkloadSpec {
                 replicas,
                 cycles,
                 TemperatureLadder::geometric(replicas, t_min, t_max),
-                move |r, c, t| {
-                    bind(
-                        &kernel,
-                        &[
-                            ("replica", r as f64),
-                            ("cycle", c as f64),
-                            ("temperature", t),
-                        ],
-                    )
-                },
+                move |r, c, t| Role::Replica(r, c, t).bind(&kernel),
             )),
         }
     }

@@ -64,8 +64,8 @@ pub use pattern::{
 pub use registry::{ComponentSpec, NoParams, Registry, SpecDoc};
 pub use report::{ExecutionReport, OverheadBreakdown, TaskRecord, TaskRecords};
 pub use resource::{
-    run_federated, run_federated_traced, run_simulated, run_simulated_traced, ClusterSpec,
-    FederatedConfig, PilotStrategy, ResourceConfig, ResourceHandle, SimulatedConfig,
+    max_unit_cores, run_federated, run_federated_traced, run_simulated, run_simulated_traced,
+    ClusterSpec, FederatedConfig, PilotStrategy, ResourceConfig, ResourceHandle, SimulatedConfig,
 };
 pub use session::SessionEngine;
 pub use task::{Task, TaskResult};

@@ -150,15 +150,6 @@ impl ClusterStack {
         }
     }
 
-    /// Largest unit this cluster can run: the per-pilot core share while
-    /// any pilot may still serve, the full request otherwise (matching the
-    /// clamp the single-cluster driver always applied).
-    fn max_unit_cores(&self) -> usize {
-        let failed = Some(PilotState::Failed);
-        let serving = (self.pilots.iter()).any(|&p| self.runtime.pilot_state(p) != failed);
-        (self.cores / if serving { self.pilot_count } else { 1 }).max(1)
-    }
-
     fn pilots_terminal(&self) -> bool {
         let state = |&p: &PilotId| self.runtime.pilot_state(p);
         (self.pilots.iter()).all(|p| state(p).is_none_or(PilotState::is_terminal))
@@ -323,7 +314,7 @@ struct Slot {
     free: usize,
     /// `free` less the cores of the batch's units placed so far.
     remaining: i64,
-    /// Largest unit.
+    /// Largest unit: one pilot's share while any pilot may still serve.
     max_unit: usize,
     /// A pilot may still serve.
     alive: bool,
@@ -697,10 +688,13 @@ impl ExecutionBackend for EventBackend {
         slots.clear();
         slots.extend(self.clusters.iter().map(|c| {
             let free = c.runtime.free_cores();
+            let up = |&p: &PilotId| c.runtime.pilot_state(p) != Some(PilotState::Failed);
+            let serving = c.pilots.iter().any(up);
+            let pilots = if serving { c.pilot_count } else { 1 };
             Slot {
                 free,
                 remaining: free as i64,
-                max_unit: c.max_unit_cores(),
+                max_unit: crate::max_unit_cores(c.cores, pilots).max(1),
                 alive: !c.pilots.is_empty() && c.dead < c.pilots.len(),
             }
         }));

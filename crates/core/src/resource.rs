@@ -81,6 +81,12 @@ impl Default for PilotStrategy {
     }
 }
 
+/// The largest unit one of `pilots` pilots (at least one, at most one a
+/// core) on `cores` cores can run: the simulated backend's unit clamp.
+pub fn max_unit_cores(cores: usize, pilots: usize) -> usize {
+    cores / pilots.max(1).min(cores.max(1))
+}
+
 /// Tuning of the simulated backend.
 #[derive(Debug, Clone)]
 pub struct SimulatedConfig {

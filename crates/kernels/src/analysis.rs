@@ -5,7 +5,7 @@
 //! property the paper's SAL scaling figures (7 and 8) exhibit.
 
 use crate::plugin::{
-    check_secs, linear_duration, one, parse, Args, KernelError, KernelPlugin, UnitPlan,
+    check_secs, count, linear_duration, one, Args, KernelError, TypedKernel, UnitPlan,
 };
 use entk_analysis::{coco, lsdmap, CocoConfig, LsdmapConfig};
 use entk_cluster::PlatformSpec;
@@ -25,7 +25,7 @@ fn needs_input(frames: &Option<Vec<Vec<f64>>>, n_sims: Option<u64>) -> Result<()
 /// Arguments of `ana.coco`.
 #[derive(Deserialize)]
 #[serde(deny_unknown_fields)]
-struct CocoArgs {
+pub(crate) struct CocoArgs {
     /// Trajectory frames a real run analyses, one row of coordinates each.
     #[serde(default)]
     frames: Option<Vec<Vec<f64>>>,
@@ -34,13 +34,13 @@ struct CocoArgs {
     #[serde(default)]
     n_sims: Option<u64>,
     /// New starting conformations to suggest.
-    #[serde(default = "default_n_new")]
+    #[serde(default = "count::<1>")]
     n_new: u64,
     /// Principal components spanning the sampled space (real runs).
-    #[serde(default = "default_two")]
+    #[serde(default = "count::<2>")]
     n_components: u64,
     /// Histogram bins per component (real runs).
-    #[serde(default = "default_grid")]
+    #[serde(default = "count::<10>")]
     grid: u64,
     /// Cost-model base in seconds on a `perf_factor` 1.0 platform.
     #[serde(default = "default_coco_base_secs")]
@@ -48,18 +48,6 @@ struct CocoArgs {
     /// Cost-model slope in seconds per simulation.
     #[serde(default = "default_coco_per_sim_secs")]
     per_sim_secs: f64,
-}
-
-fn default_n_new() -> u64 {
-    1
-}
-
-fn default_two() -> u64 {
-    2
-}
-
-fn default_grid() -> u64 {
-    10
 }
 
 fn default_coco_base_secs() -> f64 {
@@ -86,23 +74,20 @@ impl Args for CocoArgs {
 #[derive(Debug, Default)]
 pub struct CocoKernel;
 
-impl KernelPlugin for CocoKernel {
+impl TypedKernel for CocoKernel {
+    type Args = CocoArgs;
+
     fn name(&self) -> &str {
         "ana.coco"
     }
 
-    fn validate(&self, args: &Value) -> Result<(), KernelError> {
-        parse::<CocoArgs>(args).map(drop)
-    }
-
     fn plan(
         &self,
-        args: &Value,
+        args: Self::Args,
         _cores: usize,
         platform: &PlatformSpec,
         rng: &mut SimRng,
     ) -> Result<UnitPlan, KernelError> {
-        let args: CocoArgs = parse(args)?;
         let n_sims = args.n_sims.unwrap_or(0);
         Ok(UnitPlan {
             duration: linear_duration(args.base_secs, args.per_sim_secs, n_sims, platform, rng),
@@ -111,8 +96,7 @@ impl KernelPlugin for CocoKernel {
         })
     }
 
-    fn execute_model(&self, args: &Value, rng: &mut SimRng) -> Result<Value, KernelError> {
-        let args: CocoArgs = parse(args)?;
+    fn execute_model(&self, args: Self::Args, rng: &mut SimRng) -> Result<Value, KernelError> {
         Ok(json!({
             "n_new": args.n_new,
             "occupancy": 0.1 + 0.4 * rng.uniform(),
@@ -120,8 +104,7 @@ impl KernelPlugin for CocoKernel {
         }))
     }
 
-    fn execute(&self, args: &Value) -> Result<Value, KernelError> {
-        let args: CocoArgs = parse(args)?;
+    fn execute(&self, args: Self::Args) -> Result<Value, KernelError> {
         let frames = args
             .frames
             .ok_or_else(|| KernelError::new("missing frames for real CoCo"))?;
@@ -145,7 +128,7 @@ impl KernelPlugin for CocoKernel {
 /// Arguments of `ana.lsdmap`.
 #[derive(Deserialize)]
 #[serde(deny_unknown_fields)]
-struct LsdmapArgs {
+pub(crate) struct LsdmapArgs {
     /// Trajectory frames a real run embeds, one row of coordinates each.
     #[serde(default)]
     frames: Option<Vec<Vec<f64>>>,
@@ -154,7 +137,7 @@ struct LsdmapArgs {
     #[serde(default)]
     n_sims: Option<u64>,
     /// Leading diffusion coordinates to return (real runs).
-    #[serde(default = "default_two")]
+    #[serde(default = "count::<2>")]
     n_coords: u64,
     /// Scale on the kernel bandwidth the real run estimates.
     #[serde(default = "one")]
@@ -191,23 +174,20 @@ impl Args for LsdmapArgs {
 #[derive(Debug, Default)]
 pub struct LsdmapKernel;
 
-impl KernelPlugin for LsdmapKernel {
+impl TypedKernel for LsdmapKernel {
+    type Args = LsdmapArgs;
+
     fn name(&self) -> &str {
         "ana.lsdmap"
     }
 
-    fn validate(&self, args: &Value) -> Result<(), KernelError> {
-        parse::<LsdmapArgs>(args).map(drop)
-    }
-
     fn plan(
         &self,
-        args: &Value,
+        args: Self::Args,
         _cores: usize,
         platform: &PlatformSpec,
         rng: &mut SimRng,
     ) -> Result<UnitPlan, KernelError> {
-        let args: LsdmapArgs = parse(args)?;
         let n_sims = args.n_sims.unwrap_or(0);
         Ok(UnitPlan {
             duration: linear_duration(args.base_secs, args.per_sim_secs, n_sims, platform, rng),
@@ -216,16 +196,14 @@ impl KernelPlugin for LsdmapKernel {
         })
     }
 
-    fn execute_model(&self, args: &Value, rng: &mut SimRng) -> Result<Value, KernelError> {
-        parse::<LsdmapArgs>(args)?;
+    fn execute_model(&self, _args: Self::Args, rng: &mut SimRng) -> Result<Value, KernelError> {
         Ok(json!({
             "spectral_gap": 0.2 + 0.6 * rng.uniform(),
             "modeled": true,
         }))
     }
 
-    fn execute(&self, args: &Value) -> Result<Value, KernelError> {
-        let args: LsdmapArgs = parse(args)?;
+    fn execute(&self, args: Self::Args) -> Result<Value, KernelError> {
         let frames = args
             .frames
             .ok_or_else(|| KernelError::new("missing frames for real LSDMap"))?;
@@ -255,7 +233,7 @@ impl KernelPlugin for LsdmapKernel {
 /// Arguments of `ana.wham`.
 #[derive(Deserialize)]
 #[serde(deny_unknown_fields)]
-struct WhamArgs {
+pub(crate) struct WhamArgs {
     /// Per-replica potential-energy samples a real run combines.
     #[serde(default)]
     energy_samples: Option<Vec<Vec<f64>>>,
@@ -266,7 +244,7 @@ struct WhamArgs {
     #[serde(default)]
     target_temps: Option<Vec<f64>>,
     /// Energy histogram bins (at least 2 are used).
-    #[serde(default = "default_n_bins")]
+    #[serde(default = "count::<60>")]
     n_bins: u64,
     /// Samples a model run stands for: drives cost and input staging. A
     /// call with `energy_samples` alone plans as 10 000 of them.
@@ -278,10 +256,6 @@ struct WhamArgs {
     /// Cost-model slope in seconds per sample.
     #[serde(default = "default_per_sample_secs")]
     per_sample_secs: f64,
-}
-
-fn default_n_bins() -> u64 {
-    60
 }
 
 fn default_wham_base_secs() -> f64 {
@@ -311,23 +285,20 @@ impl Args for WhamArgs {
 #[derive(Debug, Default)]
 pub struct WhamKernel;
 
-impl KernelPlugin for WhamKernel {
+impl TypedKernel for WhamKernel {
+    type Args = WhamArgs;
+
     fn name(&self) -> &str {
         "ana.wham"
     }
 
-    fn validate(&self, args: &Value) -> Result<(), KernelError> {
-        parse::<WhamArgs>(args).map(drop)
-    }
-
     fn plan(
         &self,
-        args: &Value,
+        args: Self::Args,
         _cores: usize,
         platform: &PlatformSpec,
         rng: &mut SimRng,
     ) -> Result<UnitPlan, KernelError> {
-        let args: WhamArgs = parse(args)?;
         let n = args.n_samples.unwrap_or(10_000);
         Ok(UnitPlan {
             duration: linear_duration(args.base_secs, args.per_sample_secs, n, platform, rng),
@@ -336,13 +307,11 @@ impl KernelPlugin for WhamKernel {
         })
     }
 
-    fn execute_model(&self, args: &Value, rng: &mut SimRng) -> Result<Value, KernelError> {
-        parse::<WhamArgs>(args)?;
+    fn execute_model(&self, _args: Self::Args, rng: &mut SimRng) -> Result<Value, KernelError> {
         Ok(json!({ "converged": true, "residual": 1e-9 * rng.uniform(), "modeled": true }))
     }
 
-    fn execute(&self, args: &Value) -> Result<Value, KernelError> {
-        let args: WhamArgs = parse(args)?;
+    fn execute(&self, args: Self::Args) -> Result<Value, KernelError> {
         let samples = args
             .energy_samples
             .ok_or_else(|| KernelError::new("missing energy_samples"))?;
@@ -378,7 +347,11 @@ impl KernelPlugin for WhamKernel {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::{CocoKernel, LsdmapKernel, WhamKernel};
+    use crate::plugin::KernelPlugin;
+    use entk_cluster::PlatformSpec;
+    use entk_sim::SimRng;
+    use serde_json::{json, Value};
 
     fn rng() -> SimRng {
         SimRng::seed_from_u64(1)
@@ -485,7 +458,11 @@ mod tests {
 
 #[cfg(test)]
 mod wham_kernel_tests {
-    use super::*;
+    use super::WhamKernel;
+    use crate::plugin::KernelPlugin;
+    use entk_cluster::PlatformSpec;
+    use entk_sim::SimRng;
+    use serde_json::json;
 
     #[test]
     fn wham_kernel_computes_observables() {

@@ -7,7 +7,7 @@
 //! measures: MD time ∝ steps × atoms / cores, exchange time ∝ replicas.
 
 use crate::plugin::{
-    check_count, check_secs, linear_duration, one, parse, Args, KernelError, KernelPlugin, UnitPlan,
+    check_count, check_secs, count, linear_duration, one, Args, KernelError, TypedKernel, UnitPlan,
 };
 use entk_cluster::PlatformSpec;
 use entk_md::{alanine_dipeptide_surrogate, exchange_probability, EngineFlavor, MdEngine};
@@ -24,12 +24,12 @@ const SECS_PER_STEP_ATOM: f64 = 2.5e-6;
 /// Arguments of `md.amber` and `md.gromacs`.
 #[derive(Deserialize)]
 #[serde(deny_unknown_fields)]
-struct MdArgs {
+pub(crate) struct MdArgs {
     /// Atoms in the system (the paper's solvated alanine dipeptide).
-    #[serde(default = "default_n_atoms")]
+    #[serde(default = "count::<2881>")]
     n_atoms: u64,
     /// Integration steps of the segment (3000 = 6 ps).
-    #[serde(default = "default_steps")]
+    #[serde(default = "count::<3000>")]
     steps: u64,
     /// Thermostat temperature in reduced units.
     #[serde(default = "one")]
@@ -38,24 +38,12 @@ struct MdArgs {
     #[serde(default)]
     seed: u64,
     /// Steps between recorded trajectory frames.
-    #[serde(default = "default_record_every")]
+    #[serde(default = "count::<100>")]
     record_every: u64,
     /// Solute start conformations for a real run; the first row is applied
     /// when it holds three coordinates per solute atom.
     #[serde(default)]
     start: Option<Vec<Vec<f64>>>,
-}
-
-fn default_n_atoms() -> u64 {
-    2881
-}
-
-fn default_steps() -> u64 {
-    3000
-}
-
-fn default_record_every() -> u64 {
-    100
 }
 
 impl Args for MdArgs {
@@ -101,7 +89,9 @@ impl MdKernel {
     }
 }
 
-impl KernelPlugin for MdKernel {
+impl TypedKernel for MdKernel {
+    type Args = MdArgs;
+
     fn name(&self) -> &str {
         match self.flavor {
             EngineFlavor::Amber => "md.amber",
@@ -109,18 +99,13 @@ impl KernelPlugin for MdKernel {
         }
     }
 
-    fn validate(&self, args: &Value) -> Result<(), KernelError> {
-        parse::<MdArgs>(args).map(drop)
-    }
-
     fn plan(
         &self,
-        args: &Value,
+        args: Self::Args,
         cores: usize,
         platform: &PlatformSpec,
         rng: &mut SimRng,
     ) -> Result<UnitPlan, KernelError> {
-        let args: MdArgs = parse(args)?;
         let base = 0.5;
         let compute = SECS_PER_STEP_ATOM * args.steps as f64 * args.n_atoms as f64
             / (cores.max(1) as f64 * platform.perf_factor);
@@ -133,8 +118,7 @@ impl KernelPlugin for MdKernel {
         })
     }
 
-    fn execute_model(&self, args: &Value, rng: &mut SimRng) -> Result<Value, KernelError> {
-        let args: MdArgs = parse(args)?;
+    fn execute_model(&self, args: Self::Args, rng: &mut SimRng) -> Result<Value, KernelError> {
         // Potential-energy model matching the toy engine's behaviour:
         // per-particle mean rises roughly linearly with temperature.
         let mean = args.n_atoms as f64 * (-2.5 + 1.4 * args.temperature);
@@ -149,8 +133,7 @@ impl KernelPlugin for MdKernel {
         }))
     }
 
-    fn execute(&self, args: &Value) -> Result<Value, KernelError> {
-        let args: MdArgs = parse(args)?;
+    fn execute(&self, args: Self::Args) -> Result<Value, KernelError> {
         let (t, seed) = (args.temperature, args.seed);
         let mut sys = alanine_dipeptide_surrogate(args.n_atoms as usize, seed);
         // Apply a provided solute conformation (relative coordinates
@@ -185,7 +168,7 @@ impl KernelPlugin for MdKernel {
 /// Arguments of `md.exchange`.
 #[derive(Deserialize)]
 #[serde(deny_unknown_fields)]
-struct ExchangeArgs {
+pub(crate) struct ExchangeArgs {
     /// Each replica's potential energy; needed to decide swaps.
     #[serde(default)]
     energies: Option<Vec<f64>>,
@@ -253,8 +236,7 @@ impl Args for ExchangeArgs {
 pub struct ExchangeKernel;
 
 impl ExchangeKernel {
-    fn decide(args: &Value) -> Result<Value, KernelError> {
-        let args: ExchangeArgs = parse(args)?;
+    fn decide(args: ExchangeArgs) -> Result<Value, KernelError> {
         let energies = args
             .energies
             .ok_or_else(|| KernelError::new("missing energies"))?;
@@ -287,23 +269,20 @@ impl ExchangeKernel {
     }
 }
 
-impl KernelPlugin for ExchangeKernel {
+impl TypedKernel for ExchangeKernel {
+    type Args = ExchangeArgs;
+
     fn name(&self) -> &str {
         "md.exchange"
     }
 
-    fn validate(&self, args: &Value) -> Result<(), KernelError> {
-        parse::<ExchangeArgs>(args).map(drop)
-    }
-
     fn plan(
         &self,
-        args: &Value,
+        args: Self::Args,
         _cores: usize,
         platform: &PlatformSpec,
         rng: &mut SimRng,
     ) -> Result<UnitPlan, KernelError> {
-        let args: ExchangeArgs = parse(args)?;
         // `check` saw one of the two.
         let n = match &args.energies {
             Some(energies) => energies.len() as u64,
@@ -316,18 +295,22 @@ impl KernelPlugin for ExchangeKernel {
         })
     }
 
-    fn execute_model(&self, args: &Value, _rng: &mut SimRng) -> Result<Value, KernelError> {
+    fn execute_model(&self, args: Self::Args, _rng: &mut SimRng) -> Result<Value, KernelError> {
         Self::decide(args)
     }
 
-    fn execute(&self, args: &Value) -> Result<Value, KernelError> {
+    fn execute(&self, args: Self::Args) -> Result<Value, KernelError> {
         Self::decide(args)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::{ExchangeKernel, MdKernel};
+    use crate::plugin::KernelPlugin;
+    use entk_cluster::PlatformSpec;
+    use entk_sim::SimRng;
+    use serde_json::{json, Value};
 
     fn rng() -> SimRng {
         SimRng::seed_from_u64(1)

@@ -4,7 +4,7 @@
 //! application (Fig. 3): stage 1 creates a file per task, stage 2 counts the
 //! characters in it.
 
-use crate::plugin::{check_secs, one, parse, Args, KernelError, KernelPlugin, UnitPlan};
+use crate::plugin::{check_secs, count, one, Args, KernelError, TypedKernel, UnitPlan};
 use entk_cluster::PlatformSpec;
 use entk_sim::{SimDuration, SimRng};
 use serde::Deserialize;
@@ -14,22 +14,18 @@ use std::io::{Read, Write};
 /// Arguments of `misc.mkfile` and `misc.ccount`.
 #[derive(Deserialize)]
 #[serde(deny_unknown_fields)]
-struct FileArgs {
+pub(crate) struct FileArgs {
     /// The file a real run creates (`mkfile`) or reads (`ccount`); a
     /// simulated run never opens it.
     #[serde(default)]
     path: Option<String>,
     /// Characters `mkfile` writes and stages out; the size a simulated
     /// `ccount` stages in and reports.
-    #[serde(default = "default_bytes")]
+    #[serde(default = "count::<1024>")]
     bytes: u64,
     /// Cost-model base in seconds on a `perf_factor` 1.0 platform.
     #[serde(default = "one")]
     base_secs: f64,
-}
-
-fn default_bytes() -> u64 {
-    1024
 }
 
 impl Args for FileArgs {
@@ -58,23 +54,20 @@ impl FileArgs {
 #[derive(Debug, Default)]
 pub struct MkfileKernel;
 
-impl KernelPlugin for MkfileKernel {
+impl TypedKernel for MkfileKernel {
+    type Args = FileArgs;
+
     fn name(&self) -> &str {
         "misc.mkfile"
     }
 
-    fn validate(&self, args: &Value) -> Result<(), KernelError> {
-        parse::<FileArgs>(args).map(drop)
-    }
-
     fn plan(
         &self,
-        args: &Value,
+        args: Self::Args,
         _cores: usize,
         platform: &PlatformSpec,
         rng: &mut SimRng,
     ) -> Result<UnitPlan, KernelError> {
-        let args: FileArgs = parse(args)?;
         Ok(UnitPlan {
             duration: args.duration(platform, rng),
             input_bytes: 0,
@@ -82,13 +75,11 @@ impl KernelPlugin for MkfileKernel {
         })
     }
 
-    fn execute_model(&self, args: &Value, _rng: &mut SimRng) -> Result<Value, KernelError> {
-        let args: FileArgs = parse(args)?;
+    fn execute_model(&self, args: Self::Args, _rng: &mut SimRng) -> Result<Value, KernelError> {
         Ok(json!({ "bytes": args.bytes }))
     }
 
-    fn execute(&self, args: &Value) -> Result<Value, KernelError> {
-        let args: FileArgs = parse(args)?;
+    fn execute(&self, args: Self::Args) -> Result<Value, KernelError> {
         let path = args.path("mkfile")?;
         let bytes = args.bytes as usize;
         let mut f = std::fs::File::create(path)
@@ -110,23 +101,20 @@ impl KernelPlugin for MkfileKernel {
 #[derive(Debug, Default)]
 pub struct CcountKernel;
 
-impl KernelPlugin for CcountKernel {
+impl TypedKernel for CcountKernel {
+    type Args = FileArgs;
+
     fn name(&self) -> &str {
         "misc.ccount"
     }
 
-    fn validate(&self, args: &Value) -> Result<(), KernelError> {
-        parse::<FileArgs>(args).map(drop)
-    }
-
     fn plan(
         &self,
-        args: &Value,
+        args: Self::Args,
         _cores: usize,
         platform: &PlatformSpec,
         rng: &mut SimRng,
     ) -> Result<UnitPlan, KernelError> {
-        let args: FileArgs = parse(args)?;
         Ok(UnitPlan {
             duration: args.duration(platform, rng),
             input_bytes: args.bytes,
@@ -134,13 +122,11 @@ impl KernelPlugin for CcountKernel {
         })
     }
 
-    fn execute_model(&self, args: &Value, _rng: &mut SimRng) -> Result<Value, KernelError> {
-        let args: FileArgs = parse(args)?;
+    fn execute_model(&self, args: Self::Args, _rng: &mut SimRng) -> Result<Value, KernelError> {
         Ok(json!({ "chars": args.bytes }))
     }
 
-    fn execute(&self, args: &Value) -> Result<Value, KernelError> {
-        let args: FileArgs = parse(args)?;
+    fn execute(&self, args: Self::Args) -> Result<Value, KernelError> {
         let path = args.path("ccount")?;
         let mut f = std::fs::File::open(path)
             .map_err(|e| KernelError::new(format!("ccount {path:?}: {e}")))?;
@@ -162,7 +148,7 @@ impl KernelPlugin for CcountKernel {
 /// Arguments of `misc.sleep`.
 #[derive(Deserialize)]
 #[serde(deny_unknown_fields)]
-struct SleepArgs {
+pub(crate) struct SleepArgs {
     /// Seconds the task occupies its cores (required). A real run sleeps
     /// at most 5 of them.
     secs: f64,
@@ -178,36 +164,31 @@ impl Args for SleepArgs {
 #[derive(Debug, Default)]
 pub struct SleepKernel;
 
-impl KernelPlugin for SleepKernel {
+impl TypedKernel for SleepKernel {
+    type Args = SleepArgs;
+
     fn name(&self) -> &str {
         "misc.sleep"
     }
 
-    fn validate(&self, args: &Value) -> Result<(), KernelError> {
-        parse::<SleepArgs>(args).map(drop)
-    }
-
     fn plan(
         &self,
-        args: &Value,
+        args: Self::Args,
         _cores: usize,
         _platform: &PlatformSpec,
         _rng: &mut SimRng,
     ) -> Result<UnitPlan, KernelError> {
-        let args: SleepArgs = parse(args)?;
         Ok(UnitPlan {
             duration: SimDuration::from_secs_f64(args.secs),
             ..UnitPlan::default()
         })
     }
 
-    fn execute_model(&self, args: &Value, _rng: &mut SimRng) -> Result<Value, KernelError> {
-        let args: SleepArgs = parse(args)?;
+    fn execute_model(&self, args: Self::Args, _rng: &mut SimRng) -> Result<Value, KernelError> {
         Ok(json!({ "slept": args.secs }))
     }
 
-    fn execute(&self, args: &Value) -> Result<Value, KernelError> {
-        let args: SleepArgs = parse(args)?;
+    fn execute(&self, args: Self::Args) -> Result<Value, KernelError> {
         std::thread::sleep(std::time::Duration::from_secs_f64(args.secs.min(5.0)));
         Ok(json!({ "slept": args.secs }))
     }
@@ -216,14 +197,10 @@ impl KernelPlugin for SleepKernel {
 /// Arguments of `misc.stress`.
 #[derive(Deserialize)]
 #[serde(deny_unknown_fields)]
-struct StressArgs {
+pub(crate) struct StressArgs {
     /// Square roots to sum.
-    #[serde(default = "default_iters")]
+    #[serde(default = "count::<1_000_000>")]
     iters: u64,
-}
-
-fn default_iters() -> u64 {
-    1_000_000
 }
 
 impl Args for StressArgs {}
@@ -232,23 +209,20 @@ impl Args for StressArgs {}
 #[derive(Debug, Default)]
 pub struct StressKernel;
 
-impl KernelPlugin for StressKernel {
+impl TypedKernel for StressKernel {
+    type Args = StressArgs;
+
     fn name(&self) -> &str {
         "misc.stress"
     }
 
-    fn validate(&self, args: &Value) -> Result<(), KernelError> {
-        parse::<StressArgs>(args).map(drop)
-    }
-
     fn plan(
         &self,
-        args: &Value,
+        args: Self::Args,
         cores: usize,
         platform: &PlatformSpec,
         _rng: &mut SimRng,
     ) -> Result<UnitPlan, KernelError> {
-        let args: StressArgs = parse(args)?;
         // ~50 M simple float ops per second per modelled core.
         let secs = args.iters as f64 / (5e7 * platform.perf_factor * cores as f64);
         Ok(UnitPlan {
@@ -257,13 +231,11 @@ impl KernelPlugin for StressKernel {
         })
     }
 
-    fn execute_model(&self, args: &Value, _rng: &mut SimRng) -> Result<Value, KernelError> {
-        let args: StressArgs = parse(args)?;
+    fn execute_model(&self, args: Self::Args, _rng: &mut SimRng) -> Result<Value, KernelError> {
         Ok(json!({ "iters": args.iters }))
     }
 
-    fn execute(&self, args: &Value) -> Result<Value, KernelError> {
-        let args: StressArgs = parse(args)?;
+    fn execute(&self, args: Self::Args) -> Result<Value, KernelError> {
         let mut acc = 0.0f64;
         for i in 0..args.iters {
             acc += ((i % 1000) as f64).sqrt();
@@ -274,7 +246,11 @@ impl KernelPlugin for StressKernel {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::{CcountKernel, MkfileKernel, SleepKernel, StressKernel};
+    use crate::plugin::{KernelPlugin, UnitPlan};
+    use entk_cluster::PlatformSpec;
+    use entk_sim::{SimDuration, SimRng};
+    use serde_json::{json, Value};
 
     fn rng() -> SimRng {
         SimRng::seed_from_u64(1)

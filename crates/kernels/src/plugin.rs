@@ -13,14 +13,17 @@
 //! * a **real execution** — the actual computation (file I/O, toy MD,
 //!   PCA/diffusion maps) for local runs.
 //!
-//! A built-in kernel declares its arguments as one private
+//! A built-in kernel declares its arguments as one crate-private
 //! `#[serde(deny_unknown_fields)]` struct: its fields, their
 //! `#[serde(default = …)]`s and their doc comments are the only statement
 //! of the keys the kernel takes, their types and their defaults, and its
-//! `Args::check` the only statement of the values it refuses. Every face
-//! reads the arguments through `parse`, so a misspelt key, a wrong type or
-//! an impossible value is the same [`KernelError`] wherever it is met —
-//! at `entk check`, at submission, or at execution.
+//! `Args::check` the only statement of the values it refuses. It
+//! implements only the crate-private `TypedKernel`, whose faces take that
+//! struct, and one blanket [`KernelPlugin`] impl reads the JSON arguments
+//! through `parse` before each face and is its `validate`. So no built-in reads its
+//! `args` any other way, and a misspelt key, a wrong type or an impossible
+//! value is the same [`KernelError`] wherever it is met — at `entk check`,
+//! at submission, or at execution — before anything is drawn.
 
 use entk_cluster::PlatformSpec;
 use entk_sim::{SimDuration, SimRng};
@@ -138,6 +141,60 @@ pub trait KernelPlugin: Send + Sync {
     fn execute(&self, args: &Value) -> Result<Value, KernelError>;
 }
 
+/// A built-in kernel over its declared arguments: the faces of
+/// [`KernelPlugin`] after the one `parse` the blanket impl below runs.
+/// Crate-private, so only the built-ins implement it.
+pub(crate) trait TypedKernel: Send + Sync {
+    /// The declared arguments.
+    type Args: Args;
+
+    /// Registry name, e.g. `"md.amber"`.
+    fn name(&self) -> &str;
+
+    /// [`KernelPlugin::plan`] over the parsed arguments.
+    fn plan(
+        &self,
+        args: Self::Args,
+        cores: usize,
+        platform: &PlatformSpec,
+        rng: &mut SimRng,
+    ) -> Result<UnitPlan, KernelError>;
+
+    /// [`KernelPlugin::execute_model`] over the parsed arguments.
+    fn execute_model(&self, args: Self::Args, rng: &mut SimRng) -> Result<Value, KernelError>;
+
+    /// [`KernelPlugin::execute`] over the parsed arguments.
+    fn execute(&self, args: Self::Args) -> Result<Value, KernelError>;
+}
+
+impl<K: TypedKernel> KernelPlugin for K {
+    fn name(&self) -> &str {
+        TypedKernel::name(self)
+    }
+
+    fn validate(&self, args: &Value) -> Result<(), KernelError> {
+        parse::<K::Args>(args).map(drop)
+    }
+
+    fn plan(
+        &self,
+        args: &Value,
+        cores: usize,
+        platform: &PlatformSpec,
+        rng: &mut SimRng,
+    ) -> Result<UnitPlan, KernelError> {
+        TypedKernel::plan(self, parse(args)?, cores, platform, rng)
+    }
+
+    fn execute_model(&self, args: &Value, rng: &mut SimRng) -> Result<Value, KernelError> {
+        TypedKernel::execute_model(self, parse(args)?, rng)
+    }
+
+    fn execute(&self, args: &Value) -> Result<Value, KernelError> {
+        TypedKernel::execute(self, parse(args)?)
+    }
+}
+
 /// The declared arguments of a built-in kernel.
 pub(crate) trait Args: Deserialize {
     /// Refuses values no run can mean; keys and types are the struct's.
@@ -148,7 +205,7 @@ pub(crate) trait Args: Deserialize {
 
 /// Reads and checks a kernel's arguments (no arguments read as `{}`): the
 /// one place a built-in kernel's `args` become typed values.
-pub(crate) fn parse<A: Args>(args: &Value) -> Result<A, KernelError> {
+fn parse<A: Args>(args: &Value) -> Result<A, KernelError> {
     let parsed = match args {
         Value::Null => A::from_value(&Value::Object(Map::new())),
         given => A::from_value(given),
@@ -159,6 +216,12 @@ pub(crate) fn parse<A: Args>(args: &Value) -> Result<A, KernelError> {
     })?;
     parsed.check()?;
     Ok(parsed)
+}
+
+/// The default of a count argument, written at its field:
+/// `#[serde(default = "count::<1024>")]`.
+pub(crate) fn count<const N: u64>() -> u64 {
+    N
 }
 
 /// The default of an `f64` argument that scales: a base of one second, unit
@@ -310,6 +373,124 @@ mod tests {
         );
         let err = parse::<Probe>(&json!({"a": 1.0, "b": 0})).unwrap_err();
         assert_eq!(err.message, "b must be at least 1, got 0");
+    }
+}
+
+#[cfg(test)]
+mod one_parse {
+    use crate::registry::KernelRegistry;
+    use entk_cluster::PlatformSpec;
+    use entk_sim::SimRng;
+    use serde_json::{json, Value};
+
+    /// Each built-in with arguments it refuses, and the pointer each is
+    /// refused at: a misspelt key, a wrong type, and a value its
+    /// `Args::check` refuses (`misc.stress` declares no such value).
+    fn refused() -> Vec<(&'static str, Vec<(Value, &'static str)>)> {
+        let md = || {
+            vec![
+                (json!({ "stepz": 5 }), "/stepz"),
+                (json!({ "steps": 5.5 }), "/steps"),
+                (json!({ "steps": 0 }), "/steps"),
+            ]
+        };
+        let file = || {
+            vec![
+                (json!({ "byts": 4096 }), "/byts"),
+                (json!({ "bytes": "4 KiB" }), "/bytes"),
+                (json!({ "base_secs": -1.0 }), "/base_secs"),
+            ]
+        };
+        vec![
+            ("misc.mkfile", file()),
+            ("misc.ccount", file()),
+            (
+                "misc.sleep",
+                vec![
+                    (json!({ "secs": 1.0, "sec": 1.0 }), "/sec"),
+                    (json!({ "secs": "1" }), "/secs"),
+                    (json!({ "secs": 1e300 }), "/secs"),
+                ],
+            ),
+            (
+                "misc.stress",
+                vec![
+                    (json!({ "iter": 10 }), "/iter"),
+                    (json!({ "iters": 2.5 }), "/iters"),
+                ],
+            ),
+            ("md.amber", md()),
+            ("md.gromacs", md()),
+            (
+                "md.exchange",
+                vec![
+                    (json!({ "n_replicas": 4, "phse": 1 }), "/phse"),
+                    (json!({ "n_replicas": 2.5 }), "/n_replicas"),
+                    (
+                        json!({ "n_replicas": 4, "per_replica_secs": -1.0 }),
+                        "/per_replica_secs",
+                    ),
+                ],
+            ),
+            (
+                "ana.coco",
+                vec![
+                    (json!({ "n_sims": 4, "n_neww": 1 }), "/n_neww"),
+                    (json!({ "n_sims": "4" }), "/n_sims"),
+                    (json!({ "n_sims": 4, "base_secs": -1.0 }), "/base_secs"),
+                ],
+            ),
+            (
+                "ana.lsdmap",
+                vec![
+                    (json!({ "n_sims": 4, "n_coord": 2 }), "/n_coord"),
+                    (
+                        json!({ "n_sims": 4, "epsilon_scale": "x" }),
+                        "/epsilon_scale",
+                    ),
+                    (
+                        json!({ "n_sims": 4, "per_sim_secs": 1e300 }),
+                        "/per_sim_secs",
+                    ),
+                ],
+            ),
+            (
+                "ana.wham",
+                vec![
+                    (json!({ "n_samples": 4, "nbins": 2 }), "/nbins"),
+                    (json!({ "n_samples": -1 }), "/n_samples"),
+                    (json!({ "n_samples": 4, "base_secs": -1.0 }), "/base_secs"),
+                ],
+            ),
+        ]
+    }
+
+    /// Every face of every built-in refuses what `validate` refuses, with
+    /// the same error, before drawing from its generator: the arguments
+    /// are read once, by the adapter, whichever face is called.
+    #[test]
+    fn every_face_of_every_builtin_refuses_alike_before_drawing() {
+        let registry = KernelRegistry::with_builtins();
+        let table = refused();
+        let mut names: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
+        names.sort_unstable();
+        assert_eq!(names, registry.names(), "one row per built-in");
+        let platform = PlatformSpec::stampede();
+        let undrawn = SimRng::seed_from_u64(7).uniform();
+        for (name, rows) in table {
+            let plugin = registry.get(name).unwrap();
+            for (args, path) in rows {
+                let err = plugin.validate(&args).unwrap_err();
+                assert_eq!(err.path, path, "{name} {args}: {err}");
+                let mut rng = SimRng::seed_from_u64(7);
+                let planned = plugin.plan(&args, 4, &platform, &mut rng);
+                assert_eq!(planned.unwrap_err(), err, "{name} {args}: plan");
+                let modeled = plugin.execute_model(&args, &mut rng);
+                assert_eq!(modeled.unwrap_err(), err, "{name} {args}: execute_model");
+                assert_eq!(plugin.execute(&args).unwrap_err(), err, "{name} {args}");
+                assert_eq!(rng.uniform(), undrawn, "{name} {args} drew from the rng");
+            }
+        }
     }
 }
 

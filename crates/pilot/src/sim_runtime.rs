@@ -274,9 +274,10 @@ impl SimRuntime {
     }
 
     /// Sets the order in which placement passes offer waiting units to the
-    /// pilots (ablation hook).
+    /// pilots (ablation hook; a largest-first queue keeps no arrival order).
     pub fn set_unit_order(&mut self, order: UnitOrder) {
         self.order = order;
+        self.restore_offer_order();
     }
 
     /// The machine this runtime targets.
@@ -555,6 +556,7 @@ impl SimRuntime {
                     self.set_unit_state(id, UnitState::Scheduling, ctx.now(), None, ctx, out);
                     self.waiting.push_back(id.0);
                 }
+                self.restore_offer_order();
                 self.schedule_pass(ctx, out);
             }
             RuntimeEvent::SchedulePass => self.schedule_pass(ctx, out),
@@ -860,29 +862,26 @@ impl SimRuntime {
         self.place_waiting(ctx, out);
     }
 
-    /// Offers the waiting units, in the runtime's [`UnitOrder`], each to
-    /// the first active pilot with room, until no active pilot has room
-    /// for the narrowest waiting width. In arrival order the queue drops
-    /// the entries it examined and placed or found gone; largest-first
-    /// sorts the live entries on every pass.
+    /// Restores offer order once units joined the queue: largest-first
+    /// sorts the live entries widest first, then by id. What was queued
+    /// before them is one sorted run, which the stable sort merges.
+    fn restore_offer_order(&mut self) {
+        if self.order == UnitOrder::LargestFirst {
+            let units = &self.units;
+            self.waiting.retain(|&id| waits(units, id));
+            let key = |&id: &u64| (Reverse(units.get(id).expect(HELD).cores), id);
+            self.waiting.make_contiguous().sort_by_key(key);
+        }
+    }
+
+    /// Offers the queued units in order, each to the first active pilot
+    /// with room, until none has room for the narrowest waiting width,
+    /// dropping the entries it placed or found gone.
     fn place_waiting<E: RuntimeEventSink>(
         &mut self,
         ctx: &mut Context<'_, E>,
         out: &mut Vec<RuntimeNotification>,
     ) {
-        if self.order == UnitOrder::LargestFirst {
-            let units = &self.units;
-            self.waiting.retain(|&id| waits(units, id));
-            let mut sorted: Vec<u64> = self.waiting.iter().copied().collect();
-            sorted.sort_by_key(|&id| (Reverse(units.get(id).expect(HELD).cores), id));
-            for id in sorted {
-                if !self.room_for_narrowest() {
-                    break;
-                }
-                self.place(id, ctx, out);
-            }
-            return;
-        }
         let (mut kept, mut read) = (0, 0);
         while read < self.waiting.len() && self.room_for_narrowest() {
             let id = self.waiting[read];
@@ -1081,7 +1080,19 @@ pub(crate) mod tests {
         pilot_cores: usize,
         units: Vec<UnitDescription>,
     ) -> (Vec<RuntimeNotification>, SimRuntime, Range<u64>) {
+        run_ordered(UnitOrder::FirstFit, spec, config, pilot_cores, units)
+    }
+
+    /// [`run_session`] with units offered in `order`.
+    pub(crate) fn run_ordered(
+        order: UnitOrder,
+        spec: PlatformSpec,
+        config: SimRuntimeConfig,
+        pilot_cores: usize,
+        units: Vec<UnitDescription>,
+    ) -> (Vec<RuntimeNotification>, SimRuntime, Range<u64>) {
         let mut rt = SimRuntime::new(spec, config);
+        rt.set_unit_order(order);
         let mut engine: Engine<Ev> = Engine::new();
         let mut log = Vec::new();
         let mut booted = false;
@@ -1501,15 +1512,18 @@ pub(crate) mod tests {
                     .with_mpi(true)
             })
             .collect();
-        let (_, rt, _) = run_session(quiet_spec(1, 1000), quiet_config(), 1000, units);
-        let tracer = rt.telemetry().snapshot().tracer;
-        let placed = tracer.filter(TraceKind::UnitScheduled).count();
-        assert_eq!(placed, 20_000);
-        assert!(
-            rt.examined <= 2 * placed,
-            "{} queue entries examined for {placed} placements",
-            rt.examined
-        );
+        for order in [UnitOrder::FirstFit, UnitOrder::LargestFirst] {
+            let (spec, config) = (quiet_spec(1, 1000), quiet_config());
+            let (_, rt, _) = run_ordered(order, spec, config, 1000, units.clone());
+            let tracer = rt.telemetry().snapshot().tracer;
+            let placed = tracer.filter(TraceKind::UnitScheduled).count();
+            assert_eq!(placed, 20_000);
+            assert!(
+                rt.examined <= 2 * placed,
+                "{order:?}: {} queue entries examined for {placed} placements",
+                rt.examined
+            );
+        }
     }
 
     /// A runtime holding `pilots` (state, total cores, free cores) and, in
@@ -1546,6 +1560,11 @@ pub(crate) mod tests {
             let id = UnitId(i as u64);
             rt.set_unit_state(id, UnitState::Scheduling, SimTime::ZERO, None, ctx, out);
             rt.waiting.push_back(id.0);
+        }
+        // They joined as one batch; some left while they waited.
+        rt.restore_offer_order();
+        for &i in arrival {
+            let id = UnitId(i as u64);
             if !units[i].1 {
                 rt.set_unit_state(id, UnitState::Canceled, SimTime::ZERO, None, ctx, out);
                 if i % 2 == 0 {
@@ -1559,9 +1578,10 @@ pub(crate) mod tests {
     proptest::proptest! {
         /// One placement pass places what the reference policy of its
         /// order places, in the same order, from the live entries of the
-        /// queue in arrival order, and leaves the rest waiting in that
-        /// order. Widths are 1 to 64 cores; a pilot is inactive, full,
-        /// partly free, or smaller than some widths.
+        /// queue in arrival order, and leaves the rest waiting in offer
+        /// order: arrival order, or widest first, then by id. Widths are 1
+        /// to 64 cores; a pilot is inactive, full, partly free, or smaller
+        /// than some widths.
         #[test]
         fn prop_a_pass_places_what_the_reference_policy_places(
             units in proptest::collection::vec((1u32..65, 0u8..4, 0u64..1_000), 0..48),
@@ -1612,7 +1632,11 @@ pub(crate) mod tests {
                 })
                 .collect();
             proptest::prop_assert_eq!(&placed, &expected);
-            let left: Vec<u64> = (views.iter().map(|v| v.id.0))
+            let mut offered = views.clone();
+            if order == UnitOrder::LargestFirst {
+                offered.sort_by_key(|v| (Reverse(v.cores), v.id.0));
+            }
+            let left: Vec<u64> = (offered.iter().map(|v| v.id.0))
                 .filter(|&id| placed.iter().all(|p| p.unit.0 != id))
                 .collect();
             let waiting: Vec<u64> = (rt.waiting.iter().copied())

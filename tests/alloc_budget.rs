@@ -1,5 +1,6 @@
 //! The per-task allocation and byte budget of the session path (its own
-//! test binary, because it installs a counting global allocator).
+//! test binary, because it installs the counting global allocator of
+//! `tests/common/counting.rs`).
 //!
 //! One handle runs a 10^4-pipeline ensemble and then a 10^4-sim
 //! simulation-analysis loop, telemetry off — the body of the benchmark's
@@ -31,56 +32,12 @@ use entk_core::{
 use entk_kernels::KernelCall;
 use entk_sim::SimDuration;
 use serde_json::json;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Forwards to the system allocator, counting calls, live bytes, their
-/// high-water mark, and the largest block a growing `realloc` started from.
-struct Counting;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
-static GROWN_FROM: AtomicUsize = AtomicUsize::new(0);
-
-fn grow(bytes: usize) {
-    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are plain statistics.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        grow(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A block resized in place or moved counts its growth (or
-        // shrinkage) only, not both blocks at once.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        match new_size.checked_sub(layout.size()) {
-            Some(growth) => {
-                GROWN_FROM.fetch_max(layout.size(), Ordering::Relaxed);
-                grow(growth)
-            }
-            None => {
-                LIVE_BYTES.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
+#[path = "common/counting.rs"]
+mod counting;
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: counting::Counting = counting::Counting;
 
 const TASKS_PER_PATTERN: usize = 10_000;
 const PILOT_CORES: usize = 1024;
@@ -134,10 +91,7 @@ fn walltime() -> SimDuration {
 
 /// Runs the body on the handle `build` makes and asserts `budget`.
 fn body_stays_within(name: &str, budget: Budget, build: impl FnOnce() -> ResourceHandle) {
-    let allocations_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let live_before = LIVE_BYTES.load(Ordering::Relaxed);
-    PEAK_BYTES.store(live_before, Ordering::Relaxed);
-    GROWN_FROM.store(0, Ordering::Relaxed);
+    let mark = counting::Mark::start();
 
     let mut eop = EnsembleOfPipelines::new(TASKS_PER_PATTERN, 1, |_, _| sleep_call());
     let mut sal = SimulationAnalysisLoop::new(
@@ -155,10 +109,8 @@ fn body_stays_within(name: &str, budget: Budget, build: impl FnOnce() -> Resourc
     // Everything the body built is still alive here: both patterns, the
     // handle (its unit tables hold no row: every unit was collected), and
     // three reports, which share one task table.
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations_before;
-    let live = LIVE_BYTES.load(Ordering::Relaxed) - live_before;
-    let peak = PEAK_BYTES.load(Ordering::Relaxed) - live_before;
-    let grown_from = GROWN_FROM.load(Ordering::Relaxed);
+    let (allocations, live) = (mark.allocations(), mark.live_bytes());
+    let (peak, grown_from) = (mark.peak_bytes(), mark.grown_from());
 
     let tasks = session.task_count();
     assert_eq!(tasks, 2 * TASKS_PER_PATTERN + 1);
